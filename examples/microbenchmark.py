@@ -8,7 +8,7 @@ The paper runs 500/5,000/50,000 customers and reports the view scan 6x
 
 import argparse
 
-from repro.bench.experiments import run_fig10
+from repro.bench.suites.paper import run_fig10
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ For the full experiment suite (every table and figure) use
 import argparse
 import sys
 
-from repro.bench.experiments import run_fig12, run_fig14, run_table2, run_table3
+from repro.bench.suites.paper import run_fig12, run_fig14, run_table2, run_table3
 from repro.bench.tpcw_lab import TpcwLab
 
 

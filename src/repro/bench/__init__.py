@@ -1,25 +1,35 @@
-"""Benchmark harness: one runner per table/figure of the paper.
+"""Benchmark harness: one suite per table/figure of the paper, plus one
+per layer the repo has grown since.
+
+The paper's evaluation (runners in :mod:`repro.bench.suites.paper`,
+re-exported here):
 
 =============  ========================================  =====================
-Experiment     Paper result                              Runner
+``--only``     Paper result                              Runner
 =============  ========================================  =====================
-Fig. 10(a,b)   micro-benchmark: view scan vs join        :func:`run_fig10`
-Fig. 11        row-locking overhead vs lock count        :func:`run_fig11`
-Fig. 12        TPC-W join queries across 5 systems       :func:`run_fig12`
-Fig. 13        mechanism matrix                          :func:`run_fig13`
-Fig. 14        TPC-W write statements across 5 systems   :func:`run_fig14`
-Table I        qualitative comparison                    :func:`run_table1`
-Table II       sum of all statement response times       :func:`run_table2`
-Table III      database sizes                            :func:`run_table3`
+``fig10``      micro-benchmark: view scan vs join        :func:`run_fig10`
+``fig11``      row-locking overhead vs lock count        :func:`run_fig11`
+``fig12``      TPC-W join queries across 5 systems       :func:`run_fig12`
+``fig13``      mechanism matrix                          :func:`run_fig13`
+``fig14``      TPC-W write statements across 5 systems   :func:`run_fig14`
+``table1``     qualitative comparison                    :func:`run_table1`
+``table2``     sum of all statement response times       :func:`run_table2`
+``table3``     database sizes                            :func:`run_table3`
 =============  ========================================  =====================
 
-``python -m repro.bench --scale 200`` regenerates everything and prints
-the paper-style rows.
+The nine layer suites the repo has grown since (``storage``,
+``concurrency``, ``scaleout``, ``faults``, ``replication``,
+``orchestration``, ``serving``, ``federation``, ``query``) live one
+module each under :mod:`repro.bench.suites`, as ``run_<name>`` plus a
+``Suite`` record; :data:`repro.bench.suites.SUITES` is the one table
+behind every ``--only`` name. ``python -m repro.bench --scale 200``
+regenerates everything and prints the paper-style rows; ``python -m
+repro.bench --smoke <suite|all>`` runs the CI gates.
 """
 
 from repro.bench.harness import ExperimentResult, Series, summarize
 from repro.bench.tpcw_lab import TpcwLab
-from repro.bench.experiments import (
+from repro.bench.suites.paper import (
     run_fig10,
     run_fig11,
     run_fig12,

@@ -1,103 +1,42 @@
-"""CLI: regenerate every table and figure.
+"""CLI: regenerate every table and figure, or hold a suite to its gate.
 
     python -m repro.bench --scale 200 --reps 10 --out results.txt
+    python -m repro.bench --only faults,replication --emit-json out.json
+    python -m repro.bench --smoke all
 
-``--emit-json PATH`` additionally writes a machine-readable trajectory
-file recording, per experiment, the wall-clock seconds the simulator
-itself burned plus the simulated-latency statistics (the paper's
-metric). ``--baseline-json PATH`` merges a previously emitted file in
-as the comparison baseline and reports wall-clock speedups against it.
-``--only a,b,c`` restricts the run to a subset of experiments
-(``table1, fig10, fig11, fig12, fig13, fig14, table2, table3,
-storage, concurrency, scaleout, faults, replication,
-orchestration, query, serving, federation``) — handy for quick perf
-checks. An unknown or empty selection exits nonzero with the valid
-list, and a suite-specific flag combined with an ``--only`` that does
+Everything suite-specific here — the flags, the ``--only`` names, the
+run loop, the smoke gates — is derived from
+:data:`repro.bench.suites.SUITES`; ``--help`` lists each flag under the
+suite that owns it. An unknown or empty ``--only`` exits nonzero with
+the valid list, and a suite flag combined with an ``--only`` that does
 not select its suite is rejected instead of silently ignored.
 
-``--only concurrency --emit-json`` (likewise ``scaleout``, ``faults``,
-``replication``, ``orchestration`` and ``query``) emits a fully deterministic
-trajectory (virtual-time metrics only, no wall-clock entries): two
-runs with the same seed produce byte-identical JSON. The ``faults``
-experiment additionally verifies the chaos invariants (no acked write
-lost, no scan duplication/loss) and aborts on any violation;
-``replication`` sweeps replica count x crash rate with a nonzero
-recovery-replay cost and further enforces the bounded-staleness
-follower-read oracle; ``orchestration`` drives a staged rolling
-scale-out (plan -> diff -> apply/verify/commit) through the same
-chaos harness and aborts if any stage fails to commit.
+``--emit-json PATH`` writes a trajectory file: per experiment the
+simulated-latency statistics (the paper's metric), plus ``wall_clock_s``
+for the wall-clock ``timed`` suites; untimed suites emit virtual time
+only, so reruns with the same flags are byte-identical. ``--baseline-json
+PATH`` merges an earlier file in and reports wall-clock speedups.
+
+``--smoke <suite|all>`` runs a suite's CI gate locally: its smoke cell
+and checks, then its small ``--only`` sweep through this same CLI path
+(twice, byte-compared, unless the suite is timed). It exits 1 listing
+every failed check; with ``--emit-json`` it writes the smoke report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 import time
 
-from repro.bench.experiments import (
-    run_concurrency,
-    run_faults,
-    run_federation,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_orchestration,
-    run_query,
-    run_replication,
-    run_scaleout,
-    run_serving,
-    run_storage_perf,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-from repro.bench.tpcw_lab import TpcwLab
-
-ALL_EXPERIMENTS = (
-    "table1", "fig13", "storage", "fig10", "fig11", "fig12", "fig14",
-    "table2", "table3", "concurrency", "scaleout", "faults", "replication",
-    "orchestration", "query", "serving", "federation",
-)
-
-#: Suite-specific flags (argparse dest -> suite). A non-default value
-#: for one of these combined with an explicit ``--only`` that does NOT
-#: select its suite is a contradiction: the flag would be silently
-#: ignored, so the CLI refuses it instead.
-SUITE_FLAGS = {
-    "micro_scales": "fig10",
-    "storage_rows": "storage",
-    "clients": "concurrency",
-    "concurrency_txns": "concurrency",
-    "concurrency_scale": "concurrency",
-    "servers": "scaleout",
-    "scaleout_clients": "scaleout",
-    "scaleout_ops": "scaleout",
-    "crash_cycles": "faults",
-    "faults_clients": "faults",
-    "faults_ops": "faults",
-    "replicas": "replication",
-    "replication_cycles": "replication",
-    "replication_clients": "replication",
-    "replication_ops": "replication",
-    "orchestration_cycles": "orchestration",
-    "orchestration_clients": "orchestration",
-    "orchestration_ops": "orchestration",
-    "serving_clients": "serving",
-    "serving_ops": "serving",
-    "serving_population": "serving",
-    "serving_zipf_s": "serving",
-    "query_scale": "query",
-    "query_reps": "query",
-    "federation_scale": "federation",
-    "federation_reps": "federation",
-    "federation_clients": "federation",
-}
+from repro.bench.suite import Suite, failed
+from repro.bench.suites import SUITES
+from repro.bench.suites.storage import phase_speedups
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.bench",
         description="Regenerate every table and figure of the paper.",
@@ -106,126 +45,159 @@ def main(argv: list[str] | None = None) -> int:
                         help="TPC-W customers (paper: 1,000,000)")
     parser.add_argument("--reps", type=int, default=10,
                         help="repetitions per measurement (paper: 10)")
-    parser.add_argument("--micro-scales", type=str, default="50,500,5000",
-                        help="comma-separated micro-benchmark scales")
-    parser.add_argument("--storage-rows", type=int, default=50_000,
-                        help="rows for the storage-layer perf experiment")
-    parser.add_argument("--clients", type=str, default="1,4,16,64",
-                        help="comma-separated client counts for the "
-                             "concurrency experiment")
-    parser.add_argument("--concurrency-txns", type=int, default=8,
-                        help="transactions per virtual client")
-    parser.add_argument("--concurrency-scale", type=int, default=40,
-                        help="TPC-W customers for the concurrency experiment")
-    parser.add_argument("--servers", type=str, default="1,2,4,8",
-                        help="comma-separated region-server counts for the "
-                             "scale-out experiment")
-    parser.add_argument("--scaleout-clients", type=str, default="4,16",
-                        help="comma-separated client counts for the "
-                             "scale-out experiment")
-    parser.add_argument("--scaleout-ops", type=int, default=60,
-                        help="operations per virtual client in the "
-                             "scale-out experiment")
-    parser.add_argument("--crash-cycles", type=str, default="0,1,2,4",
-                        help="comma-separated crash/recover cycle counts "
-                             "for the fault-injection experiment")
-    parser.add_argument("--faults-clients", type=str, default="4,8",
-                        help="comma-separated client counts for the "
-                             "fault-injection experiment")
-    parser.add_argument("--faults-ops", type=int, default=64,
-                        help="operations per virtual client in the "
-                             "fault-injection experiment")
-    parser.add_argument("--replicas", type=str, default="1,2,3",
-                        help="comma-separated replica counts for the "
-                             "replication experiment (1 = no replication)")
-    parser.add_argument("--replication-cycles", type=str, default="0,2,4",
-                        help="comma-separated crash cycle counts for the "
-                             "replication experiment")
-    parser.add_argument("--replication-clients", type=int, default=6,
-                        help="virtual clients in the replication experiment")
-    parser.add_argument("--replication-ops", type=int, default=48,
-                        help="operations per virtual client in the "
-                             "replication experiment")
-    parser.add_argument("--orchestration-cycles", type=str, default="0,2",
-                        help="comma-separated crash cycle counts for the "
-                             "orchestration experiment (0 = no chaos)")
-    parser.add_argument("--orchestration-clients", type=int, default=4,
-                        help="virtual clients in the orchestration experiment")
-    parser.add_argument("--orchestration-ops", type=int, default=48,
-                        help="operations per virtual client in the "
-                             "orchestration experiment")
-    parser.add_argument("--serving-clients", type=str, default="64,256,1024",
-                        help="comma-separated virtual-client counts "
-                             "(offered load) for the serving experiment")
-    parser.add_argument("--serving-ops", type=int, default=6,
-                        help="operations per virtual client in the "
-                             "serving experiment")
-    parser.add_argument("--serving-population", type=int, default=1_000_000,
-                        help="Zipfian user population for the serving "
-                             "experiment (paper: millions of users)")
-    parser.add_argument("--serving-zipf-s", type=float, default=1.1,
-                        help="Zipf skew parameter s for the serving "
-                             "experiment")
-    parser.add_argument("--query-scale", type=int, default=200,
-                        help="TPC-W customers for the query-engine "
-                             "experiment")
-    parser.add_argument("--query-reps", type=int, default=5,
-                        help="repetitions per query in the query-engine "
-                             "experiment")
-    parser.add_argument("--federation-scale", type=int, default=30,
-                        help="TPC-W customers for the federation "
-                             "experiment")
-    parser.add_argument("--federation-reps", type=int, default=4,
-                        help="repetitions per query in the federation "
-                             "experiment")
-    parser.add_argument("--federation-clients", type=int, default=4,
-                        help="virtual clients in the federated "
-                             "scheduled write mix")
-    parser.add_argument("--only", type=str, default=None,
-                        help="comma-separated subset of experiments to run: "
-                             + ",".join(ALL_EXPERIMENTS))
-    parser.add_argument("--out", type=str, default=None,
-                        help="also write the report to this file")
-    parser.add_argument("--emit-json", type=str, default=None,
-                        help="write wall-clock + simulated-latency trajectory "
-                             "JSON to this file")
-    parser.add_argument("--baseline-json", type=str, default=None,
-                        help="previously emitted JSON to compare wall-clock "
-                             "against (recorded in the output)")
+    for suite in SUITES:
+        for flag in suite.flags:
+            parser.add_argument(
+                flag.option, dest=flag.dest, type=flag.kind,
+                default=flag.default, help=f"[{suite.name}] {flag.help}",
+            )
+    parser.add_argument("--only", help="comma-separated subset of "
+                        "experiments to run: " + ",".join(s.name for s in SUITES))
+    parser.add_argument("--smoke", metavar="SUITE", help="run one suite's CI "
+                        "smoke gate (or 'all') instead of a report")
+    parser.add_argument("--out", help="also write the report to this file")
+    parser.add_argument("--emit-json", help="write wall-clock + "
+                        "simulated-latency trajectory JSON (with --smoke: "
+                        "the smoke report) to this file")
+    parser.add_argument("--baseline-json", help="previously emitted JSON to "
+                        "compare wall-clock against (recorded in the output)")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def _stray_flags(parser, args, selected: list[Suite]) -> list[str]:
+    """Non-default flags owned by suites that will not run."""
+    return sorted(
+        f"{flag.option} (belongs to {suite.name!r})"
+        for suite in SUITES
+        if suite not in selected
+        for flag in suite.flags
+        if getattr(args, flag.dest) != parser.get_default(flag.dest)
+    )
+
+
+def _selected(parser, args) -> list[Suite]:
+    """The suites ``--only`` asks for, in ``SUITES`` order."""
+    if args.only is None:
+        return list(SUITES)
+    valid = ", ".join(s.name for s in SUITES)
+    wanted = {s.strip() for s in args.only.split(",") if s.strip()}
+    unknown = wanted - {s.name for s in SUITES}
+    if unknown:
+        parser.error(f"unknown experiments: {sorted(unknown)} (valid: {valid})")
+    if not wanted:
+        parser.error(f"--only selected no experiments (valid: {valid})")
+    selected = [s for s in SUITES if s.name in wanted]
+    stray = _stray_flags(parser, args, selected)
+    if stray:
+        parser.error(
+            "flags for experiments not selected by --only would be "
+            "silently ignored: " + ", ".join(stray)
+        )
+    return selected
+
+
+def run_suites(selected: list[Suite], args, argv: list[str], say):
+    """Run ``selected`` in order; returns ``(text report, JSON payload)``."""
+    sections: list[str] = []
+    wall_clock_s: dict[str, float] = {}
+    experiments: dict[str, dict] = {}
+    for suite in selected:
+        t0 = time.perf_counter()
+        out = suite.run(args, say)
+        if suite.timed:
+            wall_clock_s[suite.name] = round(time.perf_counter() - t0, 4)
+        if isinstance(out, str):
+            sections.append(out)
+            continue
+        for result in out:
+            experiments[result.experiment_id] = result.to_dict()
+            sections.append(result.to_text())
+    payload = {
+        # the output path is stripped so two runs of the same
+        # experiment emit byte-identical files wherever they land
+        "generated_by": "python -m repro.bench "
+        + " ".join(_without_output_paths(argv)),
+        "config": {
+            "scale": args.scale,
+            "reps": args.reps,
+            "micro_scales": ",".join(map(str, args.micro_scales)),
+            "storage_rows": args.storage_rows,
+        },
+        "wall_clock_s": wall_clock_s,
+        "experiments": experiments,
+    }
+    return "\n\n".join(sections), payload
+
+
+def _dump(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def smoke_suite(parser, suite: Suite, say) -> tuple[dict, list[str]]:
+    """Hold one suite to its smoke gate; returns ``(report, failures)``."""
+    smoke = suite.smoke
+    report: dict = {}
+    failures: list[str] = []
+    if smoke.fn is not None:
+        say(f"[smoke:{suite.name}] {smoke.fn.__name__}()")
+        report["smoke"] = smoke.fn()
+        failures += failed(smoke.checks, report["smoke"])
+    argv = ["--only", suite.name, *shlex.split(smoke.flags), "--quiet"]
+
+    def sweep() -> str:
+        say(f"[smoke:{suite.name}] python -m repro.bench {' '.join(argv)}")
+        opts = parser.parse_args(argv)
+        return _dump(run_suites(_selected(parser, opts), opts, argv, say)[1])
+
+    first = sweep()
+    report["sweep"] = json.loads(first)
+    # a timed suite records host wall-clock, which no rerun reproduces
+    if not suite.timed and sweep() != first:
+        failures.append(f"rerun of `{' '.join(argv)}` is not byte-identical")
+    failures += failed(smoke.sweep_checks, report["sweep"]["experiments"])
+    return report, failures
+
+
+def _smoke(parser, args, say) -> int:
+    gated = [s for s in SUITES if s.smoke is not None]
+    wanted = [s for s in gated if args.smoke in ("all", s.name)]
+    if not wanted:
+        parser.error(
+            f"no smoke gate named {args.smoke!r} "
+            f"(valid: all, {', '.join(s.name for s in gated)})"
+        )
+    stray = _stray_flags(parser, args, [])
+    if args.only is not None:
+        stray.insert(0, "--only")
+    if stray:
+        parser.error("--smoke runs each suite's own fixed configuration; drop "
+                     + ", ".join(stray))
+    reports: dict[str, dict] = {}
+    failures: list[str] = []
+    for suite in wanted:
+        reports[suite.name], bad = smoke_suite(parser, suite, say)
+        print(f"smoke[{suite.name}]: {reports[suite.name].get('smoke', {})} "
+              f"-> {'FAILED' if bad else 'ok'}")
+        failures += [f"{suite.name}: {message}" for message in bad]
+    if args.emit_json:
+        with open(args.emit_json, "w") as f:
+            f.write(_dump(reports))
+    for failure in failures:
+        print(f"smoke check failed — {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     say = (lambda _m: None) if args.quiet else (
         lambda m: print(f"  .. {m}", file=sys.stderr)
     )
-    selected = (
-        set(ALL_EXPERIMENTS)
-        if args.only is None
-        else {s.strip() for s in args.only.split(",") if s.strip()}
-    )
-    unknown = selected - set(ALL_EXPERIMENTS)
-    if unknown:
-        parser.error(
-            f"unknown experiments: {sorted(unknown)} "
-            f"(valid: {', '.join(ALL_EXPERIMENTS)})"
-        )
-    if not selected:
-        parser.error(
-            "--only selected no experiments "
-            f"(valid: {', '.join(ALL_EXPERIMENTS)})"
-        )
-    if args.only is not None:
-        contradictory = sorted(
-            f"--{dest.replace('_', '-')} (belongs to {suite!r})"
-            for dest, suite in SUITE_FLAGS.items()
-            if suite not in selected
-            and getattr(args, dest) != parser.get_default(dest)
-        )
-        if contradictory:
-            parser.error(
-                "flags for experiments not selected by --only would be "
-                "silently ignored: " + ", ".join(contradictory)
-            )
+    if args.smoke is not None:
+        return _smoke(parser, args, say)
+    selected = _selected(parser, args)
     baseline = None
     if args.baseline_json:
         # fail before the (potentially long) run, not after it
@@ -235,211 +207,17 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as e:
             parser.error(f"cannot read --baseline-json: {e}")
 
-    sections: list[str] = []
-    wall_clock_s: dict[str, float] = {}
-    experiments: dict[str, dict] = {}
-
-    def timed(name: str, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        wall_clock_s[name] = round(time.perf_counter() - t0, 4)
-        return out
-
-    def record(result) -> None:
-        experiments[result.experiment_id] = result.to_dict()
-        sections.append(result.to_text())
-
-    if "table1" in selected:
-        sections.append("Table I — qualitative comparison\n"
-                        + timed("table1", run_table1))
-    if "fig13" in selected:
-        sections.append("Fig. 13 — evaluated configurations\n"
-                        + timed("fig13", run_fig13))
-    if "storage" in selected:
-        say(f"[storage] load + scan {args.storage_rows} rows")
-        record(timed("storage", lambda: run_storage_perf(
-            num_rows=args.storage_rows, repetitions=min(args.reps, 5))))
-    if "fig10" in selected:
-        micro_scales = tuple(int(s) for s in args.micro_scales.split(","))
-        fig10 = timed("fig10", lambda: run_fig10(
-            micro_scales, args.reps, progress=say))
-        for r in fig10.values():
-            record(r)
-    if "fig11" in selected:
-        record(timed("fig11", lambda: run_fig11(repetitions=args.reps)))
-    if "concurrency" in selected:
-        # deliberately NOT wall-clock-timed: the concurrency trajectory
-        # must be byte-identical across runs with the same seed, and the
-        # experiment itself reports only virtual-time metrics
-        client_counts = tuple(
-            int(s) for s in args.clients.split(",") if s.strip() and int(s) > 0
-        )
-        for r in run_concurrency(
-            client_counts,
-            txns_per_client=args.concurrency_txns,
-            num_customers=args.concurrency_scale,
-            progress=say,
-        ).values():
-            record(r)
-    if "scaleout" in selected:
-        # like concurrency: virtual-time metrics only, never wall-clock
-        # timed, so the emitted trajectory is byte-identical across runs
-        server_counts = tuple(
-            int(s) for s in args.servers.split(",") if s.strip() and int(s) > 0
-        )
-        scaleout_clients = tuple(
-            int(s)
-            for s in args.scaleout_clients.split(",")
-            if s.strip() and int(s) > 0
-        )
-        for r in run_scaleout(
-            server_counts,
-            scaleout_clients,
-            ops_per_client=args.scaleout_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "faults" in selected:
-        # chaos trajectory: virtual-time metrics only, never wall-clock
-        # timed, so the emitted JSON is byte-identical across runs; any
-        # durability/scan-consistency invariant violation aborts the run
-        cycle_counts = tuple(
-            int(s)
-            for s in args.crash_cycles.split(",")
-            if s.strip() and int(s) >= 0
-        )
-        faults_clients = tuple(
-            int(s)
-            for s in args.faults_clients.split(",")
-            if s.strip() and int(s) > 0
-        )
-        for r in run_faults(
-            cycle_counts,
-            faults_clients,
-            ops_per_client=args.faults_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "replication" in selected:
-        # replication trajectory: virtual-time metrics only, never
-        # wall-clock timed, so the emitted JSON is byte-identical across
-        # runs; any durability/staleness violation aborts the run
-        replica_counts = tuple(
-            int(s)
-            for s in args.replicas.split(",")
-            if s.strip() and int(s) > 0
-        )
-        replication_cycles = tuple(
-            int(s)
-            for s in args.replication_cycles.split(",")
-            if s.strip() and int(s) >= 0
-        )
-        for r in run_replication(
-            replica_counts,
-            replication_cycles,
-            clients=args.replication_clients,
-            ops_per_client=args.replication_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "orchestration" in selected:
-        # rolling-operations trajectory: virtual-time metrics only,
-        # never wall-clock timed, so the emitted JSON is byte-identical
-        # across runs; an uncommitted stage or any durability/layout
-        # violation aborts the run
-        orchestration_cycles = tuple(
-            int(s)
-            for s in args.orchestration_cycles.split(",")
-            if s.strip() and int(s) >= 0
-        )
-        for r in run_orchestration(
-            orchestration_cycles,
-            clients=args.orchestration_clients,
-            ops_per_client=args.orchestration_ops,
-            progress=say,
-        ).values():
-            record(r)
-    if "serving" in selected:
-        # serving trajectory: virtual-time metrics only, never
-        # wall-clock timed, so the emitted JSON is byte-identical across
-        # runs; any durability/read-oracle violation aborts the run
-        serving_clients = tuple(
-            int(s)
-            for s in args.serving_clients.split(",")
-            if s.strip() and int(s) > 0
-        )
-        for r in run_serving(
-            serving_clients,
-            ops_per_client=args.serving_ops,
-            population=args.serving_population,
-            zipf_s=args.serving_zipf_s,
-            progress=say,
-        ).values():
-            record(r)
-    if "federation" in selected:
-        # routed vs pinned single-system execution: virtual-time series
-        # only, never wall-clock timed, so the emitted JSON is
-        # byte-identical across runs; any routed/pinned row divergence
-        # aborts the run
-        record(run_federation(
-            num_customers=args.federation_scale,
-            repetitions=args.federation_reps,
-            clients=args.federation_clients,
-            progress=say,
-        ))
-    if "query" in selected:
-        # engine comparison: virtual-time series only, never wall-clock
-        # timed, so the emitted JSON is byte-identical across runs; the
-        # wall-clock engine race on the limited broadcast join goes to
-        # stderr and is asserted by query_smoke in CI
-        record(run_query(
-            num_customers=args.query_scale,
-            repetitions=args.query_reps,
-            progress=say,
-        ))
-
-    lab_needed = selected & {"fig12", "fig14", "table2", "table3"}
-    if lab_needed:
-        lab = TpcwLab(num_customers=args.scale, repetitions=args.reps)
-        runners = {
-            "fig12": run_fig12, "fig14": run_fig14,
-            "table2": run_table2, "table3": run_table3,
-        }
-        for name in ("fig12", "fig14", "table2", "table3"):
-            if name in selected:
-                record(timed(name, lambda r=runners[name]: r(lab, progress=say)))
-
-    report = "\n\n".join(sections)
+    report, payload = run_suites(selected, args, argv, say)
     print(report)
     if args.out:
         with open(args.out, "w") as f:
             f.write(report + "\n")
     if args.emit_json:
-        payload = {
-            # the output path is stripped so two runs of the same
-            # experiment emit byte-identical files wherever they land
-            "generated_by": "python -m repro.bench " + " ".join(
-                _without_output_paths(
-                    argv if argv is not None else sys.argv[1:]
-                )
-            ),
-            "config": {
-                "scale": args.scale,
-                "reps": args.reps,
-                "micro_scales": args.micro_scales,
-                "storage_rows": args.storage_rows,
-            },
-            "wall_clock_s": wall_clock_s,
-            "experiments": experiments,
-        }
         if baseline is not None:
             payload["baseline"] = baseline
-            payload["wall_clock_speedup_vs_baseline"] = _speedups(
-                baseline, experiments, wall_clock_s
-            )
+            payload["wall_clock_speedup_vs_baseline"] = _speedups(baseline, payload)
         with open(args.emit_json, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(_dump(payload))
     return 0
 
 
@@ -447,40 +225,24 @@ def _without_output_paths(argv: list[str]) -> list[str]:
     out: list[str] = []
     skip = False
     for arg in argv:
-        if skip:
-            skip = False
-            continue
-        if arg in ("--emit-json", "--out"):
-            skip = True
-            continue
-        if arg.startswith(("--emit-json=", "--out=")):
-            continue
-        out.append(arg)
+        if skip or arg in ("--emit-json", "--out"):
+            skip = not skip  # the bare flag's value follows it
+        elif not arg.startswith(("--emit-json=", "--out=")):
+            out.append(arg)
     return out
 
 
-def _speedups(
-    baseline: dict, experiments: dict, wall_clock_s: dict
-) -> dict[str, float]:
-    """baseline wall-clock / current wall-clock, per experiment that
-    both runs measured. The storage phases use the noise-robust
-    best-of-reps series when both sides recorded it."""
+def _speedups(baseline: dict, payload: dict) -> dict[str, float]:
+    """baseline wall-clock / current wall-clock, per suite that both
+    runs timed, plus the storage suite's per-phase ratios."""
     out: dict[str, float] = {}
-    for name, now_s in wall_clock_s.items():
+    for name, now_s in payload["wall_clock_s"].items():
         base_s = baseline.get("wall_clock_s", {}).get(name)
         if base_s is not None and now_s:  # skip only unmeasured/zero denominators
             out[name] = round(base_s / now_s, 2)
-    base = baseline.get("experiments", {}).get("StoragePerf", {})
-    cur = experiments.get("StoragePerf", {})
-    for label in ("Best wall-clock (s)", "Wall-clock (s)"):
-        base_series = base.get("series", {}).get(label, {})
-        cur_series = cur.get("series", {}).get(label, {})
-        if base_series and cur_series:
-            for phase, stat in base_series.items():
-                now = cur_series.get(phase)
-                if stat and now and now.get("mean"):
-                    out[f"storage_{phase}"] = round(stat["mean"] / now["mean"], 2)
-            break
+    out.update(phase_speedups(
+        baseline.get("experiments", {}), payload["experiments"]
+    ))
     return out
 
 

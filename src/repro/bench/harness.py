@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from repro.sim.scheduler import percentile
+
 
 @dataclass(frozen=True)
 class Stat:
@@ -107,6 +109,55 @@ class ExperimentResult:
         for n in self.notes:
             lines.append(f"  note: {n}")
         return "\n".join(lines)
+
+
+def per_second(count: int, makespan_ms: float) -> float:
+    """``count`` events per virtual second. A degenerate cell (nothing
+    ran, zero makespan) reports 0.0, not NaN: bare NaN tokens would
+    make the emitted JSON unparseable."""
+    return count / (makespan_ms / 1000.0) if makespan_ms > 0 else 0.0
+
+
+def percentile_or_zero(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile; 0.0 for an empty sample (see
+    :func:`per_second`)."""
+    return percentile(samples, q) if samples else 0.0
+
+
+class Grid:
+    """The scaffolding every sweep suite shares: one
+    :class:`ExperimentResult` per metric over a common x-axis, one
+    series per swept label (created on first use, so report column
+    order is the order cells are filled in), single-shot ``Stat``
+    points, and the same notes attached to every metric."""
+
+    def __init__(
+        self,
+        x_label: str,
+        x_values: Iterable[Any],
+        **metrics: tuple[str, str, str],
+    ) -> None:
+        """``metrics`` maps a metric key to ``(experiment_id, title,
+        unit)``."""
+        xs = list(x_values)
+        self.results = {
+            key: ExperimentResult(
+                experiment_id, title, x_label, x_values=list(xs), unit=unit
+            )
+            for key, (experiment_id, title, unit) in metrics.items()
+        }
+
+    def set(self, metric: str, label: str, x: Any, value: float, n: int = 1) -> None:
+        result = self.results[metric]
+        series = next((s for s in result.series if s.label == label), None)
+        if series is None:
+            series = result.add_series(label)
+        series.set(x, Stat(value, 0.0, n))
+
+    def finish(self, *notes: str) -> dict[str, ExperimentResult]:
+        for result in self.results.values():
+            result.notes.extend(notes)
+        return self.results
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -1,0 +1,242 @@
+"""Throughput vs concurrent clients on the four transactional systems."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from repro.bench.harness import (
+    ExperimentResult,
+    Grid,
+    per_second,
+    percentile_or_zero,
+)
+from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.tpcw_lab import TpcwLab
+from repro.sim import DeterministicScheduler, derive_rng, run_transaction
+from repro.tpcw.writes import WRITE_STATEMENTS
+
+#: The four systems of the throughput-vs-client-count experiment.
+CONCURRENCY_SYSTEMS = ("Synergy", "MVCC-A", "MVCC-UA", "VoltDB")
+
+
+def _concurrency_txns(
+    generator,
+    rng,
+    txns_per_client: int,
+    hot_items: int,
+    hot_customers: int,
+    hot_carts: int,
+) -> list[list[tuple[str, str, tuple]]]:
+    """Pre-generate one client's transaction mix: each op is
+    ``(kind, ref, params)`` where kind 'q' references a workload query
+    id (resolved to the system's possibly-rewritten statement) and 'w'
+    carries literal write SQL. Parameters are drawn from small hot sets
+    so clients genuinely collide (lock waits, MVCC conflicts)."""
+    txns: list[list[tuple[str, str, tuple]]] = []
+    for _ in range(txns_per_client):
+        r = float(rng.random())
+        i_id = int(rng.integers(1, hot_items + 1))
+        c_id = int(rng.integers(1, hot_customers + 1))
+        sc_id = int(rng.integers(1, hot_carts + 1))
+        if r < 0.35:
+            # product page + admin restock on a hot item: in Synergy the
+            # Item update locks the item's Author root row
+            txns.append([
+                ("q", "Q6", (i_id,)),
+                ("w", WRITE_STATEMENTS["W9"],
+                 (int(rng.integers(10, 100)), i_id)),
+            ])
+        elif r < 0.60:
+            # customer profile update: Customer root lock / row conflict
+            txns.append([
+                ("w", WRITE_STATEMENTS["W13"],
+                 (round(float(rng.uniform(0, 500)), 2),
+                  round(float(rng.uniform(0, 5000)), 2),
+                  round(float(rng.uniform(0, 7200)), 2), c_id)),
+            ])
+        elif r < 0.80:
+            # cart touch: Shopping_cart sits outside every rooted tree
+            # (no Synergy lock) but still conflicts under MVCC
+            txns.append([
+                ("w", WRITE_STATEMENTS["W11"],
+                 (round(float(rng.uniform(0, 10 ** 6)), 2), sc_id)),
+            ])
+        else:
+            # read-only: most recent order of a hot customer
+            txns.append([("q", "Q2", (generator.customer_uname(c_id),))])
+    return txns
+
+
+def _client_programs(system, lab, scheduler, clients, txn_specs, seed, label):
+    """Wire one session + pre-generated transaction program per client."""
+    for i in range(clients):
+        rng = derive_rng(seed, f"{label}/client-{i}")
+        txns = _concurrency_txns(lab.generator, rng, **txn_specs)
+        statements = [
+            [
+                (system.statement(ref) if kind == "q" else ref, params)
+                for kind, ref, params in txn
+            ]
+            for txn in txns
+        ]
+        session = system.open_session(f"client-{i}")
+
+        def program(client, session=session, statements=statements):
+            for txn in statements:
+                yield from run_transaction(client, session, txn)
+
+        scheduler.add_client(f"client-{i}", program)
+
+
+def _scheduled_cell(name, clients, txn_specs, num_customers, seed, label):
+    """Build one populated system and drive ``clients`` virtual clients
+    through the deterministic scheduler — the shared harness cell behind
+    both :func:`run_concurrency` and :func:`concurrency_smoke`."""
+    lab = TpcwLab(
+        num_customers=num_customers, repetitions=1, seed=seed,
+        jitter_fraction=0.0,
+    )
+    system = lab.build_system(name)
+    lab.populate(system)
+    scheduler = DeterministicScheduler(system.sim)
+    _client_programs(system, lab, scheduler, clients, txn_specs, seed, label)
+    return scheduler.run()
+
+
+def run_concurrency(
+    client_counts: tuple[int, ...] = (1, 4, 16, 64),
+    txns_per_client: int = 8,
+    num_customers: int = 40,
+    seed: int = 20170904,
+    hot_items: int = 4,
+    hot_customers: int = 4,
+    hot_carts: int = 2,
+    progress: Callable[[str], None] | None = None,
+) -> dict[str, ExperimentResult]:
+    """Throughput vs number of concurrent clients, per system.
+
+    Each (system, client count) cell builds a fresh populated system and
+    drives N virtual clients through the deterministic cooperative
+    scheduler (``repro.sim.scheduler``): closed loop, zero think time,
+    ``txns_per_client`` transactions each, parameters drawn from small
+    hot sets so clients collide. Reported per cell: committed
+    transactions per virtual second, p50/p99 transaction response time
+    (including lock waits, queue waits and abort retries), and the abort
+    rate. Everything is derived from virtual time and seeded draws, so
+    two runs with the same arguments are bit-identical.
+    """
+    say = progress or (lambda _m: None)
+    grid = Grid(
+        "clients", client_counts,
+        throughput=(
+            "ConcurrencyThroughput",
+            "Committed transactions per second vs concurrent clients",
+            "txn/s (virtual)",
+        ),
+        p50=(
+            "ConcurrencyP50",
+            "Median transaction response time vs concurrent clients",
+            "ms",
+        ),
+        p99=(
+            "ConcurrencyP99",
+            "99th percentile transaction response time vs concurrent clients",
+            "ms",
+        ),
+        abort_rate=(
+            "ConcurrencyAbortRate",
+            "Transaction abort rate vs concurrent clients",
+            "fraction",
+        ),
+    )
+    txn_specs = dict(
+        txns_per_client=txns_per_client, hot_items=hot_items,
+        hot_customers=hot_customers, hot_carts=hot_carts,
+    )
+    contention_notes: list[str] = []
+    for name in CONCURRENCY_SYSTEMS:
+        for n in client_counts:
+            say(f"[concurrency] {name}: {n} clients x {txns_per_client} txns")
+            # the per-client RNG label excludes both the client count
+            # and the system name, so client i runs the same transaction
+            # mix in every cell of the grid and the scaling curves
+            # compare like against like across systems
+            report = _scheduled_cell(
+                name, n, txn_specs, num_customers, seed, "concurrency"
+            )
+            rts = report.response_times
+            committed, aborted = report.committed, report.aborted
+            attempts = committed + aborted
+            grid.set("throughput", name, n,
+                     per_second(committed, report.makespan_ms))
+            grid.set("p50", name, n, percentile_or_zero(rts, 0.50), committed)
+            grid.set("p99", name, n, percentile_or_zero(rts, 0.99), committed)
+            grid.set("abort_rate", name, n,
+                     aborted / attempts if attempts else 0.0, attempts)
+            if n == client_counts[-1]:
+                failed = sum(c["failed"] for c in report.clients.values())
+                contention_notes.append(
+                    f"{name} @ {n} clients: {report.lock_wait_count} lock "
+                    f"waits, {report.serial_wait_count} serial waits, "
+                    f"{report.conflict_abort_count} MVCC conflicts, "
+                    f"{failed} gave up"
+                )
+    return grid.finish(
+        f"{num_customers} customers, {txns_per_client} txns/client, hot sets: "
+        f"{hot_items} items / {hot_customers} customers / {hot_carts} carts, "
+        f"seed {seed}; closed loop, zero think time",
+        *contention_notes,
+    )
+
+
+def concurrency_smoke(
+    clients: int = 8,
+    txns_per_client: int = 6,
+    num_customers: int = 20,
+    seed: int = 20170904,
+) -> dict[str, int]:
+    """CI smoke: run Synergy (lock waits) and MVCC-A (conflict aborts)
+    at high contention; returns the aggregated contention counters."""
+    out = {"lock_waits": 0, "conflict_aborts": 0, "committed": 0, "failed": 0}
+    txn_specs = dict(
+        txns_per_client=txns_per_client, hot_items=2, hot_customers=2,
+        hot_carts=1,
+    )
+    for name in ("Synergy", "MVCC-A"):
+        report = _scheduled_cell(
+            name, clients, txn_specs, num_customers, seed, "smoke"
+        )
+        out["lock_waits"] += report.lock_wait_count
+        out["conflict_aborts"] += report.conflict_abort_count
+        out["committed"] += report.committed
+        out["failed"] += sum(c["failed"] for c in report.clients.values())
+    return out
+
+
+CONCURRENCY = Suite(
+    "concurrency",
+    lambda opts, say: list(run_concurrency(
+        opts.clients,
+        txns_per_client=opts.concurrency_txns,
+        num_customers=opts.concurrency_scale,
+        progress=say,
+    ).values()),
+    flags=(
+        Flag("clients", IntList(1), (1, 4, 16, 64),
+             "comma-separated client counts"),
+        Flag("concurrency_txns", int, 8, "transactions per virtual client"),
+        Flag("concurrency_scale", int, 40, "TPC-W customers"),
+    ),
+    smoke=Smoke(
+        # high-contention hot sets: the run must observe real lock
+        # waits (Synergy) and real MVCC conflict aborts
+        fn=concurrency_smoke,
+        checks=(
+            ("no lock contention observed", lambda o: o["lock_waits"] > 0),
+            ("no MVCC conflicts observed", lambda o: o["conflict_aborts"] > 0),
+            ("nothing committed, or a client gave up",
+             lambda o: o["committed"] > 0 and o["failed"] == 0),
+        ),
+        flags="--clients 1,8 --concurrency-txns 4 --concurrency-scale 20",
+    ),
+)

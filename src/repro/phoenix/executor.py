@@ -33,22 +33,19 @@ class PhoenixConnection:
         catalog: Catalog,
         dirty_check_views: bool = False,
         mvcc_version_check: bool = False,
-        engine: str = "legacy",
-        cost_based: bool = False,
     ) -> None:
-        if engine not in ("legacy", "streaming"):
-            raise PlanError(f"unknown query engine {engine!r}")
         self.client = client
         self.catalog = catalog
         self.sim = client.cluster.sim
         self.charge = LatencyCharger(self.sim, "phoenix")
         self.dirty_check_views = dirty_check_views
-        # Both knobs default to the anchored legacy behavior; the
-        # streaming engine and the cost-based planner are opt-in so the
-        # Fig. 10-14 / Table 2 plan shapes (and latencies) never move.
-        self.engine = engine
-        self.cost_based = cost_based
-        self.planner = self._build_planner(cost_based)
+        # Every connection starts on the anchored legacy behavior; the
+        # streaming engine and the cost-based planner are opted into
+        # through configure_engine() only, so the Fig. 10-14 / Table 2
+        # plan shapes (and latencies) never move.
+        self.engine = "legacy"
+        self.cost_based = False
+        self.planner = self._build_planner(False)
         self.writer = WriteExecutor(client, catalog)
         self.mvcc_version_check = mvcc_version_check
         self.hashjoin_row_bytes = 150

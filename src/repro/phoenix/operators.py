@@ -2,7 +2,7 @@
 
 The legacy executor in :mod:`repro.phoenix.plans` is a per-row
 generator chain. This module is the streaming engine that replaces it
-when a connection is opened with ``engine="streaming"``: every node is
+after ``conn.configure_engine(engine="streaming")``: every node is
 a :class:`PhysicalOperator` with explicit ``open``/``next_batch``/
 ``close`` semantics, pulling *batches* of rows through the tree instead
 of resuming a generator frame per row per operator.

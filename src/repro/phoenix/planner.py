@@ -629,7 +629,7 @@ class CostBasedPlanner(Planner):
       ``explain()`` renders — the costed plan tree.
 
     Never used by the anchored experiments: connections only construct
-    it when ``cost_based=True`` is requested explicitly.
+    it when ``configure_engine(cost_based=True)`` asks for it.
     """
 
     def __init__(

@@ -759,6 +759,7 @@ def run_chaos_cell(
     policy: FailoverPolicy | None = None,
     seed: int = 20170904,
     replication: ReplicationConfig | None = None,
+    install: Callable[[HBaseCluster, DeterministicScheduler], None] | None = None,
 ) -> ChaosRun:
     """Build a cluster, preload it, and drive ``clients`` chaos clients
     against it while a :class:`FaultInjector` crashes and recovers
@@ -775,6 +776,10 @@ def run_chaos_cell(
     drains the ship queues alongside the fault injector, chaos clients
     read with bounded-staleness follower reads, and
     :func:`check_invariants` additionally enforces the staleness axis.
+
+    ``install(cluster, scheduler)`` lets a caller add further scheduler
+    participants (the orchestration suite's rollout) after the chaos
+    clients, the injector and the shipper are registered.
     """
     spec = _ChaosCellSpec(
         num_servers=num_servers,
@@ -846,6 +851,8 @@ def run_chaos_cell(
     injector.install(scheduler)
     if cluster.replication is not None:
         ReplicationShipper(cluster.replication).install(scheduler)
+    if install is not None:
+        install(cluster, scheduler)
     report = scheduler.run()
 
     # quiesce: if the workload finished inside a failover window the

@@ -276,22 +276,14 @@ class DeterministicScheduler:
     running client, so each client has exactly one live heap entry and
     heap order equals scan order, ties included; a lazy-refresh guard
     re-pushes any entry whose clock moved anyway, keeping the heap
-    correct even for exotic programs that advance peer clocks.
-    ``ready_queue="scan"`` retains the original O(n) loop as an
-    executable specification for the equivalence property tests.
+    correct even for exotic programs that advance peer clocks. The
+    original O(n) scan lives on in ``tests/test_scheduler_heap.py`` as
+    the reference model the equivalence property tests compare against.
     """
 
-    def __init__(
-        self,
-        sim: Simulation,
-        max_steps: int = 10_000_000,
-        ready_queue: str = "heap",
-    ) -> None:
-        if ready_queue not in ("heap", "scan"):
-            raise ValueError(f"unknown ready_queue {ready_queue!r}")
+    def __init__(self, sim: Simulation, max_steps: int = 10_000_000) -> None:
         self.sim = sim
         self.max_steps = max_steps
-        self.ready_queue = ready_queue
         self.clients: list[VirtualClient] = []
         self.trace: list[tuple[int, float]] = []
         """(client_id, clock at resume) per step — a deterministic
@@ -321,10 +313,7 @@ class DeterministicScheduler:
         for client in self.clients:
             client.gen = client.program(client)
         try:
-            if self.ready_queue == "heap":
-                steps = self._drive_heap(ctx)
-            else:
-                steps = self._drive_scan(ctx)
+            steps = self._drive(ctx)
         finally:
             self.sim.clock = master_clock
             self.sim.concurrency = None
@@ -354,7 +343,7 @@ class DeterministicScheduler:
         finally:
             ctx.active = None
 
-    def _drive_heap(self, ctx: ConcurrencyContext) -> int:
+    def _drive(self, ctx: ConcurrencyContext) -> int:
         heap = [(c.clock.now_ms, c.client_id) for c in self.clients]
         heapq.heapify(heap)
         by_id = ctx._clients_by_id
@@ -382,34 +371,12 @@ class DeterministicScheduler:
                     "(livelocked client program?)"
                 )
         # the workload is finished — wind down pending background
-        # programs in registration order, exactly like the scan loop
+        # programs in registration order
         for c in self.clients:
             if not c.done:
                 if c.gen is not None:
                     c.gen.close()
                 c.done = True
-        return steps
-
-    def _drive_scan(self, ctx: ConcurrencyContext) -> int:
-        steps = 0
-        while True:
-            runnable = [c for c in self.clients if not c.done]
-            if not any(not c.daemon for c in runnable):
-                # only daemons (or nothing) left: the workload is
-                # finished — wind down pending background programs
-                for c in runnable:
-                    if c.gen is not None:
-                        c.gen.close()
-                    c.done = True
-                break
-            client = min(runnable, key=lambda c: (c.clock.now_ms, c.client_id))
-            self._step(ctx, client)
-            steps += 1
-            if steps > self.max_steps:
-                raise RuntimeError(
-                    f"scheduler exceeded {self.max_steps} steps "
-                    "(livelocked client program?)"
-                )
         return steps
 
 

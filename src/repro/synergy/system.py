@@ -57,8 +57,6 @@ class SynergySystem:
         cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
         heuristic: Heuristic | None = None,
         num_tx_slaves: int = 1,
-        query_engine: str = "legacy",
-        cost_based_planner: bool = False,
     ) -> None:
         self.schema = schema
         self.workload = workload
@@ -137,7 +135,6 @@ class SynergySystem:
         self.conn = PhoenixConnection(
             self.client, self.catalog, dirty_check_views=True,
             mvcc_version_check=False,
-            engine=query_engine, cost_based=cost_based_planner,
         )
 
         # executable statement text per workload id

@@ -25,12 +25,7 @@ class BaselineSystem(MvccSystemBase):
         workload: Workload,
         sim: Simulation | None = None,
         cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
-        query_engine: str = "legacy",
-        cost_based_planner: bool = False,
     ) -> None:
-        super().__init__(
-            schema, sim, cluster_config, views=[],
-            query_engine=query_engine, cost_based_planner=cost_based_planner,
-        )
+        super().__init__(schema, sim, cluster_config, views=[])
         for stmt in workload:
             self.register_statement(stmt.statement_id, stmt.sql)

@@ -125,8 +125,6 @@ class MvccSystemBase(EvaluatedSystem):
         sim: Simulation | None = None,
         cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
         views: list[ViewDef] | None = None,
-        query_engine: str = "legacy",
-        cost_based_planner: bool = False,
     ) -> None:
         self._sim = sim or Simulation(cost=cluster_config.cost)
         self.schema = schema
@@ -138,7 +136,6 @@ class MvccSystemBase(EvaluatedSystem):
         self.conn = PhoenixConnection(
             self.client, self.catalog,
             dirty_check_views=False, mvcc_version_check=True,
-            engine=query_engine, cost_based=cost_based_planner,
         )
         self.writer = WriteExecutor(self.client, self.catalog)
         self.maintainer = ViewMaintainer(self.client, self.catalog, self.views)

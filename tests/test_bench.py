@@ -1,12 +1,20 @@
-"""Benchmark harness: statistics, result rendering, and the fast
-experiments (Fig. 10 at tiny scale, Fig. 11, static tables)."""
+"""Benchmark harness: statistics, result rendering, the fast
+experiments (Fig. 10 at tiny scale, Fig. 11, static tables), and the
+CLI derived from the suite registry (errors, ``--smoke``)."""
 
+import json
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.experiments import run_fig10, run_fig11, run_fig13, run_table1
+from repro.bench import __main__ as cli
+from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suites import SUITES
+from repro.bench.suites.paper import run_fig10, run_fig11, run_fig13, run_table1
 from repro.bench.harness import (
     ExperimentResult,
     Stat,
@@ -139,3 +147,157 @@ class TestCliErrors:
 
         assert main(["--only", "fig13", "--quiet"]) == 0
         capsys.readouterr()
+
+
+# ------------------------------------------------------------ suite registry
+OWNED_FLAGS = [(suite, flag) for suite in SUITES for flag in suite.flags]
+INT_LIST_FLAGS = [
+    flag for _suite, flag in OWNED_FLAGS if isinstance(flag.kind, IntList)
+]
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def _non_default(flag: Flag) -> str:
+    if isinstance(flag.kind, IntList):
+        return "7"  # a one-element sweep no default uses
+    return str(flag.default + 1)
+
+
+class TestSuiteRegistry:
+    """``SUITES`` is the only suite table: the CLI is derived from it,
+    and these checks hold for every record in it."""
+
+    def test_names_unique(self):
+        names = [s.name for s in SUITES]
+        assert len(names) == len(set(names)) == 17
+
+    def test_every_flag_dest_owned_by_exactly_one_suite(self):
+        dests = [flag.dest for _suite, flag in OWNED_FLAGS]
+        assert len(dests) == len(set(dests))
+        shared = {"scale", "reps", "only", "smoke", "out", "emit_json",
+                  "baseline_json", "quiet"}
+        assert not shared & set(dests)
+
+    def test_help_lists_every_flag_under_its_suite(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for suite, flag in OWNED_FLAGS:
+            assert flag.option in text
+            assert f"[{suite.name}]" in text
+
+    @pytest.mark.parametrize(
+        "suite,flag", OWNED_FLAGS, ids=[f.dest for _s, f in OWNED_FLAGS]
+    )
+    def test_flag_with_only_excluding_its_suite_is_rejected(
+        self, suite, flag, capsys
+    ):
+        other = "table1" if suite.name != "table1" else "fig13"
+        err = _usage_error(
+            ["--only", other, flag.option, _non_default(flag)], capsys
+        )
+        assert flag.option in err
+        assert repr(suite.name) in err
+
+    @pytest.mark.parametrize(
+        "flag", INT_LIST_FLAGS, ids=[f.dest for f in INT_LIST_FLAGS]
+    )
+    def test_int_list_flags_reject_bad_lists(self, flag, capsys):
+        below = str(flag.kind.minimum - 1)
+        for bad in (below, f"3,{below}", "-1", "x", "1,x", "", "1,,2"):
+            # `--flag=value` so a leading '-' is not read as an option
+            err = _usage_error([f"{flag.option}={bad}"], capsys)
+            assert f"argument {flag.option}" in err, bad
+        # the boundary itself parses (no sweep is run here)
+        at_min = str(flag.kind.minimum)
+        parsed = cli.build_parser().parse_args([flag.option, at_min + ",9"])
+        assert getattr(parsed, flag.dest) == (flag.kind.minimum, 9)
+
+    def test_ci_smoke_matrix_is_the_suites_with_a_smoke(self):
+        ci = (
+            Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+        ).read_text()
+        matrix = re.search(r"suite: \[([^\]]*)\]", ci).group(1)
+        assert [name.strip() for name in matrix.split(",")] == [
+            s.name for s in SUITES if s.smoke is not None
+        ]
+
+
+class TestSmokeMode:
+    """``--smoke`` plumbing, on the cheapest real suite (storage) and on
+    fakes that force each failure mode."""
+
+    @staticmethod
+    def _fake(run, **smoke) -> Suite:
+        return Suite("fake", run, smoke=Smoke(flags="", **smoke))
+
+    @staticmethod
+    def _steady(opts, say):
+        return [ExperimentResult("Fake", "a deterministic result", "x")]
+
+    def test_passing_gate_exits_zero_and_emits_report(self, tmp_path, capsys):
+        out = tmp_path / "smoke.json"
+        assert cli.main(
+            ["--smoke", "storage", "--emit-json", str(out), "--quiet"]
+        ) == 0
+        assert "smoke[storage]" in capsys.readouterr().out
+        sweep = json.loads(out.read_text())["storage"]["sweep"]
+        assert "StoragePerf" in sweep["experiments"]
+        assert "--storage-rows 5000" in sweep["generated_by"]
+
+    def test_failed_checks_exit_one_and_print_every_message(
+        self, monkeypatch, capsys
+    ):
+        fake = self._fake(
+            self._steady,
+            fn=lambda: {"n": 1},
+            checks=(("n is not 2", lambda o: o["n"] == 2),
+                    ("n is not 1", lambda o: o["n"] == 1)),
+            sweep_checks=(("Fake went missing", lambda e: "Nope" in e),),
+        )
+        monkeypatch.setattr(cli, "SUITES", SUITES + (fake,))
+        assert cli.main(["--smoke", "fake", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "fake: n is not 2" in captured.err
+        assert "fake: Fake went missing" in captured.err
+        assert "n is not 1" not in captured.err
+        assert "FAILED" in captured.out
+
+    def test_rerun_mismatch_is_reported(self, monkeypatch, capsys):
+        counter = iter(range(10))
+
+        def drifting(opts, say):
+            result = ExperimentResult("Fake", "drifts between runs", "x")
+            result.note(f"run #{next(counter)}")
+            return [result]
+
+        monkeypatch.setattr(cli, "SUITES", SUITES + (self._fake(drifting),))
+        assert cli.main(["--smoke", "fake", "--quiet"]) == 1
+        assert "not byte-identical" in capsys.readouterr().err
+
+    def test_timed_suite_is_not_byte_compared(self, monkeypatch, capsys):
+        calls = []
+
+        def once(opts, say):
+            calls.append(1)
+            return self._steady(opts, say)
+
+        fake = replace(self._fake(once), timed=True)
+        monkeypatch.setattr(cli, "SUITES", SUITES + (fake,))
+        assert cli.main(["--smoke", "fake", "--quiet"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_smoke_refuses_unknown_suites_and_stray_flags(self, capsys):
+        assert "valid: all, storage" in _usage_error(["--smoke", "fig10"], capsys)
+        err = _usage_error(["--smoke", "faults", "--clients", "3"], capsys)
+        assert "--clients" in err
+        assert "--only" in _usage_error(
+            ["--smoke", "faults", "--only", "faults"], capsys
+        )

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.experiments import (
-    orchestration_rollback_smoke,
-    orchestration_smoke,
-    run_orchestration_cell,
-)
+import pytest
+
+from repro.bench.suite import failed
+from repro.bench.suites.orchestration import ORCHESTRATION, run_orchestration_cell
 from repro.config import ClusterConfig, ReplicationConfig
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
@@ -68,13 +67,30 @@ def surgical_faulter(cluster, victim, t_crash, t_recover, t_restart=None):
 
 
 class TestRolloutUnderChaos:
-    def test_rollout_commits_through_crash_cycles(self):
-        counters = orchestration_smoke()
-        assert counters["rollout_committed"] == 1
-        assert counters["stages_committed"] == counters["stages_total"] == 3
-        assert counters["crashes"] >= 2
-        assert counters["violations"] == 0
-        assert counters["layout_issues"] == 0
+    @pytest.fixture(scope="class")
+    def gate(self):
+        """The suite's own smoke gate, exactly as ``python -m repro.bench
+        --smoke orchestration`` (and so CI) evaluates it."""
+        smoke = ORCHESTRATION.smoke
+        out = smoke.fn()
+        return out, failed(smoke.checks, out)
+
+    def test_rollout_commits_through_crash_cycles(self, gate):
+        out, failures = gate
+        # 3/3 stages committed through >= 2 crash cycles, zero
+        # durability/staleness/layout violations, drill rolled back
+        assert failures == []
+        rollout = out["rollout"]
+        assert rollout["stages_committed"] == rollout["stages_total"] == 3
+
+    def test_induced_rollback_restores_state(self, gate):
+        out, _ = gate
+        assert out["drill"] == {
+            "rolled_back": 1,
+            "stages_total": 1,
+            "rows_intact": 1,
+            "layout_intact": 1,
+        }
 
     def test_chaos_rollout_rerun_is_byte_identical(self):
         def run():
@@ -92,15 +108,6 @@ class TestRolloutUnderChaos:
             }, sort_keys=True)
 
         assert run() == run()
-
-    def test_induced_rollback_restores_state(self):
-        counters = orchestration_rollback_smoke()
-        assert counters == {
-            "rolled_back": 1,
-            "stages_total": 1,
-            "rows_intact": 1,
-            "layout_intact": 1,
-        }
 
     def test_scheduled_rollback_under_chaos_is_deterministic(self):
         """A poisoned stage racing real crash/recover cycles must still

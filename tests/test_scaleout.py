@@ -4,7 +4,7 @@ reruns of the scale-out experiment."""
 
 import json
 
-from repro.bench.experiments import _scaleout_cell, run_scaleout
+from repro.bench.suites.scaleout import _scaleout_cell, run_scaleout
 from repro.config import ClusterConfig
 from repro.hbase import Get, HBaseClient, HBaseCluster, Put, RegionBalancer
 from repro.hbase.client import HTable

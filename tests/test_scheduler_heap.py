@@ -1,13 +1,13 @@
 """Heap ready-queue equivalence and scale tests.
 
-The ``DeterministicScheduler`` grew an O(log n) heap-based ready queue
-(``ready_queue="heap"``, the default) to drive 10k+ virtual clients;
-the original O(n) min-scan survives as ``ready_queue="scan"``, the
-executable specification. These tests pin the heap to the scan
-step-for-step: identical resume traces (including virtual-timestamp
-ties, which must break by registration order), identical side-effect
-logs, identical reports — across seeded multi-client workloads — and a
-10k-client smoke that must finish well inside the CI budget.
+The ``DeterministicScheduler`` drives 10k+ virtual clients through an
+O(log n) heap-based ready queue; the original O(n) min-scan survives
+here as ``ScanScheduler``, the test-local reference model. These tests
+pin the heap to the scan step-for-step: identical resume traces
+(including virtual-timestamp ties, which must break by registration
+order), identical side-effect logs, identical reports — across seeded
+multi-client workloads — and a 10k-client smoke that must finish well
+inside the CI budget.
 """
 
 from __future__ import annotations
@@ -15,19 +15,47 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import Simulation
 from repro.sim.scheduler import DeterministicScheduler
 
 
-def drive(ready_queue: str, plans, daemons=(), seed: int = 7):
+class ScanScheduler(DeterministicScheduler):
+    """Reference model: the original O(n) drive loop — every step
+    re-scans all runnable clients for the minimum ``(clock, client_id)``
+    resume key. The heap driver must reproduce its interleaving
+    exactly, ties included."""
+
+    def _drive(self, ctx) -> int:
+        steps = 0
+        while True:
+            runnable = [c for c in self.clients if not c.done]
+            if not any(not c.daemon for c in runnable):
+                # only daemons (or nothing) left: the workload is
+                # finished — wind down pending background programs
+                for c in runnable:
+                    if c.gen is not None:
+                        c.gen.close()
+                    c.done = True
+                break
+            client = min(runnable, key=lambda c: (c.clock.now_ms, c.client_id))
+            self._step(ctx, client)
+            steps += 1
+            if steps > self.max_steps:
+                raise RuntimeError(
+                    f"scheduler exceeded {self.max_steps} steps "
+                    "(livelocked client program?)"
+                )
+        return steps
+
+
+def drive(scheduler_cls, plans, daemons=(), seed: int = 7):
     """Run one schedule: client i advances its clock by ``plans[i]``'s
     deltas, one yield per delta, logging every resume. Daemons (by
     index) never finish on their own."""
     sim = Simulation(seed=seed)
-    scheduler = DeterministicScheduler(sim, ready_queue=ready_queue)
+    scheduler = scheduler_cls(sim)
     log: list[tuple[int, float]] = []
     for i, plan in enumerate(plans):
         if i in daemons:
@@ -57,8 +85,8 @@ def drive(ready_queue: str, plans, daemons=(), seed: int = 7):
 
 
 def assert_equivalent(plans, daemons=()):
-    heap_trace, heap_log, heap_report = drive("heap", plans, daemons)
-    scan_trace, scan_log, scan_report = drive("scan", plans, daemons)
+    heap_trace, heap_log, heap_report = drive(DeterministicScheduler, plans, daemons)
+    scan_trace, scan_log, scan_report = drive(ScanScheduler, plans, daemons)
     assert heap_trace == scan_trace
     assert heap_log == scan_log
     assert heap_report.makespan_ms == scan_report.makespan_ms
@@ -131,14 +159,10 @@ class TestHeapScanEquivalence:
 
     def test_trace_is_bit_identical_across_reruns(self):
         plans = [[1.0, 0.5, 0.5], [2.0], [0.5] * 4]
-        first = drive("heap", plans)
-        second = drive("heap", plans)
+        first = drive(DeterministicScheduler, plans)
+        second = drive(DeterministicScheduler, plans)
         assert first[0] == second[0]
         assert first[1] == second[1]
-
-    def test_invalid_ready_queue_rejected(self):
-        with pytest.raises(ValueError, match="ready_queue"):
-            DeterministicScheduler(Simulation(seed=1), ready_queue="btree")
 
 
 class TestHeapAtScale:

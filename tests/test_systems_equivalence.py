@@ -403,15 +403,13 @@ class TestRoutedRandomQueries:
 
         schema = company_schema()
         backends = {
-            "legacy": BaselineSystem(schema, Workload(), query_engine="legacy"),
-            "streaming": BaselineSystem(
-                schema, Workload(), query_engine="streaming"
-            ),
-            "cost-based": BaselineSystem(
-                schema, Workload(),
-                query_engine="streaming", cost_based_planner=True,
-            ),
+            name: BaselineSystem(schema, Workload())
+            for name in ("legacy", "streaming", "cost-based")
         }
+        backends["streaming"].conn.configure_engine(engine="streaming")
+        backends["cost-based"].conn.configure_engine(
+            engine="streaming", cost_based=True
+        )
         mediator = build_mediator(backends, schema, seed=7, mode=mode)
         for table, rows in company_rows().items():
             for row in rows:
