@@ -184,3 +184,14 @@ class ViewSelectionError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload statement violates the documented restrictions."""
+
+
+class FederationError(ReproError):
+    """Mediator routing or merge failure."""
+
+
+class FederationWriteHazardError(FederationError):
+    """Refused to re-execute a write whose effects may already have
+    applied on a backend that cannot roll back (auto-commit sessions
+    report ``rolls_back_on_abort == False``) — retrying would
+    double-apply."""

@@ -1,0 +1,115 @@
+"""Decompose: an analysed SELECT plus its bound parameters become one
+single-table fragment per FROM binding. Pure — no backend, no clock."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+from repro.phoenix.planner import SelectComposer
+from repro.sql.analyzer import AnalyzedSelect, analyze_select
+from repro.sql.ast import DerivedTable, Literal, Param, Select, TableRef
+from repro.sql.printer import to_sql
+
+
+@dataclass
+class Fragment:
+    """The sub-plan for one FROM binding: the statement a backend runs
+    for it and the attributes its rows carry."""
+
+    binding: str
+    sql: str
+    params: tuple[Any, ...]
+    attrs: tuple[str, ...]
+    derived: bool = False
+
+
+def split_eligible(analyzed: AnalyzedSelect) -> bool:
+    """A SELECT splits when it has >= 2 FROM bindings and every
+    derived table is parameter-free (a reparsed derived fragment
+    would renumber ``?`` placeholders)."""
+    from_items = analyzed.select.from_items
+    if len(from_items) < 2:
+        return False
+    return not any(
+        isinstance(item, DerivedTable) and _contains_param(item.select)
+        for item in from_items
+    )
+
+
+def decompose(
+    analyzed: AnalyzedSelect, params: tuple[Any, ...], composer: SelectComposer
+) -> list[Fragment]:
+    """One fragment per FROM binding. A base table becomes ``SELECT *
+    FROM R as b`` plus every constant/parameter filter on ``b``, with
+    the value bound into the fragment's own params (so no placeholder
+    is ever renumbered); a derived table becomes its own SELECT."""
+    fragments: list[Fragment] = []
+    for item in analyzed.select.from_items:
+        if isinstance(item, DerivedTable):
+            fragments.append(
+                Fragment(
+                    binding=item.binding,
+                    sql=to_sql(item.select),
+                    params=(),
+                    attrs=_output_names(item.select, composer),
+                    derived=True,
+                )
+            )
+            continue
+        assert isinstance(item, TableRef)
+        binding = item.binding
+        conds: list[str] = []
+        values: list[Any] = []
+        for f in analyzed.filters_on(binding):
+            if not isinstance(f.value, (Literal, Param)):
+                continue  # degenerate column-column filter: merge-side
+            conds.append(f"{binding}.{f.attr} {f.op} ?")
+            values.append(
+                f.value.value
+                if isinstance(f.value, Literal)
+                else params[f.value.index]
+            )
+        sql = f"SELECT * FROM {item.name} as {binding}"
+        if conds:
+            sql += " WHERE " + " and ".join(conds)
+        fragments.append(
+            Fragment(
+                binding=binding,
+                sql=sql,
+                params=tuple(values),
+                attrs=composer.namespace.relation(item.name).attribute_names,
+            )
+        )
+    return fragments
+
+
+def _output_names(select: Select, composer: SelectComposer) -> tuple[str, ...]:
+    """The column names a derived table's SELECT returns."""
+    spec = composer.output_spec(
+        analyze_select(select, composer.namespace),
+        {
+            item.binding: _output_names(item.select, composer)
+            for item in select.from_items
+            if isinstance(item, DerivedTable)
+        },
+    )
+    return tuple(name for name, _ in spec)
+
+
+def _contains_param(select: Select) -> bool:
+    def expr_has(expr: Any) -> bool:
+        if isinstance(expr, Param):
+            return True
+        args = getattr(expr, "args", None)
+        if args:
+            return any(expr_has(a) for a in args)
+        return False
+
+    for cond in select.where:
+        if expr_has(cond.left) or expr_has(cond.right):
+            return True
+    for item in select.from_items:
+        if isinstance(item, DerivedTable) and _contains_param(item.select):
+            return True
+    return False

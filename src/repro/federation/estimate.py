@@ -1,0 +1,80 @@
+"""Estimate: the virtual-ms price of running one statement on one
+backend, before the routing advisor's observed overrides."""
+
+from __future__ import annotations
+
+from typing import Any, Mapping
+
+from repro.config import CostModel
+from repro.errors import ReproError
+from repro.phoenix.planner import CostBasedPlanner
+from repro.sql.analyzer import AnalyzedSelect
+from repro.sql.ast import Literal, Param
+from repro.sql.parser import parse_statement
+from repro.systems.base import EvaluatedSystem
+
+
+def estimate_ms(
+    backend: EvaluatedSystem, sql: str, analyzed: AnalyzedSelect | None
+) -> float:
+    """Phoenix-backed systems are priced by the cost-based planner over
+    their own catalog, VoltDB by an arithmetic model over its in-memory
+    row counts, anything else by a per-binding nominal charge."""
+    cost = backend.sim.cost
+    if getattr(backend, "scheme_for", None) is not None:
+        return voltdb_estimate(cost, backend.engine.tables, analyzed)  # type: ignore[attr-defined]
+    ms = phoenix_estimate(backend, sql)
+    return fallback_estimate(cost, analyzed) if ms is None else ms
+
+
+def phoenix_estimate(backend: EvaluatedSystem, sql: str) -> float | None:
+    """The cost-based planner's root estimate over the backend's own
+    catalog (so Synergy's view rewrites change its price); ``None``
+    when the backend has no catalog or cannot plan ``sql``."""
+    inner = backend if hasattr(backend, "catalog") else getattr(
+        backend, "system", None
+    )
+    if inner is None or not hasattr(inner, "catalog"):
+        return None
+    try:
+        planner = CostBasedPlanner(
+            inner.catalog,
+            cluster=getattr(inner, "cluster", None),
+            cost=backend.sim.cost,
+        )
+        planned = planner.plan_select(parse_statement(sql))
+    except ReproError:
+        return None
+    est = planned.estimate
+    return float(est[1]) if est else None
+
+
+def voltdb_estimate(
+    cost: CostModel, tables: Mapping[str, Any], analyzed: AnalyzedSelect | None
+) -> float:
+    """Procedure base cost plus per-row work: an indexed equality
+    filter reads one row of its table, anything else scans it."""
+    total = 1.0
+    if analyzed is not None:
+        for b, rel in analyzed.bindings.items():
+            if rel is None or rel not in tables:
+                total += 100.0  # derived / unknown: nominal charge
+                continue
+            table = tables[rel]
+            eq_attrs = {
+                f.attr
+                for f in analyzed.filters_on(b)
+                if f.op == "=" and isinstance(f.value, (Literal, Param))
+            }
+            if any(table.has_index(a) for a in eq_attrs):
+                total += 1.0
+            else:
+                total += float(len(table.rows))
+    return cost.voltdb_proc_base_ms + cost.voltdb_row_ms * total
+
+
+def fallback_estimate(cost: CostModel, analyzed: AnalyzedSelect | None) -> float:
+    rows = 100.0
+    if analyzed is not None:
+        rows = float(len(analyzed.bindings)) * 100.0
+    return cost.rpc_base_ms + cost.read_row_ms * rows

@@ -66,6 +66,13 @@ class CatalogEntry:
     def has_attribute(self, name: str) -> bool:
         return name in self.dtypes
 
+    @property
+    def attribute_names(self) -> tuple[str, ...]:
+        """``attrs`` under the name a schema ``Relation`` gives it, so a
+        FROM name resolved through :class:`CatalogNamespace` answers
+        like one resolved through a ``Schema``."""
+        return self.attrs
+
     # -- encode / decode -------------------------------------------------------------
     def key_dtypes(self) -> tuple[DataType, ...]:
         return tuple(self.dtypes[a] for a in self.key_attrs)

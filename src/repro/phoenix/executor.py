@@ -8,20 +8,42 @@ handled here: a scan observing a marked view row restarts the query.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import DirtyReadRestart, PlanError, ReproError
 from repro.hbase.client import HBaseClient
 from repro.phoenix.catalog import Catalog
 from repro.phoenix.operators import compile_plan
 from repro.phoenix.planner import CostBasedPlanner, PlannedQuery, Planner
-from repro.phoenix.plans import ExecutionContext, Row, _lookup
+from repro.phoenix.plans import ExecutionContext
 from repro.phoenix.writes import WriteExecutor
 from repro.sim.latency import LatencyCharger
 from repro.sql.ast import Delete, Insert, Select, Statement, Update
 from repro.sql.parser import parse_statement
 
 MAX_DIRTY_RESTARTS = 32
+
+
+def stream_rows(
+    planned: PlannedQuery, ctx: ExecutionContext
+) -> Iterator[dict[str, Any]]:
+    """The one open/pull/close loop over the streaming operators:
+    compiles ``planned``, yields its shaped output rows, and closes the
+    tree on exhaustion, on error *and* when the consumer abandons the
+    iterator — so in-flight scans (LIMIT early-close, dirty restarts,
+    dropped cursors) settle their batch charges and release their
+    region windows deterministically."""
+    op = compile_plan(planned.root)
+    op.open(ctx)
+    try:
+        while True:
+            batch = op.next_batch()
+            if batch is None:
+                return
+            for row in batch:
+                yield planned.shape(row)
+    finally:
+        op.close()
 
 
 class PhoenixConnection:
@@ -99,10 +121,8 @@ class PhoenixConnection:
         while True:
             try:
                 if self.engine == "streaming":
-                    rows = self._run_streaming(planned, ctx)
-                else:
-                    rows = list(planned.root.execute(ctx))
-                break
+                    return list(stream_rows(planned, ctx))
+                return [planned.shape(row) for row in planned.root.execute(ctx)]
             except DirtyReadRestart:
                 attempts += 1
                 self.sim.metrics.counter("phoenix.dirty_restarts").inc()
@@ -111,24 +131,6 @@ class PhoenixConnection:
                         "query kept observing in-flight view rows "
                         f"after {attempts} restarts"
                     ) from None
-        return [self._shape(planned, row) for row in rows]
-
-    @staticmethod
-    def _run_streaming(planned: PlannedQuery, ctx: ExecutionContext) -> list[Row]:
-        """One streaming attempt: compile, pull every batch, and close
-        the tree on every exit so abandoned scans (LIMIT early-close,
-        dirty restarts) release their region windows deterministically."""
-        op = compile_plan(planned.root)
-        op.open(ctx)
-        try:
-            rows: list[Row] = []
-            while True:
-                batch = op.next_batch()
-                if batch is None:
-                    return rows
-                rows.extend(batch)
-        finally:
-            op.close()
 
     def stream_query(
         self, select: Select | str, params: tuple[Any, ...] = ()
@@ -143,26 +145,7 @@ class PhoenixConnection:
         guarantee tests)."""
         planned = self.plan(select)
         self.sim.charge(self.sim.cost.phoenix_statement_ms, "phoenix.statement")
-        ctx = ExecutionContext(self, tuple(params))
-        op = compile_plan(planned.root)
-        op.open(ctx)
-
-        def cursor():
-            try:
-                while True:
-                    batch = op.next_batch()
-                    if batch is None:
-                        return
-                    for row in batch:
-                        yield self._shape(planned, row)
-            finally:
-                op.close()
-
-        return cursor()
-
-    @staticmethod
-    def _shape(planned: PlannedQuery, row: Row) -> dict[str, Any]:
-        return {name: _lookup(row, src) for name, src in planned.output}
+        return stream_rows(planned, ExecutionContext(self, tuple(params)))
 
     # -- writes ------------------------------------------------------------------------
     def execute_write(

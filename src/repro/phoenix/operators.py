@@ -32,7 +32,7 @@ legacy experiments never see these operators.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import PlanError
 from repro.phoenix.plans import (
@@ -43,13 +43,13 @@ from repro.phoenix.plans import (
     GroupByNode,
     HashJoinNode,
     LimitNode,
-    MaterializedNode,
     NestedLoopJoinNode,
     PlanNode,
     Predicate,
     Row,
     ScanNode,
     SortNode,
+    SourceNode,
     SubqueryNode,
     _hashable,
     _lookup,
@@ -88,18 +88,6 @@ class PhysicalOperator:
 
     def children(self) -> tuple["PhysicalOperator", ...]:
         return ()
-
-    def rows(self) -> Iterator[Row]:
-        """Row-at-a-time convenience cursor; closes the tree on normal
-        exhaustion *and* when the consumer abandons the iterator."""
-        try:
-            while True:
-                batch = self.next_batch()
-                if batch is None:
-                    return
-                yield from batch
-        finally:
-            self.close()
 
     def describe(self, indent: int = 0) -> str:
         lines = [("  " * indent) + self._label()]
@@ -160,18 +148,19 @@ class StreamingScan(PhysicalOperator):
         )
 
 
-class MaterializedSource(PhysicalOperator):
-    """In-memory rows (pre-materialized derived tables, tests)."""
+class StreamingSource(PhysicalOperator):
+    """Leaf over :attr:`SourceNode.fetch`: runs it at the first pull
+    (never, when nothing pulls) and hands its rows on in batches."""
 
-    def __init__(self, rows: list[Row], label: str = "materialized") -> None:
-        self._rows = rows
+    def __init__(self, fetch: Callable[[], list[Row]], label: str) -> None:
+        self.fetch = fetch
         self.label = label
-
-    def open(self, ctx: ExecutionContext) -> None:
-        self._ctx = ctx
+        self._rows: list[Row] | None = None
         self._pos = 0
 
     def next_batch(self) -> list[Row] | None:
+        if self._rows is None:
+            self._rows = self.fetch()
         if self._pos >= len(self._rows):
             return None
         batch = self._rows[self._pos : self._pos + BATCH_ROWS]
@@ -179,33 +168,7 @@ class MaterializedSource(PhysicalOperator):
         return batch
 
     def _label(self) -> str:
-        return f"STREAM MATERIALIZED {self.label} ({len(self._rows)} rows)"
-
-
-class StreamingProject(PhysicalOperator):
-    """Shapes internal ``(binding, attr)`` rows into output dicts —
-    the pipeline root the executor consumes."""
-
-    def __init__(
-        self, child: PhysicalOperator, output: tuple[tuple[str, Any], ...]
-    ) -> None:
-        self.child = child
-        self.output = output
-
-    def next_batch(self) -> list[Row] | None:
-        batch = self.child.next_batch()
-        if batch is None:
-            return None
-        return [
-            {name: _lookup(row, src) for name, src in self.output}
-            for row in batch
-        ]
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        return f"PROJECT {tuple(name for name, _ in self.output)}"
+        return f"STREAM SOURCE {self.label}"
 
 
 class StreamingFilter(PhysicalOperator):
@@ -416,10 +379,10 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
 class HashDistinct(PhysicalOperator):
     """Streaming dedupe — same key derivation as the legacy
-    :class:`DistinctNode` (projected sources, or whole-row when
-    keyless), but emits survivors batch by batch."""
+    :class:`DistinctNode` (the projected sources), but emits survivors
+    batch by batch."""
 
-    def __init__(self, child: PhysicalOperator, keys: tuple = ()) -> None:
+    def __init__(self, child: PhysicalOperator, keys: tuple) -> None:
         self.child = child
         self.keys = keys
         self._seen: set = set()
@@ -431,13 +394,7 @@ class HashDistinct(PhysicalOperator):
                 return None
             out: list[Row] = []
             for row in batch:
-                if self.keys:
-                    key = tuple(_hashable(_lookup(row, k)) for k in self.keys)
-                else:
-                    key = tuple(
-                        (k, _hashable(v))
-                        for k, v in sorted(row.items(), key=lambda kv: kv[0])
-                    )
+                key = tuple(_hashable(_lookup(row, k)) for k in self.keys)
                 if key not in self._seen:
                     self._seen.add(key)
                     out.append(row)
@@ -449,48 +406,6 @@ class HashDistinct(PhysicalOperator):
 
     def _label(self) -> str:
         return f"HASH DISTINCT {self.keys}"
-
-
-class HashUnion(PhysicalOperator):
-    """Multi-input union: drains inputs in order; with
-    ``distinct=True`` (SQL ``UNION``) duplicates across *and* within
-    inputs are dropped via the whole-row key, with ``distinct=False``
-    (``UNION ALL``) rows pass straight through."""
-
-    def __init__(
-        self, inputs: tuple[PhysicalOperator, ...], distinct: bool = True
-    ) -> None:
-        self.inputs = inputs
-        self.distinct = distinct
-        self._seen: set = set()
-        self._current = 0
-
-    def next_batch(self) -> list[Row] | None:
-        while self._current < len(self.inputs):
-            batch = self.inputs[self._current].next_batch()
-            if batch is None:
-                self._current += 1
-                continue
-            if not self.distinct:
-                return batch
-            out: list[Row] = []
-            for row in batch:
-                key = tuple(
-                    (k, _hashable(v))
-                    for k, v in sorted(row.items(), key=lambda kv: kv[0])
-                )
-                if key not in self._seen:
-                    self._seen.add(key)
-                    out.append(row)
-            if out:
-                return out
-        return None
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return self.inputs
-
-    def _label(self) -> str:
-        return f"HASH UNION {'DISTINCT' if self.distinct else 'ALL'}"
 
 
 class HashGroupBy(PhysicalOperator):
@@ -634,49 +549,32 @@ class StreamingSort(PhysicalOperator):
 
 
 class Limit(PhysicalOperator):
-    """LIMIT/OFFSET. Closes the child as soon as the limit is
-    satisfied so abandoned subtree scans release their windows at the
-    moment the last row is emitted, not at tree close."""
+    """LIMIT. Closes the child as soon as the limit is satisfied so
+    abandoned subtree scans release their windows at the moment the
+    last row is emitted, not at tree close."""
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        limit: int | None,
-        offset: int = 0,
-    ) -> None:
+    def __init__(self, child: PhysicalOperator, limit: int) -> None:
         self.child = child
         self.limit = limit
-        self.offset = offset
-        self._skipped = 0
         self._emitted = 0
         self._done = False
 
     def next_batch(self) -> list[Row] | None:
         if self._done:
             return None
-        while True:
-            if self.limit is not None and self._emitted >= self.limit:
-                self._finish()
-                return None
-            batch = self.child.next_batch()
-            if batch is None:
-                self._done = True
-                return None
-            if self._skipped < self.offset:
-                take = min(len(batch), self.offset - self._skipped)
-                self._skipped += take
-                batch = batch[take:]
-                if not batch:
-                    continue
-            if self.limit is not None:
-                remaining = self.limit - self._emitted
-                if len(batch) >= remaining:
-                    out = batch[:remaining]
-                    self._emitted += len(out)
-                    self._finish()
-                    return out
-            self._emitted += len(batch)
-            return batch
+        remaining = self.limit - self._emitted
+        if remaining <= 0:
+            self._finish()
+            return None
+        batch = self.child.next_batch()
+        if batch is None:
+            self._done = True
+            return None
+        if len(batch) >= remaining:
+            batch = batch[:remaining]
+            self._finish()
+        self._emitted += len(batch)
+        return batch
 
     def _finish(self) -> None:
         self._done = True
@@ -686,7 +584,7 @@ class Limit(PhysicalOperator):
         return (self.child,)
 
     def _label(self) -> str:
-        return f"STREAM LIMIT {self.limit} OFFSET {self.offset}"
+        return f"STREAM LIMIT {self.limit}"
 
 
 # ---------------------------------------------------------------- compilation
@@ -698,8 +596,8 @@ def compile_plan(node: PlanNode) -> PhysicalOperator:
     """
     if isinstance(node, ScanNode):
         return StreamingScan(node.access, node.prefix_exprs, node.check_dirty)
-    if isinstance(node, MaterializedNode):
-        return MaterializedSource(node.rows, node.label)
+    if isinstance(node, SourceNode):
+        return StreamingSource(node.fetch, node.label)
     if isinstance(node, SubqueryNode):
         return SubqueryOp(
             compile_plan(node.subplan),
@@ -735,14 +633,12 @@ __all__ = [
     "BATCH_ROWS",
     "PhysicalOperator",
     "StreamingScan",
-    "MaterializedSource",
-    "StreamingProject",
+    "StreamingSource",
     "StreamingFilter",
     "SubqueryOp",
     "SymmetricHashJoin",
     "IndexNestedLoopJoin",
     "HashDistinct",
-    "HashUnion",
     "HashGroupBy",
     "StreamingSort",
     "Limit",

@@ -29,6 +29,7 @@ from repro.phoenix.stats import (
     StatisticsProvider,
 )
 from repro.phoenix.catalog import Catalog, CatalogEntry, CatalogNamespace, VIEW, VIEW_INDEX
+from repro.relational.schema import Schema
 from repro.sql.analyzer import (
     AnalyzedSelect,
     FilterCondition,
@@ -56,10 +57,13 @@ from repro.phoenix.plans import (
     LimitNode,
     NestedLoopJoinNode,
     PlanNode,
+    Predicate,
+    Row,
     ScanNode,
     SortNode,
     SubqueryNode,
     ValuePredicate,
+    _lookup,
 )
 
 Source = Union[tuple[str, str], str]
@@ -79,14 +83,270 @@ class PlannedQuery:
     def explain(self) -> str:
         return self.root.describe()
 
+    def shape(self, row: Row) -> dict[str, Any]:
+        """One internal ``(binding, attr)`` row as an output dict."""
+        return {name: _lookup(row, src) for name, src in self.output}
+
+    @property
+    def estimate(self) -> tuple[float, float] | None:
+        """The root's ``(rows, cost_ms)`` when a cost-based planner
+        annotated the tree, else ``None``."""
+        return getattr(self.root, "_est", None)
+
 
 ALL_ATTRS = None  # sentinel: binding needs every attribute (SELECT *)
 
+AccessChoice = tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]
+"""(usable key prefix, entry to read, base entry to look up when not covered)."""
 
-class Planner:
+EquiCond = tuple[int, str, tuple[str, str]]
+"""(join id, attr of the binding being attached, key on the joined side)."""
+
+
+class SelectComposer:
+    """How a SELECT is composed around its leaves, given only the
+    ``namespace`` that says which attributes a FROM name has (a
+    :class:`Schema`, or a :class:`CatalogNamespace` whose names include
+    views): which row source a column resolves to, how output
+    columns are named (and duplicates disambiguated), which equi-joins
+    attach a binding and as what hash join, which predicates stay
+    residual above the joins, what a GROUP BY aggregates, and the order
+    the tail stacks in (group-by -> distinct -> sort -> limit).
+
+    Everything here is independent of how the leaves are reached, so
+    the single-system :class:`Planner` (catalog access paths below) and
+    the federation mediator (backend fragments below) build the same
+    tree above them and return rows under the same names.
+    """
+
+    def __init__(self, namespace: Schema | CatalogNamespace) -> None:
+        self.namespace = namespace
+
+    # -- column resolution ----------------------------------------------------------
+    def resolve(
+        self, col: ColumnRef, analyzed: AnalyzedSelect
+    ) -> tuple[str, str | None]:
+        if col.qualifier is not None:
+            if col.qualifier not in analyzed.bindings:
+                raise SqlError(f"unknown alias {col.qualifier!r}")
+            return col.qualifier, analyzed.bindings[col.qualifier]
+        owners = []
+        for b, rel in analyzed.bindings.items():
+            if rel is not None and self.namespace.has_relation(rel):
+                if self.namespace.relation(rel).has_attribute(col.name):
+                    owners.append((b, rel))
+        if len(owners) == 1:
+            return owners[0]
+        if not owners:
+            # may be an aggregate alias handled by bare-name lookup
+            return ("", None)
+        raise SqlError(f"ambiguous column {col.name!r}")
+
+    def source_for(self, expr: Expr, analyzed: AnalyzedSelect) -> Source:
+        if isinstance(expr, ColumnRef):
+            b, _ = self.resolve(expr, analyzed)
+            if b == "":
+                return expr.name  # bare-name / aggregate-alias lookup
+            return (b, expr.name)
+        if isinstance(expr, FuncCall):
+            return str(expr)
+        raise PlanError(f"unsupported expression in this clause: {expr}")
+
+    # -- joins ------------------------------------------------------------------------
+    @staticmethod
+    def join_connects(j: JoinCondition, b: str, joined: list[str]) -> bool:
+        if j.left_binding == b and j.right_binding in joined:
+            return True
+        if j.right_binding == b and j.left_binding in joined:
+            return True
+        return False
+
+    def first_connected(
+        self,
+        remaining: list[str],
+        joined: list[str],
+        pending_joins: list[tuple[int, JoinCondition]],
+    ) -> str:
+        """Rule-based next binding: the first remaining one connected to
+        the joined set by an equi-join, then by any join, else cross
+        product."""
+        for b in remaining:
+            if any(
+                self.join_connects(j, b, joined)
+                for _, j in pending_joins
+                if j.is_equi
+            ):
+                return b
+        for b in remaining:
+            if any(self.join_connects(j, b, joined) for _, j in pending_joins):
+                return b
+        return remaining[0]  # cross product
+
+    def equi_conds(
+        self,
+        binding: str,
+        joined: list[str],
+        pending: list[tuple[int, JoinCondition]],
+    ) -> list[EquiCond]:
+        """The pending equi-join conditions connecting ``binding`` to
+        the joined set."""
+        conds: list[EquiCond] = []
+        for i, j in pending:
+            if not j.is_equi or not self.join_connects(j, binding, joined):
+                continue
+            if j.left_binding == binding:
+                conds.append((i, j.left_attr, (j.right_binding, j.right_attr)))
+            else:
+                conds.append((i, j.right_attr, (j.left_binding, j.left_attr)))
+        return conds
+
+    @staticmethod
+    def hash_join(
+        plan: PlanNode, build: PlanNode, binding: str, conds: list[EquiCond]
+    ) -> tuple[PlanNode, set[int]]:
+        """Hash-join ``build`` (the rows of ``binding``) into ``plan`` on
+        ``conds`` — cartesian when there are none; returns (plan,
+        consumed join ids)."""
+        node = HashJoinNode(
+            probe=plan,
+            build=build,
+            probe_keys=tuple(outer for _, _, outer in conds),
+            build_keys=tuple((binding, attr) for _, attr, _ in conds),
+        )
+        return node, {i for i, _, _ in conds}
+
+    @staticmethod
+    def residual_filter(
+        plan: PlanNode, analyzed: AnalyzedSelect, consumed: set[int]
+    ) -> PlanNode:
+        """Filter ``plan`` by what no leaf or join applied: join
+        predicates not in ``consumed`` (theta residues, unused
+        equalities), same-binding column/column comparisons, and
+        filters on derived-table bindings."""
+        preds: list[Predicate] = [
+            ColumnPredicate(
+                left=(j.left_binding, j.left_attr),
+                op=j.op,
+                right=(j.right_binding, j.right_attr),
+            )
+            for i, j in enumerate(analyzed.joins)
+            if i not in consumed
+        ]
+        for f in analyzed.filters:
+            if isinstance(f.value, ColumnRef):
+                preds.append(
+                    ColumnPredicate(
+                        left=(f.binding, f.attr),
+                        op=f.op,
+                        right=(f.binding, f.value.name),
+                    )
+                )
+            elif analyzed.bindings[f.binding] is None:
+                preds.append(
+                    ValuePredicate(f.binding, f.attr, f.op, f.value)  # type: ignore[arg-type]
+                )
+        return FilterNode(plan, tuple(preds)) if preds else plan
+
+    # -- tail -------------------------------------------------------------------------
+    def finish(
+        self,
+        root: PlanNode,
+        analyzed: AnalyzedSelect,
+        derived_attrs: dict[str, tuple[str, ...]],
+    ) -> PlannedQuery:
+        """Stack the SELECT's tail on the joined-and-filtered ``root``."""
+        select = analyzed.select
+        output = self.output_spec(analyzed, derived_attrs)
+        if select.group_by or any(
+            isinstance(p, FuncCall) for p in select.projections
+        ):
+            root = self._group_by(root, analyzed)
+        if select.distinct:
+            root = DistinctNode(root, keys=tuple(src for _, src in output))
+        if select.order_by:
+            keys = tuple(
+                (self.source_for(o.expr, analyzed), o.descending)
+                for o in select.order_by
+            )
+            root = SortNode(root, keys)
+        if select.limit is not None:
+            root = LimitNode(root, select.limit)
+        return PlannedQuery(root=root, output=output, select=select)
+
+    def _group_by(self, root: PlanNode, analyzed: AnalyzedSelect) -> PlanNode:
+        select = analyzed.select
+        group_keys = tuple(self.source_for(g, analyzed) for g in select.group_by)
+        aggregates: list[tuple[str, str, Source | None]] = []
+        for p in select.projections:
+            if isinstance(p, FuncCall):
+                source: Source | None
+                if p.star:
+                    source = None
+                else:
+                    if len(p.args) != 1 or not isinstance(p.args[0], ColumnRef):
+                        raise PlanError(f"unsupported aggregate argument: {p}")
+                    source = self.source_for(p.args[0], analyzed)
+                aggregates.append((str(p), p.name, source))
+        for o in select.order_by:
+            if isinstance(o.expr, FuncCall) and not any(
+                a[0] == str(o.expr) for a in aggregates
+            ):
+                src = (
+                    None
+                    if o.expr.star
+                    else self.source_for(o.expr.args[0], analyzed)
+                )
+                aggregates.append((str(o.expr), o.expr.name, src))
+        return GroupByNode(
+            child=root, group_keys=group_keys, aggregates=tuple(aggregates)
+        )
+
+    def output_spec(
+        self,
+        analyzed: AnalyzedSelect,
+        derived_attrs: dict[str, tuple[str, ...]],
+    ) -> tuple[tuple[str, Source], ...]:
+        out: list[tuple[str, Source]] = []
+        for p in analyzed.select.projections:
+            if isinstance(p, Star):
+                targets = (
+                    [p.qualifier] if p.qualifier is not None else list(analyzed.bindings)
+                )
+                for b in targets:
+                    rel = analyzed.bindings[b]
+                    if rel is None:
+                        attrs: tuple[str, ...] = derived_attrs[b]
+                    else:
+                        attrs = self.namespace.relation(rel).attribute_names
+                    for a in attrs:
+                        out.append((a, (b, a)))
+            elif isinstance(p, ColumnRef):
+                src = self.source_for(p, analyzed)
+                out.append((p.name, src))
+            elif isinstance(p, FuncCall):
+                out.append((str(p), str(p)))
+            else:
+                raise PlanError(f"unsupported projection {p}")
+        # de-duplicate output names (self-joins project the same attr twice)
+        seen: dict[str, int] = {}
+        final: list[tuple[str, Source]] = []
+        for name, src in out:
+            if name in seen:
+                seen[name] += 1
+                qualified = (
+                    f"{src[0]}.{name}" if isinstance(src, tuple) else f"{name}_{seen[name]}"
+                )
+                final.append((qualified, src))
+            else:
+                seen[name] = 0
+                final.append((name, src))
+        return tuple(final)
+
+
+class Planner(SelectComposer):
     def __init__(self, catalog: Catalog, dirty_check_views: bool = False) -> None:
+        super().__init__(CatalogNamespace(catalog))
         self.catalog = catalog
-        self.namespace = CatalogNamespace(catalog)
         self.dirty_check_views = dirty_check_views
 
     # -- public ---------------------------------------------------------------------
@@ -104,25 +364,7 @@ class Planner:
 
         needed = self._needed_attrs(select, analyzed, derived_attrs)
         root = self._plan_joins(select, analyzed, derived, derived_attrs, needed)
-
-        has_aggregates = any(
-            isinstance(p, FuncCall) for p in select.projections
-        )
-        output = self._output_spec(select, analyzed, derived_attrs)
-        if select.group_by or has_aggregates:
-            root = self._add_group_by(root, select, analyzed)
-        if select.distinct:
-            root = DistinctNode(root, keys=tuple(src for _, src in output))
-        if select.order_by:
-            keys = tuple(
-                (self._source_for(o.expr, analyzed), o.descending)
-                for o in select.order_by
-            )
-            root = SortNode(root, keys)
-        if select.limit is not None:
-            root = LimitNode(root, select.limit)
-
-        return PlannedQuery(root=root, output=output, select=select)
+        return self.finish(root, analyzed, derived_attrs)
 
     # -- derived tables ----------------------------------------------------------------
     def _plan_derived(self, item: DerivedTable) -> tuple[SubqueryNode, tuple[str, ...]]:
@@ -156,7 +398,7 @@ class Planner:
                 s.add(attr)
 
         def note_col(col: ColumnRef) -> None:
-            b, _ = self._resolve(col, analyzed)
+            b, _ = self.resolve(col, analyzed)
             note(b, col.name)
 
         for p in select.projections:
@@ -177,6 +419,8 @@ class Planner:
             note(j.right_binding, j.right_attr)
         for f in analyzed.filters:
             note(f.binding, f.attr)
+            if isinstance(f.value, ColumnRef):
+                note(f.binding, f.value.name)
         for g in select.group_by:
             note_col(g)
         for o in select.order_by:
@@ -187,35 +431,6 @@ class Planner:
                     if isinstance(a, ColumnRef):
                         note_col(a)
         return needed
-
-    def _resolve(
-        self, col: ColumnRef, analyzed: AnalyzedSelect
-    ) -> tuple[str, str | None]:
-        if col.qualifier is not None:
-            if col.qualifier not in analyzed.bindings:
-                raise SqlError(f"unknown alias {col.qualifier!r}")
-            return col.qualifier, analyzed.bindings[col.qualifier]
-        owners = []
-        for b, rel in analyzed.bindings.items():
-            if rel is not None and self.namespace.has_relation(rel):
-                if self.namespace.relation(rel).has_attribute(col.name):
-                    owners.append((b, rel))
-        if len(owners) == 1:
-            return owners[0]
-        if not owners:
-            # may be an aggregate alias handled by bare-name lookup
-            return ("", None)
-        raise SqlError(f"ambiguous column {col.name!r}")
-
-    def _source_for(self, expr: Expr, analyzed: AnalyzedSelect) -> Source:
-        if isinstance(expr, ColumnRef):
-            b, _ = self._resolve(expr, analyzed)
-            if b == "":
-                return expr.name  # bare-name / aggregate-alias lookup
-            return (b, expr.name)
-        if isinstance(expr, FuncCall):
-            return str(expr)
-        raise PlanError(f"unsupported expression in this clause: {expr}")
 
     # -- join planning ----------------------------------------------------------------
     def _entry_for_binding(
@@ -238,6 +453,9 @@ class Planner:
         eq_filters: dict[str, dict[str, Expr]] = {b: {} for b in bindings}
         other_filters: dict[str, list[FilterCondition]] = {b: [] for b in bindings}
         for f in analyzed.filters:
+            if isinstance(f.value, ColumnRef):
+                # same-binding column/column: residual_filter applies it
+                continue
             if f.op == "=" and isinstance(f.value, (Literal, Param)):
                 eq_filters[f.binding][f.attr] = f.value
             else:
@@ -272,40 +490,7 @@ class Planner:
             consumed.update(newly_consumed)
             joined.append(next_b)
 
-        # residual join predicates (theta residues, unused equalities)
-        residual_preds = []
-        for i, j in pending_joins:
-            if i in consumed:
-                continue
-            residual_preds.append(
-                ColumnPredicate(
-                    left=(j.left_binding, j.left_attr),
-                    op=j.op,
-                    right=(j.right_binding, j.right_attr),
-                )
-            )
-        # filters on derived-table bindings
-        for b, conds in other_filters.items():
-            if analyzed.bindings[b] is None:
-                for f in conds:
-                    residual_preds.append(
-                        ValuePredicate(b, f.attr, f.op, f.value)  # type: ignore[arg-type]
-                    )
-        for b, eqs in eq_filters.items():
-            if analyzed.bindings[b] is None:
-                for attr, expr in eqs.items():
-                    residual_preds.append(ValuePredicate(b, attr, "=", expr))
-        if residual_preds:
-            plan = FilterNode(plan, tuple(residual_preds))
-        return plan
-
-    @staticmethod
-    def _join_connects(j: JoinCondition, b: str, joined: list[str]) -> bool:
-        if j.left_binding == b and j.right_binding in joined:
-            return True
-        if j.right_binding == b and j.left_binding in joined:
-            return True
-        return False
+        return self.residual_filter(plan, analyzed, consumed)
 
     # -- join-order hooks (overridden by CostBasedPlanner) ---------------------------
     def _binding_order(
@@ -340,19 +525,7 @@ class Planner:
         needed: dict[str, set[str] | None],
         pending_joins: list[tuple[int, JoinCondition]],
     ) -> str:
-        """Rule-based: first remaining binding connected to the joined
-        set by an equi-join, then by any join, else cross product."""
-        for b in remaining:
-            if any(
-                self._join_connects(j, b, joined)
-                for _, j in pending_joins
-                if j.is_equi
-            ):
-                return b
-        for b in remaining:
-            if any(self._join_connects(j, b, joined) for _, j in pending_joins):
-                return b
-        return remaining[0]  # cross product
+        return self.first_connected(remaining, joined, pending_joins)
 
     def _leaf_plan(
         self,
@@ -367,58 +540,58 @@ class Planner:
             return derived[binding]
         entry = self._entry_for_binding(binding, analyzed)
         assert entry is not None
-        prefix_attrs, access_entry, lookup = self._best_access(
-            entry, set(eq_filters[binding]), needed[binding]
-        )
-        residuals = self._residual_predicates(
-            binding, access_entry, prefix_attrs, eq_filters, other_filters
-        )
-        access = AccessSpec(
-            entry=access_entry,
-            binding=binding,
-            prefix_attrs=prefix_attrs,
-            residuals=residuals,
-            lookup_entry=lookup,
-        )
-        prefix_exprs = tuple(eq_filters[binding][a] for a in prefix_attrs)
+        choice = self._best_access(entry, set(eq_filters[binding]), needed[binding])
+        prefix_attrs, access_entry, _ = choice
         return ScanNode(
-            access=access,
-            prefix_exprs=prefix_exprs,
+            access=self._access_spec(
+                binding, choice, prefix_attrs, eq_filters, other_filters
+            ),
+            prefix_exprs=tuple(eq_filters[binding][a] for a in prefix_attrs),
             check_dirty=self._check_dirty(access_entry),
         )
 
     def _check_dirty(self, entry: CatalogEntry) -> bool:
         return self.dirty_check_views and entry.kind in (VIEW, VIEW_INDEX)
 
-    def _residual_predicates(
-        self,
+    @staticmethod
+    def _access_spec(
         binding: str,
-        access_entry: CatalogEntry,
-        prefix_attrs: tuple[str, ...],
+        choice: AccessChoice,
+        filter_bound: tuple[str, ...],
         eq_filters: dict[str, dict[str, Expr]],
         other_filters: dict[str, list[FilterCondition]],
-    ) -> tuple[ValuePredicate, ...]:
-        preds: list[ValuePredicate] = []
-        for attr, expr in eq_filters[binding].items():
-            if attr not in prefix_attrs:
-                preds.append(ValuePredicate(binding, attr, "=", expr))
-        for f in other_filters[binding]:
-            if isinstance(f.value, ColumnRef):
-                # same-binding column/column condition — rare; evaluate via
-                # a column predicate after the scan instead
-                continue
-            preds.append(ValuePredicate(binding, f.attr, f.op, f.value))  # type: ignore[arg-type]
-        return tuple(preds)
+    ) -> AccessSpec:
+        """``choice`` as the access to ``binding``. The key prefix itself
+        applies the equality filters on ``filter_bound``; every other
+        filter on the binding stays a residual."""
+        prefix_attrs, entry, lookup = choice
+        preds = [
+            ValuePredicate(binding, attr, "=", expr)
+            for attr, expr in eq_filters[binding].items()
+            if attr not in filter_bound
+        ]
+        preds += [
+            ValuePredicate(binding, f.attr, f.op, f.value)  # type: ignore[arg-type]
+            for f in other_filters[binding]
+        ]
+        return AccessSpec(
+            entry=entry,
+            binding=binding,
+            prefix_attrs=prefix_attrs,
+            residuals=tuple(preds),
+            lookup_entry=lookup,
+        )
 
-    def _best_access(
+    def _access_candidates(
         self,
         entry: CatalogEntry,
         available: set[str],
         needed: set[str] | None,
-    ) -> tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]:
-        """Pick the physical entry (base or index) with the longest usable
-        key prefix. Returns (prefix_attrs, chosen_entry, lookup_entry)."""
-        candidates: list[tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]] = []
+    ) -> list[AccessChoice]:
+        """The base entry and each of its indexes, with the key prefix
+        ``available`` gives it and the base lookup it needs when it does
+        not cover ``needed``."""
+        candidates: list[AccessChoice] = []
         for cand in [entry, *self.catalog.indexes_for(entry)]:
             prefix: list[str] = []
             for k in cand.key_attrs:
@@ -431,8 +604,18 @@ class Planner:
             ) or (needed is not None and needed <= set(cand.attrs))
             lookup = None if (cand is entry or covered) else entry
             candidates.append((tuple(prefix), cand, lookup))
+        return candidates
 
-        def rank(c: tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]):
+    def _best_access(
+        self,
+        entry: CatalogEntry,
+        available: set[str],
+        needed: set[str] | None,
+    ) -> AccessChoice:
+        """Pick the physical entry (base or index) with the longest usable
+        key prefix. Returns (prefix_attrs, chosen_entry, lookup_entry)."""
+
+        def rank(c: AccessChoice):
             prefix, cand, lookup = c
             return (
                 len(prefix),            # longest prefix wins
@@ -440,7 +623,7 @@ class Planner:
                 lookup is None,         # prefer covered access
             )
 
-        best = max(candidates, key=rank)
+        best = max(self._access_candidates(entry, available, needed), key=rank)
         if not best[0]:
             return ((), entry, None)  # full scan of the base entry
         return best
@@ -458,156 +641,48 @@ class Planner:
         pending: list[tuple[int, JoinCondition]],
     ) -> tuple[PlanNode, set[int]]:
         """Join ``binding`` into ``plan``; returns (plan, consumed join ids)."""
-        # equi-join conditions connecting this binding to the joined set
-        conds: list[tuple[int, str, tuple[str, str]]] = []  # (id, inner attr, outer key)
-        for i, j in pending:
-            if not j.is_equi or not self._join_connects(j, binding, joined):
-                continue
-            if j.left_binding == binding:
-                conds.append((i, j.left_attr, (j.right_binding, j.right_attr)))
-            else:
-                conds.append((i, j.right_attr, (j.left_binding, j.left_attr)))
-
+        conds = self.equi_conds(binding, joined, pending)
         entry = self._entry_for_binding(binding, analyzed)
-        if entry is None:
-            # derived table: hash join (or cartesian when no equi conds)
-            build = derived[binding]
-            probe_keys = tuple(outer for _, _, outer in conds)
-            build_keys = tuple((binding, attr) for _, attr, _ in conds)
-            consumed = {i for i, _, _ in conds}
-            return (
-                HashJoinNode(
-                    probe=plan,
-                    build=build,
-                    probe_keys=probe_keys,
-                    build_keys=build_keys,
-                ),
-                consumed,
-            )
-
-        available = set(eq_filters[binding]) | {attr for _, attr, _ in conds}
-        prefix_attrs, access_entry, lookup = self._best_access(
-            entry, available, needed[binding]
-        )
-        if prefix_attrs:
-            # index nested-loop join
-            residuals = self._residual_predicates(
-                binding, access_entry, prefix_attrs, eq_filters, other_filters
-            )
-            access = AccessSpec(
-                entry=access_entry,
-                binding=binding,
-                prefix_attrs=prefix_attrs,
-                residuals=residuals,
-                lookup_entry=lookup,
-            )
-            outer_keys: list[PrefixSource] = []
-            consumed: set[int] = set()
-            for attr in prefix_attrs:
-                join_source = next(
-                    ((i, outer) for i, a, outer in conds if a == attr), None
+        if entry is not None:
+            available = set(eq_filters[binding]) | {attr for _, attr, _ in conds}
+            choice = self._best_access(entry, available, needed[binding])
+            prefix_attrs, access_entry, _ = choice
+            if prefix_attrs:
+                # index nested-loop join
+                outer_keys: list[PrefixSource] = []
+                filter_bound: list[str] = []
+                consumed: set[int] = set()
+                for attr in prefix_attrs:
+                    join_source = next(
+                        ((i, outer) for i, a, outer in conds if a == attr), None
+                    )
+                    if join_source is not None:
+                        consumed.add(join_source[0])
+                        outer_keys.append(join_source[1])
+                    else:
+                        outer_keys.append(eq_filters[binding][attr])
+                        filter_bound.append(attr)
+                # an equality filter on a prefix attr the JOIN binds is not
+                # applied by the prefix: it stays a residual
+                access = self._access_spec(
+                    binding, choice, tuple(filter_bound), eq_filters, other_filters
                 )
-                if join_source is not None:
-                    consumed.add(join_source[0])
-                    outer_keys.append(join_source[1])
-                else:
-                    outer_keys.append(eq_filters[binding][attr])
-            # equi conds not in the prefix remain as post-join predicates —
-            # both sides are present in the merged row, handled by caller.
-            node = NestedLoopJoinNode(
-                outer=plan,
-                inner=access,
-                outer_keys=tuple(outer_keys),  # type: ignore[arg-type]
-                check_dirty=self._check_dirty(access_entry),
-            )
-            return node, consumed
+                # equi conds not in the prefix remain as post-join predicates —
+                # both sides are present in the merged row, handled by caller.
+                node = NestedLoopJoinNode(
+                    outer=plan,
+                    inner=access,
+                    outer_keys=tuple(outer_keys),  # type: ignore[arg-type]
+                    check_dirty=self._check_dirty(access_entry),
+                )
+                return node, consumed
 
-        # no index path: broadcast hash join on the equi conditions
+        # derived table, or no index path: broadcast hash join on the
+        # equi conditions (cartesian when there are none)
         build = self._leaf_plan(
             binding, analyzed, derived, eq_filters, other_filters, needed
         )
-        probe_keys = tuple(outer for _, _, outer in conds)
-        build_keys = tuple((binding, attr) for _, attr, _ in conds)
-        consumed = {i for i, _, _ in conds}
-        return (
-            HashJoinNode(
-                probe=plan, build=build, probe_keys=probe_keys, build_keys=build_keys
-            ),
-            consumed,
-        )
-
-    # -- aggregation ------------------------------------------------------------------
-    def _add_group_by(
-        self, root: PlanNode, select: Select, analyzed: AnalyzedSelect
-    ) -> PlanNode:
-        group_keys = tuple(self._source_for(g, analyzed) for g in select.group_by)
-        aggregates: list[tuple[str, str, Source | None]] = []
-        for p in select.projections:
-            if isinstance(p, FuncCall):
-                source: Source | None
-                if p.star:
-                    source = None
-                else:
-                    if len(p.args) != 1 or not isinstance(p.args[0], ColumnRef):
-                        raise PlanError(f"unsupported aggregate argument: {p}")
-                    source = self._source_for(p.args[0], analyzed)
-                aggregates.append((str(p), p.name, source))
-        for o in select.order_by:
-            if isinstance(o.expr, FuncCall) and not any(
-                a[0] == str(o.expr) for a in aggregates
-            ):
-                src = (
-                    None
-                    if o.expr.star
-                    else self._source_for(o.expr.args[0], analyzed)
-                )
-                aggregates.append((str(o.expr), o.expr.name, src))
-        return GroupByNode(
-            child=root, group_keys=group_keys, aggregates=tuple(aggregates)
-        )
-
-    # -- output -----------------------------------------------------------------------
-    def _output_spec(
-        self,
-        select: Select,
-        analyzed: AnalyzedSelect,
-        derived_attrs: dict[str, tuple[str, ...]],
-    ) -> tuple[tuple[str, Source], ...]:
-        out: list[tuple[str, Source]] = []
-        for p in select.projections:
-            if isinstance(p, Star):
-                targets = (
-                    [p.qualifier] if p.qualifier is not None else list(analyzed.bindings)
-                )
-                for b in targets:
-                    rel = analyzed.bindings[b]
-                    if rel is None:
-                        attrs: tuple[str, ...] = derived_attrs[b]
-                    else:
-                        attrs = self.catalog.resolve_from_name(rel).attrs
-                    for a in attrs:
-                        out.append((a, (b, a)))
-            elif isinstance(p, ColumnRef):
-                src = self._source_for(p, analyzed)
-                out.append((p.name, src))
-            elif isinstance(p, FuncCall):
-                out.append((str(p), str(p)))
-            else:
-                raise PlanError(f"unsupported projection {p}")
-        # de-duplicate output names (self-joins project the same attr twice)
-        seen: dict[str, int] = {}
-        final: list[tuple[str, Source]] = []
-        for name, src in out:
-            if name in seen:
-                seen[name] += 1
-                qualified = (
-                    f"{src[0]}.{name}" if isinstance(src, tuple) else f"{name}_{seen[name]}"
-                )
-                final.append((qualified, src))
-            else:
-                seen[name] = 0
-                final.append((name, src))
-        return tuple(final)
+        return self.hash_join(plan, build, binding, conds)
 
 
 class CostBasedPlanner(Planner):
@@ -675,29 +750,15 @@ class CostBasedPlanner(Planner):
         entry: CatalogEntry,
         available: set[str],
         needed: set[str] | None,
-    ) -> tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]:
-        candidates: list[tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]] = []
-        for cand in [entry, *self.catalog.indexes_for(entry)]:
-            prefix: list[str] = []
-            for k in cand.key_attrs:
-                if k in available:
-                    prefix.append(k)
-                else:
-                    break
-            covered = (
-                needed is None and set(cand.attrs) >= set(entry.attrs)
-            ) or (needed is not None and needed <= set(cand.attrs))
-            lookup = None if (cand is entry or covered) else entry
-            candidates.append((tuple(prefix), cand, lookup))
-
-        def rank(c: tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]):
+    ) -> AccessChoice:
+        def rank(c: AccessChoice):
             prefix, cand, lookup = c
             _, ms = self._access_estimate(prefix, cand, lookup)
             # cheapest first; deterministic tie-break prefers the base
             # entry, covered access, then name
             return (ms, 0 if cand is entry else 1, 0 if lookup is None else 1, cand.name)
 
-        return min(candidates, key=rank)
+        return min(self._access_candidates(entry, available, needed), key=rank)
 
     # -- join-order costing ------------------------------------------------------------
     def _binding_order(
@@ -737,7 +798,7 @@ class CostBasedPlanner(Planner):
         coster = self._coster()
         conds = [
             j for _, j in pending_joins
-            if j.is_equi and self._join_connects(j, binding, joined)
+            if j.is_equi and self.join_connects(j, binding, joined)
         ]
         entry = self._entry_for_binding(binding, analyzed)
         if entry is None:
@@ -778,7 +839,7 @@ class CostBasedPlanner(Planner):
         plan_rows, _ = self.estimate(plan)
         connected = [
             b for b in remaining
-            if any(self._join_connects(j, b, joined) for _, j in pending_joins)
+            if any(self.join_connects(j, b, joined) for _, j in pending_joins)
         ]
         candidates = connected or remaining  # cartesian fallback
 
@@ -834,7 +895,7 @@ class CostBasedPlanner(Planner):
         elif isinstance(node, DistinctNode):
             rows, ms = self.estimate(node.child)
             ms += rows * HASH_CPU_MS_PER_ROW
-        else:  # MaterializedNode and anything future: neutral estimate
+        else:  # SourceNode and anything future: neutral estimate
             children = node.children()
             rows, ms = 0.0, 0.0
             for child in children:

@@ -8,8 +8,8 @@ client it drives; plan shape therefore *is* the cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol
 
 from repro.errors import DirtyReadRestart, PlanError
 from repro.hbase.bytes_util import prefix_stop
@@ -18,6 +18,11 @@ from repro.hbase.ops import Get, Scan
 from repro.phoenix.catalog import CF, DIRTY_QUALIFIER, Catalog, CatalogEntry
 from repro.relational.datatypes import encode_value
 from repro.sql.ast import Expr, Literal, Param
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.phoenix.executor import PhoenixConnection
+    from repro.sim.clock import Simulation
+    from repro.sim.latency import LatencyCharger
 
 Row = dict[tuple[str, str], Any]
 
@@ -40,10 +45,22 @@ def compare(op: str, a: Any, b: Any) -> bool:
     return _PY_OPS[op](a, b)
 
 
+class OperatorHost(Protocol):
+    """All that the operators above the leaves (join, sort, group-by)
+    touch on a connection. Only catalog scans (:meth:`AccessSpec.fetch`)
+    need a full :class:`PhoenixConnection`."""
+
+    sim: "Simulation"
+    charge: "LatencyCharger"
+    hashjoin_row_bytes: int
+
+
 class ExecutionContext:
     """Carries the connection, bound parameters and restart bookkeeping."""
 
-    def __init__(self, conn: "PhoenixConnection", params: tuple[Any, ...]) -> None:
+    def __init__(
+        self, conn: "PhoenixConnection | OperatorHost", params: tuple[Any, ...]
+    ) -> None:
         self.conn = conn
         self.params = params
 
@@ -59,12 +76,6 @@ class ExecutionContext:
                     f"{len(self.params)} values were bound"
                 ) from None
         raise PlanError(f"cannot evaluate expression {expr!r} at runtime")
-
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.phoenix.executor import PhoenixConnection
 
 
 # ---------------------------------------------------------------- predicates
@@ -238,17 +249,19 @@ class ScanNode(PlanNode):
 
 
 @dataclass
-class MaterializedNode(PlanNode):
-    """In-memory rows (derived tables after sub-plan execution)."""
+class SourceNode(PlanNode):
+    """Leaf over rows produced outside the catalog. ``fetch`` is called
+    once, when the first row is pulled — a leaf nothing pulls from (a
+    satisfied LIMIT upstream) never runs it."""
 
-    rows: list[Row] = field(default_factory=list)
-    label: str = "materialized"
+    fetch: Callable[[], list[Row]]
+    label: str
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        yield from self.rows
+        yield from self.fetch()
 
     def _label(self) -> str:
-        return f"MATERIALIZED {self.label} ({len(self.rows)} rows)"
+        return f"SOURCE {self.label}"
 
 
 @dataclass
@@ -515,21 +528,15 @@ class LimitNode(PlanNode):
 @dataclass
 class DistinctNode(PlanNode):
     """Deduplicate on the projected columns (SQL DISTINCT semantics).
-    ``keys`` are the output sources; empty means whole-row distinct."""
+    ``keys`` are the output sources."""
 
     child: PlanNode
-    keys: tuple[tuple[str, str] | str, ...] = ()
+    keys: tuple[tuple[str, str] | str, ...]
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
         seen: set = set()
         for row in self.child.execute(ctx):
-            if self.keys:
-                key = tuple(_hashable(_lookup(row, k)) for k in self.keys)
-            else:
-                key = tuple(
-                    (k, _hashable(v))
-                    for k, v in sorted(row.items(), key=lambda kv: kv[0])
-                )
+            key = tuple(_hashable(_lookup(row, k)) for k in self.keys)
             if key not in seen:
                 seen.add(key)
                 yield row

@@ -444,12 +444,17 @@ class VoltDBSystem:
                 if not ok:
                     return False
             for f_ in analyzed.filters:
-                if f_.op == "=" and isinstance(f_.value, (Literal, Param)):
-                    continue  # applied at access time
-                if isinstance(f_.value, ColumnRef):
-                    continue
+                if (
+                    f_.op == "=" and f_.relation is not None
+                    and isinstance(f_.value, (Literal, Param))
+                ):
+                    continue  # applied at access time (base tables only)
                 v = row.get((f_.binding, f_.attr))
-                c = self._const(f_.value, params)
+                if isinstance(f_.value, ColumnRef):
+                    # same-binding column/column comparison
+                    c = row.get((f_.binding, f_.value.name))
+                else:
+                    c = self._const(f_.value, params)
                 if v is None or c is None:
                     return False
                 ok = {
@@ -519,6 +524,33 @@ class VoltDBSystem:
                 out_rows.append(out)
             rows = out_rows
 
+        def shape(row: Row) -> dict[str, Any]:
+            out: dict[str, Any] = {}
+            for p in select.projections:
+                if isinstance(p, Star):
+                    targets = (
+                        [p.qualifier]
+                        if p.qualifier is not None
+                        else list(analyzed.bindings)
+                    )
+                    for b in targets:
+                        for (bb, a), v in row.items():
+                            if bb == b:
+                                name = a if a not in out else f"{bb}.{a}"
+                                out[name] = v
+                elif isinstance(p, ColumnRef):
+                    out[p.name] = lookup(row, p)
+                elif isinstance(p, FuncCall):
+                    out[str(p)] = row.get(("", str(p)))
+            return out
+
+        if select.distinct:
+            # DISTINCT is over the projected columns, before sort/limit
+            first: dict[tuple, Row] = {}
+            for row in rows:
+                first.setdefault(tuple(shape(row).values()), row)
+            rows = list(first.values())
+
         if select.order_by:
             import functools
 
@@ -541,25 +573,4 @@ class VoltDBSystem:
         if select.limit is not None:
             rows = rows[: select.limit]
 
-        # shape output
-        shaped = []
-        for row in rows:
-            out: dict[str, Any] = {}
-            for p in select.projections:
-                if isinstance(p, Star):
-                    targets = (
-                        [p.qualifier]
-                        if p.qualifier is not None
-                        else list(analyzed.bindings)
-                    )
-                    for b in targets:
-                        for (bb, a), v in row.items():
-                            if bb == b:
-                                name = a if a not in out else f"{bb}.{a}"
-                                out[name] = v
-                elif isinstance(p, ColumnRef):
-                    out[p.name] = lookup(row, p)
-                elif isinstance(p, FuncCall):
-                    out[str(p)] = row.get(("", str(p)))
-            shaped.append(out)
-        return shaped
+        return [shape(row) for row in rows]

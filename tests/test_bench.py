@@ -228,6 +228,15 @@ class TestSuiteRegistry:
             s.name for s in SUITES if s.smoke is not None
         ]
 
+    def test_ci_perfbench_matrix_is_the_declared_workloads(self):
+        root = Path(__file__).parents[1]
+        ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+        matrix = re.search(r"workload: \[([^\]]*)\]", ci).group(1)
+        declared = json.loads((root / "BENCHMARK.json").read_text())
+        assert [name.strip() for name in matrix.split(",")] == [
+            w["name"] for w in declared["workloads"]
+        ]
+
 
 class TestSmokeMode:
     """``--smoke`` plumbing, on the cheapest real suite (storage) and on

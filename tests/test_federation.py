@@ -22,10 +22,12 @@ tie-prone Q11 top-5 there, so full-row canonicalization is safe.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
+from repro.config import DEFAULT_COST_MODEL
 from repro.errors import ReproError, TransactionError
 from repro.federation import (
     FederationError,
@@ -33,6 +35,14 @@ from repro.federation import (
     RoutingAdvisor,
     build_mediator,
 )
+from repro.federation.decompose import decompose, split_eligible
+from repro.federation.estimate import estimate_ms, voltdb_estimate
+from repro.federation.merge import plan_merge
+from repro.phoenix.planner import SelectComposer
+from repro.phoenix.plans import SourceNode
+from repro.relational.company import company_schema
+from repro.sql.analyzer import analyze_select
+from repro.sql.parser import parse_statement
 from repro.sim.scheduler import DeterministicScheduler, run_transaction
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.writes import WRITE_STATEMENTS
@@ -403,3 +413,100 @@ class TestFederationErrors:
 
     def test_unknown_statement_id_unsupported(self, mediator):
         assert not mediator.supports("NOPE")
+
+
+# --------------------------------------------------------------- the seams
+# decompose / estimate / merge are plain functions: tested here directly,
+# on the Company schema, without building a single backend.
+class TestSeams:
+    @staticmethod
+    def analyzed(sql):
+        schema = company_schema()
+        return schema, analyze_select(parse_statement(sql), schema)
+
+    def test_decompose_binds_filters_without_renumbering(self):
+        # ?0 belongs to the SECOND fragment and ?1 to the first: each
+        # fragment carries its own values, so neither is renumbered
+        schema, analyzed = self.analyzed(
+            "SELECT e.EName, a.City FROM Employee as e, Address as a "
+            "WHERE a.AID > ? and e.E_DNo = ? and e.EHome_AID = a.AID "
+            "and a.City = 'Nashville' and e.EHome_AID <> e.EOffice_AID"
+        )
+        assert split_eligible(analyzed)
+        e, a = decompose(analyzed, (1, 2), SelectComposer(schema))
+        assert (e.binding, e.sql, e.params) == (
+            "e", "SELECT * FROM Employee as e WHERE e.E_DNo = ?", (2,)
+        )
+        assert (a.binding, a.sql, a.params) == (
+            "a",
+            "SELECT * FROM Address as a WHERE a.AID > ? and a.City = ?",
+            (1, "Nashville"),
+        )
+        assert e.attrs == ("EID", "EName", "EHome_AID", "EOffice_AID", "E_DNo")
+        assert not e.derived
+        # the column/column filter went to neither fragment: merge-side
+
+    def test_derived_tables_become_fragments_unless_they_bind_params(self):
+        sql = (
+            "SELECT e.EName, t.WO_EID FROM Employee as e, (SELECT w.WO_EID, "
+            "COUNT(*) FROM Works_On as w {where}GROUP BY w.WO_EID) as t "
+            "WHERE e.EID = t.WO_EID"
+        )
+        schema, analyzed = self.analyzed(sql.format(where=""))
+        assert split_eligible(analyzed)
+        _, t = decompose(analyzed, (), SelectComposer(schema))
+        assert t.derived and t.params == ()
+        assert t.attrs == ("WO_EID", "COUNT(*)")
+        _, with_param = self.analyzed(sql.format(where="WHERE w.Hours > ? "))
+        assert not split_eligible(with_param)
+        _, single = self.analyzed("SELECT e.EID FROM Employee as e")
+        assert not split_eligible(single)
+
+    def test_voltdb_estimate_is_the_arithmetic_model(self):
+        def table(n_rows, *indexed):
+            return SimpleNamespace(
+                rows=[None] * n_rows, has_index=lambda a: a in indexed
+            )
+
+        cost = DEFAULT_COST_MODEL
+        tables = {"Employee": table(40, "E_DNo"), "Address": table(7)}
+        _, analyzed = self.analyzed(
+            "SELECT e.EName FROM Employee as e, Address as a, Project as p "
+            "WHERE e.E_DNo = ? and a.City = 'x' and e.EHome_AID = a.AID"
+        )
+        # 1 + indexed equality (1) + unindexed scan (7) + unknown table (100)
+        assert voltdb_estimate(cost, tables, analyzed) == pytest.approx(
+            cost.voltdb_proc_base_ms + cost.voltdb_row_ms * 109.0
+        )
+
+    def test_backend_without_a_catalog_gets_the_fallback_estimate(self):
+        cost = DEFAULT_COST_MODEL
+        backend = SimpleNamespace(sim=SimpleNamespace(cost=cost))
+        sql = "SELECT e.EID FROM Employee as e, Address as a"
+        _, analyzed = self.analyzed(sql)
+        assert estimate_ms(backend, sql, analyzed) == pytest.approx(
+            cost.rpc_base_ms + cost.read_row_ms * 200.0
+        )
+
+    def test_merge_starts_in_from_order_and_attaches_equi_connected_first(self):
+        # d is second in FROM order but only e connects to {a}: e attaches
+        # first, d after; the e.EID comparison stays a residual filter
+        schema, analyzed = self.analyzed(
+            "SELECT a.City, d.DName FROM Address as a, Department as d, "
+            "Employee as e WHERE e.E_DNo = d.DNo and e.EHome_AID = a.AID "
+            "and e.EID < e.E_DNo ORDER BY d.DName LIMIT 3"
+        )
+        leaves = {b: SourceNode(list, b) for b in analyzed.bindings}
+        planned = plan_merge(SelectComposer(schema), analyzed, leaves, {})
+        assert planned.explain() == "\n".join((
+            "LIMIT 3",
+            "  SORT ((('d', 'DName'), False),)",
+            "    FILTER (ColumnPredicate(left=('e', 'EID'), op='<', "
+            "right=('e', 'E_DNo')),)",
+            "      HASH JOIN on probe=(('e', 'E_DNo'),) build=(('d', 'DNo'),)",
+            "        HASH JOIN on probe=(('a', 'AID'),) build=(('e', 'EHome_AID'),)",
+            "          SOURCE a",
+            "          SOURCE e",
+            "        SOURCE d",
+        ))
+        assert [name for name, _ in planned.output] == ["City", "DName"]

@@ -108,6 +108,35 @@ class TestPlanner:
             for n in _walk(plan.root)
         )
 
+    def test_compile_plan_maps_nodes_and_operators_one_to_one(self, company_conn):
+        """Every plan node lowers to its own streaming operator, and no
+        exported operator class exists that no plan node lowers to — an
+        operator nothing constructs cannot come back unnoticed."""
+        from repro.phoenix import operators, plans
+
+        plan = company_conn.plan(
+            "SELECT DISTINCT e.E_DNo, COUNT(*) FROM Employee as e, "
+            "Address as a, (SELECT DNo FROM Department) as d "
+            "WHERE a.AID = e.EHome_AID and e.E_DNo = d.DNo and e.EID = ? "
+            "and e.EHome_AID <> e.EOffice_AID "
+            "GROUP BY e.E_DNo ORDER BY e.E_DNo LIMIT 3"
+        )
+        nodes = [*_walk(plan.root), plans.SourceNode(list, "rows")]
+        lowered = {type(n): type(operators.compile_plan(n)) for n in nodes}
+
+        def subclasses(namespace, base, names):
+            found = (getattr(namespace, name) for name in names)
+            return {
+                c for c in found
+                if isinstance(c, type) and issubclass(c, base) and c is not base
+            }
+
+        assert set(lowered) == subclasses(plans, plans.PlanNode, vars(plans))
+        assert set(lowered.values()) == subclasses(
+            operators, operators.PhysicalOperator, operators.__all__
+        )
+        assert len(set(lowered.values())) == len(lowered)
+
     def test_explain_is_readable(self, company_conn):
         text = company_conn.plan(
             "SELECT * FROM Employee WHERE EID = ?"
@@ -127,6 +156,32 @@ class TestExecutor:
             "SELECT EName FROM Employee WHERE EID = ?", (3,)
         )
         assert rows == [{"EName": "emp3"}]
+
+    @pytest.mark.parametrize(
+        "engine,cost_based",
+        (("legacy", False), ("streaming", False), ("streaming", True)),
+    )
+    def test_same_binding_column_comparison_filters(
+        self, company_conn, engine, cost_based
+    ):
+        """Two attributes of ONE binding compared with each other used
+        to be dropped silently on a base binding (10 rows, not 2) and to
+        die in ``ctx.eval`` on a derived one. The second statement is an
+        equality filter on a key the JOIN also binds — it must survive
+        the nested-loop prefix."""
+        company_conn.configure_engine(engine=engine, cost_based=cost_based)
+        for sql, params, expected in (
+            ("SELECT e.EID FROM Employee as e "
+             "WHERE e.EHome_AID = e.EOffice_AID", (), [5, 10]),
+            ("SELECT d.EID FROM (SELECT e.EID, e.EHome_AID, e.EOffice_AID "
+             "FROM Employee as e) as d WHERE d.EHome_AID = d.EOffice_AID",
+             (), [5, 10]),
+            ("SELECT e.EID FROM Employee as e, Works_On as w "
+             "WHERE e.EID = w.WO_EID and e.EID = ? and w.WO_EID = ?",
+             (1, 2), []),
+        ):
+            rows = company_conn.execute_query(sql, params)
+            assert sorted(r["EID"] for r in rows) == expected, sql
 
     def test_two_way_join(self, company_conn):
         rows = company_conn.execute_query(

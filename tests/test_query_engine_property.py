@@ -2,7 +2,8 @@
 
 A seeded generator produces random Company-schema queries (projections,
 predicates, 2-3-way joins including self-joins, DISTINCT, GROUP BY
-aggregates, ORDER BY + LIMIT) and runs every one through the legacy
+aggregates, ORDER BY + LIMIT, same-binding column/column comparisons)
+and runs every one through the legacy
 materializing executor, the streaming operator pipeline, and the
 streaming pipeline under the cost-based planner. All three must agree
 row-for-row (as multisets) with a pure-Python relational reference
@@ -97,6 +98,7 @@ JOIN_EDGES = (
     ("Works_On", "Hours", "Works_On", "Hours"),
 )
 FILTER_OPS = ("=", "<", ">", "<=", ">=", "<>")
+COLUMN_FILTER_OPS = ("=", "<", "<>")
 
 
 # ------------------------------------------------------------ query generator
@@ -105,6 +107,8 @@ class QuerySpec:
         self.bindings: list[tuple[str, str]] = []  # (alias, table)
         self.joins: list[tuple[str, str, str, str]] = []  # a1, x, a2, y
         self.filters: list[tuple[str, str, str, int]] = []  # alias, attr, op, v
+        #: alias, attr, op, attr2 — two attributes of ONE binding compared
+        self.column_filters: list[tuple[str, str, str, str]] = []
         self.columns: list[tuple[str, str]] = []  # (alias, attr) projections
         self.aggregates: list[tuple[str, str | None, str | None]] = []
         self.group_keys: list[tuple[str, str]] = []
@@ -126,6 +130,7 @@ class QuerySpec:
         parts.append("FROM " + ", ".join(f"{t} as {a}" for a, t in self.bindings))
         conds = [f"{a1}.{x} = {a2}.{y}" for a1, x, a2, y in self.joins]
         conds += [f"{a}.{attr} {op} ?" for a, attr, op, _v in self.filters]
+        conds += [f"{a}.{x} {op} {a}.{y}" for a, x, op, y in self.column_filters]
         if conds:
             parts.append("WHERE " + " and ".join(conds))
         if self.group_keys:
@@ -167,6 +172,11 @@ def generate_query(rng: random.Random) -> QuerySpec:
             attr = rng.choice(INT_ATTRS[table])
             spec.filters.append(
                 (alias, attr, rng.choice(FILTER_OPS), rng.randint(0, 12))
+            )
+        if len(INT_ATTRS[table]) >= 2 and rng.random() < 0.2:
+            x, y = rng.sample(INT_ATTRS[table], 2)
+            spec.column_filters.append(
+                (alias, x, rng.choice(COLUMN_FILTER_OPS), y)
             )
 
     if rng.random() < 0.3:
@@ -246,6 +256,7 @@ def ref_execute(spec: QuerySpec, data: dict[str, list[dict]]) -> list[tuple]:
         c for c in combos
         if all(c[a1][x] == c[a2][y] for a1, x, a2, y in spec.joins)
         and all(_cmp(op, c[a][attr], v) for a, attr, op, v in spec.filters)
+        and all(_cmp(op, c[a][x], c[a][y]) for a, x, op, y in spec.column_filters)
     ]
 
     if spec.aggregates:
@@ -333,3 +344,10 @@ def test_generator_covers_the_required_shapes():
     assert any(s.aggregates for s in specs)
     assert any(s.limit is not None for s in specs)
     assert any(s.filters for s in specs)
+    for op in COLUMN_FILTER_OPS:
+        for joined in (False, True):
+            assert any(
+                (len(s.bindings) > 1) == joined
+                and any(f[2] == op for f in s.column_filters)
+                for s in specs
+            ), f"no same-binding {op!r} comparison with joined={joined}"

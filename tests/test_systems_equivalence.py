@@ -386,19 +386,22 @@ class TestSupportsTruthfulProbe:
 class TestRoutedRandomQueries:
     """PR 8's random-query generator, driven through the federation
     mediator: whole-routed and split-routed execution over a registry of
-    differently-configured engines must match the naive reference model
-    row for row, and the advisor's decision log must be byte-identical
-    across fresh rebuilds."""
+    differently-configured engines (three Phoenix engine modes plus an
+    all-replicated VoltDB), and whole-routed execution pinned to VoltDB,
+    must match the naive reference model row for row, and the advisor's
+    decision log must be byte-identical across fresh rebuilds."""
 
     ROUTED_QUERIES = 60
     ROUTED_SEED = 171001792
 
     @staticmethod
-    def build_federation(mode):
+    def build_federation(mode, pin=None):
         from repro.relational.company import company_schema
         from repro.relational.workload import Workload
         from repro.federation import build_mediator
         from repro.systems.baseline import BaselineSystem
+        from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
+        from repro.voltdb.system import PartitionScheme
         from test_query_engine_property import company_rows
 
         schema = company_schema()
@@ -406,24 +409,31 @@ class TestRoutedRandomQueries:
             name: BaselineSystem(schema, Workload())
             for name in ("legacy", "streaming", "cost-based")
         }
+        backends["voltdb"] = VoltDBEvaluatedSystem(
+            schema, Workload(), schemes=(PartitionScheme("all-replicated", {}),)
+        )
         backends["streaming"].conn.configure_engine(engine="streaming")
         backends["cost-based"].conn.configure_engine(
             engine="streaming", cost_based=True
         )
-        mediator = build_mediator(backends, schema, seed=7, mode=mode)
+        mediator = build_mediator(backends, schema, seed=7, mode=mode, pin=pin)
         for table, rows in company_rows().items():
             for row in rows:
                 mediator.load_row(table, row)
         mediator.finish_load()
         return mediator
 
-    @pytest.mark.parametrize("mode", ("whole", "split"))
-    def test_routed_random_queries_match_reference(self, mode):
+    @pytest.mark.parametrize(
+        "mode,pin",
+        (("whole", None), ("split", None), ("whole", "voltdb")),
+        ids=("whole", "split", "pinned-voltdb"),
+    )
+    def test_routed_random_queries_match_reference(self, mode, pin):
         from test_query_engine_property import (
             company_rows, generate_query, ref_execute,
         )
 
-        mediator = self.build_federation(mode)
+        mediator = self.build_federation(mode, pin)
         data = company_rows()
         rng = random.Random(self.ROUTED_SEED)
         for i in range(self.ROUTED_QUERIES):
@@ -432,7 +442,7 @@ class TestRoutedRandomQueries:
             rows = mediator.execute(spec.sql, spec.params)
             got = sorted(tuple(r.values()) for r in rows)
             assert got == expected, (
-                f"routed query #{i} (mode={mode}) diverged:\n{spec.sql}\n"
+                f"routed query #{i} (mode={mode}, pin={pin}) diverged:\n{spec.sql}\n"
                 f"params={spec.params}\nexpected={expected}\ngot={got}"
             )
         if mode == "split":

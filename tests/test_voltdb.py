@@ -114,6 +114,28 @@ class TestExecution:
         system.execute(WRITE_STATEMENTS["W11"], (2.5, 999))
         assert system.engine.tables["Shopping_cart"].get((999,))["sc_time"] == 2.5
 
+    def test_filters_the_access_path_does_not_apply(self):
+        """Residual predicates the per-table index lookup never sees:
+        two columns of one binding compared with each other, an
+        equality filter on a derived table, and DISTINCT."""
+        system = VoltDBSystem(company_schema())
+        for eid in range(1, 11):
+            system.load_row("Employee", {
+                "EID": eid, "EName": f"emp{eid}", "EHome_AID": (eid % 5) + 1,
+                "EOffice_AID": 1, "E_DNo": (eid % 2) + 1,
+            })
+        same_binding = system.execute(
+            "SELECT e.EID FROM Employee as e WHERE e.EHome_AID = e.EOffice_AID"
+        )
+        assert sorted(r["EID"] for r in same_binding) == [5, 10]
+        derived = system.execute(
+            "SELECT d.EID FROM (SELECT e.EID, e.E_DNo FROM Employee as e) as d "
+            "WHERE d.E_DNo = ?", (1,),
+        )
+        assert sorted(r["EID"] for r in derived) == [2, 4, 6, 8, 10]
+        distinct = system.execute("SELECT DISTINCT e.E_DNo FROM Employee as e")
+        assert sorted(r["E_DNo"] for r in distinct) == [1, 2]
+
     def test_single_partition_cheaper_than_multipart(self):
         system = VoltDBSystem(tpcw_schema(), Simulation(), TPCW_SCHEMES[0])
         from repro.tpcw.generator import TpcwDataGenerator
