@@ -246,25 +246,31 @@ class Mediator(EvaluatedSystem):
             seq=len(self.route_log), statement_id=label, mode="whole"
         )
         whole = self._whole_candidates(sid, canonical)
-        eligible = split_eligible(analyzed)
+        # decomposed once: the estimate and the execution share the fragments
+        fragments = (
+            decompose(analyzed, params, self._composer)
+            if self.mode != "whole" and split_eligible(analyzed)
+            else None
+        )
         use_split = False
         if self.mode == "split":
-            use_split = eligible
+            use_split = fragments is not None
         elif self.mode == "auto":
             if not whole:
                 use_split = True
-            elif eligible:
-                use_split = self._split_estimate(label, analyzed, params) < min(
+            elif fragments is not None:
+                use_split = self._split_estimate(label, fragments) < min(
                     self.advisor.advised_cost(label, name, est)[0]
                     for name, est in whole
                 )
         if use_split:
-            if not eligible:
+            if fragments is None:
                 raise FederationError(
                     f"{label}: statement cannot be decomposed"
                 )
             record.mode = "split"
-            return self._execute_split(label, analyzed, params, record), record
+            rows = self._execute_split(label, analyzed, params, fragments, record)
+            return rows, record
         if not whole:
             raise FederationError(
                 f"{label}: no backend supports the whole statement "
@@ -287,9 +293,9 @@ class Mediator(EvaluatedSystem):
         label: str,
         analyzed: AnalyzedSelect,
         params: tuple[Any, ...],
+        fragments: list[Fragment],
         record: RouteRecord,
     ) -> list[dict]:
-        fragments = decompose(analyzed, params, self._composer)
         leaves: dict[str, PlanNode] = {}
         for fragment in fragments:
             candidates = [
@@ -331,11 +337,9 @@ class Mediator(EvaluatedSystem):
         slot["ms"] = ms
         return [{(binding, k): v for k, v in row.items()} for row in rows]
 
-    def _split_estimate(
-        self, label: str, analyzed: AnalyzedSelect, params: tuple[Any, ...]
-    ) -> float:
+    def _split_estimate(self, label: str, fragments: list[Fragment]) -> float:
         total = 0.0
-        for fragment in decompose(analyzed, params, self._composer):
+        for fragment in fragments:
             frag_label = f"{label}#{fragment.binding}"
             best = min(
                 self.advisor.advised_cost(

@@ -11,6 +11,7 @@ fixed-width numeric encodings used in keys.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterable, Sequence
 
 from repro.relational.datatypes import DataType, decode_value, encode_value
@@ -18,13 +19,12 @@ from repro.relational.datatypes import DataType, decode_value, encode_value
 DELIM = b"\x00"
 ESCAPE = b"\x00\xff"
 
+# a 0x00 that does not start an escape pair is a component boundary
+_SPLIT_UNESCAPED_DELIM = re.compile(rb"\x00(?!\xff)").split
+
 
 def _escape(component: bytes) -> bytes:
     return component.replace(DELIM, ESCAPE)
-
-
-def _unescape(component: bytes) -> bytes:
-    return component.replace(ESCAPE, DELIM)
 
 
 def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
@@ -37,26 +37,8 @@ def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
 
 
 def split_key(key: bytes) -> list[bytes]:
-    """Split a composite key into escaped components."""
-    out: list[bytes] = []
-    cur = bytearray()
-    i = 0
-    n = len(key)
-    while i < n:
-        b = key[i]
-        if b == 0:
-            if i + 1 < n and key[i + 1] == 0xFF:  # escaped 0x00
-                cur.append(0)
-                i += 2
-                continue
-            out.append(bytes(cur))
-            cur.clear()
-            i += 1
-            continue
-        cur.append(b)
-        i += 1
-    out.append(bytes(cur))
-    return out
+    """Split a composite key into its unescaped components."""
+    return [part.replace(ESCAPE, DELIM) for part in _SPLIT_UNESCAPED_DELIM(key)]
 
 
 def decode_key(dtypes: Sequence[DataType], key: bytes) -> tuple[Any, ...]:

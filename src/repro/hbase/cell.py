@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -56,6 +57,11 @@ class Result:
     def is_empty(self) -> bool:
         return not self._cells
 
+    @property
+    def column_count(self) -> int:
+        """``len(columns())`` without the sort."""
+        return len(self._cells)
+
     def columns(self) -> list[tuple[bytes, bytes]]:
         return sorted(self._cells)
 
@@ -63,6 +69,16 @@ class Result:
         """Newest version's value, or None when the column is absent."""
         versions = self._cells.get((family, qualifier))
         return versions[0][1] if versions else None
+
+    def newest_values(
+        self, columns: Iterable[tuple[bytes, bytes]]
+    ) -> list[bytes | None]:
+        """:meth:`value` of each of ``columns``, in order."""
+        get = self._cells.get
+        return [
+            versions[0][1] if (versions := get(column)) else None
+            for column in columns
+        ]
 
     def versions(self, family: bytes, qualifier: bytes) -> list[tuple[int, bytes]]:
         return list(self._cells.get((family, qualifier), ()))

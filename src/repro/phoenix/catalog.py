@@ -9,13 +9,13 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import SchemaError
-from repro.hbase.bytes_util import encode_key, decode_key
+from repro.hbase.bytes_util import decode_key, encode_key, split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
-from repro.relational.datatypes import DataType, decode_value, encode_value
+from repro.relational.datatypes import DataType, encode_value, value_decoder
 from repro.relational.schema import Index, Relation, Schema
 
 CF = b"0"
@@ -25,6 +25,9 @@ DIRTY_QUALIFIER = b"_d"
 
 ROW_MARKER_QUALIFIER = b"_0"
 """Placeholder cell for key-only entries, so the row exists."""
+
+RowDecoder = Callable[[Result], dict[Any, Any]]
+"""``Result -> {attr: value}`` or ``-> {(binding, attr): value}``."""
 
 TABLE = "table"
 INDEX = "index"
@@ -58,10 +61,22 @@ class CatalogEntry:
         for a in self.attrs:
             if a not in self.dtypes:
                 raise SchemaError(f"{self.name}: attr {a!r} has no dtype")
-
-    @property
-    def value_attrs(self) -> tuple[str, ...]:
-        return tuple(a for a in self.attrs if a not in self.key_attrs)
+        # derived once: an entry does not change after construction
+        keys = set(self.key_attrs)
+        # ``attrs`` that are not part of the key, in ``attrs`` order
+        self.value_attrs = tuple(a for a in self.attrs if a not in keys)
+        self._key_dtypes = tuple(self.dtypes[a] for a in self.key_attrs)
+        self._value_columns = tuple(
+            (a, a.encode(), self.dtypes[a]) for a in self.value_attrs
+        )
+        self._projection = (
+            *((CF, qualifier) for _, qualifier, _ in self._value_columns),
+            (CF, ROW_MARKER_QUALIFIER),
+            (CF, DIRTY_QUALIFIER),
+        )
+        self._decoders: dict[
+            tuple[str | None, frozenset[str] | None], RowDecoder
+        ] = {}
 
     def has_attribute(self, name: str) -> bool:
         return name in self.dtypes
@@ -75,59 +90,110 @@ class CatalogEntry:
 
     # -- encode / decode -------------------------------------------------------------
     def key_dtypes(self) -> tuple[DataType, ...]:
-        return tuple(self.dtypes[a] for a in self.key_attrs)
+        return self._key_dtypes
 
     def encode_key(self, row: dict[str, Any]) -> bytes:
         """Missing/None key components encode as NULL (indexes may carry
         NULL key parts, like Phoenix's); statement-level validation
         rejects base-table writes that omit primary-key attributes."""
         values = [row.get(a) for a in self.key_attrs]
-        return encode_key(self.key_dtypes(), values)
+        return encode_key(self._key_dtypes, values)
 
     def encode_key_values(self, values: Iterable[Any]) -> bytes:
-        return encode_key(self.key_dtypes(), values)
+        return encode_key(self._key_dtypes, values)
 
     def encode_key_prefix(self, values: list[Any]) -> bytes:
         """Key prefix for the first ``len(values)`` key attributes."""
-        dtypes = self.key_dtypes()[: len(values)]
-        return encode_key(dtypes, values)
+        return encode_key(self._key_dtypes[: len(values)], values)
 
     def decode_key(self, key: bytes) -> dict[str, Any]:
-        values = decode_key(self.key_dtypes(), key)
+        values = decode_key(self._key_dtypes, key)
         return dict(zip(self.key_attrs, values))
 
     def row_to_put(self, row: dict[str, Any]) -> Put:
         """Encode a full relational row as a single-row Put."""
         put = Put(self.encode_key(row))
-        for attr in self.value_attrs:
-            value = row.get(attr)
-            put.add(CF, attr.encode(), encode_value(self.dtypes[attr], value))
-        if not self.value_attrs:
+        for attr, qualifier, dtype in self._value_columns:
+            put.add(CF, qualifier, encode_value(dtype, row.get(attr)))
+        if not self._value_columns:
             # key-only entries still need one cell so the row exists
             put.add(CF, ROW_MARKER_QUALIFIER, b"")
         return put
 
-    def projection(self) -> list[tuple[bytes, bytes]]:
+    def projection(self) -> tuple[tuple[bytes, bytes], ...]:
         """Every column a physical row of this entry can carry — the set
-        pushed down into Gets/Scans so the storage engine never merges
-        columns the decoder would not read (column-pushdown contract).
-        Includes the row marker (key-only entries) and the dirty marker
-        (view-maintenance bookkeeping), so results stay byte-identical
-        to an unprojected read."""
-        cols = [(CF, attr.encode()) for attr in self.value_attrs]
-        cols.append((CF, ROW_MARKER_QUALIFIER))
-        cols.append((CF, DIRTY_QUALIFIER))
-        return cols
+        pushed down into Gets/Scans (the *storage projection*: what the
+        storage engine merges, sizes and charges). Includes the row
+        marker (key-only entries) and the dirty marker (view-maintenance
+        bookkeeping), so results stay byte-identical to an unprojected
+        read. What is then *decoded* out of a result is narrower and
+        plan-driven: see :meth:`row_decoder`."""
+        return self._projection
+
+    def row_decoder(
+        self, binding: str | None = None, needed: frozenset[str] | None = None
+    ) -> RowDecoder:
+        """The compiled ``Result -> row`` function for this entry,
+        built once per ``(binding, needed)`` and cached.
+
+        ``needed`` names the attributes to materialise (the *decode
+        set*); ``None`` means all of them. With a ``binding`` the row is
+        keyed ``(binding, attr)`` as the plan operators expect, without
+        one by bare ``attr``. Key attributes come first (key order), then
+        value attributes (``attrs`` order); an absent cell or an empty
+        value decodes to ``None``."""
+        cache_key = (binding, needed)
+        decoder = self._decoders.get(cache_key)
+        if decoder is None:
+            decoder = self._decoders[cache_key] = self._compile_decoder(
+                binding, needed
+            )
+        return decoder
+
+    def _compile_decoder(
+        self, binding: str | None, needed: frozenset[str] | None
+    ) -> RowDecoder:
+        def out_key(attr: str) -> Any:
+            return attr if binding is None else (binding, attr)
+
+        key_slots = tuple(
+            (i, out_key(a), value_decoder(self.dtypes[a]))
+            for i, a in enumerate(self.key_attrs)
+            if needed is None or a in needed
+        )
+        cells = [
+            column
+            for column in self._value_columns
+            if needed is None or column[0] in needed
+        ]
+        columns = tuple((CF, qualifier) for _, qualifier, _ in cells)
+        value_slots = tuple(
+            (out_key(a), value_decoder(dtype)) for a, _, dtype in cells
+        )
+        arity = len(self.key_attrs)
+
+        def decode(result: Result) -> dict[Any, Any]:
+            row: dict[Any, Any] = {}
+            if key_slots:
+                parts = split_key(result.row)
+                if len(parts) != arity:
+                    raise ValueError(
+                        f"key arity mismatch: {len(parts)} components, "
+                        f"{arity} types"
+                    )
+                for i, out, decode_part in key_slots:
+                    row[out] = decode_part(parts[i])
+            for (out, decode_cell), raw in zip(
+                value_slots, result.newest_values(columns)
+            ):
+                row[out] = decode_cell(raw)
+            return row
+
+        return decode
 
     def result_to_row(self, result: Result) -> dict[str, Any]:
-        """Decode an HBase Result back into a relational row."""
-        row = self.decode_key(result.row)
-        for attr in self.value_attrs:
-            raw = result.value(CF, attr.encode())
-            row[attr] = (
-                decode_value(self.dtypes[attr], raw) if raw is not None else None
-            )
-        return row
+        """Decode an HBase Result back into a full relational row."""
+        return self.row_decoder()(result)
 
 
 class Catalog:

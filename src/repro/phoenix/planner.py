@@ -362,8 +362,8 @@ class Planner(SelectComposer):
                 derived[item.alias] = node
                 derived_attrs[item.alias] = names
 
-        needed = self._needed_attrs(select, analyzed, derived_attrs)
-        root = self._plan_joins(select, analyzed, derived, derived_attrs, needed)
+        needed = self._needed_attrs(select, analyzed)
+        root = self._plan_joins(analyzed, derived, needed)
         return self.finish(root, analyzed, derived_attrs)
 
     # -- derived tables ----------------------------------------------------------------
@@ -385,11 +385,11 @@ class Planner(SelectComposer):
 
     # -- needed attributes ----------------------------------------------------------------
     def _needed_attrs(
-        self,
-        select: Select,
-        analyzed: AnalyzedSelect,
-        derived_attrs: dict[str, tuple[str, ...]],
+        self, select: Select, analyzed: AnalyzedSelect
     ) -> dict[str, set[str] | None]:
+        """Per binding, the attributes the statement reads anywhere
+        (``ALL_ATTRS`` under a ``*``). It decides whether an index
+        covers the binding and is the decode set of its access."""
         needed: dict[str, set[str] | None] = {b: set() for b in analyzed.bindings}
 
         def note(binding: str, attr: str) -> None:
@@ -443,10 +443,8 @@ class Planner(SelectComposer):
 
     def _plan_joins(
         self,
-        select: Select,
         analyzed: AnalyzedSelect,
         derived: dict[str, SubqueryNode],
-        derived_attrs: dict[str, tuple[str, ...]],
         needed: dict[str, set[str] | None],
     ) -> PlanNode:
         bindings = list(analyzed.bindings)
@@ -544,7 +542,7 @@ class Planner(SelectComposer):
         prefix_attrs, access_entry, _ = choice
         return ScanNode(
             access=self._access_spec(
-                binding, choice, prefix_attrs, eq_filters, other_filters
+                binding, choice, prefix_attrs, eq_filters, other_filters, needed
             ),
             prefix_exprs=tuple(eq_filters[binding][a] for a in prefix_attrs),
             check_dirty=self._check_dirty(access_entry),
@@ -560,10 +558,13 @@ class Planner(SelectComposer):
         filter_bound: tuple[str, ...],
         eq_filters: dict[str, dict[str, Expr]],
         other_filters: dict[str, list[FilterCondition]],
+        needed: dict[str, set[str] | None],
     ) -> AccessSpec:
         """``choice`` as the access to ``binding``. The key prefix itself
         applies the equality filters on ``filter_bound``; every other
-        filter on the binding stays a residual."""
+        filter on the binding stays a residual; the rows it yields
+        carry ``needed[binding]``."""
+        wanted = needed[binding]
         prefix_attrs, entry, lookup = choice
         preds = [
             ValuePredicate(binding, attr, "=", expr)
@@ -580,6 +581,7 @@ class Planner(SelectComposer):
             prefix_attrs=prefix_attrs,
             residuals=tuple(preds),
             lookup_entry=lookup,
+            needed=None if wanted is None else frozenset(wanted),
         )
 
     def _access_candidates(
@@ -665,7 +667,12 @@ class Planner(SelectComposer):
                 # an equality filter on a prefix attr the JOIN binds is not
                 # applied by the prefix: it stays a residual
                 access = self._access_spec(
-                    binding, choice, tuple(filter_bound), eq_filters, other_filters
+                    binding,
+                    choice,
+                    tuple(filter_bound),
+                    eq_filters,
+                    other_filters,
+                    needed,
                 )
                 # equi conds not in the prefix remain as post-join predicates —
                 # both sides are present in the merged row, handled by caller.

@@ -125,20 +125,41 @@ class AccessSpec:
     lookup_entry: CatalogEntry | None = None
     """Non-covered index access: Get this base entry per matched row."""
 
+    needed: frozenset[str] | None = None
+    """The decode set: the attributes anything downstream reads, which
+    are the only ones a fetched row carries (``None`` = all, for
+    ``SELECT *``). The residuals' attributes always count as read."""
+
+    def __post_init__(self) -> None:
+        if self.needed is not None:
+            self.needed = self.needed | {p.attr for p in self.residuals}
+
     def is_point(self) -> bool:
         return len(self.prefix_attrs) == len(self.entry.key_attrs)
 
+    def _pushed_down(self, pred: ValuePredicate) -> bool:
+        """Whether a scan's server-side filter applies ``pred``: it
+        does for a non-key column the scanned entry stores. The rest —
+        key attributes, everything on a point get, a column only the
+        looked-up base row has — is tested on the decoded row."""
+        entry = self.entry
+        return (
+            not self.is_point()
+            and pred.attr not in entry.key_attrs
+            and pred.attr in entry.dtypes
+        )
+
     def _server_filter(self, ctx: ExecutionContext) -> FilterBase | None:
-        filters: list[FilterBase] = []
-        for pred in self.residuals:
-            if pred.attr in self.entry.key_attrs:
-                continue  # applied client-side after decode
-            encoded = encode_value(
-                self.entry.dtypes[pred.attr], ctx.eval(pred.value_expr)
+        filters: list[FilterBase] = [
+            ColumnValueFilter(
+                CF,
+                pred.attr.encode(),
+                pred.op,
+                encode_value(self.entry.dtypes[pred.attr], ctx.eval(pred.value_expr)),
             )
-            filters.append(
-                ColumnValueFilter(CF, pred.attr.encode(), pred.op, encoded)
-            )
+            for pred in self.residuals
+            if self._pushed_down(pred)
+        ]
         if not filters:
             return None
         return filters[0] if len(filters) == 1 else AndFilter(tuple(filters))
@@ -151,51 +172,55 @@ class AccessSpec:
     ) -> Iterator[Row]:
         """Stream decoded rows for the given prefix values.
 
-        The entry's full column set is pushed down into the Get/Scan, so
-        the storage engine only merges the columns ``result_to_row``
-        will decode (plus the marker/dirty bookkeeping qualifiers)."""
-        table = ctx.conn.client.table(self.entry.name)
+        The entry's full column set is pushed down into the Get/Scan
+        (the storage projection: what is merged, sized and charged);
+        of that, only ``needed`` is decoded into the rows yielded."""
+        entry = self.entry
+        conn = ctx.conn
+        table = conn.client.table(entry.name)
         if None in prefix_values:
             return  # NULL never equi-matches anything
-        projection = self.entry.projection()
+        projection = entry.projection()
         if self.is_point():
-            key = self.entry.encode_key_values(prefix_values)
+            key = entry.encode_key_values(prefix_values)
             result = table.get(Get(key, columns=projection))
             results = [] if result is None else [result]
         else:
             if prefix_values:
-                prefix = self.entry.encode_key_prefix(prefix_values)
+                prefix = entry.encode_key_prefix(prefix_values)
                 scan = Scan(start_row=prefix, stop_row=prefix_stop(prefix))
             else:
                 scan = Scan()
             scan.columns = projection
             scan.filter = self._server_filter(ctx)
             results = table.scan(scan)
-        lookup_projection = (
-            self.lookup_entry.projection() if self.lookup_entry is not None else None
+        client_side = [p for p in self.residuals if not self._pushed_down(p)]
+        version_checks = (
+            conn.charge.version_checks if conn.mvcc_version_check else None
         )
+        lookup = self.lookup_entry
+        if lookup is None:
+            decode = entry.row_decoder(self.binding, self.needed)
+        else:
+            base_table = conn.client.table(lookup.name)
+            base_projection = lookup.projection()
+            decode = lookup.row_decoder(self.binding, self.needed)
         for result in results:
             if check_dirty and result.value(CF, DIRTY_QUALIFIER) == DIRTY_MARK:
-                raise DirtyReadRestart(self.entry.name)
-            if ctx.conn.mvcc_version_check:
-                ctx.conn.charge.version_checks(len(result.columns()))
-            raw = self.entry.result_to_row(result)
-            if self.lookup_entry is not None:
-                base_table = ctx.conn.client.table(self.lookup_entry.name)
-                base_result = base_table.get(
-                    Get(self.lookup_entry.encode_key(raw), columns=lookup_projection)
-                )
-                if base_result is None:
+                raise DirtyReadRestart(entry.name)
+            if version_checks is not None:
+                version_checks(result.column_count)
+            if lookup is not None:
+                # the index row is decoded whole: it re-encodes the base key
+                base_key = lookup.encode_key(entry.result_to_row(result))
+                result = base_table.get(Get(base_key, columns=base_projection))
+                if result is None:
                     continue
-                raw = self.lookup_entry.result_to_row(base_result)
-            row: Row = {(self.binding, a): v for a, v in raw.items()}
-            ok = True
-            for pred in self.residuals:
-                if pred.attr in self.entry.key_attrs or self.is_point():
-                    if not pred.test(row, ctx):
-                        ok = False
-                        break
-            if ok:
+            row: Row = decode(result)
+            for pred in client_side:
+                if not pred.test(row, ctx):
+                    break
+            else:
                 yield row
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import struct
 from datetime import date, datetime
-from typing import Any
+from typing import Any, Callable
 
 
 class DataType(enum.Enum):
@@ -59,19 +59,48 @@ def encode_value(dtype: DataType, value: Any) -> bytes:
     raise TypeError(f"unsupported dtype: {dtype}")
 
 
+_UNPACK_Q = struct.Struct(">Q").unpack
+_UNPACK_D = struct.Struct(">d").unpack
+
+
+# The decoders take ``None`` (absent cell) as well as ``b""`` (NULL):
+# both decode to ``None``, so a row decoder needs no branch of its own.
+def _decode_int(data: bytes | None) -> Any:
+    return _UNPACK_Q(data)[0] - _INT_BIAS if data else None
+
+
+def _decode_float(data: bytes | None) -> Any:
+    return _UNPACK_D(data)[0] if data else None
+
+
+def _decode_varchar(data: bytes | None) -> Any:
+    return data.decode("utf-8") if data else None
+
+
+def _decode_bool(data: bytes | None) -> Any:
+    return data != b"\x00" if data else None
+
+
+_DECODERS: dict[DataType, Callable[[bytes | None], Any]] = {
+    DataType.INT: _decode_int,
+    DataType.BIGINT: _decode_int,
+    DataType.DATE: _decode_int,
+    DataType.FLOAT: _decode_float,
+    DataType.DATETIME: _decode_float,
+    DataType.VARCHAR: _decode_varchar,
+    DataType.BOOL: _decode_bool,
+}
+
+
+def value_decoder(dtype: DataType) -> Callable[[bytes | None], Any]:
+    """:func:`decode_value` pre-bound to ``dtype``; also maps an absent
+    cell (``None``) to ``None``."""
+    return _DECODERS[dtype]
+
+
 def decode_value(dtype: DataType, data: bytes) -> Any:
     """Inverse of :func:`encode_value` (dates decode to ordinals)."""
-    if data == b"":
-        return None
-    if dtype in (DataType.INT, DataType.BIGINT, DataType.DATE):
-        return struct.unpack(">Q", data)[0] - _INT_BIAS
-    if dtype is DataType.FLOAT or dtype is DataType.DATETIME:
-        return struct.unpack(">d", data)[0]
-    if dtype is DataType.VARCHAR:
-        return data.decode("utf-8")
-    if dtype is DataType.BOOL:
-        return data != b"\x00"
-    raise TypeError(f"unsupported dtype: {dtype}")
+    return _DECODERS[dtype](data)
 
 
 def value_size_bytes(dtype: DataType, value: Any) -> int:

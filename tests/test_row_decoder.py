@@ -1,0 +1,438 @@
+"""The compiled row decoder and the plan-driven decode set.
+
+Three layers of evidence that ``AccessSpec.needed`` only ever narrows
+what is *materialised*, never what a statement returns or is charged:
+
+* property tests — ``split_key`` and the compiled decoder agree with
+  the byte-loop / dtype-chain implementations they replaced (kept here
+  as the reference), on arbitrary bytes and every ``DataType``;
+* a differential — every plan re-run with all decode sets widened to
+  "everything" (``dataclasses.replace`` on the plan tree, in the test)
+  returns the same rows for the same virtual milliseconds;
+* pinned decode sets for the shapes that are easy to get wrong.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import struct
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.bench.tpcw_lab import TpcwLab
+from repro.config import ClusterConfig
+from repro.hbase.bytes_util import split_key
+from repro.hbase.cell import Result
+from repro.hbase.client import HBaseClient
+from repro.hbase.cluster import HBaseCluster
+from repro.phoenix.catalog import CF, TABLE, CatalogEntry
+from repro.phoenix.ddl import create_baseline_schema
+from repro.phoenix.executor import PhoenixConnection
+from repro.phoenix.plans import (
+    AccessSpec,
+    NestedLoopJoinNode,
+    PlanNode,
+    ScanNode,
+    ValuePredicate,
+)
+from repro.relational.company import company_schema
+from repro.relational.datatypes import DataType
+from repro.relational.schema import Index
+from repro.sim.clock import Simulation
+from repro.sql.ast import Literal
+from repro.tpcw.queries import JOIN_QUERIES
+from tests.conftest import load_company_data
+from tests.test_query_engine_property import ENGINE_MODES, generate_query
+
+
+# ------------------------------------------------------------ the references
+def split_key_reference(key: bytes) -> list[bytes]:
+    """The byte-at-a-time loop ``split_key`` used to be."""
+    out: list[bytes] = []
+    cur = bytearray()
+    i = 0
+    n = len(key)
+    while i < n:
+        b = key[i]
+        if b == 0:
+            if i + 1 < n and key[i + 1] == 0xFF:  # escaped 0x00
+                cur.append(0)
+                i += 2
+                continue
+            out.append(bytes(cur))
+            cur.clear()
+            i += 1
+            continue
+        cur.append(b)
+        i += 1
+    out.append(bytes(cur))
+    return out
+
+
+_INT_BIAS = 1 << 63
+
+
+def decode_value_reference(dtype: DataType, data: bytes):
+    """The per-cell dtype chain ``decode_value`` used to be."""
+    if data == b"":
+        return None
+    if dtype in (DataType.INT, DataType.BIGINT, DataType.DATE):
+        return struct.unpack(">Q", data)[0] - _INT_BIAS
+    if dtype is DataType.FLOAT or dtype is DataType.DATETIME:
+        return struct.unpack(">d", data)[0]
+    if dtype is DataType.VARCHAR:
+        return data.decode("utf-8")
+    if dtype is DataType.BOOL:
+        return data != b"\x00"
+    raise TypeError(f"unsupported dtype: {dtype}")
+
+
+def result_to_row_reference(entry: CatalogEntry, result: Result) -> dict:
+    """What ``CatalogEntry.result_to_row`` used to do, cell by cell."""
+    parts = split_key_reference(result.row)
+    assert len(parts) == len(entry.key_attrs)
+    row = {
+        a: decode_value_reference(entry.dtypes[a], p)
+        for a, p in zip(entry.key_attrs, parts)
+    }
+    for attr in entry.attrs:
+        if attr in entry.key_attrs:
+            continue
+        raw = result.value(CF, attr.encode())
+        row[attr] = (
+            decode_value_reference(entry.dtypes[attr], raw)
+            if raw is not None
+            else None
+        )
+    return row
+
+
+# ------------------------------------------------------------ (a) properties
+# chunks that put 0x00, 0xff and the escape pair next to each other and
+# next to component boundaries, beside plain arbitrary bytes
+_KEY_CHUNKS = st.sampled_from(
+    [b"", b"\x00", b"\xff", b"\x00\xff", b"\x00\x00", b"\xff\x00", b"a"]
+) | st.binary(max_size=4)
+
+
+class TestSplitKey:
+    @given(st.binary(max_size=64))
+    def test_matches_the_byte_loop_on_arbitrary_bytes(self, key):
+        assert split_key(key) == split_key_reference(key)
+
+    @given(st.lists(_KEY_CHUNKS, max_size=12).map(b"".join))
+    def test_matches_the_byte_loop_around_escapes(self, key):
+        assert split_key(key) == split_key_reference(key)
+
+    @pytest.mark.parametrize(
+        "key, parts",
+        [
+            (b"", [b""]),
+            (b"\x00", [b"", b""]),
+            (b"\x00\x00", [b"", b"", b""]),
+            (b"\x00\xff", [b"\x00"]),
+            (b"\x00\x00\xff", [b"", b"\x00"]),
+            (b"\x00\xff\x00", [b"\x00", b""]),
+            (b"\x00\xff\xff", [b"\x00\xff"]),
+            (b"a\x00\x00b", [b"a", b"", b"b"]),
+        ],
+    )
+    def test_empty_components_and_escape_adjacency(self, key, parts):
+        assert split_key_reference(key) == parts
+        assert split_key(key) == parts
+
+
+ALL_TYPES_ENTRY = CatalogEntry(
+    name="AllTypes",
+    kind=TABLE,
+    key_attrs=("k_int", "k_text", "k_date"),
+    attrs=(
+        "k_int", "v_int", "k_text", "v_big", "v_float", "v_text",
+        "k_date", "v_date", "v_datetime", "v_bool",
+    ),
+    dtypes={
+        "k_int": DataType.INT,
+        "k_text": DataType.VARCHAR,
+        "k_date": DataType.DATE,
+        "v_int": DataType.INT,
+        "v_big": DataType.BIGINT,
+        "v_float": DataType.FLOAT,
+        "v_text": DataType.VARCHAR,
+        "v_date": DataType.DATE,
+        "v_datetime": DataType.DATETIME,
+        "v_bool": DataType.BOOL,
+    },
+)
+
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+_FLOATS = st.floats(allow_nan=False)
+# NUL characters make the key codec escape; "" is how NULL is stored
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.just("\x00"),
+                max_size=8)
+_VALUES = {
+    DataType.INT: _INT64,
+    DataType.BIGINT: _INT64,
+    DataType.DATE: _INT64,
+    DataType.FLOAT: _FLOATS,
+    DataType.DATETIME: _FLOATS,
+    DataType.VARCHAR: _TEXT,
+    DataType.BOOL: st.booleans(),
+}
+# A key component whose encoding starts with 0xff reads as an escape
+# pair behind the delimiter (in the byte loop as much as now): key
+# integers stay below the 2**63 - 2**56 where that begins.
+_KEY_INTS = st.integers(-(1 << 62), 1 << 62)
+_ROWS = st.fixed_dictionaries(
+    {
+        attr: st.none() | (
+            _KEY_INTS
+            if attr in ("k_int", "k_date")
+            else _VALUES[dtype]
+        )
+        for attr, dtype in ALL_TYPES_ENTRY.dtypes.items()
+    }
+)
+
+
+def _stored(entry: CatalogEntry, row: dict, absent: frozenset[str]) -> Result:
+    """``row`` as the Result a read of its Put returns; the cells of
+    ``absent`` were never written."""
+    put = entry.row_to_put(row)
+    result = Result(put.row)
+    for family, qualifier, value, _ts in put.cells:
+        if qualifier.decode() not in absent:
+            result.add(family, qualifier, 1, value)
+    return result
+
+
+class TestCompiledDecoder:
+    @given(_ROWS, st.frozensets(st.sampled_from(ALL_TYPES_ENTRY.value_attrs)))
+    def test_all_attrs_matches_the_per_cell_decode(self, row, absent):
+        result = _stored(ALL_TYPES_ENTRY, row, absent)
+        expected = result_to_row_reference(ALL_TYPES_ENTRY, result)
+        got = ALL_TYPES_ENTRY.result_to_row(result)
+        assert got == expected
+        assert list(got) == list(expected)  # same attribute order
+        for attr in absent:
+            assert got[attr] is None
+
+    @given(
+        _ROWS,
+        st.frozensets(st.sampled_from(ALL_TYPES_ENTRY.attrs + ("not_an_attr",))),
+    )
+    def test_narrowed_decode_is_the_full_row_restricted(self, row, needed):
+        result = _stored(ALL_TYPES_ENTRY, row, frozenset())
+        full = result_to_row_reference(ALL_TYPES_ENTRY, result)
+        got = ALL_TYPES_ENTRY.row_decoder("b", needed)(result)
+        assert got == {("b", a): v for a, v in full.items() if a in needed}
+        assert list(got) == [("b", a) for a in full if a in needed]
+
+    @pytest.mark.parametrize("dtype", list(DataType))
+    def test_null_decodes_to_none_for_every_type(self, dtype):
+        entry = CatalogEntry(
+            name="T", kind=TABLE, key_attrs=("k",), attrs=("k", "v"),
+            dtypes={"k": dtype, "v": dtype},
+        )
+        result = _stored(entry, {"k": None, "v": None}, frozenset())
+        assert result.value(CF, b"v") == b""
+        assert entry.result_to_row(result) == {"k": None, "v": None}
+
+    def test_one_decoder_per_binding_and_decode_set(self):
+        entry = ALL_TYPES_ENTRY
+        narrow = entry.row_decoder("b", frozenset({"v_int"}))
+        assert entry.row_decoder("b", frozenset({"v_int"})) is narrow
+        assert entry.row_decoder("c", frozenset({"v_int"})) is not narrow
+        assert entry.row_decoder() is entry.row_decoder(None, None)
+
+    def test_key_arity_mismatch_still_rejected(self):
+        result = Result(b"only-one-component")
+        with pytest.raises(ValueError, match="arity"):
+            ALL_TYPES_ENTRY.result_to_row(result)
+
+
+# ------------------------------------------------------------ (b) differential
+def walk(node: PlanNode):
+    """Every node of a plan tree, derived tables included."""
+    yield node
+    for child in node.children():
+        yield from walk(child)
+
+
+def accesses(root: PlanNode) -> list[AccessSpec]:
+    """Every catalog access of a plan tree."""
+    found: list[AccessSpec] = []
+    for node in walk(root):
+        if isinstance(node, ScanNode):
+            found.append(node.access)
+        elif isinstance(node, NestedLoopJoinNode):
+            found.append(node.inner)
+    return found
+
+
+def widen(root: PlanNode) -> None:
+    """Force every decode set of the tree to ``None`` (decode all)."""
+    for node in walk(root):
+        if isinstance(node, ScanNode):
+            node.access = dataclasses.replace(node.access, needed=None)
+        elif isinstance(node, NestedLoopJoinNode):
+            node.inner = dataclasses.replace(node.inner, needed=None)
+
+
+def widen_every_plan(conn: PhoenixConnection, monkeypatch) -> None:
+    """Make ``conn`` run every statement it plans with all decode sets
+    widened (patches the planner instance: no product knob exists)."""
+    plan_select = conn.planner.plan_select
+
+    def widened(select):
+        planned = plan_select(select)
+        widen(planned.root)
+        return planned
+
+    monkeypatch.setattr(conn.planner, "plan_select", widened)
+
+
+def _company_conn() -> PhoenixConnection:
+    # jitter on: the virtual clocks of two connections only stay equal
+    # if they make the same charge calls in the same order
+    sim = Simulation(seed=7, jitter_fraction=0.02)
+    client = HBaseClient(HBaseCluster(sim, ClusterConfig()))
+    schema = company_schema()
+    # no includes: reaching any other Project attribute takes a base lookup
+    schema.add_index("Project", Index("idx_proj_dept", ("P_DNo",)))
+    conn = PhoenixConnection(client, create_baseline_schema(client, schema))
+    load_company_data(conn.writer)
+    conn.analyze()
+    return conn
+
+
+@pytest.mark.parametrize("engine, cost_based", ENGINE_MODES)
+def test_random_queries_same_rows_and_ms_with_decode_sets_widened(
+    engine, cost_based, monkeypatch
+):
+    narrow, wide = _company_conn(), _company_conn()
+    for conn in (narrow, wide):
+        conn.configure_engine(engine=engine, cost_based=cost_based)
+    widen_every_plan(wide, monkeypatch)
+    rng = random.Random(20170904)
+    narrowed = 0
+    for i in range(200):
+        spec = generate_query(rng)
+        planned = narrow.plan(spec.sql)
+        narrowed += any(a.needed is not None for a in accesses(planned.root))
+        assert all(a.needed is None for a in accesses(wide.plan(spec.sql).root))
+        got = narrow.execute_query(spec.sql, spec.params)
+        expected = wide.execute_query(spec.sql, spec.params)
+        assert got == expected, f"query #{i}: {spec.sql} {spec.params}"
+        assert narrow.sim.clock.now_ms == wide.sim.clock.now_ms, (
+            f"query #{i} charged differently: {spec.sql}"
+        )
+    assert narrowed == 200  # the generator never emits a star
+
+
+@pytest.mark.parametrize("system_name", ["Baseline", "Synergy", "MVCC-UA"])
+def test_tpcw_queries_same_rows_and_ms_with_decode_sets_widened(
+    system_name, monkeypatch
+):
+    lab = TpcwLab(num_customers=20, repetitions=1)
+    narrow, wide = lab.build_system(system_name), lab.build_system(system_name)
+    for system in (narrow, wide):
+        lab.populate(system)
+    # the Synergy wrapper keeps its connection one level down
+    conns = [getattr(s, "system", s).conn for s in (narrow, wide)]
+    widen_every_plan(conns[1], monkeypatch)
+    for engine in ("legacy", "streaming"):
+        for conn in conns:
+            conn.configure_engine(engine=engine)
+        for qid in JOIN_QUERIES:
+            params = lab.generator.params_for_query(qid, 0)
+            got, got_ms = narrow.timed_id(qid, params)
+            expected, expected_ms = wide.timed_id(qid, params)
+            assert got == expected, f"{system_name}/{engine}/{qid}"
+            assert got_ms == expected_ms, f"{system_name}/{engine}/{qid}"
+
+
+# ------------------------------------------------------------ (c) pinned cases
+@pytest.fixture(scope="module")
+def pinned_conn() -> PhoenixConnection:
+    return _company_conn()
+
+
+def _decode_sets(conn: PhoenixConnection, sql: str) -> dict[str, frozenset | None]:
+    return {a.binding: a.needed for a in accesses(conn.plan(sql).root)}
+
+
+class TestPinnedDecodeSets:
+    def test_select_star_decodes_everything(self, pinned_conn):
+        sql = "SELECT * FROM Project as p, Department as d WHERE p.P_DNo = d.DNo"
+        assert _decode_sets(pinned_conn, sql) == {"p": None, "d": None}
+        rows = pinned_conn.execute_query(sql)
+        assert len(rows) == 3
+        assert set(rows[0]) == {"PNo", "PName", "P_DNo", "DNo", "DName"}
+
+    def test_qualified_star_widens_only_its_binding(self, pinned_conn):
+        sql = (
+            "SELECT p.*, d.DName FROM Project as p, Department as d "
+            "WHERE p.P_DNo = d.DNo"
+        )
+        assert _decode_sets(pinned_conn, sql) == {
+            "p": None, "d": frozenset({"DNo", "DName"}),
+        }
+        rows = pinned_conn.execute_query(sql)
+        assert sorted(r["PName"] for r in rows) == ["proj1", "proj2", "proj3"]
+        assert {(r["P_DNo"], r["DName"]) for r in rows} == {
+            (1, "Dept1"), (2, "Dept2"),
+        }
+
+    def test_non_covered_index_reencodes_the_base_key(self, pinned_conn):
+        sql = "SELECT PName FROM Project WHERE P_DNo = ?"
+        (access,) = accesses(pinned_conn.plan(sql).root)
+        assert access.entry.name == "Project.idx_proj_dept"
+        assert access.lookup_entry is not None
+        assert access.lookup_entry.name == "Project"
+        # PNo — the base key the index row must yield — is in no decode
+        # set: the index side decodes whole, only the base row is narrowed
+        assert access.needed == frozenset({"PName", "P_DNo"})
+        rows = pinned_conn.execute_query(sql, (2,))
+        assert sorted(r["PName"] for r in rows) == ["proj1", "proj3"]
+
+    def test_filter_on_a_column_the_index_lacks_runs_on_the_base_row(
+        self, pinned_conn
+    ):
+        # used to die with KeyError('PName') building the server filter
+        # for an index that does not store the column
+        sql = "SELECT PNo FROM Project WHERE P_DNo = ? and PName <> ?"
+        (access,) = accesses(pinned_conn.plan(sql).root)
+        assert access.lookup_entry is not None
+        assert access.needed == frozenset({"PNo", "P_DNo", "PName"})
+        assert pinned_conn.execute_query(sql, (2, "proj1")) == [{"PNo": 3}]
+
+    def test_same_binding_column_filter_keeps_both_sides(self, pinned_conn):
+        sql = "SELECT e.EID FROM Employee as e WHERE e.EHome_AID = e.EOffice_AID"
+        assert _decode_sets(pinned_conn, sql) == {
+            "e": frozenset({"EID", "EHome_AID", "EOffice_AID"}),
+        }
+        rows = pinned_conn.execute_query(sql)
+        assert sorted(r["EID"] for r in rows) == [5, 10]
+
+    def test_residual_on_a_key_attr_is_decoded(self, pinned_conn):
+        # WO_PNo is a key attr without its leading WO_EID bound: the
+        # filter runs client-side on the decoded row, which projects Hours
+        sql = "SELECT w.Hours FROM Works_On as w WHERE w.WO_PNo > ?"
+        (access,) = accesses(pinned_conn.plan(sql).root)
+        assert [p.attr for p in access.residuals] == ["WO_PNo"]
+        assert access.needed == frozenset({"Hours", "WO_PNo"})
+        rows = pinned_conn.execute_query(sql, (2,))
+        assert [r["Hours"] for r in rows] == [30] * 5
+
+    def test_a_hand_built_access_always_decodes_its_residuals(self, pinned_conn):
+        entry = pinned_conn.catalog.table_for_relation("Works_On")
+        access = AccessSpec(
+            entry=entry,
+            binding="w",
+            residuals=(ValuePredicate("w", "WO_PNo", "=", Literal(3)),),
+            needed=frozenset({"Hours"}),
+        )
+        assert access.needed == frozenset({"Hours", "WO_PNo"})
+        assert dataclasses.replace(access, needed=None).needed is None
