@@ -1,8 +1,7 @@
-"""Legacy vs streaming execution engine over the Fig. 12 join battery."""
+"""Rule-based vs cost-based planner over the Fig. 12 join battery."""
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from repro.bench.harness import ExperimentResult, summarize
@@ -10,27 +9,20 @@ from repro.bench.suite import Flag, Smoke, Suite
 from repro.bench.tpcw_lab import TpcwLab
 from repro.tpcw import JOIN_QUERIES
 
-#: Engine modes swept by the QueryEngine experiment. "legacy" is the
-#: anchored materializing executor; "streaming" runs the *same* plans
-#: through the pull-based operator pipeline; "streaming+cbo" additionally
-#: lets the cost-based planner pick access paths and join orders.
-QUERY_ENGINE_MODES = (
-    ("legacy", "legacy", False),
-    ("streaming", "streaming", False),
-    ("streaming+cbo", "streaming", True),
-)
+#: Planner modes swept by the QueryEngine experiment: mode -> whether
+#: the cost-based planner picks access paths and join orders. "rule" is
+#: what every anchored figure runs.
+PLANNER_MODES = {"rule": False, "cost-based": True}
 
-#: The Fig. 12 join path that separates the two hash-join algorithms: a
-#: broadcast-shaped equi-join on an unindexed attribute under a LIMIT
-#: without ORDER BY. The legacy broadcast join must finish the whole
-#: build-side scan before its first output row; the streaming symmetric
-#: hash join emits matches while both scans interleave, so the LIMIT
-#: closes the operator tree after a fraction of either scan.
-LIMITED_JOIN_ID = "LIMIT-join"
-LIMITED_JOIN_SQL = (
+#: A broadcast-shaped equi-join on an unindexed attribute, with and
+#: without a LIMIT (no ORDER BY): the build side is read whole either
+#: way, but under the LIMIT the probe side stops at the row that yields
+#: the 64th match.
+JOIN_SQL = (
     "SELECT o.o_id, o2.o_id FROM Orders as o, Orders as o2 "
-    "WHERE o.o_date = o2.o_date and o.o_id <> o2.o_id LIMIT 64"
+    "WHERE o.o_date = o2.o_date and o.o_id <> o2.o_id"
 )
+AD_HOC_JOINS = {"LIMIT-join": JOIN_SQL + " LIMIT 64", "full-join": JOIN_SQL}
 
 
 def _canonical_rows(rows: list[dict]) -> list[tuple]:
@@ -40,22 +32,19 @@ def _canonical_rows(rows: list[dict]) -> list[tuple]:
 
 def _query_cell(
     mode: str,
-    engine: str,
-    cost_based: bool,
     num_customers: int,
     repetitions: int,
     seed: int,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Populate one Baseline system under the given engine mode and run
-    the Fig. 12 join battery plus the limited broadcast join. Virtual
-    times are deterministic per mode; wall-clock numbers are best-of-rep
-    and never enter the JSON trajectory."""
+    """Populate one Baseline system under the given planner mode and run
+    the Fig. 12 join battery plus the two ad-hoc joins. Everything
+    recorded is virtual time, deterministic per mode."""
     say = progress or (lambda _msg: None)
     say(f"[query:{mode}] populating Baseline scale={num_customers}")
     lab = TpcwLab(
         num_customers=num_customers, repetitions=repetitions, seed=seed,
-        query_engine=engine, cost_based_planner=cost_based,
+        cost_based_planner=PLANNER_MODES[mode],
     )
     system = lab.build_system("Baseline")
     lab.populate(system)
@@ -69,46 +58,27 @@ def _query_cell(
             times.setdefault(qid, []).append(ms)
             if rep == 0:
                 digests[qid] = _canonical_rows(rows)
-
-    limited_times: list[float] = []
-    limited_wall_s = float("inf")
-    limited_rows = 0
-    for _ in range(max(repetitions, 3)):
-        sw = system.sim.stopwatch()
-        t0 = time.perf_counter()
-        rows = system.conn.execute_query(LIMITED_JOIN_SQL)
-        limited_wall_s = min(limited_wall_s, time.perf_counter() - t0)
-        limited_times.append(sw.stop())
-        limited_rows = len(rows)
-    say(
-        f"[query:{mode}] {LIMITED_JOIN_ID}: {limited_rows} rows, "
-        f"best wall-clock {limited_wall_s * 1000:.2f}ms"
-    )
-    return {
-        "mode": mode,
-        "times": times,
-        "digests": digests,
-        "limited_times": limited_times,
-        "limited_rows": limited_rows,
-        "limited_wall_s": limited_wall_s,
-    }
+    row_counts: dict[str, int] = {}
+    for label, sql in AD_HOC_JOINS.items():
+        for _ in range(max(repetitions, 3)):
+            rows, ms = system.timed(sql)
+            times.setdefault(label, []).append(ms)
+        row_counts[label] = len(rows)
+    return {"times": times, "digests": digests, "row_counts": row_counts}
 
 
 def _query_cells(num_customers, repetitions, seed, progress=None) -> dict:
-    """One :func:`_query_cell` per engine mode, keyed by mode."""
+    """One :func:`_query_cell` per planner mode, keyed by mode."""
     return {
-        mode: _query_cell(
-            mode, engine, cost_based, num_customers, repetitions, seed,
-            progress,
-        )
-        for mode, engine, cost_based in QUERY_ENGINE_MODES
+        mode: _query_cell(mode, num_customers, repetitions, seed, progress)
+        for mode in PLANNER_MODES
     }
 
 
-def _rows_matching_legacy(cells: dict, mode: str) -> int:
-    """Join queries on which ``mode`` returned exactly legacy's rows."""
+def _rows_matching(cells: dict) -> int:
+    """Join queries on which both planners returned the same rows."""
     return sum(
-        cells[mode]["digests"][qid] == cells["legacy"]["digests"][qid]
+        cells["rule"]["digests"][qid] == cells["cost-based"]["digests"][qid]
         for qid in JOIN_QUERIES
     )
 
@@ -119,44 +89,28 @@ def run_query(
     seed: int = 171001792,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentResult:
-    """Legacy vs streaming execution engine over the Fig. 12 join
-    battery ("QueryEngine" — deliberately NOT an anchored experiment;
-    every anchored figure runs the legacy engine).
-
-    The emitted series are virtual-time only, so two runs with the same
-    seed produce byte-identical JSON. The wall-clock race on the
-    limited broadcast join (symmetric hash join vs blocking broadcast
-    join) is reported via ``progress`` only, never recorded in the
-    trajectory."""
-    say = progress or (lambda _msg: None)
+    """Rule-based vs cost-based planner over the Fig. 12 join battery
+    ("QueryEngine" — deliberately NOT an anchored experiment). The
+    emitted series are virtual-time only, so two runs with the same
+    seed produce byte-identical JSON."""
     result = ExperimentResult(
-        "QueryEngine", "Execution engines on the TPC-W join battery", "query"
+        "QueryEngine", "Planners on the TPC-W join battery", "query"
     )
-    result.x_values = list(JOIN_QUERIES) + [LIMITED_JOIN_ID]
+    result.x_values = list(JOIN_QUERIES) + list(AD_HOC_JOINS)
     cells = _query_cells(num_customers, repetitions, seed, progress)
     for mode, cell in cells.items():
         series = result.add_series(mode)
-        for qid in JOIN_QUERIES:
-            series.set(qid, summarize(cell["times"][qid]))
-        series.set(LIMITED_JOIN_ID, summarize(cell["limited_times"]))
-    for mode in cells:
-        if mode != "legacy":
-            result.note(
-                f"{mode}: rows identical to legacy on "
-                f"{_rows_matching_legacy(cells, mode)}/{len(JOIN_QUERIES)} "
-                "join queries"
-            )
+        for x in result.x_values:
+            series.set(x, summarize(cell["times"][x]))
     result.note(
-        f"{LIMITED_JOIN_ID} = same-day-orders self-join, LIMIT without "
-        "ORDER BY: legacy broadcasts the full build side before row one; "
-        "the symmetric join stops both scans early (wall-clock race on "
-        "stderr; virtual time reflects rows actually scanned)"
+        f"cost-based: rows identical to rule on "
+        f"{_rows_matching(cells)}/{len(JOIN_QUERIES)} join queries"
     )
-    for mode, cell in cells.items():
-        say(
-            f"[query] {mode}: {LIMITED_JOIN_ID} best wall-clock "
-            f"{cell['limited_wall_s'] * 1000:.2f}ms"
-        )
+    result.note(
+        "LIMIT-join / full-join = same-day-orders self-join with and "
+        "without LIMIT 64 (no ORDER BY): both broadcast the full build "
+        "side; the LIMIT stops the probe scan at the 64th match"
+    )
     return result
 
 
@@ -165,32 +119,19 @@ def query_smoke(
     repetitions: int = 2,
     seed: int = 171001792,
 ) -> dict:
-    """CI smoke: engine row parity on the join battery plus the
-    acceptance gate — the streaming symmetric hash join must beat the
-    legacy broadcast join on the limited join path in best *virtual*
-    ms (deterministic per seed, and the quantity the model is about).
-    Both best host wall-clock numbers are returned as information
-    only: a single-shot host race is noise on a shared runner, and
-    host-time claims belong to ``perfbench``."""
+    """CI smoke: row parity between the two planners on the join
+    battery, and the demand contract seen from outside — the limited
+    join returns 64 rows for strictly fewer virtual ms than the same
+    join un-limited."""
     cells = _query_cells(num_customers, repetitions, seed)
-    legacy = cells["legacy"]
-    out: dict = {"queries": len(JOIN_QUERIES)}
-    for mode in ("streaming", "streaming+cbo"):
-        out[f"rows_match[{mode}]"] = _rows_matching_legacy(cells, mode)
-    out["limited_rows_legacy"] = legacy["limited_rows"]
-    out["limited_rows_streaming"] = cells["streaming"]["limited_rows"]
-    out["legacy_limited_virtual_ms"] = min(legacy["limited_times"])
-    out["streaming_limited_virtual_ms"] = min(
-        cells["streaming"]["limited_times"]
-    )
-    out["streaming_beats_legacy"] = (
-        out["streaming_limited_virtual_ms"] < out["legacy_limited_virtual_ms"]
-    )
-    out["legacy_limited_wall_ms"] = round(legacy["limited_wall_s"] * 1000, 3)
-    out["streaming_limited_wall_ms"] = round(
-        cells["streaming"]["limited_wall_s"] * 1000, 3
-    )
-    return out
+    rule = cells["rule"]
+    return {
+        "queries": len(JOIN_QUERIES),
+        "rows_match": _rows_matching(cells),
+        "limited_rows": rule["row_counts"]["LIMIT-join"],
+        "limited_virtual_ms": min(rule["times"]["LIMIT-join"]),
+        "full_virtual_ms": min(rule["times"]["full-join"]),
+    }
 
 
 QUERY = Suite(
@@ -205,22 +146,14 @@ QUERY = Suite(
         Flag("query_reps", int, 5, "repetitions per query"),
     ),
     smoke=Smoke(
-        # the query gate: all three engine modes return identical rows
-        # on the full TPC-W join battery, and the non-blocking symmetric
-        # hash join beats the legacy blocking broadcast join on the
-        # limited join path
         fn=query_smoke,
         checks=(
-            ("streaming rows diverged from legacy",
-             lambda o: o["rows_match[streaming]"] == o["queries"]),
             ("cost-based plans changed some query's rows",
-             lambda o: o["rows_match[streaming+cbo]"] == o["queries"]),
-            ("legacy LIMIT-join did not return 64 rows",
-             lambda o: o["limited_rows_legacy"] == 64),
-            ("streaming LIMIT-join did not return 64 rows",
-             lambda o: o["limited_rows_streaming"] == 64),
-            ("symmetric hash join did not beat the broadcast join",
-             lambda o: o["streaming_beats_legacy"]),
+             lambda o: o["rows_match"] == o["queries"]),
+            ("LIMIT-join did not return 64 rows",
+             lambda o: o["limited_rows"] == 64),
+            ("the LIMIT did not make the join cheaper",
+             lambda o: o["limited_virtual_ms"] < o["full_virtual_ms"]),
         ),
         flags="--query-scale 200 --query-reps 3",
     ),

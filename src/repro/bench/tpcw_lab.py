@@ -57,7 +57,6 @@ class TpcwLab:
         seed: int = 171001792,
         jitter_fraction: float = 0.02,
         cost: CostModel = DEFAULT_COST_MODEL,
-        query_engine: str = "legacy",
         cost_based_planner: bool = False,
     ) -> None:
         self.num_customers = num_customers
@@ -65,7 +64,6 @@ class TpcwLab:
         self.seed = seed
         self.jitter_fraction = jitter_fraction
         self.cost = cost
-        self.query_engine = query_engine
         self.cost_based_planner = cost_based_planner
         self.schema = tpcw_schema()
         self.workload = tpcw_workload()
@@ -121,23 +119,15 @@ class TpcwLab:
             )
         raise KeyError(name)
 
-    def _configure_engine(self, system: EvaluatedSystem) -> None:
-        """Apply the lab's engine/planner mode to Phoenix-backed
-        systems (VoltDB has no Phoenix connection). The defaults leave
-        every system on the anchored legacy path."""
-        conn = getattr(system, "conn", None)
-        if conn is not None and (
-            self.query_engine != "legacy" or self.cost_based_planner
-        ):
-            conn.configure_engine(
-                engine=self.query_engine, cost_based=self.cost_based_planner
-            )
-
     def populate(self, system: EvaluatedSystem) -> None:
         gen = TpcwDataGenerator(self.num_customers, seed=self.seed)
         system.load(gen.all_rows())
         system.finish_load()
-        self._configure_engine(system)
+        # the lab's planner mode, on the Phoenix-backed systems (VoltDB
+        # has no Phoenix connection)
+        conn = getattr(system, "conn", None)
+        if conn is not None:
+            conn.configure_engine(cost_based=self.cost_based_planner)
 
     # -- measurement ----------------------------------------------------------------------
     def measure_system(

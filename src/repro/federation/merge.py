@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.phoenix.planner import PlannedQuery, SelectComposer
-from repro.phoenix.plans import PlanNode
+from repro.phoenix.plans import PlanNode, SymmetricJoinNode
 from repro.sim.clock import Simulation
 from repro.sim.latency import LatencyCharger
 from repro.sql.analyzer import AnalyzedSelect
@@ -36,10 +36,10 @@ def plan_merge(
 ) -> PlannedQuery:
     """Join ``leaves`` (one per FROM binding) starting from the first
     binding in FROM order, attaching next whichever remaining binding an
-    equi-join connects first; every attach is a hash join, which lowers
-    to the non-blocking symmetric join, so fragments are pulled lazily
-    and alternately. Residual predicates and the SELECT's tail come
-    from the composer."""
+    equi-join connects first; every attach is the non-blocking symmetric
+    hash join (a :class:`MergeHost` has no cluster to broadcast a build
+    side to), so fragments are pulled lazily and alternately. Residual
+    predicates and the SELECT's tail come from the composer."""
     remaining = list(analyzed.bindings)
     joined = [remaining.pop(0)]
     plan = leaves[joined[0]]
@@ -51,10 +51,13 @@ def plan_merge(
         conds = composer.equi_conds(
             binding, joined, [(i, j) for i, j in pending if i not in consumed]
         )
-        plan, newly_consumed = composer.hash_join(
-            plan, leaves[binding], binding, conds
+        plan = SymmetricJoinNode(
+            left=plan,
+            right=leaves[binding],
+            left_keys=tuple(joined_key for _, _, joined_key in conds),
+            right_keys=tuple((binding, attr) for _, attr, _ in conds),
         )
-        consumed |= newly_consumed
+        consumed.update(i for i, _, _ in conds)
         joined.append(binding)
     plan = composer.residual_filter(plan, analyzed, consumed)
     return composer.finish(plan, analyzed, derived_attrs)

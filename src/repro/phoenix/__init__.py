@@ -8,10 +8,12 @@ The client-embedded driver transforms SQL into a series of HBase scans:
 * :mod:`repro.phoenix.ddl` — the **baseline schema transformation**:
   every relation and every covered index becomes an HBase table, all
   attributes in a single column family;
-* :mod:`repro.phoenix.planner` / :mod:`repro.phoenix.plans` /
-  :mod:`repro.phoenix.executor` — access-path selection (point get, key
-  prefix scan, covered index scan, full scan), index nested-loop and
-  hash joins, sort/group/limit, parameter binding;
+* :mod:`repro.phoenix.planner` / :mod:`repro.phoenix.plans` —
+  access-path selection (point get, key prefix scan, covered index
+  scan, full scan), join order, the logical plan tree;
+* :mod:`repro.phoenix.operators` / :mod:`repro.phoenix.executor` — the
+  physical operators every plan is lowered to (index nested-loop and
+  hash joins, sort/group/limit) and the connection that runs them;
 * :mod:`repro.phoenix.writes` — single-row INSERT/UPDATE/DELETE with
   base-table index maintenance.
 """

@@ -27,9 +27,8 @@ MAX_DIRTY_RESTARTS = 32
 def stream_rows(
     planned: PlannedQuery, ctx: ExecutionContext
 ) -> Iterator[dict[str, Any]]:
-    """The one open/pull/close loop over the streaming operators:
-    compiles ``planned``, yields its shaped output rows, and closes the
-    tree on exhaustion, on error *and* when the consumer abandons the
+    """The one open/pull/close loop over the operators: compiles
+    ``planned``, yields its shaped output rows, and closes the tree on exhaustion, on error *and* when the consumer abandons the
     iterator — so in-flight scans (LIMIT early-close, dirty restarts,
     dropped cursors) settle their batch charges and release their
     region windows deterministically."""
@@ -61,11 +60,9 @@ class PhoenixConnection:
         self.sim = client.cluster.sim
         self.charge = LatencyCharger(self.sim, "phoenix")
         self.dirty_check_views = dirty_check_views
-        # Every connection starts on the anchored legacy behavior; the
-        # streaming engine and the cost-based planner are opted into
-        # through configure_engine() only, so the Fig. 10-14 / Table 2
-        # plan shapes (and latencies) never move.
-        self.engine = "legacy"
+        # Every connection starts on the rule-based planner that the
+        # Fig. 10-14 / Table 2 plan shapes are anchored to; the
+        # cost-based one is opted into through configure_engine().
         self.cost_based = False
         self.planner = self._build_planner(False)
         self.writer = WriteExecutor(client, catalog)
@@ -83,16 +80,10 @@ class PhoenixConnection:
             )
         return Planner(self.catalog, dirty_check_views=self.dirty_check_views)
 
-    def configure_engine(
-        self, engine: str | None = None, cost_based: bool | None = None
-    ) -> None:
-        """Switch execution engine and/or planner mode on a live
-        connection (clears the plan cache so new plans take effect)."""
-        if engine is not None:
-            if engine not in ("legacy", "streaming"):
-                raise PlanError(f"unknown query engine {engine!r}")
-            self.engine = engine
-        if cost_based is not None and cost_based != self.cost_based:
+    def configure_engine(self, cost_based: bool) -> None:
+        """Switch planner mode on a live connection (clears the plan
+        cache so new plans take effect)."""
+        if cost_based != self.cost_based:
             self.cost_based = cost_based
             self.planner = self._build_planner(cost_based)
         self._plan_cache.clear()
@@ -120,9 +111,7 @@ class PhoenixConnection:
         attempts = 0
         while True:
             try:
-                if self.engine == "streaming":
-                    return list(stream_rows(planned, ctx))
-                return [planned.shape(row) for row in planned.root.execute(ctx)]
+                return list(stream_rows(planned, ctx))
             except DirtyReadRestart:
                 attempts += 1
                 self.sim.metrics.counter("phoenix.dirty_restarts").inc()
@@ -135,8 +124,8 @@ class PhoenixConnection:
     def stream_query(
         self, select: Select | str, params: tuple[Any, ...] = ()
     ) -> Any:
-        """Streaming cursor: yields shaped rows incrementally through
-        the operator pipeline. Closing (or abandoning) the iterator
+        """Cursor: yields shaped rows incrementally through the
+        operator pipeline. Closing (or abandoning) the iterator
         closes the whole tree, releasing in-flight scanner windows.
 
         Dirty-read restarts are not retried here — a restartable

@@ -1,37 +1,33 @@
-"""Streaming physical operators (batch-at-a-time pull model).
+"""Physical operators: the one way a SELECT runs.
 
-The legacy executor in :mod:`repro.phoenix.plans` is a per-row
-generator chain. This module is the streaming engine that replaces it
-after ``conn.configure_engine(engine="streaming")``: every node is
-a :class:`PhysicalOperator` with explicit ``open``/``next_batch``/
-``close`` semantics, pulling *batches* of rows through the tree instead
-of resuming a generator frame per row per operator.
+Every :class:`~repro.phoenix.plans.PlanNode` lowers, one to one
+(:func:`compile_plan`), to a :class:`PhysicalOperator` with explicit
+``open``/``next_batch``/``close`` semantics; rows move up the tree a
+batch at a time, and the planner (rule-based or cost-based) stays the
+single source of truth for plan *shape*.
 
-Differences from the legacy operators — semantics are row-for-row
-identical (pinned by ``tests/test_query_engine_property.py``), the
-physics are not:
+**Demand.** ``next_batch(demand)`` takes how many rows its consumer can
+still use. :class:`Limit` asks for ``limit - emitted``; the one-to-one
+operators (scan, source, filter, distinct, derived-table remap, the
+emitting side of sort and group-by) hand the number down and never
+return more; :class:`BroadcastHashJoin` and :class:`IndexNestedLoopJoin`
+take one probe/outer row at a time while demand is bounded, and keep
+the unfinished match list across calls. A ``LIMIT n`` with no blocking
+operator below it therefore reads exactly the rows up to the one that
+yields its n-th output row, and ``LIMIT 0`` reads none. With no demand
+given (the root, and the input of every blocking operator) operators
+move :data:`BATCH_ROWS` rows per call.
 
-* joins with no index path run as a **non-blocking symmetric hash
-  join** (both sides stream; each arriving row probes the opposite
-  hash table, then inserts into its own) instead of the legacy
-  broadcast join that fully materializes the build side before the
-  first output row. Under a ``LIMIT`` this stops reading *both*
-  inputs early; it also charges a per-row partitioned shuffle instead
-  of the legacy build-side broadcast.
-* ``close()`` propagates to every in-flight scan generator, which
-  triggers the region-scanner ``finally`` (batch-charge settlement and
-  the region-server queue release) deterministically instead of
-  waiting for garbage collection — the PR 4 scan-finally guarantee,
-  extended to abandoned operator trees.
-
-The streaming engine is compiled *from* the legacy plan tree
-(:func:`compile_plan`), so planner decisions — access paths, join
-order, residual placement — are shared between engines and the anchored
-legacy experiments never see these operators.
+**Close.** ``close()`` propagates to every in-flight scan generator,
+which triggers the region-scanner ``finally`` (batch-charge settlement
+and the region-server queue release) deterministically instead of
+waiting for garbage collection — for a satisfied ``LIMIT``, a
+dirty-read restart and an abandoned cursor alike.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterator
 
 from repro.errors import PlanError
@@ -51,35 +47,44 @@ from repro.phoenix.plans import (
     SortNode,
     SourceNode,
     SubqueryNode,
-    _hashable,
+    SymmetricJoinNode,
     _lookup,
-    _OrderKey,
 )
 from repro.sql.ast import Expr
 
 BATCH_ROWS = 256
-"""Rows per hop between operators: large enough to amortize the
-per-batch Python overhead, small enough that LIMIT early-close still
-saves real work."""
+"""Rows per hop between operators when the consumer states no demand:
+large enough to amortize the per-batch Python overhead."""
+
+
+def _want(demand: int | None) -> int:
+    return BATCH_ROWS if demand is None else demand
 
 
 class PhysicalOperator:
     """Pull-based operator: ``open(ctx)`` once, then ``next_batch()``
     until it returns ``None``, then ``close()``.
 
-    ``next_batch`` returns a non-empty list of rows or ``None`` when
-    exhausted (operators loop internally instead of surfacing empty
-    batches). ``close`` is idempotent, safe mid-stream, and always
+    ``next_batch(demand)`` returns a non-empty list of at most
+    ``demand`` rows (any number when ``demand`` is ``None``), or
+    ``None`` when exhausted — operators loop internally instead of
+    surfacing empty batches, and keep answering ``None`` once
+    exhausted. ``close`` is idempotent, safe mid-stream, and always
     propagates to children so abandoned subtrees release their scanner
     windows immediately.
     """
+
+    child: "PhysicalOperator | None" = None
+    """The input of a one-input operator."""
 
     def open(self, ctx: ExecutionContext) -> None:
         self._ctx = ctx
         for child in self.children():
             child.open(ctx)
 
-    def next_batch(self) -> list[Row] | None:  # pragma: no cover
+    def next_batch(
+        self, demand: int | None = None
+    ) -> list[Row] | None:  # pragma: no cover
         raise NotImplementedError
 
     def close(self) -> None:
@@ -87,16 +92,13 @@ class PhysicalOperator:
             child.close()
 
     def children(self) -> tuple["PhysicalOperator", ...]:
-        return ()
+        return () if self.child is None else (self.child,)
 
-    def describe(self, indent: int = 0) -> str:
-        lines = [("  " * indent) + self._label()]
-        for child in self.children():
-            lines.append(child.describe(indent + 1))
-        return "\n".join(lines)
 
-    def _label(self) -> str:
-        return type(self).__name__
+def _drain(child: PhysicalOperator) -> Iterator[list[Row]]:
+    """Every batch of ``child``, pulled without a demand."""
+    while (batch := child.next_batch()) is not None:
+        yield batch
 
 
 class StreamingScan(PhysicalOperator):
@@ -119,15 +121,13 @@ class StreamingScan(PhysicalOperator):
         values = [ctx.eval(e) for e in self.prefix_exprs]
         self._gen = self.access.fetch(ctx, values, self.check_dirty)
 
-    def next_batch(self) -> list[Row] | None:
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
         if self._gen is None:
             return None
-        batch: list[Row] = []
-        for row in self._gen:
-            batch.append(row)
-            if len(batch) >= BATCH_ROWS:
-                return batch
-        self._gen = None
+        want = _want(demand)
+        batch = list(islice(self._gen, want))
+        if len(batch) < want:
+            self._gen = None
         return batch or None
 
     def close(self) -> None:
@@ -137,38 +137,31 @@ class StreamingScan(PhysicalOperator):
             self._gen.close()
             self._gen = None
 
-    def _label(self) -> str:
-        entry = self.access.entry
-        kind = "POINT GET" if self.access.is_point() else (
-            "PREFIX SCAN" if self.access.prefix_attrs else "FULL SCAN"
-        )
-        return (
-            f"STREAM {kind} {entry.name} [{entry.kind}] as "
-            f"{self.access.binding} prefix={self.access.prefix_attrs}"
-        )
 
+class _Materialized(PhysicalOperator):
+    """An operator that has all of its output before it emits any:
+    ``_build`` runs at the first pull, the rows go out on demand."""
 
-class StreamingSource(PhysicalOperator):
-    """Leaf over :attr:`SourceNode.fetch`: runs it at the first pull
-    (never, when nothing pulls) and hands its rows on in batches."""
+    _rows: list[Row] | None = None
+    _pos = 0
 
-    def __init__(self, fetch: Callable[[], list[Row]], label: str) -> None:
-        self.fetch = fetch
-        self.label = label
-        self._rows: list[Row] | None = None
-        self._pos = 0
+    def _build(self) -> list[Row]:  # pragma: no cover
+        raise NotImplementedError
 
-    def next_batch(self) -> list[Row] | None:
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
         if self._rows is None:
-            self._rows = self.fetch()
-        if self._pos >= len(self._rows):
-            return None
-        batch = self._rows[self._pos : self._pos + BATCH_ROWS]
+            self._rows = self._build()
+        batch = self._rows[self._pos : self._pos + _want(demand)]
         self._pos += len(batch)
-        return batch
+        return batch or None
 
-    def _label(self) -> str:
-        return f"STREAM SOURCE {self.label}"
+
+class StreamingSource(_Materialized):
+    """Leaf over :attr:`SourceNode.fetch`: runs it at the first pull
+    (never, when nothing pulls)."""
+
+    def __init__(self, fetch: Callable[[], list[Row]]) -> None:
+        self._build = fetch
 
 
 class StreamingFilter(PhysicalOperator):
@@ -178,9 +171,9 @@ class StreamingFilter(PhysicalOperator):
         self.child = child
         self.predicates = predicates
 
-    def next_batch(self) -> list[Row] | None:
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
         while True:
-            batch = self.child.next_batch()
+            batch = self.child.next_batch(demand)
             if batch is None:
                 return None
             ctx = self._ctx
@@ -192,18 +185,10 @@ class StreamingFilter(PhysicalOperator):
             if kept:
                 return kept
 
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        return f"STREAM FILTER {self.predicates}"
-
 
 class SubqueryOp(PhysicalOperator):
     """Streams a derived-table subplan, remapping each row to the
-    derived alias — no materialization barrier (unlike the legacy
-    :class:`SubqueryNode` name suggests, both stream; this one just
-    does it in batches)."""
+    derived alias — no materialization barrier."""
 
     def __init__(
         self,
@@ -217,8 +202,8 @@ class SubqueryOp(PhysicalOperator):
         self.output_names = output_names
         self.source_keys = source_keys
 
-    def next_batch(self) -> list[Row] | None:
-        batch = self.child.next_batch()
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
+        batch = self.child.next_batch(demand)
         if batch is None:
             return None
         alias = self.alias
@@ -228,11 +213,135 @@ class SubqueryOp(PhysicalOperator):
             for row in batch
         ]
 
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
 
-    def _label(self) -> str:
-        return f"STREAM DERIVED as {self.alias} -> {self.output_names}"
+class _LookupJoin(PhysicalOperator):
+    """The pull loop of the two joins that look up, per outer row, an
+    iterator of matching inner rows (:meth:`_matches_of`): a hash-table
+    bucket or an index access.
+
+    With no demand the outer side arrives in batches and every outer
+    row's matches are drained. Under a bounded demand the join takes
+    ONE outer row at a time and stops inside a match list the moment
+    the demand is met, keeping the rest for the next call — so the
+    outer side is never read past the row that yields the last row
+    asked for."""
+
+    child: PhysicalOperator  # the outer side
+
+    def __init__(self, outer: PhysicalOperator) -> None:
+        self.child = outer
+        self._outer_rows: list[Row] = []
+        self._pos = 0
+        self._row: Row = {}
+        self._matches: Iterator[Row] | None = None
+
+    def _matches_of(self, outer_row: Row) -> Iterator[Row]:  # pragma: no cover
+        raise NotImplementedError
+
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
+        want = _want(demand)
+        out: list[Row] = []
+        while len(out) < want:
+            if self._matches is None:
+                if self._pos >= len(self._outer_rows):
+                    batch = self.child.next_batch(None if demand is None else 1)
+                    if batch is None:
+                        break
+                    self._outer_rows, self._pos = batch, 0
+                self._row = self._outer_rows[self._pos]
+                self._pos += 1
+                self._matches = self._matches_of(self._row)
+            outer_row = self._row
+            for match in self._matches:
+                merged = dict(outer_row)
+                merged.update(match)
+                out.append(merged)
+                if len(out) == demand:
+                    break
+            else:
+                self._matches = None
+        return out or None
+
+
+class BroadcastHashJoin(_LookupJoin):
+    """Phoenix's hash join. The first pull reads the build side whole,
+    hashes it and ships it to every region server (rows x row bytes x
+    region servers, metered under ``phoenix.hashjoin_broadcast_rows``
+    — what :meth:`AccessCoster.hash_join_ms` estimates); the probe side
+    then streams against the table."""
+
+    def __init__(
+        self,
+        probe: PhysicalOperator,
+        build: PhysicalOperator,
+        probe_keys: tuple[tuple[str, str], ...],
+        build_keys: tuple[tuple[str, str], ...],
+    ) -> None:
+        super().__init__(probe)
+        self.build = build
+        self.probe_keys = probe_keys
+        self.build_keys = build_keys
+        self._table: dict[tuple, list[Row]] | None = None
+
+    def _build_table(self) -> dict[tuple, list[Row]]:
+        table: dict[tuple, list[Row]] = {}
+        build_rows = 0
+        for batch in _drain(self.build):
+            for row in batch:
+                key = tuple(row.get(k) for k in self.build_keys)
+                if None in key:
+                    continue  # NULL never equi-matches anything
+                table.setdefault(key, []).append(row)
+                build_rows += 1
+        conn = self._ctx.conn
+        n_servers = len(conn.client.cluster.servers)
+        conn.charge.transfer(build_rows * conn.hashjoin_row_bytes * n_servers)
+        conn.sim.metrics.counter("phoenix.hashjoin_broadcast_rows").inc(build_rows)
+        return table
+
+    def _matches_of(self, outer_row: Row) -> Iterator[Row]:
+        key = tuple(outer_row.get(k) for k in self.probe_keys)
+        return iter(self._table.get(key, ()))  # type: ignore[union-attr]
+
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
+        if self._table is None:
+            self._table = self._build_table()
+        return super().next_batch(demand)
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return (self.child, self.build)
+
+
+class IndexNestedLoopJoin(_LookupJoin):
+    """Index nested-loop join: one inner access per outer row — the
+    RPC-per-probe join of the paper's Fig. 10. An inner fetch left
+    unfinished by a bounded demand is closed by ``close()``."""
+
+    def __init__(
+        self,
+        outer: PhysicalOperator,
+        inner: AccessSpec,
+        outer_keys: tuple,
+        check_dirty: bool = False,
+    ) -> None:
+        super().__init__(outer)
+        self.inner = inner
+        self.outer_keys = outer_keys
+        self.check_dirty = check_dirty
+
+    def _matches_of(self, outer_row: Row) -> Iterator[Row]:
+        ctx = self._ctx
+        values = [
+            outer_row.get(k) if isinstance(k, tuple) else ctx.eval(k)
+            for k in self.outer_keys
+        ]
+        return self.inner.fetch(ctx, values, self.check_dirty)
+
+    def close(self) -> None:
+        if self._matches is not None:
+            self._matches.close()  # type: ignore[attr-defined]
+            self._matches = None
+        super().close()
 
 
 class _JoinSide:
@@ -248,20 +357,19 @@ class _JoinSide:
 
 
 class SymmetricHashJoin(PhysicalOperator):
-    """Non-blocking symmetric hash join (Xgjoin-style).
+    """Non-blocking symmetric hash join (Xgjoin-style), the join of the
+    federation merge.
 
-    Pulls batches from both inputs alternately; every arriving row
-    probes the opposite side's hash table (emitting one merged row per
-    match) and is then inserted into its own table. Each left/right row
-    pair therefore matches exactly once, so the output is the same
-    inner-join multiset the legacy broadcast join produces — but the
-    first row comes out after one batch per side, and a downstream
-    LIMIT stops *both* scans early.
+    Pulls full batches from both inputs alternately, whatever the
+    demand; every arriving row probes the opposite side's hash table
+    (one merged row per match) and is then inserted into its own table.
+    Each left/right row pair therefore matches exactly once, so the
+    output is the inner-join multiset — but the first row comes out
+    after one batch per side, and a downstream LIMIT stops *both*
+    inputs early. Output beyond the demand waits in a buffer.
 
-    Cost: instead of the legacy build-side broadcast (rows x row bytes
-    x region servers), each inserted row is charged one partitioned
-    shuffle hop (rows x row bytes), metered under
-    ``phoenix.hashjoin_shuffle_rows``.
+    Cost: each inserted row is charged one partitioned shuffle hop
+    (rows x row bytes), metered under ``phoenix.hashjoin_shuffle_rows``.
     """
 
     def __init__(
@@ -274,9 +382,10 @@ class SymmetricHashJoin(PhysicalOperator):
         self.left = _JoinSide(left, left_keys)
         self.right = _JoinSide(right, right_keys)
         self._turn = self.left
+        self._out: list[Row] = []
 
-    def next_batch(self) -> list[Row] | None:
-        out: list[Row] = []
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
+        out = self._out
         while not out:
             side = self._pick_side()
             if side is None:
@@ -304,7 +413,9 @@ class SymmetricHashJoin(PhysicalOperator):
                 conn.sim.metrics.counter(
                     "phoenix.hashjoin_shuffle_rows"
                 ).inc(inserted)
-        return out
+        batch = out[:demand]
+        del out[:demand]
+        return batch
 
     def _pick_side(self) -> _JoinSide | None:
         if self.left.done and self.right.done:
@@ -318,68 +429,9 @@ class SymmetricHashJoin(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left.source, self.right.source)
 
-    def _label(self) -> str:
-        return (
-            f"SYMMETRIC HASH JOIN on left={self.left.keys} "
-            f"right={self.right.keys}"
-        )
-
-
-class IndexNestedLoopJoin(PhysicalOperator):
-    """Index nested-loop join: one inner access per outer row, same
-    probe pattern (and therefore the same virtual charges) as the
-    legacy :class:`NestedLoopJoinNode`; only the outer side batches."""
-
-    def __init__(
-        self,
-        outer: PhysicalOperator,
-        inner: AccessSpec,
-        outer_keys: tuple,
-        check_dirty: bool = False,
-    ) -> None:
-        self.outer = outer
-        self.inner = inner
-        self.outer_keys = outer_keys
-        self.check_dirty = check_dirty
-        self._batch: list[Row] | None = None
-        self._pos = 0
-        self._done = False
-
-    def next_batch(self) -> list[Row] | None:
-        out: list[Row] = []
-        ctx = self._ctx
-        while len(out) < BATCH_ROWS and not self._done:
-            if self._batch is None or self._pos >= len(self._batch):
-                self._batch = self.outer.next_batch()
-                self._pos = 0
-                if self._batch is None:
-                    self._done = True
-                continue
-            outer_row = self._batch[self._pos]
-            self._pos += 1
-            values = [
-                outer_row.get(k) if isinstance(k, tuple) else ctx.eval(k)
-                for k in self.outer_keys
-            ]
-            for inner_row in self.inner.fetch(ctx, values, self.check_dirty):
-                merged = dict(outer_row)
-                merged.update(inner_row)
-                out.append(merged)
-        return out or None
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.outer,)
-
-    def _label(self) -> str:
-        return (
-            f"STREAM NL JOIN -> {self.inner.entry.name} as "
-            f"{self.inner.binding} on {self.outer_keys}"
-        )
-
 
 class HashDistinct(PhysicalOperator):
-    """Streaming dedupe — same key derivation as the legacy
-    :class:`DistinctNode` (the projected sources), but emits survivors
+    """Streaming dedupe on the projected sources; survivors leave
     batch by batch."""
 
     def __init__(self, child: PhysicalOperator, keys: tuple) -> None:
@@ -387,9 +439,9 @@ class HashDistinct(PhysicalOperator):
         self.keys = keys
         self._seen: set = set()
 
-    def next_batch(self) -> list[Row] | None:
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
         while True:
-            batch = self.child.next_batch()
+            batch = self.child.next_batch(demand)
             if batch is None:
                 return None
             out: list[Row] = []
@@ -401,18 +453,16 @@ class HashDistinct(PhysicalOperator):
             if out:
                 return out
 
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
 
-    def _label(self) -> str:
-        return f"HASH DISTINCT {self.keys}"
+def _hashable(v: Any) -> Any:
+    return tuple(v) if isinstance(v, list) else v
 
 
-class HashGroupBy(PhysicalOperator):
-    """Hash aggregation with *incremental* accumulators — unlike the
-    legacy node it never materializes per-group row lists, only
-    (count, sum, min, max) states per aggregate. Blocking by nature;
-    results stream out in first-seen group order (same as legacy)."""
+class HashGroupBy(_Materialized):
+    """Hash aggregation with incremental accumulators: no per-group row
+    lists, only (count, sum, min, max) states per aggregate. Aggregate
+    outputs appear under binding ``""`` keyed by the canonical call
+    text (``SUM(ol_qty)``); groups leave in first-seen order."""
 
     def __init__(
         self, child: PhysicalOperator, group_keys: tuple, aggregates: tuple
@@ -420,19 +470,13 @@ class HashGroupBy(PhysicalOperator):
         self.child = child
         self.group_keys = group_keys
         self.aggregates = aggregates
-        self._results: list[Row] | None = None
-        self._pos = 0
 
-    def _build(self) -> None:
-        ctx = self._ctx
+    def _build(self) -> list[Row]:
         reps: dict[tuple, Row] = {}
         # per group: one [n, total, mn, mx] state per aggregate
         states: dict[tuple, list[list[Any]]] = {}
         total_rows = 0
-        while True:
-            batch = self.child.next_batch()
-            if batch is None:
-                break
+        for batch in _drain(self.child):
             total_rows += len(batch)
             for row in batch:
                 key = tuple(_lookup(row, g) for g in self.group_keys)
@@ -453,7 +497,7 @@ class HashGroupBy(PhysicalOperator):
                         state[2] = v
                     if state[3] is None or v > state[3]:
                         state[3] = v
-        ctx.conn.sim.charge(0.0005 * total_rows, "phoenix.groupby")
+        self._ctx.conn.sim.charge(0.0005 * total_rows, "phoenix.groupby")
         results: list[Row] = []
         for key, rep in reps.items():
             out: Row = {}
@@ -467,29 +511,12 @@ class HashGroupBy(PhysicalOperator):
             ):
                 out[("", out_name)] = _finish_aggregate(func, state)
             results.append(out)
-        self._results = results
-
-    def next_batch(self) -> list[Row] | None:
-        if self._results is None:
-            self._build()
-        assert self._results is not None
-        if self._pos >= len(self._results):
-            return None
-        batch = self._results[self._pos : self._pos + BATCH_ROWS]
-        self._pos += len(batch)
-        return batch
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        return f"HASH GROUP BY {self.group_keys} aggs={self.aggregates}"
+        return results
 
 
 def _finish_aggregate(func: str, state: list[Any]) -> Any:
-    """Same null semantics as the legacy :func:`_aggregate` over a
-    None-filtered value list: COUNT of nothing is 0, everything else
-    is NULL."""
+    """SQL null semantics over the non-NULL inputs: COUNT of nothing is
+    0, everything else is NULL."""
     n, total, mn, mx = state
     if func == "COUNT":
         return n
@@ -506,52 +533,56 @@ def _finish_aggregate(func: str, state: list[Any]) -> Any:
     raise PlanError(f"unknown aggregate {func}")  # pragma: no cover
 
 
-class StreamingSort(PhysicalOperator):
-    """Blocking sort; same comparator (:class:`_OrderKey`) and the same
-    per-row client-side charge as the legacy node, but emits batches."""
+class _OrderKey:
+    """Total order over heterogeneous/None values, with DESC support."""
+
+    __slots__ = ("value", "desc")
+
+    def __init__(self, value: Any, desc: bool) -> None:
+        self.value = value
+        self.desc = desc
+
+    def __lt__(self, other: "_OrderKey") -> bool:
+        a, b = self.value, other.value
+        if a is None and b is None:
+            return False
+        if a is None:
+            return not self.desc  # NULLs first ASC, last DESC
+        if b is None:
+            return self.desc
+        return (a > b) if self.desc else (a < b)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _OrderKey) and self.value == other.value
+
+
+class StreamingSort(_Materialized):
+    """Blocking sort, charged per row as client-side work (Phoenix
+    sorts in the client/driver)."""
 
     def __init__(self, child: PhysicalOperator, keys: tuple) -> None:
         self.child = child
         self.keys = keys
-        self._sorted: list[Row] | None = None
-        self._pos = 0
 
-    def next_batch(self) -> list[Row] | None:
-        if self._sorted is None:
-            rows: list[Row] = []
-            while True:
-                batch = self.child.next_batch()
-                if batch is None:
-                    break
-                rows.extend(batch)
-            self._ctx.conn.sim.charge(0.0005 * len(rows), "phoenix.sort")
-            keys = self.keys
+    def _build(self) -> list[Row]:
+        rows = [row for batch in _drain(self.child) for row in batch]
+        self._ctx.conn.sim.charge(0.0005 * len(rows), "phoenix.sort")
+        keys = self.keys
 
-            def sort_key(row: Row):
-                return tuple(
-                    _OrderKey(_lookup(row, source), desc)
-                    for source, desc in keys
-                )
+        def sort_key(row: Row):
+            return tuple(
+                _OrderKey(_lookup(row, source), desc) for source, desc in keys
+            )
 
-            rows.sort(key=sort_key)
-            self._sorted = rows
-        if self._pos >= len(self._sorted):
-            return None
-        batch = self._sorted[self._pos : self._pos + BATCH_ROWS]
-        self._pos += len(batch)
-        return batch
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        return f"STREAM SORT {self.keys}"
+        rows.sort(key=sort_key)
+        return rows
 
 
 class Limit(PhysicalOperator):
-    """LIMIT. Closes the child as soon as the limit is satisfied so
-    abandoned subtree scans release their windows at the moment the
-    last row is emitted, not at tree close."""
+    """LIMIT: asks its child for what is still missing, and closes it as
+    soon as the limit is satisfied so abandoned subtree scans release
+    their windows at the moment the last row is emitted, not at tree
+    close."""
 
     def __init__(self, child: PhysicalOperator, limit: int) -> None:
         self.child = child
@@ -559,74 +590,63 @@ class Limit(PhysicalOperator):
         self._emitted = 0
         self._done = False
 
-    def next_batch(self) -> list[Row] | None:
+    def next_batch(self, demand: int | None = None) -> list[Row] | None:
         if self._done:
             return None
         remaining = self.limit - self._emitted
         if remaining <= 0:
             self._finish()
             return None
-        batch = self.child.next_batch()
+        batch = self.child.next_batch(
+            remaining if demand is None else min(remaining, demand)
+        )
         if batch is None:
             self._done = True
             return None
-        if len(batch) >= remaining:
-            batch = batch[:remaining]
-            self._finish()
         self._emitted += len(batch)
+        if self._emitted >= self.limit:
+            self._finish()
         return batch
 
     def _finish(self) -> None:
         self._done = True
         self.child.close()
 
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        return f"STREAM LIMIT {self.limit}"
-
 
 # ---------------------------------------------------------------- compilation
-def compile_plan(node: PlanNode) -> PhysicalOperator:
-    """Translate a legacy plan tree into a streaming operator tree.
+_LOWERING: dict[type[PlanNode], Callable[[Any], PhysicalOperator]] = {
+    ScanNode: lambda n: StreamingScan(n.access, n.prefix_exprs, n.check_dirty),
+    SourceNode: lambda n: StreamingSource(n.fetch),
+    SubqueryNode: lambda n: SubqueryOp(
+        compile_plan(n.subplan), n.alias, n.output_names, n.source_keys
+    ),
+    NestedLoopJoinNode: lambda n: IndexNestedLoopJoin(
+        compile_plan(n.outer), n.inner, n.outer_keys, n.check_dirty
+    ),
+    HashJoinNode: lambda n: BroadcastHashJoin(
+        compile_plan(n.probe), compile_plan(n.build), n.probe_keys, n.build_keys
+    ),
+    SymmetricJoinNode: lambda n: SymmetricHashJoin(
+        compile_plan(n.left), compile_plan(n.right), n.left_keys, n.right_keys
+    ),
+    FilterNode: lambda n: StreamingFilter(compile_plan(n.child), n.predicates),
+    SortNode: lambda n: StreamingSort(compile_plan(n.child), n.keys),
+    GroupByNode: lambda n: HashGroupBy(
+        compile_plan(n.child), n.group_keys, n.aggregates
+    ),
+    LimitNode: lambda n: Limit(compile_plan(n.child), n.limit),
+    DistinctNode: lambda n: HashDistinct(compile_plan(n.child), n.keys),
+}
+"""The operator each plan node lowers to: one class per node class."""
 
-    The planner (rule-based or cost-based) stays the single source of
-    truth for plan *shape*; this only swaps the execution physics.
-    """
-    if isinstance(node, ScanNode):
-        return StreamingScan(node.access, node.prefix_exprs, node.check_dirty)
-    if isinstance(node, SourceNode):
-        return StreamingSource(node.fetch, node.label)
-    if isinstance(node, SubqueryNode):
-        return SubqueryOp(
-            compile_plan(node.subplan),
-            node.alias,
-            node.output_names,
-            node.source_keys,
-        )
-    if isinstance(node, NestedLoopJoinNode):
-        return IndexNestedLoopJoin(
-            compile_plan(node.outer), node.inner, node.outer_keys, node.check_dirty
-        )
-    if isinstance(node, HashJoinNode):
-        return SymmetricHashJoin(
-            compile_plan(node.probe),
-            compile_plan(node.build),
-            node.probe_keys,
-            node.build_keys,
-        )
-    if isinstance(node, FilterNode):
-        return StreamingFilter(compile_plan(node.child), node.predicates)
-    if isinstance(node, SortNode):
-        return StreamingSort(compile_plan(node.child), node.keys)
-    if isinstance(node, GroupByNode):
-        return HashGroupBy(compile_plan(node.child), node.group_keys, node.aggregates)
-    if isinstance(node, LimitNode):
-        return Limit(compile_plan(node.child), node.limit)
-    if isinstance(node, DistinctNode):
-        return HashDistinct(compile_plan(node.child), node.keys)
-    raise PlanError(f"no streaming operator for plan node {type(node).__name__}")
+
+def compile_plan(node: PlanNode) -> PhysicalOperator:
+    """Lower a plan tree to the operator tree that runs it; no choices
+    are made here."""
+    lower = _LOWERING.get(type(node))
+    if lower is None:
+        raise PlanError(f"no operator for plan node {type(node).__name__}")
+    return lower(node)
 
 
 __all__ = [
@@ -636,8 +656,9 @@ __all__ = [
     "StreamingSource",
     "StreamingFilter",
     "SubqueryOp",
-    "SymmetricHashJoin",
+    "BroadcastHashJoin",
     "IndexNestedLoopJoin",
+    "SymmetricHashJoin",
     "HashDistinct",
     "HashGroupBy",
     "StreamingSort",

@@ -109,9 +109,10 @@ class SelectComposer:
     :class:`Schema`, or a :class:`CatalogNamespace` whose names include
     views): which row source a column resolves to, how output
     columns are named (and duplicates disambiguated), which equi-joins
-    attach a binding and as what hash join, which predicates stay
-    residual above the joins, what a GROUP BY aggregates, and the order
-    the tail stacks in (group-by -> distinct -> sort -> limit).
+    attach a binding (within one system: as what hash join), which
+    predicates stay residual above the joins, what a GROUP BY
+    aggregates, and the order the tail stacks in (group-by -> distinct
+    -> sort -> limit).
 
     Everything here is independent of how the leaves are reached, so
     the single-system :class:`Planner` (catalog access paths below) and

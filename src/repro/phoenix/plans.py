@@ -1,8 +1,14 @@
-"""Physical plan operators (iterator model).
+"""Logical plan nodes, the leaf access path and residual predicates.
+
+A plan is a tree of :class:`PlanNode` dataclasses: what the planners
+build, ``EXPLAIN`` renders and :func:`repro.phoenix.operators.compile_plan`
+lowers one-to-one into the operators that run it. Nothing here
+executes except :meth:`AccessSpec.fetch`, the one way rows leave the
+catalog's tables.
 
 Rows flowing between operators are ``dict[(binding, attr)] -> value``:
 keying by FROM-binding keeps self-joins (``Item as I, Item as J``)
-unambiguous. Every operator charges virtual time through the HBase
+unambiguous. Every access charges virtual time through the HBase
 client it drives; plan shape therefore *is* the cost model.
 """
 
@@ -226,13 +232,11 @@ class AccessSpec:
 
 # ---------------------------------------------------------------- plan nodes
 class PlanNode:
-    """Base class; subclasses implement :meth:`execute`."""
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:  # pragma: no cover
-        raise NotImplementedError
+    """One logical step of a SELECT; ``describe`` is its ``EXPLAIN``."""
 
     def children(self) -> tuple["PlanNode", ...]:
-        return ()
+        """The input nodes, in field order."""
+        return tuple(v for v in vars(self).values() if isinstance(v, PlanNode))
 
     def describe(self, indent: int = 0) -> str:
         est = getattr(self, "_est", None)
@@ -258,10 +262,6 @@ class ScanNode(PlanNode):
     prefix_exprs: tuple[Expr, ...] = ()
     check_dirty: bool = False
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        values = [ctx.eval(e) for e in self.prefix_exprs]
-        yield from self.access.fetch(ctx, values, self.check_dirty)
-
     def _label(self) -> str:
         entry = self.access.entry
         kind = "POINT GET" if self.access.is_point() else (
@@ -282,32 +282,19 @@ class SourceNode(PlanNode):
     fetch: Callable[[], list[Row]]
     label: str
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        yield from self.fetch()
-
     def _label(self) -> str:
         return f"SOURCE {self.label}"
 
 
 @dataclass
 class SubqueryNode(PlanNode):
-    """Plans and materializes a derived table at execution time."""
+    """A derived table: the subplan's rows renamed to ``alias``."""
 
     subplan: PlanNode
     alias: str
     output_names: tuple[str, ...]
     source_keys: tuple[tuple[str, str] | str, ...]
     """For each output name, which sub-row key (or aggregate name) feeds it."""
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for sub_row in self.subplan.execute(ctx):
-            row: Row = {}
-            for out_name, source in zip(self.output_names, self.source_keys):
-                row[(self.alias, out_name)] = _lookup(sub_row, source)
-            yield row
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.subplan,)
 
     def _label(self) -> str:
         return f"DERIVED TABLE as {self.alias} -> {self.output_names}"
@@ -337,20 +324,6 @@ class NestedLoopJoinNode(PlanNode):
     constant expression (literal/parameter filter on the inner side)."""
     check_dirty: bool = False
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for outer_row in self.outer.execute(ctx):
-            values = [
-                outer_row.get(k) if isinstance(k, tuple) else ctx.eval(k)
-                for k in self.outer_keys
-            ]
-            for inner_row in self.inner.fetch(ctx, values, self.check_dirty):
-                merged = dict(outer_row)
-                merged.update(inner_row)
-                yield merged
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.outer,)
-
     def _label(self) -> str:
         return (
             f"NL JOIN -> {self.inner.entry.name} as {self.inner.binding} "
@@ -360,7 +333,8 @@ class NestedLoopJoinNode(PlanNode):
 
 @dataclass
 class HashJoinNode(PlanNode):
-    """Broadcast hash join: build side fully scanned, hashed and (as in
+    """Broadcast hash join, what the planners emit when the inner side
+    has no index path: build side fully scanned, hashed and (as in
     Phoenix) shipped to every region server; probe side streams."""
 
     probe: PlanNode
@@ -368,51 +342,29 @@ class HashJoinNode(PlanNode):
     probe_keys: tuple[tuple[str, str], ...]
     build_keys: tuple[tuple[str, str], ...]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table: dict[tuple, list[Row]] = {}
-        build_rows = 0
-        for row in self.build.execute(ctx):
-            key = tuple(row.get(k) for k in self.build_keys)
-            if None in key:
-                continue
-            table.setdefault(key, []).append(row)
-            build_rows += 1
-        # broadcast cost: build relation shipped to each region server
-        cost = ctx.conn.sim.cost
-        n_servers = len(ctx.conn.client.cluster.servers)
-        approx_bytes = build_rows * ctx.conn.hashjoin_row_bytes * n_servers
-        ctx.conn.charge.transfer(approx_bytes)
-        ctx.conn.sim.metrics.counter("phoenix.hashjoin_broadcast_rows").inc(
-            build_rows
-        )
-        for row in self.probe.execute(ctx):
-            key = tuple(row.get(k) for k in self.probe_keys)
-            if None in key:
-                continue
-            for match in table.get(key, ()):
-                merged = dict(row)
-                merged.update(match)
-                yield merged
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.probe, self.build)
-
     def _label(self) -> str:
         return f"HASH JOIN on probe={self.probe_keys} build={self.build_keys}"
+
+
+@dataclass
+class SymmetricJoinNode(PlanNode):
+    """Non-blocking hash join of two inputs that share no cluster, what
+    the federation merge emits: there is nowhere to broadcast a build
+    side to, so both inputs stream and every row pays one shuffle hop."""
+
+    left: PlanNode
+    right: PlanNode
+    left_keys: tuple[tuple[str, str], ...]
+    right_keys: tuple[tuple[str, str], ...]
+
+    def _label(self) -> str:
+        return f"SYMMETRIC HASH JOIN on left={self.left_keys} right={self.right_keys}"
 
 
 @dataclass
 class FilterNode(PlanNode):
     child: PlanNode
     predicates: tuple[Predicate, ...]
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for row in self.child.execute(ctx):
-            if all(p.test(row, ctx) for p in self.predicates):
-                yield row
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"FILTER {self.predicates}"
@@ -424,49 +376,8 @@ class SortNode(PlanNode):
     keys: tuple[tuple[tuple[str, str] | str, bool], ...]
     """((source, descending), ...); source may be an aggregate name."""
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        rows = list(self.child.execute(ctx))
-        # charge client-side sort work (Phoenix sorts in the client/driver)
-        ctx.conn.sim.charge(0.0005 * len(rows), "phoenix.sort")
-
-        def sort_key(row: Row):
-            parts = []
-            for source, desc in self.keys:
-                v = _lookup(row, source)
-                parts.append(_OrderKey(v, desc))
-            return tuple(parts)
-
-        rows.sort(key=sort_key)
-        yield from rows
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def _label(self) -> str:
         return f"SORT {self.keys}"
-
-
-class _OrderKey:
-    """Total order over heterogeneous/None values, with DESC support."""
-
-    __slots__ = ("value", "desc")
-
-    def __init__(self, value: Any, desc: bool) -> None:
-        self.value = value
-        self.desc = desc
-
-    def __lt__(self, other: "_OrderKey") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.desc  # NULLs first ASC, last DESC
-        if b is None:
-            return self.desc
-        return (a > b) if self.desc else (a < b)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _OrderKey) and self.value == other.value
 
 
 @dataclass
@@ -479,72 +390,14 @@ class GroupByNode(PlanNode):
     aggregates: tuple[tuple[str, str, tuple[str, str] | str | None], ...]
     """(output_name, func, source) — source None for COUNT(*)."""
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        groups: dict[tuple, list[Row]] = {}
-        group_reps: dict[tuple, Row] = {}
-        for row in self.child.execute(ctx):
-            key = tuple(_lookup(row, g) for g in self.group_keys)
-            groups.setdefault(key, []).append(row)
-            group_reps.setdefault(key, row)
-        ctx.conn.sim.charge(
-            0.0005 * sum(len(v) for v in groups.values()), "phoenix.groupby"
-        )
-        for key, rows in groups.items():
-            out: Row = {}
-            rep = group_reps[key]
-            for g in self.group_keys:
-                if isinstance(g, tuple):
-                    out[g] = rep.get(g)
-                else:
-                    out[("", g)] = _lookup(rep, g)
-            for out_name, func, source in self.aggregates:
-                values = (
-                    [1 for _ in rows]
-                    if source is None
-                    else [_lookup(r, source) for r in rows]
-                )
-                values = [v for v in values if v is not None]
-                out[("", out_name)] = _aggregate(func, values)
-            yield out
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def _label(self) -> str:
         return f"GROUP BY {self.group_keys} aggs={self.aggregates}"
-
-
-def _aggregate(func: str, values: list[Any]) -> Any:
-    if func == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if func == "SUM":
-        return sum(values)
-    if func == "MIN":
-        return min(values)
-    if func == "MAX":
-        return max(values)
-    if func == "AVG":
-        return sum(values) / len(values)
-    raise PlanError(f"unknown aggregate {func}")  # pragma: no cover
 
 
 @dataclass
 class LimitNode(PlanNode):
     child: PlanNode
     limit: int
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        emitted = 0
-        for row in self.child.execute(ctx):
-            if emitted >= self.limit:
-                return
-            emitted += 1
-            yield row
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"LIMIT {self.limit}"
@@ -558,17 +411,3 @@ class DistinctNode(PlanNode):
     child: PlanNode
     keys: tuple[tuple[str, str] | str, ...]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        seen: set = set()
-        for row in self.child.execute(ctx):
-            key = tuple(_hashable(_lookup(row, k)) for k in self.keys)
-            if key not in seen:
-                seen.add(key)
-                yield row
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-
-def _hashable(v: Any) -> Any:
-    return tuple(v) if isinstance(v, list) else v

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
+from repro.phoenix.executor import PhoenixConnection
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
@@ -40,6 +41,12 @@ class SynergyEvaluatedSystem(EvaluatedSystem):
     @property
     def sim(self) -> Simulation:
         return self.system.sim
+
+    @property
+    def conn(self) -> PhoenixConnection:
+        """The Phoenix connection, where every Phoenix-backed system
+        exposes it."""
+        return self.system.conn
 
     def statement(self, statement_id: str) -> str:
         return self.system.statements[statement_id]

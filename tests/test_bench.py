@@ -15,6 +15,7 @@ from repro.bench import __main__ as cli
 from repro.bench.suite import Flag, IntList, Smoke, Suite
 from repro.bench.suites import SUITES
 from repro.bench.suites.paper import run_fig10, run_fig11, run_fig13, run_table1
+from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.bench.harness import (
     ExperimentResult,
     Stat,
@@ -91,6 +92,20 @@ class TestFastExperiments:
     def test_table1_static(self):
         text = run_table1()
         assert "read committed" in text
+
+
+class TestTpcwLab:
+    def test_planner_mode_reaches_every_phoenix_backed_system(self):
+        """Synergy used to keep its connection where the lab did not
+        look, and silently stayed on the rule-based planner."""
+        lab = TpcwLab(num_customers=10, repetitions=1, cost_based_planner=True)
+        for name in SYSTEM_NAMES:
+            system = lab.build_system(name)
+            lab.populate(system)
+            if name == "VoltDB":
+                assert not hasattr(system, "conn")
+            else:
+                assert system.conn.cost_based is True, name
 
 
 class TestCliErrors:

@@ -503,8 +503,10 @@ class TestSeams:
             "  SORT ((('d', 'DName'), False),)",
             "    FILTER (ColumnPredicate(left=('e', 'EID'), op='<', "
             "right=('e', 'E_DNo')),)",
-            "      HASH JOIN on probe=(('e', 'E_DNo'),) build=(('d', 'DNo'),)",
-            "        HASH JOIN on probe=(('a', 'AID'),) build=(('e', 'EHome_AID'),)",
+            "      SYMMETRIC HASH JOIN on left=(('e', 'E_DNo'),) "
+            "right=(('d', 'DNo'),)",
+            "        SYMMETRIC HASH JOIN on left=(('a', 'AID'),) "
+            "right=(('e', 'EHome_AID'),)",
             "          SOURCE a",
             "          SOURCE e",
             "        SOURCE d",

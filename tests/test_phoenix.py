@@ -109,9 +109,11 @@ class TestPlanner:
         )
 
     def test_compile_plan_maps_nodes_and_operators_one_to_one(self, company_conn):
-        """Every plan node lowers to its own streaming operator, and no
-        exported operator class exists that no plan node lowers to — an
-        operator nothing constructs cannot come back unnoticed."""
+        """Every plan node lowers to its own operator, and no exported
+        operator class exists that no plan node lowers to — an operator
+        nothing constructs cannot come back unnoticed. The planners'
+        hash join and the federation merge's symmetric join are two
+        nodes with one lowering each, not one node with a flag."""
         from repro.phoenix import operators, plans
 
         plan = company_conn.plan(
@@ -121,8 +123,15 @@ class TestPlanner:
             "and e.EHome_AID <> e.EOffice_AID "
             "GROUP BY e.E_DNo ORDER BY e.E_DNo LIMIT 3"
         )
-        nodes = [*_walk(plan.root), plans.SourceNode(list, "rows")]
-        lowered = {type(n): type(operators.compile_plan(n)) for n in nodes}
+        rows = plans.SourceNode(list, "rows")
+        nodes = [*_walk(plan.root), plans.SymmetricJoinNode(rows, rows, (), ())]
+        lowered = {
+            type(n): type(operators.compile_plan(n))
+            for node in nodes
+            for n in _walk(node)
+        }
+        assert lowered[plans.HashJoinNode] is operators.BroadcastHashJoin
+        assert lowered[plans.SymmetricJoinNode] is operators.SymmetricHashJoin
 
         def subclasses(namespace, base, names):
             found = (getattr(namespace, name) for name in names)
@@ -157,19 +166,14 @@ class TestExecutor:
         )
         assert rows == [{"EName": "emp3"}]
 
-    @pytest.mark.parametrize(
-        "engine,cost_based",
-        (("legacy", False), ("streaming", False), ("streaming", True)),
-    )
-    def test_same_binding_column_comparison_filters(
-        self, company_conn, engine, cost_based
-    ):
+    @pytest.mark.parametrize("cost_based", (False, True), ids=("rule", "cost-based"))
+    def test_same_binding_column_comparison_filters(self, company_conn, cost_based):
         """Two attributes of ONE binding compared with each other used
         to be dropped silently on a base binding (10 rows, not 2) and to
         die in ``ctx.eval`` on a derived one. The second statement is an
         equality filter on a key the JOIN also binds — it must survive
         the nested-loop prefix."""
-        company_conn.configure_engine(engine=engine, cost_based=cost_based)
+        company_conn.configure_engine(cost_based=cost_based)
         for sql, params, expected in (
             ("SELECT e.EID FROM Employee as e "
              "WHERE e.EHome_AID = e.EOffice_AID", (), [5, 10]),
@@ -337,21 +341,19 @@ class TestWritePath:
 class TestSubqueryUnderJoin:
     """SubqueryNode feeding the OUTER side of a join — derived rows
     (keyed ``(alias, out_name)``) must drive later joins exactly like
-    base-table rows, on every engine. Expected row counts are derived
-    by hand from the deterministic company data."""
+    base-table rows, under either planner. Expected row counts are
+    derived by hand from the deterministic company data."""
 
-    ENGINE_MODES = (("legacy", False), ("streaming", False), ("streaming", True))
-
-    def _all_engines(self, conn, sql, params=()):
+    def _both_planners(self, conn, sql, params=()):
         out = []
         try:
-            for engine, cost_based in self.ENGINE_MODES:
-                conn.configure_engine(engine=engine, cost_based=cost_based)
+            for cost_based in (False, True):
+                conn.configure_engine(cost_based=cost_based)
                 rows = conn.execute_query(sql, params)
                 out.append(sorted(tuple(sorted(r.items())) for r in rows))
         finally:
-            conn.configure_engine(engine="legacy", cost_based=False)
-        assert out[0] == out[1] == out[2]
+            conn.configure_engine(cost_based=False)
+        assert out[0] == out[1]
         return out[0]
 
     def test_derived_feeds_nl_join_outer_keys(self, company_conn):
@@ -364,7 +366,7 @@ class TestSubqueryUnderJoin:
         )
         text = company_conn.plan(sql).root.describe()
         assert "NL JOIN -> Works_On" in text and "DERIVED TABLE as d" in text
-        rows = self._all_engines(company_conn, sql, (1,))
+        rows = self._both_planners(company_conn, sql, (1,))
         # dept 1 = even EIDs {2,4,6,8,10}; AID<=5 keeps {2,4}; each even
         # employee has exactly one Works_On row (pno=2)
         assert len(rows) == 2
@@ -376,7 +378,7 @@ class TestSubqueryUnderJoin:
             "(SELECT DNo, DName FROM Department) as d2 "
             "WHERE d1.E_DNo = d2.DNo"
         )
-        rows = self._all_engines(company_conn, sql)
+        rows = self._both_planners(company_conn, sql)
         assert len(rows) == 10  # every employee matches its department
 
     def test_aggregate_derived_table_on_build_side(self, company_conn):
@@ -385,7 +387,7 @@ class TestSubqueryUnderJoin:
             "(SELECT WO_EID, SUM(Hours) FROM Works_On GROUP BY WO_EID) as t, "
             "Employee as e WHERE t.WO_EID = e.EID"
         )
-        rows = self._all_engines(company_conn, sql)
+        rows = self._both_planners(company_conn, sql)
         assert len(rows) == 10  # every employee works on something
         by_eid = {dict(r)["EID"]: dict(r)["SUM(Hours)"] for r in rows}
         # odd EIDs work pno 1 and 3 (10+30), even EIDs only pno 2 (20)
@@ -397,5 +399,5 @@ class TestSubqueryUnderJoin:
             "(SELECT EID FROM Employee WHERE E_DNo = ?) as d, Works_On as wo "
             "WHERE d.EID = wo.WO_EID"
         )
-        rows = self._all_engines(company_conn, sql, (2,))
+        rows = self._both_planners(company_conn, sql, (2,))
         assert len(rows) == 10  # 5 odd employees x 2 Works_On rows each

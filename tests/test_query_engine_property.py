@@ -1,17 +1,15 @@
-"""Differential property harness for the two execution engines.
+"""Differential property harness for the SELECT engine under both planners.
 
 A seeded generator produces random Company-schema queries (projections,
 predicates, 2-3-way joins including self-joins, DISTINCT, GROUP BY
 aggregates, ORDER BY + LIMIT, same-binding column/column comparisons)
-and runs every one through the legacy
-materializing executor, the streaming operator pipeline, and the
-streaming pipeline under the cost-based planner. All three must agree
-row-for-row (as multisets) with a pure-Python relational reference
+and runs every one through the operator pipeline as the rule-based
+and as the cost-based planner plan it. Both must agree row-for-row (as multisets) with a pure-Python relational reference
 model evaluated over the same data.
 
 LIMIT is only generated underneath an ORDER BY covering every projected
 column, so the limited prefix is a well-defined multiset no matter
-which engine (or plan) produced the row order. Aggregated attributes
+which plan produced the row order. Aggregated attributes
 are integers, so SUM/AVG are exact regardless of accumulation order.
 """
 
@@ -31,13 +29,6 @@ from repro.sim.clock import Simulation
 
 QUERIES_PER_SEED = 200
 SEEDS = (171001792, 20170904)
-
-ENGINE_MODES = (
-    ("legacy", False),
-    ("streaming", False),
-    ("streaming", True),
-)
-
 
 # ------------------------------------------------------------ reference data
 def company_rows() -> dict[str, list[dict]]:
@@ -214,7 +205,7 @@ def generate_query(rng: random.Random) -> QuerySpec:
         spec.distinct = rng.random() < 0.25
         if rng.random() < 0.35:
             # total order over the projected tuple, so LIMIT selects a
-            # well-defined multiset in every engine
+            # well-defined multiset under every plan
             spec.order = [
                 (i, rng.random() < 0.5) for i in range(len(spec.columns))
             ]
@@ -264,7 +255,7 @@ def ref_execute(spec: QuerySpec, data: dict[str, list[dict]]) -> list[tuple]:
         for c in kept:
             key = tuple(c[a][x] for a, x in spec.group_keys)
             groups.setdefault(key, []).append(c)
-        # NB: like both engines, a global aggregate over an empty input
+        # NB: like the engine, a global aggregate over an empty input
         # yields no row (the repo's dialect, asserted differentially)
         out = []
         for key, members in groups.items():
@@ -316,17 +307,17 @@ def test_random_queries_all_engines_match_reference(prop_conn, seed):
         for i in range(QUERIES_PER_SEED):
             spec = generate_query(rng)
             expected = sorted(ref_execute(spec, data))
-            for engine, cost_based in ENGINE_MODES:
-                prop_conn.configure_engine(engine=engine, cost_based=cost_based)
+            for cost_based in (False, True):
+                prop_conn.configure_engine(cost_based=cost_based)
                 got = sorted(_engine_rows(prop_conn, spec))
                 assert got == expected, (
-                    f"query #{i} (seed {seed}, engine={engine}, "
-                    f"cost_based={cost_based}) diverged:\n{spec.sql}\n"
+                    f"query #{i} (seed {seed}, cost_based={cost_based}) "
+                    f"diverged:\n{spec.sql}\n"
                     f"params={spec.params}\nexpected={expected}\ngot={got}"
                 )
             checked += 1
     finally:
-        prop_conn.configure_engine(engine="legacy", cost_based=False)
+        prop_conn.configure_engine(cost_based=False)
     assert checked == QUERIES_PER_SEED
 
 

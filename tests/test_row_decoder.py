@@ -44,7 +44,7 @@ from repro.sim.clock import Simulation
 from repro.sql.ast import Literal
 from repro.tpcw.queries import JOIN_QUERIES
 from tests.conftest import load_company_data
-from tests.test_query_engine_property import ENGINE_MODES, generate_query
+from tests.test_query_engine_property import generate_query
 
 
 # ------------------------------------------------------------ the references
@@ -307,13 +307,13 @@ def _company_conn() -> PhoenixConnection:
     return conn
 
 
-@pytest.mark.parametrize("engine, cost_based", ENGINE_MODES)
+@pytest.mark.parametrize("cost_based", (False, True), ids=("rule", "cost-based"))
 def test_random_queries_same_rows_and_ms_with_decode_sets_widened(
-    engine, cost_based, monkeypatch
+    cost_based, monkeypatch
 ):
     narrow, wide = _company_conn(), _company_conn()
     for conn in (narrow, wide):
-        conn.configure_engine(engine=engine, cost_based=cost_based)
+        conn.configure_engine(cost_based=cost_based)
     widen_every_plan(wide, monkeypatch)
     rng = random.Random(20170904)
     narrowed = 0
@@ -339,18 +339,13 @@ def test_tpcw_queries_same_rows_and_ms_with_decode_sets_widened(
     narrow, wide = lab.build_system(system_name), lab.build_system(system_name)
     for system in (narrow, wide):
         lab.populate(system)
-    # the Synergy wrapper keeps its connection one level down
-    conns = [getattr(s, "system", s).conn for s in (narrow, wide)]
-    widen_every_plan(conns[1], monkeypatch)
-    for engine in ("legacy", "streaming"):
-        for conn in conns:
-            conn.configure_engine(engine=engine)
-        for qid in JOIN_QUERIES:
-            params = lab.generator.params_for_query(qid, 0)
-            got, got_ms = narrow.timed_id(qid, params)
-            expected, expected_ms = wide.timed_id(qid, params)
-            assert got == expected, f"{system_name}/{engine}/{qid}"
-            assert got_ms == expected_ms, f"{system_name}/{engine}/{qid}"
+    widen_every_plan(wide.conn, monkeypatch)
+    for qid in JOIN_QUERIES:
+        params = lab.generator.params_for_query(qid, 0)
+        got, got_ms = narrow.timed_id(qid, params)
+        expected, expected_ms = wide.timed_id(qid, params)
+        assert got == expected, f"{system_name}/{qid}"
+        assert got_ms == expected_ms, f"{system_name}/{qid}"
 
 
 # ------------------------------------------------------------ (c) pinned cases

@@ -221,33 +221,30 @@ class TestFourClientSchedule:
 
 
 class TestStreamingEngine:
-    """The streaming operator pipeline must be row-equivalent to the
-    serial legacy executor even when queries run through the
-    deterministic cooperative scheduler at 4 clients."""
+    """The operator pipeline returns the same rows when queries run
+    through the deterministic cooperative scheduler at 4 clients as when
+    one client runs them serially."""
 
     @pytest.fixture(scope="class")
-    def engines(self):
-        out = {}
-        for engine in ("legacy", "streaming"):
-            lab = TpcwLab(
-                num_customers=SCALE, repetitions=2, seed=SEED,
-                query_engine=engine,
-            )
+    def systems(self):
+        out = []
+        for _ in range(2):
+            lab = TpcwLab(num_customers=SCALE, repetitions=2, seed=SEED)
             system = lab.build_system("Baseline")
             lab.populate(system)
-            out[engine] = (lab, system)
+            out.append((lab, system))
         return out
 
-    def test_streaming_scheduled_rows_equal_legacy_serial(self, engines):
-        lab, legacy_system = engines["legacy"]
+    def test_streaming_scheduled_rows_equal_legacy_serial(self, systems):
+        lab, serial_system = systems[0]
         serial = {}
         for qid in JOIN_QUERIES:
             params = lab.generator.params_for_query(qid, 0)
             serial[qid] = canonical(
-                qid, legacy_system.execute(legacy_system.statement(qid), params)
+                qid, serial_system.execute(serial_system.statement(qid), params)
             )
 
-        s_lab, streaming = engines["streaming"]
+        s_lab, streaming = systems[1]
         scheduler = DeterministicScheduler(streaming.sim)
         collected: dict[str, list] = {}
         qids = list(JOIN_QUERIES)
@@ -272,7 +269,8 @@ class TestStreamingEarlyClose:
     """LIMIT-abandoned operator trees must release their scanner state:
     in-flight batch charges settle and the region-server serial window
     is released at close time (the PR 4 scan-finally guarantee, driven
-    through the streaming cursor)."""
+    through the cursor) — and a LIMIT must not make the stores read one
+    row more than the rows it returns need."""
 
     #: Big enough that Orders (10x customers) spans several operator
     #: batches and several scan-batch charge boundaries — at tiny scales
@@ -283,7 +281,6 @@ class TestStreamingEarlyClose:
     def baseline(self):
         lab = TpcwLab(
             num_customers=self.EARLY_CLOSE_SCALE, repetitions=1, seed=SEED,
-            query_engine="streaming",
         )
         system = lab.build_system("Baseline")
         lab.populate(system)
@@ -315,28 +312,146 @@ class TestStreamingEarlyClose:
         finally:
             sim.concurrency = None
 
-    def test_limit_closes_scans_before_exhaustion(self, baseline):
-        """A satisfied LIMIT closes the whole tree at once: the
-        streaming broadcast-shaped join performs strictly fewer scan
-        RPCs than the legacy engine, which must finish the full
-        build-side scan before emitting its first row."""
-        conn, sim = baseline.conn, baseline.sim
-        sql = (
-            "SELECT o.o_id, o2.o_id FROM Orders as o, Orders as o2 "
-            "WHERE o.o_date = o2.o_date LIMIT 10"
+    @staticmethod
+    def _reads(sim, run):
+        """``(result, store rows read, client bytes, client RPCs)`` of
+        ``run()``, from the public counter deltas."""
+        before = sim.metrics.counters()
+        result = run()
+        delta = {
+            name: value - before.get(name, 0)
+            for name, value in sim.metrics.counters().items()
+        }
+        rows_read = sum(
+            value for name, value in delta.items()
+            if name.startswith("rs.") and name.endswith(".rows_read")
         )
-        rpc_before = sim.metrics.counters()["client.rpc"]
-        rows = conn.execute_query(sql)
-        streaming_rpcs = sim.metrics.counters()["client.rpc"] - rpc_before
-        assert len(rows) == 10
+        return result, rows_read, delta["client.bytes"], delta["client.rpc"]
 
-        conn.configure_engine(engine="legacy")
-        rpc_before = sim.metrics.counters()["client.rpc"]
-        rows_legacy = conn.execute_query(sql)
-        legacy_rpcs = sim.metrics.counters()["client.rpc"] - rpc_before
-        conn.configure_engine(engine="streaming")
-        assert len(rows_legacy) == 10
-        assert streaming_rpcs < legacy_rpcs
+    @pytest.mark.parametrize(
+        "where, qualifies",
+        (("", lambda row: True), ("WHERE ol_id > 1 ", lambda row: row["ol_id"] > 1)),
+        ids=("every-row", "key-predicate"),
+    )
+    def test_limit_over_a_scan_reads_up_to_the_nth_qualifying_row(
+        self, baseline, where, qualifies
+    ):
+        """300 > one operator batch: a full batch and the remainder of
+        the demand are both pulled. The oracle walks the raw table scan
+        and abandons it at the 300th qualifying row."""
+        from repro.hbase.ops import Scan
+
+        conn, sim = baseline.conn, baseline.sim
+        sql = f"SELECT ol_o_id, ol_id FROM Order_line {where}LIMIT 300"
+        entry = conn.plan(sql).root.child.access.entry
+
+        def raw_prefix():
+            scan = conn.client.table(entry.name).scan(
+                Scan(columns=entry.projection())
+            )
+            rows = []
+            for result in scan:
+                row = entry.result_to_row(result)
+                if qualifies(row):
+                    rows.append({"ol_o_id": row["ol_o_id"], "ol_id": row["ol_id"]})
+                    if len(rows) == 300:
+                        break
+            scan.close()
+            return rows
+
+        expected, *expected_reads = self._reads(sim, raw_prefix)
+        rows, *reads = self._reads(sim, lambda: conn.execute_query(sql))
+        assert rows == expected and len(rows) == 300
+        assert reads == expected_reads
+
+    def test_limit_closes_scans_before_exhaustion(self, baseline):
+        """Under a LIMIT the broadcast join still reads its build side
+        whole, but its probe side stops at the row that yields the last
+        match asked for — far short of the un-limited join."""
+        conn, sim = baseline.conn, baseline.sim
+        join = (
+            "SELECT o.o_id, o2.o_id FROM Orders as o, Orders as o2 "
+            "WHERE o.o_date = o2.o_date and o.o_id <> o2.o_id"
+        )
+        orders = conn.execute_query("SELECT o_id, o_date FROM Orders")
+        same_day: dict = {}
+        for row in orders:
+            same_day[row["o_date"]] = same_day.get(row["o_date"], 0) + 1
+        matches = probe_rows = 0
+        for row in orders:  # the probe side streams in key order
+            probe_rows += 1
+            matches += same_day[row["o_date"]] - 1
+            if matches >= 64:
+                break
+
+        rows, limited_read, _, limited_rpcs = self._reads(
+            sim, lambda: conn.execute_query(join + " LIMIT 64")
+        )
+        assert len(rows) == 64
+        assert limited_read == len(orders) + probe_rows
+        _, full_read, _, full_rpcs = self._reads(
+            sim, lambda: conn.execute_query(join)
+        )
+        assert full_read == 2 * len(orders)
+        assert probe_rows * 4 < len(orders)
+        assert limited_rpcs < full_rpcs
+
+    def test_limit_zero_touches_no_store(self, baseline):
+        conn, sim = baseline.conn, baseline.sim
+        for sql in (
+            "SELECT o_id FROM Orders LIMIT 0",
+            "SELECT o.o_id FROM Orders as o, Orders as o2 "
+            "WHERE o.o_date = o2.o_date LIMIT 0",
+        ):
+            rows, *reads = self._reads(sim, lambda: conn.execute_query(sql))
+            assert rows == [] and reads == [0, 0, 0], sql
+
+    def test_no_operator_returns_more_than_its_demand(self, baseline, monkeypatch):
+        """The demand contract, checked from outside the hot path on
+        every operator of the TPC-W battery and of LIMITs nested in
+        derived tables: at most ``demand`` rows per call, never an empty
+        batch."""
+        from repro.phoenix import operators
+
+        calls = []
+
+        def checked(cls):
+            pull = cls.next_batch
+
+            def next_batch(self, demand=None):
+                batch = pull(self, demand)
+                assert batch is None or 0 < len(batch) <= (demand or len(batch))
+                calls.append((cls.__name__, demand, len(batch or ())))
+                return batch
+
+            monkeypatch.setattr(cls, "next_batch", next_batch)
+
+        for name in operators.__all__:
+            cls = getattr(operators, name)
+            if isinstance(cls, type) and cls is not operators.PhysicalOperator:
+                checked(cls)
+
+        conn, sim = baseline.conn, baseline.sim
+        gen = TpcwLab(num_customers=self.EARLY_CLOSE_SCALE, seed=SEED).generator
+        for qid in JOIN_QUERIES:
+            baseline.execute(baseline.statement(qid), gen.params_for_query(qid, 0))
+        assert {name for name, _, _ in calls} >= {
+            "StreamingScan", "IndexNestedLoopJoin", "BroadcastHashJoin",
+            "HashGroupBy", "StreamingSort", "Limit",
+        }
+
+        del calls[:]
+        nested = (
+            "SELECT d.o_id FROM (SELECT o_id FROM Orders LIMIT 40) as d, "
+            "(SELECT o_id FROM Orders LIMIT 7) as d2 LIMIT 5"
+        )
+        rows, rows_read, _, _ = self._reads(sim, lambda: conn.execute_query(nested))
+        assert len(rows) == 5
+        # the build side's LIMIT is asked for all it has; the probe
+        # side's for one row, which already yields 7 matches
+        assert rows_read == 7 + 1
+        limits = [(demand, n) for name, demand, n in calls if name == "Limit" and n]
+        assert limits == [(None, 7), (1, 1), (None, 5)]
 
 
 class TestSupportsTruthfulProbe:
@@ -386,8 +501,8 @@ class TestSupportsTruthfulProbe:
 class TestRoutedRandomQueries:
     """PR 8's random-query generator, driven through the federation
     mediator: whole-routed and split-routed execution over a registry of
-    differently-configured engines (three Phoenix engine modes plus an
-    all-replicated VoltDB), and whole-routed execution pinned to VoltDB,
+    differently-configured backends (a rule-planned and a cost-planned
+    Baseline plus an all-replicated VoltDB), and whole-routed execution pinned to VoltDB,
     must match the naive reference model row for row, and the advisor's
     decision log must be byte-identical across fresh rebuilds."""
 
@@ -407,15 +522,12 @@ class TestRoutedRandomQueries:
         schema = company_schema()
         backends = {
             name: BaselineSystem(schema, Workload())
-            for name in ("legacy", "streaming", "cost-based")
+            for name in ("rule", "cost-based")
         }
         backends["voltdb"] = VoltDBEvaluatedSystem(
             schema, Workload(), schemes=(PartitionScheme("all-replicated", {}),)
         )
-        backends["streaming"].conn.configure_engine(engine="streaming")
-        backends["cost-based"].conn.configure_engine(
-            engine="streaming", cost_based=True
-        )
+        backends["cost-based"].conn.configure_engine(cost_based=True)
         mediator = build_mediator(backends, schema, seed=7, mode=mode, pin=pin)
         for table, rows in company_rows().items():
             for row in rows:
