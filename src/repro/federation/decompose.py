@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.phoenix.planner import SelectComposer
-from repro.sql.analyzer import AnalyzedSelect, analyze_select
+from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import DerivedTable, Literal, Param, Select, TableRef
 from repro.sql.printer import to_sql
 
@@ -52,7 +52,7 @@ def decompose(
                     binding=item.binding,
                     sql=to_sql(item.select),
                     params=(),
-                    attrs=_output_names(item.select, composer),
+                    attrs=composer.output_names(item.select),
                     derived=True,
                 )
             )
@@ -82,19 +82,6 @@ def decompose(
             )
         )
     return fragments
-
-
-def _output_names(select: Select, composer: SelectComposer) -> tuple[str, ...]:
-    """The column names a derived table's SELECT returns."""
-    spec = composer.output_spec(
-        analyze_select(select, composer.namespace),
-        {
-            item.binding: _output_names(item.select, composer)
-            for item in select.from_items
-            if isinstance(item, DerivedTable)
-        },
-    )
-    return tuple(name for name, _ in spec)
 
 
 def _contains_param(select: Select) -> bool:

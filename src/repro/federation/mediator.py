@@ -301,7 +301,7 @@ class Mediator(EvaluatedSystem):
             candidates = [
                 (name, self._estimate(name, fragment.sql))
                 for name in self._routable()
-                if self._sql_supported(name, fragment.sql)
+                if self.backends[name].supports_sql(fragment.sql)
             ]
             chosen = self.advisor.choose(
                 f"{label}#{fragment.binding}", candidates, self._sim.clock.now_ms
@@ -346,7 +346,7 @@ class Mediator(EvaluatedSystem):
                     frag_label, name, self._estimate(name, fragment.sql)
                 )[0]
                 for name in self._routable()
-                if self._sql_supported(name, fragment.sql)
+                if self.backends[name].supports_sql(fragment.sql)
             )
             total += best
         return total
@@ -461,17 +461,7 @@ class Mediator(EvaluatedSystem):
     ) -> bool:
         if sid is not None:
             return self.backends[name].supports(sid)
-        return self._sql_supported(name, canonical)
-
-    def _sql_supported(self, name: str, sql: str) -> bool:
-        backend = self.backends[name]
-        scheme_for = getattr(backend, "scheme_for", None)
-        if scheme_for is None:
-            return True
-        stmt, _ = self._parse(sql)
-        if isinstance(stmt, Select):
-            return scheme_for(sql, stmt=stmt) is not None
-        return backend._write_supported(stmt)  # type: ignore[attr-defined]
+        return self.backends[name].supports_sql(canonical)
 
     def _estimate(self, name: str, sql: str) -> float:
         key = (name, sql)

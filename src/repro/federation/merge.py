@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.phoenix.planner import PlannedQuery, SelectComposer
+from repro.phoenix.planner import EquiCond, PlannedQuery, SelectComposer
 from repro.phoenix.plans import PlanNode, SymmetricJoinNode
+from repro.phoenix.stats import charge_operator_work
 from repro.sim.clock import Simulation
 from repro.sim.latency import LatencyCharger
 from repro.sql.analyzer import AnalyzedSelect
@@ -18,14 +19,27 @@ from repro.sql.analyzer import AnalyzedSelect
 
 class MergeHost:
     """The :class:`~repro.phoenix.plans.OperatorHost` of a merge tree:
-    merge-side work (hash-join shuffle, sort, group-by) is metered on
-    the mediator's own virtual clock."""
-
-    hashjoin_row_bytes = 150
+    merge-side work (hash-join shuffle, sort, group-by) is priced like
+    Phoenix's and metered on the mediator's own virtual clock. There is
+    no cluster here to broadcast a build side to, which is why
+    :func:`plan_merge` joins symmetrically."""
 
     def __init__(self, sim: Simulation) -> None:
-        self.sim = sim
         self.charge = LatencyCharger(sim, "federation")
+
+    def operator_work(self, kind: str, rows: int) -> None:
+        charge_operator_work(self.charge, 1, kind, rows)
+
+
+def symmetric_join(
+    plan: PlanNode, right: PlanNode, binding: str, conds: list[EquiCond]
+) -> PlanNode:
+    return SymmetricJoinNode(
+        left=plan,
+        right=right,
+        left_keys=tuple(joined_key for _, _, joined_key in conds),
+        right_keys=tuple((binding, attr) for _, attr, _ in conds),
+    )
 
 
 def plan_merge(
@@ -34,30 +48,10 @@ def plan_merge(
     leaves: Mapping[str, PlanNode],
     derived_attrs: dict[str, tuple[str, ...]],
 ) -> PlannedQuery:
-    """Join ``leaves`` (one per FROM binding) starting from the first
-    binding in FROM order, attaching next whichever remaining binding an
-    equi-join connects first; every attach is the non-blocking symmetric
-    hash join (a :class:`MergeHost` has no cluster to broadcast a build
-    side to), so fragments are pulled lazily and alternately. Residual
-    predicates and the SELECT's tail come from the composer."""
-    remaining = list(analyzed.bindings)
-    joined = [remaining.pop(0)]
-    plan = leaves[joined[0]]
-    pending = list(enumerate(analyzed.joins))
-    consumed: set[int] = set()
-    while remaining:
-        binding = composer.first_connected(remaining, joined, pending)
-        remaining.remove(binding)
-        conds = composer.equi_conds(
-            binding, joined, [(i, j) for i, j in pending if i not in consumed]
-        )
-        plan = SymmetricJoinNode(
-            left=plan,
-            right=leaves[binding],
-            left_keys=tuple(joined_key for _, _, joined_key in conds),
-            right_keys=tuple((binding, attr) for _, attr, _ in conds),
-        )
-        consumed.update(i for i, _, _ in conds)
-        joined.append(binding)
+    """Join ``leaves`` (one per FROM binding) in the composer's FROM
+    order; every attach is the non-blocking symmetric hash join, so
+    fragments are pulled lazily and alternately. Residual predicates and
+    the SELECT's tail come from the composer."""
+    plan, consumed = composer.join_in_from_order(analyzed, leaves, symmetric_join)
     plan = composer.residual_filter(plan, analyzed, consumed)
     return composer.finish(plan, analyzed, derived_attrs)

@@ -16,6 +16,7 @@ from repro.phoenix.catalog import Catalog
 from repro.phoenix.operators import compile_plan
 from repro.phoenix.planner import CostBasedPlanner, PlannedQuery, Planner
 from repro.phoenix.plans import ExecutionContext
+from repro.phoenix.stats import charge_operator_work
 from repro.phoenix.writes import WriteExecutor
 from repro.sim.latency import LatencyCharger
 from repro.sql.ast import Delete, Insert, Select, Statement, Update
@@ -28,8 +29,8 @@ def stream_rows(
     planned: PlannedQuery, ctx: ExecutionContext
 ) -> Iterator[dict[str, Any]]:
     """The one open/pull/close loop over the operators: compiles
-    ``planned``, yields its shaped output rows, and closes the tree on exhaustion, on error *and* when the consumer abandons the
-    iterator — so in-flight scans (LIMIT early-close, dirty restarts,
+    ``planned``, yields its shaped output rows, and closes the tree on
+    exhaustion, on error *and* when the consumer abandons the iterator — so in-flight scans (LIMIT early-close, dirty restarts,
     dropped cursors) settle their batch charges and release their
     region windows deterministically."""
     op = compile_plan(planned.root)
@@ -67,7 +68,6 @@ class PhoenixConnection:
         self.planner = self._build_planner(False)
         self.writer = WriteExecutor(client, catalog)
         self.mvcc_version_check = mvcc_version_check
-        self.hashjoin_row_bytes = 150
         self._plan_cache: dict[str, PlannedQuery] = {}
 
     def _build_planner(self, cost_based: bool) -> Planner:
@@ -87,6 +87,12 @@ class PhoenixConnection:
             self.cost_based = cost_based
             self.planner = self._build_planner(cost_based)
         self._plan_cache.clear()
+
+    def operator_work(self, kind: str, rows: int) -> None:
+        """The operators' host: Phoenix's price list on this cluster."""
+        charge_operator_work(
+            self.charge, len(self.client.cluster.servers), kind, rows
+        )
 
     # -- queries -----------------------------------------------------------------------
     def plan(self, select: Select | str) -> PlannedQuery:

@@ -18,6 +18,12 @@ yields its n-th output row, and ``LIMIT 0`` reads none. With no demand
 given (the root, and the input of every blocking operator) operators
 move :data:`BATCH_ROWS` rows per call.
 
+**Host.** Operators above the leaves know no prices: they report what
+they did to ``ctx.conn`` through :meth:`OperatorHost.operator_work`
+and the host charges for it (a Phoenix connection and the federation
+merge by :func:`repro.phoenix.stats.charge_operator_work`, a VoltDB
+procedure by counting rows).
+
 **Close.** ``close()`` propagates to every in-flight scan generator,
 which triggers the region-scanner ``finally`` (batch-charge settlement
 and the region-server queue release) deterministically instead of
@@ -32,6 +38,11 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import PlanError
 from repro.phoenix.plans import (
+    BROADCAST,
+    GROUP_BY,
+    JOIN_OUTPUT,
+    SHUFFLE,
+    SORT,
     AccessSpec,
     DistinctNode,
     ExecutionContext,
@@ -260,15 +271,17 @@ class _LookupJoin(PhysicalOperator):
                     break
             else:
                 self._matches = None
+        if out:
+            self._ctx.conn.operator_work(JOIN_OUTPUT, len(out))
         return out or None
 
 
 class BroadcastHashJoin(_LookupJoin):
-    """Phoenix's hash join. The first pull reads the build side whole,
-    hashes it and ships it to every region server (rows x row bytes x
-    region servers, metered under ``phoenix.hashjoin_broadcast_rows``
-    — what :meth:`AccessCoster.hash_join_ms` estimates); the probe side
-    then streams against the table."""
+    """Phoenix's hash join. The first pull reads the build side whole
+    and hashes it — reported to the host as :data:`BROADCAST` work,
+    which a Phoenix connection prices as shipping the table to every
+    region server (what :meth:`AccessCoster.hash_join_ms` estimates);
+    the probe side then streams against the table."""
 
     def __init__(
         self,
@@ -293,10 +306,7 @@ class BroadcastHashJoin(_LookupJoin):
                     continue  # NULL never equi-matches anything
                 table.setdefault(key, []).append(row)
                 build_rows += 1
-        conn = self._ctx.conn
-        n_servers = len(conn.client.cluster.servers)
-        conn.charge.transfer(build_rows * conn.hashjoin_row_bytes * n_servers)
-        conn.sim.metrics.counter("phoenix.hashjoin_broadcast_rows").inc(build_rows)
+        self._ctx.conn.operator_work(BROADCAST, build_rows)
         return table
 
     def _matches_of(self, outer_row: Row) -> Iterator[Row]:
@@ -368,8 +378,8 @@ class SymmetricHashJoin(PhysicalOperator):
     after one batch per side, and a downstream LIMIT stops *both*
     inputs early. Output beyond the demand waits in a buffer.
 
-    Cost: each inserted row is charged one partitioned shuffle hop
-    (rows x row bytes), metered under ``phoenix.hashjoin_shuffle_rows``.
+    Each batch's inserted rows are reported to the host as
+    :data:`SHUFFLE` work: one partitioned shuffle hop per row.
     """
 
     def __init__(
@@ -408,11 +418,9 @@ class SymmetricHashJoin(PhysicalOperator):
                 side.table.setdefault(key, []).append(row)
                 inserted += 1
             if inserted:
-                conn = self._ctx.conn
-                conn.charge.transfer(inserted * conn.hashjoin_row_bytes)
-                conn.sim.metrics.counter(
-                    "phoenix.hashjoin_shuffle_rows"
-                ).inc(inserted)
+                self._ctx.conn.operator_work(SHUFFLE, inserted)
+            if out:
+                self._ctx.conn.operator_work(JOIN_OUTPUT, len(out))
         batch = out[:demand]
         del out[:demand]
         return batch
@@ -497,7 +505,7 @@ class HashGroupBy(_Materialized):
                         state[2] = v
                     if state[3] is None or v > state[3]:
                         state[3] = v
-        self._ctx.conn.sim.charge(0.0005 * total_rows, "phoenix.groupby")
+        self._ctx.conn.operator_work(GROUP_BY, total_rows)
         results: list[Row] = []
         for key, rep in reps.items():
             out: Row = {}
@@ -557,8 +565,8 @@ class _OrderKey:
 
 
 class StreamingSort(_Materialized):
-    """Blocking sort, charged per row as client-side work (Phoenix
-    sorts in the client/driver)."""
+    """Blocking sort; its input is reported to the host as
+    :data:`SORT` work (Phoenix sorts in the client/driver)."""
 
     def __init__(self, child: PhysicalOperator, keys: tuple) -> None:
         self.child = child
@@ -566,7 +574,7 @@ class StreamingSort(_Materialized):
 
     def _build(self) -> list[Row]:
         rows = [row for batch in _drain(self.child) for row in batch]
-        self._ctx.conn.sim.charge(0.0005 * len(rows), "phoenix.sort")
+        self._ctx.conn.operator_work(SORT, len(rows))
         keys = self.keys
 
         def sort_key(row: Row):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Callable, Mapping, Union
 
 from repro.config import DEFAULT_COST_MODEL
 from repro.errors import PlanError, SqlError
@@ -204,17 +204,40 @@ class SelectComposer:
     @staticmethod
     def hash_join(
         plan: PlanNode, build: PlanNode, binding: str, conds: list[EquiCond]
-    ) -> tuple[PlanNode, set[int]]:
+    ) -> PlanNode:
         """Hash-join ``build`` (the rows of ``binding``) into ``plan`` on
-        ``conds`` — cartesian when there are none; returns (plan,
-        consumed join ids)."""
-        node = HashJoinNode(
+        ``conds`` — cartesian when there are none."""
+        return HashJoinNode(
             probe=plan,
             build=build,
             probe_keys=tuple(outer for _, _, outer in conds),
             build_keys=tuple((binding, attr) for _, attr, _ in conds),
         )
-        return node, {i for i, _, _ in conds}
+
+    def join_in_from_order(
+        self,
+        analyzed: AnalyzedSelect,
+        leaves: Mapping[str, PlanNode],
+        join: Callable[[PlanNode, PlanNode, str, list[EquiCond]], PlanNode],
+    ) -> tuple[PlanNode, set[int]]:
+        """Join ``leaves`` (one per FROM binding) starting from the
+        first binding in FROM order, attaching next whichever remaining
+        binding :meth:`first_connected` picks, with ``join(plan, leaf,
+        binding, conds)`` on the equi-conditions that connect it;
+        returns (plan, consumed join ids)."""
+        remaining = list(analyzed.bindings)
+        joined = [remaining.pop(0)]
+        plan = leaves[joined[0]]
+        pending = list(enumerate(analyzed.joins))
+        consumed: set[int] = set()
+        while remaining:
+            binding = self.first_connected(remaining, joined, pending)
+            remaining.remove(binding)
+            conds = self.equi_conds(binding, joined, pending)
+            plan = join(plan, leaves[binding], binding, conds)
+            consumed.update(i for i, _, _ in conds)
+            joined.append(binding)
+        return plan, consumed
 
     @staticmethod
     def residual_filter(
@@ -302,6 +325,18 @@ class SelectComposer:
             child=root, group_keys=group_keys, aggregates=tuple(aggregates)
         )
 
+    def output_names(self, select: Select) -> tuple[str, ...]:
+        """The column names ``select`` (a derived table's) returns."""
+        spec = self.output_spec(
+            analyze_select(select, self.namespace),  # type: ignore[arg-type]
+            {
+                item.binding: self.output_names(item.select)
+                for item in select.from_items
+                if isinstance(item, DerivedTable)
+            },
+        )
+        return tuple(name for name, _ in spec)
+
     def output_spec(
         self,
         analyzed: AnalyzedSelect,
@@ -363,7 +398,7 @@ class Planner(SelectComposer):
                 derived[item.alias] = node
                 derived_attrs[item.alias] = names
 
-        needed = self._needed_attrs(select, analyzed)
+        needed = self._needed_attrs(analyzed)
         root = self._plan_joins(analyzed, derived, needed)
         return self.finish(root, analyzed, derived_attrs)
 
@@ -385,12 +420,11 @@ class Planner(SelectComposer):
         return node, names
 
     # -- needed attributes ----------------------------------------------------------------
-    def _needed_attrs(
-        self, select: Select, analyzed: AnalyzedSelect
-    ) -> dict[str, set[str] | None]:
+    def _needed_attrs(self, analyzed: AnalyzedSelect) -> dict[str, set[str] | None]:
         """Per binding, the attributes the statement reads anywhere
         (``ALL_ATTRS`` under a ``*``). It decides whether an index
         covers the binding and is the decode set of its access."""
+        select = analyzed.select
         needed: dict[str, set[str] | None] = {b: set() for b in analyzed.bindings}
 
         def note(binding: str, attr: str) -> None:
@@ -484,7 +518,7 @@ class Planner(SelectComposer):
                 eq_filters,
                 other_filters,
                 needed,
-                [(i, j) for i, j in pending_joins if i not in consumed],
+                pending_joins,
             )
             consumed.update(newly_consumed)
             joined.append(next_b)
@@ -690,7 +724,7 @@ class Planner(SelectComposer):
         build = self._leaf_plan(
             binding, analyzed, derived, eq_filters, other_filters, needed
         )
-        return self.hash_join(plan, build, binding, conds)
+        return self.hash_join(plan, build, binding, conds), {i for i, _, _ in conds}
 
 
 class CostBasedPlanner(Planner):

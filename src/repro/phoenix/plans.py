@@ -9,7 +9,10 @@ catalog's tables.
 Rows flowing between operators are ``dict[(binding, attr)] -> value``:
 keying by FROM-binding keeps self-joins (``Item as I, Item as J``)
 unambiguous. Every access charges virtual time through the HBase
-client it drives; plan shape therefore *is* the cost model.
+client it drives; plan shape therefore *is* the cost model. The
+operators above the leaves charge nothing themselves: they report
+their work to the :class:`OperatorHost` they run on, and each host (a
+Phoenix connection, the federation merge, a VoltDB procedure) prices it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from repro.sql.ast import Expr, Literal, Param
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phoenix.executor import PhoenixConnection
-    from repro.sim.clock import Simulation
-    from repro.sim.latency import LatencyCharger
 
 Row = dict[tuple[str, str], Any]
 
@@ -51,14 +52,25 @@ def compare(op: str, a: Any, b: Any) -> bool:
     return _PY_OPS[op](a, b)
 
 
-class OperatorHost(Protocol):
-    """All that the operators above the leaves (join, sort, group-by)
-    touch on a connection. Only catalog scans (:meth:`AccessSpec.fetch`)
-    need a full :class:`PhoenixConnection`."""
+BROADCAST = "hashjoin.broadcast"
+SHUFFLE = "hashjoin.shuffle"
+SORT = "sort"
+GROUP_BY = "groupby"
+JOIN_OUTPUT = "join.output"
 
-    sim: "Simulation"
-    charge: "LatencyCharger"
-    hashjoin_row_bytes: int
+
+class OperatorHost(Protocol):
+    """All that the operators above the leaves touch on a connection:
+    they report the work they did and the host decides what it costs.
+    Only catalog scans (:meth:`AccessSpec.fetch`) need a full
+    :class:`PhoenixConnection`."""
+
+    def operator_work(self, kind: str, rows: int) -> None:
+        """``rows`` rows of ``kind`` work were just done: a hash-join
+        build side read whole and hashed (:data:`BROADCAST`), rows
+        inserted into a symmetric hash join (:data:`SHUFFLE`), the input
+        of a sort (:data:`SORT`) or group-by (:data:`GROUP_BY`), rows a
+        join emitted (:data:`JOIN_OUTPUT`)."""
 
 
 class ExecutionContext:

@@ -22,18 +22,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.config import CostModel
+from repro.phoenix.plans import BROADCAST, GROUP_BY, SHUFFLE, SORT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hbase.cluster import HBaseCluster
     from repro.phoenix.catalog import Catalog, CatalogEntry
+    from repro.sim.latency import LatencyCharger
 
 DEFAULT_ROW_BYTES = 150
-"""Width assumed when a table has no measured size (matches the
-``hashjoin_row_bytes`` broadcast calibration)."""
+"""Width assumed when a table has no measured size, and of every row a
+hash join ships."""
 
 HASH_CPU_MS_PER_ROW = 0.0005
-"""Client-side per-row hash/sort work (same constant the executors
-charge for sorts and group-bys)."""
+"""Client-side per-row hash/sort work."""
 
 FILTER_SELECTIVITY = 0.25
 """Assumed fraction of rows surviving one residual predicate."""
@@ -80,6 +81,27 @@ class StatisticsProvider:
         if self.cluster is None:
             return 1
         return max(len(self.cluster.servers), 1)
+
+
+def charge_operator_work(
+    charge: "LatencyCharger", servers: int, kind: str, rows: int
+) -> None:
+    """Phoenix's price list for the work operators report (see
+    :class:`~repro.phoenix.plans.OperatorHost`), charged on ``charge``'s
+    clock: a hash-join build side is shipped to each of ``servers``
+    region servers, a symmetric-join row pays one shuffle hop, sort and
+    group-by pay client CPU per input row; emitting join rows is free."""
+    sim = charge.sim
+    if kind == BROADCAST:
+        charge.transfer(rows * DEFAULT_ROW_BYTES * servers)
+        sim.metrics.counter("phoenix.hashjoin_broadcast_rows").inc(rows)
+    elif kind == SHUFFLE:
+        charge.transfer(rows * DEFAULT_ROW_BYTES)
+        sim.metrics.counter("phoenix.hashjoin_shuffle_rows").inc(rows)
+    elif kind == SORT:
+        sim.charge(HASH_CPU_MS_PER_ROW * rows, "phoenix.sort")
+    elif kind == GROUP_BY:
+        sim.charge(HASH_CPU_MS_PER_ROW * rows, "phoenix.groupby")
 
 
 def matched_rows(rows: int, prefix_len: int, key_len: int) -> float:

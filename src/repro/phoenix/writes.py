@@ -30,20 +30,34 @@ def eval_const(expr: Any, params: tuple[Any, ...]) -> Any:
     raise UnsupportedStatementError(f"non-constant expression in write: {expr}")
 
 
-def key_from_where(
-    entry: CatalogEntry, where, params: tuple[Any, ...]
-) -> dict[str, Any]:
-    """Extract the full primary key from equality conjuncts; reject
-    statements that might touch multiple rows."""
+def constant_equalities(where) -> dict[str, Any]:
+    """``WHERE`` as ``{column: literal-or-parameter expression}``: the
+    one reading of "a conjunction of ``column = constant``", which is
+    all a single-row write (and VoltDB's write routing) admits."""
     eq: dict[str, Any] = {}
     for cond in where:
         col = cond.left if isinstance(cond.left, ColumnRef) else cond.right
         val = cond.right if isinstance(cond.left, ColumnRef) else cond.left
-        if not isinstance(col, ColumnRef) or cond.op != "=":
+        if (
+            not isinstance(col, ColumnRef)
+            or cond.op != "="
+            or not isinstance(val, (Literal, Param))
+        ):
             raise UnsupportedStatementError(
                 f"write WHERE clause must be key-equality only: {cond}"
             )
-        eq[col.name] = eval_const(val, params)
+        eq[col.name] = val
+    return eq
+
+
+def key_from_where(entry, where, params: tuple[Any, ...]) -> dict[str, Any]:
+    """Extract the full primary key of ``entry`` (anything with a
+    ``name`` and ``key_attrs``) from equality conjuncts; reject
+    statements that might touch multiple rows."""
+    eq = {
+        col: eval_const(val, params)
+        for col, val in constant_equalities(where).items()
+    }
     missing = [k for k in entry.key_attrs if k not in eq]
     if missing:
         raise UnsupportedStatementError(

@@ -17,7 +17,7 @@ from repro.systems.mvcc_a import MvccASystem
 from repro.systems.mvcc_base import MvccSession
 from repro.systems.mvcc_ua import MvccUASystem
 from repro.systems.synergy_sys import SynergyEvaluatedSystem
-from repro.systems.voltdb_sys import VoltDBEvaluatedSystem, VoltdbSession
+from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 from repro.systems.advisor import AdvisorCandidate, TuningAdvisor
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "SystemSession",
     "TuningAdvisor",
     "VoltDBEvaluatedSystem",
-    "VoltdbSession",
 ]

@@ -24,9 +24,9 @@ class SystemSession:
     The default implementation is auto-commit: ``begin``/``commit`` are
     no-ops and every ``execute`` is its own transaction (which is how
     Synergy runs — each write is one lock-protected transaction through
-    the transaction layer). Systems with real multi-statement
-    transaction state (the Tephra-backed ones) or with serialized
-    execution resources (VoltDB) override this.
+    the transaction layer — and VoltDB, whose every procedure is its own
+    serializable transaction). Systems with real multi-statement
+    transaction state (the Tephra-backed ones) override this.
     """
 
     rolls_back_on_abort = False
@@ -102,6 +102,12 @@ class EvaluatedSystem(abc.ABC):
             self.statement(statement_id)
         except KeyError:
             return False
+        return True
+
+    def supports_sql(self, sql: str) -> bool:
+        """Whether this system can execute ad-hoc statement text. The
+        HBase-backed systems run any SQL the dialect parses; VoltDB
+        refuses joins no partitioning scheme admits."""
         return True
 
     def open_session(self, client_name: str = "client") -> SystemSession:

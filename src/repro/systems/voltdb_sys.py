@@ -1,9 +1,9 @@
 """VoltDB wrapped in the evaluated-system interface.
 
 Per the paper, three partitioning schemes are needed to support the
-maximum number of TPC-W joins; :meth:`statement`/:meth:`supports` pick
-the first scheme that admits a query, and writes run under the primary
-scheme. Queries unsupported under every scheme report
+maximum number of TPC-W joins; :meth:`execute`/:meth:`supports_sql`
+pick the first scheme that admits a query, and writes run under the
+primary scheme. Queries unsupported under every scheme report
 ``supports() == False`` and show as X in Fig. 12."""
 
 from __future__ import annotations
@@ -11,56 +11,15 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.errors import UnsupportedStatementError
+from repro.phoenix.writes import constant_equalities
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.sql.analyzer import analyze_select
-from repro.sql.ast import ColumnRef, Delete, Insert, Literal, Param, Select, Update
+from repro.sql.ast import Insert, Select
 from repro.sql.parser import parse_statement
-from repro.systems.base import EvaluatedSystem, SystemDescription, SystemSession
+from repro.systems.base import EvaluatedSystem, SystemDescription
 from repro.voltdb.system import PartitionScheme, TPCW_SCHEMES, VoltDBSystem
-
-
-class VoltdbSession(SystemSession):
-    """VoltDB's serial-partition execution model under multi-client
-    scheduling: each partition executor site is single-threaded, so an
-    operation queues until every site it is routed to (one for
-    single-partition procedures, all of them for multi-partition reads
-    and replicated-table writes) is free in virtual time. Auto-commit
-    like the base session (every VoltDB procedure is its own
-    serializable transaction)."""
-
-    system: "VoltDBEvaluatedSystem"
-
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        sim = self.system.sim
-        ctx = sim.concurrency
-        if ctx is None:
-            return self.system.execute(sql, params)
-        engine = self.system.engine
-        stmt = parse_statement(sql)  # parsed and analyzed once, shared below
-        analyzed = (
-            analyze_select(stmt, engine.schema)
-            if isinstance(stmt, Select) else None
-        )
-        scheme = self.system.scheme_for(sql, stmt=stmt, analyzed=analyzed)
-        if scheme is None:
-            raise UnsupportedStatementError(
-                "query joins are not supported under any partitioning scheme"
-            )
-        engine.set_scheme(scheme)
-        sites = [
-            (engine, p) for p in engine.partitions_for(stmt, params, analyzed)
-        ]
-        clock = sim.clock
-        wait_ms = ctx.serial_delay_ms(sites, clock.now_ms)
-        if wait_ms > 0:
-            # queueing delay, not work: bypass jitter, advance exactly
-            clock.advance(wait_ms)
-            sim.metrics.timer("voltdb.queue_wait").record(wait_ms)
-        result = engine.execute(sql, params, stmt=stmt, analyzed=analyzed)
-        ctx.serial_occupy(sites, clock.now_ms)
-        return result
 
 
 class VoltDBEvaluatedSystem(EvaluatedSystem):
@@ -103,7 +62,7 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
         for scheme in self.schemes:
             self.engine.set_scheme(scheme)
             try:
-                self.engine.check_supported(stmt, analyzed)
+                self.engine.check_supported(analyzed)
                 return scheme
             except UnsupportedStatementError:
                 continue
@@ -114,53 +73,64 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
 
     def supports(self, statement_id: str) -> bool:
         sql = self._statements.get(statement_id)
-        if sql is None:
-            return False
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
-            # scheme_for admits every write under the primary scheme, but
-            # the procedure layer can only route writes that bind the full
-            # primary key with equality — claiming support for anything
-            # else fails at execute() with UnsupportedStatementError
-            return self._write_supported(stmt)
-        return self.scheme_for(sql, stmt=stmt) is not None
+        return sql is not None and self.supports_sql(sql)
 
-    def _write_supported(self, stmt: Any) -> bool:
-        """Static mirror of the engine's write routing rules: inserts
-        must provide the full key; updates/deletes must bind every key
-        attribute with ``= constant`` conjuncts."""
+    def supports_sql(self, sql: str) -> bool:
+        """A SELECT needs a scheme that admits its joins. A write runs
+        under the primary scheme, but the procedure layer can only route
+        one that binds the full primary key: an INSERT providing every
+        key attribute, an UPDATE/DELETE of ``key = constant`` conjuncts
+        — claiming support for anything else fails at ``execute()``."""
+        stmt = parse_statement(sql)
+        if isinstance(stmt, Select):
+            return self.scheme_for(sql, stmt=stmt) is not None
         table = self.engine.tables.get(stmt.table)
         if table is None:
             return False
         if isinstance(stmt, Insert):
-            columns = stmt.columns or table.relation.attribute_names
-            return all(a in columns for a in table.key_attrs)
-        if not isinstance(stmt, (Update, Delete)):
-            return False
-        bound: set[str] = set()
-        for cond in stmt.where:
-            col = cond.left if isinstance(cond.left, ColumnRef) else cond.right
-            val = cond.right if isinstance(cond.left, ColumnRef) else cond.left
-            if (
-                not isinstance(col, ColumnRef)
-                or cond.op != "="
-                or not isinstance(val, (Literal, Param))
-            ):
+            bound: Any = stmt.columns or table.relation.attribute_names
+        else:
+            try:
+                bound = constant_equalities(stmt.where)
+            except UnsupportedStatementError:
                 return False
-            bound.add(col.name)
         return all(a in bound for a in table.key_attrs)
 
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        scheme = self.scheme_for(sql)
+        """The one route: parse and analyse once, pick the scheme, run
+        the procedure. Each partition executor site is single-threaded,
+        so under multi-client scheduling the procedure first queues
+        until every site it is routed to (one for a single-partition
+        procedure, all of them for multi-partition reads and
+        replicated-table writes) is free in virtual time."""
+        engine = self.engine
+        stmt = parse_statement(sql)
+        analyzed = (
+            analyze_select(stmt, engine.schema)
+            if isinstance(stmt, Select) else None
+        )
+        scheme = self.scheme_for(sql, stmt=stmt, analyzed=analyzed)
         if scheme is None:
             raise UnsupportedStatementError(
                 "query joins are not supported under any partitioning scheme"
             )
-        self.engine.set_scheme(scheme)
-        return self.engine.execute(sql, params)
-
-    def open_session(self, client_name: str = "client") -> VoltdbSession:
-        return VoltdbSession(self, client_name)
+        engine.set_scheme(scheme)
+        sim = self.sim
+        ctx = sim.concurrency
+        if ctx is None:
+            return engine.execute(sql, params, stmt=stmt, analyzed=analyzed)
+        sites = [
+            (engine, p) for p in engine.partitions_for(stmt, params, analyzed)
+        ]
+        clock = sim.clock
+        wait_ms = ctx.serial_delay_ms(sites, clock.now_ms)
+        if wait_ms > 0:
+            # queueing delay, not work: bypass jitter, advance exactly
+            clock.advance(wait_ms)
+            sim.metrics.timer("voltdb.queue_wait").record(wait_ms)
+        result = engine.execute(sql, params, stmt=stmt, analyzed=analyzed)
+        ctx.serial_occupy(sites, clock.now_ms)
+        return result
 
     def load_row(self, relation: str, row: dict[str, Any]) -> None:
         self.engine.load_row(relation, row)

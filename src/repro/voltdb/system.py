@@ -5,35 +5,73 @@ The paper uses three different partitioning schemes to cover the
 maximum number of TPC-W joins (no single scheme supports even half);
 queries whose joins are not partition-column equi-joins under the
 active scheme are rejected. Q3, Q7, Q9 and Q10 are unsupported under
-every scheme (Fig. 12)."""
+every scheme (Fig. 12).
+
+What is VoltDB's own here is the scheme check, the partition routing
+and the arithmetic charge (a procedure base, a multi-partition
+surcharge, ``voltdb_row_ms`` per row a procedure touches). The body of a
+SELECT procedure is a plan like every other system's: composed by
+:class:`~repro.phoenix.planner.SelectComposer` over one in-memory
+:class:`~repro.phoenix.plans.SourceNode` per FROM binding and run by
+the shared operators, on a host that prices nothing and counts rows."""
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterator, Mapping
 
 from repro.errors import PlanError, UnsupportedStatementError
+from repro.phoenix.executor import stream_rows
+from repro.phoenix.planner import PlannedQuery, SelectComposer
+from repro.phoenix.plans import (
+    JOIN_OUTPUT,
+    ExecutionContext,
+    FilterNode,
+    PlanNode,
+    Row,
+    SourceNode,
+    ValuePredicate,
+)
+from repro.phoenix.writes import constant_equalities, eval_const, key_from_where
 from repro.relational.schema import Schema
 from repro.sim.clock import Simulation
-from repro.sql.analyzer import AnalyzedSelect, analyze_select
+from repro.sql.analyzer import AnalyzedSelect, FilterCondition, analyze_select
 from repro.sql.ast import (
     ColumnRef,
     Delete,
     DerivedTable,
-    FuncCall,
     Insert,
     Literal,
     Param,
     Select,
-    Star,
     Statement,
     Update,
 )
 from repro.sql.parser import parse_statement
 from repro.voltdb.table import VoltTable
 
-Row = dict[tuple[str, str], Any]
+
+class _ProcedureHost:
+    """The operators' host inside one stored procedure: nothing is
+    priced while they run; leaves and joins add the rows they touch to
+    ``examined``, which the procedure charges for once at its end."""
+
+    def __init__(self) -> None:
+        self.examined = 0
+
+    def operator_work(self, kind: str, rows: int) -> None:
+        if kind == JOIN_OUTPUT:
+            self.examined += rows
+
+
+def _is_access_filter(f: FilterCondition) -> bool:
+    """A ``base_table.attr = constant`` filter: applied at the leaf."""
+    return (
+        f.op == "=" and f.relation is not None
+        and isinstance(f.value, (Literal, Param))
+    )
 
 
 @dataclass(frozen=True)
@@ -111,6 +149,7 @@ class VoltDBSystem:
         self.sim = sim or Simulation()
         self.scheme = scheme or PartitionScheme("all-replicated", {})
         self.num_partitions = num_partitions
+        self._composer = SelectComposer(schema)
         self.tables: dict[str, VoltTable] = {
             rel.name: VoltTable(
                 rel, self.sim.cost.voltdb_row_overhead_bytes
@@ -142,11 +181,7 @@ class VoltDBSystem:
         return total
 
     # -- support check (the paper's join restriction) -------------------------------
-    def check_supported(
-        self, select: Select, analyzed: AnalyzedSelect | None = None
-    ) -> None:
-        if analyzed is None:
-            analyzed = analyze_select(select, self.schema)
+    def check_supported(self, analyzed: AnalyzedSelect) -> None:
         for j in analyzed.joins:
             if not j.is_equi:
                 continue
@@ -164,27 +199,6 @@ class VoltDBSystem:
                 )
         # a self-join of a partitioned table must also be on the
         # partition column on both sides — covered by the checks above.
-
-    def supports(self, sql: str) -> bool:
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
-            return True
-        try:
-            self.check_supported(stmt)
-            return True
-        except UnsupportedStatementError:
-            return False
-
-    def supported_under_any(self, sql: str, schemes=TPCW_SCHEMES) -> bool:
-        old = self.scheme
-        try:
-            for scheme in schemes:
-                self.scheme = scheme
-                if self.supports(sql):
-                    return True
-            return False
-        finally:
-            self.scheme = old
 
     # -- execution -----------------------------------------------------------------
     def execute(
@@ -208,54 +222,29 @@ class VoltDBSystem:
     # -- write path -------------------------------------------------------------------
     def _execute_write(self, stmt: Statement, params: tuple[Any, ...]) -> int:
         self.sim.charge(self.sim.cost.voltdb_proc_base_ms, "voltdb.proc")
+        if not isinstance(stmt, (Insert, Update, Delete)):
+            raise PlanError(f"unsupported statement: {stmt}")
+        table = self.tables[stmt.table]
         if isinstance(stmt, Insert):
-            columns = stmt.columns or self.tables[stmt.table].relation.attribute_names
-            row = {
-                c: self._const(v, params) for c, v in zip(columns, stmt.values)
-            }
-            self.tables[stmt.table].insert(row)
-            self._charge_rows(1)
-            return 1
-        if isinstance(stmt, Update):
-            key = self._key_from_where(stmt.table, stmt.where, params)
-            changes = {
-                c: self._const(v, params) for c, v in stmt.assignments
-            }
-            ok = self.tables[stmt.table].update(key, changes)
-            self._charge_rows(1)
-            return int(ok)
-        if isinstance(stmt, Delete):
-            key = self._key_from_where(stmt.table, stmt.where, params)
-            ok = self.tables[stmt.table].delete(key)
-            self._charge_rows(1)
-            return int(ok)
-        raise PlanError(f"unsupported statement: {stmt}")
-
-    def _key_from_where(self, relation: str, where, params) -> tuple:
-        eq: dict[str, Any] = {}
-        for cond in where:
-            col = cond.left if isinstance(cond.left, ColumnRef) else cond.right
-            val = cond.right if isinstance(cond.left, ColumnRef) else cond.left
-            if not isinstance(col, ColumnRef) or cond.op != "=":
-                raise UnsupportedStatementError(
-                    f"write WHERE must be key equality: {cond}"
+            table.insert({
+                c: eval_const(v, params)
+                for c, v in zip(self._insert_columns(stmt), stmt.values)
+            })
+            ok = True
+        else:
+            eq = key_from_where(table, stmt.where, params)
+            key = tuple(eq[a] for a in table.key_attrs)
+            if isinstance(stmt, Update):
+                ok = table.update(
+                    key, {c: eval_const(v, params) for c, v in stmt.assignments}
                 )
-            eq[col.name] = self._const(val, params)
-        table = self.tables[relation]
-        missing = [a for a in table.key_attrs if a not in eq]
-        if missing:
-            raise UnsupportedStatementError(
-                f"{relation}: write must bind all key attributes; missing {missing}"
-            )
-        return tuple(eq[a] for a in table.key_attrs)
+            else:
+                ok = table.delete(key)
+        self._charge_rows(1)
+        return int(ok)
 
-    @staticmethod
-    def _const(expr, params):
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Param):
-            return params[expr.index]
-        raise UnsupportedStatementError(f"non-constant value: {expr}")
+    def _insert_columns(self, stmt: Insert) -> tuple[str, ...]:
+        return stmt.columns or self.tables[stmt.table].relation.attribute_names
 
     def _charge_rows(self, n: int) -> None:
         self.sim.charge(self.sim.cost.voltdb_row_ms * n, "voltdb.rows")
@@ -269,60 +258,123 @@ class VoltDBSystem:
     ) -> list[dict[str, Any]]:
         if analyzed is None:
             analyzed = analyze_select(select, self.schema)
-        self.check_supported(select, analyzed)
+        self.check_supported(analyzed)
         self.sim.charge(self.sim.cost.voltdb_proc_base_ms, "voltdb.proc")
-        if self._is_multipartition(select, analyzed):
+        if next(self._routing_filters(analyzed), None) is None:
             self.sim.charge(self.sim.cost.voltdb_multipart_ms, "voltdb.multipart")
-        rows, examined = self._join_rows(select, analyzed, params)
-        self._charge_rows(examined)
-        return self._finalize(select, analyzed, rows, params)
+        host = _ProcedureHost()
+        planned = self._plan_procedure(analyzed, params, host)
+        rows = list(stream_rows(planned, ExecutionContext(host, params)))
+        self._charge_rows(host.examined)
+        return rows
+
+    def _plan_procedure(
+        self, analyzed: AnalyzedSelect, params: tuple[Any, ...], host: _ProcedureHost
+    ) -> PlannedQuery:
+        """The procedure body: one leaf per FROM binding, hash-joined in
+        FROM order; base-table filters no leaf applies run above the
+        joins, so every join's intermediate size is charged."""
+        composer = self._composer
+        leaves: dict[str, PlanNode] = {}
+        derived_attrs: dict[str, tuple[str, ...]] = {}
+        for item in analyzed.select.from_items:
+            binding = item.binding
+            if isinstance(item, DerivedTable):
+                derived_attrs[binding] = composer.output_names(item.select)
+                fetch = partial(self._derived_rows, item, params, host)
+            else:
+                eq = [
+                    (f.attr, eval_const(f.value, params))
+                    for f in analyzed.filters_on(binding)
+                    if _is_access_filter(f)
+                ]
+                fetch = partial(
+                    self._table_rows, binding, self.tables[item.name], eq, host
+                )
+            leaves[binding] = SourceNode(fetch, label=f"VOLTDB {binding}")
+        plan, consumed = composer.join_in_from_order(
+            analyzed, leaves, composer.hash_join
+        )
+        late = tuple(
+            ValuePredicate(f.binding, f.attr, f.op, f.value)  # type: ignore[arg-type]
+            for f in analyzed.filters
+            if f.relation is not None
+            and not isinstance(f.value, ColumnRef)
+            and not _is_access_filter(f)
+        )
+        if late:
+            plan = FilterNode(plan, late)
+        plan = composer.residual_filter(plan, analyzed, consumed)
+        return composer.finish(plan, analyzed, derived_attrs)
+
+    @staticmethod
+    def _table_rows(
+        binding: str,
+        table: VoltTable,
+        eq: list[tuple[str, Any]],
+        host: _ProcedureHost,
+    ) -> list[Row]:
+        """The rows of ``table`` that pass every equality in ``eq``,
+        reached through an index on the first one when there is one;
+        every candidate read counts as examined."""
+        if eq and table.has_index(eq[0][0]):
+            candidates = list(table.lookup(*eq[0]))
+        else:
+            candidates = list(table.scan())
+        host.examined += len(candidates)
+        return [
+            {(binding, a): v for a, v in raw.items()}
+            for raw in candidates
+            if all(raw.get(a) == v for a, v in eq)
+        ]
+
+    def _derived_rows(
+        self, item: DerivedTable, params: tuple[Any, ...], host: _ProcedureHost
+    ) -> list[Row]:
+        """A derived table is a nested procedure, charged as its own."""
+        rows = self._execute_select(item.select, params)
+        host.examined += len(rows)
+        return [{(item.binding, k): v for k, v in r.items()} for r in rows]
 
     # -- routing ---------------------------------------------------------------------
     def partitions_for(
         self,
         stmt: Statement,
         params: tuple[Any, ...],
-        analyzed: AnalyzedSelect | None = None,
+        analyzed: AnalyzedSelect | None,
     ) -> tuple[int, ...]:
         """The partition executor sites a procedure occupies under the
         active scheme: one routed partition for single-partition
         procedures, every site for multi-partition reads and for writes
-        to replicated tables (which run on all replicas)."""
+        to replicated tables (which run on all replicas). ``analyzed``
+        is a SELECT's analysis, ``None`` for a write."""
         every = tuple(range(self.num_partitions))
-        if isinstance(stmt, Select):
-            if analyzed is None:
-                analyzed = analyze_select(stmt, self.schema)
-            for f_ in analyzed.filters:
-                if f_.op != "=" or f_.relation is None:
-                    continue
-                if self.scheme.column_of(f_.relation) != f_.attr:
-                    continue
-                if isinstance(f_.value, (Literal, Param)):
-                    return (self._partition_of(self._const(f_.value, params)),)
+        if analyzed is not None:
+            for f in self._routing_filters(analyzed):
+                if isinstance(f.value, (Literal, Param)):
+                    return (self._partition_of(eval_const(f.value, params)),)
             return every
         if isinstance(stmt, Insert):
-            pcol = self.scheme.column_of(stmt.table)
-            if pcol is None:
-                return every
-            columns = stmt.columns or self.tables[stmt.table].relation.attribute_names
-            for c, v in zip(columns, stmt.values):
-                if c == pcol:
-                    return (self._partition_of(self._const(v, params)),)
+            bound = dict(zip(self._insert_columns(stmt), stmt.values))
+        elif isinstance(stmt, (Update, Delete)):
+            bound = constant_equalities(stmt.where)
+        else:
             return every
-        if isinstance(stmt, (Update, Delete)):
-            pcol = self.scheme.column_of(stmt.table)
-            if pcol is None:
-                return every
-            for cond in stmt.where:
-                col = cond.left if isinstance(cond.left, ColumnRef) else cond.right
-                val = cond.right if isinstance(cond.left, ColumnRef) else cond.left
-                if (
-                    isinstance(col, ColumnRef) and cond.op == "="
-                    and col.name == pcol and isinstance(val, (Literal, Param))
-                ):
-                    return (self._partition_of(self._const(val, params)),)
-            return every
+        pcol = self.scheme.column_of(stmt.table)
+        if pcol in bound:
+            return (self._partition_of(eval_const(bound[pcol], params)),)
         return every
+
+    def _routing_filters(self, analyzed: AnalyzedSelect) -> Iterator[FilterCondition]:
+        """The equality filters on a partitioned table's partitioning
+        column. With one, a SELECT procedure is single-partition;
+        without, it fans out to every partition executor."""
+        for f in analyzed.filters:
+            if (
+                f.op == "=" and f.relation is not None
+                and self.scheme.column_of(f.relation) == f.attr
+            ):
+                yield f
 
     def _partition_of(self, value: Any) -> int:
         """Deterministic routing hash (``hash()`` is salted per process,
@@ -330,247 +382,3 @@ class VoltDBSystem:
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.num_partitions
         return zlib.crc32(repr(value).encode()) % self.num_partitions
-
-    def _is_multipartition(self, select: Select, analyzed: AnalyzedSelect) -> bool:
-        """Single-partition iff some partitioned table has an equality
-        filter on its partitioning column (routing key); else the
-        procedure fans out to every partition executor."""
-        for f_ in analyzed.filters:
-            if f_.op != "=" or f_.relation is None:
-                continue
-            if self.scheme.column_of(f_.relation) == f_.attr:
-                return False
-        return True
-
-    # in-memory evaluation ---------------------------------------------------------
-    def _join_rows(
-        self,
-        select: Select,
-        analyzed: AnalyzedSelect,
-        params: tuple[Any, ...],
-    ) -> tuple[list[Row], int]:
-        examined = 0
-        # derived tables first
-        materialized: dict[str, list[Row]] = {}
-        for item in select.from_items:
-            if isinstance(item, DerivedTable):
-                sub_rows = self._execute_select(item.select, params)
-                materialized[item.alias] = [
-                    {(item.alias, k): v for k, v in r.items()} for r in sub_rows
-                ]
-                examined += len(sub_rows)
-
-        # per-binding filtered base rows
-        def binding_rows(binding: str) -> list[Row]:
-            nonlocal examined
-            rel = analyzed.bindings[binding]
-            if rel is None:
-                return materialized[binding]
-            table = self.tables[rel]
-            eq = [
-                (f_.attr, self._const(f_.value, params))
-                for f_ in analyzed.filters
-                if f_.binding == binding and f_.op == "="
-                and isinstance(f_.value, (Literal, Param))
-            ]
-            if eq and (table.has_index(eq[0][0]) or eq[0][0] == table.key_attrs[0]):
-                candidates = list(table.lookup(eq[0][0], eq[0][1]))
-            else:
-                candidates = list(table.scan())
-            examined += len(candidates)
-            out = []
-            for raw in candidates:
-                if all(raw.get(a) == v for a, v in eq):
-                    out.append({(binding, a): v for a, v in raw.items()})
-            return out
-
-        bindings = list(analyzed.bindings)
-        current = binding_rows(bindings[0])
-        joined = [bindings[0]]
-        remaining = bindings[1:]
-        while remaining:
-            nxt = next(
-                (
-                    b
-                    for b in remaining
-                    if any(
-                        j.is_equi and j.involves(b)
-                        and (j.left_binding in joined or j.right_binding in joined)
-                        for j in analyzed.joins
-                    )
-                ),
-                remaining[0],
-            )
-            remaining.remove(nxt)
-            right = binding_rows(nxt)
-            keys = []
-            for j in analyzed.joins:
-                if not j.is_equi:
-                    continue
-                if j.left_binding in joined and j.right_binding == nxt:
-                    keys.append(((j.left_binding, j.left_attr), (nxt, j.right_attr)))
-                elif j.right_binding in joined and j.left_binding == nxt:
-                    keys.append(((j.right_binding, j.right_attr), (nxt, j.left_attr)))
-            if keys:
-                index: dict[tuple, list[Row]] = {}
-                for r in right:
-                    index.setdefault(tuple(r.get(k[1]) for k in keys), []).append(r)
-                merged = []
-                for l in current:
-                    probe = tuple(l.get(k[0]) for k in keys)
-                    for r in index.get(probe, ()):
-                        m = dict(l)
-                        m.update(r)
-                        merged.append(m)
-                current = merged
-            else:  # cartesian (filtered later by theta conditions)
-                current = [
-                    {**l, **r} for l in current for r in right
-                ]
-            examined += len(current)
-            joined.append(nxt)
-
-        # residual predicates: theta joins and non-equality filters
-        def keep(row: Row) -> bool:
-            for j in analyzed.joins:
-                lv = row.get((j.left_binding, j.left_attr))
-                rv = row.get((j.right_binding, j.right_attr))
-                if lv is None or rv is None:
-                    return False
-                ok = {
-                    "=": lv == rv, "<>": lv != rv, "<": lv < rv,
-                    "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv,
-                }[j.op]
-                if not ok:
-                    return False
-            for f_ in analyzed.filters:
-                if (
-                    f_.op == "=" and f_.relation is not None
-                    and isinstance(f_.value, (Literal, Param))
-                ):
-                    continue  # applied at access time (base tables only)
-                v = row.get((f_.binding, f_.attr))
-                if isinstance(f_.value, ColumnRef):
-                    # same-binding column/column comparison
-                    c = row.get((f_.binding, f_.value.name))
-                else:
-                    c = self._const(f_.value, params)
-                if v is None or c is None:
-                    return False
-                ok = {
-                    "=": v == c, "<>": v != c, "<": v < c,
-                    "<=": v <= c, ">": v > c, ">=": v >= c,
-                }[f_.op]
-                if not ok:
-                    return False
-            return True
-
-        return [r for r in current if keep(r)], examined
-
-    def _finalize(
-        self,
-        select: Select,
-        analyzed: AnalyzedSelect,
-        rows: list[Row],
-        params: tuple[Any, ...],
-    ) -> list[dict[str, Any]]:
-        def lookup(row: Row, expr) -> Any:
-            if isinstance(expr, ColumnRef):
-                if expr.qualifier is not None:
-                    return row.get((expr.qualifier, expr.name))
-                hits = [v for (b, a), v in row.items() if a == expr.name]
-                return hits[0] if hits else None
-            if isinstance(expr, FuncCall):
-                return row.get(("", str(expr)))
-            raise PlanError(f"unsupported expression {expr}")
-
-        aggregates = [p for p in select.projections if isinstance(p, FuncCall)]
-        for o in select.order_by:
-            if isinstance(o.expr, FuncCall) and str(o.expr) not in {
-                str(a) for a in aggregates
-            }:
-                aggregates.append(o.expr)
-        if select.group_by or aggregates:
-            groups: dict[tuple, list[Row]] = {}
-            for row in rows:
-                key = tuple(lookup(row, g) for g in select.group_by)
-                groups.setdefault(key, []).append(row)
-            out_rows: list[Row] = []
-            for key, members in groups.items():
-                out: Row = {}
-                for g, v in zip(select.group_by, key):
-                    b = g.qualifier
-                    if b is None:
-                        b, _ = next(
-                            ((bb, aa) for (bb, aa) in members[0] if aa == g.name),
-                            ("", g.name),
-                        )
-                    out[(b, g.name)] = v
-                for agg in aggregates:
-                    if agg.star:
-                        out[("", str(agg))] = len(members)
-                        continue
-                    vals = [lookup(m, agg.args[0]) for m in members]
-                    vals = [v for v in vals if v is not None]
-                    fn = agg.name
-                    out[("", str(agg))] = (
-                        len(vals) if fn == "COUNT"
-                        else sum(vals) if fn == "SUM" and vals
-                        else min(vals) if fn == "MIN" and vals
-                        else max(vals) if fn == "MAX" and vals
-                        else (sum(vals) / len(vals)) if fn == "AVG" and vals
-                        else None
-                    )
-                out_rows.append(out)
-            rows = out_rows
-
-        def shape(row: Row) -> dict[str, Any]:
-            out: dict[str, Any] = {}
-            for p in select.projections:
-                if isinstance(p, Star):
-                    targets = (
-                        [p.qualifier]
-                        if p.qualifier is not None
-                        else list(analyzed.bindings)
-                    )
-                    for b in targets:
-                        for (bb, a), v in row.items():
-                            if bb == b:
-                                name = a if a not in out else f"{bb}.{a}"
-                                out[name] = v
-                elif isinstance(p, ColumnRef):
-                    out[p.name] = lookup(row, p)
-                elif isinstance(p, FuncCall):
-                    out[str(p)] = row.get(("", str(p)))
-            return out
-
-        if select.distinct:
-            # DISTINCT is over the projected columns, before sort/limit
-            first: dict[tuple, Row] = {}
-            for row in rows:
-                first.setdefault(tuple(shape(row).values()), row)
-            rows = list(first.values())
-
-        if select.order_by:
-            import functools
-
-            def cmp(a: Row, b: Row) -> int:
-                for o in select.order_by:
-                    av, bv = lookup(a, o.expr), lookup(b, o.expr)
-                    if av == bv:
-                        continue
-                    if av is None:
-                        return 1 if o.descending else -1
-                    if bv is None:
-                        return -1 if o.descending else 1
-                    less = av < bv
-                    if o.descending:
-                        return 1 if less else -1
-                    return -1 if less else 1
-                return 0
-
-            rows = sorted(rows, key=functools.cmp_to_key(cmp))
-        if select.limit is not None:
-            rows = rows[: select.limit]
-
-        return [shape(row) for row in rows]

@@ -146,6 +146,29 @@ class TestPlanner:
         )
         assert len(set(lowered.values())) == len(lowered)
 
+    def test_operators_touch_their_host_only_through_the_work_report(self):
+        """Operators know no prices: all they ask of ``ctx.conn`` is
+        ``operator_work(kind, rows)``, so a host that is not a Phoenix
+        connection (the federation merge, a VoltDB procedure) runs them
+        unchanged, and Phoenix's two operator prices live in one module."""
+        import inspect
+        import pathlib
+        import re
+
+        from repro.phoenix import operators, stats
+
+        source = inspect.getsource(operators)
+        assert set(re.findall(r"\bconn\.(\w+)", source)) == {"operator_work"}
+        assert not re.search(r"\.(sim|charge|client)\b", source)
+        repro = pathlib.Path(stats.__file__).parents[1]
+        priced = [
+            path.relative_to(repro).as_posix()
+            for package in ("phoenix", "federation", "voltdb")
+            for path in sorted((repro / package).glob("*.py"))
+            if re.search(r"\b0\.0005\b|\b150\b", path.read_text())
+        ]
+        assert priced == ["phoenix/stats.py"]
+
     def test_explain_is_readable(self, company_conn):
         text = company_conn.plan(
             "SELECT * FROM Employee WHERE EID = ?"

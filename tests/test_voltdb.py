@@ -157,3 +157,167 @@ class TestExecution:
         partitioned_size = system.db_size_bytes()
         system.set_scheme(PartitionScheme("nothing-partitioned", {}))
         assert system.db_size_bytes() > partitioned_size
+
+
+def _company_engine() -> VoltDBSystem:
+    from tests.test_query_engine_property import company_rows
+
+    engine = VoltDBSystem(company_schema())
+    for table, rows in company_rows().items():
+        for row in rows:
+            engine.load_row(table, row)
+    return engine
+
+
+def _examined(engine: VoltDBSystem, sql: str, params=()) -> tuple[list, int]:
+    """A multi-partition SELECT procedure's rows, and how many rows it
+    was charged for: (ms - proc - multipart) / voltdb_row_ms."""
+    cost = engine.sim.cost
+    rows, ms = engine.timed(sql, params)
+    body = ms - cost.voltdb_proc_base_ms - cost.voltdb_multipart_ms
+    examined = round(body / cost.voltdb_row_ms)
+    assert body == pytest.approx(examined * cost.voltdb_row_ms, abs=1e-9)
+    return rows, examined
+
+
+class TestProcedureBodyIsAPlan:
+    """The body of a SELECT procedure is composed by ``SelectComposer``
+    and run by the shared operators; the charge is leaf candidates +
+    derived rows + every join's emitted rows. Company data: 10
+    employees, 15 Works_On rows, 3 projects, 2 departments."""
+
+    JOIN = (
+        "SELECT e.EID FROM Employee as e, Works_On as w WHERE w.WO_EID = e.EID"
+    )
+
+    def test_plan_uses_only_the_shared_node_classes(self, volt, monkeypatch):
+        from repro.phoenix import operators, plans
+        from repro.voltdb import system as voltdb_system
+
+        planned = []
+
+        def recording(plan, ctx):
+            planned.append(plan)
+            return operators_stream(plan, ctx)
+
+        operators_stream = voltdb_system.stream_rows
+        monkeypatch.setattr(voltdb_system, "stream_rows", recording)
+        system, gen = volt
+        for qid in JOIN_QUERIES:
+            if system.supports(qid):
+                system.execute(JOIN_QUERIES[qid], gen.params_for_query(qid))
+        assert len(planned) > 7  # Q11's derived table is its own procedure
+
+        def walk(node):
+            yield node
+            for child in node.children():
+                yield from walk(child)
+
+        used = {type(n) for plan in planned for n in walk(plan.root)}
+        assert used <= set(operators._LOWERING)
+        assert used == {
+            plans.SourceNode, plans.HashJoinNode, plans.FilterNode,
+            plans.GroupByNode, plans.SortNode, plans.LimitNode,
+        }
+
+    def test_unlimited_join_is_charged_leaves_plus_join_output(self):
+        rows, examined = _examined(_company_engine(), self.JOIN)
+        assert len(rows) == 15
+        assert examined == 10 + 15 + 15
+
+    def test_limit_without_a_blocking_operator_stops_the_joins_early(self):
+        """Like every HBase-backed system: the probe side is pulled one
+        row at a time under a bounded demand, so only the join rows the
+        LIMIT took are charged (both leaves are still read whole — an
+        in-memory leaf materializes at its first pull)."""
+        engine = _company_engine()
+        rows, examined = _examined(engine, self.JOIN + " LIMIT 2")
+        assert len(rows) == 2
+        assert examined == 10 + 15 + 2
+        # under an ORDER BY the sort drains the joins: nothing is saved
+        rows, examined = _examined(
+            engine, self.JOIN + " ORDER BY e.EID LIMIT 2"
+        )
+        assert [r["EID"] for r in rows] == [1, 1]
+        assert examined == 10 + 15 + 15
+
+    def test_limit_zero_fetches_no_leaf(self):
+        rows, examined = _examined(_company_engine(), self.JOIN + " LIMIT 0")
+        assert rows == [] and examined == 0
+
+    def test_null_join_keys_never_match_and_are_not_charged(self):
+        engine = VoltDBSystem(company_schema())
+        for eid, dno in ((1, None), (2, None), (3, 1)):
+            engine.load_row("Employee", {
+                "EID": eid, "EName": f"emp{eid}", "EHome_AID": 1,
+                "EOffice_AID": 1, "E_DNo": dno,
+            })
+        rows, examined = _examined(
+            engine,
+            "SELECT a.EID, b.EID FROM Employee as a, Employee as b "
+            "WHERE a.E_DNo = b.E_DNo",
+        )
+        assert rows == [{"EID": 3, "b.EID": 3}]
+        # 3 + 3 leaf rows + the one non-NULL match; the four NULL = NULL
+        # pairs are never built into the hash table
+        assert examined == 3 + 3 + 1
+
+    def test_theta_connected_binding_joins_before_an_unconnected_one(self):
+        """With no equi-connected binding left, the composer attaches a
+        theta-connected one (Employee, filtered above the joins) before
+        falling back to FROM order (Project would be a bare cross
+        product): Department x Employee, then Project on its equi-join."""
+        rows, examined = _examined(
+            _company_engine(),
+            "SELECT d.DNo, p.PNo, e.EID FROM Department as d, Project as p, "
+            "Employee as e WHERE e.E_DNo < d.DNo and p.P_DNo = e.E_DNo",
+        )
+        # E_DNo = 1 < DNo = 2: five employees x project 2
+        assert sorted(r["EID"] for r in rows) == [2, 4, 6, 8, 10]
+        assert {(r["DNo"], r["PNo"]) for r in rows} == {(2, 2)}
+        assert examined == 2 + 10 + 2 * 10 + 3 + 30
+
+
+class TestOneRoute:
+    def test_serial_execute_parses_and_analyses_once(self, volt, monkeypatch):
+        """``execute`` used to resolve the scheme from the text and then
+        hand the text to the engine, which parsed and analysed it again."""
+        from repro.systems import voltdb_sys
+        from repro.voltdb import system as voltdb_system
+
+        calls = {"parse": 0, "analyze": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (voltdb_sys, voltdb_system):
+            monkeypatch.setattr(
+                module, "parse_statement",
+                counting("parse", module.parse_statement),
+            )
+            monkeypatch.setattr(
+                module, "analyze_select",
+                counting("analyze", module.analyze_select),
+            )
+        system, gen = volt
+        for qid in ("Q1", "Q4"):
+            calls.update(parse=0, analyze=0)
+            system.execute(JOIN_QUERIES[qid], gen.params_for_query(qid))
+            assert calls == {"parse": 1, "analyze": 1}, qid
+        calls.update(parse=0, analyze=0)
+        system.execute(WRITE_STATEMENTS["W6"], (998, 1.5))
+        assert calls == {"parse": 1, "analyze": 0}
+
+    def test_supports_sql_is_the_public_support_check(self, volt):
+        system, _ = volt
+        assert system.supports_sql(JOIN_QUERIES["Q1"])
+        assert not system.supports_sql(JOIN_QUERIES["Q7"])
+        assert system.supports_sql(WRITE_STATEMENTS["W6"])
+        assert not system.supports_sql("DELETE FROM Order_line WHERE ol_o_id = ?")
+        assert not system.supports_sql(
+            "UPDATE Item SET i_cost = ? WHERE i_id > ?"
+        )
+        assert not system.supports("never-registered")
