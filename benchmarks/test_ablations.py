@@ -48,7 +48,7 @@ def test_ablation_view_index_on_off(benchmark, systems, lab):
     single samples flips randomly. The margin asserts "the indexed path
     is not slower beyond jitter noise", which is stable at every scale
     and still catches a real regression of the index path."""
-    synergy = systems["Synergy"].system
+    synergy = systems["Synergy"]
     reps = 5
 
     def run():

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.synergy.system import SynergySystem
+from repro.systems import SynergySystem
 from repro.tpcw.microbench import (
     MICRO_Q1_BASE,
     MICRO_Q1_VIEW,

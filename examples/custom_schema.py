@@ -11,7 +11,7 @@ recovery of the HBase layer and of the transaction layer).
 from repro.relational.datatypes import DataType
 from repro.relational.schema import ForeignKey, Index, Relation, Schema
 from repro.relational.workload import Workload
-from repro.synergy import SynergySystem
+from repro.systems import SynergySystem
 
 INT, VARCHAR = DataType.INT, DataType.VARCHAR
 

@@ -13,7 +13,7 @@ from repro.relational.company import (
     company_schema,
     company_workload,
 )
-from repro.synergy import SynergySystem
+from repro.systems import SynergySystem
 
 
 def main() -> None:

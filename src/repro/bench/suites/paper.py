@@ -17,7 +17,13 @@ from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.hbase import HBaseClient, HBaseCluster
 from repro.sim import Simulation
 from repro.synergy.locks import LockBatch
-from repro.synergy.system import SynergySystem
+from repro.systems import (
+    BaselineSystem,
+    MvccASystem,
+    MvccUASystem,
+    SynergySystem,
+    VoltDBEvaluatedSystem,
+)
 from repro.tpcw.microbench import (
     MICRO_Q1_BASE,
     MICRO_Q1_VIEW,
@@ -194,18 +200,10 @@ def run_fig14(lab: TpcwLab, progress=None) -> ExperimentResult:
 # --------------------------------------------------------------------- Fig. 13
 def run_fig13() -> str:
     """The mechanism matrix (Fig. 13) — configuration, not measurement."""
-    from repro.systems import (
-        BaselineSystem,
-        MvccASystem,
-        MvccUASystem,
-        SynergyEvaluatedSystem,
-        VoltDBEvaluatedSystem,
-    )
-
     rows = []
     for cls in (
         VoltDBEvaluatedSystem,
-        SynergyEvaluatedSystem,
+        SynergySystem,
         MvccASystem,
         MvccUASystem,
         BaselineSystem,

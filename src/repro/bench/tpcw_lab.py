@@ -17,9 +17,10 @@ from repro.sim.clock import Simulation
 from repro.systems import (
     BaselineSystem,
     EvaluatedSystem,
+    HBaseBackedSystem,
     MvccASystem,
     MvccUASystem,
-    SynergyEvaluatedSystem,
+    SynergySystem,
     VoltDBEvaluatedSystem,
 )
 from repro.tpcw import (
@@ -94,7 +95,7 @@ class TpcwLab:
     def build_system(self, name: str) -> EvaluatedSystem:
         cluster_config = ClusterConfig(cost=self.cost)
         if name == "Synergy":
-            return SynergyEvaluatedSystem(
+            return SynergySystem(
                 self.schema, self.workload, TPCW_ROOTS,
                 sim=self._sim(), cluster_config=cluster_config,
             )
@@ -123,11 +124,10 @@ class TpcwLab:
         gen = TpcwDataGenerator(self.num_customers, seed=self.seed)
         system.load(gen.all_rows())
         system.finish_load()
-        # the lab's planner mode, on the Phoenix-backed systems (VoltDB
-        # has no Phoenix connection)
-        conn = getattr(system, "conn", None)
-        if conn is not None:
-            conn.configure_engine(cost_based=self.cost_based_planner)
+        # the lab's planner mode, on the systems that plan through
+        # Phoenix (VoltDB composes its own procedure bodies)
+        if isinstance(system, HBaseBackedSystem):
+            system.conn.configure_engine(cost_based=self.cost_based_planner)
 
     # -- measurement ----------------------------------------------------------------------
     def measure_system(

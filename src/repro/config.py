@@ -1,4 +1,4 @@
-"""Cost-model and experiment configuration.
+"""Cost-model and cluster configuration.
 
 All latency constants used by the simulated cluster live here, in one
 dataclass, so that every experiment is reproducible from a single
@@ -20,8 +20,9 @@ Calibration anchors (from the paper, Sections IX-B..IX-D):
 * VoltDB executes a single-partition stored procedure in ~1 ms.
 
 The defaults were chosen so that the *relative* results of the paper's
-figures emerge from operation counts; see EXPERIMENTS.md for the
-measured-vs-paper comparison.
+figures emerge from operation counts; the measured figures are pinned in
+``BENCH_PR1.json`` (``tools/check_anchors.py`` diffs a fresh
+``python -m repro.bench`` run against it).
 """
 
 from __future__ import annotations
@@ -166,11 +167,6 @@ class ReplicationConfig:
     only while its applied-WAL watermark lags the primary's log by at
     most this many entries. Reads are pinned to the watermark, so a
     follower can never return a value that was not acknowledged."""
-
-    anti_affinity: bool = True
-    """Never co-host a primary with one of its own followers: follower
-    placement excludes the primary's server, and the balancer refuses
-    moves that would land a primary on a server holding its follower."""
 
     def __post_init__(self) -> None:
         if self.replica_count < 1:
@@ -368,31 +364,3 @@ class ClusterConfig:
 
 
 DEFAULT_CLUSTER_CONFIG = ClusterConfig()
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared knobs for the benchmark harness."""
-
-    repetitions: int = 10
-    """The paper runs every experiment 10 times and reports mean + stderr."""
-
-    jitter_fraction: float = 0.02
-    """Multiplicative latency jitter (deterministic, seeded) so repeated
-    runs produce a realistic non-zero standard error, as in the paper."""
-
-    num_customers: int = 1000
-    """TPC-W scale for the full-benchmark experiments. The paper uses 1M;
-    the pure-Python simulator defaults to 1000 (linear-scaling generator,
-    ratios preserved: NUM_ITEMS = 10 x NUM_CUST, Customer:Orders = 1:10)."""
-
-    microbench_scales: tuple[int, ...] = (50, 500, 5000)
-    """Micro-benchmark customer counts (paper: 500, 5k, 50k; we shift one
-    decade down by default — pass (500, 5000, 50000) to match exactly)."""
-
-    lock_counts: tuple[int, ...] = (10, 100, 1000)
-
-    seed: int = 1710_01792  # arXiv id of the paper
-
-
-DEFAULT_EXPERIMENT_CONFIG = ExperimentConfig()

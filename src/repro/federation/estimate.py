@@ -12,35 +12,33 @@ from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import Literal, Param
 from repro.sql.parser import parse_statement
 from repro.systems.base import EvaluatedSystem
+from repro.systems.hbase_backed import HBaseBackedSystem
+from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 
 
 def estimate_ms(
     backend: EvaluatedSystem, sql: str, analyzed: AnalyzedSelect | None
 ) -> float:
-    """Phoenix-backed systems are priced by the cost-based planner over
-    their own catalog, VoltDB by an arithmetic model over its in-memory
-    row counts, anything else by a per-binding nominal charge."""
+    """The HBase-backed systems are priced by the cost-based planner
+    over their own catalog, VoltDB by an arithmetic model over its
+    in-memory row counts, anything else by a per-binding nominal charge."""
     cost = backend.sim.cost
-    if getattr(backend, "scheme_for", None) is not None:
-        return voltdb_estimate(cost, backend.engine.tables, analyzed)  # type: ignore[attr-defined]
-    ms = phoenix_estimate(backend, sql)
-    return fallback_estimate(cost, analyzed) if ms is None else ms
+    if isinstance(backend, VoltDBEvaluatedSystem):
+        return voltdb_estimate(cost, backend.engine.tables, analyzed)
+    if isinstance(backend, HBaseBackedSystem):
+        ms = phoenix_estimate(backend, sql)
+        if ms is not None:
+            return ms
+    return fallback_estimate(cost, analyzed)
 
 
-def phoenix_estimate(backend: EvaluatedSystem, sql: str) -> float | None:
+def phoenix_estimate(backend: HBaseBackedSystem, sql: str) -> float | None:
     """The cost-based planner's root estimate over the backend's own
     catalog (so Synergy's view rewrites change its price); ``None``
-    when the backend has no catalog or cannot plan ``sql``."""
-    inner = backend if hasattr(backend, "catalog") else getattr(
-        backend, "system", None
-    )
-    if inner is None or not hasattr(inner, "catalog"):
-        return None
+    when it cannot plan ``sql``."""
     try:
         planner = CostBasedPlanner(
-            inner.catalog,
-            cluster=getattr(inner, "cluster", None),
-            cost=backend.sim.cost,
+            backend.catalog, cluster=backend.cluster, cost=backend.sim.cost
         )
         planned = planner.plan_select(parse_statement(sql))
     except ReproError:

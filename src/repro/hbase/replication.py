@@ -189,7 +189,7 @@ class ReplicationManager:
         for server in self.cluster.servers:
             if not server.alive or server.draining or server.name in taken:
                 continue
-            if self.config.anti_affinity and server is primary_host:
+            if server is primary_host:  # anti-affinity
                 continue
             out.append(server)
         out.sort(key=lambda s: len(s.follower_regions))  # stable sort
@@ -271,9 +271,7 @@ class ReplicationManager:
                 if name not in existing:
                     continue
                 server = self.cluster.server_named(name)
-                if not server.alive or (
-                    self.config.anti_affinity and server is primary_host
-                ):
+                if not server.alive or server is primary_host:
                     continue
                 self._place_follower(group, server)
 
@@ -433,9 +431,7 @@ class ReplicationManager:
         group = self.groups.get(region.name)
         if group is None:
             return
-        if self.config.anti_affinity and any(
-            f.server is target for f in group.followers
-        ):
+        if any(f.server is target for f in group.followers):
             raise ReplicationError(
                 f"moving primary {region.name} onto {target.name} would "
                 "co-host it with its own follower"
@@ -446,8 +442,6 @@ class ReplicationManager:
     def allows_move(self, region: Region, target: "RegionServer") -> bool:
         """Balancer filter: may ``region`` (if it is a replicated
         primary) move to ``target`` without violating anti-affinity?"""
-        if not self.config.anti_affinity:
-            return True
         group = self.groups.get(region.name)
         if group is None:
             return True

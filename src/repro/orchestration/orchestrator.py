@@ -202,11 +202,7 @@ def verify_cluster(
                         f"{group.primary.name} "
                         f"({follower.applied} > {log_len})"
                     )
-                if (
-                    manager.config.anti_affinity
-                    and follower.is_live()
-                    and follower.server is primary_host
-                ):
+                if follower.is_live() and follower.server is primary_host:
                     fatal.append(
                         f"anti-affinity breach: {group.primary.name} "
                         f"co-hosted with its follower on "

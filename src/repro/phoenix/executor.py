@@ -19,7 +19,7 @@ from repro.phoenix.plans import ExecutionContext
 from repro.phoenix.stats import charge_operator_work
 from repro.phoenix.writes import WriteExecutor
 from repro.sim.latency import LatencyCharger
-from repro.sql.ast import Delete, Insert, Select, Statement, Update
+from repro.sql.ast import Select, Statement
 from repro.sql.parser import parse_statement
 
 MAX_DIRTY_RESTARTS = 32
@@ -148,13 +148,7 @@ class PhoenixConnection:
     ) -> int:
         if isinstance(stmt, str):
             stmt = parse_statement(stmt)
-        if isinstance(stmt, Insert):
-            return self.writer.execute_insert(stmt, tuple(params))
-        if isinstance(stmt, Update):
-            return self.writer.execute_update(stmt, tuple(params))
-        if isinstance(stmt, Delete):
-            return self.writer.execute_delete(stmt, tuple(params))
-        raise PlanError(f"not a write statement: {stmt}")
+        return self.writer.execute(stmt, tuple(params))
 
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
         """Dispatch on statement type (SELECT -> rows, writes -> count)."""

@@ -13,13 +13,23 @@ covered indexes (Phoenix-style global indexes):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import UnsupportedStatementError, WorkloadError
+from repro.errors import PlanError, UnsupportedStatementError, WorkloadError
 from repro.hbase.client import HBaseClient
 from repro.hbase.ops import Delete as HDelete, Get
 from repro.phoenix.catalog import Catalog, CatalogEntry
-from repro.sql.ast import ColumnRef, Delete, Insert, Literal, Param, Update
+from repro.sql.ast import (
+    ColumnRef,
+    Delete,
+    Insert,
+    Literal,
+    Param,
+    Select,
+    Statement,
+    Update,
+)
 
 
 def eval_const(expr: Any, params: tuple[Any, ...]) -> Any:
@@ -65,6 +75,59 @@ def key_from_where(entry, where, params: tuple[Any, ...]) -> dict[str, Any]:
             f"missing {missing} (multi-row writes are not supported)"
         )
     return eq
+
+
+@dataclass(frozen=True)
+class WritePlan:
+    """One single-row write, compiled (the 'plan generator' box of
+    Fig. 7): an INSERT carries ``row``, an UPDATE ``key`` + ``changes``,
+    a DELETE ``key``."""
+
+    kind: str  # "insert" | "update" | "delete"
+    relation: str
+    row: dict[str, Any] | None = None
+    key: dict[str, Any] | None = None
+    changes: dict[str, Any] | None = None
+
+    @property
+    def target(self) -> dict[str, Any]:
+        """The attribute values that name the written row."""
+        return self.row if self.key is None else self.key
+
+
+def compile_write(entry, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
+    """The one reading of a write statement, for every system. ``entry``
+    is the written table: anything with ``name`` / ``attrs`` /
+    ``key_attrs`` (a ``CatalogEntry``, a ``VoltTable``). Refuses what no
+    single-row write admits — an INSERT whose columns and values differ
+    in number or leave a key attribute unbound, an UPDATE/DELETE whose
+    WHERE is not the full key, a non-constant value — before anything
+    is stored."""
+    if isinstance(stmt, Insert):
+        columns = stmt.columns or entry.attrs
+        if len(columns) != len(stmt.values):
+            raise WorkloadError(
+                f"INSERT {stmt.table}: {len(columns)} columns vs "
+                f"{len(stmt.values)} values"
+            )
+        row = {c: eval_const(v, params) for c, v in zip(columns, stmt.values)}
+        missing = [k for k in entry.key_attrs if k not in row]
+        if missing:
+            raise UnsupportedStatementError(
+                f"INSERT {stmt.table}: missing key attributes {missing}"
+            )
+        return WritePlan("insert", stmt.table, row=row)
+    if isinstance(stmt, Update):
+        return WritePlan(
+            "update", stmt.table,
+            key=key_from_where(entry, stmt.where, params),
+            changes={c: eval_const(v, params) for c, v in stmt.assignments},
+        )
+    if isinstance(stmt, Delete):
+        return WritePlan(
+            "delete", stmt.table, key=key_from_where(entry, stmt.where, params)
+        )
+    raise PlanError(f"not a write statement: {stmt}")
 
 
 class WriteExecutor:
@@ -127,33 +190,22 @@ class WriteExecutor:
         return new
 
     # -- statement-level API --------------------------------------------------------
-    def execute_insert(self, stmt: Insert, params: tuple[Any, ...]) -> int:
+    def compile(self, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
+        if isinstance(stmt, Select):
+            raise PlanError(f"not a write statement: {stmt}")
         entry = self.catalog.table_for_relation(stmt.table)
-        columns = stmt.columns or entry.attrs
-        if len(columns) != len(stmt.values):
-            raise WorkloadError(
-                f"INSERT {stmt.table}: {len(columns)} columns vs "
-                f"{len(stmt.values)} values"
-            )
-        row = {c: eval_const(v, params) for c, v in zip(columns, stmt.values)}
-        missing = [k for k in entry.key_attrs if k not in row]
-        if missing:
-            raise UnsupportedStatementError(
-                f"INSERT {stmt.table}: missing key attributes {missing}"
-            )
-        self.insert_row(stmt.table, row)
-        return 1
+        return compile_write(entry, stmt, tuple(params))
 
-    def execute_update(self, stmt: Update, params: tuple[Any, ...]) -> int:
-        entry = self.catalog.table_for_relation(stmt.table)
-        key = key_from_where(entry, stmt.where, params)
-        changes = {c: eval_const(v, params) for c, v in stmt.assignments}
-        return 0 if self.update_row(stmt.table, key, changes) is None else 1
-
-    def execute_delete(self, stmt: Delete, params: tuple[Any, ...]) -> int:
-        entry = self.catalog.table_for_relation(stmt.table)
-        key = key_from_where(entry, stmt.where, params)
-        return 0 if self.delete_row(stmt.table, key) is None else 1
+    def execute(self, stmt: Statement, params: tuple[Any, ...]) -> int:
+        plan = self.compile(stmt, params)
+        if plan.kind == "insert":
+            self.insert_row(plan.relation, plan.row)
+            return 1
+        if plan.kind == "update":
+            new = self.update_row(plan.relation, plan.key, plan.changes)
+        else:
+            new = self.delete_row(plan.relation, plan.key)
+        return 0 if new is None else 1
 
     # -- helpers -----------------------------------------------------------------------
     @staticmethod

@@ -16,8 +16,10 @@ Pipeline (paper Fig. 3):
    hierarchical single-lock concurrency control, WAL and dirty-read
    marking (Sec. VIII) (:mod:`repro.synergy.maintenance`,
    :mod:`repro.synergy.locks`, :mod:`repro.synergy.txlayer`);
-5. the :class:`repro.synergy.system.SynergySystem` façade ties it all
-   together.
+5. steps 2-3 run once, as a :class:`repro.synergy.design.SchemaAwareDesign`;
+   :class:`repro.systems.SynergySystem` assembles that design with the
+   mechanisms of step 4 over HBase (and ``MvccASystem`` the same design
+   with Tephra MVCC instead). This package exports mechanisms only.
 """
 
 from repro.synergy.graph import GraphEdge, SchemaGraph, build_schema_graph
@@ -26,14 +28,14 @@ from repro.synergy.trees import RootedTree, generate_rooted_trees
 from repro.synergy.views import ViewDef, candidate_views
 from repro.synergy.selection import select_views_for_query, select_views
 from repro.synergy.rewrite import rewrite_query
-from repro.synergy.system import SynergySystem
+from repro.synergy.design import SchemaAwareDesign
 
 __all__ = [
     "GraphEdge",
     "JoinOverlapHeuristic",
     "RootedTree",
+    "SchemaAwareDesign",
     "SchemaGraph",
-    "SynergySystem",
     "ViewDef",
     "build_schema_graph",
     "candidate_views",

@@ -11,14 +11,12 @@ stand-in. Reads bypass the layer entirely and go straight to HBase.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import TransactionError, UnsupportedStatementError
-from repro.phoenix.writes import eval_const, key_from_where
-from repro.phoenix.catalog import Catalog
 from repro.sim.clock import Simulation
-from repro.sql.ast import Delete, Insert, Select, Statement, Update
+from repro.sql.ast import Select, Statement
 from repro.sql.parser import parse_statement
 from repro.synergy.procedures import StepHook, WriteProcedures
 
@@ -33,53 +31,6 @@ class TxLogEntry:
     status: str = "pending"  # -> "committed" | "failed" | "recovered"
 
 
-@dataclass
-class WritePlan:
-    """Auto-generated execution plan for one write statement
-    (the 'plan generator' box of Fig. 7)."""
-
-    kind: str  # "insert" | "update" | "delete"
-    relation: str
-    row: dict[str, Any] | None = None
-    key: dict[str, Any] | None = None
-    changes: dict[str, Any] | None = None
-
-
-class PlanGenerator:
-    """Translates write ASTs into :class:`WritePlan` objects."""
-
-    def __init__(self, catalog: Catalog) -> None:
-        self.catalog = catalog
-
-    def generate(self, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
-        if isinstance(stmt, Insert):
-            entry = self.catalog.table_for_relation(stmt.table)
-            columns = stmt.columns or entry.attrs
-            if len(columns) != len(stmt.values):
-                raise UnsupportedStatementError(
-                    f"INSERT {stmt.table}: column/value arity mismatch"
-                )
-            row = {c: eval_const(v, params) for c, v in zip(columns, stmt.values)}
-            missing = [k for k in entry.key_attrs if k not in row]
-            if missing:
-                raise UnsupportedStatementError(
-                    f"INSERT {stmt.table}: missing key attributes {missing}"
-                )
-            return WritePlan(kind="insert", relation=stmt.table, row=row)
-        if isinstance(stmt, Update):
-            entry = self.catalog.table_for_relation(stmt.table)
-            key = key_from_where(entry, stmt.where, params)
-            changes = {c: eval_const(v, params) for c, v in stmt.assignments}
-            return WritePlan(
-                kind="update", relation=stmt.table, key=key, changes=changes
-            )
-        if isinstance(stmt, Delete):
-            entry = self.catalog.table_for_relation(stmt.table)
-            key = key_from_where(entry, stmt.where, params)
-            return WritePlan(kind="delete", relation=stmt.table, key=key)
-        raise UnsupportedStatementError(f"not a write statement: {stmt}")
-
-
 class TransactionManagerSlave:
     """One slave node: WAL + write-procedure execution."""
 
@@ -89,12 +40,10 @@ class TransactionManagerSlave:
         self,
         name: str,
         sim: Simulation,
-        plan_generator: PlanGenerator,
         procedures: WriteProcedures,
     ) -> None:
         self.name = name
         self.sim = sim
-        self.plan_generator = plan_generator
         self.procedures = procedures
         self.wal: list[TxLogEntry] = []
         self.alive = True
@@ -127,15 +76,12 @@ class TransactionManagerSlave:
     def _run(
         self, stmt: Statement, params: tuple[Any, ...], on_step: StepHook | None
     ) -> bool:
-        plan = self.plan_generator.generate(stmt, params)
+        plan = self.procedures.writer.compile(stmt, params)
         if plan.kind == "insert":
-            assert plan.row is not None
             self.procedures.insert(plan.relation, plan.row, on_step)
             return True
         if plan.kind == "update":
-            assert plan.key is not None and plan.changes is not None
             return self.procedures.update(plan.relation, plan.key, plan.changes, on_step)
-        assert plan.key is not None
         return self.procedures.delete(plan.relation, plan.key, on_step)
 
     def crash(self) -> None:
@@ -151,15 +97,13 @@ class SynergyTransactionLayer:
     def __init__(
         self,
         sim: Simulation,
-        plan_generator: PlanGenerator,
         procedures: WriteProcedures,
         num_slaves: int = 1,
     ) -> None:
         self.sim = sim
-        self.plan_generator = plan_generator
         self.procedures = procedures
         self.slaves = [
-            TransactionManagerSlave(f"tx-slave-{i + 1}", sim, plan_generator, procedures)
+            TransactionManagerSlave(f"tx-slave-{i + 1}", sim, procedures)
             for i in range(num_slaves)
         ]
         self._route = 0
@@ -187,7 +131,7 @@ class SynergyTransactionLayer:
         if dead.alive:
             raise TransactionError(f"slave {dead.name} is alive")
         standby = TransactionManagerSlave(
-            f"{dead.name}-standby", self.sim, self.plan_generator, self.procedures
+            f"{dead.name}-standby", self.sim, self.procedures
         )
         replayed = 0
         for entry in dead.pending_entries():

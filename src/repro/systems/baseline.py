@@ -9,6 +9,7 @@ from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.systems.base import SystemDescription
+from repro.systems.hbase_backed import NoViews
 from repro.systems.mvcc_base import MvccSystemBase
 
 
@@ -26,6 +27,4 @@ class BaselineSystem(MvccSystemBase):
         sim: Simulation | None = None,
         cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
     ) -> None:
-        super().__init__(schema, sim, cluster_config, views=[])
-        for stmt in workload:
-            self.register_statement(stmt.statement_id, stmt.sql)
+        super().__init__(schema, NoViews(workload), sim, cluster_config)

@@ -8,22 +8,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
-from repro.phoenix.ddl import create_view_entry, create_view_index_entry
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
-from repro.sql.ast import Select
-from repro.sql.printer import to_sql
-from repro.synergy.graph import build_schema_graph
-from repro.synergy.heuristics import JoinOverlapHeuristic
-from repro.synergy.rewrite import rewrite_query
-from repro.synergy.selection import select_views
-from repro.synergy.trees import generate_rooted_trees
-from repro.synergy.view_indexes import (
-    ViewIndexPlan,
-    recommend_maintenance_indexes,
-    recommend_read_indexes,
-)
+from repro.synergy.design import SchemaAwareDesign
 from repro.systems.base import SystemDescription
 from repro.systems.mvcc_base import MvccSystemBase
 
@@ -43,42 +31,5 @@ class MvccASystem(MvccSystemBase):
         sim: Simulation | None = None,
         cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
     ) -> None:
-        # run the Synergy views-generation pipeline (no locks attached)
-        heuristic = JoinOverlapHeuristic(schema, workload)
-        trees, _assignment = generate_rooted_trees(
-            build_schema_graph(schema), roots, heuristic
-        )
-        selection = select_views(workload, schema, trees, heuristic)
-        super().__init__(schema, sim, cluster_config, views=selection.final_views)
-        self.trees = trees
-        self.selection = selection
-
-        for view in self.views:
-            create_view_entry(self.client, self.catalog, view.name, view.relations)
-
-        rewritten = {}
-        for stmt in workload:
-            parsed = stmt.parsed
-            if isinstance(parsed, Select):
-                views = selection.per_query.get(stmt.statement_id, [])
-                rewritten[stmt.statement_id] = rewrite_query(parsed, schema, views)
-                self.register_statement(
-                    stmt.statement_id, to_sql(rewritten[stmt.statement_id].select)
-                )
-            else:
-                self.register_statement(stmt.statement_id, stmt.sql)
-
-        self.view_index_plan = ViewIndexPlan()
-        recommend_read_indexes(schema, rewritten, self.view_index_plan)
-        recommend_maintenance_indexes(
-            schema, self.views, workload.writes(), self.view_index_plan
-        )
-        for spec in self.view_index_plan.specs:
-            create_view_index_entry(
-                self.client,
-                self.catalog,
-                self.catalog.view(spec.view.name),
-                spec.indexed_on,
-                name=spec.name,
-                covered=(spec.reason == "read"),
-            )
+        design = SchemaAwareDesign(schema, workload, roots)
+        super().__init__(schema, design, sim, cluster_config)

@@ -1,28 +1,22 @@
-"""Shared machinery for the three MVCC-backed systems (Baseline, MVCC-A,
-MVCC-UA): HBase + Phoenix + Tephra transactions, optional views
-maintained inside each write transaction (no hierarchical locks, no
-dirty-row marking — consistency comes from MVCC snapshots instead)."""
+"""The MVCC concurrency control of the three Tephra-backed systems
+(Baseline, MVCC-A, MVCC-UA): the design's views are maintained inside
+each write transaction (no hierarchical locks, no dirty-row marking —
+consistency comes from MVCC snapshots instead)."""
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
+from repro.config import ClusterConfig
 from repro.errors import PlanError
-from repro.hbase.client import HBaseClient
-from repro.hbase.cluster import HBaseCluster
 from repro.mvcc.tephra import MvccTransaction, TephraServer
-from repro.phoenix.catalog import Catalog
-from repro.phoenix.ddl import create_baseline_schema
-from repro.phoenix.executor import PhoenixConnection
-from repro.phoenix.writes import WriteExecutor, eval_const, key_from_where
+from repro.phoenix.writes import WritePlan
 from repro.relational.schema import Schema
 from repro.sim.clock import Simulation
-from repro.sql.ast import Delete, Insert, Select, Update
+from repro.sql.ast import Select
 from repro.sql.parser import parse_statement
-from repro.synergy.maintenance import ViewMaintainer
-from repro.synergy.views import ViewDef
-from repro.systems.base import EvaluatedSystem, SystemSession
+from repro.systems.base import SystemSession
+from repro.systems.hbase_backed import HBaseBackedSystem
 
 
 class MvccSession(SystemSession):
@@ -61,7 +55,7 @@ class MvccSession(SystemSession):
         self.tx: MvccTransaction | None = None
         self._open = False
         self._snapshot_charged = False
-        self._pending: list[tuple[Any, tuple[Any, ...], tuple[Any, dict]]] = []
+        self._pending: list[WritePlan] = []
 
     def begin(self) -> None:
         if self._open:
@@ -89,9 +83,7 @@ class MvccSession(SystemSession):
             # the write transaction opens lazily at the first write, so
             # read-only transactions never pay the begin round trip
             self.tx = self.system.tephra.begin(read_only=False)
-        target = self.system._write_target(stmt, tuple(params))
-        self.tx.record_write(target[0].name, target[0].encode_key(target[1]))
-        self._pending.append((stmt, tuple(params), target))
+        self._pending.append(self.system._record_write(stmt, params, self.tx))
         return None  # row count is unknown until the intent is applied
 
     def commit(self) -> None:
@@ -103,8 +95,8 @@ class MvccSession(SystemSession):
         if tx is None:
             return  # read-only transaction: nothing to commit
         self.system.tephra.commit(tx)  # may raise TransactionConflictError
-        for stmt, params, target in pending:
-            self.system._apply_write(stmt, params, target)
+        for plan in pending:
+            self.system._apply_write(plan)
 
     def abort(self) -> None:
         if not self._open:
@@ -116,54 +108,20 @@ class MvccSession(SystemSession):
             self.system.tephra.abort(tx)
 
 
-class MvccSystemBase(EvaluatedSystem):
+class MvccSystemBase(HBaseBackedSystem):
     """HBase + Phoenix with Phoenix-Tephra transaction support enabled."""
+
+    read_isolation = {"dirty_check_views": False, "mvcc_version_check": True}
 
     def __init__(
         self,
         schema: Schema,
-        sim: Simulation | None = None,
-        cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
-        views: list[ViewDef] | None = None,
+        design: Any,
+        sim: Simulation | None,
+        cluster_config: ClusterConfig,
     ) -> None:
-        self._sim = sim or Simulation(cost=cluster_config.cost)
-        self.schema = schema
-        self.cluster = HBaseCluster(self._sim, cluster_config)
-        self.client = HBaseClient(self.cluster)
-        self.catalog: Catalog = create_baseline_schema(self.client, schema)
+        super().__init__(schema, design, sim, cluster_config)
         self.tephra = TephraServer(self._sim)
-        self.views: list[ViewDef] = list(views or [])
-        self.conn = PhoenixConnection(
-            self.client, self.catalog,
-            dirty_check_views=False, mvcc_version_check=True,
-        )
-        self.writer = WriteExecutor(self.client, self.catalog)
-        self.maintainer = ViewMaintainer(self.client, self.catalog, self.views)
-        self._statements: dict[str, str] = {}
-
-    @property
-    def sim(self) -> Simulation:
-        return self._sim
-
-    # -- statements ---------------------------------------------------------------
-    def register_statement(self, statement_id: str, sql: str) -> None:
-        self._statements[statement_id] = sql
-
-    def statement(self, statement_id: str) -> str:
-        return self._statements[statement_id]
-
-    # -- loading ------------------------------------------------------------------
-    def load_row(self, relation: str, row: dict[str, Any]) -> None:
-        self.writer.insert_row(relation, row)
-        self.maintainer.apply_insert(relation, row)
-
-    def finish_load(self) -> None:
-        self.cluster.major_compact()
-        self.conn.analyze()
-        self._sim.reset_clock()
-
-    def db_size_bytes(self) -> int:
-        return self.cluster.total_size_bytes()
 
     def open_session(self, client_name: str = "client") -> MvccSession:
         return MvccSession(self, client_name)
@@ -185,59 +143,44 @@ class MvccSystemBase(EvaluatedSystem):
         )
         tx = self.tephra.begin(read_only=False)
         try:
-            result = self._execute_write(stmt, tuple(params), tx)
+            result = self._apply_write(self._record_write(stmt, params, tx))
         except BaseException:
             self.tephra.abort(tx)
             raise
         self.tephra.commit(tx)
         return result
 
-    def _execute_write(
+    def _record_write(
         self, stmt: Any, params: tuple[Any, ...], tx: MvccTransaction
-    ) -> int:
-        target = self._write_target(stmt, params)
-        tx.record_write(target[0].name, target[0].encode_key(target[1]))
-        return self._apply_write(stmt, params, target)
+    ) -> WritePlan:
+        """Compile a write and enter its row in ``tx``'s change set.
+        Stores nothing: a session records the key (so the optimistic
+        check sees it) long before the mutation is applied."""
+        plan = self.writer.compile(stmt, params)
+        entry = self.catalog.table_for_relation(plan.relation)
+        tx.record_write(entry.name, entry.encode_key(plan.target))
+        return plan
 
-    def _write_target(
-        self, stmt: Any, params: tuple[Any, ...]
-    ) -> tuple[Any, dict[str, Any]]:
-        """The catalog entry and row/key dict a write statement touches.
-        Pure computation: lets a session record its change-set key
-        before the store mutation is applied."""
-        if not isinstance(stmt, (Insert, Update, Delete)):
-            raise PlanError(f"not a write statement: {stmt}")
-        entry = self.catalog.table_for_relation(stmt.table)
-        if isinstance(stmt, Insert):
-            columns = stmt.columns or entry.attrs
-            row = {c: eval_const(v, params) for c, v in zip(columns, stmt.values)}
-            return entry, row
-        return entry, key_from_where(entry, stmt.where, params)
-
-    def _apply_write(
-        self,
-        stmt: Any,
-        params: tuple[Any, ...],
-        target: tuple[Any, dict[str, Any]] | None = None,
-    ) -> int:
-        entry, row_or_key = target or self._write_target(stmt, params)
-        if isinstance(stmt, Insert):
-            self.writer.insert_row(stmt.table, row_or_key)
-            self.maintainer.apply_insert(stmt.table, row_or_key)
+    def _apply_write(self, plan: WritePlan) -> int:
+        """The MVCC write procedure: base table first, then each view —
+        no locks and no dirty marking; snapshots isolate the readers."""
+        relation = plan.relation
+        if plan.kind == "insert":
+            self.writer.insert_row(relation, plan.row)
+            self.maintainer.apply_insert(relation, plan.row)
             return 1
-        if isinstance(stmt, Update):
-            changes = {c: eval_const(v, params) for c, v in stmt.assignments}
-            if self.writer.update_row(stmt.table, row_or_key, changes) is None:
+        if plan.kind == "update":
+            changes = plan.changes
+            if self.writer.update_row(relation, plan.key, changes) is None:
                 return 0
-            for view in self.maintainer.views_for_update(stmt.table):
+            for view in self.maintainer.views_for_update(relation):
                 view_entry = self.maintainer.view_entry(view)
                 if not any(a in view_entry.attrs for a in changes):
                     continue  # narrow advisor views may not store the attr
-                rows = self.maintainer.locate_view_rows(view, stmt.table, row_or_key)
+                rows = self.maintainer.locate_view_rows(view, relation, plan.key)
                 self.maintainer.write_view_rows(view, rows, changes)
             return 1
-        # only Delete remains: _write_target already rejected non-writes
-        if self.writer.delete_row(stmt.table, row_or_key) is None:
+        if self.writer.delete_row(relation, plan.key) is None:
             return 0
-        self.maintainer.apply_delete(stmt.table, row_or_key)
+        self.maintainer.apply_delete(relation, plan.key)
         return 1

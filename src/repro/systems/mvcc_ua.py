@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
 from repro.errors import ViewSelectionError
+from repro.hbase.client import HBaseClient
+from repro.phoenix.catalog import Catalog
 from repro.phoenix.ddl import create_view_entry, create_view_index_entry
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
@@ -19,6 +21,72 @@ from repro.synergy.rewrite import rewrite_query
 from repro.systems.advisor import AdvisorCandidate, TuningAdvisor
 from repro.systems.base import SystemDescription
 from repro.systems.mvcc_base import MvccSystemBase
+
+
+class AdvisorDesign:
+    """The advisor's recommended views, the rewrite of each view's
+    source queries over it (everything else runs against base tables)
+    and a read index per filter attribute of those queries."""
+
+    def __init__(
+        self,
+        schema: Schema,
+        workload: Workload,
+        row_estimates: dict[str, int],
+        storage_budget_fraction: float,
+        max_views: int | None,
+    ) -> None:
+        self.schema = schema
+        self.workload = workload
+        self.recommendations: list[AdvisorCandidate] = TuningAdvisor(
+            schema, workload, row_estimates, storage_budget_fraction, max_views
+        ).recommend()
+        self.views = [c.view for c in self.recommendations]
+
+        view_by_query: dict[str, AdvisorCandidate] = {}
+        for cand in self.recommendations:
+            for qid in cand.source_queries:
+                view_by_query[qid] = cand
+        self.statements: dict[str, str] = {}
+        for stmt in workload:
+            sql = stmt.sql
+            cand = view_by_query.get(stmt.statement_id)
+            if cand is not None and isinstance(stmt.parsed, Select):
+                try:
+                    sql = to_sql(
+                        rewrite_query(stmt.parsed, schema, [cand.view]).select
+                    )
+                except ViewSelectionError:
+                    pass  # view does not fit this query shape
+            self.statements[stmt.statement_id] = sql
+
+    def materialize(self, client: HBaseClient, catalog: Catalog) -> None:
+        """Create every (narrow) view table, then the read indexes."""
+        for cand in self.recommendations:
+            create_view_entry(
+                client,
+                catalog,
+                cand.view.name,
+                cand.view.relations,
+                attributes=cand.attributes,
+            )
+        for cand in self.recommendations:
+            entry = catalog.view(cand.view.name)
+            for qid in cand.source_queries:
+                parsed = self.workload.by_id(qid).parsed
+                if not isinstance(parsed, Select):
+                    continue
+                for f in analyze_select(parsed, self.schema).filters:
+                    if (
+                        f.relation in cand.view.relations
+                        and f.attr in entry.attrs
+                        and f.attr != entry.key_attrs[0]
+                    ):
+                        name = f"{entry.name}.ix_{f.attr}"
+                        if not catalog.has_entry(name):
+                            create_view_index_entry(
+                                client, catalog, entry, (f.attr,), name=name
+                            )
 
 
 class MvccUASystem(MvccSystemBase):
@@ -38,63 +106,8 @@ class MvccUASystem(MvccSystemBase):
         storage_budget_fraction: float = 0.6,
         max_views: int | None = 1,
     ) -> None:
-        advisor = TuningAdvisor(
+        design = AdvisorDesign(
             schema, workload, row_estimates, storage_budget_fraction, max_views
         )
-        self.recommendations: list[AdvisorCandidate] = advisor.recommend()
-        super().__init__(
-            schema, sim, cluster_config,
-            views=[c.view for c in self.recommendations],
-        )
-        self.advisor = advisor
-
-        for cand in self.recommendations:
-            create_view_entry(
-                self.client,
-                self.catalog,
-                cand.view.name,
-                cand.view.relations,
-                attributes=cand.attributes,
-            )
-
-        # rewrite the source queries of each recommended view; everything
-        # else runs against base tables
-        view_by_query: dict[str, AdvisorCandidate] = {}
-        for cand in self.recommendations:
-            for qid in cand.source_queries:
-                view_by_query[qid] = cand
-
-        for stmt in workload:
-            parsed = stmt.parsed
-            sql = stmt.sql
-            cand = view_by_query.get(stmt.statement_id)
-            if cand is not None and isinstance(parsed, Select):
-                try:
-                    sql = to_sql(
-                        rewrite_query(parsed, schema, [cand.view]).select
-                    )
-                except ViewSelectionError:
-                    sql = stmt.sql  # view does not fit this query shape
-            self.register_statement(stmt.statement_id, sql)
-
-        # a read index per filter attribute of the rewritten queries
-        for cand in self.recommendations:
-            entry = self.catalog.view(cand.view.name)
-            for qid in cand.source_queries:
-                stmt = workload.by_id(qid)
-                parsed = stmt.parsed
-                if not isinstance(parsed, Select):
-                    continue
-                analyzed = analyze_select(parsed, schema)
-                for f in analyzed.filters:
-                    if (
-                        f.relation in cand.view.relations
-                        and f.attr in entry.attrs
-                        and f.attr != entry.key_attrs[0]
-                    ):
-                        name = f"{entry.name}.ix_{f.attr}"
-                        if not self.catalog.has_entry(name):
-                            create_view_index_entry(
-                                self.client, self.catalog, entry,
-                                (f.attr,), name=name,
-                            )
+        super().__init__(schema, design, sim, cluster_config)
+        self.recommendations = design.recommendations

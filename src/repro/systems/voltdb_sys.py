@@ -88,7 +88,7 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
         if table is None:
             return False
         if isinstance(stmt, Insert):
-            bound: Any = stmt.columns or table.relation.attribute_names
+            bound: Any = stmt.columns or table.attrs
         else:
             try:
                 bound = constant_equalities(stmt.where)

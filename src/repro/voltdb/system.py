@@ -34,7 +34,7 @@ from repro.phoenix.plans import (
     SourceNode,
     ValuePredicate,
 )
-from repro.phoenix.writes import constant_equalities, eval_const, key_from_where
+from repro.phoenix.writes import compile_write, constant_equalities, eval_const
 from repro.relational.schema import Schema
 from repro.sim.clock import Simulation
 from repro.sql.analyzer import AnalyzedSelect, FilterCondition, analyze_select
@@ -225,26 +225,18 @@ class VoltDBSystem:
         if not isinstance(stmt, (Insert, Update, Delete)):
             raise PlanError(f"unsupported statement: {stmt}")
         table = self.tables[stmt.table]
-        if isinstance(stmt, Insert):
-            table.insert({
-                c: eval_const(v, params)
-                for c, v in zip(self._insert_columns(stmt), stmt.values)
-            })
+        plan = compile_write(table, stmt, params)
+        if plan.kind == "insert":
+            table.insert(plan.row)
             ok = True
         else:
-            eq = key_from_where(table, stmt.where, params)
-            key = tuple(eq[a] for a in table.key_attrs)
-            if isinstance(stmt, Update):
-                ok = table.update(
-                    key, {c: eval_const(v, params) for c, v in stmt.assignments}
-                )
+            key = tuple(plan.key[a] for a in table.key_attrs)
+            if plan.kind == "update":
+                ok = table.update(key, plan.changes)
             else:
                 ok = table.delete(key)
         self._charge_rows(1)
         return int(ok)
-
-    def _insert_columns(self, stmt: Insert) -> tuple[str, ...]:
-        return stmt.columns or self.tables[stmt.table].relation.attribute_names
 
     def _charge_rows(self, n: int) -> None:
         self.sim.charge(self.sim.cost.voltdb_row_ms * n, "voltdb.rows")
@@ -355,7 +347,8 @@ class VoltDBSystem:
                     return (self._partition_of(eval_const(f.value, params)),)
             return every
         if isinstance(stmt, Insert):
-            bound = dict(zip(self._insert_columns(stmt), stmt.values))
+            columns = stmt.columns or self.tables[stmt.table].attrs
+            bound = dict(zip(columns, stmt.values))
         elif isinstance(stmt, (Update, Delete)):
             bound = constant_equalities(stmt.where)
         else:

@@ -16,6 +16,7 @@ class VoltTable:
         self.relation = relation
         self.name = relation.name
         self.key_attrs = tuple(relation.primary_key)
+        self.attrs = tuple(relation.attribute_names)
         self.rows: dict[tuple, dict[str, Any]] = {}
         self._indexes: dict[str, dict[Any, set[tuple]]] = {}
         self.row_overhead_bytes = row_overhead_bytes

@@ -11,7 +11,14 @@ from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.sim.clock import Simulation
-from repro.synergy.system import SynergySystem
+from repro.systems import (
+    BaselineSystem,
+    MvccASystem,
+    MvccUASystem,
+    SynergySystem,
+    VoltDBEvaluatedSystem,
+)
+from repro.voltdb.system import PartitionScheme
 
 
 @pytest.fixture
@@ -55,6 +62,33 @@ def load_company_data(target) -> None:
     for eid in (1, 2):
         add("Dependent", {"DP_EID": eid, "DPName": f"dep{eid}",
                           "DPHome_AID": eid + 1})
+
+
+COMPANY_ROW_ESTIMATES = {
+    "Address": 5, "Department": 2, "Employee": 10,
+    "Project": 3, "Works_On": 15, "Dependent": 2,
+}
+
+
+def build_company_system(name: str):
+    """One of the five evaluated systems (by its Fig. 13 name) on the
+    Company schema, populated by :func:`load_company_data`."""
+    schema, workload = company_schema(), company_workload()
+    if name == "Synergy":
+        system = SynergySystem(schema, workload, COMPANY_ROOTS)
+    elif name == "MVCC-A":
+        system = MvccASystem(schema, workload, COMPANY_ROOTS)
+    elif name == "MVCC-UA":
+        system = MvccUASystem(schema, workload, COMPANY_ROW_ESTIMATES)
+    elif name == "Baseline":
+        system = BaselineSystem(schema, workload)
+    else:
+        system = VoltDBEvaluatedSystem(
+            schema, workload, schemes=(PartitionScheme("all-replicated", {}),)
+        )
+    load_company_data(system)
+    system.finish_load()
+    return system
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.errors import TransactionConflictError
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.sim.clock import Simulation
 from repro.sim.scheduler import DeterministicScheduler, run_transaction
-from repro.systems import BaselineSystem, SynergyEvaluatedSystem
+from repro.systems import BaselineSystem, SynergySystem
 from tests.conftest import load_company_data
 
 EMPLOYEE_UPDATE = "UPDATE Employee SET EName = ? WHERE EID = ?"
@@ -26,13 +26,12 @@ ADDRESS_UPDATE = "UPDATE Address SET City = ? WHERE AID = ?"
 def build_system(kind: str, seed: int):
     sim = Simulation(seed=seed)
     if kind == "synergy":
-        system = SynergyEvaluatedSystem(
+        system = SynergySystem(
             company_schema(), company_workload(), COMPANY_ROOTS, sim=sim
         )
-        load_company_data(system.system)
     else:
         system = BaselineSystem(company_schema(), company_workload(), sim=sim)
-        load_company_data(system)
+    load_company_data(system)
     system.finish_load()
     return system
 

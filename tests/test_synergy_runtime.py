@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
-from repro.synergy.system import SynergySystem
+from repro.systems import SynergySystem
 from tests.conftest import load_company_data
 
 
@@ -309,11 +309,13 @@ class TestTransactionLayer:
             company_synergy.txlayer.execute_write("SELECT * FROM Address")
 
     def test_plan_generator_validates_keys(self, company_synergy):
+        from repro.phoenix.writes import compile_write
         from repro.sql.parser import parse_statement
 
+        entry = company_synergy.catalog.table_for_relation("Works_On")
         with pytest.raises(UnsupportedStatementError):
-            company_synergy.plan_generator.generate(
-                parse_statement("DELETE FROM Works_On WHERE WO_EID = ?"), (1,)
+            compile_write(
+                entry, parse_statement("DELETE FROM Works_On WHERE WO_EID = ?"), (1,)
             )
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
-from repro.synergy.system import SynergySystem
+from repro.systems import SynergySystem
 from tests.conftest import load_company_data
 
 

@@ -573,3 +573,57 @@ class TestRoutedRandomQueries:
                 mediator.execute(spec.sql, spec.params)
             logs.append(json.dumps(mediator.advisor.log_dicts()))
         assert logs[0] == logs[1]
+
+
+class TestRefusedWrites:
+    """Every system reads a write statement through the one
+    ``compile_write``, so a malformed INSERT is refused the same way —
+    and before anything is stored — on all five (Company schema)."""
+
+    ADDRESSES = "SELECT * FROM Address"
+    NAMES = ("Synergy", "MVCC-A", "MVCC-UA", "Baseline", "VoltDB")
+
+    @pytest.fixture(scope="class", params=NAMES)
+    def system(self, request):
+        from tests.conftest import build_company_system
+
+        return build_company_system(request.param)
+
+    def addresses(self, system):
+        return sorted(r["AID"] for r in system.execute(self.ADDRESSES))
+
+    def test_unbound_key_attribute_is_refused(self, system):
+        before = self.addresses(system)
+        with pytest.raises(UnsupportedStatementError):
+            system.execute("INSERT INTO Address (Street) VALUES (?)", ("x",))
+        assert self.addresses(system) == before
+
+    def test_arity_mismatch_is_refused(self, system):
+        from repro.errors import WorkloadError
+
+        before = self.addresses(system)
+        with pytest.raises(WorkloadError):
+            system.execute(
+                "INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?)",
+                (77, "x"),
+            )
+        assert self.addresses(system) == before
+
+    def test_session_commits_the_rest_after_a_refusal(self, system):
+        """A statement refused inside ``begin()`` ... ``commit()`` leaves
+        the transaction's other writes untouched (this is the only path
+        on which an ``MvccSession`` buffers compiled intents)."""
+        before = self.addresses(system)
+        session = system.open_session("c0")
+        session.begin()
+        session.execute(
+            "INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?, ?, ?)",
+            (88, "s", "c", "z"),
+        )
+        with pytest.raises(UnsupportedStatementError):
+            session.execute("INSERT INTO Address (Street) VALUES (?)", ("x",))
+        session.execute("UPDATE Address SET City = ? WHERE AID = ?", ("moved", 1))
+        session.commit()
+        assert self.addresses(system) == sorted(before + [88])
+        rows = system.execute("SELECT City FROM Address WHERE AID = ?", (1,))
+        assert [r["City"] for r in rows] == ["moved"]

@@ -9,7 +9,7 @@ from repro.systems import (
     BaselineSystem,
     MvccASystem,
     MvccUASystem,
-    SynergyEvaluatedSystem,
+    SynergySystem,
     VoltDBEvaluatedSystem,
 )
 from repro.tpcw import TPCW_ROOTS, TpcwDataGenerator, tpcw_schema, tpcw_workload

@@ -120,7 +120,7 @@ class TestMicrobench:
         assert len(w) == 2
 
     def test_micro_views_materialize(self):
-        from repro.synergy import SynergySystem
+        from repro.systems import SynergySystem
         from repro.tpcw.microbench import MICRO_ROOTS
 
         system = SynergySystem(micro_schema(), micro_workload(), MICRO_ROOTS)
