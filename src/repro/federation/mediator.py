@@ -65,7 +65,7 @@ from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.sim.rng import derive_seed
 from repro.sql.analyzer import AnalyzedSelect, analyze_select
-from repro.sql.ast import Select
+from repro.sql.ast import Select, Statement
 from repro.sql.parser import parse_statement
 from repro.systems.base import EvaluatedSystem, SystemDescription, SystemSession
 
@@ -145,7 +145,6 @@ class Mediator(EvaluatedSystem):
         self.route_log: list[RouteRecord] = []
         self._statements: dict[str, str] = {}
         self._by_text: dict[str, str] = {}
-        self._parsed: dict[str, tuple[Any, AnalyzedSelect | None]] = {}
         self._estimates: dict[tuple[str, str], float] = {}
         if workload is not None:
             for stmt in workload:
@@ -468,19 +467,16 @@ class Mediator(EvaluatedSystem):
         cached = self._estimates.get(key)
         if cached is not None:
             return cached
-        ms = estimate_ms(self.backends[name], sql, self._parse(sql)[1])
+        ms = estimate_ms(self.backends[name], self._parse(sql)[1])
         self._estimates[key] = ms
         return ms
 
-    def _parse(self, sql: str) -> tuple[Any, AnalyzedSelect | None]:
-        cached = self._parsed.get(sql)
-        if cached is not None:
-            return cached
+    def _parse(self, sql: str) -> tuple[Statement, AnalyzedSelect | None]:
+        """The statement and, for a SELECT, its analysis."""
         stmt = parse_statement(sql)
         analyzed = (
             analyze_select(stmt, self.schema) if isinstance(stmt, Select) else None
         )
-        self._parsed[sql] = (stmt, analyzed)
         return stmt, analyzed
 
 

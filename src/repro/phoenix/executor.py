@@ -25,6 +25,12 @@ from repro.sql.parser import parse_statement
 MAX_DIRTY_RESTARTS = 32
 
 
+def _statement(stmt: Statement | str) -> Statement:
+    """A connection is a front door: its methods take statement text
+    or, from callers that already parsed it, the AST."""
+    return parse_statement(stmt) if isinstance(stmt, str) else stmt
+
+
 def stream_rows(
     planned: PlannedQuery, ctx: ExecutionContext
 ) -> Iterator[dict[str, Any]]:
@@ -68,7 +74,6 @@ class PhoenixConnection:
         self.planner = self._build_planner(False)
         self.writer = WriteExecutor(client, catalog)
         self.mvcc_version_check = mvcc_version_check
-        self._plan_cache: dict[str, PlannedQuery] = {}
 
     def _build_planner(self, cost_based: bool) -> Planner:
         if cost_based:
@@ -81,12 +86,10 @@ class PhoenixConnection:
         return Planner(self.catalog, dirty_check_views=self.dirty_check_views)
 
     def configure_engine(self, cost_based: bool) -> None:
-        """Switch planner mode on a live connection (clears the plan
-        cache so new plans take effect)."""
+        """Switch planner mode on a live connection."""
         if cost_based != self.cost_based:
             self.cost_based = cost_based
             self.planner = self._build_planner(cost_based)
-        self._plan_cache.clear()
 
     def operator_work(self, kind: str, rows: int) -> None:
         """The operators' host: Phoenix's price list on this cluster."""
@@ -96,17 +99,12 @@ class PhoenixConnection:
 
     # -- queries -----------------------------------------------------------------------
     def plan(self, select: Select | str) -> PlannedQuery:
-        if isinstance(select, str):
-            cached = self._plan_cache.get(select)
-            if cached is not None:
-                return cached
-            stmt = parse_statement(select)
-            if not isinstance(stmt, Select):
-                raise PlanError("plan() expects a SELECT statement")
-            planned = self.planner.plan_select(stmt)
-            self._plan_cache[select] = planned
-            return planned
-        return self.planner.plan_select(select)
+        """Always a fresh plan: the cost-based planner reads live table
+        statistics and region sizes, so a kept plan would go stale."""
+        stmt = _statement(select)
+        if not isinstance(stmt, Select):
+            raise PlanError("plan() expects a SELECT statement")
+        return self.planner.plan_select(stmt)
 
     def execute_query(
         self, select: Select | str, params: tuple[Any, ...] = ()
@@ -146,13 +144,11 @@ class PhoenixConnection:
     def execute_write(
         self, stmt: Statement | str, params: tuple[Any, ...] = ()
     ) -> int:
-        if isinstance(stmt, str):
-            stmt = parse_statement(stmt)
-        return self.writer.execute(stmt, tuple(params))
+        return self.writer.execute(_statement(stmt), tuple(params))
 
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
         """Dispatch on statement type (SELECT -> rows, writes -> count)."""
-        stmt = parse_statement(sql)
+        stmt = _statement(sql)
         if isinstance(stmt, Select):
             return self.execute_query(stmt, params)
         return self.execute_write(stmt, params)

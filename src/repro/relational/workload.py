@@ -1,13 +1,13 @@
 """Workload model (paper Section II-B).
 
 A workload ``W = {w1, ..., wm}`` is a set of SQL statements. We keep the
-raw SQL plus (lazily) the parsed/analyzed form, and optional per-statement
-frequencies used by selection heuristics and the advisor.
+raw SQL (``parsed`` is the one parser's memoized AST of it) and optional
+per-statement frequencies used by selection heuristics and the advisor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -21,15 +21,12 @@ class WorkloadStatement:
     sql: str
     statement_id: str = ""
     frequency: float = 1.0
-    _parsed: "Statement | None" = field(default=None, repr=False, compare=False)
 
     @property
     def parsed(self) -> "Statement":
-        if self._parsed is None:
-            from repro.sql.parser import parse_statement
+        from repro.sql.parser import parse_statement
 
-            self._parsed = parse_statement(self.sql)
-        return self._parsed
+        return parse_statement(self.sql)
 
 
 class Workload:

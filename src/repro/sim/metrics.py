@@ -7,7 +7,7 @@ one Get RPC per outer row") rather than only end-to-end latency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -24,37 +24,36 @@ class Counter:
 
 @dataclass
 class Timer:
-    """Accumulates duration samples; exposes count/total/mean/stderr."""
+    """Accumulates durations as running sums (a labelled charge records
+    one per call for the life of a simulation, so no sample is kept);
+    exposes count/total/mean/stderr."""
 
     name: str
-    samples: list[float] = field(default_factory=list)
+    count: int = 0
+    total_ms: float = 0.0
+    _sum_sq: float = 0.0
 
     def record(self, duration_ms: float) -> None:
-        self.samples.append(duration_ms)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def total_ms(self) -> float:
-        return float(sum(self.samples))
+        self.count += 1
+        self.total_ms += duration_ms
+        self._sum_sq += duration_ms * duration_ms
 
     @property
     def mean_ms(self) -> float:
-        return self.total_ms / self.count if self.samples else 0.0
+        return self.total_ms / self.count if self.count else 0.0
 
     @property
     def stderr_ms(self) -> float:
         n = self.count
         if n < 2:
             return 0.0
-        mean = self.mean_ms
-        var = sum((s - mean) ** 2 for s in self.samples) / (n - 1)
+        var = max(self._sum_sq - self.total_ms * self.total_ms / n, 0.0) / (n - 1)
         return math.sqrt(var / n)
 
     def reset(self) -> None:
-        self.samples.clear()
+        self.count = 0
+        self.total_ms = 0.0
+        self._sum_sq = 0.0
 
 
 class MetricsRegistry:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import SqlSyntaxError
 from repro.sql.ast import (
     BinOp,
@@ -24,6 +26,12 @@ from repro.sql.ast import (
 from repro.sql.lexer import Token, TokType, tokenize
 
 AGGREGATE_FUNCS = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
+
+#: Distinct statement texts :func:`parse_statement` remembers. A run
+#: issues a few hundred (workload statements, their view rewrites,
+#: federation fragments, generated test queries); the bound only keeps
+#: a pathological caller from growing the memo without limit.
+PARSE_MEMO_SIZE = 4096
 
 
 class _Parser:
@@ -291,6 +299,11 @@ class _Parser:
         return Delete(table=table, where=where)
 
 
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_statement(sql: str) -> Statement:
-    """Parse one SQL statement into its AST."""
+    """Parse one SQL statement into its AST — the only text -> AST step
+    in the package. Memoized on the exact text: every AST node is a
+    frozen dataclass over tuples, so callers share one immutable tree.
+    A text that does not parse raises on every call (``lru_cache`` never
+    stores an exception)."""
     return _Parser(sql).parse()

@@ -6,6 +6,9 @@ transaction id, appends the statement to its WAL (stored 'in HDFS'),
 executes the write procedure through the Phoenix API, and responds. The
 master detects slave failures and replays the failed slave's WAL on a
 stand-in. Reads bypass the layer entirely and go straight to HBase.
+
+The layer sits below the statement door (``systems/base.py``): it takes
+the parsed statement, and that is what the WAL records and replays.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Any
 from repro.errors import TransactionError, UnsupportedStatementError
 from repro.sim.clock import Simulation
 from repro.sql.ast import Select, Statement
-from repro.sql.parser import parse_statement
 from repro.synergy.procedures import StepHook, WriteProcedures
 
 
@@ -26,7 +28,7 @@ class TxLogEntry:
     """One WAL record of a transaction-manager slave."""
 
     tx_id: int
-    sql: str
+    stmt: Statement
     params: tuple[Any, ...]
     status: str = "pending"  # -> "committed" | "failed" | "recovered"
 
@@ -50,16 +52,15 @@ class TransactionManagerSlave:
 
     def execute_write(
         self,
-        sql: str,
+        stmt: Statement,
         params: tuple[Any, ...],
         on_step: StepHook | None = None,
     ) -> bool:
         if not self.alive:
             raise TransactionError(f"transaction slave {self.name} is down")
-        stmt = parse_statement(sql)
         if isinstance(stmt, Select):
             raise UnsupportedStatementError("reads do not go through the tx layer")
-        entry = TxLogEntry(tx_id=next(self._ids), sql=sql, params=tuple(params))
+        entry = TxLogEntry(tx_id=next(self._ids), stmt=stmt, params=tuple(params))
         self.wal.append(entry)
         self.sim.charge(self.sim.cost.wal_append_ms, "txlayer.wal")
         try:
@@ -110,7 +111,7 @@ class SynergyTransactionLayer:
 
     def execute_write(
         self,
-        sql: str,
+        stmt: Statement,
         params: tuple[Any, ...] = (),
         on_step: StepHook | None = None,
     ) -> bool:
@@ -122,7 +123,7 @@ class SynergyTransactionLayer:
             raise TransactionError("no live transaction-layer slaves")
         slave = live[self._route % len(live)]
         self._route += 1
-        return slave.execute_write(sql, tuple(params), on_step)
+        return slave.execute_write(stmt, tuple(params), on_step)
 
     # -- master duties -----------------------------------------------------------------
     def recover_slave(self, dead: TransactionManagerSlave) -> int:
@@ -135,7 +136,7 @@ class SynergyTransactionLayer:
         )
         replayed = 0
         for entry in dead.pending_entries():
-            standby.execute_write(entry.sql, entry.params)
+            standby.execute_write(entry.stmt, entry.params)
             entry.status = "recovered"
             replayed += 1
         self.slaves = [s for s in self.slaves if s is not dead] + [standby]

@@ -7,6 +7,18 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.sim.clock import Simulation
+from repro.sql.ast import Select, Statement
+from repro.sql.parser import parse_statement
+
+
+def run_statement(door: Any, sql: str, params: tuple[Any, ...]) -> Any:
+    """``execute`` of a system or session: text is parsed here, once; a
+    SELECT goes to ``door.read``, anything else to ``door.write``. A
+    concurrency control *is* those two (``docs/ARCHITECTURE.md``)."""
+    stmt = parse_statement(sql)
+    if isinstance(stmt, Select):
+        return door.read(stmt, params)
+    return door.write(stmt, params)
 
 
 @dataclass(frozen=True)
@@ -22,11 +34,12 @@ class SystemSession:
     """One virtual client's connection to an evaluated system.
 
     The default implementation is auto-commit: ``begin``/``commit`` are
-    no-ops and every ``execute`` is its own transaction (which is how
-    Synergy runs — each write is one lock-protected transaction through
-    the transaction layer — and VoltDB, whose every procedure is its own
-    serializable transaction). Systems with real multi-statement
-    transaction state (the Tephra-backed ones) override this.
+    no-ops and every ``read`` / ``write`` is the system's own, its own
+    transaction (which is how Synergy runs — each write is one
+    lock-protected transaction through the transaction layer — and
+    VoltDB, whose every procedure is its own serializable transaction).
+    Systems with real multi-statement transaction state (the
+    Tephra-backed ones) override the two.
     """
 
     rolls_back_on_abort = False
@@ -44,7 +57,13 @@ class SystemSession:
         pass
 
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        return self.system.execute(sql, params)
+        return run_statement(self, sql, params)
+
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any:
+        return self.system.read(select, params)
+
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
+        return self.system.write(stmt, params)
 
     def commit(self) -> None:
         pass
@@ -55,7 +74,8 @@ class SystemSession:
 
 class EvaluatedSystem(abc.ABC):
     """A populated system that can run workload statements and report
-    virtual response times."""
+    virtual response times. The five systems ``execute`` through
+    :func:`run_statement`; the mediator routes text and has no ``read``."""
 
     description: SystemDescription
 

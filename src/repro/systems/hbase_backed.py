@@ -10,6 +10,7 @@ subclass (:class:`~repro.systems.mvcc_base.MvccSystemBase`,
 
 from __future__ import annotations
 
+import abc
 from typing import Any
 
 from repro.config import ClusterConfig
@@ -21,9 +22,10 @@ from repro.phoenix.executor import PhoenixConnection
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
+from repro.sql.ast import Select, Statement
 from repro.synergy.maintenance import ViewMaintainer
 from repro.synergy.views import ViewDef
-from repro.systems.base import EvaluatedSystem
+from repro.systems.base import EvaluatedSystem, run_statement
 
 
 class NoViews:
@@ -85,6 +87,15 @@ class HBaseBackedSystem(EvaluatedSystem):
         # over the declared workload) and execute over base tables —
         # correct, just not view-accelerated
         self.statements[statement_id] = sql
+
+    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
+        return run_statement(self, sql, params)
+
+    @abc.abstractmethod
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any: ...
+
+    @abc.abstractmethod
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any: ...
 
     # -- loading ------------------------------------------------------------------
     def load_row(self, relation: str, row: dict[str, Any]) -> None:

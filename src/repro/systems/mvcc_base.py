@@ -9,12 +9,15 @@ from typing import Any
 
 from repro.config import ClusterConfig
 from repro.errors import PlanError
-from repro.mvcc.tephra import MvccTransaction, TephraServer
+from repro.mvcc.tephra import (
+    MvccTransaction,
+    TephraServer,
+    TransactionAwareExecutor,
+)
 from repro.phoenix.writes import WritePlan
 from repro.relational.schema import Schema
 from repro.sim.clock import Simulation
-from repro.sql.ast import Select
-from repro.sql.parser import parse_statement
+from repro.sql.ast import Select, Statement
 from repro.systems.base import SystemSession
 from repro.systems.hbase_backed import HBaseBackedSystem
 
@@ -30,7 +33,7 @@ class MvccSession(SystemSession):
     pay only the cached-snapshot refresh, never the begin round trip.
 
     Writes inside an open transaction are buffered as intents: the
-    change-set key is recorded at ``execute`` time (so the optimistic
+    change-set key is recorded at ``write`` time (so the optimistic
     check sees it), but the store mutation is applied only after
     ``commit`` passes the conflict check — the equivalent of Tephra's
     rollback of persisted changes on abort. An aborted transaction
@@ -64,20 +67,23 @@ class MvccSession(SystemSession):
         self._snapshot_charged = False
         self._pending = []
 
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any:
         if not self._open:  # auto-commit outside begin/commit
-            return self.system.execute(sql, params)
+            return self.system.read(select, params)
+        if self.tx is None and not self._snapshot_charged:
+            # read-only so far: pay only the client-cached snapshot
+            # refresh, matching the single-client read path
+            sim = self.system.sim
+            sim.charge(sim.cost.mvcc_read_snapshot_ms, "mvcc.snapshot")
+            self._snapshot_charged = True
+        # read committed: straight from the store, no server round
+        # trip (see the class docstring for the isolation model)
+        return self.system.conn.execute_query(select, params)
+
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
+        if not self._open:
+            return self.system.write(stmt, params)
         sim = self.system.sim
-        stmt = parse_statement(sql)
-        if isinstance(stmt, Select):
-            if self.tx is None and not self._snapshot_charged:
-                # read-only so far: pay only the client-cached snapshot
-                # refresh, matching the single-client read path
-                sim.charge(sim.cost.mvcc_read_snapshot_ms, "mvcc.snapshot")
-                self._snapshot_charged = True
-            # read committed: straight from the store, no server round
-            # trip (see the class docstring for the isolation model)
-            return self.system.conn.execute_query(stmt, params)
         sim.charge(sim.cost.phoenix_statement_ms, "phoenix.statement")
         if self.tx is None:
             # the write transaction opens lazily at the first write, so
@@ -122,36 +128,27 @@ class MvccSystemBase(HBaseBackedSystem):
     ) -> None:
         super().__init__(schema, design, sim, cluster_config)
         self.tephra = TephraServer(self._sim)
+        self._auto_commit = TransactionAwareExecutor(self.tephra)
 
     def open_session(self, client_name: str = "client") -> MvccSession:
         return MvccSession(self, client_name)
 
     # -- execution ------------------------------------------------------------------
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        stmt = parse_statement(sql)
-        if isinstance(stmt, Select):
-            tx = self.tephra.begin(read_only=True)
-            try:
-                rows = self.conn.execute_query(stmt, params)
-            except BaseException:
-                self.tephra.abort(tx)
-                raise
-            self.tephra.commit(tx)
-            return rows
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any:
+        return self._auto_commit.run_read(
+            lambda: self.conn.execute_query(select, params)
+        )
+
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
         self._sim.charge(
             self._sim.cost.phoenix_statement_ms, "phoenix.statement"
         )
-        tx = self.tephra.begin(read_only=False)
-        try:
-            result = self._apply_write(self._record_write(stmt, params, tx))
-        except BaseException:
-            self.tephra.abort(tx)
-            raise
-        self.tephra.commit(tx)
-        return result
+        return self._auto_commit.run_write(
+            lambda tx: self._apply_write(self._record_write(stmt, params, tx))
+        )
 
     def _record_write(
-        self, stmt: Any, params: tuple[Any, ...], tx: MvccTransaction
+        self, stmt: Statement, params: tuple[Any, ...], tx: MvccTransaction
     ) -> WritePlan:
         """Compile a write and enter its row in ``tx``'s change set.
         Stores nothing: a session records the key (so the optimistic

@@ -11,12 +11,12 @@ from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
-from repro.sql.ast import Select
+from repro.sql.ast import Select, Statement
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 from repro.synergy.design import SchemaAwareDesign
 from repro.synergy.locks import LockManager
-from repro.synergy.procedures import StepHook, WriteProcedures
+from repro.synergy.procedures import WriteProcedures
 from repro.synergy.rewrite import rewrite_query
 from repro.synergy.selection import select_views_for_query
 from repro.synergy.txlayer import SynergyTransactionLayer
@@ -86,16 +86,11 @@ class SynergySystem(HBaseBackedSystem):
             self.locks.register_root_row(relation, [row[a] for a in pk])
 
     # -- execution ----------------------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        params: tuple[Any, ...] = (),
-        on_step: StepHook | None = None,
-    ) -> Any:
-        stmt = parse_statement(sql)
-        if isinstance(stmt, Select):
-            return self.conn.execute_query(stmt, params)
-        return self.txlayer.execute_write(sql, params, on_step)
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any:
+        return self.conn.execute_query(select, params)
+
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
+        return self.txlayer.execute_write(stmt, params)
 
     def execute_id(self, statement_id: str, params: tuple[Any, ...] = ()) -> Any:
         return self.execute(self.statements[statement_id], params)

@@ -1,24 +1,24 @@
 """VoltDB wrapped in the evaluated-system interface.
 
 Per the paper, three partitioning schemes are needed to support the
-maximum number of TPC-W joins; :meth:`execute`/:meth:`supports_sql`
+maximum number of TPC-W joins; :meth:`read`/:meth:`supports_sql`
 pick the first scheme that admits a query, and writes run under the
 primary scheme. Queries unsupported under every scheme report
 ``supports() == False`` and show as X in Fig. 12."""
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import UnsupportedStatementError
 from repro.phoenix.writes import constant_equalities
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
-from repro.sql.analyzer import analyze_select
-from repro.sql.ast import Insert, Select
+from repro.sql.analyzer import AnalyzedSelect, analyze_select
+from repro.sql.ast import Insert, Select, Statement
 from repro.sql.parser import parse_statement
-from repro.systems.base import EvaluatedSystem, SystemDescription
+from repro.systems.base import EvaluatedSystem, SystemDescription, run_statement
 from repro.voltdb.system import PartitionScheme, TPCW_SCHEMES, VoltDBSystem
 
 
@@ -50,15 +50,8 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
     def statement(self, statement_id: str) -> str:
         return self._statements[statement_id]
 
-    def scheme_for(
-        self, sql: str, stmt: Any | None = None, analyzed: Any | None = None
-    ) -> PartitionScheme | None:
-        if stmt is None:
-            stmt = parse_statement(sql)
-        if not isinstance(stmt, Select):
-            return self.schemes[0]
-        if analyzed is None:
-            analyzed = analyze_select(stmt, self.engine.schema)
+    def scheme_for(self, analyzed: AnalyzedSelect) -> PartitionScheme | None:
+        """The first scheme admitting the SELECT's joins (left active)."""
         for scheme in self.schemes:
             self.engine.set_scheme(scheme)
             try:
@@ -83,7 +76,8 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
         — claiming support for anything else fails at ``execute()``."""
         stmt = parse_statement(sql)
         if isinstance(stmt, Select):
-            return self.scheme_for(sql, stmt=stmt) is not None
+            analyzed = analyze_select(stmt, self.engine.schema)
+            return self.scheme_for(analyzed) is not None
         table = self.engine.tables.get(stmt.table)
         if table is None:
             return False
@@ -97,38 +91,49 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
         return all(a in bound for a in table.key_attrs)
 
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        """The one route: parse and analyse once, pick the scheme, run
-        the procedure. Each partition executor site is single-threaded,
-        so under multi-client scheduling the procedure first queues
-        until every site it is routed to (one for a single-partition
-        procedure, all of them for multi-partition reads and
-        replicated-table writes) is free in virtual time."""
+        return run_statement(self, sql, params)
+
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any:
+        """Analyse once, pick the scheme, run the procedure."""
         engine = self.engine
-        stmt = parse_statement(sql)
-        analyzed = (
-            analyze_select(stmt, engine.schema)
-            if isinstance(stmt, Select) else None
-        )
-        scheme = self.scheme_for(sql, stmt=stmt, analyzed=analyzed)
-        if scheme is None:
+        analyzed = analyze_select(select, engine.schema)
+        if self.scheme_for(analyzed) is None:
             raise UnsupportedStatementError(
                 "query joins are not supported under any partitioning scheme"
             )
-        engine.set_scheme(scheme)
+        return self._queued(
+            lambda: engine.select_partitions(analyzed, params),
+            lambda: engine.execute_select(analyzed, params),
+        )
+
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
+        engine = self.engine
+        engine.set_scheme(self.schemes[0])
+        return self._queued(
+            lambda: engine.write_partitions(stmt, params),
+            lambda: engine.execute_write(stmt, params),
+        )
+
+    def _queued(
+        self, partitions: Callable[[], tuple[int, ...]], procedure: Callable[[], Any]
+    ) -> Any:
+        """Each partition executor site is single-threaded, so under
+        multi-client scheduling the procedure first queues until every
+        site it is routed to (one for a single-partition procedure, all
+        of them for multi-partition reads and replicated-table writes)
+        is free in virtual time."""
         sim = self.sim
         ctx = sim.concurrency
         if ctx is None:
-            return engine.execute(sql, params, stmt=stmt, analyzed=analyzed)
-        sites = [
-            (engine, p) for p in engine.partitions_for(stmt, params, analyzed)
-        ]
+            return procedure()
+        sites = [(self.engine, p) for p in partitions()]
         clock = sim.clock
         wait_ms = ctx.serial_delay_ms(sites, clock.now_ms)
         if wait_ms > 0:
             # queueing delay, not work: bypass jitter, advance exactly
             clock.advance(wait_ms)
             sim.metrics.timer("voltdb.queue_wait").record(wait_ms)
-        result = engine.execute(sql, params, stmt=stmt, analyzed=analyzed)
+        result = procedure()
         ctx.serial_occupy(sites, clock.now_ms)
         return result
 

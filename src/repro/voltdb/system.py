@@ -201,18 +201,11 @@ class VoltDBSystem:
         # partition column on both sides — covered by the checks above.
 
     # -- execution -----------------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        params: tuple[Any, ...] = (),
-        stmt: Statement | None = None,
-        analyzed: AnalyzedSelect | None = None,
-    ) -> Any:
-        if stmt is None:
-            stmt = parse_statement(sql)
+    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
+        stmt = parse_statement(sql)
         if isinstance(stmt, Select):
-            return self._execute_select(stmt, params, analyzed)
-        return self._execute_write(stmt, params)
+            return self.execute_select(analyze_select(stmt, self.schema), params)
+        return self.execute_write(stmt, params)
 
     def timed(self, sql: str, params: tuple[Any, ...] = ()) -> tuple[Any, float]:
         sw = self.sim.stopwatch()
@@ -220,7 +213,7 @@ class VoltDBSystem:
         return result, sw.stop()
 
     # -- write path -------------------------------------------------------------------
-    def _execute_write(self, stmt: Statement, params: tuple[Any, ...]) -> int:
+    def execute_write(self, stmt: Statement, params: tuple[Any, ...]) -> int:
         self.sim.charge(self.sim.cost.voltdb_proc_base_ms, "voltdb.proc")
         if not isinstance(stmt, (Insert, Update, Delete)):
             raise PlanError(f"unsupported statement: {stmt}")
@@ -242,14 +235,9 @@ class VoltDBSystem:
         self.sim.charge(self.sim.cost.voltdb_row_ms * n, "voltdb.rows")
 
     # -- read path ---------------------------------------------------------------------
-    def _execute_select(
-        self,
-        select: Select,
-        params: tuple[Any, ...],
-        analyzed: AnalyzedSelect | None = None,
+    def execute_select(
+        self, analyzed: AnalyzedSelect, params: tuple[Any, ...]
     ) -> list[dict[str, Any]]:
-        if analyzed is None:
-            analyzed = analyze_select(select, self.schema)
         self.check_supported(analyzed)
         self.sim.charge(self.sim.cost.voltdb_proc_base_ms, "voltdb.proc")
         if next(self._routing_filters(analyzed), None) is None:
@@ -324,39 +312,38 @@ class VoltDBSystem:
         self, item: DerivedTable, params: tuple[Any, ...], host: _ProcedureHost
     ) -> list[Row]:
         """A derived table is a nested procedure, charged as its own."""
-        rows = self._execute_select(item.select, params)
+        rows = self.execute_select(
+            analyze_select(item.select, self.schema), params
+        )
         host.examined += len(rows)
         return [{(item.binding, k): v for k, v in r.items()} for r in rows]
 
     # -- routing ---------------------------------------------------------------------
-    def partitions_for(
-        self,
-        stmt: Statement,
-        params: tuple[Any, ...],
-        analyzed: AnalyzedSelect | None,
+    def select_partitions(
+        self, analyzed: AnalyzedSelect, params: tuple[Any, ...]
     ) -> tuple[int, ...]:
-        """The partition executor sites a procedure occupies under the
-        active scheme: one routed partition for single-partition
-        procedures, every site for multi-partition reads and for writes
-        to replicated tables (which run on all replicas). ``analyzed``
-        is a SELECT's analysis, ``None`` for a write."""
-        every = tuple(range(self.num_partitions))
-        if analyzed is not None:
-            for f in self._routing_filters(analyzed):
-                if isinstance(f.value, (Literal, Param)):
-                    return (self._partition_of(eval_const(f.value, params)),)
-            return every
+        """The partition executor sites a SELECT procedure occupies
+        under the active scheme: the one routed partition when it is
+        single-partition, every site otherwise."""
+        for f in self._routing_filters(analyzed):
+            if isinstance(f.value, (Literal, Param)):
+                return (self._partition_of(eval_const(f.value, params)),)
+        return tuple(range(self.num_partitions))
+
+    def write_partitions(
+        self, stmt: Statement, params: tuple[Any, ...]
+    ) -> tuple[int, ...]:
+        """The sites a write occupies: the one routed partition, or every
+        site for a replicated table (the write runs on all replicas)."""
         if isinstance(stmt, Insert):
             columns = stmt.columns or self.tables[stmt.table].attrs
             bound = dict(zip(columns, stmt.values))
-        elif isinstance(stmt, (Update, Delete)):
-            bound = constant_equalities(stmt.where)
         else:
-            return every
+            bound = constant_equalities(stmt.where)
         pcol = self.scheme.column_of(stmt.table)
         if pcol in bound:
             return (self._partition_of(eval_const(bound[pcol], params)),)
-        return every
+        return tuple(range(self.num_partitions))
 
     def _routing_filters(self, analyzed: AnalyzedSelect) -> Iterator[FilterCondition]:
         """The equality filters on a partitioned table's partitioning

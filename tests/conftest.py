@@ -70,21 +70,22 @@ COMPANY_ROW_ESTIMATES = {
 }
 
 
-def build_company_system(name: str):
+def build_company_system(name: str, sim: Simulation | None = None):
     """One of the five evaluated systems (by its Fig. 13 name) on the
     Company schema, populated by :func:`load_company_data`."""
     schema, workload = company_schema(), company_workload()
     if name == "Synergy":
-        system = SynergySystem(schema, workload, COMPANY_ROOTS)
+        system = SynergySystem(schema, workload, COMPANY_ROOTS, sim=sim)
     elif name == "MVCC-A":
-        system = MvccASystem(schema, workload, COMPANY_ROOTS)
+        system = MvccASystem(schema, workload, COMPANY_ROOTS, sim=sim)
     elif name == "MVCC-UA":
-        system = MvccUASystem(schema, workload, COMPANY_ROW_ESTIMATES)
+        system = MvccUASystem(schema, workload, COMPANY_ROW_ESTIMATES, sim=sim)
     elif name == "Baseline":
-        system = BaselineSystem(schema, workload)
+        system = BaselineSystem(schema, workload, sim=sim)
     else:
         system = VoltDBEvaluatedSystem(
-            schema, workload, schemes=(PartitionScheme("all-replicated", {}),)
+            schema, workload, sim=sim,
+            schemes=(PartitionScheme("all-replicated", {}),),
         )
     load_company_data(system)
     system.finish_load()

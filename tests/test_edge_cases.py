@@ -11,8 +11,11 @@ from repro.errors import (
 )
 from repro.hbase.ops import Get, Put, Scan
 from repro.phoenix.catalog import CF
+from repro.phoenix.ddl import create_baseline_schema
+from repro.phoenix.executor import PhoenixConnection
 from repro.relational.company import company_schema
 from repro.sql.parser import parse_statement
+from tests.conftest import load_company_data
 
 
 class TestPhoenixEdges:
@@ -38,9 +41,23 @@ class TestPhoenixEdges:
                 "INSERT INTO Department (DNo, DName) VALUES (?)", (1,)
             )
 
-    def test_plan_cache_hit(self, company_conn):
-        sql = "SELECT * FROM Employee WHERE EID = ?"
-        assert company_conn.plan(sql) is company_conn.plan(sql)
+    def test_plan_of_text_follows_analyze(self, client):
+        """A plan is never kept: text planned before ``analyze()`` is
+        replanned after it, exactly like its AST (the str-keyed plan
+        cache this replaces returned the pre-statistics plan)."""
+        conn = PhoenixConnection(
+            client, create_baseline_schema(client, company_schema())
+        )
+        load_company_data(conn.writer)
+        text = (
+            "SELECT * FROM Works_On as w, Department as d, Employee as e "
+            "WHERE e.EID = w.WO_EID AND e.E_DNo = d.DNo"
+        )
+        before = conn.plan(text).explain()
+        conn.analyze()
+        after = conn.plan(text).explain()
+        assert after == conn.plan(parse_statement(text)).explain()
+        assert after != before  # the statistics do change this plan
 
     def test_empty_table_scan(self, company_conn):
         assert company_conn.execute_query("SELECT * FROM Dependent "

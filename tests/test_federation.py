@@ -484,7 +484,7 @@ class TestSeams:
         backend = SimpleNamespace(sim=SimpleNamespace(cost=cost))
         sql = "SELECT e.EID FROM Employee as e, Address as a"
         _, analyzed = self.analyzed(sql)
-        assert estimate_ms(backend, sql, analyzed) == pytest.approx(
+        assert estimate_ms(backend, analyzed) == pytest.approx(
             cost.rpc_base_ms + cost.read_row_ms * 200.0
         )
 

@@ -138,6 +138,72 @@ class TestParser:
         assert stmt.projections == (Star(qualifier="j"),)
 
 
+class TestParseMemo:
+    """``parse_statement`` hands every caller the same tree for the same
+    text, which is sound only while that tree cannot be changed."""
+
+    @staticmethod
+    def texts():
+        import random
+
+        from repro.relational.company import company_workload
+        from repro.tpcw.workload import tpcw_workload
+        from tests.test_query_engine_property import generate_query
+
+        rng = random.Random(20)
+        yield from (s.sql for s in (*tpcw_workload(), *company_workload()))
+        yield from (generate_query(rng).sql for _ in range(200))
+
+    def test_every_ast_dataclass_is_frozen(self):
+        import dataclasses
+
+        from repro.sql import ast
+
+        nodes = [
+            cls for cls in vars(ast).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        ]
+        assert len(nodes) >= 13
+        for cls in nodes:
+            assert cls.__dataclass_params__.frozen, cls.__name__
+
+    def test_no_mutable_container_reachable_from_a_parsed_statement(self):
+        import dataclasses
+
+        def walk(node, path):
+            assert not isinstance(node, (list, dict, set)), path
+            if dataclasses.is_dataclass(node):
+                for f in dataclasses.fields(node):
+                    walk(getattr(node, f.name), f"{path}.{f.name}")
+            elif isinstance(node, tuple):
+                for i, item in enumerate(node):
+                    walk(item, f"{path}[{i}]")
+
+        count = 0
+        for text in self.texts():
+            stmt = parse_statement(text)
+            walk(stmt, type(stmt).__name__)
+            hash(stmt)  # frozen all the way down
+            count += 1
+        assert count >= 224
+
+    def test_same_text_same_tree(self):
+        for text in self.texts():
+            assert parse_statement(text) is parse_statement(text)
+        # exact text: a different spelling is a different (equal) tree
+        a = parse_statement("SELECT * FROM T WHERE k = ?")
+        b = parse_statement("SELECT  * FROM T WHERE k = ?")
+        assert a == b and a is not b
+
+    def test_a_malformed_text_raises_on_every_call(self):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(SqlSyntaxError) as raised:
+                parse_statement("SELECT * FROM T garbage , extra ,")
+            messages.add(str(raised.value))
+        assert len(messages) == 1
+
+
 class TestPrinterRoundtrip:
     CASES = [
         "SELECT * FROM Employee as e, Address as a WHERE a.AID = e.EHome_AID and e.EID = ?",

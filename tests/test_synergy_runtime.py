@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
+from repro.sql.parser import parse_statement
 from repro.systems import SynergySystem
 from tests.conftest import load_company_data
 
@@ -162,8 +163,8 @@ class TestHierarchicalLocking:
                 # employee 2's home address is AID 3
                 events.append(company_synergy.locks.is_held("Address", [3]))
 
-        company_synergy.execute(
-            "UPDATE Employee SET EName = ? WHERE EID = ?", ("y", 2),
+        company_synergy.txlayer.execute_write(
+            parse_statement("UPDATE Employee SET EName = ? WHERE EID = ?"), ("y", 2),
             on_step=hook,
         )
         assert events == [True]
@@ -180,8 +181,8 @@ class TestHierarchicalLocking:
             if step == "after_lock":
                 events.append(system.locks.is_held("Department", [1]))
 
-        system.execute(
-            "UPDATE Department SET DName = ? WHERE DNo = ?", ("z", 1),
+        system.txlayer.execute_write(
+            parse_statement("UPDATE Department SET DName = ? WHERE DNo = ?"), ("z", 1),
             on_step=hook,
         )
         assert events == [True]
@@ -247,8 +248,9 @@ class TestReadCommitted:
         from repro.errors import ReproError
 
         try:
-            system.execute(
-                "UPDATE Employee SET EName = ? WHERE EID = ?", ("torn?", 2),
+            system.txlayer.execute_write(
+                parse_statement("UPDATE Employee SET EName = ? WHERE EID = ?"),
+                ("torn?", 2),
                 on_step=hook,
             )
         except ReproError:
@@ -281,12 +283,12 @@ class TestReadCommitted:
 
 class TestTransactionLayer:
     def test_wal_records_and_commits(self, company_synergy):
-        company_synergy.execute(
-            "INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?, ?, ?)",
-            (50, "s", "c", "z"),
-        )
+        sql = "INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?, ?, ?)"
+        company_synergy.execute(sql, (50, "s", "c", "z"))
         slave = company_synergy.txlayer.slaves[0]
         assert slave.wal and slave.wal[-1].status == "committed"
+        # the statement the client sent, not a printed copy of it
+        assert slave.wal[-1].stmt is parse_statement(sql)
 
     def test_failover_replays_pending(self, company_synergy):
         layer = company_synergy.txlayer
@@ -295,7 +297,9 @@ class TestTransactionLayer:
 
         slave.wal.append(TxLogEntry(
             tx_id=9999,
-            sql="INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?, ?, ?)",
+            stmt=parse_statement(
+                "INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?, ?, ?)"
+            ),
             params=(60, "s", "c", "z"),
         ))
         slave.crash()
@@ -306,11 +310,12 @@ class TestTransactionLayer:
 
     def test_reads_rejected_by_tx_layer(self, company_synergy):
         with pytest.raises(UnsupportedStatementError):
-            company_synergy.txlayer.execute_write("SELECT * FROM Address")
+            company_synergy.txlayer.execute_write(
+                parse_statement("SELECT * FROM Address")
+            )
 
     def test_plan_generator_validates_keys(self, company_synergy):
         from repro.phoenix.writes import compile_write
-        from repro.sql.parser import parse_statement
 
         entry = company_synergy.catalog.table_for_relation("Works_On")
         with pytest.raises(UnsupportedStatementError):

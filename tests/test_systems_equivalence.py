@@ -627,3 +627,83 @@ class TestRefusedWrites:
         assert self.addresses(system) == sorted(before + [88])
         rows = system.execute("SELECT City FROM Address WHERE AID = ?", (1,))
         assert [r["City"] for r in rows] == ["moved"]
+
+
+class TestStatementDoors:
+    """``execute`` is one template in ``systems/base.py`` — parse, then
+    ``read(select, params)`` or ``write(stmt, params)`` — so a system's
+    ``execute``, its session's ``execute`` outside ``begin()`` and the
+    two methods called with the AST are the same statement: same rows,
+    and the same charges in the same order (each ``Simulation.charge``
+    draws one jitter sample, so ``repr`` of the virtual ms pins both)."""
+
+    SCRIPT = (
+        ("SELECT * FROM Employee as e, Address as a "
+         "WHERE a.AID = e.EHome_AID and e.EID = ?", (3,)),
+        ("INSERT INTO Address (AID, Street, City, Zip) VALUES (?, ?, ?, ?)",
+         (50, "s", "c", "z")),
+        ("UPDATE Employee SET EName = ? WHERE EID = ?", ("renamed", 2)),
+        ("SELECT * FROM Department as d, Employee as e, Works_On as wo "
+         "WHERE d.DNo = e.E_DNo and e.EID = wo.WO_EID and d.DNo = ?", (1,)),
+        ("UPDATE Works_On SET Hours = ? WHERE WO_EID = ? and WO_PNo = ?",
+         (7, 2, 2)),
+        ("DELETE FROM Dependent WHERE DP_EID = ? and DPName = ?", (1, "dep1")),
+        ("SELECT e.EName, COUNT(*) FROM Employee as e, Works_On as w "
+         "WHERE e.EID = w.WO_EID GROUP BY e.EName ORDER BY e.EName LIMIT 4", ()),
+        ("SELECT * FROM Dependent", ()),
+        # literals whose Python repr is not SQL: nothing below the door
+        # may print a statement and parse it back
+        ("UPDATE Employee SET EName = NULL WHERE EID = ?", (3,)),
+        ("UPDATE Works_On SET Hours = 0.00001 WHERE WO_EID = ? and WO_PNo = ?",
+         (2, 2)),
+        ("INSERT INTO Dependent (DP_EID, DPName, DPHome_AID) VALUES (4, 'd', NULL)",
+         ()),
+    )
+
+    @staticmethod
+    def by_ast(system):
+        from repro.sql.ast import Select
+        from repro.sql.parser import parse_statement
+
+        def run(sql, params):
+            stmt = parse_statement(sql)
+            door = system.read if isinstance(stmt, Select) else system.write
+            return door(stmt, params)
+
+        return run
+
+    DOORS = {
+        "system.execute": lambda system: system.execute,
+        "session.execute": lambda system: system.open_session().execute,
+        "read/write(AST)": by_ast,
+    }
+
+    @pytest.mark.parametrize("jitter", (0.0, 0.02))
+    @pytest.mark.parametrize("name", TestRefusedWrites.NAMES)
+    def test_every_door_same_rows_same_virtual_ms(self, name, jitter):
+        from repro.sim.clock import Simulation
+        from tests.conftest import build_company_system
+
+        transcripts = {}
+        for door, bind in self.DOORS.items():
+            sim = Simulation(seed=SEED, jitter_fraction=jitter)
+            run = bind(build_company_system(name, sim))
+            transcript = []
+            for sql, params in self.SCRIPT:
+                sw = sim.stopwatch()
+                out = run(sql, params)
+                transcript.append((out, repr(sw.stop())))
+            transcripts[door] = transcript
+        reference = transcripts.pop("system.execute")
+        assert sum(bool(out) for out, _ in reference) == len(self.SCRIPT)
+        for door, transcript in transcripts.items():
+            assert transcript == reference, door
+
+    def test_a_system_without_a_concurrency_control_cannot_be_built(self):
+        from repro.systems.hbase_backed import HBaseBackedSystem
+
+        class NoControl(HBaseBackedSystem):
+            read_isolation = {}
+
+        with pytest.raises(TypeError, match="read.*write"):
+            NoControl(None, None, None, None)

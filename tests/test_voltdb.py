@@ -5,6 +5,7 @@ import pytest
 from repro.errors import UnsupportedStatementError
 from repro.relational.company import company_schema
 from repro.sim.clock import Simulation
+from repro.sql import analyze_select, parse_statement
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.schema import tpcw_schema
 from repro.tpcw.workload import tpcw_workload
@@ -61,6 +62,10 @@ def volt():
     return system, gen
 
 
+def analyzed_query(qid):
+    return analyze_select(parse_statement(JOIN_QUERIES[qid]), tpcw_schema())
+
+
 class TestSupportMatrix:
     def test_unsupported_queries_match_paper(self, volt):
         """Fig. 12: Q3, Q7, Q9, Q10 carry an X."""
@@ -74,12 +79,12 @@ class TestSupportMatrix:
 
     def test_q11_needs_scheme2(self, volt):
         system, _ = volt
-        scheme = system.scheme_for(JOIN_QUERIES["Q11"])
+        scheme = system.scheme_for(analyzed_query("Q11"))
         assert scheme is not None and scheme.name == "scheme2"
 
     def test_q4_needs_scheme3(self, volt):
         system, _ = volt
-        scheme = system.scheme_for(JOIN_QUERIES["Q4"])
+        scheme = system.scheme_for(analyzed_query("Q4"))
         assert scheme is not None and scheme.name == "scheme3"
 
     def test_unsupported_execution_raises(self, volt):
@@ -282,7 +287,7 @@ class TestOneRoute:
     def test_serial_execute_parses_and_analyses_once(self, volt, monkeypatch):
         """``execute`` used to resolve the scheme from the text and then
         hand the text to the engine, which parsed and analysed it again."""
-        from repro.systems import voltdb_sys
+        from repro.systems import base, voltdb_sys
         from repro.voltdb import system as voltdb_system
 
         calls = {"parse": 0, "analyze": 0}
@@ -293,11 +298,12 @@ class TestOneRoute:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (voltdb_sys, voltdb_system):
+        for module in (base, voltdb_sys, voltdb_system):
             monkeypatch.setattr(
                 module, "parse_statement",
                 counting("parse", module.parse_statement),
             )
+        for module in (voltdb_sys, voltdb_system):
             monkeypatch.setattr(
                 module, "analyze_select",
                 counting("analyze", module.analyze_select),
