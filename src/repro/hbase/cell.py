@@ -49,9 +49,13 @@ class Result:
         return result
 
     def add(self, family: bytes, qualifier: bytes, timestamp: int, value: bytes) -> None:
+        """Ordered insert, by the store's rule: newest first, after
+        any version of the same timestamp."""
         versions = self._cells.setdefault((family, qualifier), [])
-        versions.append((timestamp, value))
-        versions.sort(key=lambda tv: -tv[0])
+        at = 0
+        while at < len(versions) and versions[at][0] >= timestamp:
+            at += 1
+        versions.insert(at, (timestamp, value))
 
     @property
     def is_empty(self) -> bool:

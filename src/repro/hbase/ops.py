@@ -26,7 +26,9 @@ class Put:
         value: bytes,
         timestamp: int | None = None,
     ) -> "Put":
-        self.cells.append((family, qualifier, value, timestamp or self.timestamp))
+        if timestamp is None:
+            timestamp = self.timestamp
+        self.cells.append((family, qualifier, value, timestamp))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

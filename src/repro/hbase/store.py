@@ -6,13 +6,15 @@ honouring row/column tombstones, exactly as an LSM tree does. Major
 compaction folds everything into a single HFile, dropping tombstones
 and versions beyond ``max_versions``.
 
-Write-path invariants (amortized-O(1) puts):
+Write path (O(1) puts, version lists ordered on write):
 
-* ``RowEntry.put_cell`` appends and marks the entry dirty; per-column
-  version lists are sorted newest-first *lazily*, on first read through
-  the ``cells`` property. A stable sort keyed on descending timestamp
-  reproduces exactly the ordering the old sort-on-every-put maintained
-  (equal timestamps keep insertion order).
+* ``RowEntry.put_cell`` / ``MemStore.apply_put`` put a stamp strictly
+  newer than the column's head at the head, so server-stamped writes
+  never leave the newest-first order. Any other stamp (out of order, or
+  equal to the head) is appended and marks the entry dirty; the
+  ``cells`` property restores the order with one stable sort, so equal
+  timestamps keep insertion order. Every version stays stored until a
+  major compaction.
 * ``MemStore`` keeps only a dict while absorbing writes; its sorted key
   list is (re)built lazily when a scan, flush or range read needs it.
 * A flush hands the memstore's entry dict and already-sorted key list
@@ -22,10 +24,12 @@ Write-path invariants (amortized-O(1) puts):
 
 Read path: :class:`RegionScanner` k-way-merges one cursor per store
 component (memstore first, then HFiles newest flush first) with
-``heapq.merge``, grouping runs of equal row keys and merging versions
-incrementally. A scan is therefore a single pass over each component
-instead of one point-get per row. ``merge_row`` is the per-row merge
-used by both point reads and the scanner; its ``columns`` parameter is
+``heapq.merge``, grouping runs of equal row keys: a single pass over
+each component. ``merge_row`` is the per-row merge used by both point
+reads and the scanner. Tombstones and ``time_range`` each keep a
+contiguous run of a newest-first list, so it takes a bounded head of
+each source's list: a read costs O(columns × sources × ``max_versions``)
+however many versions the row has absorbed. Its ``columns`` parameter is
 the column-pushdown contract — untouched column families cost nothing.
 """
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from math import inf
 from typing import Iterator
 
 from repro.errors import RegionUnavailableError
@@ -44,6 +49,12 @@ Versions = list[tuple[int, bytes]]
 
 def _neg_ts(tv: tuple[int, bytes]) -> int:
     return -tv[0]
+
+
+def _sort_newest_first(versions: Versions) -> None:
+    """The one statement of version order: newest first, equal
+    timestamps in insertion order (the sort is stable)."""
+    versions.sort(key=_neg_ts)
 
 
 _SHARED_EMPTY_TOMBSTONES: dict[CellKey, int] = {}
@@ -66,10 +77,11 @@ class RowEntry:
 
     @property
     def cells(self) -> dict[CellKey, Versions]:
-        """Per-column version lists, newest first (sorted lazily)."""
+        """Per-column version lists, newest first — what every read
+        goes through, and where a dirty entry is put back in order."""
         if self._dirty:
             for versions in self._cells.values():
-                versions.sort(key=_neg_ts)
+                _sort_newest_first(versions)
             self._dirty = False
         return self._cells
 
@@ -84,6 +96,8 @@ class RowEntry:
         versions = self._cells.get((family, qualifier))
         if versions is None:
             self._cells[(family, qualifier)] = [(ts, value)]
+        elif ts > versions[0][0]:
+            versions.insert(0, (ts, value))
         else:
             versions.append((ts, value))
             self._dirty = True
@@ -140,10 +154,10 @@ class MemStore:
         default_ts: int,
         base_bytes: int,
     ) -> int:
-        """Upsert + per-cell append fused into one call — the write
-        hot path (one method call per Put). Returns the approximate
-        byte delta; ``base_bytes`` is the row-key + KV-framing
-        overhead charged per cell."""
+        """Upsert + per-cell :meth:`RowEntry.put_cell` fused into one
+        call — the write hot path (one method call per Put). Returns
+        the approximate byte delta; ``base_bytes`` is the row-key +
+        KV-framing overhead charged per cell."""
         entries = self._entries
         entry = entries.get(row)
         if entry is None:
@@ -160,6 +174,8 @@ class MemStore:
             versions = _cells.get(key)
             if versions is None:
                 _cells[key] = [(stamp, value)]
+            elif stamp > versions[0][0]:
+                versions.insert(0, (stamp, value))
             else:
                 versions.append((stamp, value))
                 entry._dirty = True
@@ -319,7 +335,7 @@ def merge_row(
             and time_range is None
         ):
             # fast path: no tombstones, no time filter — slice the
-            # (lazily sorted) newest-first version lists directly.
+            # newest-first version lists directly.
             # RegionScanner inlines this logic per row; keep both in sync.
             cells = s.cells
             visible: dict[CellKey, Versions] = {}
@@ -336,7 +352,7 @@ def merge_row(
 
     row_ts = max(
         (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
-        default=None,
+        default=-inf,
     )
     col_ts: dict[CellKey, int] = {}
     for s in sources:
@@ -344,35 +360,44 @@ def merge_row(
             if key not in col_ts or ts > col_ts[key]:
                 col_ts[key] = ts
 
+    # A tombstone hides a suffix of a newest-first list and a time range
+    # keeps a contiguous run of it, so each source contributes a bounded
+    # head per column, found by bisection: the rest of its history is
+    # never copied, compared or sorted.
+    lo, hi = time_range if time_range is not None else (-inf, inf)
+    floor = max(lo, row_ts + 1)  # the oldest timestamp still visible
+    floors = {key: max(floor, ts + 1) for key, ts in col_ts.items()}
+    bounded = time_range is not None or row_ts > -inf or bool(col_ts)
     merged: dict[CellKey, Versions] = {}
+    disordered: list[Versions] = []
     for s in sources:
         for key, versions in s.cells.items():
             if columns is not None and key not in columns:
                 continue
+            if bounded:
+                first = bisect.bisect_right(versions, -hi, key=_neg_ts)
+                last = bisect.bisect_right(
+                    versions, -floors.get(key, floor), first, key=_neg_ts
+                )
+                head = versions[first:min(last, first + max_versions)]
+            else:
+                head = versions[:max_versions]
             existing = merged.get(key)
             if existing is None:
-                merged[key] = list(versions)
-            else:
-                existing.extend(versions)
-
+                merged[key] = head
+            elif head:
+                # an older component normally holds older stamps, so the
+                # concatenation is usually in order already
+                if existing and head[0][0] > existing[-1][0]:
+                    disordered.append(existing)
+                existing.extend(head)
+    for versions in disordered:
+        _sort_newest_first(versions)
     visible = {}
-    lo, hi = time_range if time_range is not None else (0, 0)
     for key, versions in merged.items():
-        kept: Versions = []
-        key_col_ts = col_ts.get(key)
-        versions.sort(key=_neg_ts)
-        for ts, value in versions:
-            if row_ts is not None and ts <= row_ts:
-                continue
-            if key_col_ts is not None and ts <= key_col_ts:
-                continue
-            if time_range is not None and not (lo <= ts < hi):
-                continue
-            kept.append((ts, value))
-            if len(kept) >= max_versions:
-                break
-        if kept:
-            visible[key] = kept
+        if versions:
+            del versions[max_versions:]
+            visible[key] = versions
     return visible or None
 
 
@@ -464,11 +489,7 @@ class RegionScanner:
                         f"region {owner.name} went offline mid-scan"
                     )
                 if plain and entry.row_tombstone_ts is None and not entry.col_tombstones:
-                    if entry._dirty:
-                        for versions in entry._cells.values():
-                            versions.sort(key=_neg_ts)
-                        entry._dirty = False
-                    cells = entry._cells
+                    cells = entry.cells
                     visible = {}
                     if columns is None:
                         for ckey, versions in cells.items():

@@ -15,7 +15,7 @@ from repro.errors import SchemaError
 from repro.hbase.bytes_util import decode_key, encode_key, split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
-from repro.relational.datatypes import DataType, encode_value, value_decoder
+from repro.relational.datatypes import DataType, value_decoder, value_encoder
 from repro.relational.schema import Index, Relation, Schema
 
 CF = b"0"
@@ -69,6 +69,10 @@ class CatalogEntry:
         self._value_columns = tuple(
             (a, a.encode(), self.dtypes[a]) for a in self.value_attrs
         )
+        self._put_columns = tuple(
+            (a, qualifier, value_encoder(dtype))
+            for a, qualifier, dtype in self._value_columns
+        )
         self._projection = (
             *((CF, qualifier) for _, qualifier, _ in self._value_columns),
             (CF, ROW_MARKER_QUALIFIER),
@@ -113,11 +117,12 @@ class CatalogEntry:
     def row_to_put(self, row: dict[str, Any]) -> Put:
         """Encode a full relational row as a single-row Put."""
         put = Put(self.encode_key(row))
-        for attr, qualifier, dtype in self._value_columns:
-            put.add(CF, qualifier, encode_value(dtype, row.get(attr)))
-        if not self._value_columns:
-            # key-only entries still need one cell so the row exists
-            put.add(CF, ROW_MARKER_QUALIFIER, b"")
+        get = row.get
+        # key-only entries still need one cell so the row exists
+        put.cells = [
+            (CF, qualifier, encode(get(attr)), None)
+            for attr, qualifier, encode in self._put_columns
+        ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
         return put
 
     def projection(self) -> tuple[tuple[bytes, bytes], ...]:

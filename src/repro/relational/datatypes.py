@@ -32,31 +32,60 @@ class DataType(enum.Enum):
 _INT_BIAS = 1 << 63  # order-preserving encoding for signed integers
 
 
-def encode_value(dtype: DataType, value: Any) -> bytes:
-    """Encode ``value`` as bytes. Integer/date encodings preserve order.
+_PACK_Q = struct.Struct(">Q").pack
+_PACK_D = struct.Struct(">d").pack
 
-    ``None`` encodes to the empty byte string for every type (the engines
-    treat absent cells and NULLs identically, like HBase does).
-    """
-    if value is None:
-        return b""
-    if dtype in (DataType.INT, DataType.BIGINT):
-        return struct.pack(">Q", int(value) + _INT_BIAS)
-    if dtype is DataType.FLOAT:
-        return struct.pack(">d", float(value))
-    if dtype is DataType.VARCHAR:
-        return str(value).encode("utf-8")
-    if dtype is DataType.DATE:
-        if isinstance(value, (date, datetime)):
-            value = value.toordinal()
-        return struct.pack(">Q", int(value) + _INT_BIAS)
-    if dtype is DataType.DATETIME:
-        if isinstance(value, datetime):
-            value = value.timestamp()
-        return struct.pack(">d", float(value))
-    if dtype is DataType.BOOL:
-        return b"\x01" if value else b"\x00"
-    raise TypeError(f"unsupported dtype: {dtype}")
+
+# ``None`` encodes to the empty byte string for every type (the engines
+# treat absent cells and NULLs identically, like HBase does).
+def _encode_int(value: Any) -> bytes:
+    return b"" if value is None else _PACK_Q(int(value) + _INT_BIAS)
+
+
+def _encode_float(value: Any) -> bytes:
+    return b"" if value is None else _PACK_D(float(value))
+
+
+def _encode_varchar(value: Any) -> bytes:
+    return b"" if value is None else str(value).encode("utf-8")
+
+
+def _encode_date(value: Any) -> bytes:
+    if isinstance(value, (date, datetime)):
+        value = value.toordinal()
+    return _encode_int(value)
+
+
+def _encode_datetime(value: Any) -> bytes:
+    if isinstance(value, datetime):
+        value = value.timestamp()
+    return _encode_float(value)
+
+
+def _encode_bool(value: Any) -> bytes:
+    return b"" if value is None else b"\x01" if value else b"\x00"
+
+
+_ENCODERS: dict[DataType, Callable[[Any], bytes]] = {
+    DataType.INT: _encode_int,
+    DataType.BIGINT: _encode_int,
+    DataType.FLOAT: _encode_float,
+    DataType.VARCHAR: _encode_varchar,
+    DataType.DATE: _encode_date,
+    DataType.DATETIME: _encode_datetime,
+    DataType.BOOL: _encode_bool,
+}
+
+
+def value_encoder(dtype: DataType) -> Callable[[Any], bytes]:
+    """:func:`encode_value` pre-bound to ``dtype``."""
+    return _ENCODERS[dtype]
+
+
+def encode_value(dtype: DataType, value: Any) -> bytes:
+    """Encode ``value`` as bytes. Integer/date encodings preserve order;
+    ``None`` encodes to ``b""``."""
+    return _ENCODERS[dtype](value)
 
 
 _UNPACK_Q = struct.Struct(">Q").unpack

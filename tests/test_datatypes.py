@@ -1,5 +1,8 @@
 """Value-codec tests, including order preservation (hypothesis)."""
 
+import struct
+from datetime import date, datetime
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from repro.relational.datatypes import (
     DataType,
     decode_value,
     encode_value,
+    value_encoder,
     value_size_bytes,
 )
 
@@ -54,6 +58,69 @@ class TestScalarCodec:
     def test_size_accounting(self):
         assert value_size_bytes(DataType.INT, 5) == 8
         assert value_size_bytes(DataType.VARCHAR, "abc") == 3
+
+
+def encode_value_reference(dtype: DataType, value) -> bytes:
+    """The per-call dtype chain ``encode_value`` used to be."""
+    bias = 1 << 63
+    if value is None:
+        return b""
+    if dtype in (DataType.INT, DataType.BIGINT):
+        return struct.pack(">Q", int(value) + bias)
+    if dtype is DataType.FLOAT:
+        return struct.pack(">d", float(value))
+    if dtype is DataType.VARCHAR:
+        return str(value).encode("utf-8")
+    if dtype is DataType.DATE:
+        if isinstance(value, (date, datetime)):
+            value = value.toordinal()
+        return struct.pack(">Q", int(value) + bias)
+    if dtype is DataType.DATETIME:
+        if isinstance(value, datetime):
+            value = value.timestamp()
+        return struct.pack(">d", float(value))
+    if dtype is DataType.BOOL:
+        return b"\x01" if value else b"\x00"
+    raise TypeError(f"unsupported dtype: {dtype}")
+
+
+def outcome(encode, *args):
+    """The bytes, or the type of the exception the value is refused with."""
+    try:
+        return encode(*args)
+    except (TypeError, ValueError, OverflowError, struct.error) as exc:
+        return type(exc)
+
+
+ANY_VALUE = (
+    st.none()
+    | st.integers(-(1 << 63), (1 << 63) - 1)
+    | st.floats(allow_nan=False)
+    | st.floats(min_value=-1e-3, max_value=1e-3)
+    | st.booleans()
+    | st.text(max_size=8)
+    | st.dates()
+    | st.datetimes()
+)
+
+
+class TestCompiledEncoder:
+    @given(st.sampled_from(list(DataType)), ANY_VALUE)
+    def test_matches_the_dtype_chain_for_every_type_and_value(self, dtype, value):
+        expected = outcome(encode_value_reference, dtype, value)
+        assert outcome(value_encoder(dtype), value) == expected
+        assert outcome(encode_value, dtype, value) == expected
+
+    @pytest.mark.parametrize("dtype", list(DataType))
+    @pytest.mark.parametrize(
+        "value",
+        [None, 0, 1, -1, -(1 << 40), 2.5, -2.5, 1e-9, -1e-9, True, False,
+         date(2017, 9, 5), datetime(2017, 9, 5, 12, 30), "", "7", "text"],
+    )
+    def test_pinned_values(self, dtype, value):
+        assert outcome(value_encoder(dtype), value) == outcome(
+            encode_value_reference, dtype, value
+        )
 
 
 KEY_TYPES = st.sampled_from([DataType.INT, DataType.VARCHAR])

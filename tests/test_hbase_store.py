@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hbase.cell import Result
+from repro.hbase.ops import Put
 from repro.hbase.store import HFile, MemStore, RowEntry, merge_row
 
 
@@ -24,6 +26,40 @@ class TestRowEntry:
         e = RowEntry()
         e.put_cell(b"cf", b"q", 1, b"value")
         assert e.size_bytes(b"rowkey", kv_overhead=24) == 6 + 2 + 1 + 5 + 24
+
+
+class TestVersionOrderAtTheEdges:
+    """Newest first, equal timestamps in insertion order — wherever a
+    version list is built."""
+
+    PUTS = [(5, b"a"), (7, b"b"), (5, b"c"), (9, b"d"), (7, b"e"), (1, b"f")]
+    ORDERED = [(9, b"d"), (7, b"b"), (7, b"e"), (5, b"a"), (5, b"c"), (1, b"f")]
+
+    def test_row_entry(self):
+        e = RowEntry()
+        for ts, v in self.PUTS:
+            e.put_cell(b"cf", b"q", ts, v)
+        assert e.cells[(b"cf", b"q")] == self.ORDERED
+
+    def test_memstore_apply_put_with_a_read_in_between(self):
+        m = MemStore()
+        for ts, v in self.PUTS:
+            m.apply_put(b"r", [(b"cf", b"q", v, ts)], 0, 0)
+            m.entry(b"r").cells  # a read restores the order in place
+        assert m.entry(b"r").cells[(b"cf", b"q")] == self.ORDERED
+
+    def test_result_add(self):
+        r = Result(b"r")
+        for ts, v in self.PUTS:
+            r.add(b"cf", b"q", ts, v)
+        assert r.versions(b"cf", b"q") == self.ORDERED
+
+    def test_put_add_keeps_an_explicit_timestamp_of_zero(self):
+        p = Put(b"r", timestamp=42)
+        p.add(b"cf", b"zero", b"v", timestamp=0)
+        p.add(b"cf", b"inherits", b"v")
+        p.add(b"cf", b"own", b"v", timestamp=7)
+        assert [ts for *_, ts in p.cells] == [0, 42, 7]
 
 
 class TestMemStore:

@@ -27,7 +27,8 @@ from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
-from repro.phoenix.catalog import CF, TABLE, CatalogEntry
+from repro.hbase.ops import Put
+from repro.phoenix.catalog import CF, ROW_MARKER_QUALIFIER, TABLE, CatalogEntry
 from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.phoenix.plans import (
@@ -44,6 +45,7 @@ from repro.sim.clock import Simulation
 from repro.sql.ast import Literal
 from repro.tpcw.queries import JOIN_QUERIES
 from tests.conftest import load_company_data
+from tests.test_datatypes import encode_value_reference
 from tests.test_query_engine_property import generate_query
 
 
@@ -107,6 +109,17 @@ def result_to_row_reference(entry: CatalogEntry, result: Result) -> dict:
             else None
         )
     return row
+
+
+def row_to_put_reference(entry: CatalogEntry, row: dict) -> Put:
+    """The ``Put.add`` loop ``CatalogEntry.row_to_put`` used to be."""
+    put = Put(entry.encode_key(row))
+    for attr in entry.value_attrs:
+        value = encode_value_reference(entry.dtypes[attr], row.get(attr))
+        put.add(CF, attr.encode(), value)
+    if not entry.value_attrs:
+        put.add(CF, ROW_MARKER_QUALIFIER, b"")
+    return put
 
 
 # ------------------------------------------------------------ (a) properties
@@ -205,6 +218,26 @@ def _stored(entry: CatalogEntry, row: dict, absent: frozenset[str]) -> Result:
         if qualifier.decode() not in absent:
             result.add(family, qualifier, 1, value)
     return result
+
+
+class TestCompiledEncoder:
+    @given(_ROWS, st.frozensets(st.sampled_from(ALL_TYPES_ENTRY.attrs)))
+    def test_row_to_put_matches_the_put_add_loop(self, row, missing):
+        row = {a: v for a, v in row.items() if a not in missing}
+        put = ALL_TYPES_ENTRY.row_to_put(row)
+        expected = row_to_put_reference(ALL_TYPES_ENTRY, row)
+        assert put.row == expected.row
+        assert put.cells == expected.cells
+        assert put.timestamp is None
+
+    def test_key_only_entry_still_gets_the_row_marker(self):
+        entry = CatalogEntry(
+            name="K", kind=TABLE, key_attrs=("a", "b"), attrs=("a", "b"),
+            dtypes={"a": DataType.INT, "b": DataType.VARCHAR},
+        )
+        put = entry.row_to_put({"a": 1, "b": "x"})
+        assert put.cells == [(CF, ROW_MARKER_QUALIFIER, b"", None)]
+        assert put.cells == row_to_put_reference(entry, {"a": 1, "b": "x"}).cells
 
 
 class TestCompiledDecoder:
