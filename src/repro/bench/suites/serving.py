@@ -145,7 +145,9 @@ def _serving_cell(
                             dropped[0] += 1
                             vc.stats.failed += 1
                             break
-                        vc.clock.advance(shed.retry_after_ms * attempts)
+                        vc.wait(
+                            shed.retry_after_ms * attempts, "hbase.shed_backoff"
+                        )
                         yield "shed-backoff"
 
         scheduler.add_client(f"serve-{i}", program)

@@ -145,14 +145,6 @@ class ReplicationConfig:
     ship_batch_entries: int = 8
     """WAL entries the shipper pushes to one follower per drain step."""
 
-    ship_interval_ms: float = 4.0
-    """Virtual pause between shipper drain rounds (the push cadence)."""
-
-    ship_entry_ms: float = 0.02
-    """Virtual cost of applying one shipped WAL entry on a follower
-    (charged on the shipper daemon's timeline in async mode, on the
-    writing client's timeline in ``ack_mode="all"``)."""
-
     ack_mode: str = "primary"
     """When a replicated edit counts as durably acknowledged:
 
@@ -311,7 +303,6 @@ class ClusterConfig:
     """Shape of the simulated cluster (mirrors the paper's EC2 testbed)."""
 
     num_region_servers: int = 5
-    regions_per_table: int = 5
     hfile_flush_threshold_rows: int = 50_000
     max_versions: int = 1
     seed: int = 20170904  # CLUSTER'17 conference date
@@ -342,10 +333,6 @@ class ClusterConfig:
             raise ClusterConfigError(
                 f"num_region_servers must be >= 1, got "
                 f"{self.num_region_servers}"
-            )
-        if self.regions_per_table < 1:
-            raise ClusterConfigError(
-                f"regions_per_table must be >= 1, got {self.regions_per_table}"
             )
         if (
             self.region_split_threshold_bytes is not None

@@ -389,7 +389,7 @@ class Mediator(EvaluatedSystem):
                     result = out
             # the fan-out is concurrent in virtual time: the mediator waits
             # for the slowest backend, not the sum
-            self._sim.clock.advance(slowest)
+            self._sim.wait(slowest, "federation.broadcast")
         return result, record
 
     # -- backend execution ----------------------------------------------------------
@@ -405,8 +405,7 @@ class Mediator(EvaluatedSystem):
         with self._occupying((name,)):
             rows, ms = self.backends[name].timed(sql, params)
             self.advisor.observe(advisor_key, name, ms)
-            self._sim.metrics.timer(f"federation.backend.{name}").record(ms)
-            self._sim.clock.advance(ms)
+            self._sim.wait(ms, f"federation.backend.{name}")
         return rows, ms
 
     @contextmanager
@@ -415,16 +414,12 @@ class Mediator(EvaluatedSystem):
         resource at the mediator: queue (in virtual time) until every
         named backend is free, and hold them until the block's clock."""
         ctx = self._sim.concurrency
-        clock = self._sim.clock
         resources = [("federation", name) for name in names]
         if ctx is not None:
-            wait = ctx.serial_delay_ms(resources, clock.now_ms)
-            if wait > 0:
-                clock.advance(wait)
-                self._sim.metrics.timer("federation.queue_wait").record(wait)
+            ctx.serial_enter(resources, self._sim, "federation.queue_wait")
         yield
         if ctx is not None:
-            ctx.serial_occupy(resources, clock.now_ms)
+            ctx.serial_exit(resources, self._sim)
 
     # -- candidates and estimates ----------------------------------------------------
     def _routable(self) -> tuple[str, ...]:

@@ -154,7 +154,7 @@ class HTable:
                 token = server.admission.admit(
                     self.name, now, ctx.backlog_ms(server, now)
                 )
-            ctx.serial_enter((server,), sim)
+            ctx.serial_enter((server,), sim, "hbase.queue_wait")
         return ctx, token
 
     def _exit_server(self, server, ctx, token) -> None:

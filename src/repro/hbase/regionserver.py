@@ -170,50 +170,24 @@ class RegionServer:
         kv_overhead = region.kv_overhead_bytes
         size_delta = 0
         ts = first_ts - 1
-        # two copies of the loop, selected once per batch: the jittered
-        # variant must draw one RNG sample per row via row_written();
-        # the jitter-free variant inlines the counter/clock bump using
-        # the handles the charger itself vends (same numbers, no
-        # per-row method call). Keep the bodies in sync.
-        inline_charge = self.charge.row_written_inline()
-        if inline_charge is None:
-            row_written = self.charge.row_written
-            for op in puts:
-                ts += 1
-                row = op.row
-                cells = op.cells
-                wal_buffer_append(
-                    WalEntry(region_name, "put", row, list(cells), ts)
-                )
-                size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
-                row_written()
-                if len(entries) >= threshold:
-                    region._approx_size_bytes += size_delta
-                    size_delta = 0
-                    # the flush re-arms the same MemStore object with
-                    # fresh containers and truncates this region's WAL
-                    # buffer: re-fetch both hoisted references
-                    self.flush_region(region)
-                    entries = memstore._entries
-                    wal_buffer_append = wal.buffer_for(region_name).append
-        else:
-            rows_written_counter, clock, write_row_ms = inline_charge
-            for op in puts:
-                ts += 1
-                row = op.row
-                cells = op.cells
-                wal_buffer_append(
-                    WalEntry(region_name, "put", row, list(cells), ts)
-                )
-                size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
-                rows_written_counter.value += 1
-                clock._now_ms += write_row_ms
-                if len(entries) >= threshold:
-                    region._approx_size_bytes += size_delta
-                    size_delta = 0
-                    self.flush_region(region)
-                    entries = memstore._entries
-                    wal_buffer_append = wal.buffer_for(region_name).append
+        for op in puts:
+            ts += 1
+            row = op.row
+            cells = op.cells
+            wal_buffer_append(WalEntry(region_name, "put", row, list(cells), ts))
+            size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
+            if len(entries) >= threshold:
+                region._approx_size_bytes += size_delta
+                size_delta = 0
+                # the flush re-arms the same MemStore object with
+                # fresh containers and truncates this region's WAL
+                # buffer: re-fetch both hoisted references
+                self.flush_region(region)
+                entries = memstore._entries
+                wal_buffer_append = wal.buffer_for(region_name).append
+        # nothing in the loop reads the clock or draws, so the per-row
+        # write charges are made together, in row order
+        self.charge.rows_written_each(len(puts))
         region._approx_size_bytes += size_delta
         # split check once per batch, at a safe point: splitting inside
         # the loop would offline the region the remaining puts target

@@ -42,6 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hbase.cluster import HBaseCluster
     from repro.hbase.regionserver import RegionServer
 
+SHIP_INTERVAL_MS = 4.0
+"""Virtual pause between shipper drain rounds (the push cadence)."""
+
+SHIP_ENTRY_MS = 0.02
+"""Virtual cost of applying one shipped WAL entry on a follower (waited
+out on the shipper daemon's timeline in async mode, charged on the
+writing client's timeline in ``ack_mode="all"``)."""
+
 
 def _apply_entry(region: Region, entry: WalEntry) -> None:
     """Apply one shipped/replayed log entry (idempotent: entries carry
@@ -321,7 +329,7 @@ class ReplicationManager:
             follower.applied = len(log)
             self.entries_shipped += pending
             sim.charge(
-                sim.cost.rpc_base_ms + self.config.ship_entry_ms * pending,
+                sim.cost.rpc_base_ms + SHIP_ENTRY_MS * pending,
                 "replication.sync_ship",
             )
 
@@ -571,7 +579,6 @@ class ReplicationShipper:
         config = self.manager.config
         while True:
             shipped = self.manager.ship_pending(config.ship_batch_entries)
-            if shipped:
-                vc.clock.advance(shipped * config.ship_entry_ms)
-            vc.clock.advance(config.ship_interval_ms)
+            vc.wait(shipped * SHIP_ENTRY_MS, "replication.ship")
+            vc.wait(SHIP_INTERVAL_MS, "replication.ship_interval")
             yield "ship"

@@ -45,28 +45,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hbase.cluster import HBaseCluster
 
 
+MAX_ATTEMPTS_PER_STEP = 8
+"""Fence+apply attempts per step (and per inverse during rollback)
+before the stage fails on ``RegionUnavailableError``."""
+
+VERIFY_ATTEMPTS = 8
+"""Stage-verify rounds to wait out *transient* violations (regions
+awaiting recovery, groups short of followers) before failing."""
+
+VERIFY_BACKOFF_MS = 12.0
+"""Wait between verify rounds: round ``n`` waits ``n * VERIFY_BACKOFF_MS``."""
+
+STEP_COST_MS = 2.0
+"""Admin round trip the orchestrator waits out on its own timeline per
+applied step — rollouts take virtual time, so they interleave with the
+workload instead of landing atomically."""
+
+
 @dataclass(frozen=True)
 class RolloutPolicy:
-    """Budgets and pacing for one rollout."""
-
-    max_attempts_per_step: int = 8
-    """Fence+apply attempts per step (and per inverse during rollback)
-    before the stage fails on ``RegionUnavailableError``."""
+    """Pacing for one rollout."""
 
     retry_backoff_ms: float = 12.0
     """Linear backoff: attempt ``n`` waits ``n * retry_backoff_ms``."""
-
-    verify_attempts: int = 8
-    """Stage-verify rounds to wait out *transient* violations (regions
-    awaiting recovery, groups short of followers) before failing."""
-
-    verify_backoff_ms: float = 12.0
-    """Wait between verify rounds (linear, like the step backoff)."""
-
-    step_cost_ms: float = 2.0
-    """Admin round-trip charged on the orchestrator's own timeline per
-    applied step — rollouts take virtual time, so they interleave with
-    the workload instead of landing atomically."""
 
     start_delay_ms: float = 0.0
     """Virtual delay before the first stage (lets a scheduled workload
@@ -295,7 +296,7 @@ class Orchestrator:
     def run(self) -> RolloutReport:
         """Synchronous rollout on the simulation clock (no scheduler):
         the generator's yield points become plain no-ops."""
-        for _ in self._run(self.cluster.sim.clock):
+        for _ in self._run():
             pass
         return self.report
 
@@ -307,23 +308,26 @@ class Orchestrator:
         return scheduler.add_client("orchestrator", self.program)
 
     def program(self, vc):
-        yield from self._run(vc.clock)
+        yield from self._run()
 
     # -- engine ----------------------------------------------------------------
-    def _run(self, clock):
+    def _run(self):
+        """Time is read and waited on ``cluster.sim`` in both modes:
+        under a scheduler its clock *is* the running client's."""
         cluster = self.cluster
+        sim = cluster.sim
         policy = self.policy
         report = self.report
         if policy.start_delay_ms > 0:
-            clock.advance(policy.start_delay_ms)
+            sim.wait(policy.start_delay_ms, "orchestrator.start_delay")
             yield "orchestrator:start"
-        report.started_ms = clock.now_ms
+        report.started_ms = sim.clock.now_ms
         report.epoch_start = cluster.layout_epoch
         rolled_back = False
         for index, (name, steps) in enumerate(self._stages):
             stage = StageReport(index, name, [s.describe() for s in steps])
             report.stages.append(stage)
-            stage.started_ms = clock.now_ms
+            stage.started_ms = sim.clock.now_ms
             inverses: list[Step] = []
             failure: Exception | None = None
             for step in steps:
@@ -337,10 +341,13 @@ class Orchestrator:
                         step.fence(cluster)
                         step.apply(cluster)
                     except RegionUnavailableError as e:
-                        if attempts >= policy.max_attempts_per_step:
+                        if attempts >= MAX_ATTEMPTS_PER_STEP:
                             failure = e
                             break
-                        clock.advance(policy.retry_backoff_ms * attempts)
+                        sim.wait(
+                            policy.retry_backoff_ms * attempts,
+                            "orchestrator.retry_backoff",
+                        )
                         yield f"orchestrator:retry:{step.kind}"
                         continue
                     except HBaseError as e:
@@ -351,7 +358,7 @@ class Orchestrator:
                     inverse = step.inverse(cluster)
                     if inverse is not None:
                         inverses.append(inverse)
-                    clock.advance(policy.step_cost_ms)
+                    sim.wait(STEP_COST_MS, "orchestrator.step")
                     yield f"orchestrator:applied:{step.kind}"
                     break
                 if failure is not None:
@@ -368,33 +375,35 @@ class Orchestrator:
                         break
                     if not transient:
                         break
-                    if rounds >= policy.verify_attempts:
+                    if rounds >= VERIFY_ATTEMPTS:
                         failure = StepVerificationError(
                             "transient violations never cleared: "
                             + "; ".join(transient)
                         )
                         break
-                    clock.advance(policy.verify_backoff_ms * rounds)
+                    sim.wait(
+                        VERIFY_BACKOFF_MS * rounds, "orchestrator.verify_wait"
+                    )
                     yield "orchestrator:verify-wait"
             if failure is None:
                 stage.status = "committed"
                 stage.epoch = cluster.layout_epoch
-                stage.finished_ms = clock.now_ms
+                stage.finished_ms = sim.clock.now_ms
                 report.committed_stages += 1
             else:
                 stage.error = f"{type(failure).__name__}: {failure}"
-                yield from self._rollback(inverses, clock)
+                yield from self._rollback(inverses)
                 stage.status = "rolled-back"
-                stage.finished_ms = clock.now_ms
+                stage.finished_ms = sim.clock.now_ms
                 rolled_back = True
                 break
         report.status = "rolled-back" if rolled_back else "committed"
-        report.finished_ms = clock.now_ms
+        report.finished_ms = sim.clock.now_ms
         report.epoch_end = cluster.layout_epoch
 
-    def _rollback(self, inverses: list[Step], clock):
+    def _rollback(self, inverses: list[Step]):
         cluster = self.cluster
-        policy = self.policy
+        sim = cluster.sim
         for inverse in reversed(inverses):
             attempts = 0
             while True:
@@ -403,17 +412,20 @@ class Orchestrator:
                     inverse.fence(cluster)
                     inverse.apply(cluster)
                 except RegionUnavailableError as e:
-                    if attempts >= policy.max_attempts_per_step:
+                    if attempts >= MAX_ATTEMPTS_PER_STEP:
                         raise RollbackError(
                             f"could not unwind {inverse.describe()}: {e}"
                         ) from e
-                    clock.advance(policy.retry_backoff_ms * attempts)
+                    sim.wait(
+                        self.policy.retry_backoff_ms * attempts,
+                        "orchestrator.rollback_retry_backoff",
+                    )
                     yield f"orchestrator:rollback-retry:{inverse.kind}"
                     continue
                 except HBaseError as e:
                     raise RollbackError(
                         f"could not unwind {inverse.describe()}: {e}"
                     ) from e
-                clock.advance(policy.step_cost_ms)
+                sim.wait(STEP_COST_MS, "orchestrator.rollback_step")
                 yield f"orchestrator:rolled-back:{inverse.kind}"
                 break

@@ -1,9 +1,13 @@
 """Virtual clock and simulation context.
 
 The simulator is single-threaded: a single :class:`SimClock` advances as
-engines charge costs. Response times are measured with
-:class:`Stopwatch`, which records the clock delta around an operation —
-the virtual analogue of the paper's client-side ``tau``.
+engines charge costs. Two verbs move it, and nothing else under
+``src/repro`` may (``tests/test_sim.py`` greps): *work* is
+:meth:`Simulation.charge` (jittered, one RNG draw), everything else —
+queueing, backoff, sleeping, adopting a backend's elapsed time — is
+:meth:`Simulation.wait` (exact, never draws). Response times are
+measured with :class:`Stopwatch`, which records the clock delta around
+an operation — the virtual analogue of the paper's client-side ``tau``.
 """
 
 from __future__ import annotations
@@ -103,6 +107,17 @@ class Simulation:
         self.clock._now_ms += delta_ms
         if what is not None:
             self.metrics.timer(what).record(delta_ms)
+
+    def wait(self, delta_ms: float, what: str) -> None:
+        """Advance virtual time by exactly ``delta_ms`` of *not working*:
+        queueing, backoff, sleeping until a planned instant, adopting a
+        backend's elapsed time. Never draws jitter, so a wait cannot
+        re-deal the charges around it; records ``delta_ms`` under timer
+        ``what``. ``wait(0)`` is a no-op, a negative wait raises."""
+        if delta_ms == 0:
+            return
+        self.clock.advance(delta_ms)
+        self.metrics.timer(what).record(delta_ms)
 
     def stopwatch(self) -> Stopwatch:
         return Stopwatch(self.clock).start()

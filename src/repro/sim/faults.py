@@ -291,7 +291,7 @@ class FaultInjector:
         for event in self.plan:
             gap = event.at_ms - vc.clock.now_ms
             if gap > 0:
-                vc.clock.advance(gap)
+                vc.wait(gap, "fault.next_event")
             yield f"fault:{event.kind}"
             if replay_cost > 0.0 and event.kind == "recover":
                 # replay takes time proportional to the state recovery
@@ -304,7 +304,7 @@ class FaultInjector:
                     servers[event.server]
                 )
                 if entries > 0:
-                    vc.clock.advance(entries * replay_cost)
+                    vc.wait(entries * replay_cost, "fault.recovery_replay")
                     yield "fault:recovery-replay"
             self._apply(event, servers[event.server], vc)
 
@@ -375,7 +375,7 @@ def _with_failover(
             if first_failure_at is None:
                 first_failure_at = vc.clock.now_ms
             history.failover_retries += 1
-            vc.clock.advance(policy.retry_backoff_ms * attempt_no)
+            vc.wait(policy.retry_backoff_ms * attempt_no, "hbase.failover_wait")
             yield "failover-wait"
             continue
         if first_failure_at is not None:
@@ -486,7 +486,7 @@ def chaos_scan(
             if first_failure_at is None:
                 first_failure_at = vc.clock.now_ms
             history.failover_retries += 1
-            vc.clock.advance(policy.retry_backoff_ms * failures)
+            vc.wait(policy.retry_backoff_ms * failures, "hbase.failover_wait")
             yield "failover-wait"
     max_entry_lag = 0
     missing: dict[bytes, int] = {}

@@ -10,7 +10,10 @@ so call sites read like the mechanism they model::
 
 Counter objects and metric names are resolved once per charger — the
 read/write paths call these methods per row, so the per-call work is
-kept to a counter increment plus one ``Simulation.charge``.
+kept to a counter increment plus one ``Simulation.charge``. This is the
+only module besides ``sim/clock.py`` that writes the clock directly:
+the per-row read/write charges skip ``charge`` when the simulation is
+jitter-free (same number, two calls fewer per row).
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ class LatencyCharger:
         self.sim.charge(self.cost.network_ms_per_kb * kib, self._transfer_name)
 
     # -- storage-side work -----------------------------------------------------------
-    # rows_read/rows_written run once per row on scan/load paths; when
-    # the simulation is jitter-free the charge is a plain clock bump
+    # the per-row charges run once per row on scan/load paths; when the
+    # simulation is jitter-free the charge is a plain clock bump
     # (numerically identical to Simulation.charge, minus two calls)
     def seek(self, count: int = 1) -> None:
         self._seek_counter.inc(count)
@@ -78,26 +81,23 @@ class LatencyCharger:
         else:
             sim.clock._now_ms += self._read_row_ms * n
 
-    def row_written(self) -> None:
-        """``rows_written(1)`` specialized for the per-put hot loop."""
-        self._rows_written_counter.value += 1
+    def rows_written_each(self, n: int) -> None:
+        """``n`` separate one-row write charges, in row order: one
+        jitter draw per row, and jitter-free the same left-to-right
+        float sum (which ``rows_written(n)``'s single product is not)."""
+        self._rows_written_counter.value += n
         sim = self.sim
+        write_row_ms = self._write_row_ms
         if sim.jitter_fraction:
-            sim.charge(self._write_row_ms)
+            charge = sim.charge
+            for _ in range(n):
+                charge(write_row_ms)
         else:
-            sim.clock._now_ms += self._write_row_ms
-
-    def row_written_inline(self):
-        """Handles for callers that inline the per-row write charge in a
-        tight loop: ``(counter, clock, delta_ms)`` — the caller performs
-        ``counter.value += 1; clock._now_ms += delta_ms`` per row, which
-        is exactly what :meth:`row_written` does. Returns None when the
-        simulation is jittered (each charge must draw its own RNG
-        sample, so callers must go through :meth:`row_written`). This
-        keeps the charging semantics owned here, not at the call site."""
-        if self.sim.jitter_fraction:
-            return None
-        return self._rows_written_counter, self.sim.clock, self._write_row_ms
+            clock = sim.clock
+            now_ms = clock._now_ms
+            for _ in range(n):
+                now_ms += write_row_ms
+            clock._now_ms = now_ms
 
     def rows_written(self, n: int) -> None:
         if n <= 0:
@@ -121,8 +121,3 @@ class LatencyCharger:
         if n_cells <= 0:
             return
         self.sim.charge(self.cost.mvcc_version_check_ms * n_cells)
-
-    def mark_rows(self, n: int) -> None:
-        if n <= 0:
-            return
-        self.sim.charge((self.cost.mark_row_ms) * n)

@@ -94,11 +94,17 @@ class VirtualClient:
     the end of the workload does not stretch the measured run."""
 
     def __init__(
-        self, client_id: int, name: str, program, daemon: bool = False
+        self,
+        client_id: int,
+        name: str,
+        program,
+        sim: Simulation,
+        daemon: bool = False,
     ) -> None:
         self.client_id = client_id
         self.name = name
         self.program = program
+        self.sim = sim
         self.daemon = daemon
         self.clock = SimClock()
         self.stats = ClientStats()
@@ -108,6 +114,14 @@ class VirtualClient:
     @property
     def now_ms(self) -> float:
         return self.clock.now_ms
+
+    def wait(self, delta_ms: float, what: str) -> None:
+        """:meth:`Simulation.wait` from inside this client's program.
+        Only the running client may wait: between its own yields the
+        scheduler has swapped the simulation's clock to this client's."""
+        if self.sim.clock is not self.clock:
+            raise RuntimeError(f"{self.name} waited while not running")
+        self.sim.wait(delta_ms, what)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"VirtualClient({self.name}, now={self.clock.now_ms:.3f}ms)"
@@ -172,11 +186,17 @@ class ConcurrencyContext:
         return client.clock.now_ms if client is not None else 0.0
 
     # -- serial resources (single-threaded executors) -------------------------------
-    def serial_delay_ms(self, resources: Iterable[Any], now_ms: float) -> float:
-        """Virtual wait before an operation starting at ``now_ms`` may
-        begin on ALL of the serially executed ``resources`` (e.g. the
-        partition executor sites a VoltDB procedure occupies). Counts at
-        most one wait event per delayed operation."""
+    def serial_enter(self, resources: Iterable[Any], sim, metric: str) -> None:
+        """Queue the running client until ALL of the serially executed
+        ``resources`` are free (wait out the longest busy window,
+        recorded under timer ``metric``; at most one wait event per
+        delayed operation) before it starts an operation on them. Pair
+        with :meth:`serial_exit` when the operation's charges are done.
+        This is how per-partition work routes to the owning region
+        server or VoltDB partition site: operations on different
+        resources overlap in virtual time, operations on the same one
+        serialize — so adding servers genuinely parallelizes."""
+        now_ms = sim.clock.now_ms
         delay = 0.0
         for resource in resources:
             busy_until = self._serial_busy_until.get(resource, 0.0)
@@ -186,7 +206,16 @@ class ConcurrencyContext:
             self.serial_wait_count += 1
             if self.active is not None:
                 self.active.stats.serial_waits += 1
-        return delay
+            sim.wait(delay, metric)
+
+    def serial_exit(self, resources: Iterable[Any], sim) -> None:
+        """Mark ``resources`` busy until the running client's current
+        virtual time (the end of the charges made since
+        :meth:`serial_enter`)."""
+        until_ms = sim.clock.now_ms
+        for resource in resources:
+            if until_ms > self._serial_busy_until.get(resource, 0.0):
+                self._serial_busy_until[resource] = until_ms
 
     def backlog_ms(self, resource: Any, now_ms: float) -> float:
         """Virtual backlog of one serial resource: how far its busy
@@ -195,38 +224,6 @@ class ConcurrencyContext:
         bounds."""
         busy_until = self._serial_busy_until.get(resource, 0.0)
         return busy_until - now_ms if busy_until > now_ms else 0.0
-
-    def serial_occupy(self, resources: Iterable[Any], until_ms: float) -> None:
-        for resource in resources:
-            current = self._serial_busy_until.get(resource, 0.0)
-            if until_ms > current:
-                self._serial_busy_until[resource] = until_ms
-
-    def serial_enter(
-        self,
-        resources: Iterable[Any],
-        sim,
-        metric: str = "hbase.queue_wait",
-    ) -> None:
-        """Queue the running client behind ``resources`` (advance its
-        clock past any busy window) before it starts an operation on
-        them. Pair with :meth:`serial_exit` when the operation's charges
-        are done. This is how per-partition work routes to the owning
-        region server: operations on regions hosted by different
-        servers overlap in virtual time, operations on the same server
-        serialize — so adding servers genuinely parallelizes."""
-        clock = sim.clock
-        delay = self.serial_delay_ms(resources, clock.now_ms)
-        if delay > 0:
-            # queueing delay, not work: bypass jitter, advance exactly
-            clock.advance(delay)
-            sim.metrics.timer(metric).record(delay)
-
-    def serial_exit(self, resources: Iterable[Any], sim) -> None:
-        """Mark ``resources`` busy until the running client's current
-        virtual time (the end of the charges made since
-        :meth:`serial_enter`)."""
-        self.serial_occupy(resources, sim.clock.now_ms)
 
 
 @dataclass
@@ -299,7 +296,9 @@ class DeterministicScheduler:
         generator that yields at every cost-charge segment boundary.
         ``daemon=True`` registers a background participant (fault
         injector) that never keeps the run alive on its own."""
-        client = VirtualClient(len(self.clients), name, program, daemon=daemon)
+        client = VirtualClient(
+            len(self.clients), name, program, self.sim, daemon=daemon
+        )
         self.clients.append(client)
         return client
 
@@ -321,7 +320,7 @@ class DeterministicScheduler:
             (c.clock.now_ms for c in self.clients if not c.daemon), default=0.0
         )
         if makespan > master_clock.now_ms:
-            master_clock.advance(makespan - master_clock.now_ms)
+            self.sim.wait(makespan - master_clock.now_ms, "scheduler.makespan")
         return SchedulerReport(
             makespan_ms=makespan,
             steps=steps,
@@ -411,14 +410,14 @@ def run_transaction(
                     except LockWaitRequired as wait:
                         wait_ms = wait.wait_until_ms - client.clock.now_ms
                         if wait_ms > 0:
-                            client.clock.advance(wait_ms)
+                            client.wait(wait_ms, "txn.lock_wait")
                         yield "lock-wait"
             yield "commit"
             session.commit()
         except TransactionConflictError:
             client.stats.aborted += 1
             session.abort()
-            client.clock.advance(abort_backoff_ms * attempt)
+            client.wait(abort_backoff_ms * attempt, "txn.abort_backoff")
             yield "abort"
             continue
         except BaseException:

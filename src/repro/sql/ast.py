@@ -9,6 +9,7 @@ paper are all conjunctive).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Any, Iterator, Union
 
 
@@ -29,10 +30,21 @@ class Literal:
     value: Any
 
     def __str__(self) -> str:
-        if isinstance(self.value, str):
-            escaped = self.value.replace("'", "''")
+        """The text the parser reads back to this literal."""
+        value = self.value
+        if isinstance(value, str):
+            escaped = value.replace("'", "''")
             return f"'{escaped}'"
-        return str(self.value)
+        if value is None:
+            return "NULL"
+        if isinstance(value, bool):
+            return "TRUE" if value else "FALSE"
+        if isinstance(value, float):
+            # the lexer has no exponent form, and reads a number as a
+            # float only when it carries a fraction
+            text = format(Decimal(repr(value)), "f")
+            return text if "." in text else text + ".0"
+        return str(value)
 
 
 @dataclass(frozen=True)

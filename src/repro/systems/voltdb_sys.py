@@ -127,14 +127,9 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
         if ctx is None:
             return procedure()
         sites = [(self.engine, p) for p in partitions()]
-        clock = sim.clock
-        wait_ms = ctx.serial_delay_ms(sites, clock.now_ms)
-        if wait_ms > 0:
-            # queueing delay, not work: bypass jitter, advance exactly
-            clock.advance(wait_ms)
-            sim.metrics.timer("voltdb.queue_wait").record(wait_ms)
+        ctx.serial_enter(sites, sim, "voltdb.queue_wait")
         result = procedure()
-        ctx.serial_occupy(sites, clock.now_ms)
+        ctx.serial_exit(sites, sim)
         return result
 
     def load_row(self, relation: str, row: dict[str, Any]) -> None:

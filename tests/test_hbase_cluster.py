@@ -422,6 +422,34 @@ class TestCheckAndPutCharging:
 
 
 class TestCostCharging:
+    @pytest.mark.parametrize("jitter", [0.0, 0.02])
+    def test_apply_puts_charges_each_row_separately(self, jitter):
+        """One batch = n one-row write charges in row order: one jitter
+        draw per row (bit-identical to n ``charge`` calls on a twin
+        simulation), also when the batch flushes mid-loop."""
+        n = 10
+
+        def twin():
+            sim = Simulation(seed=7, jitter_fraction=jitter)
+            cluster = HBaseCluster(sim, ClusterConfig(hfile_flush_threshold_rows=4))
+            HBaseClient(cluster).create_table("t")
+            region = cluster.tables["t"].regions[0]
+            return sim, cluster, region
+
+        sim, cluster, region = twin()
+        server = cluster.server_for(region)
+        puts = [Put(b"%04d" % i).add(b"cf", b"q", b"v") for i in range(n)]
+        server.apply_puts(region, puts, cluster.reserve_timestamps(n))
+        assert len(region.hfiles) == 2  # flushed at rows 4 and 8
+        written = sim.metrics.counters()[f"rs.{server.name}.rows_written"]
+        assert written == n
+
+        reference, _, _ = twin()
+        for _ in range(n):
+            reference.charge(reference.cost.write_row_ms)
+        assert sim.clock.now_ms == reference.clock.now_ms
+        assert sim._rng.bit_generator.state == reference._rng.bit_generator.state
+
     def test_get_charges_rpc(self, sim, client, table):
         before = sim.clock.now_ms
         table.get(Get(b"missing"))

@@ -56,10 +56,6 @@ class TestConfigValidation:
         with pytest.raises(ClusterConfigError):
             ClusterConfig(num_region_servers=0)
 
-    def test_rejects_nonpositive_regions_per_table(self):
-        with pytest.raises(ClusterConfigError):
-            ClusterConfig(regions_per_table=0)
-
     def test_rejects_nonpositive_split_threshold(self):
         with pytest.raises(ClusterConfigError):
             ClusterConfig(region_split_threshold_bytes=0)

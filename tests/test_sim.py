@@ -1,5 +1,9 @@
 """Unit tests for the virtual-time substrate."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +92,112 @@ class TestSimulation:
         sim.reset_clock()
         assert sim.clock.now_ms == 0.0
         assert sim.metrics.timer("op").count == 1
+
+
+class TestWait:
+    def test_wait_is_exact_records_once_and_never_draws(self):
+        sim = Simulation(jitter_fraction=0.5)
+        rng_before = sim._rng.bit_generator.state
+        sim.wait(5.0, "x")
+        assert sim.clock.now_ms == 5.0
+        timer = sim.metrics.timer("x")
+        assert (timer.count, timer.total_ms) == (1, 5.0)
+        assert sim._rng.bit_generator.state == rng_before
+
+    def test_wait_zero_is_a_noop(self):
+        sim = Simulation()
+        sim.wait(0, "x")
+        assert sim.clock.now_ms == 0.0
+        assert "x" not in sim.metrics.timers()
+
+    def test_negative_wait_rejected(self):
+        with pytest.raises(ValueError):
+            Simulation().wait(-1, "x")
+
+    def test_only_the_running_client_may_wait(self):
+        from repro.sim.scheduler import DeterministicScheduler
+
+        sim = Simulation()
+        scheduler = DeterministicScheduler(sim)
+        seen = []
+
+        def first(vc):
+            vc.wait(2.0, "x")
+            seen.append(vc.clock.now_ms)
+            with pytest.raises(RuntimeError):
+                other.wait(1.0, "x")
+            yield "done"
+
+        def idle(vc):
+            yield "done"
+
+        scheduler.add_client("first", first)
+        other = scheduler.add_client("other", idle)
+        with pytest.raises(RuntimeError):
+            other.wait(1.0, "x")  # no client is running yet
+        scheduler.run()
+        assert seen == [2.0] and other.clock.now_ms == 0.0
+
+
+SRC = Path(__file__).parents[1] / "src" / "repro"
+
+
+def _sources():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def _attribute_calls(tree, names):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+        ):
+            yield node
+
+
+class TestOneWriterOfTheClock:
+    """Virtual time moves through ``charge`` and ``wait`` only."""
+
+    def test_no_clock_is_written_outside_sim(self):
+        offenders = []
+        for rel, tree in _sources():
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "_now_ms"
+                    and rel not in ("sim/clock.py", "sim/latency.py")
+                ):
+                    offenders.append(f"{rel}:{node.lineno} _now_ms")
+            if rel in ("sim/clock.py", "sql/parser.py"):
+                continue  # SimClock itself; the token cursor's advance()
+            for call in _attribute_calls(tree, {"advance"}):
+                offenders.append(f"{rel}:{call.lineno} .advance(")
+        assert offenders == []
+
+    def test_architecture_table_lists_exactly_the_wait_labels(self):
+        labels = set()
+        for rel, tree in _sources():
+            for call in _attribute_calls(tree, {"wait", "serial_enter"}):
+                label = call.args[-1]
+                if isinstance(label, ast.Name) and rel == "sim/scheduler.py":
+                    continue  # vc.wait / serial_enter hand theirs through
+                if isinstance(label, ast.JoinedStr):
+                    labels.add(ast.unparse(label)[2:-1])
+                else:
+                    assert isinstance(label, ast.Constant), f"{rel}:{call.lineno}"
+                    labels.add(label.value)
+        doc = (SRC.parents[1] / "docs" / "ARCHITECTURE.md").read_text()
+        section = doc.split("## How virtual time moves")[1].split("\n## ")[0]
+        rows = [r for r in section.splitlines() if r.startswith("| `")]
+        documented = {
+            label
+            for row in rows
+            for label in re.findall(r"`([^`]+)`", row.split("|")[2])
+        }
+        assert documented == labels
+        assert len(section.splitlines()) <= 25
 
 
 class TestMetrics:

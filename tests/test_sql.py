@@ -220,6 +220,47 @@ class TestPrinterRoundtrip:
         first = parse_statement(sql)
         assert parse_statement(to_sql(first)) == first
 
+    def test_null_and_small_floats_print_as_the_parser_reads_them(self):
+        stmt = parse_statement(
+            "UPDATE Employee SET EName = NULL, On = TRUE WHERE x = 0.00001"
+        )
+        text = to_sql(stmt)
+        assert text == (
+            "UPDATE Employee SET EName = NULL, On = TRUE WHERE x = 0.00001"
+        )
+        assert parse_statement(text) == stmt
+
+    LITERALS = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.floats(min_value=1e-9, max_value=1e12),
+        st.floats(min_value=-1e12, max_value=-1e-9),
+        st.text(alphabet="ab' ,?", max_size=8),
+    )
+
+    @given(LITERALS, LITERALS)
+    def test_any_literal_reads_back_as_itself(self, assigned, compared):
+        stmt = Update(
+            table="T",
+            assignments=(("a", Literal(assigned)),),
+            where=(BinOp("=", ColumnRef("k"), Literal(compared)),),
+        )
+        back = parse_statement(to_sql(stmt))
+        assert back == stmt
+        # == alone would let TRUE read back as 1, or 2.0 as 2
+        assert type(back.assignments[0][1].value) is type(assigned)
+        assert type(back.where[0].right.value) is type(compared)
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_generated_queries_round_trip(self, seed):
+        import random
+
+        from tests.test_query_engine_property import generate_query
+
+        stmt = parse_statement(generate_query(random.Random(seed)).sql)
+        assert parse_statement(to_sql(stmt)) == stmt
+
 
 class TestAnalyzer:
     def setup_method(self):

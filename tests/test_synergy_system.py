@@ -33,6 +33,21 @@ class TestFacade:
         )
         assert "MV_" not in company_synergy.rewrite_ad_hoc(sql2)
 
+    def test_rewrite_ad_hoc_prints_text_the_parser_reads_back(self, company_synergy):
+        from repro.sql.ast import Literal
+        from repro.sql.parser import parse_statement
+
+        rewritten = company_synergy.rewrite_ad_hoc(
+            "SELECT * FROM Employee as e, Address as a "
+            "WHERE a.AID = e.EHome_AID and e.EID = 0.00001"
+        )
+        assert "MV_Address__Employee" in rewritten
+        literals = [
+            c.right for c in parse_statement(rewritten).where
+            if isinstance(c.right, Literal)
+        ]
+        assert literals == [Literal(0.00001)]
+
     def test_ad_hoc_write_passthrough(self, company_synergy):
         sql = "UPDATE Department SET DName = ? WHERE DNo = ?"
         assert company_synergy.rewrite_ad_hoc(sql) == sql
