@@ -26,14 +26,27 @@ class Cell:
 
 
 class Result:
-    """Result of a Get or one Scan row: newest-first versions per column."""
+    """Result of a Get or one Scan row: newest-first versions per column.
 
-    __slots__ = ("row", "_cells")
+    The result of a *plain* row (``store.row_result``) read from an
+    immutable HFile borrows the stored entry's own cell map instead of
+    copying it. Methods that read keys and newest values read that view
+    in place; whatever edits the result or hands out a version list
+    (``add``, ``versions``, ``cells``, ``_cells`` itself) goes through
+    ``_cells``, which first detaches a private one-version copy, so no
+    caller can reach a stored list through a result.
+    """
+
+    __slots__ = ("row", "_view", "_borrowed", "_summary")
 
     def __init__(self, row: bytes) -> None:
         self.row = row
         # (family, qualifier) -> list[(timestamp, value)] newest first
-        self._cells: dict[tuple[bytes, bytes], list[tuple[int, bytes]]] = {}
+        self._view: dict[tuple[bytes, bytes], list[tuple[int, bytes]]] = {}
+        self._borrowed = False  # _view belongs to an HFile's row entry
+        # (cells, sum of len(family) + len(qualifier) + len(value)) of
+        # what _view shows, once known; forgotten when _view may change
+        self._summary: tuple[int, int] | None = None
 
     @classmethod
     def from_sorted(
@@ -42,11 +55,24 @@ class Result:
         cells: dict[tuple[bytes, bytes], list[tuple[int, bytes]]],
     ) -> "Result":
         """Adopt a merged cell dict whose version lists are already
-        newest-first (the streaming scanner's zero-copy constructor)."""
+        newest-first and the caller's to give away."""
         result = cls.__new__(cls)
         result.row = row
-        result._cells = cells
+        result._view = cells
+        result._borrowed = False
+        result._summary = None
         return result
+
+    @property
+    def _cells(self) -> dict[tuple[bytes, bytes], list[tuple[int, bytes]]]:
+        """The result's own cell map, free to edit: a borrowed view is
+        copied on first touch, and the remembered size is dropped
+        because the caller may change what it was the size of."""
+        if self._borrowed:
+            self._view = {key: versions[:1] for key, versions in self._view.items()}
+            self._borrowed = False
+        self._summary = None
+        return self._view
 
     def add(self, family: bytes, qualifier: bytes, timestamp: int, value: bytes) -> None:
         """Ordered insert, by the store's rule: newest first, after
@@ -59,26 +85,26 @@ class Result:
 
     @property
     def is_empty(self) -> bool:
-        return not self._cells
+        return not self._view
 
     @property
     def column_count(self) -> int:
         """``len(columns())`` without the sort."""
-        return len(self._cells)
+        return len(self._view)
 
     def columns(self) -> list[tuple[bytes, bytes]]:
-        return sorted(self._cells)
+        return sorted(self._view)
 
     def value(self, family: bytes, qualifier: bytes) -> bytes | None:
         """Newest version's value, or None when the column is absent."""
-        versions = self._cells.get((family, qualifier))
+        versions = self._view.get((family, qualifier))
         return versions[0][1] if versions else None
 
     def newest_values(
         self, columns: Iterable[tuple[bytes, bytes]]
     ) -> list[bytes | None]:
         """:meth:`value` of each of ``columns``, in order."""
-        get = self._cells.get
+        get = self._view.get
         return [
             versions[0][1] if (versions := get(column)) else None
             for column in columns
@@ -98,19 +124,24 @@ class Result:
         """{qualifier: newest value} for one family."""
         return {
             q: versions[0][1]
-            for (f, q), versions in self._cells.items()
+            for (f, q), versions in self._view.items()
             if f == family and versions
         }
 
     @property
     def size_bytes(self) -> int:
-        base_row = len(self.row) + 8
-        total = 0
-        for (family, qualifier), versions in self._cells.items():
-            base = base_row + len(family) + len(qualifier)
-            for _, value in versions:
-                total += base + len(value)
-        return total
+        """Wire size: every cell shown pays the row key, 8 bytes of
+        framing, its column name and its value. Summed once, then O(1)."""
+        summary = self._summary
+        if summary is None:
+            count = payload = 0
+            for (family, qualifier), versions in self._view.items():
+                count += len(versions)
+                name = len(family) + len(qualifier)
+                for _, value in versions:
+                    payload += name + len(value)
+            summary = self._summary = (count, payload)
+        return summary[1] + summary[0] * (len(self.row) + 8)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Result(row={self.row!r}, ncols={len(self._cells)})"
+        return f"Result(row={self.row!r}, ncols={len(self._view)})"

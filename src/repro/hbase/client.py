@@ -448,6 +448,8 @@ class HTable:
         repeating rows.
         """
         op = op or Scan()
+        if op.limit == 0:
+            return  # nothing asked for: no RPC, no seek, no row read
         batch_size = self.cluster.config.cost.scan_batch_rows
         emitted = 0
         wanted = frozenset(op.columns) if op.columns else None

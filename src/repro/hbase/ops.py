@@ -88,3 +88,7 @@ class Scan:
     max_versions: int = 1
     time_range: tuple[int, int] | None = None
     columns: list[tuple[bytes, bytes]] | None = field(default=None)
+
+    def __post_init__(self) -> None:
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"Scan.limit must be >= 0, got {self.limit}")

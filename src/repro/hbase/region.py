@@ -13,7 +13,7 @@ from repro.hbase.store import (
     MemStore,
     RegionScanner,
     RowEntry,
-    merge_row,
+    row_result,
 )
 
 
@@ -121,10 +121,10 @@ class Region:
         if not sources:
             return None
         wanted = frozenset(columns) if columns else None
-        visible = merge_row(sources, max(max_versions, 1), time_range, wanted)
-        if visible is None:
-            return None
-        return Result.from_sorted(row, visible)
+        return row_result(
+            row, sources, row not in self.memstore,
+            max(max_versions, 1), time_range, wanted,
+        )
 
     def scan(
         self,

@@ -25,12 +25,16 @@ Write path (O(1) puts, version lists ordered on write):
 Read path: :class:`RegionScanner` k-way-merges one cursor per store
 component (memstore first, then HFiles newest flush first) with
 ``heapq.merge``, grouping runs of equal row keys: a single pass over
-each component. ``merge_row`` is the per-row merge used by both point
-reads and the scanner. Tombstones and ``time_range`` each keep a
-contiguous run of a newest-first list, so it takes a bounded head of
-each source's list: a read costs O(columns × sources × ``max_versions``)
-however many versions the row has absorbed. Its ``columns`` parameter is
-the column-pushdown contract — untouched column families cost nothing.
+each component. ``row_result`` turns one row's entries into its
+:class:`Result` for point reads and the scanner alike: a *plain* row
+(one untombstoned source, newest version of every stored column) is
+handed over with its memoised size — lent outright when it sits in an
+HFile — and every other row goes through ``merge_row``. Tombstones and
+``time_range`` each keep a contiguous run of a newest-first list, so the
+merge takes a bounded head of each source's list: a read costs
+O(columns × sources × ``max_versions``) however many versions the row
+has absorbed. The ``columns`` parameter is the column-pushdown
+contract — untouched column families cost nothing.
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ class RowEntry:
     _dirty = False
     row_tombstone_ts: int | None = None
     col_tombstones: dict[CellKey, int] = _SHARED_EMPTY_TOMBSTONES
+    _summary: tuple[int, int] | None = None
+    """What a plain read of this entry weighs (:func:`_newest_summary`),
+    set by the first read that asks and dropped by every mutator; an
+    entry in an HFile is never written again, so it keeps it for good."""
 
     def __init__(self) -> None:
         self._cells: dict[CellKey, Versions] = {}
@@ -93,6 +101,7 @@ class RowEntry:
         return entry
 
     def put_cell(self, family: bytes, qualifier: bytes, ts: int, value: bytes) -> None:
+        self._summary = None
         versions = self._cells.get((family, qualifier))
         if versions is None:
             self._cells[(family, qualifier)] = [(ts, value)]
@@ -103,10 +112,12 @@ class RowEntry:
             self._dirty = True
 
     def delete_row(self, ts: int) -> None:
+        self._summary = None
         if self.row_tombstone_ts is None or ts > self.row_tombstone_ts:
             self.row_tombstone_ts = ts
 
     def delete_column(self, family: bytes, qualifier: bytes, ts: int) -> None:
+        self._summary = None
         if self.col_tombstones is _SHARED_EMPTY_TOMBSTONES:
             self.col_tombstones = {}
         key = (family, qualifier)
@@ -167,6 +178,7 @@ class MemStore:
             self._sorted = False
         else:
             _cells = entry._cells
+            entry._summary = None
         size = 0
         for family, qualifier, value, ts in cells:
             stamp = ts if ts is not None else default_ts
@@ -335,8 +347,7 @@ def merge_row(
             and time_range is None
         ):
             # fast path: no tombstones, no time filter — slice the
-            # newest-first version lists directly.
-            # RegionScanner inlines this logic per row; keep both in sync.
+            # newest-first version lists directly
             cells = s.cells
             visible: dict[CellKey, Versions] = {}
             if columns is None:
@@ -399,6 +410,66 @@ def merge_row(
             del versions[max_versions:]
             visible[key] = versions
     return visible or None
+
+
+def _newest_summary(cells: dict[CellKey, Versions]) -> tuple[int, int]:
+    """``(columns, Σ len(family) + len(qualifier) + len(newest value))``
+    of an entry whose every column holds a version: with the row key,
+    everything ``Result.size_bytes`` needs to size a one-version read.
+    ``(0, 0)`` for an entry with no column or with one left hollow (no
+    writer under ``src/`` leaves one), which is then not a plain row."""
+    payload = 0
+    for (family, qualifier), versions in cells.items():
+        if not versions:
+            return 0, 0
+        payload += len(family) + len(qualifier) + len(versions[0][1])
+    return len(cells), payload
+
+
+_new_result = Result.__new__
+
+
+def row_result(
+    row: bytes,
+    sources: list[RowEntry],
+    immutable: bool,
+    max_versions: int,
+    time_range: tuple[int, int] | None = None,
+    columns: frozenset[CellKey] | set[CellKey] | None = None,
+) -> Result | None:
+    """The :class:`Result` of one row from its entries (newest component
+    first), or None when no cell is visible — what point reads and the
+    scanner both return. ``immutable`` says the newest source sits in an
+    :class:`HFile`.
+
+    A *plain* row — one source, no tombstone, one version wanted, no
+    time range, every stored column requested and holding a version —
+    needs no merge: its Result shows the entry's own lists and carries
+    the entry's memoised summary, so it is sized in O(1). Out of an
+    HFile it borrows the entry's cell map outright (nothing writes it
+    again; :class:`Result` detaches before anything could); out of the
+    memstore it copies the heads, since a later put must not show
+    through. Every other row goes through :func:`merge_row`."""
+    if len(sources) == 1 and max_versions == 1 and time_range is None:
+        entry = sources[0]
+        if entry.row_tombstone_ts is None and not entry.col_tombstones:
+            # RowEntry.cells without the call when there is nothing to sort
+            cells = entry.cells if entry._dirty else entry._cells
+            if columns is None or columns >= cells.keys():
+                summary = entry._summary
+                if summary is None:
+                    summary = entry._summary = _newest_summary(cells)
+                if summary[0]:
+                    result = _new_result(Result)
+                    result.row = row
+                    result._view = cells if immutable else {
+                        key: versions[:1] for key, versions in cells.items()
+                    }
+                    result._borrowed = immutable
+                    result._summary = summary
+                    return result
+    visible = merge_row(sources, max_versions, time_range, columns)
+    return None if visible is None else Result.from_sorted(row, visible)
 
 
 class _AlwaysOnline:
@@ -473,45 +544,19 @@ class RegionScanner:
         components = [c for c in candidates if len(c) > 0]
         if not components:
             return
+        # which components a Result may borrow from (see row_result)
+        immutable = [isinstance(c, HFile) for c in components]
         if len(components) == 1:
-            # single-component fast path: no heap, no grouping, and the
-            # merge + Result construction inlined for untombstoned rows
-            # (same module, so the RowEntry/Result internals are fair
-            # game). Keep the visibility logic in sync with merge_row's
-            # single-source fast path — the property suite
-            # (tests/test_scanner_property.py) cross-checks both.
-            result_new = Result.__new__
-            from_sorted = Result.from_sorted
-            plain = time_range is None
+            # single-component fast path: no heap, no grouping
+            borrow = immutable[0]
             for key, entry in components[0].items_in_range(self._start, self._stop):
                 if not owner.online:
                     raise RegionUnavailableError(
                         f"region {owner.name} went offline mid-scan"
                     )
-                if plain and entry.row_tombstone_ts is None and not entry.col_tombstones:
-                    cells = entry.cells
-                    visible = {}
-                    if columns is None:
-                        for ckey, versions in cells.items():
-                            if versions:
-                                visible[ckey] = versions[:max_versions]
-                    else:
-                        for ckey in columns:
-                            versions = cells.get(ckey)
-                            if versions:
-                                visible[ckey] = versions[:max_versions]
-                    if visible:
-                        result = result_new(Result)
-                        result.row = key
-                        result._cells = visible
-                        yield key, result
-                    else:
-                        yield key, None
-                else:
-                    visible = merge_row([entry], max_versions, time_range, columns)
-                    yield key, (
-                        None if visible is None else from_sorted(key, visible)
-                    )
+                yield key, row_result(
+                    key, [entry], borrow, max_versions, time_range, columns
+                )
             return
 
         streams = [
@@ -520,21 +565,22 @@ class RegionScanner:
         ]
         merged = heapq.merge(*streams)  # orders by (key, priority)
         try:
-            cur_key, _, entry = next(merged)
+            cur_key, newest, entry = next(merged)
         except StopIteration:
             return
         sources = [entry]
-        for key, _, entry in merged:
+        for key, priority, entry in merged:
             if key != cur_key:
                 if not owner.online:
                     raise RegionUnavailableError(
                         f"region {owner.name} went offline mid-scan"
                     )
-                visible = merge_row(sources, max_versions, time_range, columns)
-                yield cur_key, (
-                    None if visible is None else Result.from_sorted(cur_key, visible)
+                yield cur_key, row_result(
+                    cur_key, sources, immutable[newest],
+                    max_versions, time_range, columns,
                 )
                 cur_key = key
+                newest = priority
                 sources = [entry]
             else:
                 sources.append(entry)
@@ -542,7 +588,6 @@ class RegionScanner:
             raise RegionUnavailableError(
                 f"region {owner.name} went offline mid-scan"
             )
-        visible = merge_row(sources, max_versions, time_range, columns)
-        yield cur_key, (
-            None if visible is None else Result.from_sorted(cur_key, visible)
+        yield cur_key, row_result(
+            cur_key, sources, immutable[newest], max_versions, time_range, columns
         )

@@ -325,3 +325,40 @@ class TestSmokeMode:
         assert "--only" in _usage_error(
             ["--smoke", "faults", "--only", "faults"], capsys
         )
+
+
+class TestBenchTrajectory:
+    """``BENCH_TRAJECTORY.jsonl`` gets one hand-appended row per PR that
+    touches ``src/`` and nothing else reads it: every row must still be
+    the shape ``tools/bench_trajectory.py`` prints for the benchmark
+    ``BENCHMARK.json`` declares."""
+
+    ROOT = Path(__file__).parents[1]
+
+    def test_every_row_is_a_summary_of_the_declared_benchmark(self):
+        declared = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        workloads = {w["name"] for w in declared["workloads"]}
+        metrics = {m["name"] for m in declared["end_to_end"]}
+        # a pure function of the seed: one seed, no spread
+        exact = {m for m in metrics if m.startswith("virtual_")}
+        exact.add("db_bytes_per_user_byte")
+        assert len(exact) == 5
+        lines = (self.ROOT / "BENCH_TRAJECTORY.jsonl").read_text().splitlines()
+        commits = []
+        for number, line in enumerate(lines, 1):
+            row = json.loads(line)
+            where = f"line {number} ({row.get('commit')})"
+            assert set(row) == {"commit", "seeds", "runs", "workloads"}, where
+            commits.append(row["commit"])
+            assert row["seeds"] and row["runs"] >= 1, where
+            assert set(row["workloads"]) == workloads, where
+            for name, summary in row["workloads"].items():
+                assert set(summary) == metrics, f"{where} {name}"
+                for metric, pair in summary.items():
+                    at = f"{where} {name}.{metric}"
+                    assert isinstance(pair, list) and len(pair) == 2, at
+                    median, iqr = pair
+                    assert math.isfinite(median) and iqr >= 0, at
+                    if metric in exact and len(row["seeds"]) == 1:
+                        assert iqr == 0, at
+        assert lines and len(set(commits)) == len(commits)

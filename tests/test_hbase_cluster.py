@@ -136,6 +136,28 @@ class TestScan:
         rows = table.scan_all(Scan(limit=3))
         assert len(rows) == 3
 
+    def test_limit_zero_reads_nothing_and_costs_nothing(self, client, table):
+        for i in range(5):
+            put(table, f"k{i}".encode(), v=b"x")
+        sim = client.cluster.sim
+
+        def spent():
+            return dict(sim.metrics.counters()), sim.clock.now_ms
+
+        before = spent()
+        assert table.scan_all(Scan(limit=0)) == []
+        assert spent() == before  # no open RPC, no seek, no row read
+        assert len(table.scan_all(Scan(limit=1))) == 1
+        counters, _ = spent()
+        assert counters["client.rpc"] > before[0]["client.rpc"]
+        assert sum(v for k, v in counters.items() if k.endswith(".seek")) > sum(
+            v for k, v in before[0].items() if k.endswith(".seek")
+        )
+
+    def test_negative_limit_is_refused(self):
+        with pytest.raises(ValueError, match="limit"):
+            Scan(limit=-1)
+
     def test_column_value_filter(self, table):
         put(table, b"k1", v=b"yes")
         put(table, b"k2", v=b"no")

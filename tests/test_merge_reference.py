@@ -11,15 +11,25 @@ interleaved reads must leave ``merge_row``, ``Region.read_row`` and
 stable sort of what was inserted, and no returned list aliased to a
 stored one. A count-based guard pins the point of it all: the read of a
 hot row does not depend on how many versions the row has absorbed.
+
+The same machine checks what a ``Result`` says about itself —
+``size_bytes``, ``column_count``, ``value``, ``newest_values`` — against
+the reference cells, before and after ``_cells`` detaches it: a *plain*
+row read out of an HFile borrows the stored entry's cell map and its
+memoised summary (``store.row_result``), so results are held across
+later writes, flushes and compactions and must keep reading what they
+read when taken, and scribbling on them must never reach the store.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hbase import store
+from repro.hbase.cell import Result
 from repro.hbase.region import Region
-from repro.hbase.store import merge_row
+from repro.hbase.store import HFile, RegionScanner, RowEntry, merge_row
 
 
 # --------------------------------------------------------------- reference
@@ -76,6 +86,45 @@ def reference_merge_row(sources, max_versions, time_range=None, columns=None):
     return visible or None
 
 
+def reference_size(row, visible):
+    """``Result.size_bytes`` as first written: every cell pays the row
+    key, 8 bytes of framing, its column name and its value."""
+    return sum(
+        len(row) + 8 + len(family) + len(qualifier) + len(value)
+        for (family, qualifier), versions in visible.items()
+        for _, value in versions
+    )
+
+
+def reading(result):
+    """What a result says through the accessors that never detach it."""
+    return (
+        result.size_bytes,
+        result.column_count,
+        result.newest_values(ALL_COLUMNS),
+        [result.value(*column) for column in ALL_COLUMNS],
+    )
+
+
+def reference_reading(row, visible):
+    newest = [
+        visible[column][0][1] if column in visible else None
+        for column in ALL_COLUMNS
+    ]
+    return (reference_size(row, visible), len(visible), newest, newest)
+
+
+def assert_result_matches(result, row, expected):
+    """Borrowed or owned, a result reads as the reference cells do; and
+    again once ``_cells`` has detached it and dropped what it remembered."""
+    if expected is None:
+        assert result is None
+        return
+    assert reading(result) == reference_reading(row, expected)
+    assert result._cells == expected
+    assert reading(result) == reference_reading(row, expected)
+
+
 class ModelRegion:
     """Memstore + HFiles as plain dicts of :class:`ModelEntry`."""
 
@@ -127,6 +176,7 @@ class ModelRegion:
 FAMILIES = [b"cf", b"fx"]
 QUALIFIERS = [b"a", b"b", b"c"]
 ROWS = [b"r%d" % i for i in range(4)]
+ALL_COLUMNS = [(family, qualifier) for family in FAMILIES for qualifier in QUALIFIERS]
 COLUMN = st.tuples(st.sampled_from(FAMILIES), st.sampled_from(QUALIFIERS))
 # None = the server's stamp (the op counter, 1..60): explicit stamps from
 # the same range land before, on and after it
@@ -136,20 +186,20 @@ CELL = st.tuples(
     st.binary(max_size=3), STAMP,
 )
 
-ops_strategy = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), st.sampled_from(ROWS),
-                  st.lists(CELL, min_size=1, max_size=4)),
-        st.tuples(st.just("delete_row"), st.sampled_from(ROWS), STAMP),
-        st.tuples(st.just("delete_col"), st.sampled_from(ROWS),
-                  st.lists(COLUMN, min_size=1, max_size=2), STAMP),
-        st.tuples(st.just("read"), st.sampled_from(ROWS)),
-        st.tuples(st.just("flush")),
-        st.tuples(st.just("compact")),
-    ),
-    min_size=1,
-    max_size=60,
+OP = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(ROWS),
+              st.lists(CELL, min_size=1, max_size=4)),
+    st.tuples(st.just("delete_row"), st.sampled_from(ROWS), STAMP),
+    st.tuples(st.just("delete_col"), st.sampled_from(ROWS),
+              st.lists(COLUMN, min_size=1, max_size=2), STAMP),
+    st.tuples(st.just("read"), st.sampled_from(ROWS)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("compact")),
 )
+ops_strategy = st.lists(OP, min_size=1, max_size=60)
+# hypothesis draws short lists from the above (4 ops on average): a
+# read between two writes of one row needs a floor to come up at all
+long_ops_strategy = st.lists(OP, min_size=12, max_size=60)
 
 PROJECTIONS = [
     None,
@@ -164,13 +214,28 @@ TIME_RANGES = st.none() | st.tuples(
 def scribble(result):
     """Mutate everything a read handed out."""
     if result is not None:
+        result.add(b"cf", b"a", 10**6, b"added")
+        result.add(b"zz", b"new", 1, b"added")
         for versions in result._cells.values():
             versions.append((10**6, b"scribble"))
             versions.reverse()
 
 
+def hold(held, region):
+    """Take one-version reads of every row (point and scan: memstore
+    rows are copied, flushed ones borrowed) and note what they say now."""
+    results = [region.read_row(row) for row in ROWS]
+    results.extend(result for _, result in region.scan())
+    for result in results:
+        if result is not None:
+            held.append((result, reading(result)))
+
+
 def apply_ops(region, model, ops):
+    """Run ``ops`` on both; returns the un-scribbled results the reads
+    took along the way, each with what it read when taken."""
     clock = 0
+    held = []
     for op in ops:
         clock += 1
         kind = op[0]
@@ -186,17 +251,22 @@ def apply_ops(region, model, ops):
             region.delete_row(op[1], op[2], ts)
             model.delete(op[1], op[2], ts)
         elif kind == "read":
-            # a read restores the order of a dirty entry in place, and
-            # its result is the caller's to ruin
-            scribble(region.read_row(op[1], max_versions=4))
-            for _, result in region.scan(max_versions=4):
-                scribble(result)
+            # a read restores the order of a dirty entry in place, leaves
+            # a summary on every plain entry for the next write to drop,
+            # and its result is the caller's to ruin
+            assert_region_matches(region, model, 1, None, None)
+            hold(held, region)
+            for max_versions in (1, 4):
+                scribble(region.read_row(op[1], max_versions=max_versions))
+                for _, result in region.scan(max_versions=max_versions):
+                    scribble(result)
         elif kind == "flush":
             region.flush()
             model.flush()
         else:
             region.major_compact()
             model.compact()
+    return held
 
 
 def stored_lists(region, row):
@@ -221,10 +291,9 @@ def assert_region_matches(region, model, max_versions, time_range, columns):
         merged = merge_row(sources, max_versions, time_range, wanted)
         assert merged == expected
         point = region.read_row(row, columns, max_versions, time_range)
-        assert (None if point is None else point._cells) == expected
+        assert_result_matches(point, row, expected)
         if sources:
-            result = scanned.pop(row)
-            assert (None if result is None else result._cells) == expected
+            assert_result_matches(scanned.pop(row), row, expected)
         stored = stored_lists(region, row)
         for returned in (merged, point and point._cells):
             for versions in (returned or {}).values():
@@ -247,6 +316,21 @@ class TestMergeMatchesReference:
         model = ModelRegion(max_versions=3)
         apply_ops(region, model, ops)
         assert_region_matches(region, model, max_versions, time_range, columns)
+
+    @given(ops=long_ops_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_held_results_read_what_they_read_when_taken(self, ops):
+        """Snapshot isolation under whatever came later: puts of newer,
+        older and equal stamps, deletes, flushes, compactions, and other
+        readers scribbling on their own results of the same rows."""
+        region = Region("t", b"", None, max_versions=3)
+        model = ModelRegion(max_versions=3)
+        for result, taken in apply_ops(region, model, ops):
+            assert reading(result) == taken
+            heads = result._cells  # detaches; must show the same heads
+            assert result.newest_values(ALL_COLUMNS) == taken[2]
+            assert all(len(versions) == 1 for versions in heads.values())
+        assert_region_matches(region, model, 1, None, None)
 
     @given(ops=ops_strategy)
     @settings(max_examples=100, deadline=None)
@@ -336,3 +420,195 @@ class TestHistoryIndependence:
         # two bisections per column per source, each ~log2(HISTORY / 2)
         per_list = 2 * (HISTORY // 2).bit_length()
         assert len(key_calls) <= 3 * len(HOT_COLUMNS) * per_list
+
+
+# ------------------------------------------------------------- plain rows
+ROW = b"r1"
+WIDE = [(CF, b"c%02d" % i) for i in range(12)]
+
+
+def one_row_region(flushed):
+    region = Region("t", b"", None, max_versions=3)
+    model = ModelRegion(max_versions=3)
+    cells = [(b"cf", b"a", b"a-old", 5), (b"cf", b"b", b"b-old", 5)]
+    region.put_row(ROW, cells, 5)
+    model.put(ROW, cells, 5)
+    region.put_row(b"r2", cells, 6)  # a neighbour, so the row can split off
+    model.put(b"r2", cells, 6)
+    if flushed:
+        region.flush()
+        model.flush()
+    return region, model
+
+
+LATER = {
+    "newer put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"new", 9)], 9),
+    "older put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"old", 2)], 2),
+    "equal put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"same", 5)], 5),
+    "new column": lambda region: region.put_row(ROW, [(b"fx", b"c", b"wide", 9)], 9),
+    "delete_column": lambda region: region.delete_row(ROW, [(b"cf", b"a")], 9),
+    "delete_row": lambda region: region.delete_row(ROW, None, 9),
+    "flush": lambda region: region.flush(),
+    "major_compact": lambda region: region.major_compact(),
+    "split": lambda region: region.split(b"r2"),
+}
+
+
+class TestPlainRows:
+    @pytest.mark.parametrize("later", LATER)
+    @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
+    def test_a_result_is_a_snapshot(self, flushed, later):
+        region, _ = one_row_region(flushed)
+        point = region.read_row(ROW)
+        scanned = dict(region.scan())[ROW]
+        assert point._borrowed is scanned._borrowed is flushed
+        taken = reading(point)
+        assert taken == reading(scanned)
+        LATER[later](region)
+        if later == "split":
+            region = region.split_daughters[0]
+        region.put_row(ROW, [(b"cf", b"b", b"after", 20)], 20)
+        for result in (point, scanned):
+            assert reading(result) == taken
+            assert result._cells == {
+                (b"cf", b"a"): [(5, b"a-old")], (b"cf", b"b"): [(5, b"b-old")]
+            }
+
+    @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
+    def test_scribbling_on_a_result_never_reaches_the_store(self, flushed):
+        region, model = one_row_region(flushed)
+        for take in (region.read_row, lambda row: dict(region.scan())[row]):
+            by_add, by_cells = take(ROW), take(ROW)
+            size = by_add.size_bytes
+            by_add.add(b"cf", b"a", 99, b"added!")
+            assert not by_add._borrowed
+            assert by_add.value(b"cf", b"a") == b"added!"
+            assert by_add.size_bytes == size + reference_size(
+                ROW, {(b"cf", b"a"): [(99, b"added!")]}
+            )
+            by_cells._cells[(b"cf", b"a")][0] = (99, b"edited")
+            del by_cells._cells[(b"cf", b"b")]
+            assert by_cells.newest_values(ALL_COLUMNS[:2]) == [b"edited", None]
+            assert by_cells.size_bytes == reference_size(ROW, by_cells._cells)
+            assert_region_matches(region, model, 1, None, None)
+
+    def test_every_write_drops_what_the_entry_remembered(self):
+        region, model = Region("t", b"", None), ModelRegion(1)
+
+        def step(write, *args):
+            getattr(region, write)(ROW, *args)
+            (model.put if write == "put_row" else model.delete)(ROW, *args)
+            # the point read and the scan each memoise, then are checked
+            assert_region_matches(region, model, 1, None, None)
+
+        step("put_row", [(b"cf", b"a", b"v", None)], 1)
+        step("put_row", [(b"cf", b"a", b"longer value", None)], 2)  # fused put
+        step("put_row", [(b"fx", b"b", b"another column", None)], 3)
+        region.memstore.entry(ROW).put_cell(b"cf", b"c", 4, b"by put_cell")
+        model.put(ROW, [(b"cf", b"c", b"by put_cell", 4)], 4)
+        assert_region_matches(region, model, 1, None, None)
+        step("delete_row", [(b"cf", b"a")], 5)
+        step("put_row", [(b"cf", b"a", b"back", None)], 6)
+        step("delete_row", None, 7)
+        step("put_row", [(b"cf", b"b", b"reborn", None)], 8)
+
+    def test_an_entry_flushed_dirty_is_put_in_order_before_it_is_lent(self):
+        region, model = Region("t", b"", None), ModelRegion(1)
+        for ts, value in (
+            (5, b"first@5"), (3, b"older"), (5, b"second@5"), (9, b"top"), (9, b"late@9")
+        ):
+            cells = [(b"cf", b"a", value, ts)]
+            region.put_row(ROW, cells, ts)
+            model.put(ROW, cells, ts)
+        region.flush()  # nothing has read the entry yet
+        model.flush()
+        entry = region.hfiles[0].entry(ROW)
+        assert entry._dirty
+        [(_, result)] = list(region.scan())
+        assert result._borrowed and not entry._dirty
+        assert result.value(b"cf", b"a") == b"top"
+        assert_region_matches(region, model, 1, None, None)
+
+    @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
+    def test_rows_that_are_not_plain_take_the_merge(self, flushed):
+        region, model = one_row_region(flushed)
+        narrow = frozenset([(b"cf", b"a")])
+        exact = frozenset([(b"cf", b"a"), (b"cf", b"b")])
+        for columns, max_versions, time_range, plain in (
+            (None, 1, None, True),
+            (exact, 1, None, True),
+            (exact | {(b"fx", b"c")}, 1, None, True),
+            (narrow, 1, None, False),
+            (None, 2, None, False),
+            (None, 1, (0, 50), False),
+        ):
+            [(_, result), _] = list(
+                region.scan(None, None, columns, max_versions, time_range)
+            )
+            assert result._borrowed is (plain and flushed)
+            # a result built by the merge has not been sized yet
+            assert (result._summary is not None) is plain
+        region.delete_row(ROW, [(b"fx", b"c")], 1)  # hides nothing, still not plain
+        assert not region.read_row(ROW)._borrowed
+        assert_region_matches(region, model, 1, None, None)
+        # a stored column without a version (no writer under src/ makes
+        # one) must not be counted or shown
+        hollow = RowEntry.from_sorted_cells({(b"cf", b"a"): [(1, b"v")], (b"cf", b"b"): []})
+        [(_, result)] = list(RegionScanner([HFile({ROW: hollow})], b"", None))
+        assert not result._borrowed and result.column_count == 1
+        assert result.size_bytes == reference_size(ROW, {(b"cf", b"a"): [(1, b"v")]})
+
+    def test_a_rescan_of_flushed_rows_sizes_and_copies_nothing(self, monkeypatch):
+        """Exact counts: summaries built and results detached per scan."""
+        rows = 2000
+        built, detached = [], []
+        newest_summary = store._newest_summary
+        own_cells = Result._cells.fget
+        monkeypatch.setattr(
+            store, "_newest_summary",
+            lambda cells: built.append(1) or newest_summary(cells),
+        )
+        monkeypatch.setattr(
+            Result, "_cells",
+            property(lambda result: detached.append(1) or own_cells(result)),
+        )
+
+        def scan(region, columns=None):
+            del built[:], detached[:]
+            results = [result for _, result in region.scan(columns=columns)]
+            total = sum(result.size_bytes for result in results)
+            for result in results:
+                result.newest_values(WIDE[:3])
+                result.value(*WIDE[0])
+            return results, total, len(built), len(detached)
+
+        region = Region("t", b"", None, flush_threshold_rows=10**9)
+        for i in range(rows):
+            region.put_row(b"k%05d" % i, [(f, q, b"v%d" % i, None) for f, q in WIDE], i + 1)
+        # in the memstore: summarised once, heads copied on every scan
+        results, total, summaries, _ = scan(region)
+        assert summaries == rows and not any(r._borrowed for r in results)
+        assert scan(region)[1:] == (total, 0, 0)
+        region.put_row(b"k00007", [(CF, b"c00", b"a longer value", None)], rows + 1)
+        total += len(b"a longer value") - len(b"v7")
+        assert scan(region)[1:] == (total, 1, 0)
+        region.flush()
+        # in an HFile: lent as stored, under no projection, the exact one
+        # and a wider one
+        for columns in (None, frozenset(WIDE), frozenset(WIDE) | {(b"fx", b"x")}):
+            results, again, summaries, copies = scan(region, columns)
+            assert (again, summaries, copies) == (total, 0, 0)
+            assert all(
+                r._view is region.hfiles[0].entry(r.row)._cells for r in results
+            )
+        # a new row in the memstore: the heap merge sees 2000 runs of one
+        # HFile source and one run of one memstore source
+        region.put_row(b"k00007x", [(CF, b"c00", b"v", None)], rows + 2)
+        results, _, summaries, copies = scan(region)
+        assert (len(results), summaries, copies) == (rows + 1, 1, 0)
+        assert [r.row for r in results if not r._borrowed] == [b"k00007x"]
+        # the row written twice is two sources now: merged, nothing lent
+        region.put_row(b"k00007", [(CF, b"c00", b"v7", None)], rows + 3)
+        results, _, summaries, copies = scan(region)
+        assert (summaries, copies) == (0, 0)
+        assert [r.row for r in results if not r._borrowed] == [b"k00007", b"k00007x"]

@@ -3,7 +3,9 @@ byte-identical results to the *reference* per-row merge (the seed
 implementation of ``merge_row`` applied to one ``_sources_for`` point
 lookup per key) across randomized puts, deletes, flushes and
 compactions — versions, row tombstones, column tombstones, time ranges
-and column projections included."""
+and column projections included. Each scanned ``Result`` must also size
+and read itself (``size_bytes``, ``column_count``, ``newest_values``) as
+its reference cells do, whether it borrowed them from an HFile or not."""
 
 from __future__ import annotations
 
@@ -76,7 +78,23 @@ def streaming_scan(region, columns=None, max_versions=1, time_range=None):
         columns=wanted, max_versions=max_versions, time_range=time_range
     ):
         if result is not None:
-            out.append((row, result._cells))
+            # asked before `_cells` detaches the result from the store
+            said = (
+                result.size_bytes,
+                result.column_count,
+                result.newest_values(ALL_COLUMNS),
+            )
+            cells = result._cells
+            assert said == (
+                sum(
+                    len(row) + 8 + len(f) + len(q) + len(value)
+                    for (f, q), versions in cells.items()
+                    for _, value in versions
+                ),
+                len(cells),
+                [cells[c][0][1] if c in cells else None for c in ALL_COLUMNS],
+            )
+            out.append((row, cells))
     return out
 
 
@@ -85,6 +103,7 @@ CF = b"cf"
 FAMILIES = [b"cf", b"fx"]
 QUALIFIERS = [b"a", b"b", b"c"]
 ROWS = [b"r%d" % i for i in range(8)]
+ALL_COLUMNS = [(f, q) for f in FAMILIES for q in QUALIFIERS]
 
 ops_strategy = st.lists(
     st.one_of(

@@ -232,6 +232,29 @@ class TestCacheCoherence:
 
         self.check_mirror(step)
 
+    def test_cached_result_is_sized_once_and_detaches_when_edited(self):
+        """A flushed row's Result borrows the HFile entry and is what the
+        cache keeps: every get of it is charged the same bytes, and a
+        caller's ``add`` must leave the store alone and re-size."""
+        cluster, table = build_cluster(ServingConfig(row_cache_bytes=64 * 1024))
+        for region in cluster.descriptor("t").regions:
+            cluster.server_for(region).flush_region(region)
+        row = b"%08d" % 7
+        wire = len(row) + 8 + len(CF) + len(Q) + len(b"v0-%08d" % 7)
+        counters = cluster.sim.metrics.counters
+        charged = []
+        for _ in range(3):  # a miss, then two hits
+            before = counters()["client.bytes"]
+            result = table.get(Get(row))
+            charged.append(counters()["client.bytes"] - before)
+        assert charged == [wire] * 3 and result._borrowed
+        result.add(CF, b"extra", 10**9, b"edited by the caller")
+        assert not result._borrowed
+        assert result.size_bytes == wire + len(row) + 8 + len(CF) + 5 + 20
+        region = cluster.descriptor("t").region_for(row)
+        stored = region.read_row(row)
+        assert stored.size_bytes == wire and stored.column_count == 1
+
     def test_compaction_preserves_reads(self):
         def step(cluster, table):
             p = Put(b"%08d" % 3)
