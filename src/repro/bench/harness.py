@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.sim.scheduler import percentile
+from repro.sim.metrics import percentile
 
 
 @dataclass(frozen=True)

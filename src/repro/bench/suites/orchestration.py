@@ -13,7 +13,6 @@ from repro.orchestration import (
     ClusterPlan,
     Orchestrator,
     PoisonStep,
-    RolloutPolicy,
     SetReplicas,
     SplitRegion,
     TablePlan,
@@ -58,11 +57,9 @@ def run_orchestration_cell(
             plan = ClusterPlan(
                 servers=target_servers,
                 tables={"chaos": TablePlan(replicas=target_replicas)},
-                balance="load-aware",
             )
             seen["orchestrator"] = Orchestrator(
-                cluster, plan=plan,
-                policy=RolloutPolicy(start_delay_ms=rollout_start_ms),
+                cluster, plan=plan, start_delay_ms=rollout_start_ms
             )
             seen["orchestrator"].install(scheduler)
 

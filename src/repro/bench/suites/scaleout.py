@@ -62,7 +62,7 @@ def _scaleout_cell(
         p.add(b"cf", b"v", payload)
         puts.append(p)
     table.put_batch(puts)  # crosses the split threshold repeatedly
-    RegionBalancer(cluster, policy="load-aware").rebalance()
+    RegionBalancer(cluster).rebalance()
     sim.reset_clock()
 
     scheduler = DeterministicScheduler(sim)

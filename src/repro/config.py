@@ -1,9 +1,11 @@
 """Cost-model and cluster configuration.
 
-All latency constants used by the simulated cluster live here, in one
-dataclass, so that every experiment is reproducible from a single
-calibration point and so that nothing about a particular figure is
-hard-coded inside an engine.
+``CostModel`` is the calibration: every price a figure depends on, in
+one dataclass, so that every experiment is reproducible from a single
+calibration point. The other classes hold what some suite or perfbench
+workload actually sets; a tunable that nothing varies is a module
+constant beside the code that reads it, and ``tools/config_table.py``
+(run by ``tests/test_bench.py``) keeps it that way.
 
 Calibration anchors (from the paper, Sections IX-B..IX-D):
 
@@ -142,9 +144,6 @@ class ReplicationConfig:
     """Total copies of each region (primary included). 1 disables
     replication entirely; N >= 2 keeps N-1 followers per region."""
 
-    ship_batch_entries: int = 8
-    """WAL entries the shipper pushes to one follower per drain step."""
-
     ack_mode: str = "primary"
     """When a replicated edit counts as durably acknowledged:
 
@@ -164,11 +163,6 @@ class ReplicationConfig:
         if self.replica_count < 1:
             raise ClusterConfigError(
                 f"replica_count must be >= 1, got {self.replica_count}"
-            )
-        if self.ship_batch_entries < 1:
-            raise ClusterConfigError(
-                f"ship_batch_entries must be >= 1, got "
-                f"{self.ship_batch_entries}"
             )
         if self.ack_mode not in ("primary", "all"):
             raise ClusterConfigError(
@@ -198,15 +192,6 @@ class ServingConfig:
     """Byte budget of the per-server LRU row cache. 0 disables the
     cache entirely (no counters, no lookups, identical charges)."""
 
-    cache_hit_ms: float = 0.01
-    """Server-side cost of serving a point read out of the row cache —
-    replaces the ``seek_ms + read_row_ms`` store lookup on a hit."""
-
-    cache_entry_overhead_bytes: int = 64
-    """Fixed accounting overhead per cached entry (hash-map slot, key
-    copy, LRU links) added to the result payload when charging the
-    cache's byte budget."""
-
     admission_queue_ms: float | None = None
     """Bounded request queue, expressed as the longest virtual backlog
     (ms of queued work) a server accepts before shedding an arriving
@@ -218,13 +203,6 @@ class ServingConfig:
     shrinks by ``p99 / budget`` until the tail comes back under it.
     ``None`` leaves the queue bound static."""
 
-    p99_window: int = 128
-    """Completed-request latencies kept per server for the p99 estimate."""
-
-    p99_refresh_every: int = 16
-    """Completions between pressure re-estimates (keeps the estimator
-    off the per-request hot path; refresh cadence is deterministic)."""
-
     qos_weights: tuple[tuple[str, float], ...] = ()
     """Per-table QoS weights as ``(table_name, weight)`` pairs (tuple,
     not dict, so the config stays hashable/frozen). A table with weight
@@ -233,23 +211,10 @@ class ServingConfig:
     high-weight (interactive) tables shed last. Unlisted tables get
     weight 1.0."""
 
-    shed_retry_after_ms: float = 2.0
-    """Retry-after hint carried by ``ServerOverloadedError``; clients
-    back off at least this long before re-offering a shed request."""
-
     def __post_init__(self) -> None:
         if self.row_cache_bytes < 0:
             raise ClusterConfigError(
                 f"row_cache_bytes must be >= 0, got {self.row_cache_bytes}"
-            )
-        if self.cache_hit_ms < 0:
-            raise ClusterConfigError(
-                f"cache_hit_ms must be >= 0, got {self.cache_hit_ms}"
-            )
-        if self.cache_entry_overhead_bytes < 0:
-            raise ClusterConfigError(
-                f"cache_entry_overhead_bytes must be >= 0, got "
-                f"{self.cache_entry_overhead_bytes}"
             )
         if self.admission_queue_ms is not None and self.admission_queue_ms <= 0:
             raise ClusterConfigError(
@@ -266,25 +231,17 @@ class ServingConfig:
                 "p99_budget_ms requires admission_queue_ms (adaptive "
                 "shedding scales the queue bound)"
             )
-        if self.p99_window < 1:
-            raise ClusterConfigError(
-                f"p99_window must be >= 1, got {self.p99_window}"
-            )
-        if self.p99_refresh_every < 1:
-            raise ClusterConfigError(
-                f"p99_refresh_every must be >= 1, got {self.p99_refresh_every}"
-            )
         for pair in self.qos_weights:
-            if len(pair) != 2 or not pair[0] or pair[1] <= 0:
+            try:
+                table, weight = pair
+                valid = bool(table) and weight > 0
+            except (TypeError, ValueError):  # not a pair / not a number
+                valid = False
+            if not valid:
                 raise ClusterConfigError(
                     f"qos_weights entries must be (table, positive weight) "
                     f"pairs, got {pair!r}"
                 )
-        if self.shed_retry_after_ms < 0:
-            raise ClusterConfigError(
-                f"shed_retry_after_ms must be >= 0, got "
-                f"{self.shed_retry_after_ms}"
-            )
 
     @property
     def cache_enabled(self) -> bool:
@@ -303,8 +260,11 @@ class ClusterConfig:
     """Shape of the simulated cluster (mirrors the paper's EC2 testbed)."""
 
     num_region_servers: int = 5
-    hfile_flush_threshold_rows: int = 50_000
+
     max_versions: int = 1
+    """Cell versions a table keeps per column unless its
+    ``create_table(max_versions=...)`` says otherwise."""
+
     seed: int = 20170904  # CLUSTER'17 conference date
 
     region_split_threshold_bytes: int | None = None
@@ -314,13 +274,6 @@ class ClusterConfig:
     down to a single row). ``None`` disables splitting entirely, which
     keeps every pre-existing experiment's region layout — and therefore
     its simulated latency — bit-identical."""
-
-    max_location_retries: int = 16
-    """Relocations one client operation may pay before giving up with a
-    typed ``RegionRetriesExhaustedError`` — bounds the meta-retry loop
-    when a key range keeps resolving to unavailable regions (deep split
-    chains, repeated failover). Each ``HTable`` picks this up at
-    construction time."""
 
     cost: CostModel = field(default_factory=CostModel)
 
@@ -334,6 +287,10 @@ class ClusterConfig:
                 f"num_region_servers must be >= 1, got "
                 f"{self.num_region_servers}"
             )
+        if self.max_versions < 1:
+            raise ClusterConfigError(
+                f"max_versions must be >= 1, got {self.max_versions}"
+            )
         if (
             self.region_split_threshold_bytes is not None
             and self.region_split_threshold_bytes <= 0
@@ -342,11 +299,6 @@ class ClusterConfig:
                 f"region_split_threshold_bytes must be positive (or None "
                 f"to disable splitting), got "
                 f"{self.region_split_threshold_bytes}"
-            )
-        if self.max_location_retries < 1:
-            raise ClusterConfigError(
-                f"max_location_retries must be >= 1, got "
-                f"{self.max_location_retries}"
             )
 
 

@@ -18,7 +18,7 @@ work. The admission controller bounds that backlog:
 * **p99-targeted adaptation.** The controller keeps a sliding window
   of completed-request latencies (queue wait + service, measured in
   virtual time between admit and completion). Every
-  ``p99_refresh_every`` completions it re-estimates the window's p99;
+  ``P99_REFRESH_EVERY`` completions it re-estimates the window's p99;
   when that exceeds ``p99_budget_ms`` the effective queue bound shrinks
   by the overshoot ratio (``pressure``), shedding harder until the tail
   returns to budget. All inputs are virtual-time quantities, so shed
@@ -27,22 +27,22 @@ work. The admission controller bounds that backlog:
 
 from __future__ import annotations
 
-import math
-
 from collections import deque
 
 from repro.config import ServingConfig
 from repro.errors import ServerOverloadedError
+from repro.sim.metrics import percentile
 
+P99_WINDOW = 128
+"""Completed-request latencies kept per server for the p99 estimate."""
 
-def _percentile(samples, q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]); mirrors
-    ``repro.sim.scheduler.percentile`` without the import cycle."""
-    ordered = sorted(samples)
-    if not ordered:
-        return float("nan")
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+P99_REFRESH_EVERY = 16
+"""Completions between pressure re-estimates (keeps the estimator off
+the per-request path; the cadence is deterministic)."""
+
+SHED_RETRY_AFTER_MS = 2.0
+"""Retry-after hint carried by ``ServerOverloadedError``; clients back
+off at least this long before re-offering a shed request."""
 
 
 class AdmissionController:
@@ -52,7 +52,6 @@ class AdmissionController:
         "server_name",
         "queue_bound_ms",
         "p99_budget_ms",
-        "retry_after_ms",
         "pressure",
         "admitted",
         "shed",
@@ -60,7 +59,6 @@ class AdmissionController:
         "shed_log",
         "_weights",
         "_window",
-        "_refresh_every",
         "_since_refresh",
     )
 
@@ -70,15 +68,13 @@ class AdmissionController:
         self.server_name = server_name
         self.queue_bound_ms = config.admission_queue_ms
         self.p99_budget_ms = config.p99_budget_ms
-        self.retry_after_ms = config.shed_retry_after_ms
         self.pressure = 1.0
         self.admitted = 0
         self.shed = 0
         self.shed_by_table: dict[str, int] = {}
         self.shed_log: list[tuple[str, float, float, float]] | None = None
         self._weights = dict(config.qos_weights)
-        self._window: deque[float] = deque(maxlen=config.p99_window)
-        self._refresh_every = config.p99_refresh_every
+        self._window: deque[float] = deque(maxlen=P99_WINDOW)
         self._since_refresh = 0
 
     def weight_for(self, table: str) -> float:
@@ -101,7 +97,7 @@ class AdmissionController:
                 f"server {self.server_name} shed {table!r} request: "
                 f"backlog {backlog_ms:.3f} ms > bound {bound:.3f} ms "
                 f"(pressure {self.pressure:.3f})",
-                retry_after_ms=self.retry_after_ms,
+                retry_after_ms=SHED_RETRY_AFTER_MS,
             )
         self.admitted += 1
         return now_ms
@@ -113,9 +109,9 @@ class AdmissionController:
         if self.p99_budget_ms is None:
             return
         self._since_refresh += 1
-        if self._since_refresh >= self._refresh_every:
+        if self._since_refresh >= P99_REFRESH_EVERY:
             self._since_refresh = 0
-            p99 = _percentile(self._window, 0.99)
+            p99 = percentile(self._window, 0.99)
             self.pressure = max(1.0, p99 / self.p99_budget_ms)
 
     def stats(self) -> dict[str, int | float]:

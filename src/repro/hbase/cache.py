@@ -35,6 +35,10 @@ from repro.hbase.cell import Result
 _MISS = object()
 """Sentinel distinguishing "not cached" from a cached negative entry."""
 
+ENTRY_OVERHEAD_BYTES = 64
+"""Fixed accounting overhead per cached entry (hash-map slot, key copy,
+LRU links), added to the payload when charging the byte budget."""
+
 CacheKey = tuple[str, bytes, tuple[tuple[bytes, bytes], ...] | None]
 
 
@@ -43,7 +47,6 @@ class RowCache:
 
     __slots__ = (
         "capacity_bytes",
-        "entry_overhead_bytes",
         "size_bytes",
         "hits",
         "misses",
@@ -55,11 +58,10 @@ class RowCache:
         "_by_region",
     )
 
-    def __init__(self, capacity_bytes: int, entry_overhead_bytes: int = 64) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self.entry_overhead_bytes = entry_overhead_bytes
         self.size_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -95,7 +97,7 @@ class RowCache:
         self, region_name: str, row: bytes, variant, result: Result | None
     ) -> None:
         key = (region_name, row, variant)
-        size = self.entry_overhead_bytes + len(row)
+        size = ENTRY_OVERHEAD_BYTES + len(row)
         if result is not None:
             size += result.size_bytes
         if size > self.capacity_bytes:

@@ -45,21 +45,18 @@ from repro.hbase.region import Region
 from repro.sim.latency import LatencyCharger
 
 
+MAX_LOCATION_RETRIES = 16
+"""Relocations one operation may pay before giving up with a
+:class:`~repro.errors.RegionRetriesExhaustedError` — bounds the
+meta-retry loop when a key range keeps resolving to regions that turn
+out to be unavailable (deep split chains, repeated failover)."""
+
 _FOLLOWER_MISS = object()
 """Sentinel: no eligible follower served the read — use the primary."""
 
 
 class HTable:
     """Client-side view of one table."""
-
-    MAX_LOCATION_RETRIES = 16
-    """Relocations one operation may pay before giving up with a
-    :class:`~repro.errors.RegionRetriesExhaustedError` — bounds the
-    meta-retry loop when a key range keeps resolving to regions that
-    turn out to be unavailable (deep split chains, repeated failover).
-    This class attribute is the documented default; each instance
-    shadows it with ``ClusterConfig.max_location_retries`` at
-    construction time, so the budget is a cluster-level knob."""
 
     def __init__(
         self,
@@ -73,7 +70,6 @@ class HTable:
         self.charge = LatencyCharger(cluster.sim, "client")
         self._cached_region: Region | None = None
         self._cached_version = -1
-        self.MAX_LOCATION_RETRIES = cluster.config.max_location_retries
         self.follower_reads = follower_reads
         """Opt-in bounded-staleness reads: gets and scan windows are
         served by the most-caught-up region replica within the
@@ -172,7 +168,7 @@ class HTable:
         unavailable regions surfaces a typed
         :class:`~repro.errors.RegionRetriesExhaustedError` instead of
         looping on meta lookups forever."""
-        for _ in range(self.MAX_LOCATION_RETRIES):
+        for _ in range(MAX_LOCATION_RETRIES):
             region = self._locate(row)
             try:
                 return op_at(region)
@@ -180,7 +176,7 @@ class HTable:
                 self._relocate(region, row)
         raise RegionRetriesExhaustedError(
             f"operation on row {row!r} of table {self.name} gave up "
-            f"after {self.MAX_LOCATION_RETRIES} relocation attempts"
+            f"after {MAX_LOCATION_RETRIES} relocation attempts"
         )
 
     # -- point ops --------------------------------------------------------------------
@@ -213,12 +209,11 @@ class HTable:
         # load, is this path's contract
         ctx, token = self._enter_server(server, admission=False)
         try:
-            server.charge.seek()
-            result = follower.region.read_row(
-                op.row, op.columns, op.max_versions, op.time_range
+            result = server.read_point(
+                follower.region, op.row, op.columns, op.max_versions,
+                op.time_range,
             )
             if result is not None:
-                server.charge.rows_read(1)
                 self.charge.transfer(result.size_bytes)
             # pin the observation: nothing yields between the read and
             # these counters, so they describe exactly the prefix read
@@ -274,7 +269,7 @@ class HTable:
         typed :class:`~repro.errors.RegionRetriesExhaustedError`."""
         if not ops:
             return
-        if _depth >= self.MAX_LOCATION_RETRIES:
+        if _depth >= MAX_LOCATION_RETRIES:
             raise RegionRetriesExhaustedError(
                 f"put_batch on table {self.name} gave up after {_depth} "
                 "relocation attempts"
@@ -356,10 +351,13 @@ class HTable:
         server = self.cluster.server_for(region)
         ctx, token = self._enter_server(server)
         try:
-            server.charge.seek()
-            result = region.read_row(op.row, [(op.family, op.qualifier)])
+            # the read half pays what a Get pays (see _check_and_put_at)
+            result = server.read_point(
+                region, op.row, [(op.family, op.qualifier)]
+            )
             current = 0
             if result is not None:
+                self.charge.transfer(result.size_bytes)
                 raw = result.value(op.family, op.qualifier)
                 if raw:
                     current = struct.unpack(">q", raw)[0]
@@ -411,11 +409,9 @@ class HTable:
             # the read half of the RMW pays what a Get pays: a server-
             # side seek plus, when the row exists, row materialization
             # and the compared bytes over the wire
-            server.charge.seek()
-            result = region.read_row(row, [(family, qualifier)])
+            result = server.read_point(region, row, [(family, qualifier)])
             current = None
             if result is not None:
-                server.charge.rows_read(1)
                 self.charge.transfer(result.size_bytes)
                 current = result.value(family, qualifier)
             if current != expected:

@@ -8,10 +8,9 @@ fault-tolerance story the paper's HBase layer provides.
 Scale-out duties live here too: size-triggered mid-key region splits
 (daughters inherit store contents as zero-copy views and open on the
 parent's server, as in real HBase), explicit server addition, and the
-:class:`RegionBalancer`, which redistributes regions across servers
-under a round-robin or load-aware policy. Every policy decision is a
-pure function of the cluster state plus a SimRNG stream derived from
-the cluster seed, so rebalancing is bit-reproducible.
+:class:`RegionBalancer`, which evens out region bytes across servers.
+Every placement decision is a pure function of the cluster state, so
+rebalancing is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.hbase.region import Region
 from repro.hbase.regionserver import RegionServer
 from repro.hbase.replication import ReplicationManager
 from repro.sim.clock import Simulation
-from repro.sim.rng import derive_rng
 
 
 class TableDescriptor:
@@ -140,7 +138,12 @@ class HBaseCluster:
     ) -> TableDescriptor:
         if name in self.tables:
             raise TableExistsError(name)
-        max_versions = max_versions or self.config.max_versions
+        if max_versions is None:
+            max_versions = self.config.max_versions
+        elif max_versions < 1:
+            raise ClusterConfigError(
+                f"max_versions must be >= 1, got {max_versions}"
+            )
         boundaries: list[bytes | None] = [b""]
         boundaries.extend(sorted(split_keys or []))
         boundaries.append(None)
@@ -154,7 +157,6 @@ class HBaseCluster:
                 end_key=boundaries[i + 1],
                 max_versions=max_versions,
                 kv_overhead_bytes=self.config.cost.kv_overhead_bytes,
-                flush_threshold_rows=self.config.hfile_flush_threshold_rows,
                 split_threshold_bytes=self.config.region_split_threshold_bytes,
             )
             regions.append(region)
@@ -749,36 +751,21 @@ class HBaseCluster:
 
 
 class RegionBalancer:
-    """Redistributes regions across the cluster's live region servers.
-
-    Two policies:
-
-    * ``"round-robin"`` deals the regions (in (table, start key) order)
-      cyclically across the live servers, starting at a SimRNG-drawn
-      offset — the classic HBase simple balancer.
-    * ``"load-aware"`` greedily moves the best-fitting region from the
-      most-loaded to the least-loaded server (load = approximate region
-      bytes) while doing so shrinks the spread — a size-weighted
-      balancer that evens out skewed post-split layouts.
-
-    Both are deterministic: ordering is by stable sort keys and the only
-    arbitrary choice (the round-robin offset) comes from a RNG stream
-    derived from the cluster seed, so repeated runs move the same
-    regions to the same servers.
+    """Redistributes regions across the cluster's live region servers:
+    greedily moves the best-fitting region from the most-loaded to the
+    least-loaded server (load = approximate region bytes) while doing
+    so shrinks the spread — a size-weighted balancer that evens out
+    skewed post-split layouts. Ordering is by stable sort keys, so
+    repeated runs move the same regions to the same servers.
     """
 
-    def __init__(self, cluster: HBaseCluster, policy: str = "load-aware") -> None:
-        if policy not in ("round-robin", "load-aware"):
-            raise ValueError(f"unknown balancer policy: {policy}")
+    def __init__(self, cluster: HBaseCluster) -> None:
         self.cluster = cluster
-        self.policy = policy
-        self._rng = derive_rng(cluster.config.seed, "region-balancer")
         self.last_moves: list[tuple[str, bytes, str, str]] = []
         """Moves the latest :meth:`rebalance` performed, as
         ``(table, start_key, source, target)`` — what an orchestration
         rollback replays in reverse."""
 
-    # -- shared helpers ----------------------------------------------------------------
     def _live_servers(self) -> list[RegionServer]:
         # draining servers are on their way out: never a balance target
         return [s for s in self.cluster.servers if s.alive and not s.draining]
@@ -792,22 +779,17 @@ class RegionBalancer:
         return regions
 
     def rebalance(self) -> int:
-        """Run the active policy; returns the number of regions moved.
+        """Even the layout out; returns the number of regions moved.
         Tables whose regions moved get their layout version bumped, so
         client relocation caches re-resolve instead of talking to the
         old host."""
         servers = self._live_servers()
         if len(servers) < 2:
             return 0
-        if self.policy == "round-robin":
-            moves = self._round_robin_moves(servers)
-        else:
-            moves = self._load_aware_moves(servers)
+        moves = self._load_aware_moves(servers)
         replication = self.cluster.replication
         if replication is not None:
-            # drop (don't reroute) moves that would co-host a primary
-            # with its own follower: rerouting would shift every later
-            # round-robin slot and change unrelated placements
+            # never co-host a primary with its own follower
             moves = [
                 (region, target)
                 for region, target in moves
@@ -828,22 +810,6 @@ class RegionBalancer:
         for table in sorted(moved_tables):
             self.cluster.tables[table].invalidate_locations()
         return moved
-
-    # -- policies ----------------------------------------------------------------------
-    def _round_robin_moves(
-        self, servers: list[RegionServer]
-    ) -> list[tuple[Region, RegionServer]]:
-        regions = [
-            # a dead server's regions belong to master recovery, not
-            # the balancer: moving needs a flush the host cannot serve
-            r for r in self._hosted_regions()
-            if self.cluster.server_for(r).alive
-        ]
-        offset = int(self._rng.integers(len(servers)))
-        return [
-            (region, servers[(offset + i) % len(servers)])
-            for i, region in enumerate(regions)
-        ]
 
     def _load_aware_moves(
         self, servers: list[RegionServer]

@@ -16,6 +16,9 @@ from repro.hbase.store import (
     row_result,
 )
 
+HFILE_FLUSH_THRESHOLD_ROWS = 50_000
+"""Memstore rows at which a region server flushes a region to an HFile."""
+
 
 class Region:
     """Hosts rows with ``start_key <= row < end_key`` (empty bounds = open)."""
@@ -29,7 +32,7 @@ class Region:
         end_key: bytes | None,
         max_versions: int = 1,
         kv_overhead_bytes: int = 24,
-        flush_threshold_rows: int = 50_000,
+        flush_threshold_rows: int = HFILE_FLUSH_THRESHOLD_ROWS,
         split_threshold_bytes: int | None = None,
         wal_ancestry: tuple[str, ...] = (),
     ) -> None:

@@ -12,6 +12,10 @@ from repro.hbase.wal import WalEntry, WriteAheadLog
 from repro.sim.clock import Simulation
 from repro.sim.latency import LatencyCharger
 
+CACHE_HIT_MS = 0.01
+"""Server-side cost of serving a point read out of the row cache —
+replaces the ``seek_ms + read_row_ms`` store lookup on a hit."""
+
 
 class RegionServer:
     """One simulated HBase RegionServer process.
@@ -34,13 +38,9 @@ class RegionServer:
         self.charge = LatencyCharger(sim, f"rs.{name}")
         self.row_cache: RowCache | None = None
         self.admission: AdmissionController | None = None
-        self._cache_hit_ms = 0.0
         self._cache_hit_what = f"rs.{name}.cache_hit"
         if serving is not None and serving.cache_enabled:
-            self.row_cache = RowCache(
-                serving.row_cache_bytes, serving.cache_entry_overhead_bytes
-            )
-            self._cache_hit_ms = serving.cache_hit_ms
+            self.row_cache = RowCache(serving.row_cache_bytes)
         if serving is not None and serving.admission_enabled:
             self.admission = AdmissionController(name, serving)
         self.regions: dict[str, Region] = {}
@@ -84,6 +84,24 @@ class RegionServer:
         return self.regions.pop(region_name)
 
     # -- reads -------------------------------------------------------------------------
+    def read_point(
+        self,
+        region: Region,
+        row: bytes,
+        columns: list[tuple[bytes, bytes]] | None = None,
+        max_versions: int = 1,
+        time_range: tuple[int, int] | None = None,
+    ) -> Result | None:
+        """The uncached point read, priced here and nowhere else: one
+        store seek, plus one row materialization when the row exists.
+        Followers and the read half of a read-modify-write call this
+        directly; :meth:`serve_get` is the row cache around it."""
+        self.charge.seek()
+        result = region.read_row(row, columns, max_versions, time_range)
+        if result is not None:
+            self.charge.rows_read(1)
+        return result
+
     def serve_get(
         self,
         region: Region,
@@ -92,31 +110,20 @@ class RegionServer:
         max_versions: int = 1,
         time_range: tuple[int, int] | None = None,
     ) -> Result | None:
-        """Point read through the (optional) row cache.
-
-        Uncached — and for every multi-version or time-ranged read,
-        which bypasses the cache because a compaction could change its
-        answer — this charges exactly the pre-cache path: one store
-        seek, plus one row materialization when the row exists. A hit
-        charges ``cache_hit_ms`` instead and touches the store not at
-        all."""
+        """Point read through the (optional) row cache. Multi-version
+        and time-ranged reads bypass it (a compaction could change
+        their answer); a hit charges ``CACHE_HIT_MS`` and touches the
+        store not at all."""
         cache = self.row_cache
         if cache is None or max_versions != 1 or time_range is not None:
-            self.charge.seek()
-            result = region.read_row(row, columns, max_versions, time_range)
-            if result is not None:
-                self.charge.rows_read(1)
-            return result
+            return self.read_point(region, row, columns, max_versions, time_range)
         region._check_online()  # a cached row must not outlive its region
         variant = RowCache.variant(columns)
         cached = cache.lookup(region.name, row, variant)
         if not missed(cached):
-            self.sim.charge(self._cache_hit_ms, self._cache_hit_what)
+            self.sim.charge(CACHE_HIT_MS, self._cache_hit_what)
             return cached
-        self.charge.seek()
-        result = region.read_row(row, columns, max_versions, time_range)
-        if result is not None:
-            self.charge.rows_read(1)
+        result = self.read_point(region, row, columns)
         cache.insert(region.name, row, variant, result)
         return result
 

@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SHIP_INTERVAL_MS = 4.0
 """Virtual pause between shipper drain rounds (the push cadence)."""
 
+SHIP_BATCH_ENTRIES = 8
+"""WAL entries the shipper pushes to one follower per drain round."""
+
 SHIP_ENTRY_MS = 0.02
 """Virtual cost of applying one shipped WAL entry on a follower (waited
 out on the shipper daemon's timeline in async mode, charged on the
@@ -284,12 +287,10 @@ class ReplicationManager:
                 self._place_follower(group, server)
 
     # -- shipping ------------------------------------------------------------------
-    def ship_pending(self, batch_entries: int | None = None) -> int:
+    def ship_pending(self, batch_entries: int = SHIP_BATCH_ENTRIES) -> int:
         """One drain round: push up to ``batch_entries`` log entries to
         every live lagging follower; returns entries shipped. Group and
         follower iteration order is insertion order — deterministic."""
-        if batch_entries is None:
-            batch_entries = self.config.ship_batch_entries
         shipped = 0
         for group in self.groups.values():
             log = group.log
@@ -576,9 +577,8 @@ class ReplicationShipper:
         )
 
     def program(self, vc):
-        config = self.manager.config
         while True:
-            shipped = self.manager.ship_pending(config.ship_batch_entries)
+            shipped = self.manager.ship_pending()
             vc.wait(shipped * SHIP_ENTRY_MS, "replication.ship")
             vc.wait(SHIP_INTERVAL_MS, "replication.ship_interval")
             yield "ship"

@@ -2,7 +2,7 @@
 
 A :class:`~repro.orchestration.plan.ClusterPlan` declares the desired
 topology (server count, per-table replica counts and split points,
-balancer policy, drains); ``diff(plan, cluster)`` turns the gap between
+balancing, drains); ``diff(plan, cluster)`` turns the gap between
 plan and reality into an ordered list of typed
 :class:`~repro.orchestration.steps.Step` objects, and the
 :class:`~repro.orchestration.orchestrator.Orchestrator` executes them
@@ -15,7 +15,6 @@ with the chaos engine's ``FaultInjector``. See docs/OPERATIONS.md.
 
 from repro.orchestration.orchestrator import (
     Orchestrator,
-    RolloutPolicy,
     RolloutReport,
     StageReport,
     cluster_snapshot,
@@ -52,7 +51,6 @@ __all__ = [
     "RemoveServers",
     "RestoreFollowers",
     "RestoreMoves",
-    "RolloutPolicy",
     "RolloutReport",
     "SetReplicas",
     "SplitRegion",

@@ -29,7 +29,6 @@ the chaos engine's ``FaultInjector`` and the client workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -53,6 +52,10 @@ VERIFY_ATTEMPTS = 8
 """Stage-verify rounds to wait out *transient* violations (regions
 awaiting recovery, groups short of followers) before failing."""
 
+RETRY_BACKOFF_MS = 12.0
+"""Linear backoff on ``RegionUnavailableError``: attempt ``n`` of a step
+(or of an inverse during rollback) waits ``n * RETRY_BACKOFF_MS``."""
+
 VERIFY_BACKOFF_MS = 12.0
 """Wait between verify rounds: round ``n`` waits ``n * VERIFY_BACKOFF_MS``."""
 
@@ -60,18 +63,6 @@ STEP_COST_MS = 2.0
 """Admin round trip the orchestrator waits out on its own timeline per
 applied step — rollouts take virtual time, so they interleave with the
 workload instead of landing atomically."""
-
-
-@dataclass(frozen=True)
-class RolloutPolicy:
-    """Pacing for one rollout."""
-
-    retry_backoff_ms: float = 12.0
-    """Linear backoff: attempt ``n`` waits ``n * retry_backoff_ms``."""
-
-    start_delay_ms: float = 0.0
-    """Virtual delay before the first stage (lets a scheduled workload
-    warm up before the rollout starts)."""
 
 
 class StageReport:
@@ -264,6 +255,8 @@ class Orchestrator:
     ``stages`` takes pre-grouped ``(name, [steps])`` pairs — the hook
     tests and the CI fault drill use to compose a stage that mixes
     real steps with a :class:`~repro.orchestration.steps.PoisonStep`.
+    ``start_delay_ms`` is a virtual delay before the first stage (lets
+    a scheduled workload warm up before the rollout starts).
     """
 
     def __init__(
@@ -272,7 +265,7 @@ class Orchestrator:
         plan: ClusterPlan | None = None,
         steps: list[Step] | None = None,
         stages: list[tuple[str, list[Step]]] | None = None,
-        policy: RolloutPolicy | None = None,
+        start_delay_ms: float = 0.0,
         verify_tables: list[str] | None = None,
     ) -> None:
         given = sum(x is not None for x in (plan, steps, stages))
@@ -283,7 +276,7 @@ class Orchestrator:
         if plan is not None:
             steps = diff(plan, cluster)
         self.cluster = cluster
-        self.policy = policy or RolloutPolicy()
+        self.start_delay_ms = start_delay_ms
         self.verify_tables = verify_tables
         self._stages = stages if stages is not None else _group_stages(steps)
         self.report = RolloutReport()
@@ -316,10 +309,9 @@ class Orchestrator:
         under a scheduler its clock *is* the running client's."""
         cluster = self.cluster
         sim = cluster.sim
-        policy = self.policy
         report = self.report
-        if policy.start_delay_ms > 0:
-            sim.wait(policy.start_delay_ms, "orchestrator.start_delay")
+        if self.start_delay_ms > 0:
+            sim.wait(self.start_delay_ms, "orchestrator.start_delay")
             yield "orchestrator:start"
         report.started_ms = sim.clock.now_ms
         report.epoch_start = cluster.layout_epoch
@@ -345,7 +337,7 @@ class Orchestrator:
                             failure = e
                             break
                         sim.wait(
-                            policy.retry_backoff_ms * attempts,
+                            RETRY_BACKOFF_MS * attempts,
                             "orchestrator.retry_backoff",
                         )
                         yield f"orchestrator:retry:{step.kind}"
@@ -417,7 +409,7 @@ class Orchestrator:
                             f"could not unwind {inverse.describe()}: {e}"
                         ) from e
                     sim.wait(
-                        self.policy.retry_backoff_ms * attempts,
+                        RETRY_BACKOFF_MS * attempts,
                         "orchestrator.rollback_retry_backoff",
                     )
                     yield f"orchestrator:rollback-retry:{inverse.kind}"

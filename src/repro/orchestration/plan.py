@@ -2,7 +2,7 @@
 
 A :class:`ClusterPlan` says what the cluster should look like — how
 many (non-draining) servers, which tables keep how many replicas and
-which split boundaries, which balancer policy keeps the layout even,
+which split boundaries, whether the balancer keeps the layout even,
 which members are being retired. ``diff(plan, cluster)`` compares that
 against the live cluster and emits the ordered step list that closes
 the gap:
@@ -13,7 +13,7 @@ the gap:
 3. ``SetReplicas`` — per-table replica targets (plans sorted by table
    name, deterministic);
 4. ``SplitRegion`` — missing split boundaries;
-5. ``Rebalance`` — even the layout out, when a policy is set.
+5. ``Rebalance`` — even the layout out, when ``balance`` is set.
 
 ``MoveRegion`` never appears in a diff (a plan declares no per-region
 placement); it exists for direct orchestration and as the recorded
@@ -42,8 +42,6 @@ from repro.orchestration.steps import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hbase.cluster import HBaseCluster
-
-BALANCER_POLICIES = ("round-robin", "load-aware")
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class ClusterPlan:
 
     servers: int
     tables: Mapping[str, TablePlan] = field(default_factory=dict)
-    balance: str | None = "load-aware"
+    balance: bool = True
     drain: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -95,10 +93,9 @@ class ClusterPlan:
             raise PlanValidationError(
                 f"a cluster needs at least one server, got {self.servers}"
             )
-        if self.balance is not None and self.balance not in BALANCER_POLICIES:
+        if not isinstance(self.balance, bool):
             raise PlanValidationError(
-                f"unknown balancer policy {self.balance!r} "
-                f"(expected one of {BALANCER_POLICIES} or None)"
+                f"balance must be True or False, got {self.balance!r}"
             )
         object.__setattr__(self, "tables", dict(self.tables))
         object.__setattr__(self, "drain", tuple(self.drain))
@@ -187,7 +184,7 @@ def diff(plan: ClusterPlan, cluster: "HBaseCluster") -> list[Step]:
             if point not in existing
         )
 
-    if plan.balance is not None:
+    if plan.balance:
         retiring = set(drains) | already_draining
         counts = [
             len(s.regions)
@@ -196,5 +193,5 @@ def diff(plan: ClusterPlan, cluster: "HBaseCluster") -> list[Step]:
         ]
         spread = (max(counts) - min(counts)) if counts else 0
         if steps or spread > 1:
-            steps.append(Rebalance(plan.balance))
+            steps.append(Rebalance())
     return steps

@@ -593,23 +593,20 @@ class MergeRegions(Step):
 
 
 class Rebalance(Step):
-    """Run the :class:`~repro.hbase.cluster.RegionBalancer` under the
-    given policy and record the moves it performed."""
+    """Run the :class:`~repro.hbase.cluster.RegionBalancer` and record
+    the moves it performed."""
 
     kind = "rebalance"
 
-    def __init__(self, policy: str = "load-aware") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if policy not in ("round-robin", "load-aware"):
-            raise ClusterConfigError(f"unknown balancer policy: {policy}")
-        self.policy = policy
         self.moves: list[tuple[str, bytes, str, str]] = []
 
     def _do(self, cluster: "HBaseCluster") -> None:
         from repro.hbase.cluster import RegionBalancer
 
         before = _table_counts(cluster)
-        balancer = RegionBalancer(cluster, self.policy)
+        balancer = RegionBalancer(cluster)
         balancer.rebalance()
         self.moves = list(balancer.last_moves)
         after = _table_counts(cluster)
@@ -622,7 +619,7 @@ class Rebalance(Step):
         return RestoreMoves(list(self.moves)) if self.moves else None
 
     def describe(self) -> str:
-        return f"rebalance({self.policy})"
+        return "rebalance"
 
 
 class RestoreMoves(Step):

@@ -214,30 +214,58 @@ class SelectComposer:
             build_keys=tuple((binding, attr) for _, attr, _ in conds),
         )
 
+    def join_bindings(
+        self,
+        analyzed: AnalyzedSelect,
+        order: list[str],
+        first: Callable[[str], PlanNode],
+        choose_next: Callable[..., str],
+        attach: Callable[..., tuple[PlanNode, set[int]]],
+    ) -> tuple[PlanNode, set[int]]:
+        """The one join-attachment loop: start from ``first(order[0])``,
+        then repeatedly let ``choose_next(remaining, joined, plan,
+        pending)`` pick a binding and ``attach(plan, binding, joined,
+        pending)`` join it in, returning (plan, consumed join ids)."""
+        remaining = list(order)
+        joined = [remaining.pop(0)]
+        plan = first(joined[0])
+        pending = list(enumerate(analyzed.joins))
+        consumed: set[int] = set()
+        while remaining:
+            binding = choose_next(remaining, joined, plan, pending)
+            remaining.remove(binding)
+            plan, newly_consumed = attach(plan, binding, joined, pending)
+            consumed.update(newly_consumed)
+            joined.append(binding)
+        return plan, consumed
+
     def join_in_from_order(
         self,
         analyzed: AnalyzedSelect,
         leaves: Mapping[str, PlanNode],
         join: Callable[[PlanNode, PlanNode, str, list[EquiCond]], PlanNode],
     ) -> tuple[PlanNode, set[int]]:
-        """Join ``leaves`` (one per FROM binding) starting from the
-        first binding in FROM order, attaching next whichever remaining
-        binding :meth:`first_connected` picks, with ``join(plan, leaf,
-        binding, conds)`` on the equi-conditions that connect it;
-        returns (plan, consumed join ids)."""
-        remaining = list(analyzed.bindings)
-        joined = [remaining.pop(0)]
-        plan = leaves[joined[0]]
-        pending = list(enumerate(analyzed.joins))
-        consumed: set[int] = set()
-        while remaining:
-            binding = self.first_connected(remaining, joined, pending)
-            remaining.remove(binding)
+        """:meth:`join_bindings` over ``leaves`` (one per FROM binding)
+        in FROM order: next is whichever binding :meth:`first_connected`
+        picks, attached with ``join(plan, leaf, binding, conds)`` on the
+        equi-conditions that connect it."""
+
+        def attach(plan, binding, joined, pending):
             conds = self.equi_conds(binding, joined, pending)
-            plan = join(plan, leaves[binding], binding, conds)
-            consumed.update(i for i, _, _ in conds)
-            joined.append(binding)
-        return plan, consumed
+            return (
+                join(plan, leaves[binding], binding, conds),
+                {i for i, _, _ in conds},
+            )
+
+        return self.join_bindings(
+            analyzed,
+            list(analyzed.bindings),
+            leaves.__getitem__,
+            lambda remaining, joined, _plan, pending: self.first_connected(
+                remaining, joined, pending
+            ),
+            attach,
+        )
 
     @staticmethod
     def residual_filter(
@@ -494,35 +522,20 @@ class Planner(SelectComposer):
             else:
                 other_filters[f.binding].append(f)
 
-        remaining = self._binding_order(bindings, analyzed, eq_filters, needed)
-        first = remaining.pop(0)
-        joined: list[str] = [first]
-        plan = self._leaf_plan(
-            first, analyzed, derived, eq_filters, other_filters, needed
+        plan, consumed = self.join_bindings(
+            analyzed,
+            self._binding_order(bindings, analyzed, eq_filters, needed),
+            lambda b: self._leaf_plan(
+                b, analyzed, derived, eq_filters, other_filters, needed
+            ),
+            lambda remaining, joined, plan, pending: self._choose_next(
+                remaining, joined, plan, analyzed, eq_filters, needed, pending
+            ),
+            lambda plan, b, joined, pending: self._attach_binding(
+                plan, b, joined, analyzed, derived, eq_filters, other_filters,
+                needed, pending,
+            ),
         )
-        consumed: set[int] = set()
-        pending_joins = list(enumerate(analyzed.joins))
-
-        while remaining:
-            next_b = self._choose_next(
-                remaining, joined, plan, analyzed, eq_filters, needed, pending_joins
-            )
-            remaining.remove(next_b)
-
-            plan, newly_consumed = self._attach_binding(
-                plan,
-                next_b,
-                joined,
-                analyzed,
-                derived,
-                eq_filters,
-                other_filters,
-                needed,
-                pending_joins,
-            )
-            consumed.update(newly_consumed)
-            joined.append(next_b)
-
         return self.residual_filter(plan, analyzed, consumed)
 
     # -- join-order hooks (overridden by CostBasedPlanner) ---------------------------

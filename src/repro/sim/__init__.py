@@ -22,7 +22,7 @@ history recorder checks durability and scan-consistency invariants
 
 from repro.sim.clock import SimClock, Simulation, Stopwatch
 from repro.sim.latency import LatencyCharger
-from repro.sim.metrics import Counter, MetricsRegistry, Timer
+from repro.sim.metrics import Counter, MetricsRegistry, Timer, percentile
 from repro.sim.rng import derive_rng
 from repro.sim.scheduler import (
     ClientStats,
@@ -30,7 +30,6 @@ from repro.sim.scheduler import (
     DeterministicScheduler,
     SchedulerReport,
     VirtualClient,
-    percentile,
     run_transaction,
 )
 

@@ -17,7 +17,7 @@ failover protocol: an operation that lands on a crashed/unrecovered
 region raises :class:`~repro.errors.RegionUnavailableError`, the helper
 charges a bounded backoff, yields to the scheduler (so the injector's
 recovery event can run) and retries — paying the meta-retry path — up
-to :attr:`FailoverPolicy.max_failover_retries` attempts before giving
+to ``MAX_FAILOVER_RETRIES`` attempts before giving
 up with a typed :class:`~repro.errors.RegionRetriesExhaustedError`.
 Scans are consumed in chunks with a resume cursor, so an open scan
 survives a mid-scan crash: it reopens at the next undelivered row on
@@ -70,6 +70,27 @@ from repro.sim.scheduler import (
 FAMILY = b"cf"
 QUALIFIER = b"v"
 
+FAILOVER_DELAY_MS = 20.0
+"""Crash -> master recovery (the unavailability window clients ride out
+with bounded backoff-and-retry)."""
+
+RESTART_DELAY_MS = 15.0
+"""Recovery -> the crashed process rejoins the cluster empty."""
+
+INTERVAL_JITTER = 0.5
+"""Uniform +-fraction applied to each crash gap (seeded draws)."""
+
+MAX_FAILOVER_RETRIES = 12
+"""Backoff-and-retry attempts before a chaos op gives up with
+:class:`~repro.errors.RegionRetriesExhaustedError`."""
+
+RETRY_BACKOFF_MS = 8.0
+"""Base failover backoff; attempt ``k`` waits ``k * RETRY_BACKOFF_MS``."""
+
+SCAN_CHUNK_ROWS = 32
+"""Rows a chaos scan pulls per scheduler segment, so fault events can
+interleave with (and interrupt) a long-running scan."""
+
 
 # ------------------------------------------------------------------ fault plan
 @dataclass(frozen=True)
@@ -84,16 +105,6 @@ class FaultConfig:
 
     crash_interval_ms: float = 60.0
     """Mean gap between consecutive crash events."""
-
-    failover_delay_ms: float = 20.0
-    """Crash -> master recovery (the unavailability window clients ride
-    out with bounded backoff-and-retry)."""
-
-    restart_delay_ms: float = 15.0
-    """Recovery -> the crashed process rejoins the cluster empty."""
-
-    interval_jitter: float = 0.5
-    """Uniform +-fraction applied to each crash gap (seeded draws)."""
 
     recovery_replay_ms_per_entry: float = 0.0
     """Virtual cost per WAL/ship-log entry master failover must replay,
@@ -161,14 +172,14 @@ def build_fault_plan(
         ]
         victim = candidates[int(rng.integers(len(candidates)))]
         crash_counts[victim] = crash_counts.get(victim, 0) + 1
-        recover_at = t + config.failover_delay_ms
-        restart_at = recover_at + config.restart_delay_ms
+        recover_at = t + FAILOVER_DELAY_MS
+        restart_at = recover_at + RESTART_DELAY_MS
         events.append((t, order, "crash", victim))
         events.append((recover_at, order + 1, "recover", victim))
         events.append((restart_at, order + 2, "restart", victim))
         order += 3
         down_until[victim] = restart_at
-        spread = config.interval_jitter * (2.0 * float(rng.random()) - 1.0)
+        spread = INTERVAL_JITTER * (2.0 * float(rng.random()) - 1.0)
         t += config.crash_interval_ms * (1.0 + spread)
     events.sort(key=lambda e: (e[0], e[1]))
     return [FaultEvent(at, kind, server) for at, _, kind, server in events]
@@ -337,26 +348,9 @@ class FaultInjector:
 
 
 # ------------------------------------------------------------------ failover ops
-@dataclass(frozen=True)
-class FailoverPolicy:
-    """How a chaos client rides out a region-unavailability window."""
-
-    max_failover_retries: int = 12
-    """Backoff-and-retry attempts before an op gives up with
-    :class:`~repro.errors.RegionRetriesExhaustedError`."""
-
-    retry_backoff_ms: float = 8.0
-    """Base backoff; attempt ``k`` waits ``k * retry_backoff_ms``."""
-
-    scan_chunk_rows: int = 32
-    """Rows a chaos scan pulls per scheduler segment, so fault events
-    can interleave with (and interrupt) a long-running scan."""
-
-
 def _with_failover(
     vc: VirtualClient,
     history: ChaosHistory,
-    policy: FailoverPolicy,
     attempt: Callable[[], Any],
     label: str,
 ):
@@ -368,21 +362,21 @@ def _with_failover(
     typed exhaustion error instead of looping on meta lookups forever.
     """
     first_failure_at: float | None = None
-    for attempt_no in range(1, policy.max_failover_retries + 1):
+    for attempt_no in range(1, MAX_FAILOVER_RETRIES + 1):
         try:
             result = attempt()
         except RegionUnavailableError:
             if first_failure_at is None:
                 first_failure_at = vc.clock.now_ms
             history.failover_retries += 1
-            vc.wait(policy.retry_backoff_ms * attempt_no, "hbase.failover_wait")
+            vc.wait(RETRY_BACKOFF_MS * attempt_no, "hbase.failover_wait")
             yield "failover-wait"
             continue
         if first_failure_at is not None:
             history.stalls_ms.append(vc.clock.now_ms - first_failure_at)
         return result
     raise RegionRetriesExhaustedError(
-        f"{label} gave up after {policy.max_failover_retries} failover "
+        f"{label} gave up after {MAX_FAILOVER_RETRIES} failover "
         "retries (region never came back)"
     )
 
@@ -393,7 +387,6 @@ def chaos_put(
     row: bytes,
     value: bytes,
     history: ChaosHistory,
-    policy: FailoverPolicy,
 ):
     """Put with failover retry; the write is acked (recorded) only when
     the cluster accepted it."""
@@ -404,7 +397,7 @@ def chaos_put(
         handle.put(p)
         history.record_ack(row, value)
 
-    yield from _with_failover(vc, history, policy, attempt, f"put {row!r}")
+    yield from _with_failover(vc, history, attempt, f"put {row!r}")
 
 
 def chaos_get(
@@ -412,7 +405,6 @@ def chaos_get(
     handle: HTable,
     row: bytes,
     history: ChaosHistory,
-    policy: FailoverPolicy,
 ):
     """Get with failover retry; records the observed value."""
 
@@ -425,7 +417,7 @@ def chaos_get(
         else:
             history.record_get(row, value)
 
-    yield from _with_failover(vc, history, policy, attempt, f"get {row!r}")
+    yield from _with_failover(vc, history, attempt, f"get {row!r}")
 
 
 def chaos_scan(
@@ -434,11 +426,10 @@ def chaos_scan(
     start_row: bytes,
     stop_row: bytes | None,
     history: ChaosHistory,
-    policy: FailoverPolicy,
 ):
     """Range scan with mid-scan failover resume.
 
-    Rows are pulled in chunks of :attr:`FailoverPolicy.scan_chunk_rows`
+    Rows are pulled in chunks of ``SCAN_CHUNK_ROWS``
     with a scheduler yield between chunks, so crashes and recoveries
     interleave with the open scan. A crash mid-chunk kills the scan
     generator; the helper backs off, yields, and reopens at the next
@@ -460,7 +451,7 @@ def chaos_scan(
         try:
             while True:
                 exhausted = False
-                for _ in range(policy.scan_chunk_rows):
+                for _ in range(SCAN_CHUNK_ROWS):
                     try:
                         result = next(stream)
                     except StopIteration:
@@ -478,7 +469,7 @@ def chaos_scan(
                 yield "scan-chunk"
         except RegionUnavailableError:
             failures += 1
-            if failures > policy.max_failover_retries:
+            if failures > MAX_FAILOVER_RETRIES:
                 raise RegionRetriesExhaustedError(
                     f"scan at {cursor!r} gave up after {failures - 1} "
                     "failover retries"
@@ -486,7 +477,7 @@ def chaos_scan(
             if first_failure_at is None:
                 first_failure_at = vc.clock.now_ms
             history.failover_retries += 1
-            vc.wait(policy.retry_backoff_ms * failures, "hbase.failover_wait")
+            vc.wait(RETRY_BACKOFF_MS * failures, "hbase.failover_wait")
             yield "failover-wait"
     max_entry_lag = 0
     missing: dict[bytes, int] = {}
@@ -518,7 +509,6 @@ def chaos_client_program(
     handle: HTable,
     ops: list[tuple],
     history: ChaosHistory,
-    policy: FailoverPolicy,
     tag: bytes,
 ):
     """One chaos client: a closed loop of put/get/scan ops, each driven
@@ -528,11 +518,11 @@ def chaos_client_program(
         started = vc.clock.now_ms
         if op[0] == "put":
             value = b"%s-%04d" % (tag, opnum)
-            yield from chaos_put(vc, handle, op[1], value, history, policy)
+            yield from chaos_put(vc, handle, op[1], value, history)
         elif op[0] == "get":
-            yield from chaos_get(vc, handle, op[1], history, policy)
+            yield from chaos_get(vc, handle, op[1], history)
         else:
-            yield from chaos_scan(vc, handle, op[1], op[2], history, policy)
+            yield from chaos_scan(vc, handle, op[1], op[2], history)
         vc.stats.committed += 1
         vc.stats.response_times.append(vc.clock.now_ms - started)
 
@@ -734,21 +724,6 @@ class ChaosRun:
         return out
 
 
-@dataclass
-class _ChaosCellSpec:
-    """Internal bundle for :func:`run_chaos_cell` defaults."""
-
-    num_servers: int = 3
-    clients: int = 4
-    ops_per_client: int = 32
-    preload_rows: int = 240
-    scan_window: int = 24
-    value_bytes: int = 12
-    fault_config: FaultConfig = field(default_factory=FaultConfig)
-    policy: FailoverPolicy = field(default_factory=FailoverPolicy)
-    seed: int = 20170904
-
-
 def run_chaos_cell(
     num_servers: int = 3,
     clients: int = 4,
@@ -756,7 +731,6 @@ def run_chaos_cell(
     preload_rows: int = 240,
     scan_window: int = 24,
     fault_config: FaultConfig | None = None,
-    policy: FailoverPolicy | None = None,
     seed: int = 20170904,
     replication: ReplicationConfig | None = None,
     install: Callable[[HBaseCluster, DeterministicScheduler], None] | None = None,
@@ -781,30 +755,17 @@ def run_chaos_cell(
     participants (the orchestration suite's rollout) after the chaos
     clients, the injector and the shipper are registered.
     """
-    spec = _ChaosCellSpec(
-        num_servers=num_servers,
-        clients=clients,
-        ops_per_client=ops_per_client,
-        preload_rows=preload_rows,
-        scan_window=scan_window,
-        fault_config=fault_config or FaultConfig(),
-        policy=policy or FailoverPolicy(),
-        seed=seed,
-    )
-    sim = Simulation(seed=spec.seed)
+    fault_config = fault_config or FaultConfig()
+    sim = Simulation(seed=seed)
     cluster_config = ClusterConfig(
-        num_region_servers=spec.num_servers, seed=spec.seed
+        num_region_servers=num_servers,
+        seed=seed,
+        replication=replication or ReplicationConfig(),
     )
-    if replication is not None:
-        cluster_config = ClusterConfig(
-            num_region_servers=spec.num_servers,
-            seed=spec.seed,
-            replication=replication,
-        )
     cluster = HBaseCluster(sim, cluster_config)
     client = HBaseClient(cluster)
-    key_space = spec.preload_rows
-    num_regions = max(2 * spec.num_servers, 2)
+    key_space = preload_rows
+    num_regions = max(2 * num_servers, 2)
     split_keys = [
         b"%08d" % (key_space * i // num_regions)
         for i in range(1, num_regions)
@@ -829,25 +790,19 @@ def run_chaos_cell(
     sim.reset_clock()
 
     scheduler = DeterministicScheduler(sim)
-    for i in range(spec.clients):
-        rng = derive_rng(
-            spec.seed, f"{spec.fault_config.label}/chaos-client-{i}"
-        )
-        ops = build_chaos_ops(
-            rng, spec.ops_per_client, key_space, spec.scan_window
-        )
+    for i in range(clients):
+        rng = derive_rng(seed, f"{fault_config.label}/chaos-client-{i}")
+        ops = build_chaos_ops(rng, ops_per_client, key_space, scan_window)
         handle = HTable(
             cluster, "chaos", follower_reads=cluster.replication is not None
         )
         tag = (b"c%02d" % i)
 
         def program(vc, handle=handle, ops=ops, tag=tag):
-            yield from chaos_client_program(
-                vc, handle, ops, history, spec.policy, tag
-            )
+            yield from chaos_client_program(vc, handle, ops, history, tag)
 
         scheduler.add_client(f"chaos-{i}", program)
-    injector = FaultInjector(cluster, spec.fault_config, history)
+    injector = FaultInjector(cluster, fault_config, history)
     injector.install(scheduler)
     if cluster.replication is not None:
         ReplicationShipper(cluster.replication).install(scheduler)

@@ -8,6 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
+
+
+def percentile(samples: Iterable[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 1]) of a sample set."""
+    ordered = sorted(samples)
+    if not ordered:
+        return float("nan")
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass

@@ -43,12 +43,12 @@ in virtual time is mediated through the :class:`ConcurrencyContext`:
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.errors import LockWaitRequired, TransactionConflictError
 from repro.sim.clock import SimClock, Simulation
+from repro.sim.metrics import percentile  # noqa: F401 - perfbench imports it from here
 
 
 @dataclass
@@ -430,12 +430,3 @@ def run_transaction(
         return True
     client.stats.failed += 1
     return False
-
-
-def percentile(samples: Iterable[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]) of a sample set."""
-    ordered = sorted(samples)
-    if not ordered:
-        return float("nan")
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]

@@ -2,6 +2,9 @@
 experiments (Fig. 10 at tiny scale, Fig. 11, static tables), and the
 CLI derived from the suite registry (errors, ``--smoke``)."""
 
+import dataclasses
+import importlib.util
+import inspect
 import json
 import math
 import re
@@ -362,3 +365,108 @@ class TestBenchTrajectory:
                     if metric in exact and len(row["seeds"]) == 1:
                         assert iqr == 0, at
         assert lines and len(set(commits)) == len(commits)
+
+
+def _tool(name: str):
+    """Import ``tools/<name>.py`` (a script directory, not a package)."""
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSettableSurface:
+    """A setting is something a workload sets. ``tools/config_table.py``
+    derives the settable surface from the config dataclasses; every
+    field needs a setter outside tests and examples (or is a
+    ``CostModel`` price, or a declared behaviour selector), and the
+    table in ``docs/ARCHITECTURE.md`` is generated from the same walk."""
+
+    def test_every_field_is_earned_and_the_doc_table_is_current(self, capsys):
+        code = _tool("config_table").main(["--check"])
+        assert code == 0, capsys.readouterr().err
+
+    def test_surface_is_counted(self):
+        tool = _tool("config_table")
+        counts = {
+            cls.__name__: len(dataclasses.fields(cls))
+            for cls in tool.config_classes()
+        }
+        assert counts == {
+            "CostModel": 21,
+            "ReplicationConfig": 3,
+            "ServingConfig": 4,
+            "ClusterConfig": 7,
+            "FaultConfig": 5,
+        }
+
+    def test_no_policy_argument_survives(self):
+        """One balancer, one failover protocol, one rollout pacing: the
+        ``policy`` parameters (and the classes that only carried them)
+        are gone, and ``ClusterPlan.balance`` is on or off."""
+        from repro.hbase.cluster import RegionBalancer
+        from repro.orchestration import ClusterPlan, Orchestrator, Rebalance
+        from repro.orchestration import orchestrator
+        from repro.sim import faults
+
+        for fn in (
+            RegionBalancer, Rebalance, Orchestrator, faults.run_chaos_cell,
+            faults.chaos_put, faults.chaos_get, faults.chaos_scan,
+            faults.chaos_client_program,
+        ):
+            assert "policy" not in inspect.signature(fn).parameters, fn
+        assert not hasattr(faults, "FailoverPolicy")
+        assert not hasattr(orchestrator, "RolloutPolicy")
+        assert ClusterPlan(servers=1).balance is True
+
+
+class TestCheckAnchors:
+    """``tools/check_anchors.py`` on synthetic runs: exit 0 only when
+    every baseline series is present and every shared point is equal."""
+
+    BASELINE = {
+        "A": {"50": {"mean": 1.0}, "500": {"mean": 2.0}},
+        "B": {"50": {"mean": 3.0}},
+    }
+
+    def run(self, current_series):
+        def wrap(series):
+            return {"experiments": {"Fig11": {"series": series}}}
+
+        return _tool("check_anchors").compare(
+            wrap(current_series), wrap(self.BASELINE)
+        )
+
+    def test_equal_runs_pass(self):
+        code, report = self.run(self.BASELINE)
+        assert code == 0 and report["ok"] and report["checked"] == 3
+
+    def test_one_drifted_stat_fails_and_is_named(self):
+        code, report = self.run(
+            {"A": {"50": {"mean": 1.0}, "500": {"mean": 2.5}},
+             "B": {"50": {"mean": 3.0}}}
+        )
+        assert code == 1 and report["drifted"] == 1
+        assert report["failures"][0]["series"] == "A"
+        assert "mean" in report["failures"][0]["detail"]
+
+    def test_a_subset_sweep_is_legal(self):
+        # --micro-scales 50 against a 50/500 baseline
+        code, report = self.run({"A": {"50": {"mean": 1.0}},
+                                 "B": {"50": {"mean": 3.0}}})
+        assert code == 0 and report["ok"] and report["checked"] == 2
+
+    def test_a_vanished_series_fails(self):
+        # a renamed system: every remaining point is still bit-identical
+        code, report = self.run(
+            {"A": {"50": {"mean": 1.0}, "500": {"mean": 2.0}},
+             "B-renamed": {"50": {"mean": 3.0}}}
+        )
+        assert code == 1 and not report["ok"]
+        assert [f["series"] for f in report["failures"]] == ["B"]
+
+    def test_no_overlap_is_a_usage_error(self):
+        code, report = self.run({"A": {"5000": {"mean": 9.0}},
+                                 "B": {"5000": {"mean": 9.0}}})
+        assert code == 2 and report["checked"] == 0

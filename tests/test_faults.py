@@ -11,11 +11,11 @@ from repro.errors import RegionRetriesExhaustedError
 from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.hbase.client import HTable
 from repro.sim.clock import Simulation
+from repro.sim import faults
 from repro.sim.faults import (
     FAMILY,
     QUALIFIER,
     ChaosHistory,
-    FailoverPolicy,
     FaultConfig,
     ScanObservation,
     build_fault_plan,
@@ -60,18 +60,15 @@ class TestFaultPlan:
         )
         assert plan == []
 
-    def test_never_kills_the_last_live_server(self):
+    def test_never_kills_the_last_live_server(self, monkeypatch):
         """Even with gaps far shorter than the down window, at least one
         server stays up at every crash instant."""
+        monkeypatch.setattr(faults, "FAILOVER_DELAY_MS", 50.0)
+        monkeypatch.setattr(faults, "RESTART_DELAY_MS", 50.0)
+        monkeypatch.setattr(faults, "INTERVAL_JITTER", 0.0)
         plan = build_fault_plan(
             ["a", "b"],
-            FaultConfig(
-                cycles=10,
-                crash_interval_ms=1.0,
-                failover_delay_ms=50.0,
-                restart_delay_ms=50.0,
-                interval_jitter=0.0,
-            ),
+            FaultConfig(cycles=10, crash_interval_ms=1.0),
             derive_rng(3, "faults"),
         )
         down_until: dict[str, float] = {}
@@ -161,35 +158,38 @@ class TestChaosCell:
 
         assert one() == one()
 
-    def test_outage_longer_than_retry_budget_is_a_typed_failure(self):
+    def test_outage_longer_than_retry_budget_is_a_typed_failure(
+        self, monkeypatch
+    ):
         """A region that never comes back must surface the bounded,
         typed exhaustion error — not loop forever on meta retries."""
+        monkeypatch.setattr(faults, "FAILOVER_DELAY_MS", 10_000.0)
+        monkeypatch.setattr(faults, "MAX_FAILOVER_RETRIES", 3)
+        monkeypatch.setattr(faults, "RETRY_BACKOFF_MS", 2.0)
         with pytest.raises(RegionRetriesExhaustedError):
             run_chaos_cell(
                 clients=2,
                 ops_per_client=12,
-                fault_config=FaultConfig(
-                    cycles=1, first_crash_ms=2.0, failover_delay_ms=10_000.0
-                ),
-                policy=FailoverPolicy(
-                    max_failover_retries=3, retry_backoff_ms=2.0
-                ),
+                fault_config=FaultConfig(cycles=1, first_crash_ms=2.0),
             )
 
 
 class TestScanResume:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(faults, "SCAN_CHUNK_ROWS", 8)
+
     def run_scan_with_fault(self, victim_index, t_crash, t_recover):
         """Drive one chaos scan over the whole table while a surgical
         daemon crashes (and later recovers) one chosen server."""
         sim, cluster = build_chaos_fixture()
         history = ChaosHistory()
-        policy = FailoverPolicy(scan_chunk_rows=8)
         handle = HTable(cluster, "c")
         victim = cluster.servers[victim_index]
         scheduler = DeterministicScheduler(sim)
 
         def scanner(vc):
-            yield from chaos_scan(vc, handle, b"", None, history, policy)
+            yield from chaos_scan(vc, handle, b"", None, history)
 
         def faulter(vc):
             vc.clock.advance(t_crash)
@@ -228,21 +228,21 @@ class TestScanResume:
         rows = [r for r, _v in history.scans[0].rows]
         assert rows == [b"%08d" % i for i in range(60)]
 
-    def test_scan_retry_budget_is_per_outage_not_per_scan(self):
+    def test_scan_retry_budget_is_per_outage_not_per_scan(self, monkeypatch):
         """A long scan riding out several separately-recovered outages
         must not exhaust a cumulative budget: each recovered outage
         resets the retry counter, so only a region that truly never
         comes back can exhaust it."""
         sim, cluster = build_chaos_fixture()
         history = ChaosHistory()
-        policy = FailoverPolicy(
-            scan_chunk_rows=4, max_failover_retries=3, retry_backoff_ms=2.0
-        )
+        monkeypatch.setattr(faults, "SCAN_CHUNK_ROWS", 4)
+        monkeypatch.setattr(faults, "MAX_FAILOVER_RETRIES", 3)
+        monkeypatch.setattr(faults, "RETRY_BACKOFF_MS", 2.0)
         handle = HTable(cluster, "c")
         scheduler = DeterministicScheduler(sim)
 
         def scanner(vc):
-            yield from chaos_scan(vc, handle, b"", None, history, policy)
+            yield from chaos_scan(vc, handle, b"", None, history)
 
         def faulter(vc):
             for cycle in range(5):
@@ -261,7 +261,7 @@ class TestScanResume:
         rows = [r for r, _v in history.scans[0].rows]
         assert rows == [b"%08d" % i for i in range(60)]
         # more total retries than one outage's budget were ridden out
-        assert history.failover_retries > policy.max_failover_retries
+        assert history.failover_retries > faults.MAX_FAILOVER_RETRIES
 
     def test_clean_scan_without_faults(self):
         sim, cluster = build_chaos_fixture()
@@ -270,9 +270,7 @@ class TestScanResume:
         scheduler = DeterministicScheduler(sim)
 
         def scanner(vc):
-            yield from chaos_scan(
-                vc, handle, b"", None, history, FailoverPolicy()
-            )
+            yield from chaos_scan(vc, handle, b"", None, history)
 
         scheduler.add_client("scanner", scanner)
         scheduler.run()

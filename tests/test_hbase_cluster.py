@@ -20,6 +20,7 @@ from repro.hbase import (
     Put,
     Scan,
 )
+from repro.hbase import client as client_module
 from repro.hbase.filters import AndFilter, ColumnValueFilter, PrefixFilter
 from repro.sim.clock import Simulation
 
@@ -92,9 +93,18 @@ class TestDml:
         assert r.value(CF, b"a") is None
         assert r.value(CF, b"b") == b"2"
 
-    def test_increment(self, table):
+    def test_increment(self, sim, table):
         assert table.increment(Increment(b"ctr", CF, b"n", 5)) == 5
+        before = sim.metrics.counters()
         assert table.increment(Increment(b"ctr", CF, b"n", -2)) == 3
+        # the read half pays what a Get of the existing counter pays:
+        # one row materialized, its bytes over the wire
+        after = sim.metrics.counters()
+        rows_read = sum(
+            after[k] - before[k] for k in after if k.endswith(".rows_read")
+        )
+        assert rows_read == 1
+        assert after["client.bytes"] > before["client.bytes"]
 
     def test_check_and_put_success_and_failure(self, table):
         p = Put(b"lk")
@@ -215,15 +225,12 @@ class TestFlushCompactionAndSize:
         table.delete(Delete(b"k0"))
         assert table.row_count() == 4
 
-    def test_auto_flush_threshold(self, sim):
-        cluster = HBaseCluster(
-            sim, ClusterConfig(hfile_flush_threshold_rows=5)
-        )
-        client = HBaseClient(cluster)
+    def test_auto_flush_threshold(self, cluster, client):
         t = client.create_table("small")
+        region = cluster.descriptor("small").regions[0]
+        region.flush_threshold_rows = 5
         for i in range(12):
             put(t, f"k{i:02d}".encode(), v=b"x")
-        region = cluster.descriptor("small").regions[0]
         assert len(region.hfiles) >= 2
         assert len(list(t.scan())) == 12
 
@@ -328,22 +335,17 @@ class TestRelocationRetryBudget:
             table.get(Get(b"a0"))
         paid = sim.metrics.counters()["client.rpc"] - rpc_before
         # every relocation attempt paid its failed RPC + meta lookup
-        assert paid == 2 * table.MAX_LOCATION_RETRIES
+        assert paid == 2 * client_module.MAX_LOCATION_RETRIES
 
     def test_exhaustion_error_is_a_region_unavailable_error(self):
         assert issubclass(RegionRetriesExhaustedError, RegionUnavailableError)
 
-    def test_budget_is_configurable_via_cluster_config(self):
-        """A non-default ``max_location_retries`` flows from the
-        ClusterConfig onto every handle and bounds the meta-retry loop
-        at exactly that budget."""
-        sim = Simulation(seed=5)
-        cluster = HBaseCluster(
-            sim, ClusterConfig(num_region_servers=2, max_location_retries=3)
-        )
-        client = HBaseClient(cluster)
-        table = client.create_table("t", families=(CF,), split_keys=[b"m"])
-        assert table.MAX_LOCATION_RETRIES == 3
+    def test_budget_is_the_module_constant(
+        self, monkeypatch, sim, cluster, client, table
+    ):
+        """``MAX_LOCATION_RETRIES`` bounds the meta-retry loop at exactly
+        that many attempts."""
+        monkeypatch.setattr(client_module, "MAX_LOCATION_RETRIES", 3)
         for i in range(4):
             put(table, b"a%d" % i, v=b"x")
         parent = table._locate(b"a0")
@@ -453,9 +455,10 @@ class TestCostCharging:
 
         def twin():
             sim = Simulation(seed=7, jitter_fraction=jitter)
-            cluster = HBaseCluster(sim, ClusterConfig(hfile_flush_threshold_rows=4))
+            cluster = HBaseCluster(sim, ClusterConfig())
             HBaseClient(cluster).create_table("t")
             region = cluster.tables["t"].regions[0]
+            region.flush_threshold_rows = 4
             return sim, cluster, region
 
         sim, cluster, region = twin()

@@ -64,15 +64,19 @@ class TestConfigValidation:
         # None disables auto-splitting and stays legal
         ClusterConfig(region_split_threshold_bytes=None)
 
-    def test_rejects_zero_location_retries(self):
+    @pytest.mark.parametrize("max_versions", [0, -1])
+    def test_rejects_nonpositive_max_versions(self, max_versions):
+        # refused at construction and per table, never clamped or
+        # silently replaced by the default
         with pytest.raises(ClusterConfigError):
-            ClusterConfig(max_location_retries=0)
+            ClusterConfig(max_versions=max_versions)
+        cluster, client = build_cluster()
+        with pytest.raises(ClusterConfigError):
+            client.create_table("v", max_versions=max_versions)
 
     def test_rejects_bad_replication_config(self):
         with pytest.raises(ClusterConfigError):
             ReplicationConfig(replica_count=0)
-        with pytest.raises(ClusterConfigError):
-            ReplicationConfig(ship_batch_entries=0)
         with pytest.raises(ClusterConfigError):
             ReplicationConfig(ack_mode="quorum")
         with pytest.raises(ClusterConfigError):
@@ -170,7 +174,7 @@ class TestPlanValidation:
             servers=4,
             tables={"t": TablePlan(split_points=(b"%05d" % 10,))},
             drain=("rs3",),
-            balance="round-robin",
+            balance=True,
         )
         kinds = [s.kind for s in diff(plan, cluster)]
         assert kinds == [
@@ -185,7 +189,7 @@ class TestPlanValidation:
 
     def test_diff_scale_in_retires_latest_members(self):
         cluster, _ = build_cluster(servers=4)
-        steps = diff(ClusterPlan(servers=2, balance=None), cluster)
+        steps = diff(ClusterPlan(servers=2, balance=False), cluster)
         assert [s.kind for s in steps] == ["drain-server", "drain-server"]
         assert {s.name for s in steps} == {"rs4", "rs3"}
 
@@ -316,9 +320,7 @@ class TestRollback:
         cluster.add_servers(2)
         # rebalance inside a poisoned stage: its recorded moves replay
         # in reverse, so hosting returns to the skewed layout
-        assert_rollback_restores_state(
-            cluster, [Rebalance("round-robin")]
-        )
+        assert_rollback_restores_state(cluster, [Rebalance()])
 
     def test_enabling_replication_rolls_back_to_unmanaged(self):
         cluster, client = build_cluster(
@@ -356,7 +358,6 @@ class TestRollout:
             table.put(Put(b"%05d" % i).add(FAM, b"q", b"x%05d" % i))
         plan = ClusterPlan(
             servers=4, tables={"r": TablePlan(replicas=3)},
-            balance="load-aware",
         )
         report = Orchestrator(cluster, plan=plan).run()
         assert report.status == "committed"
@@ -400,7 +401,7 @@ class TestRollout:
     def test_report_json_shape(self):
         cluster, _ = build_cluster()
         report = Orchestrator(
-            cluster, plan=ClusterPlan(servers=3, balance=None)
+            cluster, plan=ClusterPlan(servers=3, balance=False)
         ).run()
         payload = report.as_dict()
         assert payload["status"] == "committed"

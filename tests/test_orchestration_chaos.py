@@ -14,12 +14,12 @@ from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
 from repro.hbase.ops import Put
 from repro.hbase.replication import ReplicationShipper
+from repro.orchestration import orchestrator
 from repro.orchestration import (
     AddServers,
     MoveRegion,
     Orchestrator,
     PoisonStep,
-    RolloutPolicy,
     SplitRegion,
     cluster_snapshot,
     verify_cluster,
@@ -129,7 +129,7 @@ class TestRolloutUnderChaos:
                     SplitRegion("t", b"%05d" % 10),
                     PoisonStep(),
                 ]),
-            ], policy=RolloutPolicy(start_delay_ms=8.0))
+            ], start_delay_ms=8.0)
             orch.install(scheduler)
             scheduler.run()
             for server in cluster.servers:
@@ -152,6 +152,10 @@ class TestRolloutUnderChaos:
 
 
 class TestMoveRacingChaos:
+    @pytest.fixture(autouse=True)
+    def quick_retries(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "RETRY_BACKOFF_MS", 4.0)
+
     def test_move_retries_through_target_outage(self):
         """The move's target crashes before the rollout starts; the step
         must wait out recovery + restart and then land the region."""
@@ -172,7 +176,7 @@ class TestMoveRacingChaos:
         orch = Orchestrator(
             cluster,
             steps=[MoveRegion("t", region.start_key, target.name)],
-            policy=RolloutPolicy(start_delay_ms=5.0, retry_backoff_ms=4.0),
+            start_delay_ms=5.0,
         )
         orch.install(scheduler)
         scheduler.run()
@@ -203,7 +207,7 @@ class TestMoveRacingChaos:
         orch = Orchestrator(
             cluster,
             steps=[MoveRegion("t", b"", target.name)],
-            policy=RolloutPolicy(start_delay_ms=5.0, retry_backoff_ms=4.0),
+            start_delay_ms=5.0,
         )
         orch.install(scheduler)
         scheduler.run()
@@ -249,7 +253,7 @@ class TestMoveRacingChaos:
         orch = Orchestrator(
             cluster,
             steps=[MoveRegion("r", b"", primary_host.name)],
-            policy=RolloutPolicy(start_delay_ms=20.0, retry_backoff_ms=4.0),
+            start_delay_ms=20.0,
         )
         orch.install(scheduler)
         scheduler.run()

@@ -282,7 +282,7 @@ class TestBalancer:
         assert max(cluster.region_distribution().values()) == len(
             cluster.descriptor("t0").regions
         )
-        moved = RegionBalancer(cluster, policy="load-aware").rebalance()
+        moved = RegionBalancer(cluster).rebalance()
         assert moved > 0
         counts = cluster.region_distribution()
         assert max(counts.values()) - min(counts.values()) <= 1
@@ -290,47 +290,35 @@ class TestBalancer:
             b"k%04d" % i for i in range(300)
         ]
 
-    def test_round_robin_rebalance_deals_evenly(self):
-        cluster, _ = self.grown_cluster(num_servers=3)
-        RegionBalancer(cluster, policy="round-robin").rebalance()
-        counts = cluster.region_distribution()
-        assert max(counts.values()) - min(counts.values()) <= 1
-
     def test_rebalance_is_deterministic(self):
-        def distribution(policy):
+        def distribution():
             cluster, _ = self.grown_cluster(num_servers=3)
-            RegionBalancer(cluster, policy=policy).rebalance()
+            RegionBalancer(cluster).rebalance()
             return {
                 r.start_key: cluster.server_for(r).name
                 for r in cluster.descriptor("t0").regions
             }
 
-        for policy in ("round-robin", "load-aware"):
-            assert distribution(policy) == distribution(policy)
+        assert distribution() == distribution()
 
-    def test_both_policies_skip_dead_servers(self):
-        for policy in ("round-robin", "load-aware"):
-            cluster, client = self.grown_cluster(num_servers=3)
-            balancer = RegionBalancer(cluster, policy=policy)
-            balancer.rebalance()  # spread regions across all three
-            dead = next(s for s in cluster.servers if s.regions)
-            stranded = set(dead.regions)
-            dead.crash()
-            balancer.rebalance()  # must not raise on the dead host
-            assert set(dead.regions) == stranded  # recovery's job, not ours
-            counts = cluster.region_distribution()
-            live = [s.name for s in cluster.servers if s.alive]
-            assert all(counts[name] > 0 for name in live)
-
-    def test_unknown_policy_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            RegionBalancer(cluster, policy="chaotic")
+    def test_rebalance_skips_dead_servers(self):
+        cluster, client = self.grown_cluster(num_servers=3)
+        balancer = RegionBalancer(cluster)
+        balancer.rebalance()  # spread regions across all three
+        dead = next(s for s in cluster.servers if s.regions)
+        stranded = set(dead.regions)
+        dead.crash()
+        balancer.rebalance()  # must not raise on the dead host
+        assert set(dead.regions) == stranded  # recovery's job, not ours
+        counts = cluster.region_distribution()
+        live = [s.name for s in cluster.servers if s.alive]
+        assert all(counts[name] > 0 for name in live)
 
     def test_scale_out_then_rebalance_uses_new_servers(self):
         cluster, client = self.grown_cluster(num_servers=1)
         cluster.add_servers(3)
         assert len(cluster.servers) == 4
-        RegionBalancer(cluster, policy="load-aware").rebalance()
+        RegionBalancer(cluster).rebalance()
         counts = cluster.region_distribution()
         assert sum(1 for c in counts.values() if c > 0) == 4
         assert client.table("t0").get(Get(b"k0000")) is not None
@@ -340,7 +328,7 @@ class TestBalancer:
         table = client.table("t0")
         table.get(Get(b"k0000"))  # warm the location cache
         version = table.desc.version
-        moved = RegionBalancer(cluster, policy="round-robin").rebalance()
+        moved = RegionBalancer(cluster).rebalance()
         assert moved > 0
         assert table.desc.version > version  # cache keys off this
         assert table._cached_version != table.desc.version

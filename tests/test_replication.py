@@ -14,6 +14,7 @@ from repro.hbase.ops import Get
 from repro.hbase.replication import ReplicationShipper
 from repro.hbase.wal import WalEntry, WriteAheadLog
 from repro.sim.clock import Simulation
+from repro.sim import faults
 from repro.sim.faults import (
     FAMILY,
     QUALIFIER,
@@ -23,7 +24,6 @@ from repro.sim.faults import (
     chaos_scan,
     check_invariants,
     run_chaos_cell,
-    FailoverPolicy,
 )
 from repro.sim.scheduler import DeterministicScheduler
 
@@ -496,7 +496,7 @@ class TestCrashCycleEdges:
             for follower in group.followers:
                 assert follower.is_live()
 
-    def test_promotion_races_an_open_scan_resume_cursor(self):
+    def test_promotion_races_an_open_scan_resume_cursor(self, monkeypatch):
         """A chaos scan interrupted by a crash must resume — via its
         cursor — on the *promoted* replica, delivering every row
         exactly once across the promotion boundary."""
@@ -506,14 +506,14 @@ class TestCrashCycleEdges:
         history = ChaosHistory()
         for i in range(60):  # the preload is acked, so the oracle knows it
             history.record_ack(b"%08d" % i, b"seed-%06d" % i)
-        policy = FailoverPolicy(scan_chunk_rows=8)
+        monkeypatch.setattr(faults, "SCAN_CHUNK_ROWS", 8)
         handle = HTable(cluster, "c")  # primary-routed scan
         row = b"%08d" % 30
         victim = cluster.server_for(cluster.tables["c"].region_for(row))
         scheduler = DeterministicScheduler(sim)
 
         def scanner(vc):
-            yield from chaos_scan(vc, handle, b"", None, history, policy)
+            yield from chaos_scan(vc, handle, b"", None, history)
 
         def faulter(vc):
             vc.clock.advance(1.0)

@@ -31,7 +31,7 @@ def build_cluster(num_servers, rows=256, threshold=1024, seed=3):
         p.add(CF, b"v", b"x" * 16)
         puts.append(p)
     table.put_batch(puts)
-    RegionBalancer(cluster, policy="load-aware").rebalance()
+    RegionBalancer(cluster).rebalance()
     sim.reset_clock()
     return sim, cluster
 

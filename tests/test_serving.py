@@ -26,7 +26,7 @@ from repro.errors import (
     RegionUnavailableError,
     ServerOverloadedError,
 )
-from repro.hbase.cache import RowCache, missed
+from repro.hbase.cache import ENTRY_OVERHEAD_BYTES, RowCache, missed
 from repro.hbase.cell import Result
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
@@ -61,16 +61,19 @@ class TestServingConfig:
         "kwargs",
         [
             dict(row_cache_bytes=-1),
-            dict(cache_hit_ms=-0.1),
-            dict(cache_entry_overhead_bytes=-1),
             dict(admission_queue_ms=0.0),
             dict(admission_queue_ms=-2.0),
             dict(p99_budget_ms=5.0),  # budget without admission control
             dict(admission_queue_ms=4.0, p99_budget_ms=0.0),
-            dict(admission_queue_ms=4.0, p99_window=0),
-            dict(admission_queue_ms=4.0, p99_refresh_every=0),
+            # every malformed qos pair is a config error, never a bare
+            # TypeError: zero / negative / non-numeric weight, unnamed
+            # table, wrong arity, not a pair at all
             dict(admission_queue_ms=4.0, qos_weights=(("t", 0.0),)),
-            dict(shed_retry_after_ms=-1.0),
+            dict(admission_queue_ms=4.0, qos_weights=(("t", -1.0),)),
+            dict(admission_queue_ms=4.0, qos_weights=(("t", "heavy"),)),
+            dict(admission_queue_ms=4.0, qos_weights=(("", 1.0),)),
+            dict(admission_queue_ms=4.0, qos_weights=(("t",),)),
+            dict(admission_queue_ms=4.0, qos_weights=(5,)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -99,10 +102,11 @@ class TestRowCache:
         assert cache.hits == 1
 
     def test_lru_eviction_order_is_strict(self):
-        overhead = 64
         # capacity = exactly three entries (all rows/values equal-sized)
-        entry = overhead + 1 + result_for(b"a", b"0123456789").size_bytes
-        cache = RowCache(3 * entry, entry_overhead_bytes=overhead)
+        entry = (
+            ENTRY_OVERHEAD_BYTES + 1 + result_for(b"a", b"0123456789").size_bytes
+        )
+        cache = RowCache(3 * entry)
         log: list = []
         cache.eviction_log = log
         for row in (b"a", b"b", b"c"):
@@ -132,7 +136,7 @@ class TestRowCache:
         assert first_stats["evictions"] > 0
 
     def test_oversized_entry_skipped(self):
-        cache = RowCache(128, entry_overhead_bytes=64)
+        cache = RowCache(128)
         cache.insert("r", b"big", None, result_for(b"big", bytes(512)))
         assert len(cache) == 0
         assert cache.size_bytes == 0
@@ -308,7 +312,7 @@ class TestCacheCoherence:
 
     def test_cache_hit_is_cheaper_than_miss(self):
         cluster, table = build_cluster(
-            ServingConfig(row_cache_bytes=64 * 1024, cache_hit_ms=0.01)
+            ServingConfig(row_cache_bytes=64 * 1024)
         )
         sim = cluster.sim
         before = sim.clock.now_ms
@@ -319,7 +323,7 @@ class TestCacheCoherence:
         hit_cost = sim.clock.now_ms - before
         totals = cluster.serving_stats()["totals"]
         assert totals["cache_hits"] == 1
-        # a hit pays rpc + transfer + cache_hit_ms, never seek/read_row
+        # a hit pays rpc + transfer + CACHE_HIT_MS, never seek/read_row
         assert hit_cost < miss_cost
 
     def test_multi_version_reads_bypass_cache(self):
@@ -406,17 +410,14 @@ class TestAdmission:
         ctrl.admit("other", 0.0, backlog)
         assert ctrl.stats()["shed_by_table"] == {"batch": 1}
 
-    def test_pressure_tightens_bound_until_tail_recovers(self):
+    def test_pressure_tightens_bound_until_tail_recovers(self, monkeypatch):
+        from repro.hbase import admission
         from repro.hbase.admission import AdmissionController
 
+        monkeypatch.setattr(admission, "P99_WINDOW", 8)
+        monkeypatch.setattr(admission, "P99_REFRESH_EVERY", 4)
         ctrl = AdmissionController(
-            "rs1",
-            ServingConfig(
-                admission_queue_ms=8.0,
-                p99_budget_ms=2.0,
-                p99_window=8,
-                p99_refresh_every=4,
-            ),
+            "rs1", ServingConfig(admission_queue_ms=8.0, p99_budget_ms=2.0)
         )
         for i in range(4):  # completions at 4x the budget
             token = ctrl.admit("t", float(i), 0.0)

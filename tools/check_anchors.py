@@ -11,7 +11,9 @@ present in *both* files must match bit-for-bit: these numbers are pure
 virtual time derived from seeded draws, so any difference means an
 engine change altered the simulated cost model, not noise. Points only
 one side measured (e.g. a reduced ``--micro-scales`` sweep) are skipped
-but counted, so the job log shows the coverage.
+but counted, so the job log shows the coverage; a whole *series* the
+baseline has and a compared experiment lacks (a renamed or dropped
+system) is a failure, not a skip.
 
 Every drifted anchor is reported (one ``DRIFT:`` line each, with the
 exact fields that moved) before the nonzero exit, so a single CI run
@@ -55,11 +57,22 @@ def compare(current: dict, baseline: dict) -> tuple[int, dict]:
         if cur is None or base is None:
             skipped += 1
             continue
-        for label, points in cur["series"].items():
-            base_points = base["series"].get(label, {})
-            for x, stat in points.items():
-                base_stat = base_points.get(x)
-                if base_stat is None:
+        for label, base_points in base["series"].items():
+            points = cur["series"].get(label)
+            if points is None:
+                # a renamed or dropped system must not shrink the total
+                failures.append(
+                    {
+                        "experiment": experiment,
+                        "series": label,
+                        "x": "*",
+                        "detail": "series is in the baseline but not in this run",
+                    }
+                )
+                continue
+            for x in sorted(set(points) | set(base_points)):
+                stat, base_stat = points.get(x), base_points.get(x)
+                if stat is None or base_stat is None:
                     skipped += 1
                     continue
                 checked += 1
@@ -72,6 +85,8 @@ def compare(current: dict, baseline: dict) -> tuple[int, dict]:
                             "detail": _describe_drift(stat, base_stat),
                         }
                     )
+        for label in cur["series"].keys() - base["series"].keys():
+            skipped += len(cur["series"][label])
     print(f"anchors checked: {checked}, skipped (not in both runs): {skipped}")
     report = {
         "checked": checked,
@@ -80,7 +95,7 @@ def compare(current: dict, baseline: dict) -> tuple[int, dict]:
         "failures": failures,
         "ok": bool(checked) and not failures,
     }
-    if not checked:
+    if not checked and not failures:
         print("error: no overlapping anchor points found", file=sys.stderr)
         return 2, report
     for failure in failures:
