@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -100,15 +100,18 @@ class Result:
         versions = self._view.get((family, qualifier))
         return versions[0][1] if versions else None
 
-    def newest_values(
-        self, columns: Iterable[tuple[bytes, bytes]]
-    ) -> list[bytes | None]:
-        """:meth:`value` of each of ``columns``, in order."""
+    def newest_into(
+        self,
+        row: dict[Any, Any],
+        slots: Iterable[tuple[Any, tuple[bytes, bytes], Callable[[bytes | None], Any]]],
+    ) -> None:
+        """``row[key] = decode(newest value of column)`` for each
+        ``(key, column, decode)`` of ``slots``, an absent column
+        decoding ``None``: how a row decoder reads a result."""
         get = self._view.get
-        return [
-            versions[0][1] if (versions := get(column)) else None
-            for column in columns
-        ]
+        for key, column, decode in slots:
+            versions = get(column)
+            row[key] = decode(versions[0][1] if versions else None)
 
     def versions(self, family: bytes, qualifier: bytes) -> list[tuple[int, bytes]]:
         return list(self._cells.get((family, qualifier), ()))

@@ -8,7 +8,7 @@ name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import SchemaError
@@ -16,7 +16,7 @@ from repro.hbase.bytes_util import decode_key, encode_key, split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
 from repro.relational.datatypes import DataType, value_decoder, value_encoder
-from repro.relational.schema import Index, Relation, Schema
+from repro.relational.schema import Schema
 
 CF = b"0"
 
@@ -166,14 +166,10 @@ class CatalogEntry:
             for i, a in enumerate(self.key_attrs)
             if needed is None or a in needed
         )
-        cells = [
-            column
-            for column in self._value_columns
-            if needed is None or column[0] in needed
-        ]
-        columns = tuple((CF, qualifier) for _, qualifier, _ in cells)
         value_slots = tuple(
-            (out_key(a), value_decoder(dtype)) for a, _, dtype in cells
+            (out_key(a), (CF, qualifier), value_decoder(dtype))
+            for a, qualifier, dtype in self._value_columns
+            if needed is None or a in needed
         )
         arity = len(self.key_attrs)
 
@@ -188,10 +184,7 @@ class CatalogEntry:
                     )
                 for i, out, decode_part in key_slots:
                     row[out] = decode_part(parts[i])
-            for (out, decode_cell), raw in zip(
-                value_slots, result.newest_values(columns)
-            ):
-                row[out] = decode_cell(raw)
+            result.newest_into(row, value_slots)
             return row
 
         return decode

@@ -41,13 +41,13 @@ def stream_rows(
     region windows deterministically."""
     op = compile_plan(planned.root)
     op.open(ctx)
+    shape = planned.shape
     try:
         while True:
             batch = op.next_batch()
             if batch is None:
                 return
-            for row in batch:
-                yield planned.shape(row)
+            yield from map(shape, batch)
     finally:
         op.close()
 

@@ -33,6 +33,7 @@ dirty-read restart and an abandoned cursor alike.
 
 from __future__ import annotations
 
+import operator
 from itertools import islice
 from typing import Any, Callable, Iterator
 
@@ -54,12 +55,16 @@ from repro.phoenix.plans import (
     PlanNode,
     Predicate,
     Row,
+    RowTest,
     ScanNode,
     SortNode,
+    Source,
     SourceNode,
     SubqueryNode,
     SymmetricJoinNode,
-    _lookup,
+    accessor,
+    conjunction,
+    key_getter,
 )
 from repro.sql.ast import Expr
 
@@ -182,17 +187,16 @@ class StreamingFilter(PhysicalOperator):
         self.child = child
         self.predicates = predicates
 
+    def open(self, ctx: ExecutionContext) -> None:
+        super().open(ctx)
+        self._keep: RowTest = conjunction(self.predicates, ctx)
+
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
         while True:
             batch = self.child.next_batch(demand)
             if batch is None:
                 return None
-            ctx = self._ctx
-            kept = [
-                row
-                for row in batch
-                if all(p.test(row, ctx) for p in self.predicates)
-            ]
+            kept = list(filter(self._keep, batch))
             if kept:
                 return kept
 
@@ -206,23 +210,21 @@ class SubqueryOp(PhysicalOperator):
         child: PhysicalOperator,
         alias: str,
         output_names: tuple[str, ...],
-        source_keys: tuple[Any, ...],
+        source_keys: tuple[Source, ...],
     ) -> None:
         self.child = child
         self.alias = alias
         self.output_names = output_names
         self.source_keys = source_keys
+        self._out_keys = tuple((alias, name) for name in output_names)
+        self._values = key_getter(source_keys)
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
         batch = self.child.next_batch(demand)
         if batch is None:
             return None
-        alias = self.alias
-        pairs = tuple(zip(self.output_names, self.source_keys))
-        return [
-            {(alias, name): _lookup(row, source) for name, source in pairs}
-            for row in batch
-        ]
+        out_keys, values = self._out_keys, self._values
+        return [dict(zip(out_keys, values(row))) for row in batch]
 
 
 class _LookupJoin(PhysicalOperator):
@@ -294,14 +296,16 @@ class BroadcastHashJoin(_LookupJoin):
         self.build = build
         self.probe_keys = probe_keys
         self.build_keys = build_keys
+        self._probe_key = key_getter(probe_keys)
         self._table: dict[tuple, list[Row]] | None = None
 
     def _build_table(self) -> dict[tuple, list[Row]]:
         table: dict[tuple, list[Row]] = {}
         build_rows = 0
+        key_of = key_getter(self.build_keys)
         for batch in _drain(self.build):
             for row in batch:
-                key = tuple(row.get(k) for k in self.build_keys)
+                key = key_of(row)
                 if None in key:
                     continue  # NULL never equi-matches anything
                 table.setdefault(key, []).append(row)
@@ -310,7 +314,7 @@ class BroadcastHashJoin(_LookupJoin):
         return table
 
     def _matches_of(self, outer_row: Row) -> Iterator[Row]:
-        key = tuple(outer_row.get(k) for k in self.probe_keys)
+        key = self._probe_key(outer_row)
         return iter(self._table.get(key, ()))  # type: ignore[union-attr]
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
@@ -339,13 +343,19 @@ class IndexNestedLoopJoin(_LookupJoin):
         self.outer_keys = outer_keys
         self.check_dirty = check_dirty
 
-    def _matches_of(self, outer_row: Row) -> Iterator[Row]:
-        ctx = self._ctx
-        values = [
-            outer_row.get(k) if isinstance(k, tuple) else ctx.eval(k)
+    def open(self, ctx: ExecutionContext) -> None:
+        super().open(ctx)
+        # constants are evaluated once; outer-row keys are read per row
+        getters = tuple(
+            accessor(k) if isinstance(k, tuple) else _constant(ctx.eval(k))
             for k in self.outer_keys
-        ]
-        return self.inner.fetch(ctx, values, self.check_dirty)
+        )
+        self._prefix_of = lambda row: [get(row) for get in getters]
+
+    def _matches_of(self, outer_row: Row) -> Iterator[Row]:
+        return self.inner.fetch(
+            self._ctx, self._prefix_of(outer_row), self.check_dirty
+        )
 
     def close(self) -> None:
         if self._matches is not None:
@@ -354,14 +364,18 @@ class IndexNestedLoopJoin(_LookupJoin):
         super().close()
 
 
+def _constant(value: Any) -> Callable[[Row], Any]:
+    return lambda row: value
+
+
 class _JoinSide:
-    __slots__ = ("source", "keys", "table", "done")
+    __slots__ = ("source", "key_of", "table", "done")
 
     def __init__(
         self, source: PhysicalOperator, keys: tuple[tuple[str, str], ...]
     ) -> None:
         self.source = source
-        self.keys = keys
+        self.key_of = key_getter(keys)
         self.table: dict[tuple, list[Row]] = {}
         self.done = False
 
@@ -407,8 +421,9 @@ class SymmetricHashJoin(PhysicalOperator):
                 continue
             inserted = 0
             left_first = side is self.left
+            key_of = side.key_of
             for row in batch:
-                key = tuple(row.get(k) for k in side.keys)
+                key = key_of(row)
                 if None in key:
                     continue
                 for match in other.table.get(key, ()):
@@ -442,21 +457,23 @@ class HashDistinct(PhysicalOperator):
     """Streaming dedupe on the projected sources; survivors leave
     batch by batch."""
 
-    def __init__(self, child: PhysicalOperator, keys: tuple) -> None:
+    def __init__(self, child: PhysicalOperator, keys: tuple[Source, ...]) -> None:
         self.child = child
         self.keys = keys
+        self._key_of = key_getter(keys)
         self._seen: set = set()
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
+        key_of, seen = self._key_of, self._seen
         while True:
             batch = self.child.next_batch(demand)
             if batch is None:
                 return None
             out: list[Row] = []
             for row in batch:
-                key = tuple(_hashable(_lookup(row, k)) for k in self.keys)
-                if key not in self._seen:
-                    self._seen.add(key)
+                key = tuple(map(_hashable, key_of(row)))
+                if key not in seen:
+                    seen.add(key)
                     out.append(row)
             if out:
                 return out
@@ -468,122 +485,149 @@ def _hashable(v: Any) -> Any:
 
 class HashGroupBy(_Materialized):
     """Hash aggregation with incremental accumulators: no per-group row
-    lists, only (count, sum, min, max) states per aggregate. Aggregate
-    outputs appear under binding ``""`` keyed by the canonical call
-    text (``SUM(ol_qty)``); groups leave in first-seen order."""
+    lists, one flat slot list per group that each aggregate's compiled
+    update folds a row into. Aggregate outputs appear under binding
+    ``""`` keyed by the canonical call text (``SUM(ol_qty)``); groups
+    leave in first-seen order."""
 
     def __init__(
-        self, child: PhysicalOperator, group_keys: tuple, aggregates: tuple
+        self,
+        child: PhysicalOperator,
+        group_keys: tuple[Source, ...],
+        aggregates: tuple[tuple[str, str, Source | None], ...],
     ) -> None:
         self.child = child
         self.group_keys = group_keys
         self.aggregates = aggregates
+        self._key_of = key_getter(group_keys)
+        self._out_keys = tuple(
+            g if isinstance(g, tuple) else ("", g) for g in group_keys
+        )
+        slots: list[Any] = []
+        self._updates: list[_Update] = []
+        self._finishes: list[tuple[tuple[str, str], _Finish]] = []
+        for out_name, func, source in aggregates:
+            start, update, finish = _aggregate(func, source, len(slots))
+            slots.extend(start)
+            self._updates.append(update)
+            self._finishes.append((("", out_name), finish))
+        self._start = tuple(slots)
 
     def _build(self) -> list[Row]:
-        reps: dict[tuple, Row] = {}
-        # per group: one [n, total, mn, mx] state per aggregate
-        states: dict[tuple, list[list[Any]]] = {}
+        key_of, updates, start = self._key_of, self._updates, self._start
+        # first-seen key -> the group's accumulator slots
+        groups: dict[tuple, list[Any]] = {}
         total_rows = 0
         for batch in _drain(self.child):
             total_rows += len(batch)
             for row in batch:
-                key = tuple(_lookup(row, g) for g in self.group_keys)
-                if key not in reps:
-                    reps[key] = row
-                    states[key] = [
-                        [0, 0, None, None] for _ in self.aggregates
-                    ]
-                for state, (_, _, source) in zip(
-                    states[key], self.aggregates
-                ):
-                    v = 1 if source is None else _lookup(row, source)
-                    if v is None:
-                        continue
-                    state[0] += 1
-                    state[1] += v
-                    if state[2] is None or v < state[2]:
-                        state[2] = v
-                    if state[3] is None or v > state[3]:
-                        state[3] = v
+                key = key_of(row)
+                acc = groups.get(key)
+                if acc is None:
+                    acc = groups[key] = list(start)
+                for update in updates:
+                    update(acc, row)
         self._ctx.conn.operator_work(GROUP_BY, total_rows)
         results: list[Row] = []
-        for key, rep in reps.items():
-            out: Row = {}
-            for g in self.group_keys:
-                if isinstance(g, tuple):
-                    out[g] = rep.get(g)
-                else:
-                    out[("", g)] = _lookup(rep, g)
-            for state, (out_name, func, _) in zip(
-                states[key], self.aggregates
-            ):
-                out[("", out_name)] = _finish_aggregate(func, state)
+        for key, acc in groups.items():
+            out: Row = dict(zip(self._out_keys, key))
+            for out_key, finish in self._finishes:
+                out[out_key] = finish(acc)
             results.append(out)
         return results
 
 
-def _finish_aggregate(func: str, state: list[Any]) -> Any:
-    """SQL null semantics over the non-NULL inputs: COUNT of nothing is
-    0, everything else is NULL."""
-    n, total, mn, mx = state
+_Update = Callable[[list[Any], Row], None]
+_Finish = Callable[[list[Any]], Any]
+
+
+def _aggregate(
+    func: str, source: Source | None, at: int
+) -> tuple[tuple[Any, ...], _Update, _Finish]:
+    """``func`` over ``source`` compiled against the accumulator slots
+    starting at ``at``: (initial slots, ``update(acc, row)``,
+    ``finish(acc)``). SQL null semantics over the non-NULL inputs:
+    COUNT of nothing is 0, everything else is NULL."""
+    if func == "COUNT" and source is None:  # COUNT(*): no lookup
+
+        def update(acc: list[Any], row: Row) -> None:
+            acc[at] += 1
+
+        return (0,), update, operator.itemgetter(at)
+    # any other F(*) aggregates a 1 per row
+    get = _constant(1) if source is None else accessor(source)
     if func == "COUNT":
-        return n
-    if n == 0:
-        return None
-    if func == "SUM":
-        return total
-    if func == "MIN":
-        return mn
-    if func == "MAX":
-        return mx
-    if func == "AVG":
-        return total / n
-    raise PlanError(f"unknown aggregate {func}")  # pragma: no cover
 
+        def update(acc: list[Any], row: Row) -> None:
+            if get(row) is not None:
+                acc[at] += 1
 
-class _OrderKey:
-    """Total order over heterogeneous/None values, with DESC support."""
+        return (0,), update, operator.itemgetter(at)
+    if func in ("MIN", "MAX"):
+        better = operator.lt if func == "MIN" else operator.gt
 
-    __slots__ = ("value", "desc")
+        def update(acc: list[Any], row: Row) -> None:
+            v = get(row)
+            if v is not None and (acc[at] is None or better(v, acc[at])):
+                acc[at] = v
 
-    def __init__(self, value: Any, desc: bool) -> None:
-        self.value = value
-        self.desc = desc
+        return (None,), update, operator.itemgetter(at)
+    if func in ("SUM", "AVG"):
+        n, total = at, at + 1
 
-    def __lt__(self, other: "_OrderKey") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.desc  # NULLs first ASC, last DESC
-        if b is None:
-            return self.desc
-        return (a > b) if self.desc else (a < b)
+        def update(acc: list[Any], row: Row) -> None:
+            v = get(row)
+            if v is not None:
+                acc[n] += 1
+                try:
+                    acc[total] += v
+                except TypeError:
+                    raise PlanError(
+                        f"{func} over a non-numeric value {v!r}"
+                    ) from None
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _OrderKey) and self.value == other.value
+        def finish(acc: list[Any]) -> Any:
+            if acc[n] == 0:
+                return None
+            return acc[total] if func == "SUM" else acc[total] / acc[n]
+
+        return (0, 0), update, finish
+    raise PlanError(f"unknown aggregate {func}")
 
 
 class StreamingSort(_Materialized):
     """Blocking sort; its input is reported to the host as
-    :data:`SORT` work (Phoenix sorts in the client/driver)."""
+    :data:`SORT` work (Phoenix sorts in the client/driver).
 
-    def __init__(self, child: PhysicalOperator, keys: tuple) -> None:
+    One stable ``list.sort`` pass per key, least significant first, on
+    ``(value is not None, value)``: NULLs first ascending and last
+    descending, rows equal on every key keep their input order."""
+
+    def __init__(
+        self, child: PhysicalOperator, keys: tuple[tuple[Source, bool], ...]
+    ) -> None:
         self.child = child
         self.keys = keys
+        self._passes = tuple(
+            (_sort_key(source), desc) for source, desc in reversed(keys)
+        )
 
     def _build(self) -> list[Row]:
         rows = [row for batch in _drain(self.child) for row in batch]
         self._ctx.conn.operator_work(SORT, len(rows))
-        keys = self.keys
-
-        def sort_key(row: Row):
-            return tuple(
-                _OrderKey(_lookup(row, source), desc) for source, desc in keys
-            )
-
-        rows.sort(key=sort_key)
+        for key, desc in self._passes:
+            rows.sort(key=key, reverse=desc)
         return rows
+
+
+def _sort_key(source: Source) -> Callable[[Row], tuple[bool, Any]]:
+    get = accessor(source)
+
+    def key(row: Row) -> tuple[bool, Any]:
+        v = get(row)
+        return (v is not None, v)
+
+    return key
 
 
 class Limit(PhysicalOperator):

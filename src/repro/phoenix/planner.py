@@ -16,7 +16,7 @@ Access-path selection mirrors Phoenix:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
 from repro.config import DEFAULT_COST_MODEL
@@ -45,7 +45,6 @@ from repro.sql.ast import (
     Param,
     Select,
     Star,
-    TableRef,
 )
 from repro.phoenix.plans import (
     AccessSpec,
@@ -61,12 +60,12 @@ from repro.phoenix.plans import (
     Row,
     ScanNode,
     SortNode,
+    Source,
     SubqueryNode,
     ValuePredicate,
-    _lookup,
+    key_getter,
 )
 
-Source = Union[tuple[str, str], str]
 PrefixSource = Union[tuple[str, str], Expr]
 
 
@@ -80,12 +79,16 @@ class PlannedQuery:
 
     select: Select
 
+    def __post_init__(self) -> None:
+        self._names = tuple(name for name, _ in self.output)
+        self._values = key_getter(tuple(src for _, src in self.output))
+
     def explain(self) -> str:
         return self.root.describe()
 
     def shape(self, row: Row) -> dict[str, Any]:
         """One internal ``(binding, attr)`` row as an output dict."""
-        return {name: _lookup(row, src) for name, src in self.output}
+        return dict(zip(self._names, self._values(row)))
 
     @property
     def estimate(self) -> tuple[float, float] | None:
@@ -139,7 +142,7 @@ class SelectComposer:
         if len(owners) == 1:
             return owners[0]
         if not owners:
-            # may be an aggregate alias handled by bare-name lookup
+            # e.g. a derived table's column: resolved by bare name
             return ("", None)
         raise SqlError(f"ambiguous column {col.name!r}")
 
@@ -147,10 +150,10 @@ class SelectComposer:
         if isinstance(expr, ColumnRef):
             b, _ = self.resolve(expr, analyzed)
             if b == "":
-                return expr.name  # bare-name / aggregate-alias lookup
+                return expr.name  # bare-name lookup
             return (b, expr.name)
         if isinstance(expr, FuncCall):
-            return str(expr)
+            return ("", str(expr))  # where HashGroupBy writes it
         raise PlanError(f"unsupported expression in this clause: {expr}")
 
     # -- joins ------------------------------------------------------------------------
@@ -388,7 +391,7 @@ class SelectComposer:
                 src = self.source_for(p, analyzed)
                 out.append((p.name, src))
             elif isinstance(p, FuncCall):
-                out.append((str(p), str(p)))
+                out.append((str(p), ("", str(p))))
             else:
                 raise PlanError(f"unsupported projection {p}")
         # de-duplicate output names (self-joins project the same attr twice)
@@ -397,8 +400,12 @@ class SelectComposer:
         for name, src in out:
             if name in seen:
                 seen[name] += 1
+                # a column is qualified by its binding; an aggregate
+                # (binding "") or a bare name is numbered
                 qualified = (
-                    f"{src[0]}.{name}" if isinstance(src, tuple) else f"{name}_{seen[name]}"
+                    f"{src[0]}.{name}"
+                    if isinstance(src, tuple) and src[0]
+                    else f"{name}_{seen[name]}"
                 )
                 final.append((qualified, src))
             else:

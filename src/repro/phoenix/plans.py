@@ -17,14 +17,15 @@ Phoenix connection, the federation merge, a VoltDB procedure) prices it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Union
 
 from repro.errors import DirtyReadRestart, PlanError
 from repro.hbase.bytes_util import prefix_stop
 from repro.hbase.filters import AndFilter, ColumnValueFilter, FilterBase
 from repro.hbase.ops import Get, Scan
-from repro.phoenix.catalog import CF, DIRTY_QUALIFIER, Catalog, CatalogEntry
+from repro.phoenix.catalog import CF, DIRTY_QUALIFIER, CatalogEntry
 from repro.relational.datatypes import encode_value
 from repro.sql.ast import Expr, Literal, Param
 
@@ -33,15 +34,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Row = dict[tuple[str, str], Any]
 
+Source = Union[tuple[str, str], str]
+"""Where a value comes from in a row: a ``(binding, attr)`` key, or a
+bare name that matches the first attribute of that name whatever its
+binding (a column no FROM relation owns, e.g. a derived-table alias)."""
+
+RowTest = Callable[[Row], bool]
+
 DIRTY_MARK = b"\x01"
 
 _PY_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -106,8 +114,20 @@ class ValuePredicate:
     op: str
     value_expr: Expr
 
-    def test(self, row: Row, ctx: ExecutionContext) -> bool:
-        return compare(self.op, row.get((self.binding, self.attr)), ctx.eval(self.value_expr))
+    def bind(self, ctx: ExecutionContext) -> RowTest:
+        """The row test for one execution: the constant is evaluated
+        here, once, not per row."""
+        value = ctx.eval(self.value_expr)
+        if value is None:
+            return lambda row: False
+        key = (self.binding, self.attr)
+        op = _PY_OPS[self.op]
+
+        def test(row: Row) -> bool:
+            a = row.get(key)
+            return a is not None and op(a, value)
+
+        return test
 
 
 @dataclass(frozen=True)
@@ -118,11 +138,46 @@ class ColumnPredicate:
     op: str
     right: tuple[str, str]
 
-    def test(self, row: Row, ctx: ExecutionContext) -> bool:
-        return compare(self.op, row.get(self.left), row.get(self.right))
+    def bind(self, ctx: ExecutionContext) -> RowTest:
+        left, op, right = self.left, self.op, self.right
+        return lambda row: compare(op, row.get(left), row.get(right))
 
 
 Predicate = ValuePredicate | ColumnPredicate
+
+
+def conjunction(predicates: tuple[Predicate, ...], ctx: ExecutionContext) -> RowTest:
+    """One row test for all of ``predicates``, tried in order."""
+    tests = [p.bind(ctx) for p in predicates]
+    if len(tests) == 1:
+        return tests[0]
+    return lambda row: all(test(row) for test in tests)
+
+
+# ---------------------------------------------------------------- row access
+def accessor(source: Source) -> Callable[[Row], Any]:
+    """``source`` resolved once into ``row -> value`` (``None`` when
+    absent)."""
+    if isinstance(source, tuple):
+        return lambda row: row.get(source)
+
+    def bare(row: Row) -> Any:
+        for (_, attr), value in row.items():
+            if attr == source:
+                return value
+        return None
+
+    return bare
+
+
+def key_getter(sources: tuple[Source, ...]) -> Callable[[Row], tuple]:
+    """``row -> (value of each source, ...)``, resolved once: over
+    ``(binding, attr)`` keys alone it is one ``map`` of the row's
+    ``get``."""
+    if all(isinstance(s, tuple) for s in sources):
+        return lambda row: tuple(map(row.get, sources))
+    getters = tuple(map(accessor, sources))
+    return lambda row: tuple([get(row) for get in getters])
 
 
 # ---------------------------------------------------------------- base access
@@ -192,7 +247,10 @@ class AccessSpec:
 
         The entry's full column set is pushed down into the Get/Scan
         (the storage projection: what is merged, sized and charged);
-        of that, only ``needed`` is decoded into the rows yielded."""
+        of that, only ``needed`` is decoded into the rows yielded. The
+        loop is picked once per call: with no dirty check, no MVCC
+        version check, no index lookup and no client-side residual it
+        is ``map(decode, results)``."""
         entry = self.entry
         conn = ctx.conn
         table = conn.client.table(entry.name)
@@ -212,7 +270,7 @@ class AccessSpec:
             scan.columns = projection
             scan.filter = self._server_filter(ctx)
             results = table.scan(scan)
-        client_side = [p for p in self.residuals if not self._pushed_down(p)]
+        client_side = tuple(p for p in self.residuals if not self._pushed_down(p))
         version_checks = (
             conn.charge.version_checks if conn.mvcc_version_check else None
         )
@@ -223,6 +281,15 @@ class AccessSpec:
             base_table = conn.client.table(lookup.name)
             base_projection = lookup.projection()
             decode = lookup.row_decoder(self.binding, self.needed)
+        keep = conjunction(client_side, ctx) if client_side else None
+        if (
+            not check_dirty
+            and version_checks is None
+            and lookup is None
+            and keep is None
+        ):
+            yield from map(decode, results)
+            return
         for result in results:
             if check_dirty and result.value(CF, DIRTY_QUALIFIER) == DIRTY_MARK:
                 raise DirtyReadRestart(entry.name)
@@ -235,10 +302,7 @@ class AccessSpec:
                 if result is None:
                     continue
             row: Row = decode(result)
-            for pred in client_side:
-                if not pred.test(row, ctx):
-                    break
-            else:
+            if keep is None or keep(row):
                 yield row
 
 
@@ -305,19 +369,11 @@ class SubqueryNode(PlanNode):
     subplan: PlanNode
     alias: str
     output_names: tuple[str, ...]
-    source_keys: tuple[tuple[str, str] | str, ...]
-    """For each output name, which sub-row key (or aggregate name) feeds it."""
+    source_keys: tuple[Source, ...]
+    """For each output name, the sub-row source that feeds it."""
 
     def _label(self) -> str:
         return f"DERIVED TABLE as {self.alias} -> {self.output_names}"
-
-
-def _lookup(row: Row, source: tuple[str, str] | str) -> Any:
-    if isinstance(source, tuple):
-        return row.get(source)
-    # aggregate or unique-attr lookup by bare name
-    matches = [v for (b, a), v in row.items() if a == source]
-    return matches[0] if matches else None
 
 
 @dataclass
@@ -385,8 +441,8 @@ class FilterNode(PlanNode):
 @dataclass
 class SortNode(PlanNode):
     child: PlanNode
-    keys: tuple[tuple[tuple[str, str] | str, bool], ...]
-    """((source, descending), ...); source may be an aggregate name."""
+    keys: tuple[tuple[Source, bool], ...]
+    """((source, descending), ...); an aggregate is ``("", call text)``."""
 
     def _label(self) -> str:
         return f"SORT {self.keys}"
@@ -398,8 +454,8 @@ class GroupByNode(PlanNode):
     keyed by the canonical call text (e.g. ``SUM(ol_qty)``)."""
 
     child: PlanNode
-    group_keys: tuple[tuple[str, str] | str, ...]
-    aggregates: tuple[tuple[str, str, tuple[str, str] | str | None], ...]
+    group_keys: tuple[Source, ...]
+    aggregates: tuple[tuple[str, str, Source | None], ...]
     """(output_name, func, source) — source None for COUNT(*)."""
 
     def _label(self) -> str:
@@ -421,5 +477,5 @@ class DistinctNode(PlanNode):
     ``keys`` are the output sources."""
 
     child: PlanNode
-    keys: tuple[tuple[str, str] | str, ...]
+    keys: tuple[Source, ...]
 

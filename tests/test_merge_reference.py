@@ -13,7 +13,7 @@ stored one. A count-based guard pins the point of it all: the read of a
 hot row does not depend on how many versions the row has absorbed.
 
 The same machine checks what a ``Result`` says about itself —
-``size_bytes``, ``column_count``, ``value``, ``newest_values`` — against
+``size_bytes``, ``column_count``, ``value``, ``newest_into`` — against
 the reference cells, before and after ``_cells`` detaches it: a *plain*
 row read out of an HFile borrows the stored entry's cell map and its
 memoised summary (``store.row_result``), so results are held across
@@ -96,12 +96,24 @@ def reference_size(row, visible):
     )
 
 
+def newest(result, columns):
+    """The newest value of each of ``columns`` (``None`` when absent),
+    read the way a row decoder reads them: ``Result.newest_into``."""
+    row = {}
+    result.newest_into(row, [(column, column, _raw) for column in columns])
+    return [row[column] for column in columns]
+
+
+def _raw(value):
+    return value
+
+
 def reading(result):
     """What a result says through the accessors that never detach it."""
     return (
         result.size_bytes,
         result.column_count,
-        result.newest_values(ALL_COLUMNS),
+        newest(result, ALL_COLUMNS),
         [result.value(*column) for column in ALL_COLUMNS],
     )
 
@@ -328,7 +340,7 @@ class TestMergeMatchesReference:
         for result, taken in apply_ops(region, model, ops):
             assert reading(result) == taken
             heads = result._cells  # detaches; must show the same heads
-            assert result.newest_values(ALL_COLUMNS) == taken[2]
+            assert newest(result, ALL_COLUMNS) == taken[2]
             assert all(len(versions) == 1 for versions in heads.values())
         assert_region_matches(region, model, 1, None, None)
 
@@ -488,7 +500,7 @@ class TestPlainRows:
             )
             by_cells._cells[(b"cf", b"a")][0] = (99, b"edited")
             del by_cells._cells[(b"cf", b"b")]
-            assert by_cells.newest_values(ALL_COLUMNS[:2]) == [b"edited", None]
+            assert newest(by_cells, ALL_COLUMNS[:2]) == [b"edited", None]
             assert by_cells.size_bytes == reference_size(ROW, by_cells._cells)
             assert_region_matches(region, model, 1, None, None)
 
@@ -578,7 +590,7 @@ class TestPlainRows:
             results = [result for _, result in region.scan(columns=columns)]
             total = sum(result.size_bytes for result in results)
             for result in results:
-                result.newest_values(WIDE[:3])
+                newest(result, WIDE[:3])
                 result.value(*WIDE[0])
             return results, total, len(built), len(detached)
 

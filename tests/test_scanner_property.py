@@ -4,7 +4,7 @@ implementation of ``merge_row`` applied to one ``_sources_for`` point
 lookup per key) across randomized puts, deletes, flushes and
 compactions — versions, row tombstones, column tombstones, time ranges
 and column projections included. Each scanned ``Result`` must also size
-and read itself (``size_bytes``, ``column_count``, ``newest_values``) as
+and read itself (``size_bytes``, ``column_count``, ``newest_into``) as
 its reference cells do, whether it borrowed them from an HFile or not."""
 
 from __future__ import annotations
@@ -71,6 +71,18 @@ def reference_scan(region, columns=None, max_versions=1, time_range=None):
     return out
 
 
+def newest(result, columns):
+    """The newest value of each of ``columns`` (``None`` when absent),
+    read the way a row decoder reads them: ``Result.newest_into``."""
+    row = {}
+    result.newest_into(row, [(column, column, _raw) for column in columns])
+    return [row[column] for column in columns]
+
+
+def _raw(value):
+    return value
+
+
 def streaming_scan(region, columns=None, max_versions=1, time_range=None):
     wanted = frozenset(columns) if columns else None
     out = []
@@ -82,7 +94,7 @@ def streaming_scan(region, columns=None, max_versions=1, time_range=None):
             said = (
                 result.size_bytes,
                 result.column_count,
-                result.newest_values(ALL_COLUMNS),
+                newest(result, ALL_COLUMNS),
             )
             cells = result._cells
             assert said == (
