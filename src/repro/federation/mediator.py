@@ -59,7 +59,13 @@ from repro.federation.merge import MergeHost, plan_merge
 from repro.federation.session import FederatedSession
 from repro.phoenix.executor import stream_rows
 from repro.phoenix.planner import SelectComposer
-from repro.phoenix.plans import ExecutionContext, PlanNode, Row, SourceNode
+from repro.phoenix.plans import (
+    ExecutionContext,
+    PlanNode,
+    Row,
+    SourceNode,
+    keyed_rows,
+)
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
@@ -295,6 +301,7 @@ class Mediator(EvaluatedSystem):
         fragments: list[Fragment],
         record: RouteRecord,
     ) -> list[dict]:
+        needed = self._composer.needed_attrs(analyzed)
         leaves: dict[str, PlanNode] = {}
         for fragment in fragments:
             candidates = [
@@ -313,7 +320,14 @@ class Mediator(EvaluatedSystem):
             }
             record.assignments.append(slot)
             leaves[fragment.binding] = SourceNode(
-                fetch=partial(self._fetch_fragment, label, fragment, chosen, slot),
+                fetch=partial(
+                    self._fetch_fragment,
+                    label,
+                    fragment,
+                    needed[fragment.binding],
+                    chosen,
+                    slot,
+                ),
                 label=f"FRAGMENT {fragment.binding} @ {chosen}",
             )
         derived_attrs = {f.binding: f.attrs for f in fragments if f.derived}
@@ -321,20 +335,27 @@ class Mediator(EvaluatedSystem):
         return list(stream_rows(planned, ExecutionContext(self._host, params)))
 
     def _fetch_fragment(
-        self, label: str, fragment: Fragment, backend: str, slot: dict
+        self,
+        label: str,
+        fragment: Fragment,
+        wanted: set[str] | None,
+        backend: str,
+        slot: dict,
     ) -> list[Row]:
         """Run one fragment on its assigned backend — called by its leaf
         at the merge tree's FIRST pull, so a fragment a satisfied LIMIT
         never reaches never runs (its slot keeps ``executed: False``) —
-        and remap the backend's shaped rows to the ``(binding, attr)``
-        row dialect of the merge tree."""
+        and import the ``wanted`` columns of the backend's shaped rows
+        as ``(binding, attr)`` rows of the merge tree. The fragment text
+        stays ``SELECT *``: a narrower one would move the backend's
+        access-path choice and so its virtual time."""
         binding = fragment.binding
         rows, ms = self._run_on_backend(
             backend, fragment.sql, fragment.params, advisor_key=f"{label}#{binding}"
         )
         slot["executed"] = True
         slot["ms"] = ms
-        return [{(binding, k): v for k, v in row.items()} for row in rows]
+        return keyed_rows(binding, fragment.attrs, wanted, rows)
 
     def _split_estimate(self, label: str, fragments: list[Fragment]) -> float:
         total = 0.0

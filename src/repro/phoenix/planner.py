@@ -156,6 +156,60 @@ class SelectComposer:
             return ("", str(expr))  # where HashGroupBy writes it
         raise PlanError(f"unsupported expression in this clause: {expr}")
 
+    def needed_attrs(self, analyzed: AnalyzedSelect) -> dict[str, set[str] | None]:
+        """Per binding, the attributes the statement reads anywhere:
+        the one needed-set collector. ``ALL_ATTRS`` under a ``*``, and
+        for a derived table, whose columns may be named bare (which
+        :meth:`resolve` leaves unowned). A Phoenix access uses it to
+        decide whether an index covers the binding and as its decode
+        set; a VoltDB leaf and a federation fragment import carry
+        exactly these attributes."""
+        select = analyzed.select
+        needed: dict[str, set[str] | None] = {
+            b: set() if rel is not None else ALL_ATTRS
+            for b, rel in analyzed.bindings.items()
+        }
+
+        def note(binding: str, attr: str) -> None:
+            s = needed.get(binding)
+            if s is not None:
+                s.add(attr)
+
+        def note_col(col: ColumnRef) -> None:
+            b, _ = self.resolve(col, analyzed)
+            note(b, col.name)
+
+        for p in select.projections:
+            if isinstance(p, Star):
+                if p.qualifier is None:
+                    for b in needed:
+                        needed[b] = ALL_ATTRS
+                else:
+                    needed[p.qualifier] = ALL_ATTRS
+            elif isinstance(p, ColumnRef):
+                note_col(p)
+            elif isinstance(p, FuncCall):
+                for a in p.args:
+                    if isinstance(a, ColumnRef):
+                        note_col(a)
+        for j in analyzed.joins:
+            note(j.left_binding, j.left_attr)
+            note(j.right_binding, j.right_attr)
+        for f in analyzed.filters:
+            note(f.binding, f.attr)
+            if isinstance(f.value, ColumnRef):
+                note(f.binding, f.value.name)
+        for g in select.group_by:
+            note_col(g)
+        for o in select.order_by:
+            if isinstance(o.expr, ColumnRef):
+                note_col(o.expr)
+            elif isinstance(o.expr, FuncCall):
+                for a in o.expr.args:
+                    if isinstance(a, ColumnRef):
+                        note_col(a)
+        return needed
+
     # -- joins ------------------------------------------------------------------------
     @staticmethod
     def join_connects(j: JoinCondition, b: str, joined: list[str]) -> bool:
@@ -433,7 +487,7 @@ class Planner(SelectComposer):
                 derived[item.alias] = node
                 derived_attrs[item.alias] = names
 
-        needed = self._needed_attrs(analyzed)
+        needed = self.needed_attrs(analyzed)
         root = self._plan_joins(analyzed, derived, needed)
         return self.finish(root, analyzed, derived_attrs)
 
@@ -453,54 +507,6 @@ class Planner(SelectComposer):
             source_keys=sources,
         )
         return node, names
-
-    # -- needed attributes ----------------------------------------------------------------
-    def _needed_attrs(self, analyzed: AnalyzedSelect) -> dict[str, set[str] | None]:
-        """Per binding, the attributes the statement reads anywhere
-        (``ALL_ATTRS`` under a ``*``). It decides whether an index
-        covers the binding and is the decode set of its access."""
-        select = analyzed.select
-        needed: dict[str, set[str] | None] = {b: set() for b in analyzed.bindings}
-
-        def note(binding: str, attr: str) -> None:
-            s = needed.get(binding)
-            if s is not None:
-                s.add(attr)
-
-        def note_col(col: ColumnRef) -> None:
-            b, _ = self.resolve(col, analyzed)
-            note(b, col.name)
-
-        for p in select.projections:
-            if isinstance(p, Star):
-                if p.qualifier is None:
-                    for b in needed:
-                        needed[b] = ALL_ATTRS
-                else:
-                    needed[p.qualifier] = ALL_ATTRS
-            elif isinstance(p, ColumnRef):
-                note_col(p)
-            elif isinstance(p, FuncCall):
-                for a in p.args:
-                    if isinstance(a, ColumnRef):
-                        note_col(a)
-        for j in analyzed.joins:
-            note(j.left_binding, j.left_attr)
-            note(j.right_binding, j.right_attr)
-        for f in analyzed.filters:
-            note(f.binding, f.attr)
-            if isinstance(f.value, ColumnRef):
-                note(f.binding, f.value.name)
-        for g in select.group_by:
-            note_col(g)
-        for o in select.order_by:
-            if isinstance(o.expr, ColumnRef):
-                note_col(o.expr)
-            elif isinstance(o.expr, FuncCall):
-                for a in o.expr.args:
-                    if isinstance(a, ColumnRef):
-                        note_col(a)
-        return needed
 
     # -- join planning ----------------------------------------------------------------
     def _entry_for_binding(

@@ -19,11 +19,21 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Union,
+)
 
 from repro.errors import DirtyReadRestart, PlanError
 from repro.hbase.bytes_util import prefix_stop
-from repro.hbase.filters import AndFilter, ColumnValueFilter, FilterBase
+from repro.hbase.cell import Result
+from repro.hbase.filters import AndFilter, FilterBase
 from repro.hbase.ops import Get, Scan
 from repro.phoenix.catalog import CF, DIRTY_QUALIFIER, CatalogEntry
 from repro.relational.datatypes import encode_value
@@ -180,7 +190,39 @@ def key_getter(sources: tuple[Source, ...]) -> Callable[[Row], tuple]:
     return lambda row: tuple([get(row) for get in getters])
 
 
+def keyed_rows(
+    binding: str,
+    attrs: tuple[str, ...],
+    wanted: set[str] | None,
+    rows: Iterable[Mapping[str, Any]],
+) -> list[Row]:
+    """``rows`` (keyed by attribute name) as ``(binding, attr)`` rows
+    carrying the attributes of ``attrs`` that are ``wanted`` (all of
+    them when it is ``None``), in ``attrs`` order; an attribute a row
+    lacks is ``None``. The key tuple is made once per call, not once
+    per cell."""
+    if wanted is not None:
+        attrs = tuple(a for a in attrs if a in wanted)
+    keys = tuple((binding, a) for a in attrs)
+    return [dict(zip(keys, map(row.get, attrs))) for row in rows]
+
+
 # ---------------------------------------------------------------- base access
+@dataclass(frozen=True)
+class _PushedPredicate(FilterBase):
+    """A residual the region server applies, under :func:`compare`'s
+    rule: a stored NULL (an empty value or no cell) never passes, and
+    nothing passes against a NULL constant (``value is None``)."""
+
+    qualifier: bytes
+    op: Callable[[bytes, bytes], bool]
+    value: bytes | None
+
+    def accept(self, result: Result) -> bool:
+        cur = result.value(CF, self.qualifier)
+        return bool(cur) and self.value is not None and self.op(cur, self.value)
+
+
 @dataclass
 class AccessSpec:
     """How to reach rows of one catalog entry for one binding.
@@ -223,16 +265,19 @@ class AccessSpec:
         )
 
     def _server_filter(self, ctx: ExecutionContext) -> FilterBase | None:
-        filters: list[FilterBase] = [
-            ColumnValueFilter(
-                CF,
-                pred.attr.encode(),
-                pred.op,
-                encode_value(self.entry.dtypes[pred.attr], ctx.eval(pred.value_expr)),
-            )
-            for pred in self.residuals
-            if self._pushed_down(pred)
-        ]
+        filters: list[FilterBase] = []
+        for pred in self.residuals:
+            if self._pushed_down(pred):
+                value = ctx.eval(pred.value_expr)
+                filters.append(
+                    _PushedPredicate(
+                        pred.attr.encode(),
+                        _PY_OPS[pred.op],
+                        None
+                        if value is None
+                        else encode_value(self.entry.dtypes[pred.attr], value),
+                    )
+                )
         if not filters:
             return None
         return filters[0] if len(filters) == 1 else AndFilter(tuple(filters))

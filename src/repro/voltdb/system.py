@@ -33,6 +33,7 @@ from repro.phoenix.plans import (
     Row,
     SourceNode,
     ValuePredicate,
+    keyed_rows,
 )
 from repro.phoenix.writes import compile_write, constant_equalities, eval_const
 from repro.relational.schema import Schema
@@ -255,13 +256,14 @@ class VoltDBSystem:
         FROM order; base-table filters no leaf applies run above the
         joins, so every join's intermediate size is charged."""
         composer = self._composer
+        needed = composer.needed_attrs(analyzed)
         leaves: dict[str, PlanNode] = {}
         derived_attrs: dict[str, tuple[str, ...]] = {}
         for item in analyzed.select.from_items:
             binding = item.binding
             if isinstance(item, DerivedTable):
-                derived_attrs[binding] = composer.output_names(item.select)
-                fetch = partial(self._derived_rows, item, params, host)
+                names = derived_attrs[binding] = composer.output_names(item.select)
+                fetch = partial(self._derived_rows, item, names, params, host)
             else:
                 eq = [
                     (f.attr, eval_const(f.value, params))
@@ -269,7 +271,12 @@ class VoltDBSystem:
                     if _is_access_filter(f)
                 ]
                 fetch = partial(
-                    self._table_rows, binding, self.tables[item.name], eq, host
+                    self._table_rows,
+                    binding,
+                    self.tables[item.name],
+                    eq,
+                    needed[binding],
+                    host,
                 )
             leaves[binding] = SourceNode(fetch, label=f"VOLTDB {binding}")
         plan, consumed = composer.join_in_from_order(
@@ -292,31 +299,41 @@ class VoltDBSystem:
         binding: str,
         table: VoltTable,
         eq: list[tuple[str, Any]],
+        wanted: set[str] | None,
         host: _ProcedureHost,
     ) -> list[Row]:
         """The rows of ``table`` that pass every equality in ``eq``,
-        reached through an index on the first one when there is one;
-        every candidate read counts as examined."""
+        reached through an index on the first one when there is one and
+        carrying the ``wanted`` attributes only; every candidate read
+        counts as examined. An equality with NULL matches nothing, so
+        nothing is read."""
+        if any(v is None for _, v in eq):
+            return []
         if eq and table.has_index(eq[0][0]):
             candidates = list(table.lookup(*eq[0]))
         else:
             candidates = list(table.scan())
         host.examined += len(candidates)
-        return [
-            {(binding, a): v for a, v in raw.items()}
-            for raw in candidates
-            if all(raw.get(a) == v for a, v in eq)
-        ]
+        if eq:
+            candidates = [
+                raw for raw in candidates if all(raw.get(a) == v for a, v in eq)
+            ]
+        return keyed_rows(binding, table.attrs, wanted, candidates)
 
     def _derived_rows(
-        self, item: DerivedTable, params: tuple[Any, ...], host: _ProcedureHost
+        self,
+        item: DerivedTable,
+        names: tuple[str, ...],
+        params: tuple[Any, ...],
+        host: _ProcedureHost,
     ) -> list[Row]:
-        """A derived table is a nested procedure, charged as its own."""
+        """A derived table is a nested procedure, charged as its own;
+        its rows carry every column it returns (``names``)."""
         rows = self.execute_select(
             analyze_select(item.select, self.schema), params
         )
         host.examined += len(rows)
-        return [{(item.binding, k): v for k, v in r.items()} for r in rows]
+        return keyed_rows(item.binding, names, None, rows)
 
     # -- routing ---------------------------------------------------------------------
     def select_partitions(

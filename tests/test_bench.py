@@ -337,21 +337,44 @@ class TestBenchTrajectory:
     ``BENCHMARK.json`` declares."""
 
     ROOT = Path(__file__).parents[1]
+    SHAPE = {"commit", "seeds", "runs", "workloads"}
+
+    def declared(self) -> dict:
+        return json.loads((self.ROOT / "BENCHMARK.json").read_text())
+
+    def packages(self) -> set[str]:
+        """The layers a traced run splits self time into (``other`` too)."""
+        names = {
+            m["name"].removesuffix(".self_share")
+            for m in self.declared()["per_layer"]
+            if m["name"].endswith(".self_share")
+        }
+        return {name for name in names if "." not in name}
 
     def test_every_row_is_a_summary_of_the_declared_benchmark(self):
-        declared = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        declared = self.declared()
         workloads = {w["name"] for w in declared["workloads"]}
         metrics = {m["name"] for m in declared["end_to_end"]}
+        packages = self.packages()
         # a pure function of the seed: one seed, no spread
         exact = {m for m in metrics if m.startswith("virtual_")}
         exact.add("db_bytes_per_user_byte")
         assert len(exact) == 5
         lines = (self.ROOT / "BENCH_TRAJECTORY.jsonl").read_text().splitlines()
         commits = []
+        layered = 0
         for number, line in enumerate(lines, 1):
             row = json.loads(line)
             where = f"line {number} ({row.get('commit')})"
-            assert set(row) == {"commit", "seeds", "runs", "workloads"}, where
+            assert set(row) - {"layers"} == self.SHAPE, where
+            for name, shares in row.get("layers", {}).items():
+                layered += 1
+                assert name in workloads, f"{where} layers.{name}"
+                assert set(shares) <= packages and "other" in shares, where
+                assert all(s >= 0 for s in shares.values()), where
+                assert sum(shares.values()) == pytest.approx(1, abs=1e-3), (
+                    f"{where} layers.{name} sum to {sum(shares.values())}"
+                )
             commits.append(row["commit"])
             assert row["seeds"] and row["runs"] >= 1, where
             assert set(row["workloads"]) == workloads, where
@@ -365,6 +388,28 @@ class TestBenchTrajectory:
                     if metric in exact and len(row["seeds"]) == 1:
                         assert iqr == 0, at
         assert lines and len(set(commits)) == len(commits)
+        assert layered, "no row carries a layer split"
+
+    def test_a_traced_record_adds_the_layer_split(self, tmp_path, capsys):
+        tool = _tool("bench_trajectory")
+        shares = {"phoenix": 0.5, "voltdb": 0.25, "other": 0.25}
+        metrics = {
+            **{f"{p}.self_share": {"value": v} for p, v in shares.items()},
+            "phoenix.plans.self_share": {"value": 0.125},  # a file sub-total
+            "sql.parse_us_per_stmt": {"value": 3.0},
+        }
+        run = {"seed": 1, "metrics": {"setup_s": {"value": 1.0}}}
+        record = {"workloads": {"fed-route": {"runs": [run, run]}}}
+        assert set(tool.row(record, "c")) == self.SHAPE
+        # one run.py --trace 1 result, or a battery record with traced runs
+        traced = {"workload": "fed-route", "trace": True, "metrics": metrics}
+        assert tool.row(record, "c", (traced,))["layers"] == {"fed-route": shares}
+        record["workloads"]["fed-route"]["traced"] = traced
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        assert tool.main([str(path), "c"]) == 0
+        assert json.loads(capsys.readouterr().out)["layers"] == {"fed-route": shares}
+        assert set(shares) <= self.packages()
 
 
 def _tool(name: str):

@@ -1,15 +1,18 @@
 """The compiled row decoder and the plan-driven decode set.
 
-Three layers of evidence that ``AccessSpec.needed`` only ever narrows
-what is *materialised*, never what a statement returns or is charged:
+Three layers of evidence that the needed set (``AccessSpec.needed`` on
+a Phoenix access, the attributes a VoltDB leaf or a federation fragment
+import carries) only ever narrows what is *materialised*, never what a
+statement returns or is charged:
 
 * property tests — ``split_key`` and the compiled decoder agree with
   the byte-loop / dtype-chain implementations they replaced (kept here
   as the reference), on arbitrary bytes and every ``DataType``;
 * a differential — every plan re-run with all decode sets widened to
-  "everything" (``dataclasses.replace`` on the plan tree, in the test)
-  returns the same rows for the same virtual milliseconds;
-* pinned decode sets for the shapes that are easy to get wrong.
+  "everything" (``dataclasses.replace`` on the plan tree, or the
+  collector patched to answer "all", in the test) returns the same rows
+  for the same virtual milliseconds;
+* pinned decode and key sets for the shapes that are easy to get wrong.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.federation.mediator as mediator_module
+import repro.voltdb.system as voltdb_module
 from repro.bench.tpcw_lab import TpcwLab
 from repro.config import ClusterConfig
+from repro.federation import build_mediator
 from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
 from repro.hbase.client import HBaseClient
@@ -43,8 +49,11 @@ from repro.relational.datatypes import DataType
 from repro.relational.schema import Index
 from repro.sim.clock import Simulation
 from repro.sql.ast import Literal
+from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 from repro.tpcw.queries import JOIN_QUERIES
-from tests.conftest import load_company_data
+from repro.voltdb.system import PartitionScheme
+from tests import test_systems_equivalence as equivalence
+from tests.conftest import build_company_system, load_company_data
 from tests.test_datatypes import encode_value_reference
 from tests.test_query_engine_property import generate_query
 
@@ -464,3 +473,162 @@ class TestPinnedDecodeSets:
         )
         assert access.needed == frozenset({"Hours", "WO_PNo"})
         assert dataclasses.replace(access, needed=None).needed is None
+
+
+# ------------------------------------------------------------ (d) the other leaves
+# A VoltDB procedure leaf and a federation fragment import build their
+# rows with ``keyed_rows`` over the composer's needed set. Widening the
+# set means patching the one collector, on the composers that feed
+# those two leaves only: a Phoenix backend's planner is left alone,
+# because there the set also picks the access path (and so the charges).
+def widen_collector(monkeypatch, composer) -> None:
+    """Make ``composer.needed_attrs`` answer "all" for every binding."""
+    monkeypatch.setattr(
+        composer, "needed_attrs", lambda analyzed: dict.fromkeys(analyzed.bindings)
+    )
+
+
+def count_cells(monkeypatch, module) -> list[int]:
+    """Count the cells ``module``'s ``keyed_rows`` builds (one counter
+    for every system the test runs)."""
+    cells = [0]
+    real = module.keyed_rows
+
+    def counted(*args):
+        rows = real(*args)
+        cells[0] += sum(map(len, rows))
+        return rows
+
+    monkeypatch.setattr(module, "keyed_rows", counted)
+    return cells
+
+
+def record_keys(monkeypatch, module) -> dict[str, list]:
+    """The keys of the first row ``module``'s ``keyed_rows`` builds, per
+    binding."""
+    seen: dict[str, list] = {}
+    real = module.keyed_rows
+
+    def recorded(binding, attrs, wanted, rows):
+        out = real(binding, attrs, wanted, rows)
+        if out:
+            seen.setdefault(binding, list(out[0]))
+        return out
+
+    monkeypatch.setattr(module, "keyed_rows", recorded)
+    return seen
+
+
+def _all_replicated_voltdb(lab: TpcwLab) -> VoltDBEvaluatedSystem:
+    system = VoltDBEvaluatedSystem(
+        lab.schema,
+        lab.workload,
+        sim=Simulation(seed=lab.seed, jitter_fraction=0.02),
+        schemes=(PartitionScheme("all-replicated", {}),),
+    )
+    lab.populate(system)
+    return system
+
+
+def test_voltdb_tpcw_queries_same_rows_and_ms_with_leaves_widened(monkeypatch):
+    lab = TpcwLab(num_customers=20, repetitions=1)
+    narrow, wide = _all_replicated_voltdb(lab), _all_replicated_voltdb(lab)
+    widen_collector(monkeypatch, wide.engine._composer)
+    cells = count_cells(monkeypatch, voltdb_module)
+    narrow_cells = wide_cells = 0
+    for qid in JOIN_QUERIES:
+        params = lab.generator.params_for_query(qid, 0)
+        before = cells[0]
+        got, got_ms = narrow.timed_id(qid, params)
+        narrow_cells += cells[0] - before
+        before = cells[0]
+        expected, expected_ms = wide.timed_id(qid, params)
+        wide_cells += cells[0] - before
+        assert got == expected, qid
+        assert repr(got_ms) == repr(expected_ms), qid
+    assert narrow_cells < wide_cells
+
+
+def test_voltdb_random_queries_same_rows_and_ms_with_leaves_widened(monkeypatch):
+    narrow, wide = (
+        build_company_system("VoltDB", Simulation(seed=7, jitter_fraction=0.02))
+        for _ in range(2)
+    )
+    widen_collector(monkeypatch, wide.engine._composer)
+    rng = random.Random(20170904)
+    for i in range(200):
+        spec = generate_query(rng)
+        got, got_ms = narrow.timed(spec.sql, spec.params)
+        expected, expected_ms = wide.timed(spec.sql, spec.params)
+        assert got == expected, f"query #{i}: {spec.sql} {spec.params}"
+        assert repr(got_ms) == repr(expected_ms), f"query #{i}: {spec.sql}"
+
+
+@pytest.mark.parametrize("mode", ("split", "auto"))
+def test_routed_random_queries_same_rows_and_ms_with_imports_widened(
+    mode, monkeypatch
+):
+    narrow, wide = (
+        equivalence.TestRoutedRandomQueries.build_federation(mode) for _ in range(2)
+    )
+    widen_collector(monkeypatch, wide._composer)
+    widen_collector(monkeypatch, wide.backends["voltdb"].engine._composer)
+    cells = count_cells(monkeypatch, mediator_module)
+    narrow_cells = wide_cells = 0
+    rng = random.Random(equivalence.TestRoutedRandomQueries.ROUTED_SEED)
+    for i in range(equivalence.TestRoutedRandomQueries.ROUTED_QUERIES):
+        spec = generate_query(rng)
+        before = cells[0]
+        got, got_ms = narrow.timed(spec.sql, spec.params)
+        narrow_cells += cells[0] - before
+        before = cells[0]
+        expected, expected_ms = wide.timed(spec.sql, spec.params)
+        wide_cells += cells[0] - before
+        assert got == expected, f"query #{i}: {spec.sql} {spec.params}"
+        assert repr(got_ms) == repr(expected_ms), f"query #{i}: {spec.sql}"
+    assert [r.mode for r in narrow.route_log] == [r.mode for r in wide.route_log]
+    assert any(r.mode == "split" for r in narrow.route_log)
+    assert narrow_cells < wide_cells
+
+
+class TestPinnedKeySets:
+    def test_voltdb_q11_self_join_leaf_carries_what_the_statement_reads(
+        self, monkeypatch
+    ):
+        lab = TpcwLab(num_customers=10, repetitions=1)
+        system = _all_replicated_voltdb(lab)
+        seen = record_keys(monkeypatch, voltdb_module)
+        system.timed_id("Q11", lab.generator.params_for_query("Q11", 0))
+        # ol2.ol_i_id / ol_qty are projected and aggregated, ol_o_id and
+        # ol_i_id join: Order_line order, nothing else of its row
+        assert seen["ol2"] == [
+            ("ol2", "ol_o_id"), ("ol2", "ol_i_id"), ("ol2", "ol_qty"),
+        ]
+        # the derived table carries every column its procedure returns
+        assert seen["tmp"] == [("tmp", "o_id")]
+
+    def test_split_q10_fragment_import_carries_what_the_merge_reads(
+        self, monkeypatch
+    ):
+        lab = TpcwLab(num_customers=10, repetitions=1)
+        backends = {}
+        for name in ("Baseline", "VoltDB"):
+            backends[name] = lab.build_system(name)
+            lab.populate(backends[name])
+        mediator = build_mediator(
+            backends, lab.schema, lab.workload, seed=lab.seed, mode="split"
+        )
+        seen = record_keys(monkeypatch, mediator_module)
+        texts = []
+        run_on_backend = mediator._run_on_backend
+
+        def recorded(name, sql, params, advisor_key):
+            texts.append(sql)
+            return run_on_backend(name, sql, params, advisor_key)
+
+        monkeypatch.setattr(mediator, "_run_on_backend", recorded)
+        mediator.execute("Q10", lab.generator.params_for_query("Q10", 0))
+        assert mediator.route_log[-1].mode == "split"
+        assert seen["ol"] == [("ol", "ol_o_id"), ("ol", "ol_i_id"), ("ol", "ol_qty")]
+        # narrowed on import only: on the wire the fragment is the whole row
+        assert "SELECT * FROM Order_line as ol" in texts

@@ -629,6 +629,49 @@ class TestRefusedWrites:
         assert [r["City"] for r in rows] == ["moved"]
 
 
+class TestNullComparisons:
+    """One NULL rule at every filter site, ``plans.compare``'s: anything
+    compared with NULL is false. Employee 900 has a NULL name. Before
+    the rule held everywhere, the answer depended on the access path: a
+    pushed-down Phoenix filter compared the stored empty value as bytes
+    (so ``= NULL`` and ``<> 'x'`` kept the row) and a VoltDB leaf
+    compared with ``==`` (so ``= NULL`` kept it, also beside a key
+    equality)."""
+
+    EVERYONE = list(range(1, 11))
+    CASES = (
+        ("SELECT e.EID FROM Employee as e WHERE e.EName = NULL", (), []),
+        (
+            "SELECT e.EID FROM Employee as e WHERE e.EID = 900 AND e.EName = NULL",
+            (),
+            [],
+        ),
+        ("SELECT e.EID FROM Employee as e WHERE e.EName <> 'x'", (), EVERYONE),
+        ("SELECT e.EID FROM Employee as e WHERE e.EName = ?", (None,), []),
+        ("SELECT e.EID FROM Employee as e WHERE e.EName <> ?", (None,), []),
+        ("SELECT e.EID FROM Employee as e WHERE e.EName < 'z'", (), EVERYONE),
+        ("SELECT e.EID FROM Employee as e WHERE e.EID = 900", (), [900]),
+    )
+
+    @pytest.fixture(scope="class", params=TestRefusedWrites.NAMES)
+    def system(self, request):
+        from tests.conftest import build_company_system
+
+        system = build_company_system(request.param)
+        system.execute(
+            "INSERT INTO Employee (EID, EName, EHome_AID, EOffice_AID, E_DNo) "
+            "VALUES (900, NULL, 1, 1, 1)"
+        )
+        return system
+
+    @pytest.mark.parametrize(
+        "sql,params,expected", CASES, ids=[f"case{i}" for i in range(len(CASES))]
+    )
+    def test_anything_against_null_is_false(self, system, sql, params, expected):
+        rows = system.execute(sql, params)
+        assert sorted(r["EID"] for r in rows) == expected
+
+
 class TestStatementDoors:
     """``execute`` is one template in ``systems/base.py`` — parse, then
     ``read(select, params)`` or ``write(stmt, params)`` — so a system's
