@@ -5,12 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ClusterConfig
+from repro.federation import build_mediator
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
+from repro.hbase.ops import Put
 from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
+from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
+from repro.sim.scheduler import DeterministicScheduler, run_transaction
 from repro.systems import (
     BaselineSystem,
     MvccASystem,
@@ -19,6 +23,7 @@ from repro.systems import (
     VoltDBEvaluatedSystem,
 )
 from repro.voltdb.system import PartitionScheme
+from tests.reference.sql import company_rows, load_company
 
 
 @pytest.fixture
@@ -36,50 +41,17 @@ def client(cluster: HBaseCluster) -> HBaseClient:
     return HBaseClient(cluster)
 
 
-def load_company_data(target) -> None:
-    """Populate a small, deterministic Company database.
-
-    ``target`` is anything exposing ``load_row`` (SynergySystem) or an
-    object with ``insert_row`` (WriteExecutor-like)."""
-    add = getattr(target, "load_row", None) or getattr(target, "insert_row")
-    for aid in range(1, 6):
-        add("Address", {"AID": aid, "Street": f"{aid} Main St",
-                        "City": "Nashville", "Zip": "37201"})
-    for dno in (1, 2):
-        add("Department", {"DNo": dno, "DName": f"Dept{dno}"})
-    for eid in range(1, 11):
-        add("Employee", {"EID": eid, "EName": f"emp{eid}",
-                         "EHome_AID": (eid % 5) + 1, "EOffice_AID": 1,
-                         "E_DNo": (eid % 2) + 1})
-    for pno in (1, 2, 3):
-        add("Project", {"PNo": pno, "PName": f"proj{pno}",
-                        "P_DNo": (pno % 2) + 1})
-    for eid in range(1, 11):
-        for pno in (1, 2, 3):
-            if (eid + pno) % 2 == 0:
-                add("Works_On", {"WO_EID": eid, "WO_PNo": pno,
-                                 "Hours": 10 * pno})
-    for eid in (1, 2):
-        add("Dependent", {"DP_EID": eid, "DPName": f"dep{eid}",
-                          "DPHome_AID": eid + 1})
-
-
-COMPANY_ROW_ESTIMATES = {
-    "Address": 5, "Department": 2, "Employee": 10,
-    "Project": 3, "Works_On": 15, "Dependent": 2,
-}
-
-
 def build_company_system(name: str, sim: Simulation | None = None):
     """One of the five evaluated systems (by its Fig. 13 name) on the
-    Company schema, populated by :func:`load_company_data`."""
+    Company schema, populated by :func:`~tests.reference.sql.load_company`."""
     schema, workload = company_schema(), company_workload()
     if name == "Synergy":
         system = SynergySystem(schema, workload, COMPANY_ROOTS, sim=sim)
     elif name == "MVCC-A":
         system = MvccASystem(schema, workload, COMPANY_ROOTS, sim=sim)
     elif name == "MVCC-UA":
-        system = MvccUASystem(schema, workload, COMPANY_ROW_ESTIMATES, sim=sim)
+        estimates = {table: len(rows) for table, rows in company_rows().items()}
+        system = MvccUASystem(schema, workload, estimates, sim=sim)
     elif name == "Baseline":
         system = BaselineSystem(schema, workload, sim=sim)
     else:
@@ -87,25 +59,92 @@ def build_company_system(name: str, sim: Simulation | None = None):
             schema, workload, sim=sim,
             schemes=(PartitionScheme("all-replicated", {}),),
         )
-    load_company_data(system)
+    load_company(system)
     system.finish_load()
     return system
 
 
-@pytest.fixture
-def company_conn(client: HBaseClient) -> PhoenixConnection:
-    """Phoenix over base Company tables (no views), populated."""
-    catalog = create_baseline_schema(client, company_schema())
+def build_company_federation(mode: str, pin: str | None = None):
+    """A mediator over a rule-planned and a cost-planned Baseline plus an
+    all-replicated VoltDB, routing in ``mode``, populated."""
+    schema = company_schema()
+    backends = {
+        name: BaselineSystem(schema, Workload()) for name in ("rule", "cost-based")
+    }
+    backends["voltdb"] = VoltDBEvaluatedSystem(
+        schema, Workload(), schemes=(PartitionScheme("all-replicated", {}),)
+    )
+    backends["cost-based"].conn.configure_engine(cost_based=True)
+    mediator = build_mediator(backends, schema, seed=7, mode=mode, pin=pin)
+    load_company(mediator)
+    mediator.finish_load()
+    return mediator
+
+
+def build_cluster(servers=2, replication=None, rows=40, splits=None):
+    """A cluster with one table ``t`` of ``rows`` one-cell rows (family
+    ``cf``), pre-split at ``splits``."""
+    config = ClusterConfig(num_region_servers=servers, seed=42)
+    if replication is not None:
+        config = ClusterConfig(
+            num_region_servers=servers, seed=42, replication=replication,
+        )
+    cluster = HBaseCluster(Simulation(seed=42), config)
+    client = HBaseClient(cluster)
+    table = client.create_table("t", families=(b"cf",), split_keys=splits)
+    for i in range(rows):
+        table.put(Put(b"%05d" % i).add(b"cf", b"q", b"v%05d" % i))
+    return cluster, client
+
+
+def build_tpcw_systems(lab, names) -> dict:
+    """``names`` built and populated by a ``TpcwLab``, in order."""
+    systems = {}
+    for name in names:
+        systems[name] = lab.build_system(name)
+        lab.populate(systems[name])
+    return systems
+
+
+def run_four_client_schedule(system, per_client):
+    """Run one session per client of ``per_client`` (lists of
+    transactions) on ``system`` through the deterministic scheduler."""
+    scheduler = DeterministicScheduler(system.sim)
+    for i, txns in enumerate(per_client):
+        session = system.open_session(f"c{i}")
+
+        def program(client, session=session, txns=txns):
+            for txn in txns:
+                yield from run_transaction(client, session, txn)
+
+        scheduler.add_client(f"c{i}", program)
+    return scheduler.run()
+
+
+def build_company_conn(sim: Simulation, schema=None) -> PhoenixConnection:
+    """Phoenix over base Company tables (no views), populated and
+    analyzed; ``schema`` defaults to ``company_schema()``."""
+    client = HBaseClient(HBaseCluster(sim, ClusterConfig()))
+    catalog = create_baseline_schema(client, schema or company_schema())
     conn = PhoenixConnection(client, catalog)
-    load_company_data(conn.writer)
+    load_company(conn.writer)
     conn.analyze()
     return conn
+
+
+def plan_nodes(node):
+    """Every node of a plan tree, derived tables' subplans included."""
+    yield node
+    for child in node.children():
+        yield from plan_nodes(child)
+
+
+@pytest.fixture
+def company_conn(sim: Simulation) -> PhoenixConnection:
+    return build_company_conn(sim)
 
 
 @pytest.fixture
 def company_synergy() -> SynergySystem:
     """A fully wired, populated Synergy deployment on the Company schema."""
-    system = SynergySystem(company_schema(), company_workload(), COMPANY_ROOTS)
-    load_company_data(system)
-    system.finish_load()
-    return system
+    return build_company_system("Synergy")

@@ -2,8 +2,9 @@
 
 Random (seeded) sequences of puts, row deletes, column deletes, flushes
 and major compactions are applied both to a real :class:`Region` and to
-a plain-dict model of HBase visibility semantics (newest ``max_versions``
-versions newer than every covering tombstone). After every compaction —
+``tests.reference.storage.ModelRegion``, a plain-dict model of HBase
+visibility semantics (newest ``max_versions`` versions newer than every
+covering tombstone). After every compaction —
 and at the end — the region's scan, point reads, row count and size
 accounting must match the model row for row. This pins the guarantee
 chaos recovery leans on: compaction may drop tombstones and shadowed
@@ -17,70 +18,11 @@ import random
 import pytest
 
 from repro.hbase.region import Region
+from tests.reference.storage import ModelRegion
 
 CF = b"cf"
 QUALIFIERS = [b"qa", b"qb", b"qc"]
 ROWS = [b"r%02d" % i for i in range(8)]
-
-
-class ReferenceModel:
-    """Dict-based oracle for single-region visibility semantics."""
-
-    def __init__(self, max_versions: int) -> None:
-        self.max_versions = max_versions
-        self.cells: dict[bytes, dict[bytes, list[tuple[int, bytes]]]] = {}
-        self.row_tombstones: dict[bytes, int] = {}
-        self.col_tombstones: dict[tuple[bytes, bytes], int] = {}
-
-    def put(self, row: bytes, qualifier: bytes, ts: int, value: bytes) -> None:
-        self.cells.setdefault(row, {}).setdefault(qualifier, []).append(
-            (ts, value)
-        )
-
-    def delete_row(self, row: bytes, ts: int) -> None:
-        prev = self.row_tombstones.get(row)
-        if prev is None or ts > prev:
-            self.row_tombstones[row] = ts
-
-    def delete_column(self, row: bytes, qualifier: bytes, ts: int) -> None:
-        key = (row, qualifier)
-        prev = self.col_tombstones.get(key)
-        if prev is None or ts > prev:
-            self.col_tombstones[key] = ts
-
-    def compact(self) -> None:
-        """Major compaction folds visibility into the physical state:
-        shadowed versions and all tombstones disappear."""
-        visible = self.visible()
-        self.cells = {
-            row: {q: list(versions) for (_f, q), versions in cols.items()}
-            for row, cols in visible.items()
-        }
-        self.row_tombstones = {}
-        self.col_tombstones = {}
-
-    def visible(
-        self,
-    ) -> dict[bytes, dict[tuple[bytes, bytes], list[tuple[int, bytes]]]]:
-        """row -> (family, qualifier) -> newest-first visible versions."""
-        out: dict[bytes, dict[tuple[bytes, bytes], list[tuple[int, bytes]]]] = {}
-        for row in sorted(self.cells):
-            row_ts = self.row_tombstones.get(row)
-            cols: dict[tuple[bytes, bytes], list[tuple[int, bytes]]] = {}
-            for qualifier, versions in self.cells[row].items():
-                col_ts = self.col_tombstones.get((row, qualifier))
-                kept = [
-                    (ts, value)
-                    for ts, value in sorted(versions, reverse=True)
-                    if (row_ts is None or ts > row_ts)
-                    and (col_ts is None or ts > col_ts)
-                ]
-                kept = kept[: self.max_versions]
-                if kept:
-                    cols[(CF, qualifier)] = kept
-            if cols:
-                out[row] = cols
-        return out
 
 
 def build_region(max_versions: int) -> Region:
@@ -93,7 +35,7 @@ def build_region(max_versions: int) -> Region:
     )
 
 
-def assert_region_matches_model(region: Region, model: ReferenceModel) -> None:
+def assert_region_matches_model(region: Region, model: ModelRegion) -> None:
     expected = model.visible()
     actual = {
         row: dict(result._cells)
@@ -116,7 +58,7 @@ def assert_region_matches_model(region: Region, model: ReferenceModel) -> None:
 def test_random_put_delete_compact_sequences(seed: int, max_versions: int):
     rng = random.Random(1000 * max_versions + seed)
     region = build_region(max_versions)
-    model = ReferenceModel(max_versions)
+    model = ModelRegion(max_versions)
     ts = 0
     compactions = 0
     for step in range(400):
@@ -126,16 +68,18 @@ def test_random_put_delete_compact_sequences(seed: int, max_versions: int):
         ts += 1
         if r < 0.55:
             value = b"v%d" % ts
-            region.put_row(row, [(CF, qualifier, value, ts)], ts)
-            model.put(row, qualifier, ts, value)
+            cells = [(CF, qualifier, value, ts)]
+            region.put_row(row, cells, ts)
+            model.put(row, cells, ts)
         elif r < 0.70:
             region.delete_row(row, None, ts)
-            model.delete_row(row, ts)
+            model.delete(row, None, ts)
         elif r < 0.82:
             region.delete_row(row, [(CF, qualifier)], ts)
-            model.delete_column(row, qualifier, ts)
+            model.delete(row, [(CF, qualifier)], ts)
         elif r < 0.94:
             region.flush()  # physical reshuffle, no visibility change
+            model.flush()
         else:
             region.major_compact()
             model.compact()
@@ -156,16 +100,16 @@ def test_compaction_drops_tombstones_but_preserves_visible_rows():
     relies on: after deletes + compaction, deleted rows are physically
     gone while surviving rows keep their newest values."""
     region = build_region(1)
-    model = ReferenceModel(1)
+    model = ModelRegion(1)
     for i, row in enumerate(ROWS):
         region.put_row(row, [(CF, b"qa", b"old", i + 1)], i + 1)
-        model.put(row, b"qa", i + 1, b"old")
+        model.put(row, [(CF, b"qa", b"old", i + 1)], i + 1)
     region.put_row(ROWS[0], [(CF, b"qa", b"new", 100)], 100)
-    model.put(ROWS[0], b"qa", 100, b"new")
+    model.put(ROWS[0], [(CF, b"qa", b"new", 100)], 100)
     region.delete_row(ROWS[1], None, 101)
-    model.delete_row(ROWS[1], 101)
+    model.delete(ROWS[1], None, 101)
     region.delete_row(ROWS[2], [(CF, b"qa")], 102)
-    model.delete_column(ROWS[2], b"qa", 102)
+    model.delete(ROWS[2], [(CF, b"qa")], 102)
     region.major_compact()
     model.compact()
     assert_region_matches_model(region, model)

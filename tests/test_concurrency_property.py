@@ -13,27 +13,17 @@ import random
 import pytest
 
 from repro.errors import TransactionConflictError
-from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.sim.clock import Simulation
 from repro.sim.scheduler import DeterministicScheduler, run_transaction
-from repro.systems import BaselineSystem, SynergySystem
-from tests.conftest import load_company_data
+from tests.conftest import build_company_system
 
 EMPLOYEE_UPDATE = "UPDATE Employee SET EName = ? WHERE EID = ?"
 ADDRESS_UPDATE = "UPDATE Address SET City = ? WHERE AID = ?"
 
 
 def build_system(kind: str, seed: int):
-    sim = Simulation(seed=seed)
-    if kind == "synergy":
-        system = SynergySystem(
-            company_schema(), company_workload(), COMPANY_ROOTS, sim=sim
-        )
-    else:
-        system = BaselineSystem(company_schema(), company_workload(), sim=sim)
-    load_company_data(system)
-    system.finish_load()
-    return system
+    name = "Synergy" if kind == "synergy" else "Baseline"
+    return build_company_system(name, Simulation(seed=seed))
 
 
 def random_transactions(seed: int, num_clients: int, txns_per_client: int):

@@ -14,6 +14,7 @@ from repro.relational.datatypes import (
     value_encoder,
     value_size_bytes,
 )
+from tests.reference.storage import encode_value_reference
 
 INTS = st.integers(min_value=-(2**62), max_value=2**62)
 TEXT = st.text(max_size=64)
@@ -58,30 +59,6 @@ class TestScalarCodec:
     def test_size_accounting(self):
         assert value_size_bytes(DataType.INT, 5) == 8
         assert value_size_bytes(DataType.VARCHAR, "abc") == 3
-
-
-def encode_value_reference(dtype: DataType, value) -> bytes:
-    """The per-call dtype chain ``encode_value`` used to be."""
-    bias = 1 << 63
-    if value is None:
-        return b""
-    if dtype in (DataType.INT, DataType.BIGINT):
-        return struct.pack(">Q", int(value) + bias)
-    if dtype is DataType.FLOAT:
-        return struct.pack(">d", float(value))
-    if dtype is DataType.VARCHAR:
-        return str(value).encode("utf-8")
-    if dtype is DataType.DATE:
-        if isinstance(value, (date, datetime)):
-            value = value.toordinal()
-        return struct.pack(">Q", int(value) + bias)
-    if dtype is DataType.DATETIME:
-        if isinstance(value, datetime):
-            value = value.timestamp()
-        return struct.pack(">d", float(value))
-    if dtype is DataType.BOOL:
-        return b"\x01" if value else b"\x00"
-    raise TypeError(f"unsupported dtype: {dtype}")
 
 
 def outcome(encode, *args):

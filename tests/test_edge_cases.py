@@ -15,7 +15,7 @@ from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.relational.company import company_schema
 from repro.sql.parser import parse_statement
-from tests.conftest import load_company_data
+from tests.reference.sql import load_company
 
 
 class TestPhoenixEdges:
@@ -48,7 +48,7 @@ class TestPhoenixEdges:
         conn = PhoenixConnection(
             client, create_baseline_schema(client, company_schema())
         )
-        load_company_data(conn.writer)
+        load_company(conn.writer)
         text = (
             "SELECT * FROM Works_On as w, Department as d, Employee as e "
             "WHERE e.EID = w.WO_EID AND e.E_DNo = d.DNo"

@@ -28,7 +28,8 @@ from repro.errors import UnsupportedStatementError
 from repro.relational.company import company_schema
 from repro.tpcw import JOIN_QUERIES
 from repro.voltdb.system import VoltDBSystem
-from tests.test_query_engine_property import company_rows, generate_query
+from tests.reference.generators import generate_query
+from tests.reference.sql import load_company
 
 SCALE = 40
 SEED = 171001792
@@ -96,9 +97,7 @@ def measure_generated() -> list[list]:
     """``[ms, row count, digest]`` of the first ``GENERATED`` random
     Company-schema statements on an un-jittered VoltDB engine."""
     engine = VoltDBSystem(company_schema())
-    for table, rows in company_rows().items():
-        for row in rows:
-            engine.load_row(table, row)
+    load_company(engine)
     rng = random.Random(SEED)
     out = []
     for _ in range(GENERATED):

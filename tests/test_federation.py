@@ -43,43 +43,14 @@ from repro.phoenix.plans import SourceNode
 from repro.relational.company import company_schema
 from repro.sql.analyzer import analyze_select
 from repro.sql.parser import parse_statement
-from repro.sim.scheduler import DeterministicScheduler, run_transaction
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.writes import WRITE_STATEMENTS
+from tests.conftest import build_tpcw_systems, run_four_client_schedule
+from tests.reference.generators import four_client_txns
+from tests.reference.sql import query_battery
 
 SCALE = 25
 SEED = 7
-
-QUERY_KEYS = {
-    "Q1": ("ol_o_id", "ol_id", "i_id"),
-    "Q2": ("o_id", "c_id"),
-    "Q3": ("c_id", "addr_id", "co_id"),
-    "Q4": ("i_id", "a_id"),
-    "Q5": ("i_id", "a_id"),
-    "Q6": ("i_id", "a_id"),
-    "Q7": ("o_id", "c_id"),
-    "Q8": ("scl_sc_id", "scl_i_id", "i_id"),
-    "Q9": ("i_id",),
-    "Q10": ("i_id",),  # aggregate naming differs per view rewrite
-    "Q11": ("ol_i_id",),
-}
-
-
-def canonical(qid: str, rows):
-    return sorted(tuple(r.get(k) for k in QUERY_KEYS[qid]) for r in rows)
-
-
-def query_battery(system, lab, reps=(0, 1)):
-    out = {}
-    for qid in JOIN_QUERIES:
-        if not system.supports(qid):
-            continue
-        for rep in reps:
-            params = lab.generator.params_for_query(qid, rep)
-            rows = system.execute(system.statement(qid), params)
-            out[(qid, rep)] = canonical(qid, rows)
-    return out
-
 
 @pytest.fixture(scope="module")
 def lab():
@@ -88,12 +59,7 @@ def lab():
 
 @pytest.fixture(scope="module")
 def backends(lab):
-    out = {}
-    for name in SYSTEM_NAMES:
-        system = lab.build_system(name)
-        lab.populate(system)
-        out[name] = system
-    return out
+    return build_tpcw_systems(lab, SYSTEM_NAMES)
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +71,7 @@ def small_federation(names, num_customers=10):
     """A fresh small lab plus a mediator over just ``names`` — for
     tests that mutate state and must not disturb the module fixtures."""
     lab = TpcwLab(num_customers=num_customers, repetitions=1, seed=SEED)
-    systems = {}
-    for name in names:
-        system = lab.build_system(name)
-        lab.populate(system)
-        systems[name] = system
+    systems = build_tpcw_systems(lab, names)
     mediator = build_mediator(systems, lab.schema, lab.workload, seed=SEED)
     return lab, systems, mediator
 
@@ -287,35 +249,8 @@ class TestBroadcastWrites:
         every transaction commits, execution genuinely interleaves, and
         afterwards all five backends agree row for row on the full query
         battery (broadcast keeps them convergent)."""
-        per_client = []
-        for c in range(4):
-            i_id = c_id = sc_id = c + 1
-            txns = []
-            for t in range(3):
-                stamp = 1000 * (c + 1) + t
-                txns.append([
-                    ("SELECT * FROM Item WHERE i_id = ?", (i_id,)),
-                    (WRITE_STATEMENTS["W9"], (stamp, i_id)),
-                ])
-                txns.append([
-                    (WRITE_STATEMENTS["W13"],
-                     (float(stamp), float(stamp) / 2, float(t), c_id)),
-                ])
-                txns.append([
-                    (WRITE_STATEMENTS["W11"], (float(stamp), sc_id)),
-                ])
-            per_client.append(txns)
-
-        scheduler = DeterministicScheduler(mediator.sim)
-        for i, txns in enumerate(per_client):
-            session = mediator.open_session(f"c{i}")
-
-            def program(client, session=session, txns=txns):
-                for txn in txns:
-                    yield from run_transaction(client, session, txn)
-
-            scheduler.add_client(f"c{i}", program)
-        report = scheduler.run()
+        per_client = four_client_txns()
+        report = run_four_client_schedule(mediator, per_client)
 
         total = sum(len(t) for t in per_client)
         assert report.committed == total

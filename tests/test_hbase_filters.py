@@ -6,7 +6,7 @@ which is exactly what Phoenix's ``AccessSpec`` does)."""
 
 import pytest
 
-from repro.hbase import HBaseClient, HBaseCluster, Put, Scan
+from repro.hbase import Put, Scan
 from repro.hbase.cell import Result
 from repro.hbase.filters import (
     AndFilter,

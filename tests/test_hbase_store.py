@@ -1,6 +1,5 @@
 """LSM internals: memstore, HFiles, tombstone merge semantics."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hbase.cell import Result

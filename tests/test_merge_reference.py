@@ -1,12 +1,13 @@
 """``merge_row`` against the copy-everything-and-sort merge it replaced.
 
 The storage engine keeps version lists ordered on write and reads a
-bounded head of each; the reference below is the retired body — copy
-every version of every projected column, stable-sort, filter one by
-one — run over a *model* of the region that records nothing but the
-insertion sequence per component. Random in-order, out-of-order and
-equal-timestamp puts, row and column deletes, flushes, compactions and
-interleaved reads must leave ``merge_row``, ``Region.read_row`` and
+bounded head of each; the reference (``tests.reference.storage``) is
+the retired body — copy every version of every projected column,
+stable-sort, filter one by one — run over a *model* of the region that
+records nothing but the insertion sequence per component. Random
+in-order, out-of-order and equal-timestamp puts, row and column
+deletes, flushes, compactions and interleaved reads must leave
+``merge_row``, ``Region.read_row`` and
 ``Region.scan`` equal to the reference, every stored list equal to a
 stable sort of what was inserted, and no returned list aliased to a
 stored one. A count-based guard pins the point of it all: the read of a
@@ -30,100 +31,10 @@ from repro.hbase import store
 from repro.hbase.cell import Result
 from repro.hbase.region import Region
 from repro.hbase.store import HFile, RegionScanner, RowEntry, merge_row
-
-
-# --------------------------------------------------------------- reference
-class ModelEntry:
-    """One row in one component: insertion-ordered versions, tombstones."""
-
-    def __init__(self, cells=None):
-        self.cells = cells if cells is not None else {}
-        self.row_tombstone_ts = None
-        self.col_tombstones = {}
-
-
-def newest_first(versions):
-    """Stable: equal timestamps keep insertion order."""
-    return sorted(versions, key=lambda tv: -tv[0])
-
-
-def reference_merge_row(sources, max_versions, time_range=None, columns=None):
-    """The general path ``merge_row`` had before it took bounded heads."""
-    row_ts = max(
-        (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
-        default=None,
-    )
-    col_ts = {}
-    for s in sources:
-        for key, ts in s.col_tombstones.items():
-            if key not in col_ts or ts > col_ts[key]:
-                col_ts[key] = ts
-
-    merged = {}
-    for s in sources:
-        for key, versions in s.cells.items():
-            if columns is not None and key not in columns:
-                continue
-            merged.setdefault(key, []).extend(newest_first(versions))
-
-    visible = {}
-    lo, hi = time_range if time_range is not None else (0, 0)
-    for key, versions in merged.items():
-        kept = []
-        key_col_ts = col_ts.get(key)
-        for ts, value in newest_first(versions):
-            if row_ts is not None and ts <= row_ts:
-                continue
-            if key_col_ts is not None and ts <= key_col_ts:
-                continue
-            if time_range is not None and not (lo <= ts < hi):
-                continue
-            kept.append((ts, value))
-            if len(kept) >= max_versions:
-                break
-        if kept:
-            visible[key] = kept
-    return visible or None
-
-
-def reference_size(row, visible):
-    """``Result.size_bytes`` as first written: every cell pays the row
-    key, 8 bytes of framing, its column name and its value."""
-    return sum(
-        len(row) + 8 + len(family) + len(qualifier) + len(value)
-        for (family, qualifier), versions in visible.items()
-        for _, value in versions
-    )
-
-
-def newest(result, columns):
-    """The newest value of each of ``columns`` (``None`` when absent),
-    read the way a row decoder reads them: ``Result.newest_into``."""
-    row = {}
-    result.newest_into(row, [(column, column, _raw) for column in columns])
-    return [row[column] for column in columns]
-
-
-def _raw(value):
-    return value
-
-
-def reading(result):
-    """What a result says through the accessors that never detach it."""
-    return (
-        result.size_bytes,
-        result.column_count,
-        newest(result, ALL_COLUMNS),
-        [result.value(*column) for column in ALL_COLUMNS],
-    )
-
-
-def reference_reading(row, visible):
-    newest = [
-        visible[column][0][1] if column in visible else None
-        for column in ALL_COLUMNS
-    ]
-    return (reference_size(row, visible), len(visible), newest, newest)
+from tests.reference.storage import (
+    ALL_COLUMNS, FAMILIES, PROJECTIONS, QUALIFIERS, ModelRegion, newest,
+    newest_first, reading, reference_merge_row, reference_reading, reference_size,
+)
 
 
 def assert_result_matches(result, row, expected):
@@ -137,58 +48,8 @@ def assert_result_matches(result, row, expected):
     assert reading(result) == reference_reading(row, expected)
 
 
-class ModelRegion:
-    """Memstore + HFiles as plain dicts of :class:`ModelEntry`."""
-
-    def __init__(self, max_versions):
-        self.max_versions = max_versions
-        self.mem = {}
-        self.files = []  # oldest first, like Region.hfiles
-
-    def _entry(self, row):
-        return self.mem.setdefault(row, ModelEntry())
-
-    def put(self, row, cells, default_ts):
-        entry = self._entry(row)
-        for family, qualifier, value, ts in cells:
-            entry.cells.setdefault((family, qualifier), []).append(
-                (default_ts if ts is None else ts, value)
-            )
-
-    def delete(self, row, columns, ts):
-        entry = self._entry(row)
-        if columns is None:
-            if entry.row_tombstone_ts is None or ts > entry.row_tombstone_ts:
-                entry.row_tombstone_ts = ts
-        else:
-            for key in columns:
-                if ts > entry.col_tombstones.get(key, -1):
-                    entry.col_tombstones[key] = ts
-
-    def flush(self):
-        if self.mem:
-            self.files.append(self.mem)
-            self.mem = {}
-
-    def compact(self):
-        merged = {}
-        for row in ROWS:
-            visible = reference_merge_row(self.sources(row), self.max_versions)
-            if visible is not None:
-                merged[row] = ModelEntry(visible)
-        self.mem = {}
-        self.files = [merged] if merged else []
-
-    def sources(self, row):
-        components = [self.mem, *reversed(self.files)]
-        return [c[row] for c in components if row in c]
-
-
 # --------------------------------------------------------------- op machine
-FAMILIES = [b"cf", b"fx"]
-QUALIFIERS = [b"a", b"b", b"c"]
 ROWS = [b"r%d" % i for i in range(4)]
-ALL_COLUMNS = [(family, qualifier) for family in FAMILIES for qualifier in QUALIFIERS]
 COLUMN = st.tuples(st.sampled_from(FAMILIES), st.sampled_from(QUALIFIERS))
 # None = the server's stamp (the op counter, 1..60): explicit stamps from
 # the same range land before, on and after it
@@ -213,11 +74,6 @@ ops_strategy = st.lists(OP, min_size=1, max_size=60)
 # read between two writes of one row needs a floor to come up at all
 long_ops_strategy = st.lists(OP, min_size=12, max_size=60)
 
-PROJECTIONS = [
-    None,
-    [(b"cf", b"a")],
-    [(b"cf", b"a"), (b"fx", b"b"), (b"cf", b"c")],
-]
 TIME_RANGES = st.none() | st.tuples(
     st.integers(0, 70), st.integers(0, 40)
 ).map(lambda t: (t[0], t[0] + t[1]))

@@ -4,7 +4,7 @@ replaced.
 The operators resolve their columns once: a sort is one stable
 ``list.sort`` pass per key on ``(value is not None, value)``, a
 group-by folds each row through a compiled key getter and one update
-per aggregate. The reference below is the retired body — a sort key of
+per aggregate. The reference is the retired body — a sort key of
 ``_OrderKey`` wrappers compared in Python, a group-by that looks every
 source up with ``_lookup`` (a linear scan of the row for a bare name)
 and keeps ``[count, sum, min, max]`` for every aggregate. Random rows
@@ -12,6 +12,8 @@ with NULLs, ties, mixed int/float and strings, 1-3 sort keys in mixed
 ASC/DESC and 0-2 group keys must give the same output order (ties in
 input order), the same groups in the same first-seen order with the
 same representatives, and the same aggregate values, to the ``repr``.
+The reference lives in ``tests.reference.sql``, where the relational
+model is built on it.
 """
 
 from __future__ import annotations
@@ -20,94 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.phoenix.operators import HashGroupBy, StreamingSort, StreamingSource
 from repro.phoenix.plans import ExecutionContext
-
-# --------------------------------------------------------------- reference
-
-
-class _OrderKey:
-    """Total order over heterogeneous/None values, with DESC support."""
-
-    __slots__ = ("value", "desc")
-
-    def __init__(self, value, desc):
-        self.value = value
-        self.desc = desc
-
-    def __lt__(self, other):
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.desc  # NULLs first ASC, last DESC
-        if b is None:
-            return self.desc
-        return (a > b) if self.desc else (a < b)
-
-    def __eq__(self, other):
-        return isinstance(other, _OrderKey) and self.value == other.value
-
-
-def _lookup(row, source):
-    if isinstance(source, tuple):
-        return row.get(source)
-    matches = [v for (b, a), v in row.items() if a == source]
-    return matches[0] if matches else None
-
-
-def reference_sort(rows, keys):
-    return sorted(
-        rows,
-        key=lambda row: tuple(
-            _OrderKey(_lookup(row, source), desc) for source, desc in keys
-        ),
-    )
-
-
-def _finish_aggregate(func, state):
-    n, total, mn, mx = state
-    if func == "COUNT":
-        return n
-    if n == 0:
-        return None
-    if func == "SUM":
-        return total
-    if func == "MIN":
-        return mn
-    if func == "MAX":
-        return mx
-    return total / n  # AVG
-
-
-def reference_group_by(rows, group_keys, aggregates):
-    reps, states = {}, {}
-    for row in rows:
-        key = tuple(_lookup(row, g) for g in group_keys)
-        if key not in reps:
-            reps[key] = row
-            states[key] = [[0, 0, None, None] for _ in aggregates]
-        for state, (_, _, source) in zip(states[key], aggregates):
-            v = 1 if source is None else _lookup(row, source)
-            if v is None:
-                continue
-            state[0] += 1
-            state[1] += v
-            if state[2] is None or v < state[2]:
-                state[2] = v
-            if state[3] is None or v > state[3]:
-                state[3] = v
-    results = []
-    for key, rep in reps.items():
-        out = {}
-        for g in group_keys:
-            if isinstance(g, tuple):
-                out[g] = rep.get(g)
-            else:
-                out[("", g)] = _lookup(rep, g)
-        for state, (out_name, func, _) in zip(states[key], aggregates):
-            out[("", out_name)] = _finish_aggregate(func, state)
-        results.append(out)
-    return results
-
+from tests.reference.sql import reference_group_by, reference_sort
 
 # --------------------------------------------------------------- harness
 

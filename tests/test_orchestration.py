@@ -11,8 +11,6 @@ from repro.errors import (
     RegionUnavailableError,
     StaleStepError,
 )
-from repro.hbase.client import HBaseClient
-from repro.hbase.cluster import HBaseCluster
 from repro.hbase.ops import Put
 from repro.orchestration import (
     AddServers,
@@ -30,24 +28,9 @@ from repro.orchestration import (
     diff,
     verify_cluster,
 )
-from repro.sim.clock import Simulation
+from tests.conftest import build_cluster
 
 FAM = b"cf"
-
-
-def build_cluster(servers=2, replication=None, rows=40, splits=None):
-    sim = Simulation(seed=42)
-    config = ClusterConfig(num_region_servers=servers, seed=42)
-    if replication is not None:
-        config = ClusterConfig(
-            num_region_servers=servers, seed=42, replication=replication,
-        )
-    cluster = HBaseCluster(sim, config)
-    client = HBaseClient(cluster)
-    table = client.create_table("t", families=(FAM,), split_keys=splits)
-    for i in range(rows):
-        table.put(Put(b"%05d" % i).add(FAM, b"q", b"v%05d" % i))
-    return cluster, client
 
 
 # ------------------------------------------------------------ config guards

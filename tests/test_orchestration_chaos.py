@@ -9,9 +9,7 @@ import pytest
 
 from repro.bench.suite import failed
 from repro.bench.suites.orchestration import ORCHESTRATION, run_orchestration_cell
-from repro.config import ClusterConfig, ReplicationConfig
-from repro.hbase.client import HBaseClient
-from repro.hbase.cluster import HBaseCluster
+from repro.config import ReplicationConfig
 from repro.hbase.ops import Put
 from repro.hbase.replication import ReplicationShipper
 from repro.orchestration import orchestrator
@@ -24,25 +22,16 @@ from repro.orchestration import (
     cluster_snapshot,
     verify_cluster,
 )
-from repro.sim.clock import Simulation
 from repro.sim.faults import FaultConfig, FaultInjector, ChaosHistory
 from repro.sim.scheduler import DeterministicScheduler
+from tests.conftest import build_cluster
 
 FAM = b"cf"
 
 
-def build_cluster(servers=2, replication=None, rows=40, splits=None):
-    sim = Simulation(seed=42)
-    config = ClusterConfig(num_region_servers=servers, seed=42)
-    if replication is not None:
-        config = ClusterConfig(
-            num_region_servers=servers, seed=42, replication=replication,
-        )
-    cluster = HBaseCluster(sim, config)
-    client = HBaseClient(cluster)
-    table = client.create_table("t", families=(FAM,), split_keys=splits)
-    for i in range(rows):
-        table.put(Put(b"%05d" % i).add(FAM, b"q", b"v%05d" % i))
+def reset_cluster(**kwargs):
+    """:func:`~tests.conftest.build_cluster` with the clock back at 0."""
+    cluster, client = build_cluster(**kwargs)
     cluster.sim.reset_clock()
     return cluster, client
 
@@ -114,7 +103,7 @@ class TestRolloutUnderChaos:
         unwind its own effects — and reruns must agree byte-for-byte."""
 
         def run():
-            cluster, _ = build_cluster(splits=[b"%05d" % 20])
+            cluster, _ = reset_cluster(splits=[b"%05d" % 20])
             rows_before = cluster_snapshot(cluster)
             scheduler = DeterministicScheduler(cluster.sim)
             history = ChaosHistory()
@@ -159,7 +148,7 @@ class TestMoveRacingChaos:
     def test_move_retries_through_target_outage(self):
         """The move's target crashes before the rollout starts; the step
         must wait out recovery + restart and then land the region."""
-        cluster, _ = build_cluster()
+        cluster, _ = reset_cluster()
         region = cluster.tables["t"].regions[0]
         target = next(
             s for s in cluster.servers
@@ -192,7 +181,7 @@ class TestMoveRacingChaos:
         """The region's host crashes mid-rollout; retry must chase the
         region onto its recovery host (a fresh incarnation under the
         same boundaries) and still complete the move."""
-        cluster, _ = build_cluster(servers=3, splits=[b"%05d" % 20])
+        cluster, _ = reset_cluster(servers=3, splits=[b"%05d" % 20])
         region = cluster.tables["t"].regions[0]
         source = cluster.server_for(region)
         target = next(
@@ -223,7 +212,7 @@ class TestMoveRacingChaos:
         follower into a *renamed* primary under the same boundaries.
         A move addressed by (table, start_key) must resolve the promoted
         incarnation, and anti-affinity must hold afterwards."""
-        cluster, client = build_cluster(
+        cluster, client = reset_cluster(
             servers=3,
             replication=ReplicationConfig(replica_count=2),
             rows=0,

@@ -4,11 +4,11 @@ write path with index maintenance."""
 import pytest
 
 from repro.errors import SchemaError, UnsupportedStatementError
-from repro.phoenix.catalog import CF, INDEX, TABLE, VIEW
+from repro.phoenix.catalog import INDEX, TABLE, VIEW
 from repro.phoenix.ddl import create_baseline_schema, create_view_entry
 from repro.phoenix.plans import HashJoinNode, NestedLoopJoinNode, ScanNode
 from repro.relational.company import company_schema
-from repro.relational.datatypes import DataType
+from tests.conftest import plan_nodes
 
 
 class TestCatalog:
@@ -105,7 +105,7 @@ class TestPlanner:
         )
         assert any(
             isinstance(n, HashJoinNode)
-            for n in _walk(plan.root)
+            for n in plan_nodes(plan.root)
         )
 
     def test_compile_plan_maps_nodes_and_operators_one_to_one(self, company_conn):
@@ -124,11 +124,11 @@ class TestPlanner:
             "GROUP BY e.E_DNo ORDER BY e.E_DNo LIMIT 3"
         )
         rows = plans.SourceNode(list, "rows")
-        nodes = [*_walk(plan.root), plans.SymmetricJoinNode(rows, rows, (), ())]
+        nodes = [*plan_nodes(plan.root), plans.SymmetricJoinNode(rows, rows, (), ())]
         lowered = {
             type(n): type(operators.compile_plan(n))
             for node in nodes
-            for n in _walk(node)
+            for n in plan_nodes(node)
         }
         assert lowered[plans.HashJoinNode] is operators.BroadcastHashJoin
         assert lowered[plans.SymmetricJoinNode] is operators.SymmetricHashJoin
@@ -174,12 +174,6 @@ class TestPlanner:
             "SELECT * FROM Employee WHERE EID = ?"
         ).explain()
         assert "POINT GET Employee" in text
-
-
-def _walk(node):
-    yield node
-    for child in node.children():
-        yield from _walk(child)
 
 
 class TestExecutor:

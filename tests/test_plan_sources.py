@@ -31,7 +31,6 @@ from repro.phoenix.planner import PlannedQuery, SelectComposer
 from repro.phoenix.plans import (
     DistinctNode,
     GroupByNode,
-    PlanNode,
     SortNode,
     SourceNode,
     SubqueryNode,
@@ -41,22 +40,16 @@ from repro.sql.analyzer import analyze_select
 from repro.sql.ast import DerivedTable
 from repro.sql.parser import parse_statement
 from repro.tpcw.queries import JOIN_QUERIES
-from tests.conftest import build_company_system
-from tests.test_query_engine_property import SEEDS, generate_query
+from tests.conftest import build_company_system, plan_nodes
+from tests.reference.generators import SEEDS, generate_query
 
 PHOENIX_SYSTEMS = ("Synergy", "MVCC-A", "MVCC-UA", "Baseline")
-
-
-def _nodes(node: PlanNode):
-    yield node
-    for child in node.children():  # a derived table's subplan included
-        yield from _nodes(child)
 
 
 def sources_of(planned: PlannedQuery) -> list:
     """Every source the operators of ``planned`` (and its shaping) read."""
     out = [src for _, src in planned.output]
-    for node in _nodes(planned.root):
+    for node in plan_nodes(planned.root):
         if isinstance(node, SortNode):
             out += [src for src, _ in node.keys]
         elif isinstance(node, GroupByNode):

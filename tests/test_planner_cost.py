@@ -18,7 +18,6 @@ from repro.hbase.cluster import HBaseCluster
 from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.planner import CostBasedPlanner, Planner
 from repro.phoenix.stats import AccessCoster, TableStats, matched_rows
-from repro.relational.company import company_schema
 from repro.sim.clock import Simulation
 from repro.sql.parser import parse_statement
 from repro.tpcw.queries import JOIN_QUERIES

@@ -17,7 +17,6 @@ from repro.hbase import (
     RegionBalancer,
     Scan,
 )
-from repro.hbase.client import HTable
 from repro.sim.clock import Simulation
 
 CF = b"cf"

@@ -27,15 +27,11 @@ from hypothesis import given, strategies as st
 import repro.federation.mediator as mediator_module
 import repro.voltdb.system as voltdb_module
 from repro.bench.tpcw_lab import TpcwLab
-from repro.config import ClusterConfig
 from repro.federation import build_mediator
 from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
-from repro.hbase.client import HBaseClient
-from repro.hbase.cluster import HBaseCluster
 from repro.hbase.ops import Put
 from repro.phoenix.catalog import CF, ROW_MARKER_QUALIFIER, TABLE, CatalogEntry
-from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.phoenix.plans import (
     AccessSpec,
@@ -52,10 +48,12 @@ from repro.sql.ast import Literal
 from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 from repro.tpcw.queries import JOIN_QUERIES
 from repro.voltdb.system import PartitionScheme
-from tests import test_systems_equivalence as equivalence
-from tests.conftest import build_company_system, load_company_data
-from tests.test_datatypes import encode_value_reference
-from tests.test_query_engine_property import generate_query
+from tests.conftest import (
+    build_company_conn, build_company_federation, build_company_system,
+    build_tpcw_systems, plan_nodes,
+)
+from tests.reference.generators import ROUTED_QUERIES, ROUTED_SEED, generate_query
+from tests.reference.storage import encode_value_reference
 
 
 # ------------------------------------------------------------ the references
@@ -295,17 +293,10 @@ class TestCompiledDecoder:
 
 
 # ------------------------------------------------------------ (b) differential
-def walk(node: PlanNode):
-    """Every node of a plan tree, derived tables included."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
-
-
 def accesses(root: PlanNode) -> list[AccessSpec]:
     """Every catalog access of a plan tree."""
     found: list[AccessSpec] = []
-    for node in walk(root):
+    for node in plan_nodes(root):
         if isinstance(node, ScanNode):
             found.append(node.access)
         elif isinstance(node, NestedLoopJoinNode):
@@ -315,7 +306,7 @@ def accesses(root: PlanNode) -> list[AccessSpec]:
 
 def widen(root: PlanNode) -> None:
     """Force every decode set of the tree to ``None`` (decode all)."""
-    for node in walk(root):
+    for node in plan_nodes(root):
         if isinstance(node, ScanNode):
             node.access = dataclasses.replace(node.access, needed=None)
         elif isinstance(node, NestedLoopJoinNode):
@@ -338,15 +329,10 @@ def widen_every_plan(conn: PhoenixConnection, monkeypatch) -> None:
 def _company_conn() -> PhoenixConnection:
     # jitter on: the virtual clocks of two connections only stay equal
     # if they make the same charge calls in the same order
-    sim = Simulation(seed=7, jitter_fraction=0.02)
-    client = HBaseClient(HBaseCluster(sim, ClusterConfig()))
     schema = company_schema()
     # no includes: reaching any other Project attribute takes a base lookup
     schema.add_index("Project", Index("idx_proj_dept", ("P_DNo",)))
-    conn = PhoenixConnection(client, create_baseline_schema(client, schema))
-    load_company_data(conn.writer)
-    conn.analyze()
-    return conn
+    return build_company_conn(Simulation(seed=7, jitter_fraction=0.02), schema)
 
 
 @pytest.mark.parametrize("cost_based", (False, True), ids=("rule", "cost-based"))
@@ -569,14 +555,14 @@ def test_routed_random_queries_same_rows_and_ms_with_imports_widened(
     mode, monkeypatch
 ):
     narrow, wide = (
-        equivalence.TestRoutedRandomQueries.build_federation(mode) for _ in range(2)
+        build_company_federation(mode) for _ in range(2)
     )
     widen_collector(monkeypatch, wide._composer)
     widen_collector(monkeypatch, wide.backends["voltdb"].engine._composer)
     cells = count_cells(monkeypatch, mediator_module)
     narrow_cells = wide_cells = 0
-    rng = random.Random(equivalence.TestRoutedRandomQueries.ROUTED_SEED)
-    for i in range(equivalence.TestRoutedRandomQueries.ROUTED_QUERIES):
+    rng = random.Random(ROUTED_SEED)
+    for i in range(ROUTED_QUERIES):
         spec = generate_query(rng)
         before = cells[0]
         got, got_ms = narrow.timed(spec.sql, spec.params)
@@ -611,10 +597,7 @@ class TestPinnedKeySets:
         self, monkeypatch
     ):
         lab = TpcwLab(num_customers=10, repetitions=1)
-        backends = {}
-        for name in ("Baseline", "VoltDB"):
-            backends[name] = lab.build_system(name)
-            lab.populate(backends[name])
+        backends = build_tpcw_systems(lab, ("Baseline", "VoltDB"))
         mediator = build_mediator(
             backends, lab.schema, lab.workload, seed=lab.seed, mode="split"
         )

@@ -1,11 +1,12 @@
 """Streaming-scanner equivalence: the RegionScanner must produce
-byte-identical results to the *reference* per-row merge (the seed
-implementation of ``merge_row`` applied to one ``_sources_for`` point
-lookup per key) across randomized puts, deletes, flushes and
-compactions — versions, row tombstones, column tombstones, time ranges
-and column projections included. Each scanned ``Result`` must also size
-and read itself (``size_bytes``, ``column_count``, ``newest_into``) as
-its reference cells do, whether it borrowed them from an HFile or not."""
+byte-identical results to the *reference* per-row merge
+(``tests.reference.storage``: the seed read path, one merge per
+``_sources_for`` point lookup) across randomized puts, deletes, flushes
+and compactions — versions, row tombstones, column tombstones, time
+ranges and column projections included. Each scanned ``Result`` must
+also size and read itself (``size_bytes``, ``column_count``,
+``newest_into``, ``value``) as its reference cells do, whether it
+borrowed them from an HFile or not."""
 
 from __future__ import annotations
 
@@ -14,73 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hbase.region import Region
 from repro.hbase.store import RowEntry
-
-
-# --------------------------------------------------------------- reference
-def reference_merge_row(sources, max_versions, time_range=None):
-    """Verbatim port of the seed's merge_row (pre-streaming-engine):
-    the semantic oracle the rewritten engine must match."""
-    row_ts = max(
-        (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
-        default=None,
-    )
-    col_ts = {}
-    for s in sources:
-        for key, ts in s.col_tombstones.items():
-            if key not in col_ts or ts > col_ts[key]:
-                col_ts[key] = ts
-
-    merged = {}
-    for s in sources:
-        for key, versions in s.cells.items():
-            merged.setdefault(key, []).extend(versions)
-
-    visible = {}
-    for key, versions in merged.items():
-        kept = []
-        for ts, value in sorted(versions, key=lambda tv: -tv[0]):
-            if row_ts is not None and ts <= row_ts:
-                continue
-            if key in col_ts and ts <= col_ts[key]:
-                continue
-            if time_range is not None and not (time_range[0] <= ts < time_range[1]):
-                continue
-            kept.append((ts, value))
-            if len(kept) >= max_versions:
-                break
-        if kept:
-            visible[key] = kept
-    return visible or None
-
-
-def reference_scan(region, columns=None, max_versions=1, time_range=None):
-    """Per-row point-merge scan: one _sources_for + merge per key, with
-    client-side column filtering (exactly the seed read path)."""
-    out = []
-    for row in region.iter_keys(region.start_key, region.end_key):
-        visible = reference_merge_row(
-            region._sources_for(row), max(max_versions, 1), time_range
-        )
-        if visible is None:
-            continue
-        if columns is not None:
-            visible = {k: v for k, v in visible.items() if k in columns}
-            if not visible:
-                continue
-        out.append((row, visible))
-    return out
-
-
-def newest(result, columns):
-    """The newest value of each of ``columns`` (``None`` when absent),
-    read the way a row decoder reads them: ``Result.newest_into``."""
-    row = {}
-    result.newest_into(row, [(column, column, _raw) for column in columns])
-    return [row[column] for column in columns]
-
-
-def _raw(value):
-    return value
+from tests.reference.storage import (
+    FAMILIES, PROJECTIONS, QUALIFIERS, reading, reference_reading, reference_scan,
+)
 
 
 def streaming_scan(region, columns=None, max_versions=1, time_range=None):
@@ -90,32 +27,16 @@ def streaming_scan(region, columns=None, max_versions=1, time_range=None):
         columns=wanted, max_versions=max_versions, time_range=time_range
     ):
         if result is not None:
-            # asked before `_cells` detaches the result from the store
-            said = (
-                result.size_bytes,
-                result.column_count,
-                newest(result, ALL_COLUMNS),
-            )
+            said = reading(result)  # before `_cells` detaches it from the store
             cells = result._cells
-            assert said == (
-                sum(
-                    len(row) + 8 + len(f) + len(q) + len(value)
-                    for (f, q), versions in cells.items()
-                    for _, value in versions
-                ),
-                len(cells),
-                [cells[c][0][1] if c in cells else None for c in ALL_COLUMNS],
-            )
+            assert said == reference_reading(row, cells)
             out.append((row, cells))
     return out
 
 
 # --------------------------------------------------------------- op machine
 CF = b"cf"
-FAMILIES = [b"cf", b"fx"]
-QUALIFIERS = [b"a", b"b", b"c"]
 ROWS = [b"r%d" % i for i in range(8)]
-ALL_COLUMNS = [(f, q) for f in FAMILIES for q in QUALIFIERS]
 
 ops_strategy = st.lists(
     st.one_of(
@@ -159,13 +80,6 @@ def apply_ops(region, ops):
         else:
             region.major_compact()
     return ts
-
-
-PROJECTIONS = [
-    None,
-    [(b"cf", b"a")],
-    [(b"cf", b"a"), (b"fx", b"b"), (b"cf", b"c")],
-]
 
 
 class TestScannerMatchesReference:

@@ -17,13 +17,13 @@ from repro.sql.ast import (
     Param,
     Select,
     Star,
-    TableRef,
     Update,
     count_params,
 )
 from repro.sql.lexer import TokType, tokenize
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
+from tests.reference.generators import generate_query
 
 
 class TestLexer:
@@ -148,7 +148,6 @@ class TestParseMemo:
 
         from repro.relational.company import company_workload
         from repro.tpcw.workload import tpcw_workload
-        from tests.test_query_engine_property import generate_query
 
         rng = random.Random(20)
         yield from (s.sql for s in (*tpcw_workload(), *company_workload()))
@@ -255,8 +254,6 @@ class TestPrinterRoundtrip:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_generated_queries_round_trip(self, seed):
         import random
-
-        from tests.test_query_engine_property import generate_query
 
         stmt = parse_statement(generate_query(random.Random(seed)).sql)
         assert parse_statement(to_sql(stmt)) == stmt

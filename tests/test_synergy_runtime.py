@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
-from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.sql.parser import parse_statement
-from repro.systems import SynergySystem
-from tests.conftest import load_company_data
-
-
-def fresh_system() -> SynergySystem:
-    system = SynergySystem(company_schema(), company_workload(), COMPANY_ROOTS)
-    load_company_data(system)
-    system.finish_load()
-    return system
+from tests.conftest import build_company_system
 
 
 def view_rows(system, view_name, where="", params=()):
@@ -174,7 +165,7 @@ class TestHierarchicalLocking:
         """TPC-W Shopping_cart-style relation: Department_Location is in
         a tree; use a relation outside any tree instead — none exists in
         Company, so assert root relations lock their own key."""
-        system = fresh_system()
+        system = build_company_system("Synergy")
         events = []
 
         def hook(step):
@@ -217,7 +208,7 @@ class TestReadCommitted:
         """Between mark and unmark, a scan of the view observes dirty
         rows and restarts; once the update finishes it sees the new
         value — never a mix (paper Sec. VIII-C)."""
-        system = fresh_system()
+        system = build_company_system("Synergy")
         observed = []
 
         def hook(step):
@@ -262,7 +253,7 @@ class TestReadCommitted:
         )
 
     def test_marked_rows_trigger_restart_counter(self):
-        system = fresh_system()
+        system = build_company_system("Synergy")
         entry = system.catalog.view("MV_Employee__Works_On")
         rows = system.maintainer.locate_view_rows(
             system.views[1], "Employee", {"EID": 2}
@@ -355,7 +346,7 @@ class TestViewConsistencyProperty:
     )
     @settings(max_examples=15, deadline=None)
     def test_view_equals_join_after_random_writes(self, ops):
-        system = fresh_system()
+        system = build_company_system("Synergy")
         for op, eid, pno, hours in ops:
             if op == "insert":
                 system.execute(

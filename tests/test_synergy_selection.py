@@ -1,7 +1,6 @@
 """Views selection + query rewriting (paper Sec. VI), including the
 exact R1..R6 example of Fig. 6."""
 
-import pytest
 
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.relational.datatypes import DataType

@@ -1,10 +1,9 @@
 """SynergySystem façade behaviours not covered elsewhere."""
 
-import pytest
 
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.systems import SynergySystem
-from tests.conftest import load_company_data
+from tests.reference.sql import load_company
 
 
 class TestFacade:
@@ -73,7 +72,7 @@ class TestFacade:
         system = SynergySystem(
             company_schema(), company_workload(), COMPANY_ROOTS, num_tx_slaves=2
         )
-        load_company_data(system)
+        load_company(system)
         system.finish_load()
         for i in range(4):
             system.execute(

@@ -15,33 +15,30 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from repro.bench.tpcw_lab import TpcwLab
-from repro.errors import UnsupportedStatementError
-from repro.sim.scheduler import DeterministicScheduler, run_transaction
+from repro.errors import UnsupportedStatementError, WorkloadError
+from repro.sim.scheduler import DeterministicScheduler
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.writes import WRITE_STATEMENTS
+from tests.conftest import (
+    build_company_federation, build_company_system, build_tpcw_systems,
+    run_four_client_schedule,
+)
+from tests.reference.generators import (
+    ROUTED_QUERIES, ROUTED_SEED, QuerySpec, WriteSpec, four_client_txns,
+    generate_query, generate_write,
+)
+from tests.reference.sql import (
+    TABLES, canonical, company_rows, query_battery, ref_execute, ref_write,
+)
 
 SCALE = 25
 SEED = 7
 SYSTEMS = ("Synergy", "MVCC-A", "MVCC-UA", "VoltDB")
-
-#: Identifying columns per query, shared by every system's result shape.
-QUERY_KEYS = {
-    "Q1": ("ol_o_id", "ol_id", "i_id"),
-    "Q2": ("o_id", "c_id"),
-    "Q3": ("c_id", "addr_id", "co_id"),
-    "Q4": ("i_id", "a_id"),
-    "Q5": ("i_id", "a_id"),
-    "Q6": ("i_id", "a_id"),
-    "Q7": ("o_id", "c_id"),
-    "Q8": ("scl_sc_id", "scl_i_id", "i_id"),
-    "Q9": ("i_id",),
-    "Q10": ("i_id", "SUM(ol.ol_qty)"),
-    "Q11": ("ol_i_id",),
-}
 
 #: One repetition of the single-client script: the 13 writes in W1..W13
 #: order (inserts before the statements that reference them) with the 11
@@ -55,12 +52,6 @@ SCRIPT = (
 )
 
 
-def canonical(qid: str, rows):
-    # aggregate column naming differs per view rewrite; compare on i_id
-    keys = ("i_id",) if qid == "Q10" else QUERY_KEYS[qid]
-    return sorted(tuple(r.get(k) for k in keys) for r in rows)
-
-
 @pytest.fixture(scope="module")
 def lab():
     return TpcwLab(num_customers=SCALE, repetitions=2, seed=SEED)
@@ -68,26 +59,7 @@ def lab():
 
 @pytest.fixture(scope="module")
 def systems(lab):
-    out = {}
-    for name in SYSTEMS:
-        system = lab.build_system(name)
-        lab.populate(system)
-        out[name] = system
-    return out
-
-
-def query_battery(system, lab, reps=(0, 1)):
-    """Canonicalized results of every supported query at several
-    parameter draws — the row-for-row fingerprint of the DB state."""
-    out = {}
-    for qid in JOIN_QUERIES:
-        if not system.supports(qid):
-            continue
-        for rep in reps:
-            params = lab.generator.params_for_query(qid, rep)
-            rows = system.execute(system.statement(qid), params)
-            out[(qid, rep)] = canonical(qid, rows)
-    return out
+    return build_tpcw_systems(lab, SYSTEMS)
 
 
 def assert_batteries_agree(batteries: dict[str, dict]) -> None:
@@ -132,49 +104,11 @@ class TestSingleClientScript:
         )
 
 
-def four_client_txns(lab):
-    """Per-client transaction lists over DISJOINT key slices: client i
-    owns item i+1, customer i+1 and cart i+1, so the final state is
-    independent of the interleaving each system happens to produce."""
-    per_client = []
-    for c in range(4):
-        i_id, c_id, sc_id = c + 1, c + 1, c + 1
-        txns = []
-        for t in range(3):
-            stamp = 1000 * (c + 1) + t
-            txns.append([
-                ("SELECT * FROM Item WHERE i_id = ?", (i_id,)),
-                (WRITE_STATEMENTS["W9"], (stamp, i_id)),
-            ])
-            txns.append([
-                (WRITE_STATEMENTS["W13"],
-                 (float(stamp), float(stamp) / 2, float(t), c_id)),
-            ])
-            txns.append([
-                (WRITE_STATEMENTS["W11"], (float(stamp), sc_id)),
-            ])
-        per_client.append(txns)
-    return per_client
-
-
-def run_four_client_schedule(system, per_client):
-    scheduler = DeterministicScheduler(system.sim)
-    for i, txns in enumerate(per_client):
-        session = system.open_session(f"c{i}")
-
-        def program(client, session=session, txns=txns):
-            for txn in txns:
-                yield from run_transaction(client, session, txn)
-
-        scheduler.add_client(f"c{i}", program)
-    return scheduler.run()
-
-
 @pytest.fixture(scope="module")
 def four_client_reports(systems, lab):
     """Run the 4-client schedule once on every system; both schedule
     tests consume this, so each passes when selected in isolation."""
-    per_client = four_client_txns(lab)
+    per_client = four_client_txns()
     return per_client, {
         name: run_four_client_schedule(system, per_client)
         for name, system in systems.items()
@@ -230,9 +164,7 @@ class TestStreamingEngine:
         out = []
         for _ in range(2):
             lab = TpcwLab(num_customers=SCALE, repetitions=2, seed=SEED)
-            system = lab.build_system("Baseline")
-            lab.populate(system)
-            out.append((lab, system))
+            out.append((lab, build_tpcw_systems(lab, ["Baseline"])["Baseline"]))
         return out
 
     def test_streaming_scheduled_rows_equal_legacy_serial(self, systems):
@@ -282,9 +214,7 @@ class TestStreamingEarlyClose:
         lab = TpcwLab(
             num_customers=self.EARLY_CLOSE_SCALE, repetitions=1, seed=SEED,
         )
-        system = lab.build_system("Baseline")
-        lab.populate(system)
-        return system
+        return build_tpcw_systems(lab, ["Baseline"])["Baseline"]
 
     def test_abandoned_cursor_settles_batch_and_releases_window(self, baseline):
         from repro.sim.scheduler import ConcurrencyContext
@@ -466,12 +396,7 @@ class TestSupportsTruthfulProbe:
         # own small-scale fixtures: the probe EXECUTES every write, so
         # it must not share state with the module-scope systems above
         lab = TpcwLab(num_customers=10, repetitions=1, seed=SEED)
-        systems = {}
-        for name in (*SYSTEMS, "Baseline"):
-            system = lab.build_system(name)
-            lab.populate(system)
-            systems[name] = system
-        return lab, systems
+        return lab, build_tpcw_systems(lab, (*SYSTEMS, "Baseline"))
 
     def test_every_statement_id_on_every_system(self, probe):
         lab, systems = probe
@@ -506,49 +431,16 @@ class TestRoutedRandomQueries:
     must match the naive reference model row for row, and the advisor's
     decision log must be byte-identical across fresh rebuilds."""
 
-    ROUTED_QUERIES = 60
-    ROUTED_SEED = 171001792
-
-    @staticmethod
-    def build_federation(mode, pin=None):
-        from repro.relational.company import company_schema
-        from repro.relational.workload import Workload
-        from repro.federation import build_mediator
-        from repro.systems.baseline import BaselineSystem
-        from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
-        from repro.voltdb.system import PartitionScheme
-        from test_query_engine_property import company_rows
-
-        schema = company_schema()
-        backends = {
-            name: BaselineSystem(schema, Workload())
-            for name in ("rule", "cost-based")
-        }
-        backends["voltdb"] = VoltDBEvaluatedSystem(
-            schema, Workload(), schemes=(PartitionScheme("all-replicated", {}),)
-        )
-        backends["cost-based"].conn.configure_engine(cost_based=True)
-        mediator = build_mediator(backends, schema, seed=7, mode=mode, pin=pin)
-        for table, rows in company_rows().items():
-            for row in rows:
-                mediator.load_row(table, row)
-        mediator.finish_load()
-        return mediator
-
     @pytest.mark.parametrize(
         "mode,pin",
         (("whole", None), ("split", None), ("whole", "voltdb")),
         ids=("whole", "split", "pinned-voltdb"),
     )
     def test_routed_random_queries_match_reference(self, mode, pin):
-        from test_query_engine_property import (
-            company_rows, generate_query, ref_execute,
-        )
-
-        mediator = self.build_federation(mode, pin)
+        mediator = build_company_federation(mode, pin)
         data = company_rows()
-        rng = random.Random(self.ROUTED_SEED)
-        for i in range(self.ROUTED_QUERIES):
+        rng = random.Random(ROUTED_SEED)
+        for i in range(ROUTED_QUERIES):
             spec = generate_query(rng)
             expected = sorted(ref_execute(spec, data))
             rows = mediator.execute(spec.sql, spec.params)
@@ -562,13 +454,11 @@ class TestRoutedRandomQueries:
             assert any(r.mode == "split" for r in mediator.route_log)
 
     def test_advisor_decision_log_byte_identical_across_rebuilds(self):
-        from test_query_engine_property import generate_query
-
         logs = []
         for _ in range(2):
-            mediator = self.build_federation("auto")
-            rng = random.Random(self.ROUTED_SEED)
-            for _i in range(self.ROUTED_QUERIES):
+            mediator = build_company_federation("auto")
+            rng = random.Random(ROUTED_SEED)
+            for _i in range(ROUTED_QUERIES):
                 spec = generate_query(rng)
                 mediator.execute(spec.sql, spec.params)
             logs.append(json.dumps(mediator.advisor.log_dicts()))
@@ -585,8 +475,6 @@ class TestRefusedWrites:
 
     @pytest.fixture(scope="class", params=NAMES)
     def system(self, request):
-        from tests.conftest import build_company_system
-
         return build_company_system(request.param)
 
     def addresses(self, system):
@@ -599,8 +487,6 @@ class TestRefusedWrites:
         assert self.addresses(system) == before
 
     def test_arity_mismatch_is_refused(self, system):
-        from repro.errors import WorkloadError
-
         before = self.addresses(system)
         with pytest.raises(WorkloadError):
             system.execute(
@@ -653,15 +539,21 @@ class TestNullComparisons:
         ("SELECT e.EID FROM Employee as e WHERE e.EID = 900", (), [900]),
     )
 
+    #: Each case's WHERE as the reference reads it: ``(attr, op, value)``.
+    WHERES = (
+        [("EName", "=", None)], [("EID", "=", 900), ("EName", "=", None)],
+        [("EName", "<>", "x")], [("EName", "=", None)], [("EName", "<>", None)],
+        [("EName", "<", "z")], [("EID", "=", 900)],
+    )
+    EMPLOYEE_900 = WriteSpec(
+        "INSERT", "Employee", list(TABLES["Employee"]),
+        [(value, True) for value in (900, None, 1, 1, 1)],
+    )
+
     @pytest.fixture(scope="class", params=TestRefusedWrites.NAMES)
     def system(self, request):
-        from tests.conftest import build_company_system
-
         system = build_company_system(request.param)
-        system.execute(
-            "INSERT INTO Employee (EID, EName, EHome_AID, EOffice_AID, E_DNo) "
-            "VALUES (900, NULL, 1, 1, 1)"
-        )
+        system.execute(self.EMPLOYEE_900.sql)
         return system
 
     @pytest.mark.parametrize(
@@ -670,6 +562,56 @@ class TestNullComparisons:
     def test_anything_against_null_is_false(self, system, sql, params, expected):
         rows = system.execute(sql, params)
         assert sorted(r["EID"] for r in rows) == expected
+
+    def test_the_reference_gives_the_same_lists(self):
+        data = company_rows()
+        assert ref_write(data, self.EMPLOYEE_900) == 1
+        for where, (sql, _, expected) in zip(self.WHERES, self.CASES, strict=True):
+            spec = QuerySpec(
+                bindings=[("e", "Employee")], columns=[("e", "EID")],
+                filters=[("e", *condition) for condition in where],
+            )
+            assert sorted(eid for (eid,) in ref_execute(spec, data)) == expected, sql
+
+
+def outcome(execute, *args):
+    """The rows a write wrote, or the type of its refusal."""
+    try:
+        return int(execute(*args))
+    except (UnsupportedStatementError, WorkloadError) as refusal:
+        return type(refusal)
+
+
+class TestGeneratedWrites:
+    """Generated writes interleaved with generated queries, on each
+    system and on the reference model: every statement returns the same
+    rows (as a multiset), writes the same number of rows or is refused
+    with the same type, and the tables end up equal."""
+
+    SEED = 20170904
+    STATEMENTS = 100
+
+    @pytest.mark.parametrize("name", TestRefusedWrites.NAMES)
+    def test_each_statement_and_the_final_tables_match_the_reference(self, name):
+        system = build_company_system(name)
+        data = company_rows()
+        rng = random.Random(self.SEED)
+        for i in range(self.STATEMENTS):
+            if rng.random() < 0.5:
+                spec = generate_write(rng, data)
+                expected = outcome(ref_write, data, spec)
+                got = outcome(system.execute, spec.sql, spec.params)
+            else:
+                spec = generate_query(rng)
+                expected = Counter(ref_execute(spec, data))
+                rows = system.execute(spec.sql, spec.params)
+                got = Counter(tuple(row.values()) for row in rows)
+            assert got == expected, f"#{i}: {spec.sql} {spec.params}"
+        for table, attrs in TABLES.items():
+            stored = system.execute(f"SELECT * FROM {table}")
+            assert Counter(tuple(r[a] for a in attrs) for r in stored) == Counter(
+                tuple(r[a] for a in attrs) for r in data[table]
+            ), table
 
 
 class TestStatementDoors:
@@ -725,8 +667,6 @@ class TestStatementDoors:
     @pytest.mark.parametrize("name", TestRefusedWrites.NAMES)
     def test_every_door_same_rows_same_virtual_ms(self, name, jitter):
         from repro.sim.clock import Simulation
-        from tests.conftest import build_company_system
-
         transcripts = {}
         for door, bind in self.DOORS.items():
             sim = Simulation(seed=SEED, jitter_fraction=jitter)

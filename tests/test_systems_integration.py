@@ -5,16 +5,10 @@ everywhere, and the cost orderings the paper reports hold."""
 import pytest
 
 from repro.bench.tpcw_lab import TpcwLab
-from repro.systems import (
-    BaselineSystem,
-    MvccASystem,
-    MvccUASystem,
-    SynergySystem,
-    VoltDBEvaluatedSystem,
-)
-from repro.tpcw import TPCW_ROOTS, TpcwDataGenerator, tpcw_schema, tpcw_workload
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.writes import WRITE_STATEMENTS
+from tests.conftest import build_tpcw_systems
+from tests.reference.sql import canonical
 
 SCALE = 30
 SEED = 11
@@ -27,33 +21,8 @@ def lab():
 
 @pytest.fixture(scope="module")
 def systems(lab):
-    out = {}
-    for name in ("Synergy", "MVCC-A", "MVCC-UA", "Baseline", "VoltDB"):
-        system = lab.build_system(name)
-        lab.populate(system)
-        out[name] = system
-    return out
-
-
-def canonical(rows, keys):
-    return sorted(
-        tuple(r.get(k) for k in keys) for r in rows
-    )
-
-
-QUERY_KEYS = {
-    "Q1": ("ol_o_id", "ol_id", "i_id"),
-    "Q2": ("o_id", "c_id"),
-    "Q3": ("c_id", "addr_id", "co_id"),
-    "Q4": ("i_id", "a_id"),
-    "Q5": ("i_id", "a_id"),
-    "Q6": ("i_id", "a_id"),
-    "Q7": ("o_id", "c_id"),
-    "Q8": ("scl_sc_id", "scl_i_id", "i_id"),
-    "Q9": ("i_id",),
-    "Q10": ("i_id", "SUM(ol.ol_qty)"),
-    "Q11": ("ol_i_id",),
-}
+    names = ("Synergy", "MVCC-A", "MVCC-UA", "Baseline", "VoltDB")
+    return build_tpcw_systems(lab, names)
 
 
 class TestResultConsistency:
@@ -65,12 +34,7 @@ class TestResultConsistency:
             if not system.supports(qid):
                 assert name == "VoltDB" and qid in VOLTDB_UNSUPPORTED
                 continue
-            rows = system.execute(system.statement(qid), params)
-            keys = QUERY_KEYS[qid]
-            if qid == "Q10" and name != "Baseline":
-                # aggregate column naming differs after view rewriting
-                keys = ("i_id",)
-            got = canonical(rows, keys[:1]) if qid == "Q10" else canonical(rows, keys)
+            got = canonical(qid, system.execute(system.statement(qid), params))
             if reference is None:
                 reference = (got, name)
             else:

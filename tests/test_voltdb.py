@@ -13,6 +13,8 @@ from repro.tpcw.writes import WRITE_STATEMENTS
 from repro.voltdb.system import TPCW_SCHEMES, PartitionScheme, VoltDBSystem
 from repro.voltdb.table import VoltTable
 from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
+from tests.conftest import plan_nodes
+from tests.reference.sql import load_company
 
 
 class TestVoltTable:
@@ -165,12 +167,8 @@ class TestExecution:
 
 
 def _company_engine() -> VoltDBSystem:
-    from tests.test_query_engine_property import company_rows
-
     engine = VoltDBSystem(company_schema())
-    for table, rows in company_rows().items():
-        for row in rows:
-            engine.load_row(table, row)
+    load_company(engine)
     return engine
 
 
@@ -213,12 +211,7 @@ class TestProcedureBodyIsAPlan:
                 system.execute(JOIN_QUERIES[qid], gen.params_for_query(qid))
         assert len(planned) > 7  # Q11's derived table is its own procedure
 
-        def walk(node):
-            yield node
-            for child in node.children():
-                yield from walk(child)
-
-        used = {type(n) for plan in planned for n in walk(plan.root)}
+        used = {type(n) for plan in planned for n in plan_nodes(plan.root)}
         assert used <= set(operators._LOWERING)
         assert used == {
             plans.SourceNode, plans.HashJoinNode, plans.FilterNode,
