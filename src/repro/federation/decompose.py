@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.phoenix.planner import SelectComposer
 from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import DerivedTable, Literal, Param, Select, TableRef
 from repro.sql.printer import to_sql
@@ -21,7 +20,6 @@ class Fragment:
     sql: str
     params: tuple[Any, ...]
     attrs: tuple[str, ...]
-    derived: bool = False
 
 
 def split_eligible(analyzed: AnalyzedSelect) -> bool:
@@ -37,24 +35,18 @@ def split_eligible(analyzed: AnalyzedSelect) -> bool:
     )
 
 
-def decompose(
-    analyzed: AnalyzedSelect, params: tuple[Any, ...], composer: SelectComposer
-) -> list[Fragment]:
-    """One fragment per FROM binding. A base table becomes ``SELECT *
-    FROM R as b`` plus every constant/parameter filter on ``b``, with
-    the value bound into the fragment's own params (so no placeholder
-    is ever renumbered); a derived table becomes its own SELECT."""
+def decompose(analyzed: AnalyzedSelect, params: tuple[Any, ...]) -> list[Fragment]:
+    """One fragment per FROM binding, carrying the attributes the
+    analysis bound it to. A base table becomes ``SELECT * FROM R as b``
+    plus every constant/parameter filter on ``b``, with the value bound
+    into the fragment's own params (so no placeholder is ever
+    renumbered); a derived table becomes its own SELECT."""
     fragments: list[Fragment] = []
     for item in analyzed.select.from_items:
+        attrs = analyzed.attrs[item.binding] or ()
         if isinstance(item, DerivedTable):
             fragments.append(
-                Fragment(
-                    binding=item.binding,
-                    sql=to_sql(item.select),
-                    params=(),
-                    attrs=composer.output_names(item.select),
-                    derived=True,
-                )
+                Fragment(item.binding, to_sql(item.select), (), attrs)
             )
             continue
         assert isinstance(item, TableRef)
@@ -73,14 +65,7 @@ def decompose(
         sql = f"SELECT * FROM {item.name} as {binding}"
         if conds:
             sql += " WHERE " + " and ".join(conds)
-        fragments.append(
-            Fragment(
-                binding=binding,
-                sql=sql,
-                params=tuple(values),
-                attrs=composer.namespace.relation(item.name).attribute_names,
-            )
-        )
+        fragments.append(Fragment(binding, sql, tuple(values), attrs))
     return fragments
 
 

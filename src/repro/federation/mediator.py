@@ -145,7 +145,7 @@ class Mediator(EvaluatedSystem):
             seed=derive_seed(seed, "federation/sim"),
             jitter_fraction=0.0,
         )
-        self._composer = SelectComposer(schema)
+        self._composer = SelectComposer()
         self._host = MergeHost(self._sim)
         self.advisor = advisor or RoutingAdvisor(seed=seed)
         self.route_log: list[RouteRecord] = []
@@ -253,7 +253,7 @@ class Mediator(EvaluatedSystem):
         whole = self._whole_candidates(sid, canonical)
         # decomposed once: the estimate and the execution share the fragments
         fragments = (
-            decompose(analyzed, params, self._composer)
+            decompose(analyzed, params)
             if self.mode != "whole" and split_eligible(analyzed)
             else None
         )
@@ -330,8 +330,7 @@ class Mediator(EvaluatedSystem):
                 ),
                 label=f"FRAGMENT {fragment.binding} @ {chosen}",
             )
-        derived_attrs = {f.binding: f.attrs for f in fragments if f.derived}
-        planned = plan_merge(self._composer, analyzed, leaves, derived_attrs)
+        planned = plan_merge(self._composer, analyzed, leaves)
         return list(stream_rows(planned, ExecutionContext(self._host, params)))
 
     def _fetch_fragment(

@@ -46,7 +46,6 @@ def plan_merge(
     composer: SelectComposer,
     analyzed: AnalyzedSelect,
     leaves: Mapping[str, PlanNode],
-    derived_attrs: dict[str, tuple[str, ...]],
 ) -> PlannedQuery:
     """Join ``leaves`` (one per FROM binding) in the composer's FROM
     order; every attach is the non-blocking symmetric hash join, so
@@ -54,4 +53,4 @@ def plan_merge(
     the SELECT's tail come from the composer."""
     plan, consumed = composer.join_in_from_order(analyzed, leaves, symmetric_join)
     plan = composer.residual_filter(plan, analyzed, consumed)
-    return composer.finish(plan, analyzed, derived_attrs)
+    return composer.finish(plan, analyzed)

@@ -66,7 +66,7 @@ from repro.phoenix.plans import (
     conjunction,
     key_getter,
 )
-from repro.sql.ast import Expr
+from repro.sql.ast import Expr, Literal, Param
 
 BATCH_ROWS = 256
 """Rows per hop between operators when the consumer states no demand:
@@ -347,7 +347,7 @@ class IndexNestedLoopJoin(_LookupJoin):
         super().open(ctx)
         # constants are evaluated once; outer-row keys are read per row
         getters = tuple(
-            accessor(k) if isinstance(k, tuple) else _constant(ctx.eval(k))
+            _constant(ctx.eval(k)) if isinstance(k, (Literal, Param)) else accessor(k)
             for k in self.outer_keys
         )
         self._prefix_of = lambda row: [get(row) for get in getters]
@@ -500,9 +500,6 @@ class HashGroupBy(_Materialized):
         self.group_keys = group_keys
         self.aggregates = aggregates
         self._key_of = key_getter(group_keys)
-        self._out_keys = tuple(
-            g if isinstance(g, tuple) else ("", g) for g in group_keys
-        )
         slots: list[Any] = []
         self._updates: list[_Update] = []
         self._finishes: list[tuple[tuple[str, str], _Finish]] = []
@@ -530,7 +527,7 @@ class HashGroupBy(_Materialized):
         self._ctx.conn.operator_work(GROUP_BY, total_rows)
         results: list[Row] = []
         for key, acc in groups.items():
-            out: Row = dict(zip(self._out_keys, key))
+            out: Row = dict(zip(self.group_keys, key))
             for out_key, finish in self._finishes:
                 out[out_key] = finish(acc)
             results.append(out)

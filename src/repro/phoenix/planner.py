@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
 from repro.config import DEFAULT_COST_MODEL
-from repro.errors import PlanError, SqlError
 from repro.phoenix.stats import (
     DEFAULT_ROW_BYTES,
     FILTER_SELECTIVITY,
@@ -29,7 +28,6 @@ from repro.phoenix.stats import (
     StatisticsProvider,
 )
 from repro.phoenix.catalog import Catalog, CatalogEntry, CatalogNamespace, VIEW, VIEW_INDEX
-from repro.relational.schema import Schema
 from repro.sql.analyzer import (
     AnalyzedSelect,
     FilterCondition,
@@ -38,9 +36,7 @@ from repro.sql.analyzer import (
 )
 from repro.sql.ast import (
     ColumnRef,
-    DerivedTable,
     Expr,
-    FuncCall,
     Literal,
     Param,
     Select,
@@ -66,7 +62,7 @@ from repro.phoenix.plans import (
     key_getter,
 )
 
-PrefixSource = Union[tuple[str, str], Expr]
+PrefixSource = Union[Source, Expr]
 
 
 @dataclass
@@ -75,7 +71,7 @@ class PlannedQuery:
 
     root: PlanNode
     output: tuple[tuple[str, Source], ...]
-    """(output column name, row source) pairs, or expanded at runtime."""
+    """(output column name, row source) pairs: the analysis's ``output``."""
 
     select: Select
 
@@ -102,20 +98,18 @@ ALL_ATTRS = None  # sentinel: binding needs every attribute (SELECT *)
 AccessChoice = tuple[tuple[str, ...], CatalogEntry, CatalogEntry | None]
 """(usable key prefix, entry to read, base entry to look up when not covered)."""
 
-EquiCond = tuple[int, str, tuple[str, str]]
+EquiCond = tuple[int, str, Source]
 """(join id, attr of the binding being attached, key on the joined side)."""
 
 
 class SelectComposer:
-    """How a SELECT is composed around its leaves, given only the
-    ``namespace`` that says which attributes a FROM name has (a
-    :class:`Schema`, or a :class:`CatalogNamespace` whose names include
-    views): which row source a column resolves to, how output
-    columns are named (and duplicates disambiguated), which equi-joins
-    attach a binding (within one system: as what hash join), which
-    predicates stay residual above the joins, what a GROUP BY
-    aggregates, and the order the tail stacks in (group-by -> distinct
-    -> sort -> limit).
+    """How a SELECT is composed around its leaves, given its analysis
+    (:func:`~repro.sql.analyzer.analyze_select`, the one column
+    resolver, which also names the output columns): what each leaf must
+    carry, which equi-joins attach a binding (within one system: as
+    what hash join), which predicates stay residual above the joins,
+    and the order the tail stacks in (group-by -> distinct -> sort ->
+    limit).
 
     Everything here is independent of how the leaves are reached, so
     the single-system :class:`Planner` (catalog access paths below) and
@@ -123,91 +117,35 @@ class SelectComposer:
     tree above them and return rows under the same names.
     """
 
-    def __init__(self, namespace: Schema | CatalogNamespace) -> None:
-        self.namespace = namespace
-
-    # -- column resolution ----------------------------------------------------------
-    def resolve(
-        self, col: ColumnRef, analyzed: AnalyzedSelect
-    ) -> tuple[str, str | None]:
-        if col.qualifier is not None:
-            if col.qualifier not in analyzed.bindings:
-                raise SqlError(f"unknown alias {col.qualifier!r}")
-            return col.qualifier, analyzed.bindings[col.qualifier]
-        owners = []
-        for b, rel in analyzed.bindings.items():
-            if rel is not None and self.namespace.has_relation(rel):
-                if self.namespace.relation(rel).has_attribute(col.name):
-                    owners.append((b, rel))
-        if len(owners) == 1:
-            return owners[0]
-        if not owners:
-            # e.g. a derived table's column: resolved by bare name
-            return ("", None)
-        raise SqlError(f"ambiguous column {col.name!r}")
-
-    def source_for(self, expr: Expr, analyzed: AnalyzedSelect) -> Source:
-        if isinstance(expr, ColumnRef):
-            b, _ = self.resolve(expr, analyzed)
-            if b == "":
-                return expr.name  # bare-name lookup
-            return (b, expr.name)
-        if isinstance(expr, FuncCall):
-            return ("", str(expr))  # where HashGroupBy writes it
-        raise PlanError(f"unsupported expression in this clause: {expr}")
-
     def needed_attrs(self, analyzed: AnalyzedSelect) -> dict[str, set[str] | None]:
         """Per binding, the attributes the statement reads anywhere:
         the one needed-set collector. ``ALL_ATTRS`` under a ``*``, and
-        for a derived table, whose columns may be named bare (which
-        :meth:`resolve` leaves unowned). A Phoenix access uses it to
-        decide whether an index covers the binding and as its decode
-        set; a VoltDB leaf and a federation fragment import carry
-        exactly these attributes."""
-        select = analyzed.select
+        for a derived table, whose rows arrive whole from its subplan.
+        A Phoenix access uses it to decide whether an index covers the
+        binding and as its decode set; a VoltDB leaf and a federation
+        fragment import carry exactly these attributes."""
         needed: dict[str, set[str] | None] = {
             b: set() if rel is not None else ALL_ATTRS
             for b, rel in analyzed.bindings.items()
         }
-
-        def note(binding: str, attr: str) -> None:
+        for p in analyzed.select.projections:
+            if isinstance(p, Star):
+                for b in needed if p.qualifier is None else (p.qualifier,):
+                    needed[b] = ALL_ATTRS
+        sources = [src for _, src in analyzed.output]
+        sources += [src for _, _, src in analyzed.aggregates if src is not None]
+        sources += analyzed.group_keys
+        sources += [src for src, _ in analyzed.order_keys]
+        for j in analyzed.joins:
+            sources += [(j.left_binding, j.left_attr), (j.right_binding, j.right_attr)]
+        for f in analyzed.filters:
+            sources.append((f.binding, f.attr))
+            if isinstance(f.value, ColumnRef):
+                sources.append((f.binding, f.value.name))
+        for binding, attr in sources:
             s = needed.get(binding)
             if s is not None:
                 s.add(attr)
-
-        def note_col(col: ColumnRef) -> None:
-            b, _ = self.resolve(col, analyzed)
-            note(b, col.name)
-
-        for p in select.projections:
-            if isinstance(p, Star):
-                if p.qualifier is None:
-                    for b in needed:
-                        needed[b] = ALL_ATTRS
-                else:
-                    needed[p.qualifier] = ALL_ATTRS
-            elif isinstance(p, ColumnRef):
-                note_col(p)
-            elif isinstance(p, FuncCall):
-                for a in p.args:
-                    if isinstance(a, ColumnRef):
-                        note_col(a)
-        for j in analyzed.joins:
-            note(j.left_binding, j.left_attr)
-            note(j.right_binding, j.right_attr)
-        for f in analyzed.filters:
-            note(f.binding, f.attr)
-            if isinstance(f.value, ColumnRef):
-                note(f.binding, f.value.name)
-        for g in select.group_by:
-            note_col(g)
-        for o in select.order_by:
-            if isinstance(o.expr, ColumnRef):
-                note_col(o.expr)
-            elif isinstance(o.expr, FuncCall):
-                for a in o.expr.args:
-                    if isinstance(a, ColumnRef):
-                        note_col(a)
         return needed
 
     # -- joins ------------------------------------------------------------------------
@@ -357,156 +295,53 @@ class SelectComposer:
         return FilterNode(plan, tuple(preds)) if preds else plan
 
     # -- tail -------------------------------------------------------------------------
-    def finish(
-        self,
-        root: PlanNode,
-        analyzed: AnalyzedSelect,
-        derived_attrs: dict[str, tuple[str, ...]],
-    ) -> PlannedQuery:
+    @staticmethod
+    def finish(root: PlanNode, analyzed: AnalyzedSelect) -> PlannedQuery:
         """Stack the SELECT's tail on the joined-and-filtered ``root``."""
         select = analyzed.select
-        output = self.output_spec(analyzed, derived_attrs)
-        if select.group_by or any(
-            isinstance(p, FuncCall) for p in select.projections
-        ):
-            root = self._group_by(root, analyzed)
+        output = analyzed.output
+        if analyzed.grouped:
+            root = GroupByNode(root, analyzed.group_keys, analyzed.aggregates)
         if select.distinct:
             root = DistinctNode(root, keys=tuple(src for _, src in output))
-        if select.order_by:
-            keys = tuple(
-                (self.source_for(o.expr, analyzed), o.descending)
-                for o in select.order_by
-            )
-            root = SortNode(root, keys)
+        if analyzed.order_keys:
+            root = SortNode(root, analyzed.order_keys)
         if select.limit is not None:
             root = LimitNode(root, select.limit)
         return PlannedQuery(root=root, output=output, select=select)
 
-    def _group_by(self, root: PlanNode, analyzed: AnalyzedSelect) -> PlanNode:
-        select = analyzed.select
-        group_keys = tuple(self.source_for(g, analyzed) for g in select.group_by)
-        aggregates: list[tuple[str, str, Source | None]] = []
-        for p in select.projections:
-            if isinstance(p, FuncCall):
-                source: Source | None
-                if p.star:
-                    source = None
-                else:
-                    if len(p.args) != 1 or not isinstance(p.args[0], ColumnRef):
-                        raise PlanError(f"unsupported aggregate argument: {p}")
-                    source = self.source_for(p.args[0], analyzed)
-                aggregates.append((str(p), p.name, source))
-        for o in select.order_by:
-            if isinstance(o.expr, FuncCall) and not any(
-                a[0] == str(o.expr) for a in aggregates
-            ):
-                src = (
-                    None
-                    if o.expr.star
-                    else self.source_for(o.expr.args[0], analyzed)
-                )
-                aggregates.append((str(o.expr), o.expr.name, src))
-        return GroupByNode(
-            child=root, group_keys=group_keys, aggregates=tuple(aggregates)
-        )
-
-    def output_names(self, select: Select) -> tuple[str, ...]:
-        """The column names ``select`` (a derived table's) returns."""
-        spec = self.output_spec(
-            analyze_select(select, self.namespace),  # type: ignore[arg-type]
-            {
-                item.binding: self.output_names(item.select)
-                for item in select.from_items
-                if isinstance(item, DerivedTable)
-            },
-        )
-        return tuple(name for name, _ in spec)
-
-    def output_spec(
-        self,
-        analyzed: AnalyzedSelect,
-        derived_attrs: dict[str, tuple[str, ...]],
-    ) -> tuple[tuple[str, Source], ...]:
-        out: list[tuple[str, Source]] = []
-        for p in analyzed.select.projections:
-            if isinstance(p, Star):
-                targets = (
-                    [p.qualifier] if p.qualifier is not None else list(analyzed.bindings)
-                )
-                for b in targets:
-                    rel = analyzed.bindings[b]
-                    if rel is None:
-                        attrs: tuple[str, ...] = derived_attrs[b]
-                    else:
-                        attrs = self.namespace.relation(rel).attribute_names
-                    for a in attrs:
-                        out.append((a, (b, a)))
-            elif isinstance(p, ColumnRef):
-                src = self.source_for(p, analyzed)
-                out.append((p.name, src))
-            elif isinstance(p, FuncCall):
-                out.append((str(p), ("", str(p))))
-            else:
-                raise PlanError(f"unsupported projection {p}")
-        # de-duplicate output names (self-joins project the same attr twice)
-        seen: dict[str, int] = {}
-        final: list[tuple[str, Source]] = []
-        for name, src in out:
-            if name in seen:
-                seen[name] += 1
-                # a column is qualified by its binding; an aggregate
-                # (binding "") or a bare name is numbered
-                qualified = (
-                    f"{src[0]}.{name}"
-                    if isinstance(src, tuple) and src[0]
-                    else f"{name}_{seen[name]}"
-                )
-                final.append((qualified, src))
-            else:
-                seen[name] = 0
-                final.append((name, src))
-        return tuple(final)
-
 
 class Planner(SelectComposer):
     def __init__(self, catalog: Catalog, dirty_check_views: bool = False) -> None:
-        super().__init__(CatalogNamespace(catalog))
+        self.namespace = CatalogNamespace(catalog)
         self.catalog = catalog
         self.dirty_check_views = dirty_check_views
 
     # -- public ---------------------------------------------------------------------
     def plan_select(self, select: Select) -> PlannedQuery:
-        analyzed = analyze_select(select, self.namespace)  # type: ignore[arg-type]
+        return self.plan_analyzed(
+            analyze_select(select, self.namespace)  # type: ignore[arg-type]
+        )
 
-        # derived tables become materialized sub-plans
-        derived: dict[str, SubqueryNode] = {}
-        derived_attrs: dict[str, tuple[str, ...]] = {}
-        for item in select.from_items:
-            if isinstance(item, DerivedTable):
-                node, names = self._plan_derived(item)
-                derived[item.alias] = node
-                derived_attrs[item.alias] = names
-
+    def plan_analyzed(self, analyzed: AnalyzedSelect) -> PlannedQuery:
+        # derived tables become sub-plans streamed under their alias
+        derived = {
+            binding: self._plan_derived(binding, sub)
+            for binding, sub in analyzed.derived.items()
+        }
         needed = self.needed_attrs(analyzed)
         root = self._plan_joins(analyzed, derived, needed)
-        return self.finish(root, analyzed, derived_attrs)
+        return self.finish(root, analyzed)
 
     # -- derived tables ----------------------------------------------------------------
-    def _plan_derived(self, item: DerivedTable) -> tuple[SubqueryNode, tuple[str, ...]]:
-        sub = self.plan_select(item.select)
-        names = tuple(name for name, _ in sub.output)
-        sources = tuple(source for _, source in sub.output)
-        if not names:
-            raise PlanError(
-                f"derived table {item.alias!r} must have explicit projections"
-            )
-        node = SubqueryNode(
-            subplan=sub.root,
-            alias=item.alias,
-            output_names=names,
-            source_keys=sources,
+    def _plan_derived(self, alias: str, sub: AnalyzedSelect) -> SubqueryNode:
+        planned = self.plan_analyzed(sub)
+        return SubqueryNode(
+            subplan=planned.root,
+            alias=alias,
+            output_names=tuple(name for name, _ in planned.output),
+            source_keys=tuple(source for _, source in planned.output),
         )
-        return node, names
 
     # -- join planning ----------------------------------------------------------------
     def _entry_for_binding(

@@ -27,7 +27,6 @@ from typing import (
     Iterator,
     Mapping,
     Protocol,
-    Union,
 )
 
 from repro.errors import DirtyReadRestart, PlanError
@@ -37,17 +36,13 @@ from repro.hbase.filters import AndFilter, FilterBase
 from repro.hbase.ops import Get, Scan
 from repro.phoenix.catalog import CF, DIRTY_QUALIFIER, CatalogEntry
 from repro.relational.datatypes import encode_value
+from repro.sql.analyzer import Source
 from repro.sql.ast import Expr, Literal, Param
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phoenix.executor import PhoenixConnection
 
-Row = dict[tuple[str, str], Any]
-
-Source = Union[tuple[str, str], str]
-"""Where a value comes from in a row: a ``(binding, attr)`` key, or a
-bare name that matches the first attribute of that name whatever its
-binding (a column no FROM relation owns, e.g. a derived-table alias)."""
+Row = dict[Source, Any]
 
 RowTest = Callable[[Row], bool]
 
@@ -168,26 +163,13 @@ def conjunction(predicates: tuple[Predicate, ...], ctx: ExecutionContext) -> Row
 def accessor(source: Source) -> Callable[[Row], Any]:
     """``source`` resolved once into ``row -> value`` (``None`` when
     absent)."""
-    if isinstance(source, tuple):
-        return lambda row: row.get(source)
-
-    def bare(row: Row) -> Any:
-        for (_, attr), value in row.items():
-            if attr == source:
-                return value
-        return None
-
-    return bare
+    return lambda row: row.get(source)
 
 
 def key_getter(sources: tuple[Source, ...]) -> Callable[[Row], tuple]:
-    """``row -> (value of each source, ...)``, resolved once: over
-    ``(binding, attr)`` keys alone it is one ``map`` of the row's
-    ``get``."""
-    if all(isinstance(s, tuple) for s in sources):
-        return lambda row: tuple(map(row.get, sources))
-    getters = tuple(map(accessor, sources))
-    return lambda row: tuple([get(row) for get in getters])
+    """``row -> (value of each source, ...)``, resolved once: one
+    ``map`` of the row's ``get``."""
+    return lambda row: tuple(map(row.get, sources))
 
 
 def keyed_rows(

@@ -2,8 +2,14 @@
 
 The paper's baseline workload transformation only admits write
 statements that specify **every key attribute** (Sec. II-D); we enforce
-that here. Each logical write fans out to the base table plus all its
-covered indexes (Phoenix-style global indexes):
+that here, in :func:`compile_write`, the one reading of a write for all
+five systems. A write honours or refuses every column it names: a
+column the table lacks — in the INSERT column list, a SET or the WHERE
+— is a :class:`SqlError`, as in a read; the WHERE of an UPDATE/DELETE
+is key equalities only, so a conjunct on a non-key column is refused
+(``UnsupportedStatementError``), never ignored. Each logical write fans
+out to the base table plus all its covered indexes (Phoenix-style
+global indexes):
 
 * INSERT: one Put per physical table;
 * DELETE: read the old row (for index keys), then one Delete each;
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import PlanError, UnsupportedStatementError, WorkloadError
+from repro.errors import PlanError, SqlError, UnsupportedStatementError, WorkloadError
 from repro.hbase.client import HBaseClient
 from repro.hbase.ops import Delete as HDelete, Get
 from repro.phoenix.catalog import Catalog, CatalogEntry
@@ -60,14 +66,28 @@ def constant_equalities(where) -> dict[str, Any]:
     return eq
 
 
+def _known_columns(entry, columns) -> None:
+    """Refuse, as a read does, a column ``entry`` does not have."""
+    unknown = [c for c in columns if c not in entry.attrs]
+    if unknown:
+        raise SqlError(f"{entry.name}: no column {unknown[0]!r}")
+
+
 def key_from_where(entry, where, params: tuple[Any, ...]) -> dict[str, Any]:
     """Extract the full primary key of ``entry`` (anything with a
-    ``name`` and ``key_attrs``) from equality conjuncts; reject
-    statements that might touch multiple rows."""
+    ``name``, ``attrs`` and ``key_attrs``) from equality conjuncts on
+    key attributes; reject statements that might touch multiple rows."""
     eq = {
         col: eval_const(val, params)
         for col, val in constant_equalities(where).items()
     }
+    _known_columns(entry, eq)
+    non_key = [c for c in eq if c not in entry.key_attrs]
+    if non_key:
+        raise UnsupportedStatementError(
+            f"{entry.name}: write WHERE clause must be key-equality only; "
+            f"{non_key[0]!r} is not a key attribute"
+        )
     missing = [k for k in entry.key_attrs if k not in eq]
     if missing:
         raise UnsupportedStatementError(
@@ -100,9 +120,9 @@ def compile_write(entry, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
     is the written table: anything with ``name`` / ``attrs`` /
     ``key_attrs`` (a ``CatalogEntry``, a ``VoltTable``). Refuses what no
     single-row write admits — an INSERT whose columns and values differ
-    in number or leave a key attribute unbound, an UPDATE/DELETE whose
-    WHERE is not the full key, a non-constant value — before anything
-    is stored."""
+    in number or leave a key attribute unbound, a column the table
+    lacks, an UPDATE/DELETE whose WHERE is not exactly the full key, a
+    non-constant value — before anything is stored."""
     if isinstance(stmt, Insert):
         columns = stmt.columns or entry.attrs
         if len(columns) != len(stmt.values):
@@ -110,6 +130,7 @@ def compile_write(entry, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
                 f"INSERT {stmt.table}: {len(columns)} columns vs "
                 f"{len(stmt.values)} values"
             )
+        _known_columns(entry, columns)
         row = {c: eval_const(v, params) for c, v in zip(columns, stmt.values)}
         missing = [k for k in entry.key_attrs if k not in row]
         if missing:
@@ -118,6 +139,7 @@ def compile_write(entry, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
             )
         return WritePlan("insert", stmt.table, row=row)
     if isinstance(stmt, Update):
+        _known_columns(entry, (c for c, _ in stmt.assignments))
         return WritePlan(
             "update", stmt.table,
             key=key_from_where(entry, stmt.where, params),

@@ -1,24 +1,60 @@
-"""Semantic analysis of SELECT statements against a relational schema.
+"""Semantic analysis of SELECT statements: the one column resolver.
 
-Resolves FROM-item aliases to relations, classifies WHERE conjuncts into
-**join conditions** (column = column across two bindings) and **filters**
-(column vs literal/parameter), and determines which join conditions are
-key/foreign-key joins — the only kind the Synergy system materializes.
+:func:`analyze_select` binds every FROM item to the attribute names it
+has. A base relation (or a view, through a
+:class:`~repro.phoenix.catalog.CatalogNamespace`) has the names the
+namespace gives it. A derived table has its own output names, from its
+own analysis, which runs once and is kept on the parent
+(:attr:`AnalyzedSelect.derived`).
+
+Every column the statement names — in the projection, WHERE, GROUP BY,
+ORDER BY or an aggregate's argument — then resolves to a
+``(binding, attr)`` that the binding has:
+
+* ``b.x`` needs a FROM binding ``b`` (else "unknown table alias") that
+  has a column ``x`` (else "has no column");
+* a bare ``x`` belongs to the one binding, base or derived, that has a
+  column ``x`` (none: "not found in any FROM relation"; several:
+  "ambiguous").
+
+Each of these is a :class:`SqlError`. A FROM name the namespace lacks
+(a view named against the base schema) binds no attribute list: its
+qualified columns are taken as written, it owns no bare name and its
+``*`` names nothing; the system that runs the statement resolves that
+name against its own catalog or refuses it.
+
+Output naming happens here too, because a derived table's columns are
+its output names: ``*`` expands in FROM order, an aggregate is named by
+its call text, and a repeated name is qualified by its binding (or, for
+an aggregate, numbered). WHERE conjuncts are classified into **join
+conditions** (column = column across two bindings) and **filters**
+(column vs literal/parameter), and :func:`matches_fk_edge` tells which
+join conditions are key/foreign-key joins — the only kind the Synergy
+system materializes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.errors import SqlError
 from repro.relational.schema import ForeignKey, Schema
 from repro.sql.ast import (
-    BinOp,
     ColumnRef,
     DerivedTable,
+    FuncCall,
     Select,
+    Star,
     TableRef,
 )
+
+Source = tuple[str, str]
+"""Where a value sits in a row: ``(binding, attr)``. An aggregate's
+result sits at ``("", call text)``, the key ``HashGroupBy`` writes."""
+
+Aggregate = tuple[str, str, Source | None]
+"""(output name = call text, function, argument; ``None`` for ``F(*)``)."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +109,32 @@ class AnalyzedSelect:
     bindings: dict[str, str | None] = field(default_factory=dict)
     """binding name -> relation name (None for derived tables)."""
 
+    attrs: dict[str, tuple[str, ...] | None] = field(default_factory=dict)
+    """binding name -> its attribute names (None: the namespace lacks it)."""
+
+    derived: dict[str, "AnalyzedSelect"] = field(default_factory=dict)
+    """derived-table binding -> the analysis of its SELECT."""
+
     joins: list[JoinCondition] = field(default_factory=list)
     filters: list[FilterCondition] = field(default_factory=list)
+
+    output: tuple[tuple[str, Source], ...] = ()
+    """(output column name, row source), in projection order."""
+
+    group_keys: tuple[Source, ...] = ()
+    aggregates: tuple[Aggregate, ...] = ()
+    """The projected aggregates in order, then ORDER BY's others."""
+
+    order_keys: tuple[tuple[Source, bool], ...] = ()
+    """((source, descending), ...)."""
+
+    @property
+    def grouped(self) -> bool:
+        """Whether the SELECT aggregates: a GROUP BY, or an aggregate
+        in its projection."""
+        return bool(self.select.group_by) or any(
+            isinstance(p, FuncCall) for p in self.select.projections
+        )
 
     def relations(self) -> tuple[str, ...]:
         """Distinct base relations bound in the top-level FROM clause."""
@@ -96,84 +156,138 @@ class AnalyzedSelect:
         return [b for b, r in self.bindings.items() if r == relation]
 
 
-def _resolve_column(
-    col: ColumnRef,
-    bindings: dict[str, str | None],
-    schema: Schema | None,
-) -> tuple[str, str | None]:
-    """Resolve to (binding, relation name). Unqualified columns are matched
-    against the bound relations' attribute sets (must be unambiguous)."""
-    if col.qualifier is not None:
-        if col.qualifier not in bindings:
-            raise SqlError(f"unknown table alias {col.qualifier!r} in {col}")
-        return col.qualifier, bindings[col.qualifier]
-    if schema is None:
-        raise SqlError(f"cannot resolve unqualified column {col.name!r} without schema")
-    owners = [
-        (b, rel)
-        for b, rel in bindings.items()
-        if rel is not None
-        and schema.has_relation(rel)
-        and schema.relation(rel).has_attribute(col.name)
-    ]
+def _resolve(col: ColumnRef, attrs: dict[str, tuple[str, ...] | None]) -> Source:
+    """``col`` as the ``(binding, attr)`` of the FROM binding that has it."""
+    qualifier, name = col.qualifier, col.name
+    if qualifier is not None:
+        if qualifier not in attrs:
+            raise SqlError(f"unknown table alias {qualifier!r} in {col}")
+        names = attrs[qualifier]
+        if names is not None and name not in names:
+            raise SqlError(f"{qualifier!r} has no column {name!r}")
+        return (qualifier, name)
+    owners = [b for b, names in attrs.items() if names is not None and name in names]
     if len(owners) == 1:
-        return owners[0]
+        return (owners[0], name)
     if not owners:
-        raise SqlError(f"column {col.name!r} not found in any FROM relation")
-    raise SqlError(f"ambiguous column {col.name!r}: {[b for b, _ in owners]}")
+        raise SqlError(f"column {name!r} not found in any FROM relation")
+    raise SqlError(f"ambiguous column {name!r}: {owners}")
 
 
-def analyze_select(select: Select, schema: Schema | None = None) -> AnalyzedSelect:
-    """Bind and classify a SELECT. ``schema`` enables unqualified-column
-    resolution and is required for key/FK classification."""
-    bindings: dict[str, str | None] = {}
+def _aggregate(call: FuncCall, attrs: dict[str, tuple[str, ...] | None]) -> Aggregate:
+    if call.star:
+        return (str(call), call.name, None)
+    if len(call.args) != 1 or not isinstance(call.args[0], ColumnRef):
+        raise SqlError(f"unsupported aggregate argument: {call}")
+    return (str(call), call.name, _resolve(call.args[0], attrs))
+
+
+def _output(
+    select: Select, attrs: dict[str, tuple[str, ...] | None]
+) -> tuple[tuple[str, Source], ...]:
+    """The projection's (name, source) pairs, a repeated name qualified
+    by its binding (a self-join projects one attribute twice) or, for
+    an aggregate, numbered."""
+    out: list[tuple[str, Source]] = []
+    for p in select.projections:
+        if isinstance(p, Star):
+            if p.qualifier is not None and p.qualifier not in attrs:
+                raise SqlError(f"unknown table alias {p.qualifier!r} in {p}")
+            for b in [p.qualifier] if p.qualifier is not None else list(attrs):
+                names = attrs[b] or ()
+                out += zip(names, zip(repeat(b), names))
+        elif isinstance(p, ColumnRef):
+            out.append((p.name, _resolve(p, attrs)))
+        elif isinstance(p, FuncCall):
+            out.append((str(p), ("", str(p))))
+        else:
+            raise SqlError(f"unsupported projection {p}")
+    if len({name for name, _ in out}) == len(out):
+        return tuple(out)
+    seen: dict[str, int] = {}
+    final: list[tuple[str, Source]] = []
+    for name, src in out:
+        if name in seen:
+            seen[name] += 1
+            final.append((f"{src[0]}.{name}" if src[0] else f"{name}_{seen[name]}", src))
+        else:
+            seen[name] = 0
+            final.append((name, src))
+    return tuple(final)
+
+
+def analyze_select(select: Select, schema: Schema) -> AnalyzedSelect:
+    """Bind, resolve and classify a SELECT against ``schema``: a
+    :class:`Schema`, or anything with its ``has_relation`` /
+    ``relation(name).attribute_names`` (a ``CatalogNamespace``)."""
+    result = AnalyzedSelect(select=select)
+    bindings, attrs = result.bindings, result.attrs
     for item in select.from_items:
+        if item.binding in bindings:
+            raise SqlError(f"duplicate FROM binding {item.binding!r}")
         if isinstance(item, TableRef):
-            if item.binding in bindings:
-                raise SqlError(f"duplicate FROM binding {item.binding!r}")
             bindings[item.binding] = item.name
+            attrs[item.binding] = (
+                schema.relation(item.name).attribute_names
+                if schema.has_relation(item.name)
+                else None
+            )
         elif isinstance(item, DerivedTable):
-            if item.binding in bindings:
-                raise SqlError(f"duplicate FROM binding {item.binding!r}")
+            sub = result.derived[item.binding] = analyze_select(item.select, schema)
             bindings[item.binding] = None
-
-    result = AnalyzedSelect(select=select, bindings=bindings)
+            attrs[item.binding] = tuple(name for name, _ in sub.output)
 
     for cond in select.where:
         pair = cond.column_pair()
         if pair is not None:
-            lb, lrel = _resolve_column(pair[0], bindings, schema)
-            rb, rrel = _resolve_column(pair[1], bindings, schema)
+            lb, la = _resolve(pair[0], attrs)
+            rb, ra = _resolve(pair[1], attrs)
             if lb == rb:
                 # same binding on both sides: a degenerate filter; keep as a
                 # filter with the raw condition attached.
                 result.filters.append(
-                    FilterCondition(cond.op, lb, lrel, pair[0].name, pair[1])
+                    FilterCondition(cond.op, lb, bindings[lb], la, pair[1])
                 )
                 continue
             result.joins.append(
                 JoinCondition(
                     op=cond.op,
                     left_binding=lb,
-                    left_relation=lrel,
-                    left_attr=pair[0].name,
+                    left_relation=bindings[lb],
+                    left_attr=la,
                     right_binding=rb,
-                    right_relation=rrel,
-                    right_attr=pair[1].name,
+                    right_relation=bindings[rb],
+                    right_attr=ra,
                 )
             )
         else:
-            col, value = None, None
             if isinstance(cond.left, ColumnRef):
-                col, value = cond.left, cond.right
-                op = cond.op
+                col, value, op = cond.left, cond.right, cond.op
             elif isinstance(cond.right, ColumnRef):
-                col, value = cond.right, cond.left
-                op = _flip_op(cond.op)
+                col, value, op = cond.right, cond.left, _flip_op(cond.op)
             else:
                 raise SqlError(f"unsupported condition {cond}")
-            b, rel = _resolve_column(col, bindings, schema)
-            result.filters.append(FilterCondition(op, b, rel, col.name, value))
+            b, a = _resolve(col, attrs)
+            result.filters.append(FilterCondition(op, b, bindings[b], a, value))
+
+    result.output = _output(select, attrs)
+    result.group_keys = tuple(_resolve(g, attrs) for g in select.group_by)
+    aggregates = [
+        _aggregate(p, attrs) for p in select.projections if isinstance(p, FuncCall)
+    ]
+    order_keys: list[tuple[Source, bool]] = []
+    for o in select.order_by:
+        if isinstance(o.expr, ColumnRef):
+            order_keys.append((_resolve(o.expr, attrs), o.descending))
+        elif isinstance(o.expr, FuncCall):
+            agg = _aggregate(o.expr, attrs)
+            if not any(a[0] == agg[0] for a in aggregates):
+                aggregates.append(agg)
+            order_keys.append((("", agg[0]), o.descending))
+        else:
+            raise SqlError(f"unsupported ORDER BY expression: {o.expr}")
+    result.aggregates = tuple(aggregates)
+    result.order_keys = tuple(order_keys)
     return result
 
 

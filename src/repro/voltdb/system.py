@@ -42,7 +42,6 @@ from repro.sql.analyzer import AnalyzedSelect, FilterCondition, analyze_select
 from repro.sql.ast import (
     ColumnRef,
     Delete,
-    DerivedTable,
     Insert,
     Literal,
     Param,
@@ -150,7 +149,7 @@ class VoltDBSystem:
         self.sim = sim or Simulation()
         self.scheme = scheme or PartitionScheme("all-replicated", {})
         self.num_partitions = num_partitions
-        self._composer = SelectComposer(schema)
+        self._composer = SelectComposer()
         self.tables: dict[str, VoltTable] = {
             rel.name: VoltTable(
                 rel, self.sim.cost.voltdb_row_overhead_bytes
@@ -258,12 +257,9 @@ class VoltDBSystem:
         composer = self._composer
         needed = composer.needed_attrs(analyzed)
         leaves: dict[str, PlanNode] = {}
-        derived_attrs: dict[str, tuple[str, ...]] = {}
-        for item in analyzed.select.from_items:
-            binding = item.binding
-            if isinstance(item, DerivedTable):
-                names = derived_attrs[binding] = composer.output_names(item.select)
-                fetch = partial(self._derived_rows, item, names, params, host)
+        for binding, relation in analyzed.bindings.items():
+            if relation is None:
+                fetch = partial(self._derived_rows, binding, analyzed, params, host)
             else:
                 eq = [
                     (f.attr, eval_const(f.value, params))
@@ -273,7 +269,7 @@ class VoltDBSystem:
                 fetch = partial(
                     self._table_rows,
                     binding,
-                    self.tables[item.name],
+                    self.tables[relation],
                     eq,
                     needed[binding],
                     host,
@@ -292,7 +288,7 @@ class VoltDBSystem:
         if late:
             plan = FilterNode(plan, late)
         plan = composer.residual_filter(plan, analyzed, consumed)
-        return composer.finish(plan, analyzed, derived_attrs)
+        return composer.finish(plan, analyzed)
 
     @staticmethod
     def _table_rows(
@@ -322,18 +318,16 @@ class VoltDBSystem:
 
     def _derived_rows(
         self,
-        item: DerivedTable,
-        names: tuple[str, ...],
+        binding: str,
+        analyzed: AnalyzedSelect,
         params: tuple[Any, ...],
         host: _ProcedureHost,
     ) -> list[Row]:
         """A derived table is a nested procedure, charged as its own;
-        its rows carry every column it returns (``names``)."""
-        rows = self.execute_select(
-            analyze_select(item.select, self.schema), params
-        )
+        its rows carry every column it returns."""
+        rows = self.execute_select(analyzed.derived[binding], params)
         host.examined += len(rows)
-        return keyed_rows(item.binding, names, None, rows)
+        return keyed_rows(binding, analyzed.attrs[binding], None, rows)
 
     # -- routing ---------------------------------------------------------------------
     def select_partitions(

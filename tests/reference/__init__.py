@@ -30,13 +30,14 @@ aggregates skip NULL inputs, an aggregate over no non-NULL input is NULL
 (``COUNT`` is 0), and a global aggregate over no rows yields no row. A
 write names one row by its full key: an UPDATE or DELETE of an absent
 key writes 0 rows, an INSERT's omitted columns are NULL. A column/value
-count mismatch is refused with ``WorkloadError``, then an unbound key
-attribute with ``UnsupportedStatementError``; a refused write stores
-nothing.
+count mismatch is refused with ``WorkloadError``, then a column the
+table lacks (INSERT column, SET or WHERE) with ``SqlError``, then a
+WHERE conjunct on a non-key column or an unbound key attribute with
+``UnsupportedStatementError``; a refused write stores nothing.
 
-Left out: derived tables, ``*``, text aggregates, floats, the empty
-string (the HBase-backed systems store it as NULL), and WHERE conjuncts
-beyond the key. Open for the composition oracle (ROADMAP item 2): an
+Left out: derived tables, ``*``, text aggregates, floats and the empty
+string (the HBase-backed systems store it as NULL). Open for the
+composition oracle (ROADMAP item 2): an
 INSERT of a present key and an UPDATE of a key attribute. Neither is
 generated and the model takes no position on either.
 """

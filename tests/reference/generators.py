@@ -210,9 +210,12 @@ class WriteSpec:
 
 #: The write shapes, by weight. ``unbound-key`` drops one key attribute
 #: from an INSERT's columns or a WHERE; ``arity`` drops an INSERT's last
-#: value. Every system refuses both before anything is stored.
+#: value; ``unknown-column`` names a column the table lacks (an INSERT
+#: column, a SET or a WHERE conjunct); ``non-key-where`` adds a WHERE
+#: conjunct on a non-key column. Every system refuses each before
+#: anything is stored.
 WRITE_SHAPES = ("insert",) * 3 + ("update",) * 3 + ("delete",) * 2 + (
-    "unbound-key", "arity",
+    "unbound-key", "arity", "unknown-column", "non-key-where",
 )
 STRINGS = ("emp3", "Dept1", "o'k", "x", "'quoted'", "zz")
 
@@ -236,7 +239,7 @@ def _fresh_key(rng: random.Random, table: str, present) -> tuple:
 def generate_write(rng: random.Random, data: dict[str, list[dict]]) -> WriteSpec:
     """An INSERT of a key absent from ``data``, a key-bound UPDATE of
     non-key columns or a key-bound DELETE (of a present key three times
-    in four), or one of the two refused shapes. Values mix ``?`` with
+    in four), or one of the four refused shapes. Values mix ``?`` with
     inline NULL, negative-int and quoted-string literals."""
     table = rng.choice(sorted(TABLES))
     keys = KEYS[table]
@@ -244,8 +247,10 @@ def generate_write(rng: random.Random, data: dict[str, list[dict]]) -> WriteSpec
     present = sorted({tuple(row[k] for k in keys) for row in data[table]})
     shape = rng.choice(WRITE_SHAPES)
     kind = {"update": "UPDATE", "delete": "DELETE"}.get(shape, "INSERT")
-    if shape == "unbound-key":
+    if shape in ("unbound-key", "unknown-column"):
         kind = rng.choice(("INSERT", "UPDATE", "DELETE"))
+    elif shape == "non-key-where":
+        kind = rng.choice(("UPDATE", "DELETE"))
     if kind == "INSERT":
         # a refused INSERT names every column, so it never prints empty
         named = [a for a in others if shape != "insert" or rng.random() < 0.8]
@@ -271,6 +276,16 @@ def generate_write(rng: random.Random, data: dict[str, list[dict]]) -> WriteSpec
             del spec.where[drop]
     elif shape == "arity":
         spec.values.pop()
+    elif shape == "unknown-column":
+        value = (_value(rng, table, keys[0]), rng.random() < 0.4)
+        if kind == "DELETE":
+            spec.where.append(("nosuch", *value))
+        else:
+            spec.columns.append("nosuch")
+            spec.values.append(value)
+    elif shape == "non-key-where":
+        attr = rng.choice(others)
+        spec.where.append((attr, _value(rng, table, attr), rng.random() < 0.4))
     return spec
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import operator
 
-from repro.errors import UnsupportedStatementError, WorkloadError
+from repro.errors import SqlError, UnsupportedStatementError, WorkloadError
 from repro.tpcw.queries import JOIN_QUERIES
 
 TABLES = {
@@ -95,20 +95,13 @@ class _OrderKey:
         return isinstance(other, _OrderKey) and self.value == other.value
 
 
-def _lookup(row, source):
-    if isinstance(source, tuple):
-        return row.get(source)
-    matches = [v for (b, a), v in row.items() if a == source]
-    return matches[0] if matches else None
-
-
 def reference_sort(rows, keys):
-    """``rows`` stably sorted on ``(source, desc)`` keys, NULLs first
-    ascending; a bare-name source is the first attribute of that name."""
+    """``rows`` stably sorted on ``((binding, attr), desc)`` keys, NULLs
+    first ascending."""
     return sorted(
         rows,
         key=lambda row: tuple(
-            _OrderKey(_lookup(row, source), desc) for source, desc in keys
+            _OrderKey(row.get(source), desc) for source, desc in keys
         ),
     )
 
@@ -135,12 +128,12 @@ def reference_group_by(rows, group_keys, aggregates):
     ``*``); no input rows, no groups."""
     reps, states = {}, {}
     for row in rows:
-        key = tuple(_lookup(row, g) for g in group_keys)
+        key = tuple(row.get(g) for g in group_keys)
         if key not in reps:
             reps[key] = row
             states[key] = [[0, 0, None, None] for _ in aggregates]
         for state, (_, _, source) in zip(states[key], aggregates):
-            v = 1 if source is None else _lookup(row, source)
+            v = 1 if source is None else row.get(source)
             if v is None:
                 continue
             state[0] += 1
@@ -151,12 +144,7 @@ def reference_group_by(rows, group_keys, aggregates):
                 state[3] = v
     results = []
     for key, rep in reps.items():
-        out = {}
-        for g in group_keys:
-            if isinstance(g, tuple):
-                out[g] = rep.get(g)
-            else:
-                out[("", g)] = _lookup(rep, g)
+        out = {g: rep.get(g) for g in group_keys}
         for state, (out_name, func, _) in zip(states[key], aggregates):
             out[("", out_name)] = _finish_aggregate(func, state)
         results.append(out)
@@ -211,16 +199,23 @@ def ref_write(data: dict[str, list[dict]], spec) -> int:
     """Execute a :class:`~tests.reference.generators.WriteSpec` on
     ``data``; returns the rows written (0 for an absent key). Refuses as
     ``compile_write`` does, before anything is stored: an INSERT whose
-    columns and values differ in number with ``WorkloadError``, a key
-    attribute left unbound with ``UnsupportedStatementError``."""
+    columns and values differ in number with ``WorkloadError``, a column
+    the table lacks with ``SqlError``, a WHERE conjunct on a non-key
+    column or a key attribute left unbound with
+    ``UnsupportedStatementError``."""
     key = KEYS[spec.table]
     values = [value for value, _inline in spec.values]
+    if spec.kind == "INSERT" and len(spec.columns) != len(values):
+        raise WorkloadError(f"INSERT {spec.table}: arity mismatch")
+    named = [*spec.columns, *(attr for attr, _value, _inline in spec.where)]
+    if any(attr not in TABLES[spec.table] for attr in named):
+        raise SqlError(f"{spec.table}: unknown column")
     if spec.kind == "INSERT":
-        if len(spec.columns) != len(values):
-            raise WorkloadError(f"INSERT {spec.table}: arity mismatch")
         bound = dict(zip(spec.columns, values))
     else:
         bound = {attr: value for attr, value, _inline in spec.where}
+        if any(attr not in key for attr in bound):
+            raise UnsupportedStatementError(f"{spec.table}: non-key conjunct")
     if any(k not in bound for k in key):
         raise UnsupportedStatementError(f"{spec.table}: unbound key attribute")
     rows = data[spec.table]

@@ -6,6 +6,7 @@ from repro.errors import (
     PlanError,
     ReproError,
     SchemaError,
+    SqlError,
     TransactionError,
     WorkloadError,
 )
@@ -30,7 +31,7 @@ class TestPhoenixEdges:
             company_conn.execute_query("SELECT * FROM Nope")
 
     def test_insert_unknown_attribute(self, company_conn):
-        with pytest.raises((SchemaError, WorkloadError)):
+        with pytest.raises(SqlError, match="Bogus"):
             company_conn.execute_write(
                 "INSERT INTO Employee (EID, Bogus) VALUES (?, ?)", (1, 2)
             )

@@ -362,13 +362,13 @@ class TestSeams:
     def test_decompose_binds_filters_without_renumbering(self):
         # ?0 belongs to the SECOND fragment and ?1 to the first: each
         # fragment carries its own values, so neither is renumbered
-        schema, analyzed = self.analyzed(
+        _, analyzed = self.analyzed(
             "SELECT e.EName, a.City FROM Employee as e, Address as a "
             "WHERE a.AID > ? and e.E_DNo = ? and e.EHome_AID = a.AID "
             "and a.City = 'Nashville' and e.EHome_AID <> e.EOffice_AID"
         )
         assert split_eligible(analyzed)
-        e, a = decompose(analyzed, (1, 2), SelectComposer(schema))
+        e, a = decompose(analyzed, (1, 2))
         assert (e.binding, e.sql, e.params) == (
             "e", "SELECT * FROM Employee as e WHERE e.E_DNo = ?", (2,)
         )
@@ -378,7 +378,6 @@ class TestSeams:
             (1, "Nashville"),
         )
         assert e.attrs == ("EID", "EName", "EHome_AID", "EOffice_AID", "E_DNo")
-        assert not e.derived
         # the column/column filter went to neither fragment: merge-side
 
     def test_derived_tables_become_fragments_unless_they_bind_params(self):
@@ -387,10 +386,10 @@ class TestSeams:
             "COUNT(*) FROM Works_On as w {where}GROUP BY w.WO_EID) as t "
             "WHERE e.EID = t.WO_EID"
         )
-        schema, analyzed = self.analyzed(sql.format(where=""))
+        _, analyzed = self.analyzed(sql.format(where=""))
         assert split_eligible(analyzed)
-        _, t = decompose(analyzed, (), SelectComposer(schema))
-        assert t.derived and t.params == ()
+        _, t = decompose(analyzed, ())
+        assert t.sql.startswith("SELECT w.WO_EID") and t.params == ()
         assert t.attrs == ("WO_EID", "COUNT(*)")
         _, with_param = self.analyzed(sql.format(where="WHERE w.Hours > ? "))
         assert not split_eligible(with_param)
@@ -426,13 +425,13 @@ class TestSeams:
     def test_merge_starts_in_from_order_and_attaches_equi_connected_first(self):
         # d is second in FROM order but only e connects to {a}: e attaches
         # first, d after; the e.EID comparison stays a residual filter
-        schema, analyzed = self.analyzed(
+        _, analyzed = self.analyzed(
             "SELECT a.City, d.DName FROM Address as a, Department as d, "
             "Employee as e WHERE e.E_DNo = d.DNo and e.EHome_AID = a.AID "
             "and e.EID < e.E_DNo ORDER BY d.DName LIMIT 3"
         )
         leaves = {b: SourceNode(list, b) for b in analyzed.bindings}
-        planned = plan_merge(SelectComposer(schema), analyzed, leaves, {})
+        planned = plan_merge(SelectComposer(), analyzed, leaves)
         assert planned.explain() == "\n".join((
             "LIMIT 3",
             "  SORT ((('d', 'DName'), False),)",

@@ -6,8 +6,8 @@ The operators resolve their columns once: a sort is one stable
 group-by folds each row through a compiled key getter and one update
 per aggregate. The reference is the retired body — a sort key of
 ``_OrderKey`` wrappers compared in Python, a group-by that looks every
-source up with ``_lookup`` (a linear scan of the row for a bare name)
-and keeps ``[count, sum, min, max]`` for every aggregate. Random rows
+``(binding, attr)`` source up per row and keeps ``[count, sum, min,
+max]`` for every aggregate. Random rows
 with NULLs, ties, mixed int/float and strings, 1-3 sort keys in mixed
 ASC/DESC and 0-2 group keys must give the same output order (ties in
 input order), the same groups in the same first-seen order with the
@@ -75,32 +75,25 @@ def tables(draw):
     return rows
 
 
-def sources(attr, bare):
-    """A column as the planner names it: ``(binding, attr)``, or by bare
-    name (a column no FROM relation owns)."""
-    return attr if bare else ("t", attr)
-
-
 SORT_KEYS = st.lists(
-    st.tuples(st.sampled_from(sorted(COLUMNS)), st.booleans(), st.booleans()),
+    st.tuples(st.sampled_from(sorted(COLUMNS)), st.booleans()),
     min_size=1,
     max_size=3,
-).map(lambda keys: tuple((sources(a, bare), desc) for a, desc, bare in keys))
+).map(lambda keys: tuple((("t", a), desc) for a, desc in keys))
 
-GROUP_KEYS = st.lists(
-    st.tuples(st.sampled_from(sorted(COLUMNS)), st.booleans()),
-    max_size=2,
-).map(lambda keys: tuple(sources(a, bare) for a, bare in keys))
+GROUP_KEYS = st.lists(st.sampled_from(sorted(COLUMNS)), max_size=2).map(
+    lambda attrs: tuple(("t", a) for a in attrs)
+)
 
 AGGREGATES = st.lists(
     st.sampled_from([
         ("COUNT(*)", "COUNT", None),
         ("COUNT(n)", "COUNT", ("t", "n")),
-        ("COUNT(k)", "COUNT", "k"),
+        ("COUNT(k)", "COUNT", ("t", "k")),
         ("SUM(n)", "SUM", ("t", "n")),
         ("AVG(n)", "AVG", ("t", "n")),
         ("MIN(n)", "MIN", ("t", "n")),
-        ("MAX(k)", "MAX", "k"),
+        ("MAX(k)", "MAX", ("t", "k")),
         ("SUM(*)", "SUM", None),
     ]),
     min_size=1,
@@ -138,8 +131,8 @@ def test_group_by_equals_lookup_reference(rows, group_keys, aggregates):
 )
 def test_order_by_aggregate_equals_reference(rows, group_keys, desc, then):
     """``ORDER BY SUM(n) [DESC][, first group key]`` over the grouped
-    rows: the planner now names the aggregate ``("", "SUM(n)")``, the
-    retired one looked the bare ``SUM(n)`` up."""
+    rows, the aggregate named ``("", "SUM(n)")`` as the analyzer names
+    it."""
     aggregates = (("SUM(n)", "SUM", ("t", "n")), ("COUNT(*)", "COUNT", None))
     tail = ((group_keys[0], False),) if then and group_keys else ()
     keys = ((("", "SUM(n)"), desc), *tail)
@@ -148,5 +141,5 @@ def test_order_by_aggregate_equals_reference(rows, group_keys, desc, then):
         rows,
     )
     grouped = reference_group_by(rows, group_keys, aggregates)
-    expected = reference_sort(grouped, (("SUM(n)", desc), *tail))
+    expected = reference_sort(grouped, keys)
     assert repr(got) == repr(expected)

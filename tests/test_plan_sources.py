@@ -1,14 +1,15 @@
 """How plans name what the operators read, and aggregates over text.
 
-Operators resolve each source once into an accessor: a
-``(binding, attr)`` key is one dict lookup, a bare name is a scan of
-the row for the first attribute of that name. The composer therefore
-names every aggregate reference ``("", call text)`` — the key
-``HashGroupBy`` writes — so no sort, group-by, distinct or output
-source falls back to the scan to find an aggregate. These tests walk
-the plans of Q1-Q11 on every Phoenix-backed system, of the random-query
-battery and of the federation merge for a bare name that is an
-aggregate call, and pin the output names a repeated aggregate gets.
+The analyzer (``sql/analyzer.py``) is the one column resolver: every
+source a plan reads is a ``(binding, attr)`` key whose binding is a
+FROM binding of its scope (the statement's, or inside a derived
+table's subplan, the derived SELECT's) and has that attribute — or
+``("", call text)`` for an aggregate, the key ``HashGroupBy`` writes.
+No source is a bare name, so an operator's accessor is one dict lookup.
+These tests walk the plans of Q1-Q11 on every Phoenix-backed system
+under both planners, VoltDB's procedure plans, the random-query
+battery and the federation merge, and pin the output names a repeated
+aggregate and a bare derived-table column get.
 
 ``HashGroupBy`` is shared by the Phoenix planners, the federation merge
 and VoltDB procedures, so ``MIN``/``MAX``/``COUNT`` over a VARCHAR
@@ -29,15 +30,21 @@ from repro.federation import build_mediator
 from repro.federation.merge import plan_merge
 from repro.phoenix.planner import PlannedQuery, SelectComposer
 from repro.phoenix.plans import (
+    ColumnPredicate,
     DistinctNode,
+    FilterNode,
     GroupByNode,
+    HashJoinNode,
+    NestedLoopJoinNode,
+    ScanNode,
     SortNode,
     SourceNode,
     SubqueryNode,
+    SymmetricJoinNode,
 )
 from repro.relational.company import company_schema, company_workload
-from repro.sql.analyzer import analyze_select
-from repro.sql.ast import DerivedTable
+from repro.sql.analyzer import AnalyzedSelect, analyze_select
+from repro.sql.ast import Literal, Param
 from repro.sql.parser import parse_statement
 from repro.tpcw.queries import JOIN_QUERIES
 from tests.conftest import build_company_system, plan_nodes
@@ -46,42 +53,107 @@ from tests.reference.generators import SEEDS, generate_query
 PHOENIX_SYSTEMS = ("Synergy", "MVCC-A", "MVCC-UA", "Baseline")
 
 
-def sources_of(planned: PlannedQuery) -> list:
-    """Every source the operators of ``planned`` (and its shaping) read."""
-    out = [src for _, src in planned.output]
-    for node in plan_nodes(planned.root):
-        if isinstance(node, SortNode):
-            out += [src for src, _ in node.keys]
-        elif isinstance(node, GroupByNode):
-            out += list(node.group_keys)
-            out += [src for _, _, src in node.aggregates if src is not None]
-        elif isinstance(node, DistinctNode):
-            out += list(node.keys)
-        elif isinstance(node, SubqueryNode):
-            out += list(node.source_keys)
-    return out
+def node_sources(node) -> list:
+    """The sources one plan node reads (a derived table's ``source_keys``
+    belong to its subplan's scope, not this one)."""
+    if isinstance(node, ScanNode):
+        return [(p.binding, p.attr) for p in node.access.residuals]
+    if isinstance(node, NestedLoopJoinNode):
+        return [
+            k for k in node.outer_keys if not isinstance(k, (Literal, Param))
+        ] + [(p.binding, p.attr) for p in node.inner.residuals]
+    if isinstance(node, HashJoinNode):
+        return [*node.probe_keys, *node.build_keys]
+    if isinstance(node, SymmetricJoinNode):
+        return [*node.left_keys, *node.right_keys]
+    if isinstance(node, FilterNode):
+        return [
+            src
+            for p in node.predicates
+            for src in (
+                (p.left, p.right)
+                if isinstance(p, ColumnPredicate)
+                else ((p.binding, p.attr),)
+            )
+        ]
+    if isinstance(node, SortNode):
+        return [src for src, _ in node.keys]
+    if isinstance(node, GroupByNode):
+        return [
+            *node.group_keys,
+            *(src for _, _, src in node.aggregates if src is not None),
+        ]
+    if isinstance(node, DistinctNode):
+        return list(node.keys)
+    return []
 
 
-def assert_no_bare_aggregate(planned: PlannedQuery) -> int:
-    """No source is a bare string naming an aggregate call; returns how
-    many sources are aggregate references ``("", call)``."""
-    sources = sources_of(planned)
-    bare = [s for s in sources if isinstance(s, str) and "(" in s]
-    assert not bare, f"bare aggregate sources {bare} in\n{planned.explain()}"
-    return sum(1 for s in sources if isinstance(s, tuple) and s[0] == "")
+def assert_sources_bound(planned: PlannedQuery, analyzed: AnalyzedSelect) -> int:
+    """Every source of ``planned`` is a ``(binding, attr)`` its scope
+    binds (``""`` for an aggregate); returns how many are aggregate
+    references ``("", call)``."""
+    refs = 0
+
+    def check(src, scope: AnalyzedSelect) -> None:
+        nonlocal refs
+        assert isinstance(src, tuple) and len(src) == 2, (
+            f"bare source {src!r} in\n{planned.explain()}"
+        )
+        binding, attr = src
+        if binding == "":
+            refs += 1
+            return
+        assert binding in scope.bindings, (
+            f"{src!r} is not bound in its scope {list(scope.bindings)}"
+        )
+        names = scope.attrs[binding]
+        assert names is None or attr in names, f"{binding!r} has no {attr!r}"
+
+    def walk(node, scope: AnalyzedSelect) -> None:
+        for src in node_sources(node):
+            check(src, scope)
+        if isinstance(node, SubqueryNode):
+            sub = scope.derived[node.alias]
+            for src in node.source_keys:
+                check(src, sub)
+            walk(node.subplan, sub)
+        else:
+            for child in node.children():
+                walk(child, scope)
+
+    for _, src in planned.output:
+        check(src, analyzed)
+    walk(planned.root, analyzed)
+    return refs
 
 
-def merge_plan(schema, sql: str) -> PlannedQuery:
-    """The federation merge tree of ``sql`` over one leaf per binding."""
-    composer = SelectComposer(schema)
+def merge_plan(schema, sql: str) -> tuple[PlannedQuery, AnalyzedSelect]:
+    """The federation merge tree of ``sql`` over one leaf per binding,
+    with the analysis it was composed from."""
     analyzed = analyze_select(parse_statement(sql), schema)
-    derived_attrs = {
-        item.alias: composer.output_names(item.select)
-        for item in analyzed.select.from_items
-        if isinstance(item, DerivedTable)
-    }
     leaves = {b: SourceNode(list, b) for b in analyzed.bindings}
-    return plan_merge(composer, analyzed, leaves, derived_attrs)
+    return plan_merge(SelectComposer(), analyzed, leaves), analyzed
+
+
+def conn_plan(conn, sql: str) -> tuple[PlannedQuery, AnalyzedSelect]:
+    """``conn``'s plan of ``sql`` and the analysis against its catalog."""
+    analyzed = analyze_select(parse_statement(sql), conn.planner.namespace)
+    return conn.plan(sql), analyzed
+
+
+def record_procedures(engine, monkeypatch) -> list:
+    """Every (plan, analysis) VoltDB composes a procedure body from,
+    nested derived-table procedures included."""
+    recorded = []
+    compose = engine._plan_procedure
+
+    def recording(analyzed, params, host):
+        planned = compose(analyzed, params, host)
+        recorded.append((planned, analyzed))
+        return planned
+
+    monkeypatch.setattr(engine, "_plan_procedure", recording)
+    return recorded
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +172,12 @@ class TestAggregateSources:
                     continue
                 for cost_based in (False, True):
                     system.conn.configure_engine(cost_based=cost_based)
-                    refs += assert_no_bare_aggregate(
-                        system.conn.plan(system.statement(qid))
+                    refs += assert_sources_bound(
+                        *conn_plan(system.conn, system.statement(qid))
                     )
             system.conn.configure_engine(cost_based=False)
         for qid, sql in JOIN_QUERIES.items():
-            refs += assert_no_bare_aggregate(merge_plan(lab.schema, sql))
+            refs += assert_sources_bound(*merge_plan(lab.schema, sql))
         assert refs > 0  # Q10/Q11 order by SUM(..): the walk saw them
 
     def test_random_battery_plans_name_aggregates_by_key(self, company_conn):
@@ -117,9 +189,32 @@ class TestAggregateSources:
                 sql = generate_query(rng).sql
                 for cost_based in (False, True):
                     company_conn.configure_engine(cost_based=cost_based)
-                    refs += assert_no_bare_aggregate(company_conn.plan(sql))
-                refs += assert_no_bare_aggregate(merge_plan(schema, sql))
+                    refs += assert_sources_bound(*conn_plan(company_conn, sql))
+                refs += assert_sources_bound(*merge_plan(schema, sql))
         company_conn.configure_engine(cost_based=False)
+        assert refs > 0
+
+    def test_voltdb_procedure_plans_bind_every_source(
+        self, tpcw_systems, monkeypatch
+    ):
+        lab, _ = tpcw_systems
+        volt = lab.build_system("VoltDB")
+        recorded = record_procedures(volt.engine, monkeypatch)
+        for qid in JOIN_QUERIES:
+            if volt.supports(qid):
+                volt.execute(
+                    volt.statement(qid), lab.generator.params_for_query(qid, 0)
+                )
+        company = build_company_system("VoltDB")
+        recorded += record_procedures(company.engine, monkeypatch)
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            for _ in range(100):
+                spec = generate_query(rng)
+                company.execute(spec.sql, spec.params)
+        refs = sum(assert_sources_bound(*pair) for pair in recorded)
+        # Q10/Q11's derived tables ran as nested procedures
+        assert any(a.bindings == {"Orders": "Orders"} for _, a in recorded)
         assert refs > 0
 
     def test_repeated_aggregate_is_numbered(self, company_conn):
@@ -136,14 +231,17 @@ class TestAggregateSources:
             ("SUM(e.EID)", ("", "SUM(e.EID)")),
         )
 
-    def test_bare_name_still_resolves_by_scan(self, company_conn):
-        """A derived table's column named without its alias is the one
-        source the row scan still serves."""
+    def test_bare_derived_column_is_keyed_by_its_alias(self, company_conn):
+        """A derived table's column named without its alias resolves to
+        ``(alias, attr)`` like any other column: no row scan."""
         sql = (
             "SELECT WO_EID FROM (SELECT w.WO_EID FROM Works_On as w "
             "WHERE w.WO_EID = 2) as t ORDER BY WO_EID DESC"
         )
-        assert company_conn.plan(sql).output == (("WO_EID", "WO_EID"),)
+        planned = company_conn.plan(sql)
+        assert planned.output == (("WO_EID", ("t", "WO_EID")),)
+        sort = next(n for n in plan_nodes(planned.root) if isinstance(n, SortNode))
+        assert sort.keys == ((("t", "WO_EID"), True),)
         rows = company_conn.execute_query(sql)
         assert rows and all(r == {"WO_EID": 2} for r in rows)
 

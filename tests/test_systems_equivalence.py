@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.bench.tpcw_lab import TpcwLab
-from repro.errors import UnsupportedStatementError, WorkloadError
+from repro.errors import SqlError, UnsupportedStatementError, WorkloadError
 from repro.sim.scheduler import DeterministicScheduler
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.writes import WRITE_STATEMENTS
@@ -495,6 +495,43 @@ class TestRefusedWrites:
             )
         assert self.addresses(system) == before
 
+    def employees(self, system):
+        return sorted(
+            tuple(r.values()) for r in system.execute("SELECT * FROM Employee")
+        )
+
+    def test_non_key_where_conjunct_is_refused(self, system):
+        """The WHERE of a single-row write is key equalities only: a
+        conjunct on another column is refused, not ignored (row 1 is
+        not renamed, row 2 is not deleted)."""
+        before = self.employees(system)
+        for sql in (
+            "UPDATE Employee SET EName = 'zz' WHERE EID = 1 AND EName = 'nomatch'",
+            "DELETE FROM Employee WHERE EID = 2 AND EName = 'nomatch'",
+        ):
+            with pytest.raises(UnsupportedStatementError, match="key-equality"):
+                system.execute(sql)
+        assert self.employees(system) == before
+
+    def test_unknown_column_in_set_or_where_is_refused(self, system):
+        before = self.employees(system)
+        for sql in (
+            "UPDATE Employee SET nosuch = 'zz' WHERE EID = 1",
+            "UPDATE Employee SET EName = 'zz' WHERE EID = 1 AND nosuch = 1",
+            "DELETE FROM Employee WHERE EID = 2 AND nosuch = 1",
+        ):
+            with pytest.raises(SqlError, match="nosuch"):
+                system.execute(sql)
+        assert self.employees(system) == before
+
+    def test_unknown_insert_column_is_refused(self, system):
+        before = self.employees(system)
+        with pytest.raises(SqlError, match="nosuch"):
+            system.execute(
+                "INSERT INTO Employee (EID, EName, nosuch) VALUES (77, 'x', 1)"
+            )
+        assert self.employees(system) == before
+
     def test_session_commits_the_rest_after_a_refusal(self, system):
         """A statement refused inside ``begin()`` ... ``commit()`` leaves
         the transaction's other writes untouched (this is the only path
@@ -513,6 +550,59 @@ class TestRefusedWrites:
         assert self.addresses(system) == sorted(before + [88])
         rows = system.execute("SELECT City FROM Address WHERE AID = ?", (1,))
         assert [r["City"] for r in rows] == ["moved"]
+
+
+class TestUnknownColumns:
+    """A column no FROM binding has is a ``SqlError`` wherever it is
+    named — projection, WHERE, GROUP BY, ORDER BY, a derived table's
+    columns — on all five systems and through the federation mediator,
+    never a column of NULLs or a clause silently dropped. The analyzer
+    is the one resolver, so a derived table's column named bare is the
+    same column as ``alias.col``, and a bare name both a base and a
+    derived binding have is ambiguous."""
+
+    DERIVED = "(SELECT EID FROM Employee) as d"
+    UNKNOWN = (
+        "SELECT nosuch FROM Employee",
+        "SELECT e.nosuch FROM Employee as e",
+        f"SELECT x FROM {DERIVED}",
+        f"SELECT d.x FROM {DERIVED}",
+        f"SELECT d.EID FROM {DERIVED} WHERE d.x = 3",
+        "SELECT EID FROM Employee ORDER BY nosuch",
+        "SELECT COUNT(*) FROM Employee GROUP BY nosuch",
+        "SELECT SUM(nosuch) FROM Employee",
+        "SELECT d.DName FROM Employee as e, Department as d "
+        "WHERE e.E_DNo = d.DNo ORDER BY e.nosuch",
+    )
+    AMBIGUOUS = (
+        f"SELECT EID FROM Employee as e, {DERIVED} WHERE e.EID = d.EID"
+    )
+    BARE, QUALIFIED = (
+        f"SELECT {col} FROM (SELECT e.EID FROM Employee as e WHERE e.EID < 4) "
+        f"as d ORDER BY {col} DESC"
+        for col in ("EID", "d.EID")
+    )
+    TARGETS = (*TestRefusedWrites.NAMES, "split", "auto")
+
+    @pytest.fixture(scope="class", params=TARGETS)
+    def target(self, request):
+        if request.param in ("split", "auto"):
+            return build_company_federation(request.param)
+        return build_company_system(request.param)
+
+    @pytest.mark.parametrize("sql", UNKNOWN, ids=range(len(UNKNOWN)))
+    def test_unknown_column_is_a_sql_error(self, target, sql):
+        with pytest.raises(SqlError, match="'(x|nosuch)'"):
+            target.execute(sql)
+
+    def test_bare_name_of_a_base_and_a_derived_binding_is_ambiguous(self, target):
+        with pytest.raises(SqlError, match="ambiguous"):
+            target.execute(self.AMBIGUOUS)
+
+    def test_derived_column_named_bare_is_the_aliased_column(self, target):
+        rows = target.execute(self.BARE)
+        assert rows == target.execute(self.QUALIFIED)
+        assert rows == [{"EID": 3}, {"EID": 2}, {"EID": 1}]
 
 
 class TestNullComparisons:
@@ -578,7 +668,7 @@ def outcome(execute, *args):
     """The rows a write wrote, or the type of its refusal."""
     try:
         return int(execute(*args))
-    except (UnsupportedStatementError, WorkloadError) as refusal:
+    except (SqlError, UnsupportedStatementError, WorkloadError) as refusal:
         return type(refusal)
 
 
