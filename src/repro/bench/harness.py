@@ -17,9 +17,6 @@ class Stat:
     stderr: float
     n: int
 
-    def __str__(self) -> str:
-        return f"{self.mean:.1f}±{self.stderr:.1f}"
-
 
 def summarize(samples: Sequence[float]) -> Stat:
     n = len(samples)

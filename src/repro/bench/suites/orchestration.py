@@ -11,8 +11,12 @@ from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.orchestration import (
     AddServers,
     ClusterPlan,
+    DrainServer,
+    MergeRegions,
+    MoveRegion,
     Orchestrator,
     PoisonStep,
+    Rebalance,
     SetReplicas,
     SplitRegion,
     TablePlan,
@@ -230,12 +234,88 @@ def orchestration_rollback_smoke(seed: int = 20170904) -> dict[str, int]:
     }
 
 
+def orchestration_step_drill(seed: int = 20170904) -> dict[str, dict[str, int]]:
+    """CI fault drill over every other step kind, on a 3-server cluster
+    with replication: a poisoned stage of add-server, rebalance, replica
+    raise on an already-replicated table, drain, move and merge must
+    unwind (split, move back, undrain, restore followers, restore moves,
+    remove) to exactly the pre-rollout state. Then a committed scale-in
+    plan drains its retiring member for real, rebuilding its followers
+    elsewhere."""
+    sim = Simulation(seed=seed)
+    cluster = HBaseCluster(sim, ClusterConfig(
+        num_region_servers=3, seed=seed,
+        replication=ReplicationConfig(replica_count=2),
+    ))
+    client = HBaseClient(cluster)
+    split = b"%08d" % 30
+    drill = client.create_table("drill", families=(FAMILY,), split_keys=[split])
+    drill.put_batch([
+        Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"v-%06d" % i)
+        for i in range(60)
+    ])
+    replicated = client.create_table(
+        "replicated", families=(FAMILY,), split_keys=[b"%08d" % 7, b"%08d" % 14]
+    )
+    cluster.replication.replicate_table("replicated")
+    replicated.put_batch([
+        Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"r-%06d" % i)
+        for i in range(20)
+    ])
+    before_rows = cluster_snapshot(cluster)
+    before_layout = cluster.layout_fingerprint()
+    low_host = cluster.server_for(cluster.descriptor("drill").regions[0])
+    # a member hosting a primary and a follower, so its drain moves both
+    victim = next(
+        s for s in cluster.servers
+        if s is not low_host and s.regions and s.follower_regions
+    )
+    rollback = Orchestrator(cluster, stages=[
+        ("1:every-step", [
+            AddServers(names=["rs4"]),
+            Rebalance(),
+            SetReplicas("replicated", 3),
+            DrainServer(victim.name),
+            MoveRegion("drill", b"", "rs4"),
+            MergeRegions("drill", b"", split),
+            PoisonStep(),
+        ]),
+    ]).run()
+    rebuilt = cluster.replication.followers_rebuilt
+    rolled_back = {
+        "rolled_back": int(rollback.status == "rolled-back"),
+        "rows_intact": int(cluster_snapshot(cluster) == before_rows),
+        "layout_intact": int(cluster.layout_fingerprint() == before_layout),
+    }
+    retiring = cluster.servers[-1]
+    scale_in = Orchestrator(
+        cluster, plan=ClusterPlan(servers=len(cluster.servers) - 1)
+    ).run()
+    _transient, fatal = verify_cluster(cluster)
+    return {
+        "every_step": rolled_back,
+        "scale_in": {
+            "committed": int(scale_in.status == "committed"),
+            "drained": int(
+                retiring.draining
+                and not retiring.regions
+                and not retiring.follower_regions
+            ),
+            "followers_rebuilt": cluster.replication.followers_rebuilt - rebuilt,
+            "rows_intact": int(cluster_snapshot(cluster) == before_rows),
+            "layout_issues": len(fatal),
+        },
+    }
+
+
 def _smoke() -> dict[str, dict[str, int]]:
-    """The orchestration gate is two drills: the rollout under chaos
-    and the induced-failure rollback."""
+    """The orchestration gate is three drills: the rollout under chaos,
+    the induced-failure rollback, and the every-step rollback followed
+    by a committed scale-in."""
     return {
         "rollout": orchestration_smoke(),
         "drill": orchestration_rollback_smoke(),
+        **orchestration_step_drill(),
     }
 
 
@@ -282,6 +362,22 @@ ORCHESTRATION = Suite(
              lambda o: o["drill"]["rows_intact"] == 1),
             ("rollback left the layout dirty",
              lambda o: o["drill"]["layout_intact"] == 1),
+            ("every-step stage did not roll back",
+             lambda o: o["every_step"]["rolled_back"] == 1),
+            ("every-step rollback lost or mutated rows",
+             lambda o: o["every_step"]["rows_intact"] == 1),
+            ("every-step rollback left the layout dirty",
+             lambda o: o["every_step"]["layout_intact"] == 1),
+            ("scale-in plan did not commit",
+             lambda o: o["scale_in"]["committed"] == 1),
+            ("scale-in left state on the retired server",
+             lambda o: o["scale_in"]["drained"] == 1),
+            ("scale-in rebuilt no follower",
+             lambda o: o["scale_in"]["followers_rebuilt"] >= 1),
+            ("scale-in lost or mutated rows",
+             lambda o: o["scale_in"]["rows_intact"] == 1),
+            ("scale-in corrupted the layout",
+             lambda o: o["scale_in"]["layout_issues"] == 0),
         ),
         flags="--orchestration-cycles 0,2 --orchestration-clients 4 "
               "--orchestration-ops 48",

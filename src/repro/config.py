@@ -29,8 +29,7 @@ figures emerge from operation counts; the measured figures are pinned in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.errors import ClusterConfigError
 
@@ -121,10 +120,6 @@ class CostModel:
 
     voltdb_row_overhead_bytes: int = 8
     """Per-row overhead of the in-memory NewSQL engine."""
-
-    def scaled(self, **overrides: Any) -> "CostModel":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 DEFAULT_COST_MODEL = CostModel()

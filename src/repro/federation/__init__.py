@@ -3,7 +3,7 @@ across the evaluated systems, with an online routing advisor."""
 
 from repro.errors import FederationError, FederationWriteHazardError
 from repro.federation.advisor import RouteDecision, RoutingAdvisor
-from repro.federation.mediator import Mediator, RouteRecord, build_mediator
+from repro.federation.mediator import Mediator, RouteRecord
 from repro.federation.session import FederatedSession
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "RouteDecision",
     "RouteRecord",
     "RoutingAdvisor",
-    "build_mediator",
 ]

@@ -92,10 +92,6 @@ class RoutingAdvisor:
             ms, self.alpha
         )
 
-    def observed_ms(self, statement_id: str, backend: str) -> float | None:
-        e = self._ewma.get((statement_id, backend))
-        return e.value if e is not None and e.observations else None
-
     # -- advised costs -----------------------------------------------------------
     def advised_cost(
         self, statement_id: str, backend: str, estimate_ms: float

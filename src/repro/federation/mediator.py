@@ -88,17 +88,6 @@ class RouteRecord:
     """Per sub-plan: fragment label, backend, executed flag, virtual ms."""
     total_ms: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "statement_id": self.statement_id,
-            "mode": self.mode,
-            "assignments": [
-                {**a, "ms": round(a["ms"], 6)} for a in self.assignments
-            ],
-            "total_ms": round(self.total_ms, 6),
-        }
-
 
 # ---------------------------------------------------------------- mediator
 class Mediator(EvaluatedSystem):
@@ -164,15 +153,6 @@ class Mediator(EvaluatedSystem):
 
     def statement(self, statement_id: str) -> str:
         return self._statements[statement_id]
-
-    def register_statement(self, statement_id: str, sql: str) -> None:
-        self._statements[statement_id] = sql
-        self._by_text.setdefault(sql, statement_id)
-        for backend in self.backends.values():
-            try:
-                backend.statement(statement_id)
-            except KeyError:
-                backend.register_statement(statement_id, sql)
 
     def supports(self, statement_id: str) -> bool:
         sql = self._statements.get(statement_id)
@@ -495,24 +475,10 @@ class Mediator(EvaluatedSystem):
         return stmt, analyzed
 
 
-def build_mediator(
-    backends: Mapping[str, EvaluatedSystem] | Sequence[tuple[str, EvaluatedSystem]],
-    schema: Schema,
-    workload: Workload | None = None,
-    **kwargs: Any,
-) -> Mediator:
-    """Convenience constructor accepting either a mapping or ordered
-    ``(name, system)`` pairs (order is the routing tie-break)."""
-    if not isinstance(backends, Mapping):
-        backends = dict(backends)
-    return Mediator(backends, schema, workload, **kwargs)
-
-
 __all__ = [
     "FederatedSession",
     "FederationError",
     "FederationWriteHazardError",
     "Mediator",
     "RouteRecord",
-    "build_mediator",
 ]

@@ -4,9 +4,9 @@ Faithful to the architecture the paper relies on (Sec. II-C):
 
 * tables of rows **sorted by row key**, columns grouped into column
   families, cells carrying multiple timestamped versions;
-* a data-manipulation API of five primitives — :class:`Get`,
-  :class:`Put`, :class:`Scan`, :class:`Delete`, :class:`Increment` —
-  plus the atomic ``checkAndPut`` used for row locks;
+* a data-manipulation API of four primitives — :class:`Get`,
+  :class:`Put`, :class:`Scan`, :class:`Delete` — plus the atomic
+  ``checkAndPut`` used for row locks;
 * region servers hosting key-ranged regions (memstore + HFiles + WAL),
   a master assigning regions, and major compaction;
 * single-row ACID with read-committed semantics.
@@ -17,16 +17,14 @@ work, WAL syncs and result-transfer bytes. Response-time experiments
 measure elapsed virtual time.
 """
 
-from repro.hbase.bytes_util import decode_key, encode_key
-from repro.hbase.cell import Cell, Result
+from repro.hbase.bytes_util import encode_key
+from repro.hbase.cell import Result
 from repro.hbase.client import HBaseClient, HTable
 from repro.hbase.cluster import HBaseCluster, RegionBalancer
-from repro.hbase.ops import Delete, Get, Increment, Put, Scan
+from repro.hbase.ops import Delete, Get, Put, Scan
 from repro.hbase.filters import (
     ColumnValueFilter,
     FilterBase,
-    PrefixFilter,
-    RowRangeFilter,
 )
 from repro.hbase.replication import (
     ReplicationManager,
@@ -34,7 +32,6 @@ from repro.hbase.replication import (
 )
 
 __all__ = [
-    "Cell",
     "ColumnValueFilter",
     "Delete",
     "FilterBase",
@@ -42,15 +39,11 @@ __all__ = [
     "HBaseClient",
     "HBaseCluster",
     "HTable",
-    "Increment",
-    "PrefixFilter",
     "Put",
     "RegionBalancer",
     "ReplicationManager",
     "ReplicationShipper",
     "Result",
-    "RowRangeFilter",
     "Scan",
-    "decode_key",
     "encode_key",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Sequence
 
-from repro.relational.datatypes import DataType, decode_value, encode_value
+from repro.relational.datatypes import DataType, encode_value
 
 DELIM = b"\x00"
 ESCAPE = b"\x00\xff"
@@ -39,24 +39,6 @@ def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
 def split_key(key: bytes) -> list[bytes]:
     """Split a composite key into its unescaped components."""
     return [part.replace(ESCAPE, DELIM) for part in _SPLIT_UNESCAPED_DELIM(key)]
-
-
-def decode_key(dtypes: Sequence[DataType], key: bytes) -> tuple[Any, ...]:
-    """Inverse of :func:`encode_key`."""
-    parts = split_key(key)
-    if len(parts) != len(dtypes):
-        raise ValueError(
-            f"key arity mismatch: {len(parts)} components, {len(dtypes)} types"
-        )
-    return tuple(decode_value(dt, p) for dt, p in zip(dtypes, parts))
-
-
-def next_key(key: bytes) -> bytes:
-    """The smallest key strictly greater than every key with prefix ``key``.
-
-    Used to turn a key prefix into an exclusive scan stop row.
-    """
-    return key + b"\xff"
 
 
 def prefix_stop(prefix: bytes) -> bytes:

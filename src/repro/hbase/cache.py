@@ -73,9 +73,6 @@ class RowCache:
         self._by_row: dict[tuple[str, bytes], set[CacheKey]] = {}
         self._by_region: dict[str, set[CacheKey]] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @staticmethod
     def variant(columns: list[tuple[bytes, bytes]] | None):
         """Hashable projection key for a get's column subset."""

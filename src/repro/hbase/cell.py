@@ -1,28 +1,8 @@
-"""Cells and read results."""
+"""Read results."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
-
-
-@dataclass(frozen=True, order=True)
-class Cell:
-    """One versioned cell: (row, family, qualifier, timestamp, value).
-
-    Ordering follows HBase: by row, family, qualifier, then *descending*
-    timestamp (we store ``-timestamp`` in the sort key to get that).
-    """
-
-    row: bytes
-    family: bytes
-    qualifier: bytes
-    timestamp: int
-    value: bytes = field(compare=False)
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.row) + len(self.family) + len(self.qualifier) + 8 + len(self.value)
 
 
 class Result:
@@ -32,21 +12,16 @@ class Result:
     immutable HFile borrows the stored entry's own cell map instead of
     copying it. Methods that read keys and newest values read that view
     in place; whatever edits the result or hands out a version list
-    (``add``, ``versions``, ``cells``, ``_cells`` itself) goes through
-    ``_cells``, which first detaches a private one-version copy, so no
-    caller can reach a stored list through a result.
+    (``versions``, ``_cells`` itself) goes through ``_cells``, which
+    first detaches a private one-version copy, so no caller can reach a
+    stored list through a result.
     """
 
     __slots__ = ("row", "_view", "_borrowed", "_summary")
-
-    def __init__(self, row: bytes) -> None:
-        self.row = row
-        # (family, qualifier) -> list[(timestamp, value)] newest first
-        self._view: dict[tuple[bytes, bytes], list[tuple[int, bytes]]] = {}
-        self._borrowed = False  # _view belongs to an HFile's row entry
-        # (cells, sum of len(family) + len(qualifier) + len(value)) of
-        # what _view shows, once known; forgotten when _view may change
-        self._summary: tuple[int, int] | None = None
+    # _view: (family, qualifier) -> [(timestamp, value)] newest first;
+    # _borrowed: _view belongs to an HFile's row entry; _summary: (cells,
+    # sum of len(family) + len(qualifier) + len(value)) of what _view
+    # shows, once known, forgotten when _view may change
 
     @classmethod
     def from_sorted(
@@ -74,15 +49,6 @@ class Result:
         self._summary = None
         return self._view
 
-    def add(self, family: bytes, qualifier: bytes, timestamp: int, value: bytes) -> None:
-        """Ordered insert, by the store's rule: newest first, after
-        any version of the same timestamp."""
-        versions = self._cells.setdefault((family, qualifier), [])
-        at = 0
-        while at < len(versions) and versions[at][0] >= timestamp:
-            at += 1
-        versions.insert(at, (timestamp, value))
-
     @property
     def is_empty(self) -> bool:
         return not self._view
@@ -91,9 +57,6 @@ class Result:
     def column_count(self) -> int:
         """``len(columns())`` without the sort."""
         return len(self._view)
-
-    def columns(self) -> list[tuple[bytes, bytes]]:
-        return sorted(self._view)
 
     def value(self, family: bytes, qualifier: bytes) -> bytes | None:
         """Newest version's value, or None when the column is absent."""
@@ -116,21 +79,6 @@ class Result:
     def versions(self, family: bytes, qualifier: bytes) -> list[tuple[int, bytes]]:
         return list(self._cells.get((family, qualifier), ()))
 
-    def cells(self) -> list[Cell]:
-        out = []
-        for (family, qualifier), versions in sorted(self._cells.items()):
-            for ts, value in versions:
-                out.append(Cell(self.row, family, qualifier, ts, value))
-        return out
-
-    def to_dict(self, family: bytes) -> dict[bytes, bytes]:
-        """{qualifier: newest value} for one family."""
-        return {
-            q: versions[0][1]
-            for (f, q), versions in self._view.items()
-            if f == family and versions
-        }
-
     @property
     def size_bytes(self) -> int:
         """Wire size: every cell shown pays the row key, 8 bytes of
@@ -145,6 +93,3 @@ class Result:
                     payload += name + len(value)
             summary = self._summary = (count, payload)
         return summary[1] + summary[0] * (len(self.row) + 8)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Result(row={self.row!r}, ncols={len(self._view)})"

@@ -34,13 +34,12 @@ stay bit-identical.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator
 
 from repro.errors import RegionRetriesExhaustedError, RegionUnavailableError
 from repro.hbase.cell import Result
 from repro.hbase.cluster import HBaseCluster
-from repro.hbase.ops import Delete, Get, Increment, Put, Scan
+from repro.hbase.ops import Delete, Get, Put, Scan
 from repro.hbase.region import Region
 from repro.sim.latency import LatencyCharger
 
@@ -342,40 +341,6 @@ class HTable:
         finally:
             self._exit_server(server, ctx, token)
 
-    def increment(self, op: Increment) -> int:
-        """Atomic read-add-write on an 8-byte big-endian counter."""
-        return self._routed(op.row, lambda region: self._increment_at(region, op))
-
-    def _increment_at(self, region: Region, op: Increment) -> int:
-        self.charge.rpc()
-        server = self.cluster.server_for(region)
-        ctx, token = self._enter_server(server)
-        try:
-            # the read half pays what a Get pays (see _check_and_put_at)
-            result = server.read_point(
-                region, op.row, [(op.family, op.qualifier)]
-            )
-            current = 0
-            if result is not None:
-                self.charge.transfer(result.size_bytes)
-                raw = result.value(op.family, op.qualifier)
-                if raw:
-                    current = struct.unpack(">q", raw)[0]
-            new_value = current + op.amount
-            ts = self.cluster.next_timestamp()
-            server.apply_put(
-                region,
-                op.row,
-                [(op.family, op.qualifier, struct.pack(">q", new_value), None)],
-                ts,
-            )
-            rep = self.cluster.replication
-            if rep is not None:
-                rep.after_write(region)  # ack_mode="all": sync ship
-            return new_value
-        finally:
-            self._exit_server(server, ctx, token)
-
     def check_and_put(
         self,
         row: bytes,
@@ -551,16 +516,7 @@ class HTable:
                 return
             cursor = region.end_key
 
-    def scan_all(self, op: Scan | None = None) -> list[Result]:
-        return list(self.scan(op))
-
     # -- stats -------------------------------------------------------------------------
-    def row_count(self) -> int:
-        return self.cluster.table_row_count(self.name)
-
-    def size_bytes(self) -> int:
-        return self.cluster.table_size_bytes(self.name)
-
 
 def _min_stop(a: bytes | None, b: bytes | None) -> bytes | None:
     if a is None:
@@ -591,10 +547,6 @@ class HBaseClient:
     ) -> HTable:
         self.cluster.create_table(name, families, split_keys, max_versions)
         return self.table(name)
-
-    def drop_table(self, name: str) -> None:
-        self.cluster.drop_table(name)
-        self._tables.pop(name, None)
 
     def has_table(self, name: str) -> bool:
         return self.cluster.has_table(name)

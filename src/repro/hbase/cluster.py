@@ -121,10 +121,6 @@ class HBaseCluster:
         self._ts += n
         return first
 
-    @property
-    def current_timestamp(self) -> int:
-        return self._ts
-
     def _bump_layout(self) -> None:
         self.layout_epoch += 1
 
@@ -165,17 +161,6 @@ class HBaseCluster:
         self.tables[name] = desc
         self._bump_layout()
         return desc
-
-    def drop_table(self, name: str) -> None:
-        desc = self.tables.pop(name, None)
-        if desc is None:
-            raise TableNotFoundError(name)
-        for region in desc.regions:
-            server = self._region_host.pop(region.name)
-            server.unhost(region.name)
-        desc.regions = []
-        desc.invalidate_locations()  # stale client handles must re-resolve
-        self._bump_layout()
 
     def descriptor(self, name: str) -> TableDescriptor:
         try:

@@ -45,31 +45,6 @@ class ColumnValueFilter(FilterBase):
 
 
 @dataclass
-class PrefixFilter(FilterBase):
-    """Keep rows whose key starts with ``prefix``."""
-
-    prefix: bytes
-
-    def accept(self, result: Result) -> bool:
-        return result.row.startswith(self.prefix)
-
-
-@dataclass
-class RowRangeFilter(FilterBase):
-    """Keep rows with ``start <= key < stop`` (either bound optional)."""
-
-    start: bytes | None = None
-    stop: bytes | None = None
-
-    def accept(self, result: Result) -> bool:
-        if self.start is not None and result.row < self.start:
-            return False
-        if self.stop is not None and result.row >= self.stop:
-            return False
-        return True
-
-
-@dataclass
 class AndFilter(FilterBase):
     """Conjunction of sub-filters."""
 

@@ -31,9 +31,6 @@ class Put:
         self.cells.append((family, qualifier, value, timestamp))
         return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Put(row={self.row!r}, ncells={len(self.cells)})"
-
 
 class Get:
     """Single-row read, optionally restricted to specific columns."""
@@ -63,18 +60,6 @@ class Delete:
     ) -> None:
         self.row = row
         self.columns = columns
-
-
-class Increment:
-    """Atomic server-side add on a 64-bit counter column."""
-
-    __slots__ = ("row", "family", "qualifier", "amount")
-
-    def __init__(self, row: bytes, family: bytes, qualifier: bytes, amount: int = 1):
-        self.row = row
-        self.family = family
-        self.qualifier = qualifier
-        self.amount = amount
 
 
 @dataclass

@@ -81,12 +81,6 @@ class FollowerReplica:
     def is_live(self) -> bool:
         return self.server.alive and self.region.online
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FollowerReplica({self.region.name} on {self.server.name}, "
-            f"applied={self.applied})"
-        )
-
 
 class ReplicationGroup:
     """Primary + followers + complete edit history for one key range."""

@@ -8,9 +8,9 @@ and versions beyond ``max_versions``.
 
 Write path (O(1) puts, version lists ordered on write):
 
-* ``RowEntry.put_cell`` / ``MemStore.apply_put`` put a stamp strictly
-  newer than the column's head at the head, so server-stamped writes
-  never leave the newest-first order. Any other stamp (out of order, or
+* ``MemStore.apply_put`` puts a stamp strictly newer than the column's
+  head at the head, so server-stamped writes never leave the
+  newest-first order. Any other stamp (out of order, or
   equal to the head) is appended and marks the entry dirty; the
   ``cells`` property restores the order with one stable sort, so equal
   timestamps keep insertion order. Every version stays stored until a
@@ -100,17 +100,6 @@ class RowEntry:
         entry._cells = cells
         return entry
 
-    def put_cell(self, family: bytes, qualifier: bytes, ts: int, value: bytes) -> None:
-        self._summary = None
-        versions = self._cells.get((family, qualifier))
-        if versions is None:
-            self._cells[(family, qualifier)] = [(ts, value)]
-        elif ts > versions[0][0]:
-            versions.insert(0, (ts, value))
-        else:
-            versions.append((ts, value))
-            self._dirty = True
-
     def delete_row(self, ts: int) -> None:
         self._summary = None
         if self.row_tombstone_ts is None or ts > self.row_tombstone_ts:
@@ -132,14 +121,6 @@ class RowEntry:
             for _, value in versions:
                 total += base + len(value)
         return total
-
-    @property
-    def is_empty(self) -> bool:
-        return (
-            not self._cells
-            and self.row_tombstone_ts is None
-            and not self.col_tombstones
-        )
 
 
 class MemStore:
@@ -165,8 +146,8 @@ class MemStore:
         default_ts: int,
         base_bytes: int,
     ) -> int:
-        """Upsert + per-cell :meth:`RowEntry.put_cell` fused into one
-        call — the write hot path (one method call per Put). Returns
+        """Upsert the row's entry and put each cell by the rule above, in
+        one call — the write hot path (one method call per Put). Returns
         the approximate byte delta; ``base_bytes`` is the row-key +
         KV-framing overhead charged per cell."""
         entries = self._entries

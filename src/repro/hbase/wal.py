@@ -34,12 +34,6 @@ class WalEntry:
         self.payload = payload
         self.timestamp = timestamp
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"WalEntry({self.region_name!r}, {self.kind!r}, {self.row!r}, "
-            f"{self.payload!r}, {self.timestamp})"
-        )
-
 
 class _TapBuffer(list):
     """A per-region WAL buffer with a replication tap: every entry
@@ -169,8 +163,3 @@ class WriteAheadLog:
         ``total_appends`` is lifetime accounting and survives."""
         self._entries = {}
         self._taps = {}
-
-    def pending_count(self, region_name: str | None = None) -> int:
-        if region_name is not None:
-            return len(self._entries.get(region_name, ()))
-        return sum(len(v) for v in self._entries.values())

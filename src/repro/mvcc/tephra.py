@@ -31,10 +31,6 @@ class MvccTransaction:
     def record_write(self, table: str, row_key: bytes) -> None:
         self.change_set.add(table.encode() + b"\x00" + row_key)
 
-    def visible(self, writer_tx_id: int) -> bool:
-        """Snapshot visibility: committed before us and not in flight."""
-        return writer_tx_id <= self.snapshot_ts and writer_tx_id not in self.in_progress
-
 
 class TephraServer:
     """Central transaction manager."""

@@ -281,10 +281,6 @@ class Orchestrator:
         self._stages = stages if stages is not None else _group_stages(steps)
         self.report = RolloutReport()
 
-    @property
-    def stages(self) -> list[tuple[str, list[Step]]]:
-        return self._stages
-
     # -- drivers ---------------------------------------------------------------
     def run(self) -> RolloutReport:
         """Synchronous rollout on the simulation clock (no scheduler):

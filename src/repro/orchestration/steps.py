@@ -116,9 +116,6 @@ class Step:
     def describe(self) -> str:
         return self.kind
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self.describe()}>"
-
 
 class AddServers(Step):
     """Scale out by ``count`` fresh servers (or explicit ``names``)."""
@@ -667,6 +664,3 @@ class PoisonStep(Step):
 
     def _do(self, cluster: "HBaseCluster") -> None:
         raise StepVerificationError("poisoned step (induced failure drill)")
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return None  # pragma: no cover - apply never succeeds

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import SchemaError
-from repro.hbase.bytes_util import decode_key, encode_key, split_key
+from repro.hbase.bytes_util import encode_key, split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
 from repro.relational.datatypes import DataType, value_decoder, value_encoder
@@ -82,9 +82,6 @@ class CatalogEntry:
             tuple[str | None, frozenset[str] | None], RowDecoder
         ] = {}
 
-    def has_attribute(self, name: str) -> bool:
-        return name in self.dtypes
-
     @property
     def attribute_names(self) -> tuple[str, ...]:
         """``attrs`` under the name a schema ``Relation`` gives it, so a
@@ -93,9 +90,6 @@ class CatalogEntry:
         return self.attrs
 
     # -- encode / decode -------------------------------------------------------------
-    def key_dtypes(self) -> tuple[DataType, ...]:
-        return self._key_dtypes
-
     def encode_key(self, row: dict[str, Any]) -> bytes:
         """Missing/None key components encode as NULL (indexes may carry
         NULL key parts, like Phoenix's); statement-level validation
@@ -109,10 +103,6 @@ class CatalogEntry:
     def encode_key_prefix(self, values: list[Any]) -> bytes:
         """Key prefix for the first ``len(values)`` key attributes."""
         return encode_key(self._key_dtypes[: len(values)], values)
-
-    def decode_key(self, key: bytes) -> dict[str, Any]:
-        values = decode_key(self._key_dtypes, key)
-        return dict(zip(self.key_attrs, values))
 
     def row_to_put(self, row: dict[str, Any]) -> Put:
         """Encode a full relational row as a single-row Put."""
@@ -253,9 +243,6 @@ class Catalog:
     def indexes_for_relation(self, relation: str) -> list[CatalogEntry]:
         return [self._entries[n] for n in self._relation_indexes.get(relation, ())]
 
-    def views(self) -> list[CatalogEntry]:
-        return [self._entries[n] for n in self._views]
-
     def view(self, name: str) -> CatalogEntry:
         entry = self.entry(name)
         if entry.kind != VIEW:
@@ -279,9 +266,6 @@ class Catalog:
         if name in self._relation_table:
             return self.table_for_relation(name)
         return self.entry(name)
-
-    def views_containing(self, relation: str) -> list[CatalogEntry]:
-        return [v for v in self.views() if relation in v.view_path]
 
     # -- statistics ------------------------------------------------------------------
     def estimated_rows(self, entry_name: str) -> int:

@@ -1,8 +1,8 @@
 """PhoenixConnection: the JDBC-ish entry point.
 
 ``execute_query`` plans + runs a SELECT and returns plain dict rows;
-``execute_write`` runs INSERT/UPDATE/DELETE with index maintenance.
-Dirty-row restarts (Synergy read-committed, paper Sec. VIII-C) are
+``writer`` (a :class:`~repro.phoenix.writes.WriteExecutor`) applies
+INSERT/UPDATE/DELETE plans with index maintenance. Dirty-row restarts (Synergy read-committed, paper Sec. VIII-C) are
 handled here: a scan observing a marked view row restarts the query.
 """
 
@@ -125,34 +125,7 @@ class PhoenixConnection:
                         f"after {attempts} restarts"
                     ) from None
 
-    def stream_query(
-        self, select: Select | str, params: tuple[Any, ...] = ()
-    ) -> Any:
-        """Cursor: yields shaped rows incrementally through the
-        operator pipeline. Closing (or abandoning) the iterator
-        closes the whole tree, releasing in-flight scanner windows.
-
-        Dirty-read restarts are not retried here — a restartable
-        consumer should use :meth:`execute_query`; this cursor is for
-        read paths without dirty checking (and for the early-close
-        guarantee tests)."""
-        planned = self.plan(select)
-        self.sim.charge(self.sim.cost.phoenix_statement_ms, "phoenix.statement")
-        return stream_rows(planned, ExecutionContext(self, tuple(params)))
-
     # -- writes ------------------------------------------------------------------------
-    def execute_write(
-        self, stmt: Statement | str, params: tuple[Any, ...] = ()
-    ) -> int:
-        return self.writer.execute(_statement(stmt), tuple(params))
-
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        """Dispatch on statement type (SELECT -> rows, writes -> count)."""
-        stmt = _statement(sql)
-        if isinstance(stmt, Select):
-            return self.execute_query(stmt, params)
-        return self.execute_write(stmt, params)
-
     # -- statistics ---------------------------------------------------------------------
     def analyze(self) -> None:
         """Refresh row-count statistics for every catalog entry."""

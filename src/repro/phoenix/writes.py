@@ -218,17 +218,6 @@ class WriteExecutor:
         entry = self.catalog.table_for_relation(stmt.table)
         return compile_write(entry, stmt, tuple(params))
 
-    def execute(self, stmt: Statement, params: tuple[Any, ...]) -> int:
-        plan = self.compile(stmt, params)
-        if plan.kind == "insert":
-            self.insert_row(plan.relation, plan.row)
-            return 1
-        if plan.kind == "update":
-            new = self.update_row(plan.relation, plan.key, plan.changes)
-        else:
-            new = self.delete_row(plan.relation, plan.key)
-        return 0 if new is None else 1
-
     # -- helpers -----------------------------------------------------------------------
     @staticmethod
     def _validate_row(entry: CatalogEntry, row: dict[str, Any]) -> None:

@@ -10,7 +10,7 @@ example (Fig. 2) which the unit tests check the view-generation
 machinery against, edge for edge.
 """
 
-from repro.relational.datatypes import DataType, decode_value, encode_value
+from repro.relational.datatypes import DataType, encode_value
 from repro.relational.schema import (
     Attribute,
     ForeignKey,
@@ -29,5 +29,4 @@ __all__ = [
     "Schema",
     "Workload",
     "encode_value",
-    "decode_value",
 ]

@@ -24,10 +24,6 @@ class DataType(enum.Enum):
     DATETIME = "datetime"
     BOOL = "bool"
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (DataType.INT, DataType.BIGINT, DataType.FLOAT)
-
 
 _INT_BIAS = 1 << 63  # order-preserving encoding for signed integers
 
@@ -122,14 +118,9 @@ _DECODERS: dict[DataType, Callable[[bytes | None], Any]] = {
 
 
 def value_decoder(dtype: DataType) -> Callable[[bytes | None], Any]:
-    """:func:`decode_value` pre-bound to ``dtype``; also maps an absent
-    cell (``None``) to ``None``."""
+    """The inverse of :func:`value_encoder` (dates decode to ordinals);
+    also maps an absent cell (``None``) to ``None``."""
     return _DECODERS[dtype]
-
-
-def decode_value(dtype: DataType, data: bytes) -> Any:
-    """Inverse of :func:`encode_value` (dates decode to ordinals)."""
-    return _DECODERS[dtype](data)
 
 
 def value_size_bytes(dtype: DataType, value: Any) -> int:

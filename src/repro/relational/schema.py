@@ -13,7 +13,7 @@ Notation follows the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
@@ -26,9 +26,6 @@ class Attribute:
 
     name: str
     dtype: DataType = DataType.VARCHAR
-
-    def __str__(self) -> str:  # pragma: no cover - debug aid
-        return f"{self.name}:{self.dtype.value}"
 
 
 @dataclass(frozen=True)
@@ -128,21 +125,6 @@ class Relation:
     def dtype_of(self, name: str) -> DataType:
         return self.attribute(name).dtype
 
-    def foreign_key(self, name: str) -> ForeignKey:
-        for fk in self.foreign_keys:
-            if fk.name == name:
-                return fk
-        raise SchemaError(f"{self.name}: no foreign key {name!r}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Relation({self.name}, pk={self.primary_key})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Relation) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(("Relation", self.name))
-
 
 class Schema:
     """A set of relations and their covered-index sets."""
@@ -200,9 +182,6 @@ class Schema:
     def __iter__(self) -> Iterator[Relation]:
         return iter(self._relations.values())
 
-    def __len__(self) -> int:
-        return len(self._relations)
-
     # -- indexes -----------------------------------------------------------------
     def add_index(self, relation_name: str, index: Index) -> None:
         rel = self.relation(relation_name)
@@ -218,9 +197,6 @@ class Schema:
     def indexes(self, relation_name: str) -> tuple[Index, ...]:
         self.relation(relation_name)
         return tuple(self._indexes[relation_name])
-
-    def all_indexes(self) -> dict[str, tuple[Index, ...]]:
-        return {name: tuple(v) for name, v in self._indexes.items()}
 
     # -- relationships (Definition 1) ------------------------------------------------
     def relationships(self) -> list[tuple[str, str, ForeignKey]]:

@@ -53,23 +53,11 @@ class Workload:
     def __iter__(self) -> Iterator[WorkloadStatement]:
         return iter(self._statements)
 
-    def __len__(self) -> int:
-        return len(self._statements)
-
-    def __getitem__(self, i: int) -> WorkloadStatement:
-        return self._statements[i]
-
     def by_id(self, statement_id: str) -> WorkloadStatement:
         for s in self._statements:
             if s.statement_id == statement_id:
                 return s
         raise KeyError(statement_id)
-
-    def reads(self) -> "Workload":
-        """Sub-workload of SELECT statements."""
-        from repro.sql.ast import Select
-
-        return Workload(s for s in self._statements if isinstance(s.parsed, Select))
 
     def writes(self) -> "Workload":
         """Sub-workload of INSERT/UPDATE/DELETE statements."""

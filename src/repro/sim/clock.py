@@ -13,9 +13,6 @@ an operation — the virtual analogue of the paper's client-side ``tau``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
-
-from contextlib import contextmanager
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.sim.metrics import MetricsRegistry
@@ -40,9 +37,6 @@ class SimClock:
             raise ValueError(f"cannot move time backwards: {delta_ms}")
         self._now_ms += delta_ms
         return self._now_ms
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimClock(now={self._now_ms:.3f}ms)"
 
 
 @dataclass
@@ -122,20 +116,6 @@ class Simulation:
     def stopwatch(self) -> Stopwatch:
         return Stopwatch(self.clock).start()
 
-    @contextmanager
-    def measure(self, name: str | None = None) -> Iterator[Stopwatch]:
-        """Context manager yielding a running stopwatch; stops on exit."""
-        sw = self.stopwatch()
-        try:
-            yield sw
-        finally:
-            sw.stop()
-            if name is not None:
-                self.metrics.timer(name).record(sw.elapsed_ms)
-
     def reset_clock(self) -> None:
         """Zero the clock (data and metrics are preserved)."""
         self.clock = SimClock()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulation(now={self.clock.now_ms:.3f}ms, seed={self.seed})"

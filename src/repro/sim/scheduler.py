@@ -111,10 +111,6 @@ class VirtualClient:
         self.gen: Generator | None = None
         self.done = False
 
-    @property
-    def now_ms(self) -> float:
-        return self.clock.now_ms
-
     def wait(self, delta_ms: float, what: str) -> None:
         """:meth:`Simulation.wait` from inside this client's program.
         Only the running client may wait: between its own yields the
@@ -122,9 +118,6 @@ class VirtualClient:
         if self.sim.clock is not self.clock:
             raise RuntimeError(f"{self.name} waited while not running")
         self.sim.wait(delta_ms, what)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"VirtualClient({self.name}, now={self.clock.now_ms:.3f}ms)"
 
 
 class ConcurrencyContext:
@@ -251,16 +244,6 @@ class SchedulerReport:
         for c in self.clients.values():
             out.extend(c["response_times"])
         return out
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "makespan_ms": self.makespan_ms,
-            "steps": self.steps,
-            "lock_wait_count": self.lock_wait_count,
-            "serial_wait_count": self.serial_wait_count,
-            "conflict_abort_count": self.conflict_abort_count,
-            "clients": self.clients,
-        }
 
 
 class DeterministicScheduler:

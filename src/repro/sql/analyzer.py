@@ -28,9 +28,10 @@ its output names: ``*`` expands in FROM order, an aggregate is named by
 its call text, and a repeated name is qualified by its binding (or, for
 an aggregate, numbered). WHERE conjuncts are classified into **join
 conditions** (column = column across two bindings) and **filters**
-(column vs literal/parameter), and :func:`matches_fk_edge` tells which
-join conditions are key/foreign-key joins — the only kind the Synergy
-system materializes.
+(column vs literal/parameter);
+:func:`repro.synergy.heuristics.joins_match_edge` tells which join
+conditions are key/foreign-key joins — the only kind the Synergy system
+materializes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from repro.errors import SqlError
-from repro.relational.schema import ForeignKey, Schema
+from repro.relational.schema import Schema
 from repro.sql.ast import (
     ColumnRef,
     DerivedTable,
@@ -72,12 +73,6 @@ class JoinCondition:
     @property
     def is_equi(self) -> bool:
         return self.op == "="
-
-    def involves(self, binding: str) -> bool:
-        return binding in (self.left_binding, self.right_binding)
-
-    def relation_pair(self) -> tuple[str | None, str | None]:
-        return (self.left_relation, self.right_relation)
 
     def attr_pair_for(
         self, relation_a: str, relation_b: str
@@ -136,24 +131,11 @@ class AnalyzedSelect:
             isinstance(p, FuncCall) for p in self.select.projections
         )
 
-    def relations(self) -> tuple[str, ...]:
-        """Distinct base relations bound in the top-level FROM clause."""
-        return tuple(
-            dict.fromkeys(r for r in self.bindings.values() if r is not None)
-        )
-
     def equi_joins(self) -> list[JoinCondition]:
         return [j for j in self.joins if j.is_equi]
 
-    def is_equi_join_query(self) -> bool:
-        """True when the query has at least one equi-join condition."""
-        return any(j.is_equi for j in self.joins)
-
     def filters_on(self, binding: str) -> list[FilterCondition]:
         return [f for f in self.filters if f.binding == binding]
-
-    def binding_for_relation(self, relation: str) -> list[str]:
-        return [b for b, r in self.bindings.items() if r == relation]
 
 
 def _resolve(col: ColumnRef, attrs: dict[str, tuple[str, ...] | None]) -> Source:
@@ -294,31 +276,3 @@ def analyze_select(select: Select, schema: Schema) -> AnalyzedSelect:
 def _flip_op(op: str) -> str:
     return {"<": ">", ">": "<", "<=": ">=", ">=": "<="}.get(op, op)
 
-
-def matches_fk_edge(
-    schema: Schema,
-    parent: str,
-    child: str,
-    fk: ForeignKey,
-    joins: list[JoinCondition],
-) -> bool:
-    """True when ``joins`` contains conjuncts equating every PK attribute of
-    ``parent`` with the corresponding attribute of ``child``'s ``fk``.
-
-    This is the test used to *mark* schema-graph edges during view
-    selection (Sec. VI-A) and to weight edges in the candidate-view
-    generation heuristic (Sec. V-B2)."""
-    pk = schema.relation(parent).primary_key
-    needed = list(zip(pk, fk.attributes))
-    for pk_attr, fk_attr in needed:
-        found = False
-        for j in joins:
-            if not j.is_equi:
-                continue
-            pair = j.attr_pair_for(parent, child)
-            if pair == (pk_attr, fk_attr):
-                found = True
-                break
-        if not found:
-            return False
-    return True

@@ -8,7 +8,7 @@ paper are all conjunctive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Any, Iterator, Union
 
@@ -80,10 +80,6 @@ class BinOp:
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
-
-    @property
-    def is_equi(self) -> bool:
-        return self.op == "="
 
     def column_pair(self) -> tuple[ColumnRef, ColumnRef] | None:
         """Both sides column refs (a potential join condition), else None."""
@@ -175,10 +171,6 @@ class Select:
             else:
                 yield from item.select.iter_table_refs()
 
-    def referenced_relations(self) -> tuple[str, ...]:
-        """Distinct relation names referenced anywhere in the statement."""
-        return tuple(dict.fromkeys(t.name for t in self.iter_table_refs()))
-
     def uses_relation_twice(self) -> bool:
         """True for self-joins (Synergy does not use views for these)."""
         names = [t.name for t in self.iter_table_refs()]
@@ -221,40 +213,3 @@ class Delete:
 
 
 Statement = Union[Select, Insert, Update, Delete]
-
-
-def count_params(stmt: Statement) -> int:
-    """Number of ``?`` placeholders in the statement."""
-
-    def walk_expr(e: Expr) -> Iterator[Param]:
-        if isinstance(e, Param):
-            yield e
-        elif isinstance(e, BinOp):
-            yield from walk_expr(e.left)
-            yield from walk_expr(e.right)
-        elif isinstance(e, FuncCall):
-            for a in e.args:
-                yield from walk_expr(a)
-
-    def walk(s: Statement) -> Iterator[Param]:
-        if isinstance(s, Select):
-            for p in s.projections:
-                yield from walk_expr(p)
-            for item in s.from_items:
-                if isinstance(item, DerivedTable):
-                    yield from walk(item.select)
-            for c in s.where:
-                yield from walk_expr(c)
-        elif isinstance(s, Insert):
-            for v in s.values:
-                yield from walk_expr(v)
-        elif isinstance(s, Update):
-            for _, v in s.assignments:
-                yield from walk_expr(v)
-            for c in s.where:
-                yield from walk_expr(c)
-        elif isinstance(s, Delete):
-            for c in s.where:
-                yield from walk_expr(c)
-
-    return sum(1 for _ in walk(stmt))

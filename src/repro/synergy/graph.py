@@ -30,12 +30,6 @@ class GraphEdge:
     pk_attrs: tuple[str, ...]
     fk_attrs: tuple[str, ...]
 
-    def __str__(self) -> str:
-        return (
-            f"{self.parent}->{self.child}"
-            f"({','.join(self.pk_attrs)};{','.join(self.fk_attrs)})"
-        )
-
 
 class SchemaGraph:
     """Directed (multi-)graph over a schema's relations."""
@@ -48,18 +42,6 @@ class SchemaGraph:
         for e in edges:
             self._out[e.parent].append(e)
             self._in[e.child].append(e)
-
-    def out_edges(self, node: str) -> tuple[GraphEdge, ...]:
-        return tuple(self._out[node])
-
-    def in_edges(self, node: str) -> tuple[GraphEdge, ...]:
-        return tuple(self._in[node])
-
-    def edge_between(self, parent: str, child: str) -> GraphEdge | None:
-        for e in self._out[parent]:
-            if e.child == child:
-                return e
-        return None
 
     # -- DAG reduction (mechanism step 1) -------------------------------------------
     def to_dag(self, heuristic: "Heuristic") -> "SchemaGraph":

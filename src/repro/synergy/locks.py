@@ -106,16 +106,6 @@ class LockManager:
             # so the interval covers the whole critical section
             ctx.lock_release((root, row), sim.clock.now_ms)
 
-    def is_held(self, root: str, key_values: Sequence[Any]) -> bool:
-        from repro.hbase.ops import Get
-
-        table = self.client.table(lock_table_name(root))
-        result = table.get(Get(self._encode(root, key_values)))
-        return (
-            result is not None
-            and result.value(CF, LOCK_QUALIFIER) == LOCK_HELD
-        )
-
 
 class LockBatch:
     """The Fig. 11 micro-experiment: acquire+release N independent row

@@ -11,7 +11,7 @@ rooted tree with a unique path from the root to every assigned relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import ViewSelectionError
 from repro.synergy.graph import GraphEdge, SchemaGraph
@@ -34,10 +34,6 @@ class RootedTree:
         return self.node_order
 
     @property
-    def non_root_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n in self.node_order if n != self.root)
-
-    @property
     def edges(self) -> tuple[GraphEdge, ...]:
         return tuple(self.parent_edges[n] for n in self.node_order if n != self.root)
 
@@ -49,9 +45,6 @@ class RootedTree:
         return tuple(
             n for n in self.node_order if self.parent_of(n) == node
         )
-
-    def contains(self, node: str) -> bool:
-        return node in self.node_order
 
     def path_from_root(self, node: str) -> tuple[GraphEdge, ...]:
         """Tree edges from the root down to ``node``."""
@@ -65,21 +58,6 @@ class RootedTree:
             cur = e.parent
         edges.reverse()
         return tuple(edges)
-
-    def path_between(self, ancestor: str, descendant: str) -> tuple[GraphEdge, ...]:
-        """Tree edges ancestor -> descendant (ancestor must be on the path)."""
-        full = self.path_from_root(descendant)
-        if ancestor == self.root:
-            return full
-        for i, e in enumerate(full):
-            if e.parent == ancestor:
-                return full[i:]
-        raise ViewSelectionError(
-            f"{ancestor} is not an ancestor of {descendant} in tree {self.root}"
-        )
-
-    def is_leaf(self, node: str) -> bool:
-        return not self.children_of(node)
 
     def describe(self) -> str:
         lines = [self.root]

@@ -43,10 +43,6 @@ class ViewDef:
         return "-".join(self.relations)
 
     @property
-    def first(self) -> str:
-        return self.relations[0]
-
-    @property
     def last(self) -> str:
         return self.relations[-1]
 
@@ -56,21 +52,6 @@ class ViewDef:
     def key_attrs(self, schema: Schema) -> tuple[str, ...]:
         """PK of the last relation (Definition 5)."""
         return tuple(schema.relation(self.last).primary_key)
-
-    def attributes(self, schema: Schema) -> tuple[str, ...]:
-        out: list[str] = []
-        for rel in self.relations:
-            out.extend(schema.relation(rel).attribute_names)
-        return tuple(out)
-
-    def edge_into(self, relation: str) -> GraphEdge | None:
-        for e in self.edges:
-            if e.child == relation:
-                return e
-        return None
-
-    def __str__(self) -> str:
-        return self.display_name
 
 
 def candidate_views(tree: RootedTree) -> list[ViewDef]:

@@ -14,7 +14,7 @@ Synergy would treat as separate locking hierarchies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.relational.datatypes import DataType
@@ -36,10 +36,6 @@ class AdvisorCandidate:
     benefit: float
     size_estimate: int
     source_queries: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        return self.view.name
 
 
 class TuningAdvisor:

@@ -80,10 +80,6 @@ class EvaluatedSystem(abc.ABC):
     description: SystemDescription
 
     @property
-    def name(self) -> str:
-        return self.description.name
-
-    @property
     @abc.abstractmethod
     def sim(self) -> Simulation: ...
 
@@ -103,14 +99,6 @@ class EvaluatedSystem(abc.ABC):
 
     @abc.abstractmethod
     def db_size_bytes(self) -> int: ...
-
-    def register_statement(self, statement_id: str, sql: str) -> None:
-        """Register an ad-hoc statement under an id. Subclasses with a
-        statement registry override this; the base implementation
-        refuses so callers cannot silently lose statements."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not accept ad-hoc statements"
-        )
 
     def supports(self, statement_id: str) -> bool:
         """Whether this system can execute the workload statement.

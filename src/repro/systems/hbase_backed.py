@@ -82,12 +82,6 @@ class HBaseBackedSystem(EvaluatedSystem):
     def statement(self, statement_id: str) -> str:
         return self.statements[statement_id]
 
-    def register_statement(self, statement_id: str, sql: str) -> None:
-        # ad-hoc statements skip the design's rewrite (that runs once,
-        # over the declared workload) and execute over base tables —
-        # correct, just not view-accelerated
-        self.statements[statement_id] = sql
-
     def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
         return run_statement(self, sql, params)
 

@@ -12,13 +12,9 @@ from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.sql.ast import Select, Statement
-from repro.sql.parser import parse_statement
-from repro.sql.printer import to_sql
 from repro.synergy.design import SchemaAwareDesign
 from repro.synergy.locks import LockManager
 from repro.synergy.procedures import WriteProcedures
-from repro.synergy.rewrite import rewrite_query
-from repro.synergy.selection import select_views_for_query
 from repro.synergy.txlayer import SynergyTransactionLayer
 from repro.systems.base import SystemDescription
 from repro.systems.hbase_backed import HBaseBackedSystem
@@ -91,22 +87,6 @@ class SynergySystem(HBaseBackedSystem):
 
     def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
         return self.txlayer.execute_write(stmt, params)
-
-    def execute_id(self, statement_id: str, params: tuple[Any, ...] = ()) -> Any:
-        return self.execute(self.statements[statement_id], params)
-
-    def rewrite_ad_hoc(self, sql: str) -> str:
-        """Rewrite a query not in the design-time workload, using only the
-        views that were actually materialized."""
-        parsed = parse_statement(sql)
-        if not isinstance(parsed, Select):
-            return sql
-        selected = select_views_for_query(
-            parsed, self.schema, self.design.trees, self.design.heuristic
-        )
-        available = {v.relations for v in self.views}
-        usable = [v for v in selected if v.relations in available]
-        return to_sql(rewrite_query(parsed, self.schema, usable).select)
 
     def describe(self) -> str:
         lines = [f"Synergy system — roots {self.design.roots}"]

@@ -61,9 +61,6 @@ class VoltDBEvaluatedSystem(EvaluatedSystem):
                 continue
         return None
 
-    def register_statement(self, statement_id: str, sql: str) -> None:
-        self._statements[statement_id] = sql
-
     def supports(self, statement_id: str) -> bool:
         sql = self._statements.get(statement_id)
         return sql is not None and self.supports_sql(sql)

@@ -10,11 +10,11 @@ excludes them.
 """
 
 from repro.tpcw.schema import TPCW_ROOTS, tpcw_schema
-from repro.tpcw.queries import JOIN_QUERIES, join_query
-from repro.tpcw.writes import WRITE_STATEMENTS, write_statement
+from repro.tpcw.queries import JOIN_QUERIES
+from repro.tpcw.writes import WRITE_STATEMENTS
 from repro.tpcw.workload import tpcw_workload
 from repro.tpcw.generator import TpcwDataGenerator
-from repro.tpcw.serving import ServingWorkload, ZipfianPopulation, fold_rank
+from repro.tpcw.serving import ServingWorkload, ZipfianPopulation
 from repro.tpcw.microbench import (
     MICRO_ROOTS,
     MicrobenchDataGenerator,
@@ -31,11 +31,8 @@ __all__ = [
     "TpcwDataGenerator",
     "WRITE_STATEMENTS",
     "ZipfianPopulation",
-    "fold_rank",
-    "join_query",
     "micro_schema",
     "micro_workload",
     "tpcw_schema",
     "tpcw_workload",
-    "write_statement",
 ]

@@ -96,6 +96,3 @@ JOIN_QUERIES: dict[str, str] = {
 #: (paper Fig. 12 marks them with an X).
 VOLTDB_UNSUPPORTED = ("Q3", "Q7", "Q9", "Q10")
 
-
-def join_query(query_id: str) -> str:
-    return JOIN_QUERIES[query_id]

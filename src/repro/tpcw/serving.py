@@ -62,17 +62,6 @@ class ZipfianPopulation:
         u = rng.random(n)
         return np.searchsorted(self._cdf, u, side="right")
 
-    def head_mass(self, k: int) -> float:
-        """Probability mass of the ``k`` hottest users (skew gauge)."""
-        if k <= 0:
-            return 0.0
-        return float(self._cdf[min(k, self.population) - 1])
-
-
-def fold_rank(rank: int, key_space: int) -> int:
-    """Deterministically spread a user rank over ``key_space`` rows."""
-    return (rank * _FOLD_MULTIPLIER) % key_space
-
 
 class ServingWorkload:
     """Per-client operation streams for the serving bench.
@@ -106,9 +95,6 @@ class ServingWorkload:
         self.seed = seed
         self.read_fraction = read_fraction
         self.label = label
-
-    def row_key(self, row_index: int) -> bytes:
-        return b"%08d" % row_index
 
     def ops_for_client(self, client_id: int, n: int) -> list[tuple[str, bytes]]:
         """Client ``client_id``'s first ``n`` operations, materialized:

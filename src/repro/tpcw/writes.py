@@ -68,6 +68,3 @@ WRITE_STATEMENTS: dict[str, str] = {
     ),
 }
 
-
-def write_statement(write_id: str) -> str:
-    return WRITE_STATEMENTS[write_id]

@@ -93,9 +93,6 @@ class VoltTable:
                 bucket.discard(key)
 
     # -- reads ---------------------------------------------------------------------
-    def get(self, key: tuple) -> dict[str, Any] | None:
-        return self.rows.get(key)
-
     def lookup(self, attr: str, value: Any) -> Iterator[dict[str, Any]]:
         """Index (or PK-prefix) equality lookup."""
         if attr in self._indexes:
@@ -113,6 +110,3 @@ class VoltTable:
 
     def scan(self) -> Iterator[dict[str, Any]]:
         yield from self.rows.values()
-
-    def __len__(self) -> int:
-        return len(self.rows)

@@ -5,16 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ClusterConfig
-from repro.federation import build_mediator
+from repro.federation import Mediator
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
-from repro.hbase.ops import Put
+from repro.hbase.ops import Get, Put
+from repro.phoenix.catalog import CF
 from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
+from repro.sql.parser import parse_statement
 from repro.sim.scheduler import DeterministicScheduler, run_transaction
+from repro.synergy.locks import LOCK_HELD, LOCK_QUALIFIER, lock_table_name
 from repro.systems import (
     BaselineSystem,
     MvccASystem,
@@ -81,6 +84,27 @@ def build_company_federation(mode: str, pin: str | None = None):
     return mediator
 
 
+def build_mediator(backends, schema, workload=None, **kwargs) -> Mediator:
+    """A :class:`Mediator` over a mapping or ordered ``(name, system)``
+    pairs (order is the routing tie-break)."""
+    return Mediator(dict(backends), schema, workload, **kwargs)
+
+
+def lock_held(locks, root: str, key_values) -> bool:
+    """Whether the lock row of ``root`` at ``key_values`` reads held (one
+    Get of the lock table, charged like any other)."""
+    table = locks.client.table(lock_table_name(root))
+    result = table.get(Get(locks._encode(root, key_values)))
+    return result is not None and result.value(CF, LOCK_QUALIFIER) == LOCK_HELD
+
+
+def wal_pending(wal, region_name: str | None = None) -> int:
+    """Entries ``wal`` still holds for one region, or for all of them."""
+    if region_name is not None:
+        return len(wal._entries.get(region_name, ()))
+    return sum(len(v) for v in wal._entries.values())
+
+
 def build_cluster(servers=2, replication=None, rows=40, splits=None):
     """A cluster with one table ``t`` of ``rows`` one-cell rows (family
     ``cf``), pre-split at ``splits``."""
@@ -130,6 +154,23 @@ def build_company_conn(sim: Simulation, schema=None) -> PhoenixConnection:
     load_company(conn.writer)
     conn.analyze()
     return conn
+
+
+def execute_write(conn: PhoenixConnection, stmt, params=()) -> int:
+    """Run one INSERT/UPDATE/DELETE through ``conn``'s writer; returns
+    the rows it wrote."""
+    writer = conn.writer
+    if isinstance(stmt, str):
+        stmt = parse_statement(stmt)
+    plan = writer.compile(stmt, tuple(params))
+    if plan.kind == "insert":
+        writer.insert_row(plan.relation, plan.row)
+        return 1
+    if plan.kind == "update":
+        new = writer.update_row(plan.relation, plan.key, plan.changes)
+    else:
+        new = writer.delete_row(plan.relation, plan.key)
+    return 0 if new is None else 1
 
 
 def plan_nodes(node):

@@ -5,8 +5,21 @@ the fingerprint by which TPC-W results are compared across systems."""
 from __future__ import annotations
 
 import operator
+from typing import Iterator
 
 from repro.errors import SqlError, UnsupportedStatementError, WorkloadError
+from repro.sql.ast import (
+    BinOp,
+    Delete,
+    DerivedTable,
+    Expr,
+    FuncCall,
+    Insert,
+    Param,
+    Select,
+    Statement,
+    Update,
+)
 from repro.tpcw.queries import JOIN_QUERIES
 
 TABLES = {
@@ -266,3 +279,40 @@ def query_battery(system, lab, reps=(0, 1)) -> dict:
             rows = system.execute(system.statement(qid), params)
             out[(qid, rep)] = canonical(qid, rows)
     return out
+
+
+def count_params(stmt: Statement) -> int:
+    """Number of ``?`` placeholders in the statement."""
+
+    def walk_expr(e: Expr) -> Iterator[Param]:
+        if isinstance(e, Param):
+            yield e
+        elif isinstance(e, BinOp):
+            yield from walk_expr(e.left)
+            yield from walk_expr(e.right)
+        elif isinstance(e, FuncCall):
+            for a in e.args:
+                yield from walk_expr(a)
+
+    def walk(s: Statement) -> Iterator[Param]:
+        if isinstance(s, Select):
+            for p in s.projections:
+                yield from walk_expr(p)
+            for item in s.from_items:
+                if isinstance(item, DerivedTable):
+                    yield from walk(item.select)
+            for c in s.where:
+                yield from walk_expr(c)
+        elif isinstance(s, Insert):
+            for v in s.values:
+                yield from walk_expr(v)
+        elif isinstance(s, Update):
+            for _, v in s.assignments:
+                yield from walk_expr(v)
+            for c in s.where:
+                yield from walk_expr(c)
+        elif isinstance(s, Delete):
+            for c in s.where:
+                yield from walk_expr(c)
+
+    return sum(1 for _ in walk(stmt))

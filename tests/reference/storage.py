@@ -6,7 +6,8 @@ from __future__ import annotations
 import struct
 from datetime import date, datetime
 
-from repro.relational.datatypes import DataType
+from repro.hbase.bytes_util import split_key
+from repro.relational.datatypes import DataType, value_decoder
 
 FAMILIES = [b"cf", b"fx"]
 QUALIFIERS = [b"a", b"b", b"c"]
@@ -207,3 +208,28 @@ def encode_value_reference(dtype: DataType, value) -> bytes:
     if dtype is DataType.BOOL:
         return b"\x01" if value else b"\x00"
     raise TypeError(f"unsupported dtype: {dtype}")
+
+
+def decode_key(dtypes, key: bytes) -> tuple:
+    """The inverse of ``encode_key``: a composite key's typed components."""
+    parts = split_key(key)
+    if len(parts) != len(dtypes):
+        raise ValueError(
+            f"key arity mismatch: {len(parts)} components, {len(dtypes)} types"
+        )
+    return tuple(value_decoder(dt)(p) for dt, p in zip(dtypes, parts))
+
+
+def put_cell(entry, family: bytes, qualifier: bytes, ts: int, value: bytes) -> None:
+    """One cell into a ``RowEntry`` by ``MemStore.apply_put``'s rule: a
+    stamp newer than the column's head goes first, any other is
+    appended and leaves the entry for its ``cells`` read to re-sort."""
+    entry._summary = None
+    versions = entry._cells.get((family, qualifier))
+    if versions is None:
+        entry._cells[(family, qualifier)] = [(ts, value)]
+    elif ts > versions[0][0]:
+        versions.insert(0, (ts, value))
+    else:
+        versions.append((ts, value))
+        entry._dirty = True

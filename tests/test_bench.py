@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import re
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -552,3 +553,96 @@ class TestCheckAnchors:
         code, report = self.run({"A": {"5000": {"mean": 9.0}},
                                  "B": {"5000": {"mean": 9.0}}})
         assert code == 2 and report["checked"] == 0
+
+
+class TestReach:
+    """``tools/reach.py``: the census names exactly the functions
+    ``src/repro`` defines, and every one no workload reaches is allowed
+    with a reason that is not "a test calls it"."""
+
+    def test_every_function_is_reached_or_allowed(self, capsys):
+        code = _tool("reach").main(["--check"])
+        assert code == 0, capsys.readouterr().err
+
+    SAMPLE = '''\
+import abc
+
+
+def outer():
+    def inner():
+        return 1
+
+    return inner
+
+
+class Box(abc.ABC):
+    @property
+    def size(self):
+        return self._size
+
+    @size.setter
+    def size(self, value):
+        self._size = value
+
+    @staticmethod
+    def made(
+        x,
+    ):
+        return x
+
+    @abc.abstractmethod
+    def shape(self):
+        """What it is."""
+'''
+
+    @pytest.fixture
+    def found(self, tmp_path):
+        path = tmp_path / "sample.py"
+        path.write_text(self.SAMPLE)
+        return {d.key: d for d in _tool("reach").definitions(path, "sample")}
+
+    LINES = SAMPLE.splitlines()
+
+    def test_definitions_are_keyed_as_their_code_objects(self, found):
+        assert sorted(found) == [
+            "sample:Box.made",
+            "sample:Box.shape",
+            "sample:Box.size",
+            "sample:Box.size#2",
+            "sample:outer",
+            "sample:outer.<locals>.inner",
+        ]
+        code_lines: dict[str, set[int]] = {}
+
+        def collect(code):
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    code_lines.setdefault(const.co_qualname, set()).add(
+                        const.co_firstlineno
+                    )
+                    collect(const)
+
+        collect(compile(self.SAMPLE, "sample.py", "exec"))
+        for key, definition in found.items():
+            qualname = key.partition(":")[2].partition("#")[0]
+            assert definition.first in code_lines[qualname], key
+
+    def test_nested_function_lines_are_its_own(self, found):
+        assert found["sample:outer.<locals>.inner"].lines == 2
+        assert found["sample:outer"].lines == 5 - 2
+
+    def test_property_pair_is_one_qualname_two_code_objects(self, found):
+        getter, setter = found["sample:Box.size"], found["sample:Box.size#2"]
+        assert self.LINES[getter.first - 1].strip() == "@property"
+        assert self.LINES[setter.first - 1].strip() == "@size.setter"
+
+    def test_decorated_function_starts_at_its_decorator(self, found):
+        made = found["sample:Box.made"]
+        assert self.LINES[made.first - 1].strip() == "@staticmethod"
+        assert made.lines == 5
+
+    def test_abstract_stub_is_a_declaration(self, found):
+        assert found["sample:Box.shape"].declaration
+        assert not any(
+            d.declaration for k, d in found.items() if k != "sample:Box.shape"
+        )

@@ -173,7 +173,7 @@ class TestDeterminism:
             system = build_system(kind, 3)
             scheduler, report = run_scheduled(system, per_client)
             outcomes.append(
-                (scheduler.trace, report.as_dict(), db_state(system))
+                (scheduler.trace, report, db_state(system))
             )
         assert outcomes[0] == outcomes[1]
 

@@ -6,15 +6,15 @@ from datetime import date, datetime
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hbase.bytes_util import decode_key, encode_key, next_key, split_key
+from repro.hbase.bytes_util import encode_key, prefix_stop, split_key
 from repro.relational.datatypes import (
     DataType,
-    decode_value,
     encode_value,
+    value_decoder,
     value_encoder,
     value_size_bytes,
 )
-from tests.reference.storage import encode_value_reference
+from tests.reference.storage import decode_key, encode_value_reference
 
 INTS = st.integers(min_value=-(2**62), max_value=2**62)
 TEXT = st.text(max_size=64)
@@ -23,27 +23,27 @@ TEXT = st.text(max_size=64)
 class TestScalarCodec:
     @given(INTS)
     def test_int_roundtrip(self, v):
-        assert decode_value(DataType.INT, encode_value(DataType.INT, v)) == v
+        assert value_decoder(DataType.INT)(encode_value(DataType.INT, v)) == v
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_float_roundtrip(self, v):
-        assert decode_value(DataType.FLOAT, encode_value(DataType.FLOAT, v)) == v
+        assert value_decoder(DataType.FLOAT)(encode_value(DataType.FLOAT, v)) == v
 
     @given(TEXT)
     def test_varchar_roundtrip(self, v):
         assert (
-            decode_value(DataType.VARCHAR, encode_value(DataType.VARCHAR, v)) == v
+            value_decoder(DataType.VARCHAR)(encode_value(DataType.VARCHAR, v)) == v
             or v == ""  # empty string encodes like NULL, as in HBase
         )
 
     @given(st.booleans())
     def test_bool_roundtrip(self, v):
-        assert decode_value(DataType.BOOL, encode_value(DataType.BOOL, v)) is v
+        assert value_decoder(DataType.BOOL)(encode_value(DataType.BOOL, v)) is v
 
     def test_null_encodes_empty(self):
         for dtype in DataType:
             assert encode_value(dtype, None) == b""
-            assert decode_value(dtype, b"") is None
+            assert value_decoder(dtype)(b"") is None
 
     @given(INTS, INTS)
     def test_int_encoding_preserves_order(self, a, b):
@@ -140,6 +140,10 @@ class TestCompositeKeys:
         assert decode_key(dtypes, key) == ("a\x00b", "c")
         assert len(split_key(key)) == 2
 
-    def test_next_key_orders_after_prefix(self):
-        key = encode_key([DataType.INT], [7])
-        assert next_key(key) > key
+    @given(INTS, TEXT)
+    def test_prefix_stop_orders_after_every_key_with_the_prefix(self, k, rest):
+        prefix = encode_key([DataType.INT], [k])
+        stop = prefix_stop(prefix)
+        key = encode_key([DataType.INT, DataType.VARCHAR], [k, rest])
+        assert prefix <= key < stop
+        assert stop < encode_key([DataType.INT], [k + 1])

@@ -16,6 +16,7 @@ from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.executor import PhoenixConnection
 from repro.relational.company import company_schema
 from repro.sql.parser import parse_statement
+from tests.conftest import execute_write
 from tests.reference.sql import load_company
 
 
@@ -32,14 +33,14 @@ class TestPhoenixEdges:
 
     def test_insert_unknown_attribute(self, company_conn):
         with pytest.raises(SqlError, match="Bogus"):
-            company_conn.execute_write(
-                "INSERT INTO Employee (EID, Bogus) VALUES (?, ?)", (1, 2)
+            execute_write(
+                company_conn, "INSERT INTO Employee (EID, Bogus) VALUES (?, ?)", (1, 2)
             )
 
     def test_insert_arity_mismatch(self, company_conn):
         with pytest.raises(WorkloadError):
-            company_conn.execute_write(
-                "INSERT INTO Department (DNo, DName) VALUES (?)", (1,)
+            execute_write(
+                company_conn, "INSERT INTO Department (DNo, DName) VALUES (?)", (1,)
             )
 
     def test_plan_of_text_follows_analyze(self, client):
@@ -65,8 +66,8 @@ class TestPhoenixEdges:
                                           "WHERE DP_EID = ?", (999,)) == []
 
     def test_null_fk_join_produces_no_row(self, company_conn):
-        company_conn.execute_write(
-            "INSERT INTO Employee (EID, EName) VALUES (?, ?)", (77, "nofk")
+        execute_write(
+            company_conn, "INSERT INTO Employee (EID, EName) VALUES (?, ?)", (77, "nofk")
         )
         rows = company_conn.execute_query(
             "SELECT * FROM Employee as e, Address as a "
@@ -75,8 +76,8 @@ class TestPhoenixEdges:
         assert rows == []
 
     def test_order_by_with_nulls(self, company_conn):
-        company_conn.execute_write(
-            "INSERT INTO Address (AID, City) VALUES (?, ?)", (80, None)
+        execute_write(
+            company_conn, "INSERT INTO Address (AID, City) VALUES (?, ?)", (80, None)
         )
         rows = company_conn.execute_query(
             "SELECT AID, City FROM Address ORDER BY City DESC"
@@ -133,7 +134,7 @@ class TestSynergyEdges:
 class TestHBaseEdges:
     def test_scan_empty_range(self, client):
         t = client.create_table("empty")
-        assert t.scan_all(Scan(start_row=b"a", stop_row=b"b")) == []
+        assert list(t.scan(Scan(start_row=b"a", stop_row=b"b"))) == []
 
     def test_get_after_delete_before_compaction(self, client):
         from repro.hbase.ops import Delete as HDelete

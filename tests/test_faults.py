@@ -150,7 +150,7 @@ class TestChaosCell:
             )
             return (
                 run.as_dict(),
-                run.report.as_dict(),
+                run.report,
                 run.history.acked,
                 [s.rows for s in run.history.scans],
                 run.history.events,

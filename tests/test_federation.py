@@ -21,6 +21,7 @@ tie-prone Q11 top-5 there, so full-row canonicalization is safe.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -33,7 +34,6 @@ from repro.federation import (
     FederationError,
     FederationWriteHazardError,
     RoutingAdvisor,
-    build_mediator,
 )
 from repro.federation.decompose import decompose, split_eligible
 from repro.federation.estimate import estimate_ms, voltdb_estimate
@@ -45,7 +45,7 @@ from repro.sql.analyzer import analyze_select
 from repro.sql.parser import parse_statement
 from repro.tpcw.queries import JOIN_QUERIES, VOLTDB_UNSUPPORTED
 from repro.tpcw.writes import WRITE_STATEMENTS
-from tests.conftest import build_tpcw_systems, run_four_client_schedule
+from tests.conftest import build_mediator, build_tpcw_systems, run_four_client_schedule
 from tests.reference.generators import four_client_txns
 from tests.reference.sql import query_battery
 
@@ -118,8 +118,7 @@ class TestRoutedQueries:
             assert rec.assignments
             for a in rec.assignments:
                 assert a["backend"] in mediator.backends
-            d = rec.to_dict()  # JSON-friendly
-            json.dumps(d)
+            json.dumps(dataclasses.asdict(rec))  # JSON-friendly
 
     def test_voltdb_unsupported_join_runs_federated(self, backends, lab):
         """Pinned to VoltDB the paper's 3-way joins are unsupported in
@@ -220,7 +219,7 @@ class TestDeterminism:
                     mediator.execute(mediator.statement(qid), params)
             logs.append(json.dumps(mediator.advisor.log_dicts()))
             routes.append(
-                json.dumps([r.to_dict() for r in mediator.route_log])
+                json.dumps([dataclasses.asdict(r) for r in mediator.route_log])
             )
         assert logs[0] == logs[1]
         assert routes[0] == routes[1]

@@ -7,12 +7,11 @@ which is exactly what Phoenix's ``AccessSpec`` does)."""
 import pytest
 
 from repro.hbase import Put, Scan
+from repro.hbase.bytes_util import prefix_stop
 from repro.hbase.cell import Result
 from repro.hbase.filters import (
     AndFilter,
     ColumnValueFilter,
-    PrefixFilter,
-    RowRangeFilter,
 )
 from repro.hbase.ops import Delete
 
@@ -20,10 +19,9 @@ CF = b"cf"
 
 
 def make_result(row=b"r1", **cols) -> Result:
-    result = Result(row)
-    for q, v in cols.items():
-        result.add(CF, q.encode(), 1, v)
-    return result
+    return Result.from_sorted(
+        row, {(CF, q.encode()): [(1, v)] for q, v in cols.items()}
+    )
 
 
 class TestColumnValueFilter:
@@ -48,39 +46,41 @@ class TestColumnValueFilter:
         assert f.accept(make_result(a=b"m"))
 
     def test_compares_newest_version_only(self):
-        result = make_result()
-        result.add(CF, b"a", 1, b"old")
-        result.add(CF, b"a", 5, b"new")
+        result = Result.from_sorted(b"r1", {(CF, b"a"): [(5, b"new"), (1, b"old")]})
         assert ColumnValueFilter(CF, b"a", "=", b"new").accept(result)
         assert not ColumnValueFilter(CF, b"a", "=", b"old").accept(result)
 
 
 class TestRowFilters:
+    """Row restrictions are the scan's ``[start_row, stop_row)`` range,
+    which the scanner applies before any filter sees a row; a key
+    prefix is the range ``[prefix, prefix_stop(prefix))``."""
+
     def test_prefix_filter(self):
-        f = PrefixFilter(b"ab")
-        assert f.accept(make_result(row=b"abc"))
-        assert not f.accept(make_result(row=b"ba"))
+        stop = prefix_stop(b"ab")
+        for row in (b"ab", b"abc", b"ab\x00x", b"ab\xff\xfe"):
+            assert b"ab" <= row < stop
+        for row in (b"aa\xff", b"b", b"ba"):
+            assert not b"ab" <= row < stop
 
-    def test_row_range_start_inclusive_stop_exclusive(self):
-        f = RowRangeFilter(start=b"b", stop=b"d")
-        assert not f.accept(make_result(row=b"a"))
-        assert f.accept(make_result(row=b"b"))
-        assert f.accept(make_result(row=b"c"))
-        assert not f.accept(make_result(row=b"d"))
+    def test_row_range_start_inclusive_stop_exclusive(self, table):
+        scan = Scan(start_row=b"b2", stop_row=b"z9")
+        # b2 and m1 sit on either side of the m split
+        assert scanned_keys(table, scan) == [b"b2", b"m1"]
 
-    def test_row_range_open_bounds(self):
-        assert RowRangeFilter().accept(make_result(row=b"x"))
-        assert RowRangeFilter(start=b"b").accept(make_result(row=b"z"))
-        assert not RowRangeFilter(stop=b"b").accept(make_result(row=b"z"))
+    def test_row_range_open_bounds(self, table):
+        assert scanned_keys(table, Scan()) == [b"a1", b"b2", b"m1", b"z9"]
+        assert scanned_keys(table, Scan(start_row=b"m")) == [b"m1", b"z9"]
+        assert scanned_keys(table, Scan(stop_row=b"m")) == [b"a1", b"b2"]
 
     def test_and_filter_is_conjunction(self):
         f = AndFilter((
-            PrefixFilter(b"a"),
             ColumnValueFilter(CF, b"a", "=", b"v"),
+            ColumnValueFilter(CF, b"b", "=", b"u"),
         ))
-        assert f.accept(make_result(row=b"ax", a=b"v"))
-        assert not f.accept(make_result(row=b"bx", a=b"v"))
-        assert not f.accept(make_result(row=b"ax", a=b"w"))
+        assert f.accept(make_result(a=b"v", b=b"u"))
+        assert not f.accept(make_result(a=b"w", b=b"u"))
+        assert not f.accept(make_result(a=b"v", b=b"w"))
 
 
 @pytest.fixture
@@ -109,15 +109,16 @@ class TestScanIntegration:
         assert scanned_keys(table, scan) == [b"a1", b"m1"]
 
     def test_prefix_filter_on_scan(self, table):
-        scan = Scan()
-        scan.filter = PrefixFilter(b"b")
+        scan = Scan(start_row=b"b", stop_row=prefix_stop(b"b"))
         assert scanned_keys(table, scan) == [b"b2"]
+        scan.filter = ColumnValueFilter(CF, b"grade", "=", b"g1")
+        assert scanned_keys(table, scan) == []
 
     def test_and_filter_on_scan(self, table):
         scan = Scan()
         scan.filter = AndFilter((
             ColumnValueFilter(CF, b"grade", "=", b"g2"),
-            RowRangeFilter(stop=b"m"),
+            ColumnValueFilter(CF, b"size", "=", b"s2"),
         ))
         assert scanned_keys(table, scan) == [b"b2"]
 
@@ -129,7 +130,7 @@ class TestScanIntegration:
         scan.filter = ColumnValueFilter(CF, b"grade", "=", b"g2")
         rows = list(table.scan(scan))
         assert [r.row for r in rows] == [b"b2", b"z9"]
-        assert all(r.columns() == [(CF, b"grade")] for r in rows)
+        assert all(r.column_count == 1 and r.value(CF, b"grade") for r in rows)
 
     def test_filter_on_column_projected_away_sees_missing(self, table):
         """The scanner merges only the pushed-down columns, so a filter

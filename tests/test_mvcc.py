@@ -80,10 +80,10 @@ class TestTransactions:
         a = server.begin()
         b = server.begin()
         # b cannot see a (in progress at b's snapshot)
-        assert not b.visible(a.tx_id)
+        assert a.tx_id in b.in_progress
         server.commit(a)
         c = server.begin()
-        assert c.visible(a.tx_id)
+        assert a.tx_id <= c.snapshot_ts and a.tx_id not in c.in_progress
 
     def test_executor_wrappers(self, server):
         ex = TransactionAwareExecutor(server)

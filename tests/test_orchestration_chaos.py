@@ -81,6 +81,27 @@ class TestRolloutUnderChaos:
             "layout_intact": 1,
         }
 
+    def test_every_step_kind_rolls_back(self, gate):
+        """Drain, move, merge, add/remove and a replica raise on a
+        replicated table all unwind exactly."""
+        out, _ = gate
+        assert out["every_step"] == {
+            "rolled_back": 1,
+            "rows_intact": 1,
+            "layout_intact": 1,
+        }
+
+    def test_scale_in_commits(self, gate):
+        """A scale-in plan drains its retiring member for real."""
+        out, _ = gate
+        assert out["scale_in"] == {
+            "committed": 1,
+            "drained": 1,
+            "followers_rebuilt": 1,
+            "rows_intact": 1,
+            "layout_issues": 0,
+        }
+
     def test_chaos_rollout_rerun_is_byte_identical(self):
         def run():
             report, rollout, history, violations, fatal = (

@@ -8,7 +8,8 @@ from repro.phoenix.catalog import INDEX, TABLE, VIEW
 from repro.phoenix.ddl import create_baseline_schema, create_view_entry
 from repro.phoenix.plans import HashJoinNode, NestedLoopJoinNode, ScanNode
 from repro.relational.company import company_schema
-from tests.conftest import plan_nodes
+from tests.conftest import execute_write, plan_nodes
+from tests.reference.storage import decode_key
 
 
 class TestCatalog:
@@ -31,7 +32,7 @@ class TestCatalog:
         wo = catalog.table_for_relation("Works_On")
         row = {"WO_EID": 3, "WO_PNo": 9, "Hours": 40}
         key = wo.encode_key(row)
-        assert wo.decode_key(key) == {"WO_EID": 3, "WO_PNo": 9}
+        assert decode_key([wo.dtypes[a] for a in wo.key_attrs], key) == (3, 9)
 
     def test_missing_key_attr_encodes_null(self, client):
         """Index keys may carry NULL components (Phoenix semantics);
@@ -39,7 +40,7 @@ class TestCatalog:
         catalog = create_baseline_schema(client, company_schema())
         emp = catalog.table_for_relation("Employee")
         key = emp.encode_key({"EName": "x"})
-        assert emp.decode_key(key) == {"EID": None}
+        assert decode_key([emp.dtypes["EID"]], key) == (None,)
 
     def test_view_entry_key_is_last_relations_pk(self, client):
         catalog = create_baseline_schema(client, company_schema())
@@ -273,8 +274,8 @@ class TestExecutor:
         assert all(r["Hours"] > 15 for r in rows)
 
     def test_comparison_with_null_is_false(self, company_conn):
-        company_conn.execute_write(
-            "INSERT INTO Address (AID, Street) VALUES (?, ?)", (99, None)
+        execute_write(
+            company_conn, "INSERT INTO Address (AID, Street) VALUES (?, ?)", (99, None)
         )
         rows = company_conn.execute_query(
             "SELECT * FROM Address WHERE Street = ? and AID = ?", (None, 99)
@@ -290,8 +291,8 @@ class TestExecutor:
 
 class TestWritePath:
     def test_insert_visible_via_index(self, company_conn):
-        company_conn.execute_write(
-            "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
+        execute_write(
+            company_conn, "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
             (9, 1, 77),
         )
         rows = company_conn.execute_query(
@@ -300,8 +301,8 @@ class TestWritePath:
         assert len(rows) == 1
 
     def test_update_maintains_index(self, company_conn):
-        company_conn.execute_write(
-            "UPDATE Works_On SET Hours = ? WHERE WO_EID = ? and WO_PNo = ?",
+        execute_write(
+            company_conn, "UPDATE Works_On SET Hours = ? WHERE WO_EID = ? and WO_PNo = ?",
             (99, 2, 2),
         )
         assert company_conn.execute_query(
@@ -314,8 +315,8 @@ class TestWritePath:
         assert stale == []
 
     def test_delete_removes_index_entries(self, company_conn):
-        company_conn.execute_write(
-            "DELETE FROM Works_On WHERE WO_EID = ? and WO_PNo = ?", (2, 2)
+        execute_write(
+            company_conn, "DELETE FROM Works_On WHERE WO_EID = ? and WO_PNo = ?", (2, 2)
         )
         rows = company_conn.execute_query(
             "SELECT * FROM Works_On WHERE Hours = ? and WO_EID = ?", (20, 2)
@@ -324,23 +325,23 @@ class TestWritePath:
 
     def test_multi_row_write_rejected(self, company_conn):
         with pytest.raises(UnsupportedStatementError):
-            company_conn.execute_write(
-                "DELETE FROM Works_On WHERE WO_EID = ?", (2,)
+            execute_write(
+                company_conn, "DELETE FROM Works_On WHERE WO_EID = ?", (2,)
             )
         with pytest.raises(UnsupportedStatementError):
-            company_conn.execute_write(
-                "UPDATE Employee SET EName = ? WHERE E_DNo = ?", ("x", 1)
+            execute_write(
+                company_conn, "UPDATE Employee SET EName = ? WHERE E_DNo = ?", ("x", 1)
             )
 
     def test_key_update_rejected(self, company_conn):
         with pytest.raises(UnsupportedStatementError):
-            company_conn.execute_write(
-                "UPDATE Employee SET EID = ? WHERE EID = ?", (100, 1)
+            execute_write(
+                company_conn, "UPDATE Employee SET EID = ? WHERE EID = ?", (100, 1)
             )
 
     def test_update_missing_row_returns_zero(self, company_conn):
-        n = company_conn.execute_write(
-            "UPDATE Employee SET EName = ? WHERE EID = ?", ("x", 12345)
+        n = execute_write(
+            company_conn, "UPDATE Employee SET EName = ? WHERE EID = ?", ("x", 12345)
         )
         assert n == 0
 

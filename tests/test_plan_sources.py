@@ -26,7 +26,6 @@ import pytest
 
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.errors import PlanError
-from repro.federation import build_mediator
 from repro.federation.merge import plan_merge
 from repro.phoenix.planner import PlannedQuery, SelectComposer
 from repro.phoenix.plans import (
@@ -47,7 +46,7 @@ from repro.sql.analyzer import AnalyzedSelect, analyze_select
 from repro.sql.ast import Literal, Param
 from repro.sql.parser import parse_statement
 from repro.tpcw.queries import JOIN_QUERIES
-from tests.conftest import build_company_system, plan_nodes
+from tests.conftest import build_company_system, build_mediator, plan_nodes
 from tests.reference.generators import SEEDS, generate_query
 
 PHOENIX_SYSTEMS = ("Synergy", "MVCC-A", "MVCC-UA", "Baseline")

@@ -18,6 +18,7 @@ from repro.hbase import (
     Scan,
 )
 from repro.sim.clock import Simulation
+from tests.conftest import wal_pending
 
 CF = b"cf"
 
@@ -366,13 +367,13 @@ class TestWalRoutingAcrossSplits:
         parent = only_region(cluster)
         server = cluster.server_for(parent)
         low, high = cluster.split_region(parent)
-        assert server.wal.pending_count(parent.name) == 30
+        assert wal_pending(server.wal, parent.name) == 30
         server.flush_region(low)
         remaining = server.wal.entries_for(parent.name)
         assert remaining  # high's half is still unflushed
         assert all(e.row >= high.start_key for e in remaining)
         server.flush_region(high)
-        assert server.wal.pending_count(parent.name) == 0
+        assert wal_pending(server.wal, parent.name) == 0
 
     def test_recovered_edits_survive_a_second_failover(self, cluster, table):
         fill(table, 10)  # unflushed: only in the memstore + rs1's WAL

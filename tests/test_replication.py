@@ -26,6 +26,7 @@ from repro.sim.faults import (
     run_chaos_cell,
 )
 from repro.sim.scheduler import DeterministicScheduler
+from tests.conftest import wal_pending
 
 
 def entry(row: bytes, ts: int = 1) -> WalEntry:
@@ -485,7 +486,7 @@ class TestCrashCycleEdges:
             cluster.recover_server(victim)
             victim.restart()
             assert not victim.regions and not victim.follower_regions
-            assert victim.wal.pending_count() == 0
+            assert wal_pending(victim.wal) == 0
             manager.ship_pending(10_000)
             # second cycle crashes the *same* server again: by now it
             # may host rebuilt followers but no primaries — both must
@@ -571,7 +572,7 @@ class TestReplicatedChaosCell:
             )
             return (
                 run.as_dict(),
-                run.report.as_dict(),
+                run.report,
                 run.history.acked,
                 run.history.follower_gets,
                 [s.rows for s in run.history.scans],

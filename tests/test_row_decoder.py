@@ -27,7 +27,6 @@ from hypothesis import given, strategies as st
 import repro.federation.mediator as mediator_module
 import repro.voltdb.system as voltdb_module
 from repro.bench.tpcw_lab import TpcwLab
-from repro.federation import build_mediator
 from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
@@ -49,6 +48,7 @@ from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 from repro.tpcw.queries import JOIN_QUERIES
 from repro.voltdb.system import PartitionScheme
 from tests.conftest import (
+    build_mediator,
     build_company_conn, build_company_federation, build_company_system,
     build_tpcw_systems, plan_nodes,
 )
@@ -220,11 +220,11 @@ def _stored(entry: CatalogEntry, row: dict, absent: frozenset[str]) -> Result:
     """``row`` as the Result a read of its Put returns; the cells of
     ``absent`` were never written."""
     put = entry.row_to_put(row)
-    result = Result(put.row)
-    for family, qualifier, value, _ts in put.cells:
-        if qualifier.decode() not in absent:
-            result.add(family, qualifier, 1, value)
-    return result
+    return Result.from_sorted(put.row, {
+        (family, qualifier): [(1, value)]
+        for family, qualifier, value, _ts in put.cells
+        if qualifier.decode() not in absent
+    })
 
 
 class TestCompiledEncoder:
@@ -287,7 +287,7 @@ class TestCompiledDecoder:
         assert entry.row_decoder() is entry.row_decoder(None, None)
 
     def test_key_arity_mismatch_still_rejected(self):
-        result = Result(b"only-one-component")
+        result = Result.from_sorted(b"only-one-component", {})
         with pytest.raises(ValueError, match="arity"):
             ALL_TYPES_ENTRY.result_to_row(result)
 

@@ -17,6 +17,7 @@ from repro.hbase.region import Region
 from repro.hbase.store import RowEntry
 from tests.reference.storage import (
     FAMILIES, PROJECTIONS, QUALIFIERS, reading, reference_reading, reference_scan,
+    put_cell,
 )
 
 
@@ -208,7 +209,7 @@ class TestScannerEdgeCases:
     def test_lazy_sort_preserves_newest_first(self):
         entry = RowEntry()
         for ts in (3, 1, 5, 2, 4):
-            entry.put_cell(CF, b"q", ts, b"%d" % ts)
+            put_cell(entry, CF, b"q", ts, b"%d" % ts)
         assert [ts for ts, _ in entry.cells[(CF, b"q")]] == [5, 4, 3, 2, 1]
 
     def test_open_cursor_raises_when_region_goes_offline(self):

@@ -33,16 +33,14 @@ from repro.hbase.cluster import HBaseCluster
 from repro.hbase.ops import Delete, Get, Put
 from repro.sim.clock import Simulation
 from repro.sim.rng import derive_rng
-from repro.tpcw.serving import ServingWorkload, ZipfianPopulation, fold_rank
+from repro.tpcw.serving import _FOLD_MULTIPLIER, ServingWorkload, ZipfianPopulation
 
 CF = b"cf"
 Q = b"v"
 
 
 def result_for(row: bytes, value: bytes) -> Result:
-    r = Result(row)
-    r.add(CF, Q, 1, value)
-    return r
+    return Result.from_sorted(row, {(CF, Q): [(1, value)]})
 
 
 # --------------------------------------------------------------- ServingConfig
@@ -138,7 +136,7 @@ class TestRowCache:
     def test_oversized_entry_skipped(self):
         cache = RowCache(128)
         cache.insert("r", b"big", None, result_for(b"big", bytes(512)))
-        assert len(cache) == 0
+        assert not cache._entries
         assert cache.size_bytes == 0
 
     def test_size_accounting_returns_to_zero(self):
@@ -149,7 +147,7 @@ class TestRowCache:
         cache.invalidate_row("r1", b"a")
         cache.invalidate_region("r2")
         cache.invalidate_region("r1")
-        assert len(cache) == 0
+        assert not cache._entries
         assert cache.size_bytes == 0
         assert cache.invalidations == 6
 
@@ -239,7 +237,7 @@ class TestCacheCoherence:
     def test_cached_result_is_sized_once_and_detaches_when_edited(self):
         """A flushed row's Result borrows the HFile entry and is what the
         cache keeps: every get of it is charged the same bytes, and a
-        caller's ``add`` must leave the store alone and re-size."""
+        caller's edit of ``_cells`` must leave the store alone and re-size."""
         cluster, table = build_cluster(ServingConfig(row_cache_bytes=64 * 1024))
         for region in cluster.descriptor("t").regions:
             cluster.server_for(region).flush_region(region)
@@ -252,7 +250,7 @@ class TestCacheCoherence:
             result = table.get(Get(row))
             charged.append(counters()["client.bytes"] - before)
         assert charged == [wire] * 3 and result._borrowed
-        result.add(CF, b"extra", 10**9, b"edited by the caller")
+        result._cells[(CF, b"extra")] = [(10**9, b"edited by the caller")]
         assert not result._borrowed
         assert result.size_bytes == wire + len(row) + 8 + len(CF) + 5 + 20
         region = cluster.descriptor("t").region_for(row)
@@ -485,13 +483,17 @@ class TestZipfianWorkload:
 
     def test_skew_concentrates_on_head(self):
         zipf = ZipfianPopulation(population=100_000, s=1.1)
-        assert zipf.head_mass(100) > 0.3
-        assert zipf.head_mass(100) > zipf.head_mass(10) > zipf.head_mass(1) > 0
+        def head_mass(population, k):
+            """Probability mass of the ``k`` hottest users."""
+            return float(population._cdf[k - 1])
+
+        assert head_mass(zipf, 100) > 0.3
+        assert head_mass(zipf, 100) > head_mass(zipf, 10) > head_mass(zipf, 1) > 0
         flat = ZipfianPopulation(population=100_000, s=0.0)
-        assert flat.head_mass(100) == pytest.approx(100 / 100_000)
+        assert head_mass(flat, 100) == pytest.approx(100 / 100_000)
 
     def test_fold_rank_spreads_head(self):
-        rows = {fold_rank(rank, 2048) for rank in range(32)}
+        rows = {(rank * _FOLD_MULTIPLIER) % 2048 for rank in range(32)}
         assert len(rows) == 32  # hot head lands on 32 distinct rows
         assert max(rows) > 1024  # ...spread across the key space
 

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SqlError, SqlSyntaxError
 from repro.relational.company import company_schema
-from repro.sql.analyzer import analyze_select, matches_fk_edge
+from repro.sql.analyzer import analyze_select
+from repro.synergy.graph import build_schema_graph
+from repro.synergy.heuristics import joins_match_edge
 from repro.sql.ast import (
     BinOp,
     ColumnRef,
@@ -18,12 +20,12 @@ from repro.sql.ast import (
     Select,
     Star,
     Update,
-    count_params,
 )
 from repro.sql.lexer import TokType, tokenize
 from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 from tests.reference.generators import generate_query
+from tests.reference.sql import count_params
 
 
 class TestLexer:
@@ -272,7 +274,7 @@ class TestAnalyzer:
         assert len(a.joins) == 1 and len(a.filters) == 1
         j = a.joins[0]
         assert {j.left_relation, j.right_relation} == {"Department", "Employee"}
-        assert a.is_equi_join_query()
+        assert a.equi_joins() == [j]
 
     def test_unqualified_column_resolution(self):
         stmt = parse_statement(
@@ -317,11 +319,9 @@ class TestAnalyzer:
             "SELECT * FROM Employee as e, Address as a WHERE a.AID = e.EHome_AID"
         )
         a = analyze_select(stmt, self.schema)
-        emp = self.schema.relation("Employee")
-        home = emp.foreign_key("emp_home_addr")
-        office = emp.foreign_key("emp_office_addr")
-        assert matches_fk_edge(self.schema, "Address", "Employee", home, a.joins)
-        assert not matches_fk_edge(self.schema, "Address", "Employee", office, a.joins)
+        edges = {e.fk_name: e for e in build_schema_graph(self.schema).edges}
+        assert joins_match_edge(edges["emp_home_addr"], a.joins)
+        assert not joins_match_edge(edges["emp_office_addr"], a.joins)
 
     def test_theta_join_captured(self):
         stmt = parse_statement(
@@ -329,7 +329,7 @@ class TestAnalyzer:
         )
         a = analyze_select(stmt, self.schema)
         assert a.joins[0].op == "<>"
-        assert not a.is_equi_join_query()
+        assert a.equi_joins() == []
 
     def test_flipped_filter_operand(self):
         stmt = parse_statement("SELECT * FROM Works_On as w WHERE 10 < w.Hours")

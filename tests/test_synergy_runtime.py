@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
 from repro.sql.parser import parse_statement
-from tests.conftest import build_company_system
+from tests.conftest import build_company_system, lock_held
 
 
 def view_rows(system, view_name, where="", params=()):
@@ -152,14 +152,14 @@ class TestHierarchicalLocking:
         def hook(step):
             if step == "after_lock":
                 # employee 2's home address is AID 3
-                events.append(company_synergy.locks.is_held("Address", [3]))
+                events.append(lock_held(company_synergy.locks, "Address", [3]))
 
         company_synergy.txlayer.execute_write(
             parse_statement("UPDATE Employee SET EName = ? WHERE EID = ?"), ("y", 2),
             on_step=hook,
         )
         assert events == [True]
-        assert not company_synergy.locks.is_held("Address", [3])
+        assert not lock_held(company_synergy.locks, "Address", [3])
 
     def test_unassigned_relation_writes_without_lock(self):
         """TPC-W Shopping_cart-style relation: Department_Location is in
@@ -170,7 +170,7 @@ class TestHierarchicalLocking:
 
         def hook(step):
             if step == "after_lock":
-                events.append(system.locks.is_held("Department", [1]))
+                events.append(lock_held(system.locks, "Department", [1]))
 
         system.txlayer.execute_write(
             parse_statement("UPDATE Department SET DName = ? WHERE DNo = ?"), ("z", 1),
@@ -200,7 +200,7 @@ class TestHierarchicalLocking:
             "UPDATE Works_On SET Hours = ? WHERE WO_EID = ? and WO_PNo = ?",
             (1, 2, 2),
         )
-        assert not company_synergy.locks.is_held("Address", [3])
+        assert not lock_held(company_synergy.locks, "Address", [3])
 
 
 class TestReadCommitted:

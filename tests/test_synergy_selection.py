@@ -84,7 +84,7 @@ class TestFig6Example:
         )
         for v in views:
             if "R5" in v.relations:
-                assert v.first == "R5"
+                assert v.relations[0] == "R5"
 
 
 class TestCompanySelection:

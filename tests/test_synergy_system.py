@@ -2,6 +2,10 @@
 
 
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
+from repro.sql.ast import Literal, Select
+from repro.sql.parser import parse_statement
+from repro.sql.printer import to_sql
+from repro.synergy.rewrite import rewrite_query
 from repro.systems import SynergySystem
 from tests.reference.sql import load_company
 
@@ -14,31 +18,23 @@ class TestFacade:
         assert "MV_Address__Employee" in company_synergy.statements["W1"]
         assert "MV_Employee__Works_On" in company_synergy.statements["W2"]
 
-    def test_execute_id(self, company_synergy):
-        rows = company_synergy.execute_id("W1", (3,))
+    def test_rewritten_statement_executes(self, company_synergy):
+        rows = company_synergy.execute(company_synergy.statements["W1"], (3,))
         assert len(rows) == 1
 
-    def test_rewrite_ad_hoc_uses_materialized_views_only(self, company_synergy):
-        sql = (
-            "SELECT * FROM Employee as e, Address as a "
-            "WHERE a.AID = e.EHome_AID and e.EID = ?"
-        )
-        rewritten = company_synergy.rewrite_ad_hoc(sql)
-        assert "MV_Address__Employee" in rewritten
-        # a join whose view was never selected stays on base tables
-        sql2 = (
-            "SELECT * FROM Employee as e, Dependent as d "
-            "WHERE e.EID = d.DP_EID"
-        )
-        assert "MV_" not in company_synergy.rewrite_ad_hoc(sql2)
-
-    def test_rewrite_ad_hoc_prints_text_the_parser_reads_back(self, company_synergy):
-        from repro.sql.ast import Literal
-        from repro.sql.parser import parse_statement
-
-        rewritten = company_synergy.rewrite_ad_hoc(
+    def test_rewritten_text_reads_back_through_the_parser(self, company_synergy):
+        """A rewritten SELECT is executed as printed text: the printer's
+        output parses back to the same text, literals included."""
+        for text in company_synergy.statements.values():
+            assert isinstance(parse_statement(text), Select)
+            assert to_sql(parse_statement(text)) == text
+        select = parse_statement(
             "SELECT * FROM Employee as e, Address as a "
             "WHERE a.AID = e.EHome_AID and e.EID = 0.00001"
+        )
+        views = company_synergy.design.selection.per_query["W1"]
+        rewritten = to_sql(
+            rewrite_query(select, company_synergy.schema, views).select
         )
         assert "MV_Address__Employee" in rewritten
         literals = [
@@ -46,10 +42,6 @@ class TestFacade:
             if isinstance(c.right, Literal)
         ]
         assert literals == [Literal(0.00001)]
-
-    def test_ad_hoc_write_passthrough(self, company_synergy):
-        sql = "UPDATE Department SET DName = ? WHERE DNo = ?"
-        assert company_synergy.rewrite_ad_hoc(sql) == sql
 
     def test_db_size_grows_with_writes(self, company_synergy):
         before = company_synergy.db_size_bytes()
@@ -84,7 +76,7 @@ class TestFacade:
 
     def test_query_results_match_baseline_semantics(self, company_synergy):
         """Rewritten W2 returns exactly what the base-table join returns."""
-        via_views = company_synergy.execute_id("W2", (1,))
+        via_views = company_synergy.execute(company_synergy.statements["W2"], (1,))
         base_sql = company_workload().by_id("W2").sql
         via_base = company_synergy.execute(base_sql, (1,))
         key = lambda r: (r["EID"], r["WO_PNo"])

@@ -217,6 +217,8 @@ class TestStreamingEarlyClose:
         return build_tpcw_systems(lab, ["Baseline"])["Baseline"]
 
     def test_abandoned_cursor_settles_batch_and_releases_window(self, baseline):
+        from repro.phoenix.executor import stream_rows
+        from repro.phoenix.plans import ExecutionContext
         from repro.sim.scheduler import ConcurrencyContext
 
         conn, sim = baseline.conn, baseline.sim
@@ -225,7 +227,8 @@ class TestStreamingEarlyClose:
         try:
             # Order_line is bigger than one operator batch, so after a
             # few rows the region scan is still mid-flight
-            cursor = conn.stream_query("SELECT ol.ol_o_id FROM Order_line as ol")
+            planned = conn.plan("SELECT ol.ol_o_id FROM Order_line as ol")
+            cursor = stream_rows(planned, ExecutionContext(conn, ()))
             for _ in range(5):
                 next(cursor)
             counters = sim.metrics.counters()

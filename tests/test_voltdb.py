@@ -24,7 +24,7 @@ class TestVoltTable:
     def test_insert_get(self):
         t = self._table()
         t.insert({"EID": 1, "EName": "a", "EHome_AID": 1, "EOffice_AID": 1, "E_DNo": 1})
-        assert t.get((1,))["EName"] == "a"
+        assert t.rows[(1,)]["EName"] == "a"
 
     def test_index_lookup_tracks_updates(self):
         t = self._table()
@@ -48,8 +48,8 @@ class TestVoltTable:
         t = self._table()
         t.insert({"EID": 1, "EName": "a", "EHome_AID": 1, "EOffice_AID": 1, "E_DNo": 1})
         t.insert({"EID": 1, "EName": "b", "EHome_AID": 1, "EOffice_AID": 1, "E_DNo": 1})
-        assert len(t) == 1
-        assert t.get((1,))["EName"] == "b"
+        assert len(t.rows) == 1
+        assert t.rows[(1,)]["EName"] == "b"
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ class TestExecution:
         system, _ = volt
         system.execute(WRITE_STATEMENTS["W6"], (999, 1.5))
         system.execute(WRITE_STATEMENTS["W11"], (2.5, 999))
-        assert system.engine.tables["Shopping_cart"].get((999,))["sc_time"] == 2.5
+        assert system.engine.tables["Shopping_cart"].rows[(999,)]["sc_time"] == 2.5
 
     def test_filters_the_access_path_does_not_apply(self):
         """Residual predicates the per-table index lookup never sees:
