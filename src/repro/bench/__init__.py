@@ -9,12 +9,12 @@ re-exported here):
 =============  ========================================  =====================
 ``fig10``      micro-benchmark: view scan vs join        :func:`run_fig10`
 ``fig11``      row-locking overhead vs lock count        :func:`run_fig11`
-``fig12``      TPC-W join queries across 5 systems       :func:`run_fig12`
 ``fig13``      mechanism matrix                          :func:`run_fig13`
-``fig14``      TPC-W write statements across 5 systems   :func:`run_fig14`
 ``table1``     qualitative comparison                    :func:`run_table1`
-``table2``     sum of all statement response times       :func:`run_table2`
-``table3``     database sizes                            :func:`run_table3`
+``tpcw``       TPC-W on 5 systems: joins (Fig. 12),      :func:`run_fig12`,
+               writes (Fig. 14), sum of all statement    :func:`run_fig14`,
+               response times (Table II), database       :func:`run_table2`,
+               sizes (Table III), from one ``TpcwLab``   :func:`run_table3`
 =============  ========================================  =====================
 
 The nine layer suites the repo has grown since (``storage``,
@@ -24,7 +24,12 @@ module each under :mod:`repro.bench.suites`, as ``run_<name>`` plus a
 ``Suite`` record; :data:`repro.bench.suites.SUITES` is the one table
 behind every ``--only`` name. ``python -m repro.bench --scale 200``
 regenerates everything and prints the paper-style rows; ``python -m
-repro.bench --smoke <suite|all>`` runs the CI gates.
+repro.bench --smoke <suite|all>`` runs the gates (``fig10``, ``fig11``
+and ``tpcw`` hold the paper's shape claims). A small rerun of the
+evaluation::
+
+    python -m repro.bench --only tpcw --scale 100 --reps 3
+    python -m repro.bench --only fig10 --micro-scales 20,100,500 --reps 5
 """
 
 from repro.bench.harness import ExperimentResult, Series, summarize

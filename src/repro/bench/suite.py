@@ -25,9 +25,9 @@ Check = tuple[str, Callable[[Mapping[str, Any]], bool]]
 class IntList:
     """argparse ``type=`` for comma-separated integer sweeps.
 
-    Out-of-range, non-integer and empty lists are usage errors (argparse
-    names the flag and exits 2) — never silently filtered into a
-    smaller, possibly empty, sweep."""
+    Out-of-range, non-integer, repeated and empty lists are usage errors
+    (argparse names the flag and exits 2) — never silently filtered into
+    a smaller, possibly empty, sweep, nor measured twice."""
 
     minimum: int
 
@@ -42,6 +42,8 @@ class IntList:
             raise argparse.ArgumentTypeError(
                 f"every value must be >= {self.minimum}, got {text!r}"
             )
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
         return values
 
 

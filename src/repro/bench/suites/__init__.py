@@ -36,10 +36,5 @@ SUITES = (
     serving.SERVING,
     federation.FEDERATION,
     query.QUERY,
-    # the four TPC-W suites share one TpcwLab (see paper._on_shared_lab)
-    # and run last, as they always have
-    paper.FIG12,
-    paper.FIG14,
-    paper.TABLE2,
-    paper.TABLE3,
+    paper.TPCW,
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.bench.harness import (
@@ -11,7 +12,7 @@ from repro.bench.harness import (
     render_table,
     summarize,
 )
-from repro.bench.suite import Flag, IntList, Suite
+from repro.bench.suite import Check, Flag, IntList, Smoke, Suite
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.hbase import HBaseClient, HBaseCluster
@@ -35,6 +36,7 @@ from repro.tpcw.microbench import (
     micro_workload,
 )
 from repro.tpcw import JOIN_QUERIES, WRITE_STATEMENTS
+from repro.tpcw.queries import VOLTDB_UNSUPPORTED
 
 
 # --------------------------------------------------------------------- Fig. 10
@@ -305,19 +307,60 @@ def run_table3(lab: TpcwLab, progress=None) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------- suites
-def _on_shared_lab(runner):
-    """Fig. 12/14 and Tables II/III are four views of one measurement:
-    whichever of them runs first builds the ``TpcwLab`` (``--scale`` x
-    ``--reps``) and parks it on the invocation namespace; the others
-    reuse its cached ``measure_all``."""
+def _tpcw(opts, say) -> list[ExperimentResult]:
+    """Fig. 12, Fig. 14 and Tables II/III: four views of one
+    ``TpcwLab.measure_all`` at ``--scale`` customers x ``--reps``."""
+    lab = TpcwLab(num_customers=opts.scale, repetitions=opts.reps)
+    return [run(lab, say) for run in (run_fig12, run_fig14, run_table2, run_table3)]
 
-    def run(opts, say):
-        if getattr(opts, "lab", None) is None:
-            opts.lab = TpcwLab(num_customers=opts.scale, repetitions=opts.reps)
-        return [runner(opts.lab, progress=say)]
 
-    return run
+def _mean(e, experiment_id: str, label: str, x) -> float:
+    """One cell's mean in an emitted ``experiments`` block ``e``; NaN for
+    an X, so every comparison a check makes with it fails."""
+    point = e[experiment_id]["series"][label][str(x)]
+    return math.nan if point is None else point["mean"]
 
+
+def _below(message: str, low: tuple, high: tuple, factor: float = 1.0) -> Check:
+    """``low < factor * high``, each an ``(experiment, series, x)`` cell."""
+    return message, lambda e: _mean(e, *low) < factor * _mean(e, *high)
+
+
+def _cell_checks(experiment_id: str, statement_ids) -> tuple[Check, ...]:
+    """One check per (system, statement) cell: X exactly where VoltDB
+    cannot run the statement, measured everywhere else."""
+
+    def check(name: str, sid: str) -> Check:
+        if name == "VoltDB" and sid in VOLTDB_UNSUPPORTED:
+            return (f"{experiment_id} {sid} on VoltDB is not X",
+                    lambda e: math.isnan(_mean(e, experiment_id, name, sid)))
+        return (f"{experiment_id} {sid} on {name} is not measured",
+                lambda e: _mean(e, experiment_id, name, sid) > 0)
+
+    return tuple(check(name, sid) for sid in statement_ids for name in SYSTEM_NAMES)
+
+
+def _view_scan_wins(experiment_id: str) -> Check:
+    return (
+        f"{experiment_id}: the view scan is not faster than the join at every scale",
+        lambda e: all(
+            _mean(e, experiment_id, "View Scan", x)
+            < _mean(e, experiment_id, "Join Algorithm", x)
+            for x in e[experiment_id]["x_values"]
+        ),
+    )
+
+
+def _locks(e) -> tuple[float, float, float]:
+    return tuple(_mean(e, "Fig11", "Overhead", n) for n in (10, 100, 1000))
+
+
+def _size(e, name: str) -> float:
+    return _mean(e, "TableIII", "DB size (MB)", name)
+
+
+#: a Baseline write pays at least Tephra's begin + commit round trips
+_TEPHRA_MS = DEFAULT_COST_MODEL.mvcc_begin_ms + DEFAULT_COST_MODEL.mvcc_commit_ms
 
 TABLE1 = Suite(
     "table1",
@@ -339,13 +382,94 @@ FIG10 = Suite(
              "comma-separated micro-benchmark scales"),
     ),
     timed=True,
+    smoke=Smoke(
+        flags="--micro-scales 20,50 --reps 2",
+        sweep_checks=(_view_scan_wins("Fig10a"), _view_scan_wins("Fig10b")),
+    ),
 )
 FIG11 = Suite(
     "fig11",
     lambda opts, say: [run_fig11(repetitions=opts.reps)],
     timed=True,
+    smoke=Smoke(
+        flags="--reps 2",
+        sweep_checks=(
+            ("Fig11: overhead does not rise 10 < 100 < 1000 locks",
+             lambda e: _locks(e)[0] < _locks(e)[1] < _locks(e)[2]),
+            # fixed client setup dominates the small counts ...
+            ("Fig11: 10 -> 100 locks grows 10x or more",
+             lambda e: _locks(e)[1] / _locks(e)[0] < 10),
+            # ... then the per-lock round trips take over
+            ("Fig11: 100 -> 1000 locks grows no faster than 10 -> 100",
+             lambda e: _locks(e)[2] / _locks(e)[1] > _locks(e)[1] / _locks(e)[0]),
+        ),
+    ),
 )
-FIG12 = Suite("fig12", _on_shared_lab(run_fig12), timed=True)
-FIG14 = Suite("fig14", _on_shared_lab(run_fig14), timed=True)
-TABLE2 = Suite("table2", _on_shared_lab(run_table2), timed=True)
-TABLE3 = Suite("table3", _on_shared_lab(run_table3), timed=True)
+TPCW = Suite(
+    "tpcw",
+    _tpcw,
+    timed=True,
+    smoke=Smoke(
+        flags="--scale 20 --reps 2",
+        sweep_checks=(
+            *_cell_checks("Fig12", JOIN_QUERIES),
+            # paper: Synergy's joins 28.2x faster than Baseline on average
+            *(
+                (f"Fig12 {q}: Synergy above 1.05x Baseline",
+                 lambda e, q=q: _mean(e, "Fig12", "Synergy", q)
+                 <= 1.05 * _mean(e, "Fig12", "Baseline", q))
+                for q in JOIN_QUERIES
+            ),
+            _below("Fig12 Q4: the view-backed query does not beat Baseline's join",
+                   ("Fig12", "Synergy", "Q4"), ("Fig12", "Baseline", "Q4")),
+            *_cell_checks("Fig14", WRITE_STATEMENTS),
+            # one hierarchical lock vs Tephra's begin/commit round trips
+            *(
+                (f"Fig14 W1: Synergy not 3x cheaper than {other}",
+                 lambda e, other=other: 3 * _mean(e, "Fig14", "Synergy", "W1")
+                 < _mean(e, "Fig14", other, "W1"))
+                for other in ("Baseline", "MVCC-A")
+            ),
+            # Shopping_cart is in no view and takes no lock; W3 maintains
+            # two views: the per-write price of materialization
+            _below("Fig14: Synergy W6 not cheaper than W13",
+                   ("Fig14", "Synergy", "W6"), ("Fig14", "Synergy", "W13")),
+            _below("Fig14: Synergy W3 not dearer than W6",
+                   ("Fig14", "Synergy", "W6"), ("Fig14", "Synergy", "W3")),
+            *(
+                _below(f"Fig14 {w}: VoltDB not cheaper than Synergy",
+                       ("Fig14", "VoltDB", w), ("Fig14", "Synergy", w))
+                for w in WRITE_STATEMENTS
+            ),
+            *(
+                (f"Fig14 {w}: Baseline below 0.8x Tephra's begin + commit",
+                 lambda e, w=w: _mean(e, "Fig14", "Baseline", w) > 0.8 * _TEPHRA_MS)
+                for w in WRITE_STATEMENTS
+            ),
+            *(
+                _below(f"TableII: Synergy not below {other}",
+                       ("TableII", "Total RT (s)", "Synergy"),
+                       ("TableII", "Total RT (s)", other))
+                for other in ("MVCC-A", "MVCC-UA", "Baseline")
+            ),
+            # paper: 80.5 %
+            _below("TableII: Synergy beats Baseline by 50 % or less",
+                   ("TableII", "Total RT (s)", "Synergy"),
+                   ("TableII", "Total RT (s)", "Baseline"), 0.5),
+            *(
+                _below(f"TableIII: {small} not smaller than {large}",
+                       ("TableIII", "DB size (MB)", small),
+                       ("TableIII", "DB size (MB)", large))
+                for small, large in (
+                    ("VoltDB", "Baseline"),
+                    ("Baseline", "MVCC-UA"),
+                    ("MVCC-UA", "MVCC-A"),
+                    ("MVCC-UA", "Synergy"),
+                )
+            ),
+            ("TableIII: Synergy and MVCC-A differ by 5 % or more",
+             lambda e: abs(_size(e, "Synergy") - _size(e, "MVCC-A"))
+             / _size(e, "Synergy") < 0.05),
+        ),
+    ),
+)

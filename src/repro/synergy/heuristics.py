@@ -68,13 +68,3 @@ class JoinOverlapHeuristic:
 
     def path_weight(self, path: Iterable[GraphEdge]) -> float:
         return sum(self.edge_weight(e) for e in path)
-
-
-class UniformHeuristic:
-    """Workload-oblivious fallback: every edge weighs 1 (ablation use)."""
-
-    def edge_weight(self, edge: GraphEdge) -> float:
-        return 1.0
-
-    def path_weight(self, path: Iterable[GraphEdge]) -> float:
-        return sum(1.0 for _ in path)

@@ -1,9 +1,10 @@
-"""Benchmark harness: statistics, result rendering, the fast
-experiments (Fig. 10 at tiny scale, Fig. 11, static tables), and the
-CLI derived from the suite registry (errors, ``--smoke``)."""
+"""Benchmark harness: statistics, result rendering, the static tables,
+the CLI derived from the suite registry (errors, ``--smoke``), and the
+paper's shape claims: every check of the figure suites' smoke gates."""
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -19,7 +20,8 @@ from hypothesis import given, strategies as st
 from repro.bench import __main__ as cli
 from repro.bench.suite import Flag, IntList, Smoke, Suite
 from repro.bench.suites import SUITES
-from repro.bench.suites.paper import run_fig10, run_fig11, run_fig13, run_table1
+from repro.bench.suites import paper
+from repro.bench.suites.paper import run_fig13, run_table1
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.bench.harness import (
     ExperimentResult,
@@ -75,21 +77,6 @@ class TestRendering:
 
 
 class TestFastExperiments:
-    def test_fig11_overhead_monotonic(self):
-        result = run_fig11(lock_counts=(5, 50), repetitions=2)
-        small = result.get("Overhead", 5)
-        large = result.get("Overhead", 50)
-        assert small.mean < large.mean
-        # fixed setup cost dominates the small count (sub-linear shape)
-        assert large.mean < small.mean * 10
-
-    def test_fig10_view_scan_beats_join(self):
-        results = run_fig10(scales=(20,), repetitions=2)
-        for qid, result in results.items():
-            view = result.get("View Scan", 20)
-            join = result.get("Join Algorithm", 20)
-            assert view.mean < join.mean, qid
-
     def test_fig13_matrix(self):
         text = run_fig13()
         for name in ("VoltDB", "Synergy", "MVCC-A", "MVCC-UA", "Baseline"):
@@ -194,7 +181,7 @@ class TestSuiteRegistry:
 
     def test_names_unique(self):
         names = [s.name for s in SUITES]
-        assert len(names) == len(set(names)) == 17
+        assert len(names) == len(set(names)) == 14
 
     def test_every_flag_dest_owned_by_exactly_one_suite(self):
         dests = [flag.dest for _suite, flag in OWNED_FLAGS]
@@ -229,12 +216,13 @@ class TestSuiteRegistry:
     )
     def test_int_list_flags_reject_bad_lists(self, flag, capsys):
         below = str(flag.kind.minimum - 1)
-        for bad in (below, f"3,{below}", "-1", "x", "1,x", "", "1,,2"):
+        at_min = str(flag.kind.minimum)
+        repeated = f"{at_min},{at_min}"
+        for bad in (below, f"3,{below}", "-1", "x", "1,x", "", "1,,2", repeated):
             # `--flag=value` so a leading '-' is not read as an option
             err = _usage_error([f"{flag.option}={bad}"], capsys)
             assert f"argument {flag.option}" in err, bad
         # the boundary itself parses (no sweep is run here)
-        at_min = str(flag.kind.minimum)
         parsed = cli.build_parser().parse_args([flag.option, at_min + ",9"])
         assert getattr(parsed, flag.dest) == (flag.kind.minimum, 9)
 
@@ -323,12 +311,42 @@ class TestSmokeMode:
         capsys.readouterr()
 
     def test_smoke_refuses_unknown_suites_and_stray_flags(self, capsys):
-        assert "valid: all, storage" in _usage_error(["--smoke", "fig10"], capsys)
+        assert "valid: all, storage" in _usage_error(["--smoke", "fig13"], capsys)
         err = _usage_error(["--smoke", "faults", "--clients", "3"], capsys)
         assert "--clients" in err
         assert "--only" in _usage_error(
             ["--smoke", "faults", "--only", "faults"], capsys
         )
+
+
+FIGURE_CHECKS = [
+    (suite, check)
+    for suite in (paper.FIG10, paper.FIG11, paper.TPCW)
+    for check in suite.smoke.sweep_checks
+]
+
+
+@pytest.fixture(scope="module")
+def figure_gate():
+    """``suite -> its smoke report``; each suite's gate runs once."""
+    parser = cli.build_parser()
+    return functools.cache(
+        lambda suite: cli.smoke_suite(parser, suite, lambda _m: None)[0]
+    )
+
+
+class TestFigureGates:
+    """The paper's shape claims are the ``--smoke`` checks of ``fig10``,
+    ``fig11`` and ``tpcw``; one node per check, each held against its
+    suite's smoke sweep."""
+
+    @pytest.mark.parametrize(
+        "suite,check", FIGURE_CHECKS,
+        ids=[f"{suite.name}: {message}" for suite, (message, _) in FIGURE_CHECKS],
+    )
+    def test_check_holds(self, figure_gate, suite, check):
+        message, holds = check
+        assert holds(figure_gate(suite)["sweep"]["experiments"]), message
 
 
 class TestBenchTrajectory:
@@ -496,8 +514,7 @@ class TestImportGraph:
         root = Path(__file__).parents[1]
         stray = [
             f"{path.relative_to(root)}:{node.lineno} {module}"
-            for directory in ("tests", "benchmarks")
-            for path in sorted((root / directory).rglob("*.py"))
+            for path in sorted((root / "tests").rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if (module := next(filter(_stray, _imported(node)), None))
         ]

@@ -11,11 +11,21 @@ from repro.relational.datatypes import DataType
 from repro.relational.schema import ForeignKey, Relation, Schema
 from repro.relational.workload import Workload
 from repro.synergy.graph import build_schema_graph
-from repro.synergy.heuristics import JoinOverlapHeuristic, UniformHeuristic
+from repro.synergy.heuristics import JoinOverlapHeuristic
 from repro.synergy.trees import generate_rooted_trees
 from repro.synergy.views import candidate_views, candidate_views_for_trees
 from repro.tpcw.schema import TPCW_ROOTS, tpcw_schema
 from repro.tpcw.workload import tpcw_workload
+
+
+class UniformHeuristic:
+    """Workload-oblivious weights: every edge weighs 1."""
+
+    def edge_weight(self, edge) -> float:
+        return 1.0
+
+    def path_weight(self, path) -> float:
+        return sum(1.0 for _ in path)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +105,21 @@ class TestRootAssignment:
         assert set(d.children_of("Department")) == {
             "Department_Location", "Project",
         }
+
+    def test_workload_aware_heuristic_keeps_the_joined_edge(self, company):
+        """Heuristic ablation (Sec. V): workload-aware weights rank the
+        (AID, EHome_AID) edge W1 joins on above the office edge no query
+        joins on, and the Address tree keeps it; uniform weights cannot
+        tell the two apart."""
+        _, _, graph, heuristic, trees, _ = company
+        home, office = sorted(
+            (e for e in graph.edges if (e.parent, e.child) == ("Address", "Employee")),
+            key=lambda e: e.fk_attrs != ("EHome_AID",),
+        )
+        assert heuristic.edge_weight(home) > heuristic.edge_weight(office)
+        uniform = UniformHeuristic()
+        assert uniform.edge_weight(home) == uniform.edge_weight(office)
+        assert trees["Address"].parent_edges["Employee"].fk_attrs == ("EHome_AID",)
 
     def test_tie_breaks_toward_first_root(self, company):
         """Employee has weight-1 paths from both Address (W1) and

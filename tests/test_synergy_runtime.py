@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
+from repro.hbase.client import HBaseClient
+from repro.hbase.cluster import HBaseCluster
+from repro.sim.clock import Simulation
 from repro.sql.parser import parse_statement
+from repro.synergy.locks import LockBatch
 from tests.conftest import build_company_system, lock_held
 
 
@@ -177,6 +181,13 @@ class TestHierarchicalLocking:
             on_step=hook,
         )
         assert events == [True]
+
+    def test_one_lock_costs_less_than_a_hundred(self):
+        """Lock ablation (Sec. III-2): Synergy holds one lock per
+        transaction; a row-level design would hold one per touched view
+        row, and 100 lock round trips cost more than one."""
+        batch = LockBatch(HBaseClient(HBaseCluster(Simulation(seed=3))))
+        assert batch.run(1) < batch.run(100)
 
     def test_contended_lock_times_out(self, company_synergy):
         row = company_synergy.locks.acquire("Address", [3])

@@ -32,7 +32,7 @@ DOC = ROOT / "docs" / "ARCHITECTURE.md"
 BEGIN = "<!-- config-table:begin (tools/config_table.py --write; do not edit) -->"
 END = "<!-- config-table:end -->"
 
-SETTER_ROOTS = ("src", "perfbench", "benchmarks")
+SETTER_ROOTS = ("src", "perfbench")
 
 CALIBRATION = config.CostModel
 

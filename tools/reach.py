@@ -53,13 +53,12 @@ def _table(text: str) -> dict[str, str]:
 TRAFFIC = _table(
     """
 anchors
-    -m repro.bench --only fig10,fig11,fig12,fig14,table2 --micro-scales 50,500
+    -m repro.bench --only fig10,fig11,tpcw --micro-scales 50,500
       --scale 200 --reps 10 --emit-json {out}/anchors.json --quiet
 smoke
     -m repro.bench --smoke all --emit-json {out}/smoke.json
 benchmarks
-    -m pytest -q -p no:cacheprovider --benchmark-disable benchmarks
-      perfbench/test_smoke.py
+    -m pytest -q -p no:cacheprovider perfbench/test_smoke.py
 perfbench tpcw-serial
     perfbench/run.py --workload tpcw-serial --trace 1
 perfbench scan-join
@@ -74,19 +73,14 @@ example quickstart
     examples/quickstart.py
 example custom_schema
     examples/custom_schema.py
-example microbenchmark
-    examples/microbenchmark.py
-example tpcw_evaluation
-    examples/tpcw_evaluation.py
 """.replace("\n      ", " ")
 )
 """What a workload runs: the arguments of one ``python`` process per
 command, started from the repo root with ``src`` on the path. ``anchors``
 and ``smoke`` are CI's jobs of those names (``{out}`` is a scratch
-directory); ``benchmarks`` is the benchmark half of tier-1 with timing
-off, because pytest-benchmark unhooks every profiler while it times a
-call; a ``--trace 1`` perfbench run is CI's perfbench job plus the
-traced rounds, which reach the per-layer metrics."""
+directory); ``benchmarks`` is the benchmark half of tier-1; a
+``--trace 1`` perfbench run is CI's perfbench job plus the traced
+rounds, which reach the per-layer metrics."""
 
 REASONS = _table(
     """
