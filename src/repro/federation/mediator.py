@@ -64,7 +64,7 @@ from repro.phoenix.plans import (
     PlanNode,
     Row,
     SourceNode,
-    keyed_rows,
+    tuple_getter,
 )
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
@@ -299,16 +299,16 @@ class Mediator(EvaluatedSystem):
                 "ms": 0.0,
             }
             record.assignments.append(slot)
+            wanted = needed[fragment.binding]
+            attrs = tuple(
+                a for a in fragment.attrs if wanted is None or a in wanted
+            )
             leaves[fragment.binding] = SourceNode(
                 fetch=partial(
-                    self._fetch_fragment,
-                    label,
-                    fragment,
-                    needed[fragment.binding],
-                    chosen,
-                    slot,
+                    self._fetch_fragment, label, fragment, attrs, chosen, slot
                 ),
                 label=f"FRAGMENT {fragment.binding} @ {chosen}",
+                schema=tuple((fragment.binding, a) for a in attrs),
             )
         planned = plan_merge(self._composer, analyzed, leaves)
         return list(stream_rows(planned, ExecutionContext(self._host, params)))
@@ -317,15 +317,15 @@ class Mediator(EvaluatedSystem):
         self,
         label: str,
         fragment: Fragment,
-        wanted: set[str] | None,
+        attrs: tuple[str, ...],
         backend: str,
         slot: dict,
     ) -> list[Row]:
         """Run one fragment on its assigned backend — called by its leaf
         at the merge tree's FIRST pull, so a fragment a satisfied LIMIT
         never reaches never runs (its slot keeps ``executed: False``) —
-        and import the ``wanted`` columns of the backend's shaped rows
-        as ``(binding, attr)`` rows of the merge tree. The fragment text
+        and import the backend's shaped rows as tuples of their
+        ``attrs``, the columns the merge tree reads. The fragment text
         stays ``SELECT *``: a narrower one would move the backend's
         access-path choice and so its virtual time."""
         binding = fragment.binding
@@ -334,7 +334,7 @@ class Mediator(EvaluatedSystem):
         )
         slot["executed"] = True
         slot["ms"] = ms
-        return keyed_rows(binding, fragment.attrs, wanted, rows)
+        return list(map(tuple_getter(attrs), rows))
 
     def _split_estimate(self, label: str, fragments: list[Fragment]) -> float:
         total = 0.0

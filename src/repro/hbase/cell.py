@@ -65,12 +65,12 @@ class Result:
 
     def newest_into(
         self,
-        row: dict[Any, Any],
+        row: dict[Any, Any] | list[Any],
         slots: Iterable[tuple[Any, tuple[bytes, bytes], Callable[[bytes | None], Any]]],
     ) -> None:
         """``row[key] = decode(newest value of column)`` for each
         ``(key, column, decode)`` of ``slots``, an absent column
-        decoding ``None``: how a row decoder reads a result."""
+        decoding ``None``: how a row decoder fills its slot list."""
         get = self._view.get
         for key, column, decode in slots:
             versions = get(column)

@@ -26,8 +26,8 @@ DIRTY_QUALIFIER = b"_d"
 ROW_MARKER_QUALIFIER = b"_0"
 """Placeholder cell for key-only entries, so the row exists."""
 
-RowDecoder = Callable[[Result], dict[Any, Any]]
-"""``Result -> {attr: value}`` or ``-> {(binding, attr): value}``."""
+RowDecoder = Callable[[Result], tuple[Any, ...]]
+"""``Result -> (value, ...)``, one value per decoded attribute."""
 
 TABLE = "table"
 INDEX = "index"
@@ -79,7 +79,7 @@ class CatalogEntry:
             (CF, DIRTY_QUALIFIER),
         )
         self._decoders: dict[
-            tuple[str | None, frozenset[str] | None], RowDecoder
+            frozenset[str] | None, tuple[tuple[str, ...], RowDecoder]
         ] = {}
 
     @property
@@ -126,45 +126,40 @@ class CatalogEntry:
         return self._projection
 
     def row_decoder(
-        self, binding: str | None = None, needed: frozenset[str] | None = None
-    ) -> RowDecoder:
-        """The compiled ``Result -> row`` function for this entry,
-        built once per ``(binding, needed)`` and cached.
-
-        ``needed`` names the attributes to materialise (the *decode
-        set*); ``None`` means all of them. With a ``binding`` the row is
-        keyed ``(binding, attr)`` as the plan operators expect, without
-        one by bare ``attr``. Key attributes come first (key order), then
-        value attributes (``attrs`` order); an absent cell or an empty
-        value decodes to ``None``."""
-        cache_key = (binding, needed)
-        decoder = self._decoders.get(cache_key)
-        if decoder is None:
-            decoder = self._decoders[cache_key] = self._compile_decoder(
-                binding, needed
-            )
-        return decoder
+        self, needed: frozenset[str] | None = None
+    ) -> tuple[tuple[str, ...], RowDecoder]:
+        """``(attrs, decode)`` for the decode set ``needed`` (``None`` =
+        every attribute), compiled once and cached. ``decode`` turns a
+        result into the tuple of the values of ``attrs``: the needed key
+        attributes in key order, then the needed value attributes in
+        ``attrs`` order (a needed name the entry lacks is not among
+        them). An absent cell or an empty value decodes to ``None``."""
+        compiled = self._decoders.get(needed)
+        if compiled is None:
+            compiled = self._decoders[needed] = self._compile_decoder(needed)
+        return compiled
 
     def _compile_decoder(
-        self, binding: str | None, needed: frozenset[str] | None
-    ) -> RowDecoder:
-        def out_key(attr: str) -> Any:
-            return attr if binding is None else (binding, attr)
-
+        self, needed: frozenset[str] | None
+    ) -> tuple[tuple[str, ...], RowDecoder]:
+        every = needed is None
+        keys = [(i, a) for i, a in enumerate(self.key_attrs) if every or a in needed]
+        values = [c for c in self._value_columns if every or c[0] in needed]
+        attrs = tuple(a for _, a in keys) + tuple(a for a, _, _ in values)
+        # slot j of a row holds attrs[j]
         key_slots = tuple(
-            (i, out_key(a), value_decoder(self.dtypes[a]))
-            for i, a in enumerate(self.key_attrs)
-            if needed is None or a in needed
+            (slot, i, value_decoder(self.dtypes[a]))
+            for slot, (i, a) in enumerate(keys)
         )
         value_slots = tuple(
-            (out_key(a), (CF, qualifier), value_decoder(dtype))
-            for a, qualifier, dtype in self._value_columns
-            if needed is None or a in needed
+            (slot, (CF, qualifier), value_decoder(dtype))
+            for slot, (_, qualifier, dtype) in enumerate(values, len(keys))
         )
         arity = len(self.key_attrs)
+        width = len(attrs)
 
-        def decode(result: Result) -> dict[Any, Any]:
-            row: dict[Any, Any] = {}
+        def decode(result: Result) -> tuple[Any, ...]:
+            row: list[Any] = [None] * width
             if key_slots:
                 parts = split_key(result.row)
                 if len(parts) != arity:
@@ -172,16 +167,17 @@ class CatalogEntry:
                         f"key arity mismatch: {len(parts)} components, "
                         f"{arity} types"
                     )
-                for i, out, decode_part in key_slots:
-                    row[out] = decode_part(parts[i])
+                for slot, i, decode_part in key_slots:
+                    row[slot] = decode_part(parts[i])
             result.newest_into(row, value_slots)
-            return row
+            return tuple(row)
 
-        return decode
+        return attrs, decode
 
     def result_to_row(self, result: Result) -> dict[str, Any]:
         """Decode an HBase Result back into a full relational row."""
-        return self.row_decoder()(result)
+        attrs, decode = self.row_decoder()
+        return dict(zip(attrs, decode(result)))
 
 
 class Catalog:

@@ -6,6 +6,12 @@ Every :class:`~repro.phoenix.plans.PlanNode` lowers, one to one
 batch at a time, and the planner (rule-based or cost-based) stays the
 single source of truth for plan *shape*.
 
+**Rows.** A row is a tuple laid out by its plan node's ``schema``. An
+operator is built from its node and its input operators; it compiles
+the slot indexes the node resolved once (``operator.itemgetter``) into
+its predicates, keys and aggregate inputs. A join emits
+``left + right``, a derived table remaps with one getter.
+
 **Demand.** ``next_batch(demand)`` takes how many rows its consumer can
 still use. :class:`Limit` asks for ``limit - emitted``; the one-to-one
 operators (scan, source, filter, distinct, derived-table remap, the
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import operator
 from itertools import islice
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.phoenix.plans import (
@@ -44,7 +50,6 @@ from repro.phoenix.plans import (
     JOIN_OUTPUT,
     SHUFFLE,
     SORT,
-    AccessSpec,
     DistinctNode,
     ExecutionContext,
     FilterNode,
@@ -53,20 +58,17 @@ from repro.phoenix.plans import (
     LimitNode,
     NestedLoopJoinNode,
     PlanNode,
-    Predicate,
     Row,
     RowTest,
     ScanNode,
     SortNode,
-    Source,
     SourceNode,
     SubqueryNode,
     SymmetricJoinNode,
-    accessor,
     conjunction,
-    key_getter,
+    tuple_getter,
 )
-from repro.sql.ast import Expr, Literal, Param
+from repro.sql.ast import Literal, Param
 
 BATCH_ROWS = 256
 """Rows per hop between operators when the consumer states no demand:
@@ -90,8 +92,9 @@ class PhysicalOperator:
     windows immediately.
     """
 
-    child: "PhysicalOperator | None" = None
-    """The input of a one-input operator."""
+    def __init__(self, node: PlanNode, child: "PhysicalOperator | None" = None) -> None:
+        self.node = node
+        self.child = child  # the input of a one-input operator
 
     def open(self, ctx: ExecutionContext) -> None:
         self._ctx = ctx
@@ -121,21 +124,14 @@ class StreamingScan(PhysicalOperator):
     """Leaf access over :meth:`AccessSpec.fetch`. Holds the fetch
     generator so ``close()`` can shut the underlying region scan."""
 
-    def __init__(
-        self,
-        access: AccessSpec,
-        prefix_exprs: tuple[Expr, ...] = (),
-        check_dirty: bool = False,
-    ) -> None:
-        self.access = access
-        self.prefix_exprs = prefix_exprs
-        self.check_dirty = check_dirty
-        self._gen: Iterator[Row] | None = None
+    node: ScanNode
+    _gen: Iterator[Row] | None = None
 
     def open(self, ctx: ExecutionContext) -> None:
         self._ctx = ctx
-        values = [ctx.eval(e) for e in self.prefix_exprs]
-        self._gen = self.access.fetch(ctx, values, self.check_dirty)
+        node = self.node
+        values = [ctx.eval(e) for e in node.prefix_exprs]
+        self._gen = node.access.fetch(ctx, values, node.check_dirty)
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
         if self._gen is None:
@@ -176,20 +172,18 @@ class StreamingSource(_Materialized):
     """Leaf over :attr:`SourceNode.fetch`: runs it at the first pull
     (never, when nothing pulls)."""
 
-    def __init__(self, fetch: Callable[[], list[Row]]) -> None:
-        self._build = fetch
+    node: SourceNode
+
+    def _build(self) -> list[Row]:
+        return self.node.fetch()
 
 
 class StreamingFilter(PhysicalOperator):
-    def __init__(
-        self, child: PhysicalOperator, predicates: tuple[Predicate, ...]
-    ) -> None:
-        self.child = child
-        self.predicates = predicates
+    node: FilterNode
 
     def open(self, ctx: ExecutionContext) -> None:
         super().open(ctx)
-        self._keep: RowTest = conjunction(self.predicates, ctx)
+        self._keep: RowTest = conjunction(self.node.slotted, ctx)
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
         while True:
@@ -202,29 +196,19 @@ class StreamingFilter(PhysicalOperator):
 
 
 class SubqueryOp(PhysicalOperator):
-    """Streams a derived-table subplan, remapping each row to the
-    derived alias — no materialization barrier."""
+    """Streams a derived-table subplan, remapping each sub-row to the
+    derived table's columns with one getter — no materialization
+    barrier."""
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        alias: str,
-        output_names: tuple[str, ...],
-        source_keys: tuple[Source, ...],
-    ) -> None:
-        self.child = child
-        self.alias = alias
-        self.output_names = output_names
-        self.source_keys = source_keys
-        self._out_keys = tuple((alias, name) for name in output_names)
-        self._values = key_getter(source_keys)
+    def __init__(self, node: SubqueryNode, child: PhysicalOperator) -> None:
+        super().__init__(node, child)
+        self._remap = tuple_getter(node.source_slots)
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
         batch = self.child.next_batch(demand)
         if batch is None:
             return None
-        out_keys, values = self._out_keys, self._values
-        return [dict(zip(out_keys, values(row))) for row in batch]
+        return list(map(self._remap, batch))
 
 
 class _LookupJoin(PhysicalOperator):
@@ -240,13 +224,10 @@ class _LookupJoin(PhysicalOperator):
     asked for."""
 
     child: PhysicalOperator  # the outer side
-
-    def __init__(self, outer: PhysicalOperator) -> None:
-        self.child = outer
-        self._outer_rows: list[Row] = []
-        self._pos = 0
-        self._row: Row = {}
-        self._matches: Iterator[Row] | None = None
+    _outer_rows: Sequence[Row] = ()
+    _pos = 0
+    _row: Row = ()
+    _matches: Iterator[Row] | None = None
 
     def _matches_of(self, outer_row: Row) -> Iterator[Row]:  # pragma: no cover
         raise NotImplementedError
@@ -266,9 +247,7 @@ class _LookupJoin(PhysicalOperator):
                 self._matches = self._matches_of(self._row)
             outer_row = self._row
             for match in self._matches:
-                merged = dict(outer_row)
-                merged.update(match)
-                out.append(merged)
+                out.append(outer_row + match)
                 if len(out) == demand:
                     break
             else:
@@ -286,23 +265,17 @@ class BroadcastHashJoin(_LookupJoin):
     the probe side then streams against the table."""
 
     def __init__(
-        self,
-        probe: PhysicalOperator,
-        build: PhysicalOperator,
-        probe_keys: tuple[tuple[str, str], ...],
-        build_keys: tuple[tuple[str, str], ...],
+        self, node: HashJoinNode, probe: PhysicalOperator, build: PhysicalOperator
     ) -> None:
-        super().__init__(probe)
+        super().__init__(node, probe)
         self.build = build
-        self.probe_keys = probe_keys
-        self.build_keys = build_keys
-        self._probe_key = key_getter(probe_keys)
+        self._probe_key = tuple_getter(node.probe_slots)
         self._table: dict[tuple, list[Row]] | None = None
 
     def _build_table(self) -> dict[tuple, list[Row]]:
         table: dict[tuple, list[Row]] = {}
         build_rows = 0
-        key_of = key_getter(self.build_keys)
+        key_of = tuple_getter(self.node.build_slots)
         for batch in _drain(self.build):
             for row in batch:
                 key = key_of(row)
@@ -331,30 +304,22 @@ class IndexNestedLoopJoin(_LookupJoin):
     RPC-per-probe join of the paper's Fig. 10. An inner fetch left
     unfinished by a bounded demand is closed by ``close()``."""
 
-    def __init__(
-        self,
-        outer: PhysicalOperator,
-        inner: AccessSpec,
-        outer_keys: tuple,
-        check_dirty: bool = False,
-    ) -> None:
-        super().__init__(outer)
-        self.inner = inner
-        self.outer_keys = outer_keys
-        self.check_dirty = check_dirty
+    node: NestedLoopJoinNode
 
     def open(self, ctx: ExecutionContext) -> None:
         super().open(ctx)
-        # constants are evaluated once; outer-row keys are read per row
+        # constants are evaluated once; outer-row slots are read per row
         getters = tuple(
-            _constant(ctx.eval(k)) if isinstance(k, (Literal, Param)) else accessor(k)
-            for k in self.outer_keys
+            _constant(ctx.eval(k))
+            if isinstance(k, (Literal, Param))
+            else operator.itemgetter(k)
+            for k in self.node.outer_slots
         )
         self._prefix_of = lambda row: [get(row) for get in getters]
 
     def _matches_of(self, outer_row: Row) -> Iterator[Row]:
-        return self.inner.fetch(
-            self._ctx, self._prefix_of(outer_row), self.check_dirty
+        return self.node.inner.fetch(
+            self._ctx, self._prefix_of(outer_row), self.node.check_dirty
         )
 
     def close(self) -> None:
@@ -371,11 +336,9 @@ def _constant(value: Any) -> Callable[[Row], Any]:
 class _JoinSide:
     __slots__ = ("source", "key_of", "table", "done")
 
-    def __init__(
-        self, source: PhysicalOperator, keys: tuple[tuple[str, str], ...]
-    ) -> None:
+    def __init__(self, source: PhysicalOperator, key_slots: tuple[int, ...]) -> None:
         self.source = source
-        self.key_of = key_getter(keys)
+        self.key_of = tuple_getter(key_slots)
         self.table: dict[tuple, list[Row]] = {}
         self.done = False
 
@@ -386,10 +349,10 @@ class SymmetricHashJoin(PhysicalOperator):
 
     Pulls full batches from both inputs alternately, whatever the
     demand; every arriving row probes the opposite side's hash table
-    (one merged row per match) and is then inserted into its own table.
-    Each left/right row pair therefore matches exactly once, so the
-    output is the inner-join multiset — but the first row comes out
-    after one batch per side, and a downstream LIMIT stops *both*
+    (one ``left + right`` row per match) and is then inserted into its
+    own table. Each left/right row pair therefore matches exactly once,
+    so the output is the inner-join multiset — but the first row comes
+    out after one batch per side, and a downstream LIMIT stops *both*
     inputs early. Output beyond the demand waits in a buffer.
 
     Each batch's inserted rows are reported to the host as
@@ -398,13 +361,13 @@ class SymmetricHashJoin(PhysicalOperator):
 
     def __init__(
         self,
+        node: SymmetricJoinNode,
         left: PhysicalOperator,
         right: PhysicalOperator,
-        left_keys: tuple[tuple[str, str], ...],
-        right_keys: tuple[tuple[str, str], ...],
     ) -> None:
-        self.left = _JoinSide(left, left_keys)
-        self.right = _JoinSide(right, right_keys)
+        super().__init__(node)
+        self.left = _JoinSide(left, node.left_slots)
+        self.right = _JoinSide(right, node.right_slots)
         self._turn = self.left
         self._out: list[Row] = []
 
@@ -427,9 +390,7 @@ class SymmetricHashJoin(PhysicalOperator):
                 if None in key:
                     continue
                 for match in other.table.get(key, ()):
-                    merged = dict(row) if left_first else dict(match)
-                    merged.update(match if left_first else row)
-                    out.append(merged)
+                    out.append(row + match if left_first else match + row)
                 side.table.setdefault(key, []).append(row)
                 inserted += 1
             if inserted:
@@ -454,13 +415,12 @@ class SymmetricHashJoin(PhysicalOperator):
 
 
 class HashDistinct(PhysicalOperator):
-    """Streaming dedupe on the projected sources; survivors leave
-    batch by batch."""
+    """Streaming dedupe on the projected slots; survivors leave batch
+    by batch."""
 
-    def __init__(self, child: PhysicalOperator, keys: tuple[Source, ...]) -> None:
-        self.child = child
-        self.keys = keys
-        self._key_of = key_getter(keys)
+    def __init__(self, node: DistinctNode, child: PhysicalOperator) -> None:
+        super().__init__(node, child)
+        self._key_of = tuple_getter(node.key_slots)
         self._seen: set = set()
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
@@ -471,7 +431,7 @@ class HashDistinct(PhysicalOperator):
                 return None
             out: list[Row] = []
             for row in batch:
-                key = tuple(map(_hashable, key_of(row)))
+                key = key_of(row)
                 if key not in seen:
                     seen.add(key)
                     out.append(row)
@@ -479,36 +439,25 @@ class HashDistinct(PhysicalOperator):
                 return out
 
 
-def _hashable(v: Any) -> Any:
-    return tuple(v) if isinstance(v, list) else v
-
-
 class HashGroupBy(_Materialized):
     """Hash aggregation with incremental accumulators: no per-group row
-    lists, one flat slot list per group that each aggregate's compiled
-    update folds a row into. Aggregate outputs appear under binding
-    ``""`` keyed by the canonical call text (``SUM(ol_qty)``); groups
-    leave in first-seen order."""
+    lists, one flat accumulator list per group that each aggregate's
+    compiled update folds a row into. A group leaves as its key values
+    followed by one value per aggregate (:class:`GroupByNode`'s
+    schema); groups leave in first-seen order."""
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        group_keys: tuple[Source, ...],
-        aggregates: tuple[tuple[str, str, Source | None], ...],
-    ) -> None:
-        self.child = child
-        self.group_keys = group_keys
-        self.aggregates = aggregates
-        self._key_of = key_getter(group_keys)
-        slots: list[Any] = []
+    def __init__(self, node: GroupByNode, child: PhysicalOperator) -> None:
+        super().__init__(node, child)
+        self._key_of = tuple_getter(node.key_slots)
+        acc: list[Any] = []
         self._updates: list[_Update] = []
-        self._finishes: list[tuple[tuple[str, str], _Finish]] = []
-        for out_name, func, source in aggregates:
-            start, update, finish = _aggregate(func, source, len(slots))
-            slots.extend(start)
+        self._finishes: list[_Finish] = []
+        for (_, func, _), slot in zip(node.aggregates, node.aggregate_slots):
+            start, update, finish = _aggregate(func, slot, len(acc))
+            acc.extend(start)
             self._updates.append(update)
-            self._finishes.append((("", out_name), finish))
-        self._start = tuple(slots)
+            self._finishes.append(finish)
+        self._start = tuple(acc)
 
     def _build(self) -> list[Row]:
         key_of, updates, start = self._key_of, self._updates, self._start
@@ -525,13 +474,11 @@ class HashGroupBy(_Materialized):
                 for update in updates:
                     update(acc, row)
         self._ctx.conn.operator_work(GROUP_BY, total_rows)
-        results: list[Row] = []
-        for key, acc in groups.items():
-            out: Row = dict(zip(self.group_keys, key))
-            for out_key, finish in self._finishes:
-                out[out_key] = finish(acc)
-            results.append(out)
-        return results
+        finishes = self._finishes
+        return [
+            key + tuple([finish(acc) for finish in finishes])
+            for key, acc in groups.items()
+        ]
 
 
 _Update = Callable[[list[Any], Row], None]
@@ -539,20 +486,20 @@ _Finish = Callable[[list[Any]], Any]
 
 
 def _aggregate(
-    func: str, source: Source | None, at: int
+    func: str, slot: int | None, at: int
 ) -> tuple[tuple[Any, ...], _Update, _Finish]:
-    """``func`` over ``source`` compiled against the accumulator slots
-    starting at ``at``: (initial slots, ``update(acc, row)``,
-    ``finish(acc)``). SQL null semantics over the non-NULL inputs:
-    COUNT of nothing is 0, everything else is NULL."""
-    if func == "COUNT" and source is None:  # COUNT(*): no lookup
+    """``func`` over the row's ``slot`` compiled against the
+    accumulator slots starting at ``at``: (initial slots,
+    ``update(acc, row)``, ``finish(acc)``). SQL null semantics over the
+    non-NULL inputs: COUNT of nothing is 0, everything else is NULL."""
+    if func == "COUNT" and slot is None:  # COUNT(*): no lookup
 
         def update(acc: list[Any], row: Row) -> None:
             acc[at] += 1
 
         return (0,), update, operator.itemgetter(at)
     # any other F(*) aggregates a 1 per row
-    get = _constant(1) if source is None else accessor(source)
+    get = _constant(1) if slot is None else operator.itemgetter(slot)
     if func == "COUNT":
 
         def update(acc: list[Any], row: Row) -> None:
@@ -600,14 +547,11 @@ class StreamingSort(_Materialized):
     ``(value is not None, value)``: NULLs first ascending and last
     descending, rows equal on every key keep their input order."""
 
-    def __init__(
-        self, child: PhysicalOperator, keys: tuple[tuple[Source, bool], ...]
-    ) -> None:
-        self.child = child
-        self.keys = keys
-        self._passes = tuple(
-            (_sort_key(source), desc) for source, desc in reversed(keys)
-        )
+    def __init__(self, node: SortNode, child: PhysicalOperator) -> None:
+        super().__init__(node, child)
+        descending = (desc for _, desc in node.keys)
+        passes = [(_sort_key(s), d) for s, d in zip(node.key_slots, descending)]
+        self._passes = passes[::-1]
 
     def _build(self) -> list[Row]:
         rows = [row for batch in _drain(self.child) for row in batch]
@@ -617,11 +561,9 @@ class StreamingSort(_Materialized):
         return rows
 
 
-def _sort_key(source: Source) -> Callable[[Row], tuple[bool, Any]]:
-    get = accessor(source)
-
+def _sort_key(slot: int) -> Callable[[Row], tuple[bool, Any]]:
     def key(row: Row) -> tuple[bool, Any]:
-        v = get(row)
+        v = row[slot]
         return (v is not None, v)
 
     return key
@@ -633,16 +575,15 @@ class Limit(PhysicalOperator):
     their windows at the moment the last row is emitted, not at tree
     close."""
 
-    def __init__(self, child: PhysicalOperator, limit: int) -> None:
-        self.child = child
-        self.limit = limit
-        self._emitted = 0
-        self._done = False
+    node: LimitNode
+    _emitted = 0
+    _done = False
 
     def next_batch(self, demand: int | None = None) -> list[Row] | None:
         if self._done:
             return None
-        remaining = self.limit - self._emitted
+        limit = self.node.limit
+        remaining = limit - self._emitted
         if remaining <= 0:
             self._finish()
             return None
@@ -653,7 +594,7 @@ class Limit(PhysicalOperator):
             self._done = True
             return None
         self._emitted += len(batch)
-        if self._emitted >= self.limit:
+        if self._emitted >= limit:
             self._finish()
         return batch
 
@@ -663,30 +604,21 @@ class Limit(PhysicalOperator):
 
 
 # ---------------------------------------------------------------- compilation
-_LOWERING: dict[type[PlanNode], Callable[[Any], PhysicalOperator]] = {
-    ScanNode: lambda n: StreamingScan(n.access, n.prefix_exprs, n.check_dirty),
-    SourceNode: lambda n: StreamingSource(n.fetch),
-    SubqueryNode: lambda n: SubqueryOp(
-        compile_plan(n.subplan), n.alias, n.output_names, n.source_keys
-    ),
-    NestedLoopJoinNode: lambda n: IndexNestedLoopJoin(
-        compile_plan(n.outer), n.inner, n.outer_keys, n.check_dirty
-    ),
-    HashJoinNode: lambda n: BroadcastHashJoin(
-        compile_plan(n.probe), compile_plan(n.build), n.probe_keys, n.build_keys
-    ),
-    SymmetricJoinNode: lambda n: SymmetricHashJoin(
-        compile_plan(n.left), compile_plan(n.right), n.left_keys, n.right_keys
-    ),
-    FilterNode: lambda n: StreamingFilter(compile_plan(n.child), n.predicates),
-    SortNode: lambda n: StreamingSort(compile_plan(n.child), n.keys),
-    GroupByNode: lambda n: HashGroupBy(
-        compile_plan(n.child), n.group_keys, n.aggregates
-    ),
-    LimitNode: lambda n: Limit(compile_plan(n.child), n.limit),
-    DistinctNode: lambda n: HashDistinct(compile_plan(n.child), n.keys),
+_LOWERING: dict[type[PlanNode], type[PhysicalOperator]] = {
+    ScanNode: StreamingScan,
+    SourceNode: StreamingSource,
+    SubqueryNode: SubqueryOp,
+    NestedLoopJoinNode: IndexNestedLoopJoin,
+    HashJoinNode: BroadcastHashJoin,
+    SymmetricJoinNode: SymmetricHashJoin,
+    FilterNode: StreamingFilter,
+    SortNode: StreamingSort,
+    GroupByNode: HashGroupBy,
+    LimitNode: Limit,
+    DistinctNode: HashDistinct,
 }
-"""The operator each plan node lowers to: one class per node class."""
+"""The operator each plan node lowers to: one class per node class,
+built from the node and the operators of its inputs."""
 
 
 def compile_plan(node: PlanNode) -> PhysicalOperator:
@@ -695,7 +627,7 @@ def compile_plan(node: PlanNode) -> PhysicalOperator:
     lower = _LOWERING.get(type(node))
     if lower is None:
         raise PlanError(f"no operator for plan node {type(node).__name__}")
-    return lower(node)
+    return lower(node, *map(compile_plan, node.children()))
 
 
 __all__ = [

@@ -59,7 +59,8 @@ from repro.phoenix.plans import (
     Source,
     SubqueryNode,
     ValuePredicate,
-    key_getter,
+    slots,
+    tuple_getter,
 )
 
 PrefixSource = Union[Source, Expr]
@@ -77,13 +78,14 @@ class PlannedQuery:
 
     def __post_init__(self) -> None:
         self._names = tuple(name for name, _ in self.output)
-        self._values = key_getter(tuple(src for _, src in self.output))
+        sources = (src for _, src in self.output)
+        self._values = tuple_getter(slots(self.root.schema, sources, "the SELECT list"))
 
     def explain(self) -> str:
         return self.root.describe()
 
     def shape(self, row: Row) -> dict[str, Any]:
-        """One internal ``(binding, attr)`` row as an output dict."""
+        """One row of the root's schema as an output dict."""
         return dict(zip(self._names, self._values(row)))
 
     @property

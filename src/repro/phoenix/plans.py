@@ -6,28 +6,23 @@ lowers one-to-one into the operators that run it. Nothing here
 executes except :meth:`AccessSpec.fetch`, the one way rows leave the
 catalog's tables.
 
-Rows flowing between operators are ``dict[(binding, attr)] -> value``:
-keying by FROM-binding keeps self-joins (``Item as I, Item as J``)
-unambiguous. Every access charges virtual time through the HBase
-client it drives; plan shape therefore *is* the cost model. The
-operators above the leaves charge nothing themselves: they report
-their work to the :class:`OperatorHost` they run on, and each host (a
-Phoenix connection, the federation merge, a VoltDB procedure) prices it.
+A row is a tuple laid out by its node's ``schema``, the
+``(binding, attr)`` of each slot (keying by FROM-binding keeps
+self-joins like ``Item as I, Item as J`` unambiguous). A node resolves
+the sources it reads to slots of its input's schema when it is built:
+a source the input lacks is a :class:`PlanError`. Every access charges
+virtual time through the HBase client it drives; plan shape therefore
+*is* the cost model. The operators above the leaves charge nothing
+themselves: they report their work to the :class:`OperatorHost` they
+run on, and each host (a Phoenix connection, the federation merge, a
+VoltDB procedure) prices it.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Protocol,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import DirtyReadRestart, PlanError
 from repro.hbase.bytes_util import prefix_stop
@@ -42,7 +37,8 @@ from repro.sql.ast import Expr, Literal, Param
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phoenix.executor import PhoenixConnection
 
-Row = dict[Source, Any]
+Row = tuple[Any, ...]
+"""One value per source of the emitting node's ``schema``, in order."""
 
 RowTest = Callable[[Row], bool]
 
@@ -109,6 +105,31 @@ class ExecutionContext:
         raise PlanError(f"cannot evaluate expression {expr!r} at runtime")
 
 
+# ---------------------------------------------------------------- slots
+def slots(
+    schema: tuple[Source, ...], sources: Iterable[Source], reader: str
+) -> tuple[int, ...]:
+    """The slot of each of ``sources`` in a row of ``schema``; a source
+    the schema lacks is a :class:`PlanError` naming its ``reader``."""
+    index = {source: i for i, source in enumerate(schema)}
+    try:
+        return tuple(index[source] for source in sources)
+    except KeyError as missing:
+        raise PlanError(
+            f"{reader} reads {missing.args[0]!r}, which its input does not "
+            f"carry: {schema}"
+        ) from None
+
+
+def tuple_getter(keys: Sequence[Any]) -> Callable[[Any], tuple]:
+    """``row -> tuple(row[k] for k in keys)``, compiled once: one
+    ``itemgetter``, whose bare value for a single key is wrapped."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda row: (row[key],)
+    return operator.itemgetter(*keys) if keys else lambda row: ()
+
+
 # ---------------------------------------------------------------- predicates
 @dataclass(frozen=True)
 class ValuePredicate:
@@ -119,17 +140,21 @@ class ValuePredicate:
     op: str
     value_expr: Expr
 
-    def bind(self, ctx: ExecutionContext) -> RowTest:
-        """The row test for one execution: the constant is evaluated
-        here, once, not per row."""
+    @property
+    def sources(self) -> tuple[Source, ...]:
+        return ((self.binding, self.attr),)
+
+    def bind(self, ctx: ExecutionContext, at: tuple[int, ...]) -> RowTest:
+        """The row test for one execution, on the slot ``at``: the
+        constant is evaluated here, once, not per row."""
         value = ctx.eval(self.value_expr)
         if value is None:
             return lambda row: False
-        key = (self.binding, self.attr)
+        (i,) = at
         op = _PY_OPS[self.op]
 
         def test(row: Row) -> bool:
-            a = row.get(key)
+            a = row[i]
             return a is not None and op(a, value)
 
         return test
@@ -143,50 +168,29 @@ class ColumnPredicate:
     op: str
     right: tuple[str, str]
 
-    def bind(self, ctx: ExecutionContext) -> RowTest:
-        left, op, right = self.left, self.op, self.right
-        return lambda row: compare(op, row.get(left), row.get(right))
+    @property
+    def sources(self) -> tuple[Source, ...]:
+        return (self.left, self.right)
+
+    def bind(self, ctx: ExecutionContext, at: tuple[int, ...]) -> RowTest:
+        op = self.op
+        i, j = at
+        return lambda row: compare(op, row[i], row[j])
 
 
 Predicate = ValuePredicate | ColumnPredicate
 
 
-def conjunction(predicates: tuple[Predicate, ...], ctx: ExecutionContext) -> RowTest:
-    """One row test for all of ``predicates``, tried in order."""
-    tests = [p.bind(ctx) for p in predicates]
+Slotted = tuple[tuple[Predicate, tuple[int, ...]], ...]  # with their sources' slots
+
+
+def conjunction(slotted: Slotted, ctx: ExecutionContext) -> RowTest:
+    """One row test for all of the ``slotted`` predicates, tried in
+    order."""
+    tests = [p.bind(ctx, at) for p, at in slotted]
     if len(tests) == 1:
         return tests[0]
     return lambda row: all(test(row) for test in tests)
-
-
-# ---------------------------------------------------------------- row access
-def accessor(source: Source) -> Callable[[Row], Any]:
-    """``source`` resolved once into ``row -> value`` (``None`` when
-    absent)."""
-    return lambda row: row.get(source)
-
-
-def key_getter(sources: tuple[Source, ...]) -> Callable[[Row], tuple]:
-    """``row -> (value of each source, ...)``, resolved once: one
-    ``map`` of the row's ``get``."""
-    return lambda row: tuple(map(row.get, sources))
-
-
-def keyed_rows(
-    binding: str,
-    attrs: tuple[str, ...],
-    wanted: set[str] | None,
-    rows: Iterable[Mapping[str, Any]],
-) -> list[Row]:
-    """``rows`` (keyed by attribute name) as ``(binding, attr)`` rows
-    carrying the attributes of ``attrs`` that are ``wanted`` (all of
-    them when it is ``None``), in ``attrs`` order; an attribute a row
-    lacks is ``None``. The key tuple is made once per call, not once
-    per cell."""
-    if wanted is not None:
-        attrs = tuple(a for a in attrs if a in wanted)
-    keys = tuple((binding, a) for a in attrs)
-    return [dict(zip(keys, map(row.get, attrs))) for row in rows]
 
 
 # ---------------------------------------------------------------- base access
@@ -230,6 +234,15 @@ class AccessSpec:
     def __post_init__(self) -> None:
         if self.needed is not None:
             self.needed = self.needed | {p.attr for p in self.residuals}
+        # a fetched row carries the decode set, in decoder order
+        decoded = self.entry if self.lookup_entry is None else self.lookup_entry
+        attrs, self._decode = decoded.row_decoder(self.needed)
+        self.schema = tuple((self.binding, a) for a in attrs)
+        self._client_side: Slotted = tuple(
+            (p, slots(self.schema, p.sources, f"the access to {self.binding}"))
+            for p in self.residuals
+            if not self._pushed_down(p)
+        )
 
     def is_point(self) -> bool:
         return len(self.prefix_attrs) == len(self.entry.key_attrs)
@@ -297,24 +310,17 @@ class AccessSpec:
             scan.columns = projection
             scan.filter = self._server_filter(ctx)
             results = table.scan(scan)
-        client_side = tuple(p for p in self.residuals if not self._pushed_down(p))
         version_checks = (
             conn.charge.version_checks if conn.mvcc_version_check else None
         )
         lookup = self.lookup_entry
-        if lookup is None:
-            decode = entry.row_decoder(self.binding, self.needed)
-        else:
+        if lookup is not None:
             base_table = conn.client.table(lookup.name)
             base_projection = lookup.projection()
-            decode = lookup.row_decoder(self.binding, self.needed)
-        keep = conjunction(client_side, ctx) if client_side else None
-        if (
-            not check_dirty
-            and version_checks is None
-            and lookup is None
-            and keep is None
-        ):
+        decode = self._decode
+        keep = conjunction(self._client_side, ctx) if self._client_side else None
+        plain = not check_dirty and version_checks is None and lookup is None
+        if plain and keep is None:
             yield from map(decode, results)
             return
         for result in results:
@@ -328,7 +334,7 @@ class AccessSpec:
                 result = base_table.get(Get(base_key, columns=base_projection))
                 if result is None:
                     continue
-            row: Row = decode(result)
+            row = decode(result)
             if keep is None or keep(row):
                 yield row
 
@@ -336,6 +342,10 @@ class AccessSpec:
 # ---------------------------------------------------------------- plan nodes
 class PlanNode:
     """One logical step of a SELECT; ``describe`` is its ``EXPLAIN``."""
+
+    schema: tuple[Source, ...]
+    """The source of each slot of the rows this node emits, set when
+    the node is built."""
 
     def children(self) -> tuple["PlanNode", ...]:
         """The input nodes, in field order."""
@@ -356,6 +366,9 @@ class PlanNode:
     def _label(self) -> str:
         return type(self).__name__
 
+    def _slots(self, child: "PlanNode", sources: Iterable[Source]) -> tuple[int, ...]:
+        return slots(child.schema, sources, type(self).__name__)
+
 
 @dataclass
 class ScanNode(PlanNode):
@@ -364,6 +377,9 @@ class ScanNode(PlanNode):
     access: AccessSpec
     prefix_exprs: tuple[Expr, ...] = ()
     check_dirty: bool = False
+
+    def __post_init__(self) -> None:
+        self.schema = self.access.schema
 
     def _label(self) -> str:
         entry = self.access.entry
@@ -378,12 +394,13 @@ class ScanNode(PlanNode):
 
 @dataclass
 class SourceNode(PlanNode):
-    """Leaf over rows produced outside the catalog. ``fetch`` is called
-    once, when the first row is pulled — a leaf nothing pulls from (a
-    satisfied LIMIT upstream) never runs it."""
+    """Leaf over rows made outside the catalog, in ``schema``. ``fetch``
+    is called once, when the first row is pulled — a leaf nothing pulls
+    from (a satisfied LIMIT upstream) never runs it."""
 
     fetch: Callable[[], list[Row]]
     label: str
+    schema: tuple[Source, ...]
 
     def _label(self) -> str:
         return f"SOURCE {self.label}"
@@ -398,6 +415,10 @@ class SubqueryNode(PlanNode):
     output_names: tuple[str, ...]
     source_keys: tuple[Source, ...]
     """For each output name, the sub-row source that feeds it."""
+
+    def __post_init__(self) -> None:
+        self.schema = tuple((self.alias, name) for name in self.output_names)
+        self.source_slots = self._slots(self.subplan, self.source_keys)
 
     def _label(self) -> str:
         return f"DERIVED TABLE as {self.alias} -> {self.output_names}"
@@ -419,6 +440,14 @@ class NestedLoopJoinNode(PlanNode):
     constant expression (literal/parameter filter on the inner side)."""
     check_dirty: bool = False
 
+    def __post_init__(self) -> None:
+        self.schema = self.outer.schema + self.inner.schema
+        # an outer-row key as its outer slot; a constant stays an expression
+        self.outer_slots: tuple[int | Expr, ...] = tuple(
+            k if isinstance(k, (Literal, Param)) else self._slots(self.outer, (k,))[0]
+            for k in self.outer_keys
+        )
+
     def _label(self) -> str:
         return (
             f"NL JOIN -> {self.inner.entry.name} as {self.inner.binding} "
@@ -437,6 +466,11 @@ class HashJoinNode(PlanNode):
     probe_keys: tuple[tuple[str, str], ...]
     build_keys: tuple[tuple[str, str], ...]
 
+    def __post_init__(self) -> None:
+        self.schema = self.probe.schema + self.build.schema
+        self.probe_slots = self._slots(self.probe, self.probe_keys)
+        self.build_slots = self._slots(self.build, self.build_keys)
+
     def _label(self) -> str:
         return f"HASH JOIN on probe={self.probe_keys} build={self.build_keys}"
 
@@ -452,6 +486,11 @@ class SymmetricJoinNode(PlanNode):
     left_keys: tuple[tuple[str, str], ...]
     right_keys: tuple[tuple[str, str], ...]
 
+    def __post_init__(self) -> None:
+        self.schema = self.left.schema + self.right.schema
+        self.left_slots = self._slots(self.left, self.left_keys)
+        self.right_slots = self._slots(self.right, self.right_keys)
+
     def _label(self) -> str:
         return f"SYMMETRIC HASH JOIN on left={self.left_keys} right={self.right_keys}"
 
@@ -460,6 +499,12 @@ class SymmetricJoinNode(PlanNode):
 class FilterNode(PlanNode):
     child: PlanNode
     predicates: tuple[Predicate, ...]
+
+    def __post_init__(self) -> None:
+        self.schema = self.child.schema
+        self.slotted: Slotted = tuple(
+            (p, self._slots(self.child, p.sources)) for p in self.predicates
+        )
 
     def _label(self) -> str:
         return f"FILTER {self.predicates}"
@@ -471,19 +516,34 @@ class SortNode(PlanNode):
     keys: tuple[tuple[Source, bool], ...]
     """((source, descending), ...); an aggregate is ``("", call text)``."""
 
+    def __post_init__(self) -> None:
+        self.schema = self.child.schema
+        self.key_slots = self._slots(self.child, (src for src, _ in self.keys))
+
     def _label(self) -> str:
         return f"SORT {self.keys}"
 
 
 @dataclass
 class GroupByNode(PlanNode):
-    """Hash aggregation. Aggregate outputs appear under binding ``""``
-    keyed by the canonical call text (e.g. ``SUM(ol_qty)``)."""
+    """Hash aggregation: per group its keys, then each aggregate as
+    ``("", canonical call text)`` (e.g. ``SUM(ol_qty)``)."""
 
     child: PlanNode
     group_keys: tuple[Source, ...]
     aggregates: tuple[tuple[str, str, Source | None], ...]
     """(output_name, func, source) — source None for COUNT(*)."""
+
+    def __post_init__(self) -> None:
+        self.schema = self.group_keys + tuple(
+            ("", out_name) for out_name, _, _ in self.aggregates
+        )
+        self.key_slots = self._slots(self.child, self.group_keys)
+        # each aggregate's argument slot; None for F(*)
+        self.aggregate_slots = tuple(
+            None if src is None else self._slots(self.child, (src,))[0]
+            for _, _, src in self.aggregates
+        )
 
     def _label(self) -> str:
         return f"GROUP BY {self.group_keys} aggs={self.aggregates}"
@@ -493,6 +553,9 @@ class GroupByNode(PlanNode):
 class LimitNode(PlanNode):
     child: PlanNode
     limit: int
+
+    def __post_init__(self) -> None:
+        self.schema = self.child.schema
 
     def _label(self) -> str:
         return f"LIMIT {self.limit}"
@@ -506,3 +569,6 @@ class DistinctNode(PlanNode):
     child: PlanNode
     keys: tuple[Source, ...]
 
+    def __post_init__(self) -> None:
+        self.schema = self.child.schema
+        self.key_slots = self._slots(self.child, self.keys)

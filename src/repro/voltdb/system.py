@@ -33,7 +33,7 @@ from repro.phoenix.plans import (
     Row,
     SourceNode,
     ValuePredicate,
-    keyed_rows,
+    tuple_getter,
 )
 from repro.phoenix.writes import compile_write, constant_equalities, eval_const
 from repro.relational.schema import Schema
@@ -258,23 +258,24 @@ class VoltDBSystem:
         needed = composer.needed_attrs(analyzed)
         leaves: dict[str, PlanNode] = {}
         for binding, relation in analyzed.bindings.items():
+            wanted = needed[binding]  # None for a derived table: every column
+            names = analyzed.attrs[binding] or ()
+            attrs = tuple(a for a in names if wanted is None or a in wanted)
             if relation is None:
-                fetch = partial(self._derived_rows, binding, analyzed, params, host)
+                fetch = partial(
+                    self._derived_rows, binding, analyzed, params, host, attrs
+                )
             else:
+                table = self.tables[relation]
                 eq = [
                     (f.attr, eval_const(f.value, params))
                     for f in analyzed.filters_on(binding)
                     if _is_access_filter(f)
                 ]
-                fetch = partial(
-                    self._table_rows,
-                    binding,
-                    self.tables[relation],
-                    eq,
-                    needed[binding],
-                    host,
-                )
-            leaves[binding] = SourceNode(fetch, label=f"VOLTDB {binding}")
+                fetch = partial(self._table_rows, table, eq, attrs, host)
+            leaves[binding] = SourceNode(
+                fetch, f"VOLTDB {binding}", tuple((binding, a) for a in attrs)
+            )
         plan, consumed = composer.join_in_from_order(
             analyzed, leaves, composer.hash_join
         )
@@ -292,17 +293,16 @@ class VoltDBSystem:
 
     @staticmethod
     def _table_rows(
-        binding: str,
         table: VoltTable,
         eq: list[tuple[str, Any]],
-        wanted: set[str] | None,
+        attrs: tuple[str, ...],
         host: _ProcedureHost,
     ) -> list[Row]:
         """The rows of ``table`` that pass every equality in ``eq``,
-        reached through an index on the first one when there is one and
-        carrying the ``wanted`` attributes only; every candidate read
-        counts as examined. An equality with NULL matches nothing, so
-        nothing is read."""
+        reached through an index on the first one when there is one, as
+        tuples of their ``attrs``; every candidate read counts as
+        examined. An equality with NULL matches nothing, so nothing is
+        read."""
         if any(v is None for _, v in eq):
             return []
         if eq and table.has_index(eq[0][0]):
@@ -314,7 +314,7 @@ class VoltDBSystem:
             candidates = [
                 raw for raw in candidates if all(raw.get(a) == v for a, v in eq)
             ]
-        return keyed_rows(binding, table.attrs, wanted, candidates)
+        return list(map(tuple_getter(attrs), candidates))
 
     def _derived_rows(
         self,
@@ -322,12 +322,13 @@ class VoltDBSystem:
         analyzed: AnalyzedSelect,
         params: tuple[Any, ...],
         host: _ProcedureHost,
+        attrs: tuple[str, ...],
     ) -> list[Row]:
         """A derived table is a nested procedure, charged as its own;
-        its rows carry every column it returns."""
+        its rows are tuples of the ``attrs`` it returns."""
         rows = self.execute_select(analyzed.derived[binding], params)
         host.examined += len(rows)
-        return keyed_rows(binding, analyzed.attrs[binding], None, rows)
+        return list(map(tuple_getter(attrs), rows))
 
     # -- routing ---------------------------------------------------------------------
     def select_partitions(

@@ -59,7 +59,9 @@ class VoltTable:
         if old is not None:
             self._unindex(key, old)
             self.size_bytes -= self._row_size(old)
-        stored = dict(row)
+        # every attribute, NULL when the write left it out: a reader
+        # takes a row's attributes with one getter
+        stored = {a: row.get(a) for a in self.attrs}
         self.rows[key] = stored
         self.size_bytes += self._row_size(stored)
         for attr, index in self._indexes.items():

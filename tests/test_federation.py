@@ -429,7 +429,10 @@ class TestSeams:
             "Employee as e WHERE e.E_DNo = d.DNo and e.EHome_AID = a.AID "
             "and e.EID < e.E_DNo ORDER BY d.DName LIMIT 3"
         )
-        leaves = {b: SourceNode(list, b) for b in analyzed.bindings}
+        leaves = {
+            b: SourceNode(list, b, tuple((b, a) for a in analyzed.attrs[b]))
+            for b in analyzed.bindings
+        }
         planned = plan_merge(SelectComposer(), analyzed, leaves)
         assert planned.explain() == "\n".join((
             "LIMIT 3",

@@ -1,27 +1,36 @@
 """``StreamingSort`` and ``HashGroupBy`` against the interpreters they
 replaced.
 
-The operators resolve their columns once: a sort is one stable
-``list.sort`` pass per key on ``(value is not None, value)``, a
-group-by folds each row through a compiled key getter and one update
-per aggregate. The reference is the retired body — a sort key of
-``_OrderKey`` wrappers compared in Python, a group-by that looks every
-``(binding, attr)`` source up per row and keeps ``[count, sum, min,
-max]`` for every aggregate. Random rows
-with NULLs, ties, mixed int/float and strings, 1-3 sort keys in mixed
-ASC/DESC and 0-2 group keys must give the same output order (ties in
-input order), the same groups in the same first-seen order with the
-same representatives, and the same aggregate values, to the ``repr``.
-The reference lives in ``tests.reference.sql``, where the relational
-model is built on it.
+The operators resolve their columns once, to the slots of their plan
+node's schema: a sort is one stable ``list.sort`` pass per key on
+``(value is not None, value)``, a group-by folds each row through a
+compiled key getter and one update per aggregate. The reference is the
+retired body — a sort key of ``_OrderKey`` wrappers compared in Python,
+a group-by that looks every ``(binding, attr)`` source up per row and
+keeps ``[count, sum, min, max]`` for every aggregate. The hypothesis
+rows are dicts; they enter the plan as tuples through one leaf schema,
+and each output tuple leaves as ``dict(zip(node.schema, row))``, so the
+dict-based reference compares unchanged. Random rows with NULLs, ties,
+mixed int/float and strings, 1-3 sort keys in mixed ASC/DESC and 0-2
+group keys must give the same output order (ties in input order), the
+same groups in the same first-seen order with the same
+representatives, and the same aggregate values, to the ``repr``. The
+reference lives in ``tests.reference.sql``, where the relational model
+is built on it.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.phoenix.operators import HashGroupBy, StreamingSort, StreamingSource
-from repro.phoenix.plans import ExecutionContext
+from repro.phoenix.operators import compile_plan
+from repro.phoenix.plans import (
+    ExecutionContext,
+    GroupByNode,
+    PlanNode,
+    SortNode,
+    SourceNode,
+)
 from tests.reference.sql import reference_group_by, reference_sort
 
 # --------------------------------------------------------------- harness
@@ -35,15 +44,24 @@ class _Host:
         self.work.append((kind, rows))
 
 
-def run(make_op, rows):
-    """All output rows of ``make_op(leaf)`` over ``rows``, plus the work
-    it reported."""
+def leaf(rows) -> SourceNode:
+    """The dict ``rows`` as a leaf of :data:`SCHEMA` tuples."""
+    return SourceNode(
+        lambda: [tuple(row[source] for source in SCHEMA) for row in rows],
+        "rows",
+        SCHEMA,
+    )
+
+
+def run(node: PlanNode):
+    """All output rows of ``node``, each as a dict of its schema, plus
+    the work it reported."""
     host = _Host()
-    op = make_op(StreamingSource(lambda: list(rows)))
+    op = compile_plan(node)
     op.open(ExecutionContext(host, ()))
     out = []
     while (batch := op.next_batch()) is not None:
-        out.extend(batch)
+        out.extend(dict(zip(node.schema, row)) for row in batch)
     op.close()
     return out, host.work
 
@@ -61,6 +79,7 @@ COLUMNS = {
     "s": st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "B"])),
     "k": st.one_of(st.none(), st.integers(0, 2)),
 }
+SCHEMA = (("t", "id"), *(("t", attr) for attr in COLUMNS))
 
 
 @st.composite
@@ -104,7 +123,7 @@ AGGREGATES = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(rows=tables(), keys=SORT_KEYS)
 def test_sort_equals_order_key_reference(rows, keys):
-    got, work = run(lambda leaf: StreamingSort(leaf, keys), rows)
+    got, work = run(SortNode(leaf(rows), keys))
     expected = reference_sort(rows, keys)
     # identity order: ties must keep their input order, not just compare equal
     assert [r[("t", "id")] for r in got] == [r[("t", "id")] for r in expected]
@@ -114,7 +133,7 @@ def test_sort_equals_order_key_reference(rows, keys):
 @settings(max_examples=300, deadline=None)
 @given(rows=tables(), group_keys=GROUP_KEYS, aggregates=AGGREGATES)
 def test_group_by_equals_lookup_reference(rows, group_keys, aggregates):
-    got, work = run(lambda leaf: HashGroupBy(leaf, group_keys, aggregates), rows)
+    got, work = run(GroupByNode(leaf(rows), group_keys, aggregates))
     expected = reference_group_by(rows, group_keys, aggregates)
     # repr: first-seen representatives (1 vs 1.0, 0.0 vs -0.0) and
     # float sums must be the same objects' values, in the same order
@@ -136,10 +155,7 @@ def test_order_by_aggregate_equals_reference(rows, group_keys, desc, then):
     aggregates = (("SUM(n)", "SUM", ("t", "n")), ("COUNT(*)", "COUNT", None))
     tail = ((group_keys[0], False),) if then and group_keys else ()
     keys = ((("", "SUM(n)"), desc), *tail)
-    got, _ = run(
-        lambda leaf: StreamingSort(HashGroupBy(leaf, group_keys, aggregates), keys),
-        rows,
-    )
+    got, _ = run(SortNode(GroupByNode(leaf(rows), group_keys, aggregates), keys))
     grouped = reference_group_by(rows, group_keys, aggregates)
     expected = reference_sort(grouped, keys)
     assert repr(got) == repr(expected)

@@ -124,7 +124,7 @@ class TestPlanner:
             "and e.EHome_AID <> e.EOffice_AID "
             "GROUP BY e.E_DNo ORDER BY e.E_DNo LIMIT 3"
         )
-        rows = plans.SourceNode(list, "rows")
+        rows = plans.SourceNode(list, "rows", ())
         nodes = [*plan_nodes(plan.root), plans.SymmetricJoinNode(rows, rows, (), ())]
         lowered = {
             type(n): type(operators.compile_plan(n))

@@ -265,9 +265,10 @@ class TestCompiledDecoder:
     def test_narrowed_decode_is_the_full_row_restricted(self, row, needed):
         result = _stored(ALL_TYPES_ENTRY, row, frozenset())
         full = result_to_row_reference(ALL_TYPES_ENTRY, result)
-        got = ALL_TYPES_ENTRY.row_decoder("b", needed)(result)
-        assert got == {("b", a): v for a, v in full.items() if a in needed}
-        assert list(got) == [("b", a) for a in full if a in needed]
+        attrs, decode = ALL_TYPES_ENTRY.row_decoder(needed)
+        got = decode(result)
+        assert attrs == tuple(a for a in full if a in needed)
+        assert got == tuple(v for a, v in full.items() if a in needed)
 
     @pytest.mark.parametrize("dtype", list(DataType))
     def test_null_decodes_to_none_for_every_type(self, dtype):
@@ -279,12 +280,12 @@ class TestCompiledDecoder:
         assert result.value(CF, b"v") == b""
         assert entry.result_to_row(result) == {"k": None, "v": None}
 
-    def test_one_decoder_per_binding_and_decode_set(self):
+    def test_one_decoder_per_decode_set(self):
         entry = ALL_TYPES_ENTRY
-        narrow = entry.row_decoder("b", frozenset({"v_int"}))
-        assert entry.row_decoder("b", frozenset({"v_int"})) is narrow
-        assert entry.row_decoder("c", frozenset({"v_int"})) is not narrow
-        assert entry.row_decoder() is entry.row_decoder(None, None)
+        narrow = entry.row_decoder(frozenset({"v_int"}))
+        assert entry.row_decoder(frozenset({"v_int"})) is narrow
+        assert entry.row_decoder(frozenset({"v_int", "v_str"})) is not narrow
+        assert entry.row_decoder() is entry.row_decoder(None)
 
     def test_key_arity_mismatch_still_rejected(self):
         result = Result.from_sorted(b"only-one-component", {})
@@ -304,13 +305,18 @@ def accesses(root: PlanNode) -> list[AccessSpec]:
     return found
 
 
-def widen(root: PlanNode) -> None:
-    """Force every decode set of the tree to ``None`` (decode all)."""
-    for node in plan_nodes(root):
-        if isinstance(node, ScanNode):
-            node.access = dataclasses.replace(node.access, needed=None)
-        elif isinstance(node, NestedLoopJoinNode):
-            node.inner = dataclasses.replace(node.inner, needed=None)
+def widen(node: PlanNode) -> PlanNode:
+    """``node`` rebuilt with every decode set forced to ``None`` (decode
+    all): each node is rebuilt over its widened inputs, so the schemas
+    and slots above a widened leaf follow it."""
+    changes = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, PlanNode):
+            changes[f.name] = widen(value)
+        elif isinstance(value, AccessSpec):
+            changes[f.name] = dataclasses.replace(value, needed=None)
+    return dataclasses.replace(node, **changes)
 
 
 def widen_every_plan(conn: PhoenixConnection, monkeypatch) -> None:
@@ -320,8 +326,7 @@ def widen_every_plan(conn: PhoenixConnection, monkeypatch) -> None:
 
     def widened(select):
         planned = plan_select(select)
-        widen(planned.root)
-        return planned
+        return dataclasses.replace(planned, root=widen(planned.root))
 
     monkeypatch.setattr(conn.planner, "plan_select", widened)
 
@@ -462,8 +467,8 @@ class TestPinnedDecodeSets:
 
 
 # ------------------------------------------------------------ (d) the other leaves
-# A VoltDB procedure leaf and a federation fragment import build their
-# rows with ``keyed_rows`` over the composer's needed set. Widening the
+# A VoltDB procedure leaf and a federation fragment import are
+# ``SourceNode``s whose schema is the composer's needed set. Widening the
 # set means patching the one collector, on the composers that feed
 # those two leaves only: a Phoenix backend's planner is left alone,
 # because there the set also picks the access path (and so the charges).
@@ -474,34 +479,45 @@ def widen_collector(monkeypatch, composer) -> None:
     )
 
 
+def on_leaf_rows(monkeypatch, module, seen) -> None:
+    """Call ``seen(schema, rows)`` with the rows each ``SourceNode``
+    leaf ``module`` builds fetches."""
+    real = module.SourceNode
+
+    def leaf(fetch, label, schema):
+        def fetched():
+            rows = fetch()
+            seen(schema, rows)
+            return rows
+
+        return real(fetched, label, schema)
+
+    monkeypatch.setattr(module, "SourceNode", leaf)
+
+
 def count_cells(monkeypatch, module) -> list[int]:
-    """Count the cells ``module``'s ``keyed_rows`` builds (one counter
-    for every system the test runs)."""
+    """Count the cells ``module``'s leaves fetch (one counter for every
+    system the test runs)."""
     cells = [0]
-    real = module.keyed_rows
 
-    def counted(*args):
-        rows = real(*args)
+    def counted(schema, rows):
+        assert all(len(row) == len(schema) for row in rows)
         cells[0] += sum(map(len, rows))
-        return rows
 
-    monkeypatch.setattr(module, "keyed_rows", counted)
+    on_leaf_rows(monkeypatch, module, counted)
     return cells
 
 
 def record_keys(monkeypatch, module) -> dict[str, list]:
-    """The keys of the first row ``module``'s ``keyed_rows`` builds, per
-    binding."""
+    """The keys of the first row ``module``'s leaves fetch, read through
+    the leaf's schema, per binding."""
     seen: dict[str, list] = {}
-    real = module.keyed_rows
 
-    def recorded(binding, attrs, wanted, rows):
-        out = real(binding, attrs, wanted, rows)
-        if out:
-            seen.setdefault(binding, list(out[0]))
-        return out
+    def recorded(schema, rows):
+        if rows and schema:
+            seen.setdefault(schema[0][0], list(dict(zip(schema, rows[0]))))
 
-    monkeypatch.setattr(module, "keyed_rows", recorded)
+    on_leaf_rows(monkeypatch, module, recorded)
     return seen
 
 

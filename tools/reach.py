@@ -170,12 +170,12 @@ repro.phoenix.plans:ValuePredicate.bind
     sql: a residual filter on a constant that no scan could take
 repro.phoenix.plans:ValuePredicate.bind.<locals>.test
     sql: the row predicate of a residual constant filter
+repro.phoenix.plans:ValuePredicate.sources
+    sql: the slot a residual constant filter reads
 repro.phoenix.planner:PlannedQuery.explain
     sql: EXPLAIN text of a plan
 repro.phoenix.plans:PlanNode.describe
     sql: EXPLAIN text of a plan
-repro.phoenix.plans:PlanNode.children
-    sql: EXPLAIN walks a plan tree
 repro.phoenix.plans:PlanNode._label
     sql: one EXPLAIN line
 repro.phoenix.plans:ScanNode._label
