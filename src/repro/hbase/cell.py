@@ -21,7 +21,8 @@ class Result:
     # _view: (family, qualifier) -> [(timestamp, value)] newest first;
     # _borrowed: _view belongs to an HFile's row entry; _summary: (cells,
     # sum of len(family) + len(qualifier) + len(value)) of what _view
-    # shows, once known, forgotten when _view may change
+    # shows, once known, forgotten when _view may change; a plain row's
+    # is its entry's, whose third field (the cover's set) is not read here
 
     @classmethod
     def from_sorted(

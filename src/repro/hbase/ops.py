@@ -44,6 +44,8 @@ class Get:
         max_versions: int = 1,
         time_range: tuple[int, int] | None = None,
     ) -> None:
+        if max_versions < 1:
+            raise ValueError(f"Get.max_versions must be >= 1, got {max_versions}")
         self.row = row
         self.columns = columns
         self.max_versions = max_versions
@@ -77,3 +79,5 @@ class Scan:
     def __post_init__(self) -> None:
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"Scan.limit must be >= 0, got {self.limit}")
+        if self.max_versions < 1:
+            raise ValueError(f"Scan.max_versions must be >= 1, got {self.max_versions}")

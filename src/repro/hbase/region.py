@@ -126,14 +126,14 @@ class Region:
         wanted = frozenset(columns) if columns else None
         return row_result(
             row, sources, row not in self.memstore,
-            max(max_versions, 1), time_range, wanted,
+            max_versions, time_range, wanted,
         )
 
     def scan(
         self,
         start: bytes | None = None,
         stop: bytes | None = None,
-        columns: frozenset[CellKey] | set[CellKey] | None = None,
+        columns: frozenset[CellKey] | None = None,
         max_versions: int = 1,
         time_range: tuple[int, int] | None = None,
     ) -> RegionScanner:

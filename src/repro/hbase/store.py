@@ -29,12 +29,14 @@ each component. ``row_result`` turns one row's entries into its
 :class:`Result` for point reads and the scanner alike: a *plain* row
 (one untombstoned source, newest version of every stored column) is
 handed over with its memoised size — lent outright when it sits in an
-HFile — and every other row goes through ``merge_row``. Tombstones and
-``time_range`` each keep a contiguous run of a newest-first list, so the
-merge takes a bounded head of each source's list: a read costs
-O(columns × sources × ``max_versions``) however many versions the row
-has absorbed. The ``columns`` parameter is the column-pushdown
-contract — untouched column families cost nothing.
+HFile, its cover tested once per entry per column set object — and
+every other row goes through ``merge_row``. An untombstoned row read
+for one version with no time range takes each column's newest head;
+otherwise tombstones and ``time_range`` each keep a contiguous run of a
+newest-first list, so the merge takes a bounded head of each source's
+list: a read costs O(columns × sources × ``max_versions``) however many
+versions the row has absorbed. The ``columns`` parameter is the
+column-pushdown contract — untouched column families cost nothing.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ class RowEntry:
     _dirty = False
     row_tombstone_ts: int | None = None
     col_tombstones: dict[CellKey, int] = _SHARED_EMPTY_TOMBSTONES
-    _summary: tuple[int, int] | None = None
-    """What a plain read of this entry weighs (:func:`_newest_summary`),
-    set by the first read that asks and dropped by every mutator; an
-    entry in an HFile is never written again, so it keeps it for good."""
+    _summary: tuple[int, int, frozenset[CellKey] | None] | None = None
+    """What a plain read of this entry weighs and the set that proved its
+    cover (:func:`_newest_summary`), set by the first read that asks and
+    dropped by every mutator; an HFile's entry keeps it for good."""
 
     def __init__(self) -> None:
         self._cells: dict[CellKey, Versions] = {}
@@ -341,6 +343,20 @@ def merge_row(
                     if versions:
                         visible[key] = versions[:max_versions]
             return visible or None
+    elif max_versions == 1 and time_range is None and not any(
+        s.row_tombstone_ts is not None or s.col_tombstones for s in sources
+    ):
+        # nothing hidden, one version wanted: each column's newest head,
+        # the newer component winning a tie (as the stable sort would)
+        heads: dict[CellKey, tuple[int, bytes] | None] = {}
+        for s in sources:
+            for key, versions in s.cells.items():
+                if columns is None or key in columns:
+                    head = heads.get(key)  # None: unseen, or seen empty
+                    if head is None or versions and versions[0][0] > head[0]:
+                        heads[key] = versions[0] if versions else None
+        visible = {key: [head] for key, head in heads.items() if head}
+        return visible or None
 
     row_ts = max(
         (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
@@ -393,18 +409,24 @@ def merge_row(
     return visible or None
 
 
-def _newest_summary(cells: dict[CellKey, Versions]) -> tuple[int, int]:
-    """``(columns, Σ len(family) + len(qualifier) + len(newest value))``
-    of an entry whose every column holds a version: with the row key,
-    everything ``Result.size_bytes`` needs to size a one-version read.
-    ``(0, 0)`` for an entry with no column or with one left hollow (no
+def _newest_summary(
+    cells: dict[CellKey, Versions], columns: frozenset[CellKey] | None
+) -> tuple[int, int, frozenset[CellKey] | None] | None:
+    """``(columns, Σ len(family) + len(qualifier) + len(newest value),
+    covered_by)`` of an entry whose every column holds a version: with
+    the row key, everything ``Result.size_bytes`` needs to size a
+    one-version read, and the set ``columns`` proven to cover every
+    stored column. None when ``columns`` leaves one out; ``(0, 0,
+    columns)`` for an entry with no column or with one left hollow (no
     writer under ``src/`` leaves one), which is then not a plain row."""
+    if columns is not None and not columns >= cells.keys():
+        return None
     payload = 0
     for (family, qualifier), versions in cells.items():
         if not versions:
-            return 0, 0
+            return 0, 0, columns
         payload += len(family) + len(qualifier) + len(versions[0][1])
-    return len(cells), payload
+    return len(cells), payload, columns
 
 
 _new_result = Result.__new__
@@ -416,7 +438,7 @@ def row_result(
     immutable: bool,
     max_versions: int,
     time_range: tuple[int, int] | None = None,
-    columns: frozenset[CellKey] | set[CellKey] | None = None,
+    columns: frozenset[CellKey] | None = None,
 ) -> Result | None:
     """The :class:`Result` of one row from its entries (newest component
     first), or None when no cell is visible — what point reads and the
@@ -430,25 +452,26 @@ def row_result(
     HFile it borrows the entry's cell map outright (nothing writes it
     again; :class:`Result` detaches before anything could); out of the
     memstore it copies the heads, since a later put must not show
-    through. Every other row goes through :func:`merge_row`."""
+    through. The summary names the set that proved the cover, so a read
+    under that set object (or none) tests nothing. Every other row goes
+    through :func:`merge_row`."""
     if len(sources) == 1 and max_versions == 1 and time_range is None:
         entry = sources[0]
         if entry.row_tombstone_ts is None and not entry.col_tombstones:
             # RowEntry.cells without the call when there is nothing to sort
             cells = entry.cells if entry._dirty else entry._cells
-            if columns is None or columns >= cells.keys():
-                summary = entry._summary
-                if summary is None:
-                    summary = entry._summary = _newest_summary(cells)
-                if summary[0]:
-                    result = _new_result(Result)
-                    result.row = row
-                    result._view = cells if immutable else {
-                        key: versions[:1] for key, versions in cells.items()
-                    }
-                    result._borrowed = immutable
-                    result._summary = summary
-                    return result
+            summary = entry._summary
+            if summary is None or columns is not None and summary[2] is not columns:
+                summary = entry._summary = _newest_summary(cells, columns)
+            if summary and summary[0]:
+                result = _new_result(Result)
+                result.row = row
+                result._view = cells if immutable else {
+                    key: versions[:1] for key, versions in cells.items()
+                }
+                result._borrowed = immutable
+                result._summary = summary
+                return result
     visible = merge_row(sources, max_versions, time_range, columns)
     return None if visible is None else Result.from_sorted(row, visible)
 
@@ -495,7 +518,7 @@ class RegionScanner:
         components: list[MemStore | HFile],
         start: bytes,
         stop: bytes | None,
-        columns: frozenset[CellKey] | set[CellKey] | None = None,
+        columns: frozenset[CellKey] | None = None,
         max_versions: int = 1,
         time_range: tuple[int, int] | None = None,
         owner=None,
@@ -504,7 +527,7 @@ class RegionScanner:
         self._start = start
         self._stop = stop
         self._columns = columns
-        self._max_versions = max(max_versions, 1)
+        self._max_versions = max_versions
         self._time_range = time_range
         self._owner = owner  # region whose .online gates each row
 

@@ -73,11 +73,11 @@ class CatalogEntry:
             (a, qualifier, value_encoder(dtype))
             for a, qualifier, dtype in self._value_columns
         )
-        self._projection = (
+        self._projection = frozenset((
             *((CF, qualifier) for _, qualifier, _ in self._value_columns),
             (CF, ROW_MARKER_QUALIFIER),
             (CF, DIRTY_QUALIFIER),
-        )
+        ))
         self._decoders: dict[
             frozenset[str] | None, tuple[tuple[str, ...], RowDecoder]
         ] = {}
@@ -115,14 +115,15 @@ class CatalogEntry:
         ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
         return put
 
-    def projection(self) -> tuple[tuple[bytes, bytes], ...]:
+    def projection(self) -> frozenset[tuple[bytes, bytes]]:
         """Every column a physical row of this entry can carry — the set
         pushed down into Gets/Scans (the *storage projection*: what the
         storage engine merges, sizes and charges). Includes the row
         marker (key-only entries) and the dirty marker (view-maintenance
         bookkeeping), so results stay byte-identical to an unprojected
-        read. What is then *decoded* out of a result is narrower and
-        plan-driven: see :meth:`row_decoder`."""
+        read. One frozenset per entry, so the store tests a row's cover
+        once (``store.row_result``). What is then *decoded* out of a
+        result is narrower and plan-driven: see :meth:`row_decoder`."""
         return self._projection
 
     def row_decoder(

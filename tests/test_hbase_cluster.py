@@ -150,6 +150,13 @@ class TestScan:
         with pytest.raises(ValueError, match="limit"):
             Scan(limit=-1)
 
+    @pytest.mark.parametrize("max_versions", [0, -1])
+    def test_fewer_than_one_version_is_refused(self, max_versions):
+        with pytest.raises(ValueError, match="Get.max_versions"):
+            Get(b"k", max_versions=max_versions)
+        with pytest.raises(ValueError, match="Scan.max_versions"):
+            Scan(max_versions=max_versions)
+
     def test_column_value_filter(self, table):
         put(table, b"k1", v=b"yes")
         put(table, b"k2", v=b"no")

@@ -292,6 +292,57 @@ class TestHistoryIndependence:
         assert len(key_calls) <= 3 * len(HOT_COLUMNS) * per_list
 
 
+# ------------------------------------------------------------ newest head
+NEWEST_HEAD = {
+    "equal stamps in the memstore and an HFile": ([
+        ("put", ROWS[1], [(b"cf", b"a", b"flushed", 5), (b"cf", b"b", b"only", 5)]),
+        ("flush",),
+        ("put", ROWS[1], [(b"cf", b"a", b"memstore", 5)]),
+    ], b"memstore"),
+    "newest stamp in the oldest of three components": ([
+        ("put", ROWS[1], [(b"cf", b"a", b"newest", 30), (b"fx", b"b", b"x", None)]),
+        ("flush",),
+        ("put", ROWS[1], [(b"cf", b"a", b"oldest", 10)]),
+        ("flush",),
+        ("put", ROWS[1], [(b"cf", b"a", b"middle", 20), (b"fx", b"b", b"y", None)]),
+    ], b"newest"),
+}
+
+
+class TestNewestHead:
+    """An untombstoned row in several components, read for one version
+    with no time range, takes each column's newest head."""
+
+    @pytest.mark.parametrize("case", NEWEST_HEAD)
+    def test_each_column_shows_its_newest_head(self, case):
+        ops, winner = NEWEST_HEAD[case]
+        region = Region("t", b"", None, max_versions=3)
+        model = ModelRegion(max_versions=3)
+        apply_ops(region, model, ops)
+        assert len(region._sources_for(ROWS[1])) == 1 + ops.count(("flush",))
+        assert region.read_row(ROWS[1]).value(b"cf", b"a") == winner
+        for columns in PROJECTIONS:
+            assert_region_matches(region, model, 1, None, columns)
+
+    def test_an_empty_list_in_the_newer_component_keeps_its_place(self):
+        newer = RowEntry.from_sorted_cells(
+            {(b"cf", b"a"): [], (b"cf", b"b"): [(3, b"b3")]}
+        )
+        older = RowEntry.from_sorted_cells(
+            {(b"cf", b"b"): [(4, b"b4")], (b"cf", b"a"): [(2, b"a2")]}
+        )
+        for columns in (None, frozenset([(b"cf", b"a")])):
+            expected = reference_merge_row([newer, older], 1, None, columns)
+            merged = merge_row([newer, older], 1, None, columns)
+            assert merged == expected and list(merged) == list(expected)
+        [(_, result)] = list(
+            RegionScanner([HFile({ROW: newer}), HFile({ROW: older})], b"", None)
+        )
+        assert_result_matches(
+            result, ROW, {(b"cf", b"a"): [(2, b"a2")], (b"cf", b"b"): [(4, b"b4")]}
+        )
+
+
 # ------------------------------------------------------------- plain rows
 ROW = b"r1"
 WIDE = [(CF, b"c%02d" % i) for i in range(12)]
@@ -371,6 +422,32 @@ class TestPlainRows:
         put_cell(region.memstore.entry(ROW), b"cf", b"c", 4, b"by put_cell")
         model.put(ROW, [(b"cf", b"c", b"by put_cell", 4)], 4)
         assert_region_matches(region, model, 1, None, None)
+
+        def read_with(columns):
+            """Point read and scan under this very set object, checked
+            against the reference; True when both took the plain path."""
+            expected = reference_merge_row(model.sources(ROW), 1, None, columns)
+            results = [region.read_row(ROW, columns)]
+            results.extend(result for _, result in region.scan(columns=columns))
+            plain = {result._summary is not None for result in results}
+            for result in results:
+                assert_result_matches(result, ROW, expected)
+            assert len(plain) == 1
+            return plain.pop()
+
+        # the entry remembers which set proved the cover: equal sets that
+        # are different objects each prove it afresh
+        covering = frozenset([(b"cf", b"a"), (b"fx", b"b"), (b"cf", b"c")])
+        twin = frozenset(sorted(covering))
+        assert twin == covering and twin is not covering
+        assert all(read_with(columns) for columns in (covering, twin, covering, twin))
+        # a column outside the set: the next read under it takes the merge,
+        # and a cover proven under no projection proves nothing for the set
+        region.put_row(ROW, [(b"fx", b"c", b"outside the set", None)], 5)
+        model.put(ROW, [(b"fx", b"c", b"outside the set", None)], 5)
+        assert not read_with(covering)
+        assert_region_matches(region, model, 1, None, None)
+        assert not read_with(covering)
         step("delete_row", [(b"cf", b"a")], 5)
         step("put_row", [(b"cf", b"a", b"back", None)], 6)
         step("delete_row", None, 7)
@@ -423,14 +500,15 @@ class TestPlainRows:
         assert result.size_bytes == reference_size(ROW, {(b"cf", b"a"): [(1, b"v")]})
 
     def test_a_rescan_of_flushed_rows_sizes_and_copies_nothing(self, monkeypatch):
-        """Exact counts: summaries built and results detached per scan."""
+        """Exact counts: entries summarised (and their cover tested) and
+        results detached per scan."""
         rows = 2000
         built, detached = [], []
         newest_summary = store._newest_summary
         own_cells = Result._cells.fget
         monkeypatch.setattr(
             store, "_newest_summary",
-            lambda cells: built.append(1) or newest_summary(cells),
+            lambda cells, columns: built.append(1) or newest_summary(cells, columns),
         )
         monkeypatch.setattr(
             Result, "_cells",
@@ -458,10 +536,15 @@ class TestPlainRows:
         assert scan(region)[1:] == (total, 1, 0)
         region.flush()
         # in an HFile: lent as stored, under no projection, the exact one
-        # and a wider one
-        for columns in (None, frozenset(WIDE), frozenset(WIDE) | {(b"fx", b"x")}):
+        # and a wider one; a set's cover is tested once per entry, and a
+        # rescan with the same set object tests none
+        exact = frozenset(WIDE)
+        for columns, tested in (
+            (None, 0), (exact, rows), (exact, 0), (None, 0),
+            (exact | {(b"fx", b"x")}, rows), (frozenset(WIDE), rows), (exact, rows),
+        ):
             results, again, summaries, copies = scan(region, columns)
-            assert (again, summaries, copies) == (total, 0, 0)
+            assert (again, summaries, copies) == (total, tested, 0)
             assert all(
                 r._view is region.hfiles[0].entry(r.row)._cells for r in results
             )
