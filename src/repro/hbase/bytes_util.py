@@ -36,6 +36,12 @@ def encode_key(dtypes: Sequence[DataType], values: Iterable[Any]) -> bytes:
     return DELIM.join(parts)
 
 
+def join_key(components: Iterable[bytes]) -> bytes:
+    """:func:`encode_key` of components already encoded: what
+    :func:`split_key` takes apart."""
+    return DELIM.join([_escape(part) for part in components])
+
+
 def split_key(key: bytes) -> list[bytes]:
     """Split a composite key into its unescaped components."""
     return [part.replace(ESCAPE, DELIM) for part in _SPLIT_UNESCAPED_DELIM(key)]

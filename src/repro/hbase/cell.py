@@ -77,6 +77,19 @@ class Result:
             versions = get(column)
             row[key] = decode(versions[0][1] if versions else None)
 
+    def newest_bytes_into(
+        self,
+        row: dict[Any, bytes],
+        slots: Iterable[tuple[Any, tuple[bytes, bytes]]],
+    ) -> None:
+        """``row[key] = newest value of column`` for each ``(key,
+        column)`` of ``slots``, ``b""`` for an absent column: the stored
+        bytes themselves, undecoded (``CatalogEntry.stored_row``)."""
+        get = self._view.get
+        for key, column in slots:
+            versions = get(column)
+            row[key] = versions[0][1] if versions else b""
+
     def versions(self, family: bytes, qualifier: bytes) -> list[tuple[int, bytes]]:
         return list(self._cells.get((family, qualifier), ()))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import SchemaError
-from repro.hbase.bytes_util import encode_key, split_key
+from repro.hbase.bytes_util import encode_key, join_key, split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
 from repro.relational.datatypes import DataType, value_decoder, value_encoder
@@ -33,6 +33,10 @@ TABLE = "table"
 INDEX = "index"
 VIEW = "view"
 VIEW_INDEX = "view_index"
+
+StoredRow = dict[str, bytes]
+"""``attr -> encoded bytes``: a row as stored, key components unescaped;
+``b""`` is NULL (and an absent cell). What read-modify-write carries."""
 
 
 @dataclass
@@ -73,6 +77,12 @@ class CatalogEntry:
             (a, qualifier, value_encoder(dtype))
             for a, qualifier, dtype in self._value_columns
         )
+        self._encoders = {
+            a: value_encoder(self.dtypes[a]) for a in (*self.key_attrs, *self.attrs)
+        }
+        self._stored_slots = tuple(
+            (a, (CF, qualifier)) for a, qualifier, _ in self._value_columns
+        )
         self._projection = frozenset((
             *((CF, qualifier) for _, qualifier, _ in self._value_columns),
             (CF, ROW_MARKER_QUALIFIER),
@@ -112,6 +122,44 @@ class CatalogEntry:
         put.cells = [
             (CF, qualifier, encode(get(attr)), None)
             for attr, qualifier, encode in self._put_columns
+        ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
+        return put
+
+    # -- stored rows: read-modify-write without a decode -------------------------
+    def stored_row(self, result: Result) -> StoredRow:
+        """``result`` as a :data:`StoredRow`: the key components, then
+        every value attribute's newest cell (``b""`` when absent), in the
+        order of :meth:`result_to_row`. Nothing is decoded."""
+        parts = split_key(result.row)
+        if len(parts) != len(self.key_attrs):
+            raise ValueError(
+                f"key arity mismatch: {len(parts)} components, "
+                f"{len(self.key_attrs)} types"
+            )
+        row = dict(zip(self.key_attrs, parts))
+        result.newest_bytes_into(row, self._stored_slots)
+        return row
+
+    def encode_values(self, values: dict[str, Any]) -> StoredRow:
+        """``values`` encoded with this entry's column encoders; an
+        attribute the entry lacks is left out."""
+        encoders = self._encoders
+        return {a: encoders[a](v) for a, v in values.items() if a in encoders}
+
+    def stored_key(self, row: StoredRow) -> bytes:
+        """The row key of ``row``: byte-equal to :meth:`encode_key` of
+        its decoded values."""
+        get = row.get
+        return join_key([get(a, b"") for a in self.key_attrs])
+
+    def stored_put(self, row: StoredRow) -> Put:
+        """The Put :meth:`row_to_put` builds for ``row`` decoded: the
+        same cells in the same order, each value the stored object."""
+        put = Put(self.stored_key(row))
+        get = row.get
+        put.cells = [
+            (CF, qualifier, get(attr, b""), None)
+            for attr, qualifier, _ in self._put_columns
         ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
         return put
 

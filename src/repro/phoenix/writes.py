@@ -15,6 +15,11 @@ global indexes):
 * DELETE: read the old row (for index keys), then one Delete each;
 * UPDATE: read-modify-write; indexes touching a changed attribute get a
   Delete of the stale entry plus a Put of the fresh one.
+
+UPDATE and DELETE carry the old row as a *stored row*
+(``CatalogEntry.stored_row``: ``attr -> encoded bytes``): it is never
+decoded, only the SET values are encoded, and the rewritten row and
+every index key reuse the stored bytes of the columns left alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Any
 from repro.errors import PlanError, SqlError, UnsupportedStatementError, WorkloadError
 from repro.hbase.client import HBaseClient
 from repro.hbase.ops import Delete as HDelete, Get
-from repro.phoenix.catalog import Catalog, CatalogEntry
+from repro.phoenix.catalog import Catalog, CatalogEntry, StoredRow
 from repro.sql.ast import (
     ColumnRef,
     Delete,
@@ -175,40 +180,48 @@ class WriteExecutor:
         result = self.client.table(entry.name).get(Get(entry.encode_key(key)))
         return None if result is None else entry.result_to_row(result)
 
-    def delete_row(self, relation: str, key: dict[str, Any]) -> dict[str, Any] | None:
-        """Delete base row + index entries; returns the old row (or None)."""
+    def _read_stored(
+        self, entry: CatalogEntry, key: dict[str, Any]
+    ) -> StoredRow | None:
+        """The base row ``key`` names, as stored (the Get of :meth:`read_row`)."""
+        result = self.client.table(entry.name).get(Get(entry.encode_key(key)))
+        return None if result is None else entry.stored_row(result)
+
+    def delete_row(self, relation: str, key: dict[str, Any]) -> StoredRow | None:
+        """Delete base row + index entries; returns the old stored row
+        (or None)."""
         entry = self.catalog.table_for_relation(relation)
-        old = self.read_row(relation, key)
+        old = self._read_stored(entry, key)
         if old is None:
             return None
         self.client.table(entry.name).delete(HDelete(entry.encode_key(key)))
         for index in self.catalog.indexes_for_relation(relation):
-            self.client.table(index.name).delete(HDelete(index.encode_key(old)))
+            self.client.table(index.name).delete(HDelete(index.stored_key(old)))
         return old
 
     def update_row(
         self, relation: str, key: dict[str, Any], changes: dict[str, Any]
-    ) -> dict[str, Any] | None:
-        """Read-modify-write; returns the new row, or None when absent."""
+    ) -> StoredRow | None:
+        """Read-modify-write; returns the new stored row, or None when
+        absent."""
         entry = self.catalog.table_for_relation(relation)
         for attr in changes:
             if attr in entry.key_attrs:
                 raise UnsupportedStatementError(
                     f"{relation}: updating key attribute {attr!r} is not supported"
                 )
-        old = self.read_row(relation, key)
+        old = self._read_stored(entry, key)
         if old is None:
             return None
-        new = dict(old)
-        new.update(changes)
-        self.client.table(entry.name).put(entry.row_to_put(new))
+        new = {**old, **entry.encode_values(changes)}
+        self.client.table(entry.name).put(entry.stored_put(new))
         for index in self.catalog.indexes_for_relation(relation):
             if any(attr in index.attrs for attr in changes):
-                old_key = index.encode_key(old)
-                new_key = index.encode_key(new)
+                old_key = index.stored_key(old)
+                new_key = index.stored_key(new)
                 if old_key != new_key:
                     self.client.table(index.name).delete(HDelete(old_key))
-                self.client.table(index.name).put(index.row_to_put(new))
+                self.client.table(index.name).put(index.stored_put(new))
         return new
 
     # -- statement-level API --------------------------------------------------------

@@ -11,6 +11,13 @@ Applicability tests and tuple construction per write type:
 * **Update** applies iff the relation appears anywhere in the view; rows
   are located by the view key (relation last) or through a maintenance
   view-index on the relation's PK (relation mid-path).
+
+Update and delete maintenance is read-modify-write on *stored rows*
+(``CatalogEntry.stored_row``: ``attr -> encoded bytes``): a located row
+is never decoded, the statement's SET values are encoded once per view,
+and each rewritten row copies the stored bytes of every column it does
+not change. Keys compare and re-form as bytes, so the Gets, Scans and
+Puts are the ones a decode/re-encode round trip would issue.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from repro.hbase.bytes_util import prefix_stop
 from repro.hbase.client import HBaseClient
 from repro.hbase.filters import AndFilter, ColumnValueFilter
 from repro.hbase.ops import Delete as HDelete, Get, Put, Scan
-from repro.relational.datatypes import encode_value
-from repro.phoenix.catalog import CF, Catalog, CatalogEntry
+from repro.phoenix.catalog import CF, Catalog, CatalogEntry, StoredRow
 from repro.phoenix.plans import DIRTY_MARK, DIRTY_QUALIFIER
 from repro.relational.schema import Schema
 from repro.synergy.views import ViewDef
@@ -152,19 +158,19 @@ class ViewMaintainer:
             entry = self.view_entry(view)
             view_key = entry.encode_key(key)
             indexes = self.view_index_entries(view)
-            old_row: dict[str, Any] | None = None
+            old_row: StoredRow | None = None
             if indexes:
                 result = self.client.table(entry.name).get(
                     Get(view_key, columns=entry.projection())
                 )
                 if result is not None:
-                    old_row = entry.result_to_row(result)
+                    old_row = entry.stored_row(result)
             self.client.table(entry.name).delete(HDelete(view_key))
             removed += 1
             if old_row is not None:
                 for index in indexes:
                     self.client.table(index.name).delete(
-                        HDelete(index.encode_key(old_row))
+                        HDelete(index.stored_key(old_row))
                     )
                     removed += 1
         return removed
@@ -172,8 +178,9 @@ class ViewMaintainer:
     # -- update -------------------------------------------------------------------------
     def locate_view_rows(
         self, view: ViewDef, relation: str, key: dict[str, Any]
-    ) -> list[dict[str, Any]]:
-        """All view rows whose ``relation`` component has the given key."""
+    ) -> list[StoredRow]:
+        """All view rows whose ``relation`` component has the given key,
+        as stored rows of the view."""
         entry = self.view_entry(view)
         access = self.maintenance_index_for(view, relation)
         pk = tuple(self.schema.relation(relation).primary_key)
@@ -183,10 +190,11 @@ class ViewMaintainer:
             self.client.cluster.sim.metrics.counter(
                 "view.maintenance_full_scans"
             ).inc()
+            # compared as encodings, like the Get and prefix paths below,
+            # so a parameter of another python type finds the same rows
+            wanted = entry.encode_values({a: key[a] for a in pk})
             filters = [
-                ColumnValueFilter(
-                    CF, a.encode(), "=", encode_value(entry.dtypes[a], key[a])
-                )
+                ColumnValueFilter(CF, a.encode(), "=", wanted[a])
                 for a in pk
                 if a not in entry.key_attrs
             ]
@@ -195,13 +203,8 @@ class ViewMaintainer:
                 scan.filter = filters[0]
             elif filters:
                 scan.filter = AndFilter(tuple(filters))
-            rows = [
-                entry.result_to_row(r)
-                for r in self.client.table(entry.name).scan(scan)
-            ]
-            return [
-                r for r in rows if all(r.get(a) == key[a] for a in pk)
-            ]
+            rows = map(entry.stored_row, self.client.table(entry.name).scan(scan))
+            return [r for r in rows if all(r[a] == wanted[a] for a in pk)]
         prefix_values = [key[a] for a in pk]
         if access.key_attrs == tuple(pk) or (
             access is entry and len(access.key_attrs) == len(pk)
@@ -212,11 +215,11 @@ class ViewMaintainer:
                     columns=access.projection(),
                 )
             )
-            rows = [] if result is None else [access.result_to_row(result)]
+            rows = [] if result is None else [access.stored_row(result)]
         else:
             prefix = access.encode_key_prefix(prefix_values)
             rows = [
-                access.result_to_row(r)
+                access.stored_row(r)
                 for r in self.client.table(access.name).scan(
                     Scan(
                         start_row=prefix,
@@ -231,20 +234,20 @@ class ViewMaintainer:
             projection = entry.projection()
             for row in rows:
                 result = self.client.table(entry.name).get(
-                    Get(entry.encode_key(row), columns=projection)
+                    Get(entry.stored_key(row), columns=projection)
                 )
                 if result is not None:
-                    full_rows.append(entry.result_to_row(result))
+                    full_rows.append(entry.stored_row(result))
             return full_rows
         return rows
 
     def mark_rows(
-        self, entry: CatalogEntry, rows: list[dict[str, Any]], dirty: bool
+        self, entry: CatalogEntry, rows: list[StoredRow], dirty: bool
     ) -> None:
         """Set/clear the dirty marker on view rows (update steps 3 and 5)."""
         puts = []
         for row in rows:
-            put = Put(entry.encode_key(row))
+            put = Put(entry.stored_key(row))
             put.add(CF, DIRTY_QUALIFIER, DIRTY_MARK if dirty else b"\x00")
             puts.append(put)
         if puts:
@@ -256,23 +259,27 @@ class ViewMaintainer:
     def write_view_rows(
         self,
         view: ViewDef,
-        old_rows: list[dict[str, Any]],
+        old_rows: list[StoredRow],
         changes: dict[str, Any],
-    ) -> list[dict[str, Any]]:
-        """Apply attribute changes to located view rows + fix indexes."""
+    ) -> list[StoredRow]:
+        """Apply attribute changes to located view rows + fix indexes:
+        ``changes`` is encoded once, every other column is copied."""
         entry = self.view_entry(view)
+        table = self.client.table(entry.name)
+        encoded = entry.encode_values(changes)
+        indexes = [
+            index for index in self.view_index_entries(view)
+            if any(a in index.attrs for a in changes)
+        ]
         new_rows = []
         for old in old_rows:
-            new = dict(old)
-            new.update(changes)
-            self.client.table(entry.name).put(entry.row_to_put(new))
-            for index in self.view_index_entries(view):
-                if not any(a in index.attrs for a in changes):
-                    continue
-                old_key = index.encode_key(old)
-                new_key = index.encode_key(new)
+            new = {**old, **encoded}
+            table.put(entry.stored_put(new))
+            for index in indexes:
+                old_key = index.stored_key(old)
+                new_key = index.stored_key(new)
                 if old_key != new_key:
                     self.client.table(index.name).delete(HDelete(old_key))
-                self.client.table(index.name).put(index.row_to_put(new))
+                self.client.table(index.name).put(index.stored_put(new))
             new_rows.append(new)
         return new_rows

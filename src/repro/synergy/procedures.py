@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import UnsupportedStatementError, WorkloadError
+from repro.phoenix.catalog import StoredRow
 from repro.phoenix.writes import WriteExecutor
 from repro.relational.schema import Schema
 from repro.synergy.locks import LockManager
@@ -172,7 +173,7 @@ class WriteProcedures:
             # step 2: read all rows that need to be updated
             views = self.maintainer.views_for_update(relation)
             self._charge_view_statements(views)
-            located: list[tuple[Any, list[dict[str, Any]]]] = []
+            located: list[tuple[Any, list[StoredRow]]] = []
             for view in views:
                 rows = self.maintainer.locate_view_rows(view, relation, key)
                 located.append((view, rows))

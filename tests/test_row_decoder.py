@@ -13,6 +13,10 @@ statement returns or is charged:
   collector patched to answer "all", in the test) returns the same rows
   for the same virtual milliseconds;
 * pinned decode and key sets for the shapes that are easy to get wrong.
+
+The update path's *stored rows* (``CatalogEntry.stored_row``, no decode
+at all) are held byte-identical here to the decode / re-encode round
+trip they replaced.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from repro.bench.tpcw_lab import TpcwLab
 from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
-from repro.phoenix.catalog import CF, ROW_MARKER_QUALIFIER, TABLE, CatalogEntry
+from repro.phoenix.catalog import (
+    CF, INDEX, ROW_MARKER_QUALIFIER, TABLE, CatalogEntry,
+)
 from repro.phoenix.executor import PhoenixConnection
 from repro.phoenix.plans import (
     AccessSpec,
@@ -291,6 +297,122 @@ class TestCompiledDecoder:
         result = Result.from_sorted(b"only-one-component", {})
         with pytest.raises(ValueError, match="arity"):
             ALL_TYPES_ENTRY.result_to_row(result)
+
+
+# An update's changes: any attribute (key, indexed or not, or one the
+# entry lacks), python values of any kind an encoder takes
+_CHANGE_VALUES = {
+    **_VALUES,
+    DataType.DATE: _INT64 | st.dates(),
+    DataType.BOOL: st.booleans() | st.integers(0, 2),
+}
+_CHANGES = st.fixed_dictionaries({}, optional={
+    **{
+        attr: st.none() | _CHANGE_VALUES[dtype]
+        for attr, dtype in ALL_TYPES_ENTRY.dtypes.items()
+    },
+    "not_an_attr": st.integers(),
+})
+
+
+def _index_on(entry: CatalogEntry, name: str, indexed_on: tuple[str, ...]):
+    """A covered index of ``entry`` keyed by ``indexed_on`` + its key."""
+    return CatalogEntry(
+        name=f"{entry.name}.{name}", kind=INDEX,
+        key_attrs=indexed_on + entry.key_attrs, attrs=entry.attrs,
+        dtypes=entry.dtypes, base=entry.name, indexed_on=indexed_on,
+    )
+
+
+ALL_TYPES_INDEXES = (
+    _index_on(ALL_TYPES_ENTRY, "ix_text", ("v_text",)),
+    _index_on(ALL_TYPES_ENTRY, "ix_mixed", ("v_bool", "v_date", "v_float")),
+    _index_on(ALL_TYPES_ENTRY, "ix_int", ("v_int",)),
+)
+KEY_ONLY_ENTRY = CatalogEntry(
+    name="K", kind=TABLE, key_attrs=("a", "b"), attrs=("a", "b"),
+    dtypes={"a": DataType.INT, "b": DataType.VARCHAR},
+)
+
+
+class TestStoredRows:
+    """``stored_put({**stored_row(r), **encode_values(ch)})`` is the Put
+    of the old round trip ``row_to_put({**result_to_row(r), **ch})``,
+    cell for cell, and ``stored_key`` is ``encode_key``."""
+
+    @staticmethod
+    def assert_same_write(entry, indexes, result, changes):
+        old = entry.stored_row(result)
+        new = {**old, **entry.encode_values(changes)}
+        old_decoded = result_to_row_reference(entry, result)
+        new_decoded = {**old_decoded, **changes}
+        put = entry.stored_put(new)
+        expected = row_to_put_reference(entry, new_decoded)
+        assert put.row == expected.row
+        assert put.cells == expected.cells
+        assert put.timestamp is None
+        for index in (entry, *indexes):
+            assert index.stored_key(old) == index.encode_key(old_decoded)
+            assert index.stored_key(new) == index.encode_key(new_decoded)
+            put = index.stored_put(new)
+            expected = row_to_put_reference(index, new_decoded)
+            assert (put.row, put.cells) == (expected.row, expected.cells)
+
+    @given(
+        _ROWS,
+        st.frozensets(st.sampled_from(ALL_TYPES_ENTRY.value_attrs)),
+        _CHANGES,
+    )
+    def test_same_put_as_the_decode_round_trip(self, row, absent, changes):
+        result = _stored(ALL_TYPES_ENTRY, row, absent)
+        self.assert_same_write(ALL_TYPES_ENTRY, ALL_TYPES_INDEXES, result, changes)
+
+    @given(
+        st.none() | _KEY_INTS,
+        st.none() | _TEXT,
+        st.fixed_dictionaries({}, optional={
+            "a": st.none() | _INT64, "b": st.none() | _TEXT,
+        }),
+    )
+    def test_key_only_entry_keeps_its_row_marker(self, a, b, changes):
+        result = _stored(KEY_ONLY_ENTRY, {"a": a, "b": b}, frozenset())
+        self.assert_same_write(KEY_ONLY_ENTRY, (), result, changes)
+        put = KEY_ONLY_ENTRY.stored_put(KEY_ONLY_ENTRY.stored_row(result))
+        assert put.cells == [(CF, ROW_MARKER_QUALIFIER, b"", None)]
+
+    @pytest.mark.parametrize("text", ["a\x00b", "\x00", "a\x00\x00", ""])
+    def test_nul_in_a_varchar_key_component(self, text):
+        row = dict.fromkeys(ALL_TYPES_ENTRY.attrs)
+        row.update(k_int=4, k_text=text, k_date=-1, v_text=text, v_bool=False)
+        result = _stored(ALL_TYPES_ENTRY, row, frozenset())
+        stored = ALL_TYPES_ENTRY.stored_row(result)
+        assert stored["k_text"] == text.encode()
+        assert ALL_TYPES_ENTRY.stored_key(stored) == result.row
+        self.assert_same_write(
+            ALL_TYPES_ENTRY, ALL_TYPES_INDEXES, result, {"v_text": "x\x00"}
+        )
+
+    def test_absent_and_null_cells_are_empty_bytes(self):
+        row = dict.fromkeys(ALL_TYPES_ENTRY.attrs)
+        row.update(k_int=1, k_text="t", k_date=2, v_int=5)
+        result = _stored(ALL_TYPES_ENTRY, row, frozenset({"v_float"}))
+        stored = ALL_TYPES_ENTRY.stored_row(result)
+        assert list(stored) == list(ALL_TYPES_ENTRY.result_to_row(result))
+        assert stored["v_float"] == b""  # absent
+        assert stored["v_text"] == b""  # NULL
+        assert stored["v_int"] is result.value(CF, b"v_int")  # the cell itself
+
+    def test_encode_values_leaves_out_what_the_entry_lacks(self):
+        encoded = ALL_TYPES_ENTRY.encode_values(
+            {"v_int": "4", "k_text": None, "not_an_attr": 1}
+        )
+        assert encoded == {"v_int": encode_value_reference(DataType.INT, 4),
+                           "k_text": b""}
+
+    def test_key_arity_mismatch_still_rejected(self):
+        result = Result.from_sorted(b"only-one-component", {})
+        with pytest.raises(ValueError, match="arity"):
+            ALL_TYPES_ENTRY.stored_row(result)
 
 
 # ------------------------------------------------------------ (b) differential

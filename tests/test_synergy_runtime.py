@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
 from repro.hbase.client import HBaseClient
+from repro.hbase.ops import Scan
+from repro.phoenix.catalog import CF, VIEW
 from repro.hbase.cluster import HBaseCluster
 from repro.sim.clock import Simulation
 from repro.sql.parser import parse_statement
@@ -137,6 +139,69 @@ class TestViewMaintenanceUpdate:
             "phoenix.dirty_restarts", 0
         )
         assert after == before
+
+
+    @pytest.mark.parametrize("name", ["Synergy", "MVCC-A"])
+    def test_a_string_key_parameter_maintains_every_view(self, name):
+        """MV_Employee__Works_On has no maintenance index on EID, so its
+        rows are found by the full-scan fallback. It compared decoded
+        values with the raw parameter (``4 == "4"`` is false) and left
+        the view stale; it compares encodings now, like the key paths."""
+
+        def views_after(eid):
+            system = build_company_system(name)
+            system.execute(
+                "UPDATE Employee SET EName = ? WHERE EID = ?", ("renamed", eid)
+            )
+            counters = system.sim.metrics.counters()
+            assert counters["view.maintenance_full_scans"] > 0
+            return {
+                entry.name: sorted(view_rows(system, entry.name), key=repr)
+                for entry in system.catalog.entries(VIEW)
+            }
+
+        as_text, as_int = views_after("4"), views_after(4)
+        assert as_text == as_int
+        renamed = [r for r in as_int["MV_Employee__Works_On"] if r["WO_EID"] == 4]
+        assert renamed and all(r["EName"] == "renamed" for r in renamed)
+
+    @pytest.mark.parametrize("name", ["Synergy", "MVCC-A"])
+    def test_an_update_reuses_the_stored_bytes_of_unchanged_columns(self, name):
+        """Every rewritten row -- the base row and each view row -- holds
+        the previous version's value object for each column the UPDATE
+        did not set: nothing is decoded and re-encoded."""
+        system = build_company_system(name)
+        tables = {
+            entry.name: entry for entry in system.catalog.entries()
+            if entry.name == "Employee" or entry.kind == VIEW
+        }
+        before = {
+            table: {r.row for r in system.client.table(table).scan(Scan())}
+            for table in tables
+        }
+        system.execute(
+            "UPDATE Employee SET EName = ? WHERE EID = ?", ("renamed", 2)
+        )
+        shared = rewritten = 0
+        for table, entry in tables.items():
+            descriptor = system.client.cluster.descriptor(table)
+            for row in before[table]:
+                result = descriptor.region_for(row).read_row(row, max_versions=2)
+                name_versions = result.versions(CF, b"EName")
+                if not name_versions or name_versions[0][1] != b"renamed":
+                    continue
+                rewritten += 1
+                for attr in entry.value_attrs:
+                    if attr == "EName":
+                        continue
+                    new, old = result.versions(CF, attr.encode())
+                    assert new[1] is old[1], (table, row, attr)
+                    shared += len(new[1]) > 1  # not a cached 0/1-byte object
+        # Employee 2's base row, its MV_Address__Employee row and each of
+        # its MV_Employee__Works_On rows
+        works_on = view_rows(system, "MV_Employee__Works_On", "WO_EID = ?", (2,))
+        assert works_on and rewritten == 2 + len(works_on)
+        assert shared > rewritten
 
 
 class TestHierarchicalLocking:
