@@ -253,13 +253,11 @@ class Region:
         merged_entries: dict[bytes, RowEntry] = {}
         sorted_keys: list[bytes] = []
         size = 0
-        for row, result in self.scan(max_versions=self.max_versions):
-            if result is None:
-                continue
-            entry = RowEntry.from_sorted_cells(result._cells)
+        overhead = self.kv_overhead_bytes
+        for row, entry in self._compacted_entries():
             merged_entries[row] = entry
             sorted_keys.append(row)
-            size += entry.size_bytes(row, self.kv_overhead_bytes)
+            size += entry.size_bytes(row, overhead)
         self.memstore.clear()
         self.hfiles = (
             [HFile(merged_entries, sorted_keys=sorted_keys)]
@@ -267,6 +265,36 @@ class Region:
             else []
         )
         self._approx_size_bytes = size
+
+    def _compacted_entries(self) -> Iterator[tuple[bytes, RowEntry]]:
+        """``(row, entry)`` of every row a major compaction keeps, in key
+        order. A region with one non-empty component (always the state
+        right after a bulk load) adopts each entry that needs no merge —
+        no tombstone, and every column holding 1 to ``max_versions``
+        versions, a dirty one sorted first — the way a flush hands off a
+        frozen memstore; any other row is rebuilt from its
+        ``row_result``. Several components keep the scanner merge."""
+        max_versions = self.max_versions
+        components = [c for c in (self.memstore, *self.hfiles) if len(c)]
+        if len(components) != 1:
+            for row, result in self.scan(max_versions=max_versions):
+                if result is not None:
+                    yield row, RowEntry.from_sorted_cells(result._cells)
+            return
+        component = components[0]
+        immutable = component is not self.memstore
+        for row, entry in component.items_in_range(self.start_key, self.end_key):
+            if entry.row_tombstone_ts is None and not entry.col_tombstones:
+                cells = entry.cells
+                if cells and all(
+                    0 < len(versions) <= max_versions
+                    for versions in cells.values()
+                ):
+                    yield row, entry
+                    continue
+            result = row_result(row, [entry], immutable, max_versions)
+            if result is not None:
+                yield row, RowEntry.from_sorted_cells(result._cells)
 
     def row_count(self) -> int:
         """Number of visible rows (post-merge); one streaming pass."""

@@ -20,7 +20,9 @@ Write path (O(1) puts, version lists ordered on write):
 * A flush hands the memstore's entry dict and already-sorted key list
   to the new :class:`HFile` wholesale — no copy, no re-sort — and the
   memstore re-arms with fresh containers, so cursors snapshotted before
-  the flush keep reading the frozen generation safely.
+  the flush keep reading the frozen generation safely. Major compaction
+  of a region with one component hands over the entries that need no
+  merge the same way (``Region.major_compact``).
 
 Read path: :class:`RegionScanner` k-way-merges one cursor per store
 component (memstore first, then HFiles newest flush first) with

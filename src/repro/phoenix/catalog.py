@@ -73,10 +73,6 @@ class CatalogEntry:
         self._value_columns = tuple(
             (a, a.encode(), self.dtypes[a]) for a in self.value_attrs
         )
-        self._put_columns = tuple(
-            (a, qualifier, value_encoder(dtype))
-            for a, qualifier, dtype in self._value_columns
-        )
         self._encoders = {
             a: value_encoder(self.dtypes[a]) for a in (*self.key_attrs, *self.attrs)
         }
@@ -114,18 +110,7 @@ class CatalogEntry:
         """Key prefix for the first ``len(values)`` key attributes."""
         return encode_key(self._key_dtypes[: len(values)], values)
 
-    def row_to_put(self, row: dict[str, Any]) -> Put:
-        """Encode a full relational row as a single-row Put."""
-        put = Put(self.encode_key(row))
-        get = row.get
-        # key-only entries still need one cell so the row exists
-        put.cells = [
-            (CF, qualifier, encode(get(attr)), None)
-            for attr, qualifier, encode in self._put_columns
-        ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
-        return put
-
-    # -- stored rows: read-modify-write without a decode -------------------------
+    # -- stored rows: writes without a decode ------------------------------------
     def stored_row(self, result: Result) -> StoredRow:
         """``result`` as a :data:`StoredRow`: the key components, then
         every value attribute's newest cell (``b""`` when absent), in the
@@ -153,13 +138,15 @@ class CatalogEntry:
         return join_key([get(a, b"") for a in self.key_attrs])
 
     def stored_put(self, row: StoredRow) -> Put:
-        """The Put :meth:`row_to_put` builds for ``row`` decoded: the
-        same cells in the same order, each value the stored object."""
+        """The single-row Put of ``row``: one cell per value attribute,
+        in ``attrs`` order, each value the stored object (``b""`` when
+        absent); a key-only entry gets the row marker, so the row
+        exists."""
         put = Put(self.stored_key(row))
         get = row.get
         put.cells = [
             (CF, qualifier, get(attr, b""), None)
-            for attr, qualifier, _ in self._put_columns
+            for attr, qualifier, _ in self._value_columns
         ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
         return put
 

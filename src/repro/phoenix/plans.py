@@ -329,8 +329,8 @@ class AccessSpec:
             if version_checks is not None:
                 version_checks(result.column_count)
             if lookup is not None:
-                # the index row is decoded whole: it re-encodes the base key
-                base_key = lookup.encode_key(entry.result_to_row(result))
+                # the base key re-forms from the index row's stored bytes
+                base_key = lookup.stored_key(entry.stored_row(result))
                 result = base_table.get(Get(base_key, columns=base_projection))
                 if result is None:
                     continue

@@ -16,10 +16,12 @@ global indexes):
 * UPDATE: read-modify-write; indexes touching a changed attribute get a
   Delete of the stale entry plus a Put of the fresh one.
 
-UPDATE and DELETE carry the old row as a *stored row*
-(``CatalogEntry.stored_row``: ``attr -> encoded bytes``): it is never
-decoded, only the SET values are encoded, and the rewritten row and
-every index key reuse the stored bytes of the columns left alone.
+Every write carries its row as a *stored row* (``CatalogEntry.stored_row``:
+``attr -> encoded bytes``). An INSERT encodes its values once, puts the
+same bytes into the base table and every index, and hands them on to
+view maintenance. UPDATE and DELETE never decode the old row: only the
+SET values are encoded, and the rewritten row and every index key reuse
+the stored bytes of the columns left alone.
 """
 
 from __future__ import annotations
@@ -165,15 +167,17 @@ class WriteExecutor:
         self.catalog = catalog
 
     # -- row-level API (used by loaders and the Synergy procedures) -----------------
-    def insert_row(
-        self, relation: str, row: dict[str, Any], maintain_indexes: bool = True
-    ) -> None:
+    def insert_row(self, relation: str, row: dict[str, Any]) -> StoredRow:
+        """Put ``row`` into the base table and every index; returns it as
+        stored (each value encoded once), what view maintenance builds
+        the view rows from."""
         entry = self.catalog.table_for_relation(relation)
         self._validate_row(entry, row)
-        self.client.table(entry.name).put(entry.row_to_put(row))
-        if maintain_indexes:
-            for index in self.catalog.indexes_for_relation(relation):
-                self.client.table(index.name).put(index.row_to_put(row))
+        stored = entry.encode_values(row)
+        self.client.table(entry.name).put(entry.stored_put(stored))
+        for index in self.catalog.indexes_for_relation(relation):
+            self.client.table(index.name).put(index.stored_put(stored))
+        return stored
 
     def read_row(self, relation: str, key: dict[str, Any]) -> dict[str, Any] | None:
         entry = self.catalog.table_for_relation(relation)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
-from repro.relational.datatypes import DataType
+from repro.relational.datatypes import DataType, value_encoder
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,17 @@ class Schema:
                         f"{rel.name}: FK {fk.name!r} arity {len(fk.attributes)} "
                         f"!= PK arity {len(target.primary_key)} of {target.name}"
                     )
+                # view maintenance reuses a child's stored FK bytes as its
+                # parent's key components, so both sides share one encoder
+                for fk_attr, pk_attr in zip(fk.attributes, target.primary_key):
+                    fk_type = rel.dtype_of(fk_attr)
+                    pk_type = target.dtype_of(pk_attr)
+                    if value_encoder(fk_type) is not value_encoder(pk_type):
+                        raise SchemaError(
+                            f"{rel.name}: FK {fk.name!r} attribute {fk_attr!r} "
+                            f"({fk_type.name}) does not encode like "
+                            f"{target.name}.{pk_attr} ({pk_type.name})"
+                        )
 
     # -- relations ---------------------------------------------------------------
     def relation(self, name: str) -> Relation:

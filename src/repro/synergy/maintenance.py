@@ -12,12 +12,16 @@ Applicability tests and tuple construction per write type:
   are located by the view key (relation last) or through a maintenance
   view-index on the relation's PK (relation mid-path).
 
-Update and delete maintenance is read-modify-write on *stored rows*
-(``CatalogEntry.stored_row``: ``attr -> encoded bytes``): a located row
-is never decoded, the statement's SET values are encoded once per view,
-and each rewritten row copies the stored bytes of every column it does
-not change. Keys compare and re-form as bytes, so the Gets, Scans and
-Puts are the ones a decode/re-encode round trip would issue.
+Maintenance works on *stored rows* (``CatalogEntry.stored_row``:
+``attr -> encoded bytes``) and never decodes one. An insert takes the
+base row as ``WriteExecutor.insert_row`` stored it: each child's FK
+bytes are the key of its parent's Get (``Schema`` refuses an FK whose
+encoder is not its target PK's), and the view row is its ancestors'
+stored cells plus the inserted ones. Update and delete maintenance is
+read-modify-write: the statement's SET values are encoded once per
+view, and each rewritten row copies the stored bytes of every column it
+does not change. Keys compare and re-form as bytes, so the Gets, Scans
+and Puts are the ones a decode/re-encode round trip would issue.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import ReproError
-from repro.hbase.bytes_util import prefix_stop
+from repro.hbase.bytes_util import join_key, prefix_stop
 from repro.hbase.client import HBaseClient
 from repro.hbase.filters import AndFilter, ColumnValueFilter
 from repro.hbase.ops import Delete as HDelete, Get, Put, Scan
@@ -61,40 +65,41 @@ class ViewMaintainer:
 
     # -- ancestor reads ---------------------------------------------------------------
     def read_ancestor_chain(
-        self, view: ViewDef, row: dict[str, Any]
-    ) -> dict[str, dict[str, Any]] | None:
-        """Read the k-1 base rows above ``view.last`` along the path.
+        self, view: ViewDef, row: StoredRow
+    ) -> dict[str, StoredRow] | None:
+        """Read the k-1 base rows above ``view.last`` along the path, as
+        stored.
 
         Returns {relation: row}, or None if any ancestor is missing
-        (the FK dangles — no view tuple can be constructed)."""
-        out: dict[str, dict[str, Any]] = {}
+        (an FK component is NULL, ``b""``, or dangles — no view tuple
+        can be constructed)."""
+        out: dict[str, StoredRow] = {}
         current = row
-        # walk edges last-to-first: each child's FK provides the parent key
+        # walk edges last-to-first: each child's FK bytes are the parent key
         for edge in reversed(view.edges):
             parent_entry = self.catalog.table_for_relation(edge.parent)
-            key_values = [current.get(a) for a in edge.fk_attrs]
-            if any(v is None for v in key_values):
+            parts = [current.get(a, b"") for a in edge.fk_attrs]
+            if not all(parts):
                 return None
             result = self.client.table(parent_entry.name).get(
-                Get(
-                    parent_entry.encode_key_values(key_values),
-                    columns=parent_entry.projection(),
-                )
+                Get(join_key(parts), columns=parent_entry.projection())
             )
             if result is None:
                 return None
-            parent_row = parent_entry.result_to_row(result)
-            out[edge.parent] = parent_row
-            current = parent_row
+            current = out[edge.parent] = parent_entry.stored_row(result)
         return out
 
     def build_view_row(
         self,
         view: ViewDef,
-        row: dict[str, Any],
-        ancestors: dict[str, dict[str, Any]],
-    ) -> dict[str, Any]:
-        merged: dict[str, Any] = {}
+        row: StoredRow,
+        ancestors: dict[str, StoredRow],
+    ) -> StoredRow:
+        """The view row: every ancestor's stored cells, then the
+        inserted row's (an attribute it leaves out is absent, which
+        ``stored_put`` writes as ``b""``). View attribute names are
+        unique across the path, so no source overwrites another."""
+        merged: StoredRow = {}
         for rel_name in view.relations[:-1]:
             ancestor = ancestors.get(rel_name)
             if ancestor is None:
@@ -102,13 +107,8 @@ class ViewMaintainer:
                     f"missing ancestor row for {rel_name} in view "
                     f"{view.display_name}"
                 )
-            merged.update(
-                {a: ancestor.get(a) for a in
-                 self.schema.relation(rel_name).attribute_names}
-            )
-        merged.update(
-            {a: row.get(a) for a in self.schema.relation(view.last).attribute_names}
-        )
+            merged.update(ancestor)
+        merged.update(row)
         return merged
 
     # -- entry lookup ------------------------------------------------------------------
@@ -132,9 +132,10 @@ class ViewMaintainer:
         return None
 
     # -- insert -------------------------------------------------------------------------
-    def apply_insert(self, relation: str, row: dict[str, Any]) -> int:
+    def apply_insert(self, relation: str, row: StoredRow) -> int:
         """Insert the corresponding tuple into every applicable view
-        (and its view-indexes); returns number of physical rows written."""
+        (and its view-indexes) for the base row ``row`` as stored;
+        returns number of physical rows written."""
         written = 0
         for view in self.views_for_insert(relation):
             ancestors = self.read_ancestor_chain(view, row)
@@ -142,10 +143,10 @@ class ViewMaintainer:
                 continue  # dangling FK: no join result to materialize
             view_row = self.build_view_row(view, row, ancestors)
             entry = self.view_entry(view)
-            self.client.table(entry.name).put(entry.row_to_put(view_row))
+            self.client.table(entry.name).put(entry.stored_put(view_row))
             written += 1
             for index in self.view_index_entries(view):
-                self.client.table(index.name).put(index.row_to_put(view_row))
+                self.client.table(index.name).put(index.stored_put(view_row))
                 written += 1
         return written
 

@@ -112,10 +112,10 @@ class WriteProcedures:
             lock_row = self.locks.acquire(root, key_values)
         step("after_lock")
         try:
-            self.writer.insert_row(relation, row)
+            stored = self.writer.insert_row(relation, row)
             step("after_base_write")
             self._charge_view_statements(self.maintainer.views_for_insert(relation))
-            self.maintainer.apply_insert(relation, row)
+            self.maintainer.apply_insert(relation, stored)
             step("after_view_write")
         finally:
             if locked is not None and lock_row is not None:

@@ -95,8 +95,8 @@ class HBaseBackedSystem(EvaluatedSystem):
     def load_row(self, relation: str, row: dict[str, Any]) -> None:
         """Bulk-load one row: base table + indexes + applicable views.
         Load parents before children so view tuples can be constructed."""
-        self.writer.insert_row(relation, row)
-        self.maintainer.apply_insert(relation, row)
+        stored = self.writer.insert_row(relation, row)
+        self.maintainer.apply_insert(relation, stored)
 
     def finish_load(self) -> None:
         """Major-compact everything (the paper compacts after population)."""

@@ -163,8 +163,8 @@ class MvccSystemBase(HBaseBackedSystem):
         no locks and no dirty marking; snapshots isolate the readers."""
         relation = plan.relation
         if plan.kind == "insert":
-            self.writer.insert_row(relation, plan.row)
-            self.maintainer.apply_insert(relation, plan.row)
+            stored = self.writer.insert_row(relation, plan.row)
+            self.maintainer.apply_insert(relation, stored)
             return 1
         if plan.kind == "update":
             changes = plan.changes

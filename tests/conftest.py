@@ -47,24 +47,28 @@ def client(cluster: HBaseCluster) -> HBaseClient:
 def build_company_system(name: str, sim: Simulation | None = None):
     """One of the five evaluated systems (by its Fig. 13 name) on the
     Company schema, populated by :func:`~tests.reference.sql.load_company`."""
-    schema, workload = company_schema(), company_workload()
-    if name == "Synergy":
-        system = SynergySystem(schema, workload, COMPANY_ROOTS, sim=sim)
-    elif name == "MVCC-A":
-        system = MvccASystem(schema, workload, COMPANY_ROOTS, sim=sim)
-    elif name == "MVCC-UA":
-        estimates = {table: len(rows) for table, rows in company_rows().items()}
-        system = MvccUASystem(schema, workload, estimates, sim=sim)
-    elif name == "Baseline":
-        system = BaselineSystem(schema, workload, sim=sim)
-    else:
-        system = VoltDBEvaluatedSystem(
-            schema, workload, sim=sim,
-            schemes=(PartitionScheme("all-replicated", {}),),
-        )
+    system = empty_company_system(name, sim)
     load_company(system)
     system.finish_load()
     return system
+
+
+def empty_company_system(name: str, sim: Simulation | None = None):
+    """:func:`build_company_system` before anything is loaded."""
+    schema, workload = company_schema(), company_workload()
+    if name == "Synergy":
+        return SynergySystem(schema, workload, COMPANY_ROOTS, sim=sim)
+    if name == "MVCC-A":
+        return MvccASystem(schema, workload, COMPANY_ROOTS, sim=sim)
+    if name == "MVCC-UA":
+        estimates = {table: len(rows) for table, rows in company_rows().items()}
+        return MvccUASystem(schema, workload, estimates, sim=sim)
+    if name == "Baseline":
+        return BaselineSystem(schema, workload, sim=sim)
+    return VoltDBEvaluatedSystem(
+        schema, workload, sim=sim,
+        schemes=(PartitionScheme("all-replicated", {}),),
+    )
 
 
 def build_company_federation(mode: str, pin: str | None = None):

@@ -1,5 +1,7 @@
-"""The storage reference: one region model, the merge it reads with, and
-the value codec ``encode_value`` compiles."""
+"""The storage reference: one region model, the merge it reads with, the
+value codec ``encode_value`` compiles, and the decode / re-encode round
+trip (``result_to_row_reference`` / ``row_to_put_reference``) that the
+stored-row write paths are held byte-identical to."""
 
 from __future__ import annotations
 
@@ -7,6 +9,9 @@ import struct
 from datetime import date, datetime
 
 from repro.hbase.bytes_util import split_key
+from repro.hbase.cell import Result
+from repro.hbase.ops import Put
+from repro.phoenix.catalog import CF, ROW_MARKER_QUALIFIER, CatalogEntry
 from repro.relational.datatypes import DataType, value_decoder
 
 FAMILIES = [b"cf", b"fx"]
@@ -208,6 +213,78 @@ def encode_value_reference(dtype: DataType, value) -> bytes:
     if dtype is DataType.BOOL:
         return b"\x01" if value else b"\x00"
     raise TypeError(f"unsupported dtype: {dtype}")
+
+
+def split_key_reference(key: bytes) -> list[bytes]:
+    """The byte-at-a-time loop ``split_key`` used to be."""
+    out: list[bytes] = []
+    cur = bytearray()
+    i = 0
+    n = len(key)
+    while i < n:
+        b = key[i]
+        if b == 0:
+            if i + 1 < n and key[i + 1] == 0xFF:  # escaped 0x00
+                cur.append(0)
+                i += 2
+                continue
+            out.append(bytes(cur))
+            cur.clear()
+            i += 1
+            continue
+        cur.append(b)
+        i += 1
+    out.append(bytes(cur))
+    return out
+
+
+_INT_BIAS = 1 << 63
+
+
+def decode_value_reference(dtype: DataType, data: bytes):
+    """The per-cell dtype chain ``decode_value`` used to be."""
+    if data == b"":
+        return None
+    if dtype in (DataType.INT, DataType.BIGINT, DataType.DATE):
+        return struct.unpack(">Q", data)[0] - _INT_BIAS
+    if dtype is DataType.FLOAT or dtype is DataType.DATETIME:
+        return struct.unpack(">d", data)[0]
+    if dtype is DataType.VARCHAR:
+        return data.decode("utf-8")
+    if dtype is DataType.BOOL:
+        return data != b"\x00"
+    raise TypeError(f"unsupported dtype: {dtype}")
+
+
+def result_to_row_reference(entry: CatalogEntry, result: Result) -> dict:
+    """What ``CatalogEntry.result_to_row`` used to do, cell by cell."""
+    parts = split_key_reference(result.row)
+    assert len(parts) == len(entry.key_attrs)
+    row = {
+        a: decode_value_reference(entry.dtypes[a], p)
+        for a, p in zip(entry.key_attrs, parts)
+    }
+    for attr in entry.attrs:
+        if attr in entry.key_attrs:
+            continue
+        raw = result.value(CF, attr.encode())
+        row[attr] = (
+            decode_value_reference(entry.dtypes[attr], raw)
+            if raw is not None
+            else None
+        )
+    return row
+
+
+def row_to_put_reference(entry: CatalogEntry, row: dict) -> Put:
+    """The ``Put.add`` loop ``CatalogEntry.row_to_put`` used to be."""
+    put = Put(entry.encode_key(row))
+    for attr in entry.value_attrs:
+        value = encode_value_reference(entry.dtypes[attr], row.get(attr))
+        put.add(CF, attr.encode(), value)
+    if not entry.value_attrs:
+        put.add(CF, ROW_MARKER_QUALIFIER, b"")
+    return put
 
 
 def decode_key(dtypes, key: bytes) -> tuple:

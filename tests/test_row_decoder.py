@@ -6,24 +6,24 @@ import carries) only ever narrows what is *materialised*, never what a
 statement returns or is charged:
 
 * property tests — ``split_key`` and the compiled decoder agree with
-  the byte-loop / dtype-chain implementations they replaced (kept here
-  as the reference), on arbitrary bytes and every ``DataType``;
+  the byte-loop / dtype-chain implementations they replaced (kept in
+  ``tests/reference/storage.py``), on arbitrary bytes and every
+  ``DataType``;
 * a differential — every plan re-run with all decode sets widened to
   "everything" (``dataclasses.replace`` on the plan tree, or the
   collector patched to answer "all", in the test) returns the same rows
   for the same virtual milliseconds;
 * pinned decode and key sets for the shapes that are easy to get wrong.
 
-The update path's *stored rows* (``CatalogEntry.stored_row``, no decode
-at all) are held byte-identical here to the decode / re-encode round
-trip they replaced.
+The write paths' *stored rows* (``CatalogEntry.stored_row`` /
+``encode_values``, no decode at all) are held byte-identical here to the
+decode / re-encode round trip they replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +33,6 @@ import repro.voltdb.system as voltdb_module
 from repro.bench.tpcw_lab import TpcwLab
 from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
-from repro.hbase.ops import Put
 from repro.phoenix.catalog import (
     CF, INDEX, ROW_MARKER_QUALIFIER, TABLE, CatalogEntry,
 )
@@ -59,80 +58,12 @@ from tests.conftest import (
     build_tpcw_systems, plan_nodes,
 )
 from tests.reference.generators import ROUTED_QUERIES, ROUTED_SEED, generate_query
-from tests.reference.storage import encode_value_reference
-
-
-# ------------------------------------------------------------ the references
-def split_key_reference(key: bytes) -> list[bytes]:
-    """The byte-at-a-time loop ``split_key`` used to be."""
-    out: list[bytes] = []
-    cur = bytearray()
-    i = 0
-    n = len(key)
-    while i < n:
-        b = key[i]
-        if b == 0:
-            if i + 1 < n and key[i + 1] == 0xFF:  # escaped 0x00
-                cur.append(0)
-                i += 2
-                continue
-            out.append(bytes(cur))
-            cur.clear()
-            i += 1
-            continue
-        cur.append(b)
-        i += 1
-    out.append(bytes(cur))
-    return out
-
-
-_INT_BIAS = 1 << 63
-
-
-def decode_value_reference(dtype: DataType, data: bytes):
-    """The per-cell dtype chain ``decode_value`` used to be."""
-    if data == b"":
-        return None
-    if dtype in (DataType.INT, DataType.BIGINT, DataType.DATE):
-        return struct.unpack(">Q", data)[0] - _INT_BIAS
-    if dtype is DataType.FLOAT or dtype is DataType.DATETIME:
-        return struct.unpack(">d", data)[0]
-    if dtype is DataType.VARCHAR:
-        return data.decode("utf-8")
-    if dtype is DataType.BOOL:
-        return data != b"\x00"
-    raise TypeError(f"unsupported dtype: {dtype}")
-
-
-def result_to_row_reference(entry: CatalogEntry, result: Result) -> dict:
-    """What ``CatalogEntry.result_to_row`` used to do, cell by cell."""
-    parts = split_key_reference(result.row)
-    assert len(parts) == len(entry.key_attrs)
-    row = {
-        a: decode_value_reference(entry.dtypes[a], p)
-        for a, p in zip(entry.key_attrs, parts)
-    }
-    for attr in entry.attrs:
-        if attr in entry.key_attrs:
-            continue
-        raw = result.value(CF, attr.encode())
-        row[attr] = (
-            decode_value_reference(entry.dtypes[attr], raw)
-            if raw is not None
-            else None
-        )
-    return row
-
-
-def row_to_put_reference(entry: CatalogEntry, row: dict) -> Put:
-    """The ``Put.add`` loop ``CatalogEntry.row_to_put`` used to be."""
-    put = Put(entry.encode_key(row))
-    for attr in entry.value_attrs:
-        value = encode_value_reference(entry.dtypes[attr], row.get(attr))
-        put.add(CF, attr.encode(), value)
-    if not entry.value_attrs:
-        put.add(CF, ROW_MARKER_QUALIFIER, b"")
-    return put
+from tests.reference.storage import (
+    encode_value_reference,
+    result_to_row_reference,
+    row_to_put_reference,
+    split_key_reference,
+)
 
 
 # ------------------------------------------------------------ (a) properties
@@ -225,7 +156,7 @@ _ROWS = st.fixed_dictionaries(
 def _stored(entry: CatalogEntry, row: dict, absent: frozenset[str]) -> Result:
     """``row`` as the Result a read of its Put returns; the cells of
     ``absent`` were never written."""
-    put = entry.row_to_put(row)
+    put = entry.stored_put(entry.encode_values(row))
     return Result.from_sorted(put.row, {
         (family, qualifier): [(1, value)]
         for family, qualifier, value, _ts in put.cells
@@ -237,7 +168,7 @@ class TestCompiledEncoder:
     @given(_ROWS, st.frozensets(st.sampled_from(ALL_TYPES_ENTRY.attrs)))
     def test_row_to_put_matches_the_put_add_loop(self, row, missing):
         row = {a: v for a, v in row.items() if a not in missing}
-        put = ALL_TYPES_ENTRY.row_to_put(row)
+        put = ALL_TYPES_ENTRY.stored_put(ALL_TYPES_ENTRY.encode_values(row))
         expected = row_to_put_reference(ALL_TYPES_ENTRY, row)
         assert put.row == expected.row
         assert put.cells == expected.cells
@@ -248,7 +179,7 @@ class TestCompiledEncoder:
             name="K", kind=TABLE, key_attrs=("a", "b"), attrs=("a", "b"),
             dtypes={"a": DataType.INT, "b": DataType.VARCHAR},
         )
-        put = entry.row_to_put({"a": 1, "b": "x"})
+        put = entry.stored_put(entry.encode_values({"a": 1, "b": "x"}))
         assert put.cells == [(CF, ROW_MARKER_QUALIFIER, b"", None)]
         assert put.cells == row_to_put_reference(entry, {"a": 1, "b": "x"}).cells
 

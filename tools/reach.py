@@ -202,6 +202,8 @@ repro.hbase.store:RowEntry.__init__
     storage: a delete of a row the memstore holds no entry for
 repro.hbase.store:RowEntry.delete_column
     storage: a column delete
+repro.hbase.store:RowEntry.from_sorted_cells
+    storage: a major compaction that merges (a tombstone, extra versions, several components)
 repro.hbase.store:_sort_newest_first
     storage: a write stamped older than its column's newest version
 repro.hbase.store:HFile.keys_in_range
