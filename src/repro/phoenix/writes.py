@@ -209,11 +209,6 @@ class WriteExecutor:
         """Read-modify-write; returns the new stored row, or None when
         absent."""
         entry = self.catalog.table_for_relation(relation)
-        for attr in changes:
-            if attr in entry.key_attrs:
-                raise UnsupportedStatementError(
-                    f"{relation}: updating key attribute {attr!r} is not supported"
-                )
         old = self._read_stored(entry, key)
         if old is None:
             return None
@@ -230,10 +225,17 @@ class WriteExecutor:
 
     # -- statement-level API --------------------------------------------------------
     def compile(self, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
+        """:func:`compile_write`, and an UPDATE of a key attribute refused."""
         if isinstance(stmt, Select):
             raise PlanError(f"not a write statement: {stmt}")
         entry = self.catalog.table_for_relation(stmt.table)
-        return compile_write(entry, stmt, tuple(params))
+        plan = compile_write(entry, stmt, tuple(params))
+        for attr in plan.changes or ():
+            if attr in entry.key_attrs:
+                raise UnsupportedStatementError(
+                    f"{plan.relation}: key attribute {attr!r} cannot be updated"
+                )
+        return plan
 
     # -- helpers -----------------------------------------------------------------------
     @staticmethod

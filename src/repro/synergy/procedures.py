@@ -8,18 +8,27 @@ procedure so concurrent scans can detect and restart on dirty rows:
 1. acquire the root-key lock; 2. read all rows to update; 3. mark them;
 4. issue the updates; 5. un-mark; 6. release the lock.
 
+One path runs every write: :meth:`WriteProcedures.prepare` is what
+comes before the first store write (the pre-image read of an
+UPDATE/DELETE, the root key it names, step 1), ``run`` steps 2–5 and
+``release`` step 6. ``run``'s store writes are idempotent — an INSERT
+re-puts the same bytes, a DELETE finds its base row gone and addresses
+the view row by key, an UPDATE re-locates, re-marks, re-writes and
+un-marks — so a stand-in finishes a write stopped at any step by
+running them again on the same :class:`LockedWrite` (``txlayer.py``).
+
 ``on_step`` lets tests interleave concurrent reads between steps, which
 is how the read-committed guarantees are exercised deterministically in
-a single-threaded simulator.
+a single-threaded simulator, and kill a slave at a step.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import UnsupportedStatementError, WorkloadError
-from repro.phoenix.catalog import StoredRow
-from repro.phoenix.writes import WriteExecutor
+from repro.errors import WorkloadError
+from repro.phoenix.writes import WriteExecutor, WritePlan
 from repro.relational.schema import Schema
 from repro.synergy.locks import LockManager
 from repro.synergy.maintenance import ViewMaintainer
@@ -28,8 +37,17 @@ from repro.synergy.trees import RootedTree
 StepHook = Callable[[str], None]
 
 
+@dataclass(frozen=True)
+class LockedWrite:
+    """A compiled write whose root lock is held: ``lock`` is ``(root,
+    lock-table row)``, or None for a relation outside every tree."""
+
+    plan: WritePlan
+    lock: tuple[str, bytes] | None
+
+
 class WriteProcedures:
-    """Lock-wrapped insert/delete/update against base + views."""
+    """The one lock-wrapped write procedure against base + views."""
 
     def __init__(
         self,
@@ -99,110 +117,75 @@ class WriteProcedures:
             current = parent_row
         raise AssertionError("unreachable")  # pragma: no cover
 
-    # -- procedures ------------------------------------------------------------------
-    def insert(
-        self, relation: str, row: dict[str, Any], on_step: StepHook | None = None
-    ) -> None:
-        """Single-row insert into base + applicable views + indexes."""
+    # -- the procedure -----------------------------------------------------------------
+    def prepare(self, plan: WritePlan) -> LockedWrite | None:
+        """Step 1: lock the root row the written row hangs from — for an
+        UPDATE/DELETE, as its pre-image names it. None when that row is
+        absent: there is nothing to write."""
+        row = plan.row
+        if row is None:
+            row = self.writer.read_row(plan.relation, plan.key)
+            if row is None:
+                return None
+        locked = self.derive_root_key(plan.relation, row)
+        if locked is None:
+            return LockedWrite(plan, None)
+        root, key_values = locked
+        return LockedWrite(plan, (root, self.locks.acquire(root, key_values)))
+
+    def run(self, write: LockedWrite, on_step: StepHook | None = None) -> None:
+        """Steps 2–5: base table, views and their indexes; idempotent."""
         step = on_step or (lambda _: None)
-        locked = self.derive_root_key(relation, row)
-        lock_row = None
-        if locked is not None:
-            root, key_values = locked
-            lock_row = self.locks.acquire(root, key_values)
+        plan, relation = write.plan, write.plan.relation
         step("after_lock")
-        try:
-            stored = self.writer.insert_row(relation, row)
+        if plan.kind == "update":
+            self._marked_update(plan, step)
+            return
+        if plan.kind == "insert":
+            stored = self.writer.insert_row(relation, plan.row)
             step("after_base_write")
             self._charge_view_statements(self.maintainer.views_for_insert(relation))
             self.maintainer.apply_insert(relation, stored)
-            step("after_view_write")
-        finally:
-            if locked is not None and lock_row is not None:
-                self.locks.release(locked[0], lock_row)
-            step("after_release")
-
-    def delete(
-        self, relation: str, key: dict[str, Any], on_step: StepHook | None = None
-    ) -> bool:
-        """Single-row delete; returns False when the row did not exist."""
-        step = on_step or (lambda _: None)
-        old = self.writer.read_row(relation, key)
-        if old is None:
-            return False
-        locked = self.derive_root_key(relation, old)
-        lock_row = None
-        if locked is not None:
-            lock_row = self.locks.acquire(locked[0], locked[1])
-        step("after_lock")
-        try:
-            self.writer.delete_row(relation, key)
+        else:
+            self.writer.delete_row(relation, plan.key)
             step("after_base_write")
             self._charge_view_statements(self.maintainer.views_for_delete(relation))
-            self.maintainer.apply_delete(relation, key)
-            step("after_view_write")
-        finally:
-            if locked is not None and lock_row is not None:
-                self.locks.release(locked[0], lock_row)
-            step("after_release")
-        return True
+            self.maintainer.apply_delete(relation, plan.key)
+        step("after_view_write")
 
-    def update(
-        self,
-        relation: str,
-        key: dict[str, Any],
-        changes: dict[str, Any],
-        on_step: StepHook | None = None,
-    ) -> bool:
-        """The 6-step marked update procedure; False when row absent."""
-        step = on_step or (lambda _: None)
-        for attr in changes:
-            if attr in self.schema.relation(relation).primary_key:
-                raise UnsupportedStatementError(
-                    f"{relation}: key attribute {attr!r} cannot be updated"
-                )
-        old = self.writer.read_row(relation, key)
-        if old is None:
-            return False
-        locked = self.derive_root_key(relation, old)
-        lock_row = None
-        if locked is not None:
-            lock_row = self.locks.acquire(locked[0], locked[1])  # step 1
-        step("after_lock")
-        try:
-            # step 2: read all rows that need to be updated
-            views = self.maintainer.views_for_update(relation)
-            self._charge_view_statements(views)
-            located: list[tuple[Any, list[StoredRow]]] = []
-            for view in views:
-                rows = self.maintainer.locate_view_rows(view, relation, key)
-                located.append((view, rows))
-            step("after_read")
-            # step 3: mark
-            for view, rows in located:
-                entry = self.maintainer.view_entry(view)
-                self.maintainer.mark_rows(entry, rows, dirty=True)
-                for index in self.maintainer.view_index_entries(view):
-                    if any(a in index.attrs for a in changes):
-                        self.maintainer.mark_rows(index, rows, dirty=True)
-            step("after_mark")
-            # step 4: issue the updates
-            self.writer.update_row(relation, key, changes)
-            new_rows_by_view = []
-            for view, rows in located:
-                new_rows = self.maintainer.write_view_rows(view, rows, changes)
-                new_rows_by_view.append((view, new_rows))
-            step("after_update")
-            # step 5: un-mark
-            for view, new_rows in new_rows_by_view:
-                entry = self.maintainer.view_entry(view)
-                self.maintainer.mark_rows(entry, new_rows, dirty=False)
-                for index in self.maintainer.view_index_entries(view):
-                    if any(a in index.attrs for a in changes):
-                        self.maintainer.mark_rows(index, new_rows, dirty=False)
-            step("after_unmark")
-        finally:
-            if locked is not None and lock_row is not None:
-                self.locks.release(locked[0], lock_row)  # step 6
-            step("after_release")
-        return True
+    def release(self, write: LockedWrite) -> None:
+        """Step 6."""
+        if write.lock is not None:
+            self.locks.release(*write.lock)
+
+    def _marked_update(self, plan: WritePlan, step: StepHook) -> None:
+        """Steps 2–5 of the marked update."""
+        relation, key, changes = plan.relation, plan.key, plan.changes
+        # step 2: read all rows that need to be updated
+        views = self.maintainer.views_for_update(relation)
+        self._charge_view_statements(views)
+        located = [
+            (view, self.maintainer.locate_view_rows(view, relation, key))
+            for view in views
+        ]
+        step("after_read")
+        self._mark(located, changes, dirty=True)  # step 3
+        step("after_mark")
+        # step 4: issue the updates
+        self.writer.update_row(relation, key, changes)
+        rewritten = [
+            (view, self.maintainer.write_view_rows(view, rows, changes))
+            for view, rows in located
+        ]
+        step("after_update")
+        self._mark(rewritten, changes, dirty=False)  # step 5
+        step("after_unmark")
+
+    def _mark(self, located: list, changes: dict[str, Any], dirty: bool) -> None:
+        """Set or clear the dirty mark on each view's rows, and on the
+        rows of its indexes over a changed attribute."""
+        for view, rows in located:
+            self.maintainer.mark_rows(self.maintainer.view_entry(view), rows, dirty)
+            for index in self.maintainer.view_index_entries(view):
+                if any(a in index.attrs for a in changes):
+                    self.maintainer.mark_rows(index, rows, dirty)

@@ -7,8 +7,15 @@ executes the write procedure through the Phoenix API, and responds. The
 master detects slave failures and replays the failed slave's WAL on a
 stand-in. Reads bypass the layer entirely and go straight to HBase.
 
-The layer sits below the statement door (``systems/base.py``): it takes
-the parsed statement, and that is what the WAL records and replays.
+The layer sits below the statement door (``systems/base.py``): its WAL
+records the parsed statement and, once the procedure holds the lock,
+the :class:`~repro.synergy.procedures.LockedWrite`. A slave that dies
+mid-statement (a step hook calls ``crash()`` and raises) does nothing
+more: the entry stays ``pending`` and its lock held until a stand-in
+has run and released that ``LockedWrite``. An exception on a live
+slave is a statement error (a refusal, ``LockWaitRequired``, a hook
+that raises without crashing): the lock is released, the entry
+``failed`` and never replayed.
 """
 
 from __future__ import annotations
@@ -20,17 +27,19 @@ from typing import Any
 from repro.errors import TransactionError, UnsupportedStatementError
 from repro.sim.clock import Simulation
 from repro.sql.ast import Select, Statement
-from repro.synergy.procedures import StepHook, WriteProcedures
+from repro.synergy.procedures import LockedWrite, StepHook, WriteProcedures
 
 
 @dataclass
 class TxLogEntry:
-    """One WAL record of a transaction-manager slave."""
+    """One WAL record of a transaction-manager slave; ``write`` is set
+    once the statement holds its lock."""
 
     tx_id: int
     stmt: Statement
     params: tuple[Any, ...]
     status: str = "pending"  # -> "committed" | "failed" | "recovered"
+    write: LockedWrite | None = None
 
 
 class TransactionManagerSlave:
@@ -64,26 +73,29 @@ class TransactionManagerSlave:
         self.wal.append(entry)
         self.sim.charge(self.sim.cost.wal_append_ms, "txlayer.wal")
         try:
-            result = self._run(stmt, tuple(params), on_step)
+            result = self.finish(entry, on_step)
         except BaseException:
-            # a failed statement (e.g. a cooperative lock wait that will
-            # be retried as a fresh request) must not leave a pending WAL
-            # record for the master to replay on failover
-            entry.status = "failed"
+            if self.alive:  # a statement error, not a crash
+                if entry.write is not None:
+                    self.procedures.release(entry.write)
+                entry.status = "failed"
             raise
         entry.status = "committed"
         return result
 
-    def _run(
-        self, stmt: Statement, params: tuple[Any, ...], on_step: StepHook | None
-    ) -> bool:
-        plan = self.procedures.writer.compile(stmt, params)
-        if plan.kind == "insert":
-            self.procedures.insert(plan.relation, plan.row, on_step)
-            return True
-        if plan.kind == "update":
-            return self.procedures.update(plan.relation, plan.key, plan.changes, on_step)
-        return self.procedures.delete(plan.relation, plan.key, on_step)
+    def finish(self, entry: TxLogEntry, on_step: StepHook | None = None) -> bool:
+        """Prepare ``entry``'s write unless a slave already holds its
+        lock, then run and release it; False when the row is absent."""
+        procedures = self.procedures
+        if entry.write is None:
+            entry.write = procedures.prepare(
+                procedures.writer.compile(entry.stmt, entry.params)
+            )
+            if entry.write is None:
+                return False
+        procedures.run(entry.write, on_step)
+        procedures.release(entry.write)
+        return True
 
     def crash(self) -> None:
         self.alive = False
@@ -127,17 +139,16 @@ class SynergyTransactionLayer:
 
     # -- master duties -----------------------------------------------------------------
     def recover_slave(self, dead: TransactionManagerSlave) -> int:
-        """Start a stand-in slave and replay the failed slave's pending
-        WAL entries (Sec. VIII: 'take over and replay the WAL')."""
+        """Start a stand-in slave that finishes the failed slave's
+        pending WAL entries (Sec. VIII: 'take over and replay the WAL')."""
         if dead.alive:
             raise TransactionError(f"slave {dead.name} is alive")
         standby = TransactionManagerSlave(
             f"{dead.name}-standby", self.sim, self.procedures
         )
-        replayed = 0
-        for entry in dead.pending_entries():
-            standby.execute_write(entry.stmt, entry.params)
+        pending = dead.pending_entries()
+        for entry in pending:
+            standby.finish(entry)
             entry.status = "recovered"
-            replayed += 1
         self.slaves = [s for s in self.slaves if s is not dead] + [standby]
-        return replayed
+        return len(pending)

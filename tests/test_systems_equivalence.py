@@ -555,6 +555,34 @@ class TestRefusedWrites:
         assert [r["City"] for r in rows] == ["moved"]
 
 
+class TestKeyUpdateRefusedWhenIssued:
+    """The HBase-backed systems refuse an UPDATE of a key attribute when
+    it is compiled, so inside an MVCC ``begin()`` ... ``commit()`` it is
+    refused before it is buffered. It used to be refused only when the
+    intent was applied: ``commit`` stored the statements before it,
+    then raised."""
+
+    HOURS = "SELECT Hours FROM Works_On WHERE WO_EID = ? and WO_PNo = ?"
+
+    @pytest.mark.parametrize("name", ["MVCC-A", "MVCC-UA"])
+    def test_refused_when_issued_and_nothing_is_applied(self, name):
+        system = build_company_system(name)
+        session = system.open_session("c0")
+        session.begin()
+        session.execute(
+            "UPDATE Works_On SET Hours = ? WHERE WO_EID = ? and WO_PNo = ?",
+            (55, 2, 2),
+        )
+        with pytest.raises(UnsupportedStatementError, match="cannot be updated"):
+            session.execute(
+                "UPDATE Works_On SET WO_PNo = ? WHERE WO_EID = ? and WO_PNo = ?",
+                (9, 2, 2),
+            )
+        session.abort()
+        assert system.execute(self.HOURS, (2, 2)) == [{"Hours": 20}]
+        assert system.execute(self.HOURS, (2, 9)) == []
+
+
 class TestUnknownColumns:
     """A column no FROM binding has is a ``SqlError`` wherever it is
     named — projection, WHERE, GROUP BY, ORDER BY, a derived table's
