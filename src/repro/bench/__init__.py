@@ -17,9 +17,9 @@ re-exported here):
                sizes (Table III), from one ``TpcwLab``   :func:`run_table3`
 =============  ========================================  =====================
 
-The nine layer suites the repo has grown since (``storage``,
-``concurrency``, ``scaleout``, ``faults``, ``replication``,
-``orchestration``, ``serving``, ``federation``, ``query``) live one
+The eight layer suites the repo has grown since (``concurrency``,
+``scaleout``, ``faults``, ``replication``, ``orchestration``,
+``serving``, ``federation``, ``query``) live one
 module each under :mod:`repro.bench.suites`, as ``run_<name>`` plus a
 ``Suite`` record; :data:`repro.bench.suites.SUITES` is the one table
 behind every ``--only`` name. ``python -m repro.bench --scale 200``

@@ -11,16 +11,16 @@ suite that owns it. An unknown or empty ``--only`` exits nonzero with
 the valid list, and a suite flag combined with an ``--only`` that does
 not select its suite is rejected instead of silently ignored.
 
-``--emit-json PATH`` writes a trajectory file: per experiment the
-simulated-latency statistics (the paper's metric), plus ``wall_clock_s``
-for the wall-clock ``timed`` suites; untimed suites emit virtual time
-only, so reruns with the same flags are byte-identical. ``--baseline-json
-PATH`` merges an earlier file in and reports wall-clock speedups.
+``--emit-json PATH`` writes a trajectory file: the run's ``config``
+(``--scale``, ``--reps`` and the selected suites' own flags) and, per
+experiment, the simulated-latency statistics (the paper's metric). It
+holds virtual time only — host time is ``perfbench``'s — so reruns with
+the same flags are byte-identical.
 
 ``--smoke <suite|all>`` runs a suite's CI gate locally: its smoke cell
-and checks, then its small ``--only`` sweep through this same CLI path
-(twice, byte-compared, unless the suite is timed). It exits 1 listing
-every failed check; with ``--emit-json`` it writes the smoke report.
+and checks, then its small ``--only`` sweep through this same CLI path,
+twice, byte-compared. It exits 1 listing every failed check; with
+``--emit-json`` it writes the smoke report.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ import argparse
 import json
 import shlex
 import sys
-import time
 
-from repro.bench.suite import Suite, failed
+from repro.bench.suite import IntList, Suite, failed
 from repro.bench.suites import SUITES
-from repro.bench.suites.storage import phase_speedups
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--smoke", metavar="SUITE", help="run one suite's CI "
                         "smoke gate (or 'all') instead of a report")
     parser.add_argument("--out", help="also write the report to this file")
-    parser.add_argument("--emit-json", help="write wall-clock + "
-                        "simulated-latency trajectory JSON (with --smoke: "
-                        "the smoke report) to this file")
-    parser.add_argument("--baseline-json", help="previously emitted JSON to "
-                        "compare wall-clock against (recorded in the output)")
+    parser.add_argument("--emit-json", help="write simulated-latency "
+                        "trajectory JSON (with --smoke: the smoke report) "
+                        "to this file")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -100,13 +96,9 @@ def _selected(parser, args) -> list[Suite]:
 def run_suites(selected: list[Suite], args, argv: list[str], say):
     """Run ``selected`` in order; returns ``(text report, JSON payload)``."""
     sections: list[str] = []
-    wall_clock_s: dict[str, float] = {}
     experiments: dict[str, dict] = {}
     for suite in selected:
-        t0 = time.perf_counter()
         out = suite.run(args, say)
-        if suite.timed:
-            wall_clock_s[suite.name] = round(time.perf_counter() - t0, 4)
         if isinstance(out, str):
             sections.append(out)
             continue
@@ -118,16 +110,23 @@ def run_suites(selected: list[Suite], args, argv: list[str], say):
         # experiment emit byte-identical files wherever they land
         "generated_by": "python -m repro.bench "
         + " ".join(_without_output_paths(argv)),
-        "config": {
-            "scale": args.scale,
-            "reps": args.reps,
-            "micro_scales": ",".join(map(str, args.micro_scales)),
-            "storage_rows": args.storage_rows,
-        },
-        "wall_clock_s": wall_clock_s,
+        "config": _config(selected, args),
         "experiments": experiments,
     }
     return "\n\n".join(sections), payload
+
+
+def _config(selected: list[Suite], args) -> dict:
+    """``scale``, ``reps`` and every flag the selected suites own; an
+    :class:`IntList` sweep is recorded comma-joined, as typed."""
+    config = {"scale": args.scale, "reps": args.reps}
+    for suite in selected:
+        for flag in suite.flags:
+            value = getattr(args, flag.dest)
+            if isinstance(flag.kind, IntList):
+                value = ",".join(map(str, value))
+            config[flag.dest] = value
+    return config
 
 
 def _dump(payload: dict) -> str:
@@ -152,8 +151,7 @@ def smoke_suite(parser, suite: Suite, say) -> tuple[dict, list[str]]:
 
     first = sweep()
     report["sweep"] = json.loads(first)
-    # a timed suite records host wall-clock, which no rerun reproduces
-    if not suite.timed and sweep() != first:
+    if sweep() != first:
         failures.append(f"rerun of `{' '.join(argv)}` is not byte-identical")
     failures += failed(smoke.sweep_checks, report["sweep"]["experiments"])
     return report, failures
@@ -197,25 +195,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.smoke is not None:
         return _smoke(parser, args, say)
-    selected = _selected(parser, args)
-    baseline = None
-    if args.baseline_json:
-        # fail before the (potentially long) run, not after it
-        try:
-            with open(args.baseline_json) as f:
-                baseline = json.load(f)
-        except (OSError, ValueError) as e:
-            parser.error(f"cannot read --baseline-json: {e}")
-
-    report, payload = run_suites(selected, args, argv, say)
+    report, payload = run_suites(_selected(parser, args), args, argv, say)
     print(report)
     if args.out:
         with open(args.out, "w") as f:
             f.write(report + "\n")
     if args.emit_json:
-        if baseline is not None:
-            payload["baseline"] = baseline
-            payload["wall_clock_speedup_vs_baseline"] = _speedups(baseline, payload)
         with open(args.emit_json, "w") as f:
             f.write(_dump(payload))
     return 0
@@ -229,20 +214,6 @@ def _without_output_paths(argv: list[str]) -> list[str]:
             skip = not skip  # the bare flag's value follows it
         elif not arg.startswith(("--emit-json=", "--out=")):
             out.append(arg)
-    return out
-
-
-def _speedups(baseline: dict, payload: dict) -> dict[str, float]:
-    """baseline wall-clock / current wall-clock, per suite that both
-    runs timed, plus the storage suite's per-phase ratios."""
-    out: dict[str, float] = {}
-    for name, now_s in payload["wall_clock_s"].items():
-        base_s = baseline.get("wall_clock_s", {}).get(name)
-        if base_s is not None and now_s:  # skip only unmeasured/zero denominators
-            out[name] = round(base_s / now_s, 2)
-    out.update(phase_speedups(
-        baseline.get("experiments", {}), payload["experiments"]
-    ))
     return out
 
 

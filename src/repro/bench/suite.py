@@ -3,8 +3,9 @@ made of.
 
 A :class:`Suite` declares, in one place, everything the entry points
 used to hand-list separately: its ``--only`` name, the CLI flags it
-owns, how to run it, whether its run is wall-clock timed (and therefore
-not byte-reproducible), and the smoke gate CI holds it to. The CLI
+owns, how to run it, and the smoke gate CI holds it to. Every suite
+reports virtual time only (host time is ``perfbench``'s), so a rerun
+with the same flags emits byte-identical JSON. The CLI
 (``repro.bench.__main__``) derives its argparse flags, ``--only``
 validation, stray-flag rejection, run loop and ``--smoke`` mode from
 these records; nothing else knows which flag or gate belongs to which
@@ -71,8 +72,8 @@ class Smoke:
     ``checks`` are evaluated against. ``flags`` is the ``--only
     <suite>`` flag string of a small sweep: it is run through the real
     CLI path — twice, and the two emitted JSON documents must be
-    byte-identical, unless the suite is wall-clock ``timed`` — and
-    ``sweep_checks`` are evaluated against its ``experiments`` block."""
+    byte-identical — and ``sweep_checks`` are evaluated against its
+    ``experiments`` block."""
 
     flags: str
     fn: Callable[[], Mapping[str, Any]] | None = None
@@ -91,13 +92,9 @@ class Suite:
 
     ``run(opts, say)`` receives the per-invocation namespace (every
     parsed flag by dest) and a progress callback, and returns either a
-    list of ``ExperimentResult`` or a finished text section. ``timed``
-    suites get a ``wall_clock_s`` entry; untimed suites report virtual
-    time only, which is what makes their JSON byte-identical across
-    reruns."""
+    list of ``ExperimentResult`` or a finished text section."""
 
     name: str
     run: Callable[[argparse.Namespace, Callable[[str], None]], Any]
     flags: tuple[Flag, ...] = ()
-    timed: bool = False
     smoke: Smoke | None = None

@@ -19,13 +19,11 @@ from repro.bench.suites import (
     replication,
     scaleout,
     serving,
-    storage,
 )
 
 SUITES = (
     paper.TABLE1,
     paper.FIG13,
-    storage.STORAGE,
     paper.FIG10,
     paper.FIG11,
     concurrency.CONCURRENCY,

@@ -365,12 +365,10 @@ _TEPHRA_MS = DEFAULT_COST_MODEL.mvcc_begin_ms + DEFAULT_COST_MODEL.mvcc_commit_m
 TABLE1 = Suite(
     "table1",
     lambda opts, say: "Table I — qualitative comparison\n" + run_table1(),
-    timed=True,
 )
 FIG13 = Suite(
     "fig13",
     lambda opts, say: "Fig. 13 — evaluated configurations\n" + run_fig13(),
-    timed=True,
 )
 FIG10 = Suite(
     "fig10",
@@ -381,7 +379,6 @@ FIG10 = Suite(
         Flag("micro_scales", IntList(1), (50, 500, 5000),
              "comma-separated micro-benchmark scales"),
     ),
-    timed=True,
     smoke=Smoke(
         flags="--micro-scales 20,50 --reps 2",
         sweep_checks=(_view_scan_wins("Fig10a"), _view_scan_wins("Fig10b")),
@@ -390,7 +387,6 @@ FIG10 = Suite(
 FIG11 = Suite(
     "fig11",
     lambda opts, say: [run_fig11(repetitions=opts.reps)],
-    timed=True,
     smoke=Smoke(
         flags="--reps 2",
         sweep_checks=(
@@ -408,7 +404,6 @@ FIG11 = Suite(
 TPCW = Suite(
     "tpcw",
     _tpcw,
-    timed=True,
     smoke=Smoke(
         flags="--scale 20 --reps 2",
         sweep_checks=(

@@ -11,7 +11,6 @@ import json
 import math
 import re
 import types
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -181,13 +180,12 @@ class TestSuiteRegistry:
 
     def test_names_unique(self):
         names = [s.name for s in SUITES]
-        assert len(names) == len(set(names)) == 14
+        assert len(names) == len(set(names)) == 13
 
     def test_every_flag_dest_owned_by_exactly_one_suite(self):
         dests = [flag.dest for _suite, flag in OWNED_FLAGS]
         assert len(dests) == len(set(dests))
-        shared = {"scale", "reps", "only", "smoke", "out", "emit_json",
-                  "baseline_json", "quiet"}
+        shared = {"scale", "reps", "only", "smoke", "out", "emit_json", "quiet"}
         assert not shared & set(dests)
 
     def test_help_lists_every_flag_under_its_suite(self, capsys):
@@ -246,7 +244,7 @@ class TestSuiteRegistry:
 
 
 class TestSmokeMode:
-    """``--smoke`` plumbing, on the cheapest real suite (storage) and on
+    """``--smoke`` plumbing, on the cheapest real suite (fig11) and on
     fakes that force each failure mode."""
 
     @staticmethod
@@ -260,12 +258,12 @@ class TestSmokeMode:
     def test_passing_gate_exits_zero_and_emits_report(self, tmp_path, capsys):
         out = tmp_path / "smoke.json"
         assert cli.main(
-            ["--smoke", "storage", "--emit-json", str(out), "--quiet"]
+            ["--smoke", "fig11", "--emit-json", str(out), "--quiet"]
         ) == 0
-        assert "smoke[storage]" in capsys.readouterr().out
-        sweep = json.loads(out.read_text())["storage"]["sweep"]
-        assert "StoragePerf" in sweep["experiments"]
-        assert "--storage-rows 5000" in sweep["generated_by"]
+        assert "smoke[fig11]" in capsys.readouterr().out
+        sweep = json.loads(out.read_text())["fig11"]["sweep"]
+        assert "Fig11" in sweep["experiments"]
+        assert "--reps 2" in sweep["generated_by"]
 
     def test_failed_checks_exit_one_and_print_every_message(
         self, monkeypatch, capsys
@@ -297,21 +295,20 @@ class TestSmokeMode:
         assert cli.main(["--smoke", "fake", "--quiet"]) == 1
         assert "not byte-identical" in capsys.readouterr().err
 
-    def test_timed_suite_is_not_byte_compared(self, monkeypatch, capsys):
-        calls = []
-
-        def once(opts, say):
-            calls.append(1)
-            return self._steady(opts, say)
-
-        fake = replace(self._fake(once), timed=True)
+    def test_config_is_scale_reps_and_the_selected_suites_flags(self, monkeypatch):
+        fake = Suite("fake", self._steady,
+                     flags=(Flag("fake_sweep", IntList(1), (1, 2), "a sweep"),))
         monkeypatch.setattr(cli, "SUITES", SUITES + (fake,))
-        assert cli.main(["--smoke", "fake", "--quiet"]) == 0
-        assert len(calls) == 1
-        capsys.readouterr()
+        parser = cli.build_parser()
+        argv = ["--only", "fake"]
+        opts = parser.parse_args(argv)
+        _text, payload = cli.run_suites(
+            cli._selected(parser, opts), opts, argv, lambda _m: None
+        )
+        assert payload["config"] == {"scale": 200, "reps": 10, "fake_sweep": "1,2"}
 
     def test_smoke_refuses_unknown_suites_and_stray_flags(self, capsys):
-        assert "valid: all, storage" in _usage_error(["--smoke", "fig13"], capsys)
+        assert "valid: all, fig10" in _usage_error(["--smoke", "fig13"], capsys)
         err = _usage_error(["--smoke", "faults", "--clients", "3"], capsys)
         assert "--clients" in err
         assert "--only" in _usage_error(
@@ -319,26 +316,26 @@ class TestSmokeMode:
         )
 
 
+FIGURE_SUITES = (paper.FIG10, paper.FIG11, paper.TPCW)
 FIGURE_CHECKS = [
-    (suite, check)
-    for suite in (paper.FIG10, paper.FIG11, paper.TPCW)
-    for check in suite.smoke.sweep_checks
+    (suite, check) for suite in FIGURE_SUITES for check in suite.smoke.sweep_checks
 ]
 
 
 @pytest.fixture(scope="module")
 def figure_gate():
-    """``suite -> its smoke report``; each suite's gate runs once."""
+    """``suite -> (its smoke report, its failures)``; each suite's gate
+    runs once."""
     parser = cli.build_parser()
     return functools.cache(
-        lambda suite: cli.smoke_suite(parser, suite, lambda _m: None)[0]
+        lambda suite: cli.smoke_suite(parser, suite, lambda _m: None)
     )
 
 
 class TestFigureGates:
     """The paper's shape claims are the ``--smoke`` checks of ``fig10``,
     ``fig11`` and ``tpcw``; one node per check, each held against its
-    suite's smoke sweep."""
+    suite's smoke sweep, and one per suite for its whole gate."""
 
     @pytest.mark.parametrize(
         "suite,check", FIGURE_CHECKS,
@@ -346,7 +343,16 @@ class TestFigureGates:
     )
     def test_check_holds(self, figure_gate, suite, check):
         message, holds = check
-        assert holds(figure_gate(suite)["sweep"]["experiments"]), message
+        report, _failures = figure_gate(suite)
+        assert holds(report["sweep"]["experiments"]), message
+
+    @pytest.mark.parametrize(
+        "suite", FIGURE_SUITES, ids=[suite.name for suite in FIGURE_SUITES]
+    )
+    def test_gate_passes(self, figure_gate, suite):
+        # every check above plus the byte-identical rerun of the sweep
+        _report, failures = figure_gate(suite)
+        assert failures == []
 
 
 class TestBenchTrajectory:
@@ -565,6 +571,17 @@ class TestCheckAnchors:
         )
         assert code == 1 and not report["ok"]
         assert [f["series"] for f in report["failures"]] == ["B"]
+
+    @pytest.mark.parametrize(
+        "before,after", [(None, {"mean": 9.0}), ({"mean": 1.0}, None)],
+        ids=["X cell measured", "measured cell became X"],
+    )
+    def test_a_null_cell_is_compared_not_skipped(self, before, after):
+        # Fig. 12's VoltDB cells the system cannot run are null
+        baseline = {"experiments": {"Fig12": {"series": {"A": {"50": before}}}}}
+        current = {"experiments": {"Fig12": {"series": {"A": {"50": after}}}}}
+        code, report = _tool("check_anchors").compare(current, baseline)
+        assert code == 1 and report["checked"] == 1 and report["skipped"] == 0
 
     def test_no_overlap_is_a_usage_error(self):
         code, report = self.run({"A": {"5000": {"mean": 9.0}},

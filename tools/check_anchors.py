@@ -4,16 +4,16 @@ Usage::
 
     python tools/check_anchors.py CURRENT.json BASELINE.json [--json PATH]
 
-Compares the Fig. 10-14 and Table II simulated-latency statistics of a
-freshly emitted ``repro.bench`` trajectory against the committed
-baseline (``BENCH_PR1.json``). Every (experiment, series, x) point
-present in *both* files must match bit-for-bit: these numbers are pure
-virtual time derived from seeded draws, so any difference means an
-engine change altered the simulated cost model, not noise. Points only
-one side measured (e.g. a reduced ``--micro-scales`` sweep) are skipped
-but counted, so the job log shows the coverage; a whole *series* the
-baseline has and a compared experiment lacks (a renamed or dropped
-system) is a failure, not a skip.
+Compares every experiment the committed baseline (``BENCH_PR1.json``)
+holds against a freshly emitted ``repro.bench`` trajectory. Every
+(experiment, series, x) point present in *both* files must match
+bit-for-bit, a ``null`` stat (a cell the system cannot run) included:
+these numbers are pure virtual time derived from seeded draws, so any
+difference means an engine change altered the simulated cost model, not
+noise. Points only one side measured (e.g. a reduced ``--micro-scales``
+sweep) are skipped but counted, so the job log shows the coverage; a
+whole *series* the baseline has and a compared experiment lacks (a
+renamed or dropped system) is a failure, not a skip.
 
 Every drifted anchor is reported (one ``DRIFT:`` line each, with the
 exact fields that moved) before the nonzero exit, so a single CI run
@@ -29,8 +29,6 @@ scraping the log.
 
 import json
 import sys
-
-ANCHOR_EXPERIMENTS = ("Fig10a", "Fig10b", "Fig11", "Fig12", "Fig14", "TableII")
 
 
 def _describe_drift(stat, base_stat) -> str:
@@ -51,10 +49,9 @@ def compare(current: dict, baseline: dict) -> tuple[int, dict]:
     machine-readable drift summary ``--json`` emits."""
     checked = skipped = 0
     failures = []
-    for experiment in ANCHOR_EXPERIMENTS:
+    for experiment, base in baseline.get("experiments", {}).items():
         cur = current.get("experiments", {}).get(experiment)
-        base = baseline.get("experiments", {}).get(experiment)
-        if cur is None or base is None:
+        if cur is None:
             skipped += 1
             continue
         for label, base_points in base["series"].items():
@@ -71,10 +68,10 @@ def compare(current: dict, baseline: dict) -> tuple[int, dict]:
                 )
                 continue
             for x in sorted(set(points) | set(base_points)):
-                stat, base_stat = points.get(x), base_points.get(x)
-                if stat is None or base_stat is None:
+                if x not in points or x not in base_points:
                     skipped += 1
                     continue
+                stat, base_stat = points[x], base_points[x]
                 checked += 1
                 if stat != base_stat:
                     failures.append(

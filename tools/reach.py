@@ -220,10 +220,6 @@ repro.federation.mediator:Mediator.load_row
     contract: a mediator is built over loaded backends
 repro.federation.mediator:Mediator.finish_load
     contract: a mediator is built over loaded backends
-repro.bench.__main__:_speedups
-    cli: --baseline-json
-repro.bench.suites.storage:phase_speedups
-    cli: --baseline-json
 repro.bench.suites.paper:run_fig13
     cli: --only fig13
 repro.bench.suites.paper:run_table1
