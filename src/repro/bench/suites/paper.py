@@ -23,7 +23,6 @@ from repro.systems import (
     MvccASystem,
     MvccUASystem,
     SynergySystem,
-    VoltDBEvaluatedSystem,
 )
 from repro.tpcw.microbench import (
     MICRO_Q1_BASE,
@@ -37,6 +36,7 @@ from repro.tpcw.microbench import (
 )
 from repro.tpcw import JOIN_QUERIES, WRITE_STATEMENTS
 from repro.tpcw.queries import VOLTDB_UNSUPPORTED
+from repro.voltdb import VoltDBSystem
 
 
 # --------------------------------------------------------------------- Fig. 10
@@ -204,7 +204,7 @@ def run_fig13() -> str:
     """The mechanism matrix (Fig. 13) — configuration, not measurement."""
     rows = []
     for cls in (
-        VoltDBEvaluatedSystem,
+        VoltDBSystem,
         SynergySystem,
         MvccASystem,
         MvccUASystem,

@@ -21,7 +21,6 @@ from repro.systems import (
     MvccASystem,
     MvccUASystem,
     SynergySystem,
-    VoltDBEvaluatedSystem,
 )
 from repro.tpcw import (
     TPCW_ROOTS,
@@ -31,6 +30,7 @@ from repro.tpcw import (
 )
 from repro.tpcw.queries import JOIN_QUERIES
 from repro.tpcw.writes import WRITE_STATEMENTS
+from repro.voltdb import VoltDBSystem
 
 SYSTEM_NAMES = ("VoltDB", "Synergy", "MVCC-A", "MVCC-UA", "Baseline")
 
@@ -115,9 +115,7 @@ class TpcwLab:
                 sim=self._sim(), cluster_config=cluster_config,
             )
         if name == "VoltDB":
-            return VoltDBEvaluatedSystem(
-                self.schema, self.workload, sim=self._sim()
-            )
+            return VoltDBSystem(self.schema, self.workload, sim=self._sim())
         raise KeyError(name)
 
     def populate(self, system: EvaluatedSystem) -> None:

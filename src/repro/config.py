@@ -180,8 +180,8 @@ class ServingConfig:
 
     Everything defaults *off*: ``row_cache_bytes=0`` installs no cache
     and ``admission_queue_ms=None`` installs no admission controller,
-    so every pre-existing code path — and therefore all 131 anchored
-    figure latencies — stays bit-identical."""
+    so every pre-existing code path — and therefore every anchored
+    figure latency — stays bit-identical."""
 
     row_cache_bytes: int = 0
     """Byte budget of the per-server LRU row cache. 0 disables the

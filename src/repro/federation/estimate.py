@@ -12,7 +12,7 @@ from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import Literal, Param, Select
 from repro.systems.base import EvaluatedSystem
 from repro.systems.hbase_backed import HBaseBackedSystem
-from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
+from repro.voltdb.system import VoltDBSystem
 
 
 def estimate_ms(backend: EvaluatedSystem, analyzed: AnalyzedSelect) -> float:
@@ -20,8 +20,8 @@ def estimate_ms(backend: EvaluatedSystem, analyzed: AnalyzedSelect) -> float:
     over their own catalog, VoltDB by an arithmetic model over its
     in-memory row counts, anything else by a per-binding nominal charge."""
     cost = backend.sim.cost
-    if isinstance(backend, VoltDBEvaluatedSystem):
-        return voltdb_estimate(cost, backend.engine.tables, analyzed)
+    if isinstance(backend, VoltDBSystem):
+        return voltdb_estimate(cost, backend.tables, analyzed)
     if isinstance(backend, HBaseBackedSystem):
         ms = phoenix_estimate(backend, analyzed.select)
         if ms is not None:

@@ -3,7 +3,7 @@
 ==========  =============================  ==========================  =====================
 System      Materialized-views selection   Concurrency control         Class
 ==========  =============================  ==========================  =====================
-VoltDB      none                           single-threaded partitions  VoltDBEvaluatedSystem
+VoltDB      none                           single-threaded partitions  VoltDBSystem
 Synergy     schema-relationships aware     hierarchical locking        SynergySystem
 MVCC-A      schema-relationships aware     MVCC (Tephra)               MvccASystem
 MVCC-UA     schema-relationships UNaware   MVCC (Tephra)               MvccUASystem
@@ -15,7 +15,8 @@ The four HBase-backed rows are one assembly
 selection column is the *design object* the constructor picks
 (``NoViews``, ``SchemaAwareDesign``, ``AdvisorDesign``), the concurrency
 control column is the *subclass* (``MvccSystemBase``, ``SynergySystem``).
-See ``docs/ARCHITECTURE.md``.
+See ``docs/ARCHITECTURE.md``. VoltDB's class lives in :mod:`repro.voltdb`,
+which builds on this package's base class.
 """
 
 from repro.systems.base import EvaluatedSystem, SystemDescription, SystemSession
@@ -25,7 +26,6 @@ from repro.systems.mvcc_a import MvccASystem
 from repro.systems.mvcc_base import MvccSession
 from repro.systems.mvcc_ua import AdvisorDesign, MvccUASystem
 from repro.systems.synergy_sys import SynergySystem
-from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 from repro.systems.advisor import AdvisorCandidate, TuningAdvisor
 
 __all__ = [
@@ -42,5 +42,4 @@ __all__ = [
     "SystemDescription",
     "SystemSession",
     "TuningAdvisor",
-    "VoltDBEvaluatedSystem",
 ]

@@ -74,8 +74,9 @@ class SystemSession:
 
 class EvaluatedSystem(abc.ABC):
     """A populated system that can run workload statements and report
-    virtual response times. The five systems ``execute`` through
-    :func:`run_statement`; the mediator routes text and has no ``read``."""
+    virtual response times. ``execute`` is :func:`run_statement` for
+    the five systems; the mediator routes text, has no ``read`` and
+    overrides it."""
 
     description: SystemDescription
 
@@ -88,8 +89,8 @@ class EvaluatedSystem(abc.ABC):
         """Executable SQL for a workload statement id (possibly rewritten
         over this system's views)."""
 
-    @abc.abstractmethod
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any: ...
+    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
+        return run_statement(self, sql, params)
 
     @abc.abstractmethod
     def load_row(self, relation: str, row: dict[str, Any]) -> None: ...

@@ -25,7 +25,7 @@ from repro.sim.clock import Simulation
 from repro.sql.ast import Select, Statement
 from repro.synergy.maintenance import ViewMaintainer
 from repro.synergy.views import ViewDef
-from repro.systems.base import EvaluatedSystem, run_statement
+from repro.systems.base import EvaluatedSystem
 
 
 class NoViews:
@@ -81,9 +81,6 @@ class HBaseBackedSystem(EvaluatedSystem):
     # -- statements ---------------------------------------------------------------
     def statement(self, statement_id: str) -> str:
         return self.statements[statement_id]
-
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
-        return run_statement(self, sql, params)
 
     @abc.abstractmethod
     def read(self, select: Select, params: tuple[Any, ...]) -> Any: ...

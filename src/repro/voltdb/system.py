@@ -2,10 +2,12 @@
 in-memory stored-procedure execution.
 
 The paper uses three different partitioning schemes to cover the
-maximum number of TPC-W joins (no single scheme supports even half);
-queries whose joins are not partition-column equi-joins under the
-active scheme are rejected. Q3, Q7, Q9 and Q10 are unsupported under
-every scheme (Fig. 12).
+maximum number of TPC-W joins (no single scheme supports even half).
+Each statement picks its scheme and passes it down; the system keeps
+none active. A SELECT runs under the first scheme whose partitioning
+admits its joins, and a write under the primary scheme (the first).
+A SELECT that no scheme admits is refused: Q3, Q7, Q9 and Q10 report
+``supports() == False`` and show as X in Fig. 12.
 
 What is VoltDB's own here is the scheme check, the partition routing
 and the arithmetic charge (a procedure base, a multi-partition
@@ -20,7 +22,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import PlanError, UnsupportedStatementError
 from repro.phoenix.executor import stream_rows
@@ -37,6 +39,7 @@ from repro.phoenix.plans import (
 )
 from repro.phoenix.writes import compile_write, constant_equalities, eval_const
 from repro.relational.schema import Schema
+from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.sql.analyzer import AnalyzedSelect, FilterCondition, analyze_select
 from repro.sql.ast import (
@@ -50,7 +53,11 @@ from repro.sql.ast import (
     Update,
 )
 from repro.sql.parser import parse_statement
+from repro.systems.base import EvaluatedSystem, SystemDescription
 from repro.voltdb.table import VoltTable
+
+#: Partition executor sites; a partitioning value hashes onto one.
+NUM_PARTITIONS = 5
 
 
 class _ProcedureHost:
@@ -86,6 +93,20 @@ class PartitionScheme:
 
     def is_replicated(self, relation: str) -> bool:
         return relation not in self.partition_columns
+
+    def admits(self, analyzed: AnalyzedSelect) -> bool:
+        """The paper's join restriction: every equi-join side on a
+        partitioned table joins on its partitioning column (a replicated
+        table or a derived table joins on anything)."""
+        return all(
+            self._colocated(j.left_relation, j.left_attr)
+            and self._colocated(j.right_relation, j.right_attr)
+            for j in analyzed.equi_joins()
+        )
+
+    def _colocated(self, relation: str | None, attr: str) -> bool:
+        column = None if relation is None else self.column_of(relation)
+        return column is None or attr == column
 
 
 #: The three TPC-W schemes (Sec. IX-D2); each supports a different join
@@ -133,26 +154,30 @@ TPCW_SCHEMES = (
 )
 
 
-class VoltDBSystem:
+class VoltDBSystem(EvaluatedSystem):
     """In-memory NewSQL engine with partition-restricted joins."""
 
-    name = "VoltDB"
+    description = SystemDescription(
+        name="VoltDB",
+        mv_selection="None",
+        concurrency_control="Single-threaded partition processing",
+    )
 
     def __init__(
         self,
         schema: Schema,
+        workload: Workload,
         sim: Simulation | None = None,
-        scheme: PartitionScheme | None = None,
-        num_partitions: int = 5,
+        schemes: Sequence[PartitionScheme] = TPCW_SCHEMES,
     ) -> None:
         self.schema = schema
-        self.sim = sim or Simulation()
-        self.scheme = scheme or PartitionScheme("all-replicated", {})
-        self.num_partitions = num_partitions
+        self._sim = sim or Simulation()
+        self.schemes = tuple(schemes)
+        self._statements = {s.statement_id: s.sql for s in workload}
         self._composer = SelectComposer()
         self.tables: dict[str, VoltTable] = {
             rel.name: VoltTable(
-                rel, self.sim.cost.voltdb_row_overhead_bytes
+                rel, self._sim.cost.voltdb_row_overhead_bytes
             )
             for rel in schema
         }
@@ -163,58 +188,102 @@ class VoltDBSystem:
             for fk in rel.foreign_keys:
                 self.tables[rel.name].create_index(fk.attributes[0])
 
-    def set_scheme(self, scheme: PartitionScheme) -> None:
-        """Re-partition (logically; the store itself is scheme-agnostic)."""
-        self.scheme = scheme
+    @property
+    def sim(self) -> Simulation:
+        return self._sim
+
+    def statement(self, statement_id: str) -> str:
+        return self._statements[statement_id]
 
     # -- loading -----------------------------------------------------------------
     def load_row(self, relation: str, row: dict[str, Any]) -> None:
         self.tables[relation].insert(row)
 
+    def finish_load(self) -> None:
+        self._sim.reset_clock()
+
     def db_size_bytes(self) -> int:
-        total = 0
-        for rel_name, table in self.tables.items():
-            factor = (
-                self.num_partitions if self.scheme.is_replicated(rel_name) else 1
-            )
-            total += table.size_bytes * factor
-        return total
+        """Every table once, a replicated one on every site: replicas
+        are counted under the primary scheme."""
+        primary = self.schemes[0]
+        return sum(
+            table.size_bytes
+            * (NUM_PARTITIONS if primary.is_replicated(name) else 1)
+            for name, table in self.tables.items()
+        )
 
     # -- support check (the paper's join restriction) -------------------------------
-    def check_supported(self, analyzed: AnalyzedSelect) -> None:
-        for j in analyzed.joins:
-            if not j.is_equi:
-                continue
-            lrel, rrel = j.left_relation, j.right_relation
-            lcol = None if lrel is None else self.scheme.column_of(lrel)
-            rcol = None if rrel is None else self.scheme.column_of(rrel)
-            left_ok = lrel is None or lcol is None or j.left_attr == lcol
-            right_ok = rrel is None or rcol is None or j.right_attr == rcol
-            if not (left_ok and right_ok):
-                raise UnsupportedStatementError(
-                    f"{self.scheme.name}: join {j.left_relation}.{j.left_attr}"
-                    f" = {j.right_relation}.{j.right_attr} is not on the "
-                    "partitioning columns; partitioned tables can only be "
-                    "joined on equality of partitioning column"
-                )
-        # a self-join of a partitioned table must also be on the
-        # partition column on both sides — covered by the checks above.
+    def scheme_for(self, analyzed: AnalyzedSelect) -> PartitionScheme | None:
+        """The first scheme admitting the SELECT's joins."""
+        return next((s for s in self.schemes if s.admits(analyzed)), None)
 
-    # -- execution -----------------------------------------------------------------
-    def execute(self, sql: str, params: tuple[Any, ...] = ()) -> Any:
+    def supports(self, statement_id: str) -> bool:
+        sql = self._statements.get(statement_id)
+        return sql is not None and self.supports_sql(sql)
+
+    def supports_sql(self, sql: str) -> bool:
+        """A SELECT needs a scheme that admits its joins. A write runs
+        under the primary scheme, but the procedure layer can only route
+        one that binds the full primary key: an INSERT providing every
+        key attribute, an UPDATE/DELETE of ``key = constant`` conjuncts
+        — claiming support for anything else fails at ``execute()``."""
         stmt = parse_statement(sql)
         if isinstance(stmt, Select):
-            return self.execute_select(analyze_select(stmt, self.schema), params)
-        return self.execute_write(stmt, params)
+            return self.scheme_for(analyze_select(stmt, self.schema)) is not None
+        table = self.tables.get(stmt.table)
+        if table is None:
+            return False
+        if isinstance(stmt, Insert):
+            bound: Any = stmt.columns or table.attrs
+        else:
+            try:
+                bound = constant_equalities(stmt.where)
+            except UnsupportedStatementError:
+                return False
+        return all(a in bound for a in table.key_attrs)
 
-    def timed(self, sql: str, params: tuple[Any, ...] = ()) -> tuple[Any, float]:
-        sw = self.sim.stopwatch()
-        result = self.execute(sql, params)
-        return result, sw.stop()
+    # -- execution -----------------------------------------------------------------
+    def read(self, select: Select, params: tuple[Any, ...]) -> Any:
+        """Analyse once, pick the scheme, run the procedure under it."""
+        analyzed = analyze_select(select, self.schema)
+        scheme = self.scheme_for(analyzed)
+        if scheme is None:
+            raise UnsupportedStatementError(
+                "query joins are not supported under any partitioning scheme"
+            )
+        return self._queued(
+            lambda: self.select_partitions(analyzed, params, scheme),
+            lambda: self._select_procedure(analyzed, params, scheme),
+        )
+
+    def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
+        scheme = self.schemes[0]
+        return self._queued(
+            lambda: self.write_partitions(stmt, params, scheme),
+            lambda: self._write_procedure(stmt, params),
+        )
+
+    def _queued(
+        self, partitions: Callable[[], tuple[int, ...]], procedure: Callable[[], Any]
+    ) -> Any:
+        """Each partition executor site is single-threaded, so under
+        multi-client scheduling the procedure first queues until every
+        site it is routed to (one for a single-partition procedure, all
+        of them for multi-partition reads and replicated-table writes)
+        is free in virtual time."""
+        sim = self._sim
+        ctx = sim.concurrency
+        if ctx is None:
+            return procedure()
+        sites = [(self, p) for p in partitions()]
+        ctx.serial_enter(sites, sim, "voltdb.queue_wait")
+        result = procedure()
+        ctx.serial_exit(sites, sim)
+        return result
 
     # -- write path -------------------------------------------------------------------
-    def execute_write(self, stmt: Statement, params: tuple[Any, ...]) -> int:
-        self.sim.charge(self.sim.cost.voltdb_proc_base_ms, "voltdb.proc")
+    def _write_procedure(self, stmt: Statement, params: tuple[Any, ...]) -> int:
+        self._sim.charge(self._sim.cost.voltdb_proc_base_ms, "voltdb.proc")
         if not isinstance(stmt, (Insert, Update, Delete)):
             raise PlanError(f"unsupported statement: {stmt}")
         table = self.tables[stmt.table]
@@ -232,24 +301,31 @@ class VoltDBSystem:
         return int(ok)
 
     def _charge_rows(self, n: int) -> None:
-        self.sim.charge(self.sim.cost.voltdb_row_ms * n, "voltdb.rows")
+        self._sim.charge(self._sim.cost.voltdb_row_ms * n, "voltdb.rows")
 
     # -- read path ---------------------------------------------------------------------
-    def execute_select(
-        self, analyzed: AnalyzedSelect, params: tuple[Any, ...]
+    def _select_procedure(
+        self,
+        analyzed: AnalyzedSelect,
+        params: tuple[Any, ...],
+        scheme: PartitionScheme,
     ) -> list[dict[str, Any]]:
-        self.check_supported(analyzed)
-        self.sim.charge(self.sim.cost.voltdb_proc_base_ms, "voltdb.proc")
-        if next(self._routing_filters(analyzed), None) is None:
-            self.sim.charge(self.sim.cost.voltdb_multipart_ms, "voltdb.multipart")
+        sim = self._sim
+        sim.charge(sim.cost.voltdb_proc_base_ms, "voltdb.proc")
+        if next(self._routing_filters(analyzed, scheme), None) is None:
+            sim.charge(sim.cost.voltdb_multipart_ms, "voltdb.multipart")
         host = _ProcedureHost()
-        planned = self._plan_procedure(analyzed, params, host)
+        planned = self._plan_procedure(analyzed, params, scheme, host)
         rows = list(stream_rows(planned, ExecutionContext(host, params)))
         self._charge_rows(host.examined)
         return rows
 
     def _plan_procedure(
-        self, analyzed: AnalyzedSelect, params: tuple[Any, ...], host: _ProcedureHost
+        self,
+        analyzed: AnalyzedSelect,
+        params: tuple[Any, ...],
+        scheme: PartitionScheme,
+        host: _ProcedureHost,
     ) -> PlannedQuery:
         """The procedure body: one leaf per FROM binding, hash-joined in
         FROM order; base-table filters no leaf applies run above the
@@ -263,7 +339,8 @@ class VoltDBSystem:
             attrs = tuple(a for a in names if wanted is None or a in wanted)
             if relation is None:
                 fetch = partial(
-                    self._derived_rows, binding, analyzed, params, host, attrs
+                    self._derived_rows,
+                    analyzed.derived[binding], params, scheme, host, attrs,
                 )
             else:
                 table = self.tables[relation]
@@ -318,32 +395,42 @@ class VoltDBSystem:
 
     def _derived_rows(
         self,
-        binding: str,
-        analyzed: AnalyzedSelect,
+        derived: AnalyzedSelect,
         params: tuple[Any, ...],
+        scheme: PartitionScheme,
         host: _ProcedureHost,
         attrs: tuple[str, ...],
     ) -> list[Row]:
-        """A derived table is a nested procedure, charged as its own;
-        its rows are tuples of the ``attrs`` it returns."""
-        rows = self.execute_select(analyzed.derived[binding], params)
+        """A derived table is a nested procedure under the outer
+        statement's scheme, charged as its own; its rows are tuples of
+        the ``attrs`` it returns."""
+        if not scheme.admits(derived):
+            raise UnsupportedStatementError(
+                f"{scheme.name}: a derived table joins off the partitioning "
+                "columns; partitioned tables can only be joined on equality "
+                "of partitioning column"
+            )
+        rows = self._select_procedure(derived, params, scheme)
         host.examined += len(rows)
         return list(map(tuple_getter(attrs), rows))
 
     # -- routing ---------------------------------------------------------------------
     def select_partitions(
-        self, analyzed: AnalyzedSelect, params: tuple[Any, ...]
+        self,
+        analyzed: AnalyzedSelect,
+        params: tuple[Any, ...],
+        scheme: PartitionScheme,
     ) -> tuple[int, ...]:
         """The partition executor sites a SELECT procedure occupies
-        under the active scheme: the one routed partition when it is
+        under ``scheme``: the one routed partition when it is
         single-partition, every site otherwise."""
-        for f in self._routing_filters(analyzed):
+        for f in self._routing_filters(analyzed, scheme):
             if isinstance(f.value, (Literal, Param)):
-                return (self._partition_of(eval_const(f.value, params)),)
-        return tuple(range(self.num_partitions))
+                return (_partition_of(eval_const(f.value, params)),)
+        return tuple(range(NUM_PARTITIONS))
 
     def write_partitions(
-        self, stmt: Statement, params: tuple[Any, ...]
+        self, stmt: Statement, params: tuple[Any, ...], scheme: PartitionScheme
     ) -> tuple[int, ...]:
         """The sites a write occupies: the one routed partition, or every
         site for a replicated table (the write runs on all replicas)."""
@@ -352,25 +439,29 @@ class VoltDBSystem:
             bound = dict(zip(columns, stmt.values))
         else:
             bound = constant_equalities(stmt.where)
-        pcol = self.scheme.column_of(stmt.table)
+        pcol = scheme.column_of(stmt.table)
         if pcol in bound:
-            return (self._partition_of(eval_const(bound[pcol], params)),)
-        return tuple(range(self.num_partitions))
+            return (_partition_of(eval_const(bound[pcol], params)),)
+        return tuple(range(NUM_PARTITIONS))
 
-    def _routing_filters(self, analyzed: AnalyzedSelect) -> Iterator[FilterCondition]:
+    @staticmethod
+    def _routing_filters(
+        analyzed: AnalyzedSelect, scheme: PartitionScheme
+    ) -> Iterator[FilterCondition]:
         """The equality filters on a partitioned table's partitioning
         column. With one, a SELECT procedure is single-partition;
         without, it fans out to every partition executor."""
         for f in analyzed.filters:
             if (
                 f.op == "=" and f.relation is not None
-                and self.scheme.column_of(f.relation) == f.attr
+                and scheme.column_of(f.relation) == f.attr
             ):
                 yield f
 
-    def _partition_of(self, value: Any) -> int:
-        """Deterministic routing hash (``hash()`` is salted per process,
-        which would break byte-identical benchmark reruns)."""
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value % self.num_partitions
-        return zlib.crc32(repr(value).encode()) % self.num_partitions
+
+def _partition_of(value: Any) -> int:
+    """Deterministic routing hash (``hash()`` is salted per process,
+    which would break byte-identical benchmark reruns)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value % NUM_PARTITIONS
+    return zlib.crc32(repr(value).encode()) % NUM_PARTITIONS

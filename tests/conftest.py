@@ -23,9 +23,8 @@ from repro.systems import (
     MvccASystem,
     MvccUASystem,
     SynergySystem,
-    VoltDBEvaluatedSystem,
 )
-from repro.voltdb.system import PartitionScheme
+from repro.voltdb.system import PartitionScheme, VoltDBSystem
 from tests.reference.sql import company_rows, load_company
 
 
@@ -65,7 +64,7 @@ def empty_company_system(name: str, sim: Simulation | None = None):
         return MvccUASystem(schema, workload, estimates, sim=sim)
     if name == "Baseline":
         return BaselineSystem(schema, workload, sim=sim)
-    return VoltDBEvaluatedSystem(
+    return VoltDBSystem(
         schema, workload, sim=sim,
         schemes=(PartitionScheme("all-replicated", {}),),
     )
@@ -78,7 +77,7 @@ def build_company_federation(mode: str, pin: str | None = None):
     backends = {
         name: BaselineSystem(schema, Workload()) for name in ("rule", "cost-based")
     }
-    backends["voltdb"] = VoltDBEvaluatedSystem(
+    backends["voltdb"] = VoltDBSystem(
         schema, Workload(), schemes=(PartitionScheme("all-replicated", {}),)
     )
     backends["cost-based"].conn.configure_engine(cost_based=True)

@@ -25,11 +25,9 @@ import pytest
 
 from repro.bench.tpcw_lab import TpcwLab
 from repro.errors import UnsupportedStatementError
-from repro.relational.company import company_schema
 from repro.tpcw import JOIN_QUERIES
-from repro.voltdb.system import VoltDBSystem
+from tests.conftest import build_company_system
 from tests.reference.generators import generate_query
-from tests.reference.sql import load_company
 
 SCALE = 40
 SEED = 171001792
@@ -95,14 +93,13 @@ def measure(system_name: str) -> dict[str, list]:
 
 def measure_generated() -> list[list]:
     """``[ms, row count, digest]`` of the first ``GENERATED`` random
-    Company-schema statements on an un-jittered VoltDB engine."""
-    engine = VoltDBSystem(company_schema())
-    load_company(engine)
+    Company-schema statements on an un-jittered, all-replicated VoltDB."""
+    system = build_company_system("VoltDB")
     rng = random.Random(SEED)
     out = []
     for _ in range(GENERATED):
         spec = generate_query(rng)
-        rows, ms = engine.timed(spec.sql, spec.params)
+        rows, ms = system.timed(spec.sql, spec.params)
         out.append([ms, len(rows), row_digest(rows)])
     return out
 

@@ -155,18 +155,18 @@ def conn_plan(conn, sql: str) -> tuple[PlannedQuery, AnalyzedSelect]:
     return conn.plan(sql), analyzed
 
 
-def record_procedures(engine, monkeypatch) -> list:
+def record_procedures(system, monkeypatch) -> list:
     """Every (plan, analysis) VoltDB composes a procedure body from,
     nested derived-table procedures included."""
     recorded = []
-    compose = engine._plan_procedure
+    compose = system._plan_procedure
 
-    def recording(analyzed, params, host):
-        planned = compose(analyzed, params, host)
+    def recording(analyzed, params, scheme, host):
+        planned = compose(analyzed, params, scheme, host)
         recorded.append((planned, analyzed))
         return planned
 
-    monkeypatch.setattr(engine, "_plan_procedure", recording)
+    monkeypatch.setattr(system, "_plan_procedure", recording)
     return recorded
 
 
@@ -213,14 +213,14 @@ class TestAggregateSources:
     ):
         lab, _ = tpcw_systems
         volt = lab.build_system("VoltDB")
-        recorded = record_procedures(volt.engine, monkeypatch)
+        recorded = record_procedures(volt, monkeypatch)
         for qid in JOIN_QUERIES:
             if volt.supports(qid):
                 volt.execute(
                     volt.statement(qid), lab.generator.params_for_query(qid, 0)
                 )
         company = build_company_system("VoltDB")
-        recorded += record_procedures(company.engine, monkeypatch)
+        recorded += record_procedures(company, monkeypatch)
         for seed in SEEDS:
             rng = random.Random(seed)
             for _ in range(100):

@@ -49,9 +49,8 @@ from repro.relational.datatypes import DataType
 from repro.relational.schema import Index
 from repro.sim.clock import Simulation
 from repro.sql.ast import Literal
-from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
 from repro.tpcw.queries import JOIN_QUERIES
-from repro.voltdb.system import PartitionScheme
+from repro.voltdb.system import PartitionScheme, VoltDBSystem
 from tests.conftest import (
     build_mediator,
     build_company_conn, build_company_federation, build_company_system,
@@ -574,8 +573,8 @@ def record_keys(monkeypatch, module) -> dict[str, list]:
     return seen
 
 
-def _all_replicated_voltdb(lab: TpcwLab) -> VoltDBEvaluatedSystem:
-    system = VoltDBEvaluatedSystem(
+def _all_replicated_voltdb(lab: TpcwLab) -> VoltDBSystem:
+    system = VoltDBSystem(
         lab.schema,
         lab.workload,
         sim=Simulation(seed=lab.seed, jitter_fraction=0.02),
@@ -588,7 +587,7 @@ def _all_replicated_voltdb(lab: TpcwLab) -> VoltDBEvaluatedSystem:
 def test_voltdb_tpcw_queries_same_rows_and_ms_with_leaves_widened(monkeypatch):
     lab = TpcwLab(num_customers=20, repetitions=1)
     narrow, wide = _all_replicated_voltdb(lab), _all_replicated_voltdb(lab)
-    widen_collector(monkeypatch, wide.engine._composer)
+    widen_collector(monkeypatch, wide._composer)
     cells = count_cells(monkeypatch, voltdb_module)
     narrow_cells = wide_cells = 0
     for qid in JOIN_QUERIES:
@@ -609,7 +608,7 @@ def test_voltdb_random_queries_same_rows_and_ms_with_leaves_widened(monkeypatch)
         build_company_system("VoltDB", Simulation(seed=7, jitter_fraction=0.02))
         for _ in range(2)
     )
-    widen_collector(monkeypatch, wide.engine._composer)
+    widen_collector(monkeypatch, wide._composer)
     rng = random.Random(20170904)
     for i in range(200):
         spec = generate_query(rng)
@@ -627,7 +626,7 @@ def test_routed_random_queries_same_rows_and_ms_with_imports_widened(
         build_company_federation(mode) for _ in range(2)
     )
     widen_collector(monkeypatch, wide._composer)
-    widen_collector(monkeypatch, wide.backends["voltdb"].engine._composer)
+    widen_collector(monkeypatch, wide.backends["voltdb"]._composer)
     cells = count_cells(monkeypatch, mediator_module)
     narrow_cells = wide_cells = 0
     rng = random.Random(ROUTED_SEED)

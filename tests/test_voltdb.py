@@ -1,7 +1,8 @@
-"""VoltDB engine: tables, partition-scheme support matrix, execution."""
+"""VoltDB: tables, partition-scheme support matrix, execution."""
 
 import pytest
 
+from repro.bench.tpcw_lab import TpcwLab
 from repro.errors import UnsupportedStatementError
 from repro.relational.company import company_schema
 from repro.sim.clock import Simulation
@@ -12,9 +13,7 @@ from repro.tpcw.workload import tpcw_workload
 from repro.tpcw.writes import WRITE_STATEMENTS
 from repro.voltdb.system import TPCW_SCHEMES, PartitionScheme, VoltDBSystem
 from repro.voltdb.table import VoltTable
-from repro.systems.voltdb_sys import VoltDBEvaluatedSystem
-from tests.conftest import plan_nodes
-from tests.reference.sql import load_company
+from tests.conftest import build_company_system, empty_company_system, plan_nodes
 
 
 class TestVoltTable:
@@ -54,8 +53,7 @@ class TestVoltTable:
 
 @pytest.fixture(scope="module")
 def volt():
-    system = VoltDBEvaluatedSystem(tpcw_schema(), tpcw_workload(),
-                                   sim=Simulation())
+    system = VoltDBSystem(tpcw_schema(), tpcw_workload(), sim=Simulation())
     from repro.tpcw.generator import TpcwDataGenerator
 
     gen = TpcwDataGenerator(20, seed=3)
@@ -119,13 +117,13 @@ class TestExecution:
         system, _ = volt
         system.execute(WRITE_STATEMENTS["W6"], (999, 1.5))
         system.execute(WRITE_STATEMENTS["W11"], (2.5, 999))
-        assert system.engine.tables["Shopping_cart"].rows[(999,)]["sc_time"] == 2.5
+        assert system.tables["Shopping_cart"].rows[(999,)]["sc_time"] == 2.5
 
     def test_filters_the_access_path_does_not_apply(self):
         """Residual predicates the per-table index lookup never sees:
         two columns of one binding compared with each other, an
         equality filter on a derived table, and DISTINCT."""
-        system = VoltDBSystem(company_schema())
+        system = empty_company_system("VoltDB")
         for eid in range(1, 11):
             system.load_row("Employee", {
                 "EID": eid, "EName": f"emp{eid}", "EHome_AID": (eid % 5) + 1,
@@ -144,39 +142,31 @@ class TestExecution:
         assert sorted(r["E_DNo"] for r in distinct) == [1, 2]
 
     def test_single_partition_cheaper_than_multipart(self):
-        system = VoltDBSystem(tpcw_schema(), Simulation(), TPCW_SCHEMES[0])
-        from repro.tpcw.generator import TpcwDataGenerator
-
-        for rel, row in TpcwDataGenerator(20, seed=3).all_rows():
-            system.load_row(rel, row)
+        system = _tpcw_system(TPCW_SCHEMES[0])
         _, single = system.timed("SELECT * FROM Item WHERE i_id = ?", (5,))
         _, multi = system.timed("SELECT * FROM Item WHERE i_title = ?", ("zzz",))
         assert multi > single
 
     def test_replication_multiplies_size(self):
-        scheme_all_partitioned = TPCW_SCHEMES[0]
-        sim = Simulation()
-        system = VoltDBSystem(tpcw_schema(), sim, scheme_all_partitioned)
-        from repro.tpcw.generator import TpcwDataGenerator
-
-        for rel, row in TpcwDataGenerator(20, seed=3).all_rows():
-            system.load_row(rel, row)
-        partitioned_size = system.db_size_bytes()
-        system.set_scheme(PartitionScheme("nothing-partitioned", {}))
-        assert system.db_size_bytes() > partitioned_size
+        partitioned_size = _tpcw_system(TPCW_SCHEMES[0]).db_size_bytes()
+        replicated = _tpcw_system(PartitionScheme("nothing-partitioned", {}))
+        assert replicated.db_size_bytes() > partitioned_size
 
 
-def _company_engine() -> VoltDBSystem:
-    engine = VoltDBSystem(company_schema())
-    load_company(engine)
-    return engine
+def _tpcw_system(scheme: PartitionScheme) -> VoltDBSystem:
+    """VoltDB under ``scheme`` alone, loaded with 20 TPC-W customers."""
+    from repro.tpcw.generator import TpcwDataGenerator
+
+    system = VoltDBSystem(tpcw_schema(), tpcw_workload(), schemes=(scheme,))
+    system.load(TpcwDataGenerator(20, seed=3).all_rows())
+    return system
 
 
-def _examined(engine: VoltDBSystem, sql: str, params=()) -> tuple[list, int]:
+def _examined(system: VoltDBSystem, sql: str, params=()) -> tuple[list, int]:
     """A multi-partition SELECT procedure's rows, and how many rows it
     was charged for: (ms - proc - multipart) / voltdb_row_ms."""
-    cost = engine.sim.cost
-    rows, ms = engine.timed(sql, params)
+    cost = system.sim.cost
+    rows, ms = system.timed(sql, params)
     body = ms - cost.voltdb_proc_base_ms - cost.voltdb_multipart_ms
     examined = round(body / cost.voltdb_row_ms)
     assert body == pytest.approx(examined * cost.voltdb_row_ms, abs=1e-9)
@@ -219,7 +209,7 @@ class TestProcedureBodyIsAPlan:
         }
 
     def test_unlimited_join_is_charged_leaves_plus_join_output(self):
-        rows, examined = _examined(_company_engine(), self.JOIN)
+        rows, examined = _examined(build_company_system("VoltDB"), self.JOIN)
         assert len(rows) == 15
         assert examined == 10 + 15 + 15
 
@@ -228,30 +218,32 @@ class TestProcedureBodyIsAPlan:
         row at a time under a bounded demand, so only the join rows the
         LIMIT took are charged (both leaves are still read whole — an
         in-memory leaf materializes at its first pull)."""
-        engine = _company_engine()
-        rows, examined = _examined(engine, self.JOIN + " LIMIT 2")
+        system = build_company_system("VoltDB")
+        rows, examined = _examined(system, self.JOIN + " LIMIT 2")
         assert len(rows) == 2
         assert examined == 10 + 15 + 2
         # under an ORDER BY the sort drains the joins: nothing is saved
         rows, examined = _examined(
-            engine, self.JOIN + " ORDER BY e.EID LIMIT 2"
+            system, self.JOIN + " ORDER BY e.EID LIMIT 2"
         )
         assert [r["EID"] for r in rows] == [1, 1]
         assert examined == 10 + 15 + 15
 
     def test_limit_zero_fetches_no_leaf(self):
-        rows, examined = _examined(_company_engine(), self.JOIN + " LIMIT 0")
+        rows, examined = _examined(
+            build_company_system("VoltDB"), self.JOIN + " LIMIT 0"
+        )
         assert rows == [] and examined == 0
 
     def test_null_join_keys_never_match_and_are_not_charged(self):
-        engine = VoltDBSystem(company_schema())
+        system = empty_company_system("VoltDB")
         for eid, dno in ((1, None), (2, None), (3, 1)):
-            engine.load_row("Employee", {
+            system.load_row("Employee", {
                 "EID": eid, "EName": f"emp{eid}", "EHome_AID": 1,
                 "EOffice_AID": 1, "E_DNo": dno,
             })
         rows, examined = _examined(
-            engine,
+            system,
             "SELECT a.EID, b.EID FROM Employee as a, Employee as b "
             "WHERE a.E_DNo = b.E_DNo",
         )
@@ -266,7 +258,7 @@ class TestProcedureBodyIsAPlan:
         falling back to FROM order (Project would be a bare cross
         product): Department x Employee, then Project on its equi-join."""
         rows, examined = _examined(
-            _company_engine(),
+            build_company_system("VoltDB"),
             "SELECT d.DNo, p.PNo, e.EID FROM Department as d, Project as p, "
             "Employee as e WHERE e.E_DNo < d.DNo and p.P_DNo = e.E_DNo",
         )
@@ -278,9 +270,9 @@ class TestProcedureBodyIsAPlan:
 
 class TestOneRoute:
     def test_serial_execute_parses_and_analyses_once(self, volt, monkeypatch):
-        """``execute`` used to resolve the scheme from the text and then
-        hand the text to the engine, which parsed and analysed it again."""
-        from repro.systems import base, voltdb_sys
+        """The text is parsed once, and a SELECT analysed once: the
+        scheme choice and the procedure share that analysis."""
+        from repro.systems import base
         from repro.voltdb import system as voltdb_system
 
         calls = {"parse": 0, "analyze": 0}
@@ -291,16 +283,15 @@ class TestOneRoute:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (base, voltdb_sys, voltdb_system):
+        for module in (base, voltdb_system):
             monkeypatch.setattr(
                 module, "parse_statement",
                 counting("parse", module.parse_statement),
             )
-        for module in (voltdb_sys, voltdb_system):
-            monkeypatch.setattr(
-                module, "analyze_select",
-                counting("analyze", module.analyze_select),
-            )
+        monkeypatch.setattr(
+            voltdb_system, "analyze_select",
+            counting("analyze", voltdb_system.analyze_select),
+        )
         system, gen = volt
         for qid in ("Q1", "Q4"):
             calls.update(parse=0, analyze=0)
@@ -320,3 +311,29 @@ class TestOneRoute:
             "UPDATE Item SET i_cost = ? WHERE i_id > ?"
         )
         assert not system.supports("never-registered")
+
+
+class TestSupportChecksChangeNothing:
+    """A support check is a question: no scheme it tries stays in
+    force. ``db_size_bytes`` (Table III) counts replicas under the
+    primary scheme even after ``supports("Q4")`` found scheme3, and the
+    next statement picks its own scheme."""
+
+    def test_checks_leave_size_and_next_statement_alone(self):
+        lab = TpcwLab(num_customers=10, repetitions=1)
+        asked, plain = lab.build_system("VoltDB"), lab.build_system("VoltDB")
+        lab.populate(asked)
+        lab.populate(plain)
+        size = plain.db_size_bytes()
+        for qid, sql in JOIN_QUERIES.items():
+            asked.supports(qid)
+            asked.supports_sql(sql)
+            asked.scheme_for(analyze_select(parse_statement(sql), lab.schema))
+            assert asked.db_size_bytes() == size, qid
+            # the next statement: the query itself where it runs
+            nxt = qid if plain.supports(qid) else "Q1"
+            params = lab.generator.params_for_query(nxt, 0)
+            got, got_ms = asked.timed_id(nxt, params)
+            expected, expected_ms = plain.timed_id(nxt, params)
+            assert got == expected, qid
+            assert repr(got_ms) == repr(expected_ms), qid

@@ -154,10 +154,6 @@ repro.sql.analyzer:_flip_op
     sql: a filter written constant-first
 repro.federation.decompose:_contains_param.<locals>.expr_has
     sql: a parameter inside a split fragment's conditions
-repro.voltdb.system:VoltDBSystem.execute
-    sql: ad-hoc SQL text on the VoltDB engine; workloads call its procedures
-repro.voltdb.system:VoltDBSystem.timed
-    sql: ad-hoc SQL text on the VoltDB engine, timed
 repro.hbase.filters:AndFilter.accept
     sql: a scan with more than one pushed-down filter
 repro.phoenix.operators:_aggregate.<locals>.update#2
