@@ -22,7 +22,7 @@ history recorder checks durability and scan-consistency invariants
 
 from repro.sim.clock import SimClock, Simulation, Stopwatch
 from repro.sim.latency import LatencyCharger
-from repro.sim.metrics import Counter, MetricsRegistry, Timer, percentile
+from repro.sim.metrics import Counter, MetricsRegistry, percentile
 from repro.sim.rng import derive_rng
 from repro.sim.scheduler import (
     ClientStats,
@@ -40,7 +40,6 @@ __all__ = [
     "LatencyCharger",
     "Counter",
     "MetricsRegistry",
-    "Timer",
     "derive_rng",
     "ClientStats",
     "ConcurrencyContext",

@@ -8,6 +8,8 @@ queueing, backoff, sleeping, adopting a backend's elapsed time — is
 :meth:`Simulation.wait` (exact, never draws). Response times are
 measured with :class:`Stopwatch`, which records the clock delta around
 an operation — the virtual analogue of the paper's client-side ``tau``.
+Both name what they move it for: an attached :attr:`Simulation.trace`
+reads where a statement's virtual ms went, one ``(what, ms)`` per move.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class Simulation:
     (seeded, reproducible), which is how repeated experiment runs get a
     realistic non-zero standard error.
 
+    ``trace`` is None until a caller attaches a list; from then on every
+    ``charge`` and ``wait`` appends ``(what, ms)`` with the ms it added
+    to the clock, in clock order (under a scheduler, every client's
+    leaves interleaved).
+
     ``concurrency`` is None in ordinary single-client operation. While a
     :class:`~repro.sim.scheduler.DeterministicScheduler` drives virtual
     clients it installs a ``ConcurrencyContext`` here and swaps ``clock``
@@ -87,11 +94,13 @@ class Simulation:
         self.seed = seed
         self.jitter_fraction = float(jitter_fraction)
         self.concurrency = None  # ConcurrencyContext during scheduled runs
+        self.trace: list[tuple[str, float]] | None = None
         self._rng = derive_rng(seed, "simulation-jitter")
 
     # -- charging ---------------------------------------------------------------
-    def charge(self, delta_ms: float, what: str | None = None) -> None:
-        """Advance virtual time by ``delta_ms`` (plus optional jitter)."""
+    def charge(self, delta_ms: float, what: str) -> None:
+        """Advance virtual time by ``delta_ms`` (plus optional jitter) of
+        work named ``what``."""
         if delta_ms < 0:
             raise ValueError(f"negative charge: {delta_ms}")
         if self.jitter_fraction > 0.0 and delta_ms > 0.0:
@@ -99,23 +108,24 @@ class Simulation:
             delta_ms *= max(factor, 0.1)
         # inlined clock.advance: charge() runs once per row on hot paths
         self.clock._now_ms += delta_ms
-        if what is not None:
-            self.metrics.timer(what).record(delta_ms)
+        if self.trace is not None:
+            self.trace.append((what, delta_ms))
 
     def wait(self, delta_ms: float, what: str) -> None:
         """Advance virtual time by exactly ``delta_ms`` of *not working*:
         queueing, backoff, sleeping until a planned instant, adopting a
         backend's elapsed time. Never draws jitter, so a wait cannot
-        re-deal the charges around it; records ``delta_ms`` under timer
-        ``what``. ``wait(0)`` is a no-op, a negative wait raises."""
+        re-deal the charges around it. ``wait(0)`` is a no-op, a negative
+        wait raises."""
         if delta_ms == 0:
             return
         self.clock.advance(delta_ms)
-        self.metrics.timer(what).record(delta_ms)
+        if self.trace is not None:
+            self.trace.append((what, delta_ms))
 
     def stopwatch(self) -> Stopwatch:
         return Stopwatch(self.clock).start()
 
     def reset_clock(self) -> None:
-        """Zero the clock (data and metrics are preserved)."""
+        """Zero the clock (data, metrics and trace are preserved)."""
         self.clock = SimClock()

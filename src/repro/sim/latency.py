@@ -8,12 +8,14 @@ so call sites read like the mechanism they model::
     charger.rows_read(n)             # server-side row materialization
     charger.transfer(num_bytes)      # result bytes over the wire
 
-Counter objects and metric names are resolved once per charger — the
-read/write paths call these methods per row, so the per-call work is
-kept to a counter increment plus one ``Simulation.charge``. This is the
-only module besides ``sim/clock.py`` that writes the clock directly:
-the per-row read/write charges skip ``charge`` when the simulation is
-jitter-free (same number, two calls fewer per row).
+Each charges under a ``{component}.{effect}`` label, its counter's name
+where it has one. Counters and labels are resolved once per charger —
+the read/write paths call these methods per row, so the per-call work
+is kept to a counter increment plus one ``Simulation.charge``. This is
+the only module besides ``sim/clock.py`` that writes the clock
+directly: the per-row read/write charges skip ``charge`` when the
+simulation is jitter-free and untraced (same number, two calls fewer
+per row).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class LatencyCharger:
         metrics = sim.metrics
         self._rpc_name = f"{component}.rpc"
         self._transfer_name = f"{component}.transfer"
+        self._version_name = f"{component}.version_checks"
         self._rpc_counter = metrics.counter(self._rpc_name)
         self._bytes_counter = metrics.counter(f"{component}.bytes")
         self._seek_counter = metrics.counter(f"{component}.seek")
@@ -56,18 +59,18 @@ class LatencyCharger:
 
     # -- storage-side work -----------------------------------------------------------
     # the per-row charges run once per row on scan/load paths; when the
-    # simulation is jitter-free the charge is a plain clock bump
-    # (numerically identical to Simulation.charge, minus two calls)
+    # simulation is jitter-free and untraced the charge is a plain clock
+    # bump (numerically identical to Simulation.charge, minus two calls)
     def seek(self, count: int = 1) -> None:
         self._seek_counter.inc(count)
-        self.sim.charge(self.cost.seek_ms * count)
+        self.sim.charge(self.cost.seek_ms * count, self._seek_counter.name)
 
     def row_read(self) -> None:
         """``rows_read(1)`` specialized for the per-row scan loop."""
         self._rows_read_counter.value += 1
         sim = self.sim
-        if sim.jitter_fraction:
-            sim.charge(self._read_row_ms)
+        if sim.jitter_fraction or sim.trace is not None:
+            sim.charge(self._read_row_ms, self._rows_read_counter.name)
         else:
             sim.clock._now_ms += self._read_row_ms
 
@@ -76,8 +79,8 @@ class LatencyCharger:
             return
         self._rows_read_counter.value += n
         sim = self.sim
-        if sim.jitter_fraction:
-            sim.charge(self._read_row_ms * n)
+        if sim.jitter_fraction or sim.trace is not None:
+            sim.charge(self._read_row_ms * n, self._rows_read_counter.name)
         else:
             sim.clock._now_ms += self._read_row_ms * n
 
@@ -88,10 +91,10 @@ class LatencyCharger:
         self._rows_written_counter.value += n
         sim = self.sim
         write_row_ms = self._write_row_ms
-        if sim.jitter_fraction:
-            charge = sim.charge
+        if sim.jitter_fraction or sim.trace is not None:
+            charge, what = sim.charge, self._rows_written_counter.name
             for _ in range(n):
-                charge(write_row_ms)
+                charge(write_row_ms, what)
         else:
             clock = sim.clock
             now_ms = clock._now_ms
@@ -104,20 +107,23 @@ class LatencyCharger:
             return
         self._rows_written_counter.value += n
         sim = self.sim
-        if sim.jitter_fraction:
-            sim.charge(self._write_row_ms * n)
+        if sim.jitter_fraction or sim.trace is not None:
+            sim.charge(self._write_row_ms * n, self._rows_written_counter.name)
         else:
             sim.clock._now_ms += self._write_row_ms * n
 
     def wal_append(self, count: int = 1) -> None:
         self._wal_counter.inc(count)
-        self.sim.charge(self.cost.wal_append_ms * count)
+        self.sim.charge(self.cost.wal_append_ms * count, self._wal_counter.name)
 
     def check_and_put(self, count: int = 1) -> None:
         self._cap_counter.inc(count)
-        self.sim.charge((self.cost.rpc_base_ms + self.cost.check_and_put_ms) * count)
+        self.sim.charge(
+            (self.cost.rpc_base_ms + self.cost.check_and_put_ms) * count,
+            self._cap_counter.name,
+        )
 
     def version_checks(self, n_cells: int) -> None:
         if n_cells <= 0:
             return
-        self.sim.charge(self.cost.mvcc_version_check_ms * n_cells)
+        self.sim.charge(self.cost.mvcc_version_check_ms * n_cells, self._version_name)

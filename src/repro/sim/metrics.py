@@ -1,4 +1,4 @@
-"""Lightweight counters and timers for instrumenting the simulated cluster.
+"""Lightweight counters for instrumenting the simulated cluster.
 
 Used by tests to assert *mechanism* (e.g. "the nested-loop join issued
 one Get RPC per outer row") rather than only end-to-end latency.
@@ -29,36 +29,16 @@ class Counter:
         self.value += by
 
 
-@dataclass
-class Timer:
-    """Accumulates durations as running sums (a labelled charge records
-    one per call for the life of a simulation, so no sample is kept)."""
-
-    name: str
-    count: int = 0
-    total_ms: float = 0.0
-
-    def record(self, duration_ms: float) -> None:
-        self.count += 1
-        self.total_ms += duration_ms
-
-
 class MetricsRegistry:
-    """Name-addressable store of counters and timers."""
+    """Name-addressable store of counters."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._timers: dict[str, Timer] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def timer(self, name: str) -> Timer:
-        if name not in self._timers:
-            self._timers[name] = Timer(name)
-        return self._timers[name]
 
     def counters(self) -> dict[str, int]:
         return {name: c.value for name, c in sorted(self._counters.items())}

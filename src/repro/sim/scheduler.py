@@ -179,10 +179,10 @@ class ConcurrencyContext:
         return client.clock.now_ms if client is not None else 0.0
 
     # -- serial resources (single-threaded executors) -------------------------------
-    def serial_enter(self, resources: Iterable[Any], sim, metric: str) -> None:
+    def serial_enter(self, resources: Iterable[Any], sim, what: str) -> None:
         """Queue the running client until ALL of the serially executed
-        ``resources`` are free (wait out the longest busy window,
-        recorded under timer ``metric``; at most one wait event per
+        ``resources`` are free (wait out the longest busy window, a
+        ``sim.wait`` labelled ``what``; at most one wait event per
         delayed operation) before it starts an operation on them. Pair
         with :meth:`serial_exit` when the operation's charges are done.
         This is how per-partition work routes to the owning region
@@ -199,7 +199,7 @@ class ConcurrencyContext:
             self.serial_wait_count += 1
             if self.active is not None:
                 self.active.stats.serial_waits += 1
-            sim.wait(delay, metric)
+            sim.wait(delay, what)
 
     def serial_exit(self, resources: Iterable[Any], sim) -> None:
         """Mark ``resources`` busy until the running client's current

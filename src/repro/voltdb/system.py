@@ -5,7 +5,7 @@ The paper uses three different partitioning schemes to cover the
 maximum number of TPC-W joins (no single scheme supports even half).
 Each statement picks its scheme and passes it down; the system keeps
 none active. A SELECT runs under the first scheme whose partitioning
-admits its joins, and a write under the primary scheme (the first).
+admits its joins and its derived tables', a write under the primary one.
 A SELECT that no scheme admits is refused: Q3, Q7, Q9 and Q10 report
 ``supports() == False`` and show as X in Fig. 12.
 
@@ -97,12 +97,13 @@ class PartitionScheme:
     def admits(self, analyzed: AnalyzedSelect) -> bool:
         """The paper's join restriction: every equi-join side on a
         partitioned table joins on its partitioning column (a replicated
-        table or a derived table joins on anything)."""
+        table or a derived table joins on anything), and every derived
+        table, which runs under the same scheme, is admitted too."""
         return all(
             self._colocated(j.left_relation, j.left_attr)
             and self._colocated(j.right_relation, j.right_attr)
             for j in analyzed.equi_joins()
-        )
+        ) and all(self.admits(d) for d in analyzed.derived.values())
 
     def _colocated(self, relation: str | None, attr: str) -> bool:
         column = None if relation is None else self.column_of(relation)
@@ -214,7 +215,8 @@ class VoltDBSystem(EvaluatedSystem):
 
     # -- support check (the paper's join restriction) -------------------------------
     def scheme_for(self, analyzed: AnalyzedSelect) -> PartitionScheme | None:
-        """The first scheme admitting the SELECT's joins."""
+        """The first scheme admitting the SELECT's joins and those of
+        every derived table in it."""
         return next((s for s in self.schemes if s.admits(analyzed)), None)
 
     def supports(self, statement_id: str) -> bool:
@@ -402,14 +404,8 @@ class VoltDBSystem(EvaluatedSystem):
         attrs: tuple[str, ...],
     ) -> list[Row]:
         """A derived table is a nested procedure under the outer
-        statement's scheme, charged as its own; its rows are tuples of
-        the ``attrs`` it returns."""
-        if not scheme.admits(derived):
-            raise UnsupportedStatementError(
-                f"{scheme.name}: a derived table joins off the partitioning "
-                "columns; partitioned tables can only be joined on equality "
-                "of partitioning column"
-            )
+        statement's scheme (which admits it), charged as its own; its
+        rows are tuples of the ``attrs`` it returns."""
         rows = self._select_procedure(derived, params, scheme)
         host.examined += len(rows)
         return list(map(tuple_getter(attrs), rows))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.clock import SimClock, Simulation
-from repro.sim.metrics import MetricsRegistry, Timer
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import derive_rng, derive_seed
 
 
@@ -39,81 +39,99 @@ class TestSimClock:
 class TestSimulation:
     def test_charge_advances_clock(self):
         sim = Simulation()
-        sim.charge(3.0)
+        sim.charge(3.0, "x")
         assert sim.clock.now_ms == pytest.approx(3.0)
 
-    def test_charge_records_timer(self):
+    def test_charge_appends_to_an_attached_trace(self):
         sim = Simulation()
+        sim.charge(1.0, "untraced")
+        sim.trace = []
         sim.charge(3.0, "x")
-        assert sim.metrics.timer("x").total_ms == pytest.approx(3.0)
+        assert sim.trace == [("x", 3.0)]
+
+    def test_jittered_charge_traces_the_ms_it_added(self):
+        sim = Simulation(seed=7, jitter_fraction=0.1)
+        sim.trace = []
+        sim.charge(3.0, "x")
+        ((label, ms),) = sim.trace
+        assert label == "x" and ms != 3.0
+        assert ms == sim.clock.now_ms
+
+    def test_charge_requires_a_label(self):
+        with pytest.raises(TypeError):
+            Simulation().charge(1.0)
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
-            Simulation().charge(-0.1)
+            Simulation().charge(-0.1, "x")
 
     def test_stopwatch_measures_delta(self):
         sim = Simulation()
         sw = sim.stopwatch()
-        sim.charge(10.0)
+        sim.charge(10.0, "x")
         assert sw.stop() == pytest.approx(10.0)
 
     def test_reset_clock_keeps_metrics(self):
         sim = Simulation()
+        sim.trace = trace = []
         sim.charge(4.0, "op")
         sim.metrics.counter("c").inc()
         sim.reset_clock()
         assert sim.clock.now_ms == 0.0
-        assert sim.metrics.timer("op").count == 1
+        assert sim.trace is trace and trace == [("op", 4.0)]
         assert sim.metrics.counters()["c"] == 1
         sw = sim.stopwatch()
-        sim.charge(2.0)
+        sim.charge(2.0, "op")
         assert sw.stop() == pytest.approx(2.0)
 
     def test_jitter_is_deterministic_per_seed(self):
         a = Simulation(seed=7, jitter_fraction=0.1)
         b = Simulation(seed=7, jitter_fraction=0.1)
         for _ in range(10):
-            a.charge(1.0)
-            b.charge(1.0)
+            a.charge(1.0, "x")
+            b.charge(1.0, "x")
         assert a.clock.now_ms == pytest.approx(b.clock.now_ms)
 
     def test_jitter_changes_with_seed(self):
         a = Simulation(seed=7, jitter_fraction=0.1)
         b = Simulation(seed=8, jitter_fraction=0.1)
         for _ in range(10):
-            a.charge(1.0)
-            b.charge(1.0)
+            a.charge(1.0, "x")
+            b.charge(1.0, "x")
         assert a.clock.now_ms != b.clock.now_ms
 
     def test_zero_jitter_is_exact(self):
         sim = Simulation(seed=7, jitter_fraction=0.0)
         for _ in range(10):
-            sim.charge(1.0)
+            sim.charge(1.0, "x")
         assert sim.clock.now_ms == pytest.approx(10.0)
 
-    def test_reset_clock_preserves_metrics(self):
+    def test_reset_clock_preserves_the_trace(self):
         sim = Simulation()
+        sim.trace = []
         sim.charge(5.0, "op")
         sim.reset_clock()
         assert sim.clock.now_ms == 0.0
-        assert sim.metrics.timer("op").count == 1
+        sim.charge(1.0, "op")
+        assert sim.trace == [("op", 5.0), ("op", 1.0)]
 
 
 class TestWait:
     def test_wait_is_exact_records_once_and_never_draws(self):
         sim = Simulation(jitter_fraction=0.5)
+        sim.trace = []
         rng_before = sim._rng.bit_generator.state
         sim.wait(5.0, "x")
         assert sim.clock.now_ms == 5.0
-        timer = sim.metrics.timer("x")
-        assert (timer.count, timer.total_ms) == (1, 5.0)
+        assert sim.trace == [("x", 5.0)]
         assert sim._rng.bit_generator.state == rng_before
 
     def test_wait_zero_is_a_noop(self):
         sim = Simulation()
+        sim.trace = []
         sim.wait(0, "x")
         assert sim.clock.now_ms == 0.0
-        assert sim.metrics.timer("x").count == 0
+        assert sim.trace == []
 
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
@@ -211,13 +229,6 @@ class TestMetrics:
         reg.counter("a").inc()
         reg.counter("a").inc(4)
         assert reg.counters()["a"] == 5
-
-    def test_timer_stats(self):
-        t = Timer("t")
-        for v in (1.0, 2.0, 3.0):
-            t.record(v)
-        assert t.count == 3
-        assert t.total_ms == pytest.approx(6.0)
 
 
 class TestRng:

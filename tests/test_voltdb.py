@@ -337,3 +337,45 @@ class TestSupportChecksChangeNothing:
             expected, expected_ms = plain.timed_id(nxt, params)
             assert got == expected, qid
             assert repr(got_ms) == repr(expected_ms), qid
+
+
+class TestDerivedTablesPickTheScheme:
+    """A derived table runs under its outer statement's scheme, so a
+    scheme is picked only if it admits every derived table's joins too."""
+
+    ORDER_LINES = (
+        "SELECT t.o_id FROM (SELECT o.o_id FROM Orders as o, Order_line as ol "
+        "WHERE o.o_id = ol.ol_o_id) as t"
+    )
+    # Customer and Address are partitioned on c_id / addr_id everywhere
+    NOWHERE = (
+        "SELECT t.c_id FROM (SELECT c.c_id FROM Customer as c, Address as a "
+        "WHERE c.c_addr_id = a.addr_id) as t"
+    )
+
+    @pytest.fixture(scope="class")
+    def lab_systems(self):
+        lab = TpcwLab(num_customers=10, repetitions=1)
+        volt, baseline = lab.build_system("VoltDB"), lab.build_system("Baseline")
+        lab.populate(volt)
+        lab.populate(baseline)
+        return lab, volt, baseline
+
+    def test_derived_join_runs_under_the_scheme_admitting_it(self, lab_systems):
+        lab, volt, baseline = lab_systems
+        assert volt.supports_sql(self.ORDER_LINES)
+        analyzed = analyze_select(parse_statement(self.ORDER_LINES), lab.schema)
+        assert volt.scheme_for(analyzed).name == "scheme2"
+        rows = volt.execute(self.ORDER_LINES, ())
+        expected = baseline.execute(self.ORDER_LINES, ())
+        assert rows and sorted(map(repr, rows)) == sorted(map(repr, expected))
+
+    def test_derived_join_no_scheme_admits_is_refused_before_any_charge(
+        self, lab_systems
+    ):
+        _, volt, _ = lab_systems
+        assert not volt.supports_sql(self.NOWHERE)
+        before = volt.sim.clock.now_ms
+        with pytest.raises(UnsupportedStatementError):
+            volt.execute(self.NOWHERE, ())
+        assert volt.sim.clock.now_ms == before
