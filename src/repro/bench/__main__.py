@@ -19,7 +19,8 @@ the same flags are byte-identical.
 
 ``--smoke <suite|all>`` runs a suite's CI gate locally: its smoke cell
 and checks, then its small ``--only`` sweep through this same CLI path,
-twice, byte-compared. It exits 1 listing every failed check; with
+once here and once in a fresh interpreter under another
+``PYTHONHASHSEED``, byte-compared. It exits 1 listing every failed check; with
 ``--emit-json`` it writes the smoke report.
 """
 
@@ -27,8 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
 import sys
+import tempfile
 
 from repro.bench.suite import IntList, Suite, failed
 from repro.bench.suites import SUITES
@@ -143,18 +147,36 @@ def smoke_suite(parser, suite: Suite, say) -> tuple[dict, list[str]]:
         report["smoke"] = smoke.fn()
         failures += failed(smoke.checks, report["smoke"])
     argv = ["--only", suite.name, *shlex.split(smoke.flags), "--quiet"]
-
-    def sweep() -> str:
-        say(f"[smoke:{suite.name}] python -m repro.bench {' '.join(argv)}")
-        opts = parser.parse_args(argv)
-        return _dump(run_suites(_selected(parser, opts), opts, argv, say)[1])
-
-    first = sweep()
+    say(f"[smoke:{suite.name}] python -m repro.bench {' '.join(argv)}")
+    opts = parser.parse_args(argv)
+    first = _dump(run_suites(_selected(parser, opts), opts, argv, say)[1])
     report["sweep"] = json.loads(first)
-    if sweep() != first:
-        failures.append(f"rerun of `{' '.join(argv)}` is not byte-identical")
+    rerun = f"rerun of `{' '.join(argv)}` in a fresh interpreter"
+    try:
+        if fresh_rerun(argv) != first:
+            failures.append(f"{rerun} (another hash seed) is not byte-identical")
+    except subprocess.CalledProcessError as exc:
+        failures.append(f"{rerun} exited {exc.returncode}")
     failures += failed(smoke.sweep_checks, report["sweep"]["experiments"])
     return report, failures
+
+
+def fresh_rerun(argv: list[str]) -> str:
+    """``python -m repro.bench argv`` in a child interpreter whose
+    ``PYTHONHASHSEED`` differs from this one's; returns its JSON, so a
+    result that leans on set or dict-of-str order shows as a diff."""
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    other = (int(seed) + 1) % 2**32 if seed.isdigit() else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "rerun.json")
+        subprocess.run(
+            [sys.executable, "-m", "repro.bench", *argv, "--emit-json", out],
+            env={**os.environ, "PYTHONHASHSEED": str(other)},
+            stdout=subprocess.DEVNULL,
+            check=True,
+        )
+        with open(out) as f:
+            return f.read()
 
 
 def _smoke(parser, args, say) -> int:

@@ -71,7 +71,8 @@ class Smoke:
     *are* the gate's configuration — and returns a counter dict that
     ``checks`` are evaluated against. ``flags`` is the ``--only
     <suite>`` flag string of a small sweep: it is run through the real
-    CLI path — twice, and the two emitted JSON documents must be
+    CLI path — here, then in a fresh interpreter under another
+    ``PYTHONHASHSEED``, and the two emitted JSON documents must be
     byte-identical — and ``sweep_checks`` are evaluated against its
     ``experiments`` block."""
 

@@ -11,7 +11,87 @@ from repro.bench.harness import (
     percentile_or_zero,
 )
 from repro.bench.suite import Flag, IntList, Smoke, Suite
-from repro.sim.faults import ChaosRun, FaultConfig, run_chaos_cell
+from repro.config import ClusterConfig, ReplicationConfig
+from repro.hbase.chaos import (
+    ChaosRun,
+    FaultConfig,
+    FaultInjector,
+    Layout,
+    Participant,
+    run_cell,
+)
+from repro.hbase.replication import ReplicationShipper
+from repro.sim.rng import derive_rng
+
+
+def build_chaos_ops(
+    rng, ops_per_client: int, key_space: int, scan_window: int, client: int
+) -> list[tuple]:
+    """Client ``client``'s deterministic op mix: 55% puts, 30% point
+    gets, 15% short range scans, keys uniform over the preloaded space;
+    op ``n``'s put writes ``c<client>-<n>``."""
+    ops: list[tuple] = []
+    for opnum in range(1, ops_per_client + 1):
+        r = float(rng.random())
+        k = int(rng.integers(0, key_space))
+        row = b"%08d" % k
+        if r < 0.55:
+            ops.append(("put", row, b"c%02d-%04d" % (client, opnum)))
+        elif r < 0.85:
+            ops.append(("get", row))
+        else:
+            stop = b"%08d" % min(k + scan_window, key_space)
+            ops.append(("scan", row, stop))
+    return ops
+
+
+def chaos_cell(
+    num_servers: int = 3,
+    clients: int = 4,
+    ops_per_client: int = 32,
+    preload_rows: int = 240,
+    scan_window: int = 24,
+    fault_config: FaultConfig | None = None,
+    seed: int = 20170904,
+    replication: ReplicationConfig | None = None,
+    participants: tuple[Participant, ...] = (),
+) -> ChaosRun:
+    """The chaos suites' cell: a table pre-split into two regions per
+    server (every crash takes real data offline), ``preload_rows``
+    seeded rows, ``clients`` put/get/scan mixes under the failover
+    protocol, and the :class:`FaultInjector` — then, with
+    ``replica_count >= 2``, the replication shipper, then
+    ``participants``."""
+    fault_config = fault_config or FaultConfig()
+    regions = max(2 * num_servers, 2)
+    layout = Layout(
+        ClusterConfig(
+            num_region_servers=num_servers,
+            seed=seed,
+            replication=replication or ReplicationConfig(),
+        ),
+        "chaos",
+        [b"%08d" % (preload_rows * i // regions) for i in range(1, regions)],
+    )
+    ops = [
+        build_chaos_ops(
+            derive_rng(seed, f"{fault_config.label}/chaos-client-{i}"),
+            ops_per_client, preload_rows, scan_window, i,
+        )
+        for i in range(clients)
+    ]
+    chain: list[Participant] = [
+        lambda cluster, history: FaultInjector(cluster, fault_config, history)
+    ]
+    if replication is not None and replication.replica_count >= 2:
+        chain.append(lambda cluster, _: ReplicationShipper(cluster.replication))
+    return run_cell(
+        layout,
+        [(b"%08d" % i, b"seed-%06d" % i) for i in range(preload_rows)],
+        ops,
+        "failover",
+        [*chain, *participants],
+    )
 
 
 def chaos_sweep_cell(
@@ -30,9 +110,9 @@ def chaos_sweep_cell(
     into a fixed ``chaos_horizon_ms`` window, so the x-axis is a genuine
     crash *rate*: more cycles = denser faults over the same workload,
     not extra faults after it ended. Any invariant violation aborts the
-    sweep. ``cell`` is forwarded to :func:`run_chaos_cell`. Returns
+    sweep. ``cell`` is forwarded to :func:`chaos_cell`. Returns
     ``(run, mean client-observed stall ms)``."""
-    run = run_chaos_cell(
+    run = chaos_cell(
         fault_config=FaultConfig(
             cycles=cycles,
             first_crash_ms=25.0,
@@ -134,7 +214,7 @@ def faults_smoke(
     """CI smoke: one high-contention chaos cell; returns its
     ``ChaosRun.as_dict()`` counters (the gate asserts real crash/recover
     cycles were ridden out with zero violations)."""
-    return run_chaos_cell(
+    return chaos_cell(
         clients=clients,
         ops_per_client=ops_per_client,
         fault_config=FaultConfig(cycles=cycles),

@@ -6,6 +6,7 @@ from typing import Callable
 
 from repro.bench.harness import ExperimentResult, Grid, percentile_or_zero
 from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suites.faults import chaos_cell
 from repro.config import ClusterConfig, ReplicationConfig
 from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.orchestration import (
@@ -23,8 +24,8 @@ from repro.orchestration import (
     cluster_snapshot,
     verify_cluster,
 )
+from repro.hbase.chaos import FAMILY, QUALIFIER, FaultConfig
 from repro.sim import Simulation
-from repro.sim.faults import FAMILY, QUALIFIER, FaultConfig, run_chaos_cell
 
 
 def run_orchestration_cell(
@@ -42,7 +43,7 @@ def run_orchestration_cell(
     through a staged rolling scale-out (add servers -> raise replicas ->
     rebalance) while the fault injector crashes region servers.
 
-    This is :func:`repro.sim.faults.run_chaos_cell` on a 2-server
+    This is :func:`~repro.bench.suites.faults.chaos_cell` on a 2-server
     cluster with ``replica_count=2`` plus one more participant: the
     orchestrator joins the scheduler as a non-daemon, so rollout steps
     interleave with client ops and fault events at their virtual
@@ -53,21 +54,11 @@ def run_orchestration_cell(
     Returns ``(scheduler_report, rollout_report_or_None, history,
     violations, layout_issues)``.
     """
-    seen: dict = {}
-
-    def install(cluster, scheduler):
-        seen["cluster"] = cluster
-        if with_rollout:
-            plan = ClusterPlan(
-                servers=target_servers,
-                tables={"chaos": TablePlan(replicas=target_replicas)},
-            )
-            seen["orchestrator"] = Orchestrator(
-                cluster, plan=plan, start_delay_ms=rollout_start_ms
-            )
-            seen["orchestrator"].install(scheduler)
-
-    run = run_chaos_cell(
+    plan = ClusterPlan(
+        servers=target_servers,
+        tables={"chaos": TablePlan(replicas=target_replicas)},
+    )
+    run = chaos_cell(
         num_servers=2,
         clients=clients,
         ops_per_client=ops_per_client,
@@ -76,13 +67,17 @@ def run_orchestration_cell(
         fault_config=FaultConfig(cycles=cycles, label="orchestration"),
         seed=seed,
         replication=ReplicationConfig(replica_count=2),
-        install=install,
+        participants=(
+            lambda cluster, _: Orchestrator(
+                cluster, plan=plan, start_delay_ms=rollout_start_ms
+            ),
+        ) if with_rollout else (),
     )
     # a workload can end mid-outage (crashed process not yet
     # restarted): short replication groups are then expected transient
     # state, not corruption — only *fatal* layout issues gate the cell
-    _transient, fatal = verify_cluster(seen["cluster"])
-    rollout = seen["orchestrator"].report if with_rollout else None
+    _transient, fatal = verify_cluster(run.cluster)
+    rollout = run.participants[-1].report if with_rollout else None
     return run.report, rollout, run.history, run.violations, fatal
 
 

@@ -6,9 +6,9 @@ from typing import Callable
 
 from repro.bench.harness import ExperimentResult, Grid
 from repro.bench.suite import Flag, IntList, Smoke, Suite
-from repro.bench.suites.faults import chaos_sweep_cell
+from repro.bench.suites.faults import chaos_cell, chaos_sweep_cell
 from repro.config import ReplicationConfig
-from repro.sim.faults import FaultConfig, run_chaos_cell
+from repro.hbase.chaos import FaultConfig
 
 
 def run_replication(
@@ -124,7 +124,7 @@ def replication_smoke(
     ``ChaosRun.as_dict()`` counters, replication block included (the
     gate asserts promotions and follower reads actually happened, with
     zero violations on the durability *and* staleness axes)."""
-    return run_chaos_cell(
+    return chaos_cell(
         num_servers=4,
         clients=clients,
         ops_per_client=ops_per_client,

@@ -12,25 +12,28 @@ from repro.bench.harness import (
 )
 from repro.bench.suite import Flag, IntList, Smoke, Suite
 from repro.config import ClusterConfig
-from repro.hbase import Get, HBaseClient, HBaseCluster, HTable, Put, Scan
-from repro.hbase.cluster import RegionBalancer
-from repro.sim import DeterministicScheduler, Simulation, derive_rng
+from repro.hbase.chaos import Layout, run_cell
+from repro.sim import derive_rng
 
 
-def _scaleout_ops(rng, ops_per_client: int, key_space: int, value_bytes: int):
+def _scaleout_ops(
+    rng, ops_per_client: int, key_space: int, value_bytes: int, client: int
+):
     """One client's deterministic op mix: 70% point gets, 20% puts,
-    10% short range scans, keys drawn uniformly from the loaded space."""
-    payload = b"y" * value_bytes
+    10% short range scans (8 rows), keys drawn uniformly from the
+    loaded space; every put writes a distinct ``value_bytes`` value."""
     ops = []
-    for _ in range(ops_per_client):
+    for n in range(ops_per_client):
         r = float(rng.random())
-        key = b"%08d" % int(rng.integers(0, key_space))
+        k = int(rng.integers(0, key_space))
+        key = b"%08d" % k
         if r < 0.70:
-            ops.append(("get", key, None))
+            ops.append(("get", key))
         elif r < 0.90:
-            ops.append(("put", key, payload))
+            value = (b"c%03d-%05d" % (client, n)).ljust(value_bytes, b"y")
+            ops.append(("put", key, value))
         else:
-            ops.append(("scan", key, None))
+            ops.append(("scan", key, b"%08d" % min(k + 8, key_space)))
     return ops
 
 
@@ -43,56 +46,39 @@ def _scaleout_cell(
     value_bytes: int,
     seed: int,
 ):
-    """Build one cluster at ``num_servers``, grow the table through
-    auto-splits, balance it, then drive ``clients`` virtual clients.
-    Returns (report, region_count, distribution)."""
-    sim = Simulation(seed=seed)
-    config = ClusterConfig(
-        num_region_servers=num_servers,
-        region_split_threshold_bytes=split_threshold,
-        seed=seed,
+    """One cluster at ``num_servers``: the table grows through
+    auto-splits during the preload and is balanced, then ``clients``
+    virtual clients drive it on the one
+    :func:`~repro.hbase.chaos.run_cell`. Returns (report, region_count,
+    distribution); a violated invariant raises."""
+    layout = Layout(
+        ClusterConfig(
+            num_region_servers=num_servers,
+            region_split_threshold_bytes=split_threshold,
+            seed=seed,
+        ),
+        "scale",
     )
-    cluster = HBaseCluster(sim, config)
-    client = HBaseClient(cluster)
-    table = client.create_table("scale")
     payload = b"x" * value_bytes
-    puts = []
-    for i in range(preload_rows):
-        p = Put(b"%08d" % i)
-        p.add(b"cf", b"v", payload)
-        puts.append(p)
-    table.put_batch(puts)  # crosses the split threshold repeatedly
-    RegionBalancer(cluster).rebalance()
-    sim.reset_clock()
-
-    scheduler = DeterministicScheduler(sim)
-    for i in range(clients):
-        # the RNG label excludes both the server and the client count,
-        # so client i replays the same op mix in every cell of the grid
-        rng = derive_rng(seed, f"scaleout/client-{i}")
-        ops = _scaleout_ops(rng, ops_per_client, preload_rows, value_bytes)
-        handle = HTable(cluster, "scale")  # per-client location cache
-
-        def program(vc, handle=handle, ops=ops):
-            for kind, key, payload in ops:
-                yield "op"
-                started = vc.clock.now_ms
-                if kind == "get":
-                    handle.get(Get(key))
-                elif kind == "put":
-                    p = Put(key)
-                    p.add(b"cf", b"v", payload)
-                    handle.put(p)
-                else:
-                    for _ in handle.scan(Scan(start_row=key, limit=8)):
-                        pass
-                vc.stats.committed += 1
-                vc.stats.response_times.append(vc.clock.now_ms - started)
-
-        scheduler.add_client(f"client-{i}", program)
-    report = scheduler.run()
-    desc = cluster.descriptor("scale")
-    return report, len(desc.regions), cluster.region_distribution()
+    # the RNG label excludes both the server and the client count, so
+    # client i replays the same op mix in every cell of the grid
+    ops = [
+        _scaleout_ops(
+            derive_rng(seed, f"scaleout/client-{i}"),
+            ops_per_client, preload_rows, value_bytes, i,
+        )
+        for i in range(clients)
+    ]
+    run = run_cell(
+        layout, [(b"%08d" % i, payload) for i in range(preload_rows)], ops
+    )
+    if run.violations:
+        raise RuntimeError(
+            f"scaleout cell ({num_servers} servers, {clients} clients) "
+            f"violated invariants: {run.violations}"
+        )
+    desc = run.cluster.descriptor("scale")
+    return run.report, len(desc.regions), run.cluster.region_distribution()
 
 
 def run_scaleout(
@@ -113,8 +99,10 @@ def run_scaleout(
     drives N closed-loop virtual clients through the deterministic
     scheduler. Operations queue on the region server hosting the
     addressed region, so the throughput curve directly measures how
-    much parallelism the region layout exposes. Everything derives from
-    virtual time and seeded draws: reruns are byte-identical.
+    much parallelism the region layout exposes. Every cell ends in the
+    durability / read-oracle check, and a violation aborts the sweep.
+    Everything derives from virtual time and seeded draws: reruns are
+    byte-identical.
     """
     say = progress or (lambda _m: None)
     grid = Grid(

@@ -12,10 +12,7 @@ from repro.bench.harness import (
 )
 from repro.bench.suite import Flag, IntList, Smoke, Suite
 from repro.config import ClusterConfig, ServingConfig
-from repro.errors import ServerOverloadedError
-from repro.hbase import Get, HBaseClient, HBaseCluster, HTable, Put
-from repro.sim import DeterministicScheduler, Simulation
-from repro.sim.faults import FAMILY, QUALIFIER, ChaosHistory, check_invariants
+from repro.hbase.chaos import Layout, run_cell
 from repro.tpcw import ServingWorkload, ZipfianPopulation
 
 SERVING_MODES = ("baseline", "cache", "cache+shed")
@@ -57,104 +54,52 @@ def _serving_cell(
     cache_bytes: int = 64 * 1024,
     queue_ms: float = 8.0,
     p99_budget_ms: float = 6.0,
-    max_shed_retries: int = 3,
     seed: int = 20170904,
     zipf: ZipfianPopulation | None = None,
 ) -> dict[str, float | int]:
     """One serving-grid cell: ``clients`` closed-loop virtual clients
-    replaying their personal Zipfian streams against a pre-split table
-    under one serving ``mode``.
-
-    Sheds surface to the client program as ``ServerOverloadedError``;
-    the program backs off ``retry_after_ms * attempt`` (virtual time),
-    retries up to ``max_shed_retries`` times, then drops the op. Every
-    committed op is recorded into a :class:`ChaosHistory` and the cell
-    ends with a full durability / read-oracle invariant check, so the
-    cache and admission layers are correctness-gated, not just timed.
-    All metrics derive from virtual time and seeded draws: reruns are
+    replaying their personal Zipfian streams against a table pre-split
+    two regions per server, under one serving ``mode`` and the
+    ``serving`` client protocol (a shed op backs off ``retry_after_ms
+    * attempt`` and is dropped after its last retry), on the one
+    :func:`~repro.hbase.chaos.run_cell` — so the cache and admission
+    layers are correctness-gated, not just timed. Reruns are
     byte-identical.
     """
-    serving = _serving_config(mode, cache_bytes, queue_ms, p99_budget_ms)
-    sim = Simulation(seed=seed)
-    config = ClusterConfig(
-        num_region_servers=num_servers, seed=seed, serving=serving
-    )
-    cluster = HBaseCluster(sim, config)
-    client = HBaseClient(cluster)
     regions = num_servers * 2
-    split_keys = [
-        b"%08d" % (i * key_space // regions) for i in range(1, regions)
+    layout = Layout(
+        ClusterConfig(
+            num_region_servers=num_servers,
+            seed=seed,
+            serving=_serving_config(mode, cache_bytes, queue_ms, p99_budget_ms),
+        ),
+        "serve",
+        [b"%08d" % (i * key_space // regions) for i in range(1, regions)],
+    )
+    preload = [
+        (b"%08d" % i, (b"seed-%08d" % i).ljust(value_bytes, b"."))
+        for i in range(key_space)
     ]
-    table = client.create_table("serve", split_keys=split_keys)
-
-    history = ChaosHistory()
-    puts = []
-    for i in range(key_space):
-        row = b"%08d" % i
-        value = (b"seed-%08d" % i).ljust(value_bytes, b".")
-        p = Put(row)
-        p.add(FAMILY, QUALIFIER, value)
-        puts.append(p)
-        history.record_ack(row, value)
-    table.put_batch(puts)
-    sim.reset_clock()
-
     if zipf is None:
         zipf = ZipfianPopulation(population, zipf_s)
     workload = ServingWorkload(zipf, key_space, seed, read_fraction)
-    shed_retries = [0]
-    dropped = [0]
-    scheduler = DeterministicScheduler(sim)
-    for i in range(clients):
-        # stream label excludes clients/mode: client i replays the same
-        # mix in every cell, so modes differ only in serving machinery
-        ops = workload.ops_for_client(i, ops_per_client)
-        handle = HTable(cluster, "serve")
-
-        def program(vc, handle=handle, ops=ops, client_id=i):
-            for op_index, (kind, row) in enumerate(ops):
-                yield "op"
-                started = vc.clock.now_ms
-                attempts = 0
-                while True:
-                    try:
-                        if kind == "get":
-                            result = handle.get(Get(row))
-                            history.record_get(
-                                row,
-                                result.value(FAMILY, QUALIFIER)
-                                if result is not None else None,
-                            )
-                        else:
-                            value = (
-                                b"c%06d-%04d" % (client_id, op_index)
-                            ).ljust(value_bytes, b".")
-                            p = Put(row)
-                            p.add(FAMILY, QUALIFIER, value)
-                            handle.put(p)
-                            history.record_ack(row, value)
-                        vc.stats.committed += 1
-                        vc.stats.response_times.append(
-                            vc.clock.now_ms - started
-                        )
-                        break
-                    except ServerOverloadedError as shed:
-                        attempts += 1
-                        shed_retries[0] += 1
-                        if attempts > max_shed_retries:
-                            dropped[0] += 1
-                            vc.stats.failed += 1
-                            break
-                        vc.wait(
-                            shed.retry_after_ms * attempts, "hbase.shed_backoff"
-                        )
-                        yield "shed-backoff"
-
-        scheduler.add_client(f"serve-{i}", program)
-    report = scheduler.run()
-
-    violations = check_invariants(history, HTable(cluster, "serve"))
-    totals = cluster.serving_stats()["totals"]
+    # stream label excludes clients/mode: client i replays the same mix
+    # in every cell, so modes differ only in serving machinery
+    ops = [
+        [
+            ("get", row) if kind == "get" else (
+                "put", row,
+                (b"c%06d-%04d" % (i, n)).ljust(value_bytes, b"."),
+            )
+            for n, (kind, row) in enumerate(
+                workload.ops_for_client(i, ops_per_client)
+            )
+        ]
+        for i in range(clients)
+    ]
+    run = run_cell(layout, preload, ops, "serving")
+    totals = run.cluster.serving_stats()["totals"]
+    report = run.report
     rts = report.response_times
     return {
         "mode": mode,
@@ -168,11 +113,10 @@ def _serving_cell(
         "cache_evictions": totals["cache_evictions"],
         "shed": totals["shed"],
         "shed_rate": totals["shed_rate"],
-        "shed_retries": shed_retries[0],
-        "dropped": dropped[0],
+        "dropped": sum(c["failed"] for c in report.clients.values()),
         "queue_waits": report.serial_wait_count,
-        "violations": len(violations),
-        "violation_detail": list(violations),
+        "violations": len(run.violations),
+        "violation_detail": list(run.violations),
     }
 
 

@@ -21,7 +21,7 @@ logical scan seamlessly crosses split and failover boundaries. A
 region that is down with no successor yet (crashed, master recovery
 pending) propagates `RegionUnavailableError` to the caller — under a
 scheduled chaos run the client program backs off, yields and retries
-(see ``repro.sim.faults``) — and the per-operation relocation budget
+(see ``repro.hbase.chaos``) — and the per-operation relocation budget
 is bounded by ``MAX_LOCATION_RETRIES``, surfacing a typed
 `RegionRetriesExhaustedError` instead of an unbounded meta-retry loop.
 
@@ -116,7 +116,7 @@ class HTable:
         that is down with *no* successor yet propagates unchanged:
         recovery is the master's job, and waiting it out is the caller's
         (a chaos client program backs off, yields to the scheduler and
-        retries — see ``repro.sim.faults``)."""
+        retries — see ``repro.hbase.chaos``)."""
         if region.split_daughters is None:
             fresh = (
                 self.desc.region_for(row) if self.desc.regions else None

@@ -12,12 +12,8 @@ Multi-client runs go through the
 with their own clocks, cooperatively interleaved by smallest virtual
 timestamp (see ``docs/CONCURRENCY.md``).
 
-Fault injection lives in :mod:`repro.sim.faults` (imported directly,
-not re-exported here: it sits *above* the HBase layer it crashes): a
-daemon scheduler participant applies seeded crash/recover/restart
-plans while chaos clients ride failover with bounded backoff, and a
-history recorder checks durability and scan-consistency invariants
-(see ``docs/FAULTS.md``).
+Fault injection and the cluster cell sit above the HBase layer they
+drive, in :mod:`repro.hbase.chaos` (see ``docs/FAULTS.md``).
 """
 
 from repro.sim.clock import SimClock, Simulation, Stopwatch

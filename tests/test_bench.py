@@ -9,7 +9,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -284,16 +287,34 @@ class TestSmokeMode:
         assert "FAILED" in captured.out
 
     def test_rerun_mismatch_is_reported(self, monkeypatch, capsys):
-        counter = iter(range(10))
-
-        def drifting(opts, say):
-            result = ExperimentResult("Fake", "drifts between runs", "x")
-            result.note(f"run #{next(counter)}")
-            return [result]
-
-        monkeypatch.setattr(cli, "SUITES", SUITES + (self._fake(drifting),))
+        # a fake suite exists only in this process, so its drifted
+        # rerun is handed in instead of run in a child interpreter
+        monkeypatch.setattr(cli, "SUITES", SUITES + (self._fake(self._steady),))
+        monkeypatch.setattr(cli, "fresh_rerun", lambda argv: "{}\n")
         assert cli.main(["--smoke", "fake", "--quiet"]) == 1
         assert "not byte-identical" in capsys.readouterr().err
+
+    def test_rerun_is_a_child_interpreter_under_another_hash_seed(
+        self, monkeypatch
+    ):
+        """A sweep that leaned on set or str-hash order would agree
+        with itself in one process; the rerun runs in a child process
+        whose ``PYTHONHASHSEED`` differs from this one's."""
+        children = []
+        run = subprocess.run
+
+        def spy(cmd, **kwargs):
+            children.append((cmd, kwargs["env"]))
+            return run(cmd, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", spy)
+        _report, failures = cli.smoke_suite(
+            cli.build_parser(), paper.FIG11, lambda _m: None
+        )
+        assert failures == []
+        [(cmd, env)] = children
+        assert cmd[:5] == [sys.executable, "-m", "repro.bench", "--only", "fig11"]
+        assert env["PYTHONHASHSEED"] != os.environ.get("PYTHONHASHSEED")
 
     def test_config_is_scale_reps_and_the_selected_suites_flags(self, monkeypatch):
         fake = Suite("fake", self._steady,
@@ -477,16 +498,16 @@ class TestSettableSurface:
         are gone, and ``ClusterPlan.balance`` is on or off."""
         from repro.hbase.cluster import RegionBalancer
         from repro.orchestration import ClusterPlan, Orchestrator, Rebalance
+        from repro.bench.suites.faults import chaos_cell
+        from repro.hbase import chaos
         from repro.orchestration import orchestrator
-        from repro.sim import faults
 
         for fn in (
-            RegionBalancer, Rebalance, Orchestrator, faults.run_chaos_cell,
-            faults.chaos_put, faults.chaos_get, faults.chaos_scan,
-            faults.chaos_client_program,
+            RegionBalancer, Rebalance, Orchestrator, chaos_cell, chaos.run_cell,
+            chaos.chaos_put, chaos.chaos_get, chaos.chaos_scan, chaos._client,
         ):
             assert "policy" not in inspect.signature(fn).parameters, fn
-        assert not hasattr(faults, "FailoverPolicy")
+        assert not hasattr(chaos, "FailoverPolicy")
         assert not hasattr(orchestrator, "RolloutPolicy")
         assert ClusterPlan(servers=1).balance is True
 

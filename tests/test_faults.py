@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.suites.faults import chaos_cell
 from repro.config import ClusterConfig
 from repro.errors import RegionRetriesExhaustedError
 from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.hbase.client import HTable
 from repro.sim.clock import Simulation
-from repro.sim import faults
-from repro.sim.faults import (
+from repro.hbase import chaos
+from repro.hbase.chaos import (
     FAMILY,
     QUALIFIER,
     ChaosHistory,
@@ -21,7 +22,6 @@ from repro.sim.faults import (
     build_fault_plan,
     chaos_scan,
     check_invariants,
-    run_chaos_cell,
 )
 from repro.sim.rng import derive_rng
 from repro.sim.scheduler import DeterministicScheduler
@@ -63,9 +63,9 @@ class TestFaultPlan:
     def test_never_kills_the_last_live_server(self, monkeypatch):
         """Even with gaps far shorter than the down window, at least one
         server stays up at every crash instant."""
-        monkeypatch.setattr(faults, "FAILOVER_DELAY_MS", 50.0)
-        monkeypatch.setattr(faults, "RESTART_DELAY_MS", 50.0)
-        monkeypatch.setattr(faults, "INTERVAL_JITTER", 0.0)
+        monkeypatch.setattr(chaos, "FAILOVER_DELAY_MS", 50.0)
+        monkeypatch.setattr(chaos, "RESTART_DELAY_MS", 50.0)
+        monkeypatch.setattr(chaos, "INTERVAL_JITTER", 0.0)
         plan = build_fault_plan(
             ["a", "b"],
             FaultConfig(cycles=10, crash_interval_ms=1.0),
@@ -105,7 +105,7 @@ def build_chaos_fixture(num_servers=2, rows=60, split_at=(20, 40), seed=11):
 
 class TestChaosCell:
     def test_clients_ride_out_crash_recover_cycles(self):
-        run = run_chaos_cell(
+        run = chaos_cell(
             clients=8, ops_per_client=32, fault_config=FaultConfig(cycles=2)
         )
         assert run.violations == []
@@ -118,7 +118,7 @@ class TestChaosCell:
 
     def test_injector_is_invisible_without_cycles(self):
         """cycles=0 must behave exactly like a fault-free scheduled run."""
-        run = run_chaos_cell(clients=4, fault_config=FaultConfig(cycles=0))
+        run = chaos_cell(clients=4, fault_config=FaultConfig(cycles=0))
         assert run.history.crash_count == 0
         assert run.history.failover_retries == 0
         assert run.violations == []
@@ -127,14 +127,14 @@ class TestChaosCell:
         """A fault planned long after the workload ends is wound down,
         not waited for."""
         late = FaultConfig(cycles=1, first_crash_ms=10_000_000.0)
-        run = run_chaos_cell(clients=2, ops_per_client=4, fault_config=late)
+        run = chaos_cell(clients=2, ops_per_client=4, fault_config=late)
         assert run.history.crash_count == 0
         assert run.report.makespan_ms < 1_000_000.0
         assert run.report.clients["fault-injector"]["committed"] == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 20170904])
     def test_invariants_hold_across_seeds(self, seed):
-        run = run_chaos_cell(
+        run = chaos_cell(
             clients=6,
             ops_per_client=24,
             fault_config=FaultConfig(cycles=3, crash_interval_ms=40.0),
@@ -144,7 +144,7 @@ class TestChaosCell:
 
     def test_rerun_is_byte_identical(self):
         def one():
-            run = run_chaos_cell(
+            run = chaos_cell(
                 clients=6, ops_per_client=24,
                 fault_config=FaultConfig(cycles=2),
             )
@@ -163,11 +163,11 @@ class TestChaosCell:
     ):
         """A region that never comes back must surface the bounded,
         typed exhaustion error — not loop forever on meta retries."""
-        monkeypatch.setattr(faults, "FAILOVER_DELAY_MS", 10_000.0)
-        monkeypatch.setattr(faults, "MAX_FAILOVER_RETRIES", 3)
-        monkeypatch.setattr(faults, "RETRY_BACKOFF_MS", 2.0)
+        monkeypatch.setattr(chaos, "FAILOVER_DELAY_MS", 10_000.0)
+        monkeypatch.setitem(chaos.RETRIES, "failover", 3)
+        monkeypatch.setattr(chaos, "RETRY_BACKOFF_MS", 2.0)
         with pytest.raises(RegionRetriesExhaustedError):
-            run_chaos_cell(
+            chaos_cell(
                 clients=2,
                 ops_per_client=12,
                 fault_config=FaultConfig(cycles=1, first_crash_ms=2.0),
@@ -177,7 +177,7 @@ class TestChaosCell:
 class TestScanResume:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(faults, "SCAN_CHUNK_ROWS", 8)
+        monkeypatch.setattr(chaos, "SCAN_CHUNK_ROWS", 8)
 
     def run_scan_with_fault(self, victim_index, t_crash, t_recover):
         """Drive one chaos scan over the whole table while a surgical
@@ -235,9 +235,9 @@ class TestScanResume:
         comes back can exhaust it."""
         sim, cluster = build_chaos_fixture()
         history = ChaosHistory()
-        monkeypatch.setattr(faults, "SCAN_CHUNK_ROWS", 4)
-        monkeypatch.setattr(faults, "MAX_FAILOVER_RETRIES", 3)
-        monkeypatch.setattr(faults, "RETRY_BACKOFF_MS", 2.0)
+        monkeypatch.setattr(chaos, "SCAN_CHUNK_ROWS", 4)
+        monkeypatch.setitem(chaos.RETRIES, "failover", 3)
+        monkeypatch.setattr(chaos, "RETRY_BACKOFF_MS", 2.0)
         handle = HTable(cluster, "c")
         scheduler = DeterministicScheduler(sim)
 
@@ -261,7 +261,7 @@ class TestScanResume:
         rows = [r for r, _v in history.scans[0].rows]
         assert rows == [b"%08d" % i for i in range(60)]
         # more total retries than one outage's budget were ridden out
-        assert history.failover_retries > faults.MAX_FAILOVER_RETRIES
+        assert history.failover_retries > chaos.RETRIES["failover"]
 
     def test_clean_scan_without_faults(self):
         sim, cluster = build_chaos_fixture()
@@ -305,6 +305,19 @@ class TestOracleHasTeeth:
         history.record_ack(b"%08d" % 3, b"newer")
         violations = check_invariants(history, HTable(cluster, "c"))
         assert any("serial replay" in v for v in violations)
+
+    def test_stale_get_is_detected(self):
+        """A get that returns an older acked value — what a row cache
+        that missed an invalidation serves — is a read violation."""
+        cluster, history = self.fixture()
+        row = b"%08d" % 3
+        history.record_ack(row, b"newer")
+        history.record_get(row, b"seed-%06d" % 3)
+        violations = check_invariants(history, HTable(cluster, "c"))
+        assert any(
+            v.startswith("read:") and "newest write acked" in v
+            for v in violations
+        )
 
     def test_phantom_row_is_detected(self):
         cluster, history = self.fixture()

@@ -22,7 +22,7 @@ from repro.orchestration import (
     cluster_snapshot,
     verify_cluster,
 )
-from repro.sim.faults import FaultConfig, FaultInjector, ChaosHistory
+from repro.hbase.chaos import FaultConfig, FaultInjector, ChaosHistory
 from repro.sim.scheduler import DeterministicScheduler
 from tests.conftest import build_cluster
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.suites.faults import chaos_cell
 from repro.config import ClusterConfig, ReplicationConfig
 from repro.errors import RegionUnavailableError, ReplicationError
 from repro.hbase import HBaseClient, HBaseCluster, Put
@@ -14,8 +15,8 @@ from repro.hbase.ops import Get
 from repro.hbase.replication import ReplicationShipper
 from repro.hbase.wal import WalEntry, WriteAheadLog
 from repro.sim.clock import Simulation
-from repro.sim import faults
-from repro.sim.faults import (
+from repro.hbase import chaos
+from repro.hbase.chaos import (
     FAMILY,
     QUALIFIER,
     ChaosHistory,
@@ -23,7 +24,6 @@ from repro.sim.faults import (
     ScanObservation,
     chaos_scan,
     check_invariants,
-    run_chaos_cell,
 )
 from repro.sim.scheduler import DeterministicScheduler
 from tests.conftest import wal_pending
@@ -507,7 +507,7 @@ class TestCrashCycleEdges:
         history = ChaosHistory()
         for i in range(60):  # the preload is acked, so the oracle knows it
             history.record_ack(b"%08d" % i, b"seed-%06d" % i)
-        monkeypatch.setattr(faults, "SCAN_CHUNK_ROWS", 8)
+        monkeypatch.setattr(chaos, "SCAN_CHUNK_ROWS", 8)
         handle = HTable(cluster, "c")  # primary-routed scan
         row = b"%08d" % 30
         victim = cluster.server_for(cluster.tables["c"].region_for(row))
@@ -535,7 +535,7 @@ class TestCrashCycleEdges:
 
 class TestReplicatedChaosCell:
     def test_replicated_cell_is_clean_and_promotes(self):
-        run = run_chaos_cell(
+        run = chaos_cell(
             num_servers=4,
             clients=6,
             ops_per_client=24,
@@ -553,7 +553,7 @@ class TestReplicatedChaosCell:
         assert run.report.committed == 6 * 24
 
     def test_unreplicated_cell_reports_no_replication_block(self):
-        run = run_chaos_cell(
+        run = chaos_cell(
             clients=2, ops_per_client=8, fault_config=FaultConfig(cycles=0)
         )
         assert run.replication is None
@@ -561,7 +561,7 @@ class TestReplicatedChaosCell:
 
     def test_replicated_rerun_is_byte_identical(self):
         def one():
-            run = run_chaos_cell(
+            run = chaos_cell(
                 num_servers=4,
                 clients=4,
                 ops_per_client=16,
@@ -587,7 +587,7 @@ class TestReplicatedChaosCell:
         whole pending WAL)."""
 
         def mean_stall(replication):
-            run = run_chaos_cell(
+            run = chaos_cell(
                 num_servers=4,
                 clients=6,
                 ops_per_client=24,

@@ -4,11 +4,14 @@ reruns of the scale-out experiment."""
 
 import json
 
-from repro.bench.suites.scaleout import _scaleout_cell, run_scaleout
+import pytest
+
+from repro.bench.suites.scaleout import _scaleout_cell, _scaleout_ops, run_scaleout
 from repro.config import ClusterConfig
-from repro.hbase import Get, HBaseClient, HBaseCluster, Put, RegionBalancer
+from repro.hbase import Get, HBaseClient, HBaseCluster, Put, RegionBalancer, chaos
 from repro.hbase.client import HTable
 from repro.sim.clock import Simulation
+from repro.sim.rng import derive_rng
 from repro.sim.scheduler import DeterministicScheduler
 
 CF = b"cf"
@@ -106,3 +109,22 @@ class TestScaleoutExperiment:
         assert regions >= 4
         assert max(distribution.values()) - min(distribution.values()) <= 1
         assert report.committed == 4 * 8
+
+
+class TestScaleoutGate:
+    def test_puts_write_distinct_values_of_one_length(self):
+        ops = _scaleout_ops(derive_rng(7, "scaleout/client-3"), 200, 512, 16, 3)
+        values = [op[2] for op in ops if op[0] == "put"]
+        assert len(values) > 10
+        assert len(set(values)) == len(values)
+        assert {len(v) for v in values} == {16}
+
+    def test_a_violated_invariant_aborts_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(
+            chaos, "check_invariants", lambda *_a, **_k: ["planted violation"]
+        )
+        with pytest.raises(RuntimeError, match="planted violation"):
+            run_scaleout(
+                server_counts=(2,), client_counts=(2,), ops_per_client=4,
+                preload_rows=64, split_threshold=2048,
+            )

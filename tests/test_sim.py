@@ -247,3 +247,55 @@ class TestRng:
     def test_derive_seed_in_range(self, seed, label):
         s = derive_seed(seed, label)
         assert 0 <= s < 2**64
+
+
+SIM = SRC / "sim"
+
+
+def _repro_imports(path: Path) -> list[str]:
+    """The ``repro`` modules a file imports, relative imports resolved
+    against ``repro.sim``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(
+                "repro.sim" + ("." + node.module if node.module else "")
+                if node.level else node.module
+            )
+    return [m for m in found if m.split(".")[0] == "repro"]
+
+
+class TestLayering:
+    """``repro.sim`` is the clock and the scheduler. Nothing in it
+    imports ``repro.hbase``, ``repro.bench`` or any layer above them:
+    it may lean on the config and the error types only. The one
+    exception is ``sim/faults.py``, a four-name re-export that
+    perfbench imports, and it imports the cluster cell's module only."""
+
+    BELOW = ("repro.sim", "repro.config", "repro.errors")
+
+    def test_sim_imports_nothing_above_it(self):
+        above = [
+            f"{path.name}: {module}"
+            for path in sorted(SIM.glob("*.py"))
+            if path.name != "faults.py"
+            for module in _repro_imports(path)
+            if ".".join(module.split(".")[:2]) not in self.BELOW
+        ]
+        assert not above, "\n".join(above)
+
+    def test_faults_is_only_the_perfbench_re_export(self):
+        path = SIM / "faults.py"
+        assert _repro_imports(path) == ["repro.hbase.chaos"]
+        tree = ast.parse(path.read_text())
+        assert not [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        from repro.sim import faults
+
+        assert sorted(faults.__all__) == sorted(
+            ["FAMILY", "QUALIFIER", "ChaosHistory", "check_invariants"]
+        )

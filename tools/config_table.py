@@ -26,7 +26,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro import config  # noqa: E402
-from repro.sim.faults import FaultConfig  # noqa: E402
+from repro.hbase.chaos import FaultConfig  # noqa: E402
 
 DOC = ROOT / "docs" / "ARCHITECTURE.md"
 BEGIN = "<!-- config-table:begin (tools/config_table.py --write; do not edit) -->"
@@ -46,7 +46,7 @@ pins them: removing one removes function (sync acks, follower reads,
 multi-version tables), which is not what a knob diet is for."""
 
 INDIRECT = {
-    "src/repro/sim/faults.py": "the `run_chaos_cell` suites",
+    "src/repro/bench/suites/faults.py": "the `chaos_cell` suites",
     "src/repro/bench/tpcw_lab.py": "every `TpcwLab` suite",
     "src/repro/bench/suites/paper.py": "the paper figures",
 }

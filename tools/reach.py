@@ -113,7 +113,7 @@ repro.federation.session:FederatedSession.abort
 repro.federation.estimate:fallback_estimate
     safety: prices a backend that is neither HBase-backed nor VoltDB
 repro.hbase.cache:RowCache.clear
-    safety: a crashed server loses its cache; no chaos cell runs a row cache
+    safety: a crashed server loses its cache; no workload crashes a server that runs one
 repro.hbase.cache:RowCache.invalidate_region
     safety: a region leaving a server drops its cached rows; see clear
 repro.sim.scheduler:ConcurrencyContext._owner_clock
