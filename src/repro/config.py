@@ -29,7 +29,7 @@ figures emerge from operation counts; the measured figures are pinned in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import ClusterConfigError
 
@@ -123,6 +123,32 @@ class CostModel:
 
 
 DEFAULT_COST_MODEL = CostModel()
+
+CACHE_HIT_MS = 0.01
+"""Server-side cost of serving a point read out of the row cache —
+replaces the ``seek_ms + read_row_ms`` store lookup on a hit."""
+
+HASH_CPU_MS_PER_ROW = 0.0005
+"""Client-side per-row hash/sort work."""
+
+SHIP_ENTRY_MS = 0.02
+"""Virtual cost of applying one shipped WAL entry on a follower (waited
+out on the shipper daemon's timeline in async mode, charged on the
+writing client's timeline in ``ack_mode="all"``)."""
+
+
+def price_list(cost: CostModel) -> dict[str, float]:
+    """Every price a charge may name, in ms per unit of the quantity it
+    states: the fields of ``cost`` and the three constants above.
+    ``network_ms_per_kb`` is priced per byte (the field ÷ 1024, exact),
+    so a transfer states the bytes it moves."""
+    return {
+        **asdict(cost),
+        "network_ms_per_kb": cost.network_ms_per_kb / 1024.0,
+        "CACHE_HIT_MS": CACHE_HIT_MS,
+        "HASH_CPU_MS_PER_ROW": HASH_CPU_MS_PER_ROW,
+        "SHIP_ENTRY_MS": SHIP_ENTRY_MS,
+    }
 
 
 @dataclass(frozen=True)

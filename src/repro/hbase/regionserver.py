@@ -12,10 +12,6 @@ from repro.hbase.wal import WalEntry, WriteAheadLog
 from repro.sim.clock import Simulation
 from repro.sim.latency import LatencyCharger
 
-CACHE_HIT_MS = 0.01
-"""Server-side cost of serving a point read out of the row cache —
-replaces the ``seek_ms + read_row_ms`` store lookup on a hit."""
-
 
 class RegionServer:
     """One simulated HBase RegionServer process.
@@ -99,7 +95,7 @@ class RegionServer:
         self.charge.seek()
         result = region.read_row(row, columns, max_versions, time_range)
         if result is not None:
-            self.charge.rows_read(1)
+            self.charge.row_read()
         return result
 
     def serve_get(
@@ -121,7 +117,7 @@ class RegionServer:
         variant = RowCache.variant(columns)
         cached = cache.lookup(region.name, row, variant)
         if not missed(cached):
-            self.sim.charge(CACHE_HIT_MS, self._cache_hit_what)
+            self.sim.charge(self._cache_hit_what, "CACHE_HIT_MS", 1)
             return cached
         result = self.read_point(region, row, columns)
         cache.insert(region.name, row, variant, result)
@@ -194,7 +190,7 @@ class RegionServer:
                 wal_buffer_append = wal.buffer_for(region_name).append
         # nothing in the loop reads the clock or draws, so the per-row
         # write charges are made together, in row order
-        self.charge.rows_written_each(len(puts))
+        self.charge.rows_written(len(puts))
         region._approx_size_bytes += size_delta
         # split check once per batch, at a safe point: splitting inside
         # the loop would offline the region the remaining puts target

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.config import SHIP_ENTRY_MS
 from repro.errors import ReplicationError
 from repro.hbase.region import Region
 from repro.hbase.wal import WalEntry
@@ -47,11 +48,6 @@ SHIP_INTERVAL_MS = 4.0
 
 SHIP_BATCH_ENTRIES = 8
 """WAL entries the shipper pushes to one follower per drain round."""
-
-SHIP_ENTRY_MS = 0.02
-"""Virtual cost of applying one shipped WAL entry on a follower (waited
-out on the shipper daemon's timeline in async mode, charged on the
-writing client's timeline in ``ack_mode="all"``)."""
 
 
 def _apply_entry(region: Region, entry: WalEntry) -> None:
@@ -324,8 +320,9 @@ class ReplicationManager:
             follower.applied = len(log)
             self.entries_shipped += pending
             sim.charge(
-                sim.cost.rpc_base_ms + SHIP_ENTRY_MS * pending,
                 "replication.sync_ship",
+                ("rpc_base_ms", "SHIP_ENTRY_MS"),
+                (1, pending),
             )
 
     # -- follower reads ----------------------------------------------------------

@@ -54,9 +54,9 @@ class TephraServer:
         """Start a transaction. Writes pay the server round trip; reads
         use the client-cached snapshot (small refresh cost)."""
         if read_only:
-            self.sim.charge(self.sim.cost.mvcc_read_snapshot_ms, "mvcc.snapshot")
+            self.sim.charge("mvcc.snapshot", "mvcc_read_snapshot_ms", 1)
         else:
-            self.sim.charge(self.sim.cost.mvcc_begin_ms, "mvcc.begin")
+            self.sim.charge("mvcc.begin", "mvcc_begin_ms", 1)
         tx_id = next(self._ids)
         tx = MvccTransaction(
             tx_id=tx_id,
@@ -81,7 +81,7 @@ class TephraServer:
         if tx.state != "open":
             raise TransactionAbortedError(f"tx {tx.tx_id} is {tx.state}")
         if tx.change_set:
-            self.sim.charge(self.sim.cost.mvcc_commit_ms, "mvcc.commit")
+            self.sim.charge("mvcc.commit", "mvcc_commit_ms", 1)
             if not self.can_commit(tx):
                 self.conflict_count += 1
                 ctx = self.sim.concurrency

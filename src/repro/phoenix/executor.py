@@ -110,7 +110,7 @@ class PhoenixConnection:
         self, select: Select | str, params: tuple[Any, ...] = ()
     ) -> list[dict[str, Any]]:
         planned = self.plan(select)
-        self.sim.charge(self.sim.cost.phoenix_statement_ms, "phoenix.statement")
+        self.sim.charge("phoenix.statement", "phoenix_statement_ms", 1)
         ctx = ExecutionContext(self, tuple(params))
         attempts = 0
         while True:

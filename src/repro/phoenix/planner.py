@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
-from repro.config import DEFAULT_COST_MODEL
+from repro.config import DEFAULT_COST_MODEL, HASH_CPU_MS_PER_ROW
 from repro.phoenix.stats import (
     DEFAULT_ROW_BYTES,
     FILTER_SELECTIVITY,
-    HASH_CPU_MS_PER_ROW,
     AccessCoster,
     StatisticsProvider,
 )

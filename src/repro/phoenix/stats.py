@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import CostModel
+from repro.config import HASH_CPU_MS_PER_ROW, CostModel
 from repro.phoenix.plans import BROADCAST, GROUP_BY, SHUFFLE, SORT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,9 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_ROW_BYTES = 150
 """Width assumed when a table has no measured size, and of every row a
 hash join ships."""
-
-HASH_CPU_MS_PER_ROW = 0.0005
-"""Client-side per-row hash/sort work."""
 
 FILTER_SELECTIVITY = 0.25
 """Assumed fraction of rows surviving one residual predicate."""
@@ -86,11 +83,12 @@ class StatisticsProvider:
 def charge_operator_work(
     charge: "LatencyCharger", servers: int, kind: str, rows: int
 ) -> None:
-    """Phoenix's price list for the work operators report (see
-    :class:`~repro.phoenix.plans.OperatorHost`), charged on ``charge``'s
-    clock: a hash-join build side is shipped to each of ``servers``
-    region servers, a symmetric-join row pays one shuffle hop, sort and
-    group-by pay client CPU per input row; emitting join rows is free."""
+    """Which price, in what quantity, each kind of operator work pays
+    (see :class:`~repro.phoenix.plans.OperatorHost`), charged on
+    ``charge``'s clock: a hash-join build side is shipped to each of
+    ``servers`` region servers, a symmetric-join row pays one shuffle
+    hop, sort and group-by pay client CPU per input row; emitting join
+    rows is free."""
     sim = charge.sim
     if kind == BROADCAST:
         charge.transfer(rows * DEFAULT_ROW_BYTES * servers)
@@ -99,9 +97,9 @@ def charge_operator_work(
         charge.transfer(rows * DEFAULT_ROW_BYTES)
         sim.metrics.counter("phoenix.hashjoin_shuffle_rows").inc(rows)
     elif kind == SORT:
-        sim.charge(HASH_CPU_MS_PER_ROW * rows, "phoenix.sort")
+        sim.charge("phoenix.sort", "HASH_CPU_MS_PER_ROW", rows)
     elif kind == GROUP_BY:
-        sim.charge(HASH_CPU_MS_PER_ROW * rows, "phoenix.groupby")
+        sim.charge("phoenix.groupby", "HASH_CPU_MS_PER_ROW", rows)
 
 
 def matched_rows(rows: int, prefix_len: int, key_len: int) -> float:

@@ -2,10 +2,11 @@
 
 Everything latency-related in the simulated cluster flows through a
 :class:`~repro.sim.clock.SimClock` owned by a
-:class:`~repro.sim.clock.Simulation`. Engines *charge* virtual
-milliseconds for the work they do (RPCs, rows scanned, bytes moved);
-experiments measure elapsed virtual time, which plays the role of the
-paper's measured response time.
+:class:`~repro.sim.clock.Simulation`. Engines *charge* the work they
+do as a named price times an integer quantity (RPCs, rows scanned,
+bytes moved), priced from :func:`repro.config.price_list`; experiments
+measure elapsed virtual time, which plays the role of the paper's
+measured response time.
 
 Multi-client runs go through the
 :class:`~repro.sim.scheduler.DeterministicScheduler`: N virtual clients

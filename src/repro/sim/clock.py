@@ -3,20 +3,22 @@
 The simulator is single-threaded: a single :class:`SimClock` advances as
 engines charge costs. Two verbs move it, and nothing else under
 ``src/repro`` may (``tests/test_sim.py`` greps): *work* is
-:meth:`Simulation.charge` (jittered, one RNG draw), everything else —
-queueing, backoff, sleeping, adopting a backend's elapsed time — is
-:meth:`Simulation.wait` (exact, never draws). Response times are
+:meth:`Simulation.charge` (a named price × an integer quantity from
+:func:`~repro.config.price_list`, jittered, one RNG draw), everything
+else — queueing, backoff, sleeping, adopting a backend's elapsed time —
+is :meth:`Simulation.wait` (exact, never draws). Response times are
 measured with :class:`Stopwatch`, which records the clock delta around
 an operation — the virtual analogue of the paper's client-side ``tau``.
 Both name what they move it for: an attached :attr:`Simulation.trace`
-reads where a statement's virtual ms went, one ``(what, ms)`` per move.
+reads where a statement's virtual ms went, one
+``(what, price, quantity, ms)`` leaf per move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import CostModel, DEFAULT_COST_MODEL
+from repro.config import CostModel, DEFAULT_COST_MODEL, price_list
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import derive_rng
 
@@ -61,18 +63,20 @@ class Stopwatch:
 class Simulation:
     """Shared context for one simulated cluster.
 
-    Holds the clock, the cost model, a metrics registry and a
-    deterministic RNG stream. All engine components receive the same
-    ``Simulation`` so their charges accumulate on one timeline.
+    Holds the clock, the cost model and its price list, a metrics
+    registry and a deterministic RNG stream. All engine components
+    receive the same ``Simulation`` so their charges accumulate on one
+    timeline.
 
     ``jitter_fraction`` > 0 makes every charge multiplicatively noisy
     (seeded, reproducible), which is how repeated experiment runs get a
     realistic non-zero standard error.
 
     ``trace`` is None until a caller attaches a list; from then on every
-    ``charge`` and ``wait`` appends ``(what, ms)`` with the ms it added
-    to the clock, in clock order (under a scheduler, every client's
-    leaves interleaved).
+    ``charge`` and ``wait`` that moves the clock appends
+    ``(what, price, quantity, ms)`` with the ms it added, in clock order
+    (under a scheduler, every client's leaves interleaved). A wait has
+    no price: its leaf is ``(what, None, None, ms)``.
 
     ``concurrency`` is None in ordinary single-client operation. While a
     :class:`~repro.sim.scheduler.DeterministicScheduler` drives virtual
@@ -89,27 +93,40 @@ class Simulation:
         jitter_fraction: float = 0.0,
     ) -> None:
         self.cost = cost
+        self.prices = price_list(cost)
         self.clock = SimClock()
         self.metrics = MetricsRegistry()
         self.seed = seed
         self.jitter_fraction = float(jitter_fraction)
         self.concurrency = None  # ConcurrencyContext during scheduled runs
-        self.trace: list[tuple[str, float]] | None = None
+        self.trace: list[tuple] | None = None
         self._rng = derive_rng(seed, "simulation-jitter")
 
     # -- charging ---------------------------------------------------------------
-    def charge(self, delta_ms: float, what: str) -> None:
-        """Advance virtual time by ``delta_ms`` (plus optional jitter) of
-        work named ``what``."""
-        if delta_ms < 0:
-            raise ValueError(f"negative charge: {delta_ms}")
-        if self.jitter_fraction > 0.0 and delta_ms > 0.0:
+    def charge(self, what: str, price: str | tuple, quantity: int | tuple) -> None:
+        """Advance virtual time by ``quantity`` units of the price named
+        ``price`` (plus optional jitter) of work named ``what``. A
+        compound charge names a tuple of prices and one of quantities,
+        summed in order under one draw. A charge that adds 0 ms moves
+        nothing: no draw, no leaf."""
+        prices = self.prices
+        if price.__class__ is str:
+            delta_ms = prices[price] * quantity
+        else:
+            delta_ms = 0.0
+            for name, n in zip(price, quantity):
+                delta_ms += prices[name] * n
+        if delta_ms <= 0.0:
+            if delta_ms < 0.0:
+                raise ValueError(f"negative charge: {what} {price} x {quantity}")
+            return
+        if self.jitter_fraction > 0.0:
             factor = 1.0 + self.jitter_fraction * float(self._rng.standard_normal())
             delta_ms *= max(factor, 0.1)
         # inlined clock.advance: charge() runs once per row on hot paths
         self.clock._now_ms += delta_ms
         if self.trace is not None:
-            self.trace.append((what, delta_ms))
+            self.trace.append((what, price, quantity, delta_ms))
 
     def wait(self, delta_ms: float, what: str) -> None:
         """Advance virtual time by exactly ``delta_ms`` of *not working*:
@@ -121,7 +138,7 @@ class Simulation:
             return
         self.clock.advance(delta_ms)
         if self.trace is not None:
-            self.trace.append((what, delta_ms))
+            self.trace.append((what, None, None, delta_ms))
 
     def stopwatch(self) -> Stopwatch:
         return Stopwatch(self.clock).start()

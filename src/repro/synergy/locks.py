@@ -123,7 +123,7 @@ class LockBatch:
         sim = self.client.cluster.sim
         table = self.client.table(self.table_name)
         sw = sim.stopwatch()
-        sim.charge(sim.cost.lock_client_setup_ms, "lock.client_setup")
+        sim.charge("lock.client_setup", "lock_client_setup_ms", 1)
         for i in range(num_locks):
             row = f"lk{i:09d}".encode()
             put = Put(row)

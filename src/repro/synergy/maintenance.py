@@ -253,9 +253,7 @@ class ViewMaintainer:
             puts.append(put)
         if puts:
             self.client.table(entry.name).put_batch(puts)
-            self.client.cluster.sim.charge(
-                self.client.cluster.sim.cost.mark_row_ms * len(puts), "view.mark"
-            )
+            self.client.cluster.sim.charge("view.mark", "mark_row_ms", len(puts))
 
     def write_view_rows(
         self,

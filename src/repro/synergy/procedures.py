@@ -68,11 +68,8 @@ class WriteProcedures:
     def _charge_view_statements(self, views: list) -> None:
         """Each maintained view executes as its own Phoenix upsert plan
         inside the transaction procedure (client-side driver overhead)."""
-        if not views:
-            return
-        sim = self.writer.client.cluster.sim
-        sim.charge(
-            sim.cost.phoenix_statement_ms * len(views), "txlayer.view_statements"
+        self.writer.client.cluster.sim.charge(
+            "txlayer.view_statements", "phoenix_statement_ms", len(views)
         )
 
     # -- lock-key derivation -----------------------------------------------------------

@@ -71,7 +71,7 @@ class TransactionManagerSlave:
             raise UnsupportedStatementError("reads do not go through the tx layer")
         entry = TxLogEntry(tx_id=next(self._ids), stmt=stmt, params=tuple(params))
         self.wal.append(entry)
-        self.sim.charge(self.sim.cost.wal_append_ms, "txlayer.wal")
+        self.sim.charge("txlayer.wal", "wal_append_ms", 1)
         try:
             result = self.finish(entry, on_step)
         except BaseException:
@@ -127,9 +127,9 @@ class SynergyTransactionLayer:
         params: tuple[Any, ...] = (),
         on_step: StepHook | None = None,
     ) -> bool:
-        self.sim.charge(self.sim.cost.txlayer_dispatch_ms, "txlayer.dispatch")
+        self.sim.charge("txlayer.dispatch", "txlayer_dispatch_ms", 1)
         # the transaction procedures execute through the Phoenix API
-        self.sim.charge(self.sim.cost.phoenix_statement_ms, "txlayer.phoenix")
+        self.sim.charge("txlayer.phoenix", "phoenix_statement_ms", 1)
         live = [s for s in self.slaves if s.alive]
         if not live:
             raise TransactionError("no live transaction-layer slaves")

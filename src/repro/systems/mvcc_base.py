@@ -73,8 +73,7 @@ class MvccSession(SystemSession):
         if self.tx is None and not self._snapshot_charged:
             # read-only so far: pay only the client-cached snapshot
             # refresh, matching the single-client read path
-            sim = self.system.sim
-            sim.charge(sim.cost.mvcc_read_snapshot_ms, "mvcc.snapshot")
+            self.system.sim.charge("mvcc.snapshot", "mvcc_read_snapshot_ms", 1)
             self._snapshot_charged = True
         # read committed: straight from the store, no server round
         # trip (see the class docstring for the isolation model)
@@ -83,8 +82,7 @@ class MvccSession(SystemSession):
     def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
         if not self._open:
             return self.system.write(stmt, params)
-        sim = self.system.sim
-        sim.charge(sim.cost.phoenix_statement_ms, "phoenix.statement")
+        self.system.sim.charge("phoenix.statement", "phoenix_statement_ms", 1)
         if self.tx is None:
             # the write transaction opens lazily at the first write, so
             # read-only transactions never pay the begin round trip
@@ -140,9 +138,7 @@ class MvccSystemBase(HBaseBackedSystem):
         )
 
     def write(self, stmt: Statement, params: tuple[Any, ...]) -> Any:
-        self._sim.charge(
-            self._sim.cost.phoenix_statement_ms, "phoenix.statement"
-        )
+        self._sim.charge("phoenix.statement", "phoenix_statement_ms", 1)
         return self._auto_commit.run_write(
             lambda tx: self._apply_write(self._record_write(stmt, params, tx))
         )

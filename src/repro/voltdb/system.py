@@ -285,7 +285,7 @@ class VoltDBSystem(EvaluatedSystem):
 
     # -- write path -------------------------------------------------------------------
     def _write_procedure(self, stmt: Statement, params: tuple[Any, ...]) -> int:
-        self._sim.charge(self._sim.cost.voltdb_proc_base_ms, "voltdb.proc")
+        self._sim.charge("voltdb.proc", "voltdb_proc_base_ms", 1)
         if not isinstance(stmt, (Insert, Update, Delete)):
             raise PlanError(f"unsupported statement: {stmt}")
         table = self.tables[stmt.table]
@@ -299,11 +299,8 @@ class VoltDBSystem(EvaluatedSystem):
                 ok = table.update(key, plan.changes)
             else:
                 ok = table.delete(key)
-        self._charge_rows(1)
+        self._sim.charge("voltdb.rows", "voltdb_row_ms", 1)
         return int(ok)
-
-    def _charge_rows(self, n: int) -> None:
-        self._sim.charge(self._sim.cost.voltdb_row_ms * n, "voltdb.rows")
 
     # -- read path ---------------------------------------------------------------------
     def _select_procedure(
@@ -313,13 +310,13 @@ class VoltDBSystem(EvaluatedSystem):
         scheme: PartitionScheme,
     ) -> list[dict[str, Any]]:
         sim = self._sim
-        sim.charge(sim.cost.voltdb_proc_base_ms, "voltdb.proc")
+        sim.charge("voltdb.proc", "voltdb_proc_base_ms", 1)
         if next(self._routing_filters(analyzed, scheme), None) is None:
-            sim.charge(sim.cost.voltdb_multipart_ms, "voltdb.multipart")
+            sim.charge("voltdb.multipart", "voltdb_multipart_ms", 1)
         host = _ProcedureHost()
         planned = self._plan_procedure(analyzed, params, scheme, host)
         rows = list(stream_rows(planned, ExecutionContext(host, params)))
-        self._charge_rows(host.examined)
+        sim.charge("voltdb.rows", "voltdb_row_ms", host.examined)
         return rows
 
     def _plan_procedure(

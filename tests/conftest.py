@@ -17,6 +17,8 @@ from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.sql.parser import parse_statement
 from repro.sim.scheduler import DeterministicScheduler, run_transaction
+from repro.tpcw.queries import JOIN_QUERIES
+from repro.tpcw.writes import WRITE_STATEMENTS
 from repro.synergy.locks import LOCK_HELD, LOCK_QUALIFIER, lock_table_name
 from repro.systems import (
     BaselineSystem,
@@ -131,6 +133,22 @@ def build_tpcw_systems(lab, names) -> dict:
         systems[name] = lab.build_system(name)
         lab.populate(systems[name])
     return systems
+
+
+def tpcw_battery(lab, system, reps: int = 1) -> list[tuple[str, tuple]]:
+    """Q1-Q11 plus the writes, ``reps`` times, as the lab measures them
+    (statements a system does not support are left out)."""
+    statements = []
+    for rep in range(reps):
+        for qid in JOIN_QUERIES:
+            if system.supports(qid):
+                params = lab.generator.params_for_query(qid, rep)
+                statements.append((system.statement(qid), params))
+        for wid in WRITE_STATEMENTS:
+            if system.supports(wid):
+                params = lab.generator.params_for_write(wid, rep)
+                statements.append((system.statement(wid), params))
+    return statements
 
 
 def run_four_client_schedule(system, per_client):

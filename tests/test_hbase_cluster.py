@@ -461,7 +461,7 @@ class TestCostCharging:
 
         reference, _, _ = twin()
         for _ in range(n):
-            reference.charge(reference.cost.write_row_ms, "rows_written")
+            reference.charge("rows_written", "write_row_ms", 1)
         assert sim.clock.now_ms == reference.clock.now_ms
         assert sim._rng.bit_generator.state == reference._rng.bit_generator.state
 

@@ -1,7 +1,7 @@
 """The attachable statement trace (``Simulation.trace``).
 
 With a list attached, every move of the virtual clock appends one
-``(label, ms)`` leaf. So a statement's leaves, replayed onto its start
+``(label, price, quantity, ms)`` leaf. So a statement's leaves, replayed onto its start
 time, give its ``Stopwatch`` latency bit for bit. Attaching the list
 changes nothing a run measures: rows and virtual ms equal those of an
 untraced twin, jittered or not, because a traced charge makes the same
@@ -13,29 +13,11 @@ import random
 import pytest
 
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
-from repro.tpcw.queries import JOIN_QUERIES
-from repro.tpcw.writes import WRITE_STATEMENTS
-from tests.conftest import build_company_system
+from tests.conftest import build_company_system, tpcw_battery
 from tests.reference.generators import generate_query
 
 REPS = 2
 GENERATED = 60
-
-
-def tpcw_battery(lab: TpcwLab, system) -> list[tuple[str, tuple]]:
-    """Q1-Q11 plus the writes, ``REPS`` times, as the lab measures them
-    (statements a system does not support are left out)."""
-    statements = []
-    for rep in range(REPS):
-        for qid in JOIN_QUERIES:
-            if system.supports(qid):
-                params = lab.generator.params_for_query(qid, rep)
-                statements.append((system.statement(qid), params))
-        for wid in WRITE_STATEMENTS:
-            if system.supports(wid):
-                params = lab.generator.params_for_write(wid, rep)
-                statements.append((system.statement(wid), params))
-    return statements
 
 
 def run(system, statements, traced: bool) -> list[tuple]:
@@ -52,9 +34,9 @@ def run(system, statements, traced: bool) -> list[tuple]:
     return out
 
 
-def replay(start_ms: float, leaves: list[tuple[str, float]]) -> float:
+def replay(start_ms: float, leaves: list[tuple]) -> float:
     now_ms = start_ms
-    for _label, ms in leaves:
+    for *_, ms in leaves:
         now_ms += ms
     return now_ms - start_ms
 
@@ -65,7 +47,7 @@ def check_leaves(traced: list[tuple], untraced: list[tuple]) -> None:
         zip(traced, untraced)
     ):
         assert leaves, i
-        assert all(isinstance(label, str) for label, _ in leaves), i
+        assert all(isinstance(label, str) for label, *_ in leaves), i
         assert replay(start_ms, leaves) == ms, i
         assert rows == twin_rows, i
         assert repr(ms) == repr(twin_ms), i
@@ -79,7 +61,7 @@ def test_tpcw_battery_leaves_replay_to_each_latency(name, jitter):
     for traced in (True, True, False):
         system = lab.build_system(name)
         lab.populate(system)
-        runs.append(run(system, tpcw_battery(lab, system), traced))
+        runs.append(run(system, tpcw_battery(lab, system, REPS), traced))
     first, second, untraced = runs
     check_leaves(first, untraced)
     # two fresh builds trace the same leaves
