@@ -124,10 +124,7 @@ class Region:
         if not sources:
             return None
         wanted = frozenset(columns) if columns else None
-        return row_result(
-            row, sources, row not in self.memstore,
-            max_versions, time_range, wanted,
-        )
+        return row_result(row, sources, max_versions, time_range, wanted)
 
     def scan(
         self,
@@ -270,31 +267,32 @@ class Region:
         """``(row, entry)`` of every row a major compaction keeps, in key
         order. A region with one non-empty component (always the state
         right after a bulk load) adopts each entry that needs no merge —
-        no tombstone, and every column holding 1 to ``max_versions``
-        versions, a dirty one sorted first — the way a flush hands off a
-        frozen memstore; any other row is rebuilt from its
+        no tombstone, and no column holding more than ``max_versions``
+        versions, a dirty history sorted first — the way a flush hands
+        off a frozen memstore; any other row is rebuilt from its
         ``row_result``. Several components keep the scanner merge."""
         max_versions = self.max_versions
         components = [c for c in (self.memstore, *self.hfiles) if len(c)]
         if len(components) != 1:
             for row, result in self.scan(max_versions=max_versions):
                 if result is not None:
-                    yield row, RowEntry.from_sorted_cells(result._cells)
+                    yield row, RowEntry.from_sorted_cells(result.cells)
             return
-        component = components[0]
-        immutable = component is not self.memstore
-        for row, entry in component.items_in_range(self.start_key, self.end_key):
-            if entry.row_tombstone_ts is None and not entry.col_tombstones:
-                cells = entry.cells
-                if cells and all(
-                    0 < len(versions) <= max_versions
-                    for versions in cells.values()
-                ):
-                    yield row, entry
-                    continue
-            result = row_result(row, [entry], immutable, max_versions)
+        for row, entry in components[0].items_in_range(self.start_key, self.end_key):
+            if (
+                entry.row_tombstone_ts is None
+                and not entry.col_tombstones
+                and entry.head
+                and all(
+                    len(versions) <= max_versions
+                    for versions in entry.sorted_history().values()
+                )
+            ):
+                yield row, entry
+                continue
+            result = row_result(row, [entry], max_versions)
             if result is not None:
-                yield row, RowEntry.from_sorted_cells(result._cells)
+                yield row, RowEntry.from_sorted_cells(result.cells)
 
     def row_count(self) -> int:
         """Number of visible rows (post-merge); one streaming pass."""

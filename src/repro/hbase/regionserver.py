@@ -135,7 +135,7 @@ class RegionServer:
         self._check_alive()
         if self.row_cache is not None:
             self.row_cache.invalidate_row(region.name, row)
-        self.wal.append(WalEntry(region.name, "put", row, list(cells), ts))
+        self.wal.append(WalEntry(region.name, "put", row, tuple(cells), ts))
         if charge_wal:
             self.charge.wal_append()
         region.put_row(row, cells, ts)
@@ -177,7 +177,7 @@ class RegionServer:
             ts += 1
             row = op.row
             cells = op.cells
-            wal_buffer_append(WalEntry(region_name, "put", row, list(cells), ts))
+            wal_buffer_append(WalEntry(region_name, "put", row, tuple(cells), ts))
             size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
             if len(entries) >= threshold:
                 region._approx_size_bytes += size_delta

@@ -1,44 +1,31 @@
 """Region-internal storage: memstore, HFiles and the streaming scan engine.
 
 Both the mutable memstore and immutable HFiles share one row-entry
-representation; the region read path merges entries newest-to-oldest,
-honouring row/column tombstones, exactly as an LSM tree does. Major
-compaction folds everything into a single HFile, dropping tombstones
-and versions beyond ``max_versions``.
+representation, the *newest image*: a ``{(family, qualifier):
+(timestamp, value)}`` head dict, plus a history map holding a column's
+whole newest-first version list only once it has a second version. The
+read path merges entries newest-to-oldest, honouring row/column
+tombstones, exactly as an LSM tree does; major compaction folds
+everything into one HFile, dropping tombstones and versions beyond
+``max_versions``. See ``docs/STORAGE.md`` for the invariants.
 
-Write path (O(1) puts, version lists ordered on write):
-
-* ``MemStore.apply_put`` puts a stamp strictly newer than the column's
-  head at the head, so server-stamped writes never leave the
-  newest-first order. Any other stamp (out of order, or
-  equal to the head) is appended and marks the entry dirty; the
-  ``cells`` property restores the order with one stable sort, so equal
-  timestamps keep insertion order. Every version stays stored until a
-  major compaction.
-* ``MemStore`` keeps only a dict while absorbing writes; its sorted key
-  list is (re)built lazily when a scan, flush or range read needs it.
-* A flush hands the memstore's entry dict and already-sorted key list
-  to the new :class:`HFile` wholesale — no copy, no re-sort — and the
-  memstore re-arms with fresh containers, so cursors snapshotted before
-  the flush keep reading the frozen generation safely. Major compaction
-  of a region with one component hands over the entries that need no
-  merge the same way (``Region.major_compact``).
+Write path: ``MemStore.apply_put`` is the one statement of version
+order (O(1) per cell; nothing is pruned before a major compaction). A
+read that lends an entry's head dict marks it lent, and the next put
+copies the dict first, so a held :class:`Result` never shows a later
+write. A flush hands the memstore's entry dict and sorted key list to
+the new :class:`HFile` wholesale, and the memstore re-arms with fresh
+containers, so cursors snapshotted before the flush stay valid.
 
 Read path: :class:`RegionScanner` k-way-merges one cursor per store
 component (memstore first, then HFiles newest flush first) with
-``heapq.merge``, grouping runs of equal row keys: a single pass over
-each component. ``row_result`` turns one row's entries into its
-:class:`Result` for point reads and the scanner alike: a *plain* row
-(one untombstoned source, newest version of every stored column) is
-handed over with its memoised size — lent outright when it sits in an
-HFile, its cover tested once per entry per column set object — and
-every other row goes through ``merge_row``. An untombstoned row read
-for one version with no time range takes each column's newest head;
-otherwise tombstones and ``time_range`` each keep a contiguous run of a
-newest-first list, so the merge takes a bounded head of each source's
-list: a read costs O(columns × sources × ``max_versions``) however many
-versions the row has absorbed. The ``columns`` parameter is the
-column-pushdown contract — untouched column families cost nothing.
+``heapq.merge``: a single pass over each component. ``row_result``
+turns one row's entries into its :class:`Result` for point reads and
+the scanner alike: an untombstoned one-version read takes heads only,
+and tombstones and ``time_range`` keep a bounded, bisected run of each
+history, so a read costs O(columns × sources × ``max_versions``)
+however many versions the row has absorbed. ``columns`` is the
+column-pushdown contract: untouched column families cost nothing.
 """
 
 from __future__ import annotations
@@ -49,19 +36,18 @@ from math import inf
 from typing import Iterator
 
 from repro.errors import RegionUnavailableError
-from repro.hbase.cell import Result
+from repro.hbase.cell import NO_HISTORY, CellKey, Result, Version, newest_image
 
-CellKey = tuple[bytes, bytes]
-Versions = list[tuple[int, bytes]]
+Versions = list[Version]
 
 
-def _neg_ts(tv: tuple[int, bytes]) -> int:
+def _neg_ts(tv: Version) -> int:
     return -tv[0]
 
 
 def _sort_newest_first(versions: Versions) -> None:
-    """The one statement of version order: newest first, equal
-    timestamps in insertion order (the sort is stable)."""
+    """Newest first, equal timestamps in write order (the sort is
+    stable): how a dirty history list is put back in order."""
     versions.sort(key=_neg_ts)
 
 
@@ -72,45 +58,58 @@ matters. ``delete_column`` copies-on-write before touching it."""
 
 
 class RowEntry:
-    """Versions and tombstones for one row within one store component."""
+    """One row within one store component: its newest image, the history
+    of each column that has more than one version, and tombstones."""
 
-    # class-attribute defaults: a new entry allocates only its cell map;
+    # class-attribute defaults: a new entry allocates only its head dict;
     # the write path shadows these with instance attributes on demand
-    _dirty = False
+    history: dict[CellKey, Versions] = NO_HISTORY
+    payload = 0
+    """Σ len(family) + len(qualifier) + len(value) over the heads."""
+    _dirty = False  # a history list may be out of newest-first order
+    _lent = False  # a Result holds ``head``: copy it before the next write
+    _cover: frozenset[CellKey] | None = None
+    """The column set last proven to cover every stored column (a read
+    under that very object tests nothing); dropped when a column is
+    added."""
     row_tombstone_ts: int | None = None
     col_tombstones: dict[CellKey, int] = _SHARED_EMPTY_TOMBSTONES
-    _summary: tuple[int, int, frozenset[CellKey] | None] | None = None
-    """What a plain read of this entry weighs and the set that proved its
-    cover (:func:`_newest_summary`), set by the first read that asks and
-    dropped by every mutator; an HFile's entry keeps it for good."""
 
     def __init__(self) -> None:
-        self._cells: dict[CellKey, Versions] = {}
-
-    @property
-    def cells(self) -> dict[CellKey, Versions]:
-        """Per-column version lists, newest first — what every read
-        goes through, and where a dirty entry is put back in order."""
-        if self._dirty:
-            for versions in self._cells.values():
-                _sort_newest_first(versions)
-            self._dirty = False
-        return self._cells
+        self.head: dict[CellKey, Version] = {}
 
     @classmethod
     def from_sorted_cells(cls, cells: dict[CellKey, Versions]) -> "RowEntry":
-        """Adopt already-newest-first version lists (compaction output)."""
+        """Adopt non-empty, already-newest-first version lists (compaction
+        output)."""
         entry = cls.__new__(cls)
-        entry._cells = cells
+        head, history = entry.head, entry.history = newest_image(cells)
+        entry.payload = sum(
+            len(family) + len(qualifier) + len(newest[1])
+            for (family, qualifier), newest in head.items()
+        )
         return entry
 
+    def sorted_history(self) -> dict[CellKey, Versions]:
+        """The history, every list newest first."""
+        if self._dirty:
+            for versions in self.history.values():
+                _sort_newest_first(versions)
+            self._dirty = False
+        return self.history
+
+    @property
+    def cells(self) -> dict[CellKey, Versions]:
+        """Each column's versions newest first: its history list itself,
+        or a fresh list of its head alone."""
+        history = self.sorted_history()
+        return {key: history.get(key) or [newest] for key, newest in self.head.items()}
+
     def delete_row(self, ts: int) -> None:
-        self._summary = None
         if self.row_tombstone_ts is None or ts > self.row_tombstone_ts:
             self.row_tombstone_ts = ts
 
     def delete_column(self, family: bytes, qualifier: bytes, ts: int) -> None:
-        self._summary = None
         if self.col_tombstones is _SHARED_EMPTY_TOMBSTONES:
             self.col_tombstones = {}
         key = (family, qualifier)
@@ -119,12 +118,15 @@ class RowEntry:
 
     def size_bytes(self, row: bytes, kv_overhead: int) -> int:
         row_len = len(row) + kv_overhead
-        total = 0
-        for (family, qualifier), versions in self._cells.items():
+        total = len(self.head) * row_len + self.payload
+        for (family, qualifier), versions in self.history.items():
             base = row_len + len(family) + len(qualifier)
-            for _, value in versions:
+            for _, value in versions[1:]:
                 total += base + len(value)
         return total
+
+
+_new_entry = RowEntry.__new__
 
 
 class MemStore:
@@ -150,34 +152,60 @@ class MemStore:
         default_ts: int,
         base_bytes: int,
     ) -> int:
-        """Upsert the row's entry and put each cell by the rule above, in
-        one call — the write hot path (one method call per Put). Returns
-        the approximate byte delta; ``base_bytes`` is the row-key +
-        KV-framing overhead charged per cell."""
-        entries = self._entries
-        entry = entries.get(row)
+        """Upsert the row's entry and put each cell, in one call — the
+        write hot path (one method call per Put) and the one statement of
+        version order. A column's head is the first-written version of
+        its greatest stamp: a stamp strictly newer than the head replaces
+        it and goes first in the column's history (a hot overwrite is one
+        lookup, one insert and one head store); any other stamp is
+        appended and marks the entry dirty, for ``sorted_history``'s
+        stable sort. A history starts at a column's second version. A
+        lent head is copied before the first write; ``payload`` is kept.
+        Returns the approximate byte delta; ``base_bytes`` is the
+        row-key + KV-framing overhead charged per cell."""
+        entry = self._entries.get(row)
         if entry is None:
-            entry = RowEntry.__new__(RowEntry)  # skip __init__ dispatch
-            _cells = entry._cells = {}
-            entries[row] = entry
+            entry = _new_entry(RowEntry)  # skip __init__ dispatch
+            head = entry.head = {}
+            self._entries[row] = entry
             self._sorted = False
         else:
-            _cells = entry._cells
-            entry._summary = None
-        size = 0
+            head = entry.head
+            if entry._lent:
+                head = entry.head = head.copy()
+                entry._lent = False
+        columns = len(head)
+        history = entry.history
+        payload = entry.payload
+        added = 0
         for family, qualifier, value, ts in cells:
-            stamp = ts if ts is not None else default_ts
+            stamp = default_ts if ts is None else ts
             key = (family, qualifier)
-            versions = _cells.get(key)
+            width = len(value)
+            weight = len(family) + len(qualifier) + width
+            added += weight
+            versions = history.get(key) if history else None
             if versions is None:
-                _cells[key] = [(stamp, value)]
-            elif stamp > versions[0][0]:
-                versions.insert(0, (stamp, value))
+                newest = head.get(key)
+                if newest is None:
+                    head[key] = (stamp, value)
+                    payload += weight
+                    continue
+                # the column's second version: it starts a history
+                if history is NO_HISTORY:
+                    history = entry.history = {}
+                versions = history[key] = [newest]
+            if stamp > versions[0][0]:
+                payload += width - len(versions[0][1])
+                newest = head[key] = (stamp, value)
+                versions.insert(0, newest)
             else:
                 versions.append((stamp, value))
                 entry._dirty = True
-            size += base_bytes + len(family) + len(qualifier) + len(value)
-        return size
+        entry.payload = payload
+        if columns and len(head) != columns:
+            entry._cover = None
+        return len(cells) * base_bytes + added
 
     def _ensure_sorted(self) -> list[bytes]:
         if not self._sorted:
@@ -187,9 +215,6 @@ class MemStore:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, row: bytes) -> bool:
-        return row in self._entries
 
     def keys_in_range(self, start: bytes, stop: bytes | None) -> Iterator[bytes]:
         for key, _ in self.items_in_range(start, stop):
@@ -324,42 +349,6 @@ def merge_row(
     touched, so they cost nothing. Returns None when the row has no
     visible cells (fully deleted/absent/projected away).
     """
-    if len(sources) == 1:
-        s = sources[0]
-        if (
-            s.row_tombstone_ts is None
-            and not s.col_tombstones
-            and time_range is None
-        ):
-            # fast path: no tombstones, no time filter — slice the
-            # newest-first version lists directly
-            cells = s.cells
-            visible: dict[CellKey, Versions] = {}
-            if columns is None:
-                for key, versions in cells.items():
-                    if versions:
-                        visible[key] = versions[:max_versions]
-            else:
-                for key in columns:
-                    versions = cells.get(key)
-                    if versions:
-                        visible[key] = versions[:max_versions]
-            return visible or None
-    elif max_versions == 1 and time_range is None and not any(
-        s.row_tombstone_ts is not None or s.col_tombstones for s in sources
-    ):
-        # nothing hidden, one version wanted: each column's newest head,
-        # the newer component winning a tie (as the stable sort would)
-        heads: dict[CellKey, tuple[int, bytes] | None] = {}
-        for s in sources:
-            for key, versions in s.cells.items():
-                if columns is None or key in columns:
-                    head = heads.get(key)  # None: unseen, or seen empty
-                    if head is None or versions and versions[0][0] > head[0]:
-                        heads[key] = versions[0] if versions else None
-        visible = {key: [head] for key, head in heads.items() if head}
-        return visible or None
-
     row_ts = max(
         (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
         default=-inf,
@@ -411,69 +400,51 @@ def merge_row(
     return visible or None
 
 
-def _newest_summary(
-    cells: dict[CellKey, Versions], columns: frozenset[CellKey] | None
-) -> tuple[int, int, frozenset[CellKey] | None] | None:
-    """``(columns, Σ len(family) + len(qualifier) + len(newest value),
-    covered_by)`` of an entry whose every column holds a version: with
-    the row key, everything ``Result.size_bytes`` needs to size a
-    one-version read, and the set ``columns`` proven to cover every
-    stored column. None when ``columns`` leaves one out; ``(0, 0,
-    columns)`` for an entry with no column or with one left hollow (no
-    writer under ``src/`` leaves one), which is then not a plain row."""
-    if columns is not None and not columns >= cells.keys():
-        return None
-    payload = 0
-    for (family, qualifier), versions in cells.items():
-        if not versions:
-            return 0, 0, columns
-        payload += len(family) + len(qualifier) + len(versions[0][1])
-    return len(cells), payload, columns
-
-
-_new_result = Result.__new__
-
-
 def row_result(
     row: bytes,
     sources: list[RowEntry],
-    immutable: bool,
     max_versions: int,
     time_range: tuple[int, int] | None = None,
     columns: frozenset[CellKey] | None = None,
 ) -> Result | None:
     """The :class:`Result` of one row from its entries (newest component
     first), or None when no cell is visible — what point reads and the
-    scanner both return. ``immutable`` says the newest source sits in an
-    :class:`HFile`.
+    scanner both return.
 
     A *plain* row — one source, no tombstone, one version wanted, no
-    time range, every stored column requested and holding a version —
-    needs no merge: its Result shows the entry's own lists and carries
-    the entry's memoised summary, so it is sized in O(1). Out of an
-    HFile it borrows the entry's cell map outright (nothing writes it
-    again; :class:`Result` detaches before anything could); out of the
-    memstore it copies the heads, since a later put must not show
-    through. The summary names the set that proved the cover, so a read
-    under that set object (or none) tests nothing. Every other row goes
-    through :func:`merge_row`."""
-    if len(sources) == 1 and max_versions == 1 and time_range is None:
-        entry = sources[0]
-        if entry.row_tombstone_ts is None and not entry.col_tombstones:
-            # RowEntry.cells without the call when there is nothing to sort
-            cells = entry.cells if entry._dirty else entry._cells
-            summary = entry._summary
-            if summary is None or columns is not None and summary[2] is not columns:
-                summary = entry._summary = _newest_summary(cells, columns)
-            if summary and summary[0]:
-                result = _new_result(Result)
-                result.row = row
-                result._view = cells if immutable else {
-                    key: versions[:1] for key, versions in cells.items()
-                }
-                result._borrowed = immutable
-                result._summary = summary
-                return result
+    time range, every stored column requested — needs no merge: its
+    Result is lent the entry's head dict, with the entry's payload, so
+    it is sized in O(1). The entry copies the dict before its next write
+    (``MemStore.apply_put``), so the lend is safe from the memstore and
+    from an HFile alike. The entry remembers the set object that proved
+    the cover, so a read under that object (or none) tests nothing. Any
+    other untombstoned one-version read takes each column's newest
+    head; every other row goes through :func:`merge_row`."""
+    if max_versions == 1 and time_range is None:
+        if len(sources) == 1:
+            entry = sources[0]
+            if entry.row_tombstone_ts is None and not entry.col_tombstones:
+                head = entry.head
+                if not head:
+                    return None
+                if columns is not None and entry._cover is not columns:
+                    if not columns.issuperset(head):
+                        heads = {key: head[key] for key in columns if key in head}
+                        return Result(row, heads) if heads else None
+                    entry._cover = columns
+                entry._lent = True
+                return Result(row, head, NO_HISTORY, (len(head), entry.payload))
+        elif not any(s.row_tombstone_ts is not None or s.col_tombstones for s in sources):
+            # each column's newest head: the greatest stamp, the newer
+            # component winning a tie (as a stable newest-first sort would)
+            heads: dict[CellKey, Version] = {}
+            for s in sources:
+                for key, newest in s.head.items():
+                    if columns is None or key in columns:
+                        seen = heads.get(key)
+                        if seen is None or newest[0] > seen[0]:
+                            heads[key] = newest
+            return Result(row, heads) if heads else None
     visible = merge_row(sources, max_versions, time_range, columns)
     return None if visible is None else Result.from_sorted(row, visible)
 
@@ -550,18 +521,15 @@ class RegionScanner:
         components = [c for c in candidates if len(c) > 0]
         if not components:
             return
-        # which components a Result may borrow from (see row_result)
-        immutable = [isinstance(c, HFile) for c in components]
         if len(components) == 1:
             # single-component fast path: no heap, no grouping
-            borrow = immutable[0]
             for key, entry in components[0].items_in_range(self._start, self._stop):
                 if not owner.online:
                     raise RegionUnavailableError(
                         f"region {owner.name} went offline mid-scan"
                     )
                 yield key, row_result(
-                    key, [entry], borrow, max_versions, time_range, columns
+                    key, [entry], max_versions, time_range, columns
                 )
             return
 
@@ -571,22 +539,20 @@ class RegionScanner:
         ]
         merged = heapq.merge(*streams)  # orders by (key, priority)
         try:
-            cur_key, newest, entry = next(merged)
+            cur_key, _, entry = next(merged)
         except StopIteration:
             return
         sources = [entry]
-        for key, priority, entry in merged:
+        for key, _, entry in merged:
             if key != cur_key:
                 if not owner.online:
                     raise RegionUnavailableError(
                         f"region {owner.name} went offline mid-scan"
                     )
                 yield cur_key, row_result(
-                    cur_key, sources, immutable[newest],
-                    max_versions, time_range, columns,
+                    cur_key, sources, max_versions, time_range, columns
                 )
                 cur_key = key
-                newest = priority
                 sources = [entry]
             else:
                 sources.append(entry)
@@ -595,5 +561,5 @@ class RegionScanner:
                 f"region {owner.name} went offline mid-scan"
             )
         yield cur_key, row_result(
-            cur_key, sources, immutable[newest], max_versions, time_range, columns
+            cur_key, sources, max_versions, time_range, columns
         )

@@ -25,7 +25,7 @@ class WalEntry:
         region_name: str,
         kind: str,  # "put" | "delete"
         row: bytes,
-        payload: Any,  # put: list[(family, qualifier, value, ts)]; delete: columns|None
+        payload: Any,  # put: tuple[(family, qualifier, value, ts)]; delete: columns|None
         timestamp: int,
     ) -> None:
         self.region_name = region_name

@@ -226,7 +226,7 @@ def cluster_snapshot(
                     continue
                 cells = []
                 for (family, qualifier), versions in sorted(
-                    result._cells.items()
+                    result.cells.items()
                 ):
                     for ts, value in versions:
                         cells.append((family, qualifier, ts, value))

@@ -9,14 +9,14 @@ so call sites read like the mechanism they model::
     charger.transfer(num_bytes)      # result bytes over the wire
 
 Each names its price and counts the quantity it charges on a
-``{component}.{effect}`` counter, under the counter's name as the label
-(``version_checks`` has no counter). Counters are resolved once per
-charger — the read/write paths call these methods per row, so the
-per-call work is kept to a counter increment plus one
-``Simulation.charge``. This is the only module besides ``sim/clock.py``
-that writes the clock directly: the two per-row charges (``row_read``,
-``rows_written``) skip ``charge`` when the simulation is jitter-free and
-untraced (same number, two calls fewer per row).
+``{component}.{effect}`` counter, under the counter's name as the label.
+Counters are resolved once per charger — the read/write paths call
+these methods per row, so the per-call work is kept to a counter
+increment plus one ``Simulation.charge``. This is the only module
+besides ``sim/clock.py`` that writes the clock directly: the two per-row
+charges (``row_read``, ``rows_written``) skip ``charge`` when the
+simulation is jitter-free and untraced (same number, two calls fewer
+per row).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class LatencyCharger:
         self._read_row_ms = sim.prices["read_row_ms"]
         self._write_row_ms = sim.prices["write_row_ms"]
         counter = sim.metrics.counter
-        self._version_name = f"{component}.version_checks"
         self._rpc = counter(f"{component}.rpc")
         self._bytes = counter(f"{component}.bytes")
         self._seek = counter(f"{component}.seek")
@@ -41,6 +40,7 @@ class LatencyCharger:
         self._rows_written = counter(f"{component}.rows_written")
         self._wal = counter(f"{component}.wal_append")
         self._cap = counter(f"{component}.check_and_put")
+        self._versions = counter(f"{component}.version_checks")
 
     # -- generic ------------------------------------------------------------------
     def rpc(self) -> None:
@@ -93,4 +93,5 @@ class LatencyCharger:
         self.sim.charge(self._cap.name, ("rpc_base_ms", "check_and_put_ms"), (1, 1))
 
     def version_checks(self, n_cells: int) -> None:
-        self.sim.charge(self._version_name, "mvcc_version_check_ms", n_cells)
+        self._versions.value += n_cells
+        self.sim.charge(self._versions.name, "mvcc_version_check_ms", n_cells)

@@ -11,6 +11,7 @@ from datetime import date, datetime
 from repro.hbase.bytes_util import split_key
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
+from repro.hbase.store import MemStore
 from repro.phoenix.catalog import CF, ROW_MARKER_QUALIFIER, CatalogEntry
 from repro.relational.datatypes import DataType, value_decoder
 
@@ -117,7 +118,7 @@ def _raw(value):
 
 
 def reading(result):
-    """What a result says through the accessors that never detach it."""
+    """What a result says about itself, short of its ``cells``."""
     return (
         result.size_bytes,
         result.column_count,
@@ -298,15 +299,8 @@ def decode_key(dtypes, key: bytes) -> tuple:
 
 
 def put_cell(entry, family: bytes, qualifier: bytes, ts: int, value: bytes) -> None:
-    """One cell into a ``RowEntry`` by ``MemStore.apply_put``'s rule: a
-    stamp newer than the column's head goes first, any other is
-    appended and leaves the entry for its ``cells`` read to re-sort."""
-    entry._summary = None
-    versions = entry._cells.get((family, qualifier))
-    if versions is None:
-        entry._cells[(family, qualifier)] = [(ts, value)]
-    elif ts > versions[0][0]:
-        versions.insert(0, (ts, value))
-    else:
-        versions.append((ts, value))
-        entry._dirty = True
+    """One cell into a ``RowEntry`` by ``MemStore.apply_put`` itself, the
+    one statement of version order (``newest_first`` stays the oracle)."""
+    memstore = MemStore()
+    memstore._entries[b""] = entry
+    memstore.apply_put(b"", [(family, qualifier, value, ts)], ts, 0)

@@ -38,7 +38,7 @@ def build_region(max_versions: int) -> Region:
 def assert_region_matches_model(region: Region, model: ModelRegion) -> None:
     expected = model.visible()
     actual = {
-        row: dict(result._cells)
+        row: dict(result.cells)
         for row, result in region.scan(max_versions=region.max_versions)
         if result is not None
     }
@@ -48,7 +48,7 @@ def assert_region_matches_model(region: Region, model: ModelRegion) -> None:
     for row in ROWS:
         result = region.read_row(row, max_versions=region.max_versions)
         if row in expected:
-            assert result is not None and dict(result._cells) == expected[row]
+            assert result is not None and dict(result.cells) == expected[row]
         else:
             assert result is None
 

@@ -1,10 +1,13 @@
 """LSM internals: memstore, HFiles, tombstone merge semantics."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hbase import Get, HBaseClient, HBaseCluster
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
 from repro.hbase.store import HFile, MemStore, RowEntry, merge_row
+from repro.sim.clock import Simulation
 from tests.reference.storage import put_cell
 
 
@@ -56,6 +59,22 @@ class TestVersionOrderAtTheEdges:
         r = Result.from_sorted(b"r", merged)
         assert r.versions(b"cf", b"q") == self.ORDERED
         assert r.value(b"cf", b"q") == b"d"
+
+    @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
+    def test_equal_stamps_keep_write_order_behind_the_newest(self, flushed):
+        client = HBaseClient(HBaseCluster(Simulation(seed=3)))
+        table = client.create_table("t")
+        for ts, value in ((5, b"A"), (5, b"B"), (7, b"C"), (5, b"D")):
+            put = Put(b"r")
+            put.add(b"cf", b"q", value, timestamp=ts)
+            table.put(put)
+        if flushed:
+            region = client.cluster.descriptor("t").regions[0]
+            client.cluster.server_for(region).flush_region(region)
+        result = table.get(Get(b"r", max_versions=4))
+        assert result.versions(b"cf", b"q") == [
+            (7, b"C"), (5, b"A"), (5, b"B"), (5, b"D")
+        ]
 
     def test_put_add_keeps_an_explicit_timestamp_of_zero(self):
         p = Put(b"r", timestamp=42)

@@ -233,8 +233,8 @@ def assert_compacted_like_the_model(region, model) -> None:
     for row, entry in hfile.items():
         assert not entry._dirty
         assert entry.row_tombstone_ts is None and not entry.col_tombstones
-        assert entry._cells == expected[row].cells
-        for key, versions in entry._cells.items():
+        assert entry.cells == expected[row].cells
+        for key, versions in entry.cells.items():
             assert versions == newest_first(versions)
             size += sum(
                 len(row) + region.kv_overhead_bytes + len(key[0]) + len(key[1])
@@ -287,7 +287,7 @@ class TestCompactionAdoption:
         assert region.memstore.entry(b"r0")._dirty
         before = compact(region, model)
         assert region.hfiles[0].entry(b"r0") is before[b"r0"]
-        assert [ts for ts, _ in before[b"r0"]._cells[(CF, b"qa")]] == [5, 4, 3]
+        assert [ts for ts, _ in before[b"r0"].cells[(CF, b"qa")]] == [5, 4, 3]
 
     def test_a_second_component_still_merges(self):
         region, model = build_region(1)

@@ -14,12 +14,12 @@ stored one. A count-based guard pins the point of it all: the read of a
 hot row does not depend on how many versions the row has absorbed.
 
 The same machine checks what a ``Result`` says about itself —
-``size_bytes``, ``column_count``, ``value``, ``newest_into`` — against
-the reference cells, before and after ``_cells`` detaches it: a *plain*
-row read out of an HFile borrows the stored entry's cell map and its
-memoised summary (``store.row_result``), so results are held across
-later writes, flushes and compactions and must keep reading what they
-read when taken, and scribbling on them must never reach the store.
+``size_bytes``, ``column_count``, ``value``, ``newest_into``, ``cells``
+— against the reference cells: a *plain* row's result is lent the
+stored entry's head dict and its payload (``store.row_result``), so
+results are held across later writes, flushes and compactions and must
+keep reading what they read when taken, and scribbling on what they
+hand out must never reach them or the store.
 """
 
 from __future__ import annotations
@@ -28,24 +28,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hbase import store
-from repro.hbase.cell import Result
 from repro.hbase.region import Region
 from repro.hbase.store import HFile, RegionScanner, RowEntry, merge_row
 from tests.reference.storage import (
     ALL_COLUMNS, FAMILIES, PROJECTIONS, QUALIFIERS, ModelRegion, newest,
-    newest_first, reading, reference_merge_row, reference_reading, reference_size,
+    newest_first, reading, reference_merge_row, reference_reading,
     put_cell,
 )
 
 
 def assert_result_matches(result, row, expected):
-    """Borrowed or owned, a result reads as the reference cells do; and
-    again once ``_cells`` has detached it and dropped what it remembered."""
+    """Lent a head or not, a result reads as the reference cells do; and
+    again once ``cells`` has copied every version out."""
     if expected is None:
         assert result is None
         return
     assert reading(result) == reference_reading(row, expected)
-    assert result._cells == expected
+    assert result.cells == expected
     assert reading(result) == reference_reading(row, expected)
 
 
@@ -83,7 +82,7 @@ TIME_RANGES = st.none() | st.tuples(
 def scribble(result):
     """Mutate everything a read handed out."""
     if result is not None:
-        cells = result._cells
+        cells = result.cells
         cells.setdefault((b"cf", b"a"), []).insert(0, (10**6, b"added"))
         cells[(b"zz", b"new")] = [(1, b"added")]
         for versions in cells.values():
@@ -92,8 +91,8 @@ def scribble(result):
 
 
 def hold(held, region):
-    """Take one-version reads of every row (point and scan: memstore
-    rows are copied, flushed ones borrowed) and note what they say now."""
+    """Take one-version reads of every row (point and scan: plain rows
+    are lent their entry's head) and note what they say now."""
     results = [region.read_row(row) for row in ROWS]
     results.extend(result for _, result in region.scan())
     for result in results:
@@ -121,9 +120,9 @@ def apply_ops(region, model, ops):
             region.delete_row(op[1], op[2], ts)
             model.delete(op[1], op[2], ts)
         elif kind == "read":
-            # a read restores the order of a dirty entry in place, leaves
-            # a summary on every plain entry for the next write to drop,
-            # and its result is the caller's to ruin
+            # a read restores the order of a dirty entry in place, lends
+            # every plain entry's head for the next write to copy, and
+            # what its result hands out is the caller's to ruin
             assert_region_matches(region, model, 1, None, None)
             hold(held, region)
             for max_versions in (1, 4):
@@ -143,7 +142,7 @@ def stored_lists(region, row):
     return [
         versions
         for entry in region._sources_for(row)
-        for versions in entry._cells.values()
+        for versions in entry.cells.values()
     ]
 
 
@@ -165,7 +164,7 @@ def assert_region_matches(region, model, max_versions, time_range, columns):
         if sources:
             assert_result_matches(scanned.pop(row), row, expected)
         stored = stored_lists(region, row)
-        for returned in (merged, point and point._cells):
+        for returned in (merged, point and point.cells):
             for versions in (returned or {}).values():
                 assert not any(versions is s for s in stored)
     assert not scanned  # no phantom rows
@@ -197,7 +196,7 @@ class TestMergeMatchesReference:
         model = ModelRegion(max_versions=3)
         for result, taken in apply_ops(region, model, ops):
             assert reading(result) == taken
-            heads = result._cells  # detaches; must show the same heads
+            heads = result.cells  # a copy; must show the same heads
             assert newest(result, ALL_COLUMNS) == taken[2]
             assert all(len(versions) == 1 for versions in heads.values())
         assert_region_matches(region, model, 1, None, None)
@@ -265,7 +264,7 @@ class TestHistoryIndependence:
         assert len(sources) == 2
         for entry in sources:
             assert not entry._dirty
-            for versions in entry._cells.values():
+            for versions in entry.cells.values():
                 assert len(versions) == HISTORY // 2  # nothing dropped
                 assert versions == newest_first(versions)
 
@@ -324,13 +323,12 @@ class TestNewestHead:
         for columns in PROJECTIONS:
             assert_region_matches(region, model, 1, None, columns)
 
-    def test_an_empty_list_in_the_newer_component_keeps_its_place(self):
-        newer = RowEntry.from_sorted_cells(
-            {(b"cf", b"a"): [], (b"cf", b"b"): [(3, b"b3")]}
-        )
-        older = RowEntry.from_sorted_cells(
-            {(b"cf", b"b"): [(4, b"b4")], (b"cf", b"a"): [(2, b"a2")]}
-        )
+    def test_a_head_in_the_older_component_keeps_the_newer_ones_place(self):
+        newer, older = RowEntry(), RowEntry()
+        put_cell(newer, b"cf", b"a", 1, b"a1")
+        put_cell(newer, b"cf", b"b", 3, b"b3")
+        put_cell(older, b"cf", b"b", 4, b"b4")
+        put_cell(older, b"cf", b"a", 2, b"a2")
         for columns in (None, frozenset([(b"cf", b"a")])):
             expected = reference_merge_row([newer, older], 1, None, columns)
             merged = merge_row([newer, older], 1, None, columns)
@@ -341,6 +339,7 @@ class TestNewestHead:
         assert_result_matches(
             result, ROW, {(b"cf", b"a"): [(2, b"a2")], (b"cf", b"b"): [(4, b"b4")]}
         )
+        assert list(result.cells) == [(b"cf", b"a"), (b"cf", b"b")]
 
 
 # ------------------------------------------------------------- plain rows
@@ -375,6 +374,23 @@ LATER = {
 }
 
 
+class ProvingSet(frozenset):
+    """A column set that counts the covers proven under it."""
+
+    def __init__(self, columns):
+        self.proofs = 0
+
+    def issuperset(self, other):
+        self.proofs += 1
+        return frozenset.issuperset(self, other)
+
+
+def lent(result, region):
+    """The result shows its row's only entry's own head dict."""
+    sources = region._sources_for(result.row)
+    return len(sources) == 1 and result._head is sources[0].head
+
+
 class TestPlainRows:
     @pytest.mark.parametrize("later", LATER)
     @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
@@ -382,7 +398,7 @@ class TestPlainRows:
         region, _ = one_row_region(flushed)
         point = region.read_row(ROW)
         scanned = dict(region.scan())[ROW]
-        assert point._borrowed is scanned._borrowed is flushed
+        assert lent(point, region) and point._head is scanned._head
         taken = reading(point)
         assert taken == reading(scanned)
         LATER[later](region)
@@ -391,29 +407,33 @@ class TestPlainRows:
         region.put_row(ROW, [(b"cf", b"b", b"after", 20)], 20)
         for result in (point, scanned):
             assert reading(result) == taken
-            assert result._cells == {
+            assert result.cells == {
                 (b"cf", b"a"): [(5, b"a-old")], (b"cf", b"b"): [(5, b"b-old")]
             }
 
     @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
-    def test_scribbling_on_a_result_never_reaches_the_store(self, flushed):
+    def test_what_a_result_hands_out_is_never_stored(self, flushed):
         region, model = one_row_region(flushed)
         for take in (region.read_row, lambda row: dict(region.scan())[row]):
-            by_cells = take(ROW)
-            by_cells._cells[(b"cf", b"a")][0] = (99, b"edited")
-            assert not by_cells._borrowed
-            del by_cells._cells[(b"cf", b"b")]
-            assert newest(by_cells, ALL_COLUMNS[:2]) == [b"edited", None]
-            assert by_cells.size_bytes == reference_size(ROW, by_cells._cells)
+            result = take(ROW)
+            taken = reading(result)
+            cells = result.cells
+            cells[(b"cf", b"a")][0] = (99, b"edited")
+            del cells[(b"cf", b"b")]
+            result.versions(b"cf", b"a").append((1, b"appended"))
+            assert reading(result) == taken
+            assert result.cells == {
+                (b"cf", b"a"): [(5, b"a-old")], (b"cf", b"b"): [(5, b"b-old")]
+            }
             assert_region_matches(region, model, 1, None, None)
 
-    def test_every_write_drops_what_the_entry_remembered(self):
+    def test_every_write_keeps_the_entry_payload_and_cover(self):
         region, model = Region("t", b"", None), ModelRegion(1)
 
         def step(write, *args):
             getattr(region, write)(ROW, *args)
             (model.put if write == "put_row" else model.delete)(ROW, *args)
-            # the point read and the scan each memoise, then are checked
+            # the point read and the scan each lend, then are checked
             assert_region_matches(region, model, 1, None, None)
 
         step("put_row", [(b"cf", b"a", b"v", None)], 1)
@@ -425,11 +445,11 @@ class TestPlainRows:
 
         def read_with(columns):
             """Point read and scan under this very set object, checked
-            against the reference; True when both took the plain path."""
+            against the reference; True when both were lent the head."""
             expected = reference_merge_row(model.sources(ROW), 1, None, columns)
             results = [region.read_row(ROW, columns)]
             results.extend(result for _, result in region.scan(columns=columns))
-            plain = {result._summary is not None for result in results}
+            plain = {lent(result, region) for result in results}
             for result in results:
                 assert_result_matches(result, ROW, expected)
             assert len(plain) == 1
@@ -453,7 +473,7 @@ class TestPlainRows:
         step("delete_row", None, 7)
         step("put_row", [(b"cf", b"b", b"reborn", None)], 8)
 
-    def test_an_entry_flushed_dirty_is_put_in_order_before_it_is_lent(self):
+    def test_a_dirty_entry_lends_its_newest_head_unsorted(self):
         region, model = Region("t", b"", None), ModelRegion(1)
         for ts, value in (
             (5, b"first@5"), (3, b"older"), (5, b"second@5"), (9, b"top"), (9, b"late@9")
@@ -466,9 +486,12 @@ class TestPlainRows:
         entry = region.hfiles[0].entry(ROW)
         assert entry._dirty
         [(_, result)] = list(region.scan())
-        assert result._borrowed and not entry._dirty
+        assert lent(result, region) and entry._dirty
         assert result.value(b"cf", b"a") == b"top"
         assert_region_matches(region, model, 1, None, None)
+        assert region.read_row(ROW, max_versions=5).versions(b"cf", b"a") == [
+            (9, b"top"), (9, b"late@9"), (5, b"first@5"), (5, b"second@5"), (3, b"older")
+        ]
 
     @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
     def test_rows_that_are_not_plain_take_the_merge(self, flushed):
@@ -486,76 +509,60 @@ class TestPlainRows:
             [(_, result), _] = list(
                 region.scan(None, None, columns, max_versions, time_range)
             )
-            assert result._borrowed is (plain and flushed)
+            assert lent(result, region) is plain
             # a result built by the merge has not been sized yet
             assert (result._summary is not None) is plain
         region.delete_row(ROW, [(b"fx", b"c")], 1)  # hides nothing, still not plain
-        assert not region.read_row(ROW)._borrowed
+        result = region.read_row(ROW)
+        assert all(result._head is not e.head for e in region._sources_for(ROW))
         assert_region_matches(region, model, 1, None, None)
-        # a stored column without a version (no writer under src/ makes
-        # one) must not be counted or shown
-        hollow = RowEntry.from_sorted_cells({(b"cf", b"a"): [(1, b"v")], (b"cf", b"b"): []})
-        [(_, result)] = list(RegionScanner([HFile({ROW: hollow})], b"", None))
-        assert not result._borrowed and result.column_count == 1
-        assert result.size_bytes == reference_size(ROW, {(b"cf", b"a"): [(1, b"v")]})
 
-    def test_a_rescan_of_flushed_rows_sizes_and_copies_nothing(self, monkeypatch):
-        """Exact counts: entries summarised (and their cover tested) and
-        results detached per scan."""
+    def test_a_rescan_lends_every_head_and_proves_each_cover_once(self):
+        """Exact counts: heads lent and covers proven per scan."""
         rows = 2000
-        built, detached = [], []
-        newest_summary = store._newest_summary
-        own_cells = Result._cells.fget
-        monkeypatch.setattr(
-            store, "_newest_summary",
-            lambda cells, columns: built.append(1) or newest_summary(cells, columns),
-        )
-        monkeypatch.setattr(
-            Result, "_cells",
-            property(lambda result: detached.append(1) or own_cells(result)),
-        )
+        region = Region("t", b"", None, flush_threshold_rows=10**9)
+        for i in range(rows):
+            region.put_row(b"k%05d" % i, [(f, q, b"v%d" % i, None) for f, q in WIDE], i + 1)
 
-        def scan(region, columns=None):
-            del built[:], detached[:]
+        def scan(columns=None):
             results = [result for _, result in region.scan(columns=columns)]
             total = sum(result.size_bytes for result in results)
             for result in results:
                 newest(result, WIDE[:3])
-                result.value(*WIDE[0])
-            return results, total, len(built), len(detached)
+            proofs = columns.proofs if isinstance(columns, ProvingSet) else 0
+            return results, total, proofs
 
-        region = Region("t", b"", None, flush_threshold_rows=10**9)
-        for i in range(rows):
-            region.put_row(b"k%05d" % i, [(f, q, b"v%d" % i, None) for f, q in WIDE], i + 1)
-        # in the memstore: summarised once, heads copied on every scan
-        results, total, summaries, _ = scan(region)
-        assert summaries == rows and not any(r._borrowed for r in results)
-        assert scan(region)[1:] == (total, 0, 0)
+        def not_lent(results):
+            return [r.row for r in results if not lent(r, region)]
+
+        # in the memstore: every head lent as it is stored
+        results, total, _ = scan()
+        assert not_lent(results) == [] and scan()[1] == total
+        held = results[7]
         region.put_row(b"k00007", [(CF, b"c00", b"a longer value", None)], rows + 1)
+        assert held.value(CF, b"c00") == b"v7"  # the write copied the head
         total += len(b"a longer value") - len(b"v7")
-        assert scan(region)[1:] == (total, 1, 0)
+        results, again, _ = scan()
+        assert again == total and not_lent(results) == []
         region.flush()
-        # in an HFile: lent as stored, under no projection, the exact one
-        # and a wider one; a set's cover is tested once per entry, and a
-        # rescan with the same set object tests none
-        exact = frozenset(WIDE)
-        for columns, tested in (
-            (None, 0), (exact, rows), (exact, 0), (None, 0),
-            (exact | {(b"fx", b"x")}, rows), (frozenset(WIDE), rows), (exact, rows),
+        # in an HFile: lent under no projection, the exact set and a wider
+        # one; a set's cover is proven once per entry, and a rescan with
+        # the same set object proves none (``proven`` counts per set)
+        exact = ProvingSet(WIDE)
+        wider = ProvingSet(WIDE + [(b"fx", b"x")])
+        twin = ProvingSet(WIDE)
+        for columns, proven in (
+            (None, 0), (exact, rows), (exact, rows), (None, 0),
+            (wider, rows), (twin, rows), (exact, 2 * rows),
         ):
-            results, again, summaries, copies = scan(region, columns)
-            assert (again, summaries, copies) == (total, tested, 0)
-            assert all(
-                r._view is region.hfiles[0].entry(r.row)._cells for r in results
-            )
+            results, again, proofs = scan(columns)
+            assert (again, proofs, not_lent(results)) == (total, proven, [])
         # a new row in the memstore: the heap merge sees 2000 runs of one
         # HFile source and one run of one memstore source
         region.put_row(b"k00007x", [(CF, b"c00", b"v", None)], rows + 2)
-        results, _, summaries, copies = scan(region)
-        assert (len(results), summaries, copies) == (rows + 1, 1, 0)
-        assert [r.row for r in results if not r._borrowed] == [b"k00007x"]
+        results, _, _ = scan()
+        assert len(results) == rows + 1 and not_lent(results) == []
         # the row written twice is two sources now: merged, nothing lent
         region.put_row(b"k00007", [(CF, b"c00", b"v7", None)], rows + 3)
-        results, _, summaries, copies = scan(region)
-        assert (summaries, copies) == (0, 0)
-        assert [r.row for r in results if not r._borrowed] == [b"k00007", b"k00007x"]
+        results, _, _ = scan()
+        assert not_lent(results) == [b"k00007"]

@@ -152,14 +152,15 @@ def test_tpcw_battery_count_table(name, jitter):
 
 EFFECTS = (
     ".rpc", ".bytes", ".seek", ".rows_read", ".rows_written",
-    ".wal_append", ".check_and_put",
+    ".wal_append", ".check_and_put", ".version_checks",
 )
 """The suffixes of ``LatencyCharger``'s counters."""
 
 
-def check_counters_price_their_leaves(sims) -> None:
+def check_counters_price_their_leaves(sims) -> set[str]:
     """For every counter some leaf is named after, each price under
-    that label sums to the counter's delta over the traced run."""
+    that label sums to the counter's delta over the traced run; returns
+    those labels, server ids folded."""
     checked = set()
     for sim, before in sims:
         deltas = {
@@ -179,6 +180,7 @@ def check_counters_price_their_leaves(sims) -> None:
         "client.rpc", "client.bytes", "rs.*.seek", "rs.*.rows_read",
         "rs.*.rows_written", "rs.*.wal_append",
     } <= checked
+    return checked
 
 
 def attach(sims) -> list[tuple[Simulation, dict]]:
@@ -203,7 +205,9 @@ def test_counters_are_the_count_vector_of_a_scheduled_run(name):
     sims = attach([system.sim])
     report = run_four_client_schedule(system, per_client)
     assert report.committed > 0
-    check_counters_price_their_leaves(sims)
+    checked = check_counters_price_their_leaves(sims)
+    # MVCC-A checks every cell it reads against the transaction's versions
+    assert ("phoenix.version_checks" in checked) is (name == "MVCC-A")
 
 
 def test_counters_are_the_count_vector_of_a_split_federation():

@@ -6,7 +6,7 @@ and compactions — versions, row tombstones, column tombstones, time
 ranges and column projections included. Each scanned ``Result`` must
 also size and read itself (``size_bytes``, ``column_count``,
 ``newest_into``, ``value``) as its reference cells do, whether it
-borrowed them from an HFile or not."""
+was lent its entry's head or not."""
 
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ def streaming_scan(region, columns=None, max_versions=1, time_range=None):
         columns=wanted, max_versions=max_versions, time_range=time_range
     ):
         if result is not None:
-            said = reading(result)  # before `_cells` detaches it from the store
-            cells = result._cells
+            said = reading(result)  # before `cells` copies every version out
+            cells = result.cells
             assert said == reference_reading(row, cells)
             out.append((row, cells))
     return out
@@ -133,7 +133,7 @@ class TestScannerMatchesReference:
                 if result is None:
                     assert row not in scanned
                 else:
-                    assert scanned[row] == result._cells
+                    assert scanned[row] == result.cells
 
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)

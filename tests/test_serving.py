@@ -234,10 +234,10 @@ class TestCacheCoherence:
 
         self.check_mirror(step)
 
-    def test_cached_result_is_sized_once_and_detaches_when_edited(self):
-        """A flushed row's Result borrows the HFile entry and is what the
-        cache keeps: every get of it is charged the same bytes, and a
-        caller's edit of ``_cells`` must leave the store alone and re-size."""
+    def test_cached_result_is_sized_once_and_hands_out_copies(self):
+        """A flushed row's Result is lent the HFile entry's head and is what
+        the cache keeps: every get of it is charged the same bytes, and a
+        caller's edit of what it hands out leaves it and the store alone."""
         cluster, table = build_cluster(ServingConfig(row_cache_bytes=64 * 1024))
         for region in cluster.descriptor("t").regions:
             cluster.server_for(region).flush_region(region)
@@ -249,11 +249,12 @@ class TestCacheCoherence:
             before = counters()["client.bytes"]
             result = table.get(Get(row))
             charged.append(counters()["client.bytes"] - before)
-        assert charged == [wire] * 3 and result._borrowed
-        result._cells[(CF, b"extra")] = [(10**9, b"edited by the caller")]
-        assert not result._borrowed
-        assert result.size_bytes == wire + len(row) + 8 + len(CF) + 5 + 20
         region = cluster.descriptor("t").region_for(row)
+        assert charged == [wire] * 3
+        assert result._head is region.hfiles[0].entry(row).head
+        result.cells[(CF, b"extra")] = [(10**9, b"edited by the caller")]
+        result.versions(CF, Q).append((10**9, b"edited by the caller"))
+        assert result.size_bytes == wire and result.column_count == 1
         stored = region.read_row(row)
         assert stored.size_bytes == wire and stored.column_count == 1
 

@@ -80,7 +80,7 @@ def store_cells(system) -> dict:
     included), by row key and column."""
     return {
         name: {
-            result.row: {col: versions[0][1] for col, versions in result._cells.items()}
+            result.row: {col: versions[0][1] for col, versions in result.cells.items()}
             for result in system.client.table(name).scan(Scan())
         }
         for name in system.cluster.tables
