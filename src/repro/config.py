@@ -282,10 +282,6 @@ class ClusterConfig:
 
     num_region_servers: int = 5
 
-    max_versions: int = 1
-    """Cell versions a table keeps per column unless its
-    ``create_table(max_versions=...)`` says otherwise."""
-
     seed: int = 20170904  # CLUSTER'17 conference date
 
     region_split_threshold_bytes: int | None = None
@@ -307,10 +303,6 @@ class ClusterConfig:
             raise ClusterConfigError(
                 f"num_region_servers must be >= 1, got "
                 f"{self.num_region_servers}"
-            )
-        if self.max_versions < 1:
-            raise ClusterConfigError(
-                f"max_versions must be >= 1, got {self.max_versions}"
             )
         if (
             self.region_split_threshold_bytes is not None

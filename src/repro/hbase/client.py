@@ -25,6 +25,10 @@ scheduled chaos run the client program backs off, yields and retries
 is bounded by ``MAX_LOCATION_RETRIES``, surfacing a typed
 `RegionRetriesExhaustedError` instead of an unbounded meta-retry loop.
 
+Writes take one path: a put, a delete and a batch are all a list of
+mutations, grouped by region and sent one RPC per group; a single
+operation is a group of one.
+
 Under a multi-client scheduler (``sim.concurrency`` installed) every
 operation additionally queues on the region server that hosts the
 addressed region — per-partition work routes to its owning server, so
@@ -244,43 +248,42 @@ class HTable:
             self._exit_server(server, ctx, token)
 
     def put(self, op: Put) -> None:
-        self._routed(op.row, lambda region: self._put_at(region, op))
+        self._mutate([op])
 
-    def _put_at(self, region: Region, op: Put) -> None:
-        self.charge.rpc()
-        server = self.cluster.server_for(region)
-        ctx, token = self._enter_server(server)
-        try:
-            ts = self.cluster.next_timestamp()
-            server.apply_put(region, op.row, op.cells, ts)
-            rep = self.cluster.replication
-            if rep is not None:
-                rep.after_write(region)  # ack_mode="all": sync ship
-        finally:
-            self._exit_server(server, ctx, token)
+    def delete(self, op: Delete) -> None:
+        self._mutate([op])
 
-    def put_batch(self, ops: list[Put], _depth: int = 0) -> None:
-        """Buffered multi-put: one RPC per addressed region, WAL batched.
+    def put_batch(self, ops: list[Put]) -> None:
+        """Buffered multi-put: one RPC and one WAL sync per addressed region."""
+        self._mutate(ops)
 
-        Relocation retries (a group's region splitting or failing over
-        under the batch) share the bounded budget point ops have:
-        re-dispatch depth past ``MAX_LOCATION_RETRIES`` surfaces a
-        typed :class:`~repro.errors.RegionRetriesExhaustedError`."""
+    def _mutate(self, ops: list[Put | Delete], _depth: int = 0) -> None:
+        """The one write path: group ``ops`` by region in first-appearance
+        order and send each group in one RPC to its server's
+        :meth:`~repro.hbase.regionserver.RegionServer.mutate`.
+
+        A group whose region split or failed over under the write is
+        relocated and re-dispatched, regrouped against the fresh layout;
+        re-dispatch depth past ``MAX_LOCATION_RETRIES`` surfaces a typed
+        :class:`~repro.errors.RegionRetriesExhaustedError`."""
         if not ops:
             return
         if _depth >= MAX_LOCATION_RETRIES:
             raise RegionRetriesExhaustedError(
-                f"put_batch on table {self.name} gave up after {_depth} "
+                f"write on table {self.name} gave up after {_depth} "
                 "relocation attempts"
             )
         regions = self.desc.regions
         if len(regions) == 1:
             # single-region table: every row lands there by definition
-            grouped: list[tuple[Region, list[Put]]] = [(regions[0], ops)]
+            grouped: list[tuple[Region, list]] = [(regions[0], ops)]
+        elif len(ops) == 1:
+            # a single put or delete, the common write: no grouping
+            grouped = [(self._locate(ops[0].row), ops)]
         else:
-            # group by region in first-appearance order; consecutive
-            # puts usually hit the same region, so test bounds inline
-            groups: dict[int, tuple[Region, list[Put]]] = {}
+            # consecutive ops usually hit the same region, so test
+            # bounds inline
+            groups: dict[int, tuple[Region, list]] = {}
             cur_region: Region | None = None
             cur_start: bytes = b""
             cur_end: bytes | None = None
@@ -297,49 +300,30 @@ class HTable:
                     cur_end = cur_region.end_key
                     group = groups.get(id(cur_region))
                     if group is None:
-                        cur_list: list[Put] = []
+                        cur_list: list = []
                         groups[id(cur_region)] = (cur_region, cur_list)
                     else:
                         cur_list = group[1]
                     cur_append = cur_list.append
                 cur_append(op)
             grouped = list(groups.values())
-        for region, puts in grouped:
+        for region, group_ops in grouped:
             try:
                 self.charge.rpc()
                 server = self.cluster.server_for(region)
                 ctx, token = self._enter_server(server)
                 try:
-                    server.charge.wal_append()  # one group sync per batch
-                    first_ts = self.cluster.reserve_timestamps(len(puts))
-                    server.apply_puts(region, puts, first_ts)
+                    server.mutate(
+                        region, group_ops, self.cluster.reserve_timestamps
+                    )
                     rep = self.cluster.replication
                     if rep is not None:
-                        rep.after_write(region)  # ack_mode="all"
+                        rep.after_write(region)  # ack_mode="all": sync ship
                 finally:
                     self._exit_server(server, ctx, token)
             except RegionUnavailableError:
-                # the group's region split (or failed over) under the
-                # batch: re-dispatch just these puts, regrouped against
-                # the fresh layout
-                self._relocate(region, puts[0].row)
-                self.put_batch(puts, _depth + 1)
-
-    def delete(self, op: Delete) -> None:
-        self._routed(op.row, lambda region: self._delete_at(region, op))
-
-    def _delete_at(self, region: Region, op: Delete) -> None:
-        self.charge.rpc()
-        server = self.cluster.server_for(region)
-        ctx, token = self._enter_server(server)
-        try:
-            ts = self.cluster.next_timestamp()
-            server.apply_delete(region, op.row, op.columns, ts)
-            rep = self.cluster.replication
-            if rep is not None:
-                rep.after_write(region)  # ack_mode="all": sync ship
-        finally:
-            self._exit_server(server, ctx, token)
+                self._relocate(region, group_ops[0].row)
+                self._mutate(group_ops, _depth + 1)
 
     def check_and_put(
         self,
@@ -381,8 +365,7 @@ class HTable:
                 current = result.value(family, qualifier)
             if current != expected:
                 return False
-            ts = self.cluster.next_timestamp()
-            server.apply_put(region, put.row, put.cells, ts)
+            server.mutate(region, [put], self.cluster.reserve_timestamps)
             rep = self.cluster.replication
             if rep is not None:
                 rep.after_write(region)  # ack_mode="all": sync ship
@@ -456,7 +439,10 @@ class HTable:
             else:
                 source = region
                 server = self.cluster.server_for(region)
-            ctx, token = self._enter_server(server)
+            # a follower window skips admission, as a follower get does:
+            # a shed raised here, before the try below, would escape
+            # instead of falling back to the primary
+            ctx, token = self._enter_server(server, admission=follower is None)
             charge_rpc()  # open scanner on this region
             server.charge.seek()
             row_read = server.charge.row_read

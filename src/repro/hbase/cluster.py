@@ -110,10 +110,6 @@ class HBaseCluster:
         to builds that predate replication."""
 
     # -- timestamp oracle ----------------------------------------------------------
-    def next_timestamp(self) -> int:
-        self._ts += 1
-        return self._ts
-
     def reserve_timestamps(self, n: int) -> int:
         """Allocate a contiguous block of ``n`` timestamps (one oracle
         round trip per batch instead of per mutation); returns the first."""
@@ -135,7 +131,7 @@ class HBaseCluster:
         if name in self.tables:
             raise TableExistsError(name)
         if max_versions is None:
-            max_versions = self.config.max_versions
+            max_versions = 1
         elif max_versions < 1:
             raise ClusterConfigError(
                 f"max_versions must be >= 1, got {max_versions}"

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.hbase.wal import WalEntry
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hbase.filters import FilterBase
 
@@ -30,6 +32,11 @@ class Put:
             timestamp = self.timestamp
         self.cells.append((family, qualifier, value, timestamp))
         return self
+
+    def wal_entry(self, region_name: str, ts: int) -> WalEntry:
+        """This put as logged under ``region_name`` at server time ``ts``
+        (its cells copied into a tuple: a logged entry is immutable)."""
+        return WalEntry(region_name, "put", self.row, tuple(self.cells), ts)
 
 
 class Get:
@@ -62,6 +69,10 @@ class Delete:
     ) -> None:
         self.row = row
         self.columns = columns
+
+    def wal_entry(self, region_name: str, ts: int) -> WalEntry:
+        """This delete as logged under ``region_name`` at server time ``ts``."""
+        return WalEntry(region_name, "delete", self.row, self.columns, ts)
 
 
 @dataclass

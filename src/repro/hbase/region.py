@@ -15,6 +15,7 @@ from repro.hbase.store import (
     RowEntry,
     row_result,
 )
+from repro.hbase.wal import WalEntry
 
 HFILE_FLUSH_THRESHOLD_ROWS = 50_000
 """Memstore rows at which a region server flushes a region to an HFile."""
@@ -72,6 +73,16 @@ class Region:
         return self._approx_size_bytes
 
     # -- writes ---------------------------------------------------------------
+    def apply(self, entry: WalEntry) -> None:
+        """Apply one logged mutation: the one way a WAL entry reaches a
+        region, on the live write path, in crash replay, in follower
+        shipping and in promotion. Idempotent: an entry carries its
+        original timestamp, so re-applying it rewrites the same version."""
+        if entry.kind == "put":
+            self.put_row(entry.row, entry.payload, entry.timestamp)
+        else:
+            self.delete_row(entry.row, entry.payload, entry.timestamp)
+
     def put_row(
         self,
         row: bytes,

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.config import ServingConfig
 from repro.errors import HBaseError, RegionUnavailableError
 from repro.hbase.admission import AdmissionController
 from repro.hbase.cache import RowCache, missed
 from repro.hbase.cell import Result
+from repro.hbase.ops import Delete, Put
 from repro.hbase.region import Region
-from repro.hbase.wal import WalEntry, WriteAheadLog
+from repro.hbase.wal import WriteAheadLog
 from repro.sim.clock import Simulation
 from repro.sim.latency import LatencyCharger
 
@@ -124,92 +127,40 @@ class RegionServer:
         return result
 
     # -- mutations (all WAL-first) ---------------------------------------------------
-    def apply_put(
+    def mutate(
         self,
         region: Region,
-        row: bytes,
-        cells: list[tuple[bytes, bytes, bytes, int | None]],
-        ts: int,
-        charge_wal: bool = True,
+        ops: list[Put | Delete],
+        reserve_timestamps: Callable[[int], int],
     ) -> None:
+        """Apply one region's group of puts and deletes; a single
+        operation is a group of one. Nothing is logged or charged before
+        the server and the region are known to be up. Then the group
+        pays one WAL sync and takes a contiguous timestamp block from
+        ``reserve_timestamps(n)``, and each operation is logged, applied
+        through :meth:`Region.apply` and followed by a flush check. The
+        n row-write charges come after the loop (nothing in it reads the
+        clock or draws), and the split check once, at a safe point:
+        splitting inside the loop would offline the region the rest of
+        the group targets."""
         self._check_alive()
-        if self.row_cache is not None:
-            self.row_cache.invalidate_row(region.name, row)
-        self.wal.append(WalEntry(region.name, "put", row, tuple(cells), ts))
-        if charge_wal:
-            self.charge.wal_append()
-        region.put_row(row, cells, ts)
-        self.charge.rows_written(1)
-        if len(region.memstore) >= region.flush_threshold_rows:
-            self.flush_region(region)
-        self._maybe_split(region)
-
-    def apply_puts(
-        self,
-        region: Region,
-        puts,
-        first_ts: int,
-    ) -> None:
-        """Batched ``apply_put`` with WAL sync charged by the caller
-        (one group sync per region batch) and timestamps pre-reserved
-        as a contiguous block starting at ``first_ts``. Emits the same
-        WAL entries, per-row charges and flush checks as per-put
-        application, with the per-put lookup overhead hoisted out of
-        the loop."""
-        self._check_alive()
-        region._check_online()  # single-threaded: cannot flip mid-batch
-        if self.row_cache is not None:
-            cache_invalidate = self.row_cache.invalidate_row
-            for op in puts:
-                cache_invalidate(region.name, op.row)
-        wal = self.wal
-        wal_buffer_append = wal.buffer_for(region.name).append
-        wal.total_appends += len(puts)  # accounted up front for the batch
-        region_name = region.name
-        memstore = region.memstore
-        memstore_put = memstore.apply_put
-        entries = memstore._entries  # flush-threshold check, C-level len
-        threshold = region.flush_threshold_rows
-        kv_overhead = region.kv_overhead_bytes
-        size_delta = 0
-        ts = first_ts - 1
-        for op in puts:
-            ts += 1
-            row = op.row
-            cells = op.cells
-            wal_buffer_append(WalEntry(region_name, "put", row, tuple(cells), ts))
-            size_delta += memstore_put(row, cells, ts, len(row) + kv_overhead)
-            if len(entries) >= threshold:
-                region._approx_size_bytes += size_delta
-                size_delta = 0
-                # the flush re-arms the same MemStore object with
-                # fresh containers and truncates this region's WAL
-                # buffer: re-fetch both hoisted references
-                self.flush_region(region)
-                entries = memstore._entries
-                wal_buffer_append = wal.buffer_for(region_name).append
-        # nothing in the loop reads the clock or draws, so the per-row
-        # write charges are made together, in row order
-        self.charge.rows_written(len(puts))
-        region._approx_size_bytes += size_delta
-        # split check once per batch, at a safe point: splitting inside
-        # the loop would offline the region the remaining puts target
-        self._maybe_split(region)
-
-    def apply_delete(
-        self,
-        region: Region,
-        row: bytes,
-        columns: list[tuple[bytes, bytes]] | None,
-        ts: int,
-    ) -> None:
-        self._check_alive()
-        if self.row_cache is not None:
-            self.row_cache.invalidate_row(region.name, row)
-        self.wal.append(WalEntry(region.name, "delete", row, columns, ts))
+        region._check_online()  # single-threaded: cannot flip mid-group
         self.charge.wal_append()
-        region.delete_row(row, columns, ts)
-        self.charge.rows_written(1)
+        ts = reserve_timestamps(len(ops))
+        name = region.name
+        cache = self.row_cache
+        wal_append = self.wal.append
+        for op in ops:
+            entry = op.wal_entry(name, ts)
+            ts += 1
+            if cache is not None:
+                cache.invalidate_row(name, entry.row)
+            wal_append(entry)
+            region.apply(entry)
+            if len(region.memstore) >= region.flush_threshold_rows:
+                self.flush_region(region)
+        self.charge.rows_written(len(ops))
+        self._maybe_split(region)
 
     def _maybe_split(self, region: Region) -> None:
         threshold = region.split_threshold_bytes
@@ -275,9 +226,6 @@ class RegionServer:
                 )
             )
         entries.extend(self.wal.entries_for(region.name))
-        for e in entries:
-            if e.kind == "put":
-                region.put_row(e.row, e.payload, e.timestamp)
-            else:
-                region.delete_row(e.row, e.payload, e.timestamp)
+        for entry in entries:
+            region.apply(entry)
         return len(entries)

@@ -50,16 +50,6 @@ SHIP_BATCH_ENTRIES = 8
 """WAL entries the shipper pushes to one follower per drain round."""
 
 
-def _apply_entry(region: Region, entry: WalEntry) -> None:
-    """Apply one shipped/replayed log entry (idempotent: entries carry
-    their original timestamps, so re-application overwrites the same
-    cell version)."""
-    if entry.kind == "put":
-        region.put_row(entry.row, entry.payload, entry.timestamp)
-    else:
-        region.delete_row(entry.row, entry.payload, entry.timestamp)
-
-
 class FollowerReplica:
     """One follower copy: a region object that is exactly the group's
     log prefix ``log[:applied]``, hosted in a server's
@@ -211,7 +201,7 @@ class ReplicationManager:
             split_threshold_bytes=None,
         )
         for entry in group.log:
-            _apply_entry(region, entry)
+            region.apply(entry)
         server.follower_regions[region.name] = region
         group.followers.append(
             FollowerReplica(region, server, len(group.log))
@@ -289,7 +279,7 @@ class ReplicationManager:
                     continue
                 batch = log[follower.applied : follower.applied + batch_entries]
                 for entry in batch:
-                    _apply_entry(follower.region, entry)
+                    follower.region.apply(entry)
                 follower.applied += len(batch)
                 shipped += len(batch)
         self.entries_shipped += shipped
@@ -316,7 +306,7 @@ class ReplicationManager:
             if pending <= 0:
                 continue
             for entry in log[follower.applied :]:
-                _apply_entry(follower.region, entry)
+                follower.region.apply(entry)
             follower.applied = len(log)
             self.entries_shipped += pending
             sim.charge(
@@ -388,7 +378,7 @@ class ReplicationManager:
             tied[int(self._rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
         )
         for entry in group.log[choice.applied :]:
-            _apply_entry(choice.region, entry)
+            choice.region.apply(entry)
         choice.applied = len(group.log)
         del choice.server.follower_regions[choice.region.name]
         group.followers.remove(choice)

@@ -1,9 +1,9 @@
 """Write-ahead log for a region server.
 
-Every mutation is appended (and charged as a synchronous HDFS sync)
-before being applied to the memstore; entries are truncated per region
-when its memstore flushes, and replayed on recovery after a simulated
-region-server crash.
+Every mutation is appended before it reaches the memstore (one HDFS
+sync per region group, charged by ``RegionServer.mutate``); entries are
+truncated per region when its memstore flushes, and replayed with
+``Region.apply`` on recovery after a simulated region-server crash.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ class WalEntry:
 class _TapBuffer(list):
     """A per-region WAL buffer with a replication tap: every entry
     appended is also pushed to the tap callback (the primary-side feed
-    of a replication group's ship log). A ``list`` subclass so the hot
-    batched write path — which binds ``buffer_for(...).append`` once
-    per batch — keeps working unchanged; only regions with a tap
-    installed ever pay the extra call."""
+    of a replication group's ship log). A ``list`` subclass, so only
+    regions with a tap installed ever pay the extra call."""
 
     __slots__ = ("_tap",)
 
@@ -74,18 +72,6 @@ class WriteAheadLog:
             )
         per_region.append(entry)
         self.total_appends += 1
-
-    def buffer_for(self, region_name: str) -> list[WalEntry]:
-        """The live append buffer for one region (batched write path:
-        the caller appends entries directly and accounts
-        ``total_appends`` itself). Invalidated by :meth:`truncate` —
-        re-fetch after a flush."""
-        per_region = self._entries.get(region_name)
-        if per_region is None:
-            per_region = self._entries[region_name] = (
-                self._new_buffer(region_name)
-            )
-        return per_region
 
     # -- replication taps ------------------------------------------------------
     def install_tap(self, region_name: str, tap) -> None:

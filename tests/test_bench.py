@@ -488,7 +488,7 @@ class TestSettableSurface:
             "CostModel": 21,
             "ReplicationConfig": 3,
             "ServingConfig": 4,
-            "ClusterConfig": 7,
+            "ClusterConfig": 6,
             "FaultConfig": 5,
         }
 

@@ -437,10 +437,11 @@ class TestCheckAndPutCharging:
 
 class TestCostCharging:
     @pytest.mark.parametrize("jitter", [0.0, 0.02])
-    def test_apply_puts_charges_each_row_separately(self, jitter):
-        """One batch = n one-row write charges in row order: one jitter
-        draw per row (bit-identical to n ``charge`` calls on a twin
-        simulation), also when the batch flushes mid-loop."""
+    def test_mutate_charges_one_sync_then_each_row_separately(self, jitter):
+        """One region group = one WAL sync, then n one-row write charges
+        in row order: one jitter draw per row (bit-identical to 1 + n
+        ``charge`` calls on a twin simulation), also when the group
+        flushes mid-loop."""
         n = 10
 
         def twin():
@@ -454,12 +455,14 @@ class TestCostCharging:
         sim, cluster, region = twin()
         server = cluster.server_for(region)
         puts = [Put(b"%04d" % i).add(b"cf", b"q", b"v") for i in range(n)]
-        server.apply_puts(region, puts, cluster.reserve_timestamps(n))
+        server.mutate(region, puts, cluster.reserve_timestamps)
         assert len(region.hfiles) == 2  # flushed at rows 4 and 8
-        written = sim.metrics.counters()[f"rs.{server.name}.rows_written"]
-        assert written == n
+        counters = sim.metrics.counters()
+        assert counters[f"rs.{server.name}.rows_written"] == n
+        assert counters[f"rs.{server.name}.wal_append"] == 1
 
         reference, _, _ = twin()
+        reference.charge("wal_append", "wal_append_ms", 1)
         for _ in range(n):
             reference.charge("rows_written", "write_row_ms", 1)
         assert sim.clock.now_ms == reference.clock.now_ms

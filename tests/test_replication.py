@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.suites.faults import chaos_cell
-from repro.config import ClusterConfig, ReplicationConfig
+from repro.config import ClusterConfig, ReplicationConfig, ServingConfig
 from repro.errors import RegionUnavailableError, ReplicationError
 from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.hbase.client import HTable
@@ -332,6 +332,46 @@ class TestFollowerReads:
         for _lag, missing in handle.follower_scan_lag:
             merged.update(missing)
         assert merged == {b"%08d" % 3: 1}
+
+    def test_follower_scan_window_skips_admission(self):
+        """A follower scan window, like a follower get, is not offered
+        to admission control: a shed raised when the window opens would
+        escape the scan instead of falling back to the primary."""
+        sim = Simulation(seed=11)
+        cluster = HBaseCluster(
+            sim,
+            ClusterConfig(
+                num_region_servers=3,
+                seed=11,
+                replication=ReplicationConfig(replica_count=2),
+                serving=ServingConfig(admission_queue_ms=0.5),
+            ),
+        )
+        table = HBaseClient(cluster).create_table(
+            "c", families=(FAMILY,), split_keys=[b"%08d" % 20, b"%08d" % 40]
+        )
+        cluster.replication.replicate_table("c")
+        table.put_batch(
+            [Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"v") for i in range(60)]
+        )
+        cluster.replication.ship_pending(10_000)
+        rows_seen = []
+
+        def reader(vc):
+            # the whole scan in one step: the second reader then finds
+            # every follower server busy past its own clock
+            handle = HTable(cluster, "c", follower_reads=True)
+            rows_seen.append(len(list(handle.scan())))
+            assert len(handle.follower_scan_lag) == 3  # all from followers
+            yield "scan"
+
+        scheduler = DeterministicScheduler(sim)
+        for i in range(2):
+            scheduler.add_client(f"reader{i}", reader)
+        report = scheduler.run()
+        assert rows_seen == [60, 60]
+        assert report.serial_wait_count > 0  # the second reader queued
+        assert all(s.admission.shed == 0 for s in cluster.servers)
 
 
 class TestPromotion:

@@ -39,11 +39,10 @@ CALIBRATION = config.CostModel
 KEPT = {
     "ReplicationConfig.ack_mode": "`tests/test_replication.py` (sync-ship acks)",
     "ReplicationConfig.staleness_bound_entries": "`tests/test_replication.py`",
-    "ClusterConfig.max_versions": "`tests/test_orchestration.py` (refuses < 1)",
 }
 """Fields no non-test caller sets that stay anyway, with the test that
-pins them: removing one removes function (sync acks, follower reads,
-multi-version tables), which is not what a knob diet is for."""
+pins them: removing one removes function (sync acks, follower reads),
+which is not what a knob diet is for."""
 
 INDIRECT = {
     "src/repro/bench/suites/faults.py": "the `chaos_cell` suites",
