@@ -17,11 +17,11 @@ experiment, the simulated-latency statistics (the paper's metric). It
 holds virtual time only — host time is ``perfbench``'s — so reruns with
 the same flags are byte-identical.
 
-``--smoke <suite|all>`` runs a suite's CI gate locally: its smoke cell
-and checks, then its small ``--only`` sweep through this same CLI path,
-once here and once in a fresh interpreter under another
-``PYTHONHASHSEED``, byte-compared. It exits 1 listing every failed check; with
-``--emit-json`` it writes the smoke report.
+``--smoke <suite|all>`` runs a suite's CI gate locally: its small
+``--only`` sweep through this same CLI path, here and in a fresh
+interpreter under another ``PYTHONHASHSEED`` (byte-compared), with its
+checks held against the JSON it emits. It exits 1 listing every failed
+check; with ``--emit-json`` it writes each gate's sweep.
 """
 
 from __future__ import annotations
@@ -139,26 +139,20 @@ def _dump(payload: dict) -> str:
 
 def smoke_suite(parser, suite: Suite, say) -> tuple[dict, list[str]]:
     """Hold one suite to its smoke gate; returns ``(report, failures)``."""
-    smoke = suite.smoke
-    report: dict = {}
-    failures: list[str] = []
-    if smoke.fn is not None:
-        say(f"[smoke:{suite.name}] {smoke.fn.__name__}()")
-        report["smoke"] = smoke.fn()
-        failures += failed(smoke.checks, report["smoke"])
-    argv = ["--only", suite.name, *shlex.split(smoke.flags), "--quiet"]
+    argv = ["--only", suite.name, *shlex.split(suite.smoke.flags), "--quiet"]
     say(f"[smoke:{suite.name}] python -m repro.bench {' '.join(argv)}")
     opts = parser.parse_args(argv)
     first = _dump(run_suites(_selected(parser, opts), opts, argv, say)[1])
-    report["sweep"] = json.loads(first)
+    sweep = json.loads(first)
+    failures: list[str] = []
     rerun = f"rerun of `{' '.join(argv)}` in a fresh interpreter"
     try:
         if fresh_rerun(argv) != first:
             failures.append(f"{rerun} (another hash seed) is not byte-identical")
     except subprocess.CalledProcessError as exc:
         failures.append(f"{rerun} exited {exc.returncode}")
-    failures += failed(smoke.sweep_checks, report["sweep"]["experiments"])
-    return report, failures
+    failures += failed(suite.smoke.checks, sweep["experiments"])
+    return {"sweep": sweep}, failures
 
 
 def fresh_rerun(argv: list[str]) -> str:
@@ -197,7 +191,8 @@ def _smoke(parser, args, say) -> int:
     failures: list[str] = []
     for suite in wanted:
         reports[suite.name], bad = smoke_suite(parser, suite, say)
-        print(f"smoke[{suite.name}]: {reports[suite.name].get('smoke', {})} "
+        print(f"smoke[{suite.name}]: {len(suite.smoke.checks)} checks on "
+              f"`{reports[suite.name]['sweep']['generated_by']}` "
               f"-> {'FAILED' if bad else 'ok'}")
         failures += [f"{suite.name}: {message}" for message in bad]
     if args.emit_json:

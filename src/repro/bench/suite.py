@@ -15,6 +15,7 @@ suite.
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -65,21 +66,25 @@ class Flag:
 
 @dataclass(frozen=True)
 class Smoke:
-    """A suite's CI gate, run by ``python -m repro.bench --smoke <suite>``.
-
-    ``fn()`` (optional) runs one fixed high-signal cell — its defaults
-    *are* the gate's configuration — and returns a counter dict that
-    ``checks`` are evaluated against. ``flags`` is the ``--only
-    <suite>`` flag string of a small sweep: it is run through the real
-    CLI path — here, then in a fresh interpreter under another
-    ``PYTHONHASHSEED``, and the two emitted JSON documents must be
-    byte-identical — and ``sweep_checks`` are evaluated against its
-    ``experiments`` block."""
+    """A suite's CI gate, run by ``python -m repro.bench --smoke <suite>``:
+    the ``--only <suite> <flags>`` sweep, run here and again in a fresh
+    interpreter under another ``PYTHONHASHSEED`` (the two JSON documents
+    must be byte-identical), with ``checks`` held against the
+    ``experiments`` block it emits."""
 
     flags: str
-    fn: Callable[[], Mapping[str, Any]] | None = None
     checks: tuple[Check, ...] = ()
-    sweep_checks: tuple[Check, ...] = ()
+
+
+def mean(e: Mapping[str, Any], experiment_id: str, label: str, x=None) -> float:
+    """One cell's mean in an emitted ``experiments`` block ``e`` — at
+    the sweep's last x-value when ``x`` is None; NaN for an X, so every
+    comparison a check makes with it fails."""
+    result = e[experiment_id]
+    if x is None:
+        x = result["x_values"][-1]
+    point = result["series"][label][str(x)]
+    return math.nan if point is None else point["mean"]
 
 
 def failed(checks: tuple[Check, ...], out: Mapping[str, Any]) -> list[str]:

@@ -10,7 +10,7 @@ from repro.bench.harness import (
     per_second,
     percentile_or_zero,
 )
-from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.bench.tpcw_lab import TpcwLab
 from repro.sim import DeterministicScheduler, derive_rng, run_transaction
 from repro.tpcw.writes import WRITE_STATEMENTS
@@ -67,10 +67,22 @@ def _concurrency_txns(
     return txns
 
 
-def _client_programs(system, lab, scheduler, clients, txn_specs, seed, label):
-    """Wire one session + pre-generated transaction program per client."""
+def _scheduled_cell(name, clients, txn_specs, num_customers, seed):
+    """Build one populated system, wire one session + pre-generated
+    transaction program per client, and drive them through the
+    deterministic scheduler. The per-client RNG label excludes both the
+    client count and the system name, so client i runs the same
+    transaction mix in every cell of the grid and the scaling curves
+    compare like against like across systems."""
+    lab = TpcwLab(
+        num_customers=num_customers, repetitions=1, seed=seed,
+        jitter_fraction=0.0,
+    )
+    system = lab.build_system(name)
+    lab.populate(system)
+    scheduler = DeterministicScheduler(system.sim)
     for i in range(clients):
-        rng = derive_rng(seed, f"{label}/client-{i}")
+        rng = derive_rng(seed, f"concurrency/client-{i}")
         txns = _concurrency_txns(lab.generator, rng, **txn_specs)
         statements = [
             [
@@ -86,20 +98,6 @@ def _client_programs(system, lab, scheduler, clients, txn_specs, seed, label):
                 yield from run_transaction(client, session, txn)
 
         scheduler.add_client(f"client-{i}", program)
-
-
-def _scheduled_cell(name, clients, txn_specs, num_customers, seed, label):
-    """Build one populated system and drive ``clients`` virtual clients
-    through the deterministic scheduler — the shared harness cell behind
-    both :func:`run_concurrency` and :func:`concurrency_smoke`."""
-    lab = TpcwLab(
-        num_customers=num_customers, repetitions=1, seed=seed,
-        jitter_fraction=0.0,
-    )
-    system = lab.build_system(name)
-    lab.populate(system)
-    scheduler = DeterministicScheduler(system.sim)
-    _client_programs(system, lab, scheduler, clients, txn_specs, seed, label)
     return scheduler.run()
 
 
@@ -121,9 +119,11 @@ def run_concurrency(
     ``txns_per_client`` transactions each, parameters drawn from small
     hot sets so clients collide. Reported per cell: committed
     transactions per virtual second, p50/p99 transaction response time
-    (including lock waits, queue waits and abort retries), and the abort
-    rate. Everything is derived from virtual time and seeded draws, so
-    two runs with the same arguments are bit-identical.
+    (including lock waits, queue waits and abort retries), the abort
+    rate, and the contention counters behind them: lock waits, serial
+    waits, MVCC conflict aborts and transactions that gave up.
+    Everything is derived from virtual time and seeded draws, so two
+    runs with the same arguments are bit-identical.
     """
     say = progress or (lambda _m: None)
     grid = Grid(
@@ -148,22 +148,23 @@ def run_concurrency(
             "Transaction abort rate vs concurrent clients",
             "fraction",
         ),
+        lock_waits=("ConcurrencyLockWaits", "Lock waits vs concurrent clients",
+                    "count"),
+        serial_waits=("ConcurrencySerialWaits",
+                      "Serial-execution waits vs concurrent clients", "count"),
+        conflicts=("ConcurrencyConflictAborts",
+                   "MVCC conflict aborts vs concurrent clients", "count"),
+        gave_up=("ConcurrencyGaveUp",
+                 "Transactions that gave up vs concurrent clients", "count"),
     )
     txn_specs = dict(
         txns_per_client=txns_per_client, hot_items=hot_items,
         hot_customers=hot_customers, hot_carts=hot_carts,
     )
-    contention_notes: list[str] = []
     for name in CONCURRENCY_SYSTEMS:
         for n in client_counts:
             say(f"[concurrency] {name}: {n} clients x {txns_per_client} txns")
-            # the per-client RNG label excludes both the client count
-            # and the system name, so client i runs the same transaction
-            # mix in every cell of the grid and the scaling curves
-            # compare like against like across systems
-            report = _scheduled_cell(
-                name, n, txn_specs, num_customers, seed, "concurrency"
-            )
+            report = _scheduled_cell(name, n, txn_specs, num_customers, seed)
             rts = report.response_times
             committed, aborted = report.committed, report.aborted
             attempts = committed + aborted
@@ -173,44 +174,26 @@ def run_concurrency(
             grid.set("p99", name, n, percentile_or_zero(rts, 0.99), committed)
             grid.set("abort_rate", name, n,
                      aborted / attempts if attempts else 0.0, attempts)
-            if n == client_counts[-1]:
-                failed = sum(c["failed"] for c in report.clients.values())
-                contention_notes.append(
-                    f"{name} @ {n} clients: {report.lock_wait_count} lock "
-                    f"waits, {report.serial_wait_count} serial waits, "
-                    f"{report.conflict_abort_count} MVCC conflicts, "
-                    f"{failed} gave up"
-                )
+            grid.set("lock_waits", name, n, report.lock_wait_count)
+            grid.set("serial_waits", name, n, report.serial_wait_count)
+            grid.set("conflicts", name, n, report.conflict_abort_count)
+            grid.set("gave_up", name, n,
+                     sum(c["failed"] for c in report.clients.values()))
     return grid.finish(
         f"{num_customers} customers, {txns_per_client} txns/client, hot sets: "
         f"{hot_items} items / {hot_customers} customers / {hot_carts} carts, "
         f"seed {seed}; closed loop, zero think time",
-        *contention_notes,
     )
 
 
-def concurrency_smoke(
-    clients: int = 8,
-    txns_per_client: int = 6,
-    num_customers: int = 20,
-    seed: int = 20170904,
-) -> dict[str, int]:
-    """CI smoke: run Synergy (lock waits) and MVCC-A (conflict aborts)
-    at high contention; returns the aggregated contention counters."""
-    out = {"lock_waits": 0, "conflict_aborts": 0, "committed": 0, "failed": 0}
-    txn_specs = dict(
-        txns_per_client=txns_per_client, hot_items=2, hot_customers=2,
-        hot_carts=1,
+def _none_gave_up(e) -> bool:
+    """Every cell committed something and no transaction gave up."""
+    return all(
+        mean(e, "ConcurrencyThroughput", name, x) > 0
+        and mean(e, "ConcurrencyGaveUp", name, x) == 0
+        for name in CONCURRENCY_SYSTEMS
+        for x in e["ConcurrencyGaveUp"]["x_values"]
     )
-    for name in ("Synergy", "MVCC-A"):
-        report = _scheduled_cell(
-            name, clients, txn_specs, num_customers, seed, "smoke"
-        )
-        out["lock_waits"] += report.lock_wait_count
-        out["conflict_aborts"] += report.conflict_abort_count
-        out["committed"] += report.committed
-        out["failed"] += sum(c["failed"] for c in report.clients.values())
-    return out
 
 
 CONCURRENCY = Suite(
@@ -228,15 +211,13 @@ CONCURRENCY = Suite(
         Flag("concurrency_scale", int, 40, "TPC-W customers"),
     ),
     smoke=Smoke(
-        # high-contention hot sets: the run must observe real lock
-        # waits (Synergy) and real MVCC conflict aborts
-        fn=concurrency_smoke,
-        checks=(
-            ("no lock contention observed", lambda o: o["lock_waits"] > 0),
-            ("no MVCC conflicts observed", lambda o: o["conflict_aborts"] > 0),
-            ("nothing committed, or a client gave up",
-             lambda o: o["committed"] > 0 and o["failed"] == 0),
-        ),
         flags="--clients 1,8 --concurrency-txns 4 --concurrency-scale 20",
+        checks=(
+            ("no lock contention observed",
+             lambda e: mean(e, "ConcurrencyLockWaits", "Synergy") > 0),
+            ("no MVCC conflicts observed",
+             lambda e: mean(e, "ConcurrencyConflictAborts", "MVCC-A") > 0),
+            ("nothing committed, or a client gave up", _none_gave_up),
+        ),
     ),
 )

@@ -10,7 +10,7 @@ from repro.bench.harness import (
     per_second,
     percentile_or_zero,
 )
-from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.config import ClusterConfig, ReplicationConfig
 from repro.hbase.chaos import (
     ChaosRun,
@@ -94,6 +94,20 @@ def chaos_cell(
     )
 
 
+def chaos_counters(prefix: str) -> dict[str, tuple[str, str, str]]:
+    """The fault counters :func:`chaos_sweep_cell` records, as
+    :class:`Grid` metrics named ``<prefix><Counter>``."""
+    return {
+        key: (f"{prefix}{name}", f"{what} vs injected crash cycles", "count")
+        for key, name, what in (
+            ("crashes", "Crashes", "Region-server crashes"),
+            ("recoveries", "Recoveries", "Master recoveries run (quiesce included)"),
+            ("regions_recovered", "RegionsRecovered", "Regions failed over"),
+            ("failover_retries", "FailoverRetries", "Client failover retries"),
+        )
+    }
+
+
 def chaos_sweep_cell(
     grid: Grid,
     label: str,
@@ -103,15 +117,15 @@ def chaos_sweep_cell(
     chaos_horizon_ms: float,
     recovery_replay_ms_per_entry: float = 0.0,
     **cell,
-) -> tuple[ChaosRun, float]:
+) -> ChaosRun:
     """Run one chaos cell of a sweep and record its ``throughput`` /
-    ``p99`` / ``recovery`` metrics under series ``label`` (shared with
-    the replication suite). The requested cycle count is compressed
-    into a fixed ``chaos_horizon_ms`` window, so the x-axis is a genuine
-    crash *rate*: more cycles = denser faults over the same workload,
-    not extra faults after it ended. Any invariant violation aborts the
-    sweep. ``cell`` is forwarded to :func:`chaos_cell`. Returns
-    ``(run, mean client-observed stall ms)``."""
+    ``p99`` / ``recovery`` metrics and its :func:`chaos_counters` under
+    series ``label`` (shared with the replication suite). The requested
+    cycle count is compressed into a fixed ``chaos_horizon_ms`` window,
+    so the x-axis is a genuine crash *rate*: more cycles = denser faults
+    over the same workload, not extra faults after it ended. Any
+    invariant violation aborts the sweep. ``cell`` is forwarded to
+    :func:`chaos_cell`."""
     run = chaos_cell(
         fault_config=FaultConfig(
             cycles=cycles,
@@ -126,12 +140,16 @@ def chaos_sweep_cell(
     report = run.report
     rts = report.response_times
     stalls = run.history.stalls_ms
-    mean_stall = sum(stalls) / len(stalls) if stalls else 0.0
     grid.set("throughput", label, cycles,
              per_second(report.committed, report.makespan_ms))
     grid.set("p99", label, cycles, percentile_or_zero(rts, 0.99), len(rts))
-    grid.set("recovery", label, cycles, mean_stall, len(stalls))
-    return run, mean_stall
+    grid.set("recovery", label, cycles,
+             sum(stalls) / len(stalls) if stalls else 0.0, len(stalls))
+    counters = run.as_dict()
+    counters["recoveries"] += counters["quiesce_recoveries"]
+    for metric in chaos_counters(""):
+        grid.set(metric, label, cycles, counters[metric])
+    return run
 
 
 def run_faults(
@@ -153,10 +171,11 @@ def run_faults(
     :func:`chaos_sweep_cell` for the crash-rate axis). Reported per
     cell: committed ops per virtual second, p99 op response time
     (failover stalls included), and the mean client-observed recovery
-    stall. A cell with any durability/scan-consistency invariant
-    violation aborts the experiment — chaos is a correctness gate, not
-    just a perf curve. Everything derives from virtual time and seeded
-    draws: reruns are byte-identical.
+    stall, plus the :func:`chaos_counters`. A cell with any
+    durability/scan-consistency invariant violation aborts the
+    experiment — chaos is a correctness gate, not just a perf curve.
+    Everything derives from virtual time and seeded draws: reruns are
+    byte-identical.
     """
     say = progress or (lambda _m: None)
     grid = Grid(
@@ -176,12 +195,12 @@ def run_faults(
             "Mean client-observed failover stall vs injected crash cycles",
             "ms",
         ),
+        **chaos_counters("Faults"),
     )
-    chaos_notes: list[str] = []
     for clients in client_counts:
         for cycles in cycle_counts:
             say(f"[faults] {cycles} crash cycles x {clients} clients")
-            run, _ = chaos_sweep_cell(
+            chaos_sweep_cell(
                 grid, f"{clients} clients",
                 f"chaos cell ({cycles} cycles, {clients} clients)",
                 cycles=cycles, chaos_horizon_ms=chaos_horizon_ms,
@@ -189,37 +208,11 @@ def run_faults(
                 ops_per_client=ops_per_client, preload_rows=preload_rows,
                 seed=seed,
             )
-            if clients == client_counts[-1]:
-                h = run.history
-                chaos_notes.append(
-                    f"{cycles} cycles @ {clients} clients: {h.crash_count} "
-                    f"crashes, {h.regions_recovered} regions recovered, "
-                    f"{h.failover_retries} failover retries, "
-                    f"{len(h.stalls_ms)} stalled ops, 0 invariant violations"
-                )
     return grid.finish(
         f"{num_servers} servers, {preload_rows} preloaded rows, "
         f"{ops_per_client} ops/client (55/30/15 put/get/scan), seed {seed}; "
         "closed loop, bounded backoff-and-retry failover",
-        *chaos_notes,
     )
-
-
-def faults_smoke(
-    clients: int = 8,
-    cycles: int = 3,
-    ops_per_client: int = 32,
-    seed: int = 20170904,
-) -> dict:
-    """CI smoke: one high-contention chaos cell; returns its
-    ``ChaosRun.as_dict()`` counters (the gate asserts real crash/recover
-    cycles were ridden out with zero violations)."""
-    return chaos_cell(
-        clients=clients,
-        ops_per_client=ops_per_client,
-        fault_config=FaultConfig(cycles=cycles),
-        seed=seed,
-    ).as_dict()
 
 
 FAULTS = Suite(
@@ -238,20 +231,17 @@ FAULTS = Suite(
         Flag("faults_ops", int, 64, "operations per virtual client"),
     ),
     smoke=Smoke(
-        # the invariant gate: every acked write survives failover, no
-        # scan duplicates or loses rows, nothing gives up
-        fn=faults_smoke,
-        checks=(
-            ("fewer than 2 crash cycles injected", lambda o: o["crashes"] >= 2),
-            ("fewer than 2 recoveries ran",
-             lambda o: o["recoveries"] + o["quiesce_recoveries"] >= 2),
-            ("no region ever failed over",
-             lambda o: o["regions_recovered"] > 0),
-            ("no client ever hit the outage",
-             lambda o: o["failover_retries"] > 0),
-            ("chaos invariants violated", lambda o: o["violations"] == []),
-            ("ops gave up under chaos", lambda o: o["committed"] == 8 * 32),
-        ),
+        # an invariant violation or a give-up aborts the sweep itself
         flags="--crash-cycles 0,2,4 --faults-clients 8 --faults-ops 48",
+        checks=(
+            ("fewer than 2 crash cycles injected",
+             lambda e: mean(e, "FaultsCrashes", "8 clients") >= 2),
+            ("fewer than 2 recoveries ran",
+             lambda e: mean(e, "FaultsRecoveries", "8 clients") >= 2),
+            ("no region ever failed over",
+             lambda e: mean(e, "FaultsRegionsRecovered", "8 clients") > 0),
+            ("no client ever hit the outage",
+             lambda e: mean(e, "FaultsFailoverRetries", "8 clients") > 0),
+        ),
     ),
 )

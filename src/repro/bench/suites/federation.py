@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Callable
 
-from repro.bench.harness import ExperimentResult, summarize
-from repro.bench.suite import Flag, Smoke, Suite
+from repro.bench.harness import ExperimentResult, Grid, summarize
+from repro.bench.suite import Flag, Smoke, Suite, mean
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.federation import Mediator
 from repro.sim import DeterministicScheduler, run_transaction
@@ -128,16 +129,19 @@ def run_federation(
     seed: int = 171001792,
     clients: int = 4,
     progress: Callable[[str], None] | None = None,
-) -> ExperimentResult:
+) -> list[ExperimentResult]:
     """Routed vs pinned-single-system execution through the federation
-    mediator ("Federation" — deliberately NOT an anchored experiment).
+    mediator ("Federation" — deliberately NOT an anchored experiment),
+    plus each mode's routing and advisor counters ("FederationRouting").
 
     One set of populated backends is shared by every mode: the query
     battery is read-only, so routed results must match the pinned
-    references row for row (asserted here, not just noted). All series
-    are virtual-time only, so two runs with the same seed produce
-    byte-identical JSON. A scheduled multi-client write mix runs last —
-    it mutates the shared backends through broadcast writes."""
+    references row for row (asserted here; the counters report how many
+    queries were compared). All series are virtual-time or counts, so
+    two runs with the same seed produce byte-identical JSON — the
+    advisor's whole decision log included, as a digest. A scheduled
+    multi-client write mix runs last — it mutates the shared backends
+    through broadcast writes."""
     say = progress or (lambda _msg: None)
     lab = TpcwLab(num_customers=num_customers, repetitions=repetitions, seed=seed)
     backends = _federation_backends(lab, progress)
@@ -148,6 +152,9 @@ def run_federation(
         "query",
     )
     result.x_values = list(JOIN_QUERIES)
+    grid = Grid("mode", FEDERATION_MODES, routing=(
+        "FederationRouting", "Routing and advisor counters per mode", "count",
+    ))
     digests: dict[str, dict] = {}
     for mode in FEDERATION_MODES:
         say(f"[federation] battery mode={mode}")
@@ -156,32 +163,36 @@ def run_federation(
         series = result.add_series(mode)
         for qid in JOIN_QUERIES:
             series.set(qid, summarize(times[qid]) if qid in times else None)
-        routed = {}
+        routed: dict[str, int] = {}
+        spread: dict[str, set] = {}
         for record in mediator.route_log:
             for a in record.assignments:
                 routed[a["backend"]] = routed.get(a["backend"], 0) + 1
-        reroutes = sum(
-            1 for d in mediator.advisor.decision_log if d.rerouted
-        )
-        result.note(
-            f"{mode}: {len(times)}/{len(JOIN_QUERIES)} queries, "
-            f"sub-plans per backend {routed}, "
-            f"{reroutes} advisor decisions used the observed EWMA"
-        )
+                spread.setdefault(record.statement_id, set()).add(a["backend"])
+        decisions = mediator.advisor.decision_log
+        log = json.dumps(mediator.advisor.log_dicts(), sort_keys=True)
+        for label, value in (
+            ("statements on 2+ backends",
+             sum(len(used) >= 2 for used in spread.values())),
+            ("advisor decisions", len(decisions)),
+            ("decisions overridden by the EWMA",
+             sum(bool(d.rerouted) for d in decisions)),
+            # 48 bits, exact as a JSON number
+            ("decision log digest",
+             int(hashlib.sha256(log.encode()).hexdigest()[:12], 16)),
+        ):
+            grid.set("routing", label, mode, value)
+        result.note(f"{mode}: sub-plans per backend {routed}")
 
     reference = digests["pin-Synergy"]
     for mode, battery in digests.items():
-        for qid, rows in battery.items():
-            if qid not in reference:
-                continue
-            if rows != reference[qid]:
+        compared = [qid for qid in battery if qid in reference]
+        for qid in compared:
+            if battery[qid] != reference[qid]:
                 raise AssertionError(
                     f"federation: {mode} disagrees with pin-Synergy on {qid}"
                 )
-    result.note(
-        "row parity: every routed result matches the pinned Synergy "
-        "reference row for row (asserted)"
-    )
+        grid.set("routing", "queries matching pin-Synergy", mode, len(compared))
 
     say(f"[federation] scheduled mix: {clients} clients")
     mediator = _federation_mediator("routed-auto", backends, lab, seed)
@@ -191,60 +202,21 @@ def run_federation(
         f"committed in {report.steps} interleaved steps, "
         f"{len(mediator.route_log)} routed statements"
     )
-    return result
+    return [result, grid.finish()["routing"]]
 
 
-def federation_smoke(
-    num_customers: int = 25,
-    repetitions: int = 4,
-    seed: int = 171001792,
-) -> dict:
-    """CI smoke: routed-vs-pinned row parity, genuine multi-backend
-    statement spread under split routing, and byte-identical advisor
-    decision logs across two independently built runs."""
-    def one_run():
-        lab = TpcwLab(
-            num_customers=num_customers, repetitions=repetitions, seed=seed
-        )
-        backends = _federation_backends(lab)
-        mediator = _federation_mediator("routed-split", backends, lab, seed)
-        times, digests = _federation_battery(mediator, lab, repetitions)
-        pinned = _federation_mediator("pin-Synergy", backends, lab, seed)
-        _, reference = _federation_battery(pinned, lab, repetitions=1)
-        return lab, backends, mediator, digests, reference
-
-    _, _, mediator, digests, reference = one_run()
-    out: dict = {"queries": len(JOIN_QUERIES)}
-    out["rows_match[routed-split]"] = sum(
-        1 for qid, rows in digests.items() if rows == reference.get(qid)
-    )
-    used: dict[str, set] = {}
-    for record in mediator.route_log:
-        for a in record.assignments:
-            used.setdefault(record.statement_id, set()).add(a["backend"])
-    out["statements_spanning_2_backends"] = sum(
-        1 for backends_used in used.values() if len(backends_used) >= 2
-    )
-    out["decisions"] = len(mediator.advisor.decision_log)
-    out["reroutes"] = sum(
-        1 for d in mediator.advisor.decision_log if d.rerouted
-    )
-
-    _, _, mediator2, _, _ = one_run()
-    log_a = json.dumps(mediator.advisor.log_dicts(), sort_keys=True)
-    log_b = json.dumps(mediator2.advisor.log_dicts(), sort_keys=True)
-    out["decision_log_deterministic"] = log_a == log_b
-    return out
+def _split(e, counter: str) -> float:
+    return mean(e, "FederationRouting", counter, "routed-split")
 
 
 FEDERATION = Suite(
     "federation",
-    lambda opts, say: [run_federation(
+    lambda opts, say: run_federation(
         num_customers=opts.federation_scale,
         repetitions=opts.federation_reps,
         clients=opts.federation_clients,
         progress=say,
-    )],
+    ),
     flags=(
         Flag("federation_scale", int, 30, "TPC-W customers"),
         Flag("federation_reps", int, 4, "repetitions per query"),
@@ -252,22 +224,17 @@ FEDERATION = Suite(
              "virtual clients in the scheduled write mix"),
     ),
     smoke=Smoke(
-        # the federation gate: split-routed execution returns the same
-        # rows as a pinned single system on the full TPC-W battery, at
-        # least one statement's fragments genuinely land on >= 2
-        # distinct backends, and two independently built runs produce
-        # byte-identical advisor decision logs
-        fn=federation_smoke,
+        # the advisor's decision log is held by the gate's byte-identical
+        # rerun: its digest is a FederationRouting series
+        flags="--federation-scale 25 --federation-reps 4",
         checks=(
             ("split-routed rows diverged from the pinned single system",
-             lambda o: o["rows_match[routed-split]"] == o["queries"]),
+             lambda e: _split(e, "queries matching pin-Synergy")
+             == len(e["Federation"]["x_values"])),
             ("no statement ever spanned two backends",
-             lambda o: o["statements_spanning_2_backends"] >= 1),
+             lambda e: _split(e, "statements on 2+ backends") >= 1),
             ("the advisor never decided anything",
-             lambda o: o["decisions"] > 0),
-            ("advisor decision logs differ across identical runs",
-             lambda o: o["decision_log_deterministic"]),
+             lambda e: _split(e, "advisor decisions") > 0),
         ),
-        flags="--federation-scale 30 --federation-reps 4",
     ),
 )

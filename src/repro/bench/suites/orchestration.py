@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bench.harness import ExperimentResult, Grid, percentile_or_zero
-from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.bench.suites.faults import chaos_cell
 from repro.config import ClusterConfig, ReplicationConfig
 from repro.hbase import HBaseClient, HBaseCluster, Put
@@ -95,9 +95,13 @@ def run_orchestration(
     installed and once without — at each crash-cycle count. Reported:
     rollout duration (virtual ms, only the rollout runs) and client p99
     with vs without the rollout, so the cost a rolling operation
-    imposes on the workload is the visible delta. Any durability /
-    staleness / layout violation, or a stage that fails to commit,
-    aborts the experiment. Byte-identical across reruns.
+    imposes on the workload is the visible delta, plus the rollout's
+    counters (stages planned and committed, crashes and recoveries it
+    rode out, layout epochs). Any durability / staleness / layout
+    violation, or a stage that fails to commit, aborts the experiment.
+    The two rollback drills (:func:`orchestration_rollback_drill`,
+    :func:`orchestration_step_drill`) run last, as the
+    ``OrchestrationDrills`` experiment. Byte-identical across reruns.
     """
     say = progress or (lambda _m: None)
     grid = Grid(
@@ -112,8 +116,12 @@ def run_orchestration(
             "Client p99 op response time, with vs without a rolling rollout",
             "ms",
         ),
+        rollout=(
+            "OrchestrationRollout",
+            "Staged rollout counters vs injected crash cycles",
+            "count",
+        ),
     )
-    notes: list[str] = []
     for cycles in cycle_counts:
         say(f"[orchestration] rollout under {cycles} crash cycles")
         report, rollout, history, violations, layout = run_orchestration_cell(
@@ -149,51 +157,39 @@ def run_orchestration(
         ):
             grid.set("p99", label, cycles,
                      percentile_or_zero(rts, 0.99), len(rts))
-        notes.append(
-            f"{cycles} cycles: {rollout.committed_stages}/"
-            f"{len(rollout.stages)} stages committed in "
-            f"{rollout.duration_ms:.2f} virtual ms, "
-            f"{history.crash_count} crashes ridden out, "
-            f"{rollout.as_dict()['stages'][-1]['epoch']} layout epochs, "
-            "0 violations (durability + staleness + layout)"
-        )
+        for label, value in (
+            ("stages planned", len(rollout.stages)),
+            ("stages committed", rollout.committed_stages),
+            ("crashes", history.crash_count),
+            ("recoveries", history.recover_count),
+            ("layout epochs", rollout.as_dict()["stages"][-1]["epoch"]),
+        ):
+            grid.set("rollout", label, cycles, value)
+    say("[orchestration] rollback drills")
+    outcomes = {
+        "poisoned stage": orchestration_rollback_drill(seed),
+        **orchestration_step_drill(seed),
+    }
+    drills = Grid("drill", outcomes, drills=(
+        "OrchestrationDrills",
+        "Rollback drills: a poisoned stage must unwind to the exact "
+        "pre-rollout state",
+        "count",
+    ))
+    for drill, counters in outcomes.items():
+        for label, value in counters.items():
+            drills.set("drills", label, drill, value)
     return grid.finish(
         f"2 -> 4 servers, 2 -> 3 replicas + load-aware rebalance; "
         f"{clients} clients x {ops_per_client} ops (55/30/15 put/get/scan), "
         f"seed {seed}; orchestrator is a scheduler participant "
         "(steps interleave with chaos at virtual timestamps)",
-        *notes,
-    )
+    ) | drills.finish()
 
 
-def orchestration_smoke(
-    cycles: int = 2,
-    clients: int = 4,
-    ops_per_client: int = 64,
-    seed: int = 20170904,
-) -> dict[str, int]:
-    """CI smoke: one 3-stage rollout (add servers -> raise replicas ->
-    rebalance) under chaos; returns the rollout and invariant counters
-    (the gate asserts every stage committed with zero violations)."""
-    report, rollout, history, violations, layout = run_orchestration_cell(
-        cycles, clients=clients, ops_per_client=ops_per_client, seed=seed,
-    )
-    return {
-        "stages_committed": rollout.committed_stages,
-        "stages_total": len(rollout.stages),
-        "rollout_committed": int(rollout.status == "committed"),
-        "crashes": history.crash_count,
-        "recoveries": history.recover_count,
-        "failover_retries": history.failover_retries,
-        "committed_ops": report.committed,
-        "violations": len(violations),
-        "layout_issues": len(layout),
-    }
-
-
-def orchestration_rollback_smoke(seed: int = 20170904) -> dict[str, int]:
-    """CI fault drill: a stage that mixes real steps with a poisoned
-    step must roll back to *exactly* the pre-rollout state — compared
+def orchestration_rollback_drill(seed: int) -> dict[str, int]:
+    """Fault drill: a stage that mixes real steps with a poisoned step
+    must roll back to *exactly* the pre-rollout state — compared
     row-for-row (cell snapshots) and by layout fingerprint."""
     sim = Simulation(seed=seed)
     cluster = HBaseCluster(
@@ -222,15 +218,15 @@ def orchestration_rollback_smoke(seed: int = 20170904) -> dict[str, int]:
     rows_intact = cluster_snapshot(cluster) == before_rows
     layout_intact = cluster.layout_fingerprint() == before_layout
     return {
-        "rolled_back": int(rollout.status == "rolled-back"),
-        "stages_total": len(rollout.stages),
-        "rows_intact": int(rows_intact),
-        "layout_intact": int(layout_intact),
+        "rolled back": int(rollout.status == "rolled-back"),
+        "stages planned": len(rollout.stages),
+        "rows intact": int(rows_intact),
+        "layout intact": int(layout_intact),
     }
 
 
-def orchestration_step_drill(seed: int = 20170904) -> dict[str, dict[str, int]]:
-    """CI fault drill over every other step kind, on a 3-server cluster
+def orchestration_step_drill(seed: int) -> dict[str, dict[str, int]]:
+    """Fault drill over every other step kind, on a 3-server cluster
     with replication: a poisoned stage of add-server, rebalance, replica
     raise on an already-replicated table, drain, move and merge must
     unwind (split, move back, undrain, restore followers, restore moves,
@@ -278,9 +274,9 @@ def orchestration_step_drill(seed: int = 20170904) -> dict[str, dict[str, int]]:
     ]).run()
     rebuilt = cluster.replication.followers_rebuilt
     rolled_back = {
-        "rolled_back": int(rollback.status == "rolled-back"),
-        "rows_intact": int(cluster_snapshot(cluster) == before_rows),
-        "layout_intact": int(cluster.layout_fingerprint() == before_layout),
+        "rolled back": int(rollback.status == "rolled-back"),
+        "rows intact": int(cluster_snapshot(cluster) == before_rows),
+        "layout intact": int(cluster.layout_fingerprint() == before_layout),
     }
     retiring = cluster.servers[-1]
     scale_in = Orchestrator(
@@ -288,30 +284,28 @@ def orchestration_step_drill(seed: int = 20170904) -> dict[str, dict[str, int]]:
     ).run()
     _transient, fatal = verify_cluster(cluster)
     return {
-        "every_step": rolled_back,
-        "scale_in": {
+        "every step": rolled_back,
+        "scale-in": {
             "committed": int(scale_in.status == "committed"),
             "drained": int(
                 retiring.draining
                 and not retiring.regions
                 and not retiring.follower_regions
             ),
-            "followers_rebuilt": cluster.replication.followers_rebuilt - rebuilt,
-            "rows_intact": int(cluster_snapshot(cluster) == before_rows),
-            "layout_issues": len(fatal),
+            "followers rebuilt": cluster.replication.followers_rebuilt - rebuilt,
+            "rows intact": int(cluster_snapshot(cluster) == before_rows),
+            "layout issues": len(fatal),
         },
     }
 
 
-def _smoke() -> dict[str, dict[str, int]]:
-    """The orchestration gate is three drills: the rollout under chaos,
-    the induced-failure rollback, and the every-step rollback followed
-    by a committed scale-in."""
-    return {
-        "rollout": orchestration_smoke(),
-        "drill": orchestration_rollback_smoke(),
-        **orchestration_step_drill(),
-    }
+def _rollout(e, counter: str) -> float:
+    """The rollout's ``counter`` at the sweep's crashiest x."""
+    return mean(e, "OrchestrationRollout", counter)
+
+
+def _drill(e, counter: str, drill: str) -> float:
+    return mean(e, "OrchestrationDrills", counter, drill)
 
 
 ORCHESTRATION = Suite(
@@ -329,52 +323,40 @@ ORCHESTRATION = Suite(
         Flag("orchestration_ops", int, 48, "operations per virtual client"),
     ),
     smoke=Smoke(
-        # the rolling-operations gate: every stage of the scale-out
-        # (add servers -> raise replicas -> rebalance) must commit while
-        # the fault injector crashes servers mid-rollout, with zero
-        # durability/staleness/layout violations; and a stage poisoned
-        # after real steps applied must unwind to exactly the
-        # pre-rollout state, row-for-row and by layout fingerprint
-        fn=_smoke,
+        # a violation, a fatal layout finding or a rollout that does not
+        # commit aborts the sweep itself
+        flags="--orchestration-cycles 0,2 --orchestration-ops 64",
         checks=(
             ("rollout did not plan 3 stages",
-             lambda o: o["rollout"]["stages_total"] == 3),
+             lambda e: _rollout(e, "stages planned") == 3),
             ("a rollout stage failed",
-             lambda o: o["rollout"]["stages_committed"] == 3),
-            ("rollout did not commit",
-             lambda o: o["rollout"]["rollout_committed"] == 1),
+             lambda e: _rollout(e, "stages committed") == 3),
             ("fewer than 2 crash cycles injected",
-             lambda o: o["rollout"]["crashes"] >= 2),
+             lambda e: _rollout(e, "crashes") >= 2),
             ("no recovery ran mid-rollout",
-             lambda o: o["rollout"]["recoveries"] >= 1),
-            ("chaos invariants violated",
-             lambda o: o["rollout"]["violations"] == 0),
-            ("cluster layout corrupted",
-             lambda o: o["rollout"]["layout_issues"] == 0),
+             lambda e: _rollout(e, "recoveries") >= 1),
             ("poisoned stage did not roll back",
-             lambda o: o["drill"]["rolled_back"] == 1),
+             lambda e: _drill(e, "rolled back", "poisoned stage") == 1),
             ("rollback lost or mutated rows",
-             lambda o: o["drill"]["rows_intact"] == 1),
+             lambda e: _drill(e, "rows intact", "poisoned stage") == 1),
             ("rollback left the layout dirty",
-             lambda o: o["drill"]["layout_intact"] == 1),
+             lambda e: _drill(e, "layout intact", "poisoned stage") == 1),
             ("every-step stage did not roll back",
-             lambda o: o["every_step"]["rolled_back"] == 1),
+             lambda e: _drill(e, "rolled back", "every step") == 1),
             ("every-step rollback lost or mutated rows",
-             lambda o: o["every_step"]["rows_intact"] == 1),
+             lambda e: _drill(e, "rows intact", "every step") == 1),
             ("every-step rollback left the layout dirty",
-             lambda o: o["every_step"]["layout_intact"] == 1),
+             lambda e: _drill(e, "layout intact", "every step") == 1),
             ("scale-in plan did not commit",
-             lambda o: o["scale_in"]["committed"] == 1),
+             lambda e: _drill(e, "committed", "scale-in") == 1),
             ("scale-in left state on the retired server",
-             lambda o: o["scale_in"]["drained"] == 1),
+             lambda e: _drill(e, "drained", "scale-in") == 1),
             ("scale-in rebuilt no follower",
-             lambda o: o["scale_in"]["followers_rebuilt"] >= 1),
+             lambda e: _drill(e, "followers rebuilt", "scale-in") >= 1),
             ("scale-in lost or mutated rows",
-             lambda o: o["scale_in"]["rows_intact"] == 1),
+             lambda e: _drill(e, "rows intact", "scale-in") == 1),
             ("scale-in corrupted the layout",
-             lambda o: o["scale_in"]["layout_issues"] == 0),
+             lambda e: _drill(e, "layout issues", "scale-in") == 0),
         ),
-        flags="--orchestration-cycles 0,2 --orchestration-clients 4 "
-              "--orchestration-ops 48",
     ),
 )

@@ -12,7 +12,7 @@ from repro.bench.harness import (
     render_table,
     summarize,
 )
-from repro.bench.suite import Check, Flag, IntList, Smoke, Suite
+from repro.bench.suite import Check, Flag, IntList, Smoke, Suite, mean
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.hbase import HBaseClient, HBaseCluster
@@ -314,16 +314,9 @@ def _tpcw(opts, say) -> list[ExperimentResult]:
     return [run(lab, say) for run in (run_fig12, run_fig14, run_table2, run_table3)]
 
 
-def _mean(e, experiment_id: str, label: str, x) -> float:
-    """One cell's mean in an emitted ``experiments`` block ``e``; NaN for
-    an X, so every comparison a check makes with it fails."""
-    point = e[experiment_id]["series"][label][str(x)]
-    return math.nan if point is None else point["mean"]
-
-
 def _below(message: str, low: tuple, high: tuple, factor: float = 1.0) -> Check:
     """``low < factor * high``, each an ``(experiment, series, x)`` cell."""
-    return message, lambda e: _mean(e, *low) < factor * _mean(e, *high)
+    return message, lambda e: mean(e, *low) < factor * mean(e, *high)
 
 
 def _cell_checks(experiment_id: str, statement_ids) -> tuple[Check, ...]:
@@ -333,9 +326,9 @@ def _cell_checks(experiment_id: str, statement_ids) -> tuple[Check, ...]:
     def check(name: str, sid: str) -> Check:
         if name == "VoltDB" and sid in VOLTDB_UNSUPPORTED:
             return (f"{experiment_id} {sid} on VoltDB is not X",
-                    lambda e: math.isnan(_mean(e, experiment_id, name, sid)))
+                    lambda e: math.isnan(mean(e, experiment_id, name, sid)))
         return (f"{experiment_id} {sid} on {name} is not measured",
-                lambda e: _mean(e, experiment_id, name, sid) > 0)
+                lambda e: mean(e, experiment_id, name, sid) > 0)
 
     return tuple(check(name, sid) for sid in statement_ids for name in SYSTEM_NAMES)
 
@@ -344,19 +337,19 @@ def _view_scan_wins(experiment_id: str) -> Check:
     return (
         f"{experiment_id}: the view scan is not faster than the join at every scale",
         lambda e: all(
-            _mean(e, experiment_id, "View Scan", x)
-            < _mean(e, experiment_id, "Join Algorithm", x)
+            mean(e, experiment_id, "View Scan", x)
+            < mean(e, experiment_id, "Join Algorithm", x)
             for x in e[experiment_id]["x_values"]
         ),
     )
 
 
 def _locks(e) -> tuple[float, float, float]:
-    return tuple(_mean(e, "Fig11", "Overhead", n) for n in (10, 100, 1000))
+    return tuple(mean(e, "Fig11", "Overhead", n) for n in (10, 100, 1000))
 
 
 def _size(e, name: str) -> float:
-    return _mean(e, "TableIII", "DB size (MB)", name)
+    return mean(e, "TableIII", "DB size (MB)", name)
 
 
 #: a Baseline write pays at least Tephra's begin + commit round trips
@@ -381,7 +374,7 @@ FIG10 = Suite(
     ),
     smoke=Smoke(
         flags="--micro-scales 20,50 --reps 2",
-        sweep_checks=(_view_scan_wins("Fig10a"), _view_scan_wins("Fig10b")),
+        checks=(_view_scan_wins("Fig10a"), _view_scan_wins("Fig10b")),
     ),
 )
 FIG11 = Suite(
@@ -389,7 +382,7 @@ FIG11 = Suite(
     lambda opts, say: [run_fig11(repetitions=opts.reps)],
     smoke=Smoke(
         flags="--reps 2",
-        sweep_checks=(
+        checks=(
             ("Fig11: overhead does not rise 10 < 100 < 1000 locks",
              lambda e: _locks(e)[0] < _locks(e)[1] < _locks(e)[2]),
             # fixed client setup dominates the small counts ...
@@ -406,13 +399,13 @@ TPCW = Suite(
     _tpcw,
     smoke=Smoke(
         flags="--scale 20 --reps 2",
-        sweep_checks=(
+        checks=(
             *_cell_checks("Fig12", JOIN_QUERIES),
             # paper: Synergy's joins 28.2x faster than Baseline on average
             *(
                 (f"Fig12 {q}: Synergy above 1.05x Baseline",
-                 lambda e, q=q: _mean(e, "Fig12", "Synergy", q)
-                 <= 1.05 * _mean(e, "Fig12", "Baseline", q))
+                 lambda e, q=q: mean(e, "Fig12", "Synergy", q)
+                 <= 1.05 * mean(e, "Fig12", "Baseline", q))
                 for q in JOIN_QUERIES
             ),
             _below("Fig12 Q4: the view-backed query does not beat Baseline's join",
@@ -421,8 +414,8 @@ TPCW = Suite(
             # one hierarchical lock vs Tephra's begin/commit round trips
             *(
                 (f"Fig14 W1: Synergy not 3x cheaper than {other}",
-                 lambda e, other=other: 3 * _mean(e, "Fig14", "Synergy", "W1")
-                 < _mean(e, "Fig14", other, "W1"))
+                 lambda e, other=other: 3 * mean(e, "Fig14", "Synergy", "W1")
+                 < mean(e, "Fig14", other, "W1"))
                 for other in ("Baseline", "MVCC-A")
             ),
             # Shopping_cart is in no view and takes no lock; W3 maintains
@@ -438,7 +431,7 @@ TPCW = Suite(
             ),
             *(
                 (f"Fig14 {w}: Baseline below 0.8x Tephra's begin + commit",
-                 lambda e, w=w: _mean(e, "Fig14", "Baseline", w) > 0.8 * _TEPHRA_MS)
+                 lambda e, w=w: mean(e, "Fig14", "Baseline", w) > 0.8 * _TEPHRA_MS)
                 for w in WRITE_STATEMENTS
             ),
             *(

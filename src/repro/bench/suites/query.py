@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.bench.harness import ExperimentResult, summarize
-from repro.bench.suite import Flag, Smoke, Suite
+from repro.bench.harness import ExperimentResult, Stat, summarize
+from repro.bench.suite import Flag, Smoke, Suite, mean
 from repro.bench.tpcw_lab import TpcwLab
 from repro.tpcw import JOIN_QUERIES
 
@@ -67,94 +67,72 @@ def _query_cell(
     return {"times": times, "digests": digests, "row_counts": row_counts}
 
 
-def _query_cells(num_customers, repetitions, seed, progress=None) -> dict:
-    """One :func:`_query_cell` per planner mode, keyed by mode."""
-    return {
-        mode: _query_cell(mode, num_customers, repetitions, seed, progress)
-        for mode in PLANNER_MODES
-    }
-
-
-def _rows_matching(cells: dict) -> int:
-    """Join queries on which both planners returned the same rows."""
-    return sum(
-        cells["rule"]["digests"][qid] == cells["cost-based"]["digests"][qid]
-        for qid in JOIN_QUERIES
-    )
-
-
 def run_query(
     num_customers: int = 200,
     repetitions: int = 5,
     seed: int = 171001792,
     progress: Callable[[str], None] | None = None,
-) -> ExperimentResult:
+) -> list[ExperimentResult]:
     """Rule-based vs cost-based planner over the Fig. 12 join battery
-    ("QueryEngine" — deliberately NOT an anchored experiment). The
-    emitted series are virtual-time only, so two runs with the same
-    seed produce byte-identical JSON."""
+    ("QueryEngine" — deliberately NOT an anchored experiment), plus the
+    ad-hoc joins' row counts ("QueryJoinRows"). Both planners must
+    return the same rows on every join query (asserted here). The
+    emitted series are virtual-time or counts, so two runs with the
+    same seed produce byte-identical JSON."""
     result = ExperimentResult(
         "QueryEngine", "Planners on the TPC-W join battery", "query"
     )
     result.x_values = list(JOIN_QUERIES) + list(AD_HOC_JOINS)
-    cells = _query_cells(num_customers, repetitions, seed, progress)
+    rows = ExperimentResult(
+        "QueryJoinRows", "Rows returned by the ad-hoc joins", "join",
+        x_values=list(AD_HOC_JOINS), unit="rows",
+    )
+    cells = {
+        mode: _query_cell(mode, num_customers, repetitions, seed, progress)
+        for mode in PLANNER_MODES
+    }
+    for qid in JOIN_QUERIES:
+        if cells["rule"]["digests"][qid] != cells["cost-based"]["digests"][qid]:
+            raise AssertionError(f"query: cost-based plans changed {qid}'s rows")
     for mode, cell in cells.items():
         series = result.add_series(mode)
         for x in result.x_values:
             series.set(x, summarize(cell["times"][x]))
+        counts = rows.add_series(mode)
+        for label, count in cell["row_counts"].items():
+            counts.set(label, Stat(count, 0.0, 1))
     result.note(
-        f"cost-based: rows identical to rule on "
-        f"{_rows_matching(cells)}/{len(JOIN_QUERIES)} join queries"
+        "row parity: the cost-based planner returns the rule planner's "
+        "rows on every join query (asserted)"
     )
     result.note(
         "LIMIT-join / full-join = same-day-orders self-join with and "
         "without LIMIT 64 (no ORDER BY): both broadcast the full build "
         "side; the LIMIT stops the probe scan at the 64th match"
     )
-    return result
-
-
-def query_smoke(
-    num_customers: int = 200,
-    repetitions: int = 2,
-    seed: int = 171001792,
-) -> dict:
-    """CI smoke: row parity between the two planners on the join
-    battery, and the demand contract seen from outside — the limited
-    join returns 64 rows for strictly fewer virtual ms than the same
-    join un-limited."""
-    cells = _query_cells(num_customers, repetitions, seed)
-    rule = cells["rule"]
-    return {
-        "queries": len(JOIN_QUERIES),
-        "rows_match": _rows_matching(cells),
-        "limited_rows": rule["row_counts"]["LIMIT-join"],
-        "limited_virtual_ms": min(rule["times"]["LIMIT-join"]),
-        "full_virtual_ms": min(rule["times"]["full-join"]),
-    }
+    return [result, rows]
 
 
 QUERY = Suite(
     "query",
-    lambda opts, say: [run_query(
+    lambda opts, say: run_query(
         num_customers=opts.query_scale,
         repetitions=opts.query_reps,
         progress=say,
-    )],
+    ),
     flags=(
         Flag("query_scale", int, 200, "TPC-W customers"),
         Flag("query_reps", int, 5, "repetitions per query"),
     ),
     smoke=Smoke(
-        fn=query_smoke,
+        # planner row parity on the join battery aborts the sweep itself
+        flags="--query-scale 200 --query-reps 2",
         checks=(
-            ("cost-based plans changed some query's rows",
-             lambda o: o["rows_match"] == o["queries"]),
             ("LIMIT-join did not return 64 rows",
-             lambda o: o["limited_rows"] == 64),
+             lambda e: mean(e, "QueryJoinRows", "rule", "LIMIT-join") == 64),
             ("the LIMIT did not make the join cheaper",
-             lambda o: o["limited_virtual_ms"] < o["full_virtual_ms"]),
+             lambda e: mean(e, "QueryEngine", "rule", "LIMIT-join")
+             < mean(e, "QueryEngine", "rule", "full-join")),
         ),
-        flags="--query-scale 200 --query-reps 3",
     ),
 )

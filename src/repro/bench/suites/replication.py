@@ -5,10 +5,20 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bench.harness import ExperimentResult, Grid
-from repro.bench.suite import Flag, IntList, Smoke, Suite
-from repro.bench.suites.faults import chaos_cell, chaos_sweep_cell
+from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
+from repro.bench.suites.faults import chaos_counters, chaos_sweep_cell
 from repro.config import ReplicationConfig
-from repro.hbase.chaos import FaultConfig
+
+#: ``ChaosRun.replication`` counters the sweep reports per replicated
+#: cell, as ``Replication<Name>`` experiments.
+REPLICATION_COUNTERS = {
+    "promotions": ("Promotions", "Followers promoted on crash"),
+    "followers_rebuilt": ("FollowersRebuilt", "Followers rebuilt"),
+    "entries_shipped": ("EntriesShipped", "WAL entries shipped"),
+    "follower_gets": ("FollowerGets", "Gets served by a follower"),
+    "follower_scan_windows": ("FollowerScanWindows",
+                              "Scan windows served by a follower"),
+}
 
 
 def run_replication(
@@ -37,8 +47,9 @@ def run_replication(
     serving through the outage. Reported per replica count: throughput,
     p99 op response time and the mean client-observed recovery stall —
     the single-copy series is the baseline the replicated ones must
-    beat. Every cell is checked against the full durability *and*
-    staleness oracle and aborts the experiment on any violation.
+    beat — plus the chaos and :data:`REPLICATION_COUNTERS` counters.
+    Every cell is checked against the full durability *and* staleness
+    oracle and aborts the experiment on any violation.
     Byte-identical across reruns.
     """
     say = progress or (lambda _m: None)
@@ -59,15 +70,18 @@ def run_replication(
             "Mean client-observed recovery stall vs crash cycles, by replica count",
             "ms",
         ),
+        **chaos_counters("Replication"),
+        **{
+            key: (f"Replication{name}", f"{what} vs crash cycles", "count")
+            for key, (name, what) in REPLICATION_COUNTERS.items()
+        },
     )
-    mean_stalls: dict[int, dict[int, float]] = {}
-    rep_notes: list[str] = []
     for replicas in replica_counts:
-        mean_stalls[replicas] = {}
+        label = f"{replicas} replica{'s' if replicas != 1 else ''}"
         for cycles in cycle_counts:
             say(f"[replication] {replicas} replicas x {cycles} crash cycles")
-            run, mean_stalls[replicas][cycles] = chaos_sweep_cell(
-                grid, f"{replicas} replica{'s' if replicas != 1 else ''}",
+            run = chaos_sweep_cell(
+                grid, label,
                 f"replication cell ({replicas} replicas, {cycles} cycles)",
                 cycles=cycles, chaos_horizon_ms=chaos_horizon_ms,
                 recovery_replay_ms_per_entry=recovery_replay_ms_per_entry,
@@ -80,65 +94,20 @@ def run_replication(
                 ops_per_client=ops_per_client, preload_rows=preload_rows,
                 seed=seed,
             )
-            if cycles == cycle_counts[-1] and run.replication is not None:
-                s = run.replication
-                rep_notes.append(
-                    f"{replicas} replicas @ {cycles} cycles: "
-                    f"{s['promotions']} promotions, "
-                    f"{s['followers_rebuilt']} followers rebuilt, "
-                    f"{s['entries_shipped']} entries shipped, "
-                    f"{s['follower_gets']} follower gets, "
-                    f"{s['follower_scan_windows']} follower scan windows, "
-                    "0 violations (durability + staleness)"
-                )
-    crashiest = cycle_counts[-1]
-    baseline = mean_stalls.get(1, {}).get(crashiest)
-    if baseline:
-        for replicas in replica_counts:
-            if replicas < 2:
-                continue
-            stall = mean_stalls[replicas][crashiest]
-            rep_notes.append(
-                f"mean recovery stall @ {crashiest} cycles: "
-                f"{stall:.2f} ms with {replicas} replicas vs "
-                f"{baseline:.2f} ms single-copy "
-                f"({stall / baseline:.2f}x)"
-            )
+            if run.replication is not None:
+                for metric in REPLICATION_COUNTERS:
+                    grid.set(metric, label, cycles, run.replication[metric])
     return grid.finish(
         f"{num_servers} servers, {preload_rows} preloaded rows, "
         f"{clients} clients x {ops_per_client} ops (55/30/15 put/get/scan), "
         f"replay cost {recovery_replay_ms_per_entry} ms/entry, seed {seed}; "
         "promotion-on-crash + bounded-staleness follower reads",
-        *rep_notes,
     )
 
 
-def replication_smoke(
-    replica_count: int = 2,
-    clients: int = 8,
-    cycles: int = 3,
-    ops_per_client: int = 32,
-    seed: int = 20170904,
-) -> dict:
-    """CI smoke: one replicated high-contention chaos cell; returns its
-    ``ChaosRun.as_dict()`` counters, replication block included (the
-    gate asserts promotions and follower reads actually happened, with
-    zero violations on the durability *and* staleness axes)."""
-    return chaos_cell(
-        num_servers=4,
-        clients=clients,
-        ops_per_client=ops_per_client,
-        fault_config=FaultConfig(
-            cycles=cycles, recovery_replay_ms_per_entry=0.4
-        ),
-        seed=seed,
-        replication=ReplicationConfig(replica_count=replica_count),
-    ).as_dict()
-
-
-def _promotion_beats_single_copy(experiments) -> bool:
-    series = experiments["ReplicationRecovery"]["series"]
-    return series["2 replicas"]["3"]["mean"] < series["1 replica"]["3"]["mean"]
+def _replicated(e, counter: str) -> float:
+    """``counter`` of the 2-replica cell at the sweep's crashiest x."""
+    return mean(e, f"Replication{counter}", "2 replicas")
 
 
 REPLICATION = Suite(
@@ -159,31 +128,26 @@ REPLICATION = Suite(
         Flag("replication_ops", int, 48, "operations per virtual client"),
     ),
     smoke=Smoke(
-        # the replication gate: crashes promote followers, follower
-        # reads stay within the staleness bound and pinned to their
-        # applied-WAL watermark, and the durability oracle stays clean
-        fn=replication_smoke,
-        checks=(
-            ("fewer than 2 crash cycles injected", lambda o: o["crashes"] >= 2),
-            ("fewer than 2 recoveries ran",
-             lambda o: o["recoveries"] + o["quiesce_recoveries"] >= 2),
-            ("no crash ever promoted a follower",
-             lambda o: o["replication"]["promotions"] > 0),
-            ("the shipper never ran",
-             lambda o: o["replication"]["entries_shipped"] > 0),
-            ("no get was served by a follower",
-             lambda o: o["replication"]["follower_gets"] > 0),
-            ("no scan window was served by a follower",
-             lambda o: o["replication"]["follower_scan_windows"] > 0),
-            ("durability/staleness invariants violated",
-             lambda o: o["violations"] == []),
-            ("ops gave up under chaos", lambda o: o["committed"] == 8 * 32),
-        ),
+        # an invariant violation (durability or staleness) or a give-up
+        # aborts the sweep itself
         flags="--replicas 1,2 --replication-cycles 0,3 "
               "--replication-clients 6 --replication-ops 32",
-        sweep_checks=(
+        checks=(
+            ("fewer than 2 crash cycles injected",
+             lambda e: _replicated(e, "Crashes") >= 2),
+            ("fewer than 2 recoveries ran",
+             lambda e: _replicated(e, "Recoveries") >= 2),
+            ("no crash ever promoted a follower",
+             lambda e: _replicated(e, "Promotions") > 0),
+            ("the shipper never ran",
+             lambda e: _replicated(e, "EntriesShipped") > 0),
+            ("no get was served by a follower",
+             lambda e: _replicated(e, "FollowerGets") > 0),
+            ("no scan window was served by a follower",
+             lambda e: _replicated(e, "FollowerScanWindows") > 0),
             ("replication did not reduce the recovery stall",
-             _promotion_beats_single_copy),
+             lambda e: _replicated(e, "Recovery")
+             < mean(e, "ReplicationRecovery", "1 replica")),
         ),
     ),
 )

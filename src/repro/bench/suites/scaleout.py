@@ -10,7 +10,7 @@ from repro.bench.harness import (
     per_second,
     percentile_or_zero,
 )
-from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.config import ClusterConfig
 from repro.hbase.chaos import Layout, run_cell
 from repro.sim import derive_rng
@@ -149,9 +149,8 @@ def run_scaleout(
     )
 
 
-def _throughput_rises(experiments) -> bool:
-    series = experiments["ScaleoutThroughput"]["series"]["16 clients"]
-    curve = [series[str(n)]["mean"] for n in (1, 2, 4, 8)]
+def _throughput_rises(e) -> bool:
+    curve = [mean(e, "ScaleoutThroughput", "16 clients", n) for n in (1, 2, 4, 8)]
     return curve == sorted(curve) and curve[0] < curve[-1]
 
 
@@ -172,7 +171,7 @@ SCALEOUT = Suite(
     ),
     smoke=Smoke(
         flags="--servers 1,2,4,8 --scaleout-clients 16 --scaleout-ops 40",
-        sweep_checks=(
+        checks=(
             ("throughput must rise monotonically with server count",
              _throughput_rises),
         ),

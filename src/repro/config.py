@@ -174,12 +174,6 @@ class ReplicationConfig:
       live follower (one RPC + per-entry apply charged to the writer)
       before it is acknowledged."""
 
-    staleness_bound_entries: int = 32
-    """Bounded-staleness follower reads: a follower may serve a read
-    only while its applied-WAL watermark lags the primary's log by at
-    most this many entries. Reads are pinned to the watermark, so a
-    follower can never return a value that was not acknowledged."""
-
     def __post_init__(self) -> None:
         if self.replica_count < 1:
             raise ClusterConfigError(
@@ -188,11 +182,6 @@ class ReplicationConfig:
         if self.ack_mode not in ("primary", "all"):
             raise ClusterConfigError(
                 f"ack_mode must be 'primary' or 'all', got {self.ack_mode!r}"
-            )
-        if self.staleness_bound_entries < 0:
-            raise ClusterConfigError(
-                f"staleness_bound_entries must be >= 0, got "
-                f"{self.staleness_bound_entries}"
             )
 
 

@@ -39,6 +39,7 @@ from repro.errors import (
     ServerRecoveryError,
 )
 from repro.hbase.client import HBaseClient, HTable
+from repro.hbase import replication
 from repro.hbase.cluster import HBaseCluster, RegionBalancer
 from repro.hbase.ops import Get, Put, Scan
 from repro.sim.clock import Simulation
@@ -779,8 +780,7 @@ def run_cell(
         history,
         HTable(cluster, layout.table),
         staleness_bound=(
-            cluster.replication.config.staleness_bound_entries
-            if replicated else None
+            replication.STALENESS_BOUND_ENTRIES if replicated else None
         ),
     )
     return ChaosRun(report, history, violations, cluster, built, quiesce)

@@ -49,6 +49,12 @@ SHIP_INTERVAL_MS = 4.0
 SHIP_BATCH_ENTRIES = 8
 """WAL entries the shipper pushes to one follower per drain round."""
 
+STALENESS_BOUND_ENTRIES = 32
+"""Bounded-staleness follower reads: a follower may serve a read only
+while its applied-WAL watermark lags the primary's log by at most this
+many entries. Reads are pinned to the watermark, so a follower can
+never return a value that was not acknowledged."""
+
 
 class FollowerReplica:
     """One follower copy: a region object that is exactly the group's
@@ -318,7 +324,7 @@ class ReplicationManager:
     # -- follower reads ----------------------------------------------------------
     def follower_for_read(self, region: Region) -> FollowerReplica | None:
         """The most-caught-up live follower of ``region`` whose lag is
-        within the configured staleness bound, or None (caller falls
+        within ``STALENESS_BOUND_ENTRIES``, or None (caller falls
         back to the primary). Ties keep the first-placed follower."""
         group = self.groups.get(region.name)
         if group is None:
@@ -327,7 +333,7 @@ class ReplicationManager:
         for follower in group.followers:
             if not follower.is_live():
                 continue
-            if group.lag_of(follower) > self.config.staleness_bound_entries:
+            if group.lag_of(follower) > STALENESS_BOUND_ENTRIES:
                 continue
             if best is None or follower.applied > best.applied:
                 best = follower

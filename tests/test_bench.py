@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -20,9 +21,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bench import __main__ as cli
-from repro.bench.suite import Flag, IntList, Smoke, Suite
+from repro.bench.suite import Flag, IntList, Smoke, Suite, failed
 from repro.bench.suites import SUITES
-from repro.bench.suites import paper
+from repro.bench.suites import concurrency, paper, replication, serving
 from repro.bench.suites.paper import run_fig13, run_table1
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
 from repro.bench.harness import (
@@ -32,6 +33,9 @@ from repro.bench.harness import (
     render_table,
     summarize,
 )
+from repro.hbase.admission import AdmissionController
+from repro.hbase.replication import ReplicationManager
+from repro.mvcc.tephra import TephraServer
 from tests.conftest import build_tpcw_systems
 
 
@@ -159,6 +163,7 @@ class TestCliErrors:
 
 # ------------------------------------------------------------ suite registry
 OWNED_FLAGS = [(suite, flag) for suite in SUITES for flag in suite.flags]
+GATED = [suite for suite in SUITES if suite.smoke is not None]
 INT_LIST_FLAGS = [
     flag for _suite, flag in OWNED_FLAGS if isinstance(flag.kind, IntList)
 ]
@@ -227,6 +232,18 @@ class TestSuiteRegistry:
         parsed = cli.build_parser().parse_args([flag.option, at_min + ",9"])
         assert getattr(parsed, flag.dest) == (flag.kind.minimum, 9)
 
+    @pytest.mark.parametrize(
+        "suite", GATED, ids=[suite.name for suite in GATED]
+    )
+    def test_smoke_flags_are_the_suites_own(self, suite):
+        """A gate's flags parse as ``--only <suite>`` and name only that
+        suite's flags (or ``--scale`` / ``--reps``); no sweep is run."""
+        argv = ["--only", suite.name, *shlex.split(suite.smoke.flags)]
+        parser = cli.build_parser()
+        assert cli._selected(parser, parser.parse_args(argv)) == [suite]
+        named = {arg for arg in argv[2:] if arg.startswith("--")}
+        assert named <= {"--scale", "--reps", *(f.option for f in suite.flags)}
+
     def test_ci_smoke_matrix_is_the_suites_with_a_smoke(self):
         ci = (
             Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
@@ -273,17 +290,16 @@ class TestSmokeMode:
     ):
         fake = self._fake(
             self._steady,
-            fn=lambda: {"n": 1},
-            checks=(("n is not 2", lambda o: o["n"] == 2),
-                    ("n is not 1", lambda o: o["n"] == 1)),
-            sweep_checks=(("Fake went missing", lambda e: "Nope" in e),),
+            checks=(("Fake has no x-values", lambda e: e["Fake"]["x_values"]),
+                    ("Fake went missing", lambda e: "Nope" in e),
+                    ("Fake is absent", lambda e: "Fake" in e)),
         )
         monkeypatch.setattr(cli, "SUITES", SUITES + (fake,))
         assert cli.main(["--smoke", "fake", "--quiet"]) == 1
         captured = capsys.readouterr()
-        assert "fake: n is not 2" in captured.err
+        assert "fake: Fake has no x-values" in captured.err
         assert "fake: Fake went missing" in captured.err
-        assert "n is not 1" not in captured.err
+        assert "Fake is absent" not in captured.err
         assert "FAILED" in captured.out
 
     def test_rerun_mismatch_is_reported(self, monkeypatch, capsys):
@@ -339,7 +355,7 @@ class TestSmokeMode:
 
 FIGURE_SUITES = (paper.FIG10, paper.FIG11, paper.TPCW)
 FIGURE_CHECKS = [
-    (suite, check) for suite in FIGURE_SUITES for check in suite.smoke.sweep_checks
+    (suite, check) for suite in FIGURE_SUITES for check in suite.smoke.checks
 ]
 
 
@@ -374,6 +390,52 @@ class TestFigureGates:
         # every check above plus the byte-identical rerun of the sweep
         _report, failures = figure_gate(suite)
         assert failures == []
+
+
+def _sweep_failures(suite: Suite) -> list[str]:
+    """Run ``suite``'s smoke sweep in-process; the messages of the
+    checks its emitted ``experiments`` fail."""
+    parser = cli.build_parser()
+    argv = ["--only", suite.name, *shlex.split(suite.smoke.flags)]
+    opts = parser.parse_args(argv)
+    _text, payload = cli.run_suites([suite], opts, argv, lambda _m: None)
+    experiments = json.loads(cli._dump(payload))["experiments"]
+    return failed(suite.smoke.checks, experiments)
+
+
+class TestGatesBite:
+    """A gate that cannot fail holds nothing: with one mechanism
+    switched off, its sweep fails the check that names it."""
+
+    def test_no_conflict_detection_fails_the_conflict_check(self, monkeypatch):
+        assert _sweep_failures(concurrency.CONCURRENCY) == []
+        monkeypatch.setattr(TephraServer, "can_commit", lambda self, tx: True)
+        assert _sweep_failures(concurrency.CONCURRENCY) == [
+            "no MVCC conflicts observed"
+        ]
+
+    def test_no_follower_reads_fails_the_follower_checks(self, monkeypatch):
+        assert _sweep_failures(replication.REPLICATION) == []
+        monkeypatch.setattr(
+            ReplicationManager, "follower_for_read", lambda self, region: None
+        )
+        # one lookup serves both follower gets and follower scan windows
+        assert _sweep_failures(replication.REPLICATION) == [
+            "no get was served by a follower",
+            "no scan window was served by a follower",
+        ]
+
+    def test_admission_that_never_sheds_fails_the_shed_check(self, monkeypatch):
+        assert _sweep_failures(serving.SERVING) == []
+
+        def admit_all(self, table, now_ms, backlog_ms):
+            self.admitted += 1
+            return now_ms
+
+        monkeypatch.setattr(AdmissionController, "admit", admit_all)
+        assert _sweep_failures(serving.SERVING) == [
+            "admission control never shed at overload"
+        ]
 
 
 class TestBenchTrajectory:
@@ -486,7 +548,7 @@ class TestSettableSurface:
         }
         assert counts == {
             "CostModel": 21,
-            "ReplicationConfig": 3,
+            "ReplicationConfig": 2,
             "ServingConfig": 4,
             "ClusterConfig": 6,
             "FaultConfig": 5,

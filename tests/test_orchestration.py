@@ -60,8 +60,6 @@ class TestConfigValidation:
             ReplicationConfig(replica_count=0)
         with pytest.raises(ClusterConfigError):
             ReplicationConfig(ack_mode="quorum")
-        with pytest.raises(ClusterConfigError):
-            ReplicationConfig(staleness_bound_entries=-1)
 
 
 # ------------------------------------------------------------ membership

@@ -8,7 +8,11 @@ import json
 import pytest
 
 from repro.bench.suite import failed
-from repro.bench.suites.orchestration import ORCHESTRATION, run_orchestration_cell
+from repro.bench.suites.orchestration import (
+    ORCHESTRATION,
+    run_orchestration,
+    run_orchestration_cell,
+)
 from repro.config import ReplicationConfig
 from repro.hbase.ops import Put
 from repro.hbase.replication import ReplicationShipper
@@ -58,48 +62,59 @@ def surgical_faulter(cluster, victim, t_crash, t_recover, t_restart=None):
 class TestRolloutUnderChaos:
     @pytest.fixture(scope="class")
     def gate(self):
-        """The suite's own smoke gate, exactly as ``python -m repro.bench
-        --smoke orchestration`` (and so CI) evaluates it."""
-        smoke = ORCHESTRATION.smoke
-        out = smoke.fn()
-        return out, failed(smoke.checks, out)
+        """The suite's own gate checks, held against a sweep at the
+        gate's crash point (2 cycles, 64 ops/client) exactly as
+        ``python -m repro.bench --smoke orchestration`` (and so CI)
+        evaluates them."""
+        results = run_orchestration((2,), ops_per_client=64)
+        out = {r.experiment_id: r.to_dict() for r in results.values()}
+        return out, failed(ORCHESTRATION.smoke.checks, out)
+
+    @staticmethod
+    def _drill(out, drill):
+        return {
+            label: points[drill]["mean"]
+            for label, points in out["OrchestrationDrills"]["series"].items()
+            if drill in points
+        }
 
     def test_rollout_commits_through_crash_cycles(self, gate):
         out, failures = gate
         # 3/3 stages committed through >= 2 crash cycles, zero
         # durability/staleness/layout violations, drill rolled back
         assert failures == []
-        rollout = out["rollout"]
-        assert rollout["stages_committed"] == rollout["stages_total"] == 3
+        rollout = out["OrchestrationRollout"]["series"]
+        assert rollout["stages committed"]["2"]["mean"] == 3
+        assert rollout["stages planned"]["2"]["mean"] == 3
 
     def test_induced_rollback_restores_state(self, gate):
         out, _ = gate
-        assert out["drill"] == {
-            "rolled_back": 1,
-            "stages_total": 1,
-            "rows_intact": 1,
-            "layout_intact": 1,
+        assert self._drill(out, "poisoned stage") == {
+            "rolled back": 1,
+            "stages planned": 1,
+            "rows intact": 1,
+            "layout intact": 1,
         }
 
     def test_every_step_kind_rolls_back(self, gate):
         """Drain, move, merge, add/remove and a replica raise on a
         replicated table all unwind exactly."""
         out, _ = gate
-        assert out["every_step"] == {
-            "rolled_back": 1,
-            "rows_intact": 1,
-            "layout_intact": 1,
+        assert self._drill(out, "every step") == {
+            "rolled back": 1,
+            "rows intact": 1,
+            "layout intact": 1,
         }
 
     def test_scale_in_commits(self, gate):
         """A scale-in plan drains its retiring member for real."""
         out, _ = gate
-        assert out["scale_in"] == {
+        assert self._drill(out, "scale-in") == {
             "committed": 1,
             "drained": 1,
-            "followers_rebuilt": 1,
-            "rows_intact": 1,
-            "layout_issues": 0,
+            "followers rebuilt": 1,
+            "rows intact": 1,
+            "layout issues": 0,
         }
 
     def test_chaos_rollout_rerun_is_byte_identical(self):

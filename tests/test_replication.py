@@ -15,7 +15,7 @@ from repro.hbase.ops import Get
 from repro.hbase.replication import ReplicationShipper
 from repro.hbase.wal import WalEntry, WriteAheadLog
 from repro.sim.clock import Simulation
-from repro.hbase import chaos
+from repro.hbase import chaos, replication
 from repro.hbase.chaos import (
     FAMILY,
     QUALIFIER,
@@ -272,18 +272,20 @@ class TestFollowerReads:
         assert result.value(FAMILY, QUALIFIER) == b"seed-%06d" % 7
         assert handle.last_follower_lag == (0, 0)
 
-    def test_out_of_bound_follower_falls_back_to_primary(self):
-        _sim, cluster = build_replicated_fixture(staleness_bound_entries=3)
+    def test_out_of_bound_follower_falls_back_to_primary(self, monkeypatch):
+        monkeypatch.setattr(replication, "STALENESS_BOUND_ENTRIES", 3)
+        _sim, cluster = build_replicated_fixture()
         # preload backlog (20 entries/region) far exceeds the bound of 3
         handle = HTable(cluster, "c", follower_reads=True)
         result = handle.get(Get(b"%08d" % 7))
         assert result.value(FAMILY, QUALIFIER) == b"seed-%06d" % 7
         assert handle.last_follower_lag is None  # primary served
 
-    def test_follower_read_is_pinned_to_its_watermark(self):
+    def test_follower_read_is_pinned_to_its_watermark(self, monkeypatch):
         """A bounded-stale read returns the exact acked value its
         watermark pins — never a newer or never-acked one."""
-        _sim, cluster = build_replicated_fixture(staleness_bound_entries=64)
+        monkeypatch.setattr(replication, "STALENESS_BOUND_ENTRIES", 64)
+        _sim, cluster = build_replicated_fixture()
         manager = cluster.replication
         manager.ship_pending(10_000)
         handle = HTable(cluster, "c", follower_reads=True)

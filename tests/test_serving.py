@@ -18,7 +18,7 @@ from repro.bench.suites.serving import (
     SERVING,
     SERVING_MODES,
     _serving_cell,
-    serving_smoke,
+    run_serving,
 )
 from repro.config import ClusterConfig, ServingConfig
 from repro.errors import (
@@ -527,26 +527,30 @@ class TestZipfianWorkload:
 
 
 # ------------------------------------------------------------------- bench/CI
+def _serving_sweep(clients: int, ops_per_client: int) -> dict:
+    """The emitted ``experiments`` block of one serving sweep at a
+    single offered load — what the gate's checks read."""
+    results = run_serving((clients,), ops_per_client=ops_per_client)
+    return {r.experiment_id: r.to_dict() for r in results.values()}
+
+
 class TestServingBench:
-    # both tests evaluate the suite's own gate — the checks
+    # each test evaluates the suite's own gate checks — what
     # ``python -m repro.bench --smoke serving`` (and so CI) evaluates
 
     def test_smoke_satisfies_ci_assertions(self):
         # below overload nothing needs shedding; every other check
-        # (cache hits, p99 ordering, goodput, oracles) must still hold
-        out = serving_smoke(clients=256, ops_per_client=4)
-        assert failed(SERVING.smoke.checks, out) == [
+        # (cache hits, p99 ordering, goodput) must still hold
+        assert failed(SERVING.smoke.checks, _serving_sweep(256, 4)) == [
             "admission control never shed at overload"
         ]
 
     def test_overload_smoke_sheds_and_improves_tail(self):
-        smoke = SERVING.smoke  # its defaults: 1024 clients x 4 ops
-        assert failed(smoke.checks, smoke.fn()) == []
+        # the gate's overload point: 1024 clients x 4 ops
+        assert failed(SERVING.smoke.checks, _serving_sweep(1024, 4)) == []
 
     def test_smoke_bit_identical_across_reruns(self):
-        assert serving_smoke(clients=128, ops_per_client=3) == serving_smoke(
-            clients=128, ops_per_client=3
-        )
+        assert _serving_sweep(128, 3) == _serving_sweep(128, 3)
 
     def test_modes_cover_grid(self):
         assert SERVING_MODES == ("baseline", "cache", "cache+shed")

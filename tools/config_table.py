@@ -38,7 +38,6 @@ CALIBRATION = config.CostModel
 
 KEPT = {
     "ReplicationConfig.ack_mode": "`tests/test_replication.py` (sync-ship acks)",
-    "ReplicationConfig.staleness_bound_entries": "`tests/test_replication.py`",
 }
 """Fields no non-test caller sets that stay anyway, with the test that
 pins them: removing one removes function (sync acks, follower reads),
