@@ -229,8 +229,7 @@ def orchestration_step_drill(seed: int) -> dict[str, dict[str, int]]:
     """Fault drill over every other step kind, on a 3-server cluster
     with replication: a poisoned stage of add-server, rebalance, replica
     raise on an already-replicated table, drain, move and merge must
-    unwind (split, move back, undrain, restore followers, restore moves,
-    remove) to exactly the pre-rollout state. Then a committed scale-in
+    roll back to exactly the pre-rollout state. Then a committed scale-in
     plan drains its retiring member for real, rebuilding its followers
     elsewhere."""
     sim = Simulation(seed=seed)

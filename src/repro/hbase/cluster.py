@@ -240,10 +240,10 @@ class HBaseCluster:
         return fresh
 
     def remove_server(self, server: RegionServer | str) -> None:
-        """Take a server out of the membership entirely — the true
-        inverse of :meth:`add_servers`, used by orchestration rollback.
-        Only an empty server may leave (drain it first): removing one
-        that still hosts primaries or followers would strand state."""
+        """Take a server out of the membership entirely (orchestration
+        rollback removes the members a failed stage added). Only an
+        empty server may leave (drain it first): removing one that
+        still hosts primaries or followers would strand state."""
         if isinstance(server, str):
             server = self.server_named(server)
         if server.regions or server.follower_regions:
@@ -267,8 +267,7 @@ class HBaseCluster:
         balancing and follower top-up all skip it from here on), move
         every primary it hosts to the least-loaded eligible server, and
         rebuild its follower replicas elsewhere. Returns the primary
-        moves performed as ``(table, start_key, target_name)`` — the
-        exact list an orchestration rollback replays in reverse.
+        moves performed as ``(table, start_key, target_name)``.
 
         Draining a dead server raises
         :class:`~repro.errors.RegionUnavailableError` (moving needs a
@@ -334,8 +333,8 @@ class HBaseCluster:
 
     def undrain_server(self, server: RegionServer | str) -> None:
         """Put a drained server back into placement rotation. Regions
-        do not move back on their own — a balancer run (or orchestration
-        rollback replaying the recorded drain moves) does that."""
+        do not move back on their own — a balancer run (or the moves of
+        an orchestration rollback) does that."""
         if isinstance(server, str):
             server = self.server_named(server)
         server.draining = False
@@ -409,8 +408,8 @@ class HBaseCluster:
         return low, high
 
     def merge_regions(self, low: Region, high: Region) -> Region:
-        """Merge two adjacent regions of a table back into one — the
-        inverse of :meth:`split_region`, used by orchestration rollback.
+        """Merge two adjacent regions of a table into one (orchestration
+        rollback merges away the boundaries a failed stage added).
 
         Both daughters flush first (like a move, the merged region must
         carry no unflushed state), then a fresh merged region adopts
@@ -742,10 +741,6 @@ class RegionBalancer:
 
     def __init__(self, cluster: HBaseCluster) -> None:
         self.cluster = cluster
-        self.last_moves: list[tuple[str, bytes, str, str]] = []
-        """Moves the latest :meth:`rebalance` performed, as
-        ``(table, start_key, source, target)`` — what an orchestration
-        rollback replays in reverse."""
 
     def _live_servers(self) -> list[RegionServer]:
         # draining servers are on their way out: never a balance target
@@ -778,16 +773,10 @@ class RegionBalancer:
             ]
         moved_tables = set()
         moved = 0
-        self.last_moves = []
         for region, target in moves:
-            source = self.cluster.server_for(region)
             if self.cluster.move_region(region, target):
                 moved += 1
                 moved_tables.add(region.table_name)
-                self.last_moves.append(
-                    (region.table_name, region.start_key,
-                     source.name, target.name)
-                )
         for table in sorted(moved_tables):
             self.cluster.tables[table].invalidate_locations()
         return moved

@@ -244,12 +244,12 @@ class ReplicationManager:
         placements: dict[bytes, list[str]],
         target: int,
     ) -> None:
-        """Force this table's follower hosting back to an exact recorded
-        layout — the orchestration-rollback inverse of an online
-        replica-count change, which must restore the *same* placements
-        rather than re-derive laggiest-first/least-loaded choices.
-        Recorded hosts that are down or gone are skipped (the group runs
-        short until :meth:`repair` finds capacity)."""
+        """Force this table's follower hosting and replica target back
+        to values recorded at an orchestration stage's start: a rollback
+        must restore the *same* placements rather than re-derive
+        laggiest-first/least-loaded choices. Recorded hosts that are
+        down, gone or now host the group's primary are skipped (the
+        group runs short until :meth:`repair` finds capacity)."""
         self.targets[table_name] = target
         existing = {s.name for s in self.cluster.servers}
         for group in self.groups_for(table_name):
@@ -486,9 +486,9 @@ class ReplicationManager:
 
     def dereplicate_table(self, table_name: str) -> int:
         """Remove this table's groups entirely: drop followers, remove
-        the ship-log taps, forget the logs. The exact inverse of
-        enabling replication on a previously unmanaged table (used by
-        orchestration rollback); returns groups removed. Unlike
+        the ship-log taps, forget the logs — what an orchestration
+        rollback does to a table that had no groups when its stage
+        started; returns groups removed. Unlike
         ``set_replica_count(table, 1)`` this discards the complete
         history, so re-replicating later needs empty regions again."""
         removed = 0

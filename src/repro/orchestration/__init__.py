@@ -7,10 +7,12 @@ plan and reality into an ordered list of typed
 :class:`~repro.orchestration.steps.Step` objects, and the
 :class:`~repro.orchestration.orchestrator.Orchestrator` executes them
 in stages — each stage is apply → verify → commit-or-rollback, with
-layout-epoch fencing, bounded retry on ``RegionUnavailableError`` and
-a recorded inverse per applied step. Installed on a
-``DeterministicScheduler``, the rollout interleaves deterministically
-with the chaos engine's ``FaultInjector``. See docs/OPERATIONS.md.
+layout-epoch fencing and bounded retry on ``RegionUnavailableError``.
+A rollback is ``restore(layout, cluster)``: the steps back to the
+:class:`~repro.orchestration.plan.Layout` recorded at the stage's
+start. Installed on a ``DeterministicScheduler``, the rollout
+interleaves deterministically with the chaos engine's
+``FaultInjector``. See docs/OPERATIONS.md.
 """
 
 from repro.orchestration.orchestrator import (
@@ -20,18 +22,22 @@ from repro.orchestration.orchestrator import (
     cluster_snapshot,
     verify_cluster,
 )
-from repro.orchestration.plan import ClusterPlan, TablePlan, diff
+from repro.orchestration.plan import (
+    ClusterPlan,
+    Layout,
+    TablePlan,
+    diff,
+    restore,
+)
 from repro.orchestration.steps import (
     AddServers,
-    Dereplicate,
     DrainServer,
     MergeRegions,
     MoveRegion,
     PoisonStep,
     Rebalance,
     RemoveServers,
-    RestoreFollowers,
-    RestoreMoves,
+    SetFollowers,
     SetReplicas,
     SplitRegion,
     Step,
@@ -41,17 +47,16 @@ from repro.orchestration.steps import (
 __all__ = [
     "AddServers",
     "ClusterPlan",
-    "Dereplicate",
     "DrainServer",
+    "Layout",
     "MergeRegions",
     "MoveRegion",
     "Orchestrator",
     "PoisonStep",
     "Rebalance",
     "RemoveServers",
-    "RestoreFollowers",
-    "RestoreMoves",
     "RolloutReport",
+    "SetFollowers",
     "SetReplicas",
     "SplitRegion",
     "StageReport",
@@ -60,5 +65,6 @@ __all__ = [
     "UndrainServer",
     "cluster_snapshot",
     "diff",
+    "restore",
     "verify_cluster",
 ]

@@ -17,9 +17,11 @@ each stage through:
    group short of followers) wait-and-retry, *fatal* ones (layout
    holes, watermark past the log) fail the stage;
 3. **commit or rollback** — a committed stage records the layout
-   epoch and is never revisited; a failed stage unwinds every inverse
-   recorded during apply, in reverse, with the same retry budget, so
-   an interrupted rollout lands exactly on the last committed stage.
+   epoch and is never revisited; a failed stage applies
+   :func:`~repro.orchestration.plan.restore` — the steps from the live
+   cluster back to the :class:`~repro.orchestration.plan.Layout`
+   recorded at the stage's start — with the same retry budget, so an
+   interrupted rollout lands on the last committed stage.
 
 Run it synchronously (:meth:`Orchestrator.run`) for tests, or install
 it on a :class:`~repro.sim.scheduler.DeterministicScheduler` as a
@@ -37,7 +39,7 @@ from repro.errors import (
     RollbackError,
     StepVerificationError,
 )
-from repro.orchestration.plan import ClusterPlan, diff
+from repro.orchestration.plan import ClusterPlan, Layout, diff, restore
 from repro.orchestration.steps import Step
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 MAX_ATTEMPTS_PER_STEP = 8
-"""Fence+apply attempts per step (and per inverse during rollback)
-before the stage fails on ``RegionUnavailableError``."""
+"""Fence+apply attempts per step (forward or restore) before the stage
+fails on ``RegionUnavailableError``."""
 
 VERIFY_ATTEMPTS = 8
 """Stage-verify rounds to wait out *transient* violations (regions
@@ -54,7 +56,7 @@ awaiting recovery, groups short of followers) before failing."""
 
 RETRY_BACKOFF_MS = 12.0
 """Linear backoff on ``RegionUnavailableError``: attempt ``n`` of a step
-(or of an inverse during rollback) waits ``n * RETRY_BACKOFF_MS``."""
+(forward or restore) waits ``n * RETRY_BACKOFF_MS``."""
 
 VERIFY_BACKOFF_MS = 12.0
 """Wait between verify rounds: round ``n`` waits ``n * VERIFY_BACKOFF_MS``."""
@@ -316,39 +318,10 @@ class Orchestrator:
             stage = StageReport(index, name, [s.describe() for s in steps])
             report.stages.append(stage)
             stage.started_ms = sim.clock.now_ms
-            inverses: list[Step] = []
+            layout = Layout.of(cluster)
             failure: Exception | None = None
             for step in steps:
-                attempts = 0
-                while True:
-                    attempts += 1
-                    stage.attempts += 1
-                    try:
-                        # fence + apply + local verify: one segment,
-                        # atomic wrt interleaved chaos/clients
-                        step.fence(cluster)
-                        step.apply(cluster)
-                    except RegionUnavailableError as e:
-                        if attempts >= MAX_ATTEMPTS_PER_STEP:
-                            failure = e
-                            break
-                        sim.wait(
-                            RETRY_BACKOFF_MS * attempts,
-                            "orchestrator.retry_backoff",
-                        )
-                        yield f"orchestrator:retry:{step.kind}"
-                        continue
-                    except HBaseError as e:
-                        # StaleStepError, verification failures,
-                        # replication/config misuse: not retryable
-                        failure = e
-                        break
-                    inverse = step.inverse(cluster)
-                    if inverse is not None:
-                        inverses.append(inverse)
-                    sim.wait(STEP_COST_MS, "orchestrator.step")
-                    yield f"orchestrator:applied:{step.kind}"
-                    break
+                failure = yield from self._apply(step, stage)
                 if failure is not None:
                     break
             if failure is None:
@@ -380,7 +353,12 @@ class Orchestrator:
                 report.committed_stages += 1
             else:
                 stage.error = f"{type(failure).__name__}: {failure}"
-                yield from self._rollback(inverses)
+                for step in restore(layout, cluster):
+                    error = yield from self._apply(step)
+                    if error is not None:
+                        raise RollbackError(
+                            f"could not unwind {step.describe()}: {error}"
+                        ) from error
                 stage.status = "rolled-back"
                 stage.finished_ms = sim.clock.now_ms
                 rolled_back = True
@@ -389,31 +367,46 @@ class Orchestrator:
         report.finished_ms = sim.clock.now_ms
         report.epoch_end = cluster.layout_epoch
 
-    def _rollback(self, inverses: list[Step]):
+    def _apply(self, step: Step, stage: StageReport | None = None):
+        """Fence and apply ``step``, retrying ``RegionUnavailableError``
+        with linear backoff; returns the error that stopped it, or
+        None. ``stage`` is the report a forward step counts its
+        attempts on; a restore step (``stage=None``) waits under the
+        ``rollback_`` labels."""
         cluster = self.cluster
         sim = cluster.sim
-        for inverse in reversed(inverses):
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    inverse.fence(cluster)
-                    inverse.apply(cluster)
-                except RegionUnavailableError as e:
-                    if attempts >= MAX_ATTEMPTS_PER_STEP:
-                        raise RollbackError(
-                            f"could not unwind {inverse.describe()}: {e}"
-                        ) from e
+        attempts = 0
+        while True:
+            attempts += 1
+            if stage is not None:
+                stage.attempts += 1
+            try:
+                # fence + apply + local verify: one segment, atomic wrt
+                # interleaved chaos/clients
+                step.fence(cluster)
+                step.apply(cluster)
+            except RegionUnavailableError as e:
+                if attempts >= MAX_ATTEMPTS_PER_STEP:
+                    return e
+                if stage is None:
                     sim.wait(
                         RETRY_BACKOFF_MS * attempts,
                         "orchestrator.rollback_retry_backoff",
                     )
-                    yield f"orchestrator:rollback-retry:{inverse.kind}"
-                    continue
-                except HBaseError as e:
-                    raise RollbackError(
-                        f"could not unwind {inverse.describe()}: {e}"
-                    ) from e
+                else:
+                    sim.wait(
+                        RETRY_BACKOFF_MS * attempts,
+                        "orchestrator.retry_backoff",
+                    )
+                yield f"orchestrator:retry:{step.kind}"
+                continue
+            except HBaseError as e:
+                # StaleStepError, verification failures,
+                # replication/config misuse: not retryable
+                return e
+            if stage is None:
                 sim.wait(STEP_COST_MS, "orchestrator.rollback_step")
-                yield f"orchestrator:rolled-back:{inverse.kind}"
-                break
+            else:
+                sim.wait(STEP_COST_MS, "orchestrator.step")
+            yield f"orchestrator:applied:{step.kind}"
+            return None

@@ -1,4 +1,4 @@
-"""Declarative cluster plans and the plan -> steps diff.
+"""Declarative cluster plans, and the two diffs that drive a rollout.
 
 A :class:`ClusterPlan` says what the cluster should look like — how
 many (non-draining) servers, which tables keep how many replicas and
@@ -16,13 +16,18 @@ the gap:
 5. ``Rebalance`` — even the layout out, when ``balance`` is set.
 
 ``MoveRegion`` never appears in a diff (a plan declares no per-region
-placement); it exists for direct orchestration and as the recorded
-inverse of drains and rebalances. The diff is pure inspection: no RNG
-draws, no virtual-time charges, no mutation.
+placement); it exists for direct orchestration and for rollback.
+
+A :class:`Layout` is the other kind of target: the layout a stage
+started from, recorded by the orchestrator. ``restore(layout,
+cluster)`` emits the steps that take the live cluster back to it —
+that is the whole of a rollback. Both diffs are pure inspection: no
+RNG draws, no virtual-time charges, no mutation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -34,10 +39,15 @@ from repro.errors import (
 from repro.orchestration.steps import (
     AddServers,
     DrainServer,
+    MergeRegions,
+    MoveRegion,
     Rebalance,
+    RemoveServers,
+    SetFollowers,
     SetReplicas,
     SplitRegion,
     Step,
+    UndrainServer,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -195,3 +205,108 @@ def diff(plan: ClusterPlan, cluster: "HBaseCluster") -> list[Step]:
         if steps or spread > 1:
             steps.append(Rebalance())
     return steps
+
+
+@dataclass(frozen=True)
+class Layout:
+    """What a rollback restores: the layout a stage started from.
+
+    ``servers`` maps each member, in membership order, to its drain
+    flag; ``regions`` maps each table to its regions' ``(start_key,
+    host)`` pairs in key order; ``replicas`` maps each managed table
+    (one with replication groups) to its replica target and follower
+    placements, keyed by primary start key."""
+
+    servers: Mapping[str, bool]
+    regions: Mapping[str, tuple[tuple[bytes, str], ...]]
+    replicas: Mapping[str, tuple[int, dict[bytes, list[str]]]]
+
+    @classmethod
+    def of(cls, cluster: "HBaseCluster") -> "Layout":
+        """Record ``cluster``'s layout. Pure inspection: no charges, no
+        RNG draws."""
+        manager = cluster.replication
+        return cls(
+            servers={s.name: s.draining for s in cluster.servers},
+            regions={
+                name: tuple(
+                    (r.start_key, cluster.server_for(r).name)
+                    for r in desc.regions
+                )
+                for name, desc in cluster.tables.items()
+            },
+            replicas={
+                name: (
+                    manager.target_for(name),
+                    manager.follower_placements(name),
+                )
+                for name in cluster.tables
+                if manager is not None and manager.groups_for(name)
+            },
+        )
+
+
+def restore(layout: Layout, cluster: "HBaseCluster") -> list[Step]:
+    """Ordered steps that take ``cluster`` back to ``layout``:
+
+    1. ``UndrainServer`` — members drained since;
+    2. ``SetFollowers`` — drop the followers ``layout`` does not place,
+       and the groups of a table that had none, so that no move back
+       meets a follower on its target and no merge a replicated region;
+    3. ``MergeRegions`` / ``SplitRegion`` — boundaries added / removed;
+    4. ``MoveRegion`` — each region back to its recorded host, if that
+       host is alive (a dead one is skipped: recovery re-homed it);
+    5. ``SetFollowers`` — the recorded placements and replica target;
+    6. ``RemoveServers`` — members added since.
+    """
+    members = {s.name: s for s in cluster.servers}
+    manager = cluster.replication
+    undrains = [
+        UndrainServer(name)
+        for name, draining in layout.servers.items()
+        if name in members and members[name].draining and not draining
+    ]
+    drops: list[Step] = []
+    followers: list[Step] = []
+    for table in cluster.tables:
+        if manager is None or not manager.groups_for(table):
+            continue
+        if table not in layout.replicas:
+            drops.append(SetFollowers(table, None))
+            continue
+        target, placements = layout.replicas[table]
+        now = manager.follower_placements(table)
+        kept = {
+            key: [host for host in now.get(key, []) if host in hosts]
+            for key, hosts in placements.items()
+        }
+        target_now = manager.target_for(table)
+        if kept != now:
+            drops.append(SetFollowers(table, kept, target))
+            target_now = target
+        if kept != placements or target_now != target:
+            followers.append(SetFollowers(table, placements, target))
+    boundaries: list[Step] = []
+    moves: list[Step] = []
+    for table, recorded in layout.regions.items():
+        now_hosts = {
+            r.start_key: cluster.server_for(r).name
+            for r in cluster.tables[table].regions
+        }
+        starts = [start for start, _host in recorded]
+        kept_starts = sorted(set(now_hosts) & set(starts))
+        for key in sorted(set(now_hosts) - set(starts)):
+            low = kept_starts[bisect(kept_starts, key) - 1]
+            boundaries.append(MergeRegions(table, low, key))
+        boundaries.extend(
+            SplitRegion(table, key) for key in starts if key not in now_hosts
+        )
+        for start, host in recorded:
+            # merges and splits leave a region where the kept region
+            # it grows from (or out of) is hosted
+            lands = now_hosts[kept_starts[bisect(kept_starts, start) - 1]]
+            if lands != host and host in members and members[host].alive:
+                moves.append(MoveRegion(table, start, host))
+    added = [name for name in members if name not in layout.servers]
+    removals: list[Step] = [RemoveServers(added)] if added else []
+    return undrains + drops + boundaries + moves + followers + removals

@@ -1,4 +1,4 @@
-"""Typed orchestration steps: fenced apply, verification, inverses.
+"""Typed orchestration steps: fenced apply and verification.
 
 Every step follows the same lifecycle the orchestrator drives:
 
@@ -12,17 +12,18 @@ Every step follows the same lifecycle the orchestrator drives:
    and verify its local invariant (row counts conserved across
    move/split/merge/drain) *in the same scheduler segment*, so the
    check is atomic with respect to interleaved chaos and clients.
-3. ``inverse(cluster)`` — after a successful apply, return the step
-   that undoes the *actual* recorded effect (the moves a drain really
-   performed, the prior replica target, the merge of a split), or
-   ``None`` when nothing changed.
 
 Fence and apply run back-to-back with no scheduler yield between them;
 a retry re-runs both, which is what lets a step chase a region across
 a crash/recovery cycle. Steps raising
 :class:`~repro.errors.RegionUnavailableError` are retried with backoff
 by the orchestrator; :class:`~repro.errors.StaleStepError` and
-verification failures fail the stage and trigger rollback.
+verification failures fail the stage and trigger rollback. A step
+records nothing about what it did: a rollback is
+:func:`~repro.orchestration.plan.restore`, which diffs the live cluster
+back to the layout recorded at the stage's start and emits the same
+steps plus three that only a restore needs (:class:`UndrainServer`,
+:class:`SetFollowers`, :class:`RemoveServers`).
 """
 
 from __future__ import annotations
@@ -76,13 +77,12 @@ def _table_counts(cluster: "HBaseCluster") -> dict[str, int]:
 
 
 class Step:
-    """Base class: epoch fencing + the apply/inverse contract."""
+    """Base class: epoch fencing + the fence/apply contract."""
 
     kind = "step"
 
     def __init__(self) -> None:
         self.fence_epoch: int | None = None
-        self.applied = False
 
     # -- lifecycle -------------------------------------------------------------
     def fence(self, cluster: "HBaseCluster") -> None:
@@ -99,10 +99,6 @@ class Step:
                 f"{cluster.layout_epoch}"
             )
         self._do(cluster)
-        self.applied = True
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        raise NotImplementedError  # pragma: no cover - every subclass overrides
 
     # -- subclass hooks --------------------------------------------------------
     def _resolve(self, cluster: "HBaseCluster") -> None:
@@ -132,7 +128,6 @@ class AddServers(Step):
             )
         self.count = count
         self.names = list(names) if names is not None else None
-        self.added: list[str] = []
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
         if self.names:
@@ -145,15 +140,11 @@ class AddServers(Step):
 
     def _do(self, cluster: "HBaseCluster") -> None:
         fresh = cluster.add_servers(self.count, names=self.names)
-        self.added = [s.name for s in fresh]
         for server in fresh:
             if server.regions:  # pragma: no cover - fresh servers are empty
                 raise StepVerificationError(
                     f"fresh server {server.name} is not empty"
                 )
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return RemoveServers(list(self.added)) if self.added else None
 
     def describe(self) -> str:
         who = ",".join(self.names) if self.names else f"+{self.count}"
@@ -161,8 +152,9 @@ class AddServers(Step):
 
 
 class RemoveServers(Step):
-    """Rollback-only inverse of :class:`AddServers`: drain (recovering
-    first if a chaos crash got there) and remove the named servers."""
+    """Restore-only: take members the stage added out again — recover
+    one first if a chaos crash got there, drain what it still hosts,
+    then remove it."""
 
     kind = "remove-servers"
 
@@ -183,46 +175,34 @@ class RemoveServers(Step):
                 cluster.drain_server(server)
             cluster.remove_server(server)
 
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return AddServers(names=list(self.names))
-
-    def describe(self) -> str:
-        return f"remove-servers({','.join(self.names)})"
-
 
 class DrainServer(Step):
     """Decommission one server: recovery-then-drain if it is crashed,
-    plain drain otherwise. Records the moves actually performed."""
+    plain drain otherwise."""
 
     kind = "drain-server"
 
     def __init__(self, name: str) -> None:
         super().__init__()
         self.name = name
-        self.was_draining = False
-        self.recovered_first = False
-        self.moves: list[tuple[str, bytes, str]] = []
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
         _server_named(cluster, self.name)
 
     def _do(self, cluster: "HBaseCluster") -> None:
         server = cluster.server_named(self.name)
-        self.was_draining = server.draining
         if not server.alive and not server.recovered:
             # the graceful degradation: finish the master's failover
             # first, then drain what (nothing) is left on the server
             cluster.recover_server(server)
-            self.recovered_first = True
         before = _table_counts(cluster)
         if server.alive:
-            self.moves = cluster.drain_server(server)
+            cluster.drain_server(server)
         else:
             # dead but already recovered: hosts nothing — just take it
             # out of placement rotation
             server.draining = True
             cluster._bump_layout()
-            self.moves = []
         after = _table_counts(cluster)
         if before != after:
             raise StepVerificationError(
@@ -230,55 +210,25 @@ class DrainServer(Step):
                 f"{before} -> {after}"
             )
 
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        if self.was_draining:
-            return None
-        return UndrainServer(self.name, restore_moves=list(self.moves))
-
     def describe(self) -> str:
         return f"drain-server({self.name})"
 
 
 class UndrainServer(Step):
-    """Put a server back in rotation, optionally replaying recorded
-    drain moves in reverse so its regions come home."""
+    """Restore-only: put a drained server back in placement rotation
+    (the restore's moves bring its regions home)."""
 
     kind = "undrain-server"
 
-    def __init__(
-        self,
-        name: str,
-        restore_moves: list[tuple[str, bytes, str]] | None = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__()
         self.name = name
-        self.restore_moves = list(restore_moves or [])
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
-        server = _server_named(cluster, self.name)
-        if self.restore_moves and not server.alive:
-            raise RegionUnavailableError(
-                f"cannot move regions back onto dead server {self.name}"
-            )
+        _server_named(cluster, self.name)
 
     def _do(self, cluster: "HBaseCluster") -> None:
-        server = cluster.server_named(self.name)
-        before = _table_counts(cluster)
-        cluster.undrain_server(server)
-        for table, start_key, _target in reversed(self.restore_moves):
-            region = _resolve_region(cluster, table, start_key)
-            cluster.move_region(region, server)  # no-op if already home
-        after = _table_counts(cluster)
-        if before != after:
-            raise StepVerificationError(
-                f"undrain of {self.name} did not conserve row counts"
-            )
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return DrainServer(self.name)
-
-    def describe(self) -> str:
-        return f"undrain-server({self.name})"
+        cluster.undrain_server(self.name)
 
 
 class MoveRegion(Step):
@@ -292,8 +242,6 @@ class MoveRegion(Step):
         self.table = table
         self.start_key = start_key
         self.target = target
-        self.source: str | None = None
-        self.moved = False
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
         region = _resolve_region(cluster, self.table, self.start_key)
@@ -308,24 +256,16 @@ class MoveRegion(Step):
             )
         self._region = region
         self._target_server = target
-        # the current host, for the inverse; raises RegionUnavailable
-        # (retry) while the region awaits recovery
-        self.source = cluster.server_for(region).name
 
     def _do(self, cluster: "HBaseCluster") -> None:
         region = self._region
         rows_before = region.row_count()
-        self.moved = cluster.move_region(region, self._target_server)
-        if self.moved and region.row_count() != rows_before:
+        moved = cluster.move_region(region, self._target_server)
+        if moved and region.row_count() != rows_before:
             raise StepVerificationError(
                 f"move of {region.name} did not conserve its "
                 f"{rows_before} rows"
             )
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        if not self.moved or self.source is None:
-            return None
-        return MoveRegion(self.table, self.start_key, self.source)
 
     def describe(self) -> str:
         return (
@@ -343,9 +283,6 @@ class SetReplicas(Step):
         super().__init__()
         self.table = table
         self.count = count
-        self.had_groups = False
-        self.old_count = 1
-        self.old_placements: dict[bytes, list[str]] = {}
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
         from repro.errors import TableNotFoundError
@@ -368,16 +305,6 @@ class SetReplicas(Step):
                 )
 
     def _do(self, cluster: "HBaseCluster") -> None:
-        manager = cluster.replication
-        self.had_groups = bool(
-            manager is not None and manager.groups_for(self.table)
-        )
-        self.old_count = (
-            manager.target_for(self.table) if self.had_groups else 1
-        )
-        self.old_placements = (
-            manager.follower_placements(self.table) if self.had_groups else {}
-        )
         cluster.set_replica_count(self.table, self.count)
         manager = cluster.replication
         if manager is not None:
@@ -395,74 +322,39 @@ class SetReplicas(Step):
                             f"{group.primary.name}"
                         )
 
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        if self.had_groups:
-            if self.old_count == self.count:
-                return None
-            # restore the recorded placements, not laggiest-first /
-            # least-loaded re-derivations of them
-            return RestoreFollowers(
-                self.table, self.old_placements, self.old_count
-            )
-        if self.count == 1:
-            return None
-        return Dereplicate(self.table)
-
     def describe(self) -> str:
         return f"set-replicas({self.table},{self.count})"
 
 
-class RestoreFollowers(Step):
-    """Rollback-only inverse of an online replica-count change: force
-    the table's follower hosting back to the recorded placements."""
+class SetFollowers(Step):
+    """Restore-only: force a table's follower hosting and replica
+    target back to recorded values — the *same* placements, not
+    laggiest-first / least-loaded re-derivations of them. With
+    ``placements=None`` the table had no groups: drop its groups, taps
+    and logs entirely."""
 
-    kind = "restore-followers"
+    kind = "set-followers"
 
     def __init__(
         self,
         table: str,
-        placements: dict[bytes, list[str]],
-        target: int,
+        placements: dict[bytes, list[str]] | None,
+        target: int = 1,
     ) -> None:
         super().__init__()
         self.table = table
-        self.placements = {k: list(v) for k, v in placements.items()}
+        self.placements = placements
         self.target = target
 
     def _do(self, cluster: "HBaseCluster") -> None:
-        if cluster.replication is not None:
-            cluster.replication.reconcile_followers(
+        manager = cluster.replication
+        if self.placements is None:
+            manager.dereplicate_table(self.table)
+        else:
+            manager.reconcile_followers(
                 self.table, self.placements, self.target
             )
-            cluster._bump_layout()
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return None
-
-    def describe(self) -> str:
-        return f"restore-followers({self.table},{self.target})"
-
-
-class Dereplicate(Step):
-    """Rollback-only inverse of *enabling* replication on a previously
-    unmanaged table: drops the groups, taps and logs entirely."""
-
-    kind = "dereplicate"
-
-    def __init__(self, table: str) -> None:
-        super().__init__()
-        self.table = table
-
-    def _do(self, cluster: "HBaseCluster") -> None:
-        if cluster.replication is not None:
-            cluster.replication.dereplicate_table(self.table)
-            cluster._bump_layout()
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return None
-
-    def describe(self) -> str:
-        return f"dereplicate({self.table})"
+        cluster._bump_layout()
 
 
 class SplitRegion(Step):
@@ -470,19 +362,10 @@ class SplitRegion(Step):
 
     kind = "split-region"
 
-    def __init__(
-        self,
-        table: str,
-        split_key: bytes,
-        restore_hosts: tuple[str, str] | None = None,
-    ) -> None:
+    def __init__(self, table: str, split_key: bytes) -> None:
         super().__init__()
         self.table = table
         self.split_key = split_key
-        # set when this split is the inverse of a merge: where the
-        # daughters lived before the merge folded them together
-        self.restore_hosts = restore_hosts
-        self.parent_start: bytes | None = None
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
         from repro.errors import TableNotFoundError
@@ -513,7 +396,6 @@ class SplitRegion(Step):
     def _do(self, cluster: "HBaseCluster") -> None:
         region = self._region
         rows_before = region.row_count()
-        self.parent_start = region.start_key
         low, high = cluster.split_region(region, self.split_key)
         rows_after = low.row_count() + high.row_count()
         if rows_after != rows_before:
@@ -521,15 +403,6 @@ class SplitRegion(Step):
                 f"split of {region.name} at {self.split_key!r} lost rows: "
                 f"{rows_before} -> {rows_after}"
             )
-        if self.restore_hosts is not None:
-            for daughter, host in zip((low, high), self.restore_hosts):
-                target = cluster.server_named(host)
-                if target.alive:
-                    cluster.move_region(daughter, target)  # no-op if home
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        assert self.parent_start is not None
-        return MergeRegions(self.table, self.parent_start, self.split_key)
 
     def describe(self) -> str:
         return f"split-region({self.table},{self.split_key!r})"
@@ -537,10 +410,15 @@ class SplitRegion(Step):
 
 class MergeRegions(Step):
     """Merge the adjacent regions of ``table`` meeting at ``split_key``
-    (the one starting at ``start_key`` with its right neighbour) — the
-    inverse of :class:`SplitRegion`."""
+    (the one starting at ``start_key`` with its right neighbour)."""
 
     kind = "merge-regions"
+
+    def __init__(self, table: str, start_key: bytes, split_key: bytes) -> None:
+        super().__init__()
+        self.table = table
+        self.start_key = start_key
+        self.split_key = split_key
 
     def _resolve(self, cluster: "HBaseCluster") -> None:
         low = _resolve_region(cluster, self.table, self.start_key)
@@ -559,20 +437,9 @@ class MergeRegions(Step):
                 )
         self._low, self._high = low, high
 
-    def __init__(self, table: str, start_key: bytes, split_key: bytes) -> None:
-        super().__init__()
-        self.table = table
-        self.start_key = start_key
-        self.split_key = split_key
-        self.daughter_hosts: tuple[str, str] | None = None
-
     def _do(self, cluster: "HBaseCluster") -> None:
         low, high = self._low, self._high
         rows_before = low.row_count() + high.row_count()
-        self.daughter_hosts = (
-            cluster.server_for(low).name,
-            cluster.server_for(high).name,
-        )
         merged = cluster.merge_regions(low, high)
         if merged.row_count() != rows_before:
             raise StepVerificationError(
@@ -580,79 +447,28 @@ class MergeRegions(Step):
                 f"{rows_before} -> {merged.row_count()}"
             )
 
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return SplitRegion(
-            self.table, self.split_key, restore_hosts=self.daughter_hosts
-        )
-
     def describe(self) -> str:
         return f"merge-regions({self.table},{self.split_key!r})"
 
 
 class Rebalance(Step):
-    """Run the :class:`~repro.hbase.cluster.RegionBalancer` and record
-    the moves it performed."""
+    """Run the :class:`~repro.hbase.cluster.RegionBalancer`."""
 
     kind = "rebalance"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.moves: list[tuple[str, bytes, str, str]] = []
 
     def _do(self, cluster: "HBaseCluster") -> None:
         from repro.hbase.cluster import RegionBalancer
 
         before = _table_counts(cluster)
-        balancer = RegionBalancer(cluster)
-        balancer.rebalance()
-        self.moves = list(balancer.last_moves)
+        RegionBalancer(cluster).rebalance()
         after = _table_counts(cluster)
         if before != after:
             raise StepVerificationError(
                 f"rebalance did not conserve row counts: {before} -> {after}"
             )
 
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return RestoreMoves(list(self.moves)) if self.moves else None
-
     def describe(self) -> str:
         return "rebalance"
-
-
-class RestoreMoves(Step):
-    """Rollback-only: replay recorded ``(table, start, source, target)``
-    moves in reverse, sending each region back to its source."""
-
-    kind = "restore-moves"
-
-    def __init__(self, moves: list[tuple[str, bytes, str, str]]) -> None:
-        super().__init__()
-        self.moves = list(moves)
-
-    def _resolve(self, cluster: "HBaseCluster") -> None:
-        for _table, _start, source, _target in self.moves:
-            server = _server_named(cluster, source)
-            if not server.alive:
-                raise RegionUnavailableError(
-                    f"cannot restore regions onto dead server {source}"
-                )
-
-    def _do(self, cluster: "HBaseCluster") -> None:
-        before = _table_counts(cluster)
-        for table, start_key, source, _target in reversed(self.moves):
-            region = _resolve_region(cluster, table, start_key)
-            cluster.move_region(region, cluster.server_named(source))
-        after = _table_counts(cluster)
-        if before != after:
-            raise StepVerificationError(
-                "restore-moves did not conserve row counts"
-            )
-
-    def inverse(self, cluster: "HBaseCluster") -> "Step | None":
-        return None
-
-    def describe(self) -> str:
-        return f"restore-moves({len(self.moves)})"
 
 
 class PoisonStep(Step):

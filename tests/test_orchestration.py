@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ClusterConfig, ReplicationConfig
 from repro.errors import (
@@ -323,6 +324,97 @@ class TestRollback:
         assert_rollback_restores_state(cluster, [SetReplicas("r", 3)])
         assert cluster.replication.target_for("r") == 2
 
+    def test_lone_drain_on_replicated_cluster_restores_followers(self):
+        """The drain rebuilt the member's followers elsewhere: the
+        rollback must put them back, not only the primaries."""
+        cluster, _ = replicated_cluster()
+        victim = next(s for s in cluster.servers if s.follower_regions)
+        assert_rollback_restores_state(cluster, [DrainServer(victim.name)])
+
+    def test_move_then_raise_rolls_back_past_a_follower_on_the_old_host(self):
+        """The raise places a follower on the primary's old host; the
+        rollback must drop it before moving the primary home."""
+        cluster, _ = replicated_cluster()
+        region = cluster.tables["r"].regions[0]
+        home = cluster.server_for(region)
+        group = cluster.replication.groups[region.name]
+        taken = {home} | {f.server for f in group.followers}
+        target = next(s for s in cluster.servers if s not in taken)
+        assert_rollback_restores_state(cluster, [
+            MoveRegion("r", b"", target.name),
+            SetReplicas("r", 3),
+        ])
+
+    def test_split_then_enable_replication_rolls_back(self):
+        """The rollback must drop the daughters' groups before it can
+        merge them: replicated regions refuse a merge."""
+        cluster, _ = unreplicated_cluster()
+        assert_rollback_restores_state(cluster, [
+            SplitRegion("e", b"%05d" % 5),
+            SetReplicas("e", 2),
+        ])
+
+
+def replicated_cluster():
+    """3 servers, ``replica_count=2``: table ``t`` (40 rows,
+    unreplicated), ``r`` (20 rows, three replicated regions) and the
+    empty ``e``."""
+    cluster, client = build_cluster(
+        servers=3, replication=ReplicationConfig(replica_count=2)
+    )
+    client.create_table(
+        "r", families=(FAM,), split_keys=[b"%05d" % 7, b"%05d" % 14]
+    )
+    cluster.replication.replicate_table("r")
+    table = client.table("r")
+    for i in range(20):
+        table.put(Put(b"%05d" % i).add(FAM, b"q", b"x%05d" % i))
+    client.create_table("e", families=(FAM,))
+    return cluster, ("t", "r", "e")
+
+
+def unreplicated_cluster():
+    """2 servers, no replication: table ``t`` (40 rows, three regions)
+    and the empty ``e``."""
+    cluster, client = build_cluster(splits=[b"%05d" % 10, b"%05d" % 20])
+    client.create_table("e", families=(FAM,))
+    return cluster, ("t", "e")
+
+
+def stage_steps(tables):
+    """1-4 forward steps over ``tables``: names, keys and counts come
+    from small sets, so many steps refuse (a stale target, a replicated
+    region, a draining member) and fail the stage themselves."""
+    table = st.sampled_from(tables)
+    server = st.sampled_from(["rs1", "rs2", "rs3", "rs4"])
+    key = st.sampled_from([b"%05d" % k for k in (5, 10, 14, 20, 30)])
+    start = st.sampled_from([b"", b"%05d" % 10, b"%05d" % 14])
+    step = st.one_of(
+        st.builds(AddServers, st.integers(1, 2)),
+        st.builds(DrainServer, server),
+        st.builds(MoveRegion, table, start, server),
+        st.builds(SplitRegion, table, key),
+        st.builds(MergeRegions, table, start, key),
+        st.builds(Rebalance),
+        st.builds(SetReplicas, table, st.integers(1, 3)),
+    )
+    return st.lists(step, min_size=1, max_size=4)
+
+
+class TestRollbackComposes:
+    """Any poisoned stage, whatever its steps did or refused, restores
+    the rows, the layout fingerprint and a clean ``verify_cluster``."""
+
+    @pytest.mark.parametrize(
+        "build", [unreplicated_cluster, replicated_cluster]
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_poisoned_stage_restores_state(self, build, data):
+        cluster, tables = build()
+        steps = data.draw(stage_steps(tables))
+        assert_rollback_restores_state(cluster, steps)
+
 
 # ------------------------------------------------------------ rollouts
 class TestRollout:
@@ -355,11 +447,11 @@ class TestRollout:
         step = DrainServer(victim.name)
         step.fence(cluster)
         step.apply(cluster)
-        assert step.recovered_first
+        assert victim.recovered
         assert victim.draining
         # the crashed server's regions were failed over by recovery, so
         # the drain itself had nothing left to move
-        assert step.moves == []
+        assert not victim.regions
         transient, fatal = verify_cluster(cluster)
         assert fatal == []
 

@@ -118,26 +118,6 @@ repro.hbase.cache:RowCache.invalidate_region
     safety: a region leaving a server drops its cached rows; see clear
 repro.sim.scheduler:ConcurrencyContext._owner_clock
     safety: a lock held across a yield; Synergy locks within one segment
-repro.orchestration.steps:Dereplicate.describe
-    safety: a rollback-only step names itself only if its own unwind fails
-repro.orchestration.steps:RemoveServers.describe
-    safety: a rollback-only step names itself only if its own unwind fails
-repro.orchestration.steps:RestoreFollowers.describe
-    safety: a rollback-only step names itself only if its own unwind fails
-repro.orchestration.steps:RestoreMoves.describe
-    safety: a rollback-only step names itself only if its own unwind fails
-repro.orchestration.steps:UndrainServer.describe
-    safety: a rollback-only step names itself only if its own unwind fails
-repro.orchestration.steps:Dereplicate.inverse
-    safety: the inverse of a rollback-only step; no rollback is rolled back
-repro.orchestration.steps:RemoveServers.inverse
-    safety: the inverse of a rollback-only step; no rollback is rolled back
-repro.orchestration.steps:RestoreFollowers.inverse
-    safety: the inverse of a rollback-only step; no rollback is rolled back
-repro.orchestration.steps:RestoreMoves.inverse
-    safety: the inverse of a rollback-only step; no rollback is rolled back
-repro.orchestration.steps:UndrainServer.inverse
-    safety: the inverse of a rollback-only step; no rollback is rolled back
 repro.sql.ast:Literal.__str__
     sql: prints a constant; workload statements carry parameters
 repro.sql.ast:Select.__str__
