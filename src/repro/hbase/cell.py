@@ -31,7 +31,7 @@ class Result:
     *plain* row (``store.row_result``) is the stored entry's own head
     dict, lent copy-on-write: the entry writes a copy once it has lent
     one, so the Result keeps reading what it read. Everything else is
-    the Result's own, and ``cells`` and ``versions`` return fresh lists.
+    the Result's own, and ``cells`` returns fresh lists.
     """
 
     __slots__ = ("row", "_head", "_history", "_summary")
@@ -105,11 +105,6 @@ class Result:
         for key, column in slots:
             newest = get(column)
             row[key] = newest[1] if newest else b""
-
-    def versions(self, family: bytes, qualifier: bytes) -> list[Version]:
-        key = (family, qualifier)
-        newest = self._head.get(key)
-        return list(self._history.get(key, (newest,))) if newest else []
 
     @property
     def size_bytes(self) -> int:

@@ -392,14 +392,9 @@ class HTable:
         repeating rows.
         """
         op = op or Scan()
-        if op.limit == 0:
-            return  # nothing asked for: no RPC, no seek, no row read
         batch_size = self.cluster.config.cost.scan_batch_rows
-        emitted = 0
         wanted = frozenset(op.columns) if op.columns else None
         scan_filter = op.filter
-        limit = op.limit
-        unlimited = limit is None
         charge_rpc = self.charge.rpc
         charge_transfer = self.charge.transfer
         size_bytes_of = Result.size_bytes.fget  # skip descriptor per row
@@ -450,7 +445,7 @@ class HTable:
             batch_bytes = 0
             relocate = False
             # the finally settles this region window on every exit —
-            # normal completion, limit reached, split relocation, crash,
+            # normal completion, split relocation, crash,
             # and a consumer abandoning the generator mid-iteration
             try:
                 for key, result in source.scan(
@@ -469,10 +464,7 @@ class HTable:
                         charge_transfer(batch_bytes)
                         batch_rows = 0
                         batch_bytes = 0
-                    emitted += 1
                     yield result
-                    if not unlimited and emitted >= limit:
-                        return
             except RegionUnavailableError:
                 if follower is not None:
                     # the follower died under its window: retry the

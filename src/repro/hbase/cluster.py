@@ -260,14 +260,11 @@ class HBaseCluster:
                 return server
         raise ClusterConfigError(f"no region server named {name!r}")
 
-    def drain_server(
-        self, server: RegionServer | str
-    ) -> list[tuple[str, bytes, str]]:
+    def drain_server(self, server: RegionServer | str) -> None:
         """Decommission primitive: mark ``server`` draining (placement,
         balancing and follower top-up all skip it from here on), move
         every primary it hosts to the least-loaded eligible server, and
-        rebuild its follower replicas elsewhere. Returns the primary
-        moves performed as ``(table, start_key, target_name)``.
+        rebuild its follower replicas elsewhere.
 
         Draining a dead server raises
         :class:`~repro.errors.RegionUnavailableError` (moving needs a
@@ -286,7 +283,6 @@ class HBaseCluster:
         was_draining = server.draining
         server.draining = True
         self._bump_layout()
-        moves: list[tuple[str, bytes, str]] = []
         performed: list[Region] = []
         try:
             regions = sorted(
@@ -302,7 +298,6 @@ class HBaseCluster:
                     )
                 self.move_region(region, target)
                 performed.append(region)
-                moves.append((region.table_name, region.start_key, target.name))
         except Exception:
             server.draining = was_draining
             for region in reversed(performed):
@@ -311,7 +306,6 @@ class HBaseCluster:
             raise
         if self.replication is not None:
             self.replication.evacuate_followers(server)
-        return moves
 
     def _drain_target(
         self, source: RegionServer, region: Region

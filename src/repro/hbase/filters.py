@@ -25,23 +25,17 @@ class FilterBase:
 
 @dataclass
 class ColumnValueFilter(FilterBase):
-    """Keep rows whose newest ``family:qualifier`` value compares true.
-
-    ``missing_accepts`` mirrors HBase's ``filterIfMissing=False`` default:
-    rows lacking the column pass the filter unless told otherwise.
-    """
+    """Keep rows whose newest ``family:qualifier`` value compares true;
+    a row lacking the column is rejected."""
 
     family: bytes
     qualifier: bytes
     op: str
     value: bytes
-    missing_accepts: bool = False
 
     def accept(self, result: Result) -> bool:
         cur = result.value(self.family, self.qualifier)
-        if cur is None:
-            return self.missing_accepts
-        return _OPS[self.op](cur, self.value)
+        return cur is not None and _OPS[self.op](cur, self.value)
 
 
 @dataclass

@@ -60,35 +60,29 @@ class Get:
 
 
 class Delete:
-    """Single-row delete (whole row, or specific columns)."""
+    """Single-row delete: a whole-row tombstone."""
 
-    __slots__ = ("row", "columns")
+    __slots__ = ("row",)
 
-    def __init__(
-        self, row: bytes, columns: list[tuple[bytes, bytes]] | None = None
-    ) -> None:
+    def __init__(self, row: bytes) -> None:
         self.row = row
-        self.columns = columns
 
     def wal_entry(self, region_name: str, ts: int) -> WalEntry:
         """This delete as logged under ``region_name`` at server time ``ts``."""
-        return WalEntry(region_name, "delete", self.row, self.columns, ts)
+        return WalEntry(region_name, "delete", self.row, None, ts)
 
 
 @dataclass
 class Scan:
-    """Range scan: ``[start_row, stop_row)`` with optional filter/limit."""
+    """Range scan: ``[start_row, stop_row)`` with an optional filter."""
 
     start_row: bytes = b""
     stop_row: bytes | None = None
     filter: "FilterBase | None" = None
-    limit: int | None = None
     max_versions: int = 1
     time_range: tuple[int, int] | None = None
     columns: list[tuple[bytes, bytes]] | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.limit is not None and self.limit < 0:
-            raise ValueError(f"Scan.limit must be >= 0, got {self.limit}")
         if self.max_versions < 1:
             raise ValueError(f"Scan.max_versions must be >= 1, got {self.max_versions}")

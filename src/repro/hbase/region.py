@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Iterator
 
 from repro.errors import RegionSplitError, RegionUnavailableError
@@ -81,7 +82,7 @@ class Region:
         if entry.kind == "put":
             self.put_row(entry.row, entry.payload, entry.timestamp)
         else:
-            self.delete_row(entry.row, entry.payload, entry.timestamp)
+            self.delete_row(entry.row, entry.timestamp)
 
     def put_row(
         self,
@@ -95,20 +96,10 @@ class Region:
             row, cells, default_ts, len(row) + self.kv_overhead_bytes
         )
 
-    def delete_row(
-        self,
-        row: bytes,
-        columns: list[tuple[bytes, bytes]] | None,
-        ts: int,
-    ) -> None:
+    def delete_row(self, row: bytes, ts: int) -> None:
+        """Write a whole-row tombstone at ``ts`` into the memstore."""
         self._check_online()
-        entry = self.memstore.entry(row, create=True)
-        assert entry is not None
-        if columns is None:
-            entry.delete_row(ts)
-        else:
-            for family, qualifier in columns:
-                entry.delete_column(family, qualifier, ts)
+        self.memstore.entry(row, create=True).delete_row(ts)
 
     # -- reads -----------------------------------------------------------------
     def _sources_for(self, row: bytes) -> list[RowEntry]:
@@ -162,10 +153,10 @@ class Region:
     def iter_keys(self, start: bytes, stop: bytes | None) -> Iterator[bytes]:
         """Merged, de-duplicated, sorted row keys across memstore + HFiles."""
         self._check_online()
-        streams = [self.memstore.keys_in_range(start, stop)]
-        streams.extend(h.keys_in_range(start, stop) for h in self.hfiles)
+        streams = [self.memstore.items_in_range(start, stop)]
+        streams.extend(h.items_in_range(start, stop) for h in self.hfiles)
         last: bytes | None = None
-        for key in heapq.merge(*streams):
+        for key, _ in heapq.merge(*streams, key=itemgetter(0)):
             if key != last:
                 last = key
                 yield key
@@ -278,7 +269,7 @@ class Region:
         """``(row, entry)`` of every row a major compaction keeps, in key
         order. A region with one non-empty component (always the state
         right after a bulk load) adopts each entry that needs no merge —
-        no tombstone, and no column holding more than ``max_versions``
+        no row tombstone, and no column holding more than ``max_versions``
         versions, a dirty history sorted first — the way a flush hands
         off a frozen memstore; any other row is rebuilt from its
         ``row_result``. Several components keep the scanner merge."""
@@ -292,7 +283,6 @@ class Region:
         for row, entry in components[0].items_in_range(self.start_key, self.end_key):
             if (
                 entry.row_tombstone_ts is None
-                and not entry.col_tombstones
                 and entry.head
                 and all(
                     len(versions) <= max_versions

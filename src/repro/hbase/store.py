@@ -3,8 +3,9 @@
 Both the mutable memstore and immutable HFiles share one row-entry
 representation, the *newest image*: a ``{(family, qualifier):
 (timestamp, value)}`` head dict, plus a history map holding a column's
-whole newest-first version list only once it has a second version. The
-read path merges entries newest-to-oldest, honouring row/column
+whole newest-first version list only once it has a second version. A
+delete is a whole-row tombstone: the newest delete stamp on the entry.
+The read path merges entries newest-to-oldest, honouring row
 tombstones, exactly as an LSM tree does; major compaction folds
 everything into one HFile, dropping tombstones and versions beyond
 ``max_versions``. See ``docs/STORAGE.md`` for the invariants.
@@ -22,7 +23,7 @@ component (memstore first, then HFiles newest flush first) with
 ``heapq.merge``: a single pass over each component. ``row_result``
 turns one row's entries into its :class:`Result` for point reads and
 the scanner alike: an untombstoned one-version read takes heads only,
-and tombstones and ``time_range`` keep a bounded, bisected run of each
+and a tombstone or a ``time_range`` keeps a bounded, bisected run of each
 history, so a read costs O(columns × sources × ``max_versions``)
 however many versions the row has absorbed. ``columns`` is the
 column-pushdown contract: untouched column families cost nothing.
@@ -51,18 +52,13 @@ def _sort_newest_first(versions: Versions) -> None:
     versions.sort(key=_neg_ts)
 
 
-_SHARED_EMPTY_TOMBSTONES: dict[CellKey, int] = {}
-"""Class-level default for entries that never saw a column delete —
-one RowEntry is built per freshly written row, so construction cost
-matters. ``delete_column`` copies-on-write before touching it."""
-
-
 class RowEntry:
     """One row within one store component: its newest image, the history
-    of each column that has more than one version, and tombstones."""
+    of each column that has more than one version, and its row tombstone.
+    Built without ``__init__`` (``_new_entry``): a new entry allocates
+    only its head dict; the write path shadows the class-attribute
+    defaults below with instance attributes on demand."""
 
-    # class-attribute defaults: a new entry allocates only its head dict;
-    # the write path shadows these with instance attributes on demand
     history: dict[CellKey, Versions] = NO_HISTORY
     payload = 0
     """Σ len(family) + len(qualifier) + len(value) over the heads."""
@@ -73,10 +69,7 @@ class RowEntry:
     under that very object tests nothing); dropped when a column is
     added."""
     row_tombstone_ts: int | None = None
-    col_tombstones: dict[CellKey, int] = _SHARED_EMPTY_TOMBSTONES
-
-    def __init__(self) -> None:
-        self.head: dict[CellKey, Version] = {}
+    head: dict[CellKey, Version]
 
     @classmethod
     def from_sorted_cells(cls, cells: dict[CellKey, Versions]) -> "RowEntry":
@@ -109,13 +102,6 @@ class RowEntry:
         if self.row_tombstone_ts is None or ts > self.row_tombstone_ts:
             self.row_tombstone_ts = ts
 
-    def delete_column(self, family: bytes, qualifier: bytes, ts: int) -> None:
-        if self.col_tombstones is _SHARED_EMPTY_TOMBSTONES:
-            self.col_tombstones = {}
-        key = (family, qualifier)
-        if key not in self.col_tombstones or ts > self.col_tombstones[key]:
-            self.col_tombstones[key] = ts
-
     def size_bytes(self, row: bytes, kv_overhead: int) -> int:
         row_len = len(row) + kv_overhead
         total = len(self.head) * row_len + self.payload
@@ -140,8 +126,8 @@ class MemStore:
     def entry(self, row: bytes, create: bool = False) -> RowEntry | None:
         e = self._entries.get(row)
         if e is None and create:
-            e = RowEntry()
-            self._entries[row] = e
+            e = self._entries[row] = _new_entry(RowEntry)
+            e.head = {}
             self._sorted = False
         return e
 
@@ -165,7 +151,7 @@ class MemStore:
         row-key + KV-framing overhead charged per cell."""
         entry = self._entries.get(row)
         if entry is None:
-            entry = _new_entry(RowEntry)  # skip __init__ dispatch
+            entry = _new_entry(RowEntry)
             head = entry.head = {}
             self._entries[row] = entry
             self._sorted = False
@@ -215,10 +201,6 @@ class MemStore:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def keys_in_range(self, start: bytes, stop: bytes | None) -> Iterator[bytes]:
-        for key, _ in self.items_in_range(start, stop):
-            yield key
 
     def items_in_range(
         self, start: bytes, stop: bytes | None
@@ -306,10 +288,6 @@ class HFile:
         )
         return bottom, top
 
-    def keys_in_range(self, start: bytes, stop: bytes | None) -> Iterator[bytes]:
-        for key, _ in self.items_in_range(start, stop):
-            yield key
-
     def items_in_range(
         self, start: bytes, stop: bytes | None
     ) -> Iterator[tuple[bytes, RowEntry]]:
@@ -353,11 +331,6 @@ def merge_row(
         (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
         default=-inf,
     )
-    col_ts: dict[CellKey, int] = {}
-    for s in sources:
-        for key, ts in s.col_tombstones.items():
-            if key not in col_ts or ts > col_ts[key]:
-                col_ts[key] = ts
 
     # A tombstone hides a suffix of a newest-first list and a time range
     # keeps a contiguous run of it, so each source contributes a bounded
@@ -365,8 +338,7 @@ def merge_row(
     # never copied, compared or sorted.
     lo, hi = time_range if time_range is not None else (-inf, inf)
     floor = max(lo, row_ts + 1)  # the oldest timestamp still visible
-    floors = {key: max(floor, ts + 1) for key, ts in col_ts.items()}
-    bounded = time_range is not None or row_ts > -inf or bool(col_ts)
+    bounded = time_range is not None or row_ts > -inf
     merged: dict[CellKey, Versions] = {}
     disordered: list[Versions] = []
     for s in sources:
@@ -375,9 +347,7 @@ def merge_row(
                 continue
             if bounded:
                 first = bisect.bisect_right(versions, -hi, key=_neg_ts)
-                last = bisect.bisect_right(
-                    versions, -floors.get(key, floor), first, key=_neg_ts
-                )
+                last = bisect.bisect_right(versions, -floor, first, key=_neg_ts)
                 head = versions[first:min(last, first + max_versions)]
             else:
                 head = versions[:max_versions]
@@ -423,7 +393,7 @@ def row_result(
     if max_versions == 1 and time_range is None:
         if len(sources) == 1:
             entry = sources[0]
-            if entry.row_tombstone_ts is None and not entry.col_tombstones:
+            if entry.row_tombstone_ts is None:
                 head = entry.head
                 if not head:
                     return None
@@ -434,7 +404,7 @@ def row_result(
                     entry._cover = columns
                 entry._lent = True
                 return Result(row, head, NO_HISTORY, (len(head), entry.payload))
-        elif not any(s.row_tombstone_ts is not None or s.col_tombstones for s in sources):
+        elif not any(s.row_tombstone_ts is not None for s in sources):
             # each column's newest head: the greatest stamp, the newer
             # component winning a tie (as a stable newest-first sort would)
             heads: dict[CellKey, Version] = {}

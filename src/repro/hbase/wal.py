@@ -25,7 +25,8 @@ class WalEntry:
         region_name: str,
         kind: str,  # "put" | "delete"
         row: bytes,
-        payload: Any,  # put: tuple[(family, qualifier, value, ts)]; delete: columns|None
+        payload: Any,  # put: tuple[(family, qualifier, value, ts)];
+        # delete: None (a delete is a whole-row tombstone)
         timestamp: int,
     ) -> None:
         self.region_name = region_name

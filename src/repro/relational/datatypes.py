@@ -17,12 +17,9 @@ class DataType(enum.Enum):
     """SQL-ish column types supported by the engines."""
 
     INT = "int"
-    BIGINT = "bigint"
     FLOAT = "float"
     VARCHAR = "varchar"
     DATE = "date"
-    DATETIME = "datetime"
-    BOOL = "bool"
 
 
 _INT_BIAS = 1 << 63  # order-preserving encoding for signed integers
@@ -52,24 +49,11 @@ def _encode_date(value: Any) -> bytes:
     return _encode_int(value)
 
 
-def _encode_datetime(value: Any) -> bytes:
-    if isinstance(value, datetime):
-        value = value.timestamp()
-    return _encode_float(value)
-
-
-def _encode_bool(value: Any) -> bytes:
-    return b"" if value is None else b"\x01" if value else b"\x00"
-
-
 _ENCODERS: dict[DataType, Callable[[Any], bytes]] = {
     DataType.INT: _encode_int,
-    DataType.BIGINT: _encode_int,
     DataType.FLOAT: _encode_float,
     DataType.VARCHAR: _encode_varchar,
     DataType.DATE: _encode_date,
-    DataType.DATETIME: _encode_datetime,
-    DataType.BOOL: _encode_bool,
 }
 
 
@@ -102,18 +86,11 @@ def _decode_varchar(data: bytes | None) -> Any:
     return data.decode("utf-8") if data else None
 
 
-def _decode_bool(data: bytes | None) -> Any:
-    return data != b"\x00" if data else None
-
-
 _DECODERS: dict[DataType, Callable[[bytes | None], Any]] = {
     DataType.INT: _decode_int,
-    DataType.BIGINT: _decode_int,
     DataType.DATE: _decode_int,
     DataType.FLOAT: _decode_float,
-    DataType.DATETIME: _decode_float,
     DataType.VARCHAR: _decode_varchar,
-    DataType.BOOL: _decode_bool,
 }
 
 

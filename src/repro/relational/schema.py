@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
-from repro.relational.datatypes import DataType, value_encoder
+from repro.relational.datatypes import DataType
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,11 @@ class Schema:
                         f"!= PK arity {len(target.primary_key)} of {target.name}"
                     )
                 # view maintenance reuses a child's stored FK bytes as its
-                # parent's key components, so both sides share one encoder
+                # parent's key components, so both sides share one type
                 for fk_attr, pk_attr in zip(fk.attributes, target.primary_key):
                     fk_type = rel.dtype_of(fk_attr)
                     pk_type = target.dtype_of(pk_attr)
-                    if value_encoder(fk_type) is not value_encoder(pk_type):
+                    if fk_type is not pk_type:
                         raise SchemaError(
                             f"{rel.name}: FK {fk.name!r} attribute {fk_attr!r} "
                             f"({fk_type.name}) does not encode like "

@@ -26,12 +26,11 @@ PROJECTIONS = [
 
 
 class ModelEntry:
-    """One row in one component: insertion-ordered versions, tombstones."""
+    """One row in one component: insertion-ordered versions, row tombstone."""
 
     def __init__(self, cells=None):
         self.cells = cells if cells is not None else {}
         self.row_tombstone_ts = None
-        self.col_tombstones = {}
 
 
 def newest_first(versions):
@@ -42,17 +41,12 @@ def newest_first(versions):
 def reference_merge_row(sources, max_versions, time_range=None, columns=None):
     """The visible cells of one row over ``sources`` (newest component
     first): copy every version of every projected column, stable-sort,
-    drop what a row or column tombstone covers or ``time_range`` excludes,
+    drop what a row tombstone covers or ``time_range`` excludes,
     keep the newest ``max_versions``. ``None`` when nothing is visible."""
     row_ts = max(
         (s.row_tombstone_ts for s in sources if s.row_tombstone_ts is not None),
         default=None,
     )
-    col_ts = {}
-    for s in sources:
-        for key, ts in s.col_tombstones.items():
-            if key not in col_ts or ts > col_ts[key]:
-                col_ts[key] = ts
 
     merged = {}
     for s in sources:
@@ -65,11 +59,8 @@ def reference_merge_row(sources, max_versions, time_range=None, columns=None):
     lo, hi = time_range if time_range is not None else (0, 0)
     for key, versions in merged.items():
         kept = []
-        key_col_ts = col_ts.get(key)
         for ts, value in newest_first(versions):
             if row_ts is not None and ts <= row_ts:
-                continue
-            if key_col_ts is not None and ts <= key_col_ts:
                 continue
             if time_range is not None and not (lo <= ts < hi):
                 continue
@@ -154,15 +145,10 @@ class ModelRegion:
                 (default_ts if ts is None else ts, value)
             )
 
-    def delete(self, row, columns, ts):
+    def delete(self, row, ts):
         entry = self._entry(row)
-        if columns is None:
-            if entry.row_tombstone_ts is None or ts > entry.row_tombstone_ts:
-                entry.row_tombstone_ts = ts
-        else:
-            for key in columns:
-                if ts > entry.col_tombstones.get(key, -1):
-                    entry.col_tombstones[key] = ts
+        if entry.row_tombstone_ts is None or ts > entry.row_tombstone_ts:
+            entry.row_tombstone_ts = ts
 
     def flush(self):
         if self.mem:
@@ -197,7 +183,7 @@ def encode_value_reference(dtype: DataType, value) -> bytes:
     bias = 1 << 63
     if value is None:
         return b""
-    if dtype in (DataType.INT, DataType.BIGINT):
+    if dtype is DataType.INT:
         return struct.pack(">Q", int(value) + bias)
     if dtype is DataType.FLOAT:
         return struct.pack(">d", float(value))
@@ -207,12 +193,6 @@ def encode_value_reference(dtype: DataType, value) -> bytes:
         if isinstance(value, (date, datetime)):
             value = value.toordinal()
         return struct.pack(">Q", int(value) + bias)
-    if dtype is DataType.DATETIME:
-        if isinstance(value, datetime):
-            value = value.timestamp()
-        return struct.pack(">d", float(value))
-    if dtype is DataType.BOOL:
-        return b"\x01" if value else b"\x00"
     raise TypeError(f"unsupported dtype: {dtype}")
 
 
@@ -246,14 +226,12 @@ def decode_value_reference(dtype: DataType, data: bytes):
     """The per-cell dtype chain ``decode_value`` used to be."""
     if data == b"":
         return None
-    if dtype in (DataType.INT, DataType.BIGINT, DataType.DATE):
+    if dtype in (DataType.INT, DataType.DATE):
         return struct.unpack(">Q", data)[0] - _INT_BIAS
-    if dtype is DataType.FLOAT or dtype is DataType.DATETIME:
+    if dtype is DataType.FLOAT:
         return struct.unpack(">d", data)[0]
     if dtype is DataType.VARCHAR:
         return data.decode("utf-8")
-    if dtype is DataType.BOOL:
-        return data != b"\x00"
     raise TypeError(f"unsupported dtype: {dtype}")
 
 
@@ -296,6 +274,11 @@ def decode_key(dtypes, key: bytes) -> tuple:
             f"key arity mismatch: {len(parts)} components, {len(dtypes)} types"
         )
     return tuple(value_decoder(dt)(p) for dt, p in zip(dtypes, parts))
+
+
+def new_entry():
+    """An empty ``RowEntry``, built the one way the memstore builds one."""
+    return MemStore().entry(b"", create=True)
 
 
 def put_cell(entry, family: bytes, qualifier: bytes, ts: int, value: bytes) -> None:

@@ -1,7 +1,7 @@
 """Property test: compaction under tombstones vs a dict reference model.
 
-Random (seeded) sequences of puts, row deletes, column deletes, flushes
-and major compactions are applied both to a real :class:`Region` and to
+Random (seeded) sequences of puts, row deletes, flushes and major
+compactions are applied both to a real :class:`Region` and to
 ``tests.reference.storage.ModelRegion``, a plain-dict model of HBase
 visibility semantics (newest ``max_versions`` versions newer than every
 covering tombstone). After every compaction —
@@ -66,18 +66,15 @@ def test_random_put_delete_compact_sequences(seed: int, max_versions: int):
         row = rng.choice(ROWS)
         qualifier = rng.choice(QUALIFIERS)
         ts += 1
-        if r < 0.55:
+        if r < 0.62:
             value = b"v%d" % ts
             cells = [(CF, qualifier, value, ts)]
             region.put_row(row, cells, ts)
             model.put(row, cells, ts)
-        elif r < 0.70:
-            region.delete_row(row, None, ts)
-            model.delete(row, None, ts)
-        elif r < 0.82:
-            region.delete_row(row, [(CF, qualifier)], ts)
-            model.delete(row, [(CF, qualifier)], ts)
-        elif r < 0.94:
+        elif r < 0.79:
+            region.delete_row(row, ts)
+            model.delete(row, ts)
+        elif r < 0.93:
             region.flush()  # physical reshuffle, no visibility change
             model.flush()
         else:
@@ -106,10 +103,8 @@ def test_compaction_drops_tombstones_but_preserves_visible_rows():
         model.put(row, [(CF, b"qa", b"old", i + 1)], i + 1)
     region.put_row(ROWS[0], [(CF, b"qa", b"new", 100)], 100)
     model.put(ROWS[0], [(CF, b"qa", b"new", 100)], 100)
-    region.delete_row(ROWS[1], None, 101)
-    model.delete(ROWS[1], None, 101)
-    region.delete_row(ROWS[2], [(CF, b"qa")], 102)
-    model.delete(ROWS[2], [(CF, b"qa")], 102)
+    region.delete_row(ROWS[1], 101)
+    model.delete(ROWS[1], 101)
     region.major_compact()
     model.compact()
     assert_region_matches_model(region, model)

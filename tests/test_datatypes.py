@@ -36,10 +36,6 @@ class TestScalarCodec:
             or v == ""  # empty string encodes like NULL, as in HBase
         )
 
-    @given(st.booleans())
-    def test_bool_roundtrip(self, v):
-        assert value_decoder(DataType.BOOL)(encode_value(DataType.BOOL, v)) is v
-
     def test_null_encodes_empty(self):
         for dtype in DataType:
             assert encode_value(dtype, None) == b""

@@ -155,7 +155,7 @@ class TestHBaseEdges:
             p.add(CF, b"v", f"v{i}".encode())
             t.put(p)
         result = t.get(Get(b"k", max_versions=3))
-        versions = [v for _, v in result.versions(CF, b"v")]
+        versions = [v for _, v in result.cells[(CF, b"v")]]
         assert versions == [b"v3", b"v2", b"v1"]
 
     def test_parser_rejects_view_name_with_dash(self):

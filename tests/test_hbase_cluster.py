@@ -81,13 +81,6 @@ class TestDml:
         table.delete(Delete(b"k"))
         assert table.get(Get(b"k")) is None
 
-    def test_delete_column_only(self, table):
-        put(table, b"k", a=b"1", b=b"2")
-        table.delete(Delete(b"k", columns=[(CF, b"a")]))
-        r = table.get(Get(b"k"))
-        assert r.value(CF, b"a") is None
-        assert r.value(CF, b"b") == b"2"
-
     def test_check_and_put_success_and_failure(self, table):
         p = Put(b"lk")
         p.add(CF, b"l", b"\x01")
@@ -121,34 +114,6 @@ class TestScan:
             put(table, k, v=k)
         rows = [r.row for r in table.scan(Scan(start_row=b"b", stop_row=b"d"))]
         assert rows == [b"b", b"c"]
-
-    def test_limit_stops_early(self, table):
-        for i in range(20):
-            put(table, f"k{i:02d}".encode(), v=b"x")
-        rows = list(table.scan(Scan(limit=3)))
-        assert len(rows) == 3
-
-    def test_limit_zero_reads_nothing_and_costs_nothing(self, client, table):
-        for i in range(5):
-            put(table, f"k{i}".encode(), v=b"x")
-        sim = client.cluster.sim
-
-        def spent():
-            return dict(sim.metrics.counters()), sim.clock.now_ms
-
-        before = spent()
-        assert list(table.scan(Scan(limit=0))) == []
-        assert spent() == before  # no open RPC, no seek, no row read
-        assert len(list(table.scan(Scan(limit=1)))) == 1
-        counters, _ = spent()
-        assert counters["client.rpc"] > before[0]["client.rpc"]
-        assert sum(v for k, v in counters.items() if k.endswith(".seek")) > sum(
-            v for k, v in before[0].items() if k.endswith(".seek")
-        )
-
-    def test_negative_limit_is_refused(self):
-        with pytest.raises(ValueError, match="limit"):
-            Scan(limit=-1)
 
     @pytest.mark.parametrize("max_versions", [0, -1])
     def test_fewer_than_one_version_is_refused(self, max_versions):

@@ -37,13 +37,9 @@ class TestColumnValueFilter:
         f = ColumnValueFilter(CF, b"a", op, value)
         assert f.accept(make_result(a=b"m")) is expected
 
-    def test_missing_column_rejected_by_default(self):
+    def test_missing_column_rejected(self):
         f = ColumnValueFilter(CF, b"nope", "=", b"x")
         assert not f.accept(make_result(a=b"m"))
-
-    def test_missing_accepts_mirrors_hbase_filter_if_missing(self):
-        f = ColumnValueFilter(CF, b"nope", "=", b"x", missing_accepts=True)
-        assert f.accept(make_result(a=b"m"))
 
     def test_compares_newest_version_only(self):
         result = Result.from_sorted(b"r1", {(CF, b"a"): [(5, b"new"), (1, b"old")]})
@@ -134,9 +130,9 @@ class TestScanIntegration:
 
     def test_filter_on_column_projected_away_sees_missing(self, table):
         """The scanner merges only the pushed-down columns, so a filter
-        on a projected-away column observes the column as missing —
-        ``missing_accepts`` then decides, exactly as for a row that
-        never had the column. Callers must project what they filter on
+        on a projected-away column observes the column as missing and
+        rejects the row, exactly as for a row that never had the
+        column. Callers must project what they filter on
         (Phoenix's ``AccessSpec`` projections always include residual
         predicate attrs because entries project their full column set).
         """
@@ -144,25 +140,11 @@ class TestScanIntegration:
         scan.columns = [(CF, b"size")]
         scan.filter = ColumnValueFilter(CF, b"grade", "=", b"g1")
         assert scanned_keys(table, scan) == []
-        scan = Scan()
-        scan.columns = [(CF, b"size")]
-        scan.filter = ColumnValueFilter(
-            CF, b"grade", "=", b"g1", missing_accepts=True
-        )
-        assert scanned_keys(table, scan) == [b"a1", b"b2", b"m1", b"z9"]
-
-    def test_filter_after_column_tombstone(self, table):
-        table.delete(Delete(b"b2", columns=[(CF, b"grade")]))
-        scan = Scan()
-        scan.filter = ColumnValueFilter(CF, b"grade", "=", b"g2")
-        assert scanned_keys(table, scan) == [b"z9"]
 
     def test_filter_never_sees_deleted_rows(self, table):
         table.delete(Delete(b"z9"))
         scan = Scan()
-        scan.filter = ColumnValueFilter(
-            CF, b"grade", "=", b"g2", missing_accepts=True
-        )
+        scan.filter = ColumnValueFilter(CF, b"grade", "=", b"g2")
         assert scanned_keys(table, scan) == [b"b2"]
 
     def test_filter_against_merged_memstore_and_hfile(self, cluster, table):

@@ -6,27 +6,27 @@ from hypothesis import given, settings, strategies as st
 from repro.hbase import Get, HBaseClient, HBaseCluster
 from repro.hbase.cell import Result
 from repro.hbase.ops import Put
-from repro.hbase.store import HFile, MemStore, RowEntry, merge_row
+from repro.hbase.store import HFile, MemStore, merge_row
 from repro.sim.clock import Simulation
-from tests.reference.storage import put_cell
+from tests.reference.storage import new_entry, put_cell
 
 
 class TestRowEntry:
     def test_versions_sorted_newest_first(self):
-        e = RowEntry()
+        e = new_entry()
         put_cell(e, b"cf", b"q", 1, b"old")
         put_cell(e, b"cf", b"q", 3, b"new")
         put_cell(e, b"cf", b"q", 2, b"mid")
         assert e.cells[(b"cf", b"q")][0] == (3, b"new")
 
     def test_row_tombstone_keeps_max(self):
-        e = RowEntry()
+        e = new_entry()
         e.delete_row(5)
         e.delete_row(3)
         assert e.row_tombstone_ts == 5
 
     def test_size_accounting(self):
-        e = RowEntry()
+        e = new_entry()
         put_cell(e, b"cf", b"q", 1, b"value")
         assert e.size_bytes(b"rowkey", kv_overhead=24) == 6 + 2 + 1 + 5 + 24
 
@@ -39,7 +39,7 @@ class TestVersionOrderAtTheEdges:
     ORDERED = [(9, b"d"), (7, b"b"), (7, b"e"), (5, b"a"), (5, b"c"), (1, b"f")]
 
     def test_row_entry(self):
-        e = RowEntry()
+        e = new_entry()
         for ts, v in self.PUTS:
             put_cell(e, b"cf", b"q", ts, v)
         assert e.cells[(b"cf", b"q")] == self.ORDERED
@@ -52,12 +52,12 @@ class TestVersionOrderAtTheEdges:
         assert m.entry(b"r").cells[(b"cf", b"q")] == self.ORDERED
 
     def test_result_of_a_merged_row(self):
-        e = RowEntry()
+        e = new_entry()
         for ts, v in self.PUTS:
             put_cell(e, b"cf", b"q", ts, v)
         merged = merge_row([e], max_versions=len(self.PUTS))
         r = Result.from_sorted(b"r", merged)
-        assert r.versions(b"cf", b"q") == self.ORDERED
+        assert r.cells[(b"cf", b"q")] == self.ORDERED
         assert r.value(b"cf", b"q") == b"d"
 
     @pytest.mark.parametrize("flushed", [False, True], ids=["memstore", "hfile"])
@@ -72,7 +72,7 @@ class TestVersionOrderAtTheEdges:
             region = client.cluster.descriptor("t").regions[0]
             client.cluster.server_for(region).flush_region(region)
         result = table.get(Get(b"r", max_versions=4))
-        assert result.versions(b"cf", b"q") == [
+        assert result.cells[(b"cf", b"q")] == [
             (7, b"C"), (5, b"A"), (5, b"B"), (5, b"D")
         ]
 
@@ -89,13 +89,13 @@ class TestMemStore:
         m = MemStore()
         for k in (b"c", b"a", b"b"):
             m.entry(k, create=True)
-        assert list(m.keys_in_range(b"", None)) == [b"a", b"b", b"c"]
+        assert [k for k, _ in m.items_in_range(b"", None)] == [b"a", b"b", b"c"]
 
     def test_range_bounds(self):
         m = MemStore()
         for k in (b"a", b"b", b"c", b"d"):
             m.entry(k, create=True)
-        assert list(m.keys_in_range(b"b", b"d")) == [b"b", b"c"]
+        assert [k for k, _ in m.items_in_range(b"b", b"d")] == [b"b", b"c"]
 
     def test_missing_entry_not_created_by_default(self):
         m = MemStore()
@@ -105,7 +105,7 @@ class TestMemStore:
 
 class TestMergeRow:
     def _entry(self, ts_values, tombstone=None):
-        e = RowEntry()
+        e = new_entry()
         for ts, v in ts_values:
             put_cell(e, b"cf", b"q", ts, v)
         if tombstone is not None:
@@ -132,17 +132,9 @@ class TestMergeRow:
         merged = merge_row([self._entry([(1, b"a")], tombstone=9)], max_versions=1)
         assert merged is None
 
-    def test_column_tombstone(self):
-        e = self._entry([(1, b"a")])
-        put_cell(e, b"cf", b"other", 1, b"x")
-        e.delete_column(b"cf", b"q", 2)
-        merged = merge_row([e], max_versions=1)
-        assert (b"cf", b"q") not in merged
-        assert (b"cf", b"other") in merged
-
     def test_tombstone_across_components(self):
         # delete in a newer component hides a cell in an older HFile
-        newer = RowEntry()
+        newer = new_entry()
         newer.delete_row(10)
         older = self._entry([(5, b"v")])
         assert merge_row([newer, older], max_versions=1) is None
@@ -159,7 +151,7 @@ class TestMergeRow:
                     min_size=1, max_size=20))
     @settings(max_examples=50)
     def test_newest_visible_version_is_global_max(self, versions):
-        e = RowEntry()
+        e = new_entry()
         seen = {}
         for ts, v in versions:
             put_cell(e, b"cf", b"q", ts, v)
@@ -171,12 +163,12 @@ class TestMergeRow:
 
 class TestHFile:
     def test_immutable_lookup(self):
-        e = RowEntry()
+        e = new_entry()
         put_cell(e, b"cf", b"q", 1, b"v")
         h = HFile({b"k": e})
         assert h.entry(b"k") is e
         assert h.entry(b"missing") is None
-        assert list(h.keys_in_range(b"", None)) == [b"k"]
+        assert [k for k, _ in h.items_in_range(b"", None)] == [b"k"]
 
     def test_unique_file_ids(self):
         a, b = HFile({}), HFile({})

@@ -93,10 +93,10 @@ def on_the_reference_path(system):
 
 def store_dump(system) -> dict:
     """Every table's regions, component by component: each row's
-    tombstones and version lists, timestamps included."""
+    row tombstone and version lists, timestamps included."""
     def component(c):
         return {
-            row: (entry.row_tombstone_ts, dict(entry.col_tombstones),
+            row: (entry.row_tombstone_ts,
                   {key: list(versions) for key, versions in entry.cells.items()})
             for row, entry in c.items()
         }
@@ -232,7 +232,7 @@ def assert_compacted_like_the_model(region, model) -> None:
     size = 0
     for row, entry in hfile.items():
         assert not entry._dirty
-        assert entry.row_tombstone_ts is None and not entry.col_tombstones
+        assert entry.row_tombstone_ts is None
         assert entry.cells == expected[row].cells
         for key, versions in entry.cells.items():
             assert versions == newest_first(versions)
@@ -255,18 +255,13 @@ class TestCompactionAdoption:
     def test_a_tombstoned_entry_is_rebuilt(self):
         region, model = build_region(1)
         put(region, model, b"r0", b"qa", 1)
-        put(region, model, b"r1", b"qa", 2)
-        put(region, model, b"r1", b"qb", 3)
         put(region, model, b"r2", b"qa", 4)
-        region.delete_row(b"r1", [(CF, b"qa")], 5)
-        model.delete(b"r1", [(CF, b"qa")], 5)
-        region.delete_row(b"r2", None, 6)
-        model.delete(b"r2", None, 6)
+        region.delete_row(b"r2", 6)
+        model.delete(b"r2", 6)
         put(region, model, b"r2", b"qb", 7)
         before = compact(region, model)
         hfile = region.hfiles[0]
         assert hfile.entry(b"r0") is before[b"r0"]
-        assert hfile.entry(b"r1") is not before[b"r1"]
         assert hfile.entry(b"r2") is not before[b"r2"]
 
     def test_versions_beyond_max_versions_are_rebuilt(self):
@@ -314,8 +309,8 @@ class TestCompactionAdoption:
     def test_a_deleted_region_compacts_to_nothing(self):
         region, model = build_region(1)
         put(region, model, b"r0", b"qa", 1)
-        region.delete_row(b"r0", None, 2)
-        model.delete(b"r0", None, 2)
+        region.delete_row(b"r0", 2)
+        model.delete(b"r0", 2)
         compact(region, model)
 
 

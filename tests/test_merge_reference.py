@@ -5,8 +5,8 @@ bounded head of each; the reference (``tests.reference.storage``) is
 the retired body — copy every version of every projected column,
 stable-sort, filter one by one — run over a *model* of the region that
 records nothing but the insertion sequence per component. Random
-in-order, out-of-order and equal-timestamp puts, row and column
-deletes, flushes, compactions and interleaved reads must leave
+in-order, out-of-order and equal-timestamp puts, row deletes,
+flushes, compactions and interleaved reads must leave
 ``merge_row``, ``Region.read_row`` and
 ``Region.scan`` equal to the reference, every stored list equal to a
 stable sort of what was inserted, and no returned list aliased to a
@@ -25,14 +25,14 @@ hand out must never reach them or the store.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hbase import store
 from repro.hbase.region import Region
-from repro.hbase.store import HFile, RegionScanner, RowEntry, merge_row
+from repro.hbase.store import HFile, RegionScanner, merge_row
 from tests.reference.storage import (
-    ALL_COLUMNS, FAMILIES, PROJECTIONS, QUALIFIERS, ModelRegion, newest,
-    newest_first, reading, reference_merge_row, reference_reading,
+    ALL_COLUMNS, FAMILIES, PROJECTIONS, QUALIFIERS, ModelRegion, new_entry,
+    newest, newest_first, reading, reference_merge_row, reference_reading,
     put_cell,
 )
 
@@ -50,7 +50,6 @@ def assert_result_matches(result, row, expected):
 
 # --------------------------------------------------------------- op machine
 ROWS = [b"r%d" % i for i in range(4)]
-COLUMN = st.tuples(st.sampled_from(FAMILIES), st.sampled_from(QUALIFIERS))
 # None = the server's stamp (the op counter, 1..60): explicit stamps from
 # the same range land before, on and after it
 STAMP = st.none() | st.integers(1, 70)
@@ -63,8 +62,6 @@ OP = st.one_of(
     st.tuples(st.just("put"), st.sampled_from(ROWS),
               st.lists(CELL, min_size=1, max_size=4)),
     st.tuples(st.just("delete_row"), st.sampled_from(ROWS), STAMP),
-    st.tuples(st.just("delete_col"), st.sampled_from(ROWS),
-              st.lists(COLUMN, min_size=1, max_size=2), STAMP),
     st.tuples(st.just("read"), st.sampled_from(ROWS)),
     st.tuples(st.just("flush")),
     st.tuples(st.just("compact")),
@@ -113,12 +110,8 @@ def apply_ops(region, model, ops):
             model.put(op[1], op[2], clock)
         elif kind == "delete_row":
             ts = clock if op[2] is None else op[2]
-            region.delete_row(op[1], None, ts)
-            model.delete(op[1], None, ts)
-        elif kind == "delete_col":
-            ts = clock if op[3] is None else op[3]
-            region.delete_row(op[1], op[2], ts)
-            model.delete(op[1], op[2], ts)
+            region.delete_row(op[1], ts)
+            model.delete(op[1], ts)
         elif kind == "read":
             # a read restores the order of a dirty entry in place, lends
             # every plain entry's head for the next write to copy, and
@@ -178,6 +171,16 @@ class TestMergeMatchesReference:
         columns=st.sampled_from(PROJECTIONS),
     )
     @settings(max_examples=200, deadline=None)
+    # a delete of a row only an HFile holds: the tombstone starts a fresh
+    # memstore entry, the one route that builds an entry without a put
+    @example(
+        ops=[
+            ("put", ROWS[0], [(b"cf", b"a", b"v", None)]), ("flush",),
+            ("delete_row", ROWS[0], None),
+            ("put", ROWS[0], [(b"fx", b"b", b"w", 1)]),
+        ],
+        max_versions=2, time_range=None, columns=None,
+    )
     def test_reads_equal_the_copy_and_sort_merge(
         self, ops, max_versions, time_range, columns
     ):
@@ -217,7 +220,6 @@ class TestMergeMatchesReference:
                     for key, versions in model_entry.cells.items()
                 }
                 assert entry.row_tombstone_ts == model_entry.row_tombstone_ts
-                assert entry.col_tombstones == model_entry.col_tombstones
 
     @given(ops=ops_strategy)
     @settings(max_examples=60, deadline=None)
@@ -272,18 +274,18 @@ class TestHistoryIndependence:
         region, key_calls = hot_region(monkeypatch)
         result = region.read_row(HOT)
         assert result.column_count == len(HOT_COLUMNS)
-        assert result.versions(*HOT_COLUMNS[0]) == [(HISTORY, b"v")]
+        assert result.cells[HOT_COLUMNS[0]] == [(HISTORY, b"v")]
         assert len(key_calls) <= 2 * len(HOT_COLUMNS)
         assert [r is not None for _, r in region.scan()] == [True]
         assert len(key_calls) <= 4 * len(HOT_COLUMNS)
 
     def test_bounded_read_bisects_instead_of_walking(self, monkeypatch):
         region, key_calls = hot_region(monkeypatch)
-        region.delete_row(HOT, [HOT_COLUMNS[0]], 10)
+        region.delete_row(HOT, 10)
         result = region.read_row(
             HOT, max_versions=3, time_range=(100, HISTORY - 100)
         )
-        assert result.versions(*HOT_COLUMNS[1]) == [
+        assert result.cells[HOT_COLUMNS[1]] == [
             (ts, b"v") for ts in range(HISTORY - 101, HISTORY - 104, -1)
         ]
         # two bisections per column per source, each ~log2(HISTORY / 2)
@@ -324,7 +326,7 @@ class TestNewestHead:
             assert_region_matches(region, model, 1, None, columns)
 
     def test_a_head_in_the_older_component_keeps_the_newer_ones_place(self):
-        newer, older = RowEntry(), RowEntry()
+        newer, older = new_entry(), new_entry()
         put_cell(newer, b"cf", b"a", 1, b"a1")
         put_cell(newer, b"cf", b"b", 3, b"b3")
         put_cell(older, b"cf", b"b", 4, b"b4")
@@ -366,8 +368,7 @@ LATER = {
     "older put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"old", 2)], 2),
     "equal put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"same", 5)], 5),
     "new column": lambda region: region.put_row(ROW, [(b"fx", b"c", b"wide", 9)], 9),
-    "delete_column": lambda region: region.delete_row(ROW, [(b"cf", b"a")], 9),
-    "delete_row": lambda region: region.delete_row(ROW, None, 9),
+    "delete_row": lambda region: region.delete_row(ROW, 9),
     "flush": lambda region: region.flush(),
     "major_compact": lambda region: region.major_compact(),
     "split": lambda region: region.split(b"r2"),
@@ -420,7 +421,7 @@ class TestPlainRows:
             cells = result.cells
             cells[(b"cf", b"a")][0] = (99, b"edited")
             del cells[(b"cf", b"b")]
-            result.versions(b"cf", b"a").append((1, b"appended"))
+            result.cells[(b"cf", b"a")].append((1, b"appended"))
             assert reading(result) == taken
             assert result.cells == {
                 (b"cf", b"a"): [(5, b"a-old")], (b"cf", b"b"): [(5, b"b-old")]
@@ -468,9 +469,8 @@ class TestPlainRows:
         assert not read_with(covering)
         assert_region_matches(region, model, 1, None, None)
         assert not read_with(covering)
-        step("delete_row", [(b"cf", b"a")], 5)
         step("put_row", [(b"cf", b"a", b"back", None)], 6)
-        step("delete_row", None, 7)
+        step("delete_row", 7)
         step("put_row", [(b"cf", b"b", b"reborn", None)], 8)
 
     def test_a_dirty_entry_lends_its_newest_head_unsorted(self):
@@ -489,7 +489,7 @@ class TestPlainRows:
         assert lent(result, region) and entry._dirty
         assert result.value(b"cf", b"a") == b"top"
         assert_region_matches(region, model, 1, None, None)
-        assert region.read_row(ROW, max_versions=5).versions(b"cf", b"a") == [
+        assert region.read_row(ROW, max_versions=5).cells[(b"cf", b"a")] == [
             (9, b"top"), (9, b"late@9"), (5, b"first@5"), (5, b"second@5"), (3, b"older")
         ]
 
@@ -512,7 +512,7 @@ class TestPlainRows:
             assert lent(result, region) is plain
             # a result built by the merge has not been sized yet
             assert (result._summary is not None) is plain
-        region.delete_row(ROW, [(b"fx", b"c")], 1)  # hides nothing, still not plain
+        region.delete_row(ROW, 1)  # hides nothing, still not plain
         result = region.read_row(ROW)
         assert all(result._head is not e.head for e in region._sources_for(ROW))
         assert_region_matches(region, model, 1, None, None)

@@ -93,8 +93,12 @@ class TestMembership:
     def test_drain_then_remove(self):
         cluster, _ = build_cluster()
         hosting = next(s for s in cluster.servers if s.regions)
-        moves = cluster.drain_server(hosting)
-        assert moves and not hosting.regions
+        hosted = list(hosting.regions.values())
+        cluster.drain_server(hosting)
+        assert hosted and not hosting.regions
+        for region in hosted:
+            target = cluster.server_for(region)
+            assert target is not hosting and target.alive
         cluster.remove_server(hosting)
         assert hosting not in cluster.servers
 

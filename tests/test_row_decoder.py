@@ -105,20 +105,16 @@ ALL_TYPES_ENTRY = CatalogEntry(
     kind=TABLE,
     key_attrs=("k_int", "k_text", "k_date"),
     attrs=(
-        "k_int", "v_int", "k_text", "v_big", "v_float", "v_text",
-        "k_date", "v_date", "v_datetime", "v_bool",
+        "k_int", "v_int", "k_text", "v_float", "v_text", "k_date", "v_date",
     ),
     dtypes={
         "k_int": DataType.INT,
         "k_text": DataType.VARCHAR,
         "k_date": DataType.DATE,
         "v_int": DataType.INT,
-        "v_big": DataType.BIGINT,
         "v_float": DataType.FLOAT,
         "v_text": DataType.VARCHAR,
         "v_date": DataType.DATE,
-        "v_datetime": DataType.DATETIME,
-        "v_bool": DataType.BOOL,
     },
 )
 
@@ -129,12 +125,9 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.just("\x00"),
                 max_size=8)
 _VALUES = {
     DataType.INT: _INT64,
-    DataType.BIGINT: _INT64,
     DataType.DATE: _INT64,
     DataType.FLOAT: _FLOATS,
-    DataType.DATETIME: _FLOATS,
     DataType.VARCHAR: _TEXT,
-    DataType.BOOL: st.booleans(),
 }
 # A key component whose encoding starts with 0xff reads as an escape
 # pair behind the delimiter (in the byte loop as much as now): key
@@ -234,7 +227,6 @@ class TestCompiledDecoder:
 _CHANGE_VALUES = {
     **_VALUES,
     DataType.DATE: _INT64 | st.dates(),
-    DataType.BOOL: st.booleans() | st.integers(0, 2),
 }
 _CHANGES = st.fixed_dictionaries({}, optional={
     **{
@@ -256,7 +248,7 @@ def _index_on(entry: CatalogEntry, name: str, indexed_on: tuple[str, ...]):
 
 ALL_TYPES_INDEXES = (
     _index_on(ALL_TYPES_ENTRY, "ix_text", ("v_text",)),
-    _index_on(ALL_TYPES_ENTRY, "ix_mixed", ("v_bool", "v_date", "v_float")),
+    _index_on(ALL_TYPES_ENTRY, "ix_mixed", ("v_date", "v_float")),
     _index_on(ALL_TYPES_ENTRY, "ix_int", ("v_int",)),
 )
 KEY_ONLY_ENTRY = CatalogEntry(
@@ -313,7 +305,7 @@ class TestStoredRows:
     @pytest.mark.parametrize("text", ["a\x00b", "\x00", "a\x00\x00", ""])
     def test_nul_in_a_varchar_key_component(self, text):
         row = dict.fromkeys(ALL_TYPES_ENTRY.attrs)
-        row.update(k_int=4, k_text=text, k_date=-1, v_text=text, v_bool=False)
+        row.update(k_int=4, k_text=text, k_date=-1, v_text=text)
         result = _stored(ALL_TYPES_ENTRY, row, frozenset())
         stored = ALL_TYPES_ENTRY.stored_row(result)
         assert stored["k_text"] == text.encode()

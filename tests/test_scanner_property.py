@@ -2,8 +2,8 @@
 byte-identical results to the *reference* per-row merge
 (``tests.reference.storage``: the seed read path, one merge per
 ``_sources_for`` point lookup) across randomized puts, deletes, flushes
-and compactions — versions, row tombstones, column tombstones, time
-ranges and column projections included. Each scanned ``Result`` must
+and compactions — versions, row tombstones, time ranges and column
+projections included. Each scanned ``Result`` must
 also size and read itself (``size_bytes``, ``column_count``,
 ``newest_into``, ``value``) as its reference cells do, whether it
 was lent its entry's head or not."""
@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hbase.region import Region
-from repro.hbase.store import RowEntry
 from tests.reference.storage import (
-    FAMILIES, PROJECTIONS, QUALIFIERS, reading, reference_reading, reference_scan,
-    put_cell,
+    FAMILIES, PROJECTIONS, QUALIFIERS, new_entry, reading, reference_reading,
+    reference_scan, put_cell,
 )
 
 
@@ -49,12 +48,6 @@ ops_strategy = st.lists(
             st.binary(min_size=0, max_size=3),
         ),
         st.tuples(st.just("delete_row"), st.sampled_from(ROWS)),
-        st.tuples(
-            st.just("delete_col"),
-            st.sampled_from(ROWS),
-            st.sampled_from(FAMILIES),
-            st.sampled_from(QUALIFIERS),
-        ),
         st.tuples(st.just("flush")),
         st.tuples(st.just("compact")),
     ),
@@ -72,10 +65,7 @@ def apply_ops(region, ops):
             _, row, family, qualifier, value = op
             region.put_row(row, [(family, qualifier, value, None)], ts)
         elif kind == "delete_row":
-            region.delete_row(op[1], None, ts)
-        elif kind == "delete_col":
-            _, row, family, qualifier = op
-            region.delete_row(row, [(family, qualifier)], ts)
+            region.delete_row(op[1], ts)
         elif kind == "flush":
             region.flush()
         else:
@@ -160,7 +150,7 @@ class TestScannerEdgeCases:
         region = Region("t", b"", None)
         region.put_row(b"a", [(CF, b"q", b"1", None)], 1)
         region.put_row(b"b", [(CF, b"q", b"2", None)], 2)
-        region.delete_row(b"a", None, 3)
+        region.delete_row(b"a", 3)
         pairs = list(region.scan())
         assert [row for row, _ in pairs] == [b"a", b"b"]
         assert pairs[0][1] is None
@@ -204,10 +194,10 @@ class TestScannerEdgeCases:
         region.flush()
         region.put_row(b"k", [(CF, b"q", b"new", None)], 2)
         [(row, result)] = list(region.scan(max_versions=2))
-        assert result.versions(CF, b"q") == [(2, b"new"), (1, b"old")]
+        assert result.cells[(CF, b"q")] == [(2, b"new"), (1, b"old")]
 
     def test_lazy_sort_preserves_newest_first(self):
-        entry = RowEntry()
+        entry = new_entry()
         for ts in (3, 1, 5, 2, 4):
             put_cell(entry, CF, b"q", ts, b"%d" % ts)
         assert [ts for ts, _ in entry.cells[(CF, b"q")]] == [5, 4, 3, 2, 1]
@@ -226,12 +216,3 @@ class TestScannerEdgeCases:
         region.online = False
         with pytest.raises(RegionUnavailableError):
             next(cursor)
-
-    def test_column_tombstone_copy_on_write(self):
-        """Entries share a class-level empty tombstone map until their
-        first column delete; a delete must not leak into siblings."""
-        a, b = RowEntry(), RowEntry()
-        a.delete_column(CF, b"q", 7)
-        assert a.col_tombstones == {(CF, b"q"): 7}
-        assert b.col_tombstones == {}
-        assert a.col_tombstones is not b.col_tombstones

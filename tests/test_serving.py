@@ -253,7 +253,7 @@ class TestCacheCoherence:
         assert charged == [wire] * 3
         assert result._head is region.hfiles[0].entry(row).head
         result.cells[(CF, b"extra")] = [(10**9, b"edited by the caller")]
-        result.versions(CF, Q).append((10**9, b"edited by the caller"))
+        result.cells[(CF, Q)].append((10**9, b"edited by the caller"))
         assert result.size_bytes == wire and result.column_count == 1
         stored = region.read_row(row)
         assert stored.size_bytes == wire and stored.column_count == 1

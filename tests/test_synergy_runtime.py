@@ -187,14 +187,15 @@ class TestViewMaintenanceUpdate:
             descriptor = system.client.cluster.descriptor(table)
             for row in before[table]:
                 result = descriptor.region_for(row).read_row(row, max_versions=2)
-                name_versions = result.versions(CF, b"EName")
+                cells = result.cells
+                name_versions = cells.get((CF, b"EName"))
                 if not name_versions or name_versions[0][1] != b"renamed":
                     continue
                 rewritten += 1
                 for attr in entry.value_attrs:
                     if attr == "EName":
                         continue
-                    new, old = result.versions(CF, attr.encode())
+                    new, old = cells[(CF, attr.encode())]
                     assert new[1] is old[1], (table, row, attr)
                     shared += len(new[1]) > 1  # not a cached 0/1-byte object
         # Employee 2's base row, its MV_Address__Employee row and each of

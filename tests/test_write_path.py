@@ -85,7 +85,7 @@ def state(sim, cluster) -> tuple:
 SCRIPT = [
     put(b"b"),
     put(b"h", b"b", b"w"),
-    Delete(b"b", [(CF, b"a")]),
+    Delete(b"b"),
     put(b"x"),
     put(b"b", b"a", b"again"),
     Delete(b"h"),
@@ -185,9 +185,6 @@ OPS = st.one_of(
     ),
     st.tuples(st.just("delete_row"), st.sampled_from(ROWS)),
     st.tuples(
-        st.just("delete_column"), st.sampled_from(ROWS), st.sampled_from(QUALIFIERS)
-    ),
-    st.tuples(
         st.just("batch"),
         st.lists(
             st.tuples(st.sampled_from(ROWS), st.sampled_from(QUALIFIERS)),
@@ -204,8 +201,6 @@ def run_op(table, op, n: int) -> None:
         table.put(put(op[1], op[2], op[3]))
     elif kind == "delete_row":
         table.delete(Delete(op[1]))
-    elif kind == "delete_column":
-        table.delete(Delete(op[1], [(CF, op[2])]))
     else:
         table.put_batch(
             [put(row, q, b"b%d.%d" % (n, i)) for i, (row, q) in enumerate(op[1])]

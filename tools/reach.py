@@ -113,9 +113,9 @@ repro.federation.session:FederatedSession.abort
 repro.federation.estimate:fallback_estimate
     safety: prices a backend that is neither HBase-backed nor VoltDB
 repro.hbase.cache:RowCache.clear
-    safety: a crashed server loses its cache; no workload crashes a server that runs one
+    safety: RegionServer.crash / restart of a server with a row cache; no workload crashes one
 repro.hbase.cache:RowCache.invalidate_region
-    safety: a region leaving a server drops its cached rows; see clear
+    safety: RegionServer.unhost on a server with a row cache; no workload moves a region off one
 repro.sim.scheduler:ConcurrencyContext._owner_clock
     safety: a lock held across a yield; Synergy locks within one segment
 repro.sql.ast:Literal.__str__
@@ -135,7 +135,7 @@ repro.sql.analyzer:_flip_op
 repro.federation.decompose:_contains_param.<locals>.expr_has
     sql: a parameter inside a split fragment's conditions
 repro.hbase.filters:AndFilter.accept
-    sql: a scan with more than one pushed-down filter
+    sql: a scan pushing down two or more column filters; every workload scan pushes at most one
 repro.phoenix.operators:_aggregate.<locals>.update#2
     sql: COUNT(column)
 repro.phoenix.operators:_aggregate.<locals>.update#3
@@ -174,24 +174,10 @@ repro.phoenix.plans:SortNode._label
     sql: one EXPLAIN line
 repro.phoenix.plans:LimitNode._label
     sql: one EXPLAIN line
-repro.hbase.store:RowEntry.__init__
-    storage: a delete of a row the memstore holds no entry for
-repro.hbase.store:RowEntry.delete_column
-    storage: a column delete
 repro.hbase.store:RowEntry.from_sorted_cells
-    storage: a major compaction that merges (a tombstone, extra versions, several components)
+    storage: major compaction of a region with several components, which a load past HFILE_FLUSH_THRESHOLD_ROWS produces
 repro.hbase.store:_sort_newest_first
-    storage: a write stamped older than its column's newest version
-repro.hbase.store:HFile.keys_in_range
-    storage: the row keys of flushed files
-repro.hbase.cell:Result.versions
-    storage: a multi-version read
-repro.relational.datatypes:_encode_bool
-    storage: a BOOL column
-repro.relational.datatypes:_decode_bool
-    storage: a BOOL column
-repro.relational.datatypes:_encode_datetime
-    storage: a DATETIME column
+    storage: a history out of order: a put stamped no newer than its column's head, or an older component holding a newer stamp
 repro.federation.mediator:Mediator.load_row
     contract: a mediator is built over loaded backends
 repro.federation.mediator:Mediator.finish_load
