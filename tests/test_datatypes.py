@@ -88,7 +88,15 @@ class TestCompiledEncoder:
     @pytest.mark.parametrize(
         "value",
         [None, 0, 1, -1, -(1 << 40), 2.5, -2.5, 1e-9, -1e-9, True, False,
-         date(2017, 9, 5), datetime(2017, 9, 5, 12, 30), "", "7", "text"],
+         date(2017, 9, 5), datetime(2017, 9, 5, 12, 30), "", "7", "text",
+         # the ends of the biased 64-bit range and one past each
+         (1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1,
+         # IEEE specials and the smallest subnormal
+         float("inf"), float("-inf"), float("nan"), -0.0, 5e-324,
+         # strings a numeric encoder parses or refuses, and non-ASCII text
+         "-1", "2.5", "\x00", "\u00e9",
+         # the first and the epoch day of the ordinal calendar
+         date(1, 1, 1), date(1970, 1, 1), datetime(9999, 12, 31, 23, 59)],
     )
     def test_pinned_values(self, dtype, value):
         assert outcome(value_encoder(dtype), value) == outcome(

@@ -369,6 +369,9 @@ LATER = {
     "equal put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"same", 5)], 5),
     "new column": lambda region: region.put_row(ROW, [(b"fx", b"c", b"wide", 9)], 9),
     "delete_row": lambda region: region.delete_row(ROW, 9),
+    # a tombstone on the cells' own stamp hides them; an older one hides nothing
+    "equal delete_row": lambda region: region.delete_row(ROW, 5),
+    "stale delete_row": lambda region: region.delete_row(ROW, 3),
     "flush": lambda region: region.flush(),
     "major_compact": lambda region: region.major_compact(),
     "split": lambda region: region.split(b"r2"),
