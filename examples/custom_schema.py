@@ -2,8 +2,8 @@
 
 Shows what a downstream user does with the library: define relations and
 foreign keys, pick roots, hand over a workload, and get materialized
-views + single-lock transactions — plus the operational story (crash
-recovery of the HBase layer and of the transaction layer).
+views + single-lock transactions — plus the operational story (a
+region-server crash and its WAL recovery).
 
     python examples/custom_schema.py
 """

@@ -8,7 +8,6 @@ from typing import Any
 
 from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import DerivedTable, Literal, Param, Select, TableRef
-from repro.sql.printer import to_sql
 
 
 @dataclass
@@ -46,7 +45,7 @@ def decompose(analyzed: AnalyzedSelect, params: tuple[Any, ...]) -> list[Fragmen
         attrs = analyzed.attrs[item.binding] or ()
         if isinstance(item, DerivedTable):
             fragments.append(
-                Fragment(item.binding, to_sql(item.select), (), attrs)
+                Fragment(item.binding, str(item.select), (), attrs)
             )
             continue
         assert isinstance(item, TableRef)
@@ -70,18 +69,7 @@ def decompose(analyzed: AnalyzedSelect, params: tuple[Any, ...]) -> list[Fragmen
 
 
 def _contains_param(select: Select) -> bool:
-    def expr_has(expr: Any) -> bool:
-        if isinstance(expr, Param):
-            return True
-        args = getattr(expr, "args", None)
-        if args:
-            return any(expr_has(a) for a in args)
-        return False
-
-    for cond in select.where:
-        if expr_has(cond.left) or expr_has(cond.right):
-            return True
-    for item in select.from_items:
-        if isinstance(item, DerivedTable) and _contains_param(item.select):
-            return True
-    return False
+    return any(isinstance(cond.right, Param) for cond in select.where) or any(
+        isinstance(item, DerivedTable) and _contains_param(item.select)
+        for item in select.from_items
+    )

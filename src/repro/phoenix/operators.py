@@ -310,7 +310,7 @@ class IndexNestedLoopJoin(_LookupJoin):
         super().open(ctx)
         # constants are evaluated once; outer-row slots are read per row
         getters = tuple(
-            _constant(ctx.eval(k))
+            (lambda row, value=ctx.eval(k): value)
             if isinstance(k, (Literal, Param))
             else operator.itemgetter(k)
             for k in self.node.outer_slots
@@ -327,10 +327,6 @@ class IndexNestedLoopJoin(_LookupJoin):
             self._matches.close()  # type: ignore[attr-defined]
             self._matches = None
         super().close()
-
-
-def _constant(value: Any) -> Callable[[Row], Any]:
-    return lambda row: value
 
 
 class _JoinSide:
@@ -492,14 +488,13 @@ def _aggregate(
     accumulator slots starting at ``at``: (initial slots,
     ``update(acc, row)``, ``finish(acc)``). SQL null semantics over the
     non-NULL inputs: COUNT of nothing is 0, everything else is NULL."""
-    if func == "COUNT" and slot is None:  # COUNT(*): no lookup
+    if slot is None:  # COUNT(*): no lookup
 
         def update(acc: list[Any], row: Row) -> None:
             acc[at] += 1
 
         return (0,), update, operator.itemgetter(at)
-    # any other F(*) aggregates a 1 per row
-    get = _constant(1) if slot is None else operator.itemgetter(slot)
+    get = operator.itemgetter(slot)
     if func == "COUNT":
 
         def update(acc: list[Any], row: Row) -> None:

@@ -36,8 +36,6 @@ from repro.sql.analyzer import (
 from repro.sql.ast import (
     ColumnRef,
     Expr,
-    Literal,
-    Param,
     Select,
     Star,
 )
@@ -366,7 +364,7 @@ class Planner(SelectComposer):
             if isinstance(f.value, ColumnRef):
                 # same-binding column/column: residual_filter applies it
                 continue
-            if f.op == "=" and isinstance(f.value, (Literal, Param)):
+            if f.op == "=":
                 eq_filters[f.binding][f.attr] = f.value
             else:
                 other_filters[f.binding].append(f)

@@ -59,17 +59,11 @@ def constant_equalities(where) -> dict[str, Any]:
     all a single-row write (and VoltDB's write routing) admits."""
     eq: dict[str, Any] = {}
     for cond in where:
-        col = cond.left if isinstance(cond.left, ColumnRef) else cond.right
-        val = cond.right if isinstance(cond.left, ColumnRef) else cond.left
-        if (
-            not isinstance(col, ColumnRef)
-            or cond.op != "="
-            or not isinstance(val, (Literal, Param))
-        ):
+        if cond.op != "=" or isinstance(cond.right, ColumnRef):
             raise UnsupportedStatementError(
                 f"write WHERE clause must be key-equality only: {cond}"
             )
-        eq[col.name] = val
+        eq[cond.left.name] = cond.right
     return eq
 
 

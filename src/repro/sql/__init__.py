@@ -1,14 +1,14 @@
 """A small SQL front end.
 
-Hand-rolled lexer + recursive-descent parser for the SQL subset both the
-paper's workloads and the engines need:
+Hand-rolled lexer + recursive-descent parser for the SQL subset the
+paper's workloads run; any other form is a ``SqlSyntaxError``:
 
-* ``SELECT`` with projections/aggregates, comma-separated FROM items with
-  aliases, derived tables (``FROM (SELECT ...) AS t``), conjunctive
-  ``WHERE`` with ``= <> < <= > >=`` over columns, literals and ``?``
-  parameters, ``GROUP BY``, ``ORDER BY ... [ASC|DESC]``, ``LIMIT``.
-* ``INSERT INTO t (cols) VALUES (...)``.
-* ``UPDATE t SET c = expr, ... WHERE ...``.
+* ``SELECT [DISTINCT]`` of ``*``, ``b.*``, columns and ``COUNT(*)`` /
+  ``F(column)`` aggregates; FROM tables and derived tables with aliases;
+  a conjunctive ``WHERE`` of ``column op (column | literal | ?)``;
+  ``GROUP BY`` columns; ``ORDER BY`` columns or aggregates; ``LIMIT n``.
+* ``INSERT INTO t (cols) VALUES (...)`` and ``UPDATE t SET c = v, ...
+  WHERE ...``, each value a literal or ``?``.
 * ``DELETE FROM t WHERE ...``.
 
 The :mod:`repro.sql.analyzer` resolves aliases against a
@@ -34,7 +34,6 @@ from repro.sql.ast import (
 )
 from repro.sql.analyzer import AnalyzedSelect, JoinCondition, analyze_select
 from repro.sql.parser import parse_statement
-from repro.sql.printer import to_sql
 
 __all__ = [
     "AnalyzedSelect",
@@ -55,5 +54,4 @@ __all__ = [
     "Update",
     "analyze_select",
     "parse_statement",
-    "to_sql",
 ]

@@ -55,7 +55,7 @@ Source = tuple[str, str]
 result sits at ``("", call text)``, the key ``HashGroupBy`` writes."""
 
 Aggregate = tuple[str, str, Source | None]
-"""(output name = call text, function, argument; ``None`` for ``F(*)``)."""
+"""(output name = call text, function, argument; ``None`` for ``COUNT(*)``)."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class FilterCondition:
     binding: str
     relation: str | None
     attr: str
-    value: object  # Literal value or the Param node
+    value: object  # the Literal, Param or same-binding ColumnRef node
 
 
 @dataclass
@@ -157,11 +157,8 @@ def _resolve(col: ColumnRef, attrs: dict[str, tuple[str, ...] | None]) -> Source
 
 
 def _aggregate(call: FuncCall, attrs: dict[str, tuple[str, ...] | None]) -> Aggregate:
-    if call.star:
-        return (str(call), call.name, None)
-    if len(call.args) != 1 or not isinstance(call.args[0], ColumnRef):
-        raise SqlError(f"unsupported aggregate argument: {call}")
-    return (str(call), call.name, _resolve(call.args[0], attrs))
+    arg = None if call.arg is None else _resolve(call.arg, attrs)
+    return (str(call), call.name, arg)
 
 
 def _output(
@@ -180,10 +177,8 @@ def _output(
                 out += zip(names, zip(repeat(b), names))
         elif isinstance(p, ColumnRef):
             out.append((p.name, _resolve(p, attrs)))
-        elif isinstance(p, FuncCall):
-            out.append((str(p), ("", str(p))))
         else:
-            raise SqlError(f"unsupported projection {p}")
+            out.append((str(p), ("", str(p))))
     if len({name for name, _ in out}) == len(out):
         return tuple(out)
     seen: dict[str, int] = {}
@@ -220,37 +215,19 @@ def analyze_select(select: Select, schema: Schema) -> AnalyzedSelect:
             attrs[item.binding] = tuple(name for name, _ in sub.output)
 
     for cond in select.where:
-        pair = cond.column_pair()
-        if pair is not None:
-            lb, la = _resolve(pair[0], attrs)
-            rb, ra = _resolve(pair[1], attrs)
-            if lb == rb:
-                # same binding on both sides: a degenerate filter; keep as a
-                # filter with the raw condition attached.
-                result.filters.append(
-                    FilterCondition(cond.op, lb, bindings[lb], la, pair[1])
+        lb, la = _resolve(cond.left, attrs)
+        if isinstance(cond.right, ColumnRef):
+            rb, ra = _resolve(cond.right, attrs)
+            if rb != lb:
+                result.joins.append(
+                    JoinCondition(cond.op, lb, bindings[lb], la, rb, bindings[rb], ra)
                 )
                 continue
-            result.joins.append(
-                JoinCondition(
-                    op=cond.op,
-                    left_binding=lb,
-                    left_relation=bindings[lb],
-                    left_attr=la,
-                    right_binding=rb,
-                    right_relation=bindings[rb],
-                    right_attr=ra,
-                )
-            )
-        else:
-            if isinstance(cond.left, ColumnRef):
-                col, value, op = cond.left, cond.right, cond.op
-            elif isinstance(cond.right, ColumnRef):
-                col, value, op = cond.right, cond.left, _flip_op(cond.op)
-            else:
-                raise SqlError(f"unsupported condition {cond}")
-            b, a = _resolve(col, attrs)
-            result.filters.append(FilterCondition(op, b, bindings[b], a, value))
+        # a literal or ?, or a column of the same binding (a degenerate
+        # filter, the raw column attached)
+        result.filters.append(
+            FilterCondition(cond.op, lb, bindings[lb], la, cond.right)
+        )
 
     result.output = _output(select, attrs)
     result.group_keys = tuple(_resolve(g, attrs) for g in select.group_by)
@@ -261,18 +238,11 @@ def analyze_select(select: Select, schema: Schema) -> AnalyzedSelect:
     for o in select.order_by:
         if isinstance(o.expr, ColumnRef):
             order_keys.append((_resolve(o.expr, attrs), o.descending))
-        elif isinstance(o.expr, FuncCall):
+        else:
             agg = _aggregate(o.expr, attrs)
             if not any(a[0] == agg[0] for a in aggregates):
                 aggregates.append(agg)
             order_keys.append((("", agg[0]), o.descending))
-        else:
-            raise SqlError(f"unsupported ORDER BY expression: {o.expr}")
     result.aggregates = tuple(aggregates)
     result.order_keys = tuple(order_keys)
     return result
-
-
-def _flip_op(op: str) -> str:
-    return {"<": ">", ">": "<", "<=": ">=", ">=": "<="}.get(op, op)
-

@@ -1,10 +1,9 @@
-"""SQL abstract syntax tree nodes.
-
-The tree is deliberately small: expressions are columns, literals,
-parameters, binary comparisons and aggregate function calls; WHERE
-clauses are stored as a list of AND-ed conjuncts (the workloads in the
-paper are all conjunctive).
-"""
+"""SQL abstract syntax tree nodes, one per shape the parser builds: a
+projection is ``*``, ``b.*``, a column or an aggregate (``COUNT(*)`` or
+``F(column)``); a WHERE is a tuple of AND-ed ``column op (column |
+literal | ?)`` conjuncts (the paper's workloads are all conjunctive); an
+ORDER BY item is a column or an aggregate; an INSERT or SET value is a
+literal or ``?``. A SELECT prints as the text the parser reads back."""
 
 from __future__ import annotations
 
@@ -37,8 +36,6 @@ class Literal:
             return f"'{escaped}'"
         if value is None:
             return "NULL"
-        if isinstance(value, bool):
-            return "TRUE" if value else "FALSE"
         if isinstance(value, float):
             # the lexer has no exponent form, and reads a number as a
             # float only when it carries a fraction
@@ -57,6 +54,9 @@ class Param:
         return "?"
 
 
+Value = Union[Literal, Param]
+
+
 @dataclass(frozen=True)
 class Star:
     """``*`` or ``alias.*`` in a projection list."""
@@ -67,41 +67,36 @@ class Star:
         return f"{self.qualifier}.*" if self.qualifier else "*"
 
 
-COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
-
-
 @dataclass(frozen=True)
 class BinOp:
-    """A binary comparison ``left op right``."""
+    """A WHERE conjunct ``column op (column | literal | ?)``."""
 
     op: str
-    left: "Expr"
-    right: "Expr"
+    left: ColumnRef
+    right: ColumnRef | Value
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
     def column_pair(self) -> tuple[ColumnRef, ColumnRef] | None:
         """Both sides column refs (a potential join condition), else None."""
-        if isinstance(self.left, ColumnRef) and isinstance(self.right, ColumnRef):
+        if isinstance(self.right, ColumnRef):
             return (self.left, self.right)
         return None
 
 
 @dataclass(frozen=True)
 class FuncCall:
-    """Aggregate call: ``SUM(x)``, ``COUNT(*)``, ...; ``star`` for COUNT(*)."""
+    """Aggregate call ``F(column)``; ``arg`` is None for ``COUNT(*)``."""
 
     name: str
-    args: tuple["Expr", ...] = ()
-    star: bool = False
+    arg: ColumnRef | None = None
 
     def __str__(self) -> str:
-        inner = "*" if self.star else ", ".join(str(a) for a in self.args)
-        return f"{self.name}({inner})"
+        return f"{self.name}({'*' if self.arg is None else self.arg})"
 
 
-Expr = Union[ColumnRef, Literal, Param, BinOp, FuncCall, Star]
+Expr = Union[ColumnRef, Literal, Param, FuncCall, Star]
 
 
 # ---------------------------------------------------------------- from items
@@ -140,7 +135,7 @@ FromItem = Union[TableRef, DerivedTable]
 
 @dataclass(frozen=True)
 class OrderItem:
-    expr: Expr
+    expr: ColumnRef | FuncCall
     descending: bool = False
 
     def __str__(self) -> str:
@@ -150,7 +145,7 @@ class OrderItem:
 # ---------------------------------------------------------------- statements
 @dataclass(frozen=True)
 class Select:
-    projections: tuple[Expr, ...]
+    projections: tuple[Star | ColumnRef | FuncCall, ...]
     from_items: tuple[FromItem, ...]
     where: tuple[BinOp, ...] = ()
     group_by: tuple[ColumnRef, ...] = ()
@@ -159,9 +154,20 @@ class Select:
     distinct: bool = False
 
     def __str__(self) -> str:
-        from repro.sql.printer import to_sql
-
-        return to_sql(self)
+        parts = ["SELECT"]
+        if self.distinct:
+            parts.append("DISTINCT")
+        parts.append(", ".join(map(str, self.projections)))
+        parts.append("FROM " + ", ".join(map(str, self.from_items)))
+        if self.where:
+            parts.append("WHERE " + " and ".join(map(str, self.where)))
+        if self.group_by:
+            parts.append("GROUP BY " + ", ".join(map(str, self.group_by)))
+        if self.order_by:
+            parts.append("ORDER BY " + ", ".join(map(str, self.order_by)))
+        if self.limit is not None:
+            parts.append(f"LIMIT {self.limit}")
+        return " ".join(parts)
 
     def iter_table_refs(self) -> Iterator[TableRef]:
         """All base TableRefs, including those inside derived tables."""
@@ -181,35 +187,20 @@ class Select:
 class Insert:
     table: str
     columns: tuple[str, ...]
-    values: tuple[Expr, ...]
-
-    def __str__(self) -> str:
-        from repro.sql.printer import to_sql
-
-        return to_sql(self)
+    values: tuple[Value, ...]
 
 
 @dataclass(frozen=True)
 class Update:
     table: str
-    assignments: tuple[tuple[str, Expr], ...]
+    assignments: tuple[tuple[str, Value], ...]
     where: tuple[BinOp, ...] = ()
-
-    def __str__(self) -> str:
-        from repro.sql.printer import to_sql
-
-        return to_sql(self)
 
 
 @dataclass(frozen=True)
 class Delete:
     table: str
     where: tuple[BinOp, ...] = ()
-
-    def __str__(self) -> str:
-        from repro.sql.printer import to_sql
-
-        return to_sql(self)
 
 
 Statement = Union[Select, Insert, Update, Delete]

@@ -23,7 +23,7 @@ KEYWORDS = frozenset(
     {
         "SELECT", "DISTINCT", "FROM", "WHERE", "AND", "AS", "GROUP", "ORDER",
         "BY", "ASC", "DESC", "LIMIT", "INSERT", "INTO", "VALUES", "UPDATE",
-        "SET", "DELETE", "NULL", "TRUE", "FALSE",
+        "SET", "DELETE", "NULL",
     }
 )
 

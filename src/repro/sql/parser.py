@@ -10,7 +10,6 @@ from repro.sql.ast import (
     ColumnRef,
     Delete,
     DerivedTable,
-    Expr,
     FromItem,
     FuncCall,
     Insert,
@@ -22,6 +21,7 @@ from repro.sql.ast import (
     Statement,
     TableRef,
     Update,
+    Value,
 )
 from repro.sql.lexer import Token, TokType, tokenize
 
@@ -65,8 +65,9 @@ class _Parser:
             raise SqlSyntaxError(f"expected {kw}, got {self.cur.text!r}", self.cur.pos)
         return self.advance()
 
-    def at_punct(self, p: str) -> bool:
-        return self.cur.type is TokType.PUNCT and self.cur.text == p
+    def at_punct(self, p: str, ahead: int = 0) -> bool:
+        tok = self.tokens[self.pos + ahead]
+        return tok.type is TokType.PUNCT and tok.text == p
 
     def accept_punct(self, p: str) -> bool:
         if self.at_punct(p):
@@ -152,21 +153,18 @@ class _Parser:
             distinct=distinct,
         )
 
-    def parse_projection(self) -> Expr:
-        if self.at_punct("*"):
-            self.advance()
+    def parse_projection(self) -> Star | ColumnRef | FuncCall:
+        if self.accept_punct("*"):
             return Star()
-        # alias.* ?
         if (
             self.cur.type is TokType.IDENT
-            and self.tokens[self.pos + 1].text == "."
-            and self.tokens[self.pos + 2].text == "*"
+            and self.at_punct(".", 1)
+            and self.at_punct("*", 2)
         ):
             qual = self.advance().text
-            self.advance()  # .
-            self.advance()  # *
+            self.pos += 2  # . *
             return Star(qualifier=qual)
-        return self.parse_expr()
+        return self.parse_column_or_aggregate()
 
     def parse_from_item(self) -> FromItem:
         if self.accept_punct("("):
@@ -190,17 +188,18 @@ class _Parser:
         return conjuncts
 
     def parse_comparison(self) -> BinOp:
-        left = self.parse_expr()
+        left = self.parse_column_ref()
         if self.cur.type is not TokType.OP:
             raise SqlSyntaxError(
                 f"expected comparison operator, got {self.cur.text!r}", self.cur.pos
             )
         op = self.advance().text
-        right = self.parse_expr()
-        return BinOp(op=op, left=left, right=right)
+        if self.cur.type is TokType.IDENT:
+            return BinOp(op, left, self.parse_column_ref())
+        return BinOp(op, left, self.parse_value())
 
     def parse_order_item(self) -> OrderItem:
-        expr = self.parse_expr()
+        expr = self.parse_column_or_aggregate()
         desc = False
         if self.accept_keyword("DESC"):
             desc = True
@@ -208,42 +207,39 @@ class _Parser:
             self.accept_keyword("ASC")
         return OrderItem(expr=expr, descending=desc)
 
-    # -- expressions -----------------------------------------------------------------
-    def parse_expr(self) -> Expr:
+    # -- columns, aggregates and values ----------------------------------------------
+    def parse_column_or_aggregate(self) -> ColumnRef | FuncCall:
         tok = self.cur
+        if not (
+            tok.type is TokType.IDENT
+            and tok.upper in AGGREGATE_FUNCS
+            and self.at_punct("(", 1)
+        ):
+            return self.parse_column_ref()
+        self.pos += 2  # F (
+        arg: ColumnRef | None = None
+        if self.at_punct("*"):
+            if tok.upper != "COUNT":
+                raise SqlSyntaxError(f"{tok.upper} takes a column", self.cur.pos)
+            self.advance()
+        else:
+            arg = self.parse_column_ref()
+        self.expect_punct(")")
+        return FuncCall(tok.upper, arg)
+
+    def parse_value(self) -> Value:
+        tok = self.advance()
         if tok.type is TokType.PARAM:
-            self.advance()
-            p = Param(self.param_count)
             self.param_count += 1
-            return p
+            return Param(self.param_count - 1)
         if tok.type is TokType.NUMBER:
-            self.advance()
             text = tok.text
             return Literal(float(text) if "." in text else int(text))
         if tok.type is TokType.STRING:
-            self.advance()
             return Literal(tok.text)
-        if tok.type is TokType.KEYWORD and tok.upper in ("NULL", "TRUE", "FALSE"):
-            self.advance()
-            return Literal({"NULL": None, "TRUE": True, "FALSE": False}[tok.upper])
-        if tok.type is TokType.IDENT:
-            # function call?
-            if (
-                tok.upper in AGGREGATE_FUNCS
-                and self.tokens[self.pos + 1].text == "("
-            ):
-                self.advance()
-                self.expect_punct("(")
-                if self.accept_punct("*"):
-                    self.expect_punct(")")
-                    return FuncCall(name=tok.upper, star=True)
-                args = [self.parse_expr()]
-                while self.accept_punct(","):
-                    args.append(self.parse_expr())
-                self.expect_punct(")")
-                return FuncCall(name=tok.upper, args=tuple(args))
-            return self.parse_column_ref()
-        raise SqlSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        if tok.type is TokType.KEYWORD and tok.upper == "NULL":
+            return Literal(None)
+        raise SqlSyntaxError(f"expected a literal or ?, got {tok.text!r}", tok.pos)
 
     def parse_column_ref(self) -> ColumnRef:
         first = self.expect_ident().text
@@ -265,9 +261,9 @@ class _Parser:
             self.expect_punct(")")
         self.expect_keyword("VALUES")
         self.expect_punct("(")
-        values = [self.parse_expr()]
+        values = [self.parse_value()]
         while self.accept_punct(","):
-            values.append(self.parse_expr())
+            values.append(self.parse_value())
         self.expect_punct(")")
         return Insert(table=table, columns=tuple(columns), values=tuple(values))
 
@@ -275,13 +271,13 @@ class _Parser:
         self.expect_keyword("UPDATE")
         table = self.expect_ident().text
         self.expect_keyword("SET")
-        assignments: list[tuple[str, Expr]] = []
+        assignments: list[tuple[str, Value]] = []
         while True:
             col = self.expect_ident().text
             if not (self.cur.type is TokType.OP and self.cur.text == "="):
                 raise SqlSyntaxError("expected '=' in SET clause", self.cur.pos)
             self.advance()
-            assignments.append((col, self.parse_expr()))
+            assignments.append((col, self.parse_value()))
             if not self.accept_punct(","):
                 break
         where: tuple[BinOp, ...] = ()

@@ -17,7 +17,6 @@ from repro.phoenix.ddl import create_view_entry, create_view_index_entry
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sql.ast import Select
-from repro.sql.printer import to_sql
 from repro.synergy.graph import build_schema_graph
 from repro.synergy.heuristics import JoinOverlapHeuristic
 from repro.synergy.rewrite import RewriteResult, rewrite_query
@@ -61,7 +60,7 @@ class SchemaAwareDesign:
                 views = self.selection.per_query.get(stmt.statement_id, [])
                 rewritten = rewrite_query(stmt.parsed, schema, views)
                 self.rewritten[stmt.statement_id] = rewritten
-                sql = to_sql(rewritten.select)
+                sql = str(rewritten.select)
             self.statements[stmt.statement_id] = sql
 
         # view-indexes (Sec. VI-C read indexes + Sec. VII-C maintenance)

@@ -17,7 +17,6 @@ from repro.sql.analyzer import analyze_select
 from repro.sql.ast import (
     BinOp,
     ColumnRef,
-    DerivedTable,
     Expr,
     FromItem,
     FuncCall,
@@ -81,12 +80,10 @@ def rewrite_query(
         return hit[1] if hit is not None else old
 
     def rewrite_expr(e: Expr) -> Expr:
-        if isinstance(e, ColumnRef):
-            if e.qualifier is not None:
-                return ColumnRef(e.name, new_binding(e.qualifier))
-            return e
-        if isinstance(e, FuncCall):
-            return FuncCall(e.name, tuple(rewrite_expr(a) for a in e.args), e.star)
+        if isinstance(e, ColumnRef) and e.qualifier is not None:
+            return ColumnRef(e.name, new_binding(e.qualifier))
+        if isinstance(e, FuncCall) and e.arg is not None:
+            return FuncCall(e.name, rewrite_expr(e.arg))
         return e
 
     # FROM: one TableRef per view (in first-coverage order) + untouched items
@@ -98,8 +95,6 @@ def rewrite_query(
             if view.name not in seen_views:
                 seen_views.add(view.name)
                 new_from.append(TableRef(view.name, alias))
-        elif isinstance(item, DerivedTable):
-            new_from.append(item)
         else:
             new_from.append(item)
 

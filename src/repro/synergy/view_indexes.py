@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
-from repro.sql.ast import ColumnRef, Update
+from repro.sql.ast import Update
 from repro.synergy.rewrite import RewriteResult
 from repro.synergy.views import ViewDef
 
@@ -74,13 +74,8 @@ def recommend_read_indexes(
         # gather constant filters per view alias
         filters: dict[str, set[str]] = {}
         for cond in select.where:
-            pair = cond.column_pair()
-            if pair is not None:
-                continue  # join condition between views/relations
-            col = cond.left if isinstance(cond.left, ColumnRef) else cond.right
-            if not isinstance(col, ColumnRef):
-                continue
-            if col.qualifier in alias_to_view:
+            col = cond.left
+            if cond.column_pair() is None and col.qualifier in alias_to_view:
                 filters.setdefault(col.qualifier, set()).add(col.name)
         for alias, attrs in filters.items():
             view = alias_to_view[alias]

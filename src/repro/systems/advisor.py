@@ -21,7 +21,7 @@ from repro.relational.datatypes import DataType
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sql.analyzer import analyze_select
-from repro.sql.ast import ColumnRef, FuncCall, Select, Star
+from repro.sql.ast import ColumnRef, Select, Star
 from repro.synergy.graph import GraphEdge, build_schema_graph
 from repro.synergy.heuristics import joins_match_edge
 from repro.synergy.views import ViewDef
@@ -126,23 +126,19 @@ class TuningAdvisor:
                     )
             elif isinstance(p, ColumnRef):
                 note(p)
-            elif isinstance(p, FuncCall):
-                for a in p.args:
-                    if isinstance(a, ColumnRef):
-                        note(a)
+            elif p.arg is not None:
+                note(p.arg)
         for cond in select.where:
-            for side in (cond.left, cond.right):
-                if isinstance(side, ColumnRef):
-                    note(side)
+            note(cond.left)
+            if isinstance(cond.right, ColumnRef):
+                note(cond.right)
         for g in select.group_by:
             note(g)
         for o in select.order_by:
             if isinstance(o.expr, ColumnRef):
                 note(o.expr)
-            elif isinstance(o.expr, FuncCall):
-                for a in o.expr.args:
-                    if isinstance(a, ColumnRef):
-                        note(a)
+            elif o.expr.arg is not None:
+                note(o.expr.arg)
         return needed
 
     # -- cost/benefit model --------------------------------------------------------------

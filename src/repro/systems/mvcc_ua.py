@@ -16,7 +16,6 @@ from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
 from repro.sql.analyzer import analyze_select
 from repro.sql.ast import Select
-from repro.sql.printer import to_sql
 from repro.synergy.rewrite import rewrite_query
 from repro.systems.advisor import AdvisorCandidate, TuningAdvisor
 from repro.systems.base import SystemDescription
@@ -53,7 +52,7 @@ class AdvisorDesign:
             cand = view_by_query.get(stmt.statement_id)
             if cand is not None and isinstance(stmt.parsed, Select):
                 try:
-                    sql = to_sql(
+                    sql = str(
                         rewrite_query(stmt.parsed, schema, [cand.view]).select
                     )
                 except ViewSelectionError:

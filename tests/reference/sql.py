@@ -5,21 +5,9 @@ the fingerprint by which TPC-W results are compared across systems."""
 from __future__ import annotations
 
 import operator
-from typing import Iterator
 
 from repro.errors import SqlError, UnsupportedStatementError, WorkloadError
-from repro.sql.ast import (
-    BinOp,
-    Delete,
-    DerivedTable,
-    Expr,
-    FuncCall,
-    Insert,
-    Param,
-    Select,
-    Statement,
-    Update,
-)
+from repro.sql.ast import DerivedTable, Insert, Param, Select, Statement, Update
 from repro.tpcw.queries import JOIN_QUERIES
 
 TABLES = {
@@ -282,37 +270,20 @@ def query_battery(system, lab, reps=(0, 1)) -> dict:
 
 
 def count_params(stmt: Statement) -> int:
-    """Number of ``?`` placeholders in the statement."""
-
-    def walk_expr(e: Expr) -> Iterator[Param]:
-        if isinstance(e, Param):
-            yield e
-        elif isinstance(e, BinOp):
-            yield from walk_expr(e.left)
-            yield from walk_expr(e.right)
-        elif isinstance(e, FuncCall):
-            for a in e.args:
-                yield from walk_expr(a)
-
-    def walk(s: Statement) -> Iterator[Param]:
-        if isinstance(s, Select):
-            for p in s.projections:
-                yield from walk_expr(p)
-            for item in s.from_items:
-                if isinstance(item, DerivedTable):
-                    yield from walk(item.select)
-            for c in s.where:
-                yield from walk_expr(c)
-        elif isinstance(s, Insert):
-            for v in s.values:
-                yield from walk_expr(v)
-        elif isinstance(s, Update):
-            for _, v in s.assignments:
-                yield from walk_expr(v)
-            for c in s.where:
-                yield from walk_expr(c)
-        elif isinstance(s, Delete):
-            for c in s.where:
-                yield from walk_expr(c)
-
-    return sum(1 for _ in walk(stmt))
+    """Number of ``?`` placeholders in the statement: the right sides of
+    its WHERE conjuncts, its INSERT values or SET values, and those of
+    its derived tables."""
+    if isinstance(stmt, Insert):
+        values = list(stmt.values)
+    else:
+        values = [c.right for c in stmt.where]
+    if isinstance(stmt, Update):
+        values += [v for _, v in stmt.assignments]
+    nested = 0
+    if isinstance(stmt, Select):
+        nested = sum(
+            count_params(item.select)
+            for item in stmt.from_items
+            if isinstance(item, DerivedTable)
+        )
+    return sum(isinstance(v, Param) for v in values) + nested

@@ -113,7 +113,6 @@ AGGREGATES = st.lists(
         ("AVG(n)", "AVG", ("t", "n")),
         ("MIN(n)", "MIN", ("t", "n")),
         ("MAX(k)", "MAX", ("t", "k")),
-        ("SUM(*)", "SUM", None),
     ]),
     min_size=1,
     max_size=4,

@@ -7,7 +7,6 @@ from repro.relational.datatypes import DataType
 from repro.relational.schema import ForeignKey, Relation, Schema
 from repro.relational.workload import Workload
 from repro.sql.parser import parse_statement
-from repro.sql.printer import to_sql
 from repro.synergy.graph import build_schema_graph
 from repro.synergy.heuristics import JoinOverlapHeuristic
 from repro.synergy.rewrite import rewrite_query
@@ -69,7 +68,7 @@ class TestFig6Example:
         )
         ordered = sorted(views, key=lambda v: v.display_name)
         result = rewrite_query(parse_statement(FIG6_QUERY), self.schema, ordered)
-        sql = to_sql(result.select)
+        sql = str(result.select)
         assert "MV_R2__R3__R4" in sql and "MV_R5__R6" in sql
         # exactly one join condition remains: pk2 = fk5
         assert len(result.select.where) == 1
@@ -137,7 +136,7 @@ class TestCompanySelection:
         result = select_views(self.workload, self.schema, self.trees, self.heuristic)
         w2 = parse_statement(self.workload.by_id("W2").sql)
         rewritten = rewrite_query(w2, self.schema, result.per_query["W2"])
-        sql = to_sql(rewritten.select)
+        sql = str(rewritten.select)
         assert "Department as d" in sql
         assert "MV_Employee__Works_On" in sql
         assert "d.DNo = v0.E_DNo" in sql

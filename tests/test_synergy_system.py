@@ -5,7 +5,6 @@ from repro.bench.tpcw_lab import TpcwLab
 from repro.relational.company import COMPANY_ROOTS, company_schema, company_workload
 from repro.sql.ast import Literal, Select
 from repro.sql.parser import parse_statement
-from repro.sql.printer import to_sql
 from repro.synergy.rewrite import rewrite_query
 from repro.systems import SynergySystem
 from tests.conftest import build_tpcw_systems
@@ -29,15 +28,13 @@ class TestFacade:
         output parses back to the same text, literals included."""
         for text in company_synergy.statements.values():
             assert isinstance(parse_statement(text), Select)
-            assert to_sql(parse_statement(text)) == text
+            assert str(parse_statement(text)) == text
         select = parse_statement(
             "SELECT * FROM Employee as e, Address as a "
             "WHERE a.AID = e.EHome_AID and e.EID = 0.00001"
         )
         views = company_synergy.design.selection.per_query["W1"]
-        rewritten = to_sql(
-            rewrite_query(select, company_synergy.schema, views).select
-        )
+        rewritten = str(rewrite_query(select, company_synergy.schema, views).select)
         assert "MV_Address__Employee" in rewritten
         literals = [
             c.right for c in parse_statement(rewritten).where

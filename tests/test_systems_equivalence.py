@@ -604,6 +604,8 @@ class TestUnknownColumns:
         "SELECT SUM(nosuch) FROM Employee",
         "SELECT d.DName FROM Employee as e, Department as d "
         "WHERE e.E_DNo = d.DNo ORDER BY e.nosuch",
+        # TRUE is no keyword: a bare column no binding has
+        "SELECT e.EID FROM Employee as e WHERE e.E_DNo = TRUE",
     )
     AMBIGUOUS = (
         f"SELECT EID FROM Employee as e, {DERIVED} WHERE e.EID = d.EID"
@@ -623,7 +625,7 @@ class TestUnknownColumns:
 
     @pytest.mark.parametrize("sql", UNKNOWN, ids=range(len(UNKNOWN)))
     def test_unknown_column_is_a_sql_error(self, target, sql):
-        with pytest.raises(SqlError, match="'(x|nosuch)'"):
+        with pytest.raises(SqlError, match="'(x|nosuch|TRUE)'"):
             target.execute(sql)
 
     def test_bare_name_of_a_base_and_a_derived_binding_is_ambiguous(self, target):

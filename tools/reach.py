@@ -120,28 +120,12 @@ repro.sim.scheduler:ConcurrencyContext._owner_clock
     safety: a lock held across a yield; Synergy locks within one segment
 repro.sql.ast:Literal.__str__
     sql: prints a constant; workload statements carry parameters
-repro.sql.ast:Select.__str__
-    sql: a statement prints as the text it parses from
-repro.sql.ast:Insert.__str__
-    sql: a statement prints as the text it parses from
-repro.sql.ast:Update.__str__
-    sql: a statement prints as the text it parses from
-repro.sql.ast:Delete.__str__
-    sql: a statement prints as the text it parses from
-repro.sql.ast:DerivedTable.__str__
-    sql: a statement prints as the text it parses from
-repro.sql.analyzer:_flip_op
-    sql: a filter written constant-first
-repro.federation.decompose:_contains_param.<locals>.expr_has
-    sql: a parameter inside a split fragment's conditions
 repro.hbase.filters:AndFilter.accept
     sql: a scan pushing down two or more column filters; every workload scan pushes at most one
 repro.phoenix.operators:_aggregate.<locals>.update#2
     sql: COUNT(column)
 repro.phoenix.operators:_aggregate.<locals>.update#3
     sql: MIN and MAX
-repro.phoenix.operators:_constant
-    sql: an aggregate other than COUNT over *
 repro.phoenix.plans:ValuePredicate.bind
     sql: a residual filter on a constant that no scan could take
 repro.phoenix.plans:ValuePredicate.bind.<locals>.test
