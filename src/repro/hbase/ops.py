@@ -1,14 +1,25 @@
-"""Client-side operation descriptors (the five HBase primitives)."""
+"""Client-side operation descriptors (the five HBase primitives).
+
+A put carries its cells as ``(column, value, timestamp)`` triples
+(:data:`Cell`): the column is a ``(family, qualifier)`` key built once,
+by :meth:`Put.add` or by the writer that interns its keys
+(``CatalogEntry.stored_put``), and the same key object travels through
+the WAL entry into the memstore's head dict.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.hbase.cell import CellKey
 from repro.hbase.wal import WalEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hbase.filters import FilterBase
+
+Cell = tuple[CellKey, bytes, int | None]
+"""``(column, value, timestamp)``; ``None`` takes the server's stamp."""
 
 
 class Put:
@@ -19,7 +30,7 @@ class Put:
     def __init__(self, row: bytes, timestamp: int | None = None) -> None:
         self.row = row
         self.timestamp = timestamp
-        self.cells: list[tuple[bytes, bytes, bytes, int | None]] = []
+        self.cells: list[Cell] = []
 
     def add(
         self,
@@ -30,7 +41,7 @@ class Put:
     ) -> "Put":
         if timestamp is None:
             timestamp = self.timestamp
-        self.cells.append((family, qualifier, value, timestamp))
+        self.cells.append(((family, qualifier), value, timestamp))
         return self
 
     def wal_entry(self, region_name: str, ts: int) -> WalEntry:

@@ -8,6 +8,7 @@ from typing import Iterator
 
 from repro.errors import RegionSplitError, RegionUnavailableError
 from repro.hbase.cell import Result
+from repro.hbase.ops import Cell
 from repro.hbase.store import (
     CellKey,
     HFile,
@@ -87,10 +88,11 @@ class Region:
     def put_row(
         self,
         row: bytes,
-        cells: list[tuple[bytes, bytes, bytes, int | None]],
+        cells: list[Cell] | tuple[Cell, ...],
         default_ts: int,
     ) -> None:
-        """Apply one Put's cells; caller provides the server timestamp."""
+        """Apply one Put's ``(column, value, ts)`` cells; caller provides
+        the server timestamp."""
         self._check_online()
         self._approx_size_bytes += self.memstore.apply_put(
             row, cells, default_ts, len(row) + self.kv_overhead_bytes

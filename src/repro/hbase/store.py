@@ -12,21 +12,27 @@ everything into one HFile, dropping tombstones and versions beyond
 
 Write path: ``MemStore.apply_put`` is the one statement of version
 order (O(1) per cell; nothing is pruned before a major compaction). A
-read that lends an entry's head dict marks it lent, and the next put
-copies the dict first, so a held :class:`Result` never shows a later
-write. A flush hands the memstore's entry dict and sorted key list to
-the new :class:`HFile` wholesale, and the memstore re-arms with fresh
-containers, so cursors snapshotted before the flush stay valid.
+cell is ``(column, value, ts)`` (``ops.Cell``) and its column key is
+stored as given, so a writer that interns its keys
+(``CatalogEntry.stored_put``) hands the head dict the very key objects
+it already holds. A read that lends an entry's head dict marks it
+lent, and the next put copies the dict first, so a held
+:class:`Result` never shows a later write. A flush hands the
+memstore's entry dict and sorted key list to the new :class:`HFile`
+wholesale, and the memstore re-arms with fresh containers, so cursors
+snapshotted before the flush stay valid.
 
 Read path: :class:`RegionScanner` k-way-merges one cursor per store
 component (memstore first, then HFiles newest flush first) with
 ``heapq.merge``: a single pass over each component. ``row_result``
 turns one row's entries into its :class:`Result` for point reads and
-the scanner alike: an untombstoned one-version read takes heads only,
-and a tombstone or a ``time_range`` keeps a bounded, bisected run of each
-history, so a read costs O(columns × sources × ``max_versions``)
-however many versions the row has absorbed. ``columns`` is the
-column-pushdown contract: untouched column families cost nothing.
+the scanner alike. A *plain* row, whose newest entry outshines the
+older ones, is lent that entry's head; any other untombstoned
+one-version read takes heads only; and a tombstone or a ``time_range``
+keeps a bounded, bisected run of each history, so a read costs
+O(columns × sources × ``max_versions``) however many versions the row
+has absorbed. ``columns`` is the column-pushdown contract: untouched
+column families cost nothing.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ import bisect
 import heapq
 from math import inf
 from typing import Iterator
+from weakref import ref
 
 from repro.errors import RegionUnavailableError
 from repro.hbase.cell import NO_HISTORY, CellKey, Result, Version, newest_image
+from repro.hbase.ops import Cell
 
 Versions = list[Version]
 
@@ -68,6 +76,11 @@ class RowEntry:
     """The column set last proven to cover every stored column (a read
     under that very object tests nothing); dropped when a column is
     added."""
+    _outshone: tuple[ref[RowEntry], ...] = ()
+    """Weak references to the older sources last proven outshone
+    (:func:`_outshines`): a read over those very entries tests nothing.
+    Weak, so the proof keeps no compacted-away entry alive; with none,
+    it holds for the entry alone."""
     row_tombstone_ts: int | None = None
     head: dict[CellKey, Version]
 
@@ -134,7 +147,7 @@ class MemStore:
     def apply_put(
         self,
         row: bytes,
-        cells: list[tuple[bytes, bytes, bytes, int | None]],
+        cells: list[Cell] | tuple[Cell, ...],
         default_ts: int,
         base_bytes: int,
     ) -> int:
@@ -147,6 +160,7 @@ class MemStore:
         appended and marks the entry dirty, for ``sorted_history``'s
         stable sort. A history starts at a column's second version. A
         lent head is copied before the first write; ``payload`` is kept.
+        Each cell's column key is stored as given: no key is built here.
         Returns the approximate byte delta; ``base_bytes`` is the
         row-key + KV-framing overhead charged per cell."""
         entry = self._entries.get(row)
@@ -164,11 +178,10 @@ class MemStore:
         history = entry.history
         payload = entry.payload
         added = 0
-        for family, qualifier, value, ts in cells:
+        for key, value, ts in cells:
             stamp = default_ts if ts is None else ts
-            key = (family, qualifier)
             width = len(value)
-            weight = len(family) + len(qualifier) + width
+            weight = len(key[0]) + len(key[1]) + width
             added += weight
             versions = history.get(key) if history else None
             if versions is None:
@@ -370,6 +383,36 @@ def merge_row(
     return visible or None
 
 
+def _outshines(entry: RowEntry, sources: list[RowEntry]) -> bool:
+    """Whether ``entry`` (``sources[0]``) alone shows what a one-version
+    read of ``sources`` shows: memoised on the entry per older sources,
+    else :func:`_prove_outshines`. A proof stays valid because the older
+    sources never change (only the memstore takes writes, and it is the
+    newest), while a put never lowers a head's stamp nor drops a
+    column."""
+    older = sources[1:]
+    if [proven() for proven in entry._outshone] == older:
+        return True
+    if _prove_outshines(entry.head, older):
+        entry._outshone = tuple(map(ref, older))
+        return True
+    return False
+
+
+def _prove_outshines(head: dict[CellKey, Version], older: list[RowEntry]) -> bool:
+    """No older source holds a tombstone, and each column of each holds
+    its newest head at a stamp no newer than ``head``'s for it (a tie
+    goes to the newer source, as in the merge)."""
+    for source in older:
+        if source.row_tombstone_ts is not None:
+            return False
+        for key, (stamp, _) in source.head.items():
+            newest = head.get(key)
+            if newest is None or newest[0] < stamp:
+                return False
+    return True
+
+
 def row_result(
     row: bytes,
     sources: list[RowEntry],
@@ -381,30 +424,33 @@ def row_result(
     first), or None when no cell is visible — what point reads and the
     scanner both return.
 
-    A *plain* row — one source, no tombstone, one version wanted, no
-    time range, every stored column requested — needs no merge: its
-    Result is lent the entry's head dict, with the entry's payload, so
-    it is sized in O(1). The entry copies the dict before its next write
-    (``MemStore.apply_put``), so the lend is safe from the memstore and
-    from an HFile alike. The entry remembers the set object that proved
-    the cover, so a read under that object (or none) tests nothing. Any
-    other untombstoned one-version read takes each column's newest
-    head; every other row goes through :func:`merge_row`."""
+    A *plain* row needs no merge: one version wanted, no time range, no
+    tombstone in any source, and the newest source *outshines* the rest
+    (:func:`_outshines`; a lone source trivially does). With every
+    stored column requested, its Result is lent the newest entry's head
+    dict with the entry's payload, so it is sized in O(1). The entry
+    copies the dict before its next write (``MemStore.apply_put``), so
+    the lend is safe from the memstore and from an HFile alike. The
+    entry remembers the set object that proved the cover, so a read
+    under that object (or none) tests nothing. Any other untombstoned
+    one-version read takes each column's newest head; every other row
+    goes through :func:`merge_row`."""
     if max_versions == 1 and time_range is None:
-        if len(sources) == 1:
-            entry = sources[0]
-            if entry.row_tombstone_ts is None:
-                head = entry.head
-                if not head:
-                    return None
-                if columns is not None and entry._cover is not columns:
-                    if not columns.issuperset(head):
-                        heads = {key: head[key] for key in columns if key in head}
-                        return Result(row, heads) if heads else None
-                    entry._cover = columns
-                entry._lent = True
-                return Result(row, head, NO_HISTORY, (len(head), entry.payload))
-        elif not any(s.row_tombstone_ts is not None for s in sources):
+        entry = sources[0]
+        if entry.row_tombstone_ts is None and (
+            len(sources) == 1 or _outshines(entry, sources)
+        ):
+            head = entry.head
+            if not head:
+                return None
+            if columns is not None and entry._cover is not columns:
+                if not columns.issuperset(head):
+                    heads = {key: head[key] for key in columns if key in head}
+                    return Result(row, heads) if heads else None
+                entry._cover = columns
+            entry._lent = True
+            return Result(row, head, NO_HISTORY, (len(head), entry.payload))
+        if not any(s.row_tombstone_ts is not None for s in sources):
             # each column's newest head: the greatest stamp, the newer
             # component winning a tie (as a stable newest-first sort would)
             heads: dict[CellKey, Version] = {}

@@ -4,6 +4,9 @@ Every mutation is appended before it reaches the memstore (one HDFS
 sync per region group, charged by ``RegionServer.mutate``); entries are
 truncated per region when its memstore flushes, and replayed with
 ``Region.apply`` on recovery after a simulated region-server crash.
+A put's entry logs its cells as one tuple of ``(column, value, ts)``
+triples (``ops.Cell``) that shares the Put's column keys, so the keys
+the memstore stores are the ones the writer interned.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ class WalEntry:
         region_name: str,
         kind: str,  # "put" | "delete"
         row: bytes,
-        payload: Any,  # put: tuple[(family, qualifier, value, ts)];
+        payload: Any,  # put: the Put's cells, a tuple of
+        # ((family, qualifier), value, ts) sharing the Put's column keys;
         # delete: None (a delete is a whole-row tombstone)
         timestamp: int,
     ) -> None:

@@ -26,6 +26,8 @@ DIRTY_QUALIFIER = b"_d"
 ROW_MARKER_QUALIFIER = b"_0"
 """Placeholder cell for key-only entries, so the row exists."""
 
+_ROW_MARKER_CELL = ((CF, ROW_MARKER_QUALIFIER), b"", None)
+
 RowDecoder = Callable[[Result], tuple[Any, ...]]
 """``Result -> (value, ...)``, one value per decoded attribute."""
 
@@ -70,17 +72,17 @@ class CatalogEntry:
         # ``attrs`` that are not part of the key, in ``attrs`` order
         self.value_attrs = tuple(a for a in self.attrs if a not in keys)
         self._key_dtypes = tuple(self.dtypes[a] for a in self.key_attrs)
+        # each value attribute's column key, built once: every put, read
+        # and decoder of this entry hands the store these very objects
         self._value_columns = tuple(
-            (a, a.encode(), self.dtypes[a]) for a in self.value_attrs
+            (a, (CF, a.encode()), self.dtypes[a]) for a in self.value_attrs
         )
         self._encoders = {
             a: value_encoder(self.dtypes[a]) for a in (*self.key_attrs, *self.attrs)
         }
-        self._stored_slots = tuple(
-            (a, (CF, qualifier)) for a, qualifier, _ in self._value_columns
-        )
+        self._stored_slots = tuple((a, key) for a, key, _ in self._value_columns)
         self._projection = frozenset((
-            *((CF, qualifier) for _, qualifier, _ in self._value_columns),
+            *(key for _, key in self._stored_slots),
             (CF, ROW_MARKER_QUALIFIER),
             (CF, DIRTY_QUALIFIER),
         ))
@@ -140,14 +142,14 @@ class CatalogEntry:
     def stored_put(self, row: StoredRow) -> Put:
         """The single-row Put of ``row``: one cell per value attribute,
         in ``attrs`` order, each value the stored object (``b""`` when
-        absent); a key-only entry gets the row marker, so the row
-        exists."""
+        absent) under the entry's interned column key, so the store
+        neither builds nor compares a key; a key-only entry gets the row
+        marker, so the row exists."""
         put = Put(self.stored_key(row))
         get = row.get
         put.cells = [
-            (CF, qualifier, get(attr, b""), None)
-            for attr, qualifier, _ in self._value_columns
-        ] or [(CF, ROW_MARKER_QUALIFIER, b"", None)]
+            (key, get(attr, b""), None) for attr, key in self._stored_slots
+        ] or [_ROW_MARKER_CELL]
         return put
 
     def projection(self) -> frozenset[tuple[bytes, bytes]]:
@@ -188,8 +190,8 @@ class CatalogEntry:
             for slot, (i, a) in enumerate(keys)
         )
         value_slots = tuple(
-            (slot, (CF, qualifier), value_decoder(dtype))
-            for slot, (_, qualifier, dtype) in enumerate(values, len(keys))
+            (slot, key, value_decoder(dtype))
+            for slot, (_, key, dtype) in enumerate(values, len(keys))
         )
         arity = len(self.key_attrs)
         width = len(attrs)

@@ -91,18 +91,18 @@ class ExecutionContext:
         self.conn = conn
         self.params = params
 
-    def eval(self, expr: Expr) -> Any:
+    def eval(self, expr: Literal | Param) -> Any:
+        """A constant's value: the parser admits no other compared value,
+        and the planner tells a same-binding column apart before this."""
         if isinstance(expr, Literal):
             return expr.value
-        if isinstance(expr, Param):
-            try:
-                return self.params[expr.index]
-            except IndexError:
-                raise PlanError(
-                    f"statement has parameter ?{expr.index} but only "
-                    f"{len(self.params)} values were bound"
-                ) from None
-        raise PlanError(f"cannot evaluate expression {expr!r} at runtime")
+        try:
+            return self.params[expr.index]
+        except IndexError:
+            raise PlanError(
+                f"statement has parameter ?{expr.index} but only "
+                f"{len(self.params)} values were bound"
+            ) from None
 
 
 # ---------------------------------------------------------------- slots
@@ -138,7 +138,7 @@ class ValuePredicate:
     binding: str
     attr: str
     op: str
-    value_expr: Expr
+    value_expr: Literal | Param
 
     @property
     def sources(self) -> tuple[Source, ...]:
@@ -375,7 +375,7 @@ class ScanNode(PlanNode):
     """Leaf access: point get, prefix scan, index scan or full scan."""
 
     access: AccessSpec
-    prefix_exprs: tuple[Expr, ...] = ()
+    prefix_exprs: tuple[Literal | Param, ...] = ()
     check_dirty: bool = False
 
     def __post_init__(self) -> None:

@@ -45,12 +45,13 @@ from repro.sql.ast import (
 )
 
 
-def eval_const(expr: Any, params: tuple[Any, ...]) -> Any:
+def eval_const(expr: Literal | Param, params: tuple[Any, ...]) -> Any:
+    """A write's constant: the parser admits only a literal or ``?`` as
+    an INSERT or SET value, and :func:`constant_equalities` refuses a
+    column on a WHERE's right side."""
     if isinstance(expr, Literal):
         return expr.value
-    if isinstance(expr, Param):
-        return params[expr.index]
-    raise UnsupportedStatementError(f"non-constant expression in write: {expr}")
+    return params[expr.index]
 
 
 def constant_equalities(where) -> dict[str, Any]:

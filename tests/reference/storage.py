@@ -140,8 +140,8 @@ class ModelRegion:
 
     def put(self, row, cells, default_ts):
         entry = self._entry(row)
-        for family, qualifier, value, ts in cells:
-            entry.cells.setdefault((family, qualifier), []).append(
+        for column, value, ts in cells:
+            entry.cells.setdefault(column, []).append(
                 (default_ts if ts is None else ts, value)
             )
 
@@ -286,4 +286,4 @@ def put_cell(entry, family: bytes, qualifier: bytes, ts: int, value: bytes) -> N
     one statement of version order (``newest_first`` stays the oracle)."""
     memstore = MemStore()
     memstore._entries[b""] = entry
-    memstore.apply_put(b"", [(family, qualifier, value, ts)], ts, 0)
+    memstore.apply_put(b"", [((family, qualifier), value, ts)], ts, 0)

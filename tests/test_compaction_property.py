@@ -68,7 +68,7 @@ def test_random_put_delete_compact_sequences(seed: int, max_versions: int):
         ts += 1
         if r < 0.62:
             value = b"v%d" % ts
-            cells = [(CF, qualifier, value, ts)]
+            cells = [((CF, qualifier), value, ts)]
             region.put_row(row, cells, ts)
             model.put(row, cells, ts)
         elif r < 0.79:
@@ -99,10 +99,10 @@ def test_compaction_drops_tombstones_but_preserves_visible_rows():
     region = build_region(1)
     model = ModelRegion(1)
     for i, row in enumerate(ROWS):
-        region.put_row(row, [(CF, b"qa", b"old", i + 1)], i + 1)
-        model.put(row, [(CF, b"qa", b"old", i + 1)], i + 1)
-    region.put_row(ROWS[0], [(CF, b"qa", b"new", 100)], 100)
-    model.put(ROWS[0], [(CF, b"qa", b"new", 100)], 100)
+        region.put_row(row, [((CF, b"qa"), b"old", i + 1)], i + 1)
+        model.put(row, [((CF, b"qa"), b"old", i + 1)], i + 1)
+    region.put_row(ROWS[0], [((CF, b"qa"), b"new", 100)], 100)
+    model.put(ROWS[0], [((CF, b"qa"), b"new", 100)], 100)
     region.delete_row(ROWS[1], 101)
     model.delete(ROWS[1], 101)
     region.major_compact()

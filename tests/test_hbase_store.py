@@ -47,7 +47,7 @@ class TestVersionOrderAtTheEdges:
     def test_memstore_apply_put_with_a_read_in_between(self):
         m = MemStore()
         for ts, v in self.PUTS:
-            m.apply_put(b"r", [(b"cf", b"q", v, ts)], 0, 0)
+            m.apply_put(b"r", [((b"cf", b"q"), v, ts)], 0, 0)
             m.entry(b"r").cells  # a read restores the order in place
         assert m.entry(b"r").cells[(b"cf", b"q")] == self.ORDERED
 

@@ -202,7 +202,7 @@ def build_region(max_versions: int) -> tuple[Region, ModelRegion]:
 
 
 def put(region, model, row, qualifier, ts, value=None):
-    cells = [(CF, qualifier, value or b"v%d" % ts, ts)]
+    cells = [((CF, qualifier), value or b"v%d" % ts, ts)]
     region.put_row(row, cells, ts)
     model.put(row, cells, ts)
 

@@ -19,10 +19,15 @@ The same machine checks what a ``Result`` says about itself —
 stored entry's head dict and its payload (``store.row_result``), so
 results are held across later writes, flushes and compactions and must
 keep reading what they read when taken, and scribbling on what they
-hand out must never reach them or the store.
+hand out must never reach them or the store. A row whose newest entry
+*outshines* its older ones is plain too: the proof is checked against
+the merge on random stacks, counted, and shown to hold no entry alive.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -54,7 +59,7 @@ ROWS = [b"r%d" % i for i in range(4)]
 # the same range land before, on and after it
 STAMP = st.none() | st.integers(1, 70)
 CELL = st.tuples(
-    st.sampled_from(FAMILIES), st.sampled_from(QUALIFIERS),
+    st.tuples(st.sampled_from(FAMILIES), st.sampled_from(QUALIFIERS)),
     st.binary(max_size=3), STAMP,
 )
 
@@ -175,9 +180,9 @@ class TestMergeMatchesReference:
     # memstore entry, the one route that builds an entry without a put
     @example(
         ops=[
-            ("put", ROWS[0], [(b"cf", b"a", b"v", None)]), ("flush",),
+            ("put", ROWS[0], [((b"cf", b"a"), b"v", None)]), ("flush",),
             ("delete_row", ROWS[0], None),
-            ("put", ROWS[0], [(b"fx", b"b", b"w", 1)]),
+            ("put", ROWS[0], [((b"fx", b"b"), b"w", 1)]),
         ],
         max_versions=2, time_range=None, columns=None,
     )
@@ -243,7 +248,7 @@ def hot_region(monkeypatch):
     half in an HFile and half in the memstore; returns the region and
     the list the wrapped key function counts its calls into."""
     region = Region("t", b"", None, max_versions=1)
-    cells = [(family, qualifier, b"v", None) for family, qualifier in HOT_COLUMNS]
+    cells = [(column, b"v", None) for column in HOT_COLUMNS]
     for ts in range(1, HISTORY + 1):
         region.put_row(HOT, cells, ts)
         if ts == HISTORY // 2:
@@ -296,16 +301,16 @@ class TestHistoryIndependence:
 # ------------------------------------------------------------ newest head
 NEWEST_HEAD = {
     "equal stamps in the memstore and an HFile": ([
-        ("put", ROWS[1], [(b"cf", b"a", b"flushed", 5), (b"cf", b"b", b"only", 5)]),
+        ("put", ROWS[1], [((b"cf", b"a"), b"flushed", 5), ((b"cf", b"b"), b"only", 5)]),
         ("flush",),
-        ("put", ROWS[1], [(b"cf", b"a", b"memstore", 5)]),
+        ("put", ROWS[1], [((b"cf", b"a"), b"memstore", 5)]),
     ], b"memstore"),
     "newest stamp in the oldest of three components": ([
-        ("put", ROWS[1], [(b"cf", b"a", b"newest", 30), (b"fx", b"b", b"x", None)]),
+        ("put", ROWS[1], [((b"cf", b"a"), b"newest", 30), ((b"fx", b"b"), b"x", None)]),
         ("flush",),
-        ("put", ROWS[1], [(b"cf", b"a", b"oldest", 10)]),
+        ("put", ROWS[1], [((b"cf", b"a"), b"oldest", 10)]),
         ("flush",),
-        ("put", ROWS[1], [(b"cf", b"a", b"middle", 20), (b"fx", b"b", b"y", None)]),
+        ("put", ROWS[1], [((b"cf", b"a"), b"middle", 20), ((b"fx", b"b"), b"y", None)]),
     ], b"newest"),
 }
 
@@ -352,7 +357,7 @@ WIDE = [(CF, b"c%02d" % i) for i in range(12)]
 def one_row_region(flushed):
     region = Region("t", b"", None, max_versions=3)
     model = ModelRegion(max_versions=3)
-    cells = [(b"cf", b"a", b"a-old", 5), (b"cf", b"b", b"b-old", 5)]
+    cells = [((b"cf", b"a"), b"a-old", 5), ((b"cf", b"b"), b"b-old", 5)]
     region.put_row(ROW, cells, 5)
     model.put(ROW, cells, 5)
     region.put_row(b"r2", cells, 6)  # a neighbour, so the row can split off
@@ -364,10 +369,10 @@ def one_row_region(flushed):
 
 
 LATER = {
-    "newer put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"new", 9)], 9),
-    "older put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"old", 2)], 2),
-    "equal put": lambda region: region.put_row(ROW, [(b"cf", b"a", b"same", 5)], 5),
-    "new column": lambda region: region.put_row(ROW, [(b"fx", b"c", b"wide", 9)], 9),
+    "newer put": lambda region: region.put_row(ROW, [((b"cf", b"a"), b"new", 9)], 9),
+    "older put": lambda region: region.put_row(ROW, [((b"cf", b"a"), b"old", 2)], 2),
+    "equal put": lambda region: region.put_row(ROW, [((b"cf", b"a"), b"same", 5)], 5),
+    "new column": lambda region: region.put_row(ROW, [((b"fx", b"c"), b"wide", 9)], 9),
     "delete_row": lambda region: region.delete_row(ROW, 9),
     # a tombstone on the cells' own stamp hides them; an older one hides nothing
     "equal delete_row": lambda region: region.delete_row(ROW, 5),
@@ -408,7 +413,7 @@ class TestPlainRows:
         LATER[later](region)
         if later == "split":
             region = region.split_daughters[0]
-        region.put_row(ROW, [(b"cf", b"b", b"after", 20)], 20)
+        region.put_row(ROW, [((b"cf", b"b"), b"after", 20)], 20)
         for result in (point, scanned):
             assert reading(result) == taken
             assert result.cells == {
@@ -440,11 +445,11 @@ class TestPlainRows:
             # the point read and the scan each lend, then are checked
             assert_region_matches(region, model, 1, None, None)
 
-        step("put_row", [(b"cf", b"a", b"v", None)], 1)
-        step("put_row", [(b"cf", b"a", b"longer value", None)], 2)  # fused put
-        step("put_row", [(b"fx", b"b", b"another column", None)], 3)
+        step("put_row", [((b"cf", b"a"), b"v", None)], 1)
+        step("put_row", [((b"cf", b"a"), b"longer value", None)], 2)  # fused put
+        step("put_row", [((b"fx", b"b"), b"another column", None)], 3)
         put_cell(region.memstore.entry(ROW), b"cf", b"c", 4, b"by put_cell")
-        model.put(ROW, [(b"cf", b"c", b"by put_cell", 4)], 4)
+        model.put(ROW, [((b"cf", b"c"), b"by put_cell", 4)], 4)
         assert_region_matches(region, model, 1, None, None)
 
         def read_with(columns):
@@ -467,21 +472,21 @@ class TestPlainRows:
         assert all(read_with(columns) for columns in (covering, twin, covering, twin))
         # a column outside the set: the next read under it takes the merge,
         # and a cover proven under no projection proves nothing for the set
-        region.put_row(ROW, [(b"fx", b"c", b"outside the set", None)], 5)
-        model.put(ROW, [(b"fx", b"c", b"outside the set", None)], 5)
+        region.put_row(ROW, [((b"fx", b"c"), b"outside the set", None)], 5)
+        model.put(ROW, [((b"fx", b"c"), b"outside the set", None)], 5)
         assert not read_with(covering)
         assert_region_matches(region, model, 1, None, None)
         assert not read_with(covering)
-        step("put_row", [(b"cf", b"a", b"back", None)], 6)
+        step("put_row", [((b"cf", b"a"), b"back", None)], 6)
         step("delete_row", 7)
-        step("put_row", [(b"cf", b"b", b"reborn", None)], 8)
+        step("put_row", [((b"cf", b"b"), b"reborn", None)], 8)
 
     def test_a_dirty_entry_lends_its_newest_head_unsorted(self):
         region, model = Region("t", b"", None), ModelRegion(1)
         for ts, value in (
             (5, b"first@5"), (3, b"older"), (5, b"second@5"), (9, b"top"), (9, b"late@9")
         ):
-            cells = [(b"cf", b"a", value, ts)]
+            cells = [((b"cf", b"a"), value, ts)]
             region.put_row(ROW, cells, ts)
             model.put(ROW, cells, ts)
         region.flush()  # nothing has read the entry yet
@@ -525,7 +530,7 @@ class TestPlainRows:
         rows = 2000
         region = Region("t", b"", None, flush_threshold_rows=10**9)
         for i in range(rows):
-            region.put_row(b"k%05d" % i, [(f, q, b"v%d" % i, None) for f, q in WIDE], i + 1)
+            region.put_row(b"k%05d" % i, [(column, b"v%d" % i, None) for column in WIDE], i + 1)
 
         def scan(columns=None):
             results = [result for _, result in region.scan(columns=columns)]
@@ -542,7 +547,7 @@ class TestPlainRows:
         results, total, _ = scan()
         assert not_lent(results) == [] and scan()[1] == total
         held = results[7]
-        region.put_row(b"k00007", [(CF, b"c00", b"a longer value", None)], rows + 1)
+        region.put_row(b"k00007", [((CF, b"c00"), b"a longer value", None)], rows + 1)
         assert held.value(CF, b"c00") == b"v7"  # the write copied the head
         total += len(b"a longer value") - len(b"v7")
         results, again, _ = scan()
@@ -562,10 +567,242 @@ class TestPlainRows:
             assert (again, proofs, not_lent(results)) == (total, proven, [])
         # a new row in the memstore: the heap merge sees 2000 runs of one
         # HFile source and one run of one memstore source
-        region.put_row(b"k00007x", [(CF, b"c00", b"v", None)], rows + 2)
+        region.put_row(b"k00007x", [((CF, b"c00"), b"v", None)], rows + 2)
         results, _, _ = scan()
         assert len(results) == rows + 1 and not_lent(results) == []
         # the row written twice is two sources now: merged, nothing lent
-        region.put_row(b"k00007", [(CF, b"c00", b"v7", None)], rows + 3)
+        region.put_row(b"k00007", [((CF, b"c00"), b"v7", None)], rows + 3)
         results, _, _ = scan()
         assert not_lent(results) == [b"k00007"]
+
+
+# ---------------------------------------------------------- outshining rows
+def two_source_region():
+    """``ROW`` with columns a and b at stamp 5 in an HFile, and an empty
+    memstore over it."""
+    region = Region("t", b"", None, max_versions=3)
+    model = ModelRegion(max_versions=3)
+    for row, ts in ((ROW, 5), (b"r2", 6)):
+        cells = [((b"cf", b"a"), b"a-old", 5), ((b"cf", b"b"), b"b-old", 5)]
+        region.put_row(row, cells, ts)
+        model.put(row, cells, ts)
+    region.flush()
+    model.flush()
+    return region, model
+
+
+def put_both(region, model, cells, ts):
+    region.put_row(ROW, cells, ts)
+    model.put(ROW, cells, ts)
+
+
+def newest_lent(result, region):
+    """The result shows its row's newest entry's own head dict, sized
+    from that entry's payload."""
+    newest = region._sources_for(result.row)[0]
+    return result._head is newest.head and result._summary == (
+        len(newest.head), newest.payload
+    )
+
+
+def counting_proofs(monkeypatch):
+    """Count every proof ``_outshines`` runs (memo misses only)."""
+    proofs = []
+    prove = store._prove_outshines
+
+    def counting(head, older):
+        proofs.append(len(older))
+        return prove(head, older)
+
+    monkeypatch.setattr(store, "_prove_outshines", counting)
+    return proofs
+
+
+OVER_AN_HFILE = {
+    # name: (memstore cells, memstore delete, whether the memstore entry is lent)
+    "newer stamps on every column": (
+        [((b"cf", b"a"), b"a-new", 9), ((b"cf", b"b"), b"b-new", 9)], None, True),
+    "every column and one more": (
+        [((b"cf", b"a"), b"a-new", 9), ((b"cf", b"b"), b"b-new", 7),
+         ((b"fx", b"c"), b"c-new", 9)], None, True),
+    # a tie goes to the newer source, as in the merge
+    "equal stamps": (
+        [((b"cf", b"a"), b"a-same", 5), ((b"cf", b"b"), b"b-same", 5)], None, True),
+    "an older source holds a column the newer lacks": (
+        [((b"cf", b"a"), b"a-new", 9)], None, False),
+    "an older source holds a newer explicit stamp": (
+        [((b"cf", b"a"), b"a-new", 9), ((b"cf", b"b"), b"b-older", 4)], None, False),
+    "the newer source holds a tombstone": (
+        [((b"cf", b"a"), b"a-new", 9), ((b"cf", b"b"), b"b-new", 9)], 1, False),
+}
+
+
+class TestOutshiningRows:
+    """A row whose newest entry holds every column of every older one at
+    a stamp no older, with no tombstone anywhere, is plain: a one-version
+    read is lent that entry's head, as a one-source row is."""
+
+    @pytest.mark.parametrize("case", OVER_AN_HFILE)
+    def test_a_memstore_entry_over_an_hfile_entry(self, case):
+        cells, delete, plain = OVER_AN_HFILE[case]
+        region, model = two_source_region()
+        ts = 10
+        if delete is not None:
+            # the tombstone must not hide the memstore's own cells: the
+            # entry takes it first, then the cells newer than it
+            region.delete_row(ROW, delete)
+            model.delete(ROW, delete)
+        put_both(region, model, cells, ts)
+        assert len(region._sources_for(ROW)) == 2
+        for columns in (None, frozenset(ALL_COLUMNS)):
+            results = [region.read_row(ROW, columns)]
+            results.extend(r for row, r in region.scan(columns=columns) if row == ROW)
+            for result in results:
+                assert newest_lent(result, region) is plain
+        for columns in PROJECTIONS:
+            assert_region_matches(region, model, 1, None, columns)
+
+    def test_an_older_tombstone_takes_the_merge(self):
+        region, model = two_source_region()
+        region.delete_row(ROW, 1)  # hides nothing, but sits in the HFile
+        model.delete(ROW, 1)
+        region.flush()
+        model.flush()
+        put_both(region, model, [((b"cf", b"a"), b"a", 9), ((b"cf", b"b"), b"b", 9)], 10)
+        assert len(region._sources_for(ROW)) == 3
+        assert not newest_lent(region.read_row(ROW), region)
+        assert_region_matches(region, model, 1, None, None)
+
+    def test_equal_stamps_read_the_newer_entry(self):
+        region, model = two_source_region()
+        put_both(region, model, [((b"cf", b"a"), b"tie", 5), ((b"cf", b"b"), b"tie", 5)], 10)
+        result = region.read_row(ROW)
+        assert newest_lent(result, region)
+        assert result.value(b"cf", b"a") == result.value(b"cf", b"b") == b"tie"
+        assert_region_matches(region, model, 1, None, None)
+
+    @pytest.mark.parametrize("later", LATER)
+    def test_a_held_result_is_a_snapshot(self, later):
+        region, model = two_source_region()
+        put_both(region, model, [((b"cf", b"a"), b"a-new", 9), ((b"cf", b"b"), b"b-new", 9)], 9)
+        point = region.read_row(ROW)
+        scanned = dict(region.scan())[ROW]
+        assert newest_lent(point, region) and point._head is scanned._head
+        taken = reading(point)
+        LATER[later](region)
+        if later == "split":
+            region = region.split_daughters[0]
+        region.put_row(ROW, [((b"cf", b"b"), b"after", 20)], 20)
+        for result in (point, scanned):
+            assert reading(result) == taken
+            assert result.cells == {
+                (b"cf", b"a"): [(9, b"a-new")], (b"cf", b"b"): [(9, b"b-new")]
+            }
+
+    def test_the_proof_runs_once_per_entry_and_older_sources(self, monkeypatch):
+        proofs = counting_proofs(monkeypatch)
+        region, model = two_source_region()
+        put_both(region, model, [((b"cf", b"a"), b"a1", 9), ((b"cf", b"b"), b"b1", 9)], 9)
+
+        def reads_lent():
+            """A point read and a scan of ``ROW``, checked against the
+            reference."""
+            expected = reference_merge_row(model.sources(ROW), 1)
+            results = [region.read_row(ROW), dict(region.scan())[ROW]]
+            for result in results:
+                assert_result_matches(result, ROW, expected)
+            return all(newest_lent(result, region) for result in results)
+
+        assert reads_lent() and reads_lent() and proofs == [1]
+        # a put raises a stamp or adds a column: the proof still holds
+        put_both(region, model, [((b"cf", b"a"), b"a2", 11)], 11)
+        put_both(region, model, [((b"fx", b"c"), b"c2", 12)], 12)
+        assert reads_lent() and proofs == [1]
+        # an older explicit stamp moves no head: still proven
+        put_both(region, model, [((b"cf", b"b"), b"b0", 2)], 13)
+        assert reads_lent() and proofs == [1]
+        # a flush: the same entry over the same older one, from an HFile
+        region.flush()
+        model.flush()
+        assert reads_lent() and proofs == [1]
+        # a new memstore entry over both: one proof over two older sources
+        put_both(region, model, [((b"cf", b"a"), b"a3", 20), ((b"cf", b"b"), b"b3", 20),
+                                 ((b"fx", b"c"), b"c3", 20)], 20)
+        assert reads_lent() and proofs == [1, 2]
+        # a split shares every entry by reference: nothing to prove again
+        region = region.split(b"r2")[0]
+        assert reads_lent() and proofs == [1, 2]
+        # a compaction leaves one source, trivially plain; a put over it
+        # is a new pair, proven once
+        region.major_compact()
+        model.compact()
+        assert reads_lent() and proofs == [1, 2]
+        put_both(region, model, [((b"cf", b"a"), b"a4", 30), ((b"cf", b"b"), b"b4", 30),
+                                 ((b"fx", b"c"), b"c4", 30)], 30)
+        assert reads_lent() and reads_lent() and proofs == [1, 2, 1]
+        # a failed proof is not remembered: each read tries again (over
+        # the flushed entry and the compacted one), and it holds once the
+        # newer entry catches up
+        region.flush()
+        model.flush()
+        put_both(region, model, [((b"cf", b"a"), b"a5", 40)], 40)
+        assert not reads_lent() and proofs == [1, 2, 1, 2, 2]
+        put_both(region, model, [((b"cf", b"b"), b"b5", 41), ((b"fx", b"c"), b"c5", 41)], 41)
+        assert reads_lent() and reads_lent() and proofs == [1, 2, 1, 2, 2, 2]
+
+    def test_the_proof_keeps_no_compacted_entry_alive(self):
+        region, model = two_source_region()
+        put_both(region, model, [((b"cf", b"a"), b"a", 9), ((b"cf", b"b"), b"b", 9)], 9)
+        newer, older = region._sources_for(ROW)
+        assert newest_lent(region.read_row(ROW), region)
+        assert [proven() for proven in newer._outshone] == [older]
+        older_ref = weakref.ref(older)
+        del older
+        region.major_compact()
+        gc.collect()
+        assert older_ref() is None
+        assert newer._outshone and newer._outshone[0]() is None
+        # the compacted row reads as the reference says
+        model.compact()
+        assert_region_matches(region, model, 1, None, None)
+
+
+SOURCE = st.tuples(
+    st.lists(st.tuples(st.sampled_from(ALL_COLUMNS), st.binary(max_size=2),
+                       st.integers(1, 8)), max_size=6),
+    # mostly no tombstone: an untombstoned stack is what the proof reads
+    st.one_of(st.none(), st.none(), st.none(), st.integers(1, 8)),
+)
+
+
+class TestOutshiningMatchesTheMerge:
+    @given(
+        stack=st.lists(SOURCE, min_size=1, max_size=4),
+        later=st.lists(st.tuples(st.sampled_from(ALL_COLUMNS), st.integers(1, 12)),
+                       max_size=4),
+        columns=st.sampled_from(PROJECTIONS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_result_equals_merge_row(self, stack, later, columns):
+        """Random memstore / HFile stacks (newest first), read for one
+        version, then read again after puts to the newest entry: the
+        memo a first read left behind must still tell the truth."""
+        sources = []
+        for cells, tombstone in stack:
+            entry = new_entry()
+            for column, value, ts in cells:
+                put_cell(entry, *column, ts, value)
+            if tombstone is not None:
+                entry.delete_row(tombstone)
+            sources.append(entry)
+        wanted = frozenset(columns) if columns else None
+        for step in range(len(later) + 1):
+            if step:
+                column, ts = later[step - 1]
+                put_cell(sources[0], *column, ts, b"later")
+            for _ in range(2):
+                expected = reference_merge_row(sources, 1, None, wanted)
+                assert merge_row(sources, 1, None, wanted) == expected
+                assert_result_matches(
+                    store.row_result(ROW, sources, 1, None, wanted), ROW, expected
+                )

@@ -3,12 +3,16 @@ write path with index maintenance."""
 
 import pytest
 
-from repro.errors import SchemaError, UnsupportedStatementError
+from repro.errors import SchemaError, SqlSyntaxError, UnsupportedStatementError
+from repro.phoenix import writes
 from repro.phoenix.catalog import INDEX, TABLE, VIEW
 from repro.phoenix.ddl import create_baseline_schema, create_view_entry
-from repro.phoenix.plans import HashJoinNode, NestedLoopJoinNode, ScanNode
+from repro.phoenix.plans import (
+    ExecutionContext, HashJoinNode, NestedLoopJoinNode, ScanNode,
+)
 from repro.relational.company import company_schema
-from tests.conftest import execute_write, plan_nodes
+from repro.voltdb import system as voltdb_system
+from tests.conftest import build_company_system, execute_write, plan_nodes
 from tests.reference.storage import decode_key
 
 
@@ -354,6 +358,41 @@ class TestWritePath:
         rpcs = sim.metrics.counters()["client.rpc"] - before
         # full scan of Employee (1 open + 1 batch) + 10 point gets
         assert rpcs >= 12
+
+
+NOT_CONSTANT = {
+    # the parser admits only a literal or ? as a SET or INSERT value, and
+    # a column, literal or ? as a compared value
+    "UPDATE Employee SET EName = EID WHERE EID = ?": ((1,), SqlSyntaxError),
+    "INSERT INTO Employee (EID, EName) VALUES (?, EID)": ((99,), SqlSyntaxError),
+    "SELECT EName FROM Employee WHERE EID = COUNT(*)": ((), SqlSyntaxError),
+    # a write's WHERE is key equalities on constants
+    "UPDATE Employee SET EName = ? WHERE EID = E_DNo": (("x",), UnsupportedStatementError),
+    "DELETE FROM Employee WHERE EID = E_DNo": ((), UnsupportedStatementError),
+}
+
+
+class TestConstantsOnly:
+    @pytest.mark.parametrize(
+        "name", ("Baseline", "Synergy", "MVCC-A", "MVCC-UA", "VoltDB")
+    )
+    def test_a_value_that_is_not_a_constant_is_refused_before_evaluation(
+        self, name, monkeypatch
+    ):
+        """``ExecutionContext.eval`` and ``eval_const`` take only a
+        literal or a ``?``: what else a statement puts there is refused
+        upstream, so neither function ever sees it."""
+        system = build_company_system(name)
+
+        def unreachable(*args):
+            raise AssertionError(f"evaluated {args!r}")
+
+        monkeypatch.setattr(writes, "eval_const", unreachable)
+        monkeypatch.setattr(voltdb_system, "eval_const", unreachable)
+        monkeypatch.setattr(ExecutionContext, "eval", unreachable)
+        for sql, (params, refusal) in NOT_CONSTANT.items():
+            with pytest.raises(refusal):
+                system.execute(sql, params)
 
 
 class TestSubqueryUnderJoin:

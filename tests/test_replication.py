@@ -30,7 +30,7 @@ from tests.conftest import wal_pending
 
 
 def entry(row: bytes, ts: int = 1) -> WalEntry:
-    return WalEntry("r", "put", row, [(FAMILY, QUALIFIER, b"x", None)], ts)
+    return WalEntry("r", "put", row, [((FAMILY, QUALIFIER), b"x", None)], ts)
 
 
 class TestWalTap:

@@ -150,9 +150,9 @@ def _stored(entry: CatalogEntry, row: dict, absent: frozenset[str]) -> Result:
     ``absent`` were never written."""
     put = entry.stored_put(entry.encode_values(row))
     return Result.from_sorted(put.row, {
-        (family, qualifier): [(1, value)]
-        for family, qualifier, value, _ts in put.cells
-        if qualifier.decode() not in absent
+        column: [(1, value)]
+        for column, value, _ts in put.cells
+        if column[1].decode() not in absent
     })
 
 
@@ -172,7 +172,7 @@ class TestCompiledEncoder:
             dtypes={"a": DataType.INT, "b": DataType.VARCHAR},
         )
         put = entry.stored_put(entry.encode_values({"a": 1, "b": "x"}))
-        assert put.cells == [(CF, ROW_MARKER_QUALIFIER, b"", None)]
+        assert put.cells == [((CF, ROW_MARKER_QUALIFIER), b"", None)]
         assert put.cells == row_to_put_reference(entry, {"a": 1, "b": "x"}).cells
 
 
@@ -300,7 +300,7 @@ class TestStoredRows:
         result = _stored(KEY_ONLY_ENTRY, {"a": a, "b": b}, frozenset())
         self.assert_same_write(KEY_ONLY_ENTRY, (), result, changes)
         put = KEY_ONLY_ENTRY.stored_put(KEY_ONLY_ENTRY.stored_row(result))
-        assert put.cells == [(CF, ROW_MARKER_QUALIFIER, b"", None)]
+        assert put.cells == [((CF, ROW_MARKER_QUALIFIER), b"", None)]
 
     @pytest.mark.parametrize("text", ["a\x00b", "\x00", "a\x00\x00", ""])
     def test_nul_in_a_varchar_key_component(self, text):

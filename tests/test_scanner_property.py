@@ -63,7 +63,7 @@ def apply_ops(region, ops):
         kind = op[0]
         if kind == "put":
             _, row, family, qualifier, value = op
-            region.put_row(row, [(family, qualifier, value, None)], ts)
+            region.put_row(row, [((family, qualifier), value, None)], ts)
         elif kind == "delete_row":
             region.delete_row(op[1], ts)
         elif kind == "flush":
@@ -136,8 +136,8 @@ class TestScannerMatchesReference:
 class TestScannerEdgeCases:
     def test_scan_respects_region_bounds(self):
         region = Region("t", b"b", b"d")
-        region.put_row(b"b", [(CF, b"q", b"1", None)], 1)
-        region.put_row(b"c", [(CF, b"q", b"2", None)], 2)
+        region.put_row(b"b", [((CF, b"q"), b"1", None)], 1)
+        region.put_row(b"c", [((CF, b"q"), b"2", None)], 2)
         rows = [r for r, res in region.scan() if res is not None]
         assert rows == [b"b", b"c"]
         # narrower window than the region
@@ -148,8 +148,8 @@ class TestScannerEdgeCases:
         """Examined-but-invisible rows surface as (key, None) so the
         server still charges the read, as the seed engine did."""
         region = Region("t", b"", None)
-        region.put_row(b"a", [(CF, b"q", b"1", None)], 1)
-        region.put_row(b"b", [(CF, b"q", b"2", None)], 2)
+        region.put_row(b"a", [((CF, b"q"), b"1", None)], 1)
+        region.put_row(b"b", [((CF, b"q"), b"2", None)], 2)
         region.delete_row(b"a", 3)
         pairs = list(region.scan())
         assert [row for row, _ in pairs] == [b"a", b"b"]
@@ -160,10 +160,10 @@ class TestScannerEdgeCases:
         """A flush after the cursor is created but before it is consumed
         must not hide the flushed rows (components resolve lazily)."""
         region = Region("t", b"", None)
-        region.put_row(b"a", [(CF, b"q", b"1", None)], 1)
+        region.put_row(b"a", [((CF, b"q"), b"1", None)], 1)
         cursor = region.scan()
         region.flush()
-        region.put_row(b"b", [(CF, b"q", b"2", None)], 2)
+        region.put_row(b"b", [((CF, b"q"), b"2", None)], 2)
         rows = [row for row, result in cursor if result is not None]
         assert rows == [b"a", b"b"]
 
@@ -190,9 +190,9 @@ class TestScannerEdgeCases:
 
     def test_scan_merges_across_flush_generations(self):
         region = Region("t", b"", None, max_versions=2)
-        region.put_row(b"k", [(CF, b"q", b"old", None)], 1)
+        region.put_row(b"k", [((CF, b"q"), b"old", None)], 1)
         region.flush()
-        region.put_row(b"k", [(CF, b"q", b"new", None)], 2)
+        region.put_row(b"k", [((CF, b"q"), b"new", None)], 2)
         [(row, result)] = list(region.scan(max_versions=2))
         assert result.cells[(CF, b"q")] == [(2, b"new"), (1, b"old")]
 
@@ -210,7 +210,7 @@ class TestScannerEdgeCases:
 
         region = Region("t", b"", None)
         for i in range(4):
-            region.put_row(b"r%d" % i, [(CF, b"q", b"v", None)], i + 1)
+            region.put_row(b"r%d" % i, [((CF, b"q"), b"v", None)], i + 1)
         cursor = iter(region.scan())
         next(cursor)
         region.online = False
