@@ -79,6 +79,21 @@ def main() -> None:
     rows, ms = system.timed(system.statements["hot_comments"], (4,))
     print(f"hot_comments(4): {len(rows)} rows in {ms:.2f} virtual ms")
 
+    # --- ad-hoc statements, outside the workload the views serve ----------
+    # a page of one post's comments: the index scan on cm_p_id carries
+    # cm_id, so the cm_id bound is tested on each fetched row
+    rows = system.execute(
+        "SELECT c.cm_id, c.cm_text FROM Comments as c "
+        "WHERE c.cm_p_id = ? and c.cm_id > ?", (2, 5)
+    )
+    print(f"post 2, comments after #5: {[r['cm_id'] for r in rows]}")
+    rows = system.execute(
+        "SELECT c.cm_p_id, COUNT(c.cm_text), MAX(c.cm_score) "
+        "FROM Comments as c GROUP BY c.cm_p_id"
+    )
+    print(f"per-post stats: {len(rows)} posts, top score "
+          f"{max(r['MAX(c.cm_score)'] for r in rows)}")
+
     _, ms = system.timed(system.statements["add_comment"], (100, 3, "new!", 5))
     print(f"add_comment: {ms:.2f} virtual ms (one lock on the post author)")
     _, ms = system.timed(system.statements["edit_title"], ("Edited", 3))

@@ -11,7 +11,7 @@ from repro.bench.harness import (
     percentile_or_zero,
 )
 from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
-from repro.config import ClusterConfig, ReplicationConfig
+from repro.config import ClusterConfig
 from repro.hbase.chaos import (
     ChaosRun,
     FaultConfig,
@@ -53,7 +53,7 @@ def chaos_cell(
     scan_window: int = 24,
     fault_config: FaultConfig | None = None,
     seed: int = 20170904,
-    replication: ReplicationConfig | None = None,
+    replica_count: int = 1,
     participants: tuple[Participant, ...] = (),
 ) -> ChaosRun:
     """The chaos suites' cell: a table pre-split into two regions per
@@ -68,7 +68,7 @@ def chaos_cell(
         ClusterConfig(
             num_region_servers=num_servers,
             seed=seed,
-            replication=replication or ReplicationConfig(),
+            replica_count=replica_count,
         ),
         "chaos",
         [b"%08d" % (preload_rows * i // regions) for i in range(1, regions)],
@@ -83,7 +83,7 @@ def chaos_cell(
     chain: list[Participant] = [
         lambda cluster, history: FaultInjector(cluster, fault_config, history)
     ]
-    if replication is not None and replication.replica_count >= 2:
+    if replica_count >= 2:
         chain.append(lambda cluster, _: ReplicationShipper(cluster.replication))
     return run_cell(
         layout,

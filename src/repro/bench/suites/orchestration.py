@@ -7,7 +7,7 @@ from typing import Callable
 from repro.bench.harness import ExperimentResult, Grid, percentile_or_zero
 from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.bench.suites.faults import chaos_cell
-from repro.config import ClusterConfig, ReplicationConfig
+from repro.config import ClusterConfig
 from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.orchestration import (
     AddServers,
@@ -66,7 +66,7 @@ def run_orchestration_cell(
         scan_window=16,
         fault_config=FaultConfig(cycles=cycles, label="orchestration"),
         seed=seed,
-        replication=ReplicationConfig(replica_count=2),
+        replica_count=2,
         participants=(
             lambda cluster, _: Orchestrator(
                 cluster, plan=plan, start_delay_ms=rollout_start_ms
@@ -234,8 +234,7 @@ def orchestration_step_drill(seed: int) -> dict[str, dict[str, int]]:
     elsewhere."""
     sim = Simulation(seed=seed)
     cluster = HBaseCluster(sim, ClusterConfig(
-        num_region_servers=3, seed=seed,
-        replication=ReplicationConfig(replica_count=2),
+        num_region_servers=3, seed=seed, replica_count=2,
     ))
     client = HBaseClient(cluster)
     split = b"%08d" % 30

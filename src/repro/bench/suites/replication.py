@@ -7,7 +7,6 @@ from typing import Callable
 from repro.bench.harness import ExperimentResult, Grid
 from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.bench.suites.faults import chaos_counters, chaos_sweep_cell
-from repro.config import ReplicationConfig
 
 #: ``ChaosRun.replication`` counters the sweep reports per replicated
 #: cell, as ``Replication<Name>`` experiments.
@@ -85,11 +84,7 @@ def run_replication(
                 f"replication cell ({replicas} replicas, {cycles} cycles)",
                 cycles=cycles, chaos_horizon_ms=chaos_horizon_ms,
                 recovery_replay_ms_per_entry=recovery_replay_ms_per_entry,
-                replication=(
-                    ReplicationConfig(replica_count=replicas)
-                    if replicas >= 2
-                    else None
-                ),
+                replica_count=replicas,
                 num_servers=num_servers, clients=clients,
                 ops_per_client=ops_per_client, preload_rows=preload_rows,
                 seed=seed,

@@ -132,9 +132,8 @@ HASH_CPU_MS_PER_ROW = 0.0005
 """Client-side per-row hash/sort work."""
 
 SHIP_ENTRY_MS = 0.02
-"""Virtual cost of applying one shipped WAL entry on a follower (waited
-out on the shipper daemon's timeline in async mode, charged on the
-writing client's timeline in ``ack_mode="all"``)."""
+"""Virtual cost of applying one shipped WAL entry on a follower, waited
+out on the shipper daemon's timeline."""
 
 
 def price_list(cost: CostModel) -> dict[str, float]:
@@ -149,43 +148,6 @@ def price_list(cost: CostModel) -> dict[str, float]:
         "HASH_CPU_MS_PER_ROW": HASH_CPU_MS_PER_ROW,
         "SHIP_ENTRY_MS": SHIP_ENTRY_MS,
     }
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """Region replication: N copies per region with primary-push WAL
-    shipping, bounded-staleness follower reads and promotion-on-crash.
-
-    The default ``replica_count=1`` means *no* replication: no groups
-    are created, no WAL taps installed, no shipper daemon runs, and
-    every pre-existing code path (and its simulated latency) stays
-    bit-identical."""
-
-    replica_count: int = 1
-    """Total copies of each region (primary included). 1 disables
-    replication entirely; N >= 2 keeps N-1 followers per region."""
-
-    ack_mode: str = "primary"
-    """When a replicated edit counts as durably acknowledged:
-
-    * ``"primary"`` — acked once the primary's WAL sync returns;
-      followers catch up asynchronously via the shipper daemon.
-    * ``"all"`` — the write additionally ships synchronously to every
-      live follower (one RPC + per-entry apply charged to the writer)
-      before it is acknowledged."""
-
-    def __post_init__(self) -> None:
-        if self.replica_count < 1:
-            raise ClusterConfigError(
-                f"replica_count must be >= 1, got {self.replica_count}"
-            )
-        if self.ack_mode not in ("primary", "all"):
-            raise ClusterConfigError(
-                f"ack_mode must be 'primary' or 'all', got {self.ack_mode!r}"
-            )
-
-
-DEFAULT_REPLICATION_CONFIG = ReplicationConfig()
 
 
 @dataclass(frozen=True)
@@ -283,7 +245,12 @@ class ClusterConfig:
 
     cost: CostModel = field(default_factory=CostModel)
 
-    replication: ReplicationConfig = field(default_factory=ReplicationConfig)
+    replica_count: int = 1
+    """Region replication: total copies of each region, primary
+    included, with primary-push WAL shipping, bounded-staleness follower
+    reads and promotion-on-crash. The default 1 means *no* replication:
+    no groups, no WAL taps, no shipper daemon, and every code path (and
+    its simulated latency) as if replication did not exist."""
 
     serving: ServingConfig = field(default_factory=ServingConfig)
 
@@ -292,6 +259,10 @@ class ClusterConfig:
             raise ClusterConfigError(
                 f"num_region_servers must be >= 1, got "
                 f"{self.num_region_servers}"
+            )
+        if self.replica_count < 1:
+            raise ClusterConfigError(
+                f"replica_count must be >= 1, got {self.replica_count}"
             )
         if (
             self.region_split_threshold_bytes is not None

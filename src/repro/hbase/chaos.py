@@ -669,8 +669,7 @@ class ChaosRun:
         if manager is None:
             return None
         return {
-            "replica_count": manager.config.replica_count,
-            "ack_mode": manager.config.ack_mode,
+            "replica_count": self.cluster.config.replica_count,
             "promotions": manager.promotions,
             "followers_rebuilt": manager.followers_rebuilt,
             "entries_shipped": manager.entries_shipped,

@@ -316,9 +316,6 @@ class HTable:
                     server.mutate(
                         region, group_ops, self.cluster.reserve_timestamps
                     )
-                    rep = self.cluster.replication
-                    if rep is not None:
-                        rep.after_write(region)  # ack_mode="all": sync ship
                 finally:
                     self._exit_server(server, ctx, token)
             except RegionUnavailableError:
@@ -366,9 +363,6 @@ class HTable:
             if current != expected:
                 return False
             server.mutate(region, [put], self.cluster.reserve_timestamps)
-            rep = self.cluster.replication
-            if rep is not None:
-                rep.after_write(region)  # ack_mode="all": sync ship
             return True
         finally:
             self._exit_server(server, ctx, token)

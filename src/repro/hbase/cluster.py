@@ -101,7 +101,7 @@ class HBaseCluster:
             server.on_region_grown = self._auto_split
         self.replication = (
             ReplicationManager(self)
-            if config.replication.replica_count >= 2
+            if config.replica_count >= 2
             else None
         )
         """Region-replication manager, or None (``replica_count=1``).

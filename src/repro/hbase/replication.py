@@ -11,8 +11,8 @@ region. That single invariant drives everything:
 * **shipping** — the :class:`ReplicationShipper` scheduler daemon (same
   mechanism as the chaos engine's ``FaultInjector``) drains each
   follower's pending suffix in batches, advancing its ``applied``
-  watermark; with ``ack_mode="all"`` the write path ships the suffix
-  synchronously before the edit is acknowledged;
+  watermark; an edit is acknowledged once the primary's WAL sync
+  returns;
 * **follower reads** — a read pinned to a follower's watermark sees the
   log prefix ``log[:applied]``: a pure subset of acknowledged writes,
   so a follower can never serve a never-acked or rolled-back value, and
@@ -93,7 +93,7 @@ class ReplicationManager:
     """Owns every replication group of one cluster.
 
     Created by :class:`~repro.hbase.cluster.HBaseCluster` only when
-    ``config.replication.replica_count >= 2``; every hook in the
+    ``config.replica_count >= 2``; every hook in the
     cluster/client layers is guarded on ``cluster.replication is not
     None``, so the unreplicated simulation never pays for it.
     """
@@ -104,9 +104,8 @@ class ReplicationManager:
         default_replica_count: int | None = None,
     ) -> None:
         self.cluster = cluster
-        self.config = cluster.config.replication
         if default_replica_count is None:
-            default_replica_count = self.config.replica_count
+            default_replica_count = cluster.config.replica_count
             if default_replica_count < 2:  # pragma: no cover - guarded by cluster
                 raise ReplicationError(
                     f"replica_count={default_replica_count}: a manager "
@@ -290,36 +289,6 @@ class ReplicationManager:
                 shipped += len(batch)
         self.entries_shipped += shipped
         return shipped
-
-    def after_write(self, region: Region) -> None:
-        """Durable-ack hook, called by the client layer after the
-        primary applied a write. In ``ack_mode="all"`` the un-shipped
-        suffix goes to every live follower synchronously — one ship RPC
-        plus per-entry apply cost charged to the *writing* client —
-        before the write returns (and is acked). ``"primary"`` mode is
-        a no-op here: the shipper daemon catches followers up."""
-        if self.config.ack_mode != "all":
-            return
-        group = self.groups.get(region.name)
-        if group is None:
-            return
-        sim = self.cluster.sim
-        log = group.log
-        for follower in group.followers:
-            if not follower.is_live():
-                continue
-            pending = len(log) - follower.applied
-            if pending <= 0:
-                continue
-            for entry in log[follower.applied :]:
-                follower.region.apply(entry)
-            follower.applied = len(log)
-            self.entries_shipped += pending
-            sim.charge(
-                "replication.sync_ship",
-                ("rpc_base_ms", "SHIP_ENTRY_MS"),
-                (1, pending),
-            )
 
     # -- follower reads ----------------------------------------------------------
     def follower_for_read(self, region: Region) -> FollowerReplica | None:

@@ -148,16 +148,9 @@ class ValuePredicate:
         """The row test for one execution, on the slot ``at``: the
         constant is evaluated here, once, not per row."""
         value = ctx.eval(self.value_expr)
-        if value is None:
-            return lambda row: False
+        op = self.op
         (i,) = at
-        op = _PY_OPS[self.op]
-
-        def test(row: Row) -> bool:
-            a = row[i]
-            return a is not None and op(a, value)
-
-        return test
+        return lambda row: compare(op, row[i], value)
 
 
 @dataclass(frozen=True)

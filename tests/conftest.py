@@ -110,14 +110,12 @@ def wal_pending(wal, region_name: str | None = None) -> int:
     return sum(len(v) for v in wal._entries.values())
 
 
-def build_cluster(servers=2, replication=None, rows=40, splits=None):
+def build_cluster(servers=2, replica_count=1, rows=40, splits=None):
     """A cluster with one table ``t`` of ``rows`` one-cell rows (family
     ``cf``), pre-split at ``splits``."""
-    config = ClusterConfig(num_region_servers=servers, seed=42)
-    if replication is not None:
-        config = ClusterConfig(
-            num_region_servers=servers, seed=42, replication=replication,
-        )
+    config = ClusterConfig(
+        num_region_servers=servers, seed=42, replica_count=replica_count
+    )
     cluster = HBaseCluster(Simulation(seed=42), config)
     client = HBaseClient(cluster)
     table = client.create_table("t", families=(b"cf",), split_keys=splits)

@@ -520,10 +520,10 @@ class TestBenchTrajectory:
         assert set(shares) <= self.packages()
 
 
-def _tool(name: str):
-    """Import ``tools/<name>.py`` (a script directory, not a package)."""
-    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+def _tool(name: str, folder: str = "tools"):
+    """Import ``<folder>/<name>.py`` (a script directory, not a package)."""
+    path = Path(__file__).parents[1] / folder / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -533,8 +533,8 @@ class TestSettableSurface:
     """A setting is something a workload sets. ``tools/config_table.py``
     derives the settable surface from the config dataclasses; every
     field needs a setter outside tests and examples (or is a
-    ``CostModel`` price, or a declared behaviour selector), and the
-    table in ``docs/ARCHITECTURE.md`` is generated from the same walk."""
+    ``CostModel`` price), and the table in ``docs/ARCHITECTURE.md`` is
+    generated from the same walk."""
 
     def test_every_field_is_earned_and_the_doc_table_is_current(self, capsys):
         code = _tool("config_table").main(["--check"])
@@ -548,7 +548,6 @@ class TestSettableSurface:
         }
         assert counts == {
             "CostModel": 21,
-            "ReplicationConfig": 2,
             "ServingConfig": 4,
             "ClusterConfig": 6,
             "FaultConfig": 5,
@@ -680,6 +679,16 @@ class TestReach:
     def test_every_function_is_reached_or_allowed(self, capsys):
         code = _tool("reach").main(["--check"])
         assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(p.stem for p in (Path(__file__).parents[1] / "examples").glob("*.py")),
+    )
+    def test_example_runs(self, name, capsys):
+        """The examples are census traffic: a broken one fails here, not
+        only in the census run."""
+        _tool(name, "examples").main()
+        assert capsys.readouterr().out
 
     SAMPLE = '''\
 import abc

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.bench.suites.faults import build_chaos_ops
-from repro.config import ClusterConfig, ReplicationConfig, ServingConfig
+from repro.config import ClusterConfig, ServingConfig
 from repro.hbase.chaos import FaultConfig, FaultInjector, Layout, run_cell
 from repro.hbase.replication import ReplicationShipper
 from repro.sim.rng import derive_rng
@@ -80,7 +80,7 @@ def follower_reads_cache_shedding_under_crashes(seed: int):
         ClusterConfig(
             num_region_servers=4,
             seed=seed,
-            replication=ReplicationConfig(replica_count=2),
+            replica_count=2,
             serving=SERVING,
         ),
         "cell",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ClusterConfig, ReplicationConfig
+from repro.config import ClusterConfig
 from repro.errors import (
     ClusterConfigError,
     PlanValidationError,
@@ -58,9 +58,7 @@ class TestConfigValidation:
 
     def test_rejects_bad_replication_config(self):
         with pytest.raises(ClusterConfigError):
-            ReplicationConfig(replica_count=0)
-        with pytest.raises(ClusterConfigError):
-            ReplicationConfig(ack_mode="quorum")
+            ClusterConfig(replica_count=0)
 
 
 # ------------------------------------------------------------ membership
@@ -307,19 +305,13 @@ class TestRollback:
         assert_rollback_restores_state(cluster, [Rebalance()])
 
     def test_enabling_replication_rolls_back_to_unmanaged(self):
-        cluster, client = build_cluster(
-            replication=ReplicationConfig(replica_count=2), rows=0
-        )
+        cluster, client = build_cluster(replica_count=2, rows=0)
         client.create_table("empty", families=(FAM,))
         assert_rollback_restores_state(cluster, [SetReplicas("empty", 2)])
         assert cluster.replication.groups_for("empty") == []
 
     def test_raising_replicas_rolls_back_to_old_target(self):
-        cluster, client = build_cluster(
-            servers=3,
-            replication=ReplicationConfig(replica_count=2),
-            rows=0,
-        )
+        cluster, client = build_cluster(servers=3, replica_count=2, rows=0)
         client.create_table("r", families=(FAM,))
         cluster.replication.replicate_table("r")
         table = client.table("r")
@@ -363,9 +355,7 @@ def replicated_cluster():
     """3 servers, ``replica_count=2``: table ``t`` (40 rows,
     unreplicated), ``r`` (20 rows, three replicated regions) and the
     empty ``e``."""
-    cluster, client = build_cluster(
-        servers=3, replication=ReplicationConfig(replica_count=2)
-    )
+    cluster, client = build_cluster(servers=3, replica_count=2)
     client.create_table(
         "r", families=(FAM,), split_keys=[b"%05d" % 7, b"%05d" % 14]
     )
@@ -423,9 +413,7 @@ class TestRollbackComposes:
 # ------------------------------------------------------------ rollouts
 class TestRollout:
     def test_full_plan_commits_and_reaches_target(self):
-        cluster, client = build_cluster(
-            replication=ReplicationConfig(replica_count=2), rows=0
-        )
+        cluster, client = build_cluster(replica_count=2, rows=0)
         client.create_table("r", families=(FAM,))
         cluster.replication.replicate_table("r")
         table = client.table("r")

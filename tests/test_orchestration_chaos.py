@@ -13,7 +13,6 @@ from repro.bench.suites.orchestration import (
     run_orchestration,
     run_orchestration_cell,
 )
-from repro.config import ReplicationConfig
 from repro.hbase.ops import Put
 from repro.hbase.replication import ReplicationShipper
 from repro.orchestration import orchestrator
@@ -250,7 +249,7 @@ class TestMoveRacingChaos:
         incarnation, and anti-affinity must hold afterwards."""
         cluster, client = reset_cluster(
             servers=3,
-            replication=ReplicationConfig(replica_count=2),
+            replica_count=2,
             rows=0,
         )
         client.create_table("r", families=(FAM,))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.suites.faults import chaos_cell
-from repro.config import ClusterConfig, ReplicationConfig, ServingConfig
+from repro.config import ClusterConfig, ServingConfig
 from repro.errors import RegionUnavailableError, ReplicationError
 from repro.hbase import HBaseClient, HBaseCluster, Put
 from repro.hbase.client import HTable
@@ -93,7 +93,6 @@ def build_replicated_fixture(
     split_at=(20, 40),
     replica_count=2,
     seed=11,
-    **rep_overrides,
 ):
     """A replicated cluster with the key space spread over three regions
     and the preload already written (followers still at watermark 0)."""
@@ -103,9 +102,7 @@ def build_replicated_fixture(
         ClusterConfig(
             num_region_servers=num_servers,
             seed=seed,
-            replication=ReplicationConfig(
-                replica_count=replica_count, **rep_overrides
-            ),
+            replica_count=replica_count,
         ),
     )
     client = HBaseClient(cluster)
@@ -147,12 +144,7 @@ class TestPlacement:
     def test_replicating_a_nonempty_region_is_rejected(self):
         """The ship log must be the region's complete edit history."""
         sim = Simulation(seed=1)
-        cluster = HBaseCluster(
-            sim,
-            ClusterConfig(
-                seed=1, replication=ReplicationConfig(replica_count=2)
-            ),
-        )
+        cluster = HBaseCluster(sim, ClusterConfig(seed=1, replica_count=2))
         table = HBaseClient(cluster).create_table("c", families=(FAMILY,))
         p = Put(b"a")
         p.add(FAMILY, QUALIFIER, b"1")
@@ -225,18 +217,6 @@ class TestShipping:
         row = group.primary.start_key or b"%08d" % 0
         result = follower.region.read_row(row, None)
         assert result is not None
-
-    def test_ack_mode_all_ships_synchronously_with_the_write(self):
-        _sim, cluster = build_replicated_fixture(ack_mode="all")
-        manager = cluster.replication
-        manager.ship_pending(10_000)  # drain the preload backlog
-        handle = HTable(cluster, "c")
-        p = Put(b"%08d" % 5)
-        p.add(FAMILY, QUALIFIER, b"sync")
-        handle.put(p)
-        for group in manager.groups.values():
-            for follower in group.followers:
-                assert follower.applied == len(group.log)
 
     def test_shipper_daemon_drains_during_a_scheduled_run(self):
         sim, cluster = build_replicated_fixture()
@@ -345,7 +325,7 @@ class TestFollowerReads:
             ClusterConfig(
                 num_region_servers=3,
                 seed=11,
-                replication=ReplicationConfig(replica_count=2),
+                replica_count=2,
                 serving=ServingConfig(admission_queue_ms=0.5),
             ),
         )
@@ -584,7 +564,7 @@ class TestReplicatedChaosCell:
             fault_config=FaultConfig(
                 cycles=2, recovery_replay_ms_per_entry=0.1
             ),
-            replication=ReplicationConfig(replica_count=2),
+            replica_count=2,
         )
         assert run.violations == []
         stats = run.replication
@@ -610,7 +590,7 @@ class TestReplicatedChaosCell:
                 fault_config=FaultConfig(
                     cycles=2, recovery_replay_ms_per_entry=0.2
                 ),
-                replication=ReplicationConfig(replica_count=2),
+                replica_count=2,
             )
             return (
                 run.as_dict(),
@@ -628,7 +608,7 @@ class TestReplicatedChaosCell:
         single-copy baseline (promotion replays a short suffix, not the
         whole pending WAL)."""
 
-        def mean_stall(replication):
+        def mean_stall(replica_count):
             run = chaos_cell(
                 num_servers=4,
                 clients=6,
@@ -636,14 +616,14 @@ class TestReplicatedChaosCell:
                 fault_config=FaultConfig(
                     cycles=2, recovery_replay_ms_per_entry=0.4
                 ),
-                replication=replication,
+                replica_count=replica_count,
             )
             assert run.violations == []
             stalls = run.history.stalls_ms
             return sum(stalls) / len(stalls)
 
-        single = mean_stall(None)
-        replicated = mean_stall(ReplicationConfig(replica_count=2))
+        single = mean_stall(1)
+        replicated = mean_stall(2)
         assert replicated < single
 
 

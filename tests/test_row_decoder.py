@@ -497,6 +497,8 @@ class TestPinnedDecodeSets:
         assert access.needed == frozenset({"Hours", "WO_PNo"})
         rows = pinned_conn.execute_query(sql, (2,))
         assert [r["Hours"] for r in rows] == [30] * 5
+        # against a NULL constant the client-side test keeps no row
+        assert pinned_conn.execute_query(sql, (None,)) == []
 
     def test_a_hand_built_access_always_decodes_its_residuals(self, pinned_conn):
         entry = pinned_conn.catalog.table_for_relation("Works_On")

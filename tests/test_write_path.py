@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ClusterConfig, ReplicationConfig
+from repro.config import ClusterConfig
 from repro.hbase import HBaseClient, HBaseCluster
 from repro.hbase.ops import Delete, Put
 from repro.sim.clock import Simulation
@@ -31,7 +31,7 @@ def build(jitter: float = 0.0, replicas: int = 1):
         ClusterConfig(
             num_region_servers=3,
             seed=7,
-            replication=ReplicationConfig(replica_count=replicas),
+            replica_count=replicas,
         ),
     )
     table = HBaseClient(cluster).create_table(

@@ -11,9 +11,9 @@ A *setting* is a field of one of the config dataclasses (everything in
 some caller that is not a test or an example passes it a value — found
 here as a keyword (or positional) argument of a call to the class under
 ``SETTER_ROOTS`` — or it is one of ``CostModel``'s prices (the
-calibration, one value by design) or a ``KEPT`` behaviour selector. A
-field that meets none of these belongs beside the code that reads it,
-as a module constant. ``--check`` is what ``tests/test_bench.py`` runs.
+calibration, one value by design). A field that meets neither belongs
+beside the code that reads it, as a module constant. ``--check`` is what
+``tests/test_bench.py`` runs.
 """
 
 import ast
@@ -35,13 +35,6 @@ END = "<!-- config-table:end -->"
 SETTER_ROOTS = ("src", "perfbench")
 
 CALIBRATION = config.CostModel
-
-KEPT = {
-    "ReplicationConfig.ack_mode": "`tests/test_replication.py` (sync-ship acks)",
-}
-"""Fields no non-test caller sets that stay anyway, with the test that
-pins them: removing one removes function (sync acks, follower reads),
-which is not what a knob diet is for."""
 
 INDIRECT = {
     "src/repro/bench/suites/faults.py": "the `chaos_cell` suites",
@@ -112,11 +105,10 @@ def _names(files: list[str]) -> str:
 
 def build() -> tuple[str, list[str]]:
     """The table, and one complaint per field that has not earned its
-    place (or per ``KEPT`` entry that no longer needs to be one)."""
+    place."""
     found = setters()
     rows, problems = [], []
     settable = 0
-    not_a_field = set(KEPT)
     for cls in config_classes():
         fields = dataclasses.fields(cls)
         if cls is CALIBRATION:
@@ -128,18 +120,13 @@ def build() -> tuple[str, list[str]]:
         for field in fields:
             settable += 1
             key = f"{cls.__name__}.{field.name}"
-            not_a_field.discard(key)
             files = sorted(found.get(key, ()))
-            if files and key in KEPT:
-                problems.append(f"{key} has a setter now: drop it from KEPT")
             if files:
                 who = _names(files)
                 others = sorted(found.get(cls.__name__, set()) - set(files))
                 if others:
                     who += f"; default taken by {_names(others)}"
                 what = "; ".join(dict.fromkeys(exercised_by(f) for f in files))
-            elif key in KEPT:
-                who, what = "— (kept: selects behaviour)", KEPT[key]
             else:
                 who = what = "—"
                 problems.append(
@@ -147,7 +134,6 @@ def build() -> tuple[str, list[str]]:
                     "make it a module constant beside the code that reads it"
                 )
             rows.append(f"| `{key}` | {default_of(field)} | {who} | {what} |")
-    problems += [f"KEPT names {key}, not a field" for key in sorted(not_a_field)]
     calibration = len(dataclasses.fields(CALIBRATION))
     table = "\n".join(
         [

@@ -53,7 +53,7 @@ def _table(text: str) -> dict[str, str]:
 TRAFFIC = _table(
     """
 anchors
-    -m repro.bench --only fig10,fig11,tpcw --micro-scales 50,500
+    -m repro.bench --only fig10,fig11,tpcw,fig13,table1 --micro-scales 50,500
       --scale 200 --reps 10 --emit-json {out}/anchors.json --quiet
 smoke
     -m repro.bench --smoke all --emit-json {out}/smoke.json
@@ -92,8 +92,6 @@ storage
     a write, read or column type of the HBase model no workload table uses
 contract
     an abstract method its base class requires that no workload calls
-cli
-    a bench suite or option that only a full manual run exercises
 """
 )
 """The reasons a function may stay unreached."""
@@ -122,16 +120,6 @@ repro.sql.ast:Literal.__str__
     sql: prints a constant; workload statements carry parameters
 repro.hbase.filters:AndFilter.accept
     sql: a scan pushing down two or more column filters; every workload scan pushes at most one
-repro.phoenix.operators:_aggregate.<locals>.update#2
-    sql: COUNT(column)
-repro.phoenix.operators:_aggregate.<locals>.update#3
-    sql: MIN and MAX
-repro.phoenix.plans:ValuePredicate.bind
-    sql: a residual filter on a constant that no scan could take
-repro.phoenix.plans:ValuePredicate.bind.<locals>.test
-    sql: the row predicate of a residual constant filter
-repro.phoenix.plans:ValuePredicate.sources
-    sql: the slot a residual constant filter reads
 repro.phoenix.planner:PlannedQuery.explain
     sql: EXPLAIN text of a plan
 repro.phoenix.plans:PlanNode.describe
@@ -166,10 +154,6 @@ repro.federation.mediator:Mediator.load_row
     contract: a mediator is built over loaded backends
 repro.federation.mediator:Mediator.finish_load
     contract: a mediator is built over loaded backends
-repro.bench.suites.paper:run_fig13
-    cli: --only fig13
-repro.bench.suites.paper:run_table1
-    cli: --only table1
 """
 )
 """Unreached functions that stay, each as ``<reason>: <why>``."""
