@@ -7,9 +7,8 @@ model proposes, the running mix disposes.
 
 Everything here is deterministic: observations arrive in virtual time
 from seeded simulations, the EWMA is plain arithmetic, ties break on
-registration order, and the optional exploration draw comes from a
-``derive_rng`` stream keyed by the mediator seed — two runs with the
-same seed produce byte-identical decision logs
+registration order and nothing draws — two runs with the same seed
+produce byte-identical decision logs
 (``tests/test_systems_equivalence.py`` pins this).
 """
 
@@ -17,7 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.rng import derive_rng
+ALPHA = 0.3
+"""Weight of the newest observation in the EWMA."""
+
+DIVERGENCE = 2.0
+"""How far (as a ratio, either way) the EWMA must stray from the
+estimate before it overrides it."""
+
+MIN_OBSERVATIONS = 3
+"""Observations before the EWMA is trusted at all."""
 
 
 @dataclass
@@ -25,11 +32,11 @@ class _Ewma:
     value: float = 0.0
     observations: int = 0
 
-    def observe(self, ms: float, alpha: float) -> None:
+    def observe(self, ms: float) -> None:
         if self.observations == 0:
             self.value = ms
         else:
-            self.value = alpha * ms + (1.0 - alpha) * self.value
+            self.value = ALPHA * ms + (1.0 - ALPHA) * self.value
         self.observations += 1
 
 
@@ -44,7 +51,6 @@ class RouteDecision:
     costs: dict[str, float] = field(default_factory=dict)
     rerouted: tuple[str, ...] = ()
     """Backends whose estimate was overridden by the observed EWMA."""
-    explored: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -54,7 +60,6 @@ class RouteDecision:
             "chosen": self.chosen,
             "costs": {k: round(v, 6) for k, v in sorted(self.costs.items())},
             "rerouted": list(self.rerouted),
-            "explored": self.explored,
         }
 
 
@@ -62,35 +67,20 @@ class RoutingAdvisor:
     """Latency-aware route selection over model estimates.
 
     ``choose`` picks the cheapest backend by *advised* cost: the model
-    estimate until ``min_observations`` samples have arrived, then the
-    observed EWMA whenever it diverges from the estimate by more than
-    ``divergence``x in either direction (a backend that turns out
-    slower than modeled loses the route; one that turns out faster
-    steals it). ``epsilon`` > 0 adds seeded exploration so a demoted
-    backend still gets occasional samples.
+    estimate until :data:`MIN_OBSERVATIONS` samples have arrived, then
+    the observed EWMA whenever it diverges from the estimate by more
+    than :data:`DIVERGENCE`x in either direction (a backend that turns
+    out slower than modeled loses the route; one that turns out faster
+    steals it).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        alpha: float = 0.3,
-        divergence: float = 2.0,
-        min_observations: int = 3,
-        epsilon: float = 0.0,
-    ) -> None:
-        self.alpha = alpha
-        self.divergence = divergence
-        self.min_observations = min_observations
-        self.epsilon = epsilon
-        self._rng = derive_rng(seed, "federation/advisor")
+    def __init__(self) -> None:
         self._ewma: dict[tuple[str, str], _Ewma] = {}
         self.decision_log: list[RouteDecision] = []
 
     # -- observations ------------------------------------------------------------
     def observe(self, statement_id: str, backend: str, ms: float) -> None:
-        self._ewma.setdefault((statement_id, backend), _Ewma()).observe(
-            ms, self.alpha
-        )
+        self._ewma.setdefault((statement_id, backend), _Ewma()).observe(ms)
 
     # -- advised costs -----------------------------------------------------------
     def advised_cost(
@@ -98,11 +88,11 @@ class RoutingAdvisor:
     ) -> tuple[float, bool]:
         """(cost to rank by, whether the estimate was overridden)."""
         e = self._ewma.get((statement_id, backend))
-        if e is None or e.observations < self.min_observations:
+        if e is None or e.observations < MIN_OBSERVATIONS:
             return estimate_ms, False
         floor = max(estimate_ms, 1e-9)
         ratio = e.value / floor
-        if ratio > self.divergence or ratio < 1.0 / self.divergence:
+        if ratio > DIVERGENCE or ratio < 1.0 / DIVERGENCE:
             return e.value, True
         return estimate_ms, False
 
@@ -127,12 +117,6 @@ class RoutingAdvisor:
                 rerouted.append(name)
             if cost < best_cost:
                 best_name, best_cost = name, cost
-        explored = False
-        if self.epsilon > 0 and len(candidates) > 1:
-            if self._rng.random() < self.epsilon:
-                others = [n for n, _ in candidates if n != best_name]
-                best_name = others[int(self._rng.integers(len(others)))]
-                explored = True
         assert best_name is not None
         self.decision_log.append(
             RouteDecision(
@@ -142,7 +126,6 @@ class RoutingAdvisor:
                 chosen=best_name,
                 costs=costs,
                 rerouted=tuple(rerouted),
-                explored=explored,
             )
         )
         return best_name

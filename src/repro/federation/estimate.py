@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.config import CostModel
-from repro.errors import ReproError
+from repro.errors import FederationError, ReproError
 from repro.phoenix.planner import CostBasedPlanner
 from repro.sql.analyzer import AnalyzedSelect
 from repro.sql.ast import Literal, Param, Select
@@ -18,30 +18,29 @@ from repro.voltdb.system import VoltDBSystem
 def estimate_ms(backend: EvaluatedSystem, analyzed: AnalyzedSelect) -> float:
     """The HBase-backed systems are priced by the cost-based planner
     over their own catalog, VoltDB by an arithmetic model over its
-    in-memory row counts, anything else by a per-binding nominal charge."""
-    cost = backend.sim.cost
+    in-memory row counts; any other backend has no price and raises
+    :class:`FederationError`."""
     if isinstance(backend, VoltDBSystem):
-        return voltdb_estimate(cost, backend.tables, analyzed)
+        return voltdb_estimate(backend.sim.cost, backend.tables, analyzed)
     if isinstance(backend, HBaseBackedSystem):
-        ms = phoenix_estimate(backend, analyzed.select)
-        if ms is not None:
-            return ms
-    return fallback_estimate(cost, analyzed)
+        return phoenix_estimate(backend, analyzed.select)
+    raise FederationError(
+        f"no estimate prices a {type(backend).__name__} backend"
+    )
 
 
-def phoenix_estimate(backend: HBaseBackedSystem, select: Select) -> float | None:
+def phoenix_estimate(backend: HBaseBackedSystem, select: Select) -> float:
     """The cost-based planner's root estimate over the backend's own
-    catalog (so Synergy's view rewrites change its price); ``None``
-    when it cannot plan ``select``."""
+    catalog (so Synergy's view rewrites change its price); a statement
+    it cannot plan raises :class:`FederationError`."""
+    planner = CostBasedPlanner(
+        backend.catalog, cluster=backend.cluster, cost=backend.sim.cost
+    )
     try:
-        planner = CostBasedPlanner(
-            backend.catalog, cluster=backend.cluster, cost=backend.sim.cost
-        )
         planned = planner.plan_select(select)
-    except ReproError:
-        return None
-    est = planned.estimate
-    return float(est[1]) if est else None
+    except ReproError as exc:
+        raise FederationError(f"the cost-based planner cannot price it: {exc}") from exc
+    return planner.estimate(planned.root)[1]
 
 
 def voltdb_estimate(
@@ -65,8 +64,3 @@ def voltdb_estimate(
         else:
             total += float(len(table.rows))
     return cost.voltdb_proc_base_ms + cost.voltdb_row_ms * total
-
-
-def fallback_estimate(cost: CostModel, analyzed: AnalyzedSelect) -> float:
-    rows = float(len(analyzed.bindings)) * 100.0
-    return cost.rpc_base_ms + cost.read_row_ms * rows

@@ -12,10 +12,10 @@ executor shape of a federated query processor:
   fragments) that may land on *different* backends;
 * **plan** — the route is chosen from each backend's truthful
   ``supports()`` plus a cost signal: Phoenix-backed systems are priced
-  with the PR 8 :class:`~repro.phoenix.planner.CostBasedPlanner`
-  estimates over their own catalogs (so Synergy's view rewrites
-  genuinely change its price), VoltDB with an arithmetic model over its
-  in-memory row counts. The online
+  with :class:`~repro.phoenix.planner.CostBasedPlanner` estimates over
+  their own catalogs (so Synergy's view rewrites genuinely change
+  its price), VoltDB with an arithmetic model over its in-memory row
+  counts; any other backend has no price. The online
   :class:`~repro.federation.advisor.RoutingAdvisor` overrides estimates
   whose observed EWMA has diverged;
 * **execute** — fragments are *lazy streaming pulls*: each sub-plan
@@ -28,7 +28,7 @@ executor shape of a federated query processor:
   (pinned by the equivalence suite).
 
 One module per step: :mod:`.decompose` (pure: analysed SELECT + params
--> fragments), :mod:`.estimate` (phoenix / voltdb / fallback prices),
+-> fragments), :mod:`.estimate` (phoenix / voltdb prices),
 :mod:`.merge` (fragment leaves -> plan-node tree), :mod:`.session`
 (:class:`FederatedSession`); this module routes and executes.
 
@@ -115,7 +115,6 @@ class Mediator(EvaluatedSystem):
         workload: Workload | None = None,
         seed: int = 171001792,
         mode: str = "auto",
-        advisor: RoutingAdvisor | None = None,
         pin: str | None = None,
     ) -> None:
         if not backends:
@@ -136,7 +135,7 @@ class Mediator(EvaluatedSystem):
         )
         self._composer = SelectComposer()
         self._host = MergeHost(self._sim)
-        self.advisor = advisor or RoutingAdvisor(seed=seed)
+        self.advisor = RoutingAdvisor()
         self.route_log: list[RouteRecord] = []
         self._statements: dict[str, str] = {}
         self._by_text: dict[str, str] = {}

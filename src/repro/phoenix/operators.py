@@ -261,7 +261,8 @@ class BroadcastHashJoin(_LookupJoin):
     """Phoenix's hash join. The first pull reads the build side whole
     and hashes it — reported to the host as :data:`BROADCAST` work,
     which a Phoenix connection prices as shipping the table to every
-    region server (what :meth:`AccessCoster.hash_join_ms` estimates);
+    region server (and the cost-based planner estimates by running the
+    same charge);
     the probe side then streams against the table."""
 
     def __init__(

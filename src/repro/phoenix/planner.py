@@ -19,12 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
-from repro.config import DEFAULT_COST_MODEL, HASH_CPU_MS_PER_ROW
+from repro.config import DEFAULT_COST_MODEL
+from repro.errors import PlanError
 from repro.phoenix.stats import (
-    DEFAULT_ROW_BYTES,
     FILTER_SELECTIVITY,
-    AccessCoster,
     StatisticsProvider,
+    access_ms,
+    charge_operator_work,
+    equi_join_rows,
 )
 from repro.phoenix.catalog import Catalog, CatalogEntry, CatalogNamespace, VIEW, VIEW_INDEX
 from repro.sql.analyzer import (
@@ -33,6 +35,8 @@ from repro.sql.analyzer import (
     JoinCondition,
     analyze_select,
 )
+from repro.sim.clock import Simulation
+from repro.sim.latency import LatencyCharger
 from repro.sql.ast import (
     ColumnRef,
     Expr,
@@ -40,6 +44,9 @@ from repro.sql.ast import (
     Star,
 )
 from repro.phoenix.plans import (
+    BROADCAST,
+    GROUP_BY,
+    SORT,
     AccessSpec,
     ColumnPredicate,
     FilterNode,
@@ -84,12 +91,6 @@ class PlannedQuery:
     def shape(self, row: Row) -> dict[str, Any]:
         """One row of the root's schema as an output dict."""
         return dict(zip(self._names, self._values(row)))
-
-    @property
-    def estimate(self) -> tuple[float, float] | None:
-        """The root's ``(rows, cost_ms)`` when a cost-based planner
-        annotated the tree, else ``None``."""
-        return getattr(self.root, "_est", None)
 
 
 ALL_ATTRS = None  # sentinel: binding needs every attribute (SELECT *)
@@ -376,7 +377,8 @@ class Planner(SelectComposer):
                 b, analyzed, derived, eq_filters, other_filters, needed
             ),
             lambda remaining, joined, plan, pending: self._choose_next(
-                remaining, joined, plan, analyzed, eq_filters, needed, pending
+                remaining, joined, plan, analyzed, derived, eq_filters,
+                other_filters, needed, pending,
             ),
             lambda plan, b, joined, pending: self._attach_binding(
                 plan, b, joined, analyzed, derived, eq_filters, other_filters,
@@ -414,7 +416,9 @@ class Planner(SelectComposer):
         joined: list[str],
         plan: PlanNode,
         analyzed: AnalyzedSelect,
+        derived: dict[str, SubqueryNode],
         eq_filters: dict[str, dict[str, Expr]],
+        other_filters: dict[str, list[FilterCondition]],
         needed: dict[str, set[str] | None],
         pending_joins: list[tuple[int, JoinCondition]],
     ) -> str:
@@ -599,14 +603,22 @@ class CostBasedPlanner(Planner):
       a covered index wins exactly when it is cheaper — including
       narrow-index full scans the prefix rule can never pick;
     * the starting binding is the one with the cheapest total access,
-      and each subsequent binding is the connected candidate with the
-      lowest estimated incremental join cost (index nested loop when a
-      prefix exists, broadcast hash join otherwise);
+      and each subsequent binding is the connected candidate whose join
+      node (as ``_attach_binding`` builds it) has the lowest estimate;
     * every plan node is annotated with ``(est rows, est cost)``, which
       ``explain()`` renders — the costed plan tree.
 
-    Never used by the anchored experiments: connections only construct
-    it when ``configure_engine(cost_based=True)`` asks for it.
+    Operator work (a hash join's broadcast, a sort, a group-by) is
+    priced by running :func:`~repro.phoenix.stats.charge_operator_work`
+    over the estimated rows on the planner's own jitter-free clock, so
+    an estimate pays exactly what the executor charges for the same
+    rows and the backend's clock and counters never move.
+
+    Two callers build it: a connection whose ``configure_engine``
+    asks for ``cost_based=True``, and the federation mediator, which
+    prices a statement on an HBase-backed backend with it
+    (:func:`~repro.federation.estimate.phoenix_estimate`). The anchored
+    experiments run the rule-based planner.
     """
 
     def __init__(
@@ -619,9 +631,7 @@ class CostBasedPlanner(Planner):
         super().__init__(catalog, dirty_check_views=dirty_check_views)
         self.provider = StatisticsProvider(catalog, cluster)
         self._cost_model = cost if cost is not None else DEFAULT_COST_MODEL
-
-    def _coster(self) -> AccessCoster:
-        return AccessCoster(self._cost_model, self.provider.servers)
+        self._dry = LatencyCharger(Simulation(cost=self._cost_model), "phoenix")
 
     # -- public ---------------------------------------------------------------------
     def plan_select(self, select: Select) -> PlannedQuery:
@@ -636,16 +646,24 @@ class CostBasedPlanner(Planner):
         cand: CatalogEntry,
         lookup: CatalogEntry | None,
     ) -> tuple[float, float]:
-        coster = self._coster()
         lookup_stats = (
             self.provider.stats_for(lookup) if lookup is not None else None
         )
-        return coster.access_ms(
+        return access_ms(
+            self._cost_model,
             self.provider.stats_for(cand),
             len(prefix),
             len(cand.key_attrs),
             lookup_stats,
         )
+
+    def _operator_ms(self, kind: str, rows: float) -> float:
+        """What the executor charges for ``kind`` work over ``rows``,
+        run on the planner's own jitter-free clock."""
+        sim = self._dry.sim
+        sim.reset_clock()
+        charge_operator_work(self._dry, self.provider.servers, kind, rows)
+        return sim.clock.now_ms
 
     def _best_access(
         self,
@@ -685,60 +703,18 @@ class CostBasedPlanner(Planner):
         ordered = sorted(enumerate(bindings), key=start_cost)
         return [b for _, b in ordered]
 
-    def _attach_estimate(
-        self,
-        binding: str,
-        joined: list[str],
-        plan_rows: float,
-        analyzed: AnalyzedSelect,
-        eq_filters: dict[str, dict[str, Expr]],
-        needed: dict[str, set[str] | None],
-        pending_joins: list[tuple[int, JoinCondition]],
-    ) -> tuple[float, float]:
-        """Estimated ``(output rows, incremental cost)`` of joining
-        ``binding`` into a plan currently producing ``plan_rows``."""
-        coster = self._coster()
-        conds = [
-            j for _, j in pending_joins
-            if j.is_equi and self.join_connects(j, binding, joined)
-        ]
-        entry = self._entry_for_binding(binding, analyzed)
-        if entry is None:
-            # derived table: hash join against an unknown-size input
-            build_rows = 1000.0
-            rows = coster.equi_join_rows(plan_rows, build_rows, len(conds))
-            return rows, coster.hash_join_ms(plan_rows, build_rows, DEFAULT_ROW_BYTES)
-        join_attrs = {
-            (j.left_attr if j.left_binding == binding else j.right_attr)
-            for j in conds
-        }
-        available = set(eq_filters[binding]) | join_attrs
-        prefix, cand, lookup = self._best_access(entry, available, needed[binding])
-        per_probe_rows, per_probe_ms = self._access_estimate(prefix, cand, lookup)
-        if prefix:
-            # index nested loop: one probe per outer row
-            return (
-                plan_rows * per_probe_rows,
-                coster.nl_join_ms(plan_rows, per_probe_ms),
-            )
-        build_rows, build_ms = self._access_estimate((), cand, lookup)
-        rows = coster.equi_join_rows(plan_rows, build_rows, len(conds))
-        stats = self.provider.stats_for(cand)
-        return rows, build_ms + coster.hash_join_ms(
-            plan_rows, build_rows, stats.avg_row_bytes
-        )
-
     def _choose_next(
         self,
         remaining: list[str],
         joined: list[str],
         plan: PlanNode,
         analyzed: AnalyzedSelect,
+        derived: dict[str, SubqueryNode],
         eq_filters: dict[str, dict[str, Expr]],
+        other_filters: dict[str, list[FilterCondition]],
         needed: dict[str, set[str] | None],
         pending_joins: list[tuple[int, JoinCondition]],
     ) -> str:
-        plan_rows, _ = self.estimate(plan)
         connected = [
             b for b in remaining
             if any(self.join_connects(j, b, joined) for _, j in pending_joins)
@@ -747,10 +723,11 @@ class CostBasedPlanner(Planner):
 
         def attach_cost(item: tuple[int, str]) -> tuple:
             index, b = item
-            _, ms = self._attach_estimate(
-                b, joined, plan_rows, analyzed, eq_filters, needed, pending_joins
+            node, _ = self._attach_binding(
+                plan, b, joined, analyzed, derived, eq_filters, other_filters,
+                needed, pending_joins,
             )
-            return (ms, index)
+            return (self.estimate(node)[1], index)
 
         pool = [(i, b) for i, b in enumerate(remaining) if b in candidates]
         return min(pool, key=attach_cost)[1]
@@ -759,7 +736,6 @@ class CostBasedPlanner(Planner):
     def estimate(self, node: PlanNode) -> tuple[float, float]:
         """Bottom-up ``(rows, cost_ms)`` estimate; annotates every node
         (rendered by ``describe``/``explain``)."""
-        coster = self._coster()
         if isinstance(node, ScanNode):
             rows, ms = self._access_estimate(
                 node.access.prefix_attrs, node.access.entry, node.access.lookup_entry
@@ -773,36 +749,31 @@ class CostBasedPlanner(Planner):
                 node.inner.prefix_attrs, node.inner.entry, node.inner.lookup_entry
             )
             rows = outer_rows * per_probe_rows
-            ms = outer_ms + coster.nl_join_ms(outer_rows, per_probe_ms)
+            ms = outer_ms + outer_rows * per_probe_ms
         elif isinstance(node, HashJoinNode):
             probe_rows, probe_ms = self.estimate(node.probe)
             build_rows, build_ms = self.estimate(node.build)
-            rows = coster.equi_join_rows(probe_rows, build_rows, len(node.probe_keys))
-            ms = probe_ms + build_ms + coster.hash_join_ms(
-                probe_rows, build_rows, DEFAULT_ROW_BYTES
-            )
+            rows = equi_join_rows(probe_rows, build_rows, len(node.probe_keys))
+            ms = probe_ms + build_ms + self._operator_ms(BROADCAST, build_rows)
         elif isinstance(node, FilterNode):
             rows, ms = self.estimate(node.child)
             rows *= FILTER_SELECTIVITY ** len(node.predicates)
         elif isinstance(node, SortNode):
             rows, ms = self.estimate(node.child)
-            ms += rows * HASH_CPU_MS_PER_ROW
+            ms += self._operator_ms(SORT, rows)
         elif isinstance(node, GroupByNode):
             in_rows, ms = self.estimate(node.child)
-            ms += in_rows * HASH_CPU_MS_PER_ROW
+            ms += self._operator_ms(GROUP_BY, in_rows)
             rows = in_rows ** 0.5 if node.group_keys else 1.0
         elif isinstance(node, LimitNode):
             rows, ms = self.estimate(node.child)
             rows = min(rows, float(node.limit))
         elif isinstance(node, DistinctNode):
+            # nothing charges for DISTINCT work
             rows, ms = self.estimate(node.child)
-            ms += rows * HASH_CPU_MS_PER_ROW
-        else:  # SourceNode and anything future: neutral estimate
-            children = node.children()
-            rows, ms = 0.0, 0.0
-            for child in children:
-                r, m = self.estimate(child)
-                rows += r
-                ms += m
+        else:
+            raise PlanError(
+                f"the cost-based planner cannot price a {type(node).__name__}"
+            )
         node._est = (rows, ms)
         return rows, ms

@@ -10,10 +10,13 @@ sources the repo already maintains:
   ``approx_size_bytes`` per table — which yields average row width and
   the number of scanner-open round trips a full scan pays.
 
-Everything here is pure arithmetic over those numbers and the
-:class:`repro.config.CostModel` latency constants, so estimates are
+Access estimates are pure arithmetic over those numbers and the
+:class:`repro.config.CostModel` latency constants, so they are
 deterministic and unit-testable without a cluster
-(``tests/test_planner_cost.py``).
+(``tests/test_planner_cost.py``). Operator work has one price list,
+:func:`charge_operator_work`: the executor charges it on the backend's
+clock, and the cost-based planner runs it on a jitter-free clock of its
+own to estimate the same work over estimated rows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import HASH_CPU_MS_PER_ROW, CostModel
+from repro.config import CostModel
 from repro.phoenix.plans import BROADCAST, GROUP_BY, SHUFFLE, SORT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,14 +84,15 @@ class StatisticsProvider:
 
 
 def charge_operator_work(
-    charge: "LatencyCharger", servers: int, kind: str, rows: int
+    charge: "LatencyCharger", servers: int, kind: str, rows: float
 ) -> None:
     """Which price, in what quantity, each kind of operator work pays
     (see :class:`~repro.phoenix.plans.OperatorHost`), charged on
     ``charge``'s clock: a hash-join build side is shipped to each of
     ``servers`` region servers, a symmetric-join row pays one shuffle
     hop, sort and group-by pay client CPU per input row; emitting join
-    rows is free."""
+    rows is free. ``rows`` is a count when an operator reports its work
+    and an estimate when the cost-based planner prices it."""
     sim = charge.sim
     if kind == BROADCAST:
         charge.transfer(rows * DEFAULT_ROW_BYTES * servers)
@@ -116,72 +120,51 @@ def matched_rows(rows: int, prefix_len: int, key_len: int) -> float:
     return float(rows) ** (1.0 - prefix_len / key_len)
 
 
-class AccessCoster:
-    """Prices physical access paths and joins in virtual milliseconds."""
+def point_get_ms(cost: CostModel, stats: TableStats) -> float:
+    return (
+        cost.rpc_base_ms
+        + cost.seek_ms
+        + cost.read_row_ms
+        + stats.avg_row_bytes / 1024.0 * cost.network_ms_per_kb
+    )
 
-    def __init__(self, cost: CostModel, servers: int = 1) -> None:
-        self.cost = cost
-        self.servers = max(servers, 1)
 
-    # -- leaf access -------------------------------------------------------------
-    def point_get_ms(self, stats: TableStats) -> float:
-        c = self.cost
-        return (
-            c.rpc_base_ms
-            + c.seek_ms
-            + c.read_row_ms
-            + stats.avg_row_bytes / 1024.0 * c.network_ms_per_kb
-        )
+def scan_ms(cost: CostModel, stats: TableStats, prefix_len: int, key_len: int) -> float:
+    """A prefix scan opens one region window; a full scan opens one per
+    region. Batched transfer RPCs amortize per ``scan_batch_rows``
+    rows."""
+    rows = matched_rows(stats.rows, prefix_len, key_len)
+    regions = 1 if prefix_len > 0 else stats.regions
+    open_cost = regions * (cost.rpc_base_ms + cost.seek_ms)
+    batches = rows / max(cost.scan_batch_rows, 1)
+    transfer = rows * stats.avg_row_bytes / 1024.0 * cost.network_ms_per_kb
+    return open_cost + rows * cost.read_row_ms + batches * cost.rpc_base_ms + transfer
 
-    def scan_ms(self, stats: TableStats, prefix_len: int, key_len: int) -> float:
-        """A prefix scan opens one region window; a full scan opens one
-        per region. Batched transfer RPCs amortize per
-        ``scan_batch_rows`` rows."""
-        c = self.cost
-        rows = matched_rows(stats.rows, prefix_len, key_len)
-        regions = 1 if prefix_len > 0 else stats.regions
-        open_cost = regions * (c.rpc_base_ms + c.seek_ms)
-        batches = rows / max(c.scan_batch_rows, 1)
-        transfer = rows * stats.avg_row_bytes / 1024.0 * c.network_ms_per_kb
-        return open_cost + rows * c.read_row_ms + batches * c.rpc_base_ms + transfer
 
-    def access_ms(
-        self,
-        stats: TableStats,
-        prefix_len: int,
-        key_len: int,
-        lookup_stats: TableStats | None = None,
-    ) -> tuple[float, float]:
-        """Returns ``(matched_rows, cost_ms)`` for one access: point get
-        when the prefix covers the key, scan otherwise, plus one base-
-        table point get per matched row for non-covered index paths."""
-        rows = matched_rows(stats.rows, prefix_len, key_len)
-        if key_len > 0 and prefix_len >= key_len:
-            ms = self.point_get_ms(stats)
-        else:
-            ms = self.scan_ms(stats, prefix_len, key_len)
-        if lookup_stats is not None:
-            ms += rows * self.point_get_ms(lookup_stats)
-        return rows, ms
+def access_ms(
+    cost: CostModel,
+    stats: TableStats,
+    prefix_len: int,
+    key_len: int,
+    lookup_stats: TableStats | None = None,
+) -> tuple[float, float]:
+    """Returns ``(matched_rows, cost_ms)`` for one access: point get
+    when the prefix covers the key, scan otherwise, plus one base-table
+    point get per matched row for non-covered index paths."""
+    rows = matched_rows(stats.rows, prefix_len, key_len)
+    if key_len > 0 and prefix_len >= key_len:
+        ms = point_get_ms(cost, stats)
+    else:
+        ms = scan_ms(cost, stats, prefix_len, key_len)
+    if lookup_stats is not None:
+        ms += rows * point_get_ms(cost, lookup_stats)
+    return rows, ms
 
-    # -- joins -------------------------------------------------------------------
-    def nl_join_ms(self, outer_rows: float, per_probe_ms: float) -> float:
-        return outer_rows * per_probe_ms
 
-    def hash_join_ms(
-        self, probe_rows: float, build_rows: float, row_bytes: float
-    ) -> float:
-        """Broadcast hash join: the build side is hashed and shipped to
-        every region server; both sides pay per-row hash work."""
-        c = self.cost
-        broadcast = build_rows * row_bytes * self.servers / 1024.0 * c.network_ms_per_kb
-        return broadcast + (probe_rows + build_rows) * HASH_CPU_MS_PER_ROW
-
-    @staticmethod
-    def equi_join_rows(left_rows: float, right_rows: float, n_keys: int) -> float:
-        """Textbook equi-join estimate ``|L|*|R| / max(|L|,|R|)`` (the
-        join key is a key of the larger side); cartesian when keyless."""
-        if n_keys == 0:
-            return left_rows * right_rows
-        denom = max(left_rows, right_rows, 1.0)
-        return left_rows * right_rows / denom
+def equi_join_rows(left_rows: float, right_rows: float, n_keys: int) -> float:
+    """Textbook equi-join estimate ``|L|*|R| / max(|L|,|R|)`` (the join
+    key is a key of the larger side); cartesian when keyless."""
+    if n_keys == 0:
+        return left_rows * right_rows
+    denom = max(left_rows, right_rows, 1.0)
+    return left_rows * right_rows / denom

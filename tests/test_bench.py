@@ -680,6 +680,24 @@ class TestReach:
         code = _tool("reach").main(["--check"])
         assert code == 0, capsys.readouterr().err
 
+    def test_a_closed_reader_ends_the_report_quietly(self):
+        """``reach.py | head`` must not end in a ``BrokenPipeError``:
+        printed into a pipe whose read end is already closed, the report
+        ends with status 0 and nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, str(Path(__file__).parents[1] / "tools" / "reach.py")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
+
     @pytest.mark.parametrize(
         "name",
         sorted(p.stem for p in (Path(__file__).parents[1] / "examples").glob("*.py")),

@@ -36,7 +36,11 @@ from repro.federation import (
     RoutingAdvisor,
 )
 from repro.federation.decompose import decompose, split_eligible
-from repro.federation.estimate import estimate_ms, voltdb_estimate
+from repro.federation.estimate import (
+    estimate_ms,
+    phoenix_estimate,
+    voltdb_estimate,
+)
 from repro.federation.merge import plan_merge
 from repro.phoenix.planner import SelectComposer
 from repro.phoenix.plans import SourceNode
@@ -149,7 +153,7 @@ class TestRoutedQueries:
 # --------------------------------------------------------------- advisor
 class TestRoutingAdvisor:
     def test_estimate_wins_until_enough_observations(self):
-        advisor = RoutingAdvisor(seed=SEED, min_observations=3)
+        advisor = RoutingAdvisor()
         advisor.observe("Q1", "A", 50.0)
         advisor.observe("Q1", "A", 50.0)
         cost, overridden = advisor.advised_cost("Q1", "A", 1.0)
@@ -158,7 +162,7 @@ class TestRoutingAdvisor:
     def test_diverged_ewma_overrides_and_reroutes(self):
         """A backend whose observed latency diverges from its estimate
         loses the route to the runner-up once the EWMA is trusted."""
-        advisor = RoutingAdvisor(seed=SEED, min_observations=3, divergence=2.0)
+        advisor = RoutingAdvisor()
         candidates = [("A", 1.0), ("B", 5.0)]
         for _ in range(3):
             assert advisor.choose("Q1", candidates, 0.0) == "A"
@@ -169,22 +173,10 @@ class TestRoutingAdvisor:
         assert last.costs["A"] == pytest.approx(50.0)
 
     def test_faster_than_modeled_backend_steals_the_route(self):
-        advisor = RoutingAdvisor(seed=SEED, min_observations=3, divergence=2.0)
+        advisor = RoutingAdvisor()
         for _ in range(3):
             advisor.observe("Q1", "B", 0.5)  # modeled 5.0, observed 0.5
         assert advisor.choose("Q1", [("A", 1.0), ("B", 5.0)], 0.0) == "B"
-
-    def test_epsilon_exploration_is_seed_deterministic(self):
-        logs = []
-        for _ in range(2):
-            advisor = RoutingAdvisor(seed=SEED, epsilon=0.5)
-            for i in range(20):
-                advisor.choose("Q1", [("A", 1.0), ("B", 5.0)], float(i))
-            logs.append(json.dumps(advisor.log_dicts()))
-        assert logs[0] == logs[1]
-        assert any(
-            d["explored"] for d in json.loads(logs[0])
-        ), "epsilon=0.5 over 20 draws never explored"
 
     def test_online_rerouting_spreads_statements_in_practice(
         self, backends, lab
@@ -412,14 +404,30 @@ class TestSeams:
             cost.voltdb_proc_base_ms + cost.voltdb_row_ms * 109.0
         )
 
-    def test_backend_without_a_catalog_gets_the_fallback_estimate(self):
+    def test_backend_without_a_catalog_has_no_estimate(self):
         cost = DEFAULT_COST_MODEL
         backend = SimpleNamespace(sim=SimpleNamespace(cost=cost))
         sql = "SELECT e.EID FROM Employee as e, Address as a"
         _, analyzed = self.analyzed(sql)
-        assert estimate_ms(backend, analyzed) == pytest.approx(
-            cost.rpc_base_ms + cost.read_row_ms * 200.0
-        )
+        with pytest.raises(FederationError, match="no estimate prices"):
+            estimate_ms(backend, analyzed)
+
+    def test_statement_the_planner_cannot_plan_has_no_estimate(self, backends):
+        with pytest.raises(FederationError, match="cannot price"):
+            phoenix_estimate(
+                backends["Baseline"], parse_statement("SELECT x.a FROM Nope as x")
+            )
+
+    def test_estimates_leave_the_backends_clocks_and_counters_alone(
+        self, backends, lab
+    ):
+        for name, backend in backends.items():
+            sim = backend.sim
+            before = (sim.clock.now_ms, sim.metrics.counters())
+            for sql in JOIN_QUERIES.values():
+                analyzed = analyze_select(parse_statement(sql), lab.schema)
+                assert estimate_ms(backend, analyzed) > 0.0
+            assert (sim.clock.now_ms, sim.metrics.counters()) == before, name
 
     def test_merge_starts_in_from_order_and_attaches_equi_connected_first(self):
         # d is second in FROM order but only e connects to {a}: e attaches

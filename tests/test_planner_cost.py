@@ -13,12 +13,30 @@ import re
 import pytest
 
 from repro.config import DEFAULT_COST_MODEL, ClusterConfig
+from repro.errors import PlanError
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
 from repro.phoenix.ddl import create_baseline_schema
 from repro.phoenix.planner import CostBasedPlanner, Planner
-from repro.phoenix.stats import AccessCoster, TableStats, matched_rows
+from repro.phoenix.plans import (
+    BROADCAST,
+    GROUP_BY,
+    SORT,
+    DistinctNode,
+    GroupByNode,
+    HashJoinNode,
+    SortNode,
+    SourceNode,
+)
+from repro.phoenix.stats import (
+    TableStats,
+    access_ms,
+    charge_operator_work,
+    matched_rows,
+    scan_ms,
+)
 from repro.sim.clock import Simulation
+from repro.sim.latency import LatencyCharger
 from repro.sql.parser import parse_statement
 from repro.tpcw.queries import JOIN_QUERIES
 from repro.tpcw.schema import tpcw_schema
@@ -52,34 +70,34 @@ def test_matched_rows_monotone_in_rows_and_prefix():
 
 
 def test_scan_cost_monotone_in_rows():
-    coster = AccessCoster(DEFAULT_COST_MODEL)
+    cost = DEFAULT_COST_MODEL
     for prefix in (0, 1):
         costs = [
-            coster.scan_ms(_stats(rows), prefix_len=prefix, key_len=2)
+            scan_ms(cost, _stats(rows), prefix_len=prefix, key_len=2)
             for rows in (100, 10_000, 1_000_000)
         ]
         assert costs == sorted(costs) and costs[0] < costs[-1]
 
 
 def test_access_cost_monotone_and_lookup_surcharge():
-    coster = AccessCoster(DEFAULT_COST_MODEL)
-    small = coster.access_ms(_stats(100), 1, 2)
-    big = coster.access_ms(_stats(10_000), 1, 2)
+    cost = DEFAULT_COST_MODEL
+    small = access_ms(cost, _stats(100), 1, 2)
+    big = access_ms(cost, _stats(10_000), 1, 2)
     assert big[0] > small[0] and big[1] > small[1]
     # a non-covered index pays one base point get per matched row
-    covered = coster.access_ms(_stats(10_000), 1, 2)
-    uncovered = coster.access_ms(_stats(10_000), 1, 2, lookup_stats=_stats(10_000))
+    covered = access_ms(cost, _stats(10_000), 1, 2)
+    uncovered = access_ms(cost, _stats(10_000), 1, 2, lookup_stats=_stats(10_000))
     assert uncovered[1] > covered[1]
 
 
 def test_full_scan_pays_every_region():
-    coster = AccessCoster(DEFAULT_COST_MODEL)
-    assert coster.scan_ms(_stats(1000, regions=8), 0, 2) > coster.scan_ms(
-        _stats(1000, regions=1), 0, 2
+    cost = DEFAULT_COST_MODEL
+    assert scan_ms(cost, _stats(1000, regions=8), 0, 2) > scan_ms(
+        cost, _stats(1000, regions=1), 0, 2
     )
     # a prefix scan opens a single region window either way
-    assert coster.scan_ms(_stats(1000, regions=8), 1, 2) == coster.scan_ms(
-        _stats(1000, regions=1), 1, 2
+    assert scan_ms(cost, _stats(1000, regions=8), 1, 2) == scan_ms(
+        cost, _stats(1000, regions=1), 1, 2
     )
 
 
@@ -112,14 +130,13 @@ def test_covered_index_preferred_when_cheaper(company_conn):
     assert "idx_wo_hours" in planned.root.describe()
 
     provider = planner.provider
-    coster = planner._coster()
     base = catalog.table_for_relation("Works_On")
     index = next(e for e in catalog.entries() if e.name.endswith("idx_wo_hours"))
-    _, index_ms = coster.access_ms(
-        provider.stats_for(index), 1, len(index.key_attrs)
+    _, index_ms = access_ms(
+        DEFAULT_COST_MODEL, provider.stats_for(index), 1, len(index.key_attrs)
     )
-    _, base_ms = coster.access_ms(
-        provider.stats_for(base), 0, len(base.key_attrs)
+    _, base_ms = access_ms(
+        DEFAULT_COST_MODEL, provider.stats_for(base), 0, len(base.key_attrs)
     )
     assert index_ms < base_ms
 
@@ -174,6 +191,56 @@ def test_explain_snapshots(tpcw_cbo):
     for qid in ("Q1", "Q3", "Q10"):
         text = legacy.plan_select(parse_statement(JOIN_QUERIES[qid])).root.describe()
         assert "est rows" not in text
+
+
+def _nodes(node):
+    yield node
+    for child in node.children():
+        yield from _nodes(child)
+
+
+def test_operator_estimates_are_what_the_executor_charges(tpcw_cbo):
+    """Each operator node's estimate adds exactly what
+    ``charge_operator_work`` charges, at jitter 0, for its estimated
+    input rows: BROADCAST for a hash join's build side, SORT and
+    GROUP_BY for their input, and nothing for DISTINCT, which no
+    charge prices."""
+    planner, _legacy = tpcw_cbo
+    servers = planner.provider.servers
+
+    def charged(kind, rows):
+        sim = Simulation()
+        charge_operator_work(LatencyCharger(sim, "phoenix"), servers, kind, rows)
+        return sim.clock.now_ms
+
+    statements = [
+        *JOIN_QUERIES.values(),
+        "SELECT DISTINCT i.i_subject FROM Item as i ORDER BY i.i_subject",
+    ]
+    seen = set()
+    for sql in statements:
+        root = planner.plan_select(parse_statement(sql)).root
+        for node in _nodes(root):
+            if isinstance(node, HashJoinNode):
+                (_, probe_ms), (build_rows, build_ms) = node.probe._est, node.build._est
+                expected = probe_ms + build_ms + charged(BROADCAST, build_rows)
+            elif isinstance(node, (SortNode, GroupByNode)):
+                kind = SORT if isinstance(node, SortNode) else GROUP_BY
+                in_rows, in_ms = node.child._est
+                expected = in_ms + charged(kind, in_rows)
+            elif isinstance(node, DistinctNode):
+                expected = node.child._est[1]
+            else:
+                continue
+            seen.add(type(node))
+            assert node._est[1] == expected, (sql, node.describe())
+    assert seen == {HashJoinNode, SortNode, GroupByNode, DistinctNode}
+
+
+def test_a_node_the_planner_never_builds_has_no_estimate(tpcw_cbo):
+    planner, _legacy = tpcw_cbo
+    with pytest.raises(PlanError, match="cannot price a SourceNode"):
+        planner.estimate(SourceNode(list, "FRAGMENT f", (("f", "a"),)))
 
 
 def test_cost_estimates_annotate_every_node(tpcw_cbo):
