@@ -28,8 +28,9 @@ component (memstore first, then HFiles newest flush first) with
 turns one row's entries into its :class:`Result` for point reads and
 the scanner alike. A *plain* row, whose newest entry outshines the
 older ones, is lent that entry's head; any other untombstoned
-one-version read takes heads only; and a tombstone or a ``time_range``
-keeps a bounded, bisected run of each history, so a read costs
+one-version read (a row an UPDATE rewrote in a few columns) takes heads
+only; and a tombstone or a ``time_range`` keeps a bounded, bisected run
+of each history, so a read costs
 O(columns × sources × ``max_versions``) however many versions the row
 has absorbed. ``columns`` is the column-pushdown contract: untouched
 column families cost nothing.
@@ -433,8 +434,9 @@ def row_result(
     the lend is safe from the memstore and from an HFile alike. The
     entry remembers the set object that proved the cover, so a read
     under that object (or none) tests nothing. Any other untombstoned
-    one-version read takes each column's newest head; every other row
-    goes through :func:`merge_row`."""
+    one-version read takes each column's newest head
+    (:func:`_newest_heads`); every other row goes through
+    :func:`merge_row`."""
     if max_versions == 1 and time_range is None:
         entry = sources[0]
         if entry.row_tombstone_ts is None and (
@@ -451,18 +453,59 @@ def row_result(
             entry._lent = True
             return Result(row, head, NO_HISTORY, (len(head), entry.payload))
         if not any(s.row_tombstone_ts is not None for s in sources):
-            # each column's newest head: the greatest stamp, the newer
-            # component winning a tie (as a stable newest-first sort would)
-            heads: dict[CellKey, Version] = {}
-            for s in sources:
-                for key, newest in s.head.items():
-                    if columns is None or key in columns:
-                        seen = heads.get(key)
-                        if seen is None or newest[0] > seen[0]:
-                            heads[key] = newest
-            return Result(row, heads) if heads else None
+            heads, summary = _newest_heads(sources, columns)
+            return Result(row, heads, NO_HISTORY, summary) if heads else None
     visible = merge_row(sources, max_versions, time_range, columns)
     return None if visible is None else Result.from_sorted(row, visible)
+
+
+def _shown_head(entry: RowEntry, columns: frozenset[CellKey]) -> dict[CellKey, Version]:
+    """``entry``'s head restricted to ``columns``: the head itself when
+    ``columns`` covers it (the cover then memoised on the entry, as a
+    plain read memoises it)."""
+    head = entry.head
+    if columns.issuperset(head):
+        if head:  # a put drops the memo only from a non-empty head
+            entry._cover = columns
+        return head
+    return {key: newest for key, newest in head.items() if key in columns}
+
+
+def _newest_heads(
+    sources: list[RowEntry], columns: frozenset[CellKey] | None
+) -> tuple[dict[CellKey, Version], tuple[int, int] | None]:
+    """``(heads, summary)`` of untombstoned ``sources`` (newest component
+    first): each column's newest head -- the greatest stamp, the newer
+    component winning a tie -- in merge order (a column first shown by a
+    newer component comes first), as :func:`merge_row` shows it, and the
+    Result summary. One dict update per source sets that order and each
+    column's oldest head; only the newer sources are then walked, so a
+    row rewritten in a few columns over a whole older entry costs those
+    columns, and is sized from that entry's payload plus what the newer
+    columns change (no summary when the oldest head is projected)."""
+    shown = [
+        s.head if columns is None or s._cover is columns else _shown_head(s, columns)
+        for s in sources
+    ]
+    heads: dict[CellKey, Version] = {}
+    for head in shown:
+        heads.update(head)
+    *newer, oldest = shown
+    for head in reversed(newer):  # oldest to newest: a tie goes newer
+        for key, newest in head.items():
+            if newest[0] >= heads[key][0]:
+                heads[key] = newest
+    if oldest is not sources[-1].head:
+        return heads, None
+    payload = sources[-1].payload
+    for key in newer[0] if len(newer) == 1 else set().union(*newer):
+        shown_value = heads[key][1]
+        stored = oldest.get(key)
+        if stored is None:
+            payload += len(key[0]) + len(key[1]) + len(shown_value)
+        else:
+            payload += len(shown_value) - len(stored[1])
+    return heads, (len(heads), payload)
 
 
 class _AlwaysOnline:

@@ -9,7 +9,7 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Container, Iterable
 
 from repro.errors import SchemaError
 from repro.hbase.bytes_util import encode_key, join_key, split_key
@@ -139,16 +139,25 @@ class CatalogEntry:
         get = row.get
         return join_key([get(a, b"") for a in self.key_attrs])
 
-    def stored_put(self, row: StoredRow) -> Put:
-        """The single-row Put of ``row``: one cell per value attribute,
-        in ``attrs`` order, each value the stored object (``b""`` when
-        absent) under the entry's interned column key, so the store
-        neither builds nor compares a key; a key-only entry gets the row
-        marker, so the row exists."""
+    def stored_put(
+        self, row: StoredRow, changed: Container[str] | None = None
+    ) -> Put:
+        """The single-row Put of ``row``: one cell per value attribute
+        in ``changed`` (every one when ``None``), in ``attrs`` order,
+        each value the stored object (``b""`` when absent) under the
+        entry's interned column key, so the store neither builds nor
+        compares a key. A rewrite that keeps the row key passes its SET
+        attributes, so it stores only the cells it changes (as an HBase
+        Put stores only the cells it names); an entry holding none of
+        them gets the whole row, so the rewrite is still one Put. A
+        key-only entry gets the row marker, so the row exists."""
         put = Put(self.stored_key(row))
         get = row.get
+        slots = self._stored_slots
+        if changed is not None:
+            slots = [slot for slot in slots if slot[0] in changed] or slots
         put.cells = [
-            (key, get(attr, b""), None) for attr, key in self._stored_slots
+            (key, get(attr, b""), None) for attr, key in slots
         ] or [_ROW_MARKER_CELL]
         return put
 

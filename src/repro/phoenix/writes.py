@@ -13,14 +13,16 @@ global indexes):
 
 * INSERT: one Put per physical table;
 * DELETE: read the old row (for index keys), then one Delete each;
-* UPDATE: read-modify-write; indexes touching a changed attribute get a
-  Delete of the stale entry plus a Put of the fresh one.
+* UPDATE: read-modify-write (:func:`rewrite_row`); the base row and
+  each index touching a changed attribute get a Put of only the cells
+  the UPDATE sets, and an index entry whose key moves gets a Delete of
+  the stale entry plus a whole-row Put of the fresh one.
 
 Every write carries its row as a *stored row* (``CatalogEntry.stored_row``:
 ``attr -> encoded bytes``). An INSERT encodes its values once, puts the
 same bytes into the base table and every index, and hands them on to
 view maintenance. UPDATE and DELETE never decode the old row: only the
-SET values are encoded, and the rewritten row and every index key reuse
+SET values are encoded, and every index key and moved index entry reuse
 the stored bytes of the columns left alone.
 """
 
@@ -154,6 +156,28 @@ def compile_write(entry, stmt: Statement, params: tuple[Any, ...]) -> WritePlan:
     raise PlanError(f"not a write statement: {stmt}")
 
 
+def rewrite_row(
+    client: HBaseClient,
+    entry: CatalogEntry,
+    old: StoredRow,
+    new: StoredRow,
+    changes: dict[str, Any],
+) -> None:
+    """Store one row of ``entry`` rewritten from ``old`` to ``new``: a
+    row that keeps its key gets a Put of only the cells ``changes``
+    sets (``CatalogEntry.stored_put``); a row whose key moves (an index
+    over a changed attribute) is deleted and put whole at its new key.
+    Either way the rewrite is one Put."""
+    table = client.table(entry.name)
+    if any(attr in entry.key_attrs for attr in changes):
+        old_key = entry.stored_key(old)
+        if old_key != entry.stored_key(new):
+            table.delete(HDelete(old_key))
+            table.put(entry.stored_put(new))
+            return
+    table.put(entry.stored_put(new, changes))
+
+
 class WriteExecutor:
     """Applies row-level writes to a base table and its indexes."""
 
@@ -201,21 +225,18 @@ class WriteExecutor:
     def update_row(
         self, relation: str, key: dict[str, Any], changes: dict[str, Any]
     ) -> StoredRow | None:
-        """Read-modify-write; returns the new stored row, or None when
-        absent."""
+        """Read-modify-write of the base row and each index over a
+        changed attribute (:func:`rewrite_row`); returns the new stored
+        row, or None when absent."""
         entry = self.catalog.table_for_relation(relation)
         old = self._read_stored(entry, key)
         if old is None:
             return None
         new = {**old, **entry.encode_values(changes)}
-        self.client.table(entry.name).put(entry.stored_put(new))
+        rewrite_row(self.client, entry, old, new, changes)
         for index in self.catalog.indexes_for_relation(relation):
             if any(attr in index.attrs for attr in changes):
-                old_key = index.stored_key(old)
-                new_key = index.stored_key(new)
-                if old_key != new_key:
-                    self.client.table(index.name).delete(HDelete(old_key))
-                self.client.table(index.name).put(index.stored_put(new))
+                rewrite_row(self.client, index, old, new, changes)
         return new
 
     # -- statement-level API --------------------------------------------------------

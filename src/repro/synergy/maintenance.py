@@ -19,9 +19,11 @@ bytes are the key of its parent's Get (``Schema`` refuses an FK whose
 encoder is not its target PK's), and the view row is its ancestors'
 stored cells plus the inserted ones. Update and delete maintenance is
 read-modify-write: the statement's SET values are encoded once per
-view, and each rewritten row copies the stored bytes of every column it
-does not change. Keys compare and re-form as bytes, so the Gets, Scans
-and Puts are the ones a decode/re-encode round trip would issue.
+view, and each rewritten view or view-index row that keeps its key is
+put with only the cells the statement sets (``writes.rewrite_row``);
+every other column keeps its stored version. Keys compare and re-form
+as bytes, so the Gets, Scans, Deletes and per-row Puts are the ones a
+decode/re-encode round trip would issue.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.hbase.filters import AndFilter, ColumnValueFilter
 from repro.hbase.ops import Delete as HDelete, Get, Put, Scan
 from repro.phoenix.catalog import CF, Catalog, CatalogEntry, StoredRow
 from repro.phoenix.plans import DIRTY_MARK, DIRTY_QUALIFIER
+from repro.phoenix.writes import rewrite_row
 from repro.relational.schema import Schema
 from repro.synergy.views import ViewDef
 
@@ -262,23 +265,21 @@ class ViewMaintainer:
         changes: dict[str, Any],
     ) -> list[StoredRow]:
         """Apply attribute changes to located view rows + fix indexes:
-        ``changes`` is encoded once, every other column is copied."""
+        ``changes`` is encoded once per view, and each view row and each
+        view-index row over a changed attribute is rewritten by
+        :func:`rewrite_row` -- one Put of only the SET cells while the
+        row keeps its key, a Delete and a whole-row Put when a view
+        index's key moves. Returns the new rows as stored."""
         entry = self.view_entry(view)
-        table = self.client.table(entry.name)
         encoded = entry.encode_values(changes)
-        indexes = [
+        entries = [entry] + [
             index for index in self.view_index_entries(view)
             if any(a in index.attrs for a in changes)
         ]
         new_rows = []
         for old in old_rows:
             new = {**old, **encoded}
-            table.put(entry.stored_put(new))
-            for index in indexes:
-                old_key = index.stored_key(old)
-                new_key = index.stored_key(new)
-                if old_key != new_key:
-                    self.client.table(index.name).delete(HDelete(old_key))
-                self.client.table(index.name).put(index.stored_put(new))
+            for target in entries:
+                rewrite_row(self.client, target, old, new, changes)
             new_rows.append(new)
         return new_rows

@@ -348,6 +348,48 @@ class TestNewestHead:
         )
         assert list(result.cells) == [(b"cf", b"a"), (b"cf", b"b")]
 
+    @given(
+        whole=st.lists(
+            st.tuples(st.binary(max_size=3), st.integers(1, 8)),
+            min_size=len(ALL_COLUMNS), max_size=len(ALL_COLUMNS),
+        ),
+        rewrites=st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(ALL_COLUMNS), st.binary(max_size=3),
+                          st.integers(1, 12)),
+                min_size=1, max_size=3,
+            ),
+            min_size=1, max_size=3,
+        ),
+        columns=st.sampled_from(PROJECTIONS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_row_rewritten_in_a_few_columns_reads_as_the_merge(
+        self, whole, rewrites, columns
+    ):
+        """A whole older entry under newer entries that each rewrite a
+        few of its columns (a put of only the cells an UPDATE sets, over
+        a flushed row): the one-version read shows what ``merge_row``
+        shows, in its column order, and sizes as the reference does."""
+        oldest = new_entry()
+        for column, (value, ts) in zip(ALL_COLUMNS, whole):
+            put_cell(oldest, *column, ts, value)
+        sources = []
+        for cells in rewrites:
+            entry = new_entry()
+            for column, value, ts in cells:
+                put_cell(entry, *column, ts, value)
+            sources.append(entry)
+        sources.append(oldest)
+        wanted = frozenset(columns) if columns else None
+        for _ in range(2):  # again, over the covers the first read proved
+            expected = reference_merge_row(sources, 1, None, wanted)
+            merged = merge_row(sources, 1, None, wanted)
+            assert merged == expected and list(merged) == list(expected)
+            result = store.row_result(ROW, sources, 1, None, wanted)
+            assert_result_matches(result, ROW, expected)
+            assert list(result.cells) == list(expected)
+
 
 # ------------------------------------------------------------- plain rows
 ROW = b"r1"

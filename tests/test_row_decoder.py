@@ -17,7 +17,8 @@ statement returns or is charged:
 
 The write paths' *stored rows* (``CatalogEntry.stored_row`` /
 ``encode_values``, no decode at all) are held byte-identical here to the
-decode / re-encode round trip they replaced.
+decode / re-encode round trip they replaced, an UPDATE's rewrite
+restricted to the cells it sets.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.phoenix.plans import (
     ScanNode,
     ValuePredicate,
 )
+from repro.phoenix.writes import rewrite_row
 from repro.relational.company import company_schema
 from repro.relational.datatypes import DataType
 from repro.relational.schema import Index
@@ -257,10 +259,30 @@ KEY_ONLY_ENTRY = CatalogEntry(
 )
 
 
+class _RecordingClient:
+    """Stands in for an ``HBaseClient`` (and each of its tables) under
+    ``rewrite_row``: records what it is asked to store."""
+
+    def __init__(self) -> None:
+        self.ops: list = []
+
+    def table(self, name: str) -> "_RecordingClient":
+        return self
+
+    def put(self, op) -> None:
+        self.ops.append(("put", op.row, op.cells, op.timestamp))
+
+    def delete(self, op) -> None:
+        self.ops.append(("delete", op.row))
+
+
 class TestStoredRows:
-    """``stored_put({**stored_row(r), **encode_values(ch)})`` is the Put
-    of the old round trip ``row_to_put({**result_to_row(r), **ch})``,
-    cell for cell, and ``stored_key`` is ``encode_key``."""
+    """An UPDATE's rewrite of each entry is the Put of the old round
+    trip ``row_to_put({**result_to_row(r), **ch})`` restricted to the
+    cells ``ch`` sets, while the row keeps its key (the whole round-trip
+    Put when the entry holds none of them); a row whose key moves is
+    deleted and gets the whole round-trip Put. ``stored_key`` is
+    ``encode_key``."""
 
     @staticmethod
     def assert_same_write(entry, indexes, result, changes):
@@ -268,17 +290,24 @@ class TestStoredRows:
         new = {**old, **entry.encode_values(changes)}
         old_decoded = result_to_row_reference(entry, result)
         new_decoded = {**old_decoded, **changes}
-        put = entry.stored_put(new)
-        expected = row_to_put_reference(entry, new_decoded)
-        assert put.row == expected.row
-        assert put.cells == expected.cells
-        assert put.timestamp is None
-        for index in (entry, *indexes):
-            assert index.stored_key(old) == index.encode_key(old_decoded)
-            assert index.stored_key(new) == index.encode_key(new_decoded)
-            put = index.stored_put(new)
-            expected = row_to_put_reference(index, new_decoded)
-            assert (put.row, put.cells) == (expected.row, expected.cells)
+        for target in (entry, *indexes):
+            old_key = target.stored_key(old)
+            assert old_key == target.encode_key(old_decoded)
+            assert target.stored_key(new) == target.encode_key(new_decoded)
+            expected = row_to_put_reference(target, new_decoded)
+            client = _RecordingClient()
+            rewrite_row(client, target, old, new, changes)
+            if old_key == expected.row:
+                cells = [
+                    cell for cell in expected.cells
+                    if cell[0][1].decode() in changes
+                ] or expected.cells
+                assert client.ops == [("put", expected.row, cells, None)]
+            else:
+                assert client.ops == [
+                    ("delete", old_key),
+                    ("put", expected.row, expected.cells, None),
+                ]
 
     @given(
         _ROWS,
@@ -299,8 +328,12 @@ class TestStoredRows:
     def test_key_only_entry_keeps_its_row_marker(self, a, b, changes):
         result = _stored(KEY_ONLY_ENTRY, {"a": a, "b": b}, frozenset())
         self.assert_same_write(KEY_ONLY_ENTRY, (), result, changes)
-        put = KEY_ONLY_ENTRY.stored_put(KEY_ONLY_ENTRY.stored_row(result))
-        assert put.cells == [((CF, ROW_MARKER_QUALIFIER), b"", None)]
+        stored = KEY_ONLY_ENTRY.stored_row(result)
+        for put in (
+            KEY_ONLY_ENTRY.stored_put(stored),
+            KEY_ONLY_ENTRY.stored_put(stored, changes),
+        ):
+            assert put.cells == [((CF, ROW_MARKER_QUALIFIER), b"", None)]
 
     @pytest.mark.parametrize("text", ["a\x00b", "\x00", "a\x00\x00", ""])
     def test_nul_in_a_varchar_key_component(self, text):

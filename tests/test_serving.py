@@ -162,6 +162,20 @@ class TestRowCache:
         assert missed(cache.lookup("r", b"a", None))
         assert missed(cache.lookup("r", b"a", variant))
 
+    def test_reinserting_one_variant_keeps_the_other_invalidatable(self):
+        """Re-inserting variant A drops A's old entry first; the row's
+        index must keep B, or ``invalidate_row`` after a write leaves B
+        served stale."""
+        cache = RowCache(4096)
+        variant = RowCache.variant([(CF, Q)])
+        cache.insert("r", b"a", None, result_for(b"a", b"A"))
+        cache.insert("r", b"a", variant, result_for(b"a", b"B"))
+        cache.insert("r", b"a", None, result_for(b"a", b"A2"))
+        cache.invalidate_row("r", b"a")
+        assert missed(cache.lookup("r", b"a", variant))
+        assert missed(cache.lookup("r", b"a", None))
+        assert not cache._entries and cache.size_bytes == 0
+
 
 # ------------------------------------------------------- cache coherence (e2e)
 def build_cluster(serving: ServingConfig, num_servers: int = 2, seed: int = 5):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LockTimeoutError, UnsupportedStatementError
 from repro.hbase.client import HBaseClient
-from repro.hbase.ops import Scan
 from repro.phoenix.catalog import CF, VIEW
 from repro.hbase.cluster import HBaseCluster
 from repro.sim.clock import Simulation
@@ -167,37 +166,49 @@ class TestViewMaintenanceUpdate:
 
     @pytest.mark.parametrize("name", ["Synergy", "MVCC-A"])
     def test_an_update_reuses_the_stored_bytes_of_unchanged_columns(self, name):
-        """Every rewritten row -- the base row and each view row -- holds
-        the previous version's value object for each column the UPDATE
-        did not set: nothing is decoded and re-encoded."""
+        """Every rewritten row -- the base row and each view row -- gains
+        one version of the column the UPDATE sets and none of any other:
+        each unchanged column's newest value is still the very object it
+        held before, nothing decoded and re-encoded."""
         system = build_company_system(name)
         tables = {
             entry.name: entry for entry in system.catalog.entries()
             if entry.name == "Employee" or entry.kind == VIEW
         }
-        before = {
-            table: {r.row for r in system.client.table(table).scan(Scan())}
-            for table in tables
-        }
+
+        def every_version():
+            out = {}
+            for table in tables:
+                descriptor = system.client.cluster.descriptor(table)
+                for region in descriptor.regions:
+                    for row, result in region.scan(max_versions=2**31 - 1):
+                        if result is not None:
+                            out[table, row] = result.cells
+            return out
+
+        before = every_version()
         system.execute(
             "UPDATE Employee SET EName = ? WHERE EID = ?", ("renamed", 2)
         )
+        after = every_version()
+        assert after.keys() == before.keys()
         shared = rewritten = 0
-        for table, entry in tables.items():
-            descriptor = system.client.cluster.descriptor(table)
-            for row in before[table]:
-                result = descriptor.region_for(row).read_row(row, max_versions=2)
-                cells = result.cells
-                name_versions = cells.get((CF, b"EName"))
-                if not name_versions or name_versions[0][1] != b"renamed":
+        for (table, row), cells in after.items():
+            old_cells = before[table, row]
+            ename = (CF, b"EName")
+            if ename not in cells or cells[ename][0][1] != b"renamed":
+                assert cells == old_cells, (table, row)
+                continue
+            rewritten += 1
+            assert cells[ename][1:] == old_cells[ename], (table, row)
+            for attr in tables[table].value_attrs:
+                if attr == "EName":
                     continue
-                rewritten += 1
-                for attr in entry.value_attrs:
-                    if attr == "EName":
-                        continue
-                    new, old = cells[(CF, attr.encode())]
-                    assert new[1] is old[1], (table, row, attr)
-                    shared += len(new[1]) > 1  # not a cached 0/1-byte object
+                versions = cells[(CF, attr.encode())]
+                old_versions = old_cells[(CF, attr.encode())]
+                assert len(versions) == len(old_versions), (table, row, attr)
+                assert versions[0][1] is old_versions[0][1], (table, row, attr)
+                shared += len(versions[0][1]) > 1  # not a cached 0/1-byte object
         # Employee 2's base row, its MV_Address__Employee row and each of
         # its MV_Employee__Works_On rows
         works_on = view_rows(system, "MV_Employee__Works_On", "WO_EID = ?", (2,))
