@@ -665,9 +665,9 @@ class ChaosRun:
     def replication(self) -> dict[str, Any] | None:
         """Replication counters when the cluster replicates; None — and
         absent from :meth:`as_dict` — otherwise."""
-        manager = self.cluster.replication
-        if manager is None:
+        if self.cluster.config.replica_count < 2:
             return None
+        manager = self.cluster.replication
         return {
             "replica_count": self.cluster.config.replica_count,
             "promotions": manager.promotions,
@@ -740,7 +740,7 @@ def run_cell(
     table = HBaseClient(cluster).create_table(
         layout.table, split_keys=layout.split_keys
     )
-    replicated = cluster.replication is not None
+    replicated = config.replica_count >= 2
     if replicated:
         cluster.replication.replicate_table(layout.table)
     history = ChaosHistory()

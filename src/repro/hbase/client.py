@@ -186,20 +186,19 @@ class HTable:
     def get(self, op: Get) -> Result | None:
         if self.follower_reads:
             self.last_follower_lag = None
-            rep = self.cluster.replication
-            if rep is not None:
-                result = self._follower_get(rep, op)
-                if result is not _FOLLOWER_MISS:
-                    return result
+            result = self._follower_get(op)
+            if result is not _FOLLOWER_MISS:
+                return result
         return self._routed(op.row, lambda region: self._get_at(region, op))
 
-    def _follower_get(self, rep, op: Get):
+    def _follower_get(self, op: Get):
         """Serve ``op`` from the most-caught-up in-bound follower of the
         addressed region, or return the miss sentinel (no group, no
         follower within the staleness bound, or the follower died under
         the read) so the caller takes the primary path. Charges mirror
         :meth:`_get_at`, landed on the follower's server — which keeps
         serving while the primary's server is down: the whole point."""
+        rep = self.cluster.replication
         region = self._locate(op.row)
         follower = rep.follower_for_read(region)
         if follower is None:
@@ -488,7 +487,6 @@ class HTable:
                 return
             cursor = region.end_key
 
-    # -- stats -------------------------------------------------------------------------
 
 def _min_stop(a: bytes | None, b: bytes | None) -> bytes | None:
     if a is None:

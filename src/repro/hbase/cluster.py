@@ -99,15 +99,10 @@ class HBaseCluster:
         layout moved underneath it."""
         for server in self.servers:
             server.on_region_grown = self._auto_split
-        self.replication = (
-            ReplicationManager(self)
-            if config.replica_count >= 2
-            else None
-        )
-        """Region-replication manager, or None (``replica_count=1``).
-        Every replication hook below is guarded on this, so the
-        unreplicated cluster behaves — and charges — bit-identically
-        to builds that predate replication."""
+        self.replication = ReplicationManager(self)
+        """Region-replication manager. A region without a group has no
+        ship-log tap and no followers, so it behaves — and charges — as
+        if replication did not exist."""
 
     # -- timestamp oracle ----------------------------------------------------------
     def reserve_timestamps(self, n: int) -> int:
@@ -304,8 +299,7 @@ class HBaseCluster:
                 self.move_region(region, server)
             self._bump_layout()
             raise
-        if self.replication is not None:
-            self.replication.evacuate_followers(server)
+        self.replication.evacuate_followers(server)
 
     def _drain_target(
         self, source: RegionServer, region: Region
@@ -315,12 +309,11 @@ class HBaseCluster:
         candidates = [
             s
             for s in self.servers
-            if s.alive and not s.draining and s is not source
+            if s.alive
+            and not s.draining
+            and s is not source
+            and self.replication.allows_move(region, s)
         ]
-        if self.replication is not None:
-            candidates = [
-                s for s in candidates if self.replication.allows_move(region, s)
-            ]
         if not candidates:
             return None
         return min(candidates, key=lambda s: (len(s.regions), s.name))
@@ -346,9 +339,7 @@ class HBaseCluster:
             return False
         if not target.alive:
             raise HBaseError(f"server {target.name} is down")
-        if self.replication is not None and not self.replication.allows_move(
-            region, target
-        ):
+        if not self.replication.allows_move(region, target):
             raise ReplicationError(
                 f"moving primary {region.name} onto {target.name} would "
                 "co-host it with its own follower"
@@ -357,9 +348,8 @@ class HBaseCluster:
         source.unhost(region.name)
         target.host(region)
         self._region_host[region.name] = target
-        if self.replication is not None:
-            # the ship-log tap must follow the primary onto its new WAL
-            self.replication.on_region_moved(region, source, target)
+        # the ship-log tap must follow the primary onto its new WAL
+        self.replication.on_region_moved(region, source, target)
         self._bump_layout()
         return True
 
@@ -376,10 +366,7 @@ class HBaseCluster:
         server = self._region_host.get(region.name)
         if server is None:
             raise HBaseError(f"region {region.name} is not hosted")
-        if (
-            self.replication is not None
-            and region.name in self.replication.groups
-        ):
+        if region.name in self.replication.groups:
             # splitting would orphan the group's complete-history ship
             # log (each daughter's log would start mid-history); the
             # replicated experiments pre-split at table creation instead
@@ -419,7 +406,7 @@ class HBaseCluster:
             raise RegionSplitError(
                 f"regions {low.name} and {high.name} are not adjacent"
             )
-        if self.replication is not None and (
+        if (
             low.name in self.replication.groups
             or high.name in self.replication.groups
         ):
@@ -475,10 +462,7 @@ class HBaseCluster:
             threshold = r.split_threshold_bytes
             if threshold is None or r._approx_size_bytes < threshold:
                 continue
-            if (
-                self.replication is not None
-                and r.name in self.replication.groups
-            ):
+            if r.name in self.replication.groups:
                 continue  # replicated regions never auto-split
             try:
                 queue.extend(self.split_region(r))
@@ -515,27 +499,26 @@ class HBaseCluster:
         recovered = 0
         for region_name in list(dead.regions):
             old = dead.unhost(region_name)
-            if self.replication is not None:
-                promoted = self.replication.promote(old)
-                if promoted is not None:
-                    # most-caught-up live follower becomes the primary:
-                    # only the un-shipped log suffix was replayed, not
-                    # the dead server's whole pending WAL
-                    region = promoted.region
-                    promoted.server.host(region)
-                    del self._region_host[region_name]
-                    self._region_host[region.name] = promoted.server
-                    # persist the promoted copy: its memstore rows are
-                    # now the only unflushed incarnation of these edits
-                    promoted.server.flush_region(region)
-                    desc = self.tables[old.table_name]
-                    desc.regions = [
-                        region if r.name == old.name else r
-                        for r in desc.regions
-                    ]
-                    desc.invalidate_locations()
-                    recovered += 1
-                    continue
+            promoted = self.replication.promote(old)
+            if promoted is not None:
+                # most-caught-up live follower becomes the primary:
+                # only the un-shipped log suffix was replayed, not
+                # the dead server's whole pending WAL
+                region = promoted.region
+                promoted.server.host(region)
+                del self._region_host[region_name]
+                self._region_host[region.name] = promoted.server
+                # persist the promoted copy: its memstore rows are
+                # now the only unflushed incarnation of these edits
+                promoted.server.flush_region(region)
+                desc = self.tables[old.table_name]
+                desc.regions = [
+                    region if r.name == old.name else r
+                    for r in desc.regions
+                ]
+                desc.invalidate_locations()
+                recovered += 1
+                continue
             fresh = Region(
                 table_name=old.table_name,
                 start_key=old.start_key,
@@ -569,19 +552,17 @@ class HBaseCluster:
                 fresh if r.name == old.name else r for r in desc.regions
             ]
             desc.invalidate_locations()  # client caches must not reuse `old`
-            if self.replication is not None:
-                # a replicated primary with no live follower took the
-                # full-replay path: re-key its group to the fresh
-                # incarnation and move the ship-log tap to the new host
-                self.replication.on_primary_recovered(
-                    old, fresh, self.server_for(fresh)
-                )
+            # a replicated primary with no live follower took the
+            # full-replay path: re-key its group to the fresh
+            # incarnation and move the ship-log tap to the new host
+            self.replication.on_primary_recovered(
+                old, fresh, self.server_for(fresh)
+            )
             recovered += 1
         dead.recovered = True
-        if self.replication is not None:
-            # groups that lost followers (or whose promotion consumed
-            # one) head back to full strength on the surviving servers
-            self.replication.repair()
+        # groups that lost followers (or whose promotion consumed
+        # one) head back to full strength on the surviving servers
+        self.replication.repair()
         self._bump_layout()
         return recovered
 
@@ -593,9 +574,7 @@ class HBaseCluster:
         replication is meant to shrink."""
         total = 0
         for region in dead.regions.values():
-            est = None
-            if self.replication is not None:
-                est = self.replication.promotion_replay_estimate(region)
+            est = self.replication.promotion_replay_estimate(region)
             if est is None:
                 est = len(dead.wal.entries_for(region.name))
                 for ancestor in region.wal_ancestry:
@@ -610,19 +589,8 @@ class HBaseCluster:
     # -- replication control --------------------------------------------------------
     def set_replica_count(self, table: str, count: int) -> int:
         """Online replica-count change for one table (see
-        :meth:`ReplicationManager.set_replica_count`). Creates the
-        replication manager on demand when the cluster was configured
-        unreplicated — with a default target of 1, so every *other*
-        table keeps its exact unreplicated behavior."""
+        :meth:`ReplicationManager.set_replica_count`)."""
         self.descriptor(table)  # typed failure for unknown tables
-        if count < 1:
-            raise ReplicationError(f"replica count must be >= 1, got {count}")
-        if self.replication is None:
-            if count == 1:
-                return 0
-            self.replication = ReplicationManager(
-                self, default_replica_count=1
-            )
         delta = self.replication.set_replica_count(table, count)
         self._bump_layout()
         return delta
@@ -714,13 +682,12 @@ class HBaseCluster:
             for s in self.servers
         }
         replicas: dict[str, list[str]] = {}
-        if self.replication is not None:
-            for group in self.replication.groups.values():
-                key = (
-                    f"{group.primary.table_name},"
-                    f"{group.primary.start_key.hex()}"
-                )
-                replicas[key] = sorted(f.server.name for f in group.followers)
+        for group in self.replication.groups.values():
+            key = (
+                f"{group.primary.table_name},"
+                f"{group.primary.start_key.hex()}"
+            )
+            replicas[key] = sorted(f.server.name for f in group.followers)
         return {"tables": tables, "servers": servers, "replicas": replicas}
 
 
@@ -756,15 +723,13 @@ class RegionBalancer:
         servers = self._live_servers()
         if len(servers) < 2:
             return 0
-        moves = self._load_aware_moves(servers)
-        replication = self.cluster.replication
-        if replication is not None:
-            # never co-host a primary with its own follower
-            moves = [
-                (region, target)
-                for region, target in moves
-                if replication.allows_move(region, target)
-            ]
+        allows_move = self.cluster.replication.allows_move
+        # never co-host a primary with its own follower
+        moves = [
+            (region, target)
+            for region, target in self._load_aware_moves(servers)
+            if allows_move(region, target)
+        ]
         moved_tables = set()
         moved = 0
         for region, target in moves:

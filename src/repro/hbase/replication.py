@@ -24,9 +24,11 @@ region. That single invariant drives everything:
 * **rebuild** — a follower lost with its server is pure derived state:
   a replacement is a fresh region plus a full log replay.
 
-With ``replica_count=1`` (the default) no manager is created at all:
-no taps, no groups, no daemon — every pre-existing code path and its
-simulated latency stays bit-identical.
+Every cluster has a manager; replication is per table, as HBase's
+``REGION_REPLICATION`` is. A region without a group has no tap and no
+followers, so it behaves — and charges — as if replication did not
+exist. With ``replica_count=1`` (the default) no table gets a group
+unless a replica-count change asks for one.
 """
 
 from __future__ import annotations
@@ -92,34 +94,17 @@ class ReplicationGroup:
 class ReplicationManager:
     """Owns every replication group of one cluster.
 
-    Created by :class:`~repro.hbase.cluster.HBaseCluster` only when
-    ``config.replica_count >= 2``; every hook in the
-    cluster/client layers is guarded on ``cluster.replication is not
-    None``, so the unreplicated simulation never pays for it.
+    Every :class:`~repro.hbase.cluster.HBaseCluster` builds one. The
+    cluster and client hooks key on ``groups.get(region.name)``: a
+    region without a group has no tap and no followers, so it behaves
+    and charges as if replication did not exist.
     """
 
-    def __init__(
-        self,
-        cluster: "HBaseCluster",
-        default_replica_count: int | None = None,
-    ) -> None:
+    def __init__(self, cluster: "HBaseCluster") -> None:
         self.cluster = cluster
-        if default_replica_count is None:
-            default_replica_count = cluster.config.replica_count
-            if default_replica_count < 2:  # pragma: no cover - guarded by cluster
-                raise ReplicationError(
-                    f"replica_count={default_replica_count}: a manager "
-                    "needs at least a primary and one follower"
-                )
-        elif default_replica_count < 1:
-            raise ReplicationError(
-                f"default_replica_count must be >= 1, got "
-                f"{default_replica_count}"
-            )
-        self.default_replica_count = default_replica_count
-        """Replica target for tables without a per-table override. May
-        be 1 when orchestration created this manager on an unreplicated
-        cluster purely to raise individual tables' counts."""
+        self.default_replica_count = cluster.config.replica_count
+        """Replica target for tables without a per-table override
+        (``ClusterConfig`` holds it to at least 1)."""
         self.targets: dict[str, int] = {}
         """Per-table replica-count overrides (orchestration's online
         ``set_replica_count``); tables absent here use the default."""
@@ -392,15 +377,11 @@ class ReplicationManager:
     def on_region_moved(
         self, region: Region, source: "RegionServer", target: "RegionServer"
     ) -> None:
-        """Keep the ship-log tap on the WAL the primary now writes to."""
+        """Keep the ship-log tap on the WAL the primary now writes to
+        (the cluster checked :meth:`allows_move` before moving)."""
         group = self.groups.get(region.name)
         if group is None:
             return
-        if any(f.server is target for f in group.followers):
-            raise ReplicationError(
-                f"moving primary {region.name} onto {target.name} would "
-                "co-host it with its own follower"
-            )
         source.wal.remove_tap(region.name)
         target.wal.install_tap(region.name, group.log.append)
 

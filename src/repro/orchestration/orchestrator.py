@@ -175,38 +175,37 @@ def verify_cluster(
         if prev_end is not None:
             fatal.append(f"table {name!r} does not cover the key space end")
     manager = cluster.replication
-    if manager is not None:
-        for group in manager.groups.values():
-            table = group.primary.table_name
-            if tables is not None and table not in set(tables):
-                continue
-            want = manager.target_for(table) - 1
-            log_len = len(group.log)
-            if len(group.followers) > max(want, 0):
+    for group in manager.groups.values():
+        table = group.primary.table_name
+        if tables is not None and table not in set(tables):
+            continue
+        want = manager.target_for(table) - 1
+        log_len = len(group.log)
+        if len(group.followers) > max(want, 0):
+            fatal.append(
+                f"group {group.primary.name} over-replicated: "
+                f"{len(group.followers)} followers for target "
+                f"{want + 1}"
+            )
+        primary_host = cluster._region_host.get(group.primary.name)
+        for follower in group.followers:
+            if follower.applied > log_len:
                 fatal.append(
-                    f"group {group.primary.name} over-replicated: "
-                    f"{len(group.followers)} followers for target "
-                    f"{want + 1}"
+                    f"follower watermark past the ship log on "
+                    f"{group.primary.name} "
+                    f"({follower.applied} > {log_len})"
                 )
-            primary_host = cluster._region_host.get(group.primary.name)
-            for follower in group.followers:
-                if follower.applied > log_len:
-                    fatal.append(
-                        f"follower watermark past the ship log on "
-                        f"{group.primary.name} "
-                        f"({follower.applied} > {log_len})"
-                    )
-                if follower.is_live() and follower.server is primary_host:
-                    fatal.append(
-                        f"anti-affinity breach: {group.primary.name} "
-                        f"co-hosted with its follower on "
-                        f"{follower.server.name}"
-                    )
-            if len(group.live_followers()) < want:
-                transient.append(
-                    f"group {group.primary.name} short: "
-                    f"{len(group.live_followers())}/{want} live followers"
+            if follower.is_live() and follower.server is primary_host:
+                fatal.append(
+                    f"anti-affinity breach: {group.primary.name} "
+                    f"co-hosted with its follower on "
+                    f"{follower.server.name}"
                 )
+        if len(group.live_followers()) < want:
+            transient.append(
+                f"group {group.primary.name} short: "
+                f"{len(group.live_followers())}/{want} live followers"
+            )
     return transient, fatal
 
 

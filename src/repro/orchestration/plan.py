@@ -167,7 +167,7 @@ def diff(plan: ClusterPlan, cluster: "HBaseCluster") -> list[Step]:
             desc = cluster.descriptor(name)
         except TableNotFoundError as e:
             raise PlanValidationError(str(e)) from e
-        groups = manager.groups_for(name) if manager is not None else []
+        groups = manager.groups_for(name)
         current = manager.target_for(name) if groups else 1
         if table_plan.replicas != current:
             if table_plan.replicas > 1 and not groups:
@@ -241,7 +241,7 @@ class Layout:
                     manager.follower_placements(name),
                 )
                 for name in cluster.tables
-                if manager is not None and manager.groups_for(name)
+                if manager.groups_for(name)
             },
         )
 
@@ -269,7 +269,7 @@ def restore(layout: Layout, cluster: "HBaseCluster") -> list[Step]:
     drops: list[Step] = []
     followers: list[Step] = []
     for table in cluster.tables:
-        if manager is None or not manager.groups_for(table):
+        if not manager.groups_for(table):
             continue
         if table not in layout.replicas:
             drops.append(SetFollowers(table, None))

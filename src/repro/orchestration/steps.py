@@ -291,8 +291,7 @@ class SetReplicas(Step):
             desc = cluster.descriptor(self.table)
         except TableNotFoundError as e:
             raise StaleStepError(str(e)) from e
-        manager = cluster.replication
-        managed = manager is not None and manager.groups_for(self.table)
+        managed = cluster.replication.groups_for(self.table)
         if self.count > 1 and not managed:
             dirty = any(
                 len(r.memstore) > 0 or r.hfiles for r in desc.regions
@@ -306,21 +305,19 @@ class SetReplicas(Step):
 
     def _do(self, cluster: "HBaseCluster") -> None:
         cluster.set_replica_count(self.table, self.count)
-        manager = cluster.replication
-        if manager is not None:
-            for group in manager.groups_for(self.table):
-                if len(group.followers) > max(self.count - 1, 0):
+        for group in cluster.replication.groups_for(self.table):
+            if len(group.followers) > max(self.count - 1, 0):
+                raise StepVerificationError(
+                    f"group {group.primary.name} over-replicated: "
+                    f"{len(group.followers)} followers for target "
+                    f"{self.count}"
+                )
+            for follower in group.followers:
+                if follower.applied > len(group.log):
                     raise StepVerificationError(
-                        f"group {group.primary.name} over-replicated: "
-                        f"{len(group.followers)} followers for target "
-                        f"{self.count}"
+                        f"follower watermark beyond the ship log on "
+                        f"{group.primary.name}"
                     )
-                for follower in group.followers:
-                    if follower.applied > len(group.log):
-                        raise StepVerificationError(
-                            f"follower watermark beyond the ship log on "
-                            f"{group.primary.name}"
-                        )
 
     def describe(self) -> str:
         return f"set-replicas({self.table},{self.count})"
@@ -380,8 +377,7 @@ class SplitRegion(Step):
                 f"{self.table!r} already has a boundary at "
                 f"{self.split_key!r}"
             )
-        manager = cluster.replication
-        if manager is not None and region.name in manager.groups:
+        if region.name in cluster.replication.groups:
             raise StaleStepError(
                 f"region {region.name} is replicated and cannot be split"
             )

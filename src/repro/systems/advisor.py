@@ -15,16 +15,24 @@ Synergy would treat as separate locking hierarchies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
+from repro.phoenix.planner import SelectComposer
 from repro.relational.datatypes import DataType
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sql.analyzer import analyze_select
-from repro.sql.ast import ColumnRef, Select, Star
+from repro.sql.ast import Select
 from repro.synergy.graph import GraphEdge, build_schema_graph
 from repro.synergy.heuristics import joins_match_edge
 from repro.synergy.views import ViewDef
+
+STORAGE_BUDGET_FRACTION = 0.6
+"""Share of the estimated base-table bytes the recommended views may
+take."""
+
+MAX_VIEWS = 1
+"""Recommendation cap. The paper's DTA run produced exactly one
+materialized view (used by Q10), so MVCC-UA keeps the same cap."""
 
 
 @dataclass
@@ -46,18 +54,10 @@ class TuningAdvisor:
         schema: Schema,
         workload: Workload,
         row_estimates: dict[str, int],
-        storage_budget_fraction: float = 0.6,
-        max_views: int | None = 1,
     ) -> None:
         self.schema = schema
         self.workload = workload
         self.row_estimates = dict(row_estimates)
-        self.storage_budget_fraction = storage_budget_fraction
-        self.max_views = max_views
-        """Recommendation cap. The paper's DTA run produced exactly one
-        materialized view (used by Q10); we default to the same cap so
-        MVCC-UA matches the evaluated configuration. Pass None to let the
-        storage budget alone decide (ablation)."""
         self.graph = build_schema_graph(schema)
 
     # -- candidate enumeration ---------------------------------------------------------
@@ -104,42 +104,15 @@ class TuningAdvisor:
             root=relations[0],
             name_override="ADV_" + "__".join(relations),
         )
-        needed = self._needed_attributes(select, analyzed, set(relations))
-        return view, needed
-
-    def _needed_attributes(
-        self, select: Select, analyzed: Any, relations: set[str]
-    ) -> set[str]:
+        # every attribute the query reads of a chain relation
         needed: set[str] = set()
-
-        def note(col: ColumnRef) -> None:
-            for rel_name in relations:
-                rel = self.schema.relation(rel_name)
-                if rel.has_attribute(col.name):
-                    needed.add(col.name)
-
-        for p in select.projections:
-            if isinstance(p, Star):
-                for rel_name in relations:
-                    needed.update(
-                        self.schema.relation(rel_name).attribute_names
-                    )
-            elif isinstance(p, ColumnRef):
-                note(p)
-            elif p.arg is not None:
-                note(p.arg)
-        for cond in select.where:
-            note(cond.left)
-            if isinstance(cond.right, ColumnRef):
-                note(cond.right)
-        for g in select.group_by:
-            note(g)
-        for o in select.order_by:
-            if isinstance(o.expr, ColumnRef):
-                note(o.expr)
-            elif o.expr.arg is not None:
-                note(o.expr.arg)
-        return needed
+        for binding, attrs in SelectComposer().needed_attrs(analyzed).items():
+            rel_name = analyzed.bindings[binding]
+            if rel_name in relations:
+                if attrs is None:
+                    attrs = self.schema.relation(rel_name).attribute_names
+                needed.update(attrs)
+        return view, needed
 
     # -- cost/benefit model --------------------------------------------------------------
     _WIDTHS = {DataType.VARCHAR: 40}  # numeric/date types default to 8
@@ -216,13 +189,13 @@ class TuningAdvisor:
                     source_queries=(stmt.statement_id,),
                 )
 
-        budget = self.storage_budget_fraction * self.base_size_estimate()
+        budget = STORAGE_BUDGET_FRACTION * self.base_size_estimate()
         chosen: list[AdvisorCandidate] = []
         spent = 0
         for cand in sorted(
             candidates.values(), key=lambda c: (-c.benefit, c.size_estimate)
         ):
-            if self.max_views is not None and len(chosen) >= self.max_views:
+            if len(chosen) >= MAX_VIEWS:
                 break
             if spent + cand.size_estimate > budget:
                 continue

@@ -32,13 +32,11 @@ class AdvisorDesign:
         schema: Schema,
         workload: Workload,
         row_estimates: dict[str, int],
-        storage_budget_fraction: float,
-        max_views: int | None,
     ) -> None:
         self.schema = schema
         self.workload = workload
         self.recommendations: list[AdvisorCandidate] = TuningAdvisor(
-            schema, workload, row_estimates, storage_budget_fraction, max_views
+            schema, workload, row_estimates
         ).recommend()
         self.views = [c.view for c in self.recommendations]
 
@@ -102,11 +100,7 @@ class MvccUASystem(MvccSystemBase):
         row_estimates: dict[str, int],
         sim: Simulation | None = None,
         cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
-        storage_budget_fraction: float = 0.6,
-        max_views: int | None = 1,
     ) -> None:
-        design = AdvisorDesign(
-            schema, workload, row_estimates, storage_budget_fraction, max_views
-        )
+        design = AdvisorDesign(schema, workload, row_estimates)
         super().__init__(schema, design, sim, cluster_config)
         self.recommendations = design.recommendations

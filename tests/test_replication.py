@@ -14,6 +14,7 @@ from repro.hbase.client import HTable
 from repro.hbase.ops import Get
 from repro.hbase.replication import ReplicationShipper
 from repro.hbase.wal import WalEntry, WriteAheadLog
+from repro.orchestration import cluster_snapshot
 from repro.sim.clock import Simulation
 from repro.hbase import chaos, replication
 from repro.hbase.chaos import (
@@ -125,11 +126,71 @@ def value_at(cluster, row: bytes, table="c") -> bytes | None:
 
 
 class TestPlacement:
-    def test_default_config_creates_no_manager(self):
+    def test_default_config_replicates_nothing(self):
         sim = Simulation(seed=1)
         cluster = HBaseCluster(sim, ClusterConfig(seed=1))
-        assert cluster.replication is None
+        table = HBaseClient(cluster).create_table(
+            "c", families=(FAMILY,), split_keys=[b"%08d" % 20]
+        )
+        table.put_batch(
+            [Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"v") for i in range(40)]
+        )
+        manager = cluster.replication
+        assert manager.groups == {}
         assert all(not s.follower_regions for s in cluster.servers)
+        assert manager.entries_shipped == 0
+        assert manager.promotions == 0
+        assert manager.followers_rebuilt == 0
+
+    def test_groupless_table_matches_the_unreplicated_cluster(self):
+        """A table without groups on a ``replica_count=2`` cluster is
+        the same table on a ``replica_count=1`` cluster, bit for bit:
+        same virtual time, same layout, same content through a batch
+        put, a move, a split, a merge, a drain and a crash + recovery."""
+
+        def drive(replica_count):
+            sim = Simulation(seed=5)
+            cluster = HBaseCluster(
+                sim,
+                ClusterConfig(
+                    num_region_servers=4, seed=5, replica_count=replica_count
+                ),
+            )
+            table = HBaseClient(cluster).create_table(
+                "c", families=(FAMILY,), split_keys=[b"%08d" % 30]
+            )
+            table.put_batch(
+                [
+                    Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"v%d" % i)
+                    for i in range(60)
+                ]
+            )
+            desc = cluster.tables["c"]
+            first = desc.regions[0]
+            target = next(
+                s for s in cluster.servers if s is not cluster.server_for(first)
+            )
+            assert cluster.move_region(first, target)
+            low, high = cluster.split_region(desc.regions[1])
+            cluster.merge_regions(low, high)
+            cluster.drain_server(cluster.server_for(desc.regions[0]))
+            table.put_batch(
+                [
+                    Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"w%d" % i)
+                    for i in range(0, 60, 3)
+                ]
+            )
+            victim = cluster.server_for(desc.regions[-1])
+            victim.crash()
+            cluster.recover_server(victim)
+            assert cluster.replication.groups == {}
+            return (
+                sim.clock.now_ms,
+                cluster.layout_fingerprint(),
+                cluster_snapshot(cluster),
+            )
+
+        assert drive(2) == drive(1)
 
     def test_followers_never_share_the_primary_host(self):
         _sim, cluster = build_replicated_fixture(replica_count=3)

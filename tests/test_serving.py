@@ -12,6 +12,13 @@ serving bench cells the CI smoke asserts on.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.bench.suite import failed
 from repro.bench.suites.serving import (
@@ -34,6 +41,7 @@ from repro.hbase.ops import Delete, Get, Put
 from repro.sim.clock import Simulation
 from repro.sim.rng import derive_rng
 from repro.tpcw.serving import _FOLD_MULTIPLIER, ServingWorkload, ZipfianPopulation
+from tests.reference.cache import ModelRowCache, entry_size
 
 CF = b"cf"
 Q = b"v"
@@ -175,6 +183,97 @@ class TestRowCache:
         assert missed(cache.lookup("r", b"a", variant))
         assert missed(cache.lookup("r", b"a", None))
         assert not cache._entries and cache.size_bytes == 0
+
+
+# ------------------------------------------------------ row cache vs its model
+MODEL_REGIONS = ("r1", "r2")
+MODEL_ROWS = (b"a", b"bb")
+MODEL_VARIANTS = (None, RowCache.variant([(CF, Q)]))
+MODEL_VALUES = (None, b"", b"0123456789")
+"""A cached ``None`` (absent row) and two payload sizes."""
+
+
+def _model_capacities() -> list[int]:
+    """Budgets around every entry size the machine can insert: exactly
+    one entry, one byte more, room for two or three, and a budget no
+    entry fits."""
+    sizes = {
+        entry_size(row, None if value is None else result_for(row, value))
+        for row in MODEL_ROWS
+        for value in MODEL_VALUES
+    }
+    out = {1}
+    for size in sizes:
+        out.update((size, size + 1, 2 * size, 3 * size))
+    return sorted(out)
+
+
+class RowCacheMachine(RuleBasedStateMachine):
+    """``RowCache`` against ``ModelRowCache``: every answer, every
+    counter and the eviction order agree after each step."""
+
+    @initialize(capacity=st.sampled_from(_model_capacities()))
+    def build(self, capacity):
+        self.cache = RowCache(capacity)
+        self.cache.eviction_log = []
+        self.model = ModelRowCache(capacity)
+
+    @rule(
+        region=st.sampled_from(MODEL_REGIONS),
+        row=st.sampled_from(MODEL_ROWS),
+        variant=st.sampled_from(MODEL_VARIANTS),
+    )
+    def lookup(self, region, row, variant):
+        got = self.cache.lookup(region, row, variant)
+        found, want = self.model.lookup((region, row, variant))
+        assert missed(got) is not found
+        if found:
+            assert got is want
+
+    @rule(
+        region=st.sampled_from(MODEL_REGIONS),
+        row=st.sampled_from(MODEL_ROWS),
+        variant=st.sampled_from(MODEL_VARIANTS),
+        value=st.sampled_from(MODEL_VALUES),
+    )
+    def insert(self, region, row, variant, value):
+        result = None if value is None else result_for(row, value)
+        self.cache.insert(region, row, variant, result)
+        self.model.insert((region, row, variant), result)
+
+    @rule(region=st.sampled_from(MODEL_REGIONS), row=st.sampled_from(MODEL_ROWS))
+    def invalidate_row(self, region, row):
+        self.cache.invalidate_row(region, row)
+        self.model.invalidate(lambda key: key[:2] == (region, row))
+
+    @rule(region=st.sampled_from(MODEL_REGIONS))
+    def invalidate_region(self, region):
+        self.cache.invalidate_region(region)
+        self.model.invalidate(lambda key: key[0] == region)
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.model.clear()
+
+    @rule(capacity=st.integers(min_value=-2, max_value=2))
+    def capacity_must_be_positive(self, capacity):
+        if capacity <= 0:
+            with pytest.raises(ValueError):
+                RowCache(capacity)
+        else:
+            assert RowCache(capacity).stats() == ModelRowCache(capacity).stats()
+
+    @invariant()
+    def agrees(self):
+        assert self.cache.stats() == self.model.stats()
+        assert self.cache.eviction_log == self.model.eviction_log
+
+
+TestRowCacheModel = RowCacheMachine.TestCase
+TestRowCacheModel.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None, derandomize=True
+)
 
 
 # ------------------------------------------------------- cache coherence (e2e)
