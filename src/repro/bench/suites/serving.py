@@ -17,25 +17,31 @@ from repro.tpcw import ServingWorkload, ZipfianPopulation
 
 SERVING_MODES = ("baseline", "cache", "cache+shed")
 
+NUM_SERVERS = 4
+KEY_SPACE = 2048
+"""Profile rows the Zipfian population folds onto."""
+READ_FRACTION = 0.9
+VALUE_BYTES = 96
+CACHE_BYTES = 64 * 1024
+"""Per-server row cache budget in the ``cache`` modes."""
+QUEUE_MS = 8.0
+"""Admission queue bound in ``cache+shed``."""
+P99_BUDGET_MS = 6.0
+"""Adaptive-shedding p99 budget in ``cache+shed``."""
+SEED = 20170904
 
-def _serving_config(
-    mode: str,
-    cache_bytes: int,
-    queue_ms: float,
-    p99_budget_ms: float,
-    qos_weights: tuple[tuple[str, float], ...] = (),
-) -> ServingConfig:
+
+def _serving_config(mode: str) -> ServingConfig:
     """Map a bench mode name onto a :class:`ServingConfig`."""
     if mode == "baseline":
         return ServingConfig()
     if mode == "cache":
-        return ServingConfig(row_cache_bytes=cache_bytes)
+        return ServingConfig(row_cache_bytes=CACHE_BYTES)
     if mode == "cache+shed":
         return ServingConfig(
-            row_cache_bytes=cache_bytes,
-            admission_queue_ms=queue_ms,
-            p99_budget_ms=p99_budget_ms,
-            qos_weights=qos_weights,
+            row_cache_bytes=CACHE_BYTES,
+            admission_queue_ms=QUEUE_MS,
+            p99_budget_ms=P99_BUDGET_MS,
         )
     raise ValueError(f"unknown serving mode {mode!r}")
 
@@ -45,16 +51,10 @@ def _serving_cell(
     ops_per_client: int,
     mode: str,
     *,
-    num_servers: int = 4,
-    key_space: int = 2048,
+    num_servers: int = NUM_SERVERS,
     population: int = 1_000_000,
     zipf_s: float = 1.1,
-    read_fraction: float = 0.9,
-    value_bytes: int = 96,
-    cache_bytes: int = 64 * 1024,
-    queue_ms: float = 8.0,
-    p99_budget_ms: float = 6.0,
-    seed: int = 20170904,
+    seed: int = SEED,
     zipf: ZipfianPopulation | None = None,
 ) -> dict[str, float | int]:
     """One serving-grid cell: ``clients`` closed-loop virtual clients
@@ -71,25 +71,25 @@ def _serving_cell(
         ClusterConfig(
             num_region_servers=num_servers,
             seed=seed,
-            serving=_serving_config(mode, cache_bytes, queue_ms, p99_budget_ms),
+            serving=_serving_config(mode),
         ),
         "serve",
-        [b"%08d" % (i * key_space // regions) for i in range(1, regions)],
+        [b"%08d" % (i * KEY_SPACE // regions) for i in range(1, regions)],
     )
     preload = [
-        (b"%08d" % i, (b"seed-%08d" % i).ljust(value_bytes, b"."))
-        for i in range(key_space)
+        (b"%08d" % i, (b"seed-%08d" % i).ljust(VALUE_BYTES, b"."))
+        for i in range(KEY_SPACE)
     ]
     if zipf is None:
         zipf = ZipfianPopulation(population, zipf_s)
-    workload = ServingWorkload(zipf, key_space, seed, read_fraction)
+    workload = ServingWorkload(zipf, KEY_SPACE, seed, READ_FRACTION)
     # stream label excludes clients/mode: client i replays the same mix
     # in every cell, so modes differ only in serving machinery
     ops = [
         [
             ("get", row) if kind == "get" else (
                 "put", row,
-                (b"c%06d-%04d" % (i, n)).ljust(value_bytes, b"."),
+                (b"c%06d-%04d" % (i, n)).ljust(VALUE_BYTES, b"."),
             )
             for n, (kind, row) in enumerate(
                 workload.ops_for_client(i, ops_per_client)
@@ -123,15 +123,8 @@ def _serving_cell(
 def run_serving(
     client_counts: tuple[int, ...] = (64, 256, 1024),
     ops_per_client: int = 6,
-    modes: tuple[str, ...] = SERVING_MODES,
-    num_servers: int = 4,
-    key_space: int = 2048,
     population: int = 1_000_000,
     zipf_s: float = 1.1,
-    cache_bytes: int = 64 * 1024,
-    queue_ms: float = 8.0,
-    p99_budget_ms: float = 6.0,
-    seed: int = 20170904,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Serving sweep: offered load (virtual clients) x serving mode.
@@ -175,15 +168,12 @@ def run_serving(
     )
     zipf = ZipfianPopulation(population, zipf_s)
     mode_notes: list[str] = []
-    for mode in modes:
+    for mode in SERVING_MODES:
         for clients in client_counts:
             say(f"[serving] {clients} clients, mode={mode}")
             cell = _serving_cell(
                 clients, ops_per_client, mode,
-                num_servers=num_servers, key_space=key_space,
-                population=population, zipf_s=zipf_s,
-                cache_bytes=cache_bytes, queue_ms=queue_ms,
-                p99_budget_ms=p99_budget_ms, seed=seed, zipf=zipf,
+                population=population, zipf_s=zipf_s, zipf=zipf,
             )
             if cell["violations"]:
                 raise RuntimeError(
@@ -202,10 +192,10 @@ def run_serving(
                 )
     return grid.finish(
         f"Zipf(s={zipf_s}) over {population} users folded onto "
-        f"{key_space} profile rows, {num_servers} servers, "
+        f"{KEY_SPACE} profile rows, {NUM_SERVERS} servers, "
         f"{ops_per_client} ops/client (90/10 get/put), cache "
-        f"{cache_bytes}B, queue bound {queue_ms} ms, p99 budget "
-        f"{p99_budget_ms} ms, seed {seed}; closed loop, bounded "
+        f"{CACHE_BYTES}B, queue bound {QUEUE_MS} ms, p99 budget "
+        f"{P99_BUDGET_MS} ms, seed {SEED}; closed loop, bounded "
         "shed-retry backoff",
         *mode_notes,
     )

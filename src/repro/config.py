@@ -153,7 +153,9 @@ def price_list(cost: CostModel) -> dict[str, float]:
 @dataclass(frozen=True)
 class ServingConfig:
     """Serving-layer knobs: the region-server row cache and the
-    per-server admission controller with p99-targeted load shedding.
+    per-server admission controller with p99-targeted load shedding,
+    three settings in all. Every table on a server is admitted against
+    the same queue bound.
 
     Everything defaults *off*: ``row_cache_bytes=0`` installs no cache
     and ``admission_queue_ms=None`` installs no admission controller,
@@ -175,14 +177,6 @@ class ServingConfig:
     shrinks by ``p99 / budget`` until the tail comes back under it.
     ``None`` leaves the queue bound static."""
 
-    qos_weights: tuple[tuple[str, float], ...] = ()
-    """Per-table QoS weights as ``(table_name, weight)`` pairs (tuple,
-    not dict, so the config stays hashable/frozen). A table with weight
-    w tolerates a backlog of ``w * admission_queue_ms`` before it is
-    shed — under pressure, low-weight (batch) tables shed first and
-    high-weight (interactive) tables shed last. Unlisted tables get
-    weight 1.0."""
-
     def __post_init__(self) -> None:
         if self.row_cache_bytes < 0:
             raise ClusterConfigError(
@@ -203,17 +197,6 @@ class ServingConfig:
                 "p99_budget_ms requires admission_queue_ms (adaptive "
                 "shedding scales the queue bound)"
             )
-        for pair in self.qos_weights:
-            try:
-                table, weight = pair
-                valid = bool(table) and weight > 0
-            except (TypeError, ValueError):  # not a pair / not a number
-                valid = False
-            if not valid:
-                raise ClusterConfigError(
-                    f"qos_weights entries must be (table, positive weight) "
-                    f"pairs, got {pair!r}"
-                )
 
     @property
     def cache_enabled(self) -> bool:

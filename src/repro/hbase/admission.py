@@ -11,10 +11,6 @@ work. The admission controller bounds that backlog:
   :class:`~repro.errors.ServerOverloadedError` — *before* the server's
   busy window is touched, so a shed request consumes no server
   capacity (the client burned only its own RPC).
-* **Per-table QoS weights.** A table with weight ``w`` tolerates
-  ``w * admission_queue_ms`` of backlog. Under pressure, low-weight
-  (batch) traffic is shed first; high-weight (interactive) traffic
-  sheds last.
 * **p99-targeted adaptation.** The controller keeps a sliding window
   of completed-request latencies (queue wait + service, measured in
   virtual time between admit and completion). Every
@@ -23,6 +19,9 @@ work. The admission controller bounds that backlog:
   by the overshoot ratio (``pressure``), shedding harder until the tail
   returns to budget. All inputs are virtual-time quantities, so shed
   decisions are bit-identical across reruns at the same seed.
+
+Every table on a server is admitted against the same bound; sheds are
+still counted per table (``shed_by_table``) for ``serving_stats()``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ off at least this long before re-offering a shed request."""
 
 
 class AdmissionController:
-    """Deterministic bounded-queue admission with adaptive shedding."""
+    """Deterministic bounded-queue admission with adaptive shedding:
+    one queue bound, shrunk by ``pressure``, for every table."""
 
     __slots__ = (
         "server_name",
@@ -57,7 +57,6 @@ class AdmissionController:
         "shed",
         "shed_by_table",
         "shed_log",
-        "_weights",
         "_window",
         "_since_refresh",
     )
@@ -73,21 +72,17 @@ class AdmissionController:
         self.shed = 0
         self.shed_by_table: dict[str, int] = {}
         self.shed_log: list[tuple[str, float, float, float]] | None = None
-        self._weights = dict(config.qos_weights)
         self._window: deque[float] = deque(maxlen=P99_WINDOW)
         self._since_refresh = 0
 
-    def weight_for(self, table: str) -> float:
-        return self._weights.get(table, 1.0)
-
-    def bound_ms(self, table: str) -> float:
-        """Effective queue bound for one table at current pressure."""
-        return self.queue_bound_ms * self.weight_for(table) / self.pressure
+    def bound_ms(self) -> float:
+        """Effective queue bound at current pressure."""
+        return self.queue_bound_ms / self.pressure
 
     def admit(self, table: str, now_ms: float, backlog_ms: float) -> float:
         """Admit (returning the arrival timestamp as the completion
         token) or shed with :class:`ServerOverloadedError`."""
-        bound = self.bound_ms(table)
+        bound = self.bound_ms()
         if backlog_ms > bound:
             self.shed += 1
             self.shed_by_table[table] = self.shed_by_table.get(table, 0) + 1

@@ -20,10 +20,10 @@ class RegionServer:
     """One simulated HBase RegionServer process.
 
     When a :class:`~repro.config.ServingConfig` enables them, the server
-    carries a byte-bounded LRU row cache (point reads skip the store
-    lookup on a hit) and an admission controller (arriving requests are
-    shed before they queue once the virtual backlog exceeds the —
-    possibly pressure-shrunk — bound). Both default off, leaving every
+    carries a byte-bounded LRU row cache (whole-row point reads skip
+    the store lookup on a hit) and an admission controller (arriving
+    requests are shed before they queue once the virtual backlog
+    exceeds the — possibly pressure-shrunk — bound). Both default off, leaving every
     charge on every pre-existing path bit-identical."""
 
     def __init__(
@@ -109,21 +109,22 @@ class RegionServer:
         max_versions: int = 1,
         time_range: tuple[int, int] | None = None,
     ) -> Result | None:
-        """Point read through the (optional) row cache. Multi-version
-        and time-ranged reads bypass it (a compaction could change
-        their answer); a hit charges ``CACHE_HIT_MS`` and touches the
+        """Point read through the (optional) row cache, which holds
+        whole-row newest reads keyed ``(region, row)``. A read that
+        projects ``columns``, asks for more than one version or sets a
+        time range bypasses it (the last two could change across a
+        compaction); a hit charges ``CACHE_HIT_MS`` and touches the
         store not at all."""
         cache = self.row_cache
-        if cache is None or max_versions != 1 or time_range is not None:
+        if cache is None or columns or max_versions != 1 or time_range is not None:
             return self.read_point(region, row, columns, max_versions, time_range)
         region._check_online()  # a cached row must not outlive its region
-        variant = RowCache.variant(columns)
-        cached = cache.lookup(region.name, row, variant)
+        cached = cache.lookup(region.name, row)
         if not missed(cached):
             self.sim.charge(self._cache_hit_what, "CACHE_HIT_MS", 1)
             return cached
-        result = self.read_point(region, row, columns)
-        cache.insert(region.name, row, variant, result)
+        result = self.read_point(region, row)
+        cache.insert(region.name, row, result)
         return result
 
     # -- mutations (all WAL-first) ---------------------------------------------------

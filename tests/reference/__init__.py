@@ -13,8 +13,8 @@ stable-sort, filter merge with projection and ``time_range``),
 ``reading``), and ``encode_value_reference`` for the value codec.
 
 ``cache`` is the reference for the region server's row cache:
-``ModelRowCache``, one LRU dict keyed ``(region, row, variant)`` and
-charged in bytes by ``entry_size``.
+``ModelRowCache``, one LRU dict keyed ``(region, row)`` and charged in
+bytes by ``entry_size``.
 
 ``sql`` is the reference for statements on all five systems, both
 planners and the federation mediator: the Company rows in load order

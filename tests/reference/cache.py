@@ -1,7 +1,8 @@
 """The row-cache reference: one insertion-ordered dict keyed
-``(region, row, variant)``, least recently used first, charged in bytes.
-``RowCache`` keeps the same entries behind per-row and per-region
-indexes; this model finds them by scanning every key instead."""
+``(region, row)``, least recently used first, charged in bytes, whose
+size is re-summed on every read instead of kept as a running total.
+``RowCache`` keeps the same entries and counters; both find a region's
+entries by scanning every key."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ def entry_size(row, result):
 
 
 class ModelRowCache:
-    """What a byte-bounded LRU cache of point reads answers."""
+    """What a byte-bounded LRU cache of whole-row point reads answers."""
 
     def __init__(self, capacity_bytes):
         self.capacity_bytes = capacity_bytes

@@ -548,7 +548,7 @@ class TestSettableSurface:
         }
         assert counts == {
             "CostModel": 21,
-            "ServingConfig": 4,
+            "ServingConfig": 3,
             "ClusterConfig": 6,
             "FaultConfig": 5,
         }

@@ -25,6 +25,7 @@ from repro.bench.suites.serving import (
     SERVING,
     SERVING_MODES,
     _serving_cell,
+    _serving_config,
     run_serving,
 )
 from repro.config import ClusterConfig, ServingConfig
@@ -71,15 +72,6 @@ class TestServingConfig:
             dict(admission_queue_ms=-2.0),
             dict(p99_budget_ms=5.0),  # budget without admission control
             dict(admission_queue_ms=4.0, p99_budget_ms=0.0),
-            # every malformed qos pair is a config error, never a bare
-            # TypeError: zero / negative / non-numeric weight, unnamed
-            # table, wrong arity, not a pair at all
-            dict(admission_queue_ms=4.0, qos_weights=(("t", 0.0),)),
-            dict(admission_queue_ms=4.0, qos_weights=(("t", -1.0),)),
-            dict(admission_queue_ms=4.0, qos_weights=(("t", "heavy"),)),
-            dict(admission_queue_ms=4.0, qos_weights=(("", 1.0),)),
-            dict(admission_queue_ms=4.0, qos_weights=(("t",),)),
-            dict(admission_queue_ms=4.0, qos_weights=(5,)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -87,108 +79,9 @@ class TestServingConfig:
             ServingConfig(**kwargs)
 
 
-# ------------------------------------------------------------------- RowCache
-class TestRowCache:
-    def test_lookup_miss_then_hit(self):
-        cache = RowCache(4096)
-        assert missed(cache.lookup("r1", b"a", None))
-        cache.insert("r1", b"a", None, result_for(b"a", b"x"))
-        got = cache.lookup("r1", b"a", None)
-        assert not missed(got)
-        assert got.value(CF, Q) == b"x"
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-    def test_negative_caching_distinguishes_none_from_absent(self):
-        cache = RowCache(4096)
-        cache.insert("r1", b"gone", None, None)
-        got = cache.lookup("r1", b"gone", None)
-        assert got is None
-        assert not missed(got)
-        assert cache.hits == 1
-
-    def test_lru_eviction_order_is_strict(self):
-        # capacity = exactly three entries (all rows/values equal-sized)
-        entry = (
-            ENTRY_OVERHEAD_BYTES + 1 + result_for(b"a", b"0123456789").size_bytes
-        )
-        cache = RowCache(3 * entry)
-        log: list = []
-        cache.eviction_log = log
-        for row in (b"a", b"b", b"c"):
-            cache.insert("r", row, None, result_for(row, b"0123456789"))
-        # touch a so b becomes LRU, then insert d -> b evicted, then e -> c
-        cache.lookup("r", b"a", None)
-        cache.insert("r", b"d", None, result_for(b"d", b"0123456789"))
-        cache.insert("r", b"e", None, result_for(b"e", b"0123456789"))
-        assert [key[1] for key in log] == [b"b", b"c"]
-        assert not missed(cache.lookup("r", b"a", None))
-
-    def test_eviction_sequence_bit_identical_across_reruns(self):
-        def run():
-            rng = derive_rng(99, "cache-evict")
-            cache = RowCache(2048)
-            cache.eviction_log = []
-            for _ in range(400):
-                row = b"%04d" % int(rng.integers(0, 64))
-                if missed(cache.lookup("r", row, None)):
-                    cache.insert("r", row, None, result_for(row, bytes(24)))
-            return cache.eviction_log, cache.stats()
-
-        first_log, first_stats = run()
-        second_log, second_stats = run()
-        assert first_log == second_log
-        assert first_stats == second_stats
-        assert first_stats["evictions"] > 0
-
-    def test_oversized_entry_skipped(self):
-        cache = RowCache(128)
-        cache.insert("r", b"big", None, result_for(b"big", bytes(512)))
-        assert not cache._entries
-        assert cache.size_bytes == 0
-
-    def test_size_accounting_returns_to_zero(self):
-        cache = RowCache(4096)
-        for row in (b"a", b"b", b"c"):
-            cache.insert("r1", row, None, result_for(row, b"xy"))
-            cache.insert("r2", row, None, None)
-        cache.invalidate_row("r1", b"a")
-        cache.invalidate_region("r2")
-        cache.invalidate_region("r1")
-        assert not cache._entries
-        assert cache.size_bytes == 0
-        assert cache.invalidations == 6
-
-    def test_variant_projections_are_separate_entries(self):
-        cache = RowCache(4096)
-        variant = RowCache.variant([(CF, Q)])
-        cache.insert("r", b"a", None, result_for(b"a", b"full"))
-        cache.insert("r", b"a", variant, result_for(b"a", b"proj"))
-        assert cache.lookup("r", b"a", None).value(CF, Q) == b"full"
-        assert cache.lookup("r", b"a", variant).value(CF, Q) == b"proj"
-        cache.invalidate_row("r", b"a")  # drops every variant
-        assert missed(cache.lookup("r", b"a", None))
-        assert missed(cache.lookup("r", b"a", variant))
-
-    def test_reinserting_one_variant_keeps_the_other_invalidatable(self):
-        """Re-inserting variant A drops A's old entry first; the row's
-        index must keep B, or ``invalidate_row`` after a write leaves B
-        served stale."""
-        cache = RowCache(4096)
-        variant = RowCache.variant([(CF, Q)])
-        cache.insert("r", b"a", None, result_for(b"a", b"A"))
-        cache.insert("r", b"a", variant, result_for(b"a", b"B"))
-        cache.insert("r", b"a", None, result_for(b"a", b"A2"))
-        cache.invalidate_row("r", b"a")
-        assert missed(cache.lookup("r", b"a", variant))
-        assert missed(cache.lookup("r", b"a", None))
-        assert not cache._entries and cache.size_bytes == 0
-
-
 # ------------------------------------------------------ row cache vs its model
 MODEL_REGIONS = ("r1", "r2")
 MODEL_ROWS = (b"a", b"bb")
-MODEL_VARIANTS = (None, RowCache.variant([(CF, Q)]))
 MODEL_VALUES = (None, b"", b"0123456789")
 """A cached ``None`` (absent row) and two payload sizes."""
 
@@ -217,15 +110,13 @@ class RowCacheMachine(RuleBasedStateMachine):
         self.cache = RowCache(capacity)
         self.cache.eviction_log = []
         self.model = ModelRowCache(capacity)
+        self.read = None
+        """What the last ``lookup`` returned."""
 
-    @rule(
-        region=st.sampled_from(MODEL_REGIONS),
-        row=st.sampled_from(MODEL_ROWS),
-        variant=st.sampled_from(MODEL_VARIANTS),
-    )
-    def lookup(self, region, row, variant):
-        got = self.cache.lookup(region, row, variant)
-        found, want = self.model.lookup((region, row, variant))
+    @rule(region=st.sampled_from(MODEL_REGIONS), row=st.sampled_from(MODEL_ROWS))
+    def lookup(self, region, row):
+        self.read = got = self.cache.lookup(region, row)
+        found, want = self.model.lookup((region, row))
         assert missed(got) is not found
         if found:
             assert got is want
@@ -233,18 +124,17 @@ class RowCacheMachine(RuleBasedStateMachine):
     @rule(
         region=st.sampled_from(MODEL_REGIONS),
         row=st.sampled_from(MODEL_ROWS),
-        variant=st.sampled_from(MODEL_VARIANTS),
         value=st.sampled_from(MODEL_VALUES),
     )
-    def insert(self, region, row, variant, value):
+    def insert(self, region, row, value):
         result = None if value is None else result_for(row, value)
-        self.cache.insert(region, row, variant, result)
-        self.model.insert((region, row, variant), result)
+        self.cache.insert(region, row, result)
+        self.model.insert((region, row), result)
 
     @rule(region=st.sampled_from(MODEL_REGIONS), row=st.sampled_from(MODEL_ROWS))
     def invalidate_row(self, region, row):
         self.cache.invalidate_row(region, row)
-        self.model.invalidate(lambda key: key[:2] == (region, row))
+        self.model.invalidate(lambda key: key == (region, row))
 
     @rule(region=st.sampled_from(MODEL_REGIONS))
     def invalidate_region(self, region):
@@ -274,6 +164,138 @@ TestRowCacheModel = RowCacheMachine.TestCase
 TestRowCacheModel.settings = settings(
     max_examples=200, stateful_step_count=30, deadline=None, derandomize=True
 )
+
+
+def machine_at(capacity: int) -> RowCacheMachine:
+    machine = RowCacheMachine()
+    machine.build(capacity)
+    machine.agrees()
+    return machine
+
+
+def replay(machine: RowCacheMachine, steps) -> RowCacheMachine:
+    """Call each ``(rule, *args)`` step on ``machine`` directly, with
+    ``agrees()`` after every one."""
+    for name, *args in steps:
+        getattr(machine, name)(*args)
+        machine.agrees()
+    return machine
+
+
+class TestRowCache:
+    """Worked examples, each a step list of ``RowCacheMachine``'s rules
+    with its own stated outcome on top of the model's."""
+
+    def test_lookup_miss_then_hit(self):
+        machine = replay(machine_at(4096), [("lookup", "r1", b"a")])
+        assert missed(machine.read)
+        replay(machine, [("insert", "r1", b"a", b"x"), ("lookup", "r1", b"a")])
+        assert not missed(machine.read)
+        assert machine.read.value(CF, Q) == b"x"
+        assert machine.cache.stats()["hits"] == 1
+        assert machine.cache.stats()["misses"] == 1
+
+    def test_negative_caching_distinguishes_none_from_absent(self):
+        machine = replay(
+            machine_at(4096),
+            [("insert", "r1", b"gone", None), ("lookup", "r1", b"gone")],
+        )
+        assert machine.read is None
+        assert not missed(machine.read)
+        assert machine.cache.hits == 1
+
+    def test_lru_eviction_order_is_strict(self):
+        # capacity = exactly three entries (all rows/values equal-sized)
+        value = b"0123456789"
+        entry = ENTRY_OVERHEAD_BYTES + 1 + result_for(b"a", value).size_bytes
+        machine = replay(
+            machine_at(3 * entry),
+            [("insert", "r", row, value) for row in (b"a", b"b", b"c")]
+            # touch a so b becomes LRU, then insert d -> b evicted, then e -> c
+            + [
+                ("lookup", "r", b"a"),
+                ("insert", "r", b"d", value),
+                ("insert", "r", b"e", value),
+            ],
+        )
+        assert [row for _, row in machine.cache.eviction_log] == [b"b", b"c"]
+        replay(machine, [("lookup", "r", b"a")])
+        assert not missed(machine.read)
+
+    def test_eviction_sequence_bit_identical_across_reruns(self):
+        def run():
+            rng = derive_rng(99, "cache-evict")
+            machine = machine_at(2048)
+            for _ in range(400):
+                row = b"%04d" % int(rng.integers(0, 64))
+                replay(machine, [("lookup", "r", row)])
+                if missed(machine.read):
+                    replay(machine, [("insert", "r", row, bytes(24))])
+            return machine.cache.eviction_log, machine.cache.stats()
+
+        first_log, first_stats = run()
+        second_log, second_stats = run()
+        assert first_log == second_log
+        assert first_stats == second_stats
+        assert first_stats["evictions"] > 0
+
+    def test_oversized_entry_skipped(self):
+        machine = replay(machine_at(128), [("insert", "r", b"big", bytes(512))])
+        assert machine.cache.stats()["entries"] == 0
+        assert machine.cache.size_bytes == 0
+
+    def test_size_accounting_returns_to_zero(self):
+        steps = []
+        for row in (b"a", b"b", b"c"):
+            steps += [("insert", "r1", row, b"xy"), ("insert", "r2", row, None)]
+        machine = replay(
+            machine_at(4096),
+            steps
+            + [
+                ("invalidate_row", "r1", b"a"),
+                ("invalidate_region", "r2"),
+                ("invalidate_region", "r1"),
+            ],
+        )
+        assert machine.cache.stats()["entries"] == 0
+        assert machine.cache.size_bytes == 0
+        assert machine.cache.invalidations == 6
+
+    def test_reinserting_a_row_replaces_its_one_entry(self):
+        """A row holds one entry: a second insert replaces the first and
+        is charged alone, and one ``invalidate_row`` empties the cache."""
+        machine = replay(
+            machine_at(4096),
+            [
+                ("insert", "r", b"a", b"A"),
+                ("insert", "r", b"a", b"A2"),
+                ("lookup", "r", b"a"),
+            ],
+        )
+        assert machine.read.value(CF, Q) == b"A2"
+        assert machine.cache.stats()["entries"] == 1
+        assert machine.cache.size_bytes == entry_size(b"a", result_for(b"a", b"A2"))
+        replay(machine, [("invalidate_row", "r", b"a"), ("lookup", "r", b"a")])
+        assert missed(machine.read)
+        assert machine.cache.size_bytes == 0
+        assert machine.cache.invalidations == 1
+
+    def test_invalidating_a_region_keeps_other_regions_rows(self):
+        machine = replay(
+            machine_at(4096),
+            [
+                ("insert", "r1", b"a", b"x"),
+                ("insert", "r2", b"a", b"y"),
+                ("insert", "r1", b"bb", None),
+                ("invalidate_region", "r1"),
+                ("lookup", "r2", b"a"),
+            ],
+        )
+        assert machine.read.value(CF, Q) == b"y"
+        assert machine.cache.stats()["entries"] == 1
+        assert machine.cache.invalidations == 2
+        replay(machine, [("lookup", "r1", b"a")])
+        assert missed(machine.read)
 
 
 # ------------------------------------------------------- cache coherence (e2e)
@@ -438,27 +460,56 @@ class TestCacheCoherence:
         # a hit pays rpc + transfer + CACHE_HIT_MS, never seek/read_row
         assert hit_cost < miss_cost
 
-    def test_multi_version_reads_bypass_cache(self):
-        sim = Simulation(seed=5)
-        cluster = HBaseCluster(
-            sim,
-            ClusterConfig(
-                num_region_servers=1,
-                seed=5,
-                serving=ServingConfig(row_cache_bytes=64 * 1024),
-            ),
-        )
-        client = HBaseClient(cluster)
-        table = client.create_table("t", max_versions=3)
-        p = Put(b"row")
-        p.add(CF, Q, b"x")
-        table.put(p)
-        g = Get(b"row", max_versions=3)
-        table.get(g)
-        table.get(g)
-        totals = cluster.serving_stats()["totals"]
+    @pytest.mark.parametrize(
+        "get",
+        [
+            Get(b"row", columns=[(CF, Q)]),
+            Get(b"row", max_versions=3),
+            Get(b"row", time_range=(0, 2**62)),
+        ],
+        ids=["projected", "multi-version", "time-ranged"],
+    )
+    def test_multi_version_reads_bypass_cache(self, get):
+        """Only whole-row newest reads are cached: a projected,
+        multi-version or time-ranged read neither hits nor misses, and
+        answers what the uncached cluster answers."""
+
+        def run(serving):
+            sim = Simulation(seed=5)
+            cluster = HBaseCluster(
+                sim,
+                ClusterConfig(num_region_servers=1, seed=5, serving=serving),
+            )
+            table = HBaseClient(cluster).create_table("t", max_versions=3)
+            for value in (b"x", b"y"):
+                p = Put(b"row")
+                p.add(CF, Q, value)
+                p.add(CF, b"w", value)
+                table.put(p)
+            return cluster, [table.get(get).cells for _ in range(2)]
+
+        cached, cached_reads = run(ServingConfig(row_cache_bytes=64 * 1024))
+        _, plain_reads = run(ServingConfig())
+        totals = cached.serving_stats()["totals"]
         assert totals["cache_hits"] == 0
         assert totals["cache_misses"] == 0
+        assert cached_reads == plain_reads
+
+    def test_projected_reads_around_a_write_serve_the_new_row(self):
+        """Projected reads go to the store uncached, so a write between
+        them and a whole-row read leaves no stale projection behind."""
+
+        def step(cluster, table):
+            row = b"%08d" % 7
+            before = table.get(Get(row, columns=[(CF, Q)]))
+            assert before.value(CF, Q) == b"v0-%08d" % 7
+            p = Put(row)
+            p.add(CF, Q, b"updated")
+            table.put(p)
+            after = table.get(Get(row, columns=[(CF, Q)]))
+            assert after.value(CF, Q) == b"updated"
+
+        self.check_mirror(step)
 
 
 # ------------------------------------------------------------------- admission
@@ -502,25 +553,39 @@ class TestAdmission:
         assert first == second
         assert first  # shedding actually engaged
 
-    def test_qos_weights_shed_batch_first(self):
+    def test_backlog_at_the_bound_is_admitted_and_every_decision_counted(self):
         from repro.hbase.admission import AdmissionController
 
-        ctrl = AdmissionController(
-            "rs1",
-            ServingConfig(
-                admission_queue_ms=8.0,
-                qos_weights=(("batch", 0.25), ("interactive", 2.0)),
-            ),
-        )
-        assert ctrl.bound_ms("batch") == 2.0
-        assert ctrl.bound_ms("interactive") == 16.0
-        assert ctrl.bound_ms("other") == 8.0
-        backlog = 5.0  # between the batch and interactive bounds
-        with pytest.raises(ServerOverloadedError):
-            ctrl.admit("batch", 0.0, backlog)
-        ctrl.admit("interactive", 0.0, backlog)
-        ctrl.admit("other", 0.0, backlog)
-        assert ctrl.stats()["shed_by_table"] == {"batch": 1}
+        ctrl = AdmissionController("rs1", ServingConfig(admission_queue_ms=8.0))
+        assert ctrl.stats() == {
+            "admitted": 0, "shed": 0, "shed_rate": 0.0, "pressure": 1.0,
+            "shed_by_table": {},
+        }
+        assert ctrl.admit("a", 3.0, 8.0) == 3.0  # a backlog at the bound queues
+        for table in ("a", "b", "a"):
+            with pytest.raises(ServerOverloadedError):
+                ctrl.admit(table, 4.0, 8.5)
+        ctrl.admit("b", 5.0, 0.0)
+        assert ctrl.stats() == {
+            "admitted": 2, "shed": 3, "shed_rate": 0.6, "pressure": 1.0,
+            "shed_by_table": {"a": 2, "b": 1},
+        }
+
+    def test_every_table_is_admitted_against_one_bound(self):
+        """The bound is ``queue_bound_ms / pressure`` whatever the table:
+        a backlog at it is admitted and one just over it is shed."""
+        from repro.hbase.admission import AdmissionController
+
+        ctrl = AdmissionController("rs1", ServingConfig(admission_queue_ms=8.0))
+        for pressure in (1.0, 2.0, 4.0):
+            ctrl.pressure = pressure
+            assert ctrl.bound_ms() == 8.0 / pressure
+            for table in ("interactive", "batch"):
+                ctrl.admit(table, 0.0, 8.0 / pressure)
+                with pytest.raises(ServerOverloadedError):
+                    ctrl.admit(table, 0.0, 8.0 / pressure + 0.25)
+        assert ctrl.shed_by_table == {"interactive": 3, "batch": 3}
+        assert ctrl.admitted == 6
 
     def test_pressure_tightens_bound_until_tail_recovers(self, monkeypatch):
         from repro.hbase import admission
@@ -535,12 +600,12 @@ class TestAdmission:
             token = ctrl.admit("t", float(i), 0.0)
             ctrl.complete(token, float(i) + 8.0)
         assert ctrl.pressure == pytest.approx(4.0)
-        assert ctrl.bound_ms("t") == pytest.approx(2.0)
+        assert ctrl.bound_ms() == pytest.approx(2.0)
         for i in range(8):  # tail back under budget
             token = ctrl.admit("t", float(i), 0.0)
             ctrl.complete(token, float(i) + 1.0)
         assert ctrl.pressure == 1.0
-        assert ctrl.bound_ms("t") == 8.0
+        assert ctrl.bound_ms() == 8.0
 
     def test_client_absorbs_shed_via_retry(self):
         # overload with shedding on: clients retry/drop but every
@@ -667,3 +732,25 @@ class TestServingBench:
 
     def test_modes_cover_grid(self):
         assert SERVING_MODES == ("baseline", "cache", "cache+shed")
+
+    @pytest.mark.parametrize(
+        "mode, want",
+        [
+            ("baseline", (0, None, None)),
+            ("cache", (64 * 1024, None, None)),
+            ("cache+shed", (64 * 1024, 8.0, 6.0)),
+        ],
+    )
+    def test_each_mode_sets_its_serving_config(self, mode, want):
+        """Each sweep mode's cache budget, queue bound and p99 budget,
+        as the note prints them."""
+        config = _serving_config(mode)
+        assert (
+            config.row_cache_bytes,
+            config.admission_queue_ms,
+            config.p99_budget_ms,
+        ) == want
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown serving mode"):
+            _serving_config("shed")
