@@ -8,6 +8,9 @@ from typing import Any, Iterable, Sequence
 
 from repro.sim.metrics import percentile
 
+SEED = 20170904
+"""The seed of the paper's micro-benchmarks and of every cluster suite."""
+
 
 @dataclass(frozen=True)
 class Stat:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bench.harness import (
+    SEED,
     ExperimentResult,
     Grid,
     per_second,
@@ -17,15 +18,14 @@ from repro.tpcw.writes import WRITE_STATEMENTS
 
 #: The four systems of the throughput-vs-client-count experiment.
 CONCURRENCY_SYSTEMS = ("Synergy", "MVCC-A", "MVCC-UA", "VoltDB")
+#: The hot sets a transaction draws its item, customer and cart from.
+HOT_ITEMS = 4
+HOT_CUSTOMERS = 4
+HOT_CARTS = 2
 
 
 def _concurrency_txns(
-    generator,
-    rng,
-    txns_per_client: int,
-    hot_items: int,
-    hot_customers: int,
-    hot_carts: int,
+    generator, rng, txns_per_client: int
 ) -> list[list[tuple[str, str, tuple]]]:
     """Pre-generate one client's transaction mix: each op is
     ``(kind, ref, params)`` where kind 'q' references a workload query
@@ -35,9 +35,9 @@ def _concurrency_txns(
     txns: list[list[tuple[str, str, tuple]]] = []
     for _ in range(txns_per_client):
         r = float(rng.random())
-        i_id = int(rng.integers(1, hot_items + 1))
-        c_id = int(rng.integers(1, hot_customers + 1))
-        sc_id = int(rng.integers(1, hot_carts + 1))
+        i_id = int(rng.integers(1, HOT_ITEMS + 1))
+        c_id = int(rng.integers(1, HOT_CUSTOMERS + 1))
+        sc_id = int(rng.integers(1, HOT_CARTS + 1))
         if r < 0.35:
             # product page + admin restock on a hot item: in Synergy the
             # Item update locks the item's Author root row
@@ -67,7 +67,7 @@ def _concurrency_txns(
     return txns
 
 
-def _scheduled_cell(name, clients, txn_specs, num_customers, seed):
+def _scheduled_cell(name, clients, txns_per_client, num_customers):
     """Build one populated system, wire one session + pre-generated
     transaction program per client, and drive them through the
     deterministic scheduler. The per-client RNG label excludes both the
@@ -75,15 +75,15 @@ def _scheduled_cell(name, clients, txn_specs, num_customers, seed):
     transaction mix in every cell of the grid and the scaling curves
     compare like against like across systems."""
     lab = TpcwLab(
-        num_customers=num_customers, repetitions=1, seed=seed,
+        num_customers=num_customers, repetitions=1, seed=SEED,
         jitter_fraction=0.0,
     )
     system = lab.build_system(name)
     lab.populate(system)
     scheduler = DeterministicScheduler(system.sim)
     for i in range(clients):
-        rng = derive_rng(seed, f"concurrency/client-{i}")
-        txns = _concurrency_txns(lab.generator, rng, **txn_specs)
+        rng = derive_rng(SEED, f"concurrency/client-{i}")
+        txns = _concurrency_txns(lab.generator, rng, txns_per_client)
         statements = [
             [
                 (system.statement(ref) if kind == "q" else ref, params)
@@ -105,10 +105,6 @@ def run_concurrency(
     client_counts: tuple[int, ...] = (1, 4, 16, 64),
     txns_per_client: int = 8,
     num_customers: int = 40,
-    seed: int = 20170904,
-    hot_items: int = 4,
-    hot_customers: int = 4,
-    hot_carts: int = 2,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Throughput vs number of concurrent clients, per system.
@@ -157,14 +153,10 @@ def run_concurrency(
         gave_up=("ConcurrencyGaveUp",
                  "Transactions that gave up vs concurrent clients", "count"),
     )
-    txn_specs = dict(
-        txns_per_client=txns_per_client, hot_items=hot_items,
-        hot_customers=hot_customers, hot_carts=hot_carts,
-    )
     for name in CONCURRENCY_SYSTEMS:
         for n in client_counts:
             say(f"[concurrency] {name}: {n} clients x {txns_per_client} txns")
-            report = _scheduled_cell(name, n, txn_specs, num_customers, seed)
+            report = _scheduled_cell(name, n, txns_per_client, num_customers)
             rts = report.response_times
             committed, aborted = report.committed, report.aborted
             attempts = committed + aborted
@@ -181,8 +173,8 @@ def run_concurrency(
                      sum(c["failed"] for c in report.clients.values()))
     return grid.finish(
         f"{num_customers} customers, {txns_per_client} txns/client, hot sets: "
-        f"{hot_items} items / {hot_customers} customers / {hot_carts} carts, "
-        f"seed {seed}; closed loop, zero think time",
+        f"{HOT_ITEMS} items / {HOT_CUSTOMERS} customers / {HOT_CARTS} carts, "
+        f"seed {SEED}; closed loop, zero think time",
     )
 
 

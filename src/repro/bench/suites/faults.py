@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bench.harness import (
+    SEED,
     ExperimentResult,
     Grid,
     per_second,
@@ -22,6 +23,11 @@ from repro.hbase.chaos import (
 )
 from repro.hbase.replication import ReplicationShipper
 from repro.sim.rng import derive_rng
+
+NUM_SERVERS = 3
+PRELOAD_ROWS = 240
+CHAOS_HORIZON_MS = 160.0
+"""The virtual window a sweep cell compresses its crash cycles into."""
 
 
 def build_chaos_ops(
@@ -46,13 +52,12 @@ def build_chaos_ops(
 
 
 def chaos_cell(
-    num_servers: int = 3,
+    num_servers: int = NUM_SERVERS,
     clients: int = 4,
     ops_per_client: int = 32,
-    preload_rows: int = 240,
+    preload_rows: int = PRELOAD_ROWS,
     scan_window: int = 24,
     fault_config: FaultConfig | None = None,
-    seed: int = 20170904,
     replica_count: int = 1,
     participants: tuple[Participant, ...] = (),
 ) -> ChaosRun:
@@ -67,7 +72,7 @@ def chaos_cell(
     layout = Layout(
         ClusterConfig(
             num_region_servers=num_servers,
-            seed=seed,
+            seed=SEED,
             replica_count=replica_count,
         ),
         "chaos",
@@ -75,7 +80,7 @@ def chaos_cell(
     )
     ops = [
         build_chaos_ops(
-            derive_rng(seed, f"{fault_config.label}/chaos-client-{i}"),
+            derive_rng(SEED, f"{fault_config.label}/chaos-client-{i}"),
             ops_per_client, preload_rows, scan_window, i,
         )
         for i in range(clients)
@@ -114,14 +119,13 @@ def chaos_sweep_cell(
     what: str,
     *,
     cycles: int,
-    chaos_horizon_ms: float,
     recovery_replay_ms_per_entry: float = 0.0,
     **cell,
 ) -> ChaosRun:
     """Run one chaos cell of a sweep and record its ``throughput`` /
     ``p99`` / ``recovery`` metrics and its :func:`chaos_counters` under
     series ``label`` (shared with the replication suite). The requested
-    cycle count is compressed into a fixed ``chaos_horizon_ms`` window,
+    cycle count is compressed into a fixed ``CHAOS_HORIZON_MS`` window,
     so the x-axis is a genuine crash *rate*: more cycles = denser faults
     over the same workload, not extra faults after it ended. Any
     invariant violation aborts the sweep. ``cell`` is forwarded to
@@ -130,7 +134,7 @@ def chaos_sweep_cell(
         fault_config=FaultConfig(
             cycles=cycles,
             first_crash_ms=25.0,
-            crash_interval_ms=chaos_horizon_ms / max(cycles, 1),
+            crash_interval_ms=CHAOS_HORIZON_MS / max(cycles, 1),
             recovery_replay_ms_per_entry=recovery_replay_ms_per_entry,
         ),
         **cell,
@@ -156,10 +160,6 @@ def run_faults(
     cycle_counts: tuple[int, ...] = (0, 1, 2, 4),
     client_counts: tuple[int, ...] = (4, 8),
     ops_per_client: int = 64,
-    num_servers: int = 3,
-    preload_rows: int = 240,
-    chaos_horizon_ms: float = 160.0,
-    seed: int = 20170904,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Chaos sweep: crash rate (crash/recover cycles) x client count.
@@ -203,14 +203,11 @@ def run_faults(
             chaos_sweep_cell(
                 grid, f"{clients} clients",
                 f"chaos cell ({cycles} cycles, {clients} clients)",
-                cycles=cycles, chaos_horizon_ms=chaos_horizon_ms,
-                num_servers=num_servers, clients=clients,
-                ops_per_client=ops_per_client, preload_rows=preload_rows,
-                seed=seed,
+                cycles=cycles, clients=clients, ops_per_client=ops_per_client,
             )
     return grid.finish(
-        f"{num_servers} servers, {preload_rows} preloaded rows, "
-        f"{ops_per_client} ops/client (55/30/15 put/get/scan), seed {seed}; "
+        f"{NUM_SERVERS} servers, {PRELOAD_ROWS} preloaded rows, "
+        f"{ops_per_client} ops/client (55/30/15 put/get/scan), seed {SEED}; "
         "closed loop, bounded backoff-and-retry failover",
     )
 

@@ -64,7 +64,8 @@ def _federation_backends(lab: TpcwLab, progress=None) -> dict:
     return backends
 
 
-def _federation_mediator(mode: str, backends: dict, lab: TpcwLab, seed: int):
+def _federation_mediator(mode: str, backends: dict, lab: TpcwLab):
+    seed = lab.seed
     if mode == "routed-auto":
         return Mediator(backends, lab.schema, lab.workload, seed=seed, mode="auto")
     if mode == "routed-split":
@@ -126,7 +127,6 @@ def _federation_schedule(mediator, clients: int, txns_per_client: int):
 def run_federation(
     num_customers: int = 30,
     repetitions: int = 4,
-    seed: int = 171001792,
     clients: int = 4,
     progress: Callable[[str], None] | None = None,
 ) -> list[ExperimentResult]:
@@ -143,7 +143,7 @@ def run_federation(
     multi-client write mix runs last — it mutates the shared backends
     through broadcast writes."""
     say = progress or (lambda _msg: None)
-    lab = TpcwLab(num_customers=num_customers, repetitions=repetitions, seed=seed)
+    lab = TpcwLab(num_customers=num_customers, repetitions=repetitions)
     backends = _federation_backends(lab, progress)
 
     result = ExperimentResult(
@@ -158,7 +158,7 @@ def run_federation(
     digests: dict[str, dict] = {}
     for mode in FEDERATION_MODES:
         say(f"[federation] battery mode={mode}")
-        mediator = _federation_mediator(mode, backends, lab, seed)
+        mediator = _federation_mediator(mode, backends, lab)
         times, digests[mode] = _federation_battery(mediator, lab, repetitions)
         series = result.add_series(mode)
         for qid in JOIN_QUERIES:
@@ -195,7 +195,7 @@ def run_federation(
         grid.set("routing", "queries matching pin-Synergy", mode, len(compared))
 
     say(f"[federation] scheduled mix: {clients} clients")
-    mediator = _federation_mediator("routed-auto", backends, lab, seed)
+    mediator = _federation_mediator("routed-auto", backends, lab)
     report = _federation_schedule(mediator, clients, txns_per_client=3)
     result.note(
         f"scheduled mix: {clients} clients, {report.committed} transactions "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.bench.harness import ExperimentResult, Grid, percentile_or_zero
+from repro.bench.harness import SEED, ExperimentResult, Grid, percentile_or_zero
 from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.bench.suites.faults import chaos_cell
 from repro.config import ClusterConfig
@@ -27,17 +27,19 @@ from repro.orchestration import (
 from repro.hbase.chaos import FAMILY, QUALIFIER, FaultConfig
 from repro.sim import Simulation
 
+PRELOAD_ROWS = 120
+#: The rollout's target: 2 -> 4 servers and 2 -> 3 replicas, starting
+#: this many virtual ms into the workload.
+TARGET_SERVERS = 4
+TARGET_REPLICAS = 3
+ROLLOUT_START_MS = 10.0
+
 
 def run_orchestration_cell(
     cycles: int,
     clients: int = 4,
     ops_per_client: int = 48,
-    preload_rows: int = 120,
-    seed: int = 20170904,
     with_rollout: bool = True,
-    target_servers: int = 4,
-    target_replicas: int = 3,
-    rollout_start_ms: float = 10.0,
 ):
     """One orchestration chaos cell: a closed-loop chaos workload rides
     through a staged rolling scale-out (add servers -> raise replicas ->
@@ -55,21 +57,20 @@ def run_orchestration_cell(
     violations, layout_issues)``.
     """
     plan = ClusterPlan(
-        servers=target_servers,
-        tables={"chaos": TablePlan(replicas=target_replicas)},
+        servers=TARGET_SERVERS,
+        tables={"chaos": TablePlan(replicas=TARGET_REPLICAS)},
     )
     run = chaos_cell(
         num_servers=2,
         clients=clients,
         ops_per_client=ops_per_client,
-        preload_rows=preload_rows,
+        preload_rows=PRELOAD_ROWS,
         scan_window=16,
         fault_config=FaultConfig(cycles=cycles, label="orchestration"),
-        seed=seed,
         replica_count=2,
         participants=(
             lambda cluster, _: Orchestrator(
-                cluster, plan=plan, start_delay_ms=rollout_start_ms
+                cluster, plan=plan, start_delay_ms=ROLLOUT_START_MS
             ),
         ) if with_rollout else (),
     )
@@ -85,7 +86,6 @@ def run_orchestration(
     cycle_counts: tuple[int, ...] = (0, 2),
     clients: int = 4,
     ops_per_client: int = 48,
-    seed: int = 20170904,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Rolling-operations experiment: staged scale-out under chaos.
@@ -125,7 +125,7 @@ def run_orchestration(
     for cycles in cycle_counts:
         say(f"[orchestration] rollout under {cycles} crash cycles")
         report, rollout, history, violations, layout = run_orchestration_cell(
-            cycles, clients=clients, ops_per_client=ops_per_client, seed=seed,
+            cycles, clients=clients, ops_per_client=ops_per_client,
         )
         if violations or layout:
             raise RuntimeError(
@@ -141,7 +141,7 @@ def run_orchestration(
         base_report, _, _, base_violations, base_layout = (
             run_orchestration_cell(
                 cycles, clients=clients, ops_per_client=ops_per_client,
-                seed=seed, with_rollout=False,
+                with_rollout=False,
             )
         )
         if base_violations or base_layout:
@@ -167,8 +167,8 @@ def run_orchestration(
             grid.set("rollout", label, cycles, value)
     say("[orchestration] rollback drills")
     outcomes = {
-        "poisoned stage": orchestration_rollback_drill(seed),
-        **orchestration_step_drill(seed),
+        "poisoned stage": orchestration_rollback_drill(),
+        **orchestration_step_drill(),
     }
     drills = Grid("drill", outcomes, drills=(
         "OrchestrationDrills",
@@ -180,21 +180,20 @@ def run_orchestration(
         for label, value in counters.items():
             drills.set("drills", label, drill, value)
     return grid.finish(
-        f"2 -> 4 servers, 2 -> 3 replicas + load-aware rebalance; "
+        f"2 -> {TARGET_SERVERS} servers, 2 -> {TARGET_REPLICAS} replicas "
+        "+ load-aware rebalance; "
         f"{clients} clients x {ops_per_client} ops (55/30/15 put/get/scan), "
-        f"seed {seed}; orchestrator is a scheduler participant "
+        f"seed {SEED}; orchestrator is a scheduler participant "
         "(steps interleave with chaos at virtual timestamps)",
     ) | drills.finish()
 
 
-def orchestration_rollback_drill(seed: int) -> dict[str, int]:
+def orchestration_rollback_drill() -> dict[str, int]:
     """Fault drill: a stage that mixes real steps with a poisoned step
     must roll back to *exactly* the pre-rollout state — compared
     row-for-row (cell snapshots) and by layout fingerprint."""
-    sim = Simulation(seed=seed)
-    cluster = HBaseCluster(
-        sim, ClusterConfig(num_region_servers=2, seed=seed)
-    )
+    sim = Simulation(seed=SEED)
+    cluster = HBaseCluster(sim, ClusterConfig(num_region_servers=2, seed=SEED))
     client = HBaseClient(cluster)
     table = client.create_table("drill", families=(FAMILY,))
     puts = []
@@ -225,16 +224,16 @@ def orchestration_rollback_drill(seed: int) -> dict[str, int]:
     }
 
 
-def orchestration_step_drill(seed: int) -> dict[str, dict[str, int]]:
+def orchestration_step_drill() -> dict[str, dict[str, int]]:
     """Fault drill over every other step kind, on a 3-server cluster
     with replication: a poisoned stage of add-server, rebalance, replica
     raise on an already-replicated table, drain, move and merge must
     roll back to exactly the pre-rollout state. Then a committed scale-in
     plan drains its retiring member for real, rebuilding its followers
     elsewhere."""
-    sim = Simulation(seed=seed)
+    sim = Simulation(seed=SEED)
     cluster = HBaseCluster(sim, ClusterConfig(
-        num_region_servers=3, seed=seed, replica_count=2,
+        num_region_servers=3, seed=SEED, replica_count=2,
     ))
     client = HBaseClient(cluster)
     split = b"%08d" % 30

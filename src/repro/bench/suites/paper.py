@@ -6,6 +6,7 @@ import math
 from typing import Callable
 
 from repro.bench.harness import (
+    SEED,
     ExperimentResult,
     Stat,
     ratio_of_means,
@@ -14,7 +15,7 @@ from repro.bench.harness import (
 )
 from repro.bench.suite import Check, Flag, IntList, Smoke, Suite, mean
 from repro.bench.tpcw_lab import SYSTEM_NAMES, TpcwLab
-from repro.config import CostModel, DEFAULT_COST_MODEL
+from repro.config import DEFAULT_COST_MODEL
 from repro.hbase import HBaseClient, HBaseCluster
 from repro.sim import Simulation
 from repro.synergy.locks import LockBatch
@@ -38,13 +39,14 @@ from repro.tpcw import JOIN_QUERIES, WRITE_STATEMENTS
 from repro.tpcw.queries import VOLTDB_UNSUPPORTED
 from repro.voltdb import VoltDBSystem
 
+JITTER_FRACTION = 0.02
+"""The micro-benchmarks' latency jitter (``TpcwLab``'s default too)."""
+
 
 # --------------------------------------------------------------------- Fig. 10
 def run_fig10(
     scales: tuple[int, ...] = (50, 500, 5000),
     repetitions: int = 10,
-    seed: int = 20170904,
-    jitter_fraction: float = 0.02,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Micro-benchmark: view scan vs join algorithm (Fig. 10a/b).
@@ -76,9 +78,9 @@ def run_fig10(
             micro_schema(),
             micro_workload(),
             MICRO_ROOTS,
-            sim=Simulation(seed=seed, jitter_fraction=jitter_fraction),
+            sim=Simulation(seed=SEED, jitter_fraction=JITTER_FRACTION),
         )
-        gen = MicrobenchDataGenerator(scale, seed=seed)
+        gen = MicrobenchDataGenerator(scale, seed=SEED)
         for relation, row in gen.all_rows():
             system.load_row(relation, row)
         system.finish_load()
@@ -109,27 +111,22 @@ def run_fig10(
 
 
 # --------------------------------------------------------------------- Fig. 11
-def run_fig11(
-    lock_counts: tuple[int, ...] = (10, 100, 1000),
-    repetitions: int = 10,
-    seed: int = 20170904,
-    jitter_fraction: float = 0.02,
-    cost: CostModel = DEFAULT_COST_MODEL,
-) -> ExperimentResult:
+LOCK_COUNTS = (10, 100, 1000)
+
+
+def run_fig11(repetitions: int = 10) -> ExperimentResult:
     """Two-phase row-locking overhead (Fig. 11).
 
     Paper anchors: 342 / 571 / 2182 ms for 10 / 100 / 1000 locks."""
     result = ExperimentResult(
         "Fig11", "Row-locking overhead vs number of locks", "locks"
     )
-    result.x_values = list(lock_counts)
+    result.x_values = list(LOCK_COUNTS)
     series = result.add_series("Overhead")
-    for n in lock_counts:
+    for n in LOCK_COUNTS:
         samples = []
         for rep in range(repetitions):
-            sim = Simulation(
-                cost=cost, seed=seed + rep, jitter_fraction=jitter_fraction
-            )
+            sim = Simulation(seed=SEED + rep, jitter_fraction=JITTER_FRACTION)
             client = HBaseClient(HBaseCluster(sim))
             batch = LockBatch(client)
             samples.append(batch.run(n))

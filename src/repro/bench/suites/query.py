@@ -34,7 +34,6 @@ def _query_cell(
     mode: str,
     num_customers: int,
     repetitions: int,
-    seed: int,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
     """Populate one Baseline system under the given planner mode and run
@@ -43,7 +42,7 @@ def _query_cell(
     say = progress or (lambda _msg: None)
     say(f"[query:{mode}] populating Baseline scale={num_customers}")
     lab = TpcwLab(
-        num_customers=num_customers, repetitions=repetitions, seed=seed,
+        num_customers=num_customers, repetitions=repetitions,
         cost_based_planner=PLANNER_MODES[mode],
     )
     system = lab.build_system("Baseline")
@@ -70,7 +69,6 @@ def _query_cell(
 def run_query(
     num_customers: int = 200,
     repetitions: int = 5,
-    seed: int = 171001792,
     progress: Callable[[str], None] | None = None,
 ) -> list[ExperimentResult]:
     """Rule-based vs cost-based planner over the Fig. 12 join battery
@@ -88,7 +86,7 @@ def run_query(
         x_values=list(AD_HOC_JOINS), unit="rows",
     )
     cells = {
-        mode: _query_cell(mode, num_customers, repetitions, seed, progress)
+        mode: _query_cell(mode, num_customers, repetitions, progress)
         for mode in PLANNER_MODES
     }
     for qid in JOIN_QUERIES:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.bench.harness import ExperimentResult, Grid
+from repro.bench.harness import SEED, ExperimentResult, Grid
 from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
-from repro.bench.suites.faults import chaos_counters, chaos_sweep_cell
+from repro.bench.suites.faults import PRELOAD_ROWS, chaos_counters, chaos_sweep_cell
+
+NUM_SERVERS = 4
+RECOVERY_REPLAY_MS_PER_ENTRY = 0.4
+"""Master failover's replay cost per pending WAL entry."""
 
 #: ``ChaosRun.replication`` counters the sweep reports per replicated
 #: cell, as ``Replication<Name>`` experiments.
@@ -25,11 +29,6 @@ def run_replication(
     cycle_counts: tuple[int, ...] = (0, 2, 4),
     clients: int = 6,
     ops_per_client: int = 48,
-    num_servers: int = 4,
-    preload_rows: int = 240,
-    chaos_horizon_ms: float = 160.0,
-    recovery_replay_ms_per_entry: float = 0.4,
-    seed: int = 20170904,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Replication sweep: replica count x crash rate.
@@ -82,20 +81,18 @@ def run_replication(
             run = chaos_sweep_cell(
                 grid, label,
                 f"replication cell ({replicas} replicas, {cycles} cycles)",
-                cycles=cycles, chaos_horizon_ms=chaos_horizon_ms,
-                recovery_replay_ms_per_entry=recovery_replay_ms_per_entry,
-                replica_count=replicas,
-                num_servers=num_servers, clients=clients,
-                ops_per_client=ops_per_client, preload_rows=preload_rows,
-                seed=seed,
+                cycles=cycles,
+                recovery_replay_ms_per_entry=RECOVERY_REPLAY_MS_PER_ENTRY,
+                replica_count=replicas, num_servers=NUM_SERVERS,
+                clients=clients, ops_per_client=ops_per_client,
             )
             if run.replication is not None:
                 for metric in REPLICATION_COUNTERS:
                     grid.set(metric, label, cycles, run.replication[metric])
     return grid.finish(
-        f"{num_servers} servers, {preload_rows} preloaded rows, "
+        f"{NUM_SERVERS} servers, {PRELOAD_ROWS} preloaded rows, "
         f"{clients} clients x {ops_per_client} ops (55/30/15 put/get/scan), "
-        f"replay cost {recovery_replay_ms_per_entry} ms/entry, seed {seed}; "
+        f"replay cost {RECOVERY_REPLAY_MS_PER_ENTRY} ms/entry, seed {SEED}; "
         "promotion-on-crash + bounded-staleness follower reads",
     )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bench.harness import (
+    SEED,
     ExperimentResult,
     Grid,
     per_second,
@@ -14,6 +15,11 @@ from repro.bench.suite import Flag, IntList, Smoke, Suite, mean
 from repro.config import ClusterConfig
 from repro.hbase.chaos import Layout, run_cell
 from repro.sim import derive_rng
+
+PRELOAD_ROWS = 2048
+SPLIT_THRESHOLD_BYTES = 8 * 1024
+"""The size at which a region splits while the preload grows it."""
+VALUE_BYTES = 16
 
 
 def _scaleout_ops(
@@ -85,10 +91,6 @@ def run_scaleout(
     server_counts: tuple[int, ...] = (1, 2, 4, 8),
     client_counts: tuple[int, ...] = (4, 16),
     ops_per_client: int = 60,
-    preload_rows: int = 2048,
-    split_threshold: int = 8 * 1024,
-    value_bytes: int = 16,
-    seed: int = 20170904,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Aggregate throughput and tail latency vs region-server count.
@@ -123,8 +125,8 @@ def run_scaleout(
         for servers in server_counts:
             say(f"[scaleout] {servers} servers x {clients} clients")
             report, regions, distribution = _scaleout_cell(
-                servers, clients, ops_per_client, preload_rows,
-                split_threshold, value_bytes, seed,
+                servers, clients, ops_per_client, PRELOAD_ROWS,
+                SPLIT_THRESHOLD_BYTES, VALUE_BYTES, SEED,
             )
             ops = report.committed
             label = f"{clients} clients"
@@ -142,8 +144,8 @@ def run_scaleout(
                     f"server-queue waits @ {clients} clients"
                 )
     return grid.finish(
-        f"{preload_rows} preloaded rows, {split_threshold}B split threshold, "
-        f"{ops_per_client} ops/client (70/20/10 get/put/scan), seed {seed}; "
+        f"{PRELOAD_ROWS} preloaded rows, {SPLIT_THRESHOLD_BYTES}B split threshold, "
+        f"{ops_per_client} ops/client (70/20/10 get/put/scan), seed {SEED}; "
         "closed loop, zero think time, load-aware balancing",
         *layout_notes,
     )

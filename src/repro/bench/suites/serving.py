@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.bench.harness import (
+    SEED,
     ExperimentResult,
     Grid,
     per_second,
@@ -28,7 +29,6 @@ QUEUE_MS = 8.0
 """Admission queue bound in ``cache+shed``."""
 P99_BUDGET_MS = 6.0
 """Adaptive-shedding p99 budget in ``cache+shed``."""
-SEED = 20170904
 
 
 def _serving_config(mode: str) -> ServingConfig:
@@ -51,10 +51,8 @@ def _serving_cell(
     ops_per_client: int,
     mode: str,
     *,
-    num_servers: int = NUM_SERVERS,
     population: int = 1_000_000,
     zipf_s: float = 1.1,
-    seed: int = SEED,
     zipf: ZipfianPopulation | None = None,
 ) -> dict[str, float | int]:
     """One serving-grid cell: ``clients`` closed-loop virtual clients
@@ -66,11 +64,11 @@ def _serving_cell(
     layers are correctness-gated, not just timed. Reruns are
     byte-identical.
     """
-    regions = num_servers * 2
+    regions = NUM_SERVERS * 2
     layout = Layout(
         ClusterConfig(
-            num_region_servers=num_servers,
-            seed=seed,
+            num_region_servers=NUM_SERVERS,
+            seed=SEED,
             serving=_serving_config(mode),
         ),
         "serve",
@@ -82,7 +80,7 @@ def _serving_cell(
     ]
     if zipf is None:
         zipf = ZipfianPopulation(population, zipf_s)
-    workload = ServingWorkload(zipf, KEY_SPACE, seed, READ_FRACTION)
+    workload = ServingWorkload(zipf, KEY_SPACE, SEED, READ_FRACTION)
     # stream label excludes clients/mode: client i replays the same mix
     # in every cell, so modes differ only in serving machinery
     ops = [

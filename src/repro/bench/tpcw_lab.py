@@ -10,9 +10,8 @@ realistic variance and insert repetitions never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from repro.config import ClusterConfig, CostModel, DEFAULT_COST_MODEL
 from repro.sim.clock import Simulation
 from repro.systems import (
     BaselineSystem,
@@ -57,14 +56,12 @@ class TpcwLab:
         repetitions: int = 10,
         seed: int = 171001792,
         jitter_fraction: float = 0.02,
-        cost: CostModel = DEFAULT_COST_MODEL,
         cost_based_planner: bool = False,
     ) -> None:
         self.num_customers = num_customers
         self.repetitions = repetitions
         self.seed = seed
         self.jitter_fraction = jitter_fraction
-        self.cost = cost
         self.cost_based_planner = cost_based_planner
         self.schema = tpcw_schema()
         self.workload = tpcw_workload()
@@ -88,32 +85,23 @@ class TpcwLab:
         }
 
     def _sim(self) -> Simulation:
-        return Simulation(
-            cost=self.cost, seed=self.seed, jitter_fraction=self.jitter_fraction
-        )
+        return Simulation(seed=self.seed, jitter_fraction=self.jitter_fraction)
 
     def build_system(self, name: str) -> EvaluatedSystem:
-        cluster_config = ClusterConfig(cost=self.cost)
         if name == "Synergy":
             return SynergySystem(
-                self.schema, self.workload, TPCW_ROOTS,
-                sim=self._sim(), cluster_config=cluster_config,
+                self.schema, self.workload, TPCW_ROOTS, sim=self._sim()
             )
         if name == "MVCC-A":
             return MvccASystem(
-                self.schema, self.workload, TPCW_ROOTS,
-                sim=self._sim(), cluster_config=cluster_config,
+                self.schema, self.workload, TPCW_ROOTS, sim=self._sim()
             )
         if name == "MVCC-UA":
             return MvccUASystem(
-                self.schema, self.workload, self.row_estimates(),
-                sim=self._sim(), cluster_config=cluster_config,
+                self.schema, self.workload, self.row_estimates(), sim=self._sim()
             )
         if name == "Baseline":
-            return BaselineSystem(
-                self.schema, self.workload,
-                sim=self._sim(), cluster_config=cluster_config,
-            )
+            return BaselineSystem(self.schema, self.workload, sim=self._sim())
         if name == "VoltDB":
             return VoltDBSystem(self.schema, self.workload, sim=self._sim())
         raise KeyError(name)

@@ -226,8 +226,6 @@ class ClusterConfig:
     keeps every pre-existing experiment's region layout — and therefore
     its simulated latency — bit-identical."""
 
-    cost: CostModel = field(default_factory=CostModel)
-
     replica_count: int = 1
     """Region replication: total copies of each region, primary
     included, with primary-push WAL shipping, bounded-staleness follower

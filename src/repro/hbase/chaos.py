@@ -270,15 +270,14 @@ class FaultInjector:
         cluster: HBaseCluster,
         config: FaultConfig,
         history: ChaosHistory,
-        rng=None,
     ) -> None:
         self.cluster = cluster
         self.config = config
         self.history = history
-        if rng is None:
-            rng = derive_rng(cluster.config.seed, config.label)
         self.plan = build_fault_plan(
-            [s.name for s in cluster.servers], config, rng
+            [s.name for s in cluster.servers],
+            config,
+            derive_rng(cluster.config.seed, config.label),
         )
 
     def install(self, scheduler: DeterministicScheduler) -> VirtualClient:

@@ -385,7 +385,7 @@ class HTable:
         repeating rows.
         """
         op = op or Scan()
-        batch_size = self.cluster.config.cost.scan_batch_rows
+        batch_size = self.cluster.sim.cost.scan_batch_rows
         wanted = frozenset(op.columns) if op.columns else None
         scan_filter = op.filter
         charge_rpc = self.charge.rpc

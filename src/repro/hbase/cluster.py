@@ -143,7 +143,7 @@ class HBaseCluster:
                 start_key=start,
                 end_key=boundaries[i + 1],
                 max_versions=max_versions,
-                kv_overhead_bytes=self.config.cost.kv_overhead_bytes,
+                kv_overhead_bytes=self.sim.cost.kv_overhead_bytes,
                 split_threshold_bytes=self.config.region_split_threshold_bytes,
             )
             regions.append(region)
@@ -163,18 +163,15 @@ class HBaseCluster:
         return name in self.tables
 
     # -- region placement ----------------------------------------------------------
-    def _assign(self, region: Region, server: RegionServer | None = None) -> None:
-        if server is None:
-            live = [s for s in self.servers if s.alive]
-            if not live:
-                raise HBaseError(
-                    f"no live region server to open {region.name} on"
-                )
-            # draining servers are leaving the rotation; fall back to
-            # them only when nothing else is up (availability first)
-            candidates = [s for s in live if not s.draining] or live
-            server = candidates[self._assign_cursor % len(candidates)]
-            self._assign_cursor += 1
+    def _assign(self, region: Region) -> None:
+        live = [s for s in self.servers if s.alive]
+        if not live:
+            raise HBaseError(f"no live region server to open {region.name} on")
+        # draining servers are leaving the rotation; fall back to them
+        # only when nothing else is up (availability first)
+        candidates = [s for s in live if not s.draining] or live
+        server = candidates[self._assign_cursor % len(candidates)]
+        self._assign_cursor += 1
         server.host(region)
         self._region_host[region.name] = server
 
@@ -603,10 +600,9 @@ class HBaseCluster:
     def total_size_bytes(self) -> int:
         return sum(self.table_size_bytes(t) for t in self.tables)
 
-    def major_compact(self, name: str | None = None) -> None:
-        names = [name] if name else list(self.tables)
-        for n in names:
-            for region in self.descriptor(n).regions:
+    def major_compact(self) -> None:
+        for desc in self.tables.values():
+            for region in desc.regions:
                 region.major_compact()
 
     def table_row_count(self, name: str) -> int:

@@ -257,8 +257,8 @@ class ReplicationManager:
                 self._place_follower(group, server)
 
     # -- shipping ------------------------------------------------------------------
-    def ship_pending(self, batch_entries: int = SHIP_BATCH_ENTRIES) -> int:
-        """One drain round: push up to ``batch_entries`` log entries to
+    def ship_pending(self) -> int:
+        """One drain round: push up to ``SHIP_BATCH_ENTRIES`` log entries to
         every live lagging follower; returns entries shipped. Group and
         follower iteration order is insertion order — deterministic."""
         shipped = 0
@@ -267,7 +267,7 @@ class ReplicationManager:
             for follower in group.followers:
                 if not follower.is_live() or follower.applied >= len(log):
                     continue
-                batch = log[follower.applied : follower.applied + batch_entries]
+                batch = log[follower.applied : follower.applied + SHIP_BATCH_ENTRIES]
                 for entry in batch:
                     follower.region.apply(entry)
                 follower.applied += len(batch)

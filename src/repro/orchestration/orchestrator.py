@@ -125,9 +125,7 @@ class RolloutReport:
         }
 
 
-def verify_cluster(
-    cluster: "HBaseCluster", tables: list[str] | None = None
-) -> tuple[list[str], list[str]]:
+def verify_cluster(cluster: "HBaseCluster") -> tuple[list[str], list[str]]:
     """Cluster-wide invariants, split into ``(transient, fatal)``.
 
     Transient violations resolve on their own once recovery/repair
@@ -139,8 +137,7 @@ def verify_cluster(
     with a scheduled workload."""
     transient: list[str] = []
     fatal: list[str] = []
-    names = sorted(cluster.tables) if tables is None else sorted(tables)
-    for name in names:
+    for name in sorted(cluster.tables):
         desc = cluster.tables[name]
         if not desc.regions:
             fatal.append(f"table {name!r} has no regions")
@@ -176,10 +173,7 @@ def verify_cluster(
             fatal.append(f"table {name!r} does not cover the key space end")
     manager = cluster.replication
     for group in manager.groups.values():
-        table = group.primary.table_name
-        if tables is not None and table not in set(tables):
-            continue
-        want = manager.target_for(table) - 1
+        want = manager.target_for(group.primary.table_name) - 1
         log_len = len(group.log)
         if len(group.followers) > max(want, 0):
             fatal.append(
@@ -209,17 +203,14 @@ def verify_cluster(
     return transient, fatal
 
 
-def cluster_snapshot(
-    cluster: "HBaseCluster", tables: list[str] | None = None
-) -> dict:
+def cluster_snapshot(cluster: "HBaseCluster") -> dict:
     """Row-for-row content snapshot: table -> row -> sorted cell list
     ``(family, qualifier, timestamp, value)``. Pure inspection (reads
     region stores directly — no client charges, no virtual time), so a
     rollback test can compare before/after byte-for-byte. Regions must
     be online (don't snapshot mid-outage)."""
     out: dict[str, dict[bytes, tuple]] = {}
-    names = sorted(cluster.tables) if tables is None else sorted(tables)
-    for name in names:
+    for name in sorted(cluster.tables):
         rows: dict[bytes, tuple] = {}
         for region in cluster.tables[name].regions:
             for row, result in region.scan(max_versions=2**31 - 1):
@@ -250,9 +241,9 @@ def _group_stages(steps: list[Step]) -> list[tuple[str, list[Step]]]:
 
 
 class Orchestrator:
-    """Executes a plan (or explicit steps/stages) against one cluster.
+    """Executes a plan (or explicit stages) against one cluster.
 
-    Exactly one of ``plan``, ``steps`` or ``stages`` must be given.
+    Exactly one of ``plan`` or ``stages`` must be given.
     ``stages`` takes pre-grouped ``(name, [steps])`` pairs — the hook
     tests and the CI fault drill use to compose a stage that mixes
     real steps with a :class:`~repro.orchestration.steps.PoisonStep`.
@@ -264,22 +255,16 @@ class Orchestrator:
         self,
         cluster: "HBaseCluster",
         plan: ClusterPlan | None = None,
-        steps: list[Step] | None = None,
         stages: list[tuple[str, list[Step]]] | None = None,
         start_delay_ms: float = 0.0,
-        verify_tables: list[str] | None = None,
     ) -> None:
-        given = sum(x is not None for x in (plan, steps, stages))
-        if given != 1:
-            raise ValueError(
-                "exactly one of plan=, steps= or stages= is required"
-            )
-        if plan is not None:
-            steps = diff(plan, cluster)
+        if (plan is None) == (stages is None):
+            raise ValueError("exactly one of plan= or stages= is required")
         self.cluster = cluster
         self.start_delay_ms = start_delay_ms
-        self.verify_tables = verify_tables
-        self._stages = stages if stages is not None else _group_stages(steps)
+        if plan is not None:
+            stages = _group_stages(diff(plan, cluster))
+        self._stages = stages
         self.report = RolloutReport()
 
     # -- drivers ---------------------------------------------------------------
@@ -327,9 +312,7 @@ class Orchestrator:
                 rounds = 0
                 while True:
                     rounds += 1
-                    transient, fatal = verify_cluster(
-                        cluster, self.verify_tables
-                    )
+                    transient, fatal = verify_cluster(cluster)
                     if fatal:
                         failure = StepVerificationError("; ".join(fatal))
                         break

@@ -272,10 +272,8 @@ class Catalog:
     def has_entry(self, name: str) -> bool:
         return name in self._entries
 
-    def entries(self, kind: str | None = None) -> list[CatalogEntry]:
-        if kind is None:
-            return list(self._entries.values())
-        return [e for e in self._entries.values() if e.kind == kind]
+    def entries(self) -> list[CatalogEntry]:
+        return list(self._entries.values())
 
     def table_for_relation(self, relation: str) -> CatalogEntry:
         try:

@@ -81,7 +81,7 @@ class PhoenixConnection:
                 self.catalog,
                 dirty_check_views=self.dirty_check_views,
                 cluster=self.client.cluster,
-                cost=self.client.cluster.config.cost,
+                cost=self.client.cluster.sim.cost,
             )
         return Planner(self.catalog, dirty_check_views=self.dirty_check_views)
 

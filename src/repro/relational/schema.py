@@ -14,7 +14,7 @@ Notation follows the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import SchemaError
 from repro.relational.datatypes import DataType
@@ -129,21 +129,13 @@ class Relation:
 class Schema:
     """A set of relations and their covered-index sets."""
 
-    def __init__(
-        self,
-        relations: Iterable[Relation],
-        indexes: Mapping[str, Iterable[Index]] | None = None,
-    ) -> None:
+    def __init__(self, relations: Iterable[Relation]) -> None:
         self._relations: dict[str, Relation] = {}
         for r in relations:
             if r.name in self._relations:
                 raise SchemaError(f"duplicate relation {r.name!r}")
             self._relations[r.name] = r
         self._indexes: dict[str, list[Index]] = {name: [] for name in self._relations}
-        if indexes:
-            for rel_name, idx_list in indexes.items():
-                for idx in idx_list:
-                    self.add_index(rel_name, idx)
         self._validate_foreign_keys()
 
     def _validate_foreign_keys(self) -> None:

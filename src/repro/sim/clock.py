@@ -28,8 +28,8 @@ class SimClock:
 
     __slots__ = ("_now_ms",)
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self._now_ms = float(start_ms)
+    def __init__(self) -> None:
+        self._now_ms = 0.0
 
     @property
     def now_ms(self) -> float:

@@ -50,6 +50,13 @@ from repro.errors import LockWaitRequired, TransactionConflictError
 from repro.sim.clock import SimClock, Simulation
 from repro.sim.metrics import percentile  # noqa: F401 - perfbench imports it from here
 
+MAX_STEPS = 10_000_000
+"""The runaway guard: a run that resumes clients more often than this
+is a livelocked program."""
+ABORT_BACKOFF_MS = 2.0
+"""A conflict-aborted transaction waits this many ms times its attempt
+number before it retries."""
+
 
 @dataclass
 class LockHold:
@@ -261,9 +268,8 @@ class DeterministicScheduler:
     the reference model the equivalence property tests compare against.
     """
 
-    def __init__(self, sim: Simulation, max_steps: int = 10_000_000) -> None:
+    def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        self.max_steps = max_steps
         self.clients: list[VirtualClient] = []
         self.trace: list[tuple[int, float]] = []
         """(client_id, clock at resume) per step — a deterministic
@@ -347,9 +353,9 @@ class DeterministicScheduler:
             else:
                 heapq.heappush(heap, (client.clock.now_ms, client_id))
             steps += 1
-            if steps > self.max_steps:
+            if steps > MAX_STEPS:
                 raise RuntimeError(
-                    f"scheduler exceeded {self.max_steps} steps "
+                    f"scheduler exceeded {MAX_STEPS} steps "
                     "(livelocked client program?)"
                 )
         # the workload is finished — wind down pending background
@@ -367,7 +373,6 @@ def run_transaction(
     session,
     statements: Sequence[tuple[str, tuple]],
     max_attempts: int = 16,
-    abort_backoff_ms: float = 2.0,
     on_commit: Callable[[], None] | None = None,
 ) -> Generator[str, None, bool]:
     """Drive one transaction through a system session, cooperatively.
@@ -400,7 +405,7 @@ def run_transaction(
         except TransactionConflictError:
             client.stats.aborted += 1
             session.abort()
-            client.wait(abort_backoff_ms * attempt, "txn.abort_backoff")
+            client.wait(ABORT_BACKOFF_MS * attempt, "txn.abort_backoff")
             yield "abort"
             continue
         except BaseException:

@@ -23,6 +23,10 @@ from repro.hbase.bytes_util import encode_key
 LOCK_FREE = b"\x00"
 LOCK_HELD = b"\x01"
 LOCK_QUALIFIER = b"lock"
+LOCK_ATTEMPTS = 64
+"""``checkAndPut`` rounds an acquire tries before it times out."""
+BATCH_TABLE = "LOCK_BENCH"
+"""The table :class:`LockBatch` locks rows of."""
 
 
 def lock_table_name(root: str) -> str:
@@ -36,11 +40,10 @@ class LockManager:
         self,
         client: HBaseClient,
         root_key_dtypes: dict[str, Sequence[DataType]],
-        max_attempts: int = 64,
     ) -> None:
         self.client = client
         self.root_key_dtypes = dict(root_key_dtypes)
-        self.max_attempts = max_attempts
+        self.max_attempts = LOCK_ATTEMPTS
 
     def create_lock_tables(self) -> None:
         for root in self.root_key_dtypes:
@@ -111,17 +114,16 @@ class LockBatch:
     """The Fig. 11 micro-experiment: acquire+release N independent row
     locks from a fresh client (cold connection => fixed setup cost)."""
 
-    def __init__(self, client: HBaseClient, table_name: str = "LOCK_BENCH") -> None:
+    def __init__(self, client: HBaseClient) -> None:
         self.client = client
-        self.table_name = table_name
-        if not client.has_table(table_name):
-            client.create_table(table_name, families=(CF,))
+        if not client.has_table(BATCH_TABLE):
+            client.create_table(BATCH_TABLE, families=(CF,))
 
     def run(self, num_locks: int) -> float:
         """Acquire and release ``num_locks`` locks; returns elapsed
         virtual milliseconds (the paper's 'overhead')."""
         sim = self.client.cluster.sim
-        table = self.client.table(self.table_name)
+        table = self.client.table(BATCH_TABLE)
         sw = sim.stopwatch()
         sim.charge("lock.client_setup", "lock_client_setup_ms", 1)
         for i in range(num_locks):

@@ -4,7 +4,6 @@ algorithm; every statement pays the MVCC transaction overhead."""
 
 from __future__ import annotations
 
-from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
@@ -25,6 +24,5 @@ class BaselineSystem(MvccSystemBase):
         schema: Schema,
         workload: Workload,
         sim: Simulation | None = None,
-        cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
     ) -> None:
-        super().__init__(schema, NoViews(workload), sim, cluster_config)
+        super().__init__(schema, NoViews(workload), sim)

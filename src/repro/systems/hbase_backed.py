@@ -13,7 +13,6 @@ from __future__ import annotations
 import abc
 from typing import Any
 
-from repro.config import ClusterConfig
 from repro.hbase.client import HBaseClient
 from repro.hbase.cluster import HBaseCluster
 from repro.phoenix.catalog import Catalog
@@ -53,12 +52,11 @@ class HBaseBackedSystem(EvaluatedSystem):
         schema: Schema,
         design: Any,
         sim: Simulation | None,
-        cluster_config: ClusterConfig,
     ) -> None:
-        self._sim = sim or Simulation(cost=cluster_config.cost)
+        self._sim = sim or Simulation()
         self.schema = schema
         self.design = design
-        self.cluster = HBaseCluster(self._sim, cluster_config)
+        self.cluster = HBaseCluster(self._sim)
         self.client = HBaseClient(self.cluster)
         # Creation order IS region placement (HBaseCluster._assign deals
         # regions round-robin on a cursor): baseline tables, then the

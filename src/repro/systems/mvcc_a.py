@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
@@ -29,7 +28,6 @@ class MvccASystem(MvccSystemBase):
         workload: Workload,
         roots: Sequence[str],
         sim: Simulation | None = None,
-        cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
     ) -> None:
         design = SchemaAwareDesign(schema, workload, roots)
-        super().__init__(schema, design, sim, cluster_config)
+        super().__init__(schema, design, sim)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.config import ClusterConfig
 from repro.errors import PlanError
 from repro.mvcc.tephra import (
     MvccTransaction,
@@ -122,9 +121,8 @@ class MvccSystemBase(HBaseBackedSystem):
         schema: Schema,
         design: Any,
         sim: Simulation | None,
-        cluster_config: ClusterConfig,
     ) -> None:
-        super().__init__(schema, design, sim, cluster_config)
+        super().__init__(schema, design, sim)
         self.tephra = TephraServer(self._sim)
         self._auto_commit = TransactionAwareExecutor(self.tephra)
 

@@ -6,7 +6,6 @@ produced one materialized view, used only by Q10."""
 
 from __future__ import annotations
 
-from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
 from repro.errors import ViewSelectionError
 from repro.hbase.client import HBaseClient
 from repro.phoenix.catalog import Catalog
@@ -99,8 +98,7 @@ class MvccUASystem(MvccSystemBase):
         workload: Workload,
         row_estimates: dict[str, int],
         sim: Simulation | None = None,
-        cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
     ) -> None:
         design = AdvisorDesign(schema, workload, row_estimates)
-        super().__init__(schema, design, sim, cluster_config)
+        super().__init__(schema, design, sim)
         self.recommendations = design.recommendations

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.config import ClusterConfig, DEFAULT_CLUSTER_CONFIG
 from repro.relational.schema import Schema
 from repro.relational.workload import Workload
 from repro.sim.clock import Simulation
@@ -41,11 +40,10 @@ class SynergySystem(HBaseBackedSystem):
         workload: Workload,
         roots: Sequence[str],
         sim: Simulation | None = None,
-        cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
         num_tx_slaves: int = 1,
     ) -> None:
         design = SchemaAwareDesign(schema, workload, roots)
-        super().__init__(schema, design, sim, cluster_config)
+        super().__init__(schema, design, sim)
         self.locks = LockManager(
             self.client,
             {

@@ -7,14 +7,8 @@ from repro.tpcw.queries import JOIN_QUERIES
 from repro.tpcw.writes import WRITE_STATEMENTS
 
 
-def tpcw_workload(
-    include_reads: bool = True, include_writes: bool = True
-) -> Workload:
+def tpcw_workload() -> Workload:
     w = Workload()
-    if include_reads:
-        for qid, sql in JOIN_QUERIES.items():
-            w.add(sql, statement_id=qid)
-    if include_writes:
-        for wid, sql in WRITE_STATEMENTS.items():
-            w.add(sql, statement_id=wid)
+    for sid, sql in {**JOIN_QUERIES, **WRITE_STATEMENTS}.items():
+        w.add(sql, statement_id=sid)
     return w

@@ -22,7 +22,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import PlanError, UnsupportedStatementError
 from repro.phoenix.executor import stream_rows
@@ -169,11 +169,10 @@ class VoltDBSystem(EvaluatedSystem):
         schema: Schema,
         workload: Workload,
         sim: Simulation | None = None,
-        schemes: Sequence[PartitionScheme] = TPCW_SCHEMES,
     ) -> None:
         self.schema = schema
         self._sim = sim or Simulation()
-        self.schemes = tuple(schemes)
+        self.schemes = TPCW_SCHEMES
         self._statements = {s.statement_id: s.sql for s in workload}
         self._composer = SelectComposer()
         self.tables: dict[str, VoltTable] = {

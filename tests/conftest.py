@@ -29,6 +29,10 @@ from repro.systems import (
 from repro.voltdb.system import PartitionScheme, VoltDBSystem
 from tests.reference.sql import company_rows, load_company
 
+#: A VoltDB layout that partitions nothing: every table on every site,
+#: so any join runs single-partition.
+ALL_REPLICATED = (PartitionScheme("all-replicated", {}),)
+
 
 @pytest.fixture
 def sim() -> Simulation:
@@ -66,10 +70,9 @@ def empty_company_system(name: str, sim: Simulation | None = None):
         return MvccUASystem(schema, workload, estimates, sim=sim)
     if name == "Baseline":
         return BaselineSystem(schema, workload, sim=sim)
-    return VoltDBSystem(
-        schema, workload, sim=sim,
-        schemes=(PartitionScheme("all-replicated", {}),),
-    )
+    system = VoltDBSystem(schema, workload, sim=sim)
+    system.schemes = ALL_REPLICATED
+    return system
 
 
 def build_company_federation(mode: str, pin: str | None = None):
@@ -79,9 +82,8 @@ def build_company_federation(mode: str, pin: str | None = None):
     backends = {
         name: BaselineSystem(schema, Workload()) for name in ("rule", "cost-based")
     }
-    backends["voltdb"] = VoltDBSystem(
-        schema, Workload(), schemes=(PartitionScheme("all-replicated", {}),)
-    )
+    backends["voltdb"] = VoltDBSystem(schema, Workload())
+    backends["voltdb"].schemes = ALL_REPLICATED
     backends["cost-based"].conn.configure_engine(cost_based=True)
     mediator = build_mediator(backends, schema, seed=7, mode=mode, pin=pin)
     load_company(mediator)

@@ -531,10 +531,11 @@ def _tool(name: str, folder: str = "tools"):
 
 class TestSettableSurface:
     """A setting is something a workload sets. ``tools/config_table.py``
-    derives the settable surface from the config dataclasses; every
-    field needs a setter outside tests and examples (or is a
-    ``CostModel`` price), and the table in ``docs/ARCHITECTURE.md`` is
-    generated from the same walk."""
+    derives the settable surface from the config dataclasses and the
+    defaulted keywords of ``src/repro``; each needs a setter outside
+    tests (or is a ``CostModel`` price, or a ``KEEP`` entry with its
+    reason), and the table in ``docs/ARCHITECTURE.md`` is generated from
+    the same walk."""
 
     def test_every_field_is_earned_and_the_doc_table_is_current(self, capsys):
         code = _tool("config_table").main(["--check"])
@@ -549,9 +550,96 @@ class TestSettableSurface:
         assert counts == {
             "CostModel": 21,
             "ServingConfig": 3,
-            "ClusterConfig": 6,
+            "ClusterConfig": 5,
             "FaultConfig": 5,
         }
+
+    SAMPLE = '''\
+def unset(a, flag=False):
+    return a
+
+
+def by_name(a, x=1):
+    return a
+
+
+def by_position(a, x=1):
+    return a
+
+
+def forwarded(a, x=1):
+    return a
+
+
+def wrap(**kw):
+    return forwarded(1, **kw)
+
+
+def op_put(row, protocol="failover"):
+    return row
+
+
+def figure(lab, progress=None):
+    return lab
+
+
+def program(session=None):
+    return session
+
+
+_OPS = {"put": op_put}
+
+
+class Base:
+    def __init__(self, node, child=None):
+        self.child = child
+
+
+class Sub(Base):
+    def __init__(self, node):
+        super().__init__(node, None)
+
+
+def main():
+    session = object()
+
+    def program(session=session):
+        return session
+
+    unset(1)
+    by_name(1, x=2)
+    by_position(1, 2)
+    wrap()
+    _OPS["put"](b"r", "serving")
+    for run in (figure,):
+        run(None, print)
+    return Sub(1), program()
+'''
+
+    def test_keyword_walk_on_a_planted_module(self):
+        """Every setter shape counts and the one unset keyword is
+        flagged; a ``KEEP`` entry whose reason is a test is refused."""
+        tool = _tool("config_table")
+        tree = ast.parse(self.SAMPLE)
+        index = tool.Index({"sample": tree})
+        found = tool.setters(index, {"sample.py": tree})
+        checked = tool.keywords(index)
+        assert checked == [
+            "sample:Base(child)",
+            "sample:by_name(x)",
+            "sample:by_position(x)",
+            "sample:figure(progress)",
+            "sample:forwarded(x)",
+            "sample:op_put(protocol)",
+            "sample:program(session)",
+            "sample:unset(flag)",
+        ]
+        keep = {"sample:program(session)": "storage: a test builds its session"}
+        problems = tool.keyword_problems(checked, found, keep)
+        assert [p.split(" ")[0] for p in problems] == [
+            "sample:unset(flag)",
+            "KEEP['sample:program(session)']:",
+        ]
 
     def test_no_policy_argument_survives(self):
         """One balancer, one failover protocol, one rollout pacing: the

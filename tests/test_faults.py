@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.suites import faults
 from repro.bench.suites.faults import chaos_cell
 from repro.config import ClusterConfig
 from repro.errors import RegionRetriesExhaustedError
@@ -133,12 +134,12 @@ class TestChaosCell:
         assert run.report.clients["fault-injector"]["committed"] == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 20170904])
-    def test_invariants_hold_across_seeds(self, seed):
+    def test_invariants_hold_across_seeds(self, seed, monkeypatch):
+        monkeypatch.setattr(faults, "SEED", seed)
         run = chaos_cell(
             clients=6,
             ops_per_client=24,
             fault_config=FaultConfig(cycles=3, crash_interval_ms=40.0),
-            seed=seed,
         )
         assert run.violations == []
 

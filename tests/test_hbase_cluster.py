@@ -170,7 +170,7 @@ class TestFlushCompactionAndSize:
         put(table, b"k2", v=b"2")
         size_before = table.cluster.table_size_bytes("t")
         table.delete(Delete(b"k1"))
-        cluster.major_compact("t")
+        cluster.major_compact()
         assert table.cluster.table_row_count("t") == 1
         assert table.cluster.table_size_bytes("t") < size_before
 

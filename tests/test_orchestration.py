@@ -234,7 +234,7 @@ class TestFencing:
 
 
 # ------------------------------------------------------------ rollback
-def assert_rollback_restores_state(cluster, steps, verify_tables=None):
+def assert_rollback_restores_state(cluster, steps):
     """Poison a stage after ``steps`` and check the unwind lands exactly
     on the pre-rollout state — row-for-row and by layout fingerprint."""
     rows_before = cluster_snapshot(cluster)
@@ -243,7 +243,6 @@ def assert_rollback_restores_state(cluster, steps, verify_tables=None):
     orch = Orchestrator(
         cluster,
         stages=[("1:drill", list(steps) + [PoisonStep()])],
-        verify_tables=verify_tables,
     )
     report = orch.run()
     assert report.status == "rolled-back"
@@ -480,5 +479,7 @@ class TestRollout:
             Orchestrator(cluster)
         with pytest.raises(ValueError):
             Orchestrator(
-                cluster, plan=ClusterPlan(servers=2), steps=[AddServers(1)]
+                cluster,
+                plan=ClusterPlan(servers=2),
+                stages=[("1:add-servers", [AddServers(1)])],
             )

@@ -199,7 +199,9 @@ class TestMoveRacingChaos:
         )
         orch = Orchestrator(
             cluster,
-            steps=[MoveRegion("t", region.start_key, target.name)],
+            stages=[
+                ("1:move-region", [MoveRegion("t", region.start_key, target.name)])
+            ],
             start_delay_ms=5.0,
         )
         orch.install(scheduler)
@@ -230,7 +232,7 @@ class TestMoveRacingChaos:
         )
         orch = Orchestrator(
             cluster,
-            steps=[MoveRegion("t", b"", target.name)],
+            stages=[("1:move-region", [MoveRegion("t", b"", target.name)])],
             start_delay_ms=5.0,
         )
         orch.install(scheduler)
@@ -276,7 +278,7 @@ class TestMoveRacingChaos:
         # server once it has restarted empty
         orch = Orchestrator(
             cluster,
-            steps=[MoveRegion("r", b"", primary_host.name)],
+            stages=[("1:move-region", [MoveRegion("r", b"", primary_host.name)])],
             start_delay_ms=20.0,
         )
         orch.install(scheduler)

@@ -20,8 +20,8 @@ class TestCatalog:
     def test_baseline_transformation_creates_all_tables(self, client):
         catalog = create_baseline_schema(client, company_schema())
         # 7 relations + 3 indexes
-        assert len(catalog.entries(TABLE)) == 7
-        assert len(catalog.entries(INDEX)) == 3
+        kinds = [entry.kind for entry in catalog.entries()]
+        assert (kinds.count(TABLE), kinds.count(INDEX)) == (7, 3)
         for entry in catalog.entries():
             assert client.has_table(entry.name)
 

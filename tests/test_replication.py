@@ -30,6 +30,12 @@ from repro.sim.scheduler import DeterministicScheduler
 from tests.conftest import wal_pending
 
 
+def ship_all(manager) -> None:
+    """Drain rounds until every live follower has the whole log."""
+    while manager.ship_pending():
+        pass
+
+
 def entry(row: bytes, ts: int = 1) -> WalEntry:
     return WalEntry("r", "put", row, [((FAMILY, QUALIFIER), b"x", None)], ts)
 
@@ -263,16 +269,17 @@ class TestPlacement:
 
 
 class TestShipping:
-    def test_ship_pending_applies_the_log_prefix(self):
+    def test_ship_pending_applies_the_log_prefix(self, monkeypatch):
         _sim, cluster = build_replicated_fixture()
         manager = cluster.replication
         group = next(iter(manager.groups.values()))
         follower = group.followers[0]
         assert follower.applied == 0  # preload not shipped yet
-        shipped = manager.ship_pending(batch_entries=5)
+        monkeypatch.setattr(replication, "SHIP_BATCH_ENTRIES", 5)
+        shipped = manager.ship_pending()
         assert shipped > 0
         assert follower.applied == 5  # one batch per drain round
-        manager.ship_pending(batch_entries=10_000)
+        ship_all(manager)
         assert follower.applied == len(group.log)
         # the follower region now holds exactly the primary's rows
         row = group.primary.start_key or b"%08d" % 0
@@ -307,7 +314,7 @@ class TestFollowerReads:
     def test_get_serves_from_follower_within_bound(self):
         _sim, cluster = build_replicated_fixture()
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         handle = HTable(cluster, "c", follower_reads=True)
         result = handle.get(Get(b"%08d" % 7))
         assert result.value(FAMILY, QUALIFIER) == b"seed-%06d" % 7
@@ -328,7 +335,7 @@ class TestFollowerReads:
         monkeypatch.setattr(replication, "STALENESS_BOUND_ENTRIES", 64)
         _sim, cluster = build_replicated_fixture()
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         handle = HTable(cluster, "c", follower_reads=True)
         writer = HTable(cluster, "c")
         p = Put(b"%08d" % 7)
@@ -338,7 +345,7 @@ class TestFollowerReads:
         assert result.value(FAMILY, QUALIFIER) == b"seed-%06d" % 7
         row_lag, entry_lag = handle.last_follower_lag
         assert row_lag == 1 and entry_lag == 1
-        manager.ship_pending(10_000)
+        ship_all(manager)
         result = handle.get(Get(b"%08d" % 7))
         assert result.value(FAMILY, QUALIFIER) == b"v2"
         assert handle.last_follower_lag == (0, 0)
@@ -347,7 +354,7 @@ class TestFollowerReads:
         """The robustness win: a crashed (un-recovered) primary does not
         block reads — a live in-bound follower answers them."""
         _sim, cluster = build_replicated_fixture()
-        cluster.replication.ship_pending(10_000)
+        ship_all(cluster.replication)
         row = b"%08d" % 30  # middle region
         region = cluster.tables["c"].region_for(row)
         cluster.server_for(region).crash()
@@ -361,7 +368,7 @@ class TestFollowerReads:
     def test_follower_scan_window_records_staleness_pinning(self):
         _sim, cluster = build_replicated_fixture()
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         writer = HTable(cluster, "c")
         p = Put(b"%08d" % 3)
         p.add(FAMILY, QUALIFIER, b"v2")
@@ -397,7 +404,7 @@ class TestFollowerReads:
         table.put_batch(
             [Put(b"%08d" % i).add(FAMILY, QUALIFIER, b"v") for i in range(60)]
         )
-        cluster.replication.ship_pending(10_000)
+        ship_all(cluster.replication)
         rows_seen = []
 
         def reader(vc):
@@ -421,7 +428,7 @@ class TestPromotion:
     def test_crash_promotes_most_caught_up_follower(self):
         _sim, cluster = build_replicated_fixture()
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         writer = HTable(cluster, "c")
         p = Put(b"%08d" % 30)
         p.add(FAMILY, QUALIFIER, b"unshipped")
@@ -447,7 +454,7 @@ class TestPromotion:
         crash must ride its cached-location invalidation onto the
         promoted replica — the standard _relocate dance."""
         _sim, cluster = build_replicated_fixture()
-        cluster.replication.ship_pending(10_000)
+        ship_all(cluster.replication)
         handle = HTable(cluster, "c")
         row = b"%08d" % 30
         assert handle.get(Get(row)) is not None  # location now cached
@@ -466,7 +473,7 @@ class TestPromotion:
             _sim, cluster = build_replicated_fixture(
                 num_servers=4, replica_count=3, seed=23
             )
-            cluster.replication.ship_pending(10_000)  # both fully caught up
+            ship_all(cluster.replication)  # both fully caught up
             row = b"%08d" % 30
             region = cluster.tables["c"].region_for(row)
             victim = cluster.server_for(region)
@@ -483,7 +490,7 @@ class TestPromotion:
         the data and the group re-keys onto the fresh incarnation."""
         _sim, cluster = build_replicated_fixture(num_servers=3)
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         row = b"%08d" % 30
         region = cluster.tables["c"].region_for(row)
         group = manager.groups[region.name]
@@ -502,7 +509,7 @@ class TestPromotion:
     def test_repair_rebuilds_lost_followers(self):
         _sim, cluster = build_replicated_fixture(num_servers=3)
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         group = next(iter(manager.groups.values()))
         follower = group.followers[0]
         victim = follower.server
@@ -539,7 +546,7 @@ class TestPromotion:
             p.add(FAMILY, QUALIFIER, b"seed-%06d" % i)
             puts.append(p)
         table.put_batch(puts)
-        plain.replication.ship_pending(10_000)
+        ship_all(plain.replication)
         row = b"%08d" % 30
         rep_victim = plain.server_for(plain.tables["c"].region_for(row))
         unrep_victim = unrep.server_for(unrep.tables["c"].region_for(row))
@@ -561,7 +568,7 @@ class TestCrashCycleEdges:
         followers) and lose nothing."""
         _sim, cluster = build_replicated_fixture(num_servers=3)
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         row = b"%08d" % 30
         victim = cluster.server_for(cluster.tables["c"].region_for(row))
         for _cycle in range(2):
@@ -570,7 +577,7 @@ class TestCrashCycleEdges:
             victim.restart()
             assert not victim.regions and not victim.follower_regions
             assert wal_pending(victim.wal) == 0
-            manager.ship_pending(10_000)
+            ship_all(manager)
             # second cycle crashes the *same* server again: by now it
             # may host rebuilt followers but no primaries — both must
             # survive another crash/recover round
@@ -586,7 +593,7 @@ class TestCrashCycleEdges:
         exactly once across the promotion boundary."""
         sim, cluster = build_replicated_fixture(num_servers=3)
         manager = cluster.replication
-        manager.ship_pending(10_000)
+        ship_all(manager)
         history = ChaosHistory()
         for i in range(60):  # the preload is acked, so the oracle knows it
             history.record_ack(b"%08d" % i, b"seed-%06d" % i)

@@ -605,8 +605,8 @@ def _all_replicated_voltdb(lab: TpcwLab) -> VoltDBSystem:
         lab.schema,
         lab.workload,
         sim=Simulation(seed=lab.seed, jitter_fraction=0.02),
-        schemes=(PartitionScheme("all-replicated", {}),),
     )
+    system.schemes = (PartitionScheme("all-replicated", {}),)
     lab.populate(system)
     return system
 

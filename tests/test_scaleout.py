@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.bench.suites import scaleout
 from repro.bench.suites.scaleout import _scaleout_cell, _scaleout_ops, run_scaleout
 from repro.config import ClusterConfig
 from repro.hbase import Get, HBaseClient, HBaseCluster, Put, RegionBalancer, chaos
@@ -75,13 +76,14 @@ class TestServerRouting:
 
 
 class TestScaleoutExperiment:
+    @pytest.fixture(autouse=True)
+    def small_table(self, monkeypatch):
+        monkeypatch.setattr(scaleout, "PRELOAD_ROWS", 512)
+        monkeypatch.setattr(scaleout, "SPLIT_THRESHOLD_BYTES", 2048)
+
     def run_small(self):
         return run_scaleout(
-            server_counts=(1, 2, 4),
-            client_counts=(8,),
-            ops_per_client=16,
-            preload_rows=512,
-            split_threshold=2048,
+            server_counts=(1, 2, 4), client_counts=(8,), ops_per_client=16
         )
 
     def test_throughput_monotone_in_server_count(self):
@@ -123,8 +125,7 @@ class TestScaleoutGate:
         monkeypatch.setattr(
             chaos, "check_invariants", lambda *_a, **_k: ["planted violation"]
         )
+        monkeypatch.setattr(scaleout, "PRELOAD_ROWS", 64)
+        monkeypatch.setattr(scaleout, "SPLIT_THRESHOLD_BYTES", 2048)
         with pytest.raises(RuntimeError, match="planted violation"):
-            run_scaleout(
-                server_counts=(2,), client_counts=(2,), ops_per_client=4,
-                preload_rows=64, split_threshold=2048,
-            )
+            run_scaleout(server_counts=(2,), client_counts=(2,), ops_per_client=4)

@@ -18,7 +18,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import Simulation
-from repro.sim.scheduler import DeterministicScheduler
+from repro.sim.scheduler import MAX_STEPS, DeterministicScheduler
 
 
 class ScanScheduler(DeterministicScheduler):
@@ -42,9 +42,9 @@ class ScanScheduler(DeterministicScheduler):
             client = min(runnable, key=lambda c: (c.clock.now_ms, c.client_id))
             self._step(ctx, client)
             steps += 1
-            if steps > self.max_steps:
+            if steps > MAX_STEPS:
                 raise RuntimeError(
-                    f"scheduler exceeded {self.max_steps} steps "
+                    f"scheduler exceeded {MAX_STEPS} steps "
                     "(livelocked client program?)"
                 )
         return steps

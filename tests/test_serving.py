@@ -21,6 +21,7 @@ from hypothesis.stateful import (
 )
 
 from repro.bench.suite import failed
+from repro.bench.suites import serving as serving_suite
 from repro.bench.suites.serving import (
     SERVING,
     SERVING_MODES,
@@ -398,7 +399,7 @@ class TestCacheCoherence:
             p = Put(b"%08d" % 3)
             p.add(CF, Q, b"newest")
             table.put(p)
-            cluster.major_compact("t")
+            cluster.major_compact()
 
         self.check_mirror(step)
 
@@ -519,9 +520,11 @@ class TestAdmission:
         assert isinstance(err, RegionUnavailableError)
         assert err.retry_after_ms == 2.5
 
-    def test_shed_decisions_bit_identical_across_reruns(self):
-        first = _serving_cell(192, 4, "cache+shed", num_servers=2, seed=13)
-        second = _serving_cell(192, 4, "cache+shed", num_servers=2, seed=13)
+    def test_shed_decisions_bit_identical_across_reruns(self, monkeypatch):
+        monkeypatch.setattr(serving_suite, "NUM_SERVERS", 2)
+        monkeypatch.setattr(serving_suite, "SEED", 13)
+        first = _serving_cell(192, 4, "cache+shed")
+        second = _serving_cell(192, 4, "cache+shed")
         assert first == second
         assert first["shed"] > 0
         assert first["violations"] == 0
@@ -607,18 +610,22 @@ class TestAdmission:
         assert ctrl.pressure == 1.0
         assert ctrl.bound_ms() == 8.0
 
-    def test_client_absorbs_shed_via_retry(self):
+    def test_client_absorbs_shed_via_retry(self, monkeypatch):
         # overload with shedding on: clients retry/drop but every
         # committed op still satisfies the read/durability oracles
-        cell = _serving_cell(256, 4, "cache+shed", num_servers=2, seed=3)
+        monkeypatch.setattr(serving_suite, "NUM_SERVERS", 2)
+        monkeypatch.setattr(serving_suite, "SEED", 3)
+        cell = _serving_cell(256, 4, "cache+shed")
         assert cell["shed"] > 0
         assert cell["committed"] > 0
         assert cell["violations"] == 0
         # drops are the ops whose retries were exhausted, never silent
         assert cell["dropped"] <= cell["shed"]
 
-    def test_baseline_mode_never_sheds(self):
-        cell = _serving_cell(128, 3, "baseline", num_servers=2, seed=3)
+    def test_baseline_mode_never_sheds(self, monkeypatch):
+        monkeypatch.setattr(serving_suite, "NUM_SERVERS", 2)
+        monkeypatch.setattr(serving_suite, "SEED", 3)
+        cell = _serving_cell(128, 3, "baseline")
         assert cell["shed"] == 0
         assert cell["hit_ratio"] == 0.0
         assert cell["violations"] == 0

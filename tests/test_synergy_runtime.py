@@ -156,7 +156,8 @@ class TestViewMaintenanceUpdate:
             assert counters["view.maintenance_full_scans"] > 0
             return {
                 entry.name: sorted(view_rows(system, entry.name), key=repr)
-                for entry in system.catalog.entries(VIEW)
+                for entry in system.catalog.entries()
+                if entry.kind == VIEW
             }
 
         as_text, as_int = views_after("4"), views_after(4)

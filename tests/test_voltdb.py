@@ -157,7 +157,8 @@ def _tpcw_system(scheme: PartitionScheme) -> VoltDBSystem:
     """VoltDB under ``scheme`` alone, loaded with 20 TPC-W customers."""
     from repro.tpcw.generator import TpcwDataGenerator
 
-    system = VoltDBSystem(tpcw_schema(), tpcw_workload(), schemes=(scheme,))
+    system = VoltDBSystem(tpcw_schema(), tpcw_workload())
+    system.schemes = (scheme,)
     system.load(TpcwDataGenerator(20, seed=3).all_rows())
     return system
 

@@ -15,7 +15,7 @@ records the code object of every Python call, and writes each
 function's status to ``tools/reach.json``: ``reached``, ``declaration``
 (an abstract method or a ``...``/``pass``/``raise NotImplementedError``
 stub no call reached) or ``unreached``. The rule ``--check`` enforces
-is the one ``tools/config_table.py`` holds for config fields: a
+is the one ``tools/config_table.py`` holds for settings: a
 function no workload reaches is named in ``ALLOW`` with the reason it
 stays, and "a test calls it" is not a reason. Code only tests need
 lives under ``tests/``. ``--check`` is what ``tests/test_bench.py`` runs.
